@@ -33,27 +33,11 @@ const USAGE: &str = "usage: bench report [--scale SIGMA] [--out FILE]
        bench adaptive [--scale SIGMA] [--out FILE]
        bench codec [--scale SIGMA] [--repeats R] [--out FILE]";
 
-/// Writes a schema-versioned JSON artifact to `out` and mirrors it
-/// into `results/` (when `out` is not already there), so both the
-/// checked-in root copy and the results tree stay current from one
-/// invocation.
-fn write_json_mirrored(out: &str, json: &str) -> Result<(), String> {
-    let body = format!("{json}\n");
-    std::fs::write(out, &body).map_err(|e| format!("writing {out}: {e}"))?;
-    let path = std::path::Path::new(out);
-    let in_results = path
-        .parent()
-        .is_some_and(|p| p.file_name().is_some_and(|n| n == "results"));
-    if !in_results {
-        if let Some(name) = path.file_name() {
-            let mirror = std::path::Path::new("results").join(name);
-            if std::fs::create_dir_all("results").is_ok() {
-                std::fs::write(&mirror, &body)
-                    .map_err(|e| format!("writing {}: {e}", mirror.display()))?;
-            }
-        }
-    }
-    Ok(())
+/// Writes a schema-versioned JSON artifact to `out`. The checked-in
+/// copies live under `results/`; pass `--out results/<name>` to
+/// regenerate one.
+fn write_json(out: &str, json: &str) -> Result<(), String> {
+    std::fs::write(out, format!("{json}\n")).map_err(|e| format!("writing {out}: {e}"))
 }
 
 fn run_report(args: &[String]) -> Result<(), String> {
@@ -269,7 +253,7 @@ fn run_throughput(args: &[String]) -> Result<(), String> {
     // stdout carries only the deterministic block (CI diffs two runs);
     // everything timed lives in the JSON artifact.
     print!("{text}");
-    write_json_mirrored(&out, &ir_bench::throughput::to_json(&report))?;
+    write_json(&out, &ir_bench::throughput::to_json(&report))?;
     if gate_scaling {
         // Gate text carries wall-clock ratios → stderr only, so the
         // stdout determinism contract survives a gated run.
@@ -346,7 +330,7 @@ fn run_storage(args: &[String]) -> Result<(), String> {
     // Same contract as `throughput`: deterministic block on stdout
     // (CI diffs two runs), wall-clock timings only in the JSON.
     print!("{text}");
-    write_json_mirrored(&out, &ir_bench::storage::to_json(&report))?;
+    write_json(&out, &ir_bench::storage::to_json(&report))?;
     if gate_overlap {
         // CI contract (ISSUE 9): at qd >= 4 the split-phase loop must
         // overlap reads and wait no longer on the virtual clock.
@@ -406,7 +390,7 @@ fn run_adaptive(args: &[String]) -> Result<(), String> {
     // no wall-clock number exists in this report, so the whole block
     // goes to stdout — CI diffs two runs.
     print!("{text}");
-    write_json_mirrored(&out, &ir_bench::adaptive::to_json(&report))?;
+    write_json(&out, &ir_bench::adaptive::to_json(&report))?;
     Ok(())
 }
 
@@ -448,7 +432,7 @@ fn run_codec(args: &[String]) -> Result<(), String> {
     // numbers on stdout (CI diffs two runs and the JSON artifact);
     // decode wall time is machine-dependent and goes to stderr.
     print!("{text}");
-    write_json_mirrored(&out, &ir_bench::codec::to_json(&report))?;
+    write_json(&out, &ir_bench::codec::to_json(&report))?;
     for t in &timings {
         eprintln!(
             "decode {}: {:.5} µs/entry (best of {repeats}, {} entries/pass)",

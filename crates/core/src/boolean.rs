@@ -21,7 +21,7 @@
 
 use crate::stats::EvalStats;
 use ir_index::InvertedIndex;
-use ir_storage::QueryBuffer;
+use ir_storage::{QueryBuffer, QueryBufferExt};
 use ir_types::{DocId, IrError, IrResult, ReadPlan};
 use std::collections::BTreeSet;
 
@@ -101,13 +101,9 @@ impl BooleanQuery {
                 if entry.n_pages > 0 {
                     // Safe evaluation reads the whole list: one
                     // full-list plan per term. Boolean queries carry no
-                    // term weights, so the entries are unhinted. The
-                    // plan goes through the split-phase protocol
-                    // back-to-back, which a blocking buffer serves
-                    // exactly like the old `fetch_batch` call.
+                    // term weights, so the entries are unhinted.
                     let plan = ReadPlan::for_term_pages(id, entry.n_pages, None);
-                    let handle = buffer.submit_batch(plan)?;
-                    let fetched = buffer.complete(handle)?;
+                    let fetched = buffer.fetch_batch(&plan)?;
                     stats.batches_issued += 1;
                     for (page, how) in &fetched {
                         stats.pages_processed += 1;

@@ -15,13 +15,39 @@
 use super::scan::{scan_submitted, scan_term};
 use super::EvalOptions;
 use crate::accumulator::Accumulators;
-use crate::query::Query;
+use crate::query::{Query, QueryTerm};
 use crate::rank;
 use crate::stats::{EvalStats, QueryResult, TermTraceRow};
 use ir_index::InvertedIndex;
 use ir_observe::SpanKind;
-use ir_storage::QueryBuffer;
+use ir_storage::{FetchOutcome, QueryBuffer, QueryBufferExt};
 use ir_types::{BatchHandle, IrResult, ListOrdering, PageId, ReadPlan, TermId};
+
+/// The §3.2.2 safety fix for a term the `f_max` skip would ignore
+/// outright: touch its first page anyway, so a newly added term is
+/// never silently dropped. A one-entry plan keeps even this touch on
+/// the batch path (and hints the page with `w_{q,t}`).
+fn touch_first_page<B: QueryBuffer>(
+    buffer: &mut B,
+    t: &QueryTerm,
+    stats: &mut EvalStats,
+    row: &mut TermTraceRow,
+) -> IrResult<()> {
+    let plan = ReadPlan::single_hinted(PageId::new(t.term, 0), t.weight());
+    let (_, how) = buffer
+        .fetch_batch(&plan)?
+        .into_iter()
+        .next()
+        .expect("a one-entry plan yields one result");
+    stats.batches_issued += 1;
+    row.pages_processed = 1;
+    row.pages_read = u32::from(how == FetchOutcome::Miss);
+    stats.pages_processed += 1;
+    stats.disk_reads += u64::from(row.pages_read);
+    stats.buffer_hits += u64::from(how != FetchOutcome::Miss);
+    stats.borrows += u64::from(how == FetchOutcome::Borrowed);
+    Ok(())
+}
 
 /// Runs BAF.
 pub fn evaluate_baf<B: QueryBuffer>(
@@ -140,23 +166,7 @@ pub fn evaluate_baf<B: QueryBuffer>(
         if f64::from(t.f_max) <= f_add {
             stats.terms_skipped += 1;
             if options.baf_force_first_page && t.n_pages > 0 {
-                // §3.2.2 safety fix: touch the first page anyway so a
-                // newly added term is never silently ignored. A
-                // one-entry plan keeps even this touch on the batch
-                // path (and hints the page with w_{q,t}).
-                let plan = ReadPlan::single_hinted(PageId::new(t.term, 0), t.weight());
-                let fetched = buffer.fetch_batch(&plan)?;
-                let (_, how) = fetched
-                    .into_iter()
-                    .next()
-                    .expect("a one-entry plan yields one result");
-                stats.batches_issued += 1;
-                row.pages_processed = 1;
-                row.pages_read = u32::from(how == ir_storage::FetchOutcome::Miss);
-                stats.pages_processed += 1;
-                stats.disk_reads += u64::from(row.pages_read);
-                stats.buffer_hits += u64::from(how != ir_storage::FetchOutcome::Miss);
-                stats.borrows += u64::from(how == ir_storage::FetchOutcome::Borrowed);
+                touch_first_page(buffer, t, &mut stats, &mut row)?;
             }
             trace.push(row);
             continue;
@@ -219,7 +229,7 @@ struct InFlightScan {
 fn finish_in_flight<B: QueryBuffer>(
     buffer: &mut B,
     p: InFlightScan,
-    terms: &[crate::query::QueryTerm],
+    terms: &[QueryTerm],
     accs: &mut Accumulators,
     s_max: &mut f64,
     early_stop: bool,
@@ -231,6 +241,7 @@ fn finish_in_flight<B: QueryBuffer>(
     let out = scan_submitted(
         buffer,
         p.handle,
+        true,
         accs,
         s_max,
         t,
@@ -372,31 +383,16 @@ fn evaluate_baf_overlap<B: QueryBuffer>(
         };
         if f64::from(t.f_max) <= f_add {
             // The f_max skip never submits, so there is nothing to
-            // overlap; the §3.2.2 safety touch stays a blocking
-            // one-entry batch exactly as in the sequential loop.
+            // overlap; the safety touch stays a submit-then-complete
+            // batch exactly as in the sequential loop.
             stats.terms_skipped += 1;
             if options.baf_force_first_page && t.n_pages > 0 {
-                let plan = ReadPlan::single_hinted(PageId::new(t.term, 0), t.weight());
-                let fetched = match buffer.fetch_batch(&plan) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        if let Some(p) = pending.take() {
-                            buffer.cancel_batch(p.handle);
-                        }
-                        return Err(e);
+                if let Err(e) = touch_first_page(buffer, t, &mut stats, &mut row) {
+                    if let Some(p) = pending.take() {
+                        buffer.cancel_batch(p.handle);
                     }
-                };
-                let (_, how) = fetched
-                    .into_iter()
-                    .next()
-                    .expect("a one-entry plan yields one result");
-                stats.batches_issued += 1;
-                row.pages_processed = 1;
-                row.pages_read = u32::from(how == ir_storage::FetchOutcome::Miss);
-                stats.pages_processed += 1;
-                stats.disk_reads += u64::from(row.pages_read);
-                stats.buffer_hits += u64::from(how != ir_storage::FetchOutcome::Miss);
-                stats.borrows += u64::from(how == ir_storage::FetchOutcome::Borrowed);
+                    return Err(e);
+                }
             }
             trace.push(row);
             continue;

@@ -65,10 +65,9 @@ pub struct EvalOptions {
     pub baf_force_first_page: bool,
     /// Announce this query's term weights to the buffer manager before
     /// evaluating (RAP's per-query context). Multi-user drivers that
-    /// maintain a *merged* query context (paper §3.3, option 2) set
-    /// this to `false` and call
-    /// [`BufferManager::begin_query`](ir_storage::BufferManager::begin_query)
-    /// themselves.
+    /// maintain a *merged* query context (paper §3.3, option 2 — the
+    /// session server's global-history layout) set this to `false`
+    /// and call [`QueryBuffer::begin_query`] themselves.
     pub announce_query: bool,
     /// BAF only: run the split-phase overlap loop — submit the chosen
     /// term's read plan, then run the next round's term selection while

@@ -30,6 +30,9 @@ pub(crate) struct ScanOutcome {
     pub pages_borrowed: u32,
     /// Entries examined (including the terminating one).
     pub entries: u64,
+    /// The frequency-ordered early stop fired: nothing further in the
+    /// list can pass `f_add`.
+    pub stopped: bool,
 }
 
 /// Builds the scan's [`ReadPlan`]s for pages `[0, plan_pages)`, each
@@ -60,22 +63,21 @@ fn chunk_plans(term: TermId, plan_pages: u32, w_q: f64, align: Option<u32>) -> V
     }
 }
 
-/// The posting-processing core shared by every scan entry point: folds
-/// one completed batch into `out` / `accs` / `s_max`. Returns `true`
-/// when the frequency-ordered early stop fired and the scan is done.
+/// The posting-processing core: folds one completed batch into `accs` /
+/// `s_max` and reports what it did.
 #[allow(clippy::too_many_arguments)]
 fn process_fetched(
     fetched: &[(Page, FetchOutcome)],
     last_chunk: bool,
-    out: &mut ScanOutcome,
     accs: &mut Accumulators,
     s_max: &mut f64,
     term: &QueryTerm,
-    w_q: f64,
     f_ins: f64,
     f_add: f64,
     early_stop: bool,
-) -> bool {
+) -> ScanOutcome {
+    let mut out = ScanOutcome::default();
+    let w_q = term.weight();
     for (i, (page, how)) in fetched.iter().enumerate() {
         out.pages_processed += 1;
         match how {
@@ -95,7 +97,8 @@ fn process_fetched(
                         last_chunk && i + 1 == fetched.len(),
                         "plan over-covered the scan"
                     );
-                    return true;
+                    out.stopped = true;
+                    return out;
                 }
                 // Doc ordering: the entry is filtered, but later ones
                 // may still pass — keep scanning (footnote 14).
@@ -114,29 +117,25 @@ fn process_fetched(
             }
         }
     }
-    false
+    out
 }
 
 /// Scans `term`'s list in frequency order, accumulating partial
 /// similarities under `f_ins` / `f_add`, terminating at the first entry
 /// with `f_{d,t} ≤ f_add`. Updates `s_max` whenever an accumulator is
-/// touched (step 4(c)v). When `parent` is given, the scan reports
-/// itself as a `list-read` span beneath it.
+/// touched (step 4(c)v).
 ///
 /// The term is issued as a short sequence of [`ReadPlan`]s covering
 /// pages `[0, plan_pages)` in order — one plan when the buffer reports
 /// no [`plan_alignment`](QueryBuffer::plan_alignment), else one per
-/// routing chunk — each run through the split-phase
-/// [`submit_batch`](QueryBuffer::submit_batch) /
-/// [`complete`](QueryBuffer::complete) protocol back to back, which a
-/// blocking buffer serves identically to the old `fetch_batch` call.
-/// Every entry is hinted with `w_{q,t}` so hint-aware policies can
-/// value the page at admission. The caller sizes the plan from the
-/// conversion table (§3.2.2), which is exact: under frequency ordering
-/// the page holding the first entry with `f ≤ f_add` is the last
-/// plan's last page; under doc ordering the plans cover the full list.
-/// Batching therefore fetches exactly the pages the old page-at-a-time
-/// loop did, in the same order.
+/// routing chunk — each submitted and then scanned by
+/// [`scan_submitted`] back to back. Every entry is hinted with
+/// `w_{q,t}` so hint-aware policies can value the page at admission.
+/// The caller sizes the plan from the conversion table (§3.2.2), which
+/// is exact: under frequency ordering the page holding the first entry
+/// with `f ≤ f_add` is the last plan's last page; under doc ordering
+/// the plans cover the full list. Batching therefore fetches exactly
+/// the pages a page-at-a-time loop would, in the same order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_term<B: QueryBuffer>(
     buffer: &mut B,
@@ -149,69 +148,57 @@ pub(crate) fn scan_term<B: QueryBuffer>(
     plan_pages: u32,
     parent: Option<&Span>,
 ) -> IrResult<ScanOutcome> {
-    let mut span = parent.map(|p| p.child(SpanKind::ListRead, format!("term:{}", term.term.0)));
-    let mut out = ScanOutcome::default();
-    let w_q = term.weight();
-    let plans = chunk_plans(term.term, plan_pages, w_q, buffer.plan_alignment());
+    let plans = chunk_plans(
+        term.term,
+        plan_pages,
+        term.weight(),
+        buffer.plan_alignment(),
+    );
     let last = plans.len() - 1;
-    // Per-call outcome attribution: each plan entry reports whether it
-    // was served from this caller's frames, a sibling's, or disk — so
-    // the counts stay per-query even when other sessions drive the
-    // same pool concurrently (pool-wide miss deltas don't).
-    let mut fetched = FETCH_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
-    let mut failed = None;
+    let mut total = ScanOutcome::default();
     for (ci, plan) in plans.into_iter().enumerate() {
-        // Submission also hands a latency-modeling store the plan's
-        // tail, letting it start those transfers before the demand
-        // reads arrive; a no-op for every in-memory store, so the
-        // event stream is untouched.
-        let done = match buffer
-            .submit_batch(plan)
-            .and_then(|h| buffer.complete_into(h, &mut fetched))
-        {
-            Ok(()) => process_fetched(
-                &fetched,
-                ci == last,
-                &mut out,
-                accs,
-                s_max,
-                term,
-                w_q,
-                f_ins,
-                f_add,
-                early_stop,
-            ),
-            Err(e) => {
-                failed = Some(e);
-                true
-            }
-        };
-        if done {
+        let handle = buffer.submit_batch(plan)?;
+        let out = scan_submitted(
+            buffer,
+            handle,
+            ci == last,
+            accs,
+            s_max,
+            term,
+            f_ins,
+            f_add,
+            early_stop,
+            parent,
+        )?;
+        total.pages_processed += out.pages_processed;
+        total.pages_read += out.pages_read;
+        total.pages_borrowed += out.pages_borrowed;
+        total.entries += out.entries;
+        total.stopped = out.stopped;
+        if out.stopped {
             break;
         }
     }
-    fetched.clear();
-    FETCH_SCRATCH.with(|c| *c.borrow_mut() = fetched);
-    if let Some(e) = failed {
-        return Err(e);
-    }
-    if let Some(s) = span.as_mut() {
-        s.attr("pages_processed", i64::from(out.pages_processed));
-        s.attr("pages_read", i64::from(out.pages_read));
-        s.attr("entries", out.entries as i64);
-    }
-    Ok(out)
+    Ok(total)
 }
 
-/// [`scan_term`] for a plan the caller already submitted: completes
-/// `handle` and processes its pages as a single chunk. This is the
-/// overlap-mode entry point — the BAF loop submits the next term's
-/// plan before completing the current one, so by the time this runs
-/// the transfers have been shadowing evaluation.
+/// Completes a submitted plan and folds its pages into `accs` /
+/// `s_max` — the one place a fetch's results are processed. Called
+/// straight after submission by [`scan_term`], and one round later by
+/// the overlap-mode BAF loop, which submits the next term's plan
+/// before completing the current one so the transfers shadow
+/// evaluation. When `parent` is given, the chunk reports itself as a
+/// `list-read` span beneath it.
+///
+/// Each plan entry reports whether it was served from this caller's
+/// frames, a sibling's, or disk — so the counts stay per-query even
+/// when other sessions drive the same pool concurrently (pool-wide
+/// miss deltas don't).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_submitted<B: QueryBuffer>(
     buffer: &mut B,
     handle: BatchHandle,
+    last_chunk: bool,
     accs: &mut Accumulators,
     s_max: &mut f64,
     term: &QueryTerm,
@@ -221,19 +208,15 @@ pub(crate) fn scan_submitted<B: QueryBuffer>(
     parent: Option<&Span>,
 ) -> IrResult<ScanOutcome> {
     let mut span = parent.map(|p| p.child(SpanKind::ListRead, format!("term:{}", term.term.0)));
-    let mut out = ScanOutcome::default();
-    let w_q = term.weight();
     let mut fetched = FETCH_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
-    if let Err(e) = buffer.complete_into(handle, &mut fetched) {
-        fetched.clear();
-        FETCH_SCRATCH.with(|c| *c.borrow_mut() = fetched);
-        return Err(e);
-    }
-    process_fetched(
-        &fetched, true, &mut out, accs, s_max, term, w_q, f_ins, f_add, early_stop,
-    );
+    let out = buffer.complete_into(handle, &mut fetched).map(|()| {
+        process_fetched(
+            &fetched, last_chunk, accs, s_max, term, f_ins, f_add, early_stop,
+        )
+    });
     fetched.clear();
     FETCH_SCRATCH.with(|c| *c.borrow_mut() = fetched);
+    let out = out?;
     if let Some(s) = span.as_mut() {
         s.attr("pages_processed", i64::from(out.pages_processed));
         s.attr("pages_read", i64::from(out.pages_read));

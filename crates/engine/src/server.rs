@@ -40,11 +40,11 @@ use ir_core::{Algorithm, Query, RefinementSequence, SequenceOutcome, StepOutcome
 use ir_index::InvertedIndex;
 use ir_observe::{MetricsSnapshot, SpanKind};
 use ir_storage::{
-    BufferManager, BufferStats, DiskSim, FaultConfig, FaultStats, FaultStore, FetchOutcome,
-    FetchPolicy, Page, PageStore, PartitionHandle, PartitionedBuffer, PolicyKind, QueryBuffer,
-    ShardedBufferPool, SharedBufferManager, SharedPartitionedBuffer,
+    BufferManager, BufferStats, DiskSim, FaultConfig, FaultStats, FaultStore, FetchPolicy,
+    PageStore, PartitionedBuffer, PolicyKind, QueryBuffer, ShardedBufferPool, SharedBufferManager,
+    SharedPartitionedBuffer,
 };
-use ir_types::{IrError, IrResult, PageId, ReadPlan, TermId};
+use ir_types::{IrError, IrResult, TermId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -115,10 +115,10 @@ pub struct SessionSpec {
     pub sequence: RefinementSequence,
     /// Evaluation algorithm (the paper's multi-user runs use BAF).
     pub algorithm: Algorithm,
-    /// Evaluation knobs. `announce_query` should stay `true`; under
-    /// [`PoolLayout::Shared`] with `global_history` the server
-    /// intercepts the announcement and merges it into the global
-    /// history before it reaches the pool.
+    /// Evaluation knobs. Under [`PoolLayout::Shared`] with
+    /// `global_history` the server makes the announcement itself —
+    /// merged into the global history — and evaluates with
+    /// `announce_query` off.
     pub options: EvalOptions,
     /// Chaos hook: panic deliberately before evaluating this step
     /// (0-based). The panic is caught by the session guard and must
@@ -314,192 +314,44 @@ impl Turnstile {
 /// `w_{q,t}` could be used".
 type WeightRegistry = Mutex<Vec<HashMap<TermId, f64>>>;
 
-/// The buffer view one session thread evaluates against.
-#[derive(Debug)]
-enum SessionBuffer {
-    Shared(SharedBufferManager<Arc<ServerStore>>),
-    GlobalShared {
-        pool: SharedBufferManager<Arc<ServerStore>>,
-        registry: Arc<WeightRegistry>,
-        user: usize,
-    },
-    Partition(PartitionHandle<ServerStore>),
-    Sharded(ShardedBufferPool<ServerStore>),
-}
-
-impl QueryBuffer for SessionBuffer {
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        match self {
-            SessionBuffer::Shared(p) => p.fetch(id),
-            SessionBuffer::GlobalShared { pool, .. } => pool.fetch(id),
-            SessionBuffer::Partition(h) => h.fetch(id),
-            SessionBuffer::Sharded(p) => QueryBuffer::fetch(p, id),
-        }
-    }
-
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        match self {
-            SessionBuffer::Shared(p) => p.fetch_traced(id),
-            SessionBuffer::GlobalShared { pool, .. } => pool.fetch_traced(id),
-            SessionBuffer::Partition(h) => h.fetch_traced(id),
-            SessionBuffer::Sharded(p) => QueryBuffer::fetch_traced(p, id),
-        }
-    }
-
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        // Forwarded so a session's whole plan runs under one pool lock
-        // acquisition instead of one per page.
-        match self {
-            SessionBuffer::Shared(p) => p.fetch_batch(plan),
-            SessionBuffer::GlobalShared { pool, .. } => pool.fetch_batch(plan),
-            SessionBuffer::Partition(h) => h.fetch_batch(plan),
-            SessionBuffer::Sharded(p) => QueryBuffer::fetch_batch(p, plan),
-        }
-    }
-
-    fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        // Forwarded so the eval loop's scratch vector reaches the pool
-        // instead of bouncing through a fresh allocation per scan.
-        match self {
-            SessionBuffer::Shared(p) => p.fetch_batch_into(plan, out),
-            SessionBuffer::GlobalShared { pool, .. } => pool.fetch_batch_into(plan, out),
-            SessionBuffer::Partition(h) => h.fetch_batch_into(plan, out),
-            SessionBuffer::Sharded(p) => QueryBuffer::fetch_batch_into(p, plan, out),
-        }
-    }
-
-    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<ir_types::BatchHandle> {
-        // Forwarded so the overlap loop's submissions reach the real
-        // pool instead of the trait's blocking default.
-        match self {
-            SessionBuffer::Shared(p) => p.submit_batch(plan),
-            SessionBuffer::GlobalShared { pool, .. } => pool.submit_batch(plan),
-            SessionBuffer::Partition(h) => h.submit_batch(plan),
-            SessionBuffer::Sharded(p) => QueryBuffer::submit_batch(p, plan),
-        }
-    }
-
-    fn complete_into(
-        &mut self,
-        handle: ir_types::BatchHandle,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        match self {
-            SessionBuffer::Shared(p) => p.complete_into(handle, out),
-            SessionBuffer::GlobalShared { pool, .. } => pool.complete_into(handle, out),
-            SessionBuffer::Partition(h) => h.complete_into(handle, out),
-            SessionBuffer::Sharded(p) => QueryBuffer::complete_into(p, handle, out),
-        }
-    }
-
-    fn cancel_batch(&mut self, handle: ir_types::BatchHandle) {
-        match self {
-            SessionBuffer::Shared(p) => p.cancel_batch(handle),
-            SessionBuffer::GlobalShared { pool, .. } => pool.cancel_batch(handle),
-            SessionBuffer::Partition(h) => h.cancel_batch(handle),
-            SessionBuffer::Sharded(p) => QueryBuffer::cancel_batch(p, handle),
-        }
-    }
-
-    fn overlap_depth(&self) -> usize {
-        match self {
-            SessionBuffer::Shared(p) => p.overlap_depth(),
-            SessionBuffer::GlobalShared { pool, .. } => pool.overlap_depth(),
-            SessionBuffer::Partition(h) => h.overlap_depth(),
-            SessionBuffer::Sharded(p) => QueryBuffer::overlap_depth(p),
-        }
-    }
-
-    fn plan_alignment(&self) -> Option<u32> {
-        match self {
-            SessionBuffer::Shared(p) => p.plan_alignment(),
-            SessionBuffer::GlobalShared { pool, .. } => pool.plan_alignment(),
-            SessionBuffer::Partition(h) => h.plan_alignment(),
-            SessionBuffer::Sharded(p) => QueryBuffer::plan_alignment(p),
-        }
-    }
-
-    fn resident_pages(&self, term: TermId) -> u32 {
-        match self {
-            SessionBuffer::Shared(p) => p.resident_pages(term),
-            SessionBuffer::GlobalShared { pool, .. } => pool.resident_pages(term),
-            SessionBuffer::Partition(h) => h.resident_pages(term),
-            SessionBuffer::Sharded(p) => ShardedBufferPool::resident_pages(p, term),
-        }
-    }
-
-    fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
-        // Forwarded so BAF's per-round candidate sweep costs one pass
-        // over the sharded pool instead of one all-shard lock per term.
-        match self {
-            SessionBuffer::Shared(p) => p.resident_pages_many(terms),
-            SessionBuffer::GlobalShared { pool, .. } => pool.resident_pages_many(terms),
-            SessionBuffer::Partition(h) => h.resident_pages_many(terms),
-            SessionBuffer::Sharded(p) => ShardedBufferPool::resident_pages_many(p, terms),
-        }
-    }
-
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        match self {
-            SessionBuffer::Shared(p) => p.begin_query(weights),
-            SessionBuffer::GlobalShared {
-                pool,
-                registry,
-                user,
-            } => {
-                let merged = {
-                    let mut reg = registry.lock();
-                    reg[*user] = weights.clone();
-                    let mut merged: HashMap<TermId, f64> = HashMap::new();
-                    for per_user in reg.iter() {
-                        for (&t, &w) in per_user {
-                            let e = merged.entry(t).or_insert(w);
-                            if w > *e {
-                                *e = w;
-                            }
-                        }
-                    }
-                    merged
-                };
-                pool.begin_query(&merged);
+/// Records `user`'s current query weights and returns the per-term max
+/// over every session's current query.
+fn merge_weights(
+    registry: &WeightRegistry,
+    user: usize,
+    weights: HashMap<TermId, f64>,
+) -> HashMap<TermId, f64> {
+    let mut reg = registry.lock();
+    reg[user] = weights;
+    let mut merged: HashMap<TermId, f64> = HashMap::new();
+    for per_user in reg.iter() {
+        for (&t, &w) in per_user {
+            let e = merged.entry(t).or_insert(w);
+            if w > *e {
+                *e = w;
             }
-            SessionBuffer::Partition(h) => h.begin_query(weights),
-            SessionBuffer::Sharded(p) => ShardedBufferPool::begin_query(p, weights),
         }
     }
-
-    fn stats(&self) -> BufferStats {
-        match self {
-            SessionBuffer::Shared(p) => p.stats(),
-            SessionBuffer::GlobalShared { pool, .. } => pool.stats(),
-            SessionBuffer::Partition(h) => h.stats(),
-            SessionBuffer::Sharded(p) => ShardedBufferPool::stats(p),
-        }
-    }
-
-    fn borrows(&self) -> u64 {
-        match self {
-            SessionBuffer::Shared(p) => p.borrows(),
-            SessionBuffer::GlobalShared { pool, .. } => pool.borrows(),
-            SessionBuffer::Partition(h) => h.borrows(),
-            SessionBuffer::Sharded(p) => ShardedBufferPool::borrows(p),
-        }
-    }
+    merged
 }
 
-/// The pool a run provisions, in its thread-shareable form.
-#[derive(Debug)]
-enum ServerPool {
-    Shared {
-        pool: SharedBufferManager<Arc<ServerStore>>,
-        registry: Option<Arc<WeightRegistry>>,
-    },
-    Partitioned(SharedPartitionedBuffer<ServerStore>),
-    Sharded(ShardedBufferPool<ServerStore>),
+/// What the session threads of one run produced: per-session outcomes
+/// in spec order, the cost ledger, and spawn-to-join wall time (µs).
+type SessionsRun = (Vec<SessionOutcome>, CostLedger, u64);
+
+/// What a layout's pool reports once its sessions have joined.
+#[derive(Default)]
+struct PoolRollup {
+    stats: BufferStats,
+    sibling_hits: u64,
+    occupancy: usize,
+    resident_term_pages: u64,
+    retries: u64,
+    gave_up: u64,
+    torn_pages: u64,
+    lock_wait_us: u64,
+    batch_splits: u64,
+    adaptive: AdaptiveStats,
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -589,7 +441,10 @@ impl<'a> SessionServer<'a> {
                 adaptive: AdaptiveStats::default(),
             });
         }
-        let (pool, total_frames) = match self.layout {
+        let all_terms: Vec<TermId> = (0..self.index.lexicon().len() as u32).map(TermId).collect();
+        // One arm per layout: provision the cold pool, run the sessions
+        // over per-session views of it, then roll the pool up.
+        let (total_frames, (sessions, ledger, wall_us), rollup) = match self.layout {
             PoolLayout::Shared {
                 total_frames,
                 policy,
@@ -597,15 +452,24 @@ impl<'a> SessionServer<'a> {
             } => {
                 let mut bm = BufferManager::new(Arc::clone(&store), total_frames, policy)?;
                 bm.set_fetch_policy(self.fetch_policy);
-                let registry = global_history
-                    .then(|| Arc::new(Mutex::new(vec![HashMap::<TermId, f64>::new(); n])));
-                (
-                    ServerPool::Shared {
-                        pool: SharedBufferManager::new(bm),
-                        registry,
-                    },
-                    total_frames,
-                )
+                let pool = SharedBufferManager::new(bm);
+                let registry = global_history.then(|| Mutex::new(vec![HashMap::new(); n]));
+                let run =
+                    self.run_sessions(specs, schedule, &store, registry.as_ref(), |_| pool.clone());
+                let rollup = pool.with(|bm| {
+                    let m = bm.metrics();
+                    PoolRollup {
+                        stats: bm.stats(),
+                        occupancy: bm.len(),
+                        resident_term_pages: sum_u32(bm.resident_pages_many(&all_terms)),
+                        retries: m.retries.get(),
+                        gave_up: m.gave_up.get(),
+                        torn_pages: m.torn_pages.get(),
+                        adaptive: AdaptiveStats::from_dump(&m.dump()),
+                        ..PoolRollup::default()
+                    }
+                });
+                (total_frames, run, rollup)
             }
             PoolLayout::Partitioned {
                 frames_each,
@@ -613,10 +477,30 @@ impl<'a> SessionServer<'a> {
             } => {
                 let mut pb = PartitionedBuffer::new(Arc::clone(&store), n, frames_each, policy)?;
                 pb.set_fetch_policy(self.fetch_policy);
-                (
-                    ServerPool::Partitioned(SharedPartitionedBuffer::new(pb)),
-                    frames_each * n,
-                )
+                let pool = SharedPartitionedBuffer::new(pb);
+                let run = self.run_sessions(specs, schedule, &store, None, |user| {
+                    pool.handle(user)
+                        .expect("one partition per session by construction")
+                });
+                let rollup = pool.with(|pb| PoolRollup {
+                    stats: pb.total_stats(),
+                    sibling_hits: pb.sibling_hits(),
+                    occupancy: pb.occupancy(),
+                    resident_term_pages: (0..pb.n_partitions())
+                        .map(|pid| {
+                            all_terms
+                                .iter()
+                                .map(|t| u64::from(pb.resident_pages(pid, *t)))
+                                .sum::<u64>()
+                        })
+                        .sum(),
+                    retries: pb.retries(),
+                    gave_up: pb.gave_up(),
+                    torn_pages: pb.torn_pages(),
+                    adaptive: AdaptiveStats::from_dump(&pb.merged_dump()),
+                    ..PoolRollup::default()
+                });
+                (frames_each * n, run, rollup)
             }
             PoolLayout::Sharded {
                 total_frames,
@@ -626,9 +510,70 @@ impl<'a> SessionServer<'a> {
                 let pool =
                     ShardedBufferPool::new(Arc::clone(&store), total_frames, policy, shards)?;
                 pool.set_fetch_policy(self.fetch_policy);
-                (ServerPool::Sharded(pool), total_frames)
+                let run = self.run_sessions(specs, schedule, &store, None, |_| pool.clone());
+                // Replay every shard's deferred hit effects before
+                // snapshotting: the lock-light fast path parks policy
+                // and observer work in `pending_hits`, so a rollup
+                // taken without draining it reports stale policy state
+                // — the adaptive stats below come from policy `on_hit`
+                // callbacks that have not run yet. The buffer counters
+                // themselves are eager; quiescing keeps the whole
+                // report one consistent snapshot.
+                pool.quiesce();
+                let metrics = pool.metrics();
+                let rollup = PoolRollup {
+                    stats: pool.stats(),
+                    sibling_hits: 0,
+                    occupancy: pool.len(),
+                    resident_term_pages: sum_u32(pool.resident_pages_many(&all_terms)),
+                    retries: pool.retries(),
+                    gave_up: pool.gave_up(),
+                    torn_pages: pool.torn_pages(),
+                    // The histogram is nanosecond-resolution (sub-µs
+                    // shard waits used to truncate to 0); the report
+                    // stays in µs.
+                    lock_wait_us: metrics.lock_wait_ns.sum() / 1_000,
+                    batch_splits: metrics.batch_splits.get(),
+                    adaptive: AdaptiveStats::from_dump(&pool.merged_dump()),
+                };
+                (total_frames, run, rollup)
             }
         };
+        let queries_per_sec = queries_per_sec(ledger.len(), wall_us);
+        Ok(ServerReport {
+            sessions,
+            pool_stats: rollup.stats,
+            sibling_hits: rollup.sibling_hits,
+            total_frames,
+            final_occupancy: rollup.occupancy,
+            resident_term_pages: rollup.resident_term_pages,
+            retries: rollup.retries,
+            gave_up: rollup.gave_up,
+            torn_pages: rollup.torn_pages,
+            fault_stats: store.stats(),
+            ledger,
+            wall_us,
+            queries_per_sec,
+            lock_wait_us: rollup.lock_wait_us,
+            batch_splits: rollup.batch_splits,
+            adaptive: rollup.adaptive,
+        })
+    }
+
+    /// Spawns one scoped thread per spec, each evaluating its sequence
+    /// against its own `make_buffer(user)` view of the run's pool, and
+    /// joins them all. With a `registry` (the global-history layout)
+    /// each step announces the per-term max over every session's
+    /// current query instead of its own weights.
+    fn run_sessions<B: QueryBuffer + Send>(
+        &self,
+        specs: &[SessionSpec],
+        schedule: Schedule,
+        store: &Arc<ServerStore>,
+        registry: Option<&WeightRegistry>,
+        make_buffer: impl Fn(usize) -> B,
+    ) -> SessionsRun {
+        let n = specs.len();
         let max_steps = specs
             .iter()
             .map(|s| s.sequence.steps.len())
@@ -641,23 +586,14 @@ impl<'a> SessionServer<'a> {
         let results: Vec<SessionRun> = crossbeam::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (user, spec) in specs.iter().enumerate() {
-                let mut buffer = match &pool {
-                    ServerPool::Shared { pool, registry } => match registry {
-                        Some(reg) => SessionBuffer::GlobalShared {
-                            pool: pool.clone(),
-                            registry: Arc::clone(reg),
-                            user,
-                        },
-                        None => SessionBuffer::Shared(pool.clone()),
-                    },
-                    ServerPool::Partitioned(p) => SessionBuffer::Partition(
-                        p.handle(user)
-                            .expect("one partition per session by construction"),
-                    ),
-                    ServerPool::Sharded(p) => SessionBuffer::Sharded(p.clone()),
+                let mut buffer = make_buffer(user);
+                // The merged announcement replaces the evaluator's own.
+                let registry = registry.filter(|_| spec.options.announce_query);
+                let options = EvalOptions {
+                    announce_query: spec.options.announce_query && registry.is_none(),
+                    ..spec.options
                 };
                 let turns = &turns;
-                let store = Arc::clone(&store);
                 handles.push(scope.spawn(move |_| {
                     let mut sspan =
                         ir_observe::tracer().span(SpanKind::Session, format!("user:{user}"));
@@ -688,12 +624,19 @@ impl<'a> SessionServer<'a> {
                                             panic!("chaos: injected panic at step {step}");
                                         }
                                         Query::from_ids(index, terms).and_then(|q| {
+                                            if let Some(reg) = registry {
+                                                buffer.begin_query(&merge_weights(
+                                                    reg,
+                                                    user,
+                                                    q.weights(),
+                                                ));
+                                            }
                                             evaluate(
                                                 spec.algorithm,
                                                 index,
                                                 &mut buffer,
                                                 &q,
-                                                spec.options,
+                                                options,
                                             )
                                         })
                                     }))
@@ -761,107 +704,13 @@ impl<'a> SessionServer<'a> {
                 },
             });
         }
-        let n_terms = self.index.lexicon().len() as u32;
-        let all_terms = (0..n_terms).map(TermId);
-        let (mut lock_wait_us, mut batch_splits) = (0u64, 0u64);
-        let (
-            pool_stats,
-            sibling_hits,
-            final_occupancy,
-            resident_term_pages,
-            retries,
-            gave_up,
-            torn,
-            adaptive,
-        ) = match &pool {
-            ServerPool::Shared { pool, .. } => pool.with(|bm| {
-                let b_t: u64 = all_terms.map(|t| u64::from(bm.resident_pages(t))).sum();
-                let m = bm.metrics();
-                (
-                    bm.stats(),
-                    0,
-                    bm.len(),
-                    b_t,
-                    m.retries.get(),
-                    m.gave_up.get(),
-                    m.torn_pages.get(),
-                    AdaptiveStats::from_dump(&m.dump()),
-                )
-            }),
-            ServerPool::Partitioned(p) => p.with(|pb| {
-                let b_t: u64 = all_terms
-                    .map(|t| {
-                        (0..pb.n_partitions())
-                            .map(|pid| u64::from(pb.resident_pages(pid, t)))
-                            .sum::<u64>()
-                    })
-                    .sum();
-                (
-                    pb.total_stats(),
-                    pb.sibling_hits(),
-                    pb.occupancy(),
-                    b_t,
-                    pb.retries(),
-                    pb.gave_up(),
-                    pb.torn_pages(),
-                    AdaptiveStats::from_dump(&pb.merged_dump()),
-                )
-            }),
-            ServerPool::Sharded(p) => {
-                // Replay every shard's deferred hit effects before
-                // snapshotting: the lock-light fast path parks policy
-                // and observer work in `pending_hits`, so a rollup
-                // taken without draining it reports stale policy state
-                // — the adaptive stats below come from policy `on_hit`
-                // callbacks that have not run yet. The buffer counters
-                // themselves are eager; quiescing keeps the whole
-                // report one consistent snapshot.
-                p.quiesce();
-                let metrics = p.metrics();
-                // The histogram is nanosecond-resolution (sub-µs shard
-                // waits used to truncate to 0); the report stays in µs.
-                lock_wait_us = metrics.lock_wait_ns.sum() / 1_000;
-                batch_splits = metrics.batch_splits.get();
-                // One pass over the shards for the whole lexicon's b_t
-                // rollup instead of an all-shard lock per term.
-                let term_ids: Vec<TermId> = all_terms.collect();
-                let b_t: u64 = p
-                    .resident_pages_many(&term_ids)
-                    .into_iter()
-                    .map(u64::from)
-                    .sum();
-                (
-                    ShardedBufferPool::stats(p),
-                    0,
-                    p.len(),
-                    b_t,
-                    p.retries(),
-                    p.gave_up(),
-                    p.torn_pages(),
-                    AdaptiveStats::from_dump(&p.merged_dump()),
-                )
-            }
-        };
-        let queries_per_sec = queries_per_sec(ledger.len(), wall_us);
-        Ok(ServerReport {
-            sessions,
-            pool_stats,
-            sibling_hits,
-            total_frames,
-            final_occupancy,
-            resident_term_pages,
-            retries,
-            gave_up,
-            torn_pages: torn,
-            fault_stats: store.stats(),
-            ledger,
-            wall_us,
-            queries_per_sec,
-            lock_wait_us,
-            batch_splits,
-            adaptive,
-        })
+        (sessions, ledger, wall_us)
     }
+}
+
+/// Sums a `b_t` inquiry's answers.
+fn sum_u32(counts: Vec<u32>) -> u64 {
+    counts.into_iter().map(u64::from).sum()
 }
 
 /// Evaluated-queries-per-second of wall clock. Tiny runs on fast

@@ -19,7 +19,7 @@
 //!   batches spread across the queue's channels (a deeper queue
 //!   completes a batch in fewer serial device-times), a
 //!   dslab-`SharedDisk`-style seek+transfer model prices each request,
-//!   and a prefetch path lets completions overlap compute. The clock
+//!   and `submit` lets completions overlap compute. The clock
 //!   is pluggable ([`ClockKind`](ir_types::ClockKind)): virtual for
 //!   deterministic tests, real for wall-clock benchmarks.
 //!

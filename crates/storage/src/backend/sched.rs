@@ -1,6 +1,6 @@
 //! The I/O scheduler: a submission/completion queue over any
 //! [`PageStore`], pricing every read with a seek+bandwidth latency
-//! model and letting prefetched completions overlap compute.
+//! model and letting submitted reads complete while the caller computes.
 //!
 //! The model is the classic shared-disk shape: a request costs
 //! `transfer_us`, plus `seek_us` when the head has to move (the read
@@ -19,7 +19,7 @@
 //! report identical waits), *real* additionally sleeps the modeled
 //! wait so queue depth shows up in wall time.
 //!
-//! **Determinism contract**: with `queue_depth <= 1` the prefetch path
+//! **Determinism contract**: with `queue_depth <= 1` submission
 //! is a no-op and every read is forwarded to the inner store in
 //! request order, so the scheduler is invisible to the event stream;
 //! zero the model and it is invisible to the accounting too.
@@ -27,7 +27,7 @@
 use crate::disk::PageStore;
 use crate::page::Page;
 use ir_observe::{Counter, Gauge, Histogram, IO_LATENCY_US_BOUNDS};
-use ir_types::{ClockKind, CompletionToken, IrResult, PageId, ReadHandle, ReadPlan, TermId};
+use ir_types::{ClockKind, CompletionToken, IrResult, PageId, ReadHandle, TermId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -68,7 +68,7 @@ impl LatencyModel {
 #[derive(Clone, Copy, Debug)]
 pub struct IoConfig {
     /// Number of device channels requests are spread across. Depth 1
-    /// is a strictly serial disk and disables prefetch.
+    /// is a strictly serial disk and disables submission.
     pub queue_depth: usize,
     /// The per-request pricing model.
     pub model: LatencyModel,
@@ -212,15 +212,6 @@ impl<S: PageStore> IoScheduler<S> {
         self.state.lock().now_us
     }
 
-    /// Convenience: issues the tail of `plan` (everything after the
-    /// head, which stays a demand read) to the prefetch path.
-    pub fn prefetch_plan(&self, plan: &ReadPlan) {
-        if plan.entries().len() > 1 {
-            let ids: Vec<PageId> = plan.entries()[1..].iter().map(|e| e.page).collect();
-            self.prefetch(&ids);
-        }
-    }
-
     fn classify(last: &mut Option<PageId>, id: PageId) -> bool {
         let sequential = matches!(
             *last,
@@ -299,15 +290,40 @@ impl<S: PageStore> IoScheduler<S> {
         }
         out
     }
+}
 
-    /// The one staging routine behind both `prefetch` (handles
-    /// discarded) and `submit` (handles surfaced): reads `ids` ahead of
-    /// demand, parks the completions in the bounded cache, and prices
-    /// the transfers without charging anyone a wait. No-op at depth 1 —
-    /// a serial disk has no spare channel to read ahead on, which is
-    /// what makes the split-phase path provably identical to the
-    /// blocking one there.
-    fn stage(&self, ids: &[PageId]) -> Vec<ReadHandle> {
+impl<S: PageStore> PageStore for IoScheduler<S> {
+    fn read_page(&self, id: PageId) -> IrResult<Page> {
+        self.service(std::slice::from_ref(&id))
+            .pop()
+            .expect("service returns one result per requested page")
+    }
+
+    fn list_len(&self, term: TermId) -> Option<u32> {
+        self.inner.list_len(term)
+    }
+
+    fn n_lists(&self) -> usize {
+        self.inner.n_lists()
+    }
+
+    fn can_tear(&self) -> bool {
+        self.inner.can_tear()
+    }
+
+    fn read_pages(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
+        self.service(ids)
+    }
+
+    /// Reads `ids` ahead of demand, parks the completions in the
+    /// bounded staging cache, and prices the transfers without
+    /// charging anyone a wait: the demand read that claims a staged
+    /// page pays only the residual. One handle per read actually
+    /// scheduled. No-op at depth 1 — a serial disk has no spare
+    /// channel to read ahead on, which is what makes submit + demand
+    /// provably identical to the demand read alone there. Read
+    /// failures are dropped here and resurface on the demand read.
+    fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
         if self.config.queue_depth <= 1 || ids.is_empty() {
             return Vec::new();
         }
@@ -370,48 +386,6 @@ impl<S: PageStore> IoScheduler<S> {
         }
         handles
     }
-}
-
-impl<S: PageStore> PageStore for IoScheduler<S> {
-    fn read_page(&self, id: PageId) -> IrResult<Page> {
-        self.service(std::slice::from_ref(&id))
-            .pop()
-            .expect("service returns one result per requested page")
-    }
-
-    fn list_len(&self, term: TermId) -> Option<u32> {
-        self.inner.list_len(term)
-    }
-
-    fn n_lists(&self) -> usize {
-        self.inner.n_lists()
-    }
-
-    fn can_tear(&self) -> bool {
-        self.inner.can_tear()
-    }
-
-    fn read_pages(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
-        self.service(ids)
-    }
-
-    /// Issues `ids` to the device now so their transfers overlap the
-    /// caller's compute. No-op at depth 1 (a serial disk has no spare
-    /// channel to read ahead on). Read failures are dropped here —
-    /// advisory path — and resurface on the demand read.
-    fn prefetch(&self, ids: &[PageId]) {
-        let _ = self.stage(ids);
-    }
-
-    /// The split-phase submission path: identical device behavior to
-    /// [`prefetch`](PageStore::prefetch) — this is the *same* staging
-    /// routine — but the completion handles are surfaced instead of
-    /// swallowed by the cache, so a split-phase buffer pool can track
-    /// exactly which transfers are in flight and when the model says
-    /// they land.
-    fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
-        self.stage(ids)
-    }
 
     fn overlap_depth(&self) -> usize {
         self.config.queue_depth
@@ -469,8 +443,8 @@ mod tests {
         assert_eq!(sched.inner().stats(), raw.stats());
         assert_eq!(sched.io_wait_us(), 0);
         assert_eq!(sched.virtual_now_us(), 0);
-        // Prefetch is a no-op on a serial disk: no cache, no reads.
-        sched.prefetch(&[pid(1, 0)]);
+        // Submission is a no-op on a serial disk: no cache, no reads.
+        sched.submit(&[pid(1, 0)]);
         assert_eq!(sched.inner().stats().reads, raw.stats().reads);
         assert_eq!(sched.metrics().overlap_hits.get(), 0);
     }
@@ -517,7 +491,7 @@ mod tests {
                     clock: ClockKind::Virtual,
                 },
             );
-            sched.prefetch(&[pid(1, 0), pid(1, 1)]);
+            sched.submit(&[pid(1, 0), pid(1, 1)]);
             sched.read_pages(&ids(5));
             sched.read_pages(&[pid(1, 0), pid(1, 1), pid(2, 0)]);
             (
@@ -544,7 +518,7 @@ mod tests {
                 clock: ClockKind::Virtual,
             },
         );
-        sched.prefetch(&ids(3));
+        sched.submit(&ids(3));
         assert_eq!(
             sched.inner().stats().reads,
             3,
@@ -612,7 +586,7 @@ mod tests {
             },
         );
         let all: Vec<PageId> = (0..(PREFETCH_CAP as u32 + 8)).map(|p| pid(0, p)).collect();
-        sched.prefetch(&all);
+        sched.submit(&all);
         let state = sched.state.lock();
         assert_eq!(state.cache.len(), PREFETCH_CAP);
         assert_eq!(state.order.len(), PREFETCH_CAP);
@@ -651,7 +625,7 @@ mod tests {
             },
         );
         assert!(sched.can_tear());
-        sched.prefetch(&[pid(0, 0)]);
+        sched.submit(&[pid(0, 0)]);
         assert!(
             sched.state.lock().cache.is_empty(),
             "a torn prefetch completion entered the cache"
@@ -716,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_surfaces_the_tokens_prefetch_swallows() {
+    fn submit_surfaces_one_handle_per_scheduled_read() {
         let sched = IoScheduler::new(
             store(4),
             IoConfig {
@@ -790,7 +764,7 @@ mod tests {
             },
         );
         let all: Vec<PageId> = (0..(PREFETCH_CAP as u32 + 8)).map(|p| pid(0, p)).collect();
-        sched.prefetch(&all);
+        sched.submit(&all);
         assert_eq!(sched.metrics().prefetch_evicted.get(), 8);
         assert_eq!(sched.metrics().prefetch_wasted.get(), 8);
         // Serving a surviving entry is not waste.

@@ -6,6 +6,7 @@ use crate::disk::PageStore;
 use crate::observe::{BufferEvent, BufferObserver};
 use crate::page::Page;
 use crate::policy::{PolicyKind, ReplacementPolicy};
+use crate::shared::{QueryBuffer, QueryBufferExt};
 use crate::stats::{BufferMetrics, BufferStats};
 use ir_types::{BatchHandle, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::RwLock;
@@ -163,7 +164,7 @@ pub struct BufferManager<S: PageStore> {
     policy_kind: PolicyKind,
     resident_per_term: TermView,
     /// Per-term counts of pages a live submission has committed to
-    /// load ([`submit_batch`](Self::submit_batch)) but not yet
+    /// load ([`submit_batch`](QueryBuffer::submit_batch)) but not yet
     /// completed. Added on top of `resident_per_term` by
     /// [`resident_pages`](Self::resident_pages), so `b_t` reflects
     /// pages already on the wire — empty outside a submit..complete
@@ -227,19 +228,20 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Fetches a page through the pool, counting a hit or a disk read.
     pub fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        self.fetch_traced(id).map(|(page, _)| page)
+        QueryBufferExt::fetch(self, id)
     }
 
     /// [`fetch`](Self::fetch), also reporting how the request was
     /// served — the per-call attribution concurrent sessions need.
+    /// A single fetch is a one-entry [`ReadPlan`].
     pub fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        self.fetch_one_hinted(PlanEntry::new(id))
+        QueryBufferExt::fetch_traced(self, id)
     }
 
     /// Serves one plan entry: the single-fetch protocol, carrying the
-    /// entry's value hint to admission. Shared by
-    /// [`fetch_traced`](Self::fetch_traced) (no hint) and the
-    /// non-vectored arm of [`fetch_batch`](Self::fetch_batch).
+    /// entry's value hint to admission — the per-entry arm of the
+    /// batch execution loop, and what a partitioned pool serves each
+    /// entry through after its sibling probe.
     pub(crate) fn fetch_one_hinted(&mut self, entry: PlanEntry) -> IrResult<(Page, FetchOutcome)> {
         let id = entry.page;
         self.metrics.requests.inc();
@@ -309,11 +311,13 @@ impl<S: PageStore> BufferManager<S> {
         self.notify(BufferEvent::Hit(id));
     }
 
-    /// Executes a [`ReadPlan`]: every entry is served — hit, store
-    /// read, or error — **in plan order**, so the pool's hit/miss/
-    /// eviction sequence (and therefore every counter and the store's
-    /// own read accounting) is identical to fetching the plan's pages
-    /// one at a time. What batching adds:
+    /// Executes a [`ReadPlan`] — [`submit_batch`](QueryBuffer::submit_batch)
+    /// then [`complete_into`](QueryBuffer::complete_into) with nothing
+    /// in between: every entry is served — hit, store read, or error —
+    /// **in plan order**, so the pool's hit/miss/eviction sequence
+    /// (and therefore every counter and the store's own read
+    /// accounting) is identical to fetching the plan's pages one at a
+    /// time. What batching adds:
     ///
     /// * runs of consecutive misses go to the store through one
     ///   vectored [`PageStore::read_pages`] call when that provably
@@ -329,59 +333,19 @@ impl<S: PageStore> BufferManager<S> {
     /// Errors abort the remainder of the plan; entries already served
     /// keep their effects, exactly as sequential fetches would.
     pub fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(plan.len());
-        self.fetch_batch_into(plan, &mut out)?;
-        Ok(out)
+        QueryBufferExt::fetch_batch(self, plan)
     }
 
-    /// [`fetch_batch`](Self::fetch_batch) writing into a caller-owned
-    /// buffer — the scratch-reuse form the evaluation loop uses so a
-    /// per-term scan does not allocate a fresh result vector on every
-    /// query. `out` is cleared first; on error it holds the entries
-    /// served before the failure (whose effects stand, exactly as in
-    /// the allocating form).
-    pub fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        // The blocking fetch IS the split-phase protocol with no gap:
-        // submit, then immediately complete. With nothing between the
-        // two phases the pins and in-flight counts the submission takes
-        // are invisible (pin/unpin emit no events, and nobody inquires
-        // b_t inside the window), so this composition is
-        // event-identical to the pre-split single-call execution.
-        let handle = self.submit_batch(plan.clone())?;
-        self.complete_into(handle, out)
-    }
-
-    /// Split-phase fetch, submission half. Records the batch metrics,
-    /// pins every distinct plan page (an in-flight page must not be a
-    /// replacement victim while the submission is outstanding), counts
-    /// the distinct non-resident pages toward their term's `b_t`
-    /// ([`resident_pages`](Self::resident_pages) adds them in), and
-    /// hands every distinct non-resident plan page — head included,
-    /// unlike [`prefetch`](Self::prefetch)'s tail-only hint — to
-    /// [`PageStore::submit`] so an overlapping store starts those
-    /// transfers now: a submission's entire cost runs in the shadow
-    /// of whatever the caller does before completing.
-    ///
-    /// For a store that cannot overlap (`PageStore::submit` default,
-    /// or a scheduler at queue depth ≤ 1) submission starts nothing,
-    /// and `submit_batch` + [`complete_into`](Self::complete_into) is
-    /// event-identical to the blocking
-    /// [`fetch_batch_into`](Self::fetch_batch_into).
-    pub fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        self.metrics.batches.inc();
-        self.metrics.batch_pages.record(plan.len() as u64);
-        Ok(self.submit_unmetered(plan))
-    }
-
-    /// [`submit_batch`](Self::submit_batch) without the batch metrics:
-    /// pins, in-flight counts, and store submission only. For wrappers
-    /// (the sharded pool) whose completion path records batch metrics
-    /// itself — their blocking `fetch_batch` attributes batches to the
-    /// lock-light/locked seam, and submission must not double-count.
+    /// Submission's bookkeeping without the batch metrics: pins,
+    /// in-flight counts, and store submission. Every distinct plan page
+    /// is pinned (an in-flight page must not be a replacement victim
+    /// while the submission is outstanding), the distinct non-resident
+    /// ones count toward their term's `b_t`
+    /// ([`resident_pages`](Self::resident_pages) adds them in) and go
+    /// to [`PageStore::submit`] — head included, so a submission's
+    /// *entire* cost runs in the shadow of whatever the caller does
+    /// before completing. Shared with the sharded pool, whose
+    /// completion path records batch metrics itself.
     pub(crate) fn submit_unmetered(&mut self, plan: ReadPlan) -> BatchHandle {
         // A store that cannot overlap makes the submission window
         // empty: nothing is staged, and the only callers that hold a
@@ -408,48 +372,10 @@ impl<S: PageStore> BufferManager<S> {
                 handle.loading.push(entry.page);
             }
         }
-        // The whole plan is handed to the store — first page included,
-        // unlike `prefetch`'s tail-only hint: a submission's *entire*
-        // cost should run in the shadow of whatever the caller does
-        // before completing, and an overlap-capable store prices the
-        // demand read as the residual wait either way.
         if !handle.loading.is_empty() {
             handle.reads = self.store.submit(&handle.loading);
         }
         handle
-    }
-
-    /// Split-phase fetch, completion half: undoes the submission's
-    /// bookkeeping (in-flight `b_t` counts come off, pins come off —
-    /// **before** the fetches, so eviction pressure inside the batch
-    /// behaves exactly as in the blocking path), then serves every
-    /// plan entry in order through the same execution loop
-    /// [`fetch_batch_into`](Self::fetch_batch_into) uses. Transient
-    /// faults and torn pages are retried here under the pool's
-    /// [`FetchPolicy`], exactly as a blocking fetch would.
-    pub fn complete_into(
-        &mut self,
-        handle: BatchHandle,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        self.settle_submission(&handle);
-        out.clear();
-        self.fetch_entries(handle.plan.entries(), out)
-    }
-
-    /// [`complete_into`](Self::complete_into) allocating its result.
-    pub fn complete(&mut self, handle: BatchHandle) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(handle.len());
-        self.complete_into(handle, &mut out)?;
-        Ok(out)
-    }
-
-    /// Abandons a submission: releases its pins and in-flight counts
-    /// without fetching anything. Reads the store already started are
-    /// not recalled; a latency-modeling store ages them out of its
-    /// staging cache as wasted prefetches.
-    pub fn cancel_batch(&mut self, handle: BatchHandle) {
-        self.settle_submission(&handle);
     }
 
     /// Releases a submission's bookkeeping: in-flight `b_t` counts and
@@ -473,44 +399,13 @@ impl<S: PageStore> BufferManager<S> {
         }
     }
 
-    /// How many reads the underlying store can usefully keep in
-    /// flight: 1 for synchronous stores, the queue depth for a
-    /// latency-modeling scheduler.
-    pub fn overlap_depth(&self) -> usize {
-        self.store.overlap_depth()
-    }
-
-    /// Hints the store about the tail of `plan` so a latency-modeling
-    /// backend (`ir-storage::backend::IoScheduler`) can overlap those
-    /// transfers with the compute on the plan's head. The head entry is
-    /// excluded — it is about to be demanded anyway — as are entries
-    /// already resident in the pool. Advisory and effect-free for every
-    /// store whose [`PageStore::prefetch`] keeps the no-op default
-    /// ([`DiskSim`](crate::DiskSim), [`FilePageStore`](crate::FilePageStore),
-    /// the fault injector): the pool's own counters, events, and
-    /// residency never change here.
-    pub fn prefetch(&self, plan: &ReadPlan) {
-        let entries = plan.entries();
-        if entries.len() <= 1 {
-            return;
-        }
-        let ids: Vec<PageId> = entries[1..]
-            .iter()
-            .map(|e| e.page)
-            .filter(|id| !self.is_resident(*id))
-            .collect();
-        if !ids.is_empty() {
-            self.store.prefetch(&ids);
-        }
-    }
-
     /// Executes `plan` from entry `start` onward, **appending** to
     /// `out`, and records the batch metrics for the *whole* plan. For
     /// lock-light wrappers that already served entries `0..start` as
     /// resident hits (with eager counters and deferred policy effects
     /// replayed before this call): the combined accounting — counters,
     /// events, store reads, batch histogram — is exactly what
-    /// [`fetch_batch_into`](Self::fetch_batch_into) would have
+    /// [`fetch_batch`](Self::fetch_batch) would have
     /// produced for the full plan, because the wrapper's prefix is
     /// precisely the hits this method would have served first.
     pub(crate) fn fetch_batch_tail(
@@ -766,7 +661,7 @@ impl<S: PageStore> BufferManager<S> {
 
     /// `b_t`: number of pages of `term`'s inverted list currently in
     /// the pool — plus pages a live submission has committed to load
-    /// ([`submit_batch`](Self::submit_batch)): a page on the wire is
+    /// ([`submit_batch`](QueryBuffer::submit_batch)): a page on the wire is
     /// as good as resident to a term selector deciding what to read
     /// next, because demanding it costs only the residual wait.
     /// Outside a submit..complete window the in-flight term is zero
@@ -924,6 +819,62 @@ impl<S: PageStore> BufferManager<S> {
     /// The underlying page store.
     pub fn store(&self) -> &S {
         &self.store
+    }
+}
+
+/// The reference implementation of the fetch protocol: every other
+/// pool either wraps this one behind a lock or is compared against it.
+impl<S: PageStore> QueryBuffer for BufferManager<S> {
+    /// Records the batch metrics, then takes the submission's pins and
+    /// in-flight counts and hands the non-resident pages to the store
+    /// (`submit_unmetered`). For a store that cannot overlap
+    /// ([`PageStore::submit`] default, or a scheduler at queue depth
+    /// ≤ 1) submission starts nothing and pins nothing, so submit +
+    /// complete with no gap is event-identical to serving the plan's
+    /// pages one at a time.
+    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
+        self.metrics.batches.inc();
+        self.metrics.batch_pages.record(plan.len() as u64);
+        Ok(self.submit_unmetered(plan))
+    }
+
+    /// Undoes the submission's bookkeeping (in-flight `b_t` counts come
+    /// off, pins come off — **before** the fetches, so eviction
+    /// pressure inside the batch behaves exactly as if nothing had
+    /// been pinned), then serves every plan entry in order through the
+    /// batch execution loop.
+    fn complete_into(
+        &mut self,
+        handle: BatchHandle,
+        out: &mut Vec<(Page, FetchOutcome)>,
+    ) -> IrResult<()> {
+        self.settle_submission(&handle);
+        out.clear();
+        self.fetch_entries(handle.plan.entries(), out)
+    }
+
+    fn cancel_batch(&mut self, handle: BatchHandle) {
+        self.settle_submission(&handle);
+    }
+
+    fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
+        terms.iter().map(|t| self.resident_pages(*t)).collect()
+    }
+
+    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
+        BufferManager::begin_query(self, weights);
+    }
+
+    fn stats(&self) -> BufferStats {
+        BufferManager::stats(self)
+    }
+
+    fn overlap_depth(&self) -> usize {
+        self.store.overlap_depth()
+    }
+
+    fn borrows(&self) -> u64 {
+        BufferManager::borrows(self)
     }
 }
 
@@ -1645,26 +1596,29 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_composition_matches_blocking_fetch() {
+    fn scheduled_submission_matches_an_unscheduled_one_under_flooding() {
         // Flooding workload, the hard case: capacity 3, two passes over
-        // 4 pages. The submission pins all four distinct pages, so the
-        // unpin-before-fetch order inside complete is what keeps the
-        // eviction cascade (and hence every counter) identical.
+        // 4 pages. Over a store that can overlap the submission pins
+        // all four distinct pages, so the unpin-before-fetch order
+        // inside complete is what keeps the eviction cascade (and
+        // hence every counter) identical to the plain store's, whose
+        // submission pins nothing.
         let mut plan = ReadPlan::new();
         for _ in 0..2 {
             for p in 0..4 {
                 plan.push(PlanEntry::new(pid(0, p)));
             }
         }
-        let mut blocking = BufferManager::new(store(1, 4), 3, PolicyKind::Lru).unwrap();
-        let blocked = blocking.fetch_batch(&plan).unwrap();
-        let mut split = BufferManager::new(store(1, 4), 3, PolicyKind::Lru).unwrap();
+        let mut plain = BufferManager::new(store(1, 4), 3, PolicyKind::Lru).unwrap();
+        let unpinned = plain.fetch_batch(&plan).unwrap();
+        let mut split = BufferManager::new(Overlapping(store(1, 4)), 3, PolicyKind::Lru).unwrap();
         let handle = split.submit_batch(plan).unwrap();
+        assert_eq!(handle.pinned.len(), 4);
         let served = split.complete(handle).unwrap();
-        assert_eq!(served.len(), blocked.len());
-        assert_eq!(split.stats(), blocking.stats());
-        assert_eq!(split.store().stats(), blocking.store().stats());
-        assert_eq!(split.resident_ids(), blocking.resident_ids());
+        assert_eq!(served.len(), unpinned.len());
+        assert_eq!(split.stats(), plain.stats());
+        assert_eq!(split.store().0.stats(), plain.store().stats());
+        assert_eq!(split.resident_ids(), plain.resident_ids());
         assert_eq!(split.metrics().batches.get(), 1);
         assert_eq!(split.metrics().batch_pages.sum(), 8);
     }

@@ -57,31 +57,22 @@ pub trait PageStore {
         out
     }
 
-    /// Hints that `ids` will be demanded shortly, in order. A scheduler
-    /// that can overlap transfers with compute starts them now; the
-    /// default — right for synchronous stores, where an early read
-    /// saves nothing — does nothing. Advisory only: errors are *not*
-    /// reported here, they surface on the demand read.
-    fn prefetch(&self, _ids: &[PageId]) {}
-
-    /// Split-phase submission: starts asynchronous reads of `ids` and
-    /// returns one [`ReadHandle`] per read the store actually
-    /// scheduled, each carrying its completion token and modeled
-    /// ready time. Same advisory contract as
-    /// [`prefetch`](Self::prefetch) — errors surface on the demand
-    /// read — but completions are *surfaced* instead of swallowed, so
-    /// the caller can reason about the in-flight set. The default
-    /// forwards to `prefetch` and reports nothing scheduled, which is
-    /// exact for synchronous stores.
-    fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
-        self.prefetch(ids);
+    /// Submission half of a split-phase read: starts asynchronous reads
+    /// of `ids`, in order, and returns one [`ReadHandle`] per read the
+    /// store actually scheduled, each carrying its completion token
+    /// and modeled ready time, so the caller can reason about the
+    /// in-flight set. The pages are then demanded through
+    /// [`read_page`](Self::read_page) / [`read_pages`](Self::read_pages)
+    /// as usual; errors are *not* reported here, they surface on the
+    /// demand read. The default schedules nothing, which is exact for
+    /// synchronous stores, where an early read saves nothing.
+    fn submit(&self, _ids: &[PageId]) -> Vec<ReadHandle> {
         Vec::new()
     }
 
     /// How many reads this store can usefully keep in flight at once.
-    /// 1 (the default) means submission buys nothing: a split-phase
-    /// caller should fall back to the blocking fetch path, which is
-    /// provably event-identical at this depth.
+    /// 1 (the default) means submission buys nothing: submit followed
+    /// by the demand read is event-identical to the demand read alone.
     fn overlap_depth(&self) -> usize {
         1
     }
@@ -273,10 +264,6 @@ impl<S: PageStore + ?Sized> PageStore for &S {
         (**self).read_pages(ids)
     }
 
-    fn prefetch(&self, ids: &[PageId]) {
-        (**self).prefetch(ids);
-    }
-
     fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
         (**self).submit(ids)
     }
@@ -309,10 +296,6 @@ impl<S: PageStore + ?Sized> PageStore for std::sync::Arc<S> {
 
     fn read_pages(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
         (**self).read_pages(ids)
-    }
-
-    fn prefetch(&self, ids: &[PageId]) {
-        (**self).prefetch(ids);
     }
 
     fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {

@@ -247,11 +247,11 @@ impl<S: PageStore> PageStore for FaultStore<S> {
         (!self.config.is_disabled() && self.config.torn_rate > 0.0) || self.inner.can_tear()
     }
 
-    // `prefetch` deliberately keeps the trait's no-op default rather
-    // than forwarding: a read-ahead issued below the injector would
-    // consume pages outside the fault stream's draw order, and the
-    // schedule would stop being a pure function of the demand-read
-    // sequence.
+    // `submit` / `overlap_depth` deliberately keep the trait defaults
+    // rather than forwarding: a read-ahead issued below the injector
+    // would consume pages outside the fault stream's draw order, and
+    // the schedule would stop being a pure function of the
+    // demand-read sequence.
 
     fn io_wait_us(&self) -> u64 {
         self.inner.io_wait_us()

@@ -57,6 +57,7 @@ pub use partition::PartitionedBuffer;
 pub use policy::{PolicyKind, ReplacementPolicy};
 pub use sharded::{ShardMetrics, ShardedBufferPool, LOCK_WAIT_NS_BOUNDS};
 pub use shared::{
-    PartitionHandle, QueryBuffer, Shared, SharedBufferManager, SharedPartitionedBuffer,
+    PartitionHandle, QueryBuffer, QueryBufferExt, Shared, SharedBufferManager,
+    SharedPartitionedBuffer,
 };
 pub use stats::{BufferMetrics, BufferStats, BATCH_PAGES_BOUNDS};

@@ -16,7 +16,7 @@ use crate::page::Page;
 use crate::policy::PolicyKind;
 use crate::stats::BufferStats;
 use ir_observe::MetricsSnapshot;
-use ir_types::{IrError, IrResult, PageId, ReadPlan, TermId};
+use ir_types::{IrError, IrResult, ReadPlan, TermId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -50,59 +50,22 @@ impl<S: PageStore> PartitionedBuffer<S> {
         Ok(PartitionedBuffer { partitions })
     }
 
-    /// Fetches a page on behalf of partition `pid`. A miss first probes
-    /// sibling partitions; only if no sibling holds the page does the
-    /// request reach disk.
-    pub fn fetch(&mut self, pid: PartitionId, id: PageId) -> IrResult<Page> {
-        self.fetch_traced(pid, id).map(|(page, _)| page)
-    }
-
-    /// [`fetch`](Self::fetch), also reporting how the request was
-    /// served: `Hit` from `pid`'s own frames, `Borrowed` via a sibling
-    /// partition's copy, `Miss` from the shared store.
-    pub fn fetch_traced(&mut self, pid: PartitionId, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        let n = self.partitions.len();
-        if pid >= n {
-            return Err(IrError::InvalidConfig(format!(
-                "partition {pid} out of range (have {n})"
-            )));
-        }
-        if self.partitions[pid].is_resident(id) {
-            return self.partitions[pid].fetch_traced(id);
-        }
-        // Sibling probe: a resident copy elsewhere saves the disk read
-        // but still occupies a frame in `pid`'s own partition.
-        let sibling = (0..n)
-            .filter(|p| *p != pid)
-            .find(|p| self.partitions[*p].is_resident(id));
-        if let Some(sp) = sibling {
-            let page = self.partitions[sp]
-                .peek(id)
-                .expect("sibling probe found the page resident");
-            // Borrow the sibling's frame: admit the copy store-lessly,
-            // then serve the request as the buffer hit it now is. The
-            // borrow counts as a hit (not a miss) in `pid`'s partition
-            // and issues zero reads against the shared store; admit
-            // records it on the partition's borrow counter.
-            self.partitions[pid].admit(page)?;
-            let (page, _) = self.partitions[pid].fetch_traced(id)?;
-            return Ok((page, FetchOutcome::Borrowed));
-        }
-        self.partitions[pid].fetch_traced(id)
-    }
-
-    /// Executes a [`ReadPlan`] on behalf of partition `pid`. Entries
-    /// are served strictly in plan order, each with the full sibling
-    /// probe, so the outcome sequence is identical to per-page
-    /// [`fetch_traced`](Self::fetch_traced) calls — the probe must see
-    /// every earlier entry's effect on sibling partitions, which rules
-    /// out resolving borrows up front. Value hints reach `pid`'s own
-    /// policy on store misses; the batch is counted on `pid`'s metrics.
-    pub fn fetch_batch(
+    /// Executes a [`ReadPlan`] on behalf of partition `pid`, writing
+    /// into `out` (cleared first). Entries are served strictly in plan
+    /// order: a page resident in `pid`'s own frames is a `Hit`; a miss
+    /// first probes the sibling partitions and copies a resident page
+    /// over instead of going to disk (`Borrowed`); only if no sibling
+    /// holds it does the request reach the shared store (`Miss`). The
+    /// probe must see every earlier entry's effect on sibling
+    /// partitions, which rules out resolving borrows up front. Value
+    /// hints reach `pid`'s own policy on store misses; the batch is
+    /// counted on `pid`'s metrics.
+    pub fn fetch_batch_into(
         &mut self,
         pid: PartitionId,
         plan: &ReadPlan,
-    ) -> IrResult<Vec<(Page, FetchOutcome)>> {
+        out: &mut Vec<(Page, FetchOutcome)>,
+    ) -> IrResult<()> {
         let n = self.partitions.len();
         if pid >= n {
             return Err(IrError::InvalidConfig(format!(
@@ -114,28 +77,31 @@ impl<S: PageStore> PartitionedBuffer<S> {
             m.batches.inc();
             m.batch_pages.record(plan.len() as u64);
         }
-        let mut out = Vec::with_capacity(plan.len());
+        out.clear();
+        out.reserve(plan.len());
         for entry in plan.iter() {
             let id = entry.page;
-            if self.partitions[pid].is_resident(id) {
-                out.push(self.partitions[pid].fetch_traced(id)?);
+            let sibling = if self.partitions[pid].is_resident(id) {
+                None
+            } else {
+                (0..n)
+                    .filter(|p| *p != pid)
+                    .find_map(|p| self.partitions[p].peek(id))
+            };
+            let Some(page) = sibling else {
+                out.push(self.partitions[pid].fetch_one_hinted(*entry)?);
                 continue;
-            }
-            let sibling = (0..n)
-                .filter(|p| *p != pid)
-                .find(|p| self.partitions[*p].is_resident(id));
-            if let Some(sp) = sibling {
-                let page = self.partitions[sp]
-                    .peek(id)
-                    .expect("sibling probe found the page resident");
-                self.partitions[pid].admit(page)?;
-                let (page, _) = self.partitions[pid].fetch_traced(id)?;
-                out.push((page, FetchOutcome::Borrowed));
-                continue;
-            }
-            out.push(self.partitions[pid].fetch_one_hinted(*entry)?);
+            };
+            // Borrow the sibling's frame: admit the copy store-lessly,
+            // then serve the request as the buffer hit it now is. The
+            // borrow counts as a hit (not a miss) in `pid`'s partition
+            // and issues zero reads against the shared store; admit
+            // records it on the partition's borrow counter.
+            self.partitions[pid].admit(page)?;
+            let (page, _) = self.partitions[pid].fetch_one_hinted(*entry)?;
+            out.push((page, FetchOutcome::Borrowed));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Sets the store-read retry policy on every partition.
@@ -255,7 +221,25 @@ impl<S: PageStore> PartitionedBuffer<S> {
 mod tests {
     use super::*;
     use crate::disk::DiskSim;
-    use ir_types::Posting;
+    use ir_types::{PageId, Posting};
+
+    /// Test shorthand over the one batch loop: the allocating form and
+    /// the one-entry plan.
+    impl<S: PageStore> PartitionedBuffer<S> {
+        fn fetch_batch(
+            &mut self,
+            pid: PartitionId,
+            plan: &ReadPlan,
+        ) -> IrResult<Vec<(Page, FetchOutcome)>> {
+            let mut out = Vec::new();
+            self.fetch_batch_into(pid, plan, &mut out)?;
+            Ok(out)
+        }
+
+        fn fetch(&mut self, pid: PartitionId, id: PageId) -> IrResult<Page> {
+            Ok(self.fetch_batch(pid, &ReadPlan::single(id))?.remove(0).0)
+        }
+    }
 
     fn store(n_terms: u32, pages: u32) -> Arc<DiskSim> {
         let lists = (0..n_terms)
@@ -386,10 +370,11 @@ mod tests {
         );
         assert_eq!(s.stats().reads, reads_before + 1, "borrows skip the store");
         assert_eq!(pb.borrows(1), 2);
-        // The batch and its size land on the owning partition.
+        // The batch and its size land on the owning partition;
+        // partition 0 saw only its own two one-entry plans.
         assert_eq!(pb.partitions[1].metrics().batches.get(), 1);
         assert_eq!(pb.partitions[1].metrics().batch_pages.sum(), 4);
-        assert_eq!(pb.partitions[0].metrics().batches.get(), 0);
+        assert_eq!(pb.partitions[0].metrics().batches.get(), 2);
         // Out-of-range pid is rejected up front.
         assert!(pb.fetch_batch(7, &plan).is_err());
     }

@@ -30,8 +30,8 @@
 //!   in-order fold of hits — single-threaded runs stay event-for-event
 //!   identical to an unsharded [`BufferManager`]. Only misses,
 //!   evictions, announcements and inspection take the exclusive mutex.
-//! * **Execute-and-release batches.** A cross-shard
-//!   [`fetch_batch`](ShardedBufferPool::fetch_batch) runs its per-shard
+//! * **Execute-and-release batches.** A cross-shard completion
+//!   ([`complete_into`](QueryBuffer::complete_into)) runs its per-shard
 //!   sub-plans in ascending shard order, locking each shard *only
 //!   while its own sub-plan executes* — at most one shard lock is held
 //!   at any moment, so a thread serving shard 0's disk reads never
@@ -60,7 +60,7 @@
 //!   sub-plans execute in shard order, a documented deviation from
 //!   strict plan order.
 //!
-//! [`begin_query`]: ShardedBufferPool::begin_query
+//! [`begin_query`]: QueryBuffer::begin_query
 //! [`quiesce`]: ShardedBufferPool::quiesce
 //! [`with_chunk_pages`]: ShardedBufferPool::with_chunk_pages
 
@@ -182,7 +182,7 @@ impl<S: PageStore> Shard<S> {
         }
     }
 
-    /// Queues the deferred effects of a lock-light hit.
+    /// Queues the deferred effects of lock-light hits, in serve order.
     ///
     /// The dirty flag is set *while still holding* the queue mutex.
     /// Publishing it after release opened a window — enqueue done,
@@ -193,9 +193,9 @@ impl<S: PageStore> Shard<S> {
     /// `quiesce()`. Setting the flag under the same lock the drain
     /// clears it under restores the invariant: queue mutex free ∧
     /// flag clear ⟹ queue empty.
-    fn defer_hit(&self, id: PageId) {
+    fn defer_hits(&self, ids: impl Iterator<Item = PageId>) {
         let mut queue = self.pending_hits.lock();
-        queue.push(id);
+        queue.extend(ids);
         self.has_pending.store(true, Ordering::Release);
     }
 }
@@ -214,6 +214,10 @@ pub struct ShardedBufferPool<S: PageStore> {
     /// Whether the shards' policy reacts to `begin_query` (RAP). When
     /// `false`, query announcements skip all `P` shard locks.
     uses_query_context: bool,
+    /// The shared store's [`PageStore::overlap_depth`], fixed at
+    /// construction. At depth ≤ 1 submission starts nothing, so
+    /// `submit_batch` answers without touching a shard.
+    overlap_depth: usize,
     metrics: ShardMetrics,
 }
 
@@ -223,6 +227,7 @@ impl<S: PageStore> Clone for ShardedBufferPool<S> {
             shards: Arc::clone(&self.shards),
             chunk_pages: self.chunk_pages,
             uses_query_context: self.uses_query_context,
+            overlap_depth: self.overlap_depth,
             metrics: self.metrics.clone(),
         }
     }
@@ -298,6 +303,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
         }
         let base = total_frames / shards;
         let extra = total_frames % shards;
+        let overlap_depth = store.overlap_depth();
         let mut uses_query_context = false;
         let pools = (0..shards)
             .map(|i| {
@@ -312,6 +318,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
             shards: pools.into(),
             chunk_pages,
             uses_query_context,
+            overlap_depth,
             metrics: ShardMetrics::new(),
         })
     }
@@ -364,7 +371,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
             // Clear the flag and empty the queue under one hold of the
             // queue mutex — enqueuers set the flag under the same lock,
             // so no hit can slip between the clear and the take (see
-            // `Shard::defer_hit`).
+            // `Shard::defer_hits`).
             let mut drained = {
                 let mut queue = shard.pending_hits.lock();
                 shard.has_pending.store(false, Ordering::Release);
@@ -392,28 +399,6 @@ impl<S: PageStore> ShardedBufferPool<S> {
         for s in 0..self.shards.len() {
             drop(self.lock(s));
         }
-    }
-
-    /// Fetches a page through its shard, counting a hit or a disk read
-    /// on that shard's counters.
-    pub fn fetch(&self, id: PageId) -> IrResult<Page> {
-        self.fetch_traced(id).map(|(page, _)| page)
-    }
-
-    /// [`fetch`](Self::fetch), also reporting how the request was
-    /// served. A hit is served under the owning shard's frame-table
-    /// read lock — no mutex; only a miss locks the shard exclusively.
-    pub fn fetch_traced(&self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        let s = self.shard_of(id);
-        let shard = &self.shards[s];
-        let resident = shard.frames.read().get(&id).cloned();
-        if let Some(page) = resident {
-            shard.metrics.requests.inc();
-            shard.metrics.hits.inc();
-            shard.defer_hit(id);
-            return Ok((page, FetchOutcome::Hit));
-        }
-        self.lock(s).fetch_traced(id)
     }
 
     /// Serves the longest resident *prefix* of a one-shard sub-plan
@@ -450,12 +435,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
         if served > 0 {
             shard.metrics.requests.add(served as u64);
             shard.metrics.hits.add(served as u64);
-            // Flag set under the queue lock, as in `Shard::defer_hit`,
-            // so a concurrent drain cannot strand this batch of hits.
-            let mut queue = shard.pending_hits.lock();
-            queue.extend(entries[..served].iter().map(|e| e.page));
-            shard.has_pending.store(true, Ordering::Release);
-            drop(queue);
+            shard.defer_hits(entries[..served].iter().map(|e| e.page));
         }
         if served == entries.len() {
             shard.metrics.batches.inc();
@@ -464,25 +444,6 @@ impl<S: PageStore> ShardedBufferPool<S> {
         served
     }
 
-    /// Executes a [`ReadPlan`], locking only the shards the plan's
-    /// pages route to — one at a time, in ascending shard order. Each
-    /// shard serves its sub-plan (the plan's entries that route to it,
-    /// in plan order) through [`BufferManager::fetch_batch`], keeping
-    /// the duplicate/one-load and vectored-read semantics per shard;
-    /// outcomes are reassembled into plan order. Each sub-plan's
-    /// resident prefix is served lock-light under the shard's read
-    /// lock; only the remainder (first miss onward) takes the shard
-    /// mutex. An error aborts the failing shard's tail and every
-    /// not-yet-executed shard; completed shards keep their effects.
-    pub fn fetch_batch(&self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(plan.len());
-        self.fetch_batch_into(plan, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`fetch_batch`](Self::fetch_batch) writing into a caller-owned
-    /// buffer (cleared first); on error `out` holds the entries served
-    /// before the failure.
     /// The one shard every entry of `plan` routes to, when there is
     /// one — the common case under term-chunk routing and always true
     /// for `P = 1`. An empty plan reports shard 0 on a one-shard pool
@@ -510,181 +471,16 @@ impl<S: PageStore> ShardedBufferPool<S> {
         }
     }
 
-    /// [`fetch_batch`](Self::fetch_batch) writing into a caller-owned
-    /// buffer (cleared first); on error `out` holds the entries served
-    /// before the failure.
-    pub fn fetch_batch_into(
-        &self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        out.clear();
-        // Single-shard plans skip grouping and scatter entirely.
-        if let Some(s) = self.single_shard_of(plan) {
-            let served = self.serve_resident_prefix(s, plan.entries(), out);
-            if served == plan.len() {
-                return Ok(());
-            }
-            return self.lock(s).fetch_batch_tail(plan, served, out);
-        }
-        let mut groups: Vec<Vec<(usize, PlanEntry)>> = vec![Vec::new(); self.shards.len()];
-        for (i, entry) in plan.iter().enumerate() {
-            groups[self.shard_of(entry.page)].push((i, *entry));
-        }
-        let touched: Vec<usize> = (0..groups.len())
-            .filter(|&s| !groups[s].is_empty())
-            .collect();
-        if touched.len() > 1 {
-            self.metrics.batch_splits.inc();
-        }
-        let mut slots: Vec<Option<(Page, FetchOutcome)>> = vec![None; plan.len()];
-        // Execute-and-release in ascending shard order: each shard's
-        // guard is dropped before the next shard is locked, so at most
-        // one shard lock is held at any moment — a thread stuck in
-        // shard k's disk reads cannot convoy traffic on later shards,
-        // and holding one lock can never deadlock.
-        for s in touched {
-            let group = &groups[s];
-            let sub: Vec<PlanEntry> = group.iter().map(|(_, e)| *e).collect();
-            let mut served = Vec::with_capacity(sub.len());
-            let k = self.serve_resident_prefix(s, &sub, &mut served);
-            if k < sub.len() {
-                let sub_plan: ReadPlan = sub.into_iter().collect();
-                self.lock(s).fetch_batch_tail(&sub_plan, k, &mut served)?;
-            }
-            for ((plan_idx, _), result) in group.iter().zip(served) {
-                slots[*plan_idx] = Some(result);
-            }
-        }
-        out.reserve(slots.len());
-        for slot in slots {
-            out.push(slot.expect("every plan entry belongs to exactly one shard"));
-        }
-        Ok(())
-    }
-
-    /// Split-phase fetch, submission half. A single-shard plan (the
-    /// common case under term-chunk routing, and what shard-aware plan
-    /// alignment produces) locks its owning shard once: the shard's
-    /// manager pins the plan's distinct pages, counts the non-resident
-    /// ones in-flight toward `b_t` (visible to the lock-free
-    /// [`resident_pages_many`](Self::resident_pages_many)), and hands
-    /// the non-resident tail to the store. Batch metrics are **not**
-    /// recorded here — the completion path attributes them exactly as
-    /// the blocking path does, at the lock-light/locked seam. A plan
-    /// spanning several shards returns an unscheduled handle:
-    /// completing it is simply the blocking cross-shard batch.
-    pub fn submit_batch(&self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        match self.single_shard_of(&plan) {
-            Some(s) if !plan.is_empty() => Ok(self.lock(s).submit_unmetered(plan)),
-            _ => Ok(BatchHandle::unscheduled(plan)),
-        }
-    }
-
-    /// Split-phase fetch, completion half: settles the submission's
-    /// pins and in-flight counts under the owning shard's lock, then
-    /// serves the plan through the ordinary
-    /// [`fetch_batch_into`](Self::fetch_batch_into) path — lock-light
-    /// resident prefix, locked tail, batch metrics at the seam — so
-    /// the combined accounting is identical to a blocking batch.
-    pub fn complete_into(
-        &self,
-        handle: BatchHandle,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        self.settle(&handle);
-        self.fetch_batch_into(&handle.plan, out)
-    }
-
-    /// [`complete_into`](Self::complete_into) allocating its result.
-    pub fn complete(&self, handle: BatchHandle) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(handle.len());
-        self.complete_into(handle, &mut out)?;
-        Ok(out)
-    }
-
-    /// Abandons a submission: pins and in-flight counts come off,
-    /// nothing is fetched.
-    pub fn cancel_batch(&self, handle: BatchHandle) {
-        self.settle(&handle);
-    }
-
     /// Releases a submission's bookkeeping under its owning shard's
-    /// lock. Unscheduled handles (multi-shard or empty plans) took no
-    /// bookkeeping and settle for free.
+    /// lock. Unscheduled handles (multi-shard or empty plans, or any
+    /// plan over a store that cannot overlap) took no bookkeeping and
+    /// settle for free.
     fn settle(&self, handle: &BatchHandle) {
         if handle.pinned.is_empty() && handle.loading.is_empty() {
             return;
         }
         let first = handle.plan.entries()[0].page;
         self.lock(self.shard_of(first)).settle_submission(handle);
-    }
-
-    /// How many reads the underlying store can usefully keep in
-    /// flight (1 = split-phase degenerates to blocking). Every shard
-    /// shares one store, so shard 0 answers for the pool.
-    pub fn overlap_depth(&self) -> usize {
-        self.lock(0).overlap_depth()
-    }
-
-    /// `b_t` across the whole pool: a term's chunks may hash to
-    /// several shards, so every shard's counter table is consulted —
-    /// under its read lock only, never the shard mutex, so a `b_t`
-    /// inquiry never queues behind a shard serving disk reads. The
-    /// counters change only on load/evict (which hold the mutex), so
-    /// the values match what a locked read would return. Pages a live
-    /// split-phase submission has committed to load count too, as in
-    /// [`BufferManager::resident_pages`]. For many terms prefer
-    /// [`resident_pages_many`](Self::resident_pages_many),
-    /// which takes one pass over the shards instead of one per term.
-    pub fn resident_pages(&self, term: TermId) -> u32 {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard.terms.read().get(&term).copied().unwrap_or(0)
-                    + shard.in_flight.read().get(&term).copied().unwrap_or(0)
-            })
-            .sum()
-    }
-
-    /// `b_t` for every term in `terms`, in order, taking each shard's
-    /// counter read locks exactly once — `P` passes total instead of
-    /// the `terms.len() × P` a per-term loop costs, and no shard mutex
-    /// at all. The BAF term selector inquires every live candidate's
-    /// `b_t` each round; this is its batched path, and during overlap
-    /// rounds it sees in-flight pages exactly like resident ones.
-    pub fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
-        let mut totals = vec![0u32; terms.len()];
-        for shard in self.shards.iter() {
-            {
-                let counters = shard.terms.read();
-                for (slot, term) in totals.iter_mut().zip(terms) {
-                    *slot += counters.get(term).copied().unwrap_or(0);
-                }
-            }
-            let loading = shard.in_flight.read();
-            if !loading.is_empty() {
-                for (slot, term) in totals.iter_mut().zip(terms) {
-                    *slot += loading.get(term).copied().unwrap_or(0);
-                }
-            }
-        }
-        totals
-    }
-
-    /// Announces the query's term weights to **every** shard, so each
-    /// shard's policy re-values its own residents — the striped
-    /// equivalent of the paper's global RAP re-valuation. For policies
-    /// that ignore query context (everything but RAP) the announcement
-    /// is a no-op per shard, so it is skipped without taking a single
-    /// lock.
-    pub fn begin_query(&self, weights: &HashMap<TermId, f64>) {
-        if !self.uses_query_context {
-            return;
-        }
-        for s in 0..self.shards.len() {
-            self.lock(s).begin_query(weights);
-        }
     }
 
     /// Runs `f` with shard `s` locked — for operations the pool
@@ -723,19 +519,6 @@ impl<S: PageStore> ShardedBufferPool<S> {
         self.lock(s).stats()
     }
 
-    /// Pool counters summed over every shard.
-    pub fn stats(&self) -> BufferStats {
-        let mut total = BufferStats::default();
-        for s in 0..self.shards.len() {
-            let stats = self.lock(s).stats();
-            total.requests += stats.requests;
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.evictions += stats.evictions;
-        }
-        total
-    }
-
     /// Sum of `f` over every shard's [`BufferManager`] (lock per
     /// shard) — the rollup primitive behind the totals below.
     fn sum_shards(&self, f: impl Fn(&BufferManager<Arc<S>>) -> u64) -> u64 {
@@ -755,11 +538,6 @@ impl<S: PageStore> ShardedBufferPool<S> {
     /// Torn deliveries rejected by checksum verification, pool-wide.
     pub fn torn_pages(&self) -> u64 {
         self.sum_shards(|bm| bm.metrics().torn_pages.get())
-    }
-
-    /// Pages admitted without a store read, pool-wide.
-    pub fn borrows(&self) -> u64 {
-        self.sum_shards(BufferManager::borrows)
     }
 
     /// The pool-level contention counters (lock waits, batch splits).
@@ -827,44 +605,153 @@ impl<S: PageStore> ShardedBufferPool<S> {
 }
 
 impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        ShardedBufferPool::fetch(self, id)
-    }
-
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        ShardedBufferPool::fetch_traced(self, id)
-    }
-
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        ShardedBufferPool::fetch_batch(self, plan)
-    }
-
-    fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        ShardedBufferPool::fetch_batch_into(self, plan, out)
-    }
-
+    /// A single-shard plan (the common case under term-chunk routing,
+    /// and what shard-aware plan alignment produces) over an
+    /// overlap-capable store locks its owning shard once: the shard's
+    /// manager pins the plan's distinct pages, counts the non-resident
+    /// ones in-flight toward `b_t` and hands them to the store. Batch
+    /// metrics are **not** recorded here — completion attributes them
+    /// at the lock-light/locked seam. Over a store that cannot overlap,
+    /// and for a plan spanning several shards, nothing is scheduled
+    /// and no lock is taken: completion is the whole fetch.
     fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        ShardedBufferPool::submit_batch(self, plan)
+        let owner = if self.overlap_depth > 1 && !plan.is_empty() {
+            self.single_shard_of(&plan)
+        } else {
+            None
+        };
+        Ok(match owner {
+            Some(s) => self.lock(s).submit_unmetered(plan),
+            None => BatchHandle::unscheduled(plan),
+        })
     }
 
+    /// Settles the submission's pins and in-flight counts, then locks
+    /// only the shards the plan's pages route to — one at a time, in
+    /// ascending shard order. Each shard serves its sub-plan (the
+    /// plan's entries that route to it, in plan order) keeping the
+    /// duplicate/one-load and vectored-read semantics per shard;
+    /// outcomes are reassembled into plan order. Each sub-plan's
+    /// resident prefix is served lock-light under the shard's read
+    /// lock; only the remainder (first miss onward) takes the shard
+    /// mutex. An error aborts the failing shard's tail and every
+    /// not-yet-executed shard; completed shards keep their effects.
     fn complete_into(
         &mut self,
         handle: BatchHandle,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        ShardedBufferPool::complete_into(self, handle, out)
+        self.settle(&handle);
+        let plan = &handle.plan;
+        out.clear();
+        // Single-shard plans skip grouping and scatter entirely.
+        if let Some(s) = self.single_shard_of(plan) {
+            let served = self.serve_resident_prefix(s, plan.entries(), out);
+            if served == plan.len() {
+                return Ok(());
+            }
+            return self.lock(s).fetch_batch_tail(plan, served, out);
+        }
+        let mut groups: Vec<Vec<(usize, PlanEntry)>> = vec![Vec::new(); self.shards.len()];
+        for (i, entry) in plan.iter().enumerate() {
+            groups[self.shard_of(entry.page)].push((i, *entry));
+        }
+        let touched: Vec<usize> = (0..groups.len())
+            .filter(|&s| !groups[s].is_empty())
+            .collect();
+        if touched.len() > 1 {
+            self.metrics.batch_splits.inc();
+        }
+        let mut slots: Vec<Option<(Page, FetchOutcome)>> = vec![None; plan.len()];
+        // Execute-and-release in ascending shard order: each shard's
+        // guard is dropped before the next shard is locked, so at most
+        // one shard lock is held at any moment — a thread stuck in
+        // shard k's disk reads cannot convoy traffic on later shards,
+        // and holding one lock can never deadlock.
+        for s in touched {
+            let group = &groups[s];
+            let sub: Vec<PlanEntry> = group.iter().map(|(_, e)| *e).collect();
+            let mut served = Vec::with_capacity(sub.len());
+            let k = self.serve_resident_prefix(s, &sub, &mut served);
+            if k < sub.len() {
+                let sub_plan: ReadPlan = sub.into_iter().collect();
+                self.lock(s).fetch_batch_tail(&sub_plan, k, &mut served)?;
+            }
+            for ((plan_idx, _), result) in group.iter().zip(served) {
+                slots[*plan_idx] = Some(result);
+            }
+        }
+        out.reserve(slots.len());
+        for slot in slots {
+            out.push(slot.expect("every plan entry belongs to exactly one shard"));
+        }
+        Ok(())
     }
 
     fn cancel_batch(&mut self, handle: BatchHandle) {
-        ShardedBufferPool::cancel_batch(self, handle);
+        self.settle(&handle);
+    }
+
+    /// `b_t` across the whole pool: a term's chunks may hash to
+    /// several shards, so every shard's counter table is consulted —
+    /// under its read lock only, never the shard mutex, so a `b_t`
+    /// inquiry never queues behind a shard serving disk reads. The
+    /// counters change only on load/evict/submit/complete (which hold
+    /// the mutex), so the values match what a locked read would
+    /// return. Each shard's counter locks are taken exactly once —
+    /// `P` passes total instead of the `terms.len() × P` a per-term
+    /// loop costs. The BAF term selector inquires every live
+    /// candidate's `b_t` each round through this, and during overlap
+    /// rounds it sees in-flight pages exactly like resident ones.
+    fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
+        let mut totals = vec![0u32; terms.len()];
+        for shard in self.shards.iter() {
+            {
+                let counters = shard.terms.read();
+                for (slot, term) in totals.iter_mut().zip(terms) {
+                    *slot += counters.get(term).copied().unwrap_or(0);
+                }
+            }
+            let loading = shard.in_flight.read();
+            if !loading.is_empty() {
+                for (slot, term) in totals.iter_mut().zip(terms) {
+                    *slot += loading.get(term).copied().unwrap_or(0);
+                }
+            }
+        }
+        totals
+    }
+
+    /// Announces the query's term weights to **every** shard, so each
+    /// shard's policy re-values its own residents — the striped
+    /// equivalent of the paper's global RAP re-valuation. For policies
+    /// that ignore query context (everything but RAP) the announcement
+    /// is a no-op per shard, so it is skipped without taking a single
+    /// lock.
+    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
+        if !self.uses_query_context {
+            return;
+        }
+        for s in 0..self.shards.len() {
+            self.lock(s).begin_query(weights);
+        }
+    }
+
+    /// Pool counters summed over every shard.
+    fn stats(&self) -> BufferStats {
+        let mut total = BufferStats::default();
+        for s in 0..self.shards.len() {
+            let stats = self.lock(s).stats();
+            total.requests += stats.requests;
+            total.hits += stats.hits;
+            total.misses += stats.misses;
+            total.evictions += stats.evictions;
+        }
+        total
     }
 
     fn overlap_depth(&self) -> usize {
-        ShardedBufferPool::overlap_depth(self)
+        self.overlap_depth
     }
 
     fn plan_alignment(&self) -> Option<u32> {
@@ -874,24 +761,8 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
         (self.shards.len() > 1).then_some(self.chunk_pages)
     }
 
-    fn resident_pages(&self, term: TermId) -> u32 {
-        ShardedBufferPool::resident_pages(self, term)
-    }
-
-    fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
-        ShardedBufferPool::resident_pages_many(self, terms)
-    }
-
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        ShardedBufferPool::begin_query(self, weights);
-    }
-
-    fn stats(&self) -> BufferStats {
-        ShardedBufferPool::stats(self)
-    }
-
     fn borrows(&self) -> u64 {
-        ShardedBufferPool::borrows(self)
+        self.sum_shards(BufferManager::borrows)
     }
 }
 
@@ -899,6 +770,8 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
 mod tests {
     use super::*;
     use crate::disk::DiskSim;
+    use crate::observe::BufferEvent;
+    use crate::shared::QueryBufferExt;
     use ir_types::Posting;
 
     fn store(n_terms: u32, pages: u32) -> Arc<DiskSim> {
@@ -917,6 +790,17 @@ mod tests {
 
     fn pid(t: u32, p: u32) -> PageId {
         PageId::new(TermId(t), p)
+    }
+
+    /// An observer whose log the test can read while the shard's
+    /// manager owns the observer box.
+    #[derive(Clone, Default, Debug)]
+    struct SharedLog(Arc<std::sync::Mutex<Vec<BufferEvent>>>);
+
+    impl crate::observe::BufferObserver for SharedLog {
+        fn event(&mut self, event: BufferEvent) {
+            self.0.lock().unwrap().push(event);
+        }
     }
 
     /// A [`DiskSim`] that advertises a 2-deep overlap window, so
@@ -1000,7 +884,7 @@ mod tests {
         // 64 frames = 16 per shard: even if every page hashed to one
         // shard nothing would evict, so the counters are exact.
         let s = store(2, 8);
-        let pool = ShardedBufferPool::new(Arc::clone(&s), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool = ShardedBufferPool::new(Arc::clone(&s), 64, PolicyKind::Lru, 4).unwrap();
         for t in 0..2 {
             for p in 0..8 {
                 pool.fetch(pid(t, p)).unwrap();
@@ -1028,7 +912,7 @@ mod tests {
 
     #[test]
     fn single_shard_batch_is_one_critical_section() {
-        let pool = ShardedBufferPool::new(store(1, 6), 8, PolicyKind::Lru, 1).unwrap();
+        let mut pool = ShardedBufferPool::new(store(1, 6), 8, PolicyKind::Lru, 1).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(0), 6, None);
         let out = pool.fetch_batch(&plan).unwrap();
         assert_eq!(out.len(), 6);
@@ -1042,7 +926,7 @@ mod tests {
         // chunk_pages = 1 pins the original per-page scatter, so this
         // plan deterministically spans several shards (headroom per
         // shard: no eviction regardless of hash skew).
-        let pool =
+        let mut pool =
             ShardedBufferPool::with_chunk_pages(store(2, 8), 32, PolicyKind::Lru, 4, 1).unwrap();
         let mut plan = ReadPlan::new();
         for p in 0..8 {
@@ -1063,7 +947,7 @@ mod tests {
 
     #[test]
     fn striped_rap_announcement_reaches_every_shard() {
-        let pool = ShardedBufferPool::new(store(2, 4), 8, PolicyKind::Rap, 2).unwrap();
+        let mut pool = ShardedBufferPool::new(store(2, 4), 8, PolicyKind::Rap, 2).unwrap();
         let w: HashMap<TermId, f64> = [(TermId(0), 1.0)].into_iter().collect();
         pool.begin_query(&w);
         for p in 0..4 {
@@ -1083,7 +967,7 @@ mod tests {
         // 8 frames hold all 8 pages; fetch 4 more term-0 pages of a
         // bigger store to create pressure.
         let s2 = store(2, 8);
-        let pool2 = ShardedBufferPool::new(s2, 6, PolicyKind::Rap, 2).unwrap();
+        let mut pool2 = ShardedBufferPool::new(s2, 6, PolicyKind::Rap, 2).unwrap();
         pool2.begin_query(&w);
         for p in 0..4 {
             pool2.fetch(pid(0, p)).unwrap();
@@ -1107,7 +991,7 @@ mod tests {
         let pool = ShardedBufferPool::new(store(4, 8), 128, PolicyKind::Lru, 4).unwrap();
         crossbeam::thread::scope(|scope| {
             for t in 0..4u32 {
-                let handle = pool.clone();
+                let mut handle = pool.clone();
                 scope.spawn(move |_| {
                     for _ in 0..3 {
                         for p in 0..8 {
@@ -1140,7 +1024,7 @@ mod tests {
             ..FaultConfig::DISABLED
         };
         let faulty = Arc::new(FaultStore::new(store(1, 8), cfg));
-        let pool = ShardedBufferPool::new(faulty, 8, PolicyKind::Lru, 4).unwrap();
+        let mut pool = ShardedBufferPool::new(faulty, 8, PolicyKind::Lru, 4).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(0), 8, None);
         // Every read faults and there are no retries: the first
         // touched shard's first entry fails, later shards never run.
@@ -1151,7 +1035,7 @@ mod tests {
 
     #[test]
     fn merged_dump_sums_shards_and_appends_contention() {
-        let pool = ShardedBufferPool::new(store(2, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool = ShardedBufferPool::new(store(2, 8), 64, PolicyKind::Lru, 4).unwrap();
         for t in 0..2 {
             for p in 0..8 {
                 pool.fetch(pid(t, p)).unwrap();
@@ -1179,7 +1063,7 @@ mod tests {
     fn term_routed_scan_locks_one_shard() {
         // 64 frames / 4 shards → chunk_pages = 8: a whole-list prefix
         // scan of any term routes to exactly one shard, cold or warm.
-        let pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
         assert_eq!(pool.chunk_pages(), 8);
         for t in 0..4 {
             let plan = ReadPlan::for_term_pages(TermId(t), 8, None);
@@ -1205,7 +1089,7 @@ mod tests {
         // chunk_pages = 2 over a 8-page list: chunks {0,1},{2,3},{4,5},
         // {6,7} may land on different shards, and the plan reassembles
         // in plan order with one split at most.
-        let pool =
+        let mut pool =
             ShardedBufferPool::with_chunk_pages(store(1, 8), 32, PolicyKind::Lru, 4, 2).unwrap();
         for p in 0..8 {
             assert_eq!(
@@ -1228,15 +1112,7 @@ mod tests {
 
     #[test]
     fn lock_light_hits_count_eagerly_and_replay_on_quiesce() {
-        use crate::observe::BufferEvent;
-        #[derive(Clone, Default, Debug)]
-        struct SharedLog(Arc<std::sync::Mutex<Vec<BufferEvent>>>);
-        impl crate::observe::BufferObserver for SharedLog {
-            fn event(&mut self, event: BufferEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
-        let pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
+        let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
         let log = SharedLog::default();
         pool.with_shard(0, |bm| bm.set_observer(Box::new(log.clone())));
         pool.fetch(pid(0, 0)).unwrap(); // miss: exclusive path
@@ -1253,8 +1129,37 @@ mod tests {
     }
 
     #[test]
+    fn resident_plans_take_no_shard_lock_on_the_split_phase_path() {
+        // Regression: over a store that cannot overlap, `submit_batch`
+        // used to lock the owning shard (draining `pending_hits`) just
+        // to learn that nothing can be scheduled, so the evaluator's
+        // submit + complete route never stayed on the lock-light path.
+        // Deferred hit events are the witness: they reach the observer
+        // only when somebody takes the shard mutex.
+        let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
+        assert_eq!(pool.overlap_depth(), 1);
+        let plan = ReadPlan::for_term_pages(TermId(0), 4, None);
+        pool.fetch_batch(&plan).unwrap(); // warm: four loads
+        let log = SharedLog::default();
+        pool.with_shard(0, |bm| bm.set_observer(Box::new(log.clone())));
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            let handle = pool.submit_batch(plan.clone()).unwrap();
+            pool.complete_into(handle, &mut out).unwrap();
+            assert!(out.iter().all(|(_, how)| *how == FetchOutcome::Hit));
+        }
+        assert!(
+            log.0.lock().unwrap().is_empty(),
+            "a fully-resident plan took the shard mutex"
+        );
+        pool.quiesce();
+        assert_eq!(log.0.lock().unwrap().len(), 8, "both plans' hits replay");
+        assert_eq!(pool.stats().hits, 8);
+    }
+
+    #[test]
     fn resident_pages_many_matches_per_term_loop() {
-        let pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
         for t in 0..3 {
             for p in 0..(t + 2).min(8) {
                 pool.fetch(pid(t, p)).unwrap();
@@ -1268,35 +1173,42 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_matches_blocking_batch_per_shard() {
-        // Twin pools over twin stores; one runs the blocking batch,
-        // the other the split-phase pair. After quiesce, counters and
-        // store traffic must be identical.
+    fn scheduled_submissions_match_unscheduled_ones_per_shard() {
+        // Twin pools over twin stores. The plain store cannot overlap,
+        // so its submissions schedule nothing and take no lock; the
+        // overlapping twin's lock their shard, pin, count in flight
+        // and settle at completion. After quiesce, counters and store
+        // traffic must be identical.
         let (sa, sb) = (store(4, 8), store(4, 8));
-        let blocking = ShardedBufferPool::new(Arc::clone(&sa), 64, PolicyKind::Lru, 4).unwrap();
-        let split = ShardedBufferPool::new(Arc::clone(&sb), 64, PolicyKind::Lru, 4).unwrap();
+        let mut plain = ShardedBufferPool::new(Arc::clone(&sa), 64, PolicyKind::Lru, 4).unwrap();
+        let overlapping = Arc::new(Overlapping(Arc::clone(&sb)));
+        let mut scheduled = ShardedBufferPool::new(overlapping, 64, PolicyKind::Lru, 4).unwrap();
         for t in 0..4 {
             let plan = ReadPlan::for_term_pages(TermId(t), 8, None);
-            blocking.fetch_batch(&plan).unwrap();
-            blocking.fetch_batch(&plan).unwrap(); // warm pass
-            let h = split.submit_batch(plan.clone()).unwrap();
-            split.complete(h).unwrap();
-            let h = split.submit_batch(plan).unwrap();
-            split.complete(h).unwrap();
+            for _ in 0..2 {
+                // cold pass, then warm pass
+                let h = plain.submit_batch(plan.clone()).unwrap();
+                assert!(h.pinned.is_empty());
+                plain.complete(h).unwrap();
+                let h = scheduled.submit_batch(plan.clone()).unwrap();
+                assert_eq!(h.pinned.len(), 8);
+                scheduled.complete(h).unwrap();
+            }
         }
-        blocking.quiesce();
-        split.quiesce();
-        assert_eq!(split.stats(), blocking.stats());
+        plain.quiesce();
+        scheduled.quiesce();
+        assert_eq!(scheduled.stats(), plain.stats());
         assert_eq!(sb.stats(), sa.stats());
-        assert_eq!(split.metrics().batch_splits.get(), 0);
+        assert_eq!(scheduled.metrics().batch_splits.get(), 0);
         for s in 0..4 {
-            assert_eq!(split.shard_stats(s), blocking.shard_stats(s), "shard {s}");
+            assert_eq!(scheduled.shard_stats(s), plain.shard_stats(s), "shard {s}");
         }
     }
 
     #[test]
     fn submission_counts_in_flight_toward_bt_until_complete() {
-        let pool = ShardedBufferPool::new(overlapping_store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool =
+            ShardedBufferPool::new(overlapping_store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(1), 8, None);
         let handle = pool.submit_batch(plan).unwrap();
         assert_eq!(handle.loading.len(), 8);
@@ -1320,12 +1232,13 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_submission_degenerates_to_blocking() {
-        // chunk_pages = 1 scatters an 8-page list over shards, so the
-        // submission schedules nothing and completion is the ordinary
-        // cross-shard batch.
-        let pool =
-            ShardedBufferPool::with_chunk_pages(store(1, 8), 32, PolicyKind::Lru, 4, 1).unwrap();
+    fn cross_shard_submission_schedules_nothing() {
+        // chunk_pages = 1 scatters an 8-page list over shards, so even
+        // over a store that can overlap the submission schedules
+        // nothing and completion is the ordinary cross-shard batch.
+        let mut pool =
+            ShardedBufferPool::with_chunk_pages(overlapping_store(1, 8), 32, PolicyKind::Lru, 4, 1)
+                .unwrap();
         let plan = ReadPlan::for_term_pages(TermId(0), 8, None);
         let handle = pool.submit_batch(plan).unwrap();
         assert!(handle.pinned.is_empty() && handle.loading.is_empty());
@@ -1338,7 +1251,8 @@ mod tests {
 
     #[test]
     fn cancelled_submission_releases_pins_and_bt() {
-        let pool = ShardedBufferPool::new(overlapping_store(2, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool =
+            ShardedBufferPool::new(overlapping_store(2, 8), 64, PolicyKind::Lru, 4).unwrap();
         let handle = pool
             .submit_batch(ReadPlan::for_term_pages(TermId(0), 4, None))
             .unwrap();
@@ -1367,7 +1281,7 @@ mod tests {
 
     #[test]
     fn contended_lock_wait_records_nanoseconds() {
-        let pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
+        let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
         pool.fetch(pid(0, 0)).unwrap();
         let barrier = std::sync::Barrier::new(2);
         crossbeam::thread::scope(|scope| {

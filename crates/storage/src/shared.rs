@@ -27,7 +27,16 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What query evaluation needs from a buffer pool.
+/// What query evaluation needs from a buffer pool: fetch a list prefix,
+/// ask `b_t`, announce `w_{q,t}`.
+///
+/// A fetch is *defined* as the split-phase pair
+/// [`submit_batch`](Self::submit_batch) →
+/// [`complete_into`](Self::complete_into) (or
+/// [`cancel_batch`](Self::cancel_batch)); every blocking form —
+/// `fetch`, `fetch_traced`, `fetch_batch`, `fetch_batch_into`,
+/// `complete` — is a composition of that pair written once in
+/// [`QueryBufferExt`], which no implementor can override.
 ///
 /// Implemented by [`BufferManager`] (private pool), [`Shared<T>`] for
 /// any `T: QueryBuffer` (one pool, many sessions), [`PartitionHandle`]
@@ -35,111 +44,62 @@ use std::sync::Arc;
 /// [`ShardedBufferPool`](crate::ShardedBufferPool) (lock-striped pool);
 /// the evaluation algorithms in `ir-core` are generic over it.
 pub trait QueryBuffer {
-    /// Fetches a page, counting a hit or a disk read.
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        self.fetch_traced(id).map(|(page, _)| page)
-    }
-
-    /// Fetches a page, also reporting how the request was served.
-    /// The outcome is observed inside the fetch's own critical
-    /// section, so attribution is exact for the calling session even
-    /// when other sessions hammer the same pool concurrently.
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)>;
-
-    /// Executes a [`ReadPlan`], serving every entry in plan order and
-    /// reporting each entry's outcome. Shared implementations take
-    /// their lock **once for the whole batch**, so a plan is a single
-    /// critical section rather than one per page.
-    ///
-    /// Deliberately **no default**: an earlier default degraded to
-    /// per-entry [`fetch_traced`](Self::fetch_traced), silently losing
-    /// vectored reads, value hints, and batch accounting for any
-    /// implementor that forgot to override it. A missing
-    /// implementation is now a compile error.
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>>;
-
-    /// [`fetch_batch`](Self::fetch_batch) writing into a caller-owned
-    /// buffer (cleared first), so a per-query scan loop can reuse one
-    /// scratch vector instead of allocating a fresh result per term.
-    /// The default allocates through [`fetch_batch`](Self::fetch_batch)
-    /// and moves the results over; pool implementations override it
-    /// with a genuinely allocation-free forward.
-    fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        let served = self.fetch_batch(plan)?;
-        out.clear();
-        out.extend(served);
-        Ok(())
-    }
-
-    /// Hints that the tail of `plan` is about to be demanded, so a
-    /// latency-modeling store can start those transfers while the
-    /// caller computes on the plan's head. Purely advisory — the
-    /// default does nothing, and no counter, event, or residency
-    /// state may change on this path. Implementors forward to
-    /// [`PageStore::prefetch`](crate::PageStore::prefetch) where they
-    /// have a store to forward to.
-    fn prefetch(&mut self, _plan: &ReadPlan) {}
-
-    /// Split-phase fetch, submission half: starts `plan`'s store
-    /// transfers (where the store can overlap at all) and returns a
-    /// [`BatchHandle`] the caller later passes to
-    /// [`complete`](Self::complete). Between the two calls the
-    /// submission's pages are pinned (an in-flight page is never a
+    /// Submission half of a fetch: starts `plan`'s store transfers
+    /// (where the store can overlap at all) and returns the
+    /// [`BatchHandle`] to pass to [`complete_into`](Self::complete_into)
+    /// or [`cancel_batch`](Self::cancel_batch). Between the two calls
+    /// the submission's pages are pinned (an in-flight page is never a
     /// replacement victim) and its non-resident pages count toward
     /// their term's `b_t`, so a concurrent term selector sees the
     /// pages the pool has already committed to load.
     ///
-    /// The default schedules nothing and pins nothing — it just wraps
-    /// the plan — so for any implementor that keeps the defaults,
-    /// submit + complete is *literally* a blocking
-    /// [`fetch_batch_into`](Self::fetch_batch_into). Implementations
-    /// that do schedule must preserve that equivalence whenever the
+    /// The default schedules nothing and pins nothing — right for any
+    /// pool whose completion is the whole fetch. Implementations that
+    /// do schedule must stay indistinguishable from that whenever the
     /// store cannot overlap (queue depth ≤ 1): same events, same
     /// counters, same store traffic.
     fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
         Ok(BatchHandle::unscheduled(plan))
     }
 
-    /// Split-phase fetch, completion half: waits for (or performs) the
-    /// submitted reads and serves every plan entry **in plan order**,
-    /// exactly like [`fetch_batch`](Self::fetch_batch). Consumes the
-    /// handle — a submission completes exactly once. Transient
-    /// failures (torn pages, injected faults) are retried *here*,
-    /// under the pool's `FetchPolicy`, never leaked to the caller as
-    /// phantom handles.
-    fn complete(&mut self, handle: BatchHandle) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(handle.len());
-        self.complete_into(handle, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`complete`](Self::complete) writing into a caller-owned buffer
-    /// (cleared first) — the scratch-reuse form, mirroring
-    /// [`fetch_batch_into`](Self::fetch_batch_into).
+    /// Completion half of a fetch: waits for (or performs) the
+    /// submitted reads and serves every plan entry **in plan order**
+    /// into `out` (cleared first), reporting how each was served.
+    /// Shared implementations take their lock once for the whole
+    /// batch. Consumes the handle — a submission completes exactly
+    /// once. Transient failures (torn pages, injected faults) are
+    /// retried *here*, under the pool's `FetchPolicy`; on error `out`
+    /// holds the entries served before the failure.
     fn complete_into(
         &mut self,
         handle: BatchHandle,
         out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        self.fetch_batch_into(&handle.plan, out)
-    }
+    ) -> IrResult<()>;
 
     /// Abandons a submission without serving it: releases the pins and
     /// the in-flight `b_t` counts the submission took, performing no
     /// fetches. Reads the store already started are not recalled —
-    /// a latency-modeling store counts them as wasted prefetches.
+    /// a latency-modeling store counts them as wasted.
     fn cancel_batch(&mut self, handle: BatchHandle) {
         drop(handle);
     }
 
+    /// `b_t` for every term in `terms`, in order: resident pages of
+    /// each term's inverted list, plus pages a live submission has
+    /// committed to load. One call is one pass over the pool's locks,
+    /// however many terms are asked about.
+    fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32>;
+
+    /// Announces the term weights `w_{q,t}` of the query about to run.
+    fn begin_query(&mut self, weights: &HashMap<TermId, f64>);
+
+    /// Snapshot of the pool counters this buffer draws on. For a
+    /// shared pool the numbers aggregate every session's traffic.
+    fn stats(&self) -> BufferStats;
+
     /// How many submissions the underlying store can usefully overlap:
-    /// 1 means submission starts nothing and split-phase degenerates
-    /// to the blocking path (the default); a latency-modeling store
-    /// reports its queue depth.
+    /// 1 (the default) means submission starts nothing; a
+    /// latency-modeling store reports its queue depth.
     fn overlap_depth(&self) -> usize {
         1
     }
@@ -152,25 +112,6 @@ pub trait QueryBuffer {
         None
     }
 
-    /// `b_t`: resident page count of `term`'s inverted list.
-    fn resident_pages(&self, term: TermId) -> u32;
-
-    /// `b_t` for every term in `terms`, in order. The default loops
-    /// over [`resident_pages`](Self::resident_pages); pools whose
-    /// per-term inquiry takes locks override this with a single-pass
-    /// batch (the sharded pool locks each shard once instead of once
-    /// per term).
-    fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
-        terms.iter().map(|t| self.resident_pages(*t)).collect()
-    }
-
-    /// Announces the term weights `w_{q,t}` of the query about to run.
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>);
-
-    /// Snapshot of the pool counters this buffer draws on. For a
-    /// shared pool the numbers aggregate every session's traffic.
-    fn stats(&self) -> BufferStats;
-
     /// Pages this buffer obtained without a disk read by borrowing a
     /// sibling partition's frame. Zero for unpartitioned pools.
     fn borrows(&self) -> u64 {
@@ -178,67 +119,59 @@ pub trait QueryBuffer {
     }
 }
 
-impl<S: PageStore> QueryBuffer for BufferManager<S> {
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        BufferManager::fetch(self, id)
+/// The blocking forms of a fetch, each written once as a composition
+/// of [`QueryBuffer`]'s split-phase pair. Blanket-implemented, so an
+/// implementor of [`QueryBuffer`] gets all of them and can override
+/// none: whatever a pool does on `submit_batch` + `complete_into` is
+/// what every one of these does.
+pub trait QueryBufferExt: QueryBuffer {
+    /// Completes `handle` into a fresh vector.
+    fn complete(&mut self, handle: BatchHandle) -> IrResult<Vec<(Page, FetchOutcome)>> {
+        let mut out = Vec::with_capacity(handle.len());
+        self.complete_into(handle, &mut out)?;
+        Ok(out)
     }
 
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        BufferManager::fetch_traced(self, id)
-    }
-
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        BufferManager::fetch_batch(self, plan)
-    }
-
+    /// Executes `plan` — submit, then immediately complete — into a
+    /// caller-owned buffer (cleared first).
     fn fetch_batch_into(
         &mut self,
         plan: &ReadPlan,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        BufferManager::fetch_batch_into(self, plan, out)
+        let handle = self.submit_batch(plan.clone())?;
+        self.complete_into(handle, out)
     }
 
-    fn prefetch(&mut self, plan: &ReadPlan) {
-        BufferManager::prefetch(self, plan);
+    /// Executes `plan`, serving every entry in plan order and
+    /// reporting each entry's outcome.
+    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
+        let mut out = Vec::with_capacity(plan.len());
+        self.fetch_batch_into(plan, &mut out)?;
+        Ok(out)
     }
 
-    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        BufferManager::submit_batch(self, plan)
+    /// Fetches one page — a one-entry plan — reporting how it was
+    /// served. The outcome is observed inside the fetch's own critical
+    /// section, so attribution is exact for the calling session even
+    /// when other sessions hammer the same pool concurrently.
+    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
+        let mut served = self.fetch_batch(&ReadPlan::single(id))?;
+        Ok(served.pop().expect("a one-entry plan yields one result"))
     }
 
-    fn complete_into(
-        &mut self,
-        handle: BatchHandle,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        BufferManager::complete_into(self, handle, out)
+    /// Fetches one page, counting a hit or a disk read.
+    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
+        self.fetch_traced(id).map(|(page, _)| page)
     }
 
-    fn cancel_batch(&mut self, handle: BatchHandle) {
-        BufferManager::cancel_batch(self, handle);
-    }
-
-    fn overlap_depth(&self) -> usize {
-        BufferManager::overlap_depth(self)
-    }
-
+    /// `b_t` of a single term.
     fn resident_pages(&self, term: TermId) -> u32 {
-        BufferManager::resident_pages(self, term)
-    }
-
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        BufferManager::begin_query(self, weights);
-    }
-
-    fn stats(&self) -> BufferStats {
-        BufferManager::stats(self)
-    }
-
-    fn borrows(&self) -> u64 {
-        BufferManager::borrows(self)
+        self.resident_pages_many(&[term])[0]
     }
 }
+
+impl<B: QueryBuffer + ?Sized> QueryBufferExt for B {}
 
 /// The generic locking adapter: any value behind an `Arc<Mutex<_>>`,
 /// cloneable into one handle per session, usable from any thread.
@@ -278,35 +211,9 @@ impl<T> Shared<T> {
 }
 
 /// Any shared queryable pool is itself a [`QueryBuffer`]: each call —
-/// including a whole [`ReadPlan`] batch — is one lock acquisition on
-/// the wrapped pool.
+/// including a whole [`ReadPlan`] submission or completion — is one
+/// lock acquisition on the wrapped pool.
 impl<T: QueryBuffer> QueryBuffer for Shared<T> {
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        self.inner.lock().fetch(id)
-    }
-
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        self.inner.lock().fetch_traced(id)
-    }
-
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        // One lock acquisition for the whole plan: the batch is the
-        // critical section, not each page.
-        self.inner.lock().fetch_batch(plan)
-    }
-
-    fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        self.inner.lock().fetch_batch_into(plan, out)
-    }
-
-    fn prefetch(&mut self, plan: &ReadPlan) {
-        self.inner.lock().prefetch(plan);
-    }
-
     fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
         self.inner.lock().submit_batch(plan)
     }
@@ -316,8 +223,8 @@ impl<T: QueryBuffer> QueryBuffer for Shared<T> {
         handle: BatchHandle,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        // One lock acquisition for the whole completion, mirroring
-        // fetch_batch: the batch is the critical section.
+        // One lock acquisition for the whole completion: the batch is
+        // the critical section, not each page.
         self.inner.lock().complete_into(handle, out)
     }
 
@@ -325,22 +232,8 @@ impl<T: QueryBuffer> QueryBuffer for Shared<T> {
         self.inner.lock().cancel_batch(handle);
     }
 
-    fn overlap_depth(&self) -> usize {
-        self.inner.lock().overlap_depth()
-    }
-
-    fn plan_alignment(&self) -> Option<u32> {
-        self.inner.lock().plan_alignment()
-    }
-
-    fn resident_pages(&self, term: TermId) -> u32 {
-        self.inner.lock().resident_pages(term)
-    }
-
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
-        // One lock acquisition for the whole inquiry batch.
-        let guard = self.inner.lock();
-        terms.iter().map(|t| guard.resident_pages(*t)).collect()
+        self.inner.lock().resident_pages_many(terms)
     }
 
     fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
@@ -349,6 +242,14 @@ impl<T: QueryBuffer> QueryBuffer for Shared<T> {
 
     fn stats(&self) -> BufferStats {
         self.inner.lock().stats()
+    }
+
+    fn overlap_depth(&self) -> usize {
+        self.inner.lock().overlap_depth()
+    }
+
+    fn plan_alignment(&self) -> Option<u32> {
+        self.inner.lock().plan_alignment()
     }
 
     fn borrows(&self) -> u64 {
@@ -441,21 +342,26 @@ impl<S: PageStore> Clone for PartitionHandle<S> {
     }
 }
 
+/// Completion is the whole fetch: a partition schedules nothing at
+/// submission (the trait defaults), because the sibling probe must see
+/// every earlier entry's effect at the moment each entry is served.
 impl<S: PageStore> QueryBuffer for PartitionHandle<S> {
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        self.pool.with(|p| p.fetch(self.pid, id))
+    fn complete_into(
+        &mut self,
+        handle: BatchHandle,
+        out: &mut Vec<(Page, FetchOutcome)>,
+    ) -> IrResult<()> {
+        self.pool
+            .with(|p| p.fetch_batch_into(self.pid, &handle.plan, out))
     }
 
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        self.pool.with(|p| p.fetch_traced(self.pid, id))
-    }
-
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        self.pool.with(|p| p.fetch_batch(self.pid, plan))
-    }
-
-    fn resident_pages(&self, term: TermId) -> u32 {
-        self.pool.with(|p| p.resident_pages(self.pid, term))
+    fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
+        self.pool.with(|p| {
+            terms
+                .iter()
+                .map(|t| p.resident_pages(self.pid, *t))
+                .collect()
+        })
     }
 
     fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {

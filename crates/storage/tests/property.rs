@@ -46,13 +46,13 @@ fn page(t: u32, p: u32) -> Page {
     Page::new(PageId::new(TermId(t), p), postings.into(), f64::from(t + 1))
 }
 
-/// Drives `plain` with `fetch_traced` and `batched` with one-entry
-/// [`ReadPlan`]s over the same request stream, then asserts the two
-/// pools are indistinguishable: delivered bytes, fetch outcomes, the
-/// full event log, and every metric that predates batching. Only the
-/// batch counters themselves may differ — they exist solely on the
-/// batched path.
-fn assert_singleton_plans_match_fetch<S: PageStore>(
+/// Drives `plain` with one `fetch_traced` per request (each a
+/// one-entry plan) and `batched` with the whole request stream as a
+/// single [`ReadPlan`], then asserts the two pools are
+/// indistinguishable: delivered bytes, fetch outcomes, the full event
+/// log, and every metric but the batch counters — the vectored batch
+/// loop against the page-at-a-time sequence it must equal.
+fn assert_one_plan_matches_page_at_a_time<S: PageStore>(
     mut plain: BufferManager<S>,
     mut batched: BufferManager<S>,
     ops: &[(u32, u32)],
@@ -62,15 +62,18 @@ fn assert_singleton_plans_match_fetch<S: PageStore>(
     plain.set_observer(Box::new(plain_log.clone()));
     let batched_log = SharedLog::default();
     batched.set_observer(Box::new(batched_log.clone()));
-    for (t, p) in ops {
-        let id = PageId::new(TermId(*t), *p);
+    let plan: ReadPlan = ops
+        .iter()
+        .map(|(t, p)| PlanEntry::new(PageId::new(TermId(*t), *p)))
+        .collect();
+    let out = batched
+        .fetch_batch(&plan)
+        .unwrap_or_else(|e| panic!("{kind}: whole-stream batch failed: {e}"));
+    assert_eq!(out.len(), ops.len(), "{kind}: one result per entry");
+    for (entry, (pb, hb)) in plan.iter().zip(&out) {
+        let id = entry.page;
         let (pa, ha) = plain.fetch_traced(id).unwrap();
-        let mut out = batched
-            .fetch_batch(&ReadPlan::single(id))
-            .unwrap_or_else(|e| panic!("{kind}: singleton batch failed: {e}"));
-        assert_eq!(out.len(), 1, "{kind}: one entry, one result");
-        let (pb, hb) = out.pop().unwrap();
-        assert_eq!(ha, hb, "{kind}: fetch outcome differs for {id:?}");
+        assert_eq!(ha, *hb, "{kind}: fetch outcome differs for {id:?}");
         assert_eq!(
             pa.postings(),
             pb.postings(),
@@ -111,15 +114,11 @@ fn assert_singleton_plans_match_fetch<S: PageStore>(
         batched.resident_ids(),
         "{kind}: resident sets differ"
     );
-    assert_eq!(
-        mb.batches.get(),
-        ops.len() as u64,
-        "{kind}: one batch per singleton plan"
-    );
+    assert_eq!(mb.batches.get(), 1, "{kind}: the stream went as one batch");
     assert_eq!(
         ma.batches.get(),
-        0,
-        "{kind}: plain fetches issue no batches"
+        ops.len() as u64,
+        "{kind}: every single fetch is a one-entry batch"
     );
 }
 
@@ -402,12 +401,12 @@ proptest! {
         }
     }
 
-    /// Batched/plain equivalence (the refactor's core contract): a
-    /// pool driven by one-entry plans is metrics- and event-log-
-    /// identical to a twin driven by plain `fetch`, under every policy,
-    /// with and without seeded transient faults in the store.
+    /// Batched/plain equivalence: a pool served one whole-stream plan
+    /// is metrics- and event-log-identical to a twin fetching the same
+    /// pages one at a time, under every policy, with and without
+    /// seeded transient faults in the store.
     #[test]
-    fn singleton_plan_batches_match_plain_fetch(
+    fn one_plan_matches_page_at_a_time_fetches(
         capacity in 2usize..6,
         with_faults in proptest::any::<bool>(),
         cap in 1u32..4,
@@ -429,10 +428,10 @@ proptest! {
                     bm.set_fetch_policy(FetchPolicy::retries(cap));
                     bm
                 };
-                assert_singleton_plans_match_fetch(make(), make(), &ops, kind);
+                assert_one_plan_matches_page_at_a_time(make(), make(), &ops, kind);
             } else {
                 let make = || BufferManager::new(store(), capacity, kind).unwrap();
-                assert_singleton_plans_match_fetch(make(), make(), &ops, kind);
+                assert_one_plan_matches_page_at_a_time(make(), make(), &ops, kind);
             }
         }
     }

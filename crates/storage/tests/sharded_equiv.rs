@@ -21,7 +21,7 @@
 use ir_storage::policy::ExpertMixturePolicy;
 use ir_storage::{
     BufferEvent, BufferManager, BufferObserver, DiskSim, FaultConfig, FaultStore, FetchPolicy,
-    Page, PageStore, PolicyKind, ShardedBufferPool,
+    Page, PageStore, PolicyKind, QueryBuffer, QueryBufferExt, ShardedBufferPool,
 };
 use ir_types::{PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};
@@ -64,7 +64,7 @@ type Op = (u32, u32, u8);
 /// interleaving of plain fetches, traced fetches, multi-page plans and
 /// RAP announcements, then asserts they are indistinguishable.
 fn assert_one_shard_matches_manager<S: PageStore>(
-    pool: ShardedBufferPool<S>,
+    mut pool: ShardedBufferPool<S>,
     mut reference: BufferManager<Arc<S>>,
     ops: &[Op],
     kind: PolicyKind,
@@ -400,9 +400,8 @@ proptest! {
         seed in proptest::any::<u64>(),
         ops_per_thread in 16u64..64,
     ) {
-        let pool = Arc::new(
-            ShardedBufferPool::new(Arc::new(store()), 128, PolicyKind::Lru, 4).unwrap(),
-        );
+        let mut pool =
+            ShardedBufferPool::new(Arc::new(store()), 128, PolicyKind::Lru, 4).unwrap();
         // Warm the full working set: 32 requests, all loads.
         for t in 0..N_TERMS {
             for p in 0..PAGES_PER_TERM {
@@ -415,7 +414,7 @@ proptest! {
         crossbeam::thread::scope(|scope| {
             let mut workers = Vec::new();
             for th in 0..n_threads {
-                let pool = Arc::clone(&pool);
+                let mut pool = pool.clone();
                 workers.push(scope.spawn(move |_| {
                     let mut rng = seed ^ (th << 11) ^ 0x5bd1_e995;
                     for _ in 0..ops_per_thread {
@@ -433,7 +432,7 @@ proptest! {
             // workers are mid-batch, over and over. Every drain races
             // the dirty flag against live appends.
             let hammer = {
-                let pool = Arc::clone(&pool);
+                let pool = pool.clone();
                 let stop = &stop;
                 scope.spawn(move |_| {
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
@@ -490,13 +489,12 @@ fn concurrent_stress_keeps_shard_accounting_exact() {
     // Capacity 128 over 4 shards: even a worst-case hash skew (all 32
     // pages in one shard) cannot force an eviction, so the final
     // resident set is the full working set and loss shows up exactly.
-    let pool =
-        Arc::new(ShardedBufferPool::new(Arc::new(store()), 128, PolicyKind::Lru, 4).unwrap());
+    let pool = ShardedBufferPool::new(Arc::new(store()), 128, PolicyKind::Lru, 4).unwrap();
     let n_threads = 4;
     let ops_per_thread = 500u64;
     crossbeam::thread::scope(|scope| {
         for th in 0..n_threads {
-            let pool = Arc::clone(&pool);
+            let mut pool = pool.clone();
             scope.spawn(move |_| {
                 let mut rng = 0x9e37_79b9_u64 ^ ((th as u64) << 7);
                 for _ in 0..ops_per_thread {

@@ -1,28 +1,34 @@
-//! The split-phase identity contract, tested as a property: over a
-//! store that cannot overlap (queue depth 1), `submit_batch` +
-//! `complete` must be indistinguishable from the blocking
-//! `fetch_batch` it decomposes — same delivered pages, same fetch
-//! outcomes, same event stream, same pool counters, same resident
-//! set, same per-term `b_t` — for **every** replacement policy, over
-//! **every** pool layout the engine can route a session through
-//! (bare manager, mutex-shared manager, partition handle, sharded
-//! pool), with and without a seeded fault schedule injecting
-//! transient failures and torn pages into both twins alike.
+//! The fetch protocol's contracts, tested from outside the crate.
 //!
-//! This is the contract that lets `fetch_batch` be *defined* as
-//! submit + complete in the evaluation loops: if it holds, turning
-//! the overlap loop off can never perturb a golden CSV.
+//! A fetch is *defined* as `submit_batch` + `complete_into`, so there
+//! is no blocking twin left to compare the pair against. What remains
+//! two-sided:
+//!
+//! * **every wrapper ≡ the reference pool** — a mutex-shared manager,
+//!   a one-partition handle and a one-shard pool, each driven through
+//!   the trait's split-phase pair, against a bare [`BufferManager`]
+//!   driven through its inherent `fetch_batch`: same delivered pages,
+//!   outcomes, counters, store traffic and `b_t` (and, where the
+//!   wrapper exposes them, the same event log and resident set), for
+//!   **every** replacement policy, with and without a seeded fault
+//!   schedule injecting transient failures and torn pages into both
+//!   sides alike;
+//! * **the submission window** over a store that *can* overlap: pages
+//!   are pinned and counted in flight between submit and complete,
+//!   and `cancel_batch` releases both without fetching;
+//! * **single fetches are one-entry plans**: `fetch_traced` reports
+//!   `Miss` / `Hit` / `Borrowed` through every layout.
 
 use ir_storage::{
-    BufferEvent, BufferManager, BufferObserver, BufferStats, DiskSim, FaultConfig, FaultStore,
-    FetchPolicy, Page, PartitionedBuffer, PolicyKind, QueryBuffer, ShardedBufferPool,
-    SharedBufferManager, SharedPartitionedBuffer,
+    BufferEvent, BufferManager, BufferObserver, DiskSim, DiskStats, FaultConfig, FaultStats,
+    FaultStore, FetchOutcome, FetchPolicy, Page, PageStore, PartitionedBuffer, PolicyKind,
+    QueryBuffer, QueryBufferExt, ShardedBufferPool, SharedBufferManager, SharedPartitionedBuffer,
 };
-use ir_types::{PageId, PlanEntry, Posting, ReadPlan, TermId};
+use ir_types::{IrResult, PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};
 use std::sync::{Arc, Mutex};
 
-/// An observer whose log outlives the pool, so the twins' event
+/// An observer whose log outlives the pool, so two pools' event
 /// streams can be compared after the pools are gone.
 #[derive(Clone, Debug, Default)]
 struct SharedLog(Arc<Mutex<Vec<BufferEvent>>>);
@@ -51,6 +57,10 @@ fn store() -> DiskSim {
     DiskSim::new(lists)
 }
 
+fn pid(t: u32, p: u32) -> PageId {
+    PageId::new(TermId(t), p)
+}
+
 /// One workload step: a hinted plan over `len` pages of term `t`
 /// starting at `p0` (clamped to the list).
 type Op = (u32, u32, u32);
@@ -59,38 +69,75 @@ fn plan_for(&(t, p0, len): &Op) -> ReadPlan {
     let start = p0.min(PAGES_PER_TERM - 1);
     let end = (start + len.max(1)).min(PAGES_PER_TERM);
     (start..end)
-        .map(|p| PlanEntry::hinted(PageId::new(TermId(t), p), f64::from(t + 1)))
+        .map(|p| PlanEntry::hinted(pid(t, p), f64::from(t + 1)))
         .collect()
 }
 
-/// Drives the `blocking` twin with `fetch_batch` and the `split` twin
-/// with `submit_batch` + `complete` over the same plans, asserting
-/// after every step that the served pages and outcomes agree, and at
-/// the end that the observable pool state does too.
-fn assert_split_matches_blocking<B: QueryBuffer>(
-    blocking: &mut B,
-    split: &mut B,
+/// The seeded fault configurations each layout is exercised under:
+/// a clean store, and a chaos schedule (transient faults + torn
+/// pages, bounded so `retries(4)` always recovers).
+fn fault_modes() -> [(FaultConfig, FetchPolicy); 2] {
+    [
+        (FaultConfig::DISABLED, FetchPolicy::NO_RETRY),
+        (FaultConfig::chaos(193), FetchPolicy::retries(4)),
+    ]
+}
+
+type Faulted = Arc<FaultStore<DiskSim>>;
+
+fn faulted(config: FaultConfig) -> Faulted {
+    Arc::new(FaultStore::new(store(), config))
+}
+
+/// Everything a store can tell about the traffic it saw: the fault
+/// draws and the simulated disk's read classification.
+fn traffic(store: &Faulted) -> (FaultStats, DiskStats) {
+    (store.stats(), store.inner().stats())
+}
+
+/// The bare reference pool over its own twin store, with an event log.
+fn reference(
+    config: FaultConfig,
+    fetch: FetchPolicy,
+    frames: usize,
+    kind: PolicyKind,
+) -> (BufferManager<Faulted>, SharedLog) {
+    let mut bm = BufferManager::new(faulted(config), frames, kind).unwrap();
+    bm.set_fetch_policy(fetch);
+    let log = SharedLog::default();
+    bm.set_observer(Box::new(log.clone()));
+    (bm, log)
+}
+
+/// Drives `wrapper` through the trait's `submit_batch` +
+/// `complete_into` and `reference` through `BufferManager`'s inherent
+/// `fetch_batch` over the same plans, asserting after every step that
+/// the served pages and outcomes agree, and at the end that counters,
+/// borrows and per-term `b_t` do too.
+fn assert_wrapper_matches_reference<B: QueryBuffer>(
+    wrapper: &mut B,
+    reference: &mut BufferManager<Faulted>,
     ops: &[Op],
     label: &str,
 ) {
-    assert_eq!(
-        split.overlap_depth(),
-        1,
-        "{label}: this suite only states the queue-depth-1 identity"
-    );
+    let mut served = Vec::new();
     for op in ops {
         let plan = plan_for(op);
-        let a = blocking
+        let expected = reference
             .fetch_batch(&plan)
-            .unwrap_or_else(|e| panic!("{label}: blocking fetch failed: {e}"));
-        let handle = split
+            .unwrap_or_else(|e| panic!("{label}: reference fetch failed: {e}"));
+        let handle = wrapper
             .submit_batch(plan)
             .unwrap_or_else(|e| panic!("{label}: submit failed: {e}"));
-        let b = split
-            .complete(handle)
+        wrapper
+            .complete_into(handle, &mut served)
             .unwrap_or_else(|e| panic!("{label}: complete failed: {e}"));
-        assert_eq!(a.len(), b.len(), "{label}: served counts differ");
-        for ((pa, oa), (pb, ob)) in a.iter().zip(&b) {
+        assert_eq!(
+            served.len(),
+            expected.len(),
+            "{label}: served counts differ"
+        );
+        for ((pa, oa), (pb, ob)) in served.iter().zip(&expected) {
             assert_eq!(pa.id(), pb.id(), "{label}: page order differs");
             assert_eq!(oa, ob, "{label}: outcome differs for {:?}", pa.id());
             assert_eq!(
@@ -101,168 +148,282 @@ fn assert_split_matches_blocking<B: QueryBuffer>(
             );
         }
     }
-    let (sa, sb): (BufferStats, BufferStats) = (blocking.stats(), split.stats());
+    let (sa, sb) = (wrapper.stats(), reference.stats());
     assert_eq!(
         (sa.requests, sa.hits, sa.misses, sa.evictions),
         (sb.requests, sb.hits, sb.misses, sb.evictions),
         "{label}: pool counters differ"
     );
     assert_eq!(
-        blocking.borrows(),
-        split.borrows(),
+        wrapper.borrows(),
+        reference.borrows(),
         "{label}: borrow counts differ"
     );
     let terms: Vec<TermId> = (0..N_TERMS).map(TermId).collect();
     assert_eq!(
-        blocking.resident_pages_many(&terms),
-        split.resident_pages_many(&terms),
+        wrapper.resident_pages_many(&terms),
+        QueryBuffer::resident_pages_many(reference, &terms),
         "{label}: per-term b_t differs"
     );
-}
-
-/// The seeded fault configurations each layout is exercised under:
-/// a clean store, and a chaos schedule (transient faults + torn
-/// pages, bounded so `retries(4)` always recovers).
-fn fault_modes() -> [(Option<FaultConfig>, FetchPolicy); 2] {
-    [
-        (None, FetchPolicy::NO_RETRY),
-        (Some(FaultConfig::chaos(193)), FetchPolicy::retries(4)),
-    ]
-}
-
-fn faulted(config: Option<FaultConfig>) -> FaultStore<DiskSim> {
-    FaultStore::new(store(), config.unwrap_or(FaultConfig::DISABLED))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Bare [`BufferManager`]: the twins must agree down to the event
-    /// log — the strictest observable surface a pool has.
+    /// The mutex-shared manager takes its lock once per phase; that
+    /// must not change what a single session observes, down to the
+    /// event log — the strictest observable surface a pool has.
     #[test]
-    fn manager_submit_complete_is_fetch_batch(
+    fn shared_manager_matches_bare_manager(
         ops in collection::vec((0u32..N_TERMS, 0u32..PAGES_PER_TERM, 1u32..PAGES_PER_TERM), 1..24),
     ) {
         for kind in PolicyKind::ALL {
             for (config, fetch) in fault_modes() {
-                let label = format!("manager/{kind}/faults={}", config.is_some());
-                let mut blocking = BufferManager::new(faulted(config), FRAMES, kind).unwrap();
-                let mut split = BufferManager::new(faulted(config), FRAMES, kind).unwrap();
-                blocking.set_fetch_policy(fetch);
-                split.set_fetch_policy(fetch);
-                let (log_a, log_b) = (SharedLog::default(), SharedLog::default());
-                blocking.set_observer(Box::new(log_a.clone()));
-                split.set_observer(Box::new(log_b.clone()));
-                assert_split_matches_blocking(&mut blocking, &mut split, &ops, &label);
+                let label = format!("shared/{kind}/faults={}", !config.is_disabled());
+                let (mut bare, bare_log) = reference(config, fetch, FRAMES, kind);
+                let (inner, log) = reference(config, fetch, FRAMES, kind);
+                let mut shared = SharedBufferManager::new(inner);
+                assert_wrapper_matches_reference(&mut shared, &mut bare, &ops, &label);
+                shared.with(|bm| {
+                    assert_eq!(
+                        traffic(bm.store()),
+                        traffic(bare.store()),
+                        "{label}: store traffic (and fault draws) differ"
+                    );
+                    assert_eq!(
+                        bm.resident_ids(),
+                        bare.resident_ids(),
+                        "{label}: resident sets differ"
+                    );
+                });
                 assert_eq!(
-                    blocking.store().stats(),
-                    split.store().stats(),
+                    *log.0.lock().unwrap(),
+                    *bare_log.0.lock().unwrap(),
+                    "{label}: event logs differ"
+                );
+            }
+        }
+    }
+
+    /// One partition has no sibling to borrow from, so its handle —
+    /// which schedules nothing at submission and serves every entry
+    /// through the single-fetch protocol at completion — must equal
+    /// the reference pool's batch loop, vectored reads and all.
+    #[test]
+    fn one_partition_handle_matches_bare_manager(
+        ops in collection::vec((0u32..N_TERMS, 0u32..PAGES_PER_TERM, 1u32..PAGES_PER_TERM), 1..24),
+    ) {
+        for kind in PolicyKind::ALL {
+            for (config, fetch) in fault_modes() {
+                let label = format!("partition/{kind}/faults={}", !config.is_disabled());
+                let (mut bare, _) = reference(config, fetch, FRAMES, kind);
+                let twin = faulted(config);
+                let mut pb = PartitionedBuffer::new(Arc::clone(&twin), 1, FRAMES, kind).unwrap();
+                pb.set_fetch_policy(fetch);
+                let pool = SharedPartitionedBuffer::new(pb);
+                let mut handle = pool.handle(0).unwrap();
+                assert_wrapper_matches_reference(&mut handle, &mut bare, &ops, &label);
+                assert_eq!(
+                    traffic(&twin),
+                    traffic(bare.store()),
                     "{label}: store traffic (and fault draws) differ"
                 );
                 assert_eq!(
-                    *log_a.0.lock().unwrap(),
-                    *log_b.0.lock().unwrap(),
-                    "{label}: event logs differ"
+                    pool.with(|pb| pb.occupancy()),
+                    bare.len(),
+                    "{label}: occupancy differs"
                 );
             }
         }
     }
 
-    /// The mutex-shared manager: split-phase holds the lock once per
-    /// phase instead of once per batch, which must not change what
-    /// a single session observes.
+    /// A one-shard pool serves resident prefixes lock-light and defers
+    /// their hit events; after a quiesce it must be indistinguishable
+    /// from the reference pool, batch metrics included.
     #[test]
-    fn shared_manager_submit_complete_is_fetch_batch(
+    fn one_shard_pool_matches_bare_manager(
         ops in collection::vec((0u32..N_TERMS, 0u32..PAGES_PER_TERM, 1u32..PAGES_PER_TERM), 1..24),
     ) {
         for kind in PolicyKind::ALL {
             for (config, fetch) in fault_modes() {
-                let label = format!("shared/{kind}/faults={}", config.is_some());
-                let make = || {
-                    let mut bm = BufferManager::new(faulted(config), FRAMES, kind).unwrap();
-                    bm.set_fetch_policy(fetch);
-                    SharedBufferManager::new(bm)
-                };
-                let (mut blocking, mut split) = (make(), make());
-                assert_split_matches_blocking(&mut blocking, &mut split, &ops, &label);
-            }
-        }
-    }
-
-    /// A partition handle over the shared partitioned pool: the
-    /// default trait composition (submit captures the plan, complete
-    /// runs the blocking batch) must stay exact, sibling borrowing
-    /// included.
-    #[test]
-    fn partition_handle_submit_complete_is_fetch_batch(
-        ops in collection::vec((0u32..N_TERMS, 0u32..PAGES_PER_TERM, 1u32..PAGES_PER_TERM), 1..24),
-        seed_pid in 0usize..2,
-    ) {
-        for kind in PolicyKind::ALL {
-            for (config, fetch) in fault_modes() {
-                let label = format!("partition/{kind}/faults={}", config.is_some());
-                let make = || {
-                    let mut pb = PartitionedBuffer::new(
-                        Arc::new(faulted(config)), 2, FRAMES, kind,
-                    ).unwrap();
-                    pb.set_fetch_policy(fetch);
-                    let pool = SharedPartitionedBuffer::new(pb);
-                    // Seed the *other* partition so sibling borrows
-                    // actually fire during the measured workload.
-                    let mut seeder = pool.handle(1 - seed_pid).unwrap();
-                    seeder.fetch(PageId::new(TermId(0), 0)).unwrap();
-                    pool.handle(seed_pid).unwrap()
-                };
-                let (mut blocking, mut split) = (make(), make());
-                assert_split_matches_blocking(&mut blocking, &mut split, &ops, &label);
-            }
-        }
-    }
-
-    /// The sharded pool: submission pins across shards and tracks
-    /// in-flight `b_t` per shard; at queue depth 1 none of that may
-    /// leak into events, counters, or residency. Hit events are
-    /// *deferred* on this pool (applied at the shard's next lock), so
-    /// their cross-shard interleaving reflects lock timing, not
-    /// behaviour — both twins are therefore quiesced after every
-    /// batch, pinning the drain points to the same places before the
-    /// logs are compared.
-    #[test]
-    fn sharded_pool_submit_complete_is_fetch_batch(
-        ops in collection::vec((0u32..N_TERMS, 0u32..PAGES_PER_TERM, 1u32..PAGES_PER_TERM), 1..24),
-    ) {
-        for kind in PolicyKind::ALL {
-            for (config, fetch) in fault_modes() {
-                let label = format!("sharded/{kind}/faults={}", config.is_some());
-                let make = |log: &SharedLog| {
-                    let pool = ShardedBufferPool::new(
-                        Arc::new(faulted(config)), 2 * FRAMES, kind, 2,
-                    ).unwrap();
-                    pool.set_fetch_policy(fetch);
-                    for s in 0..2 {
-                        let log = log.clone();
-                        pool.with_shard(s, |bm| bm.set_observer(Box::new(log)));
-                    }
-                    pool
-                };
-                let (log_a, log_b) = (SharedLog::default(), SharedLog::default());
-                let (mut blocking, mut split) = (make(&log_a), make(&log_b));
-                for op in &ops {
-                    assert_split_matches_blocking(
-                        &mut blocking,
-                        &mut split,
-                        std::slice::from_ref(op),
-                        &label,
-                    );
-                    blocking.quiesce();
-                    split.quiesce();
-                }
+                let label = format!("sharded/{kind}/faults={}", !config.is_disabled());
+                let (mut bare, bare_log) = reference(config, fetch, FRAMES, kind);
+                let twin = faulted(config);
+                let mut pool = ShardedBufferPool::new(Arc::clone(&twin), FRAMES, kind, 1).unwrap();
+                pool.set_fetch_policy(fetch);
+                let log = SharedLog::default();
+                pool.with_shard(0, |bm| bm.set_observer(Box::new(log.clone())));
+                assert_wrapper_matches_reference(&mut pool, &mut bare, &ops, &label);
+                pool.quiesce();
                 assert_eq!(
-                    *log_a.0.lock().unwrap(),
-                    *log_b.0.lock().unwrap(),
+                    traffic(&twin),
+                    traffic(bare.store()),
+                    "{label}: store traffic (and fault draws) differ"
+                );
+                pool.with_shard(0, |bm| {
+                    assert_eq!(
+                        bm.resident_ids(),
+                        bare.resident_ids(),
+                        "{label}: resident sets differ"
+                    );
+                    assert_eq!(
+                        bm.metrics().batches.get(),
+                        bare.metrics().batches.get(),
+                        "{label}: batch counts differ"
+                    );
+                });
+                assert_eq!(
+                    *log.0.lock().unwrap(),
+                    *bare_log.0.lock().unwrap(),
                     "{label}: event logs differ"
                 );
             }
         }
     }
+}
+
+/// Forwards to a [`DiskSim`] but advertises a 2-deep overlap window,
+/// so submission's pin / in-flight bookkeeping runs without a latency
+/// model. `submit` keeps the trait default (schedules nothing), like a
+/// scheduler with an empty queue.
+#[derive(Debug)]
+struct Overlapping(DiskSim);
+
+impl PageStore for Overlapping {
+    fn read_page(&self, id: PageId) -> IrResult<Page> {
+        self.0.read_page(id)
+    }
+
+    fn list_len(&self, term: TermId) -> Option<u32> {
+        self.0.list_len(term)
+    }
+
+    fn n_lists(&self) -> usize {
+        self.0.n_lists()
+    }
+
+    fn overlap_depth(&self) -> usize {
+        2
+    }
+}
+
+/// The submission window, as any session sees it through the trait:
+/// a submitted plan's pages are pinned against replacement and its
+/// non-resident pages count toward `b_t` until the handle is
+/// completed or cancelled. `pool` must be cold, hold at most 8 frames
+/// per lock domain, and sit over an [`Overlapping`] store.
+fn assert_submission_window<B: QueryBuffer>(pool: &mut B, label: &str) {
+    assert!(pool.overlap_depth() > 1, "{label}: store must overlap");
+    let head = ReadPlan::for_term_pages(TermId(1), 4, None);
+    let flood = |pool: &mut B| {
+        for t in [0, 2, 3] {
+            pool.fetch_batch(&ReadPlan::for_term_pages(TermId(t), PAGES_PER_TERM, None))
+                .unwrap();
+        }
+    };
+
+    // Cancelled: in-flight counts appear at submit and vanish at
+    // cancel, and nothing was ever requested.
+    let handle = pool.submit_batch(head.clone()).unwrap();
+    assert_eq!(pool.resident_pages(TermId(1)), 4, "{label}: in-flight b_t");
+    pool.cancel_batch(handle);
+    assert_eq!(
+        pool.resident_pages(TermId(1)),
+        0,
+        "{label}: cancel leaves b_t"
+    );
+    assert_eq!(
+        pool.stats().requests,
+        0,
+        "{label}: cancel fetched something"
+    );
+
+    // Completed: resident pages pinned by a live submission survive a
+    // flood that would otherwise evict them, and are released after.
+    pool.fetch_batch(&head).unwrap();
+    let handle = pool.submit_batch(head.clone()).unwrap();
+    flood(pool);
+    assert_eq!(
+        pool.resident_pages(TermId(1)),
+        4,
+        "{label}: a pinned page was evicted"
+    );
+    let served = pool.complete(handle).unwrap();
+    assert!(
+        served.iter().all(|(_, how)| *how == FetchOutcome::Hit),
+        "{label}: pinned pages must still be resident at completion"
+    );
+    flood(pool);
+    assert!(
+        pool.resident_pages(TermId(1)) < 4,
+        "{label}: completion must release the pins"
+    );
+}
+
+#[test]
+fn submissions_pin_and_count_in_flight_through_every_scheduling_layout() {
+    // LRU throughout: the window is policy-independent (`property.rs`
+    // pins "pinned ⇒ never victim" for every policy), and LRU makes
+    // "the flood evicts an unpinned page" certain.
+    let overlapping = || Arc::new(Overlapping(store()));
+    let kind = PolicyKind::Lru;
+    let mut bare = BufferManager::new(overlapping(), 8, kind).unwrap();
+    assert_submission_window(&mut bare, "manager");
+    let mut shared = SharedBufferManager::new(BufferManager::new(overlapping(), 8, kind).unwrap());
+    assert_submission_window(&mut shared, "shared");
+    // 16 frames over 2 shards → 4-page routing chunks: the 4-page head
+    // plan is single-shard, so its submission is scheduled.
+    let mut sharded = ShardedBufferPool::new(overlapping(), 16, kind, 2).unwrap();
+    assert_submission_window(&mut sharded, "sharded");
+}
+
+/// Miss on the first touch, Hit on the second — the outcome sequence
+/// `fetch_traced` reported before it became a one-entry plan.
+fn assert_miss_then_hit<B: QueryBuffer>(pool: &mut B, label: &str) {
+    let (page, first) = pool.fetch_traced(pid(2, 3)).unwrap();
+    assert_eq!(page.id(), pid(2, 3), "{label}: wrong page");
+    assert_eq!(first, FetchOutcome::Miss, "{label}: cold fetch");
+    let (_, second) = pool.fetch_traced(pid(2, 3)).unwrap();
+    assert_eq!(second, FetchOutcome::Hit, "{label}: warm fetch");
+    assert_eq!(pool.fetch(pid(2, 3)).unwrap().id(), pid(2, 3));
+    let s = pool.stats();
+    assert_eq!(
+        (s.requests, s.hits, s.misses),
+        (3, 2, 1),
+        "{label}: counters"
+    );
+}
+
+#[test]
+fn a_single_fetch_is_a_one_entry_plan_through_every_layout() {
+    let kind = PolicyKind::Lru;
+    let mut bare = BufferManager::new(store(), FRAMES, kind).unwrap();
+    assert_miss_then_hit(&mut bare, "manager");
+    assert_eq!(bare.metrics().batches.get(), 3, "one batch per fetch");
+    assert_eq!(bare.metrics().batch_pages.sum(), 3);
+
+    let mut shared = SharedBufferManager::new(BufferManager::new(store(), FRAMES, kind).unwrap());
+    assert_miss_then_hit(&mut shared, "shared");
+
+    let mut sharded = ShardedBufferPool::new(Arc::new(store()), 2 * FRAMES, kind, 2).unwrap();
+    assert_miss_then_hit(&mut sharded, "sharded");
+
+    // Partitions: the second partition's first touch of a page its
+    // sibling holds is a borrow — no store read — then a local hit.
+    let disk = Arc::new(store());
+    let pb = PartitionedBuffer::new(Arc::clone(&disk), 2, FRAMES, kind).unwrap();
+    let pool = SharedPartitionedBuffer::new(pb);
+    let mut h0 = pool.handle(0).unwrap();
+    assert_miss_then_hit(&mut h0, "partition 0");
+    let mut h1 = pool.handle(1).unwrap();
+    let (_, how) = h1.fetch_traced(pid(2, 3)).unwrap();
+    assert_eq!(how, FetchOutcome::Borrowed, "sibling copy is a borrow");
+    let (_, how) = h1.fetch_traced(pid(2, 3)).unwrap();
+    assert_eq!(
+        how,
+        FetchOutcome::Hit,
+        "borrowed copy now serves local hits"
+    );
+    assert_eq!(h1.borrows(), 1);
+    assert_eq!(disk.stats().reads, 1, "the borrow read nothing");
 }

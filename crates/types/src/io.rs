@@ -43,7 +43,7 @@ pub struct ReadHandle {
 }
 
 /// One submitted batch of page reads, alive between `submit_batch` and
-/// `complete` on a `QueryBuffer`.
+/// `complete_into` (or `cancel_batch`) on a `QueryBuffer`.
 ///
 /// The handle owns everything the completing side needs to finish the
 /// batch and undo the submission's bookkeeping: the plan itself, the
@@ -53,10 +53,11 @@ pub struct ReadHandle {
 /// store returned for the transfers it actually scheduled.
 ///
 /// Deliberately neither `Copy` nor `Clone`: a submission is completed
-/// (or cancelled) exactly once, and moving the handle into `complete`
-/// enforces that at the type level. Dropping a handle without
-/// completing it leaks the submission's pins — callers that bail out
-/// early must route the handle through `cancel_batch`.
+/// (or cancelled) exactly once, and moving the handle into
+/// `complete_into` enforces that at the type level. Dropping a handle
+/// without completing it leaks the submission's pins — callers that
+/// bail out early must route the handle through `cancel_batch`.
+#[must_use = "a submission owns pins and in-flight b_t counts: pass it to complete_into or cancel_batch"]
 #[derive(Debug, Default, PartialEq)]
 pub struct BatchHandle {
     /// The plan this submission covers; completion fetches exactly
@@ -77,8 +78,8 @@ pub struct BatchHandle {
 
 impl BatchHandle {
     /// A submission that scheduled nothing: no pins, no in-flight
-    /// pages, no device activity. Completing it is exactly a blocking
-    /// `fetch_batch` of `plan`.
+    /// pages, no device activity. Completing it is the whole fetch of
+    /// `plan`.
     pub fn unscheduled(plan: ReadPlan) -> Self {
         BatchHandle {
             plan,
