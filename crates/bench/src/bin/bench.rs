@@ -29,7 +29,7 @@ const USAGE: &str = "usage: bench report [--scale SIGMA] [--out FILE]
        bench compare BASELINE CURRENT [--tolerance FRACTION]
        bench chaos [--seed N] [--scale SIGMA]
        bench throughput [--scale SIGMA] [--sessions N,N,..] [--shards P] [--repeats R] [--out FILE] [--gate-scaling]
-       bench storage [--scale SIGMA] [--depths N,N,..] [--seek-us N] [--transfer-us N] [--out FILE] [--gate-overlap]
+       bench storage [--scale SIGMA] [--depths N,N,..] [--seek-us N] [--transfer-us N] [--out FILE]
        bench adaptive [--scale SIGMA] [--out FILE]
        bench codec [--scale SIGMA] [--repeats R] [--out FILE]";
 
@@ -280,7 +280,6 @@ fn run_storage(args: &[String]) -> Result<(), String> {
     let mut seek_us = 200u64;
     let mut transfer_us = 50u64;
     let mut out = "BENCH_storage.json".to_string();
-    let mut gate_overlap = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -321,7 +320,6 @@ fn run_storage(args: &[String]) -> Result<(), String> {
                 i += 1;
                 out = args.get(i).ok_or("--out needs a file path")?.clone();
             }
-            "--gate-overlap" => gate_overlap = true,
             other => return Err(format!("unknown storage flag {other:?}")),
         }
         i += 1;
@@ -331,23 +329,6 @@ fn run_storage(args: &[String]) -> Result<(), String> {
     // (CI diffs two runs), wall-clock timings only in the JSON.
     print!("{text}");
     write_json(&out, &ir_bench::storage::to_json(&report))?;
-    if gate_overlap {
-        // CI contract (ISSUE 9): at qd >= 4 the split-phase loop must
-        // overlap reads and wait no longer on the virtual clock.
-        match ir_bench::storage::gate_overlap(&report) {
-            Ok(summary) => eprint!("overlap gate passed:\n{summary}"),
-            Err(problems) => {
-                for p in &problems {
-                    eprintln!("overlap gate: {p}");
-                }
-                return Err(format!(
-                    "{} overlap violation(s): split-phase submit/complete must \
-                     shadow I/O waits at queue depth >= 4",
-                    problems.len()
-                ));
-            }
-        }
-    }
     // The wall-clock comparison is machine-dependent → stderr only.
     if let Some(serial) = report.rows.iter().find(|r| r.queue_depth == 1) {
         for deep in report.rows.iter().filter(|r| r.queue_depth >= 4) {

@@ -213,7 +213,6 @@ pub fn run(
                         top_n: 20,
                         baf_force_first_page: false,
                         announce_query: true,
-                        overlap_io: false,
                     },
                 )
                 .map_err(|e| e.to_string())?;

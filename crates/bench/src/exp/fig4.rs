@@ -33,7 +33,6 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
                 top_n: 20,
                 baf_force_first_page: false,
                 announce_query: true,
-                overlap_io: false,
             },
         )?;
         // Series: S_max before each term, plus the final value.

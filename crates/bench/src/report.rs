@@ -378,7 +378,6 @@ pub fn collect(scale: f64) -> ExpResult<BenchReport> {
                     top_n: 20,
                     baf_force_first_page: false,
                     announce_query: true,
-                    overlap_io: false,
                 },
             )?;
             let us = started.elapsed().as_micros() as u64;

@@ -117,7 +117,6 @@ pub fn profile_queries(bed: &TestBed) -> IrResult<Vec<QueryProfile>> {
                     top_n: 20,
                     baf_force_first_page: false,
                     announce_query: true,
-                    overlap_io: false,
                 },
             )?;
             Ok(r.stats)

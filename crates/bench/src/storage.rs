@@ -25,7 +25,7 @@ use ir_storage::{
     BufferManager, BufferStats, DiskStats, FileMode, FilePageStore, IoConfig, IoScheduler,
     LatencyModel, PageStore, PolicyKind,
 };
-use ir_types::{ClockKind, FilterParams, IrResult};
+use ir_types::{ClockKind, IrResult};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Bumped whenever the storage-report shape changes incompatibly.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Replacement policy for every backend. Storage behavior, not
 /// eviction quality, is the variable under test.
@@ -104,16 +104,6 @@ pub struct StorageReport {
     pub rows: Vec<StorageRow>,
 }
 
-fn eval_options(overlap: bool) -> EvalOptions {
-    EvalOptions {
-        params: FilterParams::PERSIN,
-        top_n: 20,
-        baf_force_first_page: false,
-        announce_query: true,
-        overlap_io: overlap,
-    }
-}
-
 /// Replays the four representative refinement sequences, interleaved
 /// round-robin, through one cold buffer pool over `store`. Returns the
 /// per-query disk reads (the event-identity fingerprint), the pool's
@@ -123,7 +113,6 @@ fn drive<S: PageStore>(
     seqs: &[RefinementSequence],
     store: S,
     frames: usize,
-    overlap: bool,
 ) -> Result<(Vec<u64>, BufferStats, Duration), String> {
     let mut buffer = BufferManager::new(store, frames, POLICY)
         .map_err(|e| format!("pool construction failed: {e}"))?;
@@ -140,7 +129,7 @@ fn drive<S: PageStore>(
                             &bed.index,
                             &mut buffer,
                             &q,
-                            eval_options(overlap),
+                            EvalOptions::default(),
                         )
                     })
                     .map_err(|e| format!("user {user} step {step}: {e}"))?
@@ -158,12 +147,11 @@ fn timed_best<S: PageStore>(
     bed: &TestBed,
     seqs: &[RefinementSequence],
     frames: usize,
-    overlap: bool,
     mut make: impl FnMut() -> Result<S, String>,
 ) -> Result<Duration, String> {
     let mut best: Option<Duration> = None;
     for _ in 0..TIMED_REPEATS {
-        let (_, _, wall) = drive(bed, seqs, make()?, frames, overlap)?;
+        let (_, _, wall) = drive(bed, seqs, make()?, frames)?;
         if best.is_none_or(|b| wall < b) {
             best = Some(wall);
         }
@@ -271,7 +259,7 @@ pub fn run(
     let mut runs: Vec<(String, u64, Deterministic)> = Vec::new();
 
     bed.index.disk().reset_stats();
-    let (fingerprint, pool, _) = drive(&bed, &seqs, Arc::clone(bed.index.disk()), frames, false)?;
+    let (fingerprint, pool, _) = drive(&bed, &seqs, Arc::clone(bed.index.disk()), frames)?;
     runs.push((
         "disksim".into(),
         0,
@@ -293,7 +281,7 @@ pub fn run(
         ("file-resident", FileMode::Resident),
     ] {
         let store = open(mode)?;
-        let (fingerprint, pool, _) = drive(&bed, &seqs, Arc::clone(&store), frames, false)?;
+        let (fingerprint, pool, _) = drive(&bed, &seqs, Arc::clone(&store), frames)?;
         runs.push((
             label.into(),
             0,
@@ -311,55 +299,30 @@ pub fn run(
     }
 
     for &depth in depths {
-        // Blocking split-phase (submit immediately completed), then —
-        // at depths that can actually overlap — the pipelined BAF loop
-        // that submits the next term before completing the current one.
-        for overlap in [false, true] {
-            if overlap && depth <= 1 {
-                continue; // the flag is inert on a serial device
-            }
-            let store = open(FileMode::Buffered)?;
-            let scheduler = Arc::new(sched(Arc::clone(&store), depth, ClockKind::Virtual));
-            let (fingerprint, pool, _) =
-                drive(&bed, &seqs, Arc::clone(&scheduler), frames, overlap)?;
-            let m = scheduler.metrics();
-            runs.push((
-                format!(
-                    "file+sched[qd{depth}]{}",
-                    if overlap { "+overlap" } else { "" }
-                ),
-                depth as u64,
-                Deterministic {
-                    per_query_reads: fingerprint,
-                    pool,
-                    disk: store.stats(),
-                    demand_served: m.demand_reads.get() + m.overlap_hits.get(),
-                    io_wait_virtual_us: scheduler.io_wait_us(),
-                    overlap_hits: m.overlap_hits.get(),
-                    prefetch_evicted: m.prefetch_evicted.get(),
-                    prefetch_wasted: m.prefetch_wasted.get(),
-                },
-            ));
-        }
+        let store = open(FileMode::Buffered)?;
+        let scheduler = Arc::new(sched(Arc::clone(&store), depth, ClockKind::Virtual));
+        let (fingerprint, pool, _) = drive(&bed, &seqs, Arc::clone(&scheduler), frames)?;
+        let m = scheduler.metrics();
+        runs.push((
+            format!("file+sched[qd{depth}]"),
+            depth as u64,
+            Deterministic {
+                per_query_reads: fingerprint,
+                pool,
+                disk: store.stats(),
+                demand_served: m.demand_reads.get() + m.overlap_hits.get(),
+                io_wait_virtual_us: scheduler.io_wait_us(),
+                overlap_hits: m.overlap_hits.get(),
+                prefetch_evicted: m.prefetch_evicted.get(),
+                prefetch_wasted: m.prefetch_wasted.get(),
+            },
+        ));
     }
 
     // Identity contract: every backend must deliver the same page
     // stream — same per-query read counts, same pool hit/miss split.
     let (_, _, baseline) = &runs[0];
     for (label, _, d) in &runs[1..] {
-        if label.ends_with("+overlap") {
-            // The overlap loop's selection sees thresholds one
-            // completion staler than the sequential loop's, so its
-            // page stream may legitimately differ; only accounting
-            // conservation is required of it.
-            if d.disk.reads < d.demand_served {
-                return Err(format!(
-                    "{label}: device performed {} reads but served {} demands                      — overlap accounting is inconsistent",
-                    d.disk.reads, d.demand_served
-                ));
-            }
-            continue;
-        }
         if d.per_query_reads != baseline.per_query_reads {
             return Err(format!(
                 "{label}: per-query disk reads diverge from disksim \
@@ -444,30 +407,11 @@ pub fn run(
             );
         }
     }
-    // The split-phase win, on the deterministic clock: at each depth
-    // that can overlap, the pipelined BAF loop must shadow some waits.
-    for (label, depth, d) in runs.iter().filter(|(l, _, _)| l.ends_with("+overlap")) {
-        let blocking = runs
-            .iter()
-            .find(|(l, qd, _)| {
-                qd == depth && !l.ends_with("+overlap") && l.starts_with("file+sched")
-            })
-            .map(|(_, _, b)| b.io_wait_virtual_us)
-            .expect("every overlap row has a blocking twin at its depth");
-        let _ = writeln!(
-            out,
-            "{label}: io_wait_virtual {}µs vs blocking {}µs, overlap-served {}",
-            d.io_wait_virtual_us, blocking, d.overlap_hits
-        );
-    }
-    let n_identity = runs
-        .iter()
-        .filter(|(l, _, _)| !l.ends_with("+overlap"))
-        .count();
     let _ = writeln!(
         out,
-        "all {n_identity} blocking backends served identical page streams; \
+        "all {} blocking backends served identical page streams; \
          timings in the JSON report only",
+        runs.len()
     );
 
     // Timed pass (real clock — modeled waits slept), best of
@@ -477,17 +421,13 @@ pub fn run(
         let wall = match (label.as_str(), *depth) {
             ("disksim", _) => {
                 bed.index.disk().reset_stats();
-                let w = timed_best(&bed, &seqs, frames, false, || {
-                    Ok(Arc::clone(bed.index.disk()))
-                })?;
+                let w = timed_best(&bed, &seqs, frames, || Ok(Arc::clone(bed.index.disk())))?;
                 bed.index.disk().reset_stats();
                 w
             }
-            ("file", _) => timed_best(&bed, &seqs, frames, false, || open(FileMode::Buffered))?,
-            ("file-resident", _) => {
-                timed_best(&bed, &seqs, frames, false, || open(FileMode::Resident))?
-            }
-            (l, depth) => timed_best(&bed, &seqs, frames, l.ends_with("+overlap"), || {
+            ("file", _) => timed_best(&bed, &seqs, frames, || open(FileMode::Buffered))?,
+            ("file-resident", _) => timed_best(&bed, &seqs, frames, || open(FileMode::Resident))?,
+            (_, depth) => timed_best(&bed, &seqs, frames, || {
                 Ok(Arc::new(sched(
                     open(FileMode::Buffered)?,
                     depth as usize,
@@ -526,69 +466,6 @@ pub fn run(
     Ok((out, report))
 }
 
-/// The `--gate-overlap` check: at every queue depth >= 4 in the sweep,
-/// the split-phase overlap row must have served some reads out of
-/// in-flight submissions (`overlap_hits > 0`) and waited no longer on
-/// the deterministic virtual clock than the blocking row at the same
-/// depth. Returns a human-readable summary on success and the list of
-/// violations otherwise.
-pub fn gate_overlap(report: &StorageReport) -> Result<String, Vec<String>> {
-    use std::fmt::Write as _;
-    let mut summary = String::new();
-    let mut problems = Vec::new();
-    let mut checked = 0usize;
-    for overlap in report
-        .rows
-        .iter()
-        .filter(|r| r.backend.ends_with("+overlap") && r.queue_depth >= 4)
-    {
-        let Some(blocking) = report.rows.iter().find(|r| {
-            r.queue_depth == overlap.queue_depth
-                && r.backend.starts_with("file+sched")
-                && !r.backend.ends_with("+overlap")
-        }) else {
-            problems.push(format!(
-                "{}: no blocking row at depth {} to compare against",
-                overlap.backend, overlap.queue_depth
-            ));
-            continue;
-        };
-        checked += 1;
-        if overlap.overlap_hits == 0 {
-            problems.push(format!(
-                "{}: overlap-served reads are 0 — the split-phase loop \
-                 never found a submission in flight",
-                overlap.backend
-            ));
-        }
-        if overlap.io_wait_virtual_us > blocking.io_wait_virtual_us {
-            problems.push(format!(
-                "{}: waited {}µs on the virtual clock, more than the blocking \
-                 path's {}µs at the same depth — overlap made things worse",
-                overlap.backend, overlap.io_wait_virtual_us, blocking.io_wait_virtual_us
-            ));
-        } else {
-            let _ = writeln!(
-                summary,
-                "qd{}: overlap waits {}µs vs blocking {}µs ({} overlap-served reads)",
-                overlap.queue_depth,
-                overlap.io_wait_virtual_us,
-                blocking.io_wait_virtual_us,
-                overlap.overlap_hits
-            );
-        }
-    }
-    if checked == 0 {
-        problems
-            .push("no overlap row at depth >= 4 — run the sweep with a deeper queue".to_string());
-    }
-    if problems.is_empty() {
-        Ok(summary)
-    } else {
-        Err(problems)
-    }
-}
-
 /// Serializes a storage report as JSON.
 pub fn to_json(report: &StorageReport) -> String {
     serde_json::to_string(report).expect("storage report serialization cannot fail")
@@ -607,11 +484,7 @@ mod tests {
             !out1.contains("wall"),
             "no wall-clock output on stdout: {out1}"
         );
-        assert_eq!(
-            rep1.rows.len(),
-            6,
-            "disksim + 2 file modes + 2 depths + overlap twin at qd4"
-        );
+        assert_eq!(rep1.rows.len(), 5, "disksim + 2 file modes + 2 depths");
         assert_eq!(rep1.schema_version, SCHEMA_VERSION);
         for (a, b) in rep1.rows.iter().zip(&rep2.rows) {
             assert_eq!(a.backend, b.backend);
@@ -619,16 +492,11 @@ mod tests {
             assert_eq!(a.entries, b.entries);
             assert_eq!(a.io_wait_virtual_us, b.io_wait_virtual_us);
         }
-        // Identity across blocking backends: same served reads and
-        // pool hits everywhere; unscheduled and serial backends do no
-        // speculative device reads on top. Overlap rows run a
-        // different (pipelined) evaluation loop and are exempt.
+        // Identity across backends: same served reads and pool hits
+        // everywhere; unscheduled and serial backends do no speculative
+        // device reads on top.
         let first = &rep1.rows[0];
-        for r in rep1
-            .rows
-            .iter()
-            .filter(|r| !r.backend.ends_with("+overlap"))
-        {
+        for r in &rep1.rows {
             assert_eq!(r.reads, first.reads, "{}", r.backend);
             assert_eq!(r.pool_hits, first.pool_hits, "{}", r.backend);
             if r.queue_depth <= 1 {
@@ -654,29 +522,10 @@ mod tests {
                 .any(|r| r.queue_depth >= 4 && r.overlap_hits > 0),
             "prefetch never hit"
         );
-        // The split-phase row shadows waits the blocking loop pays for,
-        // which is exactly what `gate_overlap` enforces.
-        let overlap = rep1
-            .rows
-            .iter()
-            .find(|r| r.backend == "file+sched[qd4]+overlap")
-            .expect("overlap twin at qd4");
-        assert!(overlap.overlap_hits > 0, "split-phase never overlapped");
-        assert!(overlap.io_wait_virtual_us <= wait("file+sched[qd4]"));
-        gate_overlap(&rep1).expect("the sweep must pass its own gate");
         let json = to_json(&rep1);
-        assert!(json.contains("\"schema_version\":2"));
+        assert!(json.contains("\"schema_version\":3"));
         assert!(json.contains("\"io_wait_virtual_us\""));
         assert!(json.contains("\"prefetch_evicted\""));
-    }
-
-    #[test]
-    fn overlap_gate_rejects_reports_without_a_qualifying_pair() {
-        let (_, shallow) = run(1.0 / 32.0, &[1], 200, 50).unwrap();
-        assert!(
-            gate_overlap(&shallow).is_err(),
-            "a depth-1 sweep has nothing to gate"
-        );
     }
 
     #[test]

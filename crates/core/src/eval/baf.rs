@@ -12,7 +12,7 @@
 //!   `S_max` changed** since the previous round;
 //! * ties in `d_t` break toward higher `idf_t`.
 
-use super::scan::{scan_submitted, scan_term};
+use super::scan::{scan_term, with_fetched};
 use super::EvalOptions;
 use crate::accumulator::Accumulators;
 use crate::query::{Query, QueryTerm};
@@ -20,8 +20,8 @@ use crate::rank;
 use crate::stats::{EvalStats, QueryResult, TermTraceRow};
 use ir_index::InvertedIndex;
 use ir_observe::SpanKind;
-use ir_storage::{FetchOutcome, QueryBuffer, QueryBufferExt};
-use ir_types::{BatchHandle, IrResult, ListOrdering, PageId, ReadPlan, TermId};
+use ir_storage::{FetchOutcome, QueryBuffer};
+use ir_types::{IrResult, ListOrdering, PageId, ReadPlan, TermId};
 
 /// The §3.2.2 safety fix for a term the `f_max` skip would ignore
 /// outright: touch its first page anyway, so a newly added term is
@@ -34,11 +34,7 @@ fn touch_first_page<B: QueryBuffer>(
     row: &mut TermTraceRow,
 ) -> IrResult<()> {
     let plan = ReadPlan::single_hinted(PageId::new(t.term, 0), t.weight());
-    let (_, how) = buffer
-        .fetch_batch(&plan)?
-        .into_iter()
-        .next()
-        .expect("a one-entry plan yields one result");
+    let how = with_fetched(buffer, &plan, |fetched| fetched[0].1)?;
     stats.batches_issued += 1;
     row.pages_processed = 1;
     row.pages_read = u32::from(how == FetchOutcome::Miss);
@@ -56,9 +52,6 @@ pub fn evaluate_baf<B: QueryBuffer>(
     query: &Query,
     options: EvalOptions,
 ) -> IrResult<QueryResult> {
-    if options.overlap_io && buffer.overlap_depth() > 1 {
-        return evaluate_baf_overlap(index, buffer, query, options);
-    }
     if options.announce_query {
         buffer.begin_query(&query.weights());
     }
@@ -185,13 +178,7 @@ pub fn evaluate_baf<B: QueryBuffer>(
             pt_cache[i],
             Some(&sel_span),
         )?;
-        stats.batches_issued += 1;
-        stats.terms_scanned += 1;
-        stats.pages_processed += u64::from(out.pages_processed);
-        stats.disk_reads += u64::from(out.pages_read);
-        stats.buffer_hits += u64::from(out.pages_processed - out.pages_read);
-        stats.borrows += u64::from(out.pages_borrowed);
-        stats.entries_processed += out.entries;
+        stats.record_scan(&out);
         // The estimator's quality, measured: what d_t promised vs what
         // the scan actually pulled from disk.
         stats.baf_estimated_reads += u64::from(est_reads);
@@ -199,243 +186,6 @@ pub fn evaluate_baf<B: QueryBuffer>(
         row.pages_processed = out.pages_processed;
         row.pages_read = out.pages_read;
         trace.push(row);
-    }
-
-    let hits = rank::top_n(&accs, index.doc_stats(), options.top_n)?;
-    stats.peak_accumulators = accs.peak();
-    stats.final_accumulators = accs.len();
-    qspan.attr("disk_reads", stats.disk_reads as i64);
-    qspan.attr("est_reads", stats.baf_estimated_reads as i64);
-    qspan.attr("est_abs_error", stats.baf_estimate_abs_error as i64);
-    qspan.attr("candidates", stats.peak_accumulators as i64);
-    Ok(QueryResult { hits, stats, trace })
-}
-
-/// One term whose read plan has been submitted but not yet completed.
-/// The thresholds are frozen at submit time: the plan was sized against
-/// them, so the scan must apply the same pair — a fresher `f_add` could
-/// terminate before (or after) the plan's last page.
-struct InFlightScan {
-    i: usize,
-    handle: BatchHandle,
-    f_ins: f64,
-    f_add: f64,
-    est_reads: u32,
-    row_idx: usize,
-}
-
-/// Completes an in-flight term and folds its scan into the round state.
-#[allow(clippy::too_many_arguments)]
-fn finish_in_flight<B: QueryBuffer>(
-    buffer: &mut B,
-    p: InFlightScan,
-    terms: &[QueryTerm],
-    accs: &mut Accumulators,
-    s_max: &mut f64,
-    early_stop: bool,
-    stats: &mut EvalStats,
-    trace: &mut [TermTraceRow],
-    parent: &ir_observe::Span,
-) -> IrResult<()> {
-    let t = &terms[p.i];
-    let out = scan_submitted(
-        buffer,
-        p.handle,
-        true,
-        accs,
-        s_max,
-        t,
-        p.f_ins,
-        p.f_add,
-        early_stop,
-        Some(parent),
-    )?;
-    stats.batches_issued += 1;
-    stats.terms_scanned += 1;
-    stats.pages_processed += u64::from(out.pages_processed);
-    stats.disk_reads += u64::from(out.pages_read);
-    stats.buffer_hits += u64::from(out.pages_processed - out.pages_read);
-    stats.borrows += u64::from(out.pages_borrowed);
-    stats.entries_processed += out.entries;
-    stats.baf_estimated_reads += u64::from(p.est_reads);
-    stats.baf_estimate_abs_error += u64::from(p.est_reads.abs_diff(out.pages_read));
-    trace[p.row_idx].pages_processed = out.pages_processed;
-    trace[p.row_idx].pages_read = out.pages_read;
-    Ok(())
-}
-
-/// BAF pipelined over the split-phase protocol: each round **submits**
-/// the chosen term's read plan, then — while those transfers are in
-/// flight — runs the *next* round's threshold refresh and term
-/// selection, and only then completes the previous submission. Against
-/// a queue-depth-`d` store the next term's transfers shadow the current
-/// term's evaluation, so the virtual clock charges each round only the
-/// residual wait `max(0, cost − shadowed)` instead of the full cost.
-///
-/// Differences from the sequential loop, both deliberate:
-///
-/// * an in-flight page counts toward `b_t` (the buffer's resident
-///   counts include pages a submission has committed to load), so
-///   selection credits the pending term's pages exactly as §3.2.2
-///   credits resident ones;
-/// * a submitted term's `(f_ins, f_add)` freeze at submit time. The
-///   scan therefore applies thresholds one completion staler than the
-///   sequential loop's — always *lower*, since `S_max` only grows, so
-///   the overlap loop filters less aggressively and never drops an
-///   entry the sequential loop would have kept.
-fn evaluate_baf_overlap<B: QueryBuffer>(
-    index: &InvertedIndex,
-    buffer: &mut B,
-    query: &Query,
-    options: EvalOptions,
-) -> IrResult<QueryResult> {
-    if options.announce_query {
-        buffer.begin_query(&query.weights());
-    }
-    let early_stop = index.params().ordering == ListOrdering::FrequencySorted;
-
-    let terms = query.terms().to_vec();
-    let n = terms.len();
-    let mut done = vec![false; n];
-    let mut f_add_cache = vec![0.0f64; n];
-    let mut pt_cache = vec![0u32; n];
-    let mut cache_valid_for = f64::NEG_INFINITY;
-
-    let mut accs = Accumulators::new();
-    let mut s_max = 0.0f64;
-    let mut stats = EvalStats::default();
-    let mut trace = Vec::with_capacity(n);
-
-    let mut qspan = ir_observe::tracer().span(SpanKind::Query, "baf-overlap");
-    qspan.attr("terms", n as i64);
-    qspan.attr("overlap_depth", buffer.overlap_depth() as i64);
-
-    let mut live: Vec<usize> = Vec::with_capacity(n);
-    let mut live_terms: Vec<TermId> = Vec::with_capacity(n);
-    let mut pending: Option<InFlightScan> = None;
-
-    for round in 0..n {
-        // Threshold refresh and selection are identical to the
-        // sequential loop — they just run in the shadow of the pending
-        // term's transfers, against the S_max as of the last
-        // *completed* term.
-        if s_max != cache_valid_for {
-            for (i, t) in terms.iter().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let f_add = options.params.f_add(s_max, t.query_freq, t.idf);
-                f_add_cache[i] = f_add;
-                pt_cache[i] = index.conversion().pages_to_process(t.term, f_add)?;
-                stats.threshold_recomputes += 1;
-            }
-            cache_valid_for = s_max;
-        }
-        let mut sel_span = qspan.child(SpanKind::TermSelect, format!("round:{round}"));
-        live.clear();
-        live_terms.clear();
-        for (i, t) in terms.iter().enumerate() {
-            if !done[i] {
-                live.push(i);
-                live_terms.push(t.term);
-            }
-        }
-        let b_ts = buffer.resident_pages_many(&live_terms);
-        stats.bt_inquiries += live.len() as u64;
-        let mut best: Option<(usize, u32)> = None;
-        for (k, &i) in live.iter().enumerate() {
-            let t = &terms[i];
-            let d_t = pt_cache[i].saturating_sub(b_ts[k]);
-            let better = match best {
-                None => true,
-                Some((j, best_d)) => {
-                    d_t < best_d
-                        || (d_t == best_d
-                            && (t.idf > terms[j].idf
-                                || (t.idf == terms[j].idf && t.term < terms[j].term)))
-                }
-            };
-            if better {
-                best = Some((i, d_t));
-            }
-        }
-        let (i, est_reads) = best.expect("an unmarked term exists in every round");
-        done[i] = true;
-        let t = &terms[i];
-        sel_span.attr("term", i64::from(t.term.0));
-        sel_span.attr("est_reads", i64::from(est_reads));
-
-        let f_ins = options.params.f_ins(s_max, t.query_freq, t.idf);
-        let f_add = f_add_cache[i];
-        debug_assert_eq!(f_add, options.params.f_add(s_max, t.query_freq, t.idf));
-
-        let mut row = TermTraceRow {
-            term: t.term,
-            idf: t.idf,
-            query_freq: t.query_freq,
-            list_pages: t.n_pages,
-            s_max_before: s_max,
-            f_ins,
-            f_add,
-            pages_processed: 0,
-            pages_read: 0,
-            est_reads,
-        };
-        if f64::from(t.f_max) <= f_add {
-            // The f_max skip never submits, so there is nothing to
-            // overlap; the safety touch stays a submit-then-complete
-            // batch exactly as in the sequential loop.
-            stats.terms_skipped += 1;
-            if options.baf_force_first_page && t.n_pages > 0 {
-                if let Err(e) = touch_first_page(buffer, t, &mut stats, &mut row) {
-                    if let Some(p) = pending.take() {
-                        buffer.cancel_batch(p.handle);
-                    }
-                    return Err(e);
-                }
-            }
-            trace.push(row);
-            continue;
-        }
-        // Submit the chosen term's whole plan (overlap wants the tail
-        // transfers started now, so no chunk alignment), *then*
-        // complete the previous term: the gap between those two calls
-        // is where the new plan's transfers shadow the old plan's
-        // processing.
-        let plan = ReadPlan::for_term_pages(t.term, pt_cache[i], Some(t.weight()));
-        let handle = match buffer.submit_batch(plan) {
-            Ok(h) => h,
-            Err(e) => {
-                if let Some(p) = pending.take() {
-                    buffer.cancel_batch(p.handle);
-                }
-                return Err(e);
-            }
-        };
-        let row_idx = trace.len();
-        trace.push(row);
-        if let Some(p) = pending.take() {
-            if let Err(e) = finish_in_flight(
-                buffer, p, &terms, &mut accs, &mut s_max, early_stop, &mut stats, &mut trace,
-                &qspan,
-            ) {
-                buffer.cancel_batch(handle);
-                return Err(e);
-            }
-        }
-        pending = Some(InFlightScan {
-            i,
-            handle,
-            f_ins,
-            f_add,
-            est_reads,
-            row_idx,
-        });
-    }
-    if let Some(p) = pending.take() {
-        finish_in_flight(
-            buffer, p, &terms, &mut accs, &mut s_max, early_stop, &mut stats, &mut trace, &qspan,
-        )?;
     }
 
     let hits = rank::top_n(&accs, index.doc_stats(), options.top_n)?;
@@ -671,132 +421,69 @@ mod tests {
     }
 
     #[test]
-    fn overlap_flag_is_inert_at_queue_depth_one() {
-        // A blocking buffer reports overlap_depth 1, so the flag must
-        // not change a single stat, hit, or trace row.
-        let idx = index();
-        let q = query(&idx, &[("commn", 1), ("rare", 2), ("mid", 1)]);
-        let run = |overlap: bool| {
-            let mut buf = idx.make_buffer(32, PolicyKind::Lru).unwrap();
-            evaluate_baf(
-                &idx,
-                &mut buf,
-                &q,
-                EvalOptions {
-                    overlap_io: overlap,
-                    ..EvalOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        let a = run(false);
-        let b = run(true);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.hits.len(), b.hits.len());
-        for (x, y) in a.hits.iter().zip(&b.hits) {
-            assert_eq!(x.doc, y.doc);
-            assert!((x.score - y.score).abs() < 1e-12);
-        }
-        assert_eq!(a.processing_order(), b.processing_order());
-    }
-
-    #[test]
-    fn overlap_loop_matches_blocking_scores_with_filters_off() {
+    fn a_deep_queue_shadows_io_waits_without_changing_reads() {
         use ir_storage::{BufferManager, IoConfig, IoScheduler, LatencyModel};
         use ir_types::ClockKind;
         use std::sync::Arc;
 
+        // Same workload over the simulator and over the latency
+        // scheduler at queue depth 1 and 4 (virtual clock). Each plan
+        // is staged whole before its first demand read, so at depth 4
+        // demands are served from staged completions and the modeled
+        // wait shrinks — while the pool, and hence every per-query read
+        // count, sees the same page sequence as over `DiskSim`.
         let idx = index();
-        let q = query(&idx, &[("commn", 1), ("rare", 2), ("mid", 1)]);
+        let queries = [
+            query(&idx, &[("commn", 1), ("rare", 2), ("mid", 1)]),
+            query(&idx, &[("commn", 2), ("filler", 1)]),
+        ];
         let opts = EvalOptions {
             params: FilterParams::OFF,
-            overlap_io: true,
             ..EvalOptions::default()
         };
-        let sched = IoScheduler::new(
-            Arc::clone(idx.disk()),
-            IoConfig {
-                queue_depth: 4,
-                model: LatencyModel {
-                    seek_us: 200,
-                    transfer_us: 100,
-                },
-                clock: ClockKind::Virtual,
-            },
-        );
-        let mut buf = BufferManager::new(sched, 64, PolicyKind::Lru).unwrap();
-        let overlap = evaluate_baf(&idx, &mut buf, &q, opts).unwrap();
-        let mut b2 = idx.make_buffer(64, PolicyKind::Lru).unwrap();
-        let blocking = evaluate_baf(
-            &idx,
-            &mut b2,
-            &q,
-            EvalOptions {
-                overlap_io: false,
-                ..opts
-            },
-        )
-        .unwrap();
-        // With filters off everything is read and accumulated either
-        // way: reads are depth-independent and scores identical.
-        assert_eq!(overlap.stats.disk_reads, blocking.stats.disk_reads);
-        assert_eq!(overlap.hits.len(), blocking.hits.len());
-        for (x, y) in overlap.hits.iter().zip(&blocking.hits) {
-            assert_eq!(x.doc, y.doc);
-            assert!((x.score - y.score).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn overlap_submissions_shadow_io_waits() {
-        use ir_storage::{BufferManager, IoConfig, IoScheduler, LatencyModel};
-        use ir_types::ClockKind;
-        use std::sync::Arc;
-
-        // Same workload, same transfer-only pricing (order-independent
-        // costs), queue depth 4. The overlap loop submits the next
-        // term before completing the current one, so part of each
-        // plan's cost hides under the previous plan's wait; blocking
-        // stages and completes back to back, paying every cost in full.
-        let idx = index();
-        let q = query(&idx, &[("commn", 1), ("rare", 2), ("mid", 1)]);
-        let run = |overlap: bool| {
+        let mut sim = idx.make_buffer(3, PolicyKind::Lru).unwrap();
+        let sim_reads: Vec<u64> = queries
+            .iter()
+            .map(|q| {
+                evaluate_baf(&idx, &mut sim, q, opts)
+                    .unwrap()
+                    .stats
+                    .disk_reads
+            })
+            .collect();
+        let run = |queue_depth: usize| {
             let sched = Arc::new(IoScheduler::new(
                 Arc::clone(idx.disk()),
                 IoConfig {
-                    queue_depth: 4,
+                    queue_depth,
                     model: LatencyModel {
-                        seek_us: 0,
+                        seek_us: 200,
                         transfer_us: 100,
                     },
                     clock: ClockKind::Virtual,
                 },
             ));
-            let mut buf = BufferManager::new(Arc::clone(&sched), 64, PolicyKind::Lru).unwrap();
-            let r = evaluate_baf(
-                &idx,
-                &mut buf,
-                &q,
-                EvalOptions {
-                    params: FilterParams::OFF,
-                    overlap_io: overlap,
-                    ..EvalOptions::default()
-                },
-            )
-            .unwrap();
+            let mut buf = BufferManager::new(Arc::clone(&sched), 3, PolicyKind::Lru).unwrap();
+            let reads: Vec<u64> = queries
+                .iter()
+                .map(|q| {
+                    evaluate_baf(&idx, &mut buf, q, opts)
+                        .unwrap()
+                        .stats
+                        .disk_reads
+                })
+                .collect();
             let m = sched.metrics();
-            (r, m.overlap_hits.get(), m.io_wait_us.get())
+            (reads, m.overlap_hits.get(), m.io_wait_us.get())
         };
-        let (rb, _, wait_blocking) = run(false);
-        let (ro, served_overlapped, wait_overlap) = run(true);
-        assert_eq!(ro.stats.disk_reads, rb.stats.disk_reads);
+        let (reads_1, _, wait_1) = run(1);
+        let (reads_4, overlap_hits, wait_4) = run(4);
+        assert_eq!(reads_1, sim_reads);
+        assert_eq!(reads_4, sim_reads);
+        assert!(overlap_hits > 0, "no demand was served from a staged read");
         assert!(
-            served_overlapped > 0,
-            "no read was served from a submission"
-        );
-        assert!(
-            wait_overlap < wait_blocking,
-            "overlap must shadow some wait: {wait_overlap} vs {wait_blocking}"
+            wait_4 < wait_1,
+            "depth 4 must shadow some wait: {wait_4} vs {wait_1}"
         );
     }
 

@@ -78,13 +78,7 @@ pub fn evaluate_df<B: QueryBuffer>(
             plan_pages,
             Some(&qspan),
         )?;
-        stats.batches_issued += 1;
-        stats.terms_scanned += 1;
-        stats.pages_processed += u64::from(out.pages_processed);
-        stats.disk_reads += u64::from(out.pages_read);
-        stats.buffer_hits += u64::from(out.pages_processed - out.pages_read);
-        stats.borrows += u64::from(out.pages_borrowed);
-        stats.entries_processed += out.entries;
+        stats.record_scan(&out);
         row.pages_processed = out.pages_processed;
         row.pages_read = out.pages_read;
         trace.push(row);

@@ -69,16 +69,6 @@ pub struct EvalOptions {
     /// session server's global-history layout) set this to `false`
     /// and call [`QueryBuffer::begin_query`] themselves.
     pub announce_query: bool,
-    /// BAF only: run the split-phase overlap loop — submit the chosen
-    /// term's read plan, then run the next round's term selection while
-    /// those transfers are in flight (in-flight pages count toward
-    /// `b_t`). Takes effect only when the buffer reports an
-    /// [`overlap_depth`](ir_storage::QueryBuffer::overlap_depth) above
-    /// one; against a blocking store the flag is inert and evaluation
-    /// is event-identical to the standard loop. Off by default because
-    /// overlap selection sees slightly staler thresholds than the
-    /// strictly sequential loop.
-    pub overlap_io: bool,
 }
 
 impl Default for EvalOptions {
@@ -88,7 +78,6 @@ impl Default for EvalOptions {
             top_n: DEFAULT_TOP_N,
             baf_force_first_page: false,
             announce_query: true,
-            overlap_io: false,
         }
     }
 }

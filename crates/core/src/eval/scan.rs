@@ -3,9 +3,10 @@
 
 use crate::accumulator::Accumulators;
 use crate::query::QueryTerm;
+use crate::stats::EvalStats;
 use ir_observe::{Span, SpanKind};
 use ir_storage::{FetchOutcome, Page, QueryBuffer};
-use ir_types::{BatchHandle, IrResult, PageId, PlanEntry, ReadPlan, TermId};
+use ir_types::{IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use std::cell::RefCell;
 
 thread_local! {
@@ -13,9 +14,25 @@ thread_local! {
     /// query on every session thread, and a fresh `Vec<(Page,
     /// FetchOutcome)>` per scan was measurable allocator traffic under
     /// the throughput bench. The vector is taken for the duration of
-    /// one scan and handed back cleared (dropping its page refs), so
+    /// one fetch and handed back cleared (dropping its page refs), so
     /// its capacity — not its contents — survives between scans.
     static FETCH_SCRATCH: RefCell<Vec<(Page, FetchOutcome)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Fetches `plan` into the thread's scratch vector and hands the served
+/// pages to `f` — the one place the evaluators call the buffer's fetch.
+pub(crate) fn with_fetched<B: QueryBuffer, R>(
+    buffer: &mut B,
+    plan: &ReadPlan,
+    f: impl FnOnce(&[(Page, FetchOutcome)]) -> R,
+) -> IrResult<R> {
+    let mut fetched = FETCH_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
+    let out = buffer
+        .fetch_batch_into(plan, &mut fetched)
+        .map(|()| f(&fetched));
+    fetched.clear();
+    FETCH_SCRATCH.with(|c| *c.borrow_mut() = fetched);
+    out
 }
 
 /// What one term scan did.
@@ -33,6 +50,19 @@ pub(crate) struct ScanOutcome {
     /// The frequency-ordered early stop fired: nothing further in the
     /// list can pass `f_add`.
     pub stopped: bool,
+}
+
+impl EvalStats {
+    /// Folds one scanned term into the query's counters.
+    pub(crate) fn record_scan(&mut self, out: &ScanOutcome) {
+        self.batches_issued += 1;
+        self.terms_scanned += 1;
+        self.pages_processed += u64::from(out.pages_processed);
+        self.disk_reads += u64::from(out.pages_read);
+        self.buffer_hits += u64::from(out.pages_processed - out.pages_read);
+        self.borrows += u64::from(out.pages_borrowed);
+        self.entries_processed += out.entries;
+    }
 }
 
 /// Builds the scan's [`ReadPlan`]s for pages `[0, plan_pages)`, each
@@ -128,14 +158,20 @@ fn process_fetched(
 /// The term is issued as a short sequence of [`ReadPlan`]s covering
 /// pages `[0, plan_pages)` in order — one plan when the buffer reports
 /// no [`plan_alignment`](QueryBuffer::plan_alignment), else one per
-/// routing chunk — each submitted and then scanned by
-/// [`scan_submitted`] back to back. Every entry is hinted with
-/// `w_{q,t}` so hint-aware policies can value the page at admission.
-/// The caller sizes the plan from the conversion table (§3.2.2), which
-/// is exact: under frequency ordering the page holding the first entry
-/// with `f ≤ f_add` is the last plan's last page; under doc ordering
-/// the plans cover the full list. Batching therefore fetches exactly
-/// the pages a page-at-a-time loop would, in the same order.
+/// routing chunk — each fetched and then processed back to back. Every
+/// entry is hinted with `w_{q,t}` so hint-aware policies can value the
+/// page at admission. The caller sizes the plan from the conversion
+/// table (§3.2.2), which is exact: under frequency ordering the page
+/// holding the first entry with `f ≤ f_add` is the last plan's last
+/// page; under doc ordering the plans cover the full list. Batching
+/// therefore fetches exactly the pages a page-at-a-time loop would, in
+/// the same order.
+///
+/// Each plan entry reports whether it was served from this caller's
+/// frames, a sibling's, or disk — so the counts stay per-query even
+/// when other sessions drive the same pool concurrently (pool-wide
+/// miss deltas don't). When `parent` is given, each chunk reports
+/// itself as a `list-read` span beneath it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_term<B: QueryBuffer>(
     buffer: &mut B,
@@ -156,20 +192,25 @@ pub(crate) fn scan_term<B: QueryBuffer>(
     );
     let last = plans.len() - 1;
     let mut total = ScanOutcome::default();
-    for (ci, plan) in plans.into_iter().enumerate() {
-        let handle = buffer.submit_batch(plan)?;
-        let out = scan_submitted(
-            buffer,
-            handle,
-            ci == last,
-            accs,
-            s_max,
-            term,
-            f_ins,
-            f_add,
-            early_stop,
-            parent,
-        )?;
+    for (ci, plan) in plans.iter().enumerate() {
+        let mut span = parent.map(|p| p.child(SpanKind::ListRead, format!("term:{}", term.term.0)));
+        let out = with_fetched(buffer, plan, |fetched| {
+            process_fetched(
+                fetched,
+                ci == last,
+                accs,
+                s_max,
+                term,
+                f_ins,
+                f_add,
+                early_stop,
+            )
+        })?;
+        if let Some(s) = span.as_mut() {
+            s.attr("pages_processed", i64::from(out.pages_processed));
+            s.attr("pages_read", i64::from(out.pages_read));
+            s.attr("entries", out.entries as i64);
+        }
         total.pages_processed += out.pages_processed;
         total.pages_read += out.pages_read;
         total.pages_borrowed += out.pages_borrowed;
@@ -180,49 +221,6 @@ pub(crate) fn scan_term<B: QueryBuffer>(
         }
     }
     Ok(total)
-}
-
-/// Completes a submitted plan and folds its pages into `accs` /
-/// `s_max` — the one place a fetch's results are processed. Called
-/// straight after submission by [`scan_term`], and one round later by
-/// the overlap-mode BAF loop, which submits the next term's plan
-/// before completing the current one so the transfers shadow
-/// evaluation. When `parent` is given, the chunk reports itself as a
-/// `list-read` span beneath it.
-///
-/// Each plan entry reports whether it was served from this caller's
-/// frames, a sibling's, or disk — so the counts stay per-query even
-/// when other sessions drive the same pool concurrently (pool-wide
-/// miss deltas don't).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_submitted<B: QueryBuffer>(
-    buffer: &mut B,
-    handle: BatchHandle,
-    last_chunk: bool,
-    accs: &mut Accumulators,
-    s_max: &mut f64,
-    term: &QueryTerm,
-    f_ins: f64,
-    f_add: f64,
-    early_stop: bool,
-    parent: Option<&Span>,
-) -> IrResult<ScanOutcome> {
-    let mut span = parent.map(|p| p.child(SpanKind::ListRead, format!("term:{}", term.term.0)));
-    let mut fetched = FETCH_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
-    let out = buffer.complete_into(handle, &mut fetched).map(|()| {
-        process_fetched(
-            &fetched, last_chunk, accs, s_max, term, f_ins, f_add, early_stop,
-        )
-    });
-    fetched.clear();
-    FETCH_SCRATCH.with(|c| *c.borrow_mut() = fetched);
-    let out = out?;
-    if let Some(s) = span.as_mut() {
-        s.attr("pages_processed", i64::from(out.pages_processed));
-        s.attr("pages_read", i64::from(out.pages_read));
-        s.attr("entries", out.entries as i64);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -116,7 +116,6 @@ pub fn feedback_sequence(
                 top_n: options.feedback_docs.max(20),
                 baf_force_first_page: false,
                 announce_query: true,
-                overlap_io: false,
             },
         )?;
         let additions = expansion_terms(index, &query, &result.hits, options)?;

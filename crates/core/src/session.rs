@@ -126,7 +126,6 @@ pub fn run_sequence(
             top_n: config.top_n,
             baf_force_first_page: false,
             announce_query: true,
-            overlap_io: false,
         },
         relevant,
     )

@@ -114,7 +114,6 @@ pub fn contribution_ranking(
             top_n,
             baf_force_first_page: false,
             announce_query: true,
-            overlap_io: false,
         },
     )?;
     let top_docs: HashMap<DocId, f64> = result

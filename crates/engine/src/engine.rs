@@ -145,7 +145,6 @@ impl SearchEngine {
                 top_n: self.config.top_n,
                 baf_force_first_page: false,
                 announce_query: true,
-                overlap_io: false,
             },
         )?;
         let eval_us = started.elapsed().as_micros() as u64;

@@ -76,7 +76,6 @@ fn options() -> EvalOptions {
         top_n: 10,
         baf_force_first_page: false,
         announce_query: true,
-        overlap_io: false,
     }
 }
 

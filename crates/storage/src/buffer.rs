@@ -8,7 +8,7 @@ use crate::page::Page;
 use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::shared::{QueryBuffer, QueryBufferExt};
 use crate::stats::{BufferMetrics, BufferStats};
-use ir_types::{BatchHandle, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
+use ir_types::{IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -163,13 +163,6 @@ pub struct BufferManager<S: PageStore> {
     policy: Box<dyn ReplacementPolicy>,
     policy_kind: PolicyKind,
     resident_per_term: TermView,
-    /// Per-term counts of pages a live submission has committed to
-    /// load ([`submit_batch`](QueryBuffer::submit_batch)) but not yet
-    /// completed. Added on top of `resident_per_term` by
-    /// [`resident_pages`](Self::resident_pages), so `b_t` reflects
-    /// pages already on the wire — empty outside a submit..complete
-    /// window, which keeps the blocking path's answers unchanged.
-    in_flight_per_term: TermView,
     pins: HashMap<PageId, u32>,
     fetch_policy: FetchPolicy,
     metrics: BufferMetrics,
@@ -207,9 +200,8 @@ impl<S: PageStore> BufferManager<S> {
         }
         let metrics = BufferMetrics::new();
         // Adaptive policies register their `adaptive.*` counters in the
-        // pool's registry (and observe `buffer.hits` through it);
-        // classic policies ignore the offer, leaving the metric
-        // namespace untouched.
+        // pool's registry; classic policies ignore the offer, leaving
+        // the metric namespace untouched.
         policy.attach_metrics(metrics.registry());
         Ok(BufferManager {
             store,
@@ -218,7 +210,6 @@ impl<S: PageStore> BufferManager<S> {
             policy,
             policy_kind: kind,
             resident_per_term: Arc::new(RwLock::new(HashMap::new())),
-            in_flight_per_term: Arc::new(RwLock::new(HashMap::new())),
             pins: HashMap::new(),
             fetch_policy: FetchPolicy::NO_RETRY,
             metrics,
@@ -279,14 +270,6 @@ impl<S: PageStore> BufferManager<S> {
         Arc::clone(&self.resident_per_term)
     }
 
-    /// A cloneable handle to the in-flight `b_t` counters (pages a
-    /// live submission has committed to load), for wrappers that fold
-    /// them into lock-free resident-page inquiries alongside
-    /// [`term_view`](Self::term_view).
-    pub(crate) fn in_flight_view(&self) -> TermView {
-        Arc::clone(&self.in_flight_per_term)
-    }
-
     /// Whether the replacement policy reacts to
     /// [`begin_query`](Self::begin_query) at all (only RAP does).
     /// Wrappers use this to skip the announcement — and the locking it
@@ -311,13 +294,11 @@ impl<S: PageStore> BufferManager<S> {
         self.notify(BufferEvent::Hit(id));
     }
 
-    /// Executes a [`ReadPlan`] — [`submit_batch`](QueryBuffer::submit_batch)
-    /// then [`complete_into`](QueryBuffer::complete_into) with nothing
-    /// in between: every entry is served — hit, store read, or error —
-    /// **in plan order**, so the pool's hit/miss/eviction sequence
-    /// (and therefore every counter and the store's own read
-    /// accounting) is identical to fetching the plan's pages one at a
-    /// time. What batching adds:
+    /// Executes a [`ReadPlan`]: every entry is served — hit, store
+    /// read, or error — **in plan order**, so the pool's
+    /// hit/miss/eviction sequence (and therefore every counter and the
+    /// store's own read accounting) is identical to fetching the plan's
+    /// pages one at a time. What batching adds:
     ///
     /// * runs of consecutive misses go to the store through one
     ///   vectored [`PageStore::read_pages`] call when that provably
@@ -334,69 +315,6 @@ impl<S: PageStore> BufferManager<S> {
     /// keep their effects, exactly as sequential fetches would.
     pub fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
         QueryBufferExt::fetch_batch(self, plan)
-    }
-
-    /// Submission's bookkeeping without the batch metrics: pins,
-    /// in-flight counts, and store submission. Every distinct plan page
-    /// is pinned (an in-flight page must not be a replacement victim
-    /// while the submission is outstanding), the distinct non-resident
-    /// ones count toward their term's `b_t`
-    /// ([`resident_pages`](Self::resident_pages) adds them in) and go
-    /// to [`PageStore::submit`] — head included, so a submission's
-    /// *entire* cost runs in the shadow of whatever the caller does
-    /// before completing. Shared with the sharded pool, whose
-    /// completion path records batch metrics itself.
-    pub(crate) fn submit_unmetered(&mut self, plan: ReadPlan) -> BatchHandle {
-        // A store that cannot overlap makes the submission window
-        // empty: nothing is staged, and the only callers that hold a
-        // handle across other work gate on `overlap_depth() > 1`. Skip
-        // the pin / in-flight bookkeeping entirely — it is pure
-        // per-page overhead on the blocking composition's hot path.
-        if self.store.overlap_depth() <= 1 {
-            return BatchHandle::unscheduled(plan);
-        }
-        let mut handle = BatchHandle::unscheduled(plan);
-        let mut seen: HashSet<PageId> = HashSet::with_capacity(handle.plan.len());
-        for entry in handle.plan.entries() {
-            if !seen.insert(entry.page) {
-                continue;
-            }
-            self.pin(entry.page);
-            handle.pinned.push(entry.page);
-            if !self.is_resident(entry.page) {
-                *self
-                    .in_flight_per_term
-                    .write()
-                    .entry(entry.page.term)
-                    .or_insert(0) += 1;
-                handle.loading.push(entry.page);
-            }
-        }
-        if !handle.loading.is_empty() {
-            handle.reads = self.store.submit(&handle.loading);
-        }
-        handle
-    }
-
-    /// Releases a submission's bookkeeping: in-flight `b_t` counts and
-    /// pins, in that order. Shared by completion and cancellation (and
-    /// by the sharded pool, which settles under the owning shard's
-    /// lock before running its own completion path).
-    pub(crate) fn settle_submission(&mut self, handle: &BatchHandle) {
-        {
-            let mut in_flight = self.in_flight_per_term.write();
-            for id in &handle.loading {
-                if let Some(count) = in_flight.get_mut(&id.term) {
-                    *count -= 1;
-                    if *count == 0 {
-                        in_flight.remove(&id.term);
-                    }
-                }
-            }
-        }
-        for id in &handle.pinned {
-            self.unpin(*id);
-        }
     }
 
     /// Executes `plan` from entry `start` onward, **appending** to
@@ -428,6 +346,25 @@ impl<S: PageStore> BufferManager<S> {
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
         out.reserve(entries.len());
+        // Staging: a store that can keep several reads in flight gets
+        // the plan's distinct non-resident pages, in plan order, before
+        // the first demand read, so the transfers queue on its channels
+        // instead of each waiting for the previous demand to return.
+        // The demand reads below then claim the staged completions.
+        if self.store.overlap_depth() > 1 {
+            let mut seen: HashSet<PageId> = HashSet::with_capacity(entries.len());
+            let staged: Vec<PageId> = {
+                let frames = self.frames.read();
+                entries
+                    .iter()
+                    .map(|e| e.page)
+                    .filter(|id| seen.insert(*id) && !frames.contains_key(id))
+                    .collect()
+            };
+            if !staged.is_empty() {
+                self.store.submit(&staged);
+            }
+        }
         let mut i = 0;
         while i < entries.len() {
             let entry = entries[i];
@@ -660,27 +597,14 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// `b_t`: number of pages of `term`'s inverted list currently in
-    /// the pool — plus pages a live submission has committed to load
-    /// ([`submit_batch`](QueryBuffer::submit_batch)): a page on the wire is
-    /// as good as resident to a term selector deciding what to read
-    /// next, because demanding it costs only the residual wait.
-    /// Outside a submit..complete window the in-flight term is zero
-    /// and this is exactly the resident count. O(1).
+    /// the pool. O(1).
     #[inline]
     pub fn resident_pages(&self, term: TermId) -> u32 {
-        let resident = self
-            .resident_per_term
+        self.resident_per_term
             .read()
             .get(&term)
             .copied()
-            .unwrap_or(0);
-        let loading = self
-            .in_flight_per_term
-            .read()
-            .get(&term)
-            .copied()
-            .unwrap_or(0);
-        resident + loading
+            .unwrap_or(0)
     }
 
     /// Is a specific page resident?
@@ -758,7 +682,6 @@ impl<S: PageStore> BufferManager<S> {
     pub fn flush(&mut self) {
         self.frames.write().clear();
         self.resident_per_term.write().clear();
-        self.in_flight_per_term.write().clear();
         self.policy.clear();
         self.pins.clear();
         self.notify(BufferEvent::Flush);
@@ -825,36 +748,13 @@ impl<S: PageStore> BufferManager<S> {
 /// The reference implementation of the fetch protocol: every other
 /// pool either wraps this one behind a lock or is compared against it.
 impl<S: PageStore> QueryBuffer for BufferManager<S> {
-    /// Records the batch metrics, then takes the submission's pins and
-    /// in-flight counts and hands the non-resident pages to the store
-    /// (`submit_unmetered`). For a store that cannot overlap
-    /// ([`PageStore::submit`] default, or a scheduler at queue depth
-    /// ≤ 1) submission starts nothing and pins nothing, so submit +
-    /// complete with no gap is event-identical to serving the plan's
-    /// pages one at a time.
-    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        self.metrics.batches.inc();
-        self.metrics.batch_pages.record(plan.len() as u64);
-        Ok(self.submit_unmetered(plan))
-    }
-
-    /// Undoes the submission's bookkeeping (in-flight `b_t` counts come
-    /// off, pins come off — **before** the fetches, so eviction
-    /// pressure inside the batch behaves exactly as if nothing had
-    /// been pinned), then serves every plan entry in order through the
-    /// batch execution loop.
-    fn complete_into(
+    fn fetch_batch_into(
         &mut self,
-        handle: BatchHandle,
+        plan: &ReadPlan,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        self.settle_submission(&handle);
         out.clear();
-        self.fetch_entries(handle.plan.entries(), out)
-    }
-
-    fn cancel_batch(&mut self, handle: BatchHandle) {
-        self.settle_submission(&handle);
+        self.fetch_batch_tail(plan, 0, out)
     }
 
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
@@ -867,10 +767,6 @@ impl<S: PageStore> QueryBuffer for BufferManager<S> {
 
     fn stats(&self) -> BufferStats {
         BufferManager::stats(self)
-    }
-
-    fn overlap_depth(&self) -> usize {
-        self.store.overlap_depth()
     }
 
     fn borrows(&self) -> u64 {
@@ -905,29 +801,14 @@ mod tests {
         PageId::new(TermId(t), p)
     }
 
-    /// Forwards to the inner store but advertises a 2-deep overlap
-    /// window, so submission's pin / in-flight bookkeeping runs
-    /// without a latency model. `submit` keeps the trait default
-    /// (schedules nothing) — like a scheduler with an empty queue —
-    /// so "a synchronous store starts nothing" assertions still hold.
-    #[derive(Debug)]
-    struct Overlapping<S>(S);
+    /// An observer whose log the test can read while the pool owns the
+    /// observer box.
+    #[derive(Clone, Debug, Default)]
+    struct SharedLog(std::sync::Arc<std::sync::Mutex<Vec<BufferEvent>>>);
 
-    impl<S: PageStore> PageStore for Overlapping<S> {
-        fn read_page(&self, id: PageId) -> IrResult<Page> {
-            self.0.read_page(id)
-        }
-
-        fn list_len(&self, term: TermId) -> Option<u32> {
-            self.0.list_len(term)
-        }
-
-        fn n_lists(&self) -> usize {
-            self.0.n_lists()
-        }
-
-        fn overlap_depth(&self) -> usize {
-            2
+    impl BufferObserver for SharedLog {
+        fn event(&mut self, event: BufferEvent) {
+            self.0.lock().unwrap().push(event);
         }
     }
 
@@ -1317,13 +1198,6 @@ mod tests {
     fn retry_events_flow_to_the_observer() {
         use crate::fault::{FaultConfig, FaultStore};
         use crate::observe::EventCounts;
-        #[derive(Clone, Debug, Default)]
-        struct SharedLog(std::sync::Arc<std::sync::Mutex<Vec<BufferEvent>>>);
-        impl BufferObserver for SharedLog {
-            fn event(&mut self, event: BufferEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
         let cfg = FaultConfig {
             seed: 4,
             transient_rate: 0.5,
@@ -1570,39 +1444,14 @@ mod tests {
     }
 
     #[test]
-    fn submit_pins_and_counts_in_flight_until_complete() {
-        let mut bm = BufferManager::new(Overlapping(store(1, 4)), 4, PolicyKind::Lru).unwrap();
-        bm.fetch(pid(0, 0)).unwrap(); // resident ahead of the submission
-        let plan = ReadPlan::for_term_pages(TermId(0), 3, None);
-        let handle = bm.submit_batch(plan).unwrap();
-        // Every distinct plan page is pinned; only the two
-        // not-yet-resident ones count as in-flight.
-        assert_eq!(handle.pinned.len(), 3);
-        assert_eq!(handle.loading, vec![pid(0, 1), pid(0, 2)]);
-        assert_eq!(bm.pin_count(pid(0, 0)), 1);
-        assert_eq!(bm.pin_count(pid(0, 2)), 1);
-        assert_eq!(
-            bm.resident_pages(TermId(0)),
-            3,
-            "b_t counts in-flight pages"
-        );
-        // A store with an empty submission queue starts nothing.
-        assert_eq!(bm.store().0.stats().reads, 1);
-        let out = bm.complete(handle).unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(bm.pin_count(pid(0, 0)), 0, "pins come off at completion");
-        assert_eq!(bm.resident_pages(TermId(0)), 3, "now actually resident");
-        assert_eq!(bm.store().0.stats().reads, 3);
-    }
-
-    #[test]
-    fn scheduled_submission_matches_an_unscheduled_one_under_flooding() {
+    fn staged_plan_matches_an_unstaged_one_under_flooding() {
+        use crate::disk::tests::{StagingProbe, StoreCall};
         // Flooding workload, the hard case: capacity 3, two passes over
-        // 4 pages. Over a store that can overlap the submission pins
-        // all four distinct pages, so the unpin-before-fetch order
-        // inside complete is what keeps the eviction cascade (and
-        // hence every counter) identical to the plain store's, whose
-        // submission pins nothing.
+        // 4 pages, page 1 resident beforehand. Staging must change
+        // nothing the pool or the device can observe, and the store
+        // must see the plan's distinct non-resident pages once, in plan
+        // order, ahead of every demand read — dropping that call would
+        // silently turn a queue-depth-4 device into a serial one.
         let mut plan = ReadPlan::new();
         for _ in 0..2 {
             for p in 0..4 {
@@ -1610,34 +1459,42 @@ mod tests {
             }
         }
         let mut plain = BufferManager::new(store(1, 4), 3, PolicyKind::Lru).unwrap();
-        let unpinned = plain.fetch_batch(&plan).unwrap();
-        let mut split = BufferManager::new(Overlapping(store(1, 4)), 3, PolicyKind::Lru).unwrap();
-        let handle = split.submit_batch(plan).unwrap();
-        assert_eq!(handle.pinned.len(), 4);
-        let served = split.complete(handle).unwrap();
-        assert_eq!(served.len(), unpinned.len());
-        assert_eq!(split.stats(), plain.stats());
-        assert_eq!(split.store().0.stats(), plain.store().stats());
-        assert_eq!(split.resident_ids(), plain.resident_ids());
-        assert_eq!(split.metrics().batches.get(), 1);
-        assert_eq!(split.metrics().batch_pages.sum(), 8);
-    }
+        let mut staged =
+            BufferManager::new(StagingProbe::new(store(1, 4)), 3, PolicyKind::Lru).unwrap();
+        let (plain_log, staged_log) = (SharedLog::default(), SharedLog::default());
+        plain.set_observer(Box::new(plain_log.clone()));
+        staged.set_observer(Box::new(staged_log.clone()));
+        plain.fetch(pid(0, 1)).unwrap();
+        staged.fetch(pid(0, 1)).unwrap();
+        let warmup_calls = staged.store().calls().len();
 
-    #[test]
-    fn cancel_releases_pins_without_fetching() {
-        let mut bm = BufferManager::new(Overlapping(store(1, 4)), 2, PolicyKind::Lru).unwrap();
-        let handle = bm
-            .submit_batch(ReadPlan::for_term_pages(TermId(0), 2, None))
-            .unwrap();
-        assert_eq!(bm.resident_pages(TermId(0)), 2, "in-flight only");
-        bm.cancel_batch(handle);
-        assert_eq!(bm.resident_pages(TermId(0)), 0);
-        assert_eq!(bm.pin_count(pid(0, 0)), 0);
-        assert_eq!(bm.store().0.stats().reads, 0, "cancellation reads nothing");
-        // The batch was recorded at submission; no request ever ran.
-        assert_eq!(bm.metrics().batches.get(), 1);
-        assert_eq!(bm.stats().requests, 0);
-        assert!(bm.is_empty());
+        let expected = plain.fetch_batch(&plan).unwrap();
+        let served = staged.fetch_batch(&plan).unwrap();
+        assert_eq!(
+            served.iter().map(|(_, how)| *how).collect::<Vec<_>>(),
+            expected.iter().map(|(_, how)| *how).collect::<Vec<_>>()
+        );
+        assert_eq!(*staged_log.0.lock().unwrap(), *plain_log.0.lock().unwrap());
+        assert_eq!(staged.stats(), plain.stats());
+        assert_eq!(staged.store().inner.stats(), plain.store().stats());
+        assert_eq!(staged.resident_ids(), plain.resident_ids());
+        assert_eq!(
+            staged.metrics().batches.get(),
+            plain.metrics().batches.get()
+        );
+
+        let calls = staged.store().calls();
+        assert_eq!(
+            calls[warmup_calls],
+            StoreCall::Submit(vec![pid(0, 0), pid(0, 2), pid(0, 3)]),
+            "the plan's distinct non-resident pages, in plan order, before any demand read"
+        );
+        assert!(
+            calls[warmup_calls + 1..]
+                .iter()
+                .all(|c| matches!(c, StoreCall::Read(_))),
+            "one submit per plan"
+        );
     }
 
     #[test]

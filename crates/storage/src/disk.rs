@@ -312,9 +312,63 @@ impl<S: PageStore + ?Sized> PageStore for std::sync::Arc<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ir_types::Posting;
+
+    /// One call a [`StagingProbe`] received.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub(crate) enum StoreCall {
+        Submit(Vec<PageId>),
+        Read(PageId),
+    }
+
+    /// Forwards to the inner store but advertises a 2-deep overlap
+    /// window and logs every `submit` and `read_page` in call order, so
+    /// pool tests can check what was staged, and when, without a
+    /// latency model. Nothing is actually scheduled.
+    #[derive(Debug)]
+    pub(crate) struct StagingProbe<S> {
+        pub inner: S,
+        calls: Mutex<Vec<StoreCall>>,
+    }
+
+    impl<S> StagingProbe<S> {
+        pub(crate) fn new(inner: S) -> Self {
+            StagingProbe {
+                inner,
+                calls: Mutex::new(Vec::new()),
+            }
+        }
+
+        pub(crate) fn calls(&self) -> Vec<StoreCall> {
+            self.calls.lock().clone()
+        }
+    }
+
+    impl<S: PageStore> PageStore for StagingProbe<S> {
+        fn read_page(&self, id: PageId) -> IrResult<Page> {
+            self.calls.lock().push(StoreCall::Read(id));
+            self.inner.read_page(id)
+        }
+
+        fn list_len(&self, term: TermId) -> Option<u32> {
+            self.inner.list_len(term)
+        }
+
+        fn n_lists(&self) -> usize {
+            self.inner.n_lists()
+        }
+
+        fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
+            self.calls.lock().push(StoreCall::Submit(ids.to_vec()));
+            Vec::new()
+        }
+
+        fn overlap_depth(&self) -> usize {
+            2
+        }
+    }
 
     /// A store with `n_terms` lists of `pages_per_term` single-posting
     /// pages each — shared by several test modules in this crate.

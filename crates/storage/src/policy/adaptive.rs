@@ -15,11 +15,10 @@
 //!   counts). The current leader — the expert with the best decayed
 //!   shadow score — chooses victims.
 //! * [`HitRateAdaptivePolicy`] keeps exactly one active policy and
-//!   switches it at window boundaries when the observed hit count (the
-//!   pool's `buffer.hits` counter when attached) falls measurably below
-//!   the best shadow expert's. Cheaper per event than the mixture — one
-//!   real instance instead of a panel — at the price of a replay of the
-//!   resident set on each switch.
+//!   switches it at window boundaries when its own hit count falls
+//!   measurably below the best shadow expert's. Cheaper per event than
+//!   the mixture — one real instance instead of a panel — at the price
+//!   of a replay of the resident set on each switch.
 //!
 //! Both are driven entirely through the ordinary [`ReplacementPolicy`]
 //! events: a pool's `on_hit` + `on_insert` calls *are* the full
@@ -311,13 +310,11 @@ pub struct HitRateAdaptivePolicy {
     capacity: usize,
     window: u64,
     events_in_window: u64,
-    /// Hits this window as seen through policy events — the fallback
-    /// observation when no metrics registry is attached.
+    /// The active policy's hits this window, counted from the same
+    /// `on_hit` events the shadows are fed — so both sides of the
+    /// switch rule see one event stream, however late a lock-light
+    /// pool replays it.
     real_hits: u64,
-    /// The pool's own `buffer.hits` counter once attached: the
-    /// "observed hit rate from `BufferMetrics`" the switch rule reads.
-    observed_hits: Option<Counter>,
-    observed_base: u64,
     /// Last announced query weights, replayed into a freshly built
     /// context-using policy after a switch.
     last_weights: Option<HashMap<TermId, f64>>,
@@ -351,8 +348,6 @@ impl HitRateAdaptivePolicy {
             window: decay_window(capacity),
             events_in_window: 0,
             real_hits: 0,
-            observed_hits: None,
-            observed_base: 0,
             last_weights: None,
             uses_context,
             switches: Counter::new(),
@@ -368,21 +363,6 @@ impl HitRateAdaptivePolicy {
     /// Policy switches so far (also exported as `adaptive.switches`).
     pub fn switches(&self) -> u64 {
         self.switches.get()
-    }
-
-    /// Hits observed this window: the pool's `buffer.hits` counter when
-    /// attached (saturating across harness counter resets), else the
-    /// policy-event count.
-    fn observed_window_hits(&self) -> u64 {
-        match &self.observed_hits {
-            Some(c) => c.get().saturating_sub(self.observed_base),
-            None => self.real_hits,
-        }
-    }
-
-    fn rebase_observation(&mut self) {
-        self.observed_base = self.observed_hits.as_ref().map_or(0, Counter::get);
-        self.real_hits = 0;
     }
 
     fn tick_window(&mut self) {
@@ -401,15 +381,13 @@ impl HitRateAdaptivePolicy {
         // margin proportional to the window, so measurement jitter
         // can't cause flapping.
         let margin = (self.window / 32).max(1);
-        if best != self.active
-            && self.shadows[best].window_hits > self.observed_window_hits() + margin
-        {
+        if best != self.active && self.shadows[best].window_hits > self.real_hits + margin {
             self.switch_to(best);
         }
         for s in &mut self.shadows {
             s.window_hits = 0;
         }
-        self.rebase_observation();
+        self.real_hits = 0;
     }
 
     fn switch_to(&mut self, next: usize) {
@@ -473,7 +451,7 @@ impl ReplacementPolicy for HitRateAdaptivePolicy {
         }
         self.events_in_window = 0;
         self.last_weights = None;
-        self.rebase_observation();
+        self.real_hits = 0;
     }
 
     fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
@@ -506,8 +484,6 @@ impl ReplacementPolicy for HitRateAdaptivePolicy {
         for s in &mut self.shadows {
             s.hits_counter = registry.counter(&format!("adaptive.shadow_hits.{}", s.kind));
         }
-        self.observed_hits = Some(registry.counter("buffer.hits"));
-        self.rebase_observation();
     }
 }
 

@@ -114,8 +114,7 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// the pool registers its own counters there. The default is a
     /// no-op — classic policies export nothing, so non-adaptive pools
     /// keep their metric namespace byte-identical. The adaptive
-    /// policies register `adaptive.*` counters and read the pool's
-    /// `buffer.hits` through it.
+    /// policies register their `adaptive.*` counters in it.
     fn attach_metrics(&mut self, registry: &Registry) {
         let _ = registry;
     }

@@ -30,12 +30,12 @@
 //!   in-order fold of hits — single-threaded runs stay event-for-event
 //!   identical to an unsharded [`BufferManager`]. Only misses,
 //!   evictions, announcements and inspection take the exclusive mutex.
-//! * **Execute-and-release batches.** A cross-shard completion
-//!   ([`complete_into`](QueryBuffer::complete_into)) runs its per-shard
-//!   sub-plans in ascending shard order, locking each shard *only
-//!   while its own sub-plan executes* — at most one shard lock is held
-//!   at any moment, so a thread serving shard 0's disk reads never
-//!   idles holding shard 3's lock (the convoy the previous
+//! * **Execute-and-release batches.** A cross-shard plan
+//!   ([`fetch_batch_into`](QueryBuffer::fetch_batch_into)) runs its
+//!   per-shard sub-plans in ascending shard order, locking each shard
+//!   *only while its own sub-plan executes* — at most one shard lock
+//!   is held at any moment, so a thread serving shard 0's disk reads
+//!   never idles holding shard 3's lock (the convoy the previous
 //!   all-guards-up-front protocol created), and deadlock is impossible
 //!   by construction.
 //!
@@ -71,7 +71,7 @@ use crate::policy::PolicyKind;
 use crate::shared::QueryBuffer;
 use crate::stats::{BufferMetrics, BufferStats};
 use ir_observe::{Counter, Histogram, MetricsSnapshot, Registry};
-use ir_types::{BatchHandle, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
+use ir_types::{IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -153,11 +153,6 @@ struct Shard<S: PageStore> {
     /// The manager's `b_t` counters, readable without the mutex (they
     /// change only on load/evict, which hold the mutex anyway).
     terms: TermView,
-    /// The manager's in-flight `b_t` counters — pages a live
-    /// split-phase submission has committed to load. They change only
-    /// inside submit/complete, which hold the shard mutex, so the same
-    /// lock-free read protocol as `terms` applies.
-    in_flight: TermView,
     /// Clones of the manager's `buffer.*` counter handles (atomic), so
     /// a lock-light hit counts exactly like a locked one.
     metrics: BufferMetrics,
@@ -174,7 +169,6 @@ impl<S: PageStore> Shard<S> {
         Shard {
             frames: manager.frame_view(),
             terms: manager.term_view(),
-            in_flight: manager.in_flight_view(),
             metrics: manager.metrics().clone(),
             manager: Mutex::new(manager),
             pending_hits: Mutex::new(Vec::new()),
@@ -214,10 +208,6 @@ pub struct ShardedBufferPool<S: PageStore> {
     /// Whether the shards' policy reacts to `begin_query` (RAP). When
     /// `false`, query announcements skip all `P` shard locks.
     uses_query_context: bool,
-    /// The shared store's [`PageStore::overlap_depth`], fixed at
-    /// construction. At depth ≤ 1 submission starts nothing, so
-    /// `submit_batch` answers without touching a shard.
-    overlap_depth: usize,
     metrics: ShardMetrics,
 }
 
@@ -227,7 +217,6 @@ impl<S: PageStore> Clone for ShardedBufferPool<S> {
             shards: Arc::clone(&self.shards),
             chunk_pages: self.chunk_pages,
             uses_query_context: self.uses_query_context,
-            overlap_depth: self.overlap_depth,
             metrics: self.metrics.clone(),
         }
     }
@@ -303,7 +292,6 @@ impl<S: PageStore> ShardedBufferPool<S> {
         }
         let base = total_frames / shards;
         let extra = total_frames % shards;
-        let overlap_depth = store.overlap_depth();
         let mut uses_query_context = false;
         let pools = (0..shards)
             .map(|i| {
@@ -318,7 +306,6 @@ impl<S: PageStore> ShardedBufferPool<S> {
             shards: pools.into(),
             chunk_pages,
             uses_query_context,
-            overlap_depth,
             metrics: ShardMetrics::new(),
         })
     }
@@ -471,18 +458,6 @@ impl<S: PageStore> ShardedBufferPool<S> {
         }
     }
 
-    /// Releases a submission's bookkeeping under its owning shard's
-    /// lock. Unscheduled handles (multi-shard or empty plans, or any
-    /// plan over a store that cannot overlap) took no bookkeeping and
-    /// settle for free.
-    fn settle(&self, handle: &BatchHandle) {
-        if handle.pinned.is_empty() && handle.loading.is_empty() {
-            return;
-        }
-        let first = handle.plan.entries()[0].page;
-        self.lock(self.shard_of(first)).settle_submission(handle);
-    }
-
     /// Runs `f` with shard `s` locked — for operations the pool
     /// surface does not cover (observers, pinning, per-shard metrics).
     ///
@@ -605,44 +580,20 @@ impl<S: PageStore> ShardedBufferPool<S> {
 }
 
 impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
-    /// A single-shard plan (the common case under term-chunk routing,
-    /// and what shard-aware plan alignment produces) over an
-    /// overlap-capable store locks its owning shard once: the shard's
-    /// manager pins the plan's distinct pages, counts the non-resident
-    /// ones in-flight toward `b_t` and hands them to the store. Batch
-    /// metrics are **not** recorded here — completion attributes them
-    /// at the lock-light/locked seam. Over a store that cannot overlap,
-    /// and for a plan spanning several shards, nothing is scheduled
-    /// and no lock is taken: completion is the whole fetch.
-    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        let owner = if self.overlap_depth > 1 && !plan.is_empty() {
-            self.single_shard_of(&plan)
-        } else {
-            None
-        };
-        Ok(match owner {
-            Some(s) => self.lock(s).submit_unmetered(plan),
-            None => BatchHandle::unscheduled(plan),
-        })
-    }
-
-    /// Settles the submission's pins and in-flight counts, then locks
-    /// only the shards the plan's pages route to — one at a time, in
-    /// ascending shard order. Each shard serves its sub-plan (the
-    /// plan's entries that route to it, in plan order) keeping the
-    /// duplicate/one-load and vectored-read semantics per shard;
+    /// Locks only the shards the plan's pages route to — one at a
+    /// time, in ascending shard order. Each shard serves its sub-plan
+    /// (the plan's entries that route to it, in plan order) keeping
+    /// the duplicate/one-load and vectored-read semantics per shard;
     /// outcomes are reassembled into plan order. Each sub-plan's
     /// resident prefix is served lock-light under the shard's read
     /// lock; only the remainder (first miss onward) takes the shard
     /// mutex. An error aborts the failing shard's tail and every
     /// not-yet-executed shard; completed shards keep their effects.
-    fn complete_into(
+    fn fetch_batch_into(
         &mut self,
-        handle: BatchHandle,
+        plan: &ReadPlan,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        self.settle(&handle);
-        let plan = &handle.plan;
         out.clear();
         // Single-shard plans skip grouping and scatter entirely.
         if let Some(s) = self.single_shard_of(plan) {
@@ -688,35 +639,22 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
         Ok(())
     }
 
-    fn cancel_batch(&mut self, handle: BatchHandle) {
-        self.settle(&handle);
-    }
-
     /// `b_t` across the whole pool: a term's chunks may hash to
     /// several shards, so every shard's counter table is consulted —
     /// under its read lock only, never the shard mutex, so a `b_t`
     /// inquiry never queues behind a shard serving disk reads. The
-    /// counters change only on load/evict/submit/complete (which hold
-    /// the mutex), so the values match what a locked read would
-    /// return. Each shard's counter locks are taken exactly once —
-    /// `P` passes total instead of the `terms.len() × P` a per-term
-    /// loop costs. The BAF term selector inquires every live
-    /// candidate's `b_t` each round through this, and during overlap
-    /// rounds it sees in-flight pages exactly like resident ones.
+    /// counters change only on load/evict (which hold the mutex), so
+    /// the values match what a locked read would return. Each shard's
+    /// counter lock is taken exactly once — `P` passes total instead
+    /// of the `terms.len() × P` a per-term loop costs. The BAF term
+    /// selector inquires every live candidate's `b_t` each round
+    /// through this.
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
         let mut totals = vec![0u32; terms.len()];
         for shard in self.shards.iter() {
-            {
-                let counters = shard.terms.read();
-                for (slot, term) in totals.iter_mut().zip(terms) {
-                    *slot += counters.get(term).copied().unwrap_or(0);
-                }
-            }
-            let loading = shard.in_flight.read();
-            if !loading.is_empty() {
-                for (slot, term) in totals.iter_mut().zip(terms) {
-                    *slot += loading.get(term).copied().unwrap_or(0);
-                }
+            let counters = shard.terms.read();
+            for (slot, term) in totals.iter_mut().zip(terms) {
+                *slot += counters.get(term).copied().unwrap_or(0);
             }
         }
         totals
@@ -748,10 +686,6 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
             total.evictions += stats.evictions;
         }
         total
-    }
-
-    fn overlap_depth(&self) -> usize {
-        self.overlap_depth
     }
 
     fn plan_alignment(&self) -> Option<u32> {
@@ -801,35 +735,6 @@ mod tests {
         fn event(&mut self, event: BufferEvent) {
             self.0.lock().unwrap().push(event);
         }
-    }
-
-    /// A [`DiskSim`] that advertises a 2-deep overlap window, so
-    /// submission's pin / in-flight bookkeeping runs (a store with no
-    /// overlap takes the fast path that skips it). `submit` keeps the
-    /// trait default — nothing is actually scheduled.
-    #[derive(Debug)]
-    struct Overlapping(Arc<DiskSim>);
-
-    impl PageStore for Overlapping {
-        fn read_page(&self, id: PageId) -> IrResult<Page> {
-            self.0.read_page(id)
-        }
-
-        fn list_len(&self, term: TermId) -> Option<u32> {
-            self.0.list_len(term)
-        }
-
-        fn n_lists(&self) -> usize {
-            self.0.n_lists()
-        }
-
-        fn overlap_depth(&self) -> usize {
-            2
-        }
-    }
-
-    fn overlapping_store(n_terms: u32, pages: u32) -> Arc<Overlapping> {
-        Arc::new(Overlapping(store(n_terms, pages)))
     }
 
     #[test]
@@ -1129,23 +1034,20 @@ mod tests {
     }
 
     #[test]
-    fn resident_plans_take_no_shard_lock_on_the_split_phase_path() {
-        // Regression: over a store that cannot overlap, `submit_batch`
-        // used to lock the owning shard (draining `pending_hits`) just
-        // to learn that nothing can be scheduled, so the evaluator's
-        // submit + complete route never stayed on the lock-light path.
-        // Deferred hit events are the witness: they reach the observer
-        // only when somebody takes the shard mutex.
+    fn resident_plans_defer_their_hit_events_until_quiesce() {
+        // A fully-resident single-shard plan stays on the lock-light
+        // path: nobody takes the shard mutex, so the first plan's hit
+        // events are still owed when the second plan runs. Deferred
+        // events are the witness — they reach the observer only when
+        // the mutex is taken.
         let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
-        assert_eq!(pool.overlap_depth(), 1);
         let plan = ReadPlan::for_term_pages(TermId(0), 4, None);
         pool.fetch_batch(&plan).unwrap(); // warm: four loads
         let log = SharedLog::default();
         pool.with_shard(0, |bm| bm.set_observer(Box::new(log.clone())));
         let mut out = Vec::new();
         for _ in 0..2 {
-            let handle = pool.submit_batch(plan.clone()).unwrap();
-            pool.complete_into(handle, &mut out).unwrap();
+            pool.fetch_batch_into(&plan, &mut out).unwrap();
             assert!(out.iter().all(|(_, how)| *how == FetchOutcome::Hit));
         }
         assert!(
@@ -1173,97 +1075,39 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_submissions_match_unscheduled_ones_per_shard() {
-        // Twin pools over twin stores. The plain store cannot overlap,
-        // so its submissions schedule nothing and take no lock; the
-        // overlapping twin's lock their shard, pin, count in flight
-        // and settle at completion. After quiesce, counters and store
-        // traffic must be identical.
+    fn staged_plans_match_unstaged_ones_per_shard() {
+        use crate::disk::tests::{StagingProbe, StoreCall};
+        // Twin pools over twin stores, one of which can overlap. After
+        // quiesce, counters and device traffic must be identical, and
+        // the overlapping store must have been handed each cold plan
+        // whole — one submit, in plan order, ahead of its demand
+        // reads — and nothing for a warm one.
         let (sa, sb) = (store(4, 8), store(4, 8));
         let mut plain = ShardedBufferPool::new(Arc::clone(&sa), 64, PolicyKind::Lru, 4).unwrap();
-        let overlapping = Arc::new(Overlapping(Arc::clone(&sb)));
-        let mut scheduled = ShardedBufferPool::new(overlapping, 64, PolicyKind::Lru, 4).unwrap();
+        let probe = Arc::new(StagingProbe::new(Arc::clone(&sb)));
+        let mut staged =
+            ShardedBufferPool::new(Arc::clone(&probe), 64, PolicyKind::Lru, 4).unwrap();
+        let mut expected_calls = Vec::new();
         for t in 0..4 {
             let plan = ReadPlan::for_term_pages(TermId(t), 8, None);
+            let pages: Vec<PageId> = plan.iter().map(|e| e.page).collect();
+            expected_calls.push(StoreCall::Submit(pages.clone()));
+            expected_calls.extend(pages.into_iter().map(StoreCall::Read));
             for _ in 0..2 {
                 // cold pass, then warm pass
-                let h = plain.submit_batch(plan.clone()).unwrap();
-                assert!(h.pinned.is_empty());
-                plain.complete(h).unwrap();
-                let h = scheduled.submit_batch(plan.clone()).unwrap();
-                assert_eq!(h.pinned.len(), 8);
-                scheduled.complete(h).unwrap();
+                plain.fetch_batch(&plan).unwrap();
+                staged.fetch_batch(&plan).unwrap();
             }
         }
         plain.quiesce();
-        scheduled.quiesce();
-        assert_eq!(scheduled.stats(), plain.stats());
+        staged.quiesce();
+        assert_eq!(staged.stats(), plain.stats());
         assert_eq!(sb.stats(), sa.stats());
-        assert_eq!(scheduled.metrics().batch_splits.get(), 0);
+        assert_eq!(staged.metrics().batch_splits.get(), 0);
         for s in 0..4 {
-            assert_eq!(scheduled.shard_stats(s), plain.shard_stats(s), "shard {s}");
+            assert_eq!(staged.shard_stats(s), plain.shard_stats(s), "shard {s}");
         }
-    }
-
-    #[test]
-    fn submission_counts_in_flight_toward_bt_until_complete() {
-        let mut pool =
-            ShardedBufferPool::new(overlapping_store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
-        let plan = ReadPlan::for_term_pages(TermId(1), 8, None);
-        let handle = pool.submit_batch(plan).unwrap();
-        assert_eq!(handle.loading.len(), 8);
-        assert_eq!(
-            pool.resident_pages(TermId(1)),
-            8,
-            "in-flight pages count toward b_t"
-        );
-        assert_eq!(
-            pool.resident_pages_many(&[TermId(0), TermId(1)]),
-            vec![0, 8],
-            "batched inquiry sees the in-flight set too"
-        );
-        // Nothing fetched yet on a synchronous store.
-        assert_eq!(pool.stats().requests, 0);
-        pool.complete(handle).unwrap();
-        assert_eq!(pool.resident_pages(TermId(1)), 8, "now actually resident");
-        assert_eq!(pool.stats().misses, 8);
-        // Pins are off: pressure can evict the term's pages again.
-        pool.quiesce();
-    }
-
-    #[test]
-    fn cross_shard_submission_schedules_nothing() {
-        // chunk_pages = 1 scatters an 8-page list over shards, so even
-        // over a store that can overlap the submission schedules
-        // nothing and completion is the ordinary cross-shard batch.
-        let mut pool =
-            ShardedBufferPool::with_chunk_pages(overlapping_store(1, 8), 32, PolicyKind::Lru, 4, 1)
-                .unwrap();
-        let plan = ReadPlan::for_term_pages(TermId(0), 8, None);
-        let handle = pool.submit_batch(plan).unwrap();
-        assert!(handle.pinned.is_empty() && handle.loading.is_empty());
-        assert_eq!(pool.resident_pages(TermId(0)), 0, "nothing in flight");
-        let out = pool.complete(handle).unwrap();
-        assert_eq!(out.len(), 8);
-        assert!(out.iter().all(|(_, o)| *o == FetchOutcome::Miss));
-        assert_eq!(pool.metrics().batch_splits.get(), 1);
-    }
-
-    #[test]
-    fn cancelled_submission_releases_pins_and_bt() {
-        let mut pool =
-            ShardedBufferPool::new(overlapping_store(2, 8), 64, PolicyKind::Lru, 4).unwrap();
-        let handle = pool
-            .submit_batch(ReadPlan::for_term_pages(TermId(0), 4, None))
-            .unwrap();
-        assert_eq!(pool.resident_pages(TermId(0)), 4);
-        pool.cancel_batch(handle);
-        assert_eq!(pool.resident_pages(TermId(0)), 0);
-        assert_eq!(pool.stats().requests, 0);
-        let owner = pool.shard_of(pid(0, 0));
-        pool.with_shard(owner, |bm| {
-            assert_eq!(bm.pin_count(pid(0, 0)), 0, "cancel releases the pins");
-        });
+        assert_eq!(probe.calls(), expected_calls);
     }
 
     #[test]

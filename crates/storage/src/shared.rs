@@ -22,7 +22,7 @@ use crate::disk::PageStore;
 use crate::page::Page;
 use crate::partition::{PartitionId, PartitionedBuffer};
 use crate::stats::BufferStats;
-use ir_types::{BatchHandle, IrError, IrResult, PageId, ReadPlan, TermId};
+use ir_types::{IrError, IrResult, PageId, ReadPlan, TermId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,13 +30,11 @@ use std::sync::Arc;
 /// What query evaluation needs from a buffer pool: fetch a list prefix,
 /// ask `b_t`, announce `w_{q,t}`.
 ///
-/// A fetch is *defined* as the split-phase pair
-/// [`submit_batch`](Self::submit_batch) →
-/// [`complete_into`](Self::complete_into) (or
-/// [`cancel_batch`](Self::cancel_batch)); every blocking form —
-/// `fetch`, `fetch_traced`, `fetch_batch`, `fetch_batch_into`,
-/// `complete` — is a composition of that pair written once in
-/// [`QueryBufferExt`], which no implementor can override.
+/// A fetch is one blocking call,
+/// [`fetch_batch_into`](Self::fetch_batch_into); the other forms —
+/// `fetch`, `fetch_traced`, `fetch_batch` — are compositions of it
+/// written once in [`QueryBufferExt`], which no implementor can
+/// override.
 ///
 /// Implemented by [`BufferManager`] (private pool), [`Shared<T>`] for
 /// any `T: QueryBuffer` (one pool, many sessions), [`PartitionHandle`]
@@ -44,50 +42,21 @@ use std::sync::Arc;
 /// [`ShardedBufferPool`](crate::ShardedBufferPool) (lock-striped pool);
 /// the evaluation algorithms in `ir-core` are generic over it.
 pub trait QueryBuffer {
-    /// Submission half of a fetch: starts `plan`'s store transfers
-    /// (where the store can overlap at all) and returns the
-    /// [`BatchHandle`] to pass to [`complete_into`](Self::complete_into)
-    /// or [`cancel_batch`](Self::cancel_batch). Between the two calls
-    /// the submission's pages are pinned (an in-flight page is never a
-    /// replacement victim) and its non-resident pages count toward
-    /// their term's `b_t`, so a concurrent term selector sees the
-    /// pages the pool has already committed to load.
-    ///
-    /// The default schedules nothing and pins nothing — right for any
-    /// pool whose completion is the whole fetch. Implementations that
-    /// do schedule must stay indistinguishable from that whenever the
-    /// store cannot overlap (queue depth ≤ 1): same events, same
-    /// counters, same store traffic.
-    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        Ok(BatchHandle::unscheduled(plan))
-    }
-
-    /// Completion half of a fetch: waits for (or performs) the
-    /// submitted reads and serves every plan entry **in plan order**
-    /// into `out` (cleared first), reporting how each was served.
-    /// Shared implementations take their lock once for the whole
-    /// batch. Consumes the handle — a submission completes exactly
-    /// once. Transient failures (torn pages, injected faults) are
-    /// retried *here*, under the pool's `FetchPolicy`; on error `out`
-    /// holds the entries served before the failure.
-    fn complete_into(
+    /// Serves every entry of `plan` **in plan order** into `out`
+    /// (cleared first), reporting how each was served. Shared
+    /// implementations take their lock once for the whole batch.
+    /// Transient failures (torn pages, injected faults) are retried
+    /// here, under the pool's `FetchPolicy`; on error `out` holds the
+    /// entries served before the failure.
+    fn fetch_batch_into(
         &mut self,
-        handle: BatchHandle,
+        plan: &ReadPlan,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()>;
 
-    /// Abandons a submission without serving it: releases the pins and
-    /// the in-flight `b_t` counts the submission took, performing no
-    /// fetches. Reads the store already started are not recalled —
-    /// a latency-modeling store counts them as wasted.
-    fn cancel_batch(&mut self, handle: BatchHandle) {
-        drop(handle);
-    }
-
     /// `b_t` for every term in `terms`, in order: resident pages of
-    /// each term's inverted list, plus pages a live submission has
-    /// committed to load. One call is one pass over the pool's locks,
-    /// however many terms are asked about.
+    /// each term's inverted list. One call is one pass over the pool's
+    /// locks, however many terms are asked about.
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32>;
 
     /// Announces the term weights `w_{q,t}` of the query about to run.
@@ -96,13 +65,6 @@ pub trait QueryBuffer {
     /// Snapshot of the pool counters this buffer draws on. For a
     /// shared pool the numbers aggregate every session's traffic.
     fn stats(&self) -> BufferStats;
-
-    /// How many submissions the underlying store can usefully overlap:
-    /// 1 (the default) means submission starts nothing; a
-    /// latency-modeling store reports its queue depth.
-    fn overlap_depth(&self) -> usize {
-        1
-    }
 
     /// Routing granularity a plan should be chunked to, in pages:
     /// `Some(chunk)` when plans aligned to `chunk`-page boundaries of
@@ -119,30 +81,11 @@ pub trait QueryBuffer {
     }
 }
 
-/// The blocking forms of a fetch, each written once as a composition
-/// of [`QueryBuffer`]'s split-phase pair. Blanket-implemented, so an
+/// The convenience forms of a fetch, each written once over
+/// [`QueryBuffer::fetch_batch_into`]. Blanket-implemented, so an
 /// implementor of [`QueryBuffer`] gets all of them and can override
-/// none: whatever a pool does on `submit_batch` + `complete_into` is
-/// what every one of these does.
+/// none.
 pub trait QueryBufferExt: QueryBuffer {
-    /// Completes `handle` into a fresh vector.
-    fn complete(&mut self, handle: BatchHandle) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(handle.len());
-        self.complete_into(handle, &mut out)?;
-        Ok(out)
-    }
-
-    /// Executes `plan` — submit, then immediately complete — into a
-    /// caller-owned buffer (cleared first).
-    fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        let handle = self.submit_batch(plan.clone())?;
-        self.complete_into(handle, out)
-    }
-
     /// Executes `plan`, serving every entry in plan order and
     /// reporting each entry's outcome.
     fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
@@ -211,25 +154,17 @@ impl<T> Shared<T> {
 }
 
 /// Any shared queryable pool is itself a [`QueryBuffer`]: each call —
-/// including a whole [`ReadPlan`] submission or completion — is one
-/// lock acquisition on the wrapped pool.
+/// including a whole [`ReadPlan`] — is one lock acquisition on the
+/// wrapped pool.
 impl<T: QueryBuffer> QueryBuffer for Shared<T> {
-    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        self.inner.lock().submit_batch(plan)
-    }
-
-    fn complete_into(
+    fn fetch_batch_into(
         &mut self,
-        handle: BatchHandle,
+        plan: &ReadPlan,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        // One lock acquisition for the whole completion: the batch is
-        // the critical section, not each page.
-        self.inner.lock().complete_into(handle, out)
-    }
-
-    fn cancel_batch(&mut self, handle: BatchHandle) {
-        self.inner.lock().cancel_batch(handle);
+        // One lock acquisition for the whole batch: the batch is the
+        // critical section, not each page.
+        self.inner.lock().fetch_batch_into(plan, out)
     }
 
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
@@ -242,10 +177,6 @@ impl<T: QueryBuffer> QueryBuffer for Shared<T> {
 
     fn stats(&self) -> BufferStats {
         self.inner.lock().stats()
-    }
-
-    fn overlap_depth(&self) -> usize {
-        self.inner.lock().overlap_depth()
     }
 
     fn plan_alignment(&self) -> Option<u32> {
@@ -342,17 +273,13 @@ impl<S: PageStore> Clone for PartitionHandle<S> {
     }
 }
 
-/// Completion is the whole fetch: a partition schedules nothing at
-/// submission (the trait defaults), because the sibling probe must see
-/// every earlier entry's effect at the moment each entry is served.
 impl<S: PageStore> QueryBuffer for PartitionHandle<S> {
-    fn complete_into(
+    fn fetch_batch_into(
         &mut self,
-        handle: BatchHandle,
+        plan: &ReadPlan,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        self.pool
-            .with(|p| p.fetch_batch_into(self.pid, &handle.plan, out))
+        self.pool.with(|p| p.fetch_batch_into(self.pid, plan, out))
     }
 
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {

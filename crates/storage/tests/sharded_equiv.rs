@@ -180,10 +180,10 @@ proptest! {
         seed in proptest::any::<u64>(),
         ops in collection::vec(
             (0u32..N_TERMS, 0u32..PAGES_PER_TERM, proptest::any::<u8>()),
-            1..50,
+            150..400,
         ),
     ) {
-        for kind in PolicyKind::ALL {
+        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
             if with_faults {
                 let cfg = FaultConfig {
                     seed,

@@ -1,30 +1,25 @@
 //! The fetch protocol's contracts, tested from outside the crate.
 //!
-//! A fetch is *defined* as `submit_batch` + `complete_into`, so there
-//! is no blocking twin left to compare the pair against. What remains
-//! two-sided:
+//! A fetch is one call, `fetch_batch_into`, so what is two-sided is:
 //!
 //! * **every wrapper ≡ the reference pool** — a mutex-shared manager,
 //!   a one-partition handle and a one-shard pool, each driven through
-//!   the trait's split-phase pair, against a bare [`BufferManager`]
+//!   the trait's `fetch_batch_into`, against a bare [`BufferManager`]
 //!   driven through its inherent `fetch_batch`: same delivered pages,
 //!   outcomes, counters, store traffic and `b_t` (and, where the
 //!   wrapper exposes them, the same event log and resident set), for
 //!   **every** replacement policy, with and without a seeded fault
 //!   schedule injecting transient failures and torn pages into both
 //!   sides alike;
-//! * **the submission window** over a store that *can* overlap: pages
-//!   are pinned and counted in flight between submit and complete,
-//!   and `cancel_batch` releases both without fetching;
 //! * **single fetches are one-entry plans**: `fetch_traced` reports
 //!   `Miss` / `Hit` / `Borrowed` through every layout.
 
 use ir_storage::{
     BufferEvent, BufferManager, BufferObserver, DiskSim, DiskStats, FaultConfig, FaultStats,
-    FaultStore, FetchOutcome, FetchPolicy, Page, PageStore, PartitionedBuffer, PolicyKind,
-    QueryBuffer, QueryBufferExt, ShardedBufferPool, SharedBufferManager, SharedPartitionedBuffer,
+    FaultStore, FetchOutcome, FetchPolicy, Page, PartitionedBuffer, PolicyKind, QueryBuffer,
+    QueryBufferExt, ShardedBufferPool, SharedBufferManager, SharedPartitionedBuffer,
 };
-use ir_types::{IrResult, PageId, PlanEntry, Posting, ReadPlan, TermId};
+use ir_types::{PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};
 use std::sync::{Arc, Mutex};
 
@@ -109,9 +104,9 @@ fn reference(
     (bm, log)
 }
 
-/// Drives `wrapper` through the trait's `submit_batch` +
-/// `complete_into` and `reference` through `BufferManager`'s inherent
-/// `fetch_batch` over the same plans, asserting after every step that
+/// Drives `wrapper` through the trait's `fetch_batch_into` and
+/// `reference` through `BufferManager`'s inherent `fetch_batch` over
+/// the same plans, asserting after every step that
 /// the served pages and outcomes agree, and at the end that counters,
 /// borrows and per-term `b_t` do too.
 fn assert_wrapper_matches_reference<B: QueryBuffer>(
@@ -126,12 +121,9 @@ fn assert_wrapper_matches_reference<B: QueryBuffer>(
         let expected = reference
             .fetch_batch(&plan)
             .unwrap_or_else(|e| panic!("{label}: reference fetch failed: {e}"));
-        let handle = wrapper
-            .submit_batch(plan)
-            .unwrap_or_else(|e| panic!("{label}: submit failed: {e}"));
         wrapper
-            .complete_into(handle, &mut served)
-            .unwrap_or_else(|e| panic!("{label}: complete failed: {e}"));
+            .fetch_batch_into(&plan, &mut served)
+            .unwrap_or_else(|e| panic!("{label}: fetch failed: {e}"));
         assert_eq!(
             served.len(),
             expected.len(),
@@ -170,7 +162,7 @@ fn assert_wrapper_matches_reference<B: QueryBuffer>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The mutex-shared manager takes its lock once per phase; that
+    /// The mutex-shared manager takes its lock once per plan; that
     /// must not change what a single session observes, down to the
     /// event log — the strictest observable surface a pool has.
     #[test]
@@ -206,9 +198,9 @@ proptest! {
     }
 
     /// One partition has no sibling to borrow from, so its handle —
-    /// which schedules nothing at submission and serves every entry
-    /// through the single-fetch protocol at completion — must equal
-    /// the reference pool's batch loop, vectored reads and all.
+    /// which serves every entry through the single-fetch protocol —
+    /// must equal the reference pool's batch loop, vectored reads and
+    /// all.
     #[test]
     fn one_partition_handle_matches_bare_manager(
         ops in collection::vec((0u32..N_TERMS, 0u32..PAGES_PER_TERM, 1u32..PAGES_PER_TERM), 1..24),
@@ -280,101 +272,6 @@ proptest! {
             }
         }
     }
-}
-
-/// Forwards to a [`DiskSim`] but advertises a 2-deep overlap window,
-/// so submission's pin / in-flight bookkeeping runs without a latency
-/// model. `submit` keeps the trait default (schedules nothing), like a
-/// scheduler with an empty queue.
-#[derive(Debug)]
-struct Overlapping(DiskSim);
-
-impl PageStore for Overlapping {
-    fn read_page(&self, id: PageId) -> IrResult<Page> {
-        self.0.read_page(id)
-    }
-
-    fn list_len(&self, term: TermId) -> Option<u32> {
-        self.0.list_len(term)
-    }
-
-    fn n_lists(&self) -> usize {
-        self.0.n_lists()
-    }
-
-    fn overlap_depth(&self) -> usize {
-        2
-    }
-}
-
-/// The submission window, as any session sees it through the trait:
-/// a submitted plan's pages are pinned against replacement and its
-/// non-resident pages count toward `b_t` until the handle is
-/// completed or cancelled. `pool` must be cold, hold at most 8 frames
-/// per lock domain, and sit over an [`Overlapping`] store.
-fn assert_submission_window<B: QueryBuffer>(pool: &mut B, label: &str) {
-    assert!(pool.overlap_depth() > 1, "{label}: store must overlap");
-    let head = ReadPlan::for_term_pages(TermId(1), 4, None);
-    let flood = |pool: &mut B| {
-        for t in [0, 2, 3] {
-            pool.fetch_batch(&ReadPlan::for_term_pages(TermId(t), PAGES_PER_TERM, None))
-                .unwrap();
-        }
-    };
-
-    // Cancelled: in-flight counts appear at submit and vanish at
-    // cancel, and nothing was ever requested.
-    let handle = pool.submit_batch(head.clone()).unwrap();
-    assert_eq!(pool.resident_pages(TermId(1)), 4, "{label}: in-flight b_t");
-    pool.cancel_batch(handle);
-    assert_eq!(
-        pool.resident_pages(TermId(1)),
-        0,
-        "{label}: cancel leaves b_t"
-    );
-    assert_eq!(
-        pool.stats().requests,
-        0,
-        "{label}: cancel fetched something"
-    );
-
-    // Completed: resident pages pinned by a live submission survive a
-    // flood that would otherwise evict them, and are released after.
-    pool.fetch_batch(&head).unwrap();
-    let handle = pool.submit_batch(head.clone()).unwrap();
-    flood(pool);
-    assert_eq!(
-        pool.resident_pages(TermId(1)),
-        4,
-        "{label}: a pinned page was evicted"
-    );
-    let served = pool.complete(handle).unwrap();
-    assert!(
-        served.iter().all(|(_, how)| *how == FetchOutcome::Hit),
-        "{label}: pinned pages must still be resident at completion"
-    );
-    flood(pool);
-    assert!(
-        pool.resident_pages(TermId(1)) < 4,
-        "{label}: completion must release the pins"
-    );
-}
-
-#[test]
-fn submissions_pin_and_count_in_flight_through_every_scheduling_layout() {
-    // LRU throughout: the window is policy-independent (`property.rs`
-    // pins "pinned ⇒ never victim" for every policy), and LRU makes
-    // "the flood evicts an unpinned page" certain.
-    let overlapping = || Arc::new(Overlapping(store()));
-    let kind = PolicyKind::Lru;
-    let mut bare = BufferManager::new(overlapping(), 8, kind).unwrap();
-    assert_submission_window(&mut bare, "manager");
-    let mut shared = SharedBufferManager::new(BufferManager::new(overlapping(), 8, kind).unwrap());
-    assert_submission_window(&mut shared, "shared");
-    // 16 frames over 2 shards → 4-page routing chunks: the 4-page head
-    // plan is single-shard, so its submission is scheduled.
-    let mut sharded = ShardedBufferPool::new(overlapping(), 16, kind, 2).unwrap();
-    assert_submission_window(&mut sharded, "sharded");
 }
 
 /// Miss on the first touch, Hit on the second — the outcome sequence

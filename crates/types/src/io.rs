@@ -9,7 +9,6 @@
 //! read without depending on the scheduler's implementation.
 
 use crate::ids::PageId;
-use crate::read_plan::ReadPlan;
 
 /// Identifies one submitted read for its whole lifetime: assigned at
 /// submission, quoted at completion. Tokens are unique per scheduler
@@ -40,68 +39,6 @@ pub struct ReadHandle {
     /// ([`ClockKind`]). A demand read that arrives after this instant
     /// waits zero time: the transfer overlapped with compute.
     pub ready_at_us: u64,
-}
-
-/// One submitted batch of page reads, alive between `submit_batch` and
-/// `complete_into` (or `cancel_batch`) on a `QueryBuffer`.
-///
-/// The handle owns everything the completing side needs to finish the
-/// batch and undo the submission's bookkeeping: the plan itself, the
-/// pages the pool pinned at submission (so in-flight pages cannot be
-/// chosen as replacement victims), the pages it counted as in-flight
-/// toward `b_t`, and the per-read [`ReadHandle`]s a latency-modeling
-/// store returned for the transfers it actually scheduled.
-///
-/// Deliberately neither `Copy` nor `Clone`: a submission is completed
-/// (or cancelled) exactly once, and moving the handle into
-/// `complete_into` enforces that at the type level. Dropping a handle
-/// without completing it leaks the submission's pins — callers that
-/// bail out early must route the handle through `cancel_batch`.
-#[must_use = "a submission owns pins and in-flight b_t counts: pass it to complete_into or cancel_batch"]
-#[derive(Debug, Default, PartialEq)]
-pub struct BatchHandle {
-    /// The plan this submission covers; completion fetches exactly
-    /// these entries, in order.
-    pub plan: ReadPlan,
-    /// Distinct pages the submitting pool pinned, to be unpinned at
-    /// completion before the demand fetches run.
-    pub pinned: Vec<PageId>,
-    /// Distinct pages that were not resident at submission and are
-    /// therefore counted as in-flight toward their term's `b_t` until
-    /// completion.
-    pub loading: Vec<PageId>,
-    /// Handles for the reads the store actually scheduled (empty for
-    /// synchronous stores and at queue depth ≤ 1, where submission
-    /// starts nothing).
-    pub reads: Vec<ReadHandle>,
-}
-
-impl BatchHandle {
-    /// A submission that scheduled nothing: no pins, no in-flight
-    /// pages, no device activity. Completing it is the whole fetch of
-    /// `plan`.
-    pub fn unscheduled(plan: ReadPlan) -> Self {
-        BatchHandle {
-            plan,
-            ..BatchHandle::default()
-        }
-    }
-
-    /// The modeled instant the last scheduled read completes, if any
-    /// read was scheduled at all.
-    pub fn ready_at_us(&self) -> Option<u64> {
-        self.reads.iter().map(|r| r.ready_at_us).max()
-    }
-
-    /// Number of planned reads (counting duplicates).
-    pub fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// `true` when the underlying plan has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
-    }
 }
 
 /// Which clock a latency-modeling I/O layer runs on.
@@ -146,29 +83,5 @@ mod tests {
     #[test]
     fn clock_defaults_to_deterministic() {
         assert_eq!(ClockKind::default(), ClockKind::Virtual);
-    }
-
-    #[test]
-    fn unscheduled_handles_carry_only_the_plan() {
-        let plan = ReadPlan::for_term_pages(TermId(2), 3, None);
-        let h = BatchHandle::unscheduled(plan.clone());
-        assert_eq!(h.plan, plan);
-        assert_eq!(h.len(), 3);
-        assert!(!h.is_empty());
-        assert!(h.pinned.is_empty() && h.loading.is_empty());
-        assert_eq!(h.ready_at_us(), None, "nothing was scheduled");
-    }
-
-    #[test]
-    fn ready_at_is_the_last_scheduled_completion() {
-        let mut h = BatchHandle::unscheduled(ReadPlan::single(PageId::new(TermId(0), 0)));
-        for (i, at) in [(0u64, 120u64), (1, 90)] {
-            h.reads.push(ReadHandle {
-                token: CompletionToken(i),
-                page: PageId::new(TermId(0), i as u32),
-                ready_at_us: at,
-            });
-        }
-        assert_eq!(h.ready_at_us(), Some(120));
     }
 }

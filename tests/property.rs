@@ -251,7 +251,6 @@ proptest! {
             top_n: 10,
             baf_force_first_page: false,
             announce_query: true,
-            overlap_io: false,
         };
         let mut b1 = index.make_buffer(capacity, policy).unwrap();
         let df = evaluate(Algorithm::Df, &index, &mut b1, &query, opts).unwrap();
