@@ -6,6 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ir_storage::{BufferManager, DiskSim, Page, PolicyKind};
 use ir_types::{PageId, Posting, TermId};
+use std::collections::HashMap;
 
 fn store(n_terms: u32, pages_per_term: u32) -> DiskSim {
     let lists = (0..n_terms)
@@ -22,32 +23,43 @@ fn store(n_terms: u32, pages_per_term: u32) -> DiskSim {
 }
 
 /// Footnote 8's concern: RAP's per-query re-valuation ("a reorganizing
-/// capability is required") touches every resident page. Measure
-/// begin_query cost against pool occupancy.
+/// capability is required"). It touches the resident pages of the terms
+/// whose `w_{q,t}` changed, so measure `begin_query` by how much of the
+/// query changes between announcements, against pool occupancy: the
+/// same 16-term query again, a refinement step (3 of 16 terms swapped)
+/// and a topic switch (two disjoint 16-term queries), each alternating
+/// between its two queries over a pool holding 32 terms' pages.
 fn bench_rap_reorganize(c: &mut Criterion) {
-    use ir_storage::PolicyKind;
-    use std::collections::HashMap;
+    const TERMS: u32 = 32;
+    let query = |terms: std::ops::Range<u32>| -> HashMap<TermId, f64> {
+        terms.map(|t| (TermId(t), 1.0 + f64::from(t))).collect()
+    };
+    let shapes = [
+        ("unchanged", query(0..16)),
+        ("refine", query(3..19)),
+        ("switch", query(16..32)),
+    ];
     let mut g = c.benchmark_group("rap_begin_query");
-    for resident in [64usize, 256, 1024] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(resident),
-            &resident,
-            |b, &resident| {
-                let terms = 16u32;
-                let pages = (resident as u32).div_ceil(terms);
+    for resident in [1024usize, 16384] {
+        for (shape, other) in &shapes {
+            let id = BenchmarkId::new(shape, resident);
+            g.bench_with_input(id, &resident, |b, &resident| {
+                let pages = resident as u32 / TERMS;
                 let mut bm =
-                    BufferManager::new(store(terms, pages), resident, PolicyKind::Rap).unwrap();
-                for t in 0..terms {
+                    BufferManager::new(store(TERMS, pages), resident, PolicyKind::Rap).unwrap();
+                for t in 0..TERMS {
                     for p in 0..pages {
                         bm.fetch(PageId::new(TermId(t), p)).unwrap();
                     }
                 }
-                let weights: HashMap<TermId, f64> = (0..terms)
-                    .map(|t| (TermId(t), 1.0 + f64::from(t)))
-                    .collect();
-                b.iter(|| bm.begin_query(black_box(&weights)))
-            },
-        );
+                let queries = [query(0..16), other.clone()];
+                let mut i = 0usize;
+                b.iter(|| {
+                    i += 1;
+                    bm.begin_query(black_box(&queries[i % 2]))
+                })
+            });
+        }
     }
     g.finish();
 }

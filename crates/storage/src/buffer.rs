@@ -641,8 +641,8 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Announces the term weights `w_{q,t}` of the query about to be
-    /// evaluated. RAP re-values all resident pages; other policies
-    /// ignore it.
+    /// evaluated. RAP re-values the resident pages of terms whose weight
+    /// changed; other policies ignore it.
     pub fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
         self.policy.begin_query(weights);
     }

@@ -22,7 +22,7 @@
 //! * **Query-context values** ([`BufferManager::begin_query`]): RAP's
 //!   replacement value `w*_{d,t} · w_{q,t}` depends on the query being
 //!   processed; the evaluator announces its term weights at query start
-//!   and the policy re-values every resident page.
+//!   and the policy re-values the pages of terms whose weight changed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

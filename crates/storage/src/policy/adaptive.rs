@@ -315,9 +315,10 @@ pub struct HitRateAdaptivePolicy {
     /// switch rule see one event stream, however late a lock-light
     /// pool replays it.
     real_hits: u64,
-    /// Last announced query weights, replayed into a freshly built
-    /// context-using policy after a switch.
-    last_weights: Option<HashMap<TermId, f64>>,
+    /// Last announced query weights (empty before the first
+    /// announcement), replayed into a freshly built context-using
+    /// policy after a switch.
+    last_weights: HashMap<TermId, f64>,
     uses_context: bool,
     switches: Counter,
     leader_gauge: Gauge,
@@ -348,7 +349,7 @@ impl HitRateAdaptivePolicy {
             window: decay_window(capacity),
             events_in_window: 0,
             real_hits: 0,
-            last_weights: None,
+            last_weights: HashMap::new(),
             uses_context,
             switches: Counter::new(),
             leader_gauge: Gauge::new(),
@@ -400,10 +401,10 @@ impl HitRateAdaptivePolicy {
         for page in pages {
             self.policy.on_insert(page);
         }
+        // The fresh policy has an empty context, so this re-keys every
+        // term of the query — what the switch needs.
         if self.policy.uses_query_context() {
-            if let Some(w) = &self.last_weights {
-                self.policy.begin_query(w);
-            }
+            self.policy.begin_query(&self.last_weights);
         }
         self.switches.inc();
         self.leader_gauge.set(next as i64);
@@ -450,13 +451,13 @@ impl ReplacementPolicy for HitRateAdaptivePolicy {
             s.clear();
         }
         self.events_in_window = 0;
-        self.last_weights = None;
+        self.last_weights.clear();
         self.real_hits = 0;
     }
 
     fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
         if self.uses_context {
-            self.last_weights = Some(weights.clone());
+            self.last_weights.clone_from(weights);
         }
         if self.policy.uses_query_context() {
             self.policy.begin_query(weights);

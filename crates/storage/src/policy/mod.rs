@@ -77,9 +77,10 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
 
     /// Announces the term weights `w_{q,t}` of the query about to run.
     ///
-    /// Only RAP reacts (re-valuing every resident page); the default is
-    /// a no-op, matching the paper's observation that classic policies
-    /// are oblivious to the query (§3.3).
+    /// Only RAP reacts (re-valuing the resident pages of terms whose
+    /// weight changed); the default is a no-op, matching the paper's
+    /// observation that classic policies are oblivious to the query
+    /// (§3.3).
     fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
         let _ = weights;
     }

@@ -19,8 +19,10 @@
 //!   pages value to 0 and are evicted first;
 //! * among zero/equal values, the **tail is evicted before the head**
 //!   (tie-break: higher page number first);
-//! * values are query-dependent, so [`Rap::begin_query`] re-values every
-//!   resident page ("a reorganizing capability is required").
+//! * values are query-dependent, so [`Rap::begin_query`] re-values the
+//!   pages of terms whose weight changed ("a reorganizing capability is
+//!   required") — a page's value can only move when its own term's
+//!   `w_{q,t}` does, and a refinement step moves a handful of terms.
 //!
 //! The value queue is a `BTreeMap` keyed by (value, ¬page-no, term):
 //! footnote 8 notes full ordering is not strictly required, but at
@@ -30,25 +32,42 @@ use super::{OrdF64, ReplacementPolicy};
 use crate::page::Page;
 use ir_types::{PageId, TermId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Ordering key: ascending value; within equal values evict the highest
 /// page number first (tail before head), then lower term id for
 /// determinism.
 type RapKey = (OrdF64, Reverse<u32>, u32);
 
+fn key(id: PageId, value: f64) -> RapKey {
+    (OrdF64(value), Reverse(id.page.0), id.term.0)
+}
+
+/// `w_{q,t}` of `term` under `weights`; absent terms weigh `+0.0`.
+fn weight_of(weights: &HashMap<TermId, f64>, term: TermId) -> f64 {
+    weights.get(&term).copied().unwrap_or(0.0)
+}
+
 /// RAP replacement.
+///
+/// Invariant: every resident page of a term **not** in `hinted` is
+/// queued at exactly `w* · w_{q,t}` (bit for bit) under
+/// `query_weights`, so an announcement that leaves a term's weight
+/// bits alone has nothing to do for that term's pages.
 #[derive(Debug, Default)]
 pub struct Rap {
     /// `w_{q,t}` of the query being processed; absent terms weigh 0.
     query_weights: HashMap<TermId, f64>,
     /// Value-ordered queue of resident pages.
     by_value: BTreeMap<RapKey, PageId>,
-    /// Reverse lookup: resident page → its current key.
-    keys: HashMap<PageId, RapKey>,
-    /// `w*_{d,t}` per resident page, kept so pages can be re-valued when
-    /// the query changes.
-    max_weights: HashMap<PageId, f64>,
+    /// Resident pages per term: page number → (`w*_{d,t}`, the value
+    /// the page is queued at). A term's entry goes when its last page
+    /// does.
+    resident: HashMap<TermId, HashMap<u32, (f64, f64)>>,
+    /// Resident terms holding a page valued from an admission hint
+    /// rather than from `query_weights`; the next announcement
+    /// re-values them whether or not their weight moved.
+    hinted: HashSet<TermId>,
 }
 
 impl Rap {
@@ -57,58 +76,55 @@ impl Rap {
         Rap::default()
     }
 
-    fn value_of(&self, id: PageId, max_weight: f64) -> f64 {
-        let wq = self.query_weights.get(&id.term).copied().unwrap_or(0.0);
-        max_weight * wq
-    }
-
-    fn key_of(&self, id: PageId, max_weight: f64) -> RapKey {
-        (
-            OrdF64(self.value_of(id, max_weight)),
-            Reverse(id.page.0),
-            id.term.0,
-        )
-    }
-
-    fn key_for_value(&self, id: PageId, value: f64) -> RapKey {
-        (OrdF64(value), Reverse(id.page.0), id.term.0)
-    }
-
-    /// Tracks `id` at an explicit replacement value instead of the one
-    /// derived from the announced query — the hinted-admission path for
-    /// pages whose query context arrived with the read plan rather than
-    /// through [`begin_query`](ReplacementPolicy::begin_query). A later
-    /// `begin_query` re-keys the page from `max_weight` as usual, so
-    /// the hint only stands in until the query is announced.
+    /// Tracks `id` at `value`, replacing any entry it already has.
     fn insert_valued(&mut self, id: PageId, max_weight: f64, value: f64) {
-        let key = self.key_for_value(id, value);
-        if let Some(old) = self.keys.insert(id, key) {
-            if old != key {
-                self.by_value.remove(&old);
-            }
-        }
-        self.by_value.insert(key, id);
-        self.max_weights.insert(id, max_weight);
-    }
-
-    fn insert_keyed(&mut self, id: PageId, max_weight: f64) {
-        let key = self.key_of(id, max_weight);
+        let pages = self.resident.entry(id.term).or_default();
         // A re-insert must drop the page's previous queue entry, or the
         // stale key lingers in `by_value` and can later be handed out
         // as a victim for a page the queue no longer tracks.
-        if let Some(old) = self.keys.insert(id, key) {
-            if old != key {
-                self.by_value.remove(&old);
-            }
+        if let Some((_, old)) = pages.insert(id.page.0, (max_weight, value)) {
+            self.by_value.remove(&key(id, old));
         }
-        self.by_value.insert(key, id);
-        self.max_weights.insert(id, max_weight);
+        self.by_value.insert(key(id, value), id);
+    }
+
+    /// [`begin_query`](ReplacementPolicy::begin_query), returning how
+    /// many pages it re-keyed: the resident pages of terms whose weight
+    /// bits moved (`-0.0` and NaN payloads count) or that are `hinted`.
+    fn announce(&mut self, weights: &HashMap<TermId, f64>) -> usize {
+        let old = &self.query_weights;
+        let mut changed: Vec<TermId> = self.hinted.drain().collect();
+        changed.extend(
+            weights
+                .keys()
+                .chain(old.keys())
+                .copied()
+                .filter(|&t| weight_of(weights, t).to_bits() != weight_of(old, t).to_bits()),
+        );
+        changed.sort_unstable();
+        changed.dedup();
+        let mut rekeyed = 0;
+        for term in changed {
+            let Some(pages) = self.resident.get_mut(&term) else {
+                continue;
+            };
+            let wq = weight_of(weights, term);
+            for (&page, (max_weight, value)) in pages.iter_mut() {
+                let id = PageId::new(term, page);
+                self.by_value.remove(&key(id, *value));
+                *value = *max_weight * wq;
+                self.by_value.insert(key(id, *value), id);
+            }
+            rekeyed += pages.len();
+        }
+        self.query_weights.clone_from(weights);
+        rekeyed
     }
 
     /// Current replacement value of a resident page (for tests and
     /// instrumentation).
     pub fn current_value(&self, id: PageId) -> Option<f64> {
-        self.keys.get(&id).map(|k| k.0 .0)
+        Some(self.resident.get(&id.term)?.get(&id.page.0)?.1)
     }
 }
 
@@ -118,7 +134,7 @@ impl ReplacementPolicy for Rap {
     }
 
     fn on_insert(&mut self, page: &Page) {
-        self.insert_keyed(page.id(), page.max_weight());
+        self.on_insert_hinted(page, None);
     }
 
     fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) -> Option<f64> {
@@ -128,13 +144,14 @@ impl ReplacementPolicy for Rap {
         // `w_{q,t}` the announcement carries, so using the announced
         // weight keeps hinted and unhinted admission identical. The
         // hint only fills in when the term is absent from the current
-        // query context (e.g. the query was never announced).
-        let value = if self.query_weights.contains_key(&id.term) {
-            self.value_of(id, max_weight)
-        } else if let Some(hint) = value_hint {
-            max_weight * hint
-        } else {
-            self.value_of(id, max_weight)
+        // query context (e.g. the query was never announced), and only
+        // stands in until the next announcement re-values the term.
+        let value = match (self.query_weights.get(&id.term), value_hint) {
+            (None, Some(hint)) => {
+                self.hinted.insert(id.term);
+                max_weight * hint
+            }
+            (wq, _) => max_weight * wq.copied().unwrap_or(0.0),
         };
         self.insert_valued(id, max_weight, value);
         Some(value)
@@ -147,36 +164,34 @@ impl ReplacementPolicy for Rap {
 
     fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
         let victim = self.by_value.values().copied().find(|id| !exclude(*id))?;
-        let key = self.keys.remove(&victim).expect("resident page has a key");
-        self.by_value.remove(&key);
-        self.max_weights.remove(&victim);
+        self.remove(victim);
         Some(victim)
     }
 
     fn remove(&mut self, id: PageId) {
-        if let Some(key) = self.keys.remove(&id) {
-            self.by_value.remove(&key);
-            self.max_weights.remove(&id);
+        let Some(pages) = self.resident.get_mut(&id.term) else {
+            return;
+        };
+        if let Some((_, value)) = pages.remove(&id.page.0) {
+            self.by_value.remove(&key(id, value));
+        }
+        // The index and the marks track resident terms, not every term
+        // ever seen.
+        if pages.is_empty() {
+            self.resident.remove(&id.term);
+            self.hinted.remove(&id.term);
         }
     }
 
     fn clear(&mut self) {
         self.query_weights.clear();
         self.by_value.clear();
-        self.keys.clear();
-        self.max_weights.clear();
+        self.resident.clear();
+        self.hinted.clear();
     }
 
     fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        self.query_weights = weights.clone();
-        // Reorganize: re-key every resident page under the new weights.
-        let resident: Vec<(PageId, f64)> =
-            self.max_weights.iter().map(|(id, w)| (*id, *w)).collect();
-        self.by_value.clear();
-        self.keys.clear();
-        for (id, w) in resident {
-            self.insert_keyed(id, w);
-        }
+        self.announce(weights);
     }
 
     fn uses_query_context(&self) -> bool {
@@ -186,11 +201,325 @@ impl ReplacementPolicy for Rap {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::page;
+    use super::super::testutil::{drain, page};
     use super::*;
+    use crate::buffer::BufferManager;
+    use crate::disk::DiskSim;
+    use crate::observe::{BufferEvent, BufferObserver};
+    use crate::policy::PolicyKind;
+    use proptest::{proptest, ProptestConfig, TestRng};
+    use std::sync::{Arc, Mutex};
 
     fn weights(pairs: &[(u32, f64)]) -> HashMap<TermId, f64> {
         pairs.iter().map(|&(t, w)| (TermId(t), w)).collect()
+    }
+
+    /// The reference the incremental re-key is held to: the same value
+    /// rule over one flat page map, re-keying **every** resident page
+    /// on every announcement.
+    #[derive(Debug, Default)]
+    struct FullRekeyRap {
+        query_weights: HashMap<TermId, f64>,
+        by_value: BTreeMap<RapKey, PageId>,
+        /// Resident page → (`w*`, queued value).
+        pages: HashMap<PageId, (f64, f64)>,
+    }
+
+    impl FullRekeyRap {
+        fn current_value(&self, id: PageId) -> Option<f64> {
+            self.pages.get(&id).map(|e| e.1)
+        }
+    }
+
+    impl ReplacementPolicy for FullRekeyRap {
+        fn name(&self) -> &'static str {
+            "RAP"
+        }
+        fn on_insert(&mut self, page: &Page) {
+            self.on_insert_hinted(page, None);
+        }
+        fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) -> Option<f64> {
+            let (id, w) = (page.id(), page.max_weight());
+            let value = match (self.query_weights.get(&id.term), value_hint) {
+                (None, Some(hint)) => w * hint,
+                (wq, _) => w * wq.copied().unwrap_or(0.0),
+            };
+            if let Some((_, old)) = self.pages.insert(id, (w, value)) {
+                self.by_value.remove(&key(id, old));
+            }
+            self.by_value.insert(key(id, value), id);
+            Some(value)
+        }
+        fn on_hit(&mut self, _page: &Page) {}
+        fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+            let victim = self.by_value.values().copied().find(|id| !exclude(*id))?;
+            self.remove(victim);
+            Some(victim)
+        }
+        fn remove(&mut self, id: PageId) {
+            if let Some((_, value)) = self.pages.remove(&id) {
+                self.by_value.remove(&key(id, value));
+            }
+        }
+        fn clear(&mut self) {
+            *self = FullRekeyRap::default();
+        }
+        fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
+            self.query_weights = weights.clone();
+            let rekey = |(&id, (w, value)): (&PageId, &mut (f64, f64))| {
+                *value = *w * weight_of(weights, id.term);
+                (key(id, *value), id)
+            };
+            self.by_value = self.pages.iter_mut().map(rekey).collect();
+        }
+        fn uses_query_context(&self) -> bool {
+            true
+        }
+    }
+
+    /// The structural half of the work bound: the queue and the index
+    /// track the same pages, no term entry outlives its last page, and
+    /// only resident terms carry the hinted mark.
+    fn assert_index_is_tight(p: &Rap) {
+        let indexed: usize = p.resident.values().map(HashMap::len).sum();
+        assert_eq!(p.by_value.len(), indexed, "queue and index disagree");
+        assert!(p.resident.values().all(|pages| !pages.is_empty()));
+        assert!(p.hinted.iter().all(|t| p.resident.contains_key(t)));
+    }
+
+    const TERMS: u32 = 6;
+    const PAGES: u32 = 5;
+    /// Query weights, hints and idfs: signed zeros, and thirds so that
+    /// distinct `w*` and `w_q` pairs round to equal products.
+    const ALPHABET: [f64; 8] = [0.0, -0.0, 0.5, 1.0, 2.0, 1.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0];
+
+    /// Drives [`Rap`] and [`FullRekeyRap`] with one random operation
+    /// stream and asserts they are indistinguishable after every step.
+    fn run_differential(seed: u64, len: usize) {
+        let mut rng = TestRng::from_name(&seed.to_string());
+        let mut pick = move |n: u32| rng.below(u64::from(n)) as u32;
+        let (mut rap, mut oracle) = (Rap::new(), FullRekeyRap::default());
+        for step in 0..len {
+            let ctx = format!("seed {seed}, step {step}");
+            match pick(12) {
+                0..=1 => {
+                    let w: HashMap<TermId, f64> = (0..pick(9))
+                        .map(|_| (TermId(pick(TERMS)), ALPHABET[pick(8) as usize]))
+                        .collect();
+                    rap.begin_query(&w);
+                    oracle.begin_query(&w);
+                }
+                // Inserts, including re-inserts of a resident page with
+                // a changed `w*`, hinted or not, announced term or not.
+                2..=6 => {
+                    let pg = page(
+                        pick(TERMS),
+                        pick(PAGES),
+                        pick(4),
+                        ALPHABET[pick(8) as usize],
+                    );
+                    let hint = match pick(3) {
+                        0 => None,
+                        _ => Some(ALPHABET[pick(8) as usize]),
+                    };
+                    let (a, b) = if pick(4) == 0 {
+                        rap.on_insert(&pg);
+                        oracle.on_insert(&pg);
+                        (None, None)
+                    } else {
+                        (
+                            rap.on_insert_hinted(&pg, hint),
+                            oracle.on_insert_hinted(&pg, hint),
+                        )
+                    };
+                    assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{ctx}: value");
+                }
+                7..=8 => {
+                    let pinned = pick(3);
+                    let exclude = |id: PageId| (id.term.0 + id.page.0) % 3 == pinned;
+                    let (a, b) = (rap.choose_victim(&exclude), oracle.choose_victim(&exclude));
+                    assert_eq!(a, b, "{ctx}: victim");
+                }
+                9..=10 => {
+                    let id = PageId::new(TermId(pick(TERMS)), pick(PAGES));
+                    rap.remove(id);
+                    oracle.remove(id);
+                }
+                _ => {
+                    if pick(8) == 0 {
+                        rap.clear();
+                        oracle.clear();
+                    }
+                }
+            }
+            assert_index_is_tight(&rap);
+            for t in 0..TERMS {
+                for p in 0..PAGES {
+                    let id = PageId::new(TermId(t), p);
+                    assert_eq!(
+                        rap.current_value(id).map(f64::to_bits),
+                        oracle.current_value(id).map(f64::to_bits),
+                        "{ctx}: value of {id:?}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            drain(&mut rap),
+            drain(&mut oracle),
+            "seed {seed}: drain order"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Re-keying only what the announcement changed is
+        /// indistinguishable from re-keying the pool. Fails without the
+        /// hinted mark, and with an `==` weight diff (`-0.0`).
+        #[test]
+        fn incremental_rekey_matches_the_full_rekey(
+            seed in proptest::any::<u64>(),
+            len in 1usize..400,
+        ) {
+            run_differential(seed, len);
+        }
+    }
+
+    /// A pool of `terms × pages_per_term` one-posting pages whose `w*`
+    /// falls from head to tail.
+    fn store(terms: u32, pages_per_term: u32) -> DiskSim {
+        DiskSim::new(
+            (0..terms)
+                .map(|t| {
+                    (0..pages_per_term)
+                        .map(|p| page(t, p, pages_per_term - p, 1.0 + f64::from(t % 5)))
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+
+    #[derive(Clone, Debug, Default)]
+    struct Evictions(Arc<Mutex<Vec<PageId>>>);
+
+    impl BufferObserver for Evictions {
+        fn event(&mut self, event: BufferEvent) {
+            if let BufferEvent::Evict(id) = event {
+                self.0.lock().unwrap().push(id);
+            }
+        }
+    }
+
+    #[test]
+    fn refinement_over_a_full_pool_evicts_as_the_full_rekey_does() {
+        let query = |terms: std::ops::Range<u32>| -> HashMap<TermId, f64> {
+            terms.map(|t| (TermId(t), 0.5 + f64::from(t % 7))).collect()
+        };
+        let run = |policy: Box<dyn ReplacementPolicy>| {
+            let mut bm =
+                BufferManager::with_policy(store(40, 32), 1024, policy, PolicyKind::Rap).unwrap();
+            let log = Evictions::default();
+            bm.set_observer(Box::new(log.clone()));
+            // Fill all 1 024 frames: 16 query terms, 16 left over from
+            // earlier queries.
+            bm.begin_query(&query(16..32));
+            for t in 0..32 {
+                for p in 0..32 {
+                    bm.fetch(PageId::new(TermId(t), p)).unwrap();
+                }
+            }
+            assert_eq!((bm.len(), log.0.lock().unwrap().len()), (1024, 0));
+            // Refinement step: terms 16..19 out, 32..35 in.
+            bm.begin_query(&query(19..35));
+            for t in 32..35 {
+                for p in 0..32 {
+                    bm.fetch(PageId::new(TermId(t), p)).unwrap();
+                }
+            }
+            let evicted = log.0.lock().unwrap().clone();
+            (evicted, bm.resident_ids())
+        };
+        let (evicted, resident) = run(Box::new(Rap::new()));
+        assert_eq!(evicted.len(), 96);
+        assert_eq!((evicted, resident), run(Box::new(FullRekeyRap::default())));
+    }
+
+    /// 4 terms × 3 pages, `w*` = 3, 2, 1 from head to tail.
+    fn loaded() -> Rap {
+        let mut p = Rap::new();
+        for t in 0..4 {
+            for pg in 0..3 {
+                p.on_insert(&page(t, pg, 3 - pg, 1.0));
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn announcing_the_same_weights_rekeys_nothing() {
+        let mut p = loaded();
+        let q = weights(&[(0, 1.0), (1, 2.0), (9, 4.0)]);
+        assert_eq!(p.announce(&q), 6, "terms 0 and 1; term 9 has no pages");
+        assert_eq!(p.announce(&q), 0);
+        // An explicit +0.0 is the weight an absent term already has …
+        assert_eq!(p.announce(&weights(&[(0, 1.0), (1, 2.0), (2, 0.0)])), 0);
+        // … and -0.0 is not.
+        assert_eq!(p.announce(&weights(&[(0, 1.0), (1, 2.0), (2, -0.0)])), 3);
+    }
+
+    #[test]
+    fn adding_a_term_rekeys_only_its_pages() {
+        let mut p = loaded();
+        p.announce(&weights(&[(0, 1.0), (1, 2.0)]));
+        assert_eq!(p.announce(&weights(&[(0, 1.0), (1, 2.0), (3, 5.0)])), 3);
+        assert_eq!(p.current_value(PageId::new(TermId(3), 0)), Some(15.0));
+        assert_eq!(p.current_value(PageId::new(TermId(1), 0)), Some(6.0));
+    }
+
+    #[test]
+    fn dropping_a_term_rekeys_only_its_pages_and_they_go_first() {
+        let mut p = loaded();
+        p.announce(&weights(&[(0, 1.0), (1, 2.0), (2, 1.0), (3, 1.0)]));
+        assert_eq!(p.announce(&weights(&[(0, 1.0), (2, 1.0), (3, 1.0)])), 3);
+        let first: Vec<PageId> = (0..3).filter_map(|_| p.choose_victim(&|_| false)).collect();
+        let tail_first: Vec<PageId> = (0..3).rev().map(|pg| PageId::new(TermId(1), pg)).collect();
+        assert_eq!(first, tail_first);
+    }
+
+    #[test]
+    fn reweighting_a_term_keeps_its_pages_in_order() {
+        let mut p = loaded();
+        p.announce(&weights(&[(2, 0.5)]));
+        assert_eq!(p.announce(&weights(&[(2, 4.0)])), 3);
+        for pg in 0..3 {
+            let id = PageId::new(TermId(2), pg);
+            assert_eq!(p.current_value(id), Some(f64::from(3 - pg) * 4.0));
+        }
+        let order = drain(&mut p);
+        let of_term_2: Vec<u32> = order
+            .iter()
+            .filter(|id| id.term == TermId(2))
+            .map(|id| id.page.0)
+            .collect();
+        assert_eq!(
+            of_term_2,
+            [2, 1, 0],
+            "tail before head, as before the change"
+        );
+        assert_eq!(order.len(), 12);
+    }
+
+    #[test]
+    fn a_hinted_term_is_revalued_even_when_its_weight_did_not_move() {
+        let mut p = Rap::new();
+        p.announce(&weights(&[(0, 1.0)]));
+        let foreign = page(1, 0, 5, 1.0); // another session's page
+        assert_eq!(p.on_insert_hinted(&foreign, Some(2.0)), Some(10.0));
+        // Term 1 is absent before and after: only the mark re-keys it.
+        assert_eq!(p.announce(&weights(&[(0, 1.0)])), 1);
+        assert_eq!(p.current_value(foreign.id()), Some(0.0));
+        assert_eq!(p.announce(&weights(&[(0, 1.0)])), 0, "the mark is spent");
     }
 
     #[test]
@@ -344,9 +673,22 @@ mod tests {
         p.on_insert(&a);
         p.remove(a.id());
         assert_eq!(p.choose_victim(&|_| false), None);
-        p.on_insert(&a);
+        p.on_insert_hinted(&a, Some(1.0));
+        assert!(p.hinted.contains(&TermId(0)));
         p.clear();
         assert_eq!(p.choose_victim(&|_| false), None);
-        assert!(p.query_weights.is_empty());
+        assert!(p.query_weights.is_empty() && p.resident.is_empty() && p.hinted.is_empty());
+    }
+
+    #[test]
+    fn a_term_leaves_the_index_with_its_last_page() {
+        let mut p = Rap::new();
+        let (a, b) = (page(0, 0, 5, 1.0), page(0, 1, 2, 1.0));
+        p.on_insert_hinted(&a, Some(1.0));
+        p.on_insert(&b);
+        p.remove(a.id());
+        assert!(p.resident.contains_key(&TermId(0)) && p.hinted.contains(&TermId(0)));
+        assert_eq!(p.choose_victim(&|_| false), Some(b.id()));
+        assert!(p.resident.is_empty() && p.hinted.is_empty());
     }
 }

@@ -661,8 +661,9 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
     }
 
     /// Announces the query's term weights to **every** shard, so each
-    /// shard's policy re-values its own residents — the striped
-    /// equivalent of the paper's global RAP re-valuation. For policies
+    /// shard's policy re-values its own residents of the terms whose
+    /// weight changed — the striped equivalent of the paper's global RAP
+    /// re-valuation, holding each shard's lock only for that. For policies
     /// that ignore query context (everything but RAP) the announcement
     /// is a no-op per shard, so it is skipped without taking a single
     /// lock.
