@@ -30,8 +30,7 @@ const USAGE: &str = "usage: bench report [--scale SIGMA] [--out FILE]
        bench chaos [--seed N] [--scale SIGMA]
        bench throughput [--scale SIGMA] [--sessions N,N,..] [--shards P] [--repeats R] [--out FILE] [--gate-scaling]
        bench storage [--scale SIGMA] [--depths N,N,..] [--seek-us N] [--transfer-us N] [--out FILE]
-       bench adaptive [--scale SIGMA] [--out FILE]
-       bench codec [--scale SIGMA] [--repeats R] [--out FILE]";
+       bench adaptive [--scale SIGMA] [--out FILE]";
 
 /// Writes a schema-versioned JSON artifact to `out`. The checked-in
 /// copies live under `results/`; pass `--out results/<name>` to
@@ -99,18 +98,6 @@ fn run_report(args: &[String]) -> Result<(), String> {
         report.adaptive.switches,
         report.adaptive.shadow_hits.len()
     );
-    for row in &report.codec.rows {
-        println!(
-            "codec {}: {:.4} B/entry over {} postings, decode {:.5} µs/entry \
-             ({} entries in {} µs)",
-            row.codec,
-            row.bytes_per_entry(),
-            row.n_postings,
-            row.decode_us_per_entry(),
-            row.decoded_entries,
-            row.decode_ns / 1_000
-        );
-    }
     std::fs::write(&out, to_json(&report) + "\n").map_err(|e| format!("writing {out}: {e}"))?;
     println!("report written to {out}");
     Ok(())
@@ -375,67 +362,6 @@ fn run_adaptive(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_codec(args: &[String]) -> Result<(), String> {
-    // The checked-in artifact is the full-scale sweep (ISSUE 10), so
-    // full scale is the default — CI regenerates and diffs it.
-    let mut scale = 1.0;
-    let mut repeats = 5usize;
-    let mut out = "BENCH_codec.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|v| *v > 0.0 && *v <= 1.0)
-                    .ok_or("--scale needs a number in (0, 1]")?;
-            }
-            "--repeats" => {
-                i += 1;
-                repeats = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|v| *v > 0)
-                    .ok_or("--repeats needs a positive integer")?;
-            }
-            "--out" => {
-                i += 1;
-                out = args.get(i).ok_or("--out needs a file path")?.clone();
-            }
-            other => return Err(format!("unknown codec flag {other:?}")),
-        }
-        i += 1;
-    }
-    let (text, report, timings) = ir_bench::codec::run(scale, repeats)?;
-    // Same contract as `throughput`/`storage`: only deterministic
-    // numbers on stdout (CI diffs two runs and the JSON artifact);
-    // decode wall time is machine-dependent and goes to stderr.
-    print!("{text}");
-    write_json(&out, &ir_bench::codec::to_json(&report))?;
-    for t in &timings {
-        eprintln!(
-            "decode {}: {:.5} µs/entry (best of {repeats}, {} entries/pass)",
-            t.codec, t.best_us_per_entry, t.entries
-        );
-    }
-    match ir_bench::codec::gate(&report, &timings) {
-        Ok(summary) => eprint!("codec gate passed:\n{summary}"),
-        Err(problems) => {
-            for p in &problems {
-                eprintln!("codec gate: {p}");
-            }
-            return Err(format!(
-                "{} codec violation(s): bulk v-byte must decode no slower than \
-                 golden and Re-Pair must compress strictly below it (ISSUE 10)",
-                problems.len()
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -445,7 +371,6 @@ fn main() -> ExitCode {
         Some("throughput") => run_throughput(&args[1..]),
         Some("storage") => run_storage(&args[1..]),
         Some("adaptive") => run_adaptive(&args[1..]),
-        Some("codec") => run_codec(&args[1..]),
         Some("--help") | Some("-h") => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

@@ -35,8 +35,6 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<OrderingSummary> {
     let doc_index = index_corpus_opts(
         &ctx.bed.corpus,
         IndexCorpusOptions {
-            measure_compression: false,
-            keep_forward: false,
             ordering: ListOrdering::DocIdSorted,
             ..IndexCorpusOptions::default()
         },

@@ -93,18 +93,6 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<usize> {
             c.n_postings
         );
     }
-    // Pluggable-codec census: the same lists under every codec
-    // (Re-Pair freshly trained, its grammar bytes included), one row
-    // per codec below the golden row above.
-    for (codec, s) in index.codec_census()?.iter() {
-        println!(
-            "  codec {:<10} {:.4} bytes/entry ({} bytes over {} postings)",
-            codec.name(),
-            s.bytes_per_entry(),
-            s.compressed_bytes,
-            s.n_postings
-        );
-    }
     let compact = ir_index::CompactConversionTable::from_index(
         index,
         ir_index::CompactConversionTable::PAPER_CAP,

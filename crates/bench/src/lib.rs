@@ -18,7 +18,6 @@
 
 pub mod adaptive;
 pub mod chaos;
-pub mod codec;
 pub mod exp;
 pub mod output;
 pub mod report;

@@ -168,53 +168,6 @@ pub struct AdaptiveSummary {
     pub shadow_hits: Vec<(String, u64)>,
 }
 
-/// One codec's row of the report's codec census: deterministic census
-/// bytes plus the decode meters (`index.decode_ns.<codec>` /
-/// `index.decoded_entries.<codec>`) from one instrumented decode pass
-/// over the whole collection. Informational (not compared — decode
-/// nanoseconds are machine-dependent, and a baseline written before
-/// codecs existed reads back as empty).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct CodecRow {
-    /// Codec name ("golden", "bulk-vbyte", "re-pair").
-    pub codec: String,
-    /// Postings measured by the census.
-    pub n_postings: u64,
-    /// Census bytes for the whole collection, dictionary included.
-    pub compressed_bytes: u64,
-    /// Entries decoded by the instrumented pass.
-    pub decoded_entries: u64,
-    /// Total decode nanoseconds of the instrumented pass.
-    pub decode_ns: u64,
-}
-
-impl CodecRow {
-    /// Census bytes per posting.
-    pub fn bytes_per_entry(&self) -> f64 {
-        if self.n_postings == 0 {
-            0.0
-        } else {
-            self.compressed_bytes as f64 / self.n_postings as f64
-        }
-    }
-
-    /// Decode microseconds per entry of the instrumented pass.
-    pub fn decode_us_per_entry(&self) -> f64 {
-        if self.decoded_entries == 0 {
-            0.0
-        } else {
-            self.decode_ns as f64 / 1_000.0 / self.decoded_entries as f64
-        }
-    }
-}
-
-/// The per-codec census + decode sample (informational; not compared).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct CodecSummary {
-    /// One row per codec, in [`ir_index::Codec::ALL`] order.
-    pub rows: Vec<CodecRow>,
-}
-
 /// The whole report.
 #[derive(Clone, Debug, Serialize)]
 pub struct BenchReport {
@@ -239,9 +192,6 @@ pub struct BenchReport {
     /// Expert-mixture adaptive-policy sample (informational; not
     /// compared).
     pub adaptive: AdaptiveSummary,
-    /// Per-codec census and decode sample (informational; not
-    /// compared).
-    pub codec: CodecSummary,
     /// Global `ir-observe` counter values at the end of the run
     /// (informational; not compared).
     pub counters: Vec<(String, u64)>,
@@ -276,10 +226,6 @@ impl serde::Deserialize for BenchReport {
             )?,
             adaptive: v.field("adaptive").map_or_else(
                 || Ok(AdaptiveSummary::default()),
-                serde::Deserialize::from_value,
-            )?,
-            codec: v.field("codec").map_or_else(
-                || Ok(CodecSummary::default()),
                 serde::Deserialize::from_value,
             )?,
             counters: req(v, "counters")?,
@@ -480,30 +426,6 @@ pub fn collect(scale: f64) -> ExpResult<BenchReport> {
         }
     };
 
-    // Per-codec census (deterministic bytes) plus one instrumented
-    // decode pass per codec, read back from the `ir-observe` decode
-    // meters. Informational: decode wall time is machine-dependent.
-    let codec = {
-        let census = bed.index.codec_census()?;
-        let timings = crate::codec::decode_pass(&bed.index, 1)?;
-        CodecSummary {
-            rows: ir_index::Codec::ALL
-                .iter()
-                .zip(&timings)
-                .map(|(&c, t)| {
-                    let s = census.get(c);
-                    CodecRow {
-                        codec: c.name().to_string(),
-                        n_postings: s.n_postings,
-                        compressed_bytes: s.compressed_bytes,
-                        decoded_entries: t.entries,
-                        decode_ns: t.best_ns,
-                    }
-                })
-                .collect(),
-        }
-    };
-
     Ok(BenchReport {
         schema_version: SCHEMA_VERSION,
         scale,
@@ -514,7 +436,6 @@ pub fn collect(scale: f64) -> ExpResult<BenchReport> {
         batching,
         server,
         adaptive,
-        codec,
         counters: ir_observe::global().snapshot().counters,
     })
 }
@@ -665,24 +586,6 @@ mod tests {
                 switches: 2,
                 shadow_hits: vec![("LRU".into(), 11), ("RAP".into(), 17)],
             },
-            codec: CodecSummary {
-                rows: vec![
-                    CodecRow {
-                        codec: "golden".into(),
-                        n_postings: 1000,
-                        compressed_bytes: 1100,
-                        decoded_entries: 1000,
-                        decode_ns: 9_000,
-                    },
-                    CodecRow {
-                        codec: "re-pair".into(),
-                        n_postings: 1000,
-                        compressed_bytes: 800,
-                        decoded_entries: 1000,
-                        decode_ns: 21_000,
-                    },
-                ],
-            },
             counters: vec![("index.pages_decoded".into(), 7)],
         }
     }
@@ -758,7 +661,6 @@ mod tests {
         assert_eq!(back.server.queries, 24);
         assert_eq!(back.server.wall_us, 42_000);
         assert_eq!(back.adaptive, r.adaptive);
-        assert_eq!(back.codec, r.codec);
         assert_eq!(back.counters, r.counters);
     }
 
@@ -817,35 +719,6 @@ mod tests {
             compare(&old, &r, 0.15).is_empty(),
             "adaptive sample is informational"
         );
-    }
-
-    #[test]
-    fn pre_codec_baselines_read_back_as_zeros() {
-        // Same back-compat contract for the codec census: a baseline
-        // without a "codec" field loads empty and still passes the
-        // gate.
-        let r = report();
-        let mut v = serde::Serialize::to_value(&r);
-        match &mut v {
-            serde::Value::Obj(fields) => fields.retain(|(k, _)| k != "codec"),
-            other => panic!("report serialized as non-object: {other:?}"),
-        }
-        let old = <BenchReport as serde::Deserialize>::from_value(&v).unwrap();
-        assert_eq!(old.codec, CodecSummary::default());
-        assert!(
-            compare(&old, &r, 0.15).is_empty(),
-            "codec census is informational"
-        );
-    }
-
-    #[test]
-    fn codec_rows_derive_per_entry_figures() {
-        let r = report();
-        let golden = &r.codec.rows[0];
-        assert!((golden.bytes_per_entry() - 1.1).abs() < 1e-12);
-        assert!((golden.decode_us_per_entry() - 0.009).abs() < 1e-12);
-        assert_eq!(CodecRow::default().bytes_per_entry(), 0.0);
-        assert_eq!(CodecRow::default().decode_us_per_entry(), 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Bridging a synthetic [`Corpus`] into an [`InvertedIndex`].
 
 use ir_corpus::{term_name, Corpus, TopicQuery};
-use ir_index::{BuildOptions, Codec, IndexBuilder, InvertedIndex};
+use ir_index::{BuildOptions, IndexBuilder, InvertedIndex};
 use ir_types::{IndexParams, IrResult, ListOrdering, TermId};
 
 /// Options for [`index_corpus_opts`].
@@ -14,12 +14,6 @@ pub struct IndexCorpusOptions {
     /// Inverted-list ordering (the paper's frequency ordering by
     /// default; doc-id ordering for the footnote-14 ablation).
     pub ordering: ListOrdering,
-    /// The list codec the index persists with (golden by default).
-    pub codec: Codec,
-    /// Overrides the corpus-configured page capacity — the codec
-    /// geometry ablation rebuilds the same corpus at each codec's
-    /// derived entries-per-page. `None` keeps `corpus.config.page_size`.
-    pub page_size: Option<usize>,
 }
 
 /// Indexes a generated corpus.
@@ -46,7 +40,6 @@ pub fn index_corpus_with(
             measure_compression,
             keep_forward,
             ordering: ListOrdering::FrequencySorted,
-            ..IndexCorpusOptions::default()
         },
     )
 }
@@ -74,14 +67,13 @@ pub fn index_corpus_opts(corpus: &Corpus, options: IndexCorpusOptions) -> IrResu
             .map(|&(rank, f)| (ids[rank as usize].expect("occurring rank interned"), f));
         builder.add_document_counts(counts)?;
     }
-    let page_size = options.page_size.unwrap_or(corpus.config.page_size);
     builder.build(BuildOptions {
-        params: IndexParams::with_page_size(page_size).with_ordering(options.ordering),
+        params: IndexParams::with_page_size(corpus.config.page_size)
+            .with_ordering(options.ordering),
         derive_stop_words: 0,
         measure_compression: options.measure_compression,
         parallel: true,
         keep_forward: options.keep_forward,
-        codec: options.codec,
     })
 }
 

@@ -201,66 +201,6 @@ fn file_backend_is_event_identical_to_disksim_for_every_policy() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Back-compat: a version-1 `BFPG` file (written before the codec
-/// header existed) opens as the golden codec and serves every query
-/// event-identically to the simulator.
-#[test]
-fn v1_page_files_open_as_golden_and_serve_identically() {
-    use ir_storage::{backend::TermPages, write_page_file_v1, Codec};
-    let idx = index();
-    let steps = workload(&idx, &NAMES);
-
-    // Extract the pages exactly as `save_page_file` does, but write
-    // them through the legacy v1 writer (no version-2 codec header).
-    let mut terms = Vec::with_capacity(idx.lexicon().len());
-    for (term, e) in idx.lexicon().iter() {
-        let mut pages = Vec::with_capacity(e.n_pages as usize);
-        for p in 0..e.n_pages {
-            pages.push(
-                idx.disk()
-                    .read_page(ir_types::PageId::new(term, p))
-                    .unwrap(),
-            );
-        }
-        terms.push(TermPages { idf: e.idf, pages });
-    }
-    let dir = std::env::temp_dir().join("buffir-storage-backend-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("v1-compat-{}.bfpg", std::process::id()));
-    write_page_file_v1(&terms, &path).unwrap();
-
-    for algorithm in [Algorithm::Baf, Algorithm::Df] {
-        idx.disk().reset_stats();
-        let reference = run(
-            &idx,
-            Arc::clone(idx.disk()),
-            FRAMES,
-            PolicyKind::Rap,
-            FetchPolicy::NO_RETRY,
-            algorithm,
-            &steps,
-        );
-        let sim_stats = idx.disk().stats();
-        idx.disk().reset_stats();
-
-        let store = Arc::new(FilePageStore::open(&path, FileMode::Buffered).unwrap());
-        assert_eq!(store.version(), 1, "legacy header must be preserved");
-        assert_eq!(store.codec(), Codec::Golden, "v1 implies the golden codec");
-        let trace = run(
-            &idx,
-            Arc::clone(&store),
-            FRAMES,
-            PolicyKind::Rap,
-            FetchPolicy::NO_RETRY,
-            algorithm,
-            &steps,
-        );
-        assert_eq!(trace, reference, "{algorithm:?}/v1 file");
-        assert_eq!(store.stats(), sim_stats, "{algorithm:?}/v1 file");
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
 /// The same seeded fault schedule above either backend injects the
 /// same faults at the same draws, so the recovered runs stay
 /// event-identical too.

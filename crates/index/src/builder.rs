@@ -13,14 +13,12 @@
 //! [`BuildOptions::derive_stop_words`]: stopped terms keep their lexicon
 //! slot but lose their inverted list and contribute nothing to `W_d`.
 
-use crate::compress::{
-    self, BulkVByteCodec, Codec, CompressionStats, GoldenCodec, ListCodec, RePairCodec,
-};
 use crate::conversion::ConversionTable;
 use crate::docstats::DocStats;
 use crate::forward::ForwardIndex;
 use crate::index::InvertedIndex;
 use crate::lexicon::Lexicon;
+use ir_storage::codec::{self, CompressionStats};
 use ir_storage::{DiskSim, Page};
 use ir_types::{
     doc_order, frequency_order, DocId, IndexParams, IrError, IrResult, ListOrdering, PageId,
@@ -46,11 +44,6 @@ pub struct BuildOptions {
     /// Retain a document → term-vector forward index (needed for
     /// relevance feedback; costs about as much memory as the postings).
     pub keep_forward: bool,
-    /// The list codec the index persists its postings with
-    /// ([`Codec::Golden`] unless overridden). [`Codec::RePair`] adds a
-    /// grammar-training pass over the sorted lists at the end of the
-    /// build; the in-memory pages are decoded postings regardless.
-    pub codec: Codec,
 }
 
 impl Default for BuildOptions {
@@ -61,7 +54,6 @@ impl Default for BuildOptions {
             measure_compression: false,
             parallel: true,
             keep_forward: false,
-            codec: Codec::Golden,
         }
     }
 }
@@ -273,13 +265,13 @@ impl IndexBuilder {
                 }
                 if measure_compression {
                     match ordering {
-                        ListOrdering::FrequencySorted => compression.add(compress::measure(list)),
+                        ListOrdering::FrequencySorted => compression.add(codec::measure(list)),
                         ListOrdering::DocIdSorted => {
-                            // The codec requires frequency order; measure
+                            // The encoder requires frequency order; measure
                             // on a sorted copy (sizes are what matter).
                             let mut copy = list.clone();
                             copy.sort_unstable_by(frequency_order);
-                            compression.add(compress::measure(&copy));
+                            compression.add(codec::measure(&copy));
                         }
                     }
                 }
@@ -369,38 +361,12 @@ impl IndexBuilder {
             ordering,
         );
 
-        // 6. The persistence codec. Re-Pair trains its grammar on the
-        // sorted lists (frequency-sorted copies when the index keeps
-        // doc order, since the golden byte stream the grammar models
-        // requires frequency order).
-        let codec: Arc<dyn ListCodec> = match options.codec {
-            Codec::Golden => Arc::new(GoldenCodec),
-            Codec::BulkVByte => Arc::new(BulkVByteCodec),
-            Codec::RePair => match ordering {
-                ListOrdering::FrequencySorted => {
-                    Arc::new(RePairCodec::train(postings.iter().map(|l| l.as_slice())))
-                }
-                ListOrdering::DocIdSorted => {
-                    let sorted: Vec<Vec<Posting>> = postings
-                        .iter()
-                        .map(|l| {
-                            let mut copy = l.clone();
-                            copy.sort_unstable_by(frequency_order);
-                            copy
-                        })
-                        .collect();
-                    Arc::new(RePairCodec::train(sorted.iter().map(|l| l.as_slice())))
-                }
-            },
-        };
-
         Ok(InvertedIndex::from_parts(
             lexicon,
             DocStats::new(vector_lengths),
             conversion,
             options.params,
             Arc::new(DiskSim::new(lists)),
-            codec,
             options.measure_compression.then_some(compression),
             forward,
         ))

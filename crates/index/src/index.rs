@@ -1,12 +1,11 @@
 //! The assembled inverted index.
 
-use crate::compress::{Codec, CodecStats, CompressionStats, ListCodec, RePairCodec};
 use crate::conversion::ConversionTable;
 use crate::docstats::DocStats;
 use crate::forward::ForwardIndex;
 use crate::lexicon::Lexicon;
-use ir_storage::{BufferManager, DiskSim, PageStore, PolicyKind};
-use ir_types::{frequency_order, IndexParams, IrResult, ListOrdering, PageId, Posting, TermId};
+use ir_storage::{BufferManager, CompressionStats, DiskSim, PolicyKind};
+use ir_types::{IndexParams, IrResult, TermId};
 use std::sync::Arc;
 
 /// A complete frequency-sorted inverted index: pages on the simulated
@@ -19,7 +18,6 @@ pub struct InvertedIndex {
     conversion: ConversionTable,
     params: IndexParams,
     disk: Arc<DiskSim>,
-    codec: Arc<dyn ListCodec>,
     compression: Option<CompressionStats>,
     forward: Option<ForwardIndex>,
 }
@@ -27,18 +25,12 @@ pub struct InvertedIndex {
 impl InvertedIndex {
     /// Assembles an index from its parts (normally called by
     /// [`IndexBuilder::build`](crate::builder::IndexBuilder::build)).
-    /// `codec` is the list codec the index persists its postings with
-    /// ([`save_index`](crate::persist::save_index) blobs and
-    /// [`save_page_file`](crate::persist::save_page_file) pages); the
-    /// in-memory pages on `disk` are always decoded postings.
-    #[allow(clippy::too_many_arguments)] // constructor mirrors the struct
     pub fn from_parts(
         lexicon: Lexicon,
         doc_stats: DocStats,
         conversion: ConversionTable,
         params: IndexParams,
         disk: Arc<DiskSim>,
-        codec: Arc<dyn ListCodec>,
         compression: Option<CompressionStats>,
         forward: Option<ForwardIndex>,
     ) -> Self {
@@ -48,7 +40,6 @@ impl InvertedIndex {
             conversion,
             params,
             disk,
-            codec,
             compression,
             forward,
         }
@@ -102,63 +93,6 @@ impl InvertedIndex {
     /// Compression statistics, if measured at build time.
     pub fn compression_stats(&self) -> Option<CompressionStats> {
         self.compression
-    }
-
-    /// The id of the codec this index persists its postings with.
-    pub fn codec(&self) -> Codec {
-        self.codec.id()
-    }
-
-    /// The codec instance (carries the trained Re-Pair grammar when
-    /// [`codec`](InvertedIndex::codec) is [`Codec::RePair`]).
-    pub fn codec_impl(&self) -> &Arc<dyn ListCodec> {
-        &self.codec
-    }
-
-    /// Measures every codec over this index's lists: encodes each
-    /// term's full list under the golden, bulk v-byte, and (freshly
-    /// trained) Re-Pair codecs and returns the per-codec aggregates.
-    /// The Re-Pair figure includes its serialized grammar, so the
-    /// three `compressed_bytes` are directly comparable on-disk
-    /// footprints. Census reads are wiped from the simulator's
-    /// counters; nothing about the index changes.
-    pub fn codec_census(&self) -> IrResult<CodecStats> {
-        let mut lists: Vec<Vec<Posting>> = Vec::with_capacity(self.n_terms());
-        for (term, e) in self.lexicon.iter() {
-            let mut list: Vec<Posting> = Vec::with_capacity(e.n_postings as usize);
-            for p in 0..e.n_pages {
-                let page = self.disk.read_page(PageId::new(term, p))?;
-                list.extend_from_slice(page.postings());
-            }
-            if self.params.ordering == ListOrdering::DocIdSorted {
-                list.sort_unstable_by(frequency_order);
-            }
-            lists.push(list);
-        }
-        self.disk.reset_stats(); // census reads are not query reads
-
-        let repair = RePairCodec::train(lists.iter().map(|l| l.as_slice()));
-        let mut stats = CodecStats::default();
-        for codec in Codec::ALL {
-            let imp: &dyn ListCodec = match codec {
-                Codec::Golden => &crate::compress::GoldenCodec,
-                Codec::BulkVByte => &crate::compress::BulkVByteCodec,
-                Codec::RePair => &repair,
-            };
-            for list in &lists {
-                stats.add(codec, imp.measure(list));
-            }
-            let dict = imp.dictionary();
-            stats.add(
-                codec,
-                CompressionStats {
-                    n_postings: 0,
-                    raw_bytes: 0,
-                    compressed_bytes: dict.len() as u64,
-                },
-            );
-        }
-        Ok(stats)
     }
 
     /// The forward index, if retained at build time
@@ -231,25 +165,6 @@ mod tests {
         let page = buf.fetch(ir_types::PageId::new(alpha, 0)).unwrap();
         assert_eq!(page.max_freq(), 2);
         assert_eq!(idx.disk().stats().reads, 1);
-    }
-
-    #[test]
-    fn codec_census_measures_every_codec() {
-        use crate::compress::Codec;
-        let idx = index();
-        let census = idx.codec_census().unwrap();
-        for codec in Codec::ALL {
-            let s = census.get(codec);
-            assert_eq!(s.n_postings, idx.total_postings(), "{codec}");
-            assert!(s.compressed_bytes > 0, "{codec}");
-        }
-        // The census's golden aggregate (sans dictionary, which golden
-        // doesn't have) must equal the build-time measurement.
-        assert_eq!(
-            census.get(Codec::Golden).compressed_bytes,
-            idx.compression_stats().unwrap().compressed_bytes
-        );
-        assert_eq!(idx.disk().stats().reads, 0, "census reads must be wiped");
     }
 
     #[test]

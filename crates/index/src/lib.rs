@@ -14,7 +14,8 @@
 //! * the BAF [`ConversionTable`] mapping an addition threshold `f_add`
 //!   to `p_t`, the number of pages a term's scan would process (§3.2.2);
 //! * the ≈1-byte-per-entry posting compression of [PZSD96] that
-//!   motivates the paper's `PageSize = 404` ([`compress`]).
+//!   motivates the paper's `PageSize = 404` ([`ir_storage::codec`],
+//!   re-exported here as [`encode_postings`] / [`decode_postings`]).
 //!
 //! [`IndexBuilder`] turns documents into an [`InvertedIndex`], whose
 //! pages live in an `ir-storage` [`DiskSim`](ir_storage::DiskSim).
@@ -23,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod compress;
 pub mod conversion;
 pub mod conversion_compact;
 pub mod docstats;
@@ -34,14 +34,13 @@ pub mod persist;
 pub mod scan_geometry;
 
 pub use builder::{BuildOptions, IndexBuilder};
-pub use compress::{
-    decode_postings, decode_postings_into, encode_postings, BulkVByteCodec, Codec, CodecStats,
-    CompressionStats, GoldenCodec, ListCodec, RePairCodec, RePairGrammar,
-};
 pub use conversion::ConversionTable;
 pub use conversion_compact::CompactConversionTable;
 pub use docstats::DocStats;
 pub use forward::ForwardIndex;
 pub use index::InvertedIndex;
+pub use ir_storage::codec::{
+    decode_postings, decode_postings_into, encode_postings, CompressionStats,
+};
 pub use lexicon::{Lexicon, TermEntry};
 pub use persist::{load_index, save_index, save_page_file, PersistError};

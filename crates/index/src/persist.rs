@@ -7,19 +7,18 @@
 //!
 //! ```text
 //! "BFIR" magic | u32 version | u32 n_docs | u32 n_terms | u64 page_size
-//! u8 ordering | u8 codec id | u32 dict_len | dictionary   (codec: v2 only)
+//! u8 ordering | u8 encoding id (0) | u32 reserved length (0)
 //! lexicon:   per term: name (u16 len + bytes), u32 doc_freq, u32 f_max,
 //!            u64 n_postings, u8 stopped
 //! doc stats: n_docs × f64 vector lengths
-//! postings:  per term: u32 encoded byte length + codec payload
-//!            (whole list in one blob, [`crate::compress`])
+//! postings:  per term: u32 encoded byte length + the whole list in
+//!            one [`ir_storage::codec`] blob
 //! trailer:   u64 FNV-1a checksum of everything above
 //! ```
 //!
-//! Version 1 files predate the codec layer: they carry no codec id or
-//! dictionary and their payloads are always the golden [PZSD96]-style
-//! encoding, so they load as [`Codec::Golden`](crate::compress::Codec)
-//! unchanged.
+//! There is one version (2) and one posting encoding. The encoding id
+//! and the reserved length keep the layout of every file already
+//! written; a file where either is not 0 is [`PersistError::Corrupt`].
 //!
 //! Everything derivable is rebuilt at load time — `idf_t` from
 //! `(N, f_t)`, page boundaries from `page_size`, the conversion table
@@ -31,11 +30,11 @@
 //! detected by the checksum or by structural validation and reported as
 //! [`PersistError::Corrupt`]; loading never panics on hostile input.
 
-use crate::compress;
 use crate::conversion::ConversionTable;
 use crate::docstats::DocStats;
 use crate::index::InvertedIndex;
 use crate::lexicon::Lexicon;
+use ir_storage::codec::{decode_postings, encode_postings, ENCODING_ID};
 use ir_storage::{DiskSim, Page};
 use ir_types::{
     doc_order, frequency_order, IndexParams, IrError, ListOrdering, PageId, Posting, TermId,
@@ -47,12 +46,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"BFIR";
-const VERSION_V1: u32 = 1;
 const VERSION: u32 = 2;
-
-/// Upper bound on a persisted codec dictionary; a corrupt length field
-/// must not drive a huge allocation before the structural checks run.
-const MAX_DICT_LEN: usize = 1 << 20;
 
 /// Errors from saving/loading an index.
 #[derive(Debug)]
@@ -180,17 +174,8 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
         ListOrdering::FrequencySorted => 0,
         ListOrdering::DocIdSorted => 1,
     });
-    let codec = Arc::clone(index.codec_impl());
-    let dictionary = codec.dictionary();
-    if dictionary.len() > MAX_DICT_LEN {
-        return Err(PersistError::Corrupt(format!(
-            "codec dictionary too large ({} bytes)",
-            dictionary.len()
-        )));
-    }
-    w.u8(codec.id().id());
-    w.u32(dictionary.len() as u32);
-    w.bytes(&dictionary);
+    w.u8(ENCODING_ID);
+    w.u32(0); // reserved length
 
     // Lexicon.
     for (_, e) in index.lexicon().iter() {
@@ -214,7 +199,7 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
         w.f64(wd);
     }
 
-    // Postings: whole list per term, codec-encoded.
+    // Postings: whole list per term, one encoded blob.
     for (term, e) in index.lexicon().iter() {
         let mut list: Vec<Posting> = Vec::with_capacity(e.n_postings as usize);
         for p in 0..e.n_pages {
@@ -222,10 +207,10 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
             list.extend_from_slice(page.postings());
         }
         if ordering == ListOrdering::DocIdSorted {
-            // The codec requires frequency order; the load path re-sorts.
+            // The encoder requires frequency order; the load path re-sorts.
             list.sort_unstable_by(frequency_order);
         }
-        let encoded = codec.encode(&list);
+        let encoded = encode_postings(&list);
         w.u32(encoded.len() as u32);
         w.bytes(&encoded);
     }
@@ -249,7 +234,7 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
 /// [`FilePageStore`](ir_storage::FilePageStore) serves queries from.
 ///
 /// Complements [`save_index`]: the BFIR file carries the whole index
-/// (lexicon, document statistics, codec-compressed postings) for
+/// (lexicon, document statistics, compressed postings) for
 /// rebuilding `InvertedIndex` in memory; the page file carries the
 /// *page images* — same page boundaries, same `idf_t`, same build-time
 /// checksums — so a file-backed run demands exactly the pages a
@@ -267,8 +252,7 @@ pub fn save_page_file(index: &InvertedIndex, path: &Path) -> Result<(), PersistE
         terms.push(TermPages { idf: e.idf, pages });
     }
     index.disk().reset_stats(); // export reads are not query reads
-    ir_storage::write_page_file_with(&terms, path, index.codec_impl().as_ref()).map_err(|e| match e
-    {
+    ir_storage::write_page_file(&terms, path).map_err(|e| match e {
         ir_storage::PageFileError::Io(io) => PersistError::Io(io),
         other => PersistError::Corrupt(other.to_string()),
     })
@@ -296,9 +280,9 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
         return Err(PersistError::Corrupt("bad magic".into()));
     }
     let version = r.u32()?;
-    if version != VERSION_V1 && version != VERSION {
+    if version != VERSION {
         return Err(PersistError::Corrupt(format!(
-            "unsupported version {version} (expected {VERSION_V1} or {VERSION})"
+            "unsupported version {version} (expected {VERSION})"
         )));
     }
     let n_docs = r.u32()?;
@@ -313,28 +297,34 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
             )))
         }
     };
-    // v1 predates the codec layer: golden payloads, no dictionary.
-    let (codec_id, dictionary) = if version == VERSION_V1 {
-        (compress::Codec::Golden, Vec::new())
-    } else {
-        let id = r.u8()?;
-        let codec_id = compress::Codec::from_id(id)
-            .ok_or_else(|| PersistError::Corrupt(format!("unknown codec id {id}")))?;
-        let dict_len = r.u32()? as usize;
-        if dict_len > MAX_DICT_LEN {
-            return Err(PersistError::Corrupt(format!(
-                "codec dictionary too large ({dict_len} bytes)"
-            )));
-        }
-        (codec_id, r.take(dict_len)?.to_vec())
-    };
-    let codec = codec_id
-        .build(&dictionary)
-        .map_err(|e| PersistError::Corrupt(format!("bad {codec_id} dictionary: {e}")))?;
+    let encoding = r.u8()?;
+    if encoding != ENCODING_ID {
+        return Err(PersistError::Corrupt(format!(
+            "unknown encoding id {encoding} (expected {ENCODING_ID})"
+        )));
+    }
+    let reserved = r.u32()?;
+    if reserved != 0 {
+        return Err(PersistError::Corrupt(format!(
+            "reserved header length is {reserved}, must be 0"
+        )));
+    }
     if n_docs == 0 || page_size == 0 {
         return Err(PersistError::Corrupt(
             "empty collection or zero page size".into(),
         ));
+    }
+
+    // Both counts size allocations below and both come from the file:
+    // bound them by the bytes that are left (a term costs at least 19
+    // in the lexicon, a document 8) before reserving anything.
+    let left = body.len() - r.pos;
+    for (name, count, min_bytes) in [("n_terms", n_terms, 19), ("n_docs", n_docs as usize, 8)] {
+        if count > left / min_bytes {
+            return Err(PersistError::Corrupt(format!(
+                "{name} {count} exceeds what the {left} bytes after the header can hold"
+            )));
+        }
     }
 
     // Lexicon.
@@ -380,8 +370,7 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
         let term = TermId(t as u32);
         let len = r.u32()? as usize;
         let blob = r.take(len)?;
-        let mut postings = codec
-            .decode(bytes::Bytes::copy_from_slice(blob))
+        let mut postings = decode_postings(bytes::Bytes::copy_from_slice(blob))
             .ok_or_else(|| PersistError::Corrupt(format!("term {t}: undecodable postings")))?;
         if postings.len() as u64 != n_postings {
             return Err(PersistError::Corrupt(format!(
@@ -435,7 +424,6 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
         conversion,
         params,
         Arc::new(DiskSim::new(lists)),
-        codec,
         None,
         None,
     ))
@@ -585,86 +573,61 @@ mod tests {
         assert_eq!(run(&idx), run(&loaded));
     }
 
+    /// Writes `data` with its FNV trailer recomputed, so a patched
+    /// header reaches the structural checks instead of the checksum.
+    fn resealed(name: &str, mut data: Vec<u8>) -> std::path::PathBuf {
+        let n = data.len();
+        let sum = fnv1a(&data[..n - 8]);
+        data[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        let path = tmpfile(name);
+        fs::write(&path, &data).unwrap();
+        path
+    }
+
     #[test]
-    fn every_codec_round_trips_through_bfir_and_bfpg() {
-        use ir_storage::{FileMode, FilePageStore, PageStore};
-        for codec in compress::Codec::ALL {
-            let mut b = IndexBuilder::new();
-            b.add_document(["stock", "price", "stock", "crash"]);
-            b.add_document(["price", "bond"]);
-            b.add_document(["stock"]);
-            b.add_document(["drought", "bond", "bond", "bond"]);
-            let idx = b
-                .build(BuildOptions {
-                    params: IndexParams::with_page_size(2),
-                    codec,
-                    ..BuildOptions::default()
-                })
-                .unwrap();
-            assert_eq!(idx.codec(), codec);
-
-            let path = tmpfile(&format!("codec_{}.idx", codec.id()));
-            save_index(&idx, &path).unwrap();
-            let loaded = load_index(&path).unwrap();
-            assert_eq!(loaded.codec(), codec, "codec id must survive BFIR");
-
-            let pf = tmpfile(&format!("codec_{}.bfpg", codec.id()));
-            save_page_file(&idx, &pf).unwrap();
-            let store = FilePageStore::open(&pf, FileMode::Buffered).unwrap();
-            assert_eq!(store.codec(), codec, "codec id must survive BFPG");
-            for (term, e) in idx.lexicon().iter() {
-                for p in 0..e.n_pages {
-                    let id = PageId::new(term, p);
-                    let a = idx.disk().read_page(id).unwrap();
-                    assert_eq!(
-                        a.postings(),
-                        loaded.disk().read_page(id).unwrap().postings()
-                    );
-                    assert_eq!(a.postings(), store.read_page(id).unwrap().postings());
-                }
+    fn foreign_encoding_reserved_length_and_version_are_rejected() {
+        let path = tmpfile("header_fields.idx");
+        save_index(&sample_index(), &path).unwrap();
+        let original = fs::read(&path).unwrap();
+        // Bytes 4..8 are the version, 25 the encoding id, 26..30 the
+        // reserved length.
+        let patches: [(&str, usize, u8, &str); 6] = [
+            ("encoding 1 (was bulk v-byte)", 25, 1, "encoding"),
+            ("encoding 2 (was Re-Pair)", 25, 2, "encoding"),
+            ("encoding 9", 25, 9, "encoding"),
+            ("reserved length 1", 26, 1, "reserved"),
+            ("reserved length 1 << 24", 29, 1, "reserved"),
+            ("version 1", 4, 1, "version"),
+        ];
+        for (what, offset, value, names) in patches {
+            let mut bad = original.clone();
+            bad[offset] = value;
+            match load_index(&resealed("header_fields_mut.idx", bad)) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(names), "{what}: {msg}"),
+                Err(other) => panic!("{what}: unexpected error kind {other}"),
+                Ok(_) => panic!("{what}: loaded"),
             }
-            idx.disk().reset_stats();
-            loaded.disk().reset_stats();
         }
     }
 
     #[test]
-    fn v1_files_load_as_golden() {
-        // A v1 file is a v2 golden file minus the codec header (one id
-        // byte + u32 dictionary length; the golden dictionary is
-        // empty), with the version field set back to 1. Synthesizing
-        // one from a fresh save pins the exact layout shift.
-        let idx = sample_index();
-        assert_eq!(idx.codec(), compress::Codec::Golden);
-        let path = tmpfile("v1_synth.idx");
-        save_index(&idx, &path).unwrap();
-        let data = fs::read(&path).unwrap();
-        let codec_header = 4 + 4 + 4 + 4 + 8 + 1; // magic..ordering
-        let mut v1 = Vec::with_capacity(data.len() - 5);
-        v1.extend_from_slice(&data[..codec_header]);
-        v1.extend_from_slice(&data[codec_header + 5..data.len() - 8]);
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let sum = fnv1a(&v1);
-        v1.extend_from_slice(&sum.to_le_bytes());
-        let v1_path = tmpfile("v1_synth_rewritten.idx");
-        fs::write(&v1_path, &v1).unwrap();
-
-        let loaded = load_index(&v1_path).unwrap();
-        assert_eq!(loaded.codec(), compress::Codec::Golden);
-        assert_eq!(loaded.n_docs(), idx.n_docs());
-        assert_eq!(loaded.total_postings(), idx.total_postings());
-        use ir_storage::PageStore;
-        for (term, e) in idx.lexicon().iter() {
-            for p in 0..e.n_pages {
-                let id = PageId::new(term, p);
-                assert_eq!(
-                    idx.disk().read_page(id).unwrap().postings(),
-                    loaded.disk().read_page(id).unwrap().postings()
-                );
+    fn header_counts_beyond_the_file_are_errors_not_allocations() {
+        // A bare 30-byte header plus trailer: whatever n_terms and
+        // n_docs claim, nothing follows to back them.
+        let path = tmpfile("counts.idx");
+        save_index(&sample_index(), &path).unwrap();
+        let mut header = fs::read(&path).unwrap();
+        header.truncate(30 + 8);
+        header[12..16].copy_from_slice(&0u32.to_le_bytes()); // n_terms
+        for (field, offset) in [("n_docs", 8), ("n_terms", 12)] {
+            let mut bad = header.clone();
+            bad[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            match load_index(&resealed("counts_mut.idx", bad)) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+                Err(other) => panic!("{field}: unexpected error kind {other}"),
+                Ok(_) => panic!("{field}: loaded"),
             }
         }
-        idx.disk().reset_stats();
-        loaded.disk().reset_stats();
     }
 
     #[test]
@@ -712,12 +675,7 @@ mod tests {
         let mut data = fs::read(&path).unwrap();
         data[0] = b'X';
         // Fix up the checksum so only the magic is wrong.
-        let n = data.len();
-        let sum = fnv1a(&data[..n - 8]);
-        data[n - 8..].copy_from_slice(&sum.to_le_bytes());
-        let bad = tmpfile("magic_mut.idx");
-        fs::write(&bad, &data).unwrap();
-        let err = load_index(&bad).unwrap_err();
+        let err = load_index(&resealed("magic_mut.idx", data)).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
     }
 

@@ -37,30 +37,6 @@ pub fn pages_for_scan(above: u64, total: u64, page_size: usize, early_stop: bool
     (above / page_size as u64 + 1) as u32
 }
 
-/// Entries per page for a codec, holding the page's **byte budget**
-/// fixed at the baseline geometry.
-///
-/// The paper's `PageSize = 404` comes from dividing an 8 KB disk page
-/// less headers by the ≈1 byte/entry of the golden codec ([PZSD96],
-/// §4.2). A codec with a different measured bytes-per-entry fills the
-/// same physical page with a different number of entries — that shift
-/// moves every `p_t` (and therefore `d_t = max(p_t − b_t, 0)`), which
-/// is exactly what the codec geometry ablation measures. The baseline
-/// codec maps to exactly `baseline_entries`; a codec `k×` the size
-/// gets `1/k` the entries (rounded down, floored at one entry so a
-/// pathological measurement still yields usable pages).
-pub fn codec_page_size(baseline_entries: usize, baseline_bpe: f64, codec_bpe: f64) -> usize {
-    if !(baseline_bpe.is_finite() && codec_bpe.is_finite())
-        || baseline_bpe <= 0.0
-        || codec_bpe <= 0.0
-    {
-        return baseline_entries.max(1);
-    }
-    // Ratio first: an identical measurement divides to exactly 1.0, so
-    // the baseline codec always maps to exactly `baseline_entries`.
-    ((baseline_entries as f64 * (baseline_bpe / codec_bpe)) as usize).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,30 +67,5 @@ mod tests {
     fn doc_ordered_scans_fully_once_anything_passes() {
         assert_eq!(pages_for_scan(1, 6, 2, false), 3);
         assert_eq!(pages_for_scan(6, 6, 2, false), 3);
-    }
-
-    #[test]
-    fn baseline_codec_keeps_exactly_the_paper_page_size() {
-        for bpe in [0.017, 1.0, 1.013_777, 2.5] {
-            assert_eq!(codec_page_size(404, bpe, bpe), 404, "bpe {bpe}");
-        }
-    }
-
-    #[test]
-    fn bigger_entries_mean_fewer_per_page() {
-        // 2.5× the bytes → 404/2.5 = 161.6 → 161 entries.
-        assert_eq!(codec_page_size(404, 1.0, 2.5), 161);
-        // Smaller entries → more per page.
-        assert_eq!(codec_page_size(404, 1.0, 0.5), 808);
-    }
-
-    #[test]
-    fn degenerate_measurements_fall_back_to_baseline() {
-        assert_eq!(codec_page_size(404, 0.0, 1.0), 404);
-        assert_eq!(codec_page_size(404, 1.0, 0.0), 404);
-        assert_eq!(codec_page_size(404, f64::NAN, 1.0), 404);
-        assert_eq!(codec_page_size(404, 1.0, f64::INFINITY), 404);
-        assert_eq!(codec_page_size(0, 0.0, 0.0), 1, "never a zero page");
-        assert_eq!(codec_page_size(1, 1.0, 1e9), 1, "floored at one entry");
     }
 }

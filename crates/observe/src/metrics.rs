@@ -101,9 +101,9 @@ pub const IO_LATENCY_US_BOUNDS: [u64; 12] = [
 /// Histogram bounds for posting-list decode times, **nanoseconds**:
 /// powers of four from 250 ns to ~16 ms. Decoding one ≈400-entry page
 /// takes well under a microsecond on modern hardware, so a µs grid
-/// would collapse every decode into the first bucket; per-codec
-/// decode histograms (`index.decode_ns.<codec>`) record nanoseconds
-/// and report layers convert to µs/entry.
+/// would collapse every decode into the first bucket; the decode
+/// histogram (`index.decode_ns.golden`) records nanoseconds and report
+/// layers convert to µs/entry.
 pub const DECODE_NS_BOUNDS: [u64; 12] = [
     250,
     1_000,

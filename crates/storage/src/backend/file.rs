@@ -4,32 +4,29 @@
 //!
 //! ```text
 //! "BFPG" magic | u32 version (2)
-//! u8 codec id | u32 dict_len | dictionary bytes   (v2 only)
+//! u8 encoding id (0) | u32 reserved length (0)
 //! u32 n_terms
 //! directory, per term:  u32 n_pages, f64 idf
 //!                       per page: u64 offset, u32 byte_len,
 //!                                 u32 n_postings, u64 checksum
 //! u64 FNV-1a over everything above
-//! payload:  per page, `byte_len` codec-encoded bytes
+//! payload:  per page, `byte_len` bytes of [`crate::codec`] encoding
 //! ```
 //!
-//! Version 2 encodes each page's postings with a pluggable
-//! [`ListCodec`] named in the header (plus its shared dictionary —
-//! the Re-Pair grammar travels with the file); version 1 files, which
-//! predate the codec layer and store raw little-endian
-//! `(u32 doc, u32 freq)` pairs, still open and are reported as
-//! [`Codec::Golden`].
+//! There is one version and one posting encoding. The encoding id and
+//! the reserved length keep the layout of every file already written;
+//! a file where either is not 0, or whose version is not 2, is rejected
+//! at open as [`PageFileError::Corrupt`].
 //!
 //! The directory (offsets, idfs, and the per-page checksums computed
 //! by [`Page::new`] at build time) is loaded into memory at open and
 //! guarded by its own FNV trailer; the payload is fetched on demand.
 //! Every delivered page is decoded, rebuilt with [`Page::new`] and its
-//! recomputed checksum — computed over the *decoded* postings, so it
-//! is codec-independent — compared against the stored one. A short
-//! read, a truncated file, a flipped payload bit, or an undecodable
-//! payload surfaces as [`IrError::TornPage`] — the same retryable
-//! error the fault injector produces — never as a panic or a silently
-//! corrupt page.
+//! recomputed checksum — computed over the *decoded* postings —
+//! compared against the stored one. A short read, a truncated file, a
+//! flipped payload bit, or an undecodable payload surfaces as
+//! [`IrError::TornPage`] — the same retryable error the fault injector
+//! produces — never as a panic or a silently corrupt page.
 //!
 //! Two service modes ([`FileMode`]): `Buffered` issues one positioned
 //! read per page against the open file descriptor; `Resident` loads
@@ -43,26 +40,19 @@
 //! [`DiskSim`](crate::DiskSim)'s, which is what makes the zero-latency
 //! file backend event-for-event identical to the simulator.
 
-use crate::codec::{Codec, GoldenCodec, ListCodec};
+use crate::codec::{decode_postings, encode_postings, ENCODING_ID};
 use crate::disk::{DiskStats, PageStore};
 use crate::page::Page;
 use bytes::Bytes;
-use ir_types::{IrError, IrResult, PageId, Posting, TermId};
+use ir_types::{IrError, IrResult, PageId, TermId};
 use parking_lot::Mutex;
 use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"BFPG";
-/// The raw-pair format that predates the codec layer.
-const VERSION_V1: u32 = 1;
-/// The codec-encoded format written by [`write_page_file_with`].
 const VERSION: u32 = 2;
-/// Sanity ceiling on the persisted dictionary (a full Re-Pair grammar
-/// is ~2 KiB); larger claims are treated as corruption, not allocated.
-const MAX_DICT_LEN: usize = 1 << 20;
 
 /// Errors from writing or opening a page file.
 #[derive(Debug)]
@@ -114,39 +104,30 @@ pub struct TermPages {
     pub pages: Vec<Page>,
 }
 
-/// Serializes `terms` (index = term id) to `path` as a `BFPG` v2 page
-/// file with the golden codec, atomically (temp file + rename).
+/// Serializes `terms` (index = term id) to `path` as a `BFPG` page
+/// file, atomically (temp file + rename).
 pub fn write_page_file(terms: &[TermPages], path: &Path) -> Result<(), PageFileError> {
-    write_page_file_with(terms, path, &GoldenCodec)
-}
-
-/// Serializes `terms` (index = term id) to `path` as a `BFPG` v2 page
-/// file, each page's postings encoded by `codec` and the codec's
-/// dictionary persisted in the header, atomically (temp file +
-/// rename).
-pub fn write_page_file_with(
-    terms: &[TermPages],
-    path: &Path,
-    codec: &dyn ListCodec,
-) -> Result<(), PageFileError> {
     // Encode every page first so each payload length — and therefore
     // every page's absolute offset — is known before the directory is
     // written.
     let encoded: Vec<Vec<Bytes>> = terms
         .iter()
-        .map(|t| t.pages.iter().map(|p| codec.encode(p.postings())).collect())
+        .map(|t| {
+            t.pages
+                .iter()
+                .map(|p| encode_postings(p.postings()))
+                .collect()
+        })
         .collect();
-    let dictionary = codec.dictionary();
-    let header_len = 4 + 4 + 1 + 4 + dictionary.len() + 4;
+    let header_len = 4 + 4 + 1 + 4 + 4;
     let dir_len: usize = terms.iter().map(|t| 4 + 8 + t.pages.len() * 24).sum();
     let mut offset = (header_len + dir_len + 8) as u64;
 
     let mut buf = Vec::with_capacity(offset as usize);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(codec.id().id());
-    buf.extend_from_slice(&(dictionary.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&dictionary);
+    buf.push(ENCODING_ID);
+    buf.extend_from_slice(&0u32.to_le_bytes()); // reserved length
     buf.extend_from_slice(&(terms.len() as u32).to_le_bytes());
     for (t, pages) in terms.iter().zip(&encoded) {
         buf.extend_from_slice(&(t.pages.len() as u32).to_le_bytes());
@@ -165,44 +146,6 @@ pub fn write_page_file_with(
     for pages in &encoded {
         for payload in pages {
             buf.extend_from_slice(payload);
-        }
-    }
-    write_atomically(&buf, path)
-}
-
-/// Serializes `terms` in the **version 1** layout (raw little-endian
-/// posting pairs, no codec header) — the format this crate wrote
-/// before the codec layer existed. Kept so back-compat tests can
-/// manufacture pre-upgrade files; new files are always v2.
-pub fn write_page_file_v1(terms: &[TermPages], path: &Path) -> Result<(), PageFileError> {
-    let header_len = 4 + 4 + 4;
-    let dir_len: usize = terms.iter().map(|t| 4 + 8 + t.pages.len() * 24).sum();
-    let mut offset = (header_len + dir_len + 8) as u64;
-
-    let mut buf = Vec::with_capacity(offset as usize);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-    buf.extend_from_slice(&(terms.len() as u32).to_le_bytes());
-    for t in terms {
-        buf.extend_from_slice(&(t.pages.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&t.idf.to_le_bytes());
-        for page in &t.pages {
-            let byte_len = (page.len() * 8) as u32;
-            buf.extend_from_slice(&offset.to_le_bytes());
-            buf.extend_from_slice(&byte_len.to_le_bytes());
-            buf.extend_from_slice(&(page.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&page.checksum().to_le_bytes());
-            offset += u64::from(byte_len);
-        }
-    }
-    let trailer = fnv1a(&buf);
-    buf.extend_from_slice(&trailer.to_le_bytes());
-    for t in terms {
-        for page in &t.pages {
-            for p in page.postings() {
-                buf.extend_from_slice(&p.doc.0.to_le_bytes());
-                buf.extend_from_slice(&p.freq.to_le_bytes());
-            }
         }
     }
     write_atomically(&buf, path)
@@ -265,11 +208,6 @@ pub struct FilePageStore {
     image: Option<Vec<u8>>,
     dir: Vec<TermDir>,
     mode: FileMode,
-    /// The on-disk format version (1 = raw pairs, 2 = codec payloads).
-    version: u32,
-    /// Decoder for v2 payloads; v1 files get [`GoldenCodec`] so
-    /// [`FilePageStore::codec`] always names a codec.
-    codec: Arc<dyn ListCodec>,
     state: Mutex<FileState>,
 }
 
@@ -277,8 +215,6 @@ impl fmt::Debug for FilePageStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FilePageStore")
             .field("mode", &self.mode)
-            .field("version", &self.version)
-            .field("codec", &self.codec.id())
             .field("n_terms", &self.dir.len())
             .finish()
     }
@@ -330,33 +266,29 @@ impl FilePageStore {
             return Err(PageFileError::Corrupt("bad magic".into()));
         }
         let version = u32::from_le_bytes(head[at + 4..at + 8].try_into().unwrap());
-        let (codec_id, dictionary) = match version {
-            // v1 predates the codec layer: raw pairs, golden geometry.
-            VERSION_V1 => (Codec::Golden, Vec::new()),
-            VERSION => {
-                let at = take(5, &mut head)?;
-                let id = head[at];
-                let codec_id = Codec::from_id(id)
-                    .ok_or_else(|| PageFileError::Corrupt(format!("unknown codec id {id}")))?;
-                let dict_len =
-                    u32::from_le_bytes(head[at + 1..at + 5].try_into().unwrap()) as usize;
-                if dict_len > MAX_DICT_LEN {
-                    return Err(PageFileError::Corrupt(format!(
-                        "dictionary claims {dict_len} bytes (max {MAX_DICT_LEN})"
-                    )));
-                }
-                let at = take(dict_len, &mut head)?;
-                (codec_id, head[at..at + dict_len].to_vec())
-            }
-            v => {
-                return Err(PageFileError::Corrupt(format!(
-                    "unsupported version {v} (expected {VERSION_V1} or {VERSION})"
-                )))
-            }
-        };
+        if version != VERSION {
+            return Err(PageFileError::Corrupt(format!(
+                "unsupported version {version} (expected {VERSION})"
+            )));
+        }
+        let at = take(5, &mut head)?;
+        let encoding = head[at];
+        if encoding != ENCODING_ID {
+            return Err(PageFileError::Corrupt(format!(
+                "unknown encoding id {encoding} (expected {ENCODING_ID})"
+            )));
+        }
+        let reserved = u32::from_le_bytes(head[at + 1..at + 5].try_into().unwrap());
+        if reserved != 0 {
+            return Err(PageFileError::Corrupt(format!(
+                "reserved header length is {reserved}, must be 0"
+            )));
+        }
         let at = take(4, &mut head)?;
         let n_terms = u32::from_le_bytes(head[at..at + 4].try_into().unwrap()) as usize;
-        let mut dir = Vec::with_capacity(n_terms);
+        // A term's directory entry is at least 12 bytes, so the file
+        // bounds how many the count can honestly claim.
+        let mut dir = Vec::with_capacity(n_terms.min((file_len / 12) as usize));
         for _ in 0..n_terms {
             let at = take(12, &mut head)?;
             let n_pages = u32::from_le_bytes(head[at..at + 4].try_into().unwrap()) as usize;
@@ -385,11 +317,6 @@ impl FilePageStore {
                 "directory checksum mismatch (stored {stored:#x}, computed {computed:#x})"
             )));
         }
-        // Only now that the trailer has vouched for the header bytes is
-        // the dictionary worth parsing.
-        let codec = codec_id
-            .build(&dictionary)
-            .map_err(|e| PageFileError::Corrupt(format!("bad {codec_id} dictionary: {e}")))?;
         let image = match mode {
             FileMode::Buffered => None,
             FileMode::Resident => {
@@ -406,8 +333,6 @@ impl FilePageStore {
             image,
             dir,
             mode,
-            version,
-            codec,
             state: Mutex::new(FileState::default()),
         })
     }
@@ -415,17 +340,6 @@ impl FilePageStore {
     /// Which service mode the store was opened in.
     pub fn mode(&self) -> FileMode {
         self.mode
-    }
-
-    /// The codec the payload is encoded with (v1 files report
-    /// [`Codec::Golden`]).
-    pub fn codec(&self) -> Codec {
-        self.codec.id()
-    }
-
-    /// The on-disk format version (1 = raw pairs, 2 = codec payloads).
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Total pages across all lists.
@@ -470,11 +384,6 @@ impl FilePageStore {
         if d.n_postings == 0 || len == 0 {
             return Err(torn());
         }
-        // v1 stores fixed-size raw pairs, so the length is checkable
-        // before the read; codec payloads validate during decode.
-        if self.version == VERSION_V1 && len != d.n_postings as usize * 8 {
-            return Err(torn());
-        }
         let mut buf = vec![0u8; len];
         match &self.image {
             Some(img) => {
@@ -487,22 +396,7 @@ impl FilePageStore {
             }
             None => pread(&self.file, &mut buf, d.offset).map_err(|_| torn())?,
         }
-        let postings: Vec<Posting> = if self.version == VERSION_V1 {
-            buf.chunks_exact(8)
-                .map(|c| {
-                    Posting::new(
-                        u32::from_le_bytes(c[0..4].try_into().unwrap()),
-                        u32::from_le_bytes(c[4..8].try_into().unwrap()),
-                    )
-                })
-                .collect()
-        } else {
-            let mut out = Vec::new();
-            if !self.codec.decode_into(Bytes::from(buf), &mut out) {
-                return Err(torn());
-            }
-            out
-        };
+        let postings = decode_postings(Bytes::from(buf)).ok_or_else(torn)?;
         if postings.len() != d.n_postings as usize {
             return Err(torn());
         }
@@ -582,6 +476,7 @@ impl PageStore for FilePageStore {
 mod tests {
     use super::*;
     use crate::disk::DiskSim;
+    use ir_types::Posting;
 
     fn sample_terms(n_terms: u32, pages_per_term: u32) -> Vec<TermPages> {
         (0..n_terms)
@@ -743,8 +638,8 @@ mod tests {
         let path = tmpfile("dir.bfpg");
         write_page_file(&terms, &path).unwrap();
         let original = fs::read(&path).unwrap();
-        // Directory region: v2 header (magic+version+codec+dict_len,
-        // empty golden dictionary, n_terms) through its trailer.
+        // Directory region: header (magic, version, encoding id,
+        // reserved length, n_terms) through its trailer.
         let dir_end = 17 + 2 * (12 + 2 * 24) + 8;
         for offset in [0, 5, 13, 20, dir_end - 4] {
             let mut bad = original.clone();
@@ -778,100 +673,53 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_open_as_golden_and_serve_identically() {
-        let terms = sample_terms(3, 4);
-        let v1 = tmpfile("legacy_v1.bfpg");
-        let v2 = tmpfile("legacy_v2.bfpg");
-        write_page_file_v1(&terms, &v1).unwrap();
-        write_page_file(&terms, &v2).unwrap();
-        for mode in [FileMode::Buffered, FileMode::Resident] {
-            let old = FilePageStore::open(&v1, mode).unwrap();
-            let new = FilePageStore::open(&v2, mode).unwrap();
-            assert_eq!(old.version(), 1);
-            assert_eq!(new.version(), 2);
-            assert_eq!(old.codec(), Codec::Golden);
-            assert_eq!(new.codec(), Codec::Golden);
-            for t in 0..3u32 {
-                for p in 0..4u32 {
-                    let a = old.read_page(pid(t, p)).unwrap();
-                    let b = new.read_page(pid(t, p)).unwrap();
-                    assert_eq!(a.postings(), b.postings());
-                    assert_eq!(a.checksum(), b.checksum());
-                }
-            }
-            assert_eq!(old.stats(), new.stats());
-        }
-    }
-
-    #[test]
-    fn every_codec_round_trips_through_the_page_file() {
-        let terms = sample_terms(2, 3);
-        for codec_id in Codec::ALL {
-            let codec: std::sync::Arc<dyn ListCodec> = match codec_id {
-                Codec::RePair => {
-                    let lists: Vec<Vec<Posting>> = terms
-                        .iter()
-                        .flat_map(|t| t.pages.iter().map(|p| p.postings().to_vec()))
-                        .collect();
-                    std::sync::Arc::new(crate::codec::RePairCodec::train(
-                        lists.iter().map(|l| l.as_slice()),
-                    ))
-                }
-                other => other.build(&[]).unwrap(),
-            };
-            let path = tmpfile(&format!("codec_{}.bfpg", codec_id.id()));
-            write_page_file_with(&terms, &path, codec.as_ref()).unwrap();
-            for mode in [FileMode::Buffered, FileMode::Resident] {
-                let store = FilePageStore::open(&path, mode).unwrap();
-                assert_eq!(store.codec(), codec_id, "{mode:?}");
-                for (t, term) in terms.iter().enumerate() {
-                    for (p, original) in term.pages.iter().enumerate() {
-                        let got = store.read_page(pid(t as u32, p as u32)).unwrap();
-                        assert_eq!(got.postings(), original.postings(), "{codec_id}");
-                        assert_eq!(got.checksum(), original.checksum(), "{codec_id}");
-                        assert_eq!(
-                            got.max_weight().to_bits(),
-                            original.max_weight().to_bits(),
-                            "{codec_id}: RAP's value input must survive"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unknown_codec_id_and_bad_dictionary_are_rejected_at_open() {
+    fn foreign_encoding_reserved_length_and_version_are_rejected_at_open() {
         let terms = sample_terms(1, 1);
-        let path = tmpfile("codec_hdr.bfpg");
+        let path = tmpfile("header_fields.bfpg");
         write_page_file(&terms, &path).unwrap();
         let original = fs::read(&path).unwrap();
-
-        // Byte 8 is the codec id; 9 is a junk id. The trailer guards
-        // the header, so patch it back up to reach the codec check.
-        let mut bad = original.clone();
-        bad[8] = 9;
         let dir_end = 17 + (12 + 24);
-        let trailer = fnv1a(&bad[..dir_end]);
-        bad[dir_end..dir_end + 8].copy_from_slice(&trailer.to_le_bytes());
-        let p = tmpfile("codec_hdr_bad_id.bfpg");
-        fs::write(&p, &bad).unwrap();
-        match FilePageStore::open(&p, FileMode::Buffered) {
-            Err(PageFileError::Corrupt(msg)) => assert!(msg.contains("unknown codec"), "{msg}"),
-            other => panic!("expected corrupt, got {other:?}"),
+        // Bytes 4..8 are the version, 8 the encoding id, 9..13 the
+        // reserved length. Each patch re-seals the directory trailer,
+        // so the field check itself — not the checksum — must refuse.
+        let patches: [(&str, usize, u8, &str); 6] = [
+            ("encoding 1 (was bulk v-byte)", 8, 1, "encoding"),
+            ("encoding 2 (was Re-Pair)", 8, 2, "encoding"),
+            ("encoding 9", 8, 9, "encoding"),
+            ("reserved length 1", 9, 1, "reserved"),
+            ("reserved length 1 << 24", 12, 1, "reserved"),
+            ("version 1", 4, 1, "version"),
+        ];
+        for (what, offset, value, names) in patches {
+            let mut bad = original.clone();
+            bad[offset] = value;
+            let trailer = fnv1a(&bad[..dir_end]);
+            bad[dir_end..dir_end + 8].copy_from_slice(&trailer.to_le_bytes());
+            let p = tmpfile("header_fields_mut.bfpg");
+            fs::write(&p, &bad).unwrap();
+            for mode in [FileMode::Buffered, FileMode::Resident] {
+                match FilePageStore::open(&p, mode) {
+                    Err(PageFileError::Corrupt(msg)) => {
+                        assert!(msg.contains(names), "{what}/{mode:?}: {msg}")
+                    }
+                    other => panic!("{what}/{mode:?}: expected corrupt, got {other:?}"),
+                }
+            }
         }
+    }
 
-        // A Re-Pair id whose dictionary bytes are garbage (claimed
-        // empty dict for re-pair is a truncated grammar header).
-        let mut bad = original;
-        bad[8] = Codec::RePair.id();
-        let trailer = fnv1a(&bad[..dir_end]);
-        bad[dir_end..dir_end + 8].copy_from_slice(&trailer.to_le_bytes());
-        let p = tmpfile("codec_hdr_bad_dict.bfpg");
+    #[test]
+    fn term_count_beyond_the_file_is_an_error_not_an_allocation() {
+        let terms = sample_terms(1, 1);
+        let path = tmpfile("n_terms.bfpg");
+        write_page_file(&terms, &path).unwrap();
+        let mut bad = fs::read(&path).unwrap();
+        bad[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+        let p = tmpfile("n_terms_mut.bfpg");
         fs::write(&p, &bad).unwrap();
-        match FilePageStore::open(&p, FileMode::Buffered) {
-            Err(PageFileError::Corrupt(msg)) => assert!(msg.contains("dictionary"), "{msg}"),
-            other => panic!("expected corrupt, got {other:?}"),
-        }
+        assert!(matches!(
+            FilePageStore::open(&p, FileMode::Buffered),
+            Err(PageFileError::Corrupt(_))
+        ));
     }
 }

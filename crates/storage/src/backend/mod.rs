@@ -32,8 +32,5 @@
 pub mod file;
 pub mod sched;
 
-pub use file::{
-    write_page_file, write_page_file_v1, write_page_file_with, FileMode, FilePageStore,
-    PageFileError, TermPages,
-};
+pub use file::{write_page_file, FileMode, FilePageStore, PageFileError, TermPages};
 pub use sched::{IoConfig, IoMetrics, IoScheduler, LatencyModel};

@@ -23,6 +23,10 @@
 //!   replacement value `w*_{d,t} · w_{q,t}` depends on the query being
 //!   processed; the evaluator announces its term weights at query start
 //!   and the policy re-values the pages of terms whose weight changed.
+//!
+//! The crate also owns the one posting-list encoding ([`codec`]: runs of
+//! equal frequency, v-byte gaps) and the persistent tier that carries it
+//! ([`backend`]: the `BFPG` page file and the I/O scheduler).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,14 +45,11 @@ pub mod shared;
 pub mod stats;
 
 pub use backend::{
-    write_page_file, write_page_file_v1, write_page_file_with, FileMode, FilePageStore, IoConfig,
-    IoMetrics, IoScheduler, LatencyModel, PageFileError, TermPages,
+    write_page_file, FileMode, FilePageStore, IoConfig, IoMetrics, IoScheduler, LatencyModel,
+    PageFileError, TermPages,
 };
 pub use buffer::{Backoff, BufferManager, FetchOutcome, FetchPolicy};
-pub use codec::{
-    BulkVByteCodec, Codec, CodecStats, CompressionStats, GoldenCodec, ListCodec, RePairCodec,
-    RePairGrammar,
-};
+pub use codec::CompressionStats;
 pub use disk::{DiskSim, DiskStats, PageStore};
 pub use fault::{FaultConfig, FaultStats, FaultStore};
 pub use observe::{BufferEvent, BufferObserver, EventCounts, EventLog};
