@@ -10,7 +10,7 @@
 //! # Drive every policy × layout combination under seeded faults:
 //! cargo run --release -p ir-bench --bin bench -- chaos --seed 193
 //!
-//! # Sweep concurrent sessions over single-mutex vs. sharded pools:
+//! # Sweep concurrent sessions over one-shard vs. P-shard pools:
 //! cargo run --release -p ir-bench --bin bench -- throughput --out BENCH_throughput.json
 //!
 //! # Sweep storage backends (simulator vs. page file vs. scheduled I/O):
@@ -251,8 +251,8 @@ fn run_throughput(args: &[String]) -> Result<(), String> {
                     eprintln!("SCALING REGRESSION: {p}");
                 }
                 return Err(format!(
-                    "{} scaling violation(s): the sharded pool must beat the shared \
-                     mutex at sessions >= 4 (ROADMAP Open item 1)",
+                    "{} scaling violation(s): P shards must not lose to one shard \
+                     at sessions >= 4",
                     problems.len()
                 ));
             }

@@ -212,13 +212,12 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
             let _ = writeln!(
                 out,
                 "{label}: reads {faulty_reads:?}, faults {} ({} transient / {} torn / {} latency), \
-                 retries {}, torn admitted 0, sibling hits {}",
+                 retries {}, torn admitted 0",
                 f.total_faults(),
                 f.transient_faults,
                 f.torn_faults,
                 f.latency_spikes,
                 faulty.retries,
-                faulty.sibling_hits,
             );
         }
     }

@@ -17,11 +17,10 @@
 //!   queries, the highest `w_{q,t}` could be used". The server merges
 //!   every session's current weights by per-term max;
 //! * **partitioned/RAP** — the paper's option 1: each user a private
-//!   partition of `total/4` frames with per-query RAP, **plus**
-//!   read-only sibling borrowing: a miss that finds the page in
-//!   another user's partition copies it instead of reading disk. The
-//!   borrow count is reported separately so the cross-user benefit is
-//!   visible, not folded silently into the read total.
+//!   pool of `total/4` frames with per-query RAP. Isolation only: the
+//!   paper's read-only sibling borrowing was measured (25 of this
+//!   row's 6 037 reads at scale 1/16) and removed — see EXPERIMENTS.md,
+//!   "Multi-user buffering".
 
 use super::{ExpContext, ExpResult};
 use crate::output::TextTable;
@@ -38,11 +37,8 @@ pub struct MultiUserSummary {
     pub shared_rap_naive: u64,
     /// Total reads: shared RAP with globally merged weights.
     pub shared_rap_global: u64,
-    /// Total reads: partitioned RAP with sibling borrowing.
+    /// Total reads: partitioned RAP (one private pool per user).
     pub partitioned_rap: u64,
-    /// Disk reads the partitioned pool avoided by borrowing a page
-    /// from a sibling partition instead of going to the store.
-    pub sibling_hits: u64,
 }
 
 /// Runs the four-architecture comparison on the threaded server.
@@ -103,76 +99,50 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<MultiUserSummary> {
         policy: PolicyKind::Rap,
     })?;
 
-    // Pool misses == reads issued against the store: sibling borrows
-    // are hits in the borrower's partition and never reach the disk.
+    // Pool misses == reads issued against the store.
     let summary = MultiUserSummary {
         shared_lru: shared_lru.pool_stats.misses,
         shared_rap_naive: shared_naive.pool_stats.misses,
         shared_rap_global: shared_global.pool_stats.misses,
         partitioned_rap: partitioned.pool_stats.misses,
-        sibling_hits: partitioned.sibling_hits,
     };
-    let mut t = TextTable::new(&["architecture", "total frames", "disk reads", "sibling hits"]);
-    t.row(vec![
-        "shared / LRU".into(),
-        total_frames.to_string(),
-        summary.shared_lru.to_string(),
-        "-".into(),
-    ]);
-    t.row(vec![
-        "shared / RAP per-query".into(),
-        total_frames.to_string(),
-        summary.shared_rap_naive.to_string(),
-        "-".into(),
-    ]);
-    t.row(vec![
-        "shared / RAP global-history".into(),
-        total_frames.to_string(),
-        summary.shared_rap_global.to_string(),
-        "-".into(),
-    ]);
-    t.row(vec![
-        format!("partitioned / RAP ({}×{})", users.len(), per_user),
-        (per_user * users.len()).to_string(),
-        summary.partitioned_rap.to_string(),
-        summary.sibling_hits.to_string(),
-    ]);
+    let rows = [
+        (
+            "shared / LRU".to_string(),
+            "shared_lru",
+            total_frames,
+            summary.shared_lru,
+        ),
+        (
+            "shared / RAP per-query".to_string(),
+            "shared_rap_naive",
+            total_frames,
+            summary.shared_rap_naive,
+        ),
+        (
+            "shared / RAP global-history".to_string(),
+            "shared_rap_global",
+            total_frames,
+            summary.shared_rap_global,
+        ),
+        (
+            format!("partitioned / RAP ({}×{})", users.len(), per_user),
+            "partitioned_rap",
+            per_user * users.len(),
+            summary.partitioned_rap,
+        ),
+    ];
+    let mut t = TextTable::new(&["architecture", "total frames", "disk reads"]);
+    for (label, _, frames, reads) in &rows {
+        t.row(vec![label.clone(), frames.to_string(), reads.to_string()]);
+    }
     print!("{}", t.render());
-    println!(
-        "(partitioned/RAP without borrowing would have read {} pages: \
-         {} of its misses were served from sibling partitions)",
-        summary.partitioned_rap + summary.sibling_hits,
-        summary.sibling_hits,
-    );
     ctx.out.write_csv(
         "multiuser.csv",
-        &["architecture", "total_frames", "disk_reads", "sibling_hits"],
-        [
-            vec![
-                "shared_lru".to_string(),
-                total_frames.to_string(),
-                summary.shared_lru.to_string(),
-                "0".to_string(),
-            ],
-            vec![
-                "shared_rap_naive".to_string(),
-                total_frames.to_string(),
-                summary.shared_rap_naive.to_string(),
-                "0".to_string(),
-            ],
-            vec![
-                "shared_rap_global".to_string(),
-                total_frames.to_string(),
-                summary.shared_rap_global.to_string(),
-                "0".to_string(),
-            ],
-            vec![
-                "partitioned_rap".to_string(),
-                (per_user * users.len()).to_string(),
-                summary.partitioned_rap.to_string(),
-                summary.sibling_hits.to_string(),
-            ],
-        ],
+        &["architecture", "total_frames", "disk_reads"],
+        rows.map(|(_, key, frames, reads)| {
+            [key.to_string(), frames.to_string(), reads.to_string()]
+        }),
     )?;
     println!(
         "(the paper leaves the trade-off open: \"The trade-offs between these \

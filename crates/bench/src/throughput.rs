@@ -1,7 +1,9 @@
 //! The `bench throughput` subcommand: the concurrency axis of the
 //! benchmarks. Drives N free-running sessions for each thread count in
-//! the sweep against a single-mutex pool and a sharded pool of the
-//! same total capacity, and reports queries/sec, p50/p99 evaluation
+//! the sweep against a one-shard pool (the `shared` rows:
+//! [`PoolLayout::Shared`]) and a `P`-shard pool (the `sharded[P]` rows)
+//! of the same total capacity — the same `ShardedBufferPool` code at
+//! two stripe counts — and reports queries/sec, p50/p99 evaluation
 //! latency, and lock-contention totals per cell.
 //!
 //! Two outputs with different determinism contracts:
@@ -58,12 +60,12 @@ pub struct ThroughputRow {
     pub p50_eval_us: u64,
     /// 99th-percentile per-query evaluation latency, µs.
     pub p99_eval_us: u64,
-    /// Total time sessions spent blocked on shard locks, µs (0 for the
-    /// single-mutex pool, which is not instrumented). Accumulated in
-    /// nanoseconds and divided once at the end (schema v2).
+    /// Total time sessions spent blocked on shard locks, µs.
+    /// Accumulated in nanoseconds and divided once at the end (schema
+    /// v2).
     pub lock_wait_us: u64,
-    /// Read plans that spanned more than one shard (0 for the
-    /// single-mutex pool).
+    /// Read plans that spanned more than one shard (0 on the one-shard
+    /// `shared` rows).
     pub batch_splits: u64,
 }
 
@@ -259,8 +261,8 @@ pub fn to_json(report: &ThroughputReport) -> String {
 
 /// Evaluates the scaling exit criterion (ROADMAP Open item 1) against
 /// a finished report: at every session count ≥ `min_sessions` where
-/// both layouts ran, the sharded pool must deliver at least the
-/// shared-mutex pool's throughput *in the same run*. Query counts are
+/// both layouts ran, the `P`-shard pool must deliver at least the
+/// one-shard pool's throughput *in the same run*. Query counts are
 /// compared exactly — they are deterministic, so any drift is a bug,
 /// not noise — while wall time is compared as a qps ratio with no
 /// slack in the sharded pool's favor.
@@ -317,7 +319,7 @@ pub fn gate_scaling(report: &ThroughputReport, min_sessions: u64) -> Result<Stri
         if sharded.queries_per_sec < shared.queries_per_sec {
             problems.push(format!(
                 "sessions {n}: {} at {:.0} qps lost to shared at {:.0} qps (ratio {ratio:.2}) — \
-                 sharding must not regress below the single mutex at scale",
+                 P shards must not lose to one shard at scale",
                 sharded.pool, sharded.queries_per_sec, shared.queries_per_sec
             ));
         } else {

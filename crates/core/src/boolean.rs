@@ -109,10 +109,6 @@ impl BooleanQuery {
                         stats.pages_processed += 1;
                         match how {
                             ir_storage::FetchOutcome::Miss => stats.disk_reads += 1,
-                            ir_storage::FetchOutcome::Borrowed => {
-                                stats.buffer_hits += 1;
-                                stats.borrows += 1;
-                            }
                             ir_storage::FetchOutcome::Hit => stats.buffer_hits += 1,
                         }
                         for posting in page.postings() {

@@ -40,8 +40,7 @@ fn touch_first_page<B: QueryBuffer>(
     row.pages_read = u32::from(how == FetchOutcome::Miss);
     stats.pages_processed += 1;
     stats.disk_reads += u64::from(row.pages_read);
-    stats.buffer_hits += u64::from(how != FetchOutcome::Miss);
-    stats.borrows += u64::from(how == FetchOutcome::Borrowed);
+    stats.buffer_hits += u64::from(how == FetchOutcome::Hit);
     Ok(())
 }
 

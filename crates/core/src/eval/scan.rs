@@ -42,9 +42,6 @@ pub(crate) struct ScanOutcome {
     pub pages_processed: u32,
     /// Of those, pages that came from disk.
     pub pages_read: u32,
-    /// Of those, pages copied from a sibling partition's frames
-    /// (served without a disk read, but not a plain hit either).
-    pub pages_borrowed: u32,
     /// Entries examined (including the terminating one).
     pub entries: u64,
     /// The frequency-ordered early stop fired: nothing further in the
@@ -60,7 +57,6 @@ impl EvalStats {
         self.pages_processed += u64::from(out.pages_processed);
         self.disk_reads += u64::from(out.pages_read);
         self.buffer_hits += u64::from(out.pages_processed - out.pages_read);
-        self.borrows += u64::from(out.pages_borrowed);
         self.entries_processed += out.entries;
     }
 }
@@ -110,11 +106,7 @@ fn process_fetched(
     let w_q = term.weight();
     for (i, (page, how)) in fetched.iter().enumerate() {
         out.pages_processed += 1;
-        match how {
-            FetchOutcome::Miss => out.pages_read += 1,
-            FetchOutcome::Borrowed => out.pages_borrowed += 1,
-            FetchOutcome::Hit => {}
-        }
+        out.pages_read += u32::from(*how == FetchOutcome::Miss);
         for posting in page.postings() {
             out.entries += 1;
             let f = f64::from(posting.freq);
@@ -213,7 +205,6 @@ pub(crate) fn scan_term<B: QueryBuffer>(
         }
         total.pages_processed += out.pages_processed;
         total.pages_read += out.pages_read;
-        total.pages_borrowed += out.pages_borrowed;
         total.entries += out.entries;
         total.stopped = out.stopped;
         if out.stopped {

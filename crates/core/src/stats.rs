@@ -17,13 +17,9 @@ pub struct EvalStats {
     pub disk_reads: u64,
     /// Pages examined (buffer hits + misses).
     pub pages_processed: u64,
-    /// Pages served without a disk read: local buffer hits plus
-    /// sibling-partition borrows. `pages_processed = disk_reads +
-    /// buffer_hits` always.
+    /// Pages served from a resident frame, without a disk read.
+    /// `pages_processed = disk_reads + buffer_hits` always.
     pub buffer_hits: u64,
-    /// Of `buffer_hits`, pages copied from a sibling partition's
-    /// frames (zero on non-partitioned pools).
-    pub borrows: u64,
     /// `(d, f_{d,t})` entries examined, including the terminating one.
     pub entries_processed: u64,
     /// High-water mark of the candidate set.

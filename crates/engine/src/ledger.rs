@@ -1,7 +1,7 @@
 //! The per-query cost ledger: one row per evaluated query, carrying
-//! every cost the paper argues about (disk reads, buffer hits, borrow
-//! count, evaluation wall time, candidate-set size) plus the BAF
-//! estimator's predicted reads, aggregated per session on demand.
+//! every cost the paper argues about (disk reads, buffer hits,
+//! evaluation wall time, candidate-set size) plus the BAF estimator's
+//! predicted reads, aggregated per session on demand.
 //!
 //! [`SearchEngine`](crate::SearchEngine) appends a row per search;
 //! [`SessionServer`](crate::SessionServer) collects one ledger per run
@@ -22,9 +22,6 @@ pub struct QueryCost {
     /// per fetch by the evaluator, so the figure is exact under any
     /// schedule: `disk_reads + buffer_hits = pages_processed`.
     pub buffer_hits: u64,
-    /// Of `buffer_hits`, pages borrowed read-only from sibling
-    /// partitions (also counted per fetch).
-    pub borrows: u64,
     /// Evaluation wall time in microseconds.
     pub eval_us: u64,
     /// Candidate-set size (peak accumulator count, §5.2.3).
@@ -66,7 +63,6 @@ impl serde::Deserialize for QueryCost {
             step: req(v, "step")?,
             disk_reads: req(v, "disk_reads")?,
             buffer_hits: req(v, "buffer_hits")?,
-            borrows: req(v, "borrows")?,
             eval_us: req(v, "eval_us")?,
             candidates: req(v, "candidates")?,
             estimated_reads: req(v, "estimated_reads")?,
@@ -87,8 +83,6 @@ pub struct SessionCost {
     pub disk_reads: u64,
     /// Total pages served from the buffer pool.
     pub buffer_hits: u64,
-    /// Total pages borrowed from sibling partitions.
-    pub borrows: u64,
     /// Total evaluation wall time in microseconds.
     pub eval_us: u64,
     /// Largest candidate set any single query built.
@@ -107,7 +101,6 @@ impl serde::Deserialize for SessionCost {
             queries: req(v, "queries")?,
             disk_reads: req(v, "disk_reads")?,
             buffer_hits: req(v, "buffer_hits")?,
-            borrows: req(v, "borrows")?,
             eval_us: req(v, "eval_us")?,
             peak_candidates: req(v, "peak_candidates")?,
             batches: opt(v, "batches")?,
@@ -121,7 +114,6 @@ impl SessionCost {
         self.queries += 1;
         self.disk_reads += q.disk_reads;
         self.buffer_hits += q.buffer_hits;
-        self.borrows += q.borrows;
         self.eval_us += q.eval_us;
         self.peak_candidates = self.peak_candidates.max(q.candidates);
         self.batches += q.batches;
@@ -205,10 +197,9 @@ impl CostLedger {
 /// Builds a [`QueryCost`] from one evaluation's [`EvalStats`] plus the
 /// two costs the stats cannot see: wall time, and the store-level I/O
 /// wait (the caller takes the delta of `PageStore::io_wait_us` around
-/// the evaluation; zero for stores without a latency model). Hits and
-/// borrows come straight from the evaluator's per-fetch counters, so
-/// the row is exact even when other sessions drive the same pool
-/// concurrently.
+/// the evaluation; zero for stores without a latency model). Hits
+/// come straight from the evaluator's per-fetch counters, so the row is
+/// exact even when other sessions drive the same pool concurrently.
 pub fn query_cost(
     session: u32,
     step: u32,
@@ -221,7 +212,6 @@ pub fn query_cost(
         step,
         disk_reads: stats.disk_reads,
         buffer_hits: stats.buffer_hits,
-        borrows: stats.borrows,
         eval_us,
         candidates: stats.peak_accumulators as u64,
         estimated_reads: stats.baf_estimated_reads,
@@ -240,7 +230,6 @@ mod tests {
             step,
             disk_reads: reads,
             buffer_hits: 2,
-            borrows: 1,
             eval_us: 10,
             candidates: cands,
             estimated_reads: reads + 1,
@@ -263,7 +252,6 @@ mod tests {
         assert_eq!(sessions[0].queries, 2);
         assert_eq!(sessions[0].disk_reads, 8);
         assert_eq!(sessions[0].buffer_hits, 4);
-        assert_eq!(sessions[0].borrows, 2);
         assert_eq!(sessions[0].eval_us, 20);
         assert_eq!(sessions[0].peak_candidates, 60);
         assert_eq!(sessions[0].batches, 6);
@@ -280,13 +268,11 @@ mod tests {
             disk_reads: 3,
             pages_processed: 10,
             buffer_hits: 7,
-            borrows: 2,
             peak_accumulators: 5,
             ..ir_core::EvalStats::default()
         };
         let row = query_cost(4, 1, &stats, 123, 77);
         assert_eq!(row.buffer_hits, stats.buffer_hits);
-        assert_eq!(row.borrows, stats.borrows);
         assert_eq!(row.io_wait_us, 77);
         assert_eq!(
             row.disk_reads + row.buffer_hits,
@@ -313,6 +299,21 @@ mod tests {
         let back: CostLedger = serde_json::from_str(json).unwrap();
         assert_eq!(back.entries[0].batches, 0);
         assert_eq!(back.entries[0].io_wait_us, 0);
+    }
+
+    #[test]
+    fn dumps_written_with_a_borrows_key_still_load() {
+        // `to_json` as it wrote a ledger while rows and rollups still
+        // carried `borrows`: the key is unknown now and is ignored.
+        let row = r#"{"session":1,"step":2,"disk_reads":5,"buffer_hits":2,"borrows":1,
+            "eval_us":10,"candidates":40,"estimated_reads":6,"batches":3,"io_wait_us":250}"#;
+        let rollup = r#"{"session":1,"queries":1,"disk_reads":5,"buffer_hits":2,"borrows":1,
+            "eval_us":10,"peak_candidates":40,"batches":3,"io_wait_us":250}"#;
+        let dump = format!(r#"{{"entries":[{row}],"sessions":[{rollup}]}}"#);
+        let back: CostLedger = serde_json::from_str(&dump).unwrap();
+        assert_eq!(back.entries, vec![cost(1, 2, 5, 40)]);
+        let rollup: SessionCost = serde_json::from_str(rollup).unwrap();
+        assert_eq!(back.session_costs(), vec![rollup]);
     }
 
     #[test]

@@ -2,18 +2,22 @@
 //! buffer configuration (paper §3.3).
 //!
 //! The paper sketches two ways to extend RAP to multiple users —
-//! partitioned pools with cross-user borrowing, and a shared pool with
-//! a merged ("global") query history — and leaves the trade-off open.
-//! [`SessionServer`] makes both runnable: each session drives its own
-//! refinement sequence on its own OS thread, fetching pages through a
-//! thread-safe view of the chosen pool layout. Locking is per page
-//! fetch, so sessions genuinely interleave inside a single query, the
-//! contention pattern a time-sliced multi-user IR server produces.
+//! partitioned pools, and a shared pool with a merged ("global") query
+//! history — and leaves the trade-off open. [`SessionServer`] makes
+//! both runnable over one pool type: every [`PoolLayout`] is some
+//! number of [`ShardedBufferPool`]s, and each session drives its own
+//! refinement sequence on its own OS thread through a clone of the
+//! pool the layout assigns it. Locking is per read plan, so sessions
+//! genuinely interleave inside a single query, the contention pattern
+//! a time-sliced multi-user IR server produces. (The paper's
+//! partitions may also *borrow* a sibling's resident copy; measured at
+//! 25 of 6 037 reads, that mechanism was removed — EXPERIMENTS.md,
+//! "Multi-user buffering".)
 //!
 //! Two schedules are offered. [`Schedule::FreeRunning`] lets the OS
 //! interleave sessions arbitrarily — the realistic mode. Per-session
 //! counters stay exact even here: every fetch reports its own outcome
-//! (hit, miss, borrow) to the calling session inside the fetch's
+//! (hit or miss) to the calling session inside the fetch's
 //! critical section, so attribution never leaks across sessions.
 //! [`Schedule::RoundRobin`] additionally passes a turn token so
 //! refinement `k` of user `u` always runs after refinement `k` of user
@@ -40,9 +44,8 @@ use ir_core::{Algorithm, Query, RefinementSequence, SequenceOutcome, StepOutcome
 use ir_index::InvertedIndex;
 use ir_observe::{MetricsSnapshot, SpanKind};
 use ir_storage::{
-    BufferManager, BufferStats, DiskSim, FaultConfig, FaultStats, FaultStore, FetchPolicy,
-    PageStore, PartitionedBuffer, PolicyKind, QueryBuffer, ShardedBufferPool, SharedBufferManager,
-    SharedPartitionedBuffer,
+    BufferStats, DiskSim, FaultConfig, FaultStats, FaultStore, FetchPolicy, PageStore, PolicyKind,
+    QueryBuffer, ShardedBufferPool,
 };
 use ir_types::{IrError, IrResult, TermId};
 use parking_lot::{Condvar, Mutex};
@@ -53,10 +56,16 @@ use std::sync::Arc;
 /// (by default disabled) fault-injection layer.
 type ServerStore = FaultStore<Arc<DiskSim>>;
 
-/// How the server provisions buffer memory for its sessions.
+/// The pool every layout is built from, over the server's store.
+type ServerPool = ShardedBufferPool<ServerStore>;
+
+/// How the server provisions buffer memory for its sessions. Every
+/// variant builds [`ShardedBufferPool`]s and nothing else; they differ
+/// in how many, how large, and over how many shards.
 #[derive(Clone, Copy, Debug)]
 pub enum PoolLayout {
-    /// One pool shared by every session (paper §3.3, option 2).
+    /// One pool of one shard, shared by every session (paper §3.3,
+    /// option 2) — fetch for fetch the single-owner `BufferManager`.
     Shared {
         /// Pool size in frames.
         total_frames: usize,
@@ -68,22 +77,22 @@ pub enum PoolLayout {
         /// meaningful for query-aware policies (RAP).
         global_history: bool,
     },
-    /// One private partition per session over the shared store, with
-    /// read-only sibling borrowing (paper §3.3, option 1).
+    /// One private one-shard pool per session over the shared store
+    /// (paper §3.3, option 1, without cross-partition borrowing): a
+    /// session's reads are those of the same session running alone.
     Partitioned {
         /// Frames in each session's partition.
         frames_each: usize,
         /// Replacement policy run inside every partition.
         policy: PolicyKind,
     },
-    /// One lock-striped pool shared by every session
-    /// ([`ShardedBufferPool`]): frames are partitioned over `shards`
-    /// shards by page-id hash, each behind its own mutex, so
-    /// concurrent hits on different shards never contend. With
-    /// `shards = 1` this is behaviourally identical to
-    /// [`PoolLayout::Shared`] without global history; with more shards
-    /// it is the opt-in scaling configuration (each shard evicts its
-    /// local minimum — a documented approximation of global RAP).
+    /// One pool of `shards` shards shared by every session: frames
+    /// are striped by term-chunk hash, each shard behind its own mutex,
+    /// so concurrent traffic on different shards never contends. With
+    /// `shards = 1` this *is* [`PoolLayout::Shared`] without global
+    /// history; with more shards it is the scaling configuration (each
+    /// shard evicts its local minimum — a documented approximation of
+    /// global RAP).
     Sharded {
         /// Pool size in frames, summed over all shards.
         total_frames: usize,
@@ -92,6 +101,30 @@ pub enum PoolLayout {
         /// Number of lock stripes (`P ≥ 1`).
         shards: usize,
     },
+}
+
+impl PoolLayout {
+    /// What the layout provisions for `sessions` sessions, as `(pools,
+    /// frames per pool, policy, shards per pool)`; session `u` fetches
+    /// through pool `u % pools`.
+    fn geometry(self, sessions: usize) -> (usize, usize, PolicyKind, usize) {
+        match self {
+            PoolLayout::Shared {
+                total_frames,
+                policy,
+                ..
+            } => (1, total_frames, policy, 1),
+            PoolLayout::Partitioned {
+                frames_each,
+                policy,
+            } => (sessions, frames_each, policy, 1),
+            PoolLayout::Sharded {
+                total_frames,
+                policy,
+                shards,
+            } => (1, total_frames, policy, shards),
+        }
+    }
 }
 
 /// How session threads are interleaved.
@@ -197,15 +230,23 @@ impl AdaptiveStats {
     /// Harvests the `adaptive.*` counters out of a pool's metric dump.
     pub fn from_dump(dump: &MetricsSnapshot) -> AdaptiveStats {
         let mut stats = AdaptiveStats::default();
+        stats.absorb(dump);
+        stats
+    }
+
+    /// Adds one more pool's `adaptive.*` counters to the tallies.
+    fn absorb(&mut self, dump: &MetricsSnapshot) {
         for (name, value) in &dump.counters {
             if name == "adaptive.switches" {
-                stats.switches = *value;
+                self.switches += *value;
             } else if let Some(expert) = name.strip_prefix("adaptive.shadow_hits.") {
-                stats.shadow_hits.push((expert.to_string(), *value));
+                match self.shadow_hits.iter_mut().find(|(n, _)| n == expert) {
+                    Some((_, hits)) => *hits += *value,
+                    None => self.shadow_hits.push((expert.to_string(), *value)),
+                }
             }
         }
-        stats.shadow_hits.sort();
-        stats
+        self.shadow_hits.sort();
     }
 
     /// Whether the run's policy reported any adaptive instrumentation.
@@ -214,16 +255,14 @@ impl AdaptiveStats {
     }
 }
 
-/// What a [`SessionServer::run`] call observed.
+/// What a [`SessionServer::run`] call observed. Every pool-side figure
+/// is summed over the layout's pools.
 #[derive(Clone, Debug)]
 pub struct ServerReport {
     /// Per-session outcomes, in spec order.
     pub sessions: Vec<SessionOutcome>,
     /// Pool counters aggregated over every session's traffic.
     pub pool_stats: BufferStats,
-    /// Disk reads avoided by cross-partition borrowing (always 0 for
-    /// [`PoolLayout::Shared`]).
-    pub sibling_hits: u64,
     /// Total frames provisioned across the layout.
     pub total_frames: usize,
     /// Frames occupied when the last session finished.
@@ -242,8 +281,8 @@ pub struct ServerReport {
     /// disabled).
     pub fault_stats: FaultStats,
     /// One [`QueryCost`] row per evaluated refinement, across every
-    /// session. Hits, misses and borrows are attributed per fetch, so
-    /// rows are exact under either schedule.
+    /// session. Hits and misses are attributed per fetch, so rows are
+    /// exact under either schedule.
     pub ledger: CostLedger,
     /// Wall-clock time of the whole run (spawn to last join), µs.
     pub wall_us: u64,
@@ -251,13 +290,12 @@ pub struct ServerReport {
     /// throughput axis of the concurrency benchmarks. 0 when nothing
     /// ran.
     pub queries_per_sec: f64,
-    /// Total time sessions spent waiting on shard locks, µs (0 for
-    /// non-sharded layouts, where the single mutex's wait is not
-    /// instrumented). Accumulated at nanosecond resolution — sub-µs
-    /// contended waits no longer truncate to zero — then reported in µs.
+    /// Total time sessions spent waiting on shard locks, µs.
+    /// Accumulated at nanosecond resolution — sub-µs contended waits
+    /// do not truncate to zero — then reported in µs.
     pub lock_wait_us: u64,
-    /// Read plans that spanned more than one shard (0 for non-sharded
-    /// layouts).
+    /// Read plans that spanned more than one shard (0 whenever every
+    /// pool has one shard).
     pub batch_splits: u64,
     /// Switch counts and per-expert shadow hits when the pool runs an
     /// adaptive replacement policy (all zero otherwise).
@@ -339,21 +377,6 @@ fn merge_weights(
 /// in spec order, the cost ledger, and spawn-to-join wall time (µs).
 type SessionsRun = (Vec<SessionOutcome>, CostLedger, u64);
 
-/// What a layout's pool reports once its sessions have joined.
-#[derive(Default)]
-struct PoolRollup {
-    stats: BufferStats,
-    sibling_hits: u64,
-    occupancy: usize,
-    resident_term_pages: u64,
-    retries: u64,
-    gave_up: u64,
-    torn_pages: u64,
-    lock_wait_us: u64,
-    batch_splits: u64,
-    adaptive: AdaptiveStats,
-}
-
 /// Extracts a printable message from a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -397,7 +420,7 @@ impl<'a> SessionServer<'a> {
         self
     }
 
-    /// Sets the retry/backoff policy every pool fetch runs under.
+    /// Sets the retry policy every pool fetch runs under.
     pub fn with_fetch_policy(mut self, policy: FetchPolicy) -> Self {
         self.fetch_policy = policy;
         self
@@ -421,157 +444,81 @@ impl<'a> SessionServer<'a> {
     pub fn run(&self, specs: &[SessionSpec], schedule: Schedule) -> IrResult<ServerReport> {
         let n = specs.len();
         let store = Arc::new(FaultStore::new(Arc::clone(self.index.disk()), self.faults));
-        if n == 0 {
-            return Ok(ServerReport {
-                sessions: Vec::new(),
-                pool_stats: BufferStats::default(),
-                sibling_hits: 0,
-                total_frames: 0,
-                final_occupancy: 0,
-                resident_term_pages: 0,
-                retries: 0,
-                gave_up: 0,
-                torn_pages: 0,
-                fault_stats: FaultStats::default(),
-                ledger: CostLedger::new(),
-                wall_us: 0,
-                queries_per_sec: 0.0,
-                lock_wait_us: 0,
-                batch_splits: 0,
-                adaptive: AdaptiveStats::default(),
-            });
-        }
-        let all_terms: Vec<TermId> = (0..self.index.lexicon().len() as u32).map(TermId).collect();
-        // One arm per layout: provision the cold pool, run the sessions
-        // over per-session views of it, then roll the pool up.
-        let (total_frames, (sessions, ledger, wall_us), rollup) = match self.layout {
-            PoolLayout::Shared {
-                total_frames,
-                policy,
-                global_history,
-            } => {
-                let mut bm = BufferManager::new(Arc::clone(&store), total_frames, policy)?;
-                bm.set_fetch_policy(self.fetch_policy);
-                let pool = SharedBufferManager::new(bm);
-                let registry = global_history.then(|| Mutex::new(vec![HashMap::new(); n]));
-                let run =
-                    self.run_sessions(specs, schedule, &store, registry.as_ref(), |_| pool.clone());
-                let rollup = pool.with(|bm| {
-                    let m = bm.metrics();
-                    PoolRollup {
-                        stats: bm.stats(),
-                        occupancy: bm.len(),
-                        resident_term_pages: sum_u32(bm.resident_pages_many(&all_terms)),
-                        retries: m.retries.get(),
-                        gave_up: m.gave_up.get(),
-                        torn_pages: m.torn_pages.get(),
-                        adaptive: AdaptiveStats::from_dump(&m.dump()),
-                        ..PoolRollup::default()
-                    }
-                });
-                (total_frames, run, rollup)
-            }
-            PoolLayout::Partitioned {
-                frames_each,
-                policy,
-            } => {
-                let mut pb = PartitionedBuffer::new(Arc::clone(&store), n, frames_each, policy)?;
-                pb.set_fetch_policy(self.fetch_policy);
-                let pool = SharedPartitionedBuffer::new(pb);
-                let run = self.run_sessions(specs, schedule, &store, None, |user| {
-                    pool.handle(user)
-                        .expect("one partition per session by construction")
-                });
-                let rollup = pool.with(|pb| PoolRollup {
-                    stats: pb.total_stats(),
-                    sibling_hits: pb.sibling_hits(),
-                    occupancy: pb.occupancy(),
-                    resident_term_pages: (0..pb.n_partitions())
-                        .map(|pid| {
-                            all_terms
-                                .iter()
-                                .map(|t| u64::from(pb.resident_pages(pid, *t)))
-                                .sum::<u64>()
-                        })
-                        .sum(),
-                    retries: pb.retries(),
-                    gave_up: pb.gave_up(),
-                    torn_pages: pb.torn_pages(),
-                    adaptive: AdaptiveStats::from_dump(&pb.merged_dump()),
-                    ..PoolRollup::default()
-                });
-                (frames_each * n, run, rollup)
-            }
-            PoolLayout::Sharded {
-                total_frames,
-                policy,
-                shards,
-            } => {
-                let pool =
-                    ShardedBufferPool::new(Arc::clone(&store), total_frames, policy, shards)?;
+        let (n_pools, frames, policy, shards) = self.layout.geometry(n);
+        let pools = (0..n_pools)
+            .map(|_| {
+                let pool = ShardedBufferPool::new(Arc::clone(&store), frames, policy, shards)?;
                 pool.set_fetch_policy(self.fetch_policy);
-                let run = self.run_sessions(specs, schedule, &store, None, |_| pool.clone());
-                // Replay every shard's deferred hit effects before
-                // snapshotting: the lock-light fast path parks policy
-                // and observer work in `pending_hits`, so a rollup
-                // taken without draining it reports stale policy state
-                // — the adaptive stats below come from policy `on_hit`
-                // callbacks that have not run yet. The buffer counters
-                // themselves are eager; quiescing keeps the whole
-                // report one consistent snapshot.
-                pool.quiesce();
-                let metrics = pool.metrics();
-                let rollup = PoolRollup {
-                    stats: pool.stats(),
-                    sibling_hits: 0,
-                    occupancy: pool.len(),
-                    resident_term_pages: sum_u32(pool.resident_pages_many(&all_terms)),
-                    retries: pool.retries(),
-                    gave_up: pool.gave_up(),
-                    torn_pages: pool.torn_pages(),
-                    // The histogram is nanosecond-resolution (sub-µs
-                    // shard waits used to truncate to 0); the report
-                    // stays in µs.
-                    lock_wait_us: metrics.lock_wait_ns.sum() / 1_000,
-                    batch_splits: metrics.batch_splits.get(),
-                    adaptive: AdaptiveStats::from_dump(&pool.merged_dump()),
-                };
-                (total_frames, run, rollup)
+                Ok(pool)
+            })
+            .collect::<IrResult<Vec<ServerPool>>>()?;
+        let registry = matches!(
+            self.layout,
+            PoolLayout::Shared {
+                global_history: true,
+                ..
             }
-        };
-        let queries_per_sec = queries_per_sec(ledger.len(), wall_us);
-        Ok(ServerReport {
+        )
+        .then(|| Mutex::new(vec![HashMap::new(); n]));
+        let (sessions, ledger, wall_us) =
+            self.run_sessions(specs, schedule, &store, registry.as_ref(), &pools);
+        let mut report = ServerReport {
             sessions,
-            pool_stats: rollup.stats,
-            sibling_hits: rollup.sibling_hits,
-            total_frames,
-            final_occupancy: rollup.occupancy,
-            resident_term_pages: rollup.resident_term_pages,
-            retries: rollup.retries,
-            gave_up: rollup.gave_up,
-            torn_pages: rollup.torn_pages,
+            pool_stats: BufferStats::default(),
+            total_frames: frames * n_pools,
+            final_occupancy: 0,
+            resident_term_pages: 0,
+            retries: 0,
+            gave_up: 0,
+            torn_pages: 0,
             fault_stats: store.stats(),
+            queries_per_sec: queries_per_sec(ledger.len(), wall_us),
             ledger,
             wall_us,
-            queries_per_sec,
-            lock_wait_us: rollup.lock_wait_us,
-            batch_splits: rollup.batch_splits,
-            adaptive: rollup.adaptive,
-        })
+            lock_wait_us: 0,
+            batch_splits: 0,
+            adaptive: AdaptiveStats::default(),
+        };
+        let all_terms: Vec<TermId> = (0..self.index.lexicon().len() as u32).map(TermId).collect();
+        let mut lock_wait_ns = 0;
+        for pool in &pools {
+            // Replay the pool's deferred hit effects before reading it:
+            // the lock-light path parks policy and observer work in
+            // `pending_hits`, and the adaptive stats below come from
+            // policy `on_hit` callbacks. The buffer counters themselves
+            // are eager; quiescing keeps the report one consistent
+            // snapshot.
+            pool.quiesce();
+            report.pool_stats += pool.stats();
+            report.final_occupancy += pool.len();
+            report.resident_term_pages += pool
+                .resident_pages_many(&all_terms)
+                .into_iter()
+                .map(u64::from)
+                .sum::<u64>();
+            report.retries += pool.retries();
+            report.gave_up += pool.gave_up();
+            report.torn_pages += pool.torn_pages();
+            lock_wait_ns += pool.metrics().lock_wait_ns.sum();
+            report.batch_splits += pool.metrics().batch_splits.get();
+            report.adaptive.absorb(&pool.merged_dump());
+        }
+        report.lock_wait_us = lock_wait_ns / 1_000;
+        Ok(report)
     }
 
-    /// Spawns one scoped thread per spec, each evaluating its sequence
-    /// against its own `make_buffer(user)` view of the run's pool, and
-    /// joins them all. With a `registry` (the global-history layout)
-    /// each step announces the per-term max over every session's
-    /// current query instead of its own weights.
-    fn run_sessions<B: QueryBuffer + Send>(
+    /// Spawns one scoped thread per spec, session `u` evaluating its
+    /// sequence through a handle to `pools[u % pools.len()]`, and joins
+    /// them all. With a `registry` (the global-history layout) each
+    /// step announces the per-term max over every session's current
+    /// query instead of its own weights.
+    fn run_sessions(
         &self,
         specs: &[SessionSpec],
         schedule: Schedule,
         store: &Arc<ServerStore>,
         registry: Option<&WeightRegistry>,
-        make_buffer: impl Fn(usize) -> B,
+        pools: &[ServerPool],
     ) -> SessionsRun {
         let n = specs.len();
         let max_steps = specs
@@ -586,7 +533,7 @@ impl<'a> SessionServer<'a> {
         let results: Vec<SessionRun> = crossbeam::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (user, spec) in specs.iter().enumerate() {
-                let mut buffer = make_buffer(user);
+                let mut buffer = pools[user % pools.len()].clone();
                 // The merged announcement replaces the evaluator's own.
                 let registry = registry.filter(|_| spec.options.announce_query);
                 let options = EvalOptions {
@@ -706,11 +653,6 @@ impl<'a> SessionServer<'a> {
         }
         (sessions, ledger, wall_us)
     }
-}
-
-/// Sums a `b_t` inquiry's answers.
-fn sum_u32(counts: Vec<u32>) -> u64 {
-    counts.into_iter().map(u64::from).sum()
 }
 
 /// Evaluated-queries-per-second of wall clock. Tiny runs on fast
@@ -862,53 +804,89 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             assert_eq!(reads(&a), reads(&b), "{layout:?}");
-            assert_eq!(a.sibling_hits, b.sibling_hits, "{layout:?}");
+        }
+    }
+
+    /// Disk reads of each step of one session.
+    fn step_reads(session: &SessionOutcome) -> Vec<u64> {
+        let steps = &session.sequence().steps;
+        steps.iter().map(|s| s.stats.disk_reads).collect()
+    }
+
+    #[test]
+    fn partitioned_sessions_read_exactly_what_they_read_alone() {
+        // Nothing is shared between partitions, so each session's
+        // reads are those of the same spec alone on a pool of the
+        // partition's size — under FreeRunning too.
+        let idx = index();
+        let specs = specs(&idx);
+        for policy in [PolicyKind::Rap, PolicyKind::Lru] {
+            let private = SessionServer::new(
+                &idx,
+                PoolLayout::Shared {
+                    total_frames: 4,
+                    policy,
+                    global_history: false,
+                },
+            );
+            let alone: Vec<Vec<u64>> = specs
+                .iter()
+                .map(|spec| {
+                    let report = private
+                        .run(std::slice::from_ref(spec), Schedule::RoundRobin)
+                        .unwrap();
+                    step_reads(&report.sessions[0])
+                })
+                .collect();
+            let partitioned = SessionServer::new(
+                &idx,
+                PoolLayout::Partitioned {
+                    frames_each: 4,
+                    policy,
+                },
+            );
+            for schedule in [Schedule::RoundRobin, Schedule::FreeRunning] {
+                let report = partitioned.run(&specs, schedule).unwrap();
+                let together: Vec<Vec<u64>> = report.sessions.iter().map(step_reads).collect();
+                assert_eq!(together, alone, "{policy} under {schedule:?}");
+            }
         }
     }
 
     #[test]
-    fn partitioned_sessions_borrow_from_siblings() {
+    fn report_sums_over_every_pool_of_the_layout() {
         let idx = index();
-        let server = SessionServer::new(
-            &idx,
-            PoolLayout::Partitioned {
-                frames_each: 4,
-                policy: PolicyKind::Rap,
-            },
-        );
-        let report = server.run(&specs(&idx), Schedule::RoundRobin).unwrap();
-        assert!(
-            report.sibling_hits > 0,
-            "overlapping queries must borrow across partitions: {report:?}"
-        );
-        let s = report.pool_stats;
-        assert_eq!(s.hits + s.misses, s.requests);
-        assert!(report.final_occupancy <= report.total_frames);
-        assert_eq!(report.resident_term_pages, report.final_occupancy as u64);
-        // Borrowing means strictly fewer store reads than four private
-        // pools of the same size serving the same sequences.
-        let private = SessionServer::new(
-            &idx,
-            PoolLayout::Shared {
-                total_frames: 4,
-                policy: PolicyKind::Rap,
-                global_history: false,
-            },
-        );
-        let private_total: u64 = specs(&idx)
-            .iter()
-            .map(|spec| {
-                private
-                    .run(std::slice::from_ref(spec), Schedule::RoundRobin)
-                    .unwrap()
-                    .total_disk_reads()
-            })
-            .sum();
-        assert!(
-            report.total_disk_reads() < private_total,
-            "sibling borrowing should beat private pools: {} vs {private_total}",
-            report.total_disk_reads()
-        );
+        for (layout, frames) in [
+            (
+                PoolLayout::Shared {
+                    total_frames: 10,
+                    policy: PolicyKind::Rap,
+                    global_history: true,
+                },
+                10,
+            ),
+            (
+                PoolLayout::Partitioned {
+                    frames_each: 3,
+                    policy: PolicyKind::Rap,
+                },
+                12,
+            ),
+        ] {
+            let report = SessionServer::new(&idx, layout)
+                .run(&specs(&idx), Schedule::RoundRobin)
+                .unwrap();
+            assert_eq!(report.total_frames, frames, "{layout:?}");
+            assert_eq!(
+                report.resident_term_pages, report.final_occupancy as u64,
+                "{layout:?}: every frame holds one page of one term"
+            );
+            assert!(report.final_occupancy <= report.total_frames, "{layout:?}");
+            let s = report.pool_stats;
+            assert_eq!(s.misses, report.total_disk_reads(), "{layout:?}");
+            assert_eq!(s.hits + s.misses, s.requests, "{layout:?}");
+            assert_eq!(report.batch_splits, 0, "{layout:?}: one-shard pools");
+        }
     }
 
     #[test]
@@ -930,7 +908,6 @@ mod tests {
                 &report.sessions[row.session as usize].sequence().steps[row.step as usize].stats;
             assert_eq!(row.disk_reads, stats.disk_reads);
             assert_eq!(row.buffer_hits, stats.buffer_hits);
-            assert_eq!(row.borrows, stats.borrows);
             assert_eq!(
                 row.disk_reads + row.buffer_hits,
                 stats.pages_processed,
@@ -938,11 +915,6 @@ mod tests {
             );
             assert_eq!(row.candidates, stats.peak_accumulators as u64);
         }
-        // Per-fetch borrow attribution carves up the pool's borrow
-        // total exactly.
-        let total_borrows: u64 = report.ledger.entries.iter().map(|e| e.borrows).sum();
-        assert_eq!(total_borrows, report.sibling_hits);
-        assert!(total_borrows > 0, "overlapping queries must borrow");
         // The rollup covers every session once.
         let sessions = report.ledger.session_costs();
         assert_eq!(sessions.len(), 4);

@@ -180,7 +180,6 @@ fn a_fixed_seed_makes_the_chaotic_run_deterministic() {
             assert_eq!(a.retries, b.retries, "{label}: retries");
             assert_eq!(a.gave_up, b.gave_up, "{label}: gave_up");
             assert_eq!(a.torn_pages, b.torn_pages, "{label}: torn");
-            assert_eq!(a.sibling_hits, b.sibling_hits, "{label}: sibling hits");
             assert_eq!(a.fault_stats, b.fault_stats, "{label}: fault stream");
         }
     }

@@ -6,14 +6,13 @@ use crate::disk::PageStore;
 use crate::observe::{BufferEvent, BufferObserver};
 use crate::page::Page;
 use crate::policy::{PolicyKind, ReplacementPolicy};
-use crate::shared::{QueryBuffer, QueryBufferExt};
+use crate::query_buffer::{QueryBuffer, QueryBufferExt};
 use crate::stats::{BufferMetrics, BufferStats};
 use ir_types::{IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The resident-frame table behind a read-write lock, cloneable so a
 /// lock-striped wrapper ([`ShardedBufferPool`](crate::ShardedBufferPool))
@@ -42,44 +41,6 @@ pub enum FetchOutcome {
     Hit,
     /// Read from the store into a frame (a disk read).
     Miss,
-    /// Served from a copy of a sibling partition's frame, without a
-    /// store read (partitioned pools only).
-    Borrowed,
-}
-
-/// Wait strategy between read retries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backoff {
-    /// Retry immediately.
-    #[default]
-    None,
-    /// Sleep a fixed duration before every retry.
-    Fixed(Duration),
-    /// Sleep `base · 2^(attempt−1)`, capped at `cap`.
-    Exponential {
-        /// Delay before the first retry.
-        base: Duration,
-        /// Upper bound on any single delay.
-        cap: Duration,
-    },
-}
-
-impl Backoff {
-    /// The delay before retry number `attempt` (1-based); `None` for
-    /// an immediate retry.
-    fn delay(&self, attempt: u32) -> Option<Duration> {
-        match *self {
-            Backoff::None => None,
-            Backoff::Fixed(d) => (!d.is_zero()).then_some(d),
-            Backoff::Exponential { base, cap } => {
-                if base.is_zero() {
-                    return None;
-                }
-                let factor = 1u32 << attempt.saturating_sub(1).min(16);
-                Some((base * factor).min(cap))
-            }
-        }
-    }
 }
 
 /// Bounded retry policy for page reads that fail transiently
@@ -90,24 +51,16 @@ impl Backoff {
 pub struct FetchPolicy {
     /// Retries after the initial attempt (0 = fail fast).
     pub max_retries: u32,
-    /// Wait strategy between attempts.
-    pub backoff: Backoff,
 }
 
 impl FetchPolicy {
     /// Fail on the first error; no retries (the default).
-    pub const NO_RETRY: FetchPolicy = FetchPolicy {
-        max_retries: 0,
-        backoff: Backoff::None,
-    };
+    pub const NO_RETRY: FetchPolicy = FetchPolicy { max_retries: 0 };
 
-    /// Retry up to `n` times with no delay — what a simulator-backed
-    /// test wants (faults are injected, not time-dependent).
+    /// Retry up to `n` times, immediately: injected faults are drawn
+    /// per attempt, not per unit of time, so waiting buys nothing.
     pub fn retries(n: u32) -> FetchPolicy {
-        FetchPolicy {
-            max_retries: n,
-            backoff: Backoff::None,
-        }
+        FetchPolicy { max_retries: n }
     }
 }
 
@@ -231,8 +184,7 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Serves one plan entry: the single-fetch protocol, carrying the
     /// entry's value hint to admission — the per-entry arm of the
-    /// batch execution loop, and what a partitioned pool serves each
-    /// entry through after its sibling probe.
+    /// batch execution loop.
     pub(crate) fn fetch_one_hinted(&mut self, entry: PlanEntry) -> IrResult<(Page, FetchOutcome)> {
         let id = entry.page;
         self.metrics.requests.inc();
@@ -254,7 +206,7 @@ impl<S: PageStore> BufferManager<S> {
         while self.frames.read().len() >= self.capacity {
             self.evict_one()?;
         }
-        self.install_hinted(page.clone(), false, entry.value_hint);
+        self.install(page.clone(), entry.value_hint);
         Ok((page, FetchOutcome::Miss))
     }
 
@@ -406,7 +358,7 @@ impl<S: PageStore> BufferManager<S> {
                             // would be after its first failure.
                             Err(e) => self.retry_after(entry.page, e)?,
                         };
-                        self.install_hinted(page.clone(), false, entry.value_hint);
+                        self.install(page.clone(), entry.value_hint);
                         out.push((page, FetchOutcome::Miss));
                     }
                     i += served;
@@ -440,8 +392,7 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Reads `id` under the pool's [`FetchPolicy`]: transient failures
     /// ([`IrError::is_transient`]) are retried up to `max_retries`
-    /// times with the configured backoff; terminal errors and
-    /// exhausted budgets propagate.
+    /// times; terminal errors and exhausted budgets propagate.
     fn read_with_retry(&mut self, id: PageId) -> IrResult<Page> {
         match self.read_verified(id) {
             Ok(page) => Ok(page),
@@ -453,8 +404,8 @@ impl<S: PageStore> BufferManager<S> {
     /// already failed with `first_err` (either inside
     /// [`read_with_retry`](Self::read_with_retry) or inside a vectored
     /// [`PageStore::read_pages`] call): transient failures are retried
-    /// up to `max_retries` times with the configured backoff; terminal
-    /// errors and exhausted budgets propagate.
+    /// up to `max_retries` times; terminal errors and exhausted
+    /// budgets propagate.
     fn retry_after(&mut self, id: PageId, first_err: IrError) -> IrResult<Page> {
         let policy = self.fetch_policy;
         let mut err = first_err;
@@ -470,9 +421,6 @@ impl<S: PageStore> BufferManager<S> {
             attempt += 1;
             self.metrics.retries.inc();
             self.notify(BufferEvent::Retry(id));
-            if let Some(d) = policy.backoff.delay(attempt) {
-                std::thread::sleep(d);
-            }
             match self.read_verified(id) {
                 Ok(page) => return Ok(page),
                 Err(e) => err = e,
@@ -480,44 +428,12 @@ impl<S: PageStore> BufferManager<S> {
         }
     }
 
-    /// Inserts `page` into a frame **without a store read** — the
-    /// admission half of a fetch, for pages obtained elsewhere (a
-    /// sibling partition's frame, a recovery image). Makes room by
-    /// normal eviction; a page that is already resident is left as is.
-    ///
-    /// Admission touches no request/hit/miss counter (only the borrow
-    /// counter, plus `evictions` if room had to be made): the caller
-    /// decides what the admission means for its accounting, typically
-    /// by following up with a [`fetch`](Self::fetch) that now hits.
-    /// Observers see a [`BufferEvent::Borrow`], not a `Load`.
-    ///
-    /// # Errors
-    /// [`IrError::NoEvictableFrame`] if the pool is full of pinned
-    /// pages; the pool is left unchanged.
-    pub fn admit(&mut self, page: Page) -> IrResult<()> {
-        if self.frames.read().contains_key(&page.id()) {
-            return Ok(());
-        }
-        while self.frames.read().len() >= self.capacity {
-            self.evict_one()?;
-        }
-        self.install(page, true);
-        Ok(())
-    }
-
-    /// Puts a non-resident page into a free frame and wires up the
-    /// counters, policy, and observer. `borrowed` distinguishes the
-    /// store-less admit path (a `Borrow`) from a completed miss (a
-    /// `Load` — i.e. a disk read).
-    fn install(&mut self, page: Page, borrowed: bool) {
-        self.install_hinted(page, borrowed, None);
-    }
-
-    /// [`install`](Self::install) with a read-plan value hint handed to
-    /// the policy at admission. When the policy reports the value it
-    /// actually assigned, the |assigned − hinted·w*| gap feeds the
-    /// hint-accuracy counters.
-    fn install_hinted(&mut self, page: Page, borrowed: bool, hint: Option<f64>) {
+    /// Puts a freshly read, non-resident page into a free frame and
+    /// wires up the counters, policy, and observer, handing the
+    /// read-plan value hint to the policy at admission. When the policy
+    /// reports the value it actually assigned, the
+    /// |assigned − hinted·w*| gap feeds the hint-accuracy counters.
+    fn install(&mut self, page: Page, hint: Option<f64>) {
         let id = page.id();
         *self.resident_per_term.write().entry(id.term).or_insert(0) += 1;
         let assigned = self.policy.on_insert_hinted(&page, hint);
@@ -528,13 +444,8 @@ impl<S: PageStore> BufferManager<S> {
             self.metrics.hinted_inserts.inc();
         }
         self.frames.write().insert(id, page);
-        if borrowed {
-            self.metrics.borrows.inc();
-            self.notify(BufferEvent::Borrow(id));
-        } else {
-            self.metrics.loads.inc();
-            self.notify(BufferEvent::Load(id));
-        }
+        self.metrics.loads.inc();
+        self.notify(BufferEvent::Load(id));
     }
 
     /// Is any resident page evictable? O(1) while fewer pages are
@@ -615,7 +526,7 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Returns the resident page without touching statistics, the
     /// replacement policy, or the observer — a side-effect-free read
-    /// for cross-partition borrowing and diagnostics.
+    /// for diagnostics.
     #[inline]
     pub fn peek(&self, id: PageId) -> Option<Page> {
         self.frames.read().get(&id).cloned()
@@ -708,15 +619,10 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// The pool's live `ir-observe` counter handles — finer-grained
-    /// than [`stats`](Self::stats) (borrows, head/tail evictions,
-    /// pinned skips) and shareable across threads.
+    /// than [`stats`](Self::stats) (head/tail evictions, pinned skips,
+    /// retries) and shareable across threads.
     pub fn metrics(&self) -> &BufferMetrics {
         &self.metrics
-    }
-
-    /// Pages admitted without a store read (sibling borrows).
-    pub fn borrows(&self) -> u64 {
-        self.metrics.borrows.get()
     }
 
     /// Number of frames in use.
@@ -745,8 +651,8 @@ impl<S: PageStore> BufferManager<S> {
     }
 }
 
-/// The reference implementation of the fetch protocol: every other
-/// pool either wraps this one behind a lock or is compared against it.
+/// The reference implementation of the fetch protocol: the sharded
+/// pool runs one of these per shard and is compared against it.
 impl<S: PageStore> QueryBuffer for BufferManager<S> {
     fn fetch_batch_into(
         &mut self,
@@ -767,10 +673,6 @@ impl<S: PageStore> QueryBuffer for BufferManager<S> {
 
     fn stats(&self) -> BufferStats {
         BufferManager::stats(self)
-    }
-
-    fn borrows(&self) -> u64 {
-        BufferManager::borrows(self)
     }
 }
 
@@ -932,54 +834,6 @@ mod tests {
         bm.unpin(pid(0, 0));
         bm.fetch(pid(0, 1)).unwrap();
         assert!(bm.is_resident(pid(0, 1)));
-    }
-
-    #[test]
-    fn admit_installs_without_a_store_read() {
-        let mut bm = BufferManager::new(store(1, 4), 2, PolicyKind::Lru).unwrap();
-        bm.fetch(pid(0, 0)).unwrap();
-        let reads_before = bm.store().stats().reads;
-        // Obtain a page image out of band and admit it.
-        let page = store(1, 4).read_page(pid(0, 1)).unwrap();
-        bm.admit(page).unwrap();
-        assert!(bm.is_resident(pid(0, 1)));
-        assert_eq!(
-            bm.store().stats().reads,
-            reads_before,
-            "admit must not touch the store"
-        );
-        assert_eq!(bm.resident_pages(TermId(0)), 2, "admit maintains b_t");
-        let s = bm.stats();
-        assert_eq!(
-            (s.requests, s.hits, s.misses),
-            (1, 0, 1),
-            "admit counts no request"
-        );
-        // The admitted page now serves hits like any fetched page.
-        bm.fetch(pid(0, 1)).unwrap();
-        assert_eq!(bm.stats().hits, 1);
-        // Admitting a resident page is a no-op.
-        let dup = store(1, 4).read_page(pid(0, 1)).unwrap();
-        bm.admit(dup).unwrap();
-        assert_eq!(bm.len(), 2);
-        assert_eq!(bm.resident_pages(TermId(0)), 2);
-    }
-
-    #[test]
-    fn admit_evicts_under_pressure_and_respects_pins() {
-        let mut bm = BufferManager::new(store(1, 4), 2, PolicyKind::Lru).unwrap();
-        bm.fetch(pid(0, 0)).unwrap();
-        bm.fetch(pid(0, 1)).unwrap();
-        let page = store(1, 4).read_page(pid(0, 2)).unwrap();
-        bm.admit(page).unwrap();
-        assert_eq!(bm.len(), 2, "admit respects capacity");
-        assert_eq!(bm.stats().evictions, 1);
-        // All frames pinned: admit has nowhere to put the page.
-        bm.pin(pid(0, 1));
-        bm.pin(pid(0, 2));
-        let blocked = store(1, 4).read_page(pid(0, 3)).unwrap();
-        assert!(matches!(bm.admit(blocked), Err(IrError::NoEvictableFrame)));
-        assert_eq!(bm.len(), 2, "failed admit leaves the pool unchanged");
     }
 
     #[test]
@@ -1219,23 +1073,6 @@ mod tests {
         assert_eq!(counts.retries, bm.metrics().retries.get());
         assert_eq!(counts.torn, bm.metrics().torn_pages.get());
         assert!(counts.retries > 0, "this seed must exercise the retry path");
-    }
-
-    #[test]
-    fn backoff_schedules() {
-        let ms = Duration::from_millis;
-        assert_eq!(Backoff::None.delay(1), None);
-        assert_eq!(Backoff::Fixed(Duration::ZERO).delay(1), None);
-        assert_eq!(Backoff::Fixed(ms(5)).delay(3), Some(ms(5)));
-        let exp = Backoff::Exponential {
-            base: ms(2),
-            cap: ms(10),
-        };
-        assert_eq!(exp.delay(1), Some(ms(2)));
-        assert_eq!(exp.delay(2), Some(ms(4)));
-        assert_eq!(exp.delay(3), Some(ms(8)));
-        assert_eq!(exp.delay(4), Some(ms(10)), "capped");
-        assert_eq!(exp.delay(40), Some(ms(10)), "huge attempts stay capped");
     }
 
     #[test]

@@ -38,27 +38,22 @@ pub mod disk;
 pub mod fault;
 pub mod observe;
 pub mod page;
-pub mod partition;
 pub mod policy;
+pub mod query_buffer;
 pub mod sharded;
-pub mod shared;
 pub mod stats;
 
 pub use backend::{
     write_page_file, FileMode, FilePageStore, IoConfig, IoMetrics, IoScheduler, LatencyModel,
     PageFileError, TermPages,
 };
-pub use buffer::{Backoff, BufferManager, FetchOutcome, FetchPolicy};
+pub use buffer::{BufferManager, FetchOutcome, FetchPolicy};
 pub use codec::CompressionStats;
 pub use disk::{DiskSim, DiskStats, PageStore};
 pub use fault::{FaultConfig, FaultStats, FaultStore};
 pub use observe::{BufferEvent, BufferObserver, EventCounts, EventLog};
 pub use page::Page;
-pub use partition::PartitionedBuffer;
 pub use policy::{PolicyKind, ReplacementPolicy};
+pub use query_buffer::{QueryBuffer, QueryBufferExt};
 pub use sharded::{ShardMetrics, ShardedBufferPool, LOCK_WAIT_NS_BOUNDS};
-pub use shared::{
-    PartitionHandle, QueryBuffer, QueryBufferExt, Shared, SharedBufferManager,
-    SharedPartitionedBuffer,
-};
 pub use stats::{BufferMetrics, BufferStats, BATCH_PAGES_BOUNDS};

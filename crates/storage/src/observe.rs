@@ -19,9 +19,6 @@ pub enum BufferEvent {
     Hit(PageId),
     /// A page was chosen as the replacement victim.
     Evict(PageId),
-    /// A page was admitted into a frame without a store read — the
-    /// cross-partition borrow path (`admit`).
-    Borrow(PageId),
     /// A pinned page was passed over while choosing an eviction victim
     /// (reported once per page per eviction decision).
     SkipPinned(PageId),
@@ -91,8 +88,6 @@ pub struct EventCounts {
     pub loads: u64,
     /// `Hit` events.
     pub hits: u64,
-    /// `Borrow` events (store-less admissions).
-    pub borrows: u64,
     /// `Evict` events whose victim was a list-head page.
     pub evictions_head: u64,
     /// `Evict` events whose victim was a non-head page.
@@ -115,7 +110,6 @@ impl EventCounts {
             match e {
                 BufferEvent::Load(_) => c.loads += 1,
                 BufferEvent::Hit(_) => c.hits += 1,
-                BufferEvent::Borrow(_) => c.borrows += 1,
                 BufferEvent::Evict(id) if id.page.0 == 0 => c.evictions_head += 1,
                 BufferEvent::Evict(_) => c.evictions_tail += 1,
                 BufferEvent::SkipPinned(_) => c.skip_pinned += 1,
@@ -154,7 +148,6 @@ mod tests {
         let events = [
             BufferEvent::Load(head),
             BufferEvent::Hit(head),
-            BufferEvent::Borrow(tail),
             BufferEvent::Evict(head),
             BufferEvent::Evict(tail),
             BufferEvent::SkipPinned(head),
@@ -168,7 +161,6 @@ mod tests {
             EventCounts {
                 loads: 1,
                 hits: 1,
-                borrows: 1,
                 evictions_head: 1,
                 evictions_tail: 1,
                 skip_pinned: 1,

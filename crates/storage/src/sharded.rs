@@ -1,15 +1,16 @@
-//! Lock-striped sharded buffer pool for concurrent multi-session
-//! workloads.
+//! The concurrent buffer pool: what every multi-session layout of the
+//! engine's `SessionServer` runs on.
 //!
-//! The single-mutex [`SharedBufferManager`](crate::SharedBufferManager)
-//! serializes *every* fetch — including pure buffer hits on Arc-shared
-//! pages — so N sessions on N cores collapse to one core's worth of
-//! buffer throughput. [`ShardedBufferPool`] partitions the frames
-//! across `P` shards (the LevelDB/RocksDB `ShardedCache`
-//! construction): each shard owns its own frame table,
-//! replacement-policy instance, [`BufferMetrics`] and
+//! One mutex around a [`BufferManager`] would serialize *every* fetch —
+//! including pure buffer hits on Arc-shared pages — so N sessions on N
+//! cores collapse to one core's worth of buffer throughput.
+//! [`ShardedBufferPool`] partitions the frames across `P` shards (the
+//! LevelDB/RocksDB `ShardedCache` construction): each shard owns its
+//! own frame table, replacement-policy instance, [`BufferMetrics`] and
 //! [`parking_lot::Mutex`], so concurrent traffic on different shards
-//! never contends and no global lock exists on the hot path.
+//! never contends and no global lock exists on the hot path. A pool of
+//! one shard is the paper's single shared pool (`P = 1` below); a pool
+//! per session is a private partition.
 //!
 //! ## Locking protocol
 //!
@@ -41,11 +42,10 @@
 //!
 //! ## Semantics
 //!
-//! * **`P = 1` is the reference pool.** A one-shard pool runs the same
-//!   [`BufferManager`] code as the single-mutex pool; its event log,
-//!   metrics and store traffic are identical fetch for fetch after a
-//!   [`quiesce`] (a property test pins this for all seven policies,
-//!   with and without fault injection).
+//! * **`P = 1` is the reference pool.** A one-shard pool's event log,
+//!   metrics and store traffic are identical, fetch for fetch after a
+//!   [`quiesce`], to a bare [`BufferManager`]'s (a property test pins
+//!   this for all nine policy kinds, with and without fault injection).
 //! * **Striped replacement (deliberate deviation).** Each shard evicts
 //!   its own local minimum, so a query-aware policy such as RAP keeps
 //!   a *striped* value index rather than the paper's single global
@@ -68,7 +68,7 @@ use crate::buffer::{BufferManager, FetchOutcome, FetchPolicy, FrameView, TermVie
 use crate::disk::PageStore;
 use crate::page::Page;
 use crate::policy::PolicyKind;
-use crate::shared::QueryBuffer;
+use crate::query_buffer::QueryBuffer;
 use crate::stats::{BufferMetrics, BufferStats};
 use ir_observe::{Counter, Histogram, MetricsSnapshot, Registry};
 use ir_types::{IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
@@ -201,6 +201,8 @@ impl<S: PageStore> Shard<S> {
 #[derive(Debug)]
 pub struct ShardedBufferPool<S: PageStore> {
     shards: Arc<[Shard<S>]>,
+    /// Frames over all shards (the quotas never change).
+    capacity: usize,
     /// Pages per routing chunk: `(term, page / chunk_pages)` picks the
     /// shard, so a list prefix of up to this many pages is owned by
     /// one shard.
@@ -215,6 +217,7 @@ impl<S: PageStore> Clone for ShardedBufferPool<S> {
     fn clone(&self) -> Self {
         ShardedBufferPool {
             shards: Arc::clone(&self.shards),
+            capacity: self.capacity,
             chunk_pages: self.chunk_pages,
             uses_query_context: self.uses_query_context,
             metrics: self.metrics.clone(),
@@ -304,6 +307,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
             .collect::<IrResult<Vec<_>>>()?;
         Ok(ShardedBufferPool {
             shards: pools.into(),
+            capacity: total_frames,
             chunk_pages,
             uses_query_context,
             metrics: ShardMetrics::new(),
@@ -432,30 +436,29 @@ impl<S: PageStore> ShardedBufferPool<S> {
     }
 
     /// The one shard every entry of `plan` routes to, when there is
-    /// one — the common case under term-chunk routing and always true
-    /// for `P = 1`. An empty plan reports shard 0 on a one-shard pool
-    /// (it still counts one empty batch on the reference pool) and
-    /// `None` otherwise.
+    /// one — the common case under term-chunk routing. A one-shard
+    /// pool answers shard 0 without looking at the plan (an empty plan
+    /// included: it still counts one empty batch, as on the reference
+    /// pool); an empty plan on a larger pool routes nowhere.
     fn single_shard_of(&self, plan: &ReadPlan) -> Option<usize> {
-        match plan.entries().first() {
-            Some(first) => {
-                let s = self.shard_of(first.page);
-                // Consecutive entries usually share a routing chunk
-                // (plans are per-term page prefixes), so only re-hash
-                // when the chunk key changes.
-                let mut key = self.chunk_key(first.page);
-                plan.iter()
-                    .all(|e| {
-                        let k = self.chunk_key(e.page);
-                        k == key || {
-                            key = k;
-                            self.shard_of(e.page) == s
-                        }
-                    })
-                    .then_some(s)
-            }
-            None => (self.shards.len() == 1).then_some(0),
+        if self.shards.len() == 1 {
+            return Some(0);
         }
+        let first = plan.entries().first()?;
+        let s = self.shard_of(first.page);
+        // Consecutive entries usually share a routing chunk (plans are
+        // per-term page prefixes), so only re-hash when the chunk key
+        // changes.
+        let mut key = self.chunk_key(first.page);
+        plan.iter()
+            .all(|e| {
+                let k = self.chunk_key(e.page);
+                k == key || {
+                    key = k;
+                    self.shard_of(e.page) == s
+                }
+            })
+            .then_some(s)
     }
 
     /// Runs `f` with shard `s` locked — for operations the pool
@@ -474,9 +477,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
 
     /// Pool capacity in frames, summed over shards.
     pub fn capacity(&self) -> usize {
-        (0..self.shards.len())
-            .map(|s| self.lock(s).capacity())
-            .sum()
+        self.capacity
     }
 
     /// Frames in use, summed over shards.
@@ -680,11 +681,7 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
     fn stats(&self) -> BufferStats {
         let mut total = BufferStats::default();
         for s in 0..self.shards.len() {
-            let stats = self.lock(s).stats();
-            total.requests += stats.requests;
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.evictions += stats.evictions;
+            total += self.lock(s).stats();
         }
         total
     }
@@ -695,10 +692,6 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
         // gains nothing from alignment.
         (self.shards.len() > 1).then_some(self.chunk_pages)
     }
-
-    fn borrows(&self) -> u64 {
-        self.sum_shards(BufferManager::borrows)
-    }
 }
 
 #[cfg(test)]
@@ -706,7 +699,7 @@ mod tests {
     use super::*;
     use crate::disk::DiskSim;
     use crate::observe::BufferEvent;
-    use crate::shared::QueryBufferExt;
+    use crate::query_buffer::QueryBufferExt;
     use ir_types::Posting;
 
     fn store(n_terms: u32, pages: u32) -> Arc<DiskSim> {
@@ -756,6 +749,18 @@ mod tests {
         let pool = ShardedBufferPool::new(s, 7, PolicyKind::Lru, 4).unwrap();
         assert_eq!(pool.n_shards(), 4);
         assert_eq!(pool.capacity(), 7, "quotas must sum to the total");
+    }
+
+    #[test]
+    fn clones_are_handles_to_one_pool() {
+        let mut a = ShardedBufferPool::new(store(1, 4), 4, PolicyKind::Lru, 1).unwrap();
+        let mut b = a.clone();
+        a.fetch(pid(0, 0)).unwrap();
+        b.fetch(pid(0, 0)).unwrap(); // hit via the other handle
+        let s = a.stats();
+        assert_eq!((s.requests, s.hits, s.misses), (2, 1, 1));
+        assert_eq!(a.len(), 1);
+        assert_eq!(b.resident_pages(TermId(0)), 1);
     }
 
     #[test]

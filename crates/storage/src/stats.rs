@@ -3,8 +3,8 @@
 //! [`BufferStats`] remains the value type experiments snapshot and
 //! diff; the counters behind it live in [`BufferMetrics`] — lock-free
 //! `ir-observe` handles registered per pool, finer-grained than the
-//! snapshot (loads vs. sibling borrows, evictions split head/tail,
-//! pinned-victim skips).
+//! snapshot (evictions split head/tail, pinned-victim skips, retries
+//! and torn deliveries).
 
 use ir_observe::{Counter, Histogram, MetricsSnapshot, Registry};
 use serde::Serialize;
@@ -60,6 +60,16 @@ impl BufferStats {
     }
 }
 
+/// Componentwise sum — how per-shard and per-pool snapshots roll up.
+impl std::ops::AddAssign for BufferStats {
+    fn add_assign(&mut self, other: BufferStats) {
+        self.requests += other.requests;
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+    }
+}
+
 /// The live counters of one buffer pool, as `ir-observe` registry
 /// handles. Recording is a relaxed atomic add per event; the
 /// [`BufferStats`] the rest of the stack consumes is derived on demand
@@ -78,8 +88,6 @@ pub struct BufferMetrics {
     pub hits: Counter,
     /// Pages read from the store into a frame (disk reads).
     pub loads: Counter,
-    /// Pages admitted without a store read (sibling borrows).
-    pub borrows: Counter,
     /// Evictions of list-head pages (`PageNo` 0).
     pub evictions_head: Counter,
     /// Evictions of non-head pages.
@@ -132,7 +140,6 @@ impl BufferMetrics {
             requests: registry.counter("buffer.requests"),
             hits: registry.counter("buffer.hits"),
             loads: registry.counter("buffer.loads"),
-            borrows: registry.counter("buffer.borrows"),
             evictions_head: registry.counter("buffer.evictions.head"),
             evictions_tail: registry.counter("buffer.evictions.tail"),
             skip_pinned: registry.counter("buffer.skip_pinned"),
@@ -147,8 +154,8 @@ impl BufferMetrics {
     }
 
     /// The classic four-counter snapshot: `misses` is exactly `loads`
-    /// (every miss that completed read one page; borrows are hits by
-    /// construction) and `evictions` merges the head/tail split.
+    /// (every miss that completed read one page) and `evictions`
+    /// merges the head/tail split.
     pub fn snapshot(&self) -> BufferStats {
         BufferStats {
             requests: self.requests.get(),
@@ -218,7 +225,6 @@ mod tests {
         m.requests.add(5);
         m.hits.add(2);
         m.loads.add(3);
-        m.borrows.inc(); // borrows are not misses
         m.evictions_head.inc();
         m.evictions_tail.add(2);
         let s = m.snapshot();
@@ -233,20 +239,17 @@ mod tests {
         );
         m.reset();
         assert_eq!(m.snapshot(), BufferStats::default());
-        assert_eq!(m.borrows.get(), 0);
     }
 
     #[test]
     fn dump_exposes_fine_grained_counters() {
         let m = BufferMetrics::new();
         m.skip_pinned.add(4);
-        m.borrows.add(2);
         m.retries.add(3);
         m.gave_up.inc();
         m.torn_pages.add(2);
         let d = m.dump();
         assert_eq!(d.counter("buffer.skip_pinned"), Some(4));
-        assert_eq!(d.counter("buffer.borrows"), Some(2));
         assert_eq!(d.counter("buffer.loads"), Some(0));
         assert_eq!(d.counter("buffer.retries"), Some(3));
         assert_eq!(d.counter("buffer.gave_up"), Some(1));

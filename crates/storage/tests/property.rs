@@ -88,7 +88,6 @@ fn assert_one_plan_matches_page_at_a_time<S: PageStore>(
     let (ma, mb) = (plain.metrics(), batched.metrics());
     assert_eq!(ma.loads.get(), mb.loads.get(), "{kind}: loads");
     assert_eq!(ma.hits.get(), mb.hits.get(), "{kind}: hits");
-    assert_eq!(ma.borrows.get(), mb.borrows.get(), "{kind}: borrows");
     assert_eq!(
         ma.evictions_head.get(),
         mb.evictions_head.get(),
@@ -219,7 +218,7 @@ proptest! {
         }
     }
 
-    /// Dual-accounting invariant: for any fetch/pin/admit/flush
+    /// Dual-accounting invariant: for any fetch/pin/flush
     /// workload, the lock-free `BufferMetrics` counters equal the fold
     /// of the event stream the observer saw ([`EventCounts::tally`]) —
     /// the two accounting paths can never disagree.
@@ -227,7 +226,7 @@ proptest! {
     fn metrics_counters_equal_the_event_log_tally(
         capacity in 2usize..6,
         ops in collection::vec(
-            (0u32..N_TERMS, 0u32..PAGES_PER_TERM, 0u8..8),
+            (0u32..N_TERMS, 0u32..PAGES_PER_TERM, 0u8..7),
             1..80,
         ),
         flush_at_end in proptest::any::<bool>(),
@@ -240,11 +239,8 @@ proptest! {
             for (t, p, action) in &ops {
                 let id = PageId::new(TermId(*t), *p);
                 match action {
-                    // The borrow path: a page image obtained out of
-                    // band, installed without a store read.
-                    0 => bm.admit(page(*t, *p)).unwrap(),
                     // Pin after fetching (keeping one frame free so
-                    // later fetches and admits always succeed).
+                    // later fetches always succeed).
                     1 => {
                         bm.fetch(id).unwrap();
                         if !pinned.contains(&id) && pinned.len() + 1 < capacity {
@@ -267,7 +263,6 @@ proptest! {
             let m = bm.metrics();
             assert_eq!(m.loads.get(), counts.loads, "{kind}: loads");
             assert_eq!(m.hits.get(), counts.hits, "{kind}: hits");
-            assert_eq!(m.borrows.get(), counts.borrows, "{kind}: borrows");
             assert_eq!(
                 m.evictions_head.get(),
                 counts.evictions_head,

@@ -138,7 +138,6 @@ fn assert_one_shard_matches_manager<S: PageStore>(
         let (ma, mb) = (bm.metrics(), reference.metrics());
         assert_eq!(ma.loads.get(), mb.loads.get(), "{kind}: loads");
         assert_eq!(ma.hits.get(), mb.hits.get(), "{kind}: hits");
-        assert_eq!(ma.borrows.get(), mb.borrows.get(), "{kind}: borrows");
         assert_eq!(ma.retries.get(), mb.retries.get(), "{kind}: retries");
         assert_eq!(ma.gave_up.get(), mb.gave_up.get(), "{kind}: gave up");
         assert_eq!(ma.torn_pages.get(), mb.torn_pages.get(), "{kind}: torn");

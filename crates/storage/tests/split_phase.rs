@@ -2,22 +2,21 @@
 //!
 //! A fetch is one call, `fetch_batch_into`, so what is two-sided is:
 //!
-//! * **every wrapper ≡ the reference pool** — a mutex-shared manager,
-//!   a one-partition handle and a one-shard pool, each driven through
-//!   the trait's `fetch_batch_into`, against a bare [`BufferManager`]
-//!   driven through its inherent `fetch_batch`: same delivered pages,
-//!   outcomes, counters, store traffic and `b_t` (and, where the
-//!   wrapper exposes them, the same event log and resident set), for
-//!   **every** replacement policy, with and without a seeded fault
-//!   schedule injecting transient failures and torn pages into both
-//!   sides alike;
+//! * **the concurrent pool ≡ the reference pool** — a one-shard
+//!   [`ShardedBufferPool`] driven through the trait's
+//!   `fetch_batch_into`, against a bare [`BufferManager`] driven
+//!   through its inherent `fetch_batch`: same delivered pages,
+//!   outcomes, counters, store traffic, `b_t`, event log and resident
+//!   set, for **every** replacement policy, with and without a seeded
+//!   fault schedule injecting transient failures and torn pages into
+//!   both sides alike;
 //! * **single fetches are one-entry plans**: `fetch_traced` reports
-//!   `Miss` / `Hit` / `Borrowed` through every layout.
+//!   `Miss` then `Hit` through both implementors.
 
 use ir_storage::{
     BufferEvent, BufferManager, BufferObserver, DiskSim, DiskStats, FaultConfig, FaultStats,
-    FaultStore, FetchOutcome, FetchPolicy, Page, PartitionedBuffer, PolicyKind, QueryBuffer,
-    QueryBufferExt, ShardedBufferPool, SharedBufferManager, SharedPartitionedBuffer,
+    FaultStore, FetchOutcome, FetchPolicy, Page, PolicyKind, QueryBuffer, QueryBufferExt,
+    ShardedBufferPool,
 };
 use ir_types::{PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};
@@ -107,8 +106,8 @@ fn reference(
 /// Drives `wrapper` through the trait's `fetch_batch_into` and
 /// `reference` through `BufferManager`'s inherent `fetch_batch` over
 /// the same plans, asserting after every step that
-/// the served pages and outcomes agree, and at the end that counters,
-/// borrows and per-term `b_t` do too.
+/// the served pages and outcomes agree, and at the end that counters
+/// and per-term `b_t` do too.
 fn assert_wrapper_matches_reference<B: QueryBuffer>(
     wrapper: &mut B,
     reference: &mut BufferManager<Faulted>,
@@ -146,11 +145,6 @@ fn assert_wrapper_matches_reference<B: QueryBuffer>(
         (sb.requests, sb.hits, sb.misses, sb.evictions),
         "{label}: pool counters differ"
     );
-    assert_eq!(
-        wrapper.borrows(),
-        reference.borrows(),
-        "{label}: borrow counts differ"
-    );
     let terms: Vec<TermId> = (0..N_TERMS).map(TermId).collect();
     assert_eq!(
         wrapper.resident_pages_many(&terms),
@@ -161,73 +155,6 @@ fn assert_wrapper_matches_reference<B: QueryBuffer>(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The mutex-shared manager takes its lock once per plan; that
-    /// must not change what a single session observes, down to the
-    /// event log — the strictest observable surface a pool has.
-    #[test]
-    fn shared_manager_matches_bare_manager(
-        ops in collection::vec((0u32..N_TERMS, 0u32..PAGES_PER_TERM, 1u32..PAGES_PER_TERM), 1..24),
-    ) {
-        for kind in PolicyKind::ALL {
-            for (config, fetch) in fault_modes() {
-                let label = format!("shared/{kind}/faults={}", !config.is_disabled());
-                let (mut bare, bare_log) = reference(config, fetch, FRAMES, kind);
-                let (inner, log) = reference(config, fetch, FRAMES, kind);
-                let mut shared = SharedBufferManager::new(inner);
-                assert_wrapper_matches_reference(&mut shared, &mut bare, &ops, &label);
-                shared.with(|bm| {
-                    assert_eq!(
-                        traffic(bm.store()),
-                        traffic(bare.store()),
-                        "{label}: store traffic (and fault draws) differ"
-                    );
-                    assert_eq!(
-                        bm.resident_ids(),
-                        bare.resident_ids(),
-                        "{label}: resident sets differ"
-                    );
-                });
-                assert_eq!(
-                    *log.0.lock().unwrap(),
-                    *bare_log.0.lock().unwrap(),
-                    "{label}: event logs differ"
-                );
-            }
-        }
-    }
-
-    /// One partition has no sibling to borrow from, so its handle —
-    /// which serves every entry through the single-fetch protocol —
-    /// must equal the reference pool's batch loop, vectored reads and
-    /// all.
-    #[test]
-    fn one_partition_handle_matches_bare_manager(
-        ops in collection::vec((0u32..N_TERMS, 0u32..PAGES_PER_TERM, 1u32..PAGES_PER_TERM), 1..24),
-    ) {
-        for kind in PolicyKind::ALL {
-            for (config, fetch) in fault_modes() {
-                let label = format!("partition/{kind}/faults={}", !config.is_disabled());
-                let (mut bare, _) = reference(config, fetch, FRAMES, kind);
-                let twin = faulted(config);
-                let mut pb = PartitionedBuffer::new(Arc::clone(&twin), 1, FRAMES, kind).unwrap();
-                pb.set_fetch_policy(fetch);
-                let pool = SharedPartitionedBuffer::new(pb);
-                let mut handle = pool.handle(0).unwrap();
-                assert_wrapper_matches_reference(&mut handle, &mut bare, &ops, &label);
-                assert_eq!(
-                    traffic(&twin),
-                    traffic(bare.store()),
-                    "{label}: store traffic (and fault draws) differ"
-                );
-                assert_eq!(
-                    pool.with(|pb| pb.occupancy()),
-                    bare.len(),
-                    "{label}: occupancy differs"
-                );
-            }
-        }
-    }
 
     /// A one-shard pool serves resident prefixes lock-light and defers
     /// their hit events; after a quiesce it must be indistinguishable
@@ -292,35 +219,13 @@ fn assert_miss_then_hit<B: QueryBuffer>(pool: &mut B, label: &str) {
 }
 
 #[test]
-fn a_single_fetch_is_a_one_entry_plan_through_every_layout() {
+fn a_single_fetch_is_a_one_entry_plan_through_both_implementors() {
     let kind = PolicyKind::Lru;
     let mut bare = BufferManager::new(store(), FRAMES, kind).unwrap();
     assert_miss_then_hit(&mut bare, "manager");
     assert_eq!(bare.metrics().batches.get(), 3, "one batch per fetch");
     assert_eq!(bare.metrics().batch_pages.sum(), 3);
 
-    let mut shared = SharedBufferManager::new(BufferManager::new(store(), FRAMES, kind).unwrap());
-    assert_miss_then_hit(&mut shared, "shared");
-
     let mut sharded = ShardedBufferPool::new(Arc::new(store()), 2 * FRAMES, kind, 2).unwrap();
     assert_miss_then_hit(&mut sharded, "sharded");
-
-    // Partitions: the second partition's first touch of a page its
-    // sibling holds is a borrow — no store read — then a local hit.
-    let disk = Arc::new(store());
-    let pb = PartitionedBuffer::new(Arc::clone(&disk), 2, FRAMES, kind).unwrap();
-    let pool = SharedPartitionedBuffer::new(pb);
-    let mut h0 = pool.handle(0).unwrap();
-    assert_miss_then_hit(&mut h0, "partition 0");
-    let mut h1 = pool.handle(1).unwrap();
-    let (_, how) = h1.fetch_traced(pid(2, 3)).unwrap();
-    assert_eq!(how, FetchOutcome::Borrowed, "sibling copy is a borrow");
-    let (_, how) = h1.fetch_traced(pid(2, 3)).unwrap();
-    assert_eq!(
-        how,
-        FetchOutcome::Hit,
-        "borrowed copy now serves local hits"
-    );
-    assert_eq!(h1.borrows(), 1);
-    assert_eq!(disk.stats().reads, 1, "the borrow read nothing");
 }
