@@ -12,95 +12,90 @@
 //! CSV directory (default `results/`).
 
 use ir_bench::exp::{
-    ablation, aggregate, effectiveness, feedback_exp, fig3_table5, fig4, fig5_8, table1_2, table4,
-    table7, ExpContext,
+    ablation, adaptive, aggregate, effectiveness, feedback_exp, fig3_table5, fig4, fig5_8,
+    multiuser, ordering, scaling, table1_2, table4, table7, ExpContext, ExpResult,
 };
 use ir_bench::output::OutputDir;
 use ir_bench::setup::{pick_representatives, profile_queries, TestBed};
 use std::process::ExitCode;
 use std::time::Instant;
 
-const USAGE: &str = "usage: experiments [EXPERIMENT ...] [--scale SIGMA] [--out DIR] [--adaptive]
-experiments: all table1_2 table4 fig3 fig4 fig5_6 fig7_8 table7 aggregate effectiveness ablation feedback multiuser ordering scaling
---adaptive appends the ADAPTIVE / HIT-ADAPT rows to the ablation (changes ablation_policies.csv, so it is off by default)";
+type Runner = fn(&ExpContext<'_>) -> ExpResult<()>;
 
-const ALL: [&str; 9] = [
-    "table1_2",
-    "table4",
-    "fig3",
-    "fig4",
-    "fig5_6",
-    "fig7_8",
-    "table7",
-    "aggregate",
-    "effectiveness",
+/// Every experiment by name, in the order `all` runs them. The usage
+/// text, name validation and dispatch all read this one table.
+const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("table1_2", |c| table1_2::run(c).map(drop)),
+    ("table4", |c| table4::run(c).map(drop)),
+    ("fig3", |c| fig3_table5::run(c).map(drop)),
+    ("fig4", fig4::run),
+    ("fig5_6", |c| fig5_8::run_add_only(c).map(drop)),
+    ("fig7_8", |c| fig5_8::run_add_drop(c).map(drop)),
+    ("table7", |c| table7::run(c).map(drop)),
+    ("aggregate", |c| aggregate::run(c).map(drop)),
+    ("effectiveness", |c| effectiveness::run(c).map(drop)),
+    ("ablation", |c| ablation::run(c).map(drop)),
+    ("feedback", |c| feedback_exp::run(c).map(drop)),
+    ("multiuser", |c| multiuser::run(c).map(drop)),
+    ("ordering", |c| ordering::run(c).map(drop)),
+    ("scaling", |c| scaling::run(c).map(drop)),
+    ("adaptive", adaptive::run),
 ];
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: experiments [EXPERIMENT ...] [--scale SIGMA] [--out DIR]\nexperiments: all {}",
+        names.join(" ")
+    )
+}
+
+fn run(args: &[String]) -> Result<(), String> {
     let mut scale = 1.0 / 16.0;
     let mut out_dir = "results".to_string();
-    let mut adaptive = false;
-    let mut picked: Vec<String> = Vec::new();
+    let mut names: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
                 i += 1;
-                scale = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("--scale needs a number in (0, 1]\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                scale = args
+                    .get(i)
+                    .and_then(|s| s.parse().ok())
+                    .filter(|v| *v > 0.0 && *v <= 1.0)
+                    .ok_or_else(|| format!("--scale needs a number in (0, 1]\n{}", usage()))?;
             }
             "--out" => {
                 i += 1;
-                match args.get(i) {
-                    Some(v) => out_dir = v.clone(),
-                    None => {
-                        eprintln!("--out needs a directory\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                out_dir = args
+                    .get(i)
+                    .ok_or_else(|| format!("--out needs a directory\n{}", usage()))?
+                    .clone();
             }
-            "--adaptive" => adaptive = true,
             "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+                println!("{}", usage());
+                return Ok(());
             }
-            name => picked.push(name.to_string()),
+            name => names.push(name),
         }
         i += 1;
     }
-    if picked.is_empty() || picked.iter().any(|p| p == "all") {
-        picked = ALL.iter().map(|s| s.to_string()).collect();
-        picked
-            .extend(["ablation", "feedback", "multiuser", "ordering", "scaling"].map(String::from));
-    }
-    for p in &picked {
-        let known = ALL.contains(&p.as_str())
-            || ["ablation", "feedback", "multiuser", "ordering", "scaling"].contains(&p.as_str());
-        if !known {
-            eprintln!("unknown experiment {p:?}\n{USAGE}");
-            return ExitCode::FAILURE;
+    let mut picked: Vec<&(&str, Runner)> = Vec::new();
+    if names.is_empty() || names.contains(&"all") {
+        picked.extend(EXPERIMENTS);
+    } else {
+        for name in names {
+            let entry = EXPERIMENTS
+                .iter()
+                .find(|(known, _)| *known == name)
+                .ok_or_else(|| format!("unknown experiment {name:?}\n{}", usage()))?;
+            picked.push(entry);
         }
     }
 
-    if !(scale > 0.0 && scale <= 1.0) {
-        eprintln!("--scale must be in (0, 1], got {scale}");
-        return ExitCode::FAILURE;
-    }
     let started = Instant::now();
     println!("building testbed at scale {scale} (paper geometry) ...");
-    let bed = match TestBed::at_scale(scale) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("testbed construction failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let bed = TestBed::at_scale(scale).map_err(|e| format!("testbed construction failed: {e}"))?;
     println!(
         "  {} docs, {} terms, {} postings, {} pages (PageSize {}), built in {:.1?}",
         bed.index.n_docs(),
@@ -110,24 +105,13 @@ fn main() -> ExitCode {
         bed.index.params().page_size,
         started.elapsed()
     );
-    let out = match OutputDir::new(&out_dir) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("cannot create output dir {out_dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let out =
+        OutputDir::new(&out_dir).map_err(|e| format!("cannot create output dir {out_dir}: {e}"))?;
     println!(
         "profiling the {} topic queries (DF vs Full, cold) ...",
         bed.n_queries()
     );
-    let profiles = match profile_queries(&bed) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("profiling failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let profiles = profile_queries(&bed).map_err(|e| format!("profiling failed: {e}"))?;
     let reps = pick_representatives(&profiles);
     println!(
         "representatives: QUERY1=topic {} ({:.0} %), QUERY2=topic {} ({:.0} %), \
@@ -148,37 +132,26 @@ fn main() -> ExitCode {
         reps,
     };
 
-    for name in &picked {
+    for (name, runner) in picked {
         let t = Instant::now();
-        let result: Result<(), Box<dyn std::error::Error>> = match name.as_str() {
-            "table1_2" => table1_2::run(&ctx).map(drop),
-            "table4" => table4::run(&ctx).map(drop),
-            "fig3" => fig3_table5::run(&ctx).map(drop),
-            "fig4" => fig4::run(&ctx),
-            "fig5_6" => fig5_8::run_add_only(&ctx).map(drop),
-            "fig7_8" => fig5_8::run_add_drop(&ctx).map(drop),
-            "table7" => table7::run(&ctx).map(drop),
-            "aggregate" => aggregate::run(&ctx).map(drop),
-            "effectiveness" => effectiveness::run(&ctx).map(drop),
-            "ablation" => ablation::run_with_adaptive(&ctx, adaptive).map(drop),
-            "feedback" => feedback_exp::run(&ctx).map(drop),
-            "multiuser" => ir_bench::exp::multiuser::run(&ctx).map(drop),
-            "ordering" => ir_bench::exp::ordering::run(&ctx).map(drop),
-            "scaling" => ir_bench::exp::scaling::run(&ctx).map(drop),
-            _ => unreachable!("validated above"),
-        };
-        match result {
-            Ok(()) => println!("[{name} done in {:.1?}]", t.elapsed()),
-            Err(e) => {
-                eprintln!("experiment {name} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        runner(&ctx).map_err(|e| format!("experiment {name} failed: {e}"))?;
+        println!("[{name} done in {:.1?}]", t.elapsed());
     }
     println!(
         "\nall artifacts written to {}/ (total {:.1?})",
         out.path().display(),
         started.elapsed()
     );
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -30,12 +30,23 @@ use ir_storage::{
     PolicyKind,
 };
 use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Retry budget used for every chaotic run; covers the
 /// `max_consecutive_faults` cap of [`FaultConfig::chaos`] with one
 /// attempt to spare.
 const RETRY_BUDGET: u32 = 4;
+
+/// The exported page file; removed on drop, so a failed combination's
+/// early `Err` — the run someone will repeat — leaves nothing behind.
+struct TempPageFile(PathBuf);
+
+impl Drop for TempPageFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
 
 fn layout_name(layout: PoolLayout) -> String {
     match layout {
@@ -225,12 +236,14 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
     // pages come from the BFPG page file instead of the in-memory
     // simulator — faults injected above the file store, recovered by
     // the pool's retry machinery, may not move per-session reads.
-    let path = std::env::temp_dir().join(format!("buffir-chaos-{}.bfpg", std::process::id()));
-    ir_index::save_page_file(&bed.index, &path)
+    let file = TempPageFile(
+        std::env::temp_dir().join(format!("buffir-chaos-{}.bfpg", std::process::id())),
+    );
+    ir_index::save_page_file(&bed.index, &file.0)
         .map_err(|e| format!("page-file export failed: {e}"))?;
-    let file_store = FilePageStore::open(&path, FileMode::Buffered)
+    let file_store = FilePageStore::open(&file.0, FileMode::Buffered)
         .map(Arc::new)
-        .map_err(|e| format!("opening {}: {e}", path.display()))?;
+        .map_err(|e| format!("opening {}: {e}", file.0.display()))?;
     for policy in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
         let label = format!("{policy:>9} / file[{total_frames}]");
         let clean = drive_sessions(
@@ -277,7 +290,6 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
             f.latency_spikes,
         );
     }
-    let _ = std::fs::remove_file(&path);
     let _ = writeln!(
         out,
         "all {} combinations recovered ({} file-backed); invariants hold under injected failure",
@@ -285,4 +297,25 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
         PolicyKind::ALL.len() + PolicyKind::ADAPTIVE.len()
     );
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn temp_page_file_is_removed_on_an_early_error_return() {
+        let path = std::env::temp_dir().join(format!(
+            "buffir-chaos-guard-test-{}.bfpg",
+            std::process::id()
+        ));
+        let failing_run = |path: PathBuf| -> Result<(), String> {
+            let file = TempPageFile(path);
+            std::fs::write(&file.0, b"page file").map_err(|e| e.to_string())?;
+            assert!(file.0.exists(), "the file lives while the guard does");
+            Err("a combination failed".to_string())
+        };
+        assert!(failing_run(path.clone()).is_err());
+        assert!(!path.exists(), "the early Err must not leak the file");
+    }
 }

@@ -18,39 +18,13 @@ pub struct AblationSummary {
     pub twoq_vs_lru: f64,
     /// min over workloads of reads(RAP)/reads(LRU).
     pub rap_vs_lru: f64,
-    /// max over cells of reads(ADAPTIVE)/reads(best static policy).
-    /// 0 when the adaptive rows were not requested.
-    pub adaptive_vs_best: f64,
-    /// Same ratio for HIT-ADAPT. 0 when not requested.
-    pub hit_adapt_vs_best: f64,
 }
 
-/// Runs the policy ablation on the QUERY1 representative.
-///
-/// The CSV this writes (`ablation_policies.csv`) is a golden, so the
-/// default run covers exactly [`PolicyKind::ALL`]; the adaptive rows
-/// are opt-in via [`run_with_adaptive`] (`experiments --adaptive`).
+/// Runs the policy ablation on the QUERY1 representative over the
+/// static policies of [`PolicyKind::ALL`]; the adaptive ones have their
+/// own experiment ([`super::adaptive`]).
 pub fn run(ctx: &ExpContext<'_>) -> ExpResult<AblationSummary> {
-    run_with_adaptive(ctx, false)
-}
-
-/// [`run`], optionally appending the adaptive policies (`ADAPTIVE`,
-/// `HIT-ADAPT`) as extra columns/rows after the static seven, so the
-/// static columns — and the golden CSV, when `include_adaptive` is
-/// false — are untouched.
-pub fn run_with_adaptive(
-    ctx: &ExpContext<'_>,
-    include_adaptive: bool,
-) -> ExpResult<AblationSummary> {
-    let policies: Vec<PolicyKind> = if include_adaptive {
-        PolicyKind::ALL
-            .into_iter()
-            .chain(PolicyKind::ADAPTIVE)
-            .collect()
-    } else {
-        PolicyKind::ALL.to_vec()
-    };
-    let n_static = PolicyKind::ALL.len();
+    let policies = PolicyKind::ALL;
     let topic = ctx.reps.query1;
     let total_pages = ctx.profiles[topic].total_pages.max(8) as f64;
     println!(
@@ -72,7 +46,7 @@ pub fn run_with_adaptive(
             let buffers = ((total_pages * frac).round() as usize).max(1);
             let mut cells = vec![buffers.to_string()];
             let mut reads_by_policy = Vec::new();
-            for &policy in &policies {
+            for policy in policies {
                 let out = run_sequence(
                     &ctx.bed.index,
                     &sequence,
@@ -94,20 +68,6 @@ pub fn run_with_adaptive(
             summary.lru2_vs_lru = summary.lru2_vs_lru.max(reads_by_policy[3] as f64 / lru);
             summary.twoq_vs_lru = summary.twoq_vs_lru.max(reads_by_policy[4] as f64 / lru);
             summary.rap_vs_lru = summary.rap_vs_lru.min(reads_by_policy[2] as f64 / lru);
-            if include_adaptive {
-                let best_static = reads_by_policy[..n_static]
-                    .iter()
-                    .copied()
-                    .min()
-                    .unwrap_or(1)
-                    .max(1) as f64;
-                summary.adaptive_vs_best = summary
-                    .adaptive_vs_best
-                    .max(reads_by_policy[n_static] as f64 / best_static);
-                summary.hit_adapt_vs_best = summary
-                    .hit_adapt_vs_best
-                    .max(reads_by_policy[n_static + 1] as f64 / best_static);
-            }
         }
         println!("{kind}:");
         print!("{}", table.render());
@@ -122,13 +82,6 @@ pub fn run_with_adaptive(
          RAP/LRU best-case ratio {:.2}",
         summary.lru2_vs_lru, summary.twoq_vs_lru, summary.rap_vs_lru
     );
-    if include_adaptive {
-        println!(
-            "ADAPTIVE/best-static worst-case ratio {:.2}, HIT-ADAPT/best-static {:.2} \
-             (≈1 ⇒ the mixture tracks the best expert without being told which)",
-            summary.adaptive_vs_best, summary.hit_adapt_vs_best
-        );
-    }
     ctx.bed.index.disk().reset_stats();
     Ok(summary)
 }

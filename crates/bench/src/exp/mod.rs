@@ -2,6 +2,7 @@
 //! artifact and writes CSVs into the output directory.
 
 pub mod ablation;
+pub mod adaptive;
 pub mod aggregate;
 pub mod effectiveness;
 pub mod feedback_exp;

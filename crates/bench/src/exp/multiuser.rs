@@ -5,7 +5,8 @@
 //! OS threads** through [`ir_engine::SessionServer`], all under the
 //! BAF algorithm, scheduled round-robin so the page request stream —
 //! and therefore every number below — is reproducible. Four buffer
-//! architectures compete at equal total memory:
+//! architectures compete at equal total memory, and two more rows
+//! price lock striping:
 //!
 //! * **shared/LRU** — one pool, the query-oblivious default;
 //! * **shared/RAP (per-query)** — one pool, RAP re-valued with *only*
@@ -20,12 +21,17 @@
 //!   pool of `total/4` frames with per-query RAP. Isolation only: the
 //!   paper's read-only sibling borrowing was measured (25 of this
 //!   row's 6 037 reads at scale 1/16) and removed — see EXPERIMENTS.md,
-//!   "Multi-user buffering".
+//!   "Multi-user buffering";
+//! * **sharded[4]/LRU, sharded[4]/RAP** — the shared pool striped over
+//!   four independently locked shards, each running its own policy
+//!   instance over a quarter of the frames: what striping costs in
+//!   reads against the one-shard `shared` rows (for RAP, what the
+//!   per-shard approximation of global RAP costs).
 
 use super::{ExpContext, ExpResult};
 use crate::output::TextTable;
 use ir_core::{Algorithm, RefinementKind};
-use ir_engine::{PoolLayout, Schedule, ServerReport, SessionServer, SessionSpec};
+use ir_engine::{PoolLayout, Schedule, SessionServer, SessionSpec};
 use ir_storage::PolicyKind;
 
 /// Summary for EXPERIMENTS.md.
@@ -39,9 +45,16 @@ pub struct MultiUserSummary {
     pub shared_rap_global: u64,
     /// Total reads: partitioned RAP (one private pool per user).
     pub partitioned_rap: u64,
+    /// Total reads: LRU over a pool striped into [`SHARDS`] shards.
+    pub sharded_lru: u64,
+    /// Total reads: per-query RAP over the same striped pool.
+    pub sharded_rap: u64,
 }
 
-/// Runs the four-architecture comparison on the threaded server.
+/// Stripe count of the sharded rows.
+const SHARDS: usize = 4;
+
+/// Runs the architecture comparison on the threaded server.
 pub fn run(ctx: &ExpContext<'_>) -> ExpResult<MultiUserSummary> {
     println!("\n== Multi-user buffering (extension; §3.3 options) ==");
     let users = [
@@ -68,7 +81,9 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<MultiUserSummary> {
         / 2;
     let per_user = (total_frames / users.len()).max(1);
 
-    let run_layout = |layout: PoolLayout| -> ExpResult<ServerReport> {
+    // Disk reads of one fault-free round-robin run over `layout`: pool
+    // misses == reads issued against the store.
+    let reads = |layout: PoolLayout| -> ExpResult<u64> {
         let server = SessionServer::new(&ctx.bed.index, layout);
         let report = server.run(&specs, Schedule::RoundRobin)?;
         // This experiment runs fault-free, so a degraded session is a
@@ -77,34 +92,28 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<MultiUserSummary> {
             return Err(format!("session {i} failed in a fault-free run: {e}").into());
         }
         ctx.bed.index.disk().reset_stats();
-        Ok(report)
+        Ok(report.pool_stats.misses)
     };
-    let shared_lru = run_layout(PoolLayout::Shared {
+    let shared = |policy, global_history| PoolLayout::Shared {
         total_frames,
-        policy: PolicyKind::Lru,
-        global_history: false,
-    })?;
-    let shared_naive = run_layout(PoolLayout::Shared {
+        policy,
+        global_history,
+    };
+    let sharded = |policy| PoolLayout::Sharded {
         total_frames,
-        policy: PolicyKind::Rap,
-        global_history: false,
-    })?;
-    let shared_global = run_layout(PoolLayout::Shared {
-        total_frames,
-        policy: PolicyKind::Rap,
-        global_history: true,
-    })?;
-    let partitioned = run_layout(PoolLayout::Partitioned {
-        frames_each: per_user,
-        policy: PolicyKind::Rap,
-    })?;
-
-    // Pool misses == reads issued against the store.
+        policy,
+        shards: SHARDS,
+    };
     let summary = MultiUserSummary {
-        shared_lru: shared_lru.pool_stats.misses,
-        shared_rap_naive: shared_naive.pool_stats.misses,
-        shared_rap_global: shared_global.pool_stats.misses,
-        partitioned_rap: partitioned.pool_stats.misses,
+        shared_lru: reads(shared(PolicyKind::Lru, false))?,
+        shared_rap_naive: reads(shared(PolicyKind::Rap, false))?,
+        shared_rap_global: reads(shared(PolicyKind::Rap, true))?,
+        partitioned_rap: reads(PoolLayout::Partitioned {
+            frames_each: per_user,
+            policy: PolicyKind::Rap,
+        })?,
+        sharded_lru: reads(sharded(PolicyKind::Lru))?,
+        sharded_rap: reads(sharded(PolicyKind::Rap))?,
     };
     let rows = [
         (
@@ -130,6 +139,18 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<MultiUserSummary> {
             "partitioned_rap",
             per_user * users.len(),
             summary.partitioned_rap,
+        ),
+        (
+            format!("sharded[{SHARDS}] / LRU"),
+            "sharded4_lru",
+            total_frames,
+            summary.sharded_lru,
+        ),
+        (
+            format!("sharded[{SHARDS}] / RAP per-query"),
+            "sharded4_rap",
+            total_frames,
+            summary.sharded_rap,
         ),
     ];
     let mut t = TextTable::new(&["architecture", "total frames", "disk reads"]);

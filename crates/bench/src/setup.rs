@@ -7,7 +7,6 @@ use ir_engine::index_corpus_with;
 use ir_index::InvertedIndex;
 use ir_storage::PolicyKind;
 use ir_types::{DocId, FilterParams, IrResult};
-use serde::Serialize;
 use std::collections::HashSet;
 
 /// Corpus + index + the 100 topic queries, ready for experiments.
@@ -75,7 +74,7 @@ impl TestBed {
 
 /// Cold-buffer DF-vs-Full profile of one query (the data behind
 /// Figure 3 / Table 5).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct QueryProfile {
     /// Topic index.
     pub topic: usize,

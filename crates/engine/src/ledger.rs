@@ -7,10 +7,8 @@
 //! [`SessionServer`](crate::SessionServer) collects one ledger per run
 //! and returns it in the [`ServerReport`](crate::ServerReport).
 
-use serde::{Deserialize, Serialize};
-
 /// The cost of one evaluated query.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Which session submitted the query (0 for a single-user engine).
     pub session: u32,
@@ -29,51 +27,16 @@ pub struct QueryCost {
     /// Sum of the BAF estimator's `d_t` predictions for the terms it
     /// selected (0 for DF/Full, which do not estimate).
     pub estimated_reads: u64,
-    /// Read plans the evaluator issued as batched fetches (defaults to
-    /// 0 when deserializing ledgers recorded before batching existed).
+    /// Read plans the evaluator issued as batched fetches.
     pub batches: u64,
     /// Microseconds the query's disk reads made it wait for I/O
     /// completions, as accounted by the store's latency model
-    /// (`PageStore::io_wait_us`). Zero for the in-memory simulator and
-    /// for ledgers recorded before the storage backend existed.
+    /// (`PageStore::io_wait_us`). Zero for the in-memory simulator.
     pub io_wait_us: u64,
 }
 
-/// Required field of a JSON-object value.
-fn req<T: serde::Deserialize>(v: &serde::Value, name: &'static str) -> Result<T, serde::Error> {
-    T::from_value(
-        v.field(name)
-            .ok_or_else(|| serde::Error::missing_field(name))?,
-    )
-}
-
-/// Optional field: `T::default()` when absent (back-compat for rows
-/// recorded before the field existed).
-fn opt<T: serde::Deserialize + Default>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
-    v.field(name)
-        .map_or_else(|| Ok(T::default()), T::from_value)
-}
-
-// Hand-written (instead of derived) so `batches` defaults to 0 for
-// ledgers serialized before batching existed.
-impl serde::Deserialize for QueryCost {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(QueryCost {
-            session: req(v, "session")?,
-            step: req(v, "step")?,
-            disk_reads: req(v, "disk_reads")?,
-            buffer_hits: req(v, "buffer_hits")?,
-            eval_us: req(v, "eval_us")?,
-            candidates: req(v, "candidates")?,
-            estimated_reads: req(v, "estimated_reads")?,
-            batches: opt(v, "batches")?,
-            io_wait_us: opt(v, "io_wait_us")?,
-        })
-    }
-}
-
 /// One session's costs, summed over its queries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionCost {
     /// The session these totals cover.
     pub session: u32,
@@ -93,22 +56,6 @@ pub struct SessionCost {
     pub io_wait_us: u64,
 }
 
-// Hand-written for the same back-compat reason as `QueryCost`.
-impl serde::Deserialize for SessionCost {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(SessionCost {
-            session: req(v, "session")?,
-            queries: req(v, "queries")?,
-            disk_reads: req(v, "disk_reads")?,
-            buffer_hits: req(v, "buffer_hits")?,
-            eval_us: req(v, "eval_us")?,
-            peak_candidates: req(v, "peak_candidates")?,
-            batches: opt(v, "batches")?,
-            io_wait_us: opt(v, "io_wait_us")?,
-        })
-    }
-}
-
 impl SessionCost {
     fn absorb(&mut self, q: &QueryCost) {
         self.queries += 1;
@@ -122,7 +69,7 @@ impl SessionCost {
 }
 
 /// An append-only log of [`QueryCost`] rows with per-session rollups.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CostLedger {
     /// Every recorded query, in completion order.
     pub entries: Vec<QueryCost>,
@@ -137,11 +84,6 @@ impl CostLedger {
     /// Appends one query's costs.
     pub fn record(&mut self, cost: QueryCost) {
         self.entries.push(cost);
-    }
-
-    /// Appends every row of `other` (used to merge per-thread ledgers).
-    pub fn merge(&mut self, other: CostLedger) {
-        self.entries.extend(other.entries);
     }
 
     /// Number of recorded queries.
@@ -177,20 +119,6 @@ impl CostLedger {
         }
         out.sort_by_key(|s| s.session);
         out
-    }
-
-    /// The whole ledger as a JSON document (entries + rollups).
-    pub fn to_json(&self) -> String {
-        #[derive(Serialize)]
-        struct Dump {
-            entries: Vec<QueryCost>,
-            sessions: Vec<SessionCost>,
-        }
-        let dump = Dump {
-            entries: self.entries.clone(),
-            sessions: self.session_costs(),
-        };
-        serde_json::to_string(&dump).expect("ledger serialization cannot fail")
     }
 }
 
@@ -279,53 +207,5 @@ mod tests {
             stats.pages_processed,
             "every processed page is exactly one of: disk read, buffer hit"
         );
-    }
-
-    #[test]
-    fn merge_concatenates_entries() {
-        let mut a = CostLedger::new();
-        a.record(cost(0, 0, 1, 1));
-        let mut b = CostLedger::new();
-        b.record(cost(1, 0, 2, 2));
-        a.merge(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.total_disk_reads(), 3);
-    }
-
-    #[test]
-    fn pre_batching_ledgers_deserialize_with_zero_batches() {
-        let json = r#"{"entries":[{"session":0,"step":0,"disk_reads":5,"buffer_hits":2,
-            "borrows":1,"eval_us":10,"candidates":40,"estimated_reads":6}]}"#;
-        let back: CostLedger = serde_json::from_str(json).unwrap();
-        assert_eq!(back.entries[0].batches, 0);
-        assert_eq!(back.entries[0].io_wait_us, 0);
-    }
-
-    #[test]
-    fn dumps_written_with_a_borrows_key_still_load() {
-        // `to_json` as it wrote a ledger while rows and rollups still
-        // carried `borrows`: the key is unknown now and is ignored.
-        let row = r#"{"session":1,"step":2,"disk_reads":5,"buffer_hits":2,"borrows":1,
-            "eval_us":10,"candidates":40,"estimated_reads":6,"batches":3,"io_wait_us":250}"#;
-        let rollup = r#"{"session":1,"queries":1,"disk_reads":5,"buffer_hits":2,"borrows":1,
-            "eval_us":10,"peak_candidates":40,"batches":3,"io_wait_us":250}"#;
-        let dump = format!(r#"{{"entries":[{row}],"sessions":[{rollup}]}}"#);
-        let back: CostLedger = serde_json::from_str(&dump).unwrap();
-        assert_eq!(back.entries, vec![cost(1, 2, 5, 40)]);
-        let rollup: SessionCost = serde_json::from_str(rollup).unwrap();
-        assert_eq!(back.session_costs(), vec![rollup]);
-    }
-
-    #[test]
-    fn json_dump_round_trips_entries() {
-        let mut ledger = CostLedger::new();
-        ledger.record(cost(0, 0, 5, 40));
-        let json = ledger.to_json();
-        assert!(json.contains("\"entries\""));
-        assert!(json.contains("\"sessions\""));
-        // The ledger itself (entries only) round-trips through serde.
-        let as_json = serde_json::to_string(&ledger).unwrap();
-        let back: CostLedger = serde_json::from_str(&as_json).unwrap();
-        assert_eq!(back.entries, ledger.entries);
     }
 }

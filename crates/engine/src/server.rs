@@ -286,10 +286,6 @@ pub struct ServerReport {
     pub ledger: CostLedger,
     /// Wall-clock time of the whole run (spawn to last join), µs.
     pub wall_us: u64,
-    /// Evaluated queries per second of wall-clock time — the
-    /// throughput axis of the concurrency benchmarks. 0 when nothing
-    /// ran.
-    pub queries_per_sec: f64,
     /// Total time sessions spent waiting on shard locks, µs.
     /// Accumulated at nanosecond resolution — sub-µs contended waits
     /// do not truncate to zero — then reported in µs.
@@ -303,14 +299,6 @@ pub struct ServerReport {
 }
 
 impl ServerReport {
-    /// Total disk reads over all sessions (the paper's cost metric).
-    pub fn total_disk_reads(&self) -> u64 {
-        self.sessions
-            .iter()
-            .map(SessionOutcome::total_disk_reads)
-            .sum()
-    }
-
     /// The sessions that failed, as `(index, error)` pairs.
     pub fn failed_sessions(&self) -> Vec<(usize, &IrError)> {
         self.sessions
@@ -472,7 +460,6 @@ impl<'a> SessionServer<'a> {
             gave_up: 0,
             torn_pages: 0,
             fault_stats: store.stats(),
-            queries_per_sec: queries_per_sec(ledger.len(), wall_us),
             ledger,
             wall_us,
             lock_wait_us: 0,
@@ -655,21 +642,6 @@ impl<'a> SessionServer<'a> {
     }
 }
 
-/// Evaluated-queries-per-second of wall clock. Tiny runs on fast
-/// machines can finish inside the clock's µs resolution; saturate as
-/// if the run took one µs instead of reporting 0 qps for work that
-/// demonstrably happened. 0.0 is reserved for runs that evaluated
-/// nothing.
-fn queries_per_sec(evaluated: usize, wall_us: u64) -> f64 {
-    if evaluated == 0 {
-        0.0
-    } else if wall_us == 0 {
-        evaluated as f64 * 1_000_000.0
-    } else {
-        evaluated as f64 / (wall_us as f64 / 1_000_000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,6 +693,15 @@ mod tests {
         }
     }
 
+    /// Disk reads summed over every session's outcome.
+    fn session_reads(report: &ServerReport) -> u64 {
+        report
+            .sessions
+            .iter()
+            .map(SessionOutcome::total_disk_reads)
+            .sum()
+    }
+
     /// Four users whose refinements all lean on the common terms.
     fn specs(idx: &InvertedIndex) -> Vec<SessionSpec> {
         [
@@ -757,7 +738,7 @@ mod tests {
         assert_eq!(report.resident_term_pages, report.final_occupancy as u64);
         // Per-fetch outcome attribution: even under FreeRunning the
         // per-session read counts carve up the pool's misses exactly.
-        assert_eq!(report.pool_stats.misses, report.total_disk_reads());
+        assert_eq!(report.pool_stats.misses, session_reads(&report));
         assert!(s.misses > 0);
     }
 
@@ -773,7 +754,7 @@ mod tests {
             },
         );
         let report = server.run(&specs(&idx), Schedule::RoundRobin).unwrap();
-        assert_eq!(report.pool_stats.misses, report.total_disk_reads());
+        assert_eq!(report.pool_stats.misses, session_reads(&report));
         assert_eq!(
             report.pool_stats.hits + report.pool_stats.misses,
             report.pool_stats.requests
@@ -792,6 +773,11 @@ mod tests {
             PoolLayout::Partitioned {
                 frames_each: 3,
                 policy: PolicyKind::Rap,
+            },
+            PoolLayout::Sharded {
+                total_frames: 10,
+                policy: PolicyKind::Rap,
+                shards: 2,
             },
         ] {
             let server = SessionServer::new(&idx, layout);
@@ -883,7 +869,7 @@ mod tests {
             );
             assert!(report.final_occupancy <= report.total_frames, "{layout:?}");
             let s = report.pool_stats;
-            assert_eq!(s.misses, report.total_disk_reads(), "{layout:?}");
+            assert_eq!(s.misses, session_reads(&report), "{layout:?}");
             assert_eq!(s.hits + s.misses, s.requests, "{layout:?}");
             assert_eq!(report.batch_splits, 0, "{layout:?}: one-shard pools");
         }
@@ -901,7 +887,7 @@ mod tests {
         );
         let report = server.run(&specs(&idx), Schedule::RoundRobin).unwrap();
         assert_eq!(report.ledger.len(), 4 * 3, "4 users × 3 refinements");
-        assert_eq!(report.ledger.total_disk_reads(), report.total_disk_reads());
+        assert_eq!(report.ledger.total_disk_reads(), session_reads(&report));
         // Rows agree with the per-session outcomes they were built from.
         for row in &report.ledger.entries {
             let stats =
@@ -1031,33 +1017,6 @@ mod tests {
         };
         assert_eq!(reads(&clean), reads(&faulty));
         assert_eq!(clean.pool_stats.misses, faulty.pool_stats.misses);
-    }
-
-    #[test]
-    fn qps_saturates_on_sub_microsecond_runs() {
-        assert_eq!(queries_per_sec(0, 0), 0.0);
-        assert_eq!(queries_per_sec(0, 500), 0.0, "no work is still 0 qps");
-        // A run too fast for the µs clock reports as if it took 1 µs
-        // instead of collapsing to zero.
-        assert_eq!(queries_per_sec(5, 0), 5_000_000.0);
-        assert_eq!(queries_per_sec(4, 2_000_000), 2.0);
-    }
-
-    #[test]
-    fn every_report_with_work_has_positive_qps() {
-        let idx = index();
-        let report = SessionServer::new(
-            &idx,
-            PoolLayout::Shared {
-                total_frames: 12,
-                policy: PolicyKind::Lru,
-                global_history: false,
-            },
-        )
-        .run(&specs(&idx), Schedule::RoundRobin)
-        .unwrap();
-        assert!(!report.ledger.is_empty());
-        assert!(report.queries_per_sec > 0.0, "{report:?}");
     }
 
     #[test]

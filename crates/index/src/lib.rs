@@ -25,7 +25,6 @@
 
 pub mod builder;
 pub mod conversion;
-pub mod conversion_compact;
 pub mod docstats;
 pub mod forward;
 pub mod index;
@@ -35,7 +34,6 @@ pub mod scan_geometry;
 
 pub use builder::{BuildOptions, IndexBuilder};
 pub use conversion::ConversionTable;
-pub use conversion_compact::CompactConversionTable;
 pub use docstats::DocStats;
 pub use forward::ForwardIndex;
 pub use index::InvertedIndex;

@@ -464,24 +464,22 @@ mod tests {
             0,
             "export reads must not pollute the simulator's counters"
         );
-        for mode in [FileMode::Buffered, FileMode::Resident] {
-            let store = FilePageStore::open(&path, mode).unwrap();
-            assert_eq!(store.n_lists(), idx.n_terms());
-            assert_eq!(store.total_pages(), idx.total_pages());
-            for (term, e) in idx.lexicon().iter() {
-                assert_eq!(store.list_len(term), Some(e.n_pages));
-                for p in 0..e.n_pages {
-                    let id = PageId::new(term, p);
-                    let a = idx.disk().read_page(id).unwrap();
-                    let b = store.read_page(id).unwrap();
-                    assert_eq!(a.postings(), b.postings());
-                    assert_eq!(a.checksum(), b.checksum());
-                    assert_eq!(
-                        a.max_weight().to_bits(),
-                        b.max_weight().to_bits(),
-                        "idf must survive the page file bit-exactly"
-                    );
-                }
+        let store = FilePageStore::open(&path, FileMode::Buffered).unwrap();
+        assert_eq!(store.n_lists(), idx.n_terms());
+        assert_eq!(store.total_pages(), idx.total_pages());
+        for (term, e) in idx.lexicon().iter() {
+            assert_eq!(store.list_len(term), Some(e.n_pages));
+            for p in 0..e.n_pages {
+                let id = PageId::new(term, p);
+                let a = idx.disk().read_page(id).unwrap();
+                let b = store.read_page(id).unwrap();
+                assert_eq!(a.postings(), b.postings());
+                assert_eq!(a.checksum(), b.checksum());
+                assert_eq!(
+                    a.max_weight().to_bits(),
+                    b.max_weight().to_bits(),
+                    "idf must survive the page file bit-exactly"
+                );
             }
         }
         idx.disk().reset_stats();

@@ -1,15 +1,12 @@
-//! The one formula both conversion tables decode `f_add` with: how many
+//! The one formula the conversion table decodes `f_add` with: how many
 //! pages a DF/BAF scan of one term's list processes, given how many of
 //! its postings pass the addition threshold.
 //!
-//! [`ConversionTable`](crate::ConversionTable) answers from a
-//! cumulative frequency histogram and
-//! [`CompactConversionTable`](crate::CompactConversionTable) from
-//! capped per-term rows, but both reduce the threshold to the same
-//! quantity — `above`, the number of postings with `f_{d,t} > f_add` —
-//! and then apply the page geometry below. Keeping the geometry here
-//! guarantees the two tables (and the evaluators' read-plan sizing
-//! built on them) can never disagree about what a scan touches.
+//! [`ConversionTable`](crate::ConversionTable) reduces the threshold to
+//! `above`, the number of postings with `f_{d,t} > f_add` (from a
+//! cumulative frequency histogram), and then applies the page geometry
+//! below — the same geometry the evaluators' read-plan sizing is built
+//! on, so the table can never disagree with what a scan touches.
 
 /// Pages a scan of a `total`-posting list processes when `above`
 /// postings pass the addition threshold, with `page_size` entries per

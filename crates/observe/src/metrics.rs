@@ -440,7 +440,7 @@ mod tests {
         assert_eq!(s.counter("missing"), None);
         assert_eq!(s.gauge("g"), Some(-3));
         assert_eq!(s.histograms[0].counts, vec![1, 0, 0]);
-        // Snapshots serialize (the bench report embeds them).
+        // Snapshots serialize.
         let json = serde_json::to_string(&s).unwrap();
         assert!(json.contains("a.first"));
     }

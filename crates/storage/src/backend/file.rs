@@ -28,11 +28,8 @@
 //! [`IrError::TornPage`] — the same retryable error the fault injector
 //! produces — never as a panic or a silently corrupt page.
 //!
-//! Two service modes ([`FileMode`]): `Buffered` issues one positioned
-//! read per page against the open file descriptor; `Resident` loads
-//! the whole file into memory at open (the mmap-style mode — the crate
-//! forbids `unsafe`, so a private copy stands in for a mapping) and
-//! serves slices of it.
+//! Payload reads are one positioned read per page against the open
+//! file descriptor ([`FileMode::Buffered`], the only mode).
 //!
 //! Statistics bookkeeping (counter updates, the sequential/random head
 //! classification, errors bumping nothing, batched reads taking the
@@ -163,16 +160,14 @@ fn write_atomically(buf: &[u8], path: &Path) -> Result<(), PageFileError> {
 }
 
 /// How a [`FilePageStore`] services payload reads.
+// One variant: the enum and `open`'s `mode` parameter keep their shape
+// only because the frozen `benchmark/src/adapter.rs` spells them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FileMode {
     /// One positioned (`pread`-style) read per page against the open
     /// descriptor — the out-of-core mode.
     #[default]
     Buffered,
-    /// The whole file is loaded into memory at open and pages are
-    /// served from the image — the mmap-style mode (`ir-storage`
-    /// forbids `unsafe`, so a private copy stands in for a mapping).
-    Resident,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -204,17 +199,13 @@ struct FileState {
 /// stats-update order identical to the read order.
 pub struct FilePageStore {
     file: fs::File,
-    /// `Some` in [`FileMode::Resident`].
-    image: Option<Vec<u8>>,
     dir: Vec<TermDir>,
-    mode: FileMode,
     state: Mutex<FileState>,
 }
 
 impl fmt::Debug for FilePageStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FilePageStore")
-            .field("mode", &self.mode)
             .field("n_terms", &self.dir.len())
             .finish()
     }
@@ -239,9 +230,8 @@ fn pread(file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
 
 impl FilePageStore {
     /// Opens a page file written by [`write_page_file`], loading and
-    /// verifying the directory (and, in [`FileMode::Resident`], the
-    /// whole payload image).
-    pub fn open(path: &Path, mode: FileMode) -> Result<Self, PageFileError> {
+    /// verifying the directory.
+    pub fn open(path: &Path, _mode: FileMode) -> Result<Self, PageFileError> {
         let mut file = fs::File::open(path)?;
         let file_len = file.metadata()?.len();
         let mut head = Vec::new();
@@ -317,29 +307,11 @@ impl FilePageStore {
                 "directory checksum mismatch (stored {stored:#x}, computed {computed:#x})"
             )));
         }
-        let image = match mode {
-            FileMode::Buffered => None,
-            FileMode::Resident => {
-                // The payload image keeps its file-absolute offsets:
-                // prefix it with the directory bytes already consumed.
-                let mut img = head;
-                img.extend_from_slice(&trailer);
-                file.read_to_end(&mut img)?;
-                Some(img)
-            }
-        };
         Ok(FilePageStore {
             file,
-            image,
             dir,
-            mode,
             state: Mutex::new(FileState::default()),
         })
-    }
-
-    /// Which service mode the store was opened in.
-    pub fn mode(&self) -> FileMode {
-        self.mode
     }
 
     /// Total pages across all lists.
@@ -385,17 +357,7 @@ impl FilePageStore {
             return Err(torn());
         }
         let mut buf = vec![0u8; len];
-        match &self.image {
-            Some(img) => {
-                let start = usize::try_from(d.offset).map_err(|_| torn())?;
-                let end = start.checked_add(len).ok_or_else(torn)?;
-                if end > img.len() {
-                    return Err(torn());
-                }
-                buf.copy_from_slice(&img[start..end]);
-            }
-            None => pread(&self.file, &mut buf, d.offset).map_err(|_| torn())?,
-        }
+        pread(&self.file, &mut buf, d.offset).map_err(|_| torn())?;
         let postings = decode_postings(Bytes::from(buf)).ok_or_else(torn)?;
         if postings.len() != d.n_postings as usize {
             return Err(torn());
@@ -511,28 +473,26 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_pages_bit_exactly_in_both_modes() {
+    fn round_trips_pages_bit_exactly() {
         let terms = sample_terms(3, 4);
         let path = tmpfile("round_trip.bfpg");
         write_page_file(&terms, &path).unwrap();
-        for mode in [FileMode::Buffered, FileMode::Resident] {
-            let store = FilePageStore::open(&path, mode).unwrap();
-            assert_eq!(store.n_lists(), 3);
-            assert_eq!(store.total_pages(), 12);
-            assert_eq!(store.list_len(TermId(2)), Some(4));
-            assert_eq!(store.list_len(TermId(3)), None);
-            for (t, term) in terms.iter().enumerate() {
-                for (p, original) in term.pages.iter().enumerate() {
-                    let got = store.read_page(pid(t as u32, p as u32)).unwrap();
-                    assert_eq!(got.postings(), original.postings());
-                    assert_eq!(got.checksum(), original.checksum());
-                    assert_eq!(
-                        got.max_weight().to_bits(),
-                        original.max_weight().to_bits(),
-                        "RAP's value input must survive the round trip bit-exactly"
-                    );
-                    assert!(got.is_intact());
-                }
+        let store = FilePageStore::open(&path, FileMode::Buffered).unwrap();
+        assert_eq!(store.n_lists(), 3);
+        assert_eq!(store.total_pages(), 12);
+        assert_eq!(store.list_len(TermId(2)), Some(4));
+        assert_eq!(store.list_len(TermId(3)), None);
+        for (t, term) in terms.iter().enumerate() {
+            for (p, original) in term.pages.iter().enumerate() {
+                let got = store.read_page(pid(t as u32, p as u32)).unwrap();
+                assert_eq!(got.postings(), original.postings());
+                assert_eq!(got.checksum(), original.checksum());
+                assert_eq!(
+                    got.max_weight().to_bits(),
+                    original.max_weight().to_bits(),
+                    "RAP's value input must survive the round trip bit-exactly"
+                );
+                assert!(got.is_intact());
             }
         }
     }
@@ -601,15 +561,13 @@ mod tests {
         // open succeeds, but the last pages are short reads.
         let cut = tmpfile("trunc_cut.bfpg");
         fs::write(&cut, &full[..full.len() - 10]).unwrap();
-        for mode in [FileMode::Buffered, FileMode::Resident] {
-            let store = FilePageStore::open(&cut, mode).unwrap();
-            assert!(store.read_page(pid(0, 0)).is_ok(), "{mode:?}");
-            let err = store.read_page(pid(0, 2)).unwrap_err();
-            assert!(matches!(err, IrError::TornPage { page } if page == pid(0, 2)));
-            assert!(err.is_transient(), "torn pages are retryable");
-            // The failed read bumped nothing.
-            assert_eq!(store.stats().reads, 1);
-        }
+        let store = FilePageStore::open(&cut, FileMode::Buffered).unwrap();
+        assert!(store.read_page(pid(0, 0)).is_ok());
+        let err = store.read_page(pid(0, 2)).unwrap_err();
+        assert!(matches!(err, IrError::TornPage { page } if page == pid(0, 2)));
+        assert!(err.is_transient(), "torn pages are retryable");
+        // The failed read bumped nothing.
+        assert_eq!(store.stats().reads, 1);
     }
 
     #[test]
@@ -622,14 +580,12 @@ mod tests {
         data[n - 3] ^= 0x40; // inside the last page's payload
         let bad = tmpfile("bitflip_mut.bfpg");
         fs::write(&bad, &data).unwrap();
-        for mode in [FileMode::Buffered, FileMode::Resident] {
-            let store = FilePageStore::open(&bad, mode).unwrap();
-            assert!(store.read_page(pid(0, 0)).is_ok());
-            assert!(matches!(
-                store.read_page(pid(0, 1)),
-                Err(IrError::TornPage { .. })
-            ));
-        }
+        let store = FilePageStore::open(&bad, FileMode::Buffered).unwrap();
+        assert!(store.read_page(pid(0, 0)).is_ok());
+        assert!(matches!(
+            store.read_page(pid(0, 1)),
+            Err(IrError::TornPage { .. })
+        ));
     }
 
     #[test]
@@ -697,13 +653,11 @@ mod tests {
             bad[dir_end..dir_end + 8].copy_from_slice(&trailer.to_le_bytes());
             let p = tmpfile("header_fields_mut.bfpg");
             fs::write(&p, &bad).unwrap();
-            for mode in [FileMode::Buffered, FileMode::Resident] {
-                match FilePageStore::open(&p, mode) {
-                    Err(PageFileError::Corrupt(msg)) => {
-                        assert!(msg.contains(names), "{what}/{mode:?}: {msg}")
-                    }
-                    other => panic!("{what}/{mode:?}: expected corrupt, got {other:?}"),
+            match FilePageStore::open(&p, FileMode::Buffered) {
+                Err(PageFileError::Corrupt(msg)) => {
+                    assert!(msg.contains(names), "{what}: {msg}")
                 }
+                other => panic!("{what}: expected corrupt, got {other:?}"),
             }
         }
     }

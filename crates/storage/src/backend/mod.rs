@@ -8,8 +8,7 @@
 //! a file, without changing a single observable event:
 //!
 //! * [`FilePageStore`] ([`file`]) — serves pages from a `BFPG` page
-//!   file with `pread`-style positioned reads (or from a
-//!   memory-resident image, the mmap-style mode), keeping
+//!   file with `pread`-style positioned reads, keeping
 //!   [`DiskStats`](crate::DiskStats) bookkeeping identical to
 //!   `DiskSim`'s, and surfacing any short read or checksum mismatch as
 //!   [`IrError::TornPage`](ir_types::IrError::TornPage) so the buffer
@@ -27,7 +26,7 @@
 //! queue depth 1, `FilePageStore` (with or without the scheduler) is
 //! event-for-event identical to `DiskSim` over the same request
 //! sequence — same pages, same stats, same errors, same buffer events.
-//! The golden CSVs pin this in CI.
+//! `ir-engine`'s `storage_backend` suite pins this in CI.
 
 pub mod file;
 pub mod sched;

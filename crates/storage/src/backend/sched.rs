@@ -11,8 +11,9 @@
 //! serves its share serially, and the batch completes when the
 //! slowest channel does. Depth 1 therefore degenerates to a strictly
 //! serial disk (total wait = sum of costs), while depth `d` divides
-//! the wait by up to `d` — which is exactly the effect the
-//! `bench storage` sweep demonstrates.
+//! the wait by up to `d` — the effect the
+//! `serial_disk_pays_the_sum_deeper_queues_pay_the_max` test below and
+//! `ir-engine`'s `storage_backend` suite pin.
 //!
 //! Two clocks ([`ClockKind`]): *virtual* accounts every wait in
 //! `io_wait_us` without sleeping (deterministic — two identical runs

@@ -163,8 +163,8 @@ impl PolicyKind {
     /// The adaptive policies. Deliberately *not* part of [`ALL`]
     /// (Self::ALL): experiment harnesses index `ALL` positionally and
     /// golden CSVs enumerate it, so the adaptive rows are opt-in
-    /// everywhere (`--adaptive`, the chaos matrix's extra rows, the
-    /// `bench adaptive` harness).
+    /// everywhere (the chaos matrix's extra rows, the `adaptive`
+    /// experiment).
     pub const ADAPTIVE: [PolicyKind; 2] = [PolicyKind::Adaptive, PolicyKind::HitAdaptive];
 
     /// Instantiates the policy. `capacity` is the buffer-pool size in

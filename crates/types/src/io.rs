@@ -52,7 +52,7 @@ pub enum ClockKind {
     Virtual,
     /// The wall clock: modeled waits are actually slept, so queue
     /// depth and prefetch overlap show up in end-to-end wall time —
-    /// what the `bench storage` sweep measures.
+    /// what the benchmark's `ooc_qd4` workload measures.
     Real,
 }
 

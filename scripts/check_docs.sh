@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# The docs may only point at things that exist: every `results/<file>`
-# and every `--bin bench -- <subcommand>` named in README.md, DESIGN.md
-# or EXPERIMENTS.md must be a checked-in file / a subcommand the bench
-# binary dispatches. Reads sources only — nothing is built or run.
+# The docs and the CI workflow may only point at things that exist:
+# every `results/<file>` and every `--bin bench -- <subcommand>` named
+# in README.md, DESIGN.md, EXPERIMENTS.md or .github/workflows/ci.yml
+# must be a checked-in file / a subcommand the bench binary dispatches
+# (nobody can run Actions offline, so a job naming a deleted artifact
+# has to fail here). Reads sources only — nothing is built or run.
 #
 #   scripts/check_docs.sh     exit 1 listing each dangling reference
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-docs=(README.md DESIGN.md EXPERIMENTS.md)
+docs=(README.md DESIGN.md EXPERIMENTS.md .github/workflows/ci.yml)
 bench_main=crates/bench/src/bin/bench.rs
 bad=0
 
