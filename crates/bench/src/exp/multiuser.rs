@@ -22,7 +22,7 @@
 //!   paper's read-only sibling borrowing was measured (25 of this
 //!   row's 6 037 reads at scale 1/16) and removed — see EXPERIMENTS.md,
 //!   "Multi-user buffering";
-//! * **sharded[4]/LRU, sharded[4]/RAP** — the shared pool striped over
+//! * **sharded\[4\]/LRU, sharded\[4\]/RAP** — the shared pool striped over
 //!   four independently locked shards, each running its own policy
 //!   instance over a quarter of the frames: what striping costs in
 //!   reads against the one-shard `shared` rows (for RAP, what the
@@ -45,7 +45,7 @@ pub struct MultiUserSummary {
     pub shared_rap_global: u64,
     /// Total reads: partitioned RAP (one private pool per user).
     pub partitioned_rap: u64,
-    /// Total reads: LRU over a pool striped into [`SHARDS`] shards.
+    /// Total reads: LRU over a pool striped into four shards.
     pub sharded_lru: u64,
     /// Total reads: per-query RAP over the same striped pool.
     pub sharded_rap: u64,

@@ -3,7 +3,7 @@
 //!
 //! The paper: "Since algorithms that use inverted lists ordered by
 //! document identifiers can be expected to read most of the inverted
-//! list pages [Bro95], those algorithms would perform significantly
+//! list pages \[Bro95\], those algorithms would perform significantly
 //! worse than DF here." We build the *same* collection under both
 //! organizations and run identical DF queries and refinement sequences:
 //! the doc-ordered index cannot terminate scans early, so its read

@@ -1,5 +1,5 @@
 //! Table 4: characteristics of the inverted lists (idf bands), plus the
-//! §4.2 physical statistics and the [PZSD96] compression premise.
+//! §4.2 physical statistics and the \[PZSD96\] compression premise.
 
 use super::{ExpContext, ExpResult};
 use crate::output::TextTable;

@@ -21,7 +21,7 @@ use std::str::FromStr;
 pub enum Algorithm {
     /// Safe evaluation: DF with the filters off (`c_add = c_ins = 0`).
     Full,
-    /// Document Filtering [Per94], the paper's baseline.
+    /// Document Filtering \[Per94\], the paper's baseline.
     Df,
     /// Buffer-Aware Filtering — the paper's proposal.
     Baf,

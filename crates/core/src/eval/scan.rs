@@ -6,7 +6,7 @@ use crate::query::QueryTerm;
 use crate::stats::EvalStats;
 use ir_observe::{Span, SpanKind};
 use ir_storage::{FetchOutcome, Page, QueryBuffer};
-use ir_types::{IrResult, PageId, PlanEntry, ReadPlan, TermId};
+use ir_types::{IrResult, ReadPlan};
 use std::cell::RefCell;
 
 thread_local! {
@@ -61,40 +61,10 @@ impl EvalStats {
     }
 }
 
-/// Builds the scan's [`ReadPlan`]s for pages `[0, plan_pages)`, each
-/// entry hinted with `w_{q,t}`.
-///
-/// With no alignment (`align` is `None`) the whole prefix is one plan.
-/// When the buffer routes term chunks of `c` pages to distinct shards,
-/// the prefix is split at multiples of `c`: every sub-plan then sits
-/// inside a single routing chunk, so a sharded pool serves it on the
-/// owning shard's lock-light path with zero cross-shard batch splits.
-fn chunk_plans(term: TermId, plan_pages: u32, w_q: f64, align: Option<u32>) -> Vec<ReadPlan> {
-    match align {
-        Some(c) if c > 0 && plan_pages > c => {
-            let mut plans = Vec::with_capacity(plan_pages.div_ceil(c) as usize);
-            let mut start = 0u32;
-            while start < plan_pages {
-                let end = (start + c).min(plan_pages);
-                plans.push(
-                    (start..end)
-                        .map(|p| PlanEntry::hinted(PageId::new(term, p), w_q))
-                        .collect(),
-                );
-                start = end;
-            }
-            plans
-        }
-        _ => vec![ReadPlan::for_term_pages(term, plan_pages, Some(w_q))],
-    }
-}
-
 /// The posting-processing core: folds one completed batch into `accs` /
 /// `s_max` and reports what it did.
-#[allow(clippy::too_many_arguments)]
 fn process_fetched(
     fetched: &[(Page, FetchOutcome)],
-    last_chunk: bool,
     accs: &mut Accumulators,
     s_max: &mut f64,
     term: &QueryTerm,
@@ -115,10 +85,7 @@ fn process_fetched(
                     // Frequency ordering: nothing further in this list
                     // can pass the addition threshold — and the plan
                     // was sized so this entry sits on its last page.
-                    debug_assert!(
-                        last_chunk && i + 1 == fetched.len(),
-                        "plan over-covered the scan"
-                    );
+                    debug_assert!(i + 1 == fetched.len(), "plan over-covered the scan");
                     out.stopped = true;
                     return out;
                 }
@@ -147,23 +114,22 @@ fn process_fetched(
 /// with `f_{d,t} ≤ f_add`. Updates `s_max` whenever an accumulator is
 /// touched (step 4(c)v).
 ///
-/// The term is issued as a short sequence of [`ReadPlan`]s covering
-/// pages `[0, plan_pages)` in order — one plan when the buffer reports
-/// no [`plan_alignment`](QueryBuffer::plan_alignment), else one per
-/// routing chunk — each fetched and then processed back to back. Every
-/// entry is hinted with `w_{q,t}` so hint-aware policies can value the
-/// page at admission. The caller sizes the plan from the conversion
-/// table (§3.2.2), which is exact: under frequency ordering the page
-/// holding the first entry with `f ≤ f_add` is the last plan's last
-/// page; under doc ordering the plans cover the full list. Batching
-/// therefore fetches exactly the pages a page-at-a-time loop would, in
-/// the same order.
+/// The term is issued as one [`ReadPlan`] covering pages
+/// `[0, plan_pages)` in order, fetched and then processed. Every entry
+/// is hinted with `w_{q,t}` so hint-aware policies can value the page at
+/// admission. The caller sizes the plan from the conversion table
+/// (§3.2.2), which is exact: under frequency ordering the page holding
+/// the first entry with `f ≤ f_add` is the plan's last page; under doc
+/// ordering the plan covers the full list. Batching therefore fetches
+/// exactly the pages a page-at-a-time loop would, in the same order —
+/// on a lock-striped pool too, which cuts the plan at its own shard
+/// boundaries.
 ///
-/// Each plan entry reports whether it was served from this caller's
-/// frames, a sibling's, or disk — so the counts stay per-query even
-/// when other sessions drive the same pool concurrently (pool-wide
-/// miss deltas don't). When `parent` is given, each chunk reports
-/// itself as a `list-read` span beneath it.
+/// Each plan entry reports whether it was served from the pool's frames
+/// or from disk — so the counts stay per-query even when other sessions
+/// drive the same pool concurrently (pool-wide miss deltas don't). When
+/// `parent` is given, the scan reports itself as one `list-read` span
+/// beneath it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_term<B: QueryBuffer>(
     buffer: &mut B,
@@ -176,42 +142,17 @@ pub(crate) fn scan_term<B: QueryBuffer>(
     plan_pages: u32,
     parent: Option<&Span>,
 ) -> IrResult<ScanOutcome> {
-    let plans = chunk_plans(
-        term.term,
-        plan_pages,
-        term.weight(),
-        buffer.plan_alignment(),
-    );
-    let last = plans.len() - 1;
-    let mut total = ScanOutcome::default();
-    for (ci, plan) in plans.iter().enumerate() {
-        let mut span = parent.map(|p| p.child(SpanKind::ListRead, format!("term:{}", term.term.0)));
-        let out = with_fetched(buffer, plan, |fetched| {
-            process_fetched(
-                fetched,
-                ci == last,
-                accs,
-                s_max,
-                term,
-                f_ins,
-                f_add,
-                early_stop,
-            )
-        })?;
-        if let Some(s) = span.as_mut() {
-            s.attr("pages_processed", i64::from(out.pages_processed));
-            s.attr("pages_read", i64::from(out.pages_read));
-            s.attr("entries", out.entries as i64);
-        }
-        total.pages_processed += out.pages_processed;
-        total.pages_read += out.pages_read;
-        total.entries += out.entries;
-        total.stopped = out.stopped;
-        if out.stopped {
-            break;
-        }
+    let plan = ReadPlan::for_term_pages(term.term, plan_pages, Some(term.weight()));
+    let mut span = parent.map(|p| p.child(SpanKind::ListRead, format!("term:{}", term.term.0)));
+    let out = with_fetched(buffer, &plan, |fetched| {
+        process_fetched(fetched, accs, s_max, term, f_ins, f_add, early_stop)
+    })?;
+    if let Some(s) = span.as_mut() {
+        s.attr("pages_processed", i64::from(out.pages_processed));
+        s.attr("pages_read", i64::from(out.pages_read));
+        s.attr("entries", out.entries as i64);
     }
-    Ok(total)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -352,32 +293,12 @@ mod tests {
     }
 
     #[test]
-    fn plans_split_at_routing_chunk_boundaries() {
-        let plans = chunk_plans(TermId(7), 10, 1.5, Some(4));
-        let sizes: Vec<usize> = plans.iter().map(ReadPlan::len).collect();
-        assert_eq!(sizes, [4, 4, 2]);
-        // Together the chunks are exactly the prefix plan, in order.
-        let joined: Vec<_> = plans
-            .iter()
-            .flat_map(|p| p.entries().iter().copied())
-            .collect();
-        let whole = ReadPlan::for_term_pages(TermId(7), 10, Some(1.5));
-        assert_eq!(joined, whole.entries());
-    }
-
-    #[test]
-    fn short_or_unaligned_scans_stay_one_plan() {
-        assert_eq!(chunk_plans(TermId(0), 4, 1.0, Some(4)).len(), 1);
-        assert_eq!(chunk_plans(TermId(0), 10, 1.0, None).len(), 1);
-    }
-
-    #[test]
-    fn sharded_scan_issues_no_cross_shard_batches() {
+    fn sharded_scan_is_one_plan_served_in_page_order() {
         use ir_storage::ShardedBufferPool;
         use std::sync::Arc;
 
-        // 24 postings, 2 per page → 12 pages, far more than the 4-page
-        // routing chunk: an unaligned plan would straddle shards.
+        // 24 postings, 2 per page → 12 pages, three 4-page routing
+        // chunks: the pool, not the scan, cuts the plan at them.
         let postings: Vec<Posting> = (0..24).map(|d| Posting::new(d, 30 - d)).collect();
         let pages: Vec<Page> = postings
             .chunks(2)
@@ -387,7 +308,8 @@ mod tests {
         let n_pages = pages.len() as u32;
         let disk = Arc::new(DiskSim::new(vec![pages]));
         let mut pool =
-            ShardedBufferPool::with_chunk_pages(disk, 32, PolicyKind::Lru, 4, 4).unwrap();
+            ShardedBufferPool::with_chunk_pages(Arc::clone(&disk), 32, PolicyKind::Lru, 4, 4)
+                .unwrap();
         let term = QueryTerm {
             term: TermId(0),
             query_freq: 1,
@@ -401,11 +323,22 @@ mod tests {
             &mut pool, &mut accs, &mut s_max, &term, 0.0, 0.0, true, n_pages, None,
         )
         .unwrap();
-        assert_eq!(out.pages_processed, n_pages);
+        assert_eq!(out.pages_processed, n_pages, "every page processed once");
+        assert_eq!((out.pages_read, out.entries), (n_pages, 24));
+        assert_eq!(accs.len(), 24);
+        let reads = disk.stats();
+        assert_eq!(
+            (reads.reads, reads.sequential_reads),
+            (u64::from(n_pages), u64::from(n_pages) - 1),
+            "read front to back, whichever shards the chunks hash to"
+        );
+        let shards: std::collections::HashSet<usize> = (0..n_pages)
+            .map(|p| pool.shard_of(PageId::new(TermId(0), p)))
+            .collect();
         assert_eq!(
             pool.metrics().batch_splits.get(),
-            0,
-            "chunk-aligned plans must never straddle shards"
+            u64::from(shards.len() > 1),
+            "one plan: cut once if its chunks span shards, never more"
         );
     }
 

@@ -1,6 +1,6 @@
 //! Relevance-feedback query expansion and the refinement workload it
 //! induces (paper §2.1 and §7: refinement "workloads generated using
-//! relevance feedback" are named future work; [SB90] is the classic
+//! relevance feedback" are named future work; \[SB90\] is the classic
 //! reference).
 //!
 //! Expansion follows the Rocchio idea restricted to positive feedback:

@@ -7,7 +7,7 @@ use ir_types::{IndexParams, IrResult, ListOrdering, TermId};
 /// Options for [`index_corpus_opts`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IndexCorpusOptions {
-    /// Measure [PZSD96]-style compression during the build.
+    /// Measure \[PZSD96\]-style compression during the build.
     pub measure_compression: bool,
     /// Retain the forward index (needed for relevance feedback).
     pub keep_forward: bool,

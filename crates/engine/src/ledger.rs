@@ -122,8 +122,9 @@ impl CostLedger {
     }
 }
 
-/// Builds a [`QueryCost`] from one evaluation's [`EvalStats`] plus the
-/// two costs the stats cannot see: wall time, and the store-level I/O
+/// Builds a [`QueryCost`] from one evaluation's
+/// [`EvalStats`](ir_core::EvalStats) plus the two costs the stats
+/// cannot see: wall time, and the store-level I/O
 /// wait (the caller takes the delta of `PageStore::io_wait_us` around
 /// the evaluation; zero for stores without a latency model). Hits
 /// come straight from the evaluator's per-fetch counters, so the row is

@@ -35,7 +35,7 @@ pub struct BuildOptions {
     /// If nonzero, mark this many highest-`f_t` terms as stop words at
     /// build time (the paper uses 100).
     pub derive_stop_words: usize,
-    /// Measure [PZSD96]-style compression during the build (adds one
+    /// Measure \[PZSD96\]-style compression during the build (adds one
     /// encode pass; reported via
     /// [`InvertedIndex::compression_stats`]).
     pub measure_compression: bool,

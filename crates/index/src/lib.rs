@@ -13,7 +13,7 @@
 //! * per-document vector lengths `W_d` ([`DocStats`]);
 //! * the BAF [`ConversionTable`] mapping an addition threshold `f_add`
 //!   to `p_t`, the number of pages a term's scan would process (§3.2.2);
-//! * the ≈1-byte-per-entry posting compression of [PZSD96] that
+//! * the ≈1-byte-per-entry posting compression of \[PZSD96\] that
 //!   motivates the paper's `PageSize = 404` ([`ir_storage::codec`],
 //!   re-exported here as [`encode_postings`] / [`decode_postings`]).
 //!

@@ -465,10 +465,16 @@ mod tests {
             "export reads must not pollute the simulator's counters"
         );
         let store = FilePageStore::open(&path, FileMode::Buffered).unwrap();
-        assert_eq!(store.n_lists(), idx.n_terms());
+        assert!(matches!(
+            store.read_page(PageId::new(TermId(idx.n_terms() as u32), 0)),
+            Err(IrError::UnknownTerm(_))
+        ));
         assert_eq!(store.total_pages(), idx.total_pages());
         for (term, e) in idx.lexicon().iter() {
-            assert_eq!(store.list_len(term), Some(e.n_pages));
+            assert!(matches!(
+                store.read_page(PageId::new(term, e.n_pages)),
+                Err(IrError::PageOutOfRange { list_len, .. }) if list_len == e.n_pages
+            ));
             for p in 0..e.n_pages {
                 let id = PageId::new(term, p);
                 let a = idx.disk().read_page(id).unwrap();

@@ -15,10 +15,10 @@ use std::sync::Arc;
 
 /// A monotonically increasing counter.
 ///
-/// The one deliberate exception to monotonicity is [`reset`]
-/// (Counter::reset): the experiment harness re-uses pools across grid
-/// cells and zeroes counters between them, exactly as the old ad-hoc
-/// `u64` fields were zeroed.
+/// The one deliberate exception to monotonicity is
+/// [`reset`](Counter::reset): the experiment harness re-uses pools
+/// across grid cells and zeroes counters between them, exactly as the
+/// old ad-hoc `u64` fields were zeroed.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 

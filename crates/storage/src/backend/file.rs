@@ -32,16 +32,16 @@
 //! file descriptor ([`FileMode::Buffered`], the only mode).
 //!
 //! Statistics bookkeeping (counter updates, the sequential/random head
-//! classification, errors bumping nothing, batched reads taking the
-//! state lock once) is kept line-for-line equivalent to
-//! [`DiskSim`](crate::DiskSim)'s, which is what makes the zero-latency
-//! file backend event-for-event identical to the simulator.
+//! classification, errors bumping nothing) is kept line-for-line
+//! equivalent to [`DiskSim`](crate::DiskSim)'s, which is what makes the
+//! zero-latency file backend event-for-event identical to the
+//! simulator.
 
 use crate::codec::{decode_postings, encode_postings, ENCODING_ID};
 use crate::disk::{DiskStats, PageStore};
 use crate::page::Page;
 use bytes::Bytes;
-use ir_types::{IrError, IrResult, PageId, TermId};
+use ir_types::{IrError, IrResult, PageId};
 use parking_lot::Mutex;
 use std::fmt;
 use std::fs;
@@ -396,41 +396,11 @@ impl PageStore for FilePageStore {
         Ok(page)
     }
 
-    fn list_len(&self, term: TermId) -> Option<u32> {
-        self.dir.get(term.index()).map(|t| t.pages.len() as u32)
-    }
-
-    fn n_lists(&self) -> usize {
-        self.dir.len()
-    }
-
     /// `false`: a damaged payload surfaces as an `Err`, never as a
     /// delivered page that fails verification — so the buffer pool
-    /// does not pay for a second checksum pass, and its vectored
-    /// fast path stays enabled.
+    /// does not pay for a second checksum pass.
     fn can_tear(&self) -> bool {
         false
-    }
-
-    /// Batched read taking the state lock once, mirroring
-    /// [`DiskSim::read_pages`](crate::DiskSim): per-page counting in
-    /// order, errors bump nothing and end the batch.
-    fn read_pages(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
-        let mut out = Vec::with_capacity(ids.len());
-        let mut state = self.state.lock();
-        for &id in ids {
-            match self.load_verified(id) {
-                Ok(page) => {
-                    Self::count_read(&mut state, id, page.len() as u64);
-                    out.push(Ok(page));
-                }
-                Err(e) => {
-                    out.push(Err(e));
-                    break;
-                }
-            }
-        }
-        out
     }
 }
 
@@ -438,7 +408,7 @@ impl PageStore for FilePageStore {
 mod tests {
     use super::*;
     use crate::disk::DiskSim;
-    use ir_types::Posting;
+    use ir_types::{Posting, TermId};
 
     fn sample_terms(n_terms: u32, pages_per_term: u32) -> Vec<TermPages> {
         (0..n_terms)
@@ -478,10 +448,7 @@ mod tests {
         let path = tmpfile("round_trip.bfpg");
         write_page_file(&terms, &path).unwrap();
         let store = FilePageStore::open(&path, FileMode::Buffered).unwrap();
-        assert_eq!(store.n_lists(), 3);
         assert_eq!(store.total_pages(), 12);
-        assert_eq!(store.list_len(TermId(2)), Some(4));
-        assert_eq!(store.list_len(TermId(3)), None);
         for (t, term) in terms.iter().enumerate() {
             for (p, original) in term.pages.iter().enumerate() {
                 let got = store.read_page(pid(t as u32, p as u32)).unwrap();
@@ -518,12 +485,13 @@ mod tests {
             assert_eq!(a.postings(), b.postings());
         }
         assert_eq!(file.stats(), sim.stats());
-        // Batched reads agree too, and with the per-call path.
+        // And again from a reset head position.
         file.reset_stats();
         sim.reset_stats();
-        let batch_file = file.read_pages(&ids);
-        let batch_sim = sim.read_pages(&ids);
-        assert_eq!(batch_file.len(), batch_sim.len());
+        for &id in &ids {
+            file.read_page(id).unwrap();
+            sim.read_page(id).unwrap();
+        }
         assert_eq!(file.stats(), sim.stats());
         assert!(file.stats().sequential_reads > 0);
     }
@@ -543,11 +511,8 @@ mod tests {
             Err(IrError::PageOutOfRange { list_len: 2, .. })
         ));
         assert_eq!(store.stats(), DiskStats::default());
-        // Prefix contract on the batched path.
-        let out = store.read_pages(&[pid(0, 0), pid(0, 7), pid(0, 1)]);
-        assert_eq!(out.len(), 2);
-        assert!(out[0].is_ok());
-        assert!(out[1].is_err());
+        // Only a delivered read counts.
+        store.read_page(pid(0, 0)).unwrap();
         assert_eq!(store.stats().reads, 1);
     }
 

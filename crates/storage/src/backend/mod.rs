@@ -7,16 +7,16 @@
 //! that turns those counted reads into *real* positioned reads against
 //! a file, without changing a single observable event:
 //!
-//! * [`FilePageStore`] ([`file`]) — serves pages from a `BFPG` page
+//! * [`FilePageStore`] ([`mod@file`]) — serves pages from a `BFPG` page
 //!   file with `pread`-style positioned reads, keeping
 //!   [`DiskStats`](crate::DiskStats) bookkeeping identical to
 //!   `DiskSim`'s, and surfacing any short read or checksum mismatch as
 //!   [`IrError::TornPage`](ir_types::IrError::TornPage) so the buffer
 //!   manager's existing retry machinery applies unchanged.
 //! * [`IoScheduler`] ([`sched`]) — wraps any `PageStore` in a
-//!   submission/completion queue of configurable depth. `ReadPlan`
-//!   batches spread across the queue's channels (a deeper queue
-//!   completes a batch in fewer serial device-times), a
+//!   submission/completion queue of configurable depth. A submitted
+//!   `ReadPlan` spreads across the queue's channels (a deeper queue
+//!   completes it in fewer serial device-times), a
 //!   dslab-`SharedDisk`-style seek+transfer model prices each request,
 //!   and `submit` lets completions overlap compute. The clock
 //!   is pluggable ([`ClockKind`](ir_types::ClockKind)): virtual for

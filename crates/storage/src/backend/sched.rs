@@ -6,12 +6,14 @@
 //! `transfer_us`, plus `seek_us` when the head has to move (the read
 //! is not the physical successor of the previous one — the same
 //! sequential/random rule [`DiskSim`](crate::DiskSim) uses for its
-//! counters). The device exposes `queue_depth` channels; the requests
-//! of one batch are spread round-robin across them, each channel
-//! serves its share serially, and the batch completes when the
-//! slowest channel does. Depth 1 therefore degenerates to a strictly
-//! serial disk (total wait = sum of costs), while depth `d` divides
-//! the wait by up to `d` — the effect the
+//! counters). The device exposes `queue_depth` channels; the reads of
+//! one [`submit`](PageStore::submit) are spread round-robin across
+//! them, each channel serves its share serially, and a demand read
+//! that claims a staged page waits only for what is still in flight. A
+//! demand read nobody submitted goes to the device alone and pays its
+//! full price. Depth 1 therefore degenerates to a strictly serial disk
+//! (total wait = sum of costs), while depth `d` brings a submitted
+//! plan's wait down to its slowest channel's share — the effect the
 //! `serial_disk_pays_the_sum_deeper_queues_pay_the_max` test below and
 //! `ir-engine`'s `storage_backend` suite pin.
 //!
@@ -28,7 +30,7 @@
 use crate::disk::PageStore;
 use crate::page::Page;
 use ir_observe::{Counter, Gauge, Histogram, IO_LATENCY_US_BOUNDS};
-use ir_types::{ClockKind, CompletionToken, IrResult, PageId, ReadHandle, TermId};
+use ir_types::{ClockKind, IrResult, PageId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -153,7 +155,6 @@ struct SchedState {
     last: Option<PageId>,
     /// The virtual timeline, µs. Advances by each batch's wait.
     now_us: u64,
-    next_token: CompletionToken,
     cache: HashMap<PageId, Prefetched>,
     /// Insertion order of `cache`, for capacity eviction.
     order: VecDeque<PageId>,
@@ -221,36 +222,32 @@ impl<S: PageStore> IoScheduler<S> {
         *last = Some(id);
         sequential
     }
+}
 
-    /// The one service routine: every demand read ([`read_page`] and
-    /// [`read_pages`] both land here) runs its batch through the
-    /// channel model and pays the resulting wait.
-    fn service(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
-        let mut out = Vec::with_capacity(ids.len());
+impl<S: PageStore> PageStore for IoScheduler<S> {
+    /// The one demand read: a staged completion costs only the part of
+    /// its transfer still in flight, anything else goes to the device
+    /// and pays its full price on one channel. More than one channel
+    /// is reached only through [`submit`](PageStore::submit).
+    fn read_page(&self, id: PageId) -> IrResult<Page> {
         let mut state = self.state.lock();
-        // Per-channel busy time for this batch, relative to its start.
-        let mut channels = vec![0u64; self.config.queue_depth];
-        let mut next_ch = 0usize;
-        // Residual waits for cache hits whose transfer is still in
-        // flight when demanded.
-        let mut residual: u64 = 0;
-        for &id in ids {
-            let mut cached = state.cache.remove(&id);
-            if cached.is_some() {
-                state.order.retain(|p| *p != id);
-            }
-            // Integrity re-check: direct reads get the inner store's
-            // per-read fault/checksum path; a cached completion must
-            // not dodge it. Over a store that can deliver torn copies,
-            // a cached page that fails verification is discarded and
-            // the request falls through to a fresh demand read.
-            if self.inner.can_tear() && cached.as_ref().is_some_and(|pf| !pf.page.is_intact()) {
-                cached = None;
-                // The speculative read bought nothing: the demand read
-                // below re-reads the page from the device.
-                self.metrics.prefetch_wasted.inc();
-            }
-            if let Some(pf) = cached {
+        let mut cached = state.cache.remove(&id);
+        if cached.is_some() {
+            state.order.retain(|p| *p != id);
+        }
+        // Integrity re-check: direct reads get the inner store's
+        // per-read fault/checksum path; a cached completion must not
+        // dodge it. Over a store that can deliver torn copies, a cached
+        // page that fails verification is discarded and the request
+        // falls through to a fresh demand read.
+        if self.inner.can_tear() && cached.as_ref().is_some_and(|pf| !pf.page.is_intact()) {
+            cached = None;
+            // The speculative read bought nothing: the demand read
+            // below re-reads the page from the device.
+            self.metrics.prefetch_wasted.inc();
+        }
+        let (page, wait) = match cached {
+            Some(pf) => {
                 self.metrics.overlap_hits.inc();
                 let remaining = match (self.config.clock, pf.issued) {
                     (ClockKind::Real, Some(at)) => {
@@ -258,29 +255,19 @@ impl<S: PageStore> IoScheduler<S> {
                     }
                     _ => pf.ready_at_us.saturating_sub(state.now_us),
                 };
-                residual = residual.max(remaining);
-                out.push(Ok(pf.page));
-            } else {
-                match self.inner.read_page(id) {
-                    Ok(page) => {
-                        self.metrics.demand_reads.inc();
-                        let sequential = Self::classify(&mut state.last, id);
-                        let cost = self.config.model.cost_us(sequential);
-                        self.metrics.latency_us.record(cost);
-                        channels[next_ch % self.config.queue_depth] += cost;
-                        next_ch += 1;
-                        out.push(Ok(page));
-                    }
-                    Err(e) => {
-                        // Same contract as the stores underneath:
-                        // errors cost nothing and end the batch.
-                        out.push(Err(e));
-                        break;
-                    }
-                }
+                (pf.page, remaining)
             }
-        }
-        let wait = channels.iter().copied().max().unwrap_or(0).max(residual);
+            None => {
+                // Same contract as the stores underneath: errors cost
+                // nothing.
+                let page = self.inner.read_page(id)?;
+                self.metrics.demand_reads.inc();
+                let sequential = Self::classify(&mut state.last, id);
+                let cost = self.config.model.cost_us(sequential);
+                self.metrics.latency_us.record(cost);
+                (page, cost)
+            }
+        };
         state.now_us += wait;
         drop(state);
         if wait > 0 {
@@ -289,50 +276,29 @@ impl<S: PageStore> IoScheduler<S> {
                 std::thread::sleep(std::time::Duration::from_micros(wait));
             }
         }
-        out
-    }
-}
-
-impl<S: PageStore> PageStore for IoScheduler<S> {
-    fn read_page(&self, id: PageId) -> IrResult<Page> {
-        self.service(std::slice::from_ref(&id))
-            .pop()
-            .expect("service returns one result per requested page")
-    }
-
-    fn list_len(&self, term: TermId) -> Option<u32> {
-        self.inner.list_len(term)
-    }
-
-    fn n_lists(&self) -> usize {
-        self.inner.n_lists()
+        Ok(page)
     }
 
     fn can_tear(&self) -> bool {
         self.inner.can_tear()
     }
 
-    fn read_pages(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
-        self.service(ids)
-    }
-
     /// Reads `ids` ahead of demand, parks the completions in the
     /// bounded staging cache, and prices the transfers without
     /// charging anyone a wait: the demand read that claims a staged
-    /// page pays only the residual. One handle per read actually
-    /// scheduled. No-op at depth 1 — a serial disk has no spare
-    /// channel to read ahead on, which is what makes submit + demand
-    /// provably identical to the demand read alone there. Read
-    /// failures are dropped here and resurface on the demand read.
-    fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
+    /// page pays only the residual. No-op at depth 1 — a serial disk
+    /// has no spare channel to read ahead on, which is what makes
+    /// submit + demand provably identical to the demand read alone
+    /// there. Read failures are dropped here and resurface on the
+    /// demand read.
+    fn submit(&self, ids: &[PageId]) {
         if self.config.queue_depth <= 1 || ids.is_empty() {
-            return Vec::new();
+            return;
         }
         let issued_at = match self.config.clock {
             ClockKind::Real => Some(Instant::now()),
             ClockKind::Virtual => None,
         };
-        let mut handles = Vec::new();
         let mut state = self.state.lock();
         let mut channels = vec![0u64; self.config.queue_depth];
         let mut next_ch = 0usize;
@@ -359,8 +325,6 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
             let ch = next_ch % self.config.queue_depth;
             next_ch += 1;
             channels[ch] += self.config.model.cost_us(sequential);
-            let token = state.next_token;
-            state.next_token = token.next();
             if state.order.len() >= PREFETCH_CAP {
                 if let Some(old) = state.order.pop_front() {
                     state.cache.remove(&old);
@@ -379,13 +343,7 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
                 },
             );
             state.order.push_back(id);
-            handles.push(ReadHandle {
-                token,
-                page: id,
-                ready_at_us,
-            });
         }
-        handles
     }
 
     fn overlap_depth(&self) -> usize {
@@ -401,7 +359,7 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
 mod tests {
     use super::*;
     use crate::disk::DiskSim;
-    use ir_types::Posting;
+    use ir_types::{Posting, TermId};
     use std::sync::Arc;
 
     fn store(pages_per_term: u32) -> DiskSim {
@@ -427,14 +385,18 @@ mod tests {
         (0..n).map(|p| pid(0, p)).collect()
     }
 
+    /// Demands `ids` one page at a time, as the buffer pool does.
+    fn read_each(store: &impl PageStore, ids: &[PageId]) -> Vec<IrResult<Page>> {
+        ids.iter().map(|&id| store.read_page(id)).collect()
+    }
+
     #[test]
     fn zero_model_depth_one_is_invisible() {
         let sched = IoScheduler::new(Arc::new(store(4)), IoConfig::default());
         let raw = store(4);
         let request = [pid(0, 0), pid(0, 1), pid(2, 3), pid(0, 2)];
-        let a = sched.read_pages(&request);
-        let b = raw.read_pages(&request);
-        assert_eq!(a.len(), b.len());
+        let a = read_each(&sched, &request);
+        let b = read_each(&raw, &request);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(
                 x.as_ref().unwrap().postings(),
@@ -466,7 +428,9 @@ mod tests {
                     clock: ClockKind::Virtual,
                 },
             );
-            sched.read_pages(&batch);
+            // What the pool does with a plan: stage it, then demand it.
+            sched.submit(&batch);
+            assert!(read_each(&sched, &batch).iter().all(Result::is_ok));
             sched.io_wait_us()
         };
         let serial = qd(1);
@@ -475,7 +439,7 @@ mod tests {
         // Round-robin over 4 channels: {250, 50, 50, 50} → 250.
         assert_eq!(four, 250);
         assert!(four < serial, "depth must shorten the critical path");
-        assert_eq!(qd(16), 250, "past the batch width, depth stops helping");
+        assert_eq!(qd(16), 250, "past the plan width, depth stops helping");
     }
 
     #[test]
@@ -493,8 +457,8 @@ mod tests {
                 },
             );
             sched.submit(&[pid(1, 0), pid(1, 1)]);
-            sched.read_pages(&ids(5));
-            sched.read_pages(&[pid(1, 0), pid(1, 1), pid(2, 0)]);
+            read_each(&sched, &ids(5));
+            read_each(&sched, &[pid(1, 0), pid(1, 1), pid(2, 0)]);
             (
                 sched.io_wait_us(),
                 sched.virtual_now_us(),
@@ -526,9 +490,9 @@ mod tests {
             "prefetch reads are physical"
         );
         assert_eq!(sched.io_wait_us(), 0, "nobody waited yet");
-        // Demand the batch: pages come from the cache, the only wait
+        // Demand the pages: they come from the cache, the only wait
         // is the still-in-flight residual.
-        let out = sched.read_pages(&ids(3));
+        let out = read_each(&sched, &ids(3));
         assert!(out.iter().all(Result::is_ok));
         assert_eq!(sched.metrics().overlap_hits.get(), 3);
         assert_eq!(sched.metrics().demand_reads.get(), 0);
@@ -536,13 +500,13 @@ mod tests {
         // Residual equals the slowest channel of the prefetch round.
         assert_eq!(sched.io_wait_us(), 125);
         // A second demand of the same pages goes to the device again.
-        let again = sched.read_pages(&ids(3));
+        let again = read_each(&sched, &ids(3));
         assert!(again.iter().all(Result::is_ok));
         assert_eq!(sched.metrics().demand_reads.get(), 3);
     }
 
     #[test]
-    fn errors_end_the_batch_and_cost_nothing() {
+    fn errors_cost_nothing() {
         let sched = IoScheduler::new(
             store(2),
             IoConfig {
@@ -554,10 +518,8 @@ mod tests {
                 clock: ClockKind::Virtual,
             },
         );
-        let out = sched.read_pages(&[pid(0, 0), pid(0, 9), pid(0, 1)]);
-        assert_eq!(out.len(), 2);
-        assert!(out[0].is_ok());
-        assert!(out[1].is_err());
+        assert!(sched.read_page(pid(0, 0)).is_ok());
+        assert!(sched.read_page(pid(0, 9)).is_err());
         // Only the successful read was priced.
         assert_eq!(sched.metrics().latency_us.count(), 1);
         assert_eq!(sched.io_wait_us(), 20);
@@ -691,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_surfaces_one_handle_per_scheduled_read() {
+    fn submit_prices_each_read_on_its_channel_and_charges_no_wait() {
         let sched = IoScheduler::new(
             store(4),
             IoConfig {
@@ -703,32 +665,31 @@ mod tests {
                 clock: ClockKind::Virtual,
             },
         );
-        let handles = sched.submit(&ids(3));
-        assert_eq!(handles.len(), 3, "one handle per scheduled read");
-        for (i, h) in handles.iter().enumerate() {
-            assert_eq!(h.token, CompletionToken(i as u64), "submission order");
-            assert_eq!(h.page, pid(0, i as u32));
-        }
+        sched.submit(&ids(3));
         // Channel math: the random head costs 125 on channel 0, the two
         // sequential successors 25 each on their own channels.
-        let readies: Vec<u64> = handles.iter().map(|h| h.ready_at_us).collect();
+        let readies: Vec<u64> = {
+            let state = sched.state.lock();
+            ids(3)
+                .iter()
+                .map(|id| state.cache[id].ready_at_us)
+                .collect()
+        };
         assert_eq!(readies, vec![125, 25, 25]);
         assert_eq!(sched.io_wait_us(), 0, "submission charges no wait");
-        // The staged pages service exactly like prefetched ones.
-        let out = sched.read_pages(&ids(3));
-        assert!(out.iter().all(Result::is_ok));
-        assert_eq!(sched.metrics().overlap_hits.get(), 3);
-        assert_eq!(sched.io_wait_us(), 125, "only the residual is charged");
-        // A failed speculative read schedules nothing and stays silent;
-        // the error would resurface on the demand read.
-        assert!(sched.submit(&[pid(0, 9)]).is_empty(), "bad id: no handle");
+        // A failed speculative read stages nothing and stays silent;
+        // the error resurfaces on the demand read.
+        sched.submit(&[pid(0, 9)]);
+        assert_eq!(sched.state.lock().cache.len(), 3, "bad id: nothing staged");
+        assert!(sched.read_page(pid(0, 9)).is_err());
+        assert_eq!(sched.io_wait_us(), 0, "errors cost nothing");
     }
 
     #[test]
     fn submit_is_a_no_op_on_a_serial_disk() {
         let sched = IoScheduler::new(store(4), IoConfig::default());
         assert_eq!(sched.overlap_depth(), 1);
-        assert!(sched.submit(&ids(3)).is_empty());
+        sched.submit(&ids(3));
         assert_eq!(sched.inner().stats().reads, 0, "nothing was read");
         let deep = IoScheduler::new(
             store(4),
@@ -790,7 +751,7 @@ mod tests {
             },
         );
         let t0 = Instant::now();
-        sched.read_pages(&ids(2)); // 2500 + 500 = 3000µs modeled
+        read_each(&sched, &ids(2)); // 2500 + 500 = 3000µs modeled
         let elapsed = t0.elapsed();
         assert_eq!(sched.io_wait_us(), 3_000);
         assert!(

@@ -1,6 +1,6 @@
 //! The posting-list encoding for frequency-sorted inverted lists.
 //!
-//! The paper assumes the compression of [PZSD96]: a raw 6-byte
+//! The paper assumes the compression of \[PZSD96\]: a raw 6-byte
 //! `(d, f_{d,t})` entry (4-byte document id + 2-byte frequency) shrinks
 //! to ≈1 byte, which is what makes 404 entries fit in a tenth of a 4 KB
 //! page (§4.2). This module implements the scheme that frequency-sorted

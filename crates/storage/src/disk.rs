@@ -8,22 +8,18 @@
 //! the workspace.
 
 use crate::page::Page;
-use ir_types::{IrError, IrResult, PageId, ReadHandle, TermId};
+use ir_types::{IrError, IrResult, PageId};
 use parking_lot::Mutex;
 use serde::Serialize;
 
 /// Abstract source of inverted-list pages, so the buffer manager can be
 /// tested against hand-built stores and run against [`DiskSim`].
+///
+/// Five methods: the demand read, and four with defaults that are exact
+/// for a synchronous, untearing, latency-free store.
 pub trait PageStore {
     /// Fetches a page. Implementations count this as one disk read.
     fn read_page(&self, id: PageId) -> IrResult<Page>;
-
-    /// Number of pages in `term`'s inverted list, or `None` if the term
-    /// has no list.
-    fn list_len(&self, term: TermId) -> Option<u32>;
-
-    /// Number of inverted lists (terms) in the store.
-    fn n_lists(&self) -> usize;
 
     /// Can [`read_page`](Self::read_page) ever deliver a torn page —
     /// one whose content no longer matches its stored checksum? A
@@ -34,41 +30,14 @@ pub trait PageStore {
         false
     }
 
-    /// Vectored read: fetches `ids` **in order**, stopping at the first
-    /// failure. The result is always a prefix of successes optionally
-    /// followed by exactly one `Err`; ids after a failure are never
-    /// attempted, so a store's per-read accounting (counters, fault
-    /// draws, head position) sees exactly the same sequence as `ids`
-    /// issued through [`read_page`](Self::read_page) one at a time.
-    ///
-    /// The default implementation is that loop; stores with per-call
-    /// overhead (a lock, a syscall) may batch internally as long as
-    /// they preserve the in-order prefix contract.
-    fn read_pages(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
-        let mut out = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let result = self.read_page(id);
-            let failed = result.is_err();
-            out.push(result);
-            if failed {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Submission half of a split-phase read: starts asynchronous reads
-    /// of `ids`, in order, and returns one [`ReadHandle`] per read the
-    /// store actually scheduled, each carrying its completion token
-    /// and modeled ready time, so the caller can reason about the
-    /// in-flight set. The pages are then demanded through
-    /// [`read_page`](Self::read_page) / [`read_pages`](Self::read_pages)
-    /// as usual; errors are *not* reported here, they surface on the
-    /// demand read. The default schedules nothing, which is exact for
-    /// synchronous stores, where an early read saves nothing.
-    fn submit(&self, _ids: &[PageId]) -> Vec<ReadHandle> {
-        Vec::new()
-    }
+    /// Starts asynchronous reads of `ids`, in order, ahead of the
+    /// demand reads that will claim them through
+    /// [`read_page`](Self::read_page) — the only way a caller reaches
+    /// more than one device channel. Errors are *not* reported here,
+    /// they surface on the demand read. The default schedules nothing,
+    /// which is exact for synchronous stores, where an early read
+    /// saves nothing.
+    fn submit(&self, _ids: &[PageId]) {}
 
     /// How many reads this store can usefully keep in flight at once.
     /// 1 (the default) means submission buys nothing: submit followed
@@ -186,61 +155,6 @@ impl PageStore for DiskSim {
         state.last = Some(id);
         Ok(page.clone())
     }
-
-    fn list_len(&self, term: TermId) -> Option<u32> {
-        self.lists.get(term.index()).map(|l| l.len() as u32)
-    }
-
-    fn n_lists(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// Batched read taking the state lock once for the whole run.
-    /// Counter updates and the sequential/random classification happen
-    /// per page, in order, so the stats are identical to issuing the
-    /// same ids through `read_page` one at a time.
-    fn read_pages(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
-        let mut out = Vec::with_capacity(ids.len());
-        let mut state = self.state.lock();
-        for &id in ids {
-            let page = self
-                .lists
-                .get(id.term.index())
-                .ok_or(IrError::UnknownTerm(id.term))
-                .and_then(|list| {
-                    list.get(id.page.index())
-                        .ok_or(IrError::PageOutOfRange {
-                            page: id,
-                            list_len: list.len() as u32,
-                        })
-                        .cloned()
-                });
-            match page {
-                Ok(page) => {
-                    state.stats.reads += 1;
-                    state.stats.entries_read += page.len() as u64;
-                    let sequential = matches!(
-                        state.last,
-                        Some(prev) if prev.term == id.term && prev.page.0 + 1 == id.page.0
-                    );
-                    if sequential {
-                        state.stats.sequential_reads += 1;
-                    } else {
-                        state.stats.random_reads += 1;
-                    }
-                    state.last = Some(id);
-                    out.push(Ok(page));
-                }
-                Err(e) => {
-                    // Errors bump nothing (matching `read_page`) and
-                    // end the batch: prefix-of-successes contract.
-                    out.push(Err(e));
-                    break;
-                }
-            }
-        }
-        out
-    }
 }
 
 impl<S: PageStore + ?Sized> PageStore for &S {
@@ -248,23 +162,11 @@ impl<S: PageStore + ?Sized> PageStore for &S {
         (**self).read_page(id)
     }
 
-    fn list_len(&self, term: TermId) -> Option<u32> {
-        (**self).list_len(term)
-    }
-
-    fn n_lists(&self) -> usize {
-        (**self).n_lists()
-    }
-
     fn can_tear(&self) -> bool {
         (**self).can_tear()
     }
 
-    fn read_pages(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
-        (**self).read_pages(ids)
-    }
-
-    fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
+    fn submit(&self, ids: &[PageId]) {
         (**self).submit(ids)
     }
 
@@ -282,23 +184,11 @@ impl<S: PageStore + ?Sized> PageStore for std::sync::Arc<S> {
         (**self).read_page(id)
     }
 
-    fn list_len(&self, term: TermId) -> Option<u32> {
-        (**self).list_len(term)
-    }
-
-    fn n_lists(&self) -> usize {
-        (**self).n_lists()
-    }
-
     fn can_tear(&self) -> bool {
         (**self).can_tear()
     }
 
-    fn read_pages(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
-        (**self).read_pages(ids)
-    }
-
-    fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
+    fn submit(&self, ids: &[PageId]) {
         (**self).submit(ids)
     }
 
@@ -314,7 +204,7 @@ impl<S: PageStore + ?Sized> PageStore for std::sync::Arc<S> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use ir_types::Posting;
+    use ir_types::{Posting, TermId};
 
     /// One call a [`StagingProbe`] received.
     #[derive(Clone, Debug, PartialEq, Eq)]
@@ -352,17 +242,8 @@ pub(crate) mod tests {
             self.inner.read_page(id)
         }
 
-        fn list_len(&self, term: TermId) -> Option<u32> {
-            self.inner.list_len(term)
-        }
-
-        fn n_lists(&self) -> usize {
-            self.inner.n_lists()
-        }
-
-        fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
+        fn submit(&self, ids: &[PageId]) {
             self.calls.lock().push(StoreCall::Submit(ids.to_vec()));
-            Vec::new()
         }
 
         fn overlap_depth(&self) -> usize {
@@ -443,14 +324,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn list_len_reports() {
-        let d = tiny_store(3, 4);
-        assert_eq!(d.list_len(TermId(2)), Some(4));
-        assert_eq!(d.list_len(TermId(3)), None);
-        assert_eq!(d.n_lists(), 3);
-    }
-
-    #[test]
     fn reset_clears_counters() {
         let d = tiny_store(1, 1);
         d.read_page(PageId::new(TermId(0), 0)).unwrap();
@@ -459,49 +332,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn read_pages_matches_sequential_reads() {
-        let batched = tiny_store(2, 3);
-        let sequential = tiny_store(2, 3);
-        let ids = [
-            PageId::new(TermId(0), 0),
-            PageId::new(TermId(0), 1),
-            PageId::new(TermId(1), 0),
-            PageId::new(TermId(1), 1),
-            PageId::new(TermId(1), 2),
-        ];
-        let batch = batched.read_pages(&ids);
-        assert_eq!(batch.len(), 5);
-        for (id, result) in ids.iter().zip(&batch) {
-            let single = sequential.read_page(*id).unwrap();
-            assert_eq!(result.as_ref().unwrap().id(), single.id());
-        }
-        // Same reads, same order ⇒ identical classification.
-        assert_eq!(batched.stats(), sequential.stats());
-        assert_eq!(batched.stats().sequential_reads, 3);
-    }
-
-    #[test]
-    fn read_pages_stops_at_first_error() {
-        let d = tiny_store(1, 2);
-        let ids = [
-            PageId::new(TermId(0), 0),
-            PageId::new(TermId(0), 9), // out of range
-            PageId::new(TermId(0), 1), // never attempted
-        ];
-        let out = d.read_pages(&ids);
-        assert_eq!(out.len(), 2, "prefix of successes plus one error");
-        assert!(out[0].is_ok());
-        assert!(matches!(out[1], Err(IrError::PageOutOfRange { .. })));
-        // Only the successful read counted.
-        assert_eq!(d.stats().reads, 1);
-    }
-
-    #[test]
     fn ref_and_arc_forward() {
         let d = tiny_store(1, 2);
         let by_ref: &DiskSim = &d;
-        assert_eq!(by_ref.list_len(TermId(0)), Some(2));
         by_ref.read_page(PageId::new(TermId(0), 1)).unwrap();
-        assert_eq!(d.stats().reads, 1);
+        let by_arc = std::sync::Arc::new(&d);
+        by_arc.read_page(PageId::new(TermId(0), 0)).unwrap();
+        assert_eq!(d.stats().reads, 2);
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::disk::PageStore;
 use crate::page::Page;
-use ir_types::{IrError, IrResult, PageId, TermId};
+use ir_types::{IrError, IrResult, PageId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -235,14 +235,6 @@ impl<S: PageStore> PageStore for FaultStore<S> {
         Ok(if torn { page.into_torn() } else { page })
     }
 
-    fn list_len(&self, term: TermId) -> Option<u32> {
-        self.inner.list_len(term)
-    }
-
-    fn n_lists(&self) -> usize {
-        self.inner.n_lists()
-    }
-
     fn can_tear(&self) -> bool {
         (!self.config.is_disabled() && self.config.torn_rate > 0.0) || self.inner.can_tear()
     }
@@ -262,7 +254,7 @@ impl<S: PageStore> PageStore for FaultStore<S> {
 mod tests {
     use super::*;
     use crate::disk::DiskSim;
-    use ir_types::Posting;
+    use ir_types::{Posting, TermId};
 
     fn store(n_terms: u32, pages: u32) -> DiskSim {
         let lists = (0..n_terms)

@@ -19,9 +19,6 @@ pub enum BufferEvent {
     Hit(PageId),
     /// A page was chosen as the replacement victim.
     Evict(PageId),
-    /// A pinned page was passed over while choosing an eviction victim
-    /// (reported once per page per eviction decision).
-    SkipPinned(PageId),
     /// A store read of the page failed transiently and is being
     /// re-attempted under the pool's `FetchPolicy` (one event per
     /// retry attempt).
@@ -92,8 +89,6 @@ pub struct EventCounts {
     pub evictions_head: u64,
     /// `Evict` events whose victim was a non-head page.
     pub evictions_tail: u64,
-    /// `SkipPinned` events.
-    pub skip_pinned: u64,
     /// `Retry` events (re-attempted store reads).
     pub retries: u64,
     /// `Torn` events (rejected checksum-failing deliveries).
@@ -112,7 +107,6 @@ impl EventCounts {
                 BufferEvent::Hit(_) => c.hits += 1,
                 BufferEvent::Evict(id) if id.page.0 == 0 => c.evictions_head += 1,
                 BufferEvent::Evict(_) => c.evictions_tail += 1,
-                BufferEvent::SkipPinned(_) => c.skip_pinned += 1,
                 BufferEvent::Retry(_) => c.retries += 1,
                 BufferEvent::Torn(_) => c.torn += 1,
                 BufferEvent::Flush => c.flushes += 1,
@@ -150,7 +144,6 @@ mod tests {
             BufferEvent::Hit(head),
             BufferEvent::Evict(head),
             BufferEvent::Evict(tail),
-            BufferEvent::SkipPinned(head),
             BufferEvent::Retry(tail),
             BufferEvent::Retry(tail),
             BufferEvent::Torn(tail),
@@ -163,7 +156,6 @@ mod tests {
                 hits: 1,
                 evictions_head: 1,
                 evictions_tail: 1,
-                skip_pinned: 1,
                 retries: 2,
                 torn: 1,
                 flushes: 1,

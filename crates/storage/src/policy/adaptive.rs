@@ -94,11 +94,11 @@ impl Shadow {
             true
         } else {
             if self.resident.len() >= self.capacity {
-                if let Some(victim) = self.policy.choose_victim(&|_| false) {
+                if let Some(victim) = self.policy.choose_victim() {
                     self.resident.remove(&victim);
                 }
             }
-            let _ = self.policy.on_insert_hinted(page, value_hint);
+            self.policy.on_insert_hinted(page, value_hint);
             self.resident.insert(id);
             false
         }
@@ -216,7 +216,7 @@ impl ReplacementPolicy for ExpertMixturePolicy {
     }
 
     fn on_insert(&mut self, page: &Page) {
-        let _ = self.on_insert_hinted(page, None);
+        self.on_insert_hinted(page, None);
     }
 
     fn on_hit(&mut self, page: &Page) {
@@ -226,9 +226,9 @@ impl ReplacementPolicy for ExpertMixturePolicy {
         self.feed(page, None);
     }
 
-    fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+    fn choose_victim(&mut self) -> Option<PageId> {
         let leader = self.leader;
-        let victim = self.experts[leader].1.choose_victim(exclude)?;
+        let victim = self.experts[leader].1.choose_victim()?;
         for (i, (_, p)) in self.experts.iter_mut().enumerate() {
             if i != leader {
                 p.remove(victim);
@@ -270,17 +270,11 @@ impl ReplacementPolicy for ExpertMixturePolicy {
         self.uses_context
     }
 
-    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) -> Option<f64> {
-        let mut assigned = None;
-        let leader = self.leader;
-        for (i, (_, p)) in self.experts.iter_mut().enumerate() {
-            let v = p.on_insert_hinted(page, value_hint);
-            if i == leader {
-                assigned = v;
-            }
+    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) {
+        for (_, p) in &mut self.experts {
+            p.on_insert_hinted(page, value_hint);
         }
         self.feed(page, value_hint);
-        assigned
     }
 
     fn attach_metrics(&mut self, registry: &Registry) {
@@ -424,7 +418,7 @@ impl ReplacementPolicy for HitRateAdaptivePolicy {
     }
 
     fn on_insert(&mut self, page: &Page) {
-        let _ = self.on_insert_hinted(page, None);
+        self.on_insert_hinted(page, None);
     }
 
     fn on_hit(&mut self, page: &Page) {
@@ -433,8 +427,8 @@ impl ReplacementPolicy for HitRateAdaptivePolicy {
         self.feed(page, None);
     }
 
-    fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        let victim = self.policy.choose_victim(exclude)?;
+    fn choose_victim(&mut self) -> Option<PageId> {
+        let victim = self.policy.choose_victim()?;
         self.resident.remove(&victim);
         Some(victim)
     }
@@ -471,11 +465,10 @@ impl ReplacementPolicy for HitRateAdaptivePolicy {
         self.uses_context
     }
 
-    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) -> Option<f64> {
+    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) {
         self.resident.insert(page.id(), page.clone());
-        let assigned = self.policy.on_insert_hinted(page, value_hint);
+        self.policy.on_insert_hinted(page, value_hint);
         self.feed(page, value_hint);
-        assigned
     }
 
     fn attach_metrics(&mut self, registry: &Registry) {
@@ -511,11 +504,8 @@ mod tests {
                 let pg = &pages[next() % pages.len()];
                 match next() % 3 {
                     0 => {
-                        assert_eq!(
-                            mix.on_insert_hinted(pg, Some(0.5)),
-                            solo.on_insert_hinted(pg, Some(0.5)),
-                            "step {step}: assigned values diverge"
-                        );
+                        mix.on_insert_hinted(pg, Some(0.5));
+                        solo.on_insert_hinted(pg, Some(0.5));
                     }
                     1 => {
                         mix.on_hit(pg);
@@ -523,8 +513,8 @@ mod tests {
                     }
                     _ => {
                         assert_eq!(
-                            mix.choose_victim(&|_| false),
-                            solo.choose_victim(&|_| false),
+                            mix.choose_victim(),
+                            solo.choose_victim(),
                             "step {step}: victims diverge"
                         );
                     }
@@ -552,7 +542,7 @@ mod tests {
                     mix.on_hit(pg);
                 } else {
                     if resident.len() >= capacity {
-                        let v = mix.choose_victim(&|_| false).expect("pool is full");
+                        let v = mix.choose_victim().expect("pool is full");
                         resident.retain(|&id| id != v);
                     }
                     mix.on_insert(pg);
@@ -582,7 +572,7 @@ mod tests {
                     pol.on_hit(pg);
                 } else {
                     if resident.len() >= capacity {
-                        let v = pol.choose_victim(&|_| false).expect("pool is full");
+                        let v = pol.choose_victim().expect("pool is full");
                         resident.retain(|&id| id != v);
                     }
                     pol.on_insert(pg);
@@ -595,7 +585,7 @@ mod tests {
         // The policy only tracks what is resident: every victim it
         // returned was removed from its books.
         let mut seen = HashSet::new();
-        while let Some(v) = pol.choose_victim(&|_| false) {
+        while let Some(v) = pol.choose_victim() {
             assert!(seen.insert(v), "victim {v:?} returned twice");
         }
         assert_eq!(seen.len(), resident.len());
@@ -634,7 +624,7 @@ mod tests {
                     mix.on_hit(pg);
                 } else {
                     if resident.len() >= capacity {
-                        let v = mix.choose_victim(&|_| false).expect("pool is full");
+                        let v = mix.choose_victim().expect("pool is full");
                         resident.retain(|&id| id != v);
                     }
                     mix.on_insert(pg);

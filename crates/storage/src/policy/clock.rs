@@ -44,17 +44,11 @@ impl ReplacementPolicy for Clock {
         }
     }
 
-    fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        // Each pass over the ring clears reference bits, so at most two
-        // sweeps are needed; the extra +1 covers a pinned survivor.
-        let mut budget = self.ring.len() * 2 + 1;
-        while budget > 0 {
+    fn choose_victim(&mut self) -> Option<PageId> {
+        // The first pass over the ring clears reference bits, so the
+        // sweep ends within two.
+        loop {
             let id = self.ring.pop_front()?;
-            budget -= 1;
-            if exclude(id) {
-                self.ring.push_back(id);
-                continue;
-            }
             let bit = self.referenced.get_mut(&id).expect("ring/bits in sync");
             if *bit {
                 *bit = false;
@@ -64,7 +58,6 @@ impl ReplacementPolicy for Clock {
                 return Some(id);
             }
         }
-        None
     }
 
     fn remove(&mut self, id: PageId) {
@@ -91,20 +84,11 @@ mod tests {
         insert_all(&mut p, &pages);
         // All bits set: first sweep clears 0,1 and then 2; second pass
         // evicts page 0 (oldest).
-        assert_eq!(p.choose_victim(&|_| false), Some(pages[0].id()));
+        assert_eq!(p.choose_victim(), Some(pages[0].id()));
         // Page 1's bit is now clear; a hit re-arms it, pushing the
         // victim choice to page 2.
         p.on_hit(&pages[1]);
-        assert_eq!(p.choose_victim(&|_| false), Some(pages[2].id()));
-    }
-
-    #[test]
-    fn pinned_survives_full_sweep() {
-        let mut p = Clock::new();
-        let a = page(0, 0, 1, 1.0);
-        p.on_insert(&a);
-        assert_eq!(p.choose_victim(&|p| p == a.id()), None);
-        assert_eq!(p.choose_victim(&|_| false), Some(a.id()));
+        assert_eq!(p.choose_victim(), Some(pages[2].id()));
     }
 
     #[test]
@@ -115,8 +99,8 @@ mod tests {
         p.on_insert(&a);
         p.on_insert(&b);
         p.remove(a.id());
-        assert_eq!(p.choose_victim(&|_| false), Some(b.id()));
-        assert_eq!(p.choose_victim(&|_| false), None);
+        assert_eq!(p.choose_victim(), Some(b.id()));
+        assert_eq!(p.choose_victim(), None);
     }
 
     #[test]
@@ -125,7 +109,7 @@ mod tests {
         let a = page(0, 0, 1, 1.0);
         p.on_insert(&a);
         p.on_insert(&a);
-        assert_eq!(p.choose_victim(&|_| false), Some(a.id()));
-        assert_eq!(p.choose_victim(&|_| false), None);
+        assert_eq!(p.choose_victim(), Some(a.id()));
+        assert_eq!(p.choose_victim(), None);
     }
 }

@@ -35,8 +35,8 @@ impl ReplacementPolicy for Fifo {
         // References never change FIFO order.
     }
 
-    fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        self.queue.pop_oldest(exclude)
+    fn choose_victim(&mut self) -> Option<PageId> {
+        self.queue.pop_oldest()
     }
 
     fn remove(&mut self, id: PageId) {
@@ -61,7 +61,7 @@ mod tests {
         insert_all(&mut p, &pages);
         p.on_hit(&pages[0]);
         p.on_hit(&pages[0]);
-        assert_eq!(p.choose_victim(&|_| false), Some(PageId::new(TermId(0), 0)));
+        assert_eq!(p.choose_victim(), Some(PageId::new(TermId(0), 0)));
     }
 
     #[test]
@@ -70,7 +70,7 @@ mod tests {
         let pages: Vec<_> = (0..4).map(|i| page(0, i, 1, 1.0)).collect();
         insert_all(&mut p, &pages);
         for pg in &pages {
-            assert_eq!(p.choose_victim(&|_| false), Some(pg.id()));
+            assert_eq!(p.choose_victim(), Some(pg.id()));
         }
     }
 }

@@ -37,8 +37,8 @@ impl ReplacementPolicy for Lru {
         self.queue.touch(page.id());
     }
 
-    fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        self.queue.pop_oldest(exclude)
+    fn choose_victim(&mut self) -> Option<PageId> {
+        self.queue.pop_oldest()
     }
 
     fn remove(&mut self, id: PageId) {
@@ -62,7 +62,7 @@ mod tests {
         let pages = [page(0, 0, 1, 1.0), page(0, 1, 1, 1.0), page(0, 2, 1, 1.0)];
         insert_all(&mut p, &pages);
         p.on_hit(&pages[0]); // page 0 refreshed
-        assert_eq!(p.choose_victim(&|_| false), Some(PageId::new(TermId(0), 1)));
+        assert_eq!(p.choose_victim(), Some(PageId::new(TermId(0), 1)));
     }
 
     #[test]
@@ -80,7 +80,7 @@ mod tests {
                 if p.queue.contains(pg.id()) {
                     p.on_hit(pg);
                 } else {
-                    let victim = p.choose_victim(&|_| false).unwrap();
+                    let victim = p.choose_victim().unwrap();
                     // The victim is never the page we are about to need
                     // *this* step, which is exactly the pathology: it is
                     // the one we will need soonest afterwards.
@@ -112,6 +112,6 @@ mod tests {
         let mut p = Lru::new();
         p.on_insert(&page(0, 0, 1, 1.0));
         p.clear();
-        assert_eq!(p.choose_victim(&|_| false), None);
+        assert_eq!(p.choose_victim(), None);
     }
 }

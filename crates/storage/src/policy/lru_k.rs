@@ -75,11 +75,10 @@ impl ReplacementPolicy for LruK {
         self.reference(page.id());
     }
 
-    fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+    fn choose_victim(&mut self) -> Option<PageId> {
         let victim = self
             .resident
             .iter()
-            .filter(|id| !exclude(**id))
             .min_by_key(|id| {
                 let (kth, last) = self.victim_key(**id);
                 // Deterministic total order: distance key then page id.
@@ -114,7 +113,7 @@ mod tests {
         p.on_insert(&a);
         p.on_hit(&a); // a has 2 references
         p.on_insert(&b); // b has 1, newer
-        assert_eq!(p.choose_victim(&|_| false), Some(b.id()));
+        assert_eq!(p.choose_victim(), Some(b.id()));
     }
 
     #[test]
@@ -126,7 +125,7 @@ mod tests {
         p.on_hit(&a); // t2: a's 2nd-most-recent = t1
         p.on_insert(&b); // t3
         p.on_hit(&b); // t4: b's 2nd-most-recent = t3
-        assert_eq!(p.choose_victim(&|_| false), Some(a.id()));
+        assert_eq!(p.choose_victim(), Some(a.id()));
     }
 
     #[test]
@@ -136,12 +135,12 @@ mod tests {
         let b = page(0, 1, 1, 1.0);
         p.on_insert(&a);
         p.on_hit(&a);
-        assert_eq!(p.choose_victim(&|_| false), Some(a.id()));
+        assert_eq!(p.choose_victim(), Some(a.id()));
         // `a` returns: its retained history gives it a full K-distance,
         // so the never-rereferenced `b` is the victim.
         p.on_insert(&b);
         p.on_insert(&a);
-        assert_eq!(p.choose_victim(&|_| false), Some(b.id()));
+        assert_eq!(p.choose_victim(), Some(b.id()));
     }
 
     #[test]
@@ -152,7 +151,7 @@ mod tests {
         p.on_insert(&a);
         p.on_insert(&b);
         p.on_hit(&a);
-        assert_eq!(p.choose_victim(&|_| false), Some(b.id()));
+        assert_eq!(p.choose_victim(), Some(b.id()));
     }
 
     #[test]

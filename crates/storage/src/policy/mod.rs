@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates three policies (§3.3, §5): **LRU** (the file-system
 //! default most IR systems inherit), **MRU** (the classic fix for repeated
-//! sequential scans [CD85]), and the proposed **RAP** (Ranking-Aware
-//! Policy). Its §6 discussion also claims LRU-K [OOW93] and 2Q [JS94]
+//! sequential scans \[CD85\]), and the proposed **RAP** (Ranking-Aware
+//! Policy). Its §6 discussion also claims LRU-K \[OOW93\] and 2Q \[JS94\]
 //! "will fare no better than LRU" on refinement workloads; we implement
 //! both (plus FIFO and Clock as sanity baselines) so the claim is
 //! testable — see the `ablation_policies` experiment.
@@ -46,7 +46,7 @@ use std::str::FromStr;
 /// * `on_insert` is called exactly once per page while it is resident;
 /// * `on_hit` is only called for pages previously inserted;
 /// * `choose_victim` must return a currently tracked page (and forget
-///   it), never a page for which the exclusion predicate holds;
+///   it);
 /// * after `clear` the policy tracks nothing.
 ///
 /// Policies are `Send` so a pool can move behind a shared-pool mutex;
@@ -62,11 +62,9 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// A resident page was referenced again.
     fn on_hit(&mut self, page: &Page);
 
-    /// Selects a victim among tracked pages, skipping every page for
-    /// which `exclude` returns `true` (the buffer manager passes its
-    /// pin-count check), and stops tracking it. Returns `None` only if
-    /// every tracked page is excluded (or nothing is tracked).
-    fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId>;
+    /// Selects a victim among tracked pages and stops tracking it.
+    /// Returns `None` only if nothing is tracked.
+    fn choose_victim(&mut self) -> Option<PageId>;
 
     /// Stops tracking `id` without an eviction decision (external
     /// removal, e.g. a targeted invalidation).
@@ -97,18 +95,15 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// planning query's `w_{q,t}` for the page's term) if the planner
     /// supplied one.
     ///
-    /// Returns the replacement value the policy actually assigned, for
-    /// hint-accuracy accounting — `None` from policies without a value
-    /// notion. The default ignores the hint and delegates to
+    /// The default ignores the hint and delegates to
     /// [`on_insert`](Self::on_insert); a hint-aware policy (RAP) may
     /// use the hint to value a page whose query was never announced via
     /// [`begin_query`](Self::begin_query). An announced query always
     /// wins over the hint, which keeps hinted and unhinted fetches
     /// identical in the normal announce-then-scan protocol.
-    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) -> Option<f64> {
+    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) {
         let _ = value_hint;
         self.on_insert(page);
-        None
     }
 
     /// Offers the pool's metrics registry to the policy, right after
@@ -131,9 +126,9 @@ pub enum PolicyKind {
     Mru,
     /// Ranking-aware policy — the paper's proposal (§3.3).
     Rap,
-    /// LRU-K with `k = 2` [OOW93] (extension; §6 claim check).
+    /// LRU-K with `k = 2` \[OOW93\] (extension; §6 claim check).
     Lru2,
-    /// 2Q [JS94] (extension; §6 claim check).
+    /// 2Q \[JS94\] (extension; §6 claim check).
     TwoQ,
     /// First-in-first-out (extension baseline).
     Fifo,
@@ -160,11 +155,11 @@ impl PolicyKind {
     /// The three policies evaluated in the paper's figures.
     pub const PAPER: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Rap];
 
-    /// The adaptive policies. Deliberately *not* part of [`ALL`]
-    /// (Self::ALL): experiment harnesses index `ALL` positionally and
-    /// golden CSVs enumerate it, so the adaptive rows are opt-in
-    /// everywhere (the chaos matrix's extra rows, the `adaptive`
-    /// experiment).
+    /// The adaptive policies. Deliberately *not* part of
+    /// [`ALL`](Self::ALL): experiment harnesses index `ALL`
+    /// positionally and golden CSVs enumerate it, so the adaptive rows
+    /// are opt-in everywhere (the chaos matrix's extra rows, the
+    /// `adaptive` experiment).
     pub const ADAPTIVE: [PolicyKind; 2] = [PolicyKind::Adaptive, PolicyKind::HitAdaptive];
 
     /// Instantiates the policy. `capacity` is the buffer-pool size in
@@ -264,7 +259,7 @@ pub(crate) mod testutil {
     /// Drains victims until empty, returning eviction order.
     pub(crate) fn drain(policy: &mut dyn ReplacementPolicy) -> Vec<PageId> {
         let mut out = Vec::new();
-        while let Some(v) = policy.choose_victim(&|_| false) {
+        while let Some(v) = policy.choose_victim() {
             out.push(v);
         }
         out

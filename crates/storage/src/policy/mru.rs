@@ -38,8 +38,8 @@ impl ReplacementPolicy for Mru {
         self.queue.touch(page.id());
     }
 
-    fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        self.queue.pop_newest(exclude)
+    fn choose_victim(&mut self) -> Option<PageId> {
+        self.queue.pop_newest()
     }
 
     fn remove(&mut self, id: PageId) {
@@ -62,9 +62,9 @@ mod tests {
         let mut p = Mru::new();
         let pages = [page(0, 0, 1, 1.0), page(0, 1, 1, 1.0), page(0, 2, 1, 1.0)];
         insert_all(&mut p, &pages);
-        assert_eq!(p.choose_victim(&|_| false), Some(PageId::new(TermId(0), 2)));
+        assert_eq!(p.choose_victim(), Some(PageId::new(TermId(0), 2)));
         p.on_hit(&pages[0]);
-        assert_eq!(p.choose_victim(&|_| false), Some(PageId::new(TermId(0), 0)));
+        assert_eq!(p.choose_victim(), Some(PageId::new(TermId(0), 0)));
     }
 
     #[test]
@@ -77,19 +77,8 @@ mod tests {
         for i in 0..50 {
             let fresh = page(0, i, 1, 1.0);
             p.on_insert(&fresh);
-            let v = p.choose_victim(&|_| false).unwrap();
+            let v = p.choose_victim().unwrap();
             assert_ne!(v, old.id(), "MRU must never evict the cold page");
         }
-    }
-
-    #[test]
-    fn pinned_page_skipped() {
-        let mut p = Mru::new();
-        let a = page(0, 0, 1, 1.0);
-        let b = page(0, 1, 1, 1.0);
-        p.on_insert(&a);
-        p.on_insert(&b);
-        assert_eq!(p.choose_victim(&|p| p == b.id()), Some(a.id()));
-        assert_eq!(p.choose_victim(&|p| p == b.id()), None);
     }
 }

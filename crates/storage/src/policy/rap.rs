@@ -137,7 +137,7 @@ impl ReplacementPolicy for Rap {
         self.on_insert_hinted(page, None);
     }
 
-    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) -> Option<f64> {
+    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) {
         let id = page.id();
         let max_weight = page.max_weight();
         // An announced query is authoritative: the hint is the same
@@ -154,7 +154,6 @@ impl ReplacementPolicy for Rap {
             (wq, _) => max_weight * wq.copied().unwrap_or(0.0),
         };
         self.insert_valued(id, max_weight, value);
-        Some(value)
     }
 
     fn on_hit(&mut self, _page: &Page) {
@@ -162,8 +161,8 @@ impl ReplacementPolicy for Rap {
         // changes nothing.
     }
 
-    fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        let victim = self.by_value.values().copied().find(|id| !exclude(*id))?;
+    fn choose_victim(&mut self) -> Option<PageId> {
+        let victim = *self.by_value.values().next()?;
         self.remove(victim);
         Some(victim)
     }
@@ -238,7 +237,7 @@ mod tests {
         fn on_insert(&mut self, page: &Page) {
             self.on_insert_hinted(page, None);
         }
-        fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) -> Option<f64> {
+        fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) {
             let (id, w) = (page.id(), page.max_weight());
             let value = match (self.query_weights.get(&id.term), value_hint) {
                 (None, Some(hint)) => w * hint,
@@ -248,11 +247,10 @@ mod tests {
                 self.by_value.remove(&key(id, old));
             }
             self.by_value.insert(key(id, value), id);
-            Some(value)
         }
         fn on_hit(&mut self, _page: &Page) {}
-        fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-            let victim = self.by_value.values().copied().find(|id| !exclude(*id))?;
+        fn choose_victim(&mut self) -> Option<PageId> {
+            let victim = *self.by_value.values().next()?;
             self.remove(victim);
             Some(victim)
         }
@@ -322,23 +320,16 @@ mod tests {
                         0 => None,
                         _ => Some(ALPHABET[pick(8) as usize]),
                     };
-                    let (a, b) = if pick(4) == 0 {
+                    if pick(4) == 0 {
                         rap.on_insert(&pg);
                         oracle.on_insert(&pg);
-                        (None, None)
                     } else {
-                        (
-                            rap.on_insert_hinted(&pg, hint),
-                            oracle.on_insert_hinted(&pg, hint),
-                        )
-                    };
-                    assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{ctx}: value");
+                        rap.on_insert_hinted(&pg, hint);
+                        oracle.on_insert_hinted(&pg, hint);
+                    }
                 }
                 7..=8 => {
-                    let pinned = pick(3);
-                    let exclude = |id: PageId| (id.term.0 + id.page.0) % 3 == pinned;
-                    let (a, b) = (rap.choose_victim(&exclude), oracle.choose_victim(&exclude));
-                    assert_eq!(a, b, "{ctx}: victim");
+                    assert_eq!(rap.choose_victim(), oracle.choose_victim(), "{ctx}: victim");
                 }
                 9..=10 => {
                     let id = PageId::new(TermId(pick(TERMS)), pick(PAGES));
@@ -482,7 +473,7 @@ mod tests {
         let mut p = loaded();
         p.announce(&weights(&[(0, 1.0), (1, 2.0), (2, 1.0), (3, 1.0)]));
         assert_eq!(p.announce(&weights(&[(0, 1.0), (2, 1.0), (3, 1.0)])), 3);
-        let first: Vec<PageId> = (0..3).filter_map(|_| p.choose_victim(&|_| false)).collect();
+        let first: Vec<PageId> = (0..3).filter_map(|_| p.choose_victim()).collect();
         let tail_first: Vec<PageId> = (0..3).rev().map(|pg| PageId::new(TermId(1), pg)).collect();
         assert_eq!(first, tail_first);
     }
@@ -515,7 +506,8 @@ mod tests {
         let mut p = Rap::new();
         p.announce(&weights(&[(0, 1.0)]));
         let foreign = page(1, 0, 5, 1.0); // another session's page
-        assert_eq!(p.on_insert_hinted(&foreign, Some(2.0)), Some(10.0));
+        p.on_insert_hinted(&foreign, Some(2.0));
+        assert_eq!(p.current_value(foreign.id()), Some(10.0));
         // Term 1 is absent before and after: only the mark re-keys it.
         assert_eq!(p.announce(&weights(&[(0, 1.0)])), 1);
         assert_eq!(p.current_value(foreign.id()), Some(0.0));
@@ -532,8 +524,8 @@ mod tests {
         p.on_insert(&head);
         p.on_insert(&tail);
         p.begin_query(&weights(&[(0, 1.0)]));
-        assert_eq!(p.choose_victim(&|_| false), Some(tail.id()));
-        assert_eq!(p.choose_victim(&|_| false), Some(head.id()));
+        assert_eq!(p.choose_victim(), Some(tail.id()));
+        assert_eq!(p.choose_victim(), Some(head.id()));
     }
 
     #[test]
@@ -545,7 +537,7 @@ mod tests {
         p.on_insert(&dropped_head);
         p.begin_query(&weights(&[(0, 0.5)]));
         assert_eq!(
-            p.choose_victim(&|_| false),
+            p.choose_victim(),
             Some(dropped_head.id()),
             "pages of dropped terms must be evicted first regardless of data value"
         );
@@ -560,12 +552,12 @@ mod tests {
         p.on_insert(&head);
         p.on_insert(&tail);
         p.begin_query(&weights(&[(0, 1.0)]));
-        assert_eq!(p.choose_victim(&|_| false), Some(tail.id()));
+        assert_eq!(p.choose_victim(), Some(tail.id()));
         // Also holds for the all-zero no-query state.
         let mut q = Rap::new();
         q.on_insert(&head);
         q.on_insert(&tail);
-        assert_eq!(q.choose_victim(&|_| false), Some(tail.id()));
+        assert_eq!(q.choose_victim(), Some(tail.id()));
     }
 
     #[test]
@@ -582,7 +574,7 @@ mod tests {
         p.begin_query(&weights(&[(1, 10.0)]));
         assert_eq!(p.current_value(a.id()), Some(0.0));
         assert_eq!(p.current_value(b.id()), Some(30.0));
-        assert_eq!(p.choose_victim(&|_| false), Some(a.id()));
+        assert_eq!(p.choose_victim(), Some(a.id()));
     }
 
     #[test]
@@ -597,21 +589,10 @@ mod tests {
             p.on_hit(&b);
         }
         assert_eq!(
-            p.choose_victim(&|_| false),
+            p.choose_victim(),
             Some(b.id()),
             "recency is irrelevant to RAP"
         );
-    }
-
-    #[test]
-    fn pinned_page_skipped() {
-        let mut p = Rap::new();
-        let a = page(0, 0, 5, 1.0);
-        let b = page(0, 1, 1, 1.0);
-        p.on_insert(&a);
-        p.on_insert(&b);
-        assert_eq!(p.choose_victim(&|p| p == b.id()), Some(a.id()));
-        assert_eq!(p.choose_victim(&|p| p == b.id()), None);
     }
 
     #[test]
@@ -627,13 +608,13 @@ mod tests {
         assert_eq!(p.current_value(v2.id()), Some(5.0));
         // Exactly one victim comes out — a stale `by_value` entry would
         // produce the same page twice.
-        assert_eq!(p.choose_victim(&|_| false), Some(v2.id()));
-        assert_eq!(p.choose_victim(&|_| false), None);
+        assert_eq!(p.choose_victim(), Some(v2.id()));
+        assert_eq!(p.choose_victim(), None);
         // Re-insert with an identical key is also single-tracked.
         p.on_insert(&v1);
         p.on_insert(&v1);
-        assert_eq!(p.choose_victim(&|_| false), Some(v1.id()));
-        assert_eq!(p.choose_victim(&|_| false), None);
+        assert_eq!(p.choose_victim(), Some(v1.id()));
+        assert_eq!(p.choose_victim(), None);
     }
 
     #[test]
@@ -643,11 +624,12 @@ mod tests {
         // to max_weight · hint.
         let cold = page(0, 0, 4, 1.0); // w* = 4
         let hinted = page(1, 0, 4, 1.0); // w* = 4
-        assert_eq!(p.on_insert_hinted(&cold, None), Some(0.0));
-        assert_eq!(p.on_insert_hinted(&hinted, Some(0.5)), Some(2.0));
+        p.on_insert_hinted(&cold, None);
+        p.on_insert_hinted(&hinted, Some(0.5));
+        assert_eq!(p.current_value(cold.id()), Some(0.0));
         assert_eq!(p.current_value(hinted.id()), Some(2.0));
         // The unvalued page goes first.
-        assert_eq!(p.choose_victim(&|_| false), Some(cold.id()));
+        assert_eq!(p.choose_victim(), Some(cold.id()));
     }
 
     #[test]
@@ -656,7 +638,7 @@ mod tests {
         p.begin_query(&weights(&[(0, 2.0)]));
         let a = page(0, 0, 3, 1.0); // w* = 3, announced w_q = 2
                                     // A (stale) hint of 9.9 must lose to the announced weight.
-        assert_eq!(p.on_insert_hinted(&a, Some(9.9)), Some(6.0));
+        p.on_insert_hinted(&a, Some(9.9));
         assert_eq!(p.current_value(a.id()), Some(6.0));
         // Re-announcing re-keys from max_weight, replacing any hinted
         // value.
@@ -672,11 +654,11 @@ mod tests {
         let a = page(0, 0, 5, 1.0);
         p.on_insert(&a);
         p.remove(a.id());
-        assert_eq!(p.choose_victim(&|_| false), None);
+        assert_eq!(p.choose_victim(), None);
         p.on_insert_hinted(&a, Some(1.0));
         assert!(p.hinted.contains(&TermId(0)));
         p.clear();
-        assert_eq!(p.choose_victim(&|_| false), None);
+        assert_eq!(p.choose_victim(), None);
         assert!(p.query_weights.is_empty() && p.resident.is_empty() && p.hinted.is_empty());
     }
 
@@ -688,7 +670,7 @@ mod tests {
         p.on_insert(&b);
         p.remove(a.id());
         assert!(p.resident.contains_key(&TermId(0)) && p.hinted.contains(&TermId(0)));
-        assert_eq!(p.choose_victim(&|_| false), Some(b.id()));
+        assert_eq!(p.choose_victim(), Some(b.id()));
         assert!(p.resident.is_empty() && p.hinted.is_empty());
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! Pages are stamped with a monotonically increasing tick on insertion
 //! and (optionally) on re-reference; a `BTreeMap` keyed by tick gives
-//! O(log n) access to the coldest and hottest entries, with excluded
-//! (pinned) pages skipped by an in-order scan over the queue.
+//! O(log n) access to the coldest and hottest entries.
 
 use ir_types::PageId;
 use std::collections::{BTreeMap, HashMap};
@@ -51,27 +50,16 @@ impl TickQueue {
         }
     }
 
-    /// Removes and returns the oldest entry not matched by `exclude`.
-    pub(crate) fn pop_oldest(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        let tick = self
-            .by_tick
-            .iter()
-            .find(|(_, id)| !exclude(**id))
-            .map(|(t, _)| *t)?;
-        let id = self.by_tick.remove(&tick).expect("tick just observed");
+    /// Removes and returns the oldest entry.
+    pub(crate) fn pop_oldest(&mut self) -> Option<PageId> {
+        let (_, id) = self.by_tick.pop_first()?;
         self.ticks.remove(&id);
         Some(id)
     }
 
-    /// Removes and returns the newest entry not matched by `exclude`.
-    pub(crate) fn pop_newest(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        let tick = self
-            .by_tick
-            .iter()
-            .rev()
-            .find(|(_, id)| !exclude(**id))
-            .map(|(t, _)| *t)?;
-        let id = self.by_tick.remove(&tick).expect("tick just observed");
+    /// Removes and returns the newest entry.
+    pub(crate) fn pop_newest(&mut self) -> Option<PageId> {
+        let (_, id) = self.by_tick.pop_last()?;
         self.ticks.remove(&id);
         Some(id)
     }
@@ -107,10 +95,10 @@ mod tests {
         q.touch(pid(0, 1));
         q.touch(pid(0, 2));
         q.touch(pid(0, 0)); // refresh: 0 becomes newest
-        assert_eq!(q.pop_oldest(&|_| false), Some(pid(0, 1)));
-        assert_eq!(q.pop_newest(&|_| false), Some(pid(0, 0)));
-        assert_eq!(q.pop_oldest(&|_| false), Some(pid(0, 2)));
-        assert_eq!(q.pop_oldest(&|_| false), None);
+        assert_eq!(q.pop_oldest(), Some(pid(0, 1)));
+        assert_eq!(q.pop_newest(), Some(pid(0, 0)));
+        assert_eq!(q.pop_oldest(), Some(pid(0, 2)));
+        assert_eq!(q.pop_oldest(), None);
     }
 
     #[test]
@@ -119,18 +107,7 @@ mod tests {
         q.insert_if_absent(pid(0, 0));
         q.insert_if_absent(pid(0, 1));
         q.insert_if_absent(pid(0, 0)); // no refresh
-        assert_eq!(q.pop_oldest(&|_| false), Some(pid(0, 0)));
-    }
-
-    #[test]
-    fn pinned_is_skipped_not_removed() {
-        let mut q = TickQueue::new();
-        q.touch(pid(0, 0));
-        q.touch(pid(0, 1));
-        assert_eq!(q.pop_oldest(&|p| p == pid(0, 0)), Some(pid(0, 1)));
-        assert!(q.contains(pid(0, 0)));
-        // Only the pinned page remains: nothing evictable.
-        assert_eq!(q.pop_oldest(&|p| p == pid(0, 0)), None);
+        assert_eq!(q.pop_oldest(), Some(pid(0, 0)));
     }
 
     #[test]
@@ -143,6 +120,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.clear();
         assert_eq!(q.len(), 0);
-        assert_eq!(q.pop_oldest(&|_| false), None);
+        assert_eq!(q.pop_oldest(), None);
     }
 }

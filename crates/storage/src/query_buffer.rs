@@ -1,8 +1,8 @@
 //! What query evaluation needs from a buffer pool.
 //!
 //! [`QueryBuffer`] is the capability the evaluation algorithms in
-//! `ir-core` are generic over — fetch a plan, ask `b_t`, announce
-//! `w_{q,t}`, read the counters — so they run unchanged against a
+//! `ir-core` are generic over — the paper's three calls: fetch a plan,
+//! ask `b_t`, announce `w_{q,t}` — so they run unchanged against a
 //! private [`BufferManager`](crate::BufferManager) and against the
 //! concurrent [`ShardedBufferPool`](crate::ShardedBufferPool) that
 //! multi-session servers share. [`QueryBufferExt`] writes the
@@ -10,12 +10,13 @@
 
 use crate::buffer::FetchOutcome;
 use crate::page::Page;
-use crate::stats::BufferStats;
 use ir_types::{IrResult, PageId, ReadPlan, TermId};
 use std::collections::HashMap;
 
-/// What query evaluation needs from a buffer pool: fetch a list prefix,
-/// ask `b_t`, announce `w_{q,t}`.
+/// What query evaluation needs from a buffer pool, and all of it: fetch
+/// a list prefix, ask `b_t`, announce `w_{q,t}` — three methods.
+/// Counters, routing and everything else a pool offers are inherent
+/// methods of the concrete pools.
 ///
 /// A fetch is one blocking call,
 /// [`fetch_batch_into`](Self::fetch_batch_into); the other forms —
@@ -46,18 +47,6 @@ pub trait QueryBuffer {
 
     /// Announces the term weights `w_{q,t}` of the query about to run.
     fn begin_query(&mut self, weights: &HashMap<TermId, f64>);
-
-    /// Snapshot of the pool counters this buffer draws on. For a
-    /// shared pool the numbers aggregate every session's traffic.
-    fn stats(&self) -> BufferStats;
-
-    /// Routing granularity a plan should be chunked to, in pages:
-    /// `Some(chunk)` when plans aligned to `chunk`-page boundaries of
-    /// one term's list each land on a single shard of a lock-striped
-    /// pool, `None` (the default) when alignment buys nothing.
-    fn plan_alignment(&self) -> Option<u32> {
-        None
-    }
 }
 
 /// The convenience forms of a fetch, each written once over

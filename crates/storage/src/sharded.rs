@@ -31,14 +31,14 @@
 //!   in-order fold of hits — single-threaded runs stay event-for-event
 //!   identical to an unsharded [`BufferManager`]. Only misses,
 //!   evictions, announcements and inspection take the exclusive mutex.
-//! * **Execute-and-release batches.** A cross-shard plan
-//!   ([`fetch_batch_into`](QueryBuffer::fetch_batch_into)) runs its
-//!   per-shard sub-plans in ascending shard order, locking each shard
-//!   *only while its own sub-plan executes* — at most one shard lock
-//!   is held at any moment, so a thread serving shard 0's disk reads
-//!   never idles holding shard 3's lock (the convoy the previous
-//!   all-guards-up-front protocol created), and deadlock is impossible
-//!   by construction.
+//! * **One lock at a time.** A plan
+//!   ([`fetch_batch_into`](QueryBuffer::fetch_batch_into)) is walked
+//!   once, in plan order, and cut into maximal runs of consecutive
+//!   entries that route to one shard; each run locks its shard *only
+//!   while it executes* (and not at all when it is fully resident) —
+//!   at most one shard lock is held at any moment, so a thread serving
+//!   shard 0's disk reads never idles holding shard 3's lock, and
+//!   deadlock is impossible by construction.
 //!
 //! ## Semantics
 //!
@@ -53,12 +53,12 @@
 //!   has a colder page to give up. [`begin_query`] announcements fan
 //!   out to every shard, so within a shard the ordering is exactly the
 //!   paper's. DESIGN.md §10 discusses the approximation.
-//! * **Per-shard plan order.** Within each shard the sub-plan preserves
-//!   plan order and the batch semantics of PR 4 (a duplicate costs one
-//!   load plus one hit; an error aborts that shard's tail keeping its
-//!   prefix, and every not-yet-executed shard); *across* shards the
-//!   sub-plans execute in shard order, a documented deviation from
-//!   strict plan order.
+//! * **Strict plan order.** Entries are served in plan order on every
+//!   pool, so everything below the pool — the store's head position, a
+//!   seeded fault stream — sees the plan's own sequence whatever the
+//!   shard count, a duplicate costs one load plus one hit, and an error
+//!   leaves exactly the entries before it served and in `out`.
+//!   `sharded.batch_splits` counts the plans that were cut at all.
 //!
 //! [`begin_query`]: QueryBuffer::begin_query
 //! [`quiesce`]: ShardedBufferPool::quiesce
@@ -107,7 +107,7 @@ pub struct ShardMetrics {
     /// wait (the fast `try_lock` failed).
     pub contended_locks: Counter,
     /// Read plans whose pages hashed to more than one shard (each such
-    /// batch splits into per-shard sub-plans).
+    /// plan is cut into per-shard runs).
     pub batch_splits: Counter,
 }
 
@@ -392,8 +392,8 @@ impl<S: PageStore> ShardedBufferPool<S> {
         }
     }
 
-    /// Serves the longest resident *prefix* of a one-shard sub-plan
-    /// from the shard's frame table under its read lock — no mutex —
+    /// Serves the longest resident *prefix* of a one-shard run of plan
+    /// entries from the shard's frame table under its read lock — no mutex —
     /// appending the hits to `out` in plan order, and returns how many
     /// entries were served. The prefix is exactly the hits the
     /// exclusive path would have served before its first miss, so a
@@ -403,7 +403,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
     /// atomic add per counter for the whole prefix — per-entry
     /// increments showed up as real per-hit overhead); policy/observer
     /// effects are queued for replay at the next exclusive
-    /// acquisition. A fully-resident plan also records its batch
+    /// acquisition. A fully-resident run also records its batch
     /// metrics here, since the exclusive path never runs.
     fn serve_resident_prefix(
         &self,
@@ -435,34 +435,31 @@ impl<S: PageStore> ShardedBufferPool<S> {
         served
     }
 
-    /// The one shard every entry of `plan` routes to, when there is
-    /// one — the common case under term-chunk routing. A one-shard
-    /// pool answers shard 0 without looking at the plan (an empty plan
-    /// included: it still counts one empty batch, as on the reference
-    /// pool); an empty plan on a larger pool routes nowhere.
-    fn single_shard_of(&self, plan: &ReadPlan) -> Option<usize> {
-        if self.shards.len() == 1 {
-            return Some(0);
+    /// The maximal run of leading `entries` that route to one shard:
+    /// that shard, and the run's length. A one-shard pool is one run
+    /// whatever the plan, and so is an empty plan (on shard 0: it still
+    /// counts one empty batch, as on the reference pool).
+    fn leading_run(&self, entries: &[PlanEntry]) -> (usize, usize) {
+        if self.shards.len() == 1 || entries.is_empty() {
+            return (0, entries.len());
         }
-        let first = plan.entries().first()?;
-        let s = self.shard_of(first.page);
+        let s = self.shard_of(entries[0].page);
         // Consecutive entries usually share a routing chunk (plans are
         // per-term page prefixes), so only re-hash when the chunk key
         // changes.
-        let mut key = self.chunk_key(first.page);
-        plan.iter()
-            .all(|e| {
-                let k = self.chunk_key(e.page);
-                k == key || {
-                    key = k;
-                    self.shard_of(e.page) == s
-                }
-            })
-            .then_some(s)
+        let mut key = self.chunk_key(entries[0].page);
+        let len = entries.iter().position(|e| {
+            let k = self.chunk_key(e.page);
+            k != key && {
+                key = k;
+                self.shard_of(e.page) != s
+            }
+        });
+        (s, len.unwrap_or(entries.len()))
     }
 
     /// Runs `f` with shard `s` locked — for operations the pool
-    /// surface does not cover (observers, pinning, per-shard metrics).
+    /// surface does not cover (observers, per-shard metrics).
     ///
     /// # Panics
     /// Panics if `s` is out of range.
@@ -493,6 +490,15 @@ impl<S: PageStore> ShardedBufferPool<S> {
     /// One shard's counter snapshot.
     pub fn shard_stats(&self, s: usize) -> BufferStats {
         self.lock(s).stats()
+    }
+
+    /// Pool counters summed over every shard.
+    pub fn stats(&self) -> BufferStats {
+        let mut total = BufferStats::default();
+        for s in 0..self.shards.len() {
+            total += self.lock(s).stats();
+        }
+        total
     }
 
     /// Sum of `f` over every shard's [`BufferManager`] (lock per
@@ -581,63 +587,36 @@ impl<S: PageStore> ShardedBufferPool<S> {
 }
 
 impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
-    /// Locks only the shards the plan's pages route to — one at a
-    /// time, in ascending shard order. Each shard serves its sub-plan
-    /// (the plan's entries that route to it, in plan order) keeping
-    /// the duplicate/one-load and vectored-read semantics per shard;
-    /// outcomes are reassembled into plan order. Each sub-plan's
-    /// resident prefix is served lock-light under the shard's read
-    /// lock; only the remainder (first miss onward) takes the shard
-    /// mutex. An error aborts the failing shard's tail and every
-    /// not-yet-executed shard; completed shards keep their effects.
+    /// Walks the plan once, in plan order, cutting it into maximal runs
+    /// of consecutive entries that route to one shard, and serves each
+    /// run as a one-shard plan: its resident prefix lock-light under
+    /// the shard's read lock, the remainder (first miss onward) under
+    /// the shard mutex, results appended straight to `out`. An error
+    /// ends the walk; everything before it keeps its effects and its
+    /// place in `out`.
     fn fetch_batch_into(
         &mut self,
         plan: &ReadPlan,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
         out.clear();
-        // Single-shard plans skip grouping and scatter entirely.
-        if let Some(s) = self.single_shard_of(plan) {
-            let served = self.serve_resident_prefix(s, plan.entries(), out);
-            if served == plan.len() {
+        let mut rest = plan.entries();
+        loop {
+            let (s, len) = self.leading_run(rest);
+            let (run, tail) = rest.split_at(len);
+            let served = self.serve_resident_prefix(s, run, out);
+            if served < run.len() {
+                self.lock(s).fetch_batch_tail(run, served, out)?;
+            }
+            if tail.is_empty() {
                 return Ok(());
             }
-            return self.lock(s).fetch_batch_tail(plan, served, out);
-        }
-        let mut groups: Vec<Vec<(usize, PlanEntry)>> = vec![Vec::new(); self.shards.len()];
-        for (i, entry) in plan.iter().enumerate() {
-            groups[self.shard_of(entry.page)].push((i, *entry));
-        }
-        let touched: Vec<usize> = (0..groups.len())
-            .filter(|&s| !groups[s].is_empty())
-            .collect();
-        if touched.len() > 1 {
-            self.metrics.batch_splits.inc();
-        }
-        let mut slots: Vec<Option<(Page, FetchOutcome)>> = vec![None; plan.len()];
-        // Execute-and-release in ascending shard order: each shard's
-        // guard is dropped before the next shard is locked, so at most
-        // one shard lock is held at any moment — a thread stuck in
-        // shard k's disk reads cannot convoy traffic on later shards,
-        // and holding one lock can never deadlock.
-        for s in touched {
-            let group = &groups[s];
-            let sub: Vec<PlanEntry> = group.iter().map(|(_, e)| *e).collect();
-            let mut served = Vec::with_capacity(sub.len());
-            let k = self.serve_resident_prefix(s, &sub, &mut served);
-            if k < sub.len() {
-                let sub_plan: ReadPlan = sub.into_iter().collect();
-                self.lock(s).fetch_batch_tail(&sub_plan, k, &mut served)?;
+            // Counted once per plan, at its first cut.
+            if rest.len() == plan.len() {
+                self.metrics.batch_splits.inc();
             }
-            for ((plan_idx, _), result) in group.iter().zip(served) {
-                slots[*plan_idx] = Some(result);
-            }
+            rest = tail;
         }
-        out.reserve(slots.len());
-        for slot in slots {
-            out.push(slot.expect("every plan entry belongs to exactly one shard"));
-        }
-        Ok(())
     }
 
     /// `b_t` across the whole pool: a term's chunks may hash to
@@ -675,22 +654,6 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
         for s in 0..self.shards.len() {
             self.lock(s).begin_query(weights);
         }
-    }
-
-    /// Pool counters summed over every shard.
-    fn stats(&self) -> BufferStats {
-        let mut total = BufferStats::default();
-        for s in 0..self.shards.len() {
-            total += self.lock(s).stats();
-        }
-        total
-    }
-
-    fn plan_alignment(&self) -> Option<u32> {
-        // With several shards, chunk-aligned sub-plans each route to a
-        // single shard — one lock, no batch split. A one-shard pool
-        // gains nothing from alignment.
-        (self.shards.len() > 1).then_some(self.chunk_pages)
     }
 }
 
@@ -937,11 +900,31 @@ mod tests {
         let faulty = Arc::new(FaultStore::new(store(1, 8), cfg));
         let mut pool = ShardedBufferPool::new(faulty, 8, PolicyKind::Lru, 4).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(0), 8, None);
-        // Every read faults and there are no retries: the first
-        // touched shard's first entry fails, later shards never run.
+        // Every read faults and there are no retries: the plan's first
+        // entry fails and nothing after it runs.
         let err = pool.fetch_batch(&plan).unwrap_err();
         assert!(err.is_transient());
         assert_eq!(pool.len(), 0, "no page may land from a failed batch");
+    }
+
+    #[test]
+    fn batch_error_keeps_the_served_prefix_across_shards() {
+        // Per-page scatter; the plan is a valid page followed by the
+        // first out-of-range page that routes to a *different* shard.
+        let mut pool =
+            ShardedBufferPool::with_chunk_pages(store(1, 8), 32, PolicyKind::Lru, 4, 1).unwrap();
+        let first = pid(0, 0);
+        let bad = (8..)
+            .map(|p| pid(0, p))
+            .find(|id| pool.shard_of(*id) != pool.shard_of(first))
+            .unwrap();
+        let plan: ReadPlan = [first, bad].into_iter().map(PlanEntry::new).collect();
+        let mut out = Vec::new();
+        let err = pool.fetch_batch_into(&plan, &mut out).unwrap_err();
+        assert!(matches!(err, IrError::PageOutOfRange { .. }));
+        assert_eq!(out.len(), 1, "the entry served before the failure");
+        assert_eq!(out[0].0.id(), first);
+        assert!(pool.with_shard(pool.shard_of(first), |bm| bm.is_resident(first)));
     }
 
     #[test]
@@ -1114,19 +1097,6 @@ mod tests {
             assert_eq!(staged.shard_stats(s), plain.shard_stats(s), "shard {s}");
         }
         assert_eq!(probe.calls(), expected_calls);
-    }
-
-    #[test]
-    fn plan_alignment_reports_the_routing_chunk() {
-        let multi = ShardedBufferPool::new(store(1, 8), 64, PolicyKind::Lru, 4).unwrap();
-        assert_eq!(QueryBuffer::plan_alignment(&multi), Some(8));
-        assert_eq!(multi.chunk_pages(), 8);
-        let single = ShardedBufferPool::new(store(1, 8), 64, PolicyKind::Lru, 1).unwrap();
-        assert_eq!(
-            QueryBuffer::plan_alignment(&single),
-            None,
-            "one shard never splits, alignment buys nothing"
-        );
     }
 
     #[test]

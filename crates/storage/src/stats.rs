@@ -3,8 +3,7 @@
 //! [`BufferStats`] remains the value type experiments snapshot and
 //! diff; the counters behind it live in [`BufferMetrics`] — lock-free
 //! `ir-observe` handles registered per pool, finer-grained than the
-//! snapshot (evictions split head/tail, pinned-victim skips, retries
-//! and torn deliveries).
+//! snapshot (evictions split head/tail, retries and torn deliveries).
 
 use ir_observe::{Counter, Histogram, MetricsSnapshot, Registry};
 use serde::Serialize;
@@ -76,9 +75,8 @@ impl std::ops::AddAssign for BufferStats {
 /// by [`snapshot`](BufferMetrics::snapshot).
 ///
 /// The registry is per-pool, so counter names need no policy suffix:
-/// "per policy" pinned-skip accounting falls out of each pool running
-/// exactly one policy (dump [`BufferMetrics::dump`] alongside
-/// the pool's `policy_kind` to label it).
+/// each pool runs exactly one policy (dump [`BufferMetrics::dump`]
+/// alongside the pool's `policy_kind` to label it).
 #[derive(Clone, Debug)]
 pub struct BufferMetrics {
     registry: Registry,
@@ -92,9 +90,6 @@ pub struct BufferMetrics {
     pub evictions_head: Counter,
     /// Evictions of non-head pages.
     pub evictions_tail: Counter,
-    /// Pinned pages passed over while choosing an eviction victim
-    /// (counted once per page per eviction decision).
-    pub skip_pinned: Counter,
     /// Store reads re-attempted after a transient failure (one per
     /// retry attempt, not per failed fetch).
     pub retries: Counter,
@@ -109,15 +104,6 @@ pub struct BufferMetrics {
     pub batches: Counter,
     /// Plan sizes (entries per executed batch), as a histogram.
     pub batch_pages: Histogram,
-    /// Σ |value assigned − hinted value| over hinted admissions where
-    /// the policy reported its assigned value, in milli-units (×1000,
-    /// rounded) so the fixed-point total fits a counter. Divide by
-    /// [`hinted_inserts`](Self::hinted_inserts) for the mean absolute
-    /// hint error.
-    pub hint_abs_error_milli: Counter,
-    /// Hinted admissions that produced a policy-reported value (the
-    /// denominator for the hint-error mean).
-    pub hinted_inserts: Counter,
 }
 
 impl Default for BufferMetrics {
@@ -142,14 +128,11 @@ impl BufferMetrics {
             loads: registry.counter("buffer.loads"),
             evictions_head: registry.counter("buffer.evictions.head"),
             evictions_tail: registry.counter("buffer.evictions.tail"),
-            skip_pinned: registry.counter("buffer.skip_pinned"),
             retries: registry.counter("buffer.retries"),
             gave_up: registry.counter("buffer.gave_up"),
             torn_pages: registry.counter("buffer.torn_pages"),
             batches: registry.counter("buffer.batches"),
             batch_pages: registry.histogram("buffer.batch_pages", &BATCH_PAGES_BOUNDS),
-            hint_abs_error_milli: registry.counter("buffer.hint_abs_error_milli"),
-            hinted_inserts: registry.counter("buffer.hinted_inserts"),
         }
     }
 
@@ -244,12 +227,12 @@ mod tests {
     #[test]
     fn dump_exposes_fine_grained_counters() {
         let m = BufferMetrics::new();
-        m.skip_pinned.add(4);
+        m.evictions_tail.add(4);
         m.retries.add(3);
         m.gave_up.inc();
         m.torn_pages.add(2);
         let d = m.dump();
-        assert_eq!(d.counter("buffer.skip_pinned"), Some(4));
+        assert_eq!(d.counter("buffer.evictions.tail"), Some(4));
         assert_eq!(d.counter("buffer.loads"), Some(0));
         assert_eq!(d.counter("buffer.retries"), Some(3));
         assert_eq!(d.counter("buffer.gave_up"), Some(1));
@@ -262,12 +245,8 @@ mod tests {
         m.batches.inc();
         m.batch_pages.record(3);
         m.batch_pages.record(200);
-        m.hint_abs_error_milli.add(1500);
-        m.hinted_inserts.add(2);
         let d = m.dump();
         assert_eq!(d.counter("buffer.batches"), Some(1));
-        assert_eq!(d.counter("buffer.hint_abs_error_milli"), Some(1500));
-        assert_eq!(d.counter("buffer.hinted_inserts"), Some(2));
         let h = d
             .histograms
             .iter()

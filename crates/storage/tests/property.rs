@@ -1,8 +1,7 @@
-//! Cross-policy property tests for the pinning contract: a pinned
-//! frame must never be chosen as a replacement victim, under any
-//! policy and any workload. Exercised at two levels — the raw
-//! [`ReplacementPolicy::choose_victim`] exclusion predicate, and the
-//! full [`BufferManager`] with per-frame pin counts.
+//! Cross-policy property tests for the [`BufferManager`]'s accounting
+//! contracts: counters ≡ event log, fault recovery is invisible, a
+//! duplicate loads once, one plan ≡ page-at-a-time fetches — under
+//! every policy and any workload.
 
 use ir_storage::{
     BufferEvent, BufferManager, BufferObserver, DiskSim, EventCounts, FaultConfig, FaultStore,
@@ -10,7 +9,6 @@ use ir_storage::{
 };
 use ir_types::{PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// An observer whose log outlives the pool, so a test can tally events
@@ -41,17 +39,12 @@ fn store() -> DiskSim {
     DiskSim::new(lists)
 }
 
-fn page(t: u32, p: u32) -> Page {
-    let postings: Vec<Posting> = vec![Posting::new(p, PAGES_PER_TERM - p)];
-    Page::new(PageId::new(TermId(t), p), postings.into(), f64::from(t + 1))
-}
-
 /// Drives `plain` with one `fetch_traced` per request (each a
 /// one-entry plan) and `batched` with the whole request stream as a
 /// single [`ReadPlan`], then asserts the two pools are
 /// indistinguishable: delivered bytes, fetch outcomes, the full event
-/// log, and every metric but the batch counters — the vectored batch
-/// loop against the page-at-a-time sequence it must equal.
+/// log, and every metric but the batch counters — the batch loop
+/// against the page-at-a-time sequence it must equal.
 fn assert_one_plan_matches_page_at_a_time<S: PageStore>(
     mut plain: BufferManager<S>,
     mut batched: BufferManager<S>,
@@ -98,7 +91,6 @@ fn assert_one_plan_matches_page_at_a_time<S: PageStore>(
         mb.evictions_tail.get(),
         "{kind}: tail evictions"
     );
-    assert_eq!(ma.skip_pinned.get(), mb.skip_pinned.get(), "{kind}: skips");
     assert_eq!(ma.retries.get(), mb.retries.get(), "{kind}: retries");
     assert_eq!(ma.gave_up.get(), mb.gave_up.get(), "{kind}: gave up");
     assert_eq!(ma.torn_pages.get(), mb.torn_pages.get(), "{kind}: torn");
@@ -124,139 +116,24 @@ fn assert_one_plan_matches_page_at_a_time<S: PageStore>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Raw policy level: whatever subset of the resident pages is
-    /// excluded, `choose_victim` never returns a member of it.
-    #[test]
-    fn choose_victim_never_returns_an_excluded_page(
-        n_pages in 2usize..12,
-        excluded_mask in proptest::any::<u16>(),
-        hit_mask in proptest::any::<u16>(),
-    ) {
-        for kind in PolicyKind::ALL {
-            let mut policy = kind.build(n_pages);
-            let pages: Vec<Page> = (0..n_pages as u32)
-                .map(|i| page(i % N_TERMS, i / N_TERMS))
-                .collect();
-            for p in &pages {
-                policy.on_insert(p);
-            }
-            // Re-reference an arbitrary subset so recency/frequency
-            // state differs from insertion order.
-            for (i, p) in pages.iter().enumerate() {
-                if hit_mask & (1 << (i as u16 % 16)) != 0 {
-                    policy.on_hit(p);
-                }
-            }
-            let excluded: HashSet<PageId> = pages
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| excluded_mask & (1 << (*i as u16 % 16)) != 0)
-                .map(|(_, p)| p.id())
-                .collect();
-            let victim = policy.choose_victim(&|id| excluded.contains(&id));
-            if excluded.len() < pages.len() {
-                let v = victim.unwrap_or_else(|| {
-                    panic!("{kind}: evictable pages exist but no victim chosen")
-                });
-                assert!(
-                    !excluded.contains(&v),
-                    "{kind}: victim {v:?} was excluded"
-                );
-            } else {
-                assert!(
-                    victim.is_none(),
-                    "{kind}: every page excluded, yet got a victim"
-                );
-            }
-        }
-    }
-
-    /// Full pool level: under a random fetch/pin workload, pinned
-    /// pages stay resident through arbitrary eviction pressure, and
-    /// occupancy never exceeds capacity.
-    #[test]
-    fn pinned_pages_survive_any_workload(
-        capacity in 2usize..6,
-        ops in collection::vec(
-            (0u32..N_TERMS, 0u32..PAGES_PER_TERM, proptest::any::<bool>()),
-            1..80,
-        ),
-    ) {
-        for kind in PolicyKind::ALL {
-            let mut bm = BufferManager::new(store(), capacity, kind).unwrap();
-            let mut pinned: Vec<PageId> = Vec::new();
-            for (t, p, want_pin) in &ops {
-                let id = PageId::new(TermId(*t), *p);
-                bm.fetch(id).unwrap_or_else(|e| {
-                    panic!("{kind}: fetch with a spare unpinned frame failed: {e}")
-                });
-                // Keep one frame evictable so fetches always succeed.
-                if *want_pin && !pinned.contains(&id) && pinned.len() + 1 < capacity {
-                    bm.pin(id);
-                    pinned.push(id);
-                }
-                assert!(bm.len() <= capacity, "{kind}: pool over capacity");
-                for pin in &pinned {
-                    assert!(
-                        bm.is_resident(*pin),
-                        "{kind}: pinned page {pin:?} was evicted"
-                    );
-                    assert!(bm.pin_count(*pin) > 0, "{kind}: pin count lost");
-                }
-            }
-            // Unpinning re-enables eviction: flood the pool and check
-            // the previously pinned pages can now be displaced.
-            for pin in pinned.drain(..) {
-                bm.unpin(pin);
-            }
-            for p in 0..PAGES_PER_TERM {
-                for t in 0..N_TERMS {
-                    bm.fetch(PageId::new(TermId(t), p)).unwrap();
-                }
-            }
-            assert!(bm.len() <= capacity, "{kind}: pool over capacity after unpin flood");
-        }
-    }
-
-    /// Dual-accounting invariant: for any fetch/pin/flush
+    /// Dual-accounting invariant: for any fetch/flush
     /// workload, the lock-free `BufferMetrics` counters equal the fold
     /// of the event stream the observer saw ([`EventCounts::tally`]) —
     /// the two accounting paths can never disagree.
     #[test]
     fn metrics_counters_equal_the_event_log_tally(
         capacity in 2usize..6,
-        ops in collection::vec(
-            (0u32..N_TERMS, 0u32..PAGES_PER_TERM, 0u8..7),
-            1..80,
-        ),
+        ops in collection::vec((0u32..N_TERMS, 0u32..PAGES_PER_TERM), 1..80),
         flush_at_end in proptest::any::<bool>(),
     ) {
         for kind in PolicyKind::ALL {
             let mut bm = BufferManager::new(store(), capacity, kind).unwrap();
             let log = SharedLog::default();
             bm.set_observer(Box::new(log.clone()));
-            let mut pinned: Vec<PageId> = Vec::new();
-            for (t, p, action) in &ops {
-                let id = PageId::new(TermId(*t), *p);
-                match action {
-                    // Pin after fetching (keeping one frame free so
-                    // later fetches always succeed).
-                    1 => {
-                        bm.fetch(id).unwrap();
-                        if !pinned.contains(&id) && pinned.len() + 1 < capacity {
-                            bm.pin(id);
-                            pinned.push(id);
-                        }
-                    }
-                    _ => {
-                        bm.fetch(id).unwrap();
-                    }
-                }
+            for (t, p) in &ops {
+                bm.fetch(PageId::new(TermId(*t), *p)).unwrap();
             }
             if flush_at_end {
-                for pin in pinned.drain(..) {
-                    bm.unpin(pin);
-                }
                 bm.flush();
             }
             let counts = EventCounts::tally(&log.0.lock().unwrap());
@@ -273,7 +150,6 @@ proptest! {
                 counts.evictions_tail,
                 "{kind}: tail evictions"
             );
-            assert_eq!(m.skip_pinned.get(), counts.skip_pinned, "{kind}: skips");
             assert_eq!(m.retries.get(), counts.retries, "{kind}: retries");
             assert_eq!(m.torn_pages.get(), counts.torn, "{kind}: torn");
             // The snapshot view agrees with both accounting paths:

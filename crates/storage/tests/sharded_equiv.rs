@@ -6,6 +6,12 @@
 //!   resident set, same `b_t` counters — under every policy, with and
 //!   without seeded transient faults. This is what lets the engine
 //!   swap the pool in without disturbing any golden CSV.
+//! * **One plan ≡ page-at-a-time, on P > 1 too** — a multi-shard pool
+//!   serves a plan strictly in plan order, so a whole-stream plan and
+//!   the same stream as one-entry plans are indistinguishable from
+//!   above (outcomes), inside (per-shard counters, events, resident
+//!   sets) and *below* the pool (the store's head movement and its
+//!   seeded fault stream).
 //! * **Shard accounting under real concurrency** — hammered by
 //!   threads, every shard's `hits + loads == requests`, the per-term
 //!   `b_t` counters sum to the pool's occupancy (no lost or duplicated
@@ -20,8 +26,9 @@
 
 use ir_storage::policy::ExpertMixturePolicy;
 use ir_storage::{
-    BufferEvent, BufferManager, BufferObserver, DiskSim, FaultConfig, FaultStore, FetchPolicy,
-    Page, PageStore, PolicyKind, QueryBuffer, QueryBufferExt, ShardedBufferPool,
+    BufferEvent, BufferManager, BufferObserver, BufferStats, DiskSim, DiskStats, FaultConfig,
+    FaultStats, FaultStore, FetchOutcome, FetchPolicy, Page, PageStore, PolicyKind, QueryBuffer,
+    QueryBufferExt, ShardedBufferPool,
 };
 use ir_types::{PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};
@@ -207,6 +214,107 @@ proptest! {
                 let reference =
                     BufferManager::new(Arc::new(store()), capacity, kind).unwrap();
                 assert_one_shard_matches_manager(pool, reference, &ops, kind);
+            }
+        }
+    }
+}
+
+/// Everything a run leaves observable: above the pool, inside each
+/// shard (after a quiesce), and below it.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outcomes: Vec<FetchOutcome>,
+    shard_stats: Vec<BufferStats>,
+    shard_events: Vec<Vec<BufferEvent>>,
+    shard_residents: Vec<Vec<PageId>>,
+    disk: DiskStats,
+    faults: FaultStats,
+}
+
+/// Runs `plans` through a fresh 4-shard pool (`chunk`-page routing, or
+/// the default chunk for `None`) over a fresh seeded store.
+fn drive_four_shards(
+    kind: PolicyKind,
+    frames: usize,
+    chunk: Option<u32>,
+    config: FaultConfig,
+    plans: &[ReadPlan],
+) -> Observed {
+    let faulty = Arc::new(FaultStore::new(store(), config));
+    let mut pool = match chunk {
+        Some(c) => ShardedBufferPool::with_chunk_pages(Arc::clone(&faulty), frames, kind, 4, c),
+        None => ShardedBufferPool::new(Arc::clone(&faulty), frames, kind, 4),
+    }
+    .unwrap();
+    // `FaultConfig::chaos` caps consecutive faults at 3.
+    pool.set_fetch_policy(FetchPolicy::retries(4));
+    let logs: Vec<SharedLog> = (0..pool.n_shards())
+        .map(|s| {
+            let log = SharedLog::default();
+            pool.with_shard(s, |bm| bm.set_observer(Box::new(log.clone())));
+            log
+        })
+        .collect();
+    let weights: HashMap<TermId, f64> = [(TermId(0), 2.0), (TermId(1), 0.5)].into_iter().collect();
+    pool.begin_query(&weights);
+    let mut outcomes = Vec::new();
+    for plan in plans {
+        let served = pool.fetch_batch(plan).unwrap();
+        outcomes.extend(served.into_iter().map(|(_, how)| how));
+    }
+    pool.quiesce();
+    Observed {
+        outcomes,
+        shard_stats: (0..pool.n_shards()).map(|s| pool.shard_stats(s)).collect(),
+        shard_events: logs.iter().map(|l| l.0.lock().unwrap().clone()).collect(),
+        shard_residents: (0..pool.n_shards())
+            .map(|s| pool.with_shard(s, |bm| bm.resident_ids()))
+            .collect(),
+        disk: faulty.inner().stats(),
+        faults: faulty.stats(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `one_plan_matches_page_at_a_time_fetches` on the concurrent
+    /// pool: under per-page scatter and under the default chunk, for
+    /// every policy, over a clean store and a seeded chaos schedule.
+    #[test]
+    fn one_plan_matches_page_at_a_time_fetches_on_four_shards(
+        frames in 8usize..24,
+        seed in proptest::any::<u64>(),
+        ops in collection::vec(
+            (0u32..N_TERMS, 0u32..PAGES_PER_TERM, proptest::any::<bool>()),
+            1..60,
+        ),
+    ) {
+        let whole: ReadPlan = ops
+            .iter()
+            .map(|&(t, p, hinted)| {
+                let id = PageId::new(TermId(t), p);
+                if hinted {
+                    PlanEntry::hinted(id, f64::from(t + 1))
+                } else {
+                    PlanEntry::new(id)
+                }
+            })
+            .collect();
+        let singles: Vec<ReadPlan> = whole.iter().map(|e| [*e].into_iter().collect()).collect();
+        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+            for chunk in [Some(1), None] {
+                for config in [FaultConfig::DISABLED, FaultConfig::chaos(seed)] {
+                    let one_plan =
+                        drive_four_shards(kind, frames, chunk, config, std::slice::from_ref(&whole));
+                    let page_at_a_time = drive_four_shards(kind, frames, chunk, config, &singles);
+                    assert_eq!(
+                        one_plan,
+                        page_at_a_time,
+                        "{kind}, chunk {chunk:?}, {frames} frames, fault seed {seed}, faults {}",
+                        !config.is_disabled()
+                    );
+                }
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The document-analysis pipeline of §4.2 of the paper: lexical analysis
 //! (tokenization, non-word removal, case folding), stop-word removal
-//! [Fox92], and Porter stemming [Fra92].
+//! \[Fox92\], and Porter stemming \[Fra92\].
 //!
 //! The index in the paper was built by: removing all non-words
 //! (punctuation, numbers), removing stop words (the 100 most frequent

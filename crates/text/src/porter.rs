@@ -1,7 +1,7 @@
 //! Porter's suffix-stripping algorithm (M. F. Porter, *An algorithm for
 //! suffix stripping*, Program 14(3), 1980), as used for index
 //! construction in §4.2 of the paper ("stemmed using a Porter stemmer,
-//! described in [Fra92]").
+//! described in \[Fra92\]").
 //!
 //! This is a from-scratch port of the algorithm definition (following
 //! the structure of Porter's reference implementation): five rule steps

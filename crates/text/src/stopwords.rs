@@ -1,4 +1,4 @@
-//! Stop-word lists [Fox92].
+//! Stop-word lists \[Fox92\].
 //!
 //! The paper removes the 100 most frequent terms of the collection as
 //! stop words (§4.2, footnote 11) — a *collection-derived* list rather

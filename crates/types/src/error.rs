@@ -10,8 +10,8 @@ pub type IrResult<T> = Result<T, IrError>;
 ///
 /// The simulator is in-memory so there are no I/O errors; everything
 /// here is a logic-level condition a caller can act on (unknown term,
-/// out-of-range page, a buffer pool too small to pin the working page,
-/// malformed compressed data).
+/// out-of-range page, a buffer pool of zero frames, malformed
+/// compressed data).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum IrError {
     /// A term id that is not in the lexicon.
@@ -27,8 +27,6 @@ pub enum IrError {
         /// Number of pages the list actually has.
         list_len: u32,
     },
-    /// Every buffer frame is pinned; no eviction victim exists.
-    NoEvictableFrame,
     /// The buffer pool was configured with zero frames.
     EmptyBufferPool,
     /// Compressed posting data failed to decode.
@@ -83,9 +81,6 @@ impl fmt::Display for IrError {
             IrError::PageOutOfRange { page, list_len } => {
                 write!(f, "page {page} out of range (list has {list_len} pages)")
             }
-            IrError::NoEvictableFrame => {
-                write!(f, "all buffer frames are pinned; cannot evict")
-            }
             IrError::EmptyBufferPool => write!(f, "buffer pool must have at least one frame"),
             IrError::CorruptPage { page, reason } => {
                 write!(f, "corrupt page {page}: {reason}")
@@ -135,7 +130,7 @@ mod tests {
         }
         .is_transient());
         assert!(IrError::TornPage { page }.is_transient());
-        assert!(!IrError::NoEvictableFrame.is_transient());
+        assert!(!IrError::EmptyBufferPool.is_transient());
         assert!(!IrError::UnknownTerm(TermId(0)).is_transient());
         assert!(!IrError::SessionPanicked("boom".into()).is_transient());
     }

@@ -1,45 +1,10 @@
-//! Vocabulary for asynchronous page I/O: completion tokens, read
-//! handles, and the clock a latency-modeling scheduler runs on.
+//! The clock a latency-modeling I/O layer runs on.
 //!
-//! The storage tier's `IoScheduler` (in `ir-storage::backend`) submits
-//! page reads to a bounded set of device channels and completes them
-//! under a seek+bandwidth latency model. These types are the shared
-//! vocabulary of that submission/completion protocol; they live here so
-//! every layer (storage, engine, bench) can talk about an in-flight
-//! read without depending on the scheduler's implementation.
-
-use crate::ids::PageId;
-
-/// Identifies one submitted read for its whole lifetime: assigned at
-/// submission, quoted at completion. Tokens are unique per scheduler
-/// instance and strictly increasing in submission order, so they also
-/// serve as a deterministic tiebreaker when two completions carry the
-/// same modeled timestamp.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CompletionToken(pub u64);
-
-impl CompletionToken {
-    /// The token after this one in submission order.
-    #[must_use]
-    pub fn next(self) -> CompletionToken {
-        CompletionToken(self.0 + 1)
-    }
-}
-
-/// An in-flight asynchronous page read: which page was asked for, the
-/// token naming the submission, and when the modeling clock says the
-/// device will deliver it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReadHandle {
-    /// The submission this handle tracks.
-    pub token: CompletionToken,
-    /// The page being read.
-    pub page: PageId,
-    /// Modeled completion time, µs on the scheduler's clock
-    /// ([`ClockKind`]). A demand read that arrives after this instant
-    /// waits zero time: the transfer overlapped with compute.
-    pub ready_at_us: u64,
-}
+//! The storage tier's `IoScheduler` (in `ir-storage::backend`) prices
+//! page reads under a seek+bandwidth latency model; [`ClockKind`] says
+//! whether those modeled waits are slept or only accounted. It lives
+//! here so every layer (storage, engine, bench) can name the clock
+//! without depending on the scheduler's implementation.
 
 /// Which clock a latency-modeling I/O layer runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -59,26 +24,6 @@ pub enum ClockKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::TermId;
-
-    #[test]
-    fn tokens_order_by_submission() {
-        let a = CompletionToken(1);
-        let b = a.next();
-        assert!(a < b);
-        assert_eq!(b, CompletionToken(2));
-    }
-
-    #[test]
-    fn handles_carry_their_deadline() {
-        let h = ReadHandle {
-            token: CompletionToken(0),
-            page: PageId::new(TermId(3), 1),
-            ready_at_us: 250,
-        };
-        assert_eq!(h.page.term, TermId(3));
-        assert_eq!(h.ready_at_us, 250);
-    }
 
     #[test]
     fn clock_defaults_to_deterministic() {

@@ -23,7 +23,7 @@ pub mod weights;
 
 pub use error::{IrError, IrResult};
 pub use ids::{DocId, PageId, PageNo, TermId};
-pub use io::{ClockKind, CompletionToken, ReadHandle};
+pub use io::ClockKind;
 pub use params::{FilterParams, IndexParams, ListOrdering, DEFAULT_PAGE_SIZE, DEFAULT_TOP_N};
 pub use posting::{doc_order, frequency_order, is_frequency_sorted, Posting};
 pub use read_plan::{PlanEntry, ReadPlan};
