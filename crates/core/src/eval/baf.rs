@@ -54,6 +54,19 @@ pub fn evaluate_baf<B: QueryBuffer>(
     if options.announce_query {
         buffer.begin_query(&query.weights());
     }
+    Accumulators::with_scratch(index.n_docs() as usize, |accs| {
+        baf_over(index, buffer, query, options, accs)
+    })
+}
+
+/// Fig. 2 over the caller's (empty) accumulator set.
+fn baf_over<B: QueryBuffer>(
+    index: &InvertedIndex,
+    buffer: &mut B,
+    query: &Query,
+    options: EvalOptions,
+    accs: &mut Accumulators,
+) -> IrResult<QueryResult> {
     // Frequency-sorted lists allow terminating a scan at the first
     // entry below f_add; doc-ordered lists must be scanned fully.
     let early_stop = index.params().ordering == ListOrdering::FrequencySorted;
@@ -66,7 +79,6 @@ pub fn evaluate_baf<B: QueryBuffer>(
     // Forces a recompute on the first round (S_max starts at 0).
     let mut cache_valid_for = f64::NEG_INFINITY;
 
-    let mut accs = Accumulators::new();
     let mut s_max = 0.0f64;
     let mut stats = EvalStats::default();
     let mut trace = Vec::with_capacity(n);
@@ -102,7 +114,7 @@ pub fn evaluate_baf<B: QueryBuffer>(
         // one pass (P locks) for the whole candidate set. Each term
         // still counts as one inquiry, preserving the paper's
         // T(T+1)/2 accounting.
-        let mut sel_span = qspan.child(SpanKind::TermSelect, format!("round:{round}"));
+        let mut sel_span = qspan.child(SpanKind::TermSelect, format_args!("round:{round}"));
         live.clear();
         live_terms.clear();
         for (i, t) in terms.iter().enumerate() {
@@ -168,7 +180,7 @@ pub fn evaluate_baf<B: QueryBuffer>(
         // it sizes both the d_t estimate and the term's read plan.
         let out = scan_term(
             buffer,
-            &mut accs,
+            accs,
             &mut s_max,
             t,
             f_ins,
@@ -187,7 +199,7 @@ pub fn evaluate_baf<B: QueryBuffer>(
         trace.push(row);
     }
 
-    let hits = rank::top_n(&accs, index.doc_stats(), options.top_n)?;
+    let hits = rank::top_n(accs, index.doc_stats(), options.top_n)?;
     stats.peak_accumulators = accs.peak();
     stats.final_accumulators = accs.len();
     qspan.attr("disk_reads", stats.disk_reads as i64);

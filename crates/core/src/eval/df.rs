@@ -23,6 +23,19 @@ pub fn evaluate_df<B: QueryBuffer>(
     if options.announce_query {
         buffer.begin_query(&query.weights());
     }
+    Accumulators::with_scratch(index.n_docs() as usize, |accs| {
+        df_over(index, buffer, query, options, accs)
+    })
+}
+
+/// Fig. 1 over the caller's (empty) accumulator set.
+fn df_over<B: QueryBuffer>(
+    index: &InvertedIndex,
+    buffer: &mut B,
+    query: &Query,
+    options: EvalOptions,
+    accs: &mut Accumulators,
+) -> IrResult<QueryResult> {
     // Frequency-sorted lists allow terminating a scan at the first
     // entry below f_add; doc-ordered lists must be scanned fully.
     let early_stop = index.params().ordering == ListOrdering::FrequencySorted;
@@ -35,7 +48,6 @@ pub fn evaluate_df<B: QueryBuffer>(
     let mut qspan = ir_observe::tracer().span(SpanKind::Query, "df");
     qspan.attr("terms", terms.len() as i64);
 
-    let mut accs = Accumulators::new();
     let mut s_max = 0.0f64;
     let mut stats = EvalStats::default();
     let mut trace = Vec::with_capacity(terms.len());
@@ -69,7 +81,7 @@ pub fn evaluate_df<B: QueryBuffer>(
         let plan_pages = index.conversion().pages_to_process(t.term, f_add)?;
         let out = scan_term(
             buffer,
-            &mut accs,
+            accs,
             &mut s_max,
             t,
             f_ins,
@@ -85,7 +97,7 @@ pub fn evaluate_df<B: QueryBuffer>(
     }
 
     // Steps 5–6: normalize by W_d, return the n best.
-    let hits = rank::top_n(&accs, index.doc_stats(), options.top_n)?;
+    let hits = rank::top_n(accs, index.doc_stats(), options.top_n)?;
     stats.peak_accumulators = accs.peak();
     stats.final_accumulators = accs.len();
     qspan.attr("disk_reads", stats.disk_reads as i64);

@@ -137,6 +137,107 @@ pub fn evaluate<B: QueryBuffer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ir_index::{BuildOptions, IndexBuilder};
+    use ir_storage::{BufferManager, DiskSim, Page, PageStore, PolicyKind};
+    use ir_types::{IndexParams, IrError, PageId};
+    use std::cell::Cell;
+    use std::sync::Arc;
+
+    /// The index's store, failing every read after the first `allow`.
+    struct FailAfter {
+        inner: Arc<DiskSim>,
+        allow: Cell<u32>,
+    }
+
+    impl PageStore for FailAfter {
+        fn read_page(&self, id: PageId) -> IrResult<Page> {
+            match self.allow.get() {
+                0 => Err(IrError::CorruptPage {
+                    page: id,
+                    reason: "injected failure".into(),
+                }),
+                n => {
+                    self.allow.set(n - 1);
+                    self.inner.read_page(id)
+                }
+            }
+        }
+    }
+
+    /// The accumulators are a per-thread scratch: whatever ran on this
+    /// thread before — another query, or one that died mid-scan with
+    /// candidates already scored — a query must return what it returns
+    /// on a thread that never evaluated anything.
+    #[test]
+    fn a_query_is_blind_to_what_ran_before_it_on_its_thread() {
+        let mut b = IndexBuilder::new();
+        for d in 0..40u32 {
+            let mut doc = vec!["commn"; 1 + (d % 3) as usize];
+            doc.extend(std::iter::repeat_n("mid", (d % 4) as usize));
+            doc.extend(std::iter::repeat_n("other", (d % 5) as usize));
+            if d % 7 == 0 {
+                doc.extend(["rare", "rare"]);
+            }
+            b.add_document(doc);
+            b.add_document(["filler"]); // keeps every idf above zero
+        }
+        let index = b
+            .build(BuildOptions {
+                params: IndexParams::with_page_size(4),
+                ..BuildOptions::default()
+            })
+            .unwrap();
+        let named = |terms: &[(&str, u32)]| {
+            let terms: Vec<_> = terms.iter().map(|&(t, f)| (t.to_string(), f)).collect();
+            Query::from_named(&index, &terms)
+        };
+        let probe = named(&[("rare", 2), ("mid", 1), ("commn", 1)]);
+        let unrelated = named(&[("other", 3), ("commn", 2)]);
+        for algorithm in [Algorithm::Full, Algorithm::Df, Algorithm::Baf] {
+            let run = |q: &Query| {
+                let mut pool = index.make_buffer(64, PolicyKind::Lru).unwrap();
+                evaluate(algorithm, &index, &mut pool, q, EvalOptions::default()).unwrap()
+            };
+            let first = run(&probe);
+            assert!(!first.hits.is_empty());
+            let other = run(&unrelated);
+            let after_unrelated = run(&probe);
+
+            // Fails on the unrelated query's last read: in its second
+            // list, with the first one's candidates already scored.
+            assert_eq!(other.stats.terms_scanned, 2, "{algorithm}");
+            let allow = other.stats.disk_reads as u32 - 1;
+            let failing = FailAfter {
+                inner: Arc::clone(index.disk()),
+                allow: Cell::new(allow),
+            };
+            let mut pool = BufferManager::new(failing, 64, PolicyKind::Lru).unwrap();
+            let died = evaluate(
+                algorithm,
+                &index,
+                &mut pool,
+                &unrelated,
+                EvalOptions::default(),
+            );
+            assert!(
+                matches!(died, Err(IrError::CorruptPage { .. })),
+                "{algorithm}"
+            );
+            assert_eq!(pool.stats().misses, u64::from(allow), "{algorithm}");
+            let after_failure = run(&probe);
+
+            for (when, again) in [
+                ("an unrelated query", after_unrelated),
+                ("a failed one", after_failure),
+            ] {
+                let bits = |r: &QueryResult| -> Vec<_> {
+                    r.hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
+                };
+                assert_eq!(bits(&again), bits(&first), "{algorithm} after {when}");
+                assert_eq!(again.stats, first.stats, "{algorithm} after {when}");
+            }
+        }
+    }
 
     #[test]
     fn algorithm_round_trips_str() {

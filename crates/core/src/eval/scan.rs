@@ -93,6 +93,9 @@ fn process_fetched(
                 // may still pass — keep scanning (footnote 14).
                 continue;
             }
+            // Left to right, `(f · idf) · w_q`: hoisting `idf · w_q`
+            // out of the loop rounds differently and moves score bits,
+            // answer digests and possibly a golden.
             let partial = f64::from(posting.freq) * term.idf * w_q;
             if f > f_ins {
                 let v = accs.upsert(posting.doc, partial);
@@ -143,7 +146,8 @@ pub(crate) fn scan_term<B: QueryBuffer>(
     parent: Option<&Span>,
 ) -> IrResult<ScanOutcome> {
     let plan = ReadPlan::for_term_pages(term.term, plan_pages, Some(term.weight()));
-    let mut span = parent.map(|p| p.child(SpanKind::ListRead, format!("term:{}", term.term.0)));
+    let mut span =
+        parent.map(|p| p.child(SpanKind::ListRead, format_args!("term:{}", term.term.0)));
     let out = with_fetched(buffer, &plan, |fetched| {
         process_fetched(fetched, accs, s_max, term, f_ins, f_add, early_stop)
     })?;

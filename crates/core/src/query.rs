@@ -1,7 +1,7 @@
 //! Query representation: a bag of lexicon-resolved terms with the
 //! per-term statistics the evaluator needs in memory.
 
-use ir_index::InvertedIndex;
+use ir_index::{InvertedIndex, TermEntry};
 use ir_types::{IrResult, TermId};
 use std::collections::HashMap;
 
@@ -37,30 +37,38 @@ pub struct Query {
     dropped: usize,
 }
 
+/// Sums the frequencies of duplicate keys, leaving `pairs` sorted by
+/// key with one entry each.
+fn merge_duplicates<K: Ord + Copy>(pairs: &mut Vec<(K, u32)>) {
+    pairs.sort_unstable_by_key(|&(key, _)| key);
+    pairs.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 += later.1;
+        }
+        same
+    });
+}
+
 impl Query {
     /// Resolves `(term name, f_{q,t})` pairs against the index.
     /// Duplicate names have their frequencies summed.
     pub fn from_named(index: &InvertedIndex, terms: &[(String, u32)]) -> Query {
-        let mut merged: HashMap<&str, u32> = HashMap::with_capacity(terms.len());
-        for (name, freq) in terms {
-            *merged.entry(name.as_str()).or_insert(0) += *freq;
-        }
-        let mut dropped = 0usize;
+        let mut merged: Vec<(&str, u32)> = terms.iter().map(|(n, f)| (n.as_str(), *f)).collect();
+        merge_duplicates(&mut merged);
+        let lexicon = index.lexicon();
         let mut resolved: Vec<QueryTerm> = Vec::with_capacity(merged.len());
-        for (name, freq) in merged {
-            match index.lexicon().lookup(name) {
-                Some(id) => match Self::resolve(index, id, freq) {
-                    Some(t) => resolved.push(t),
-                    None => dropped += 1,
-                },
-                None => dropped += 1,
-            }
+        for &(name, freq) in &merged {
+            let term = lexicon
+                .lookup(name)
+                .and_then(|id| Self::resolve(id, freq, lexicon.entry(id).ok()?));
+            resolved.extend(term);
         }
         // Deterministic base order (the evaluators re-order anyway).
         resolved.sort_by_key(|t| t.term);
         Query {
+            dropped: merged.len() - resolved.len(),
             terms: resolved,
-            dropped,
         }
     }
 
@@ -70,28 +78,24 @@ impl Query {
     /// # Errors
     /// Propagates lexicon lookup failures for unknown ids.
     pub fn from_ids(index: &InvertedIndex, terms: &[(TermId, u32)]) -> IrResult<Query> {
-        let mut merged: HashMap<TermId, u32> = HashMap::with_capacity(terms.len());
-        for &(id, freq) in terms {
-            *merged.entry(id).or_insert(0) += freq;
-        }
-        let mut dropped = 0usize;
+        // Merged by sorting: the result is in term order anyway, and a
+        // query is a few dozen terms.
+        let mut merged = terms.to_vec();
+        merge_duplicates(&mut merged);
         let mut resolved = Vec::with_capacity(merged.len());
-        for (id, freq) in merged {
-            index.lexicon().entry(id)?; // unknown ids are an error here
-            match Self::resolve(index, id, freq) {
-                Some(t) => resolved.push(t),
-                None => dropped += 1,
-            }
+        for &(id, freq) in &merged {
+            let e = index.lexicon().entry(id)?; // unknown ids are an error here
+            resolved.extend(Self::resolve(id, freq, e));
         }
-        resolved.sort_by_key(|t| t.term);
         Ok(Query {
+            dropped: merged.len() - resolved.len(),
             terms: resolved,
-            dropped,
         })
     }
 
-    fn resolve(index: &InvertedIndex, id: TermId, freq: u32) -> Option<QueryTerm> {
-        let e = index.lexicon().entry(id).ok()?;
+    /// The query term for lexicon entry `e`, unless it cannot
+    /// contribute (stopped, empty list, zero frequency).
+    fn resolve(id: TermId, freq: u32, e: &TermEntry) -> Option<QueryTerm> {
         if e.stopped || e.n_postings == 0 || freq == 0 {
             return None;
         }

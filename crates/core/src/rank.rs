@@ -30,8 +30,14 @@ pub fn top_n(accs: &Accumulators, doc_stats: &DocStats, n: usize) -> IrResult<Ve
             score: raw / w,
         });
     }
-    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
-    hits.truncate(n);
+    // A strict total order (documents are distinct), so selecting the
+    // n best and sorting those returns what sorting everything would.
+    let by_rank = |a: &Hit, b: &Hit| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc));
+    if n < hits.len() {
+        hits.select_nth_unstable_by(n, by_rank);
+        hits.truncate(n);
+    }
+    hits.sort_unstable_by(by_rank);
     Ok(hits)
 }
 
@@ -86,6 +92,48 @@ mod tests {
         let hits = top_n(&a, &stats(&[1.0; 6]), 10).unwrap();
         assert_eq!(hits[0].doc, DocId(2));
         assert_eq!(hits[1].doc, DocId(5));
+    }
+
+    /// Selection returns exactly what the full sort it replaced did,
+    /// on scores drawn from a handful of values (so most documents
+    /// tie) that underflow to both zeros — which `total_cmp` tells
+    /// apart — under the odd documents' huge `W_d`.
+    #[test]
+    fn selection_matches_sorting_everything() {
+        const RAW: [f64; 6] = [1e-300, -1e-300, 0.5, 1.0, 1.0 / 3.0, 7.25];
+        let lengths: Vec<f64> = (0..97)
+            .map(|d| if d % 2 == 0 { 1.0 } else { f64::MAX })
+            .collect();
+        let mut rng = proptest::TestRng::from_name("top-n");
+        let mut zeros = [false; 2];
+        for case in 0..200 {
+            let len = 1 + rng.below(60) as usize;
+            let mut a = Accumulators::new();
+            // Distinct ids in a scrambled creation order.
+            for i in 0..len {
+                let doc = DocId(((i * 37 + case) % 97) as u32);
+                a.upsert(doc, RAW[rng.below(6) as usize]);
+            }
+            let mut sorted: Vec<(u64, DocId)> = a
+                .iter()
+                .map(|(doc, raw)| ((raw / lengths[doc.index()]).to_bits(), doc))
+                .collect();
+            sorted.sort_by(|a, b| {
+                let (x, y) = (f64::from_bits(a.0), f64::from_bits(b.0));
+                y.total_cmp(&x).then_with(|| a.1.cmp(&b.1))
+            });
+            zeros[0] |= sorted.iter().any(|s| s.0 == 0.0f64.to_bits());
+            zeros[1] |= sorted.iter().any(|s| s.0 == (-0.0f64).to_bits());
+            for n in [0, 1, len - 1, len, len + 1] {
+                let got: Vec<(u64, DocId)> = top_n(&a, &stats(&lengths), n)
+                    .unwrap()
+                    .iter()
+                    .map(|h| (h.score.to_bits(), h.doc))
+                    .collect();
+                assert_eq!(got, sorted[..n.min(len)], "case {case}, n = {n} of {len}");
+            }
+        }
+        assert_eq!(zeros, [true; 2], "both zeros were ranked");
     }
 
     #[test]

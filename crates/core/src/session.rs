@@ -146,7 +146,7 @@ pub fn run_sequence_with<B: ir_storage::QueryBuffer>(
 ) -> IrResult<SequenceOutcome> {
     let mut span = ir_observe::tracer().span(
         ir_observe::SpanKind::Session,
-        format!("seq:{}", sequence.source),
+        format_args!("seq:{}", sequence.source),
     );
     span.attr("steps", sequence.steps.len() as i64);
     let mut steps = Vec::with_capacity(sequence.steps.len());

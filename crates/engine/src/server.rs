@@ -530,7 +530,7 @@ impl<'a> SessionServer<'a> {
                 let turns = &turns;
                 handles.push(scope.spawn(move |_| {
                     let mut sspan =
-                        ir_observe::tracer().span(SpanKind::Session, format!("user:{user}"));
+                        ir_observe::tracer().span(SpanKind::Session, format_args!("user:{user}"));
                     sspan.attr("steps", spec.sequence.steps.len() as i64);
                     let mut steps = Vec::with_capacity(spec.sequence.steps.len());
                     let mut costs = Vec::with_capacity(spec.sequence.steps.len());

@@ -17,9 +17,9 @@
 //!   short mutex once per metric; the hot path never does.
 //! * **Spans** ([`Tracer`], [`Span`], [`SpanSink`]): a hierarchical
 //!   wall-time trace (`session > query > term-select > list-read`)
-//!   with a pluggable sink — [`NoopSink`] (default, near-zero cost),
-//!   [`MemorySink`] (tests), [`JsonlSink`] (one JSON object per line,
-//!   for offline analysis).
+//!   with a pluggable sink — [`MemorySink`] (tests), [`JsonlSink`]
+//!   (one JSON object per line, for offline analysis) — and no sink at
+//!   all by default, under which spans are inert.
 //!
 //! A process-wide [`global`] registry and [`tracer`] serve layers that
 //! have no natural place to thread a handle through (the index decode
@@ -28,10 +28,15 @@
 //!
 //! Overhead expectations: a counter bump is one relaxed atomic add
 //! (~1 ns); a histogram record is a branchless bucket search over ≤ 32
-//! bounds plus two atomic adds; a span under [`NoopSink`] costs two
-//! `Instant::now` calls and is dropped without allocation beyond its
-//! name. Nothing here affects the simulator's deterministic read
-//! counts.
+//! bounds plus two atomic adds. Until [`set_span_sink`] is called,
+//! [`tracer`] is one atomic load — no lock, no allocation — and the
+//! spans it hands out, and their children, are inert: no id, no clock
+//! read, no name (a `format_args!` name is never formatted), `attr`
+//! returns at once, drop does nothing. With a sink installed a span
+//! costs one `NEXT_SPAN_ID` bump, one thread-local swap, two
+//! `Instant::now` calls, its formatted name and a `String` per
+//! attribute, and `tracer` takes a short lock to clone the sink handle.
+//! Nothing here affects the simulator's deterministic read counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +50,7 @@ pub use metrics::{
 };
 pub use span::{JsonlSink, MemorySink, NoopSink, Span, SpanKind, SpanRecord, SpanSink, Tracer};
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The process-wide registry, for layers without a per-instance home
@@ -56,21 +62,28 @@ pub fn global() -> &'static Registry {
 
 static GLOBAL_SINK: std::sync::Mutex<Option<Arc<dyn SpanSink>>> = std::sync::Mutex::new(None);
 
+/// Whether a sink was ever installed: lets [`tracer`] skip the lock on
+/// a process nobody traces. Set under the `GLOBAL_SINK` lock, so a
+/// thread that sees `true` finds the sink there.
+static SINK_INSTALLED: AtomicBool = AtomicBool::new(false);
+
 /// Replaces the process-wide span sink (returns the previous one).
-/// The default is [`NoopSink`].
+/// There is none by default, and spans are inert until one is set.
 pub fn set_span_sink(sink: Arc<dyn SpanSink>) -> Option<Arc<dyn SpanSink>> {
-    GLOBAL_SINK.lock().expect("span sink lock").replace(sink)
+    let mut slot = GLOBAL_SINK.lock().expect("span sink lock");
+    SINK_INSTALLED.store(true, Ordering::Release);
+    slot.replace(sink)
 }
 
-/// A tracer bound to the current process-wide span sink. Cheap: one
-/// short lock to clone the sink handle.
+/// A tracer bound to the current process-wide span sink: one atomic
+/// load when none was ever installed, else one short lock to clone the
+/// sink handle.
 pub fn tracer() -> Tracer {
-    let sink = GLOBAL_SINK
-        .lock()
-        .expect("span sink lock")
-        .clone()
-        .unwrap_or_else(|| Arc::new(NoopSink));
-    Tracer::new(sink)
+    if !SINK_INSTALLED.load(Ordering::Acquire) {
+        return Tracer::noop();
+    }
+    let sink = GLOBAL_SINK.lock().expect("span sink lock").clone();
+    sink.map_or_else(Tracer::noop, Tracer::new)
 }
 
 #[cfg(test)]

@@ -5,9 +5,11 @@
 //! [`SpanSink`] when dropped; the sink decides what to do with the
 //! record — nothing ([`NoopSink`]), keep it for a test to inspect
 //! ([`MemorySink`]), or append one JSON object per line to a writer
-//! ([`JsonlSink`]).
+//! ([`JsonlSink`]). A [`Tracer`] without a sink hands out inert spans:
+//! the tree is built only when someone receives it.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,7 +53,8 @@ pub trait SpanSink: Send + Sync + std::fmt::Debug {
     fn record(&self, record: SpanRecord);
 }
 
-/// Discards everything; the default sink.
+/// Discards everything. Installing it is still installing a sink —
+/// spans take ids and read the clock; with *no* sink they are inert.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopSink;
 
@@ -136,36 +139,46 @@ thread_local! {
     static CURRENT_SPAN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Hands out spans bound to one sink. Cheap to clone.
+/// Hands out spans bound to one sink — or, without a sink, inert spans
+/// that cost nothing. Cheap to clone.
 #[derive(Clone, Debug)]
 pub struct Tracer {
-    sink: Arc<dyn SpanSink>,
+    sink: Option<Arc<dyn SpanSink>>,
 }
 
 impl Tracer {
     /// A tracer reporting to `sink`.
     pub fn new(sink: Arc<dyn SpanSink>) -> Self {
-        Tracer { sink }
+        Tracer { sink: Some(sink) }
     }
 
-    /// A tracer that discards everything.
+    /// A tracer nobody listens to: every span it starts is inert.
     pub fn noop() -> Self {
-        Tracer::new(Arc::new(NoopSink))
+        Tracer { sink: None }
     }
 
     /// Starts a span. It nests under the innermost live span on this
-    /// thread, if any; otherwise it is a root.
-    pub fn span(&self, kind: SpanKind, name: impl Into<String>) -> Span {
-        let parent = CURRENT_SPAN.get();
-        Span::start(self.sink.clone(), kind, name.into(), parent)
+    /// thread, if any; otherwise it is a root. `name` is formatted only
+    /// when a sink will receive it, so `format_args!` names are free on
+    /// an unobserved query path.
+    pub fn span(&self, kind: SpanKind, name: impl fmt::Display) -> Span {
+        Span(self.sink.as_ref().map(|sink| {
+            let parent = CURRENT_SPAN.get();
+            Live::start(sink.clone(), kind, name.to_string(), parent)
+        }))
     }
 }
 
-/// A live span. Records itself to the sink on drop; use [`Span::child`]
-/// to build the hierarchy and [`Span::attr`] to attach numbers observed
-/// along the way.
+/// A span. With a sink it is live: it records itself on drop; use
+/// [`Span::child`] to build the hierarchy and [`Span::attr`] to attach
+/// numbers observed along the way. Without one it is inert — no id, no
+/// clock read, no name, nothing on drop — and so are its children.
 #[derive(Debug)]
-pub struct Span {
+pub struct Span(Option<Live>);
+
+/// What a span with a listener carries.
+#[derive(Debug)]
+struct Live {
     sink: Arc<dyn SpanSink>,
     id: u64,
     parent: u64,
@@ -178,11 +191,11 @@ pub struct Span {
     attrs: Vec<(String, i64)>,
 }
 
-impl Span {
+impl Live {
     fn start(sink: Arc<dyn SpanSink>, kind: SpanKind, name: String, parent: u64) -> Self {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let restore = CURRENT_SPAN.replace(id);
-        Span {
+        Live {
             sink,
             id,
             parent,
@@ -193,24 +206,34 @@ impl Span {
             attrs: Vec::new(),
         }
     }
+}
 
-    /// Starts a span nested under this one.
-    pub fn child(&self, kind: SpanKind, name: impl Into<String>) -> Span {
-        Span::start(self.sink.clone(), kind, name.into(), self.id)
+impl Span {
+    /// Starts a span nested under this one (inert under an inert
+    /// parent, with `name` left unformatted).
+    pub fn child(&self, kind: SpanKind, name: impl fmt::Display) -> Span {
+        Span(
+            self.0
+                .as_ref()
+                .map(|p| Live::start(p.sink.clone(), kind, name.to_string(), p.id)),
+        )
     }
 
     /// Attaches a numeric attribute (e.g. `pages_read=3`).
     pub fn attr(&mut self, key: impl Into<String>, value: i64) {
-        self.attrs.push((key.into(), value));
+        if let Some(live) = &mut self.0 {
+            live.attrs.push((key.into(), value));
+        }
     }
 
-    /// This span's id (children reference it as `parent`).
+    /// This span's id (children reference it as `parent`); 0 for an
+    /// inert span, which consumes none.
     pub fn id(&self) -> u64 {
-        self.id
+        self.0.as_ref().map_or(0, |live| live.id)
     }
 }
 
-impl Drop for Span {
+impl Drop for Live {
     fn drop(&mut self) {
         CURRENT_SPAN.set(self.restore);
         let record = SpanRecord {

@@ -30,9 +30,9 @@
 use crate::disk::PageStore;
 use crate::page::Page;
 use ir_observe::{Counter, Gauge, Histogram, IO_LATENCY_US_BOUNDS};
-use ir_types::{ClockKind, IrResult, PageId};
+use ir_types::{ClockKind, IdMap, IrResult, PageId};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Seek + bandwidth pricing of one page read, dslab-`SharedDisk`
@@ -155,7 +155,7 @@ struct SchedState {
     last: Option<PageId>,
     /// The virtual timeline, µs. Advances by each batch's wait.
     now_us: u64,
-    cache: HashMap<PageId, Prefetched>,
+    cache: IdMap<PageId, Prefetched>,
     /// Insertion order of `cache`, for capacity eviction.
     order: VecDeque<PageId>,
 }

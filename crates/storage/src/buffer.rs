@@ -8,9 +8,9 @@ use crate::page::Page;
 use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::query_buffer::{QueryBuffer, QueryBufferExt};
 use crate::stats::{BufferMetrics, BufferStats};
-use ir_types::{IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
+use ir_types::{IdMap, IdSet, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The resident-frame table behind a read-write lock, cloneable so a
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// `&mut BufferManager` methods, so in single-owner use the lock is
 /// always uncontended and the manager behaves exactly as it did when
 /// the map was a plain field.
-pub(crate) type FrameView = Arc<RwLock<HashMap<PageId, Page>>>;
+pub(crate) type FrameView = Arc<RwLock<IdMap<PageId, Page>>>;
 
 /// Shared handle to the manager's per-term resident-page counters
 /// (`b_t`), the [`FrameView`] pattern applied to BAF's term-selection
@@ -29,7 +29,7 @@ pub(crate) type FrameView = Arc<RwLock<HashMap<PageId, Page>>>;
 /// locked [`resident_pages`](BufferManager::resident_pages) call would
 /// return, and the sharded pool's term selector never has to queue
 /// behind a shard serving disk reads.
-pub(crate) type TermView = Arc<RwLock<HashMap<TermId, u32>>>;
+pub(crate) type TermView = Arc<RwLock<IdMap<TermId, u32>>>;
 
 /// How a completed fetch was served — reported per call so each
 /// session can attribute its own hits and reads exactly, with no
@@ -60,6 +60,16 @@ impl FetchPolicy {
     /// per attempt, not per unit of time, so waiting buys nothing.
     pub fn retries(n: u32) -> FetchPolicy {
         FetchPolicy { max_retries: n }
+    }
+}
+
+/// Delivers `event` to the observer, if one is attached. A free
+/// function over the field so it can run while the frame-table guards
+/// borrow the manager's other fields.
+#[inline]
+fn emit(observer: &mut Option<Box<dyn BufferObserver>>, event: BufferEvent) {
+    if let Some(obs) = observer.as_mut() {
+        obs.event(event);
     }
 }
 
@@ -150,10 +160,13 @@ impl<S: PageStore> BufferManager<S> {
         Ok(BufferManager {
             store,
             capacity,
-            frames: Arc::new(RwLock::new(HashMap::with_capacity(capacity))),
+            frames: Arc::new(RwLock::new(IdMap::with_capacity_and_hasher(
+                capacity,
+                Default::default(),
+            ))),
             policy,
             policy_kind: kind,
-            resident_per_term: Arc::new(RwLock::new(HashMap::new())),
+            resident_per_term: Arc::default(),
             fetch_policy: FetchPolicy::NO_RETRY,
             metrics,
             observer: None,
@@ -190,9 +203,6 @@ impl<S: PageStore> BufferManager<S> {
         // evict-then-read order destroyed a victim frame for a page
         // that never arrived.
         let page = self.read_with_retry(id)?;
-        while self.frames.read().len() >= self.capacity {
-            self.evict_one();
-        }
         self.install(page.clone(), entry.value_hint);
         Ok((page, FetchOutcome::Miss))
     }
@@ -291,7 +301,8 @@ impl<S: PageStore> BufferManager<S> {
         // instead of each waiting for the previous demand to return.
         // The demand reads below then claim the staged completions.
         if self.store.overlap_depth() > 1 {
-            let mut seen: HashSet<PageId> = HashSet::with_capacity(entries.len());
+            let mut seen: IdSet<PageId> =
+                IdSet::with_capacity_and_hasher(entries.len(), Default::default());
             let staged: Vec<PageId> = {
                 let frames = self.frames.read();
                 entries
@@ -348,48 +359,49 @@ impl<S: PageStore> BufferManager<S> {
         }
     }
 
-    /// Puts a freshly read, non-resident page into a free frame and
-    /// wires up the counters, policy, and observer, handing the
-    /// read-plan value hint to the policy at admission.
+    /// Makes room for a freshly read, non-resident page and puts it in
+    /// a frame, wiring up the counters, policy and observer and handing
+    /// the read-plan value hint to the policy at admission.
+    ///
+    /// The frame table's and the `b_t` table's write locks are taken
+    /// once each, here — after the store read has returned, never
+    /// across it (a read may sleep, and a sharded pool's lock-light
+    /// readers share these locks) — and cover the evictions and the
+    /// install together.
     fn install(&mut self, page: Page, hint: Option<f64>) {
+        let mut frames = self.frames.write();
+        let mut terms = self.resident_per_term.write();
+        while frames.len() >= self.capacity {
+            let victim = self
+                .policy
+                .choose_victim()
+                .expect("a full pool of at least one frame tracks a victim");
+            let evicted = frames.remove(&victim);
+            debug_assert!(evicted.is_some(), "policy returned a non-resident victim");
+            if victim.page.0 == 0 {
+                self.metrics.evictions_head.inc();
+            } else {
+                self.metrics.evictions_tail.inc();
+            }
+            emit(&mut self.observer, BufferEvent::Evict(victim));
+            if let Some(count) = terms.get_mut(&victim.term) {
+                *count -= 1;
+                if *count == 0 {
+                    terms.remove(&victim.term);
+                }
+            }
+        }
         let id = page.id();
-        *self.resident_per_term.write().entry(id.term).or_insert(0) += 1;
+        *terms.entry(id.term).or_insert(0) += 1;
         self.policy.on_insert_hinted(&page, hint);
-        self.frames.write().insert(id, page);
+        frames.insert(id, page);
         self.metrics.loads.inc();
-        self.notify(BufferEvent::Load(id));
+        emit(&mut self.observer, BufferEvent::Load(id));
     }
 
     #[inline]
     fn notify(&mut self, event: BufferEvent) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.event(event);
-        }
-    }
-
-    fn evict_one(&mut self) {
-        let victim = self
-            .policy
-            .choose_victim()
-            .expect("a full pool of at least one frame tracks a victim");
-        debug_assert!(
-            self.frames.read().contains_key(&victim),
-            "policy returned a non-resident victim"
-        );
-        self.frames.write().remove(&victim);
-        if victim.page.0 == 0 {
-            self.metrics.evictions_head.inc();
-        } else {
-            self.metrics.evictions_tail.inc();
-        }
-        self.notify(BufferEvent::Evict(victim));
-        let mut terms = self.resident_per_term.write();
-        if let Some(count) = terms.get_mut(&victim.term) {
-            *count -= 1;
-            if *count == 0 {
-                terms.remove(&victim.term);
-            }
-        }
+        emit(&mut self.observer, event);
     }
 
     /// `b_t`: number of pages of `term`'s inverted list currently in
@@ -519,7 +531,11 @@ impl<S: PageStore> QueryBuffer for BufferManager<S> {
     }
 
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
-        terms.iter().map(|t| self.resident_pages(*t)).collect()
+        let counters = self.resident_per_term.read();
+        terms
+            .iter()
+            .map(|t| counters.get(t).copied().unwrap_or(0))
+            .collect()
     }
 
     fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {

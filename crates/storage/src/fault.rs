@@ -23,9 +23,8 @@
 
 use crate::disk::PageStore;
 use crate::page::Page;
-use ir_types::{IrError, IrResult, PageId};
+use ir_types::{IdMap, IrError, IrResult, PageId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// What a [`FaultStore`] injects, and how often.
@@ -116,7 +115,7 @@ impl FaultStats {
 #[derive(Debug)]
 struct FaultState {
     rng: u64,
-    consecutive: HashMap<PageId, u32>,
+    consecutive: IdMap<PageId, u32>,
     stats: FaultStats,
 }
 
@@ -152,7 +151,7 @@ impl<S: PageStore> FaultStore<S> {
             config,
             state: Mutex::new(FaultState {
                 rng: config.seed,
-                consecutive: HashMap::new(),
+                consecutive: IdMap::default(),
                 stats: FaultStats::default(),
             }),
         }

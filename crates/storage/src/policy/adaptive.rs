@@ -31,8 +31,8 @@
 use super::{PolicyKind, ReplacementPolicy};
 use crate::page::Page;
 use ir_observe::{Counter, Gauge, Registry};
-use ir_types::{PageId, TermId};
-use std::collections::{HashMap, HashSet};
+use ir_types::{IdMap, IdSet, PageId, TermId};
+use std::collections::HashMap;
 
 /// Default expert panel for [`ExpertMixturePolicy`]: the paper's three
 /// policies plus the §6 extensions, LRU first so the cold-start leader
@@ -58,7 +58,7 @@ pub const DEFAULT_CANDIDATES: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::Mr
 struct Shadow {
     kind: PolicyKind,
     policy: Box<dyn ReplacementPolicy>,
-    resident: HashSet<PageId>,
+    resident: IdSet<PageId>,
     capacity: usize,
     /// Decayed long-run score (halved every decay window).
     score: u64,
@@ -74,7 +74,7 @@ impl Shadow {
         Shadow {
             kind,
             policy: kind.build(capacity),
-            resident: HashSet::new(),
+            resident: IdSet::default(),
             capacity: capacity.max(1),
             score: 0,
             window_hits: 0,
@@ -300,7 +300,7 @@ pub struct HitRateAdaptivePolicy {
     shadows: Vec<Shadow>,
     /// The real resident set (pages are cheap `Arc`-backed clones),
     /// kept so a switch can rebuild the new active policy.
-    resident: HashMap<PageId, Page>,
+    resident: IdMap<PageId, Page>,
     capacity: usize,
     window: u64,
     events_in_window: u64,
@@ -338,7 +338,7 @@ impl HitRateAdaptivePolicy {
             active: 0,
             policy: candidates[0].build(capacity),
             shadows,
-            resident: HashMap::new(),
+            resident: IdMap::default(),
             capacity,
             window: decay_window(capacity),
             events_in_window: 0,
@@ -584,7 +584,7 @@ mod tests {
         assert!(pol.switches() >= 1);
         // The policy only tracks what is resident: every victim it
         // returned was removed from its books.
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         while let Some(v) = pol.choose_victim() {
             assert!(seen.insert(v), "victim {v:?} returned twice");
         }

@@ -7,15 +7,15 @@
 
 use super::ReplacementPolicy;
 use crate::page::Page;
-use ir_types::PageId;
-use std::collections::{HashMap, VecDeque};
+use ir_types::{IdMap, PageId};
+use std::collections::VecDeque;
 
 /// Clock replacement.
 #[derive(Debug, Default)]
 pub struct Clock {
     // Front of the deque is the clock hand.
     ring: VecDeque<PageId>,
-    referenced: HashMap<PageId, bool>,
+    referenced: IdMap<PageId, bool>,
 }
 
 impl Clock {

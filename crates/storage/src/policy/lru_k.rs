@@ -13,8 +13,7 @@
 
 use super::ReplacementPolicy;
 use crate::page::Page;
-use ir_types::PageId;
-use std::collections::{HashMap, HashSet};
+use ir_types::{IdMap, IdSet, PageId};
 
 /// LRU-K replacement.
 #[derive(Debug)]
@@ -23,8 +22,8 @@ pub struct LruK {
     tick: u64,
     /// Reference history (most recent first, at most `k` entries) for
     /// every page ever seen — the retained-information store.
-    history: HashMap<PageId, Vec<u64>>,
-    resident: HashSet<PageId>,
+    history: IdMap<PageId, Vec<u64>>,
+    resident: IdSet<PageId>,
 }
 
 impl LruK {
@@ -38,8 +37,8 @@ impl LruK {
         LruK {
             k,
             tick: 0,
-            history: HashMap::new(),
-            resident: HashSet::new(),
+            history: IdMap::default(),
+            resident: IdSet::default(),
         }
     }
 

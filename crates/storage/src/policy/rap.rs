@@ -30,9 +30,9 @@
 
 use super::{OrdF64, ReplacementPolicy};
 use crate::page::Page;
-use ir_types::{PageId, TermId};
+use ir_types::{IdMap, IdSet, PageId, TermId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Ordering key: ascending value; within equal values evict the highest
 /// page number first (tail before head), then lower term id for
@@ -63,11 +63,11 @@ pub struct Rap {
     /// Resident pages per term: page number → (`w*_{d,t}`, the value
     /// the page is queued at). A term's entry goes when its last page
     /// does.
-    resident: HashMap<TermId, HashMap<u32, (f64, f64)>>,
+    resident: IdMap<TermId, IdMap<u32, (f64, f64)>>,
     /// Resident terms holding a page valued from an admission hint
     /// rather than from `query_weights`; the next announcement
     /// re-values them whether or not their weight moved.
-    hinted: HashSet<TermId>,
+    hinted: IdSet<TermId>,
 }
 
 impl Rap {
@@ -279,7 +279,7 @@ mod tests {
     /// track the same pages, no term entry outlives its last page, and
     /// only resident terms carry the hinted mark.
     fn assert_index_is_tight(p: &Rap) {
-        let indexed: usize = p.resident.values().map(HashMap::len).sum();
+        let indexed: usize = p.resident.values().map(IdMap::len).sum();
         assert_eq!(p.by_value.len(), indexed, "queue and index disagree");
         assert!(p.resident.values().all(|pages| !pages.is_empty()));
         assert!(p.hinted.iter().all(|t| p.resident.contains_key(t)));

@@ -10,8 +10,8 @@
 use super::tick::TickQueue;
 use super::ReplacementPolicy;
 use crate::page::Page;
-use ir_types::PageId;
-use std::collections::{HashSet, VecDeque};
+use ir_types::{IdSet, PageId};
+use std::collections::VecDeque;
 
 /// 2Q replacement.
 #[derive(Debug)]
@@ -19,9 +19,9 @@ pub struct TwoQ {
     kin: usize,
     kout: usize,
     a1in: VecDeque<PageId>,
-    a1in_set: HashSet<PageId>,
+    a1in_set: IdSet<PageId>,
     a1out: VecDeque<PageId>,
-    a1out_set: HashSet<PageId>,
+    a1out_set: IdSet<PageId>,
     am: TickQueue,
 }
 
@@ -32,9 +32,9 @@ impl TwoQ {
             kin: (capacity / 4).max(1),
             kout: (capacity / 2).max(1),
             a1in: VecDeque::new(),
-            a1in_set: HashSet::new(),
+            a1in_set: IdSet::default(),
             a1out: VecDeque::new(),
-            a1out_set: HashSet::new(),
+            a1out_set: IdSet::default(),
             am: TickQueue::new(),
         }
     }

@@ -39,6 +39,13 @@
 //!   at most one shard lock is held at any moment, so a thread serving
 //!   shard 0's disk reads never idles holding shard 3's lock, and
 //!   deadlock is impossible by construction.
+//! * **Retry, then park.** A thread that finds a shard's mutex held
+//!   retries it for a few tens of microseconds before it parks: holds
+//!   are short, and sessions that park on every contended acquisition
+//!   leave it to the scheduler whether they run side by side or take
+//!   turns in long time slices, which changes how their queries
+//!   interleave — and with it how many pages they read — from one run
+//!   to the next (DESIGN.md §10).
 //!
 //! ## Semantics
 //!
@@ -71,12 +78,13 @@ use crate::policy::PolicyKind;
 use crate::query_buffer::QueryBuffer;
 use crate::stats::{BufferMetrics, BufferStats};
 use ir_observe::{Counter, Histogram, MetricsSnapshot, Registry};
+use ir_types::idmap::splitmix64;
 use ir_types::{IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Bucket bounds (ns) for the shard-lock wait-time histogram. Waits
 /// used to be recorded in truncated microseconds, which zeroed every
@@ -88,6 +96,18 @@ pub const LOCK_WAIT_NS_BOUNDS: [u64; 10] = [
     250, 500, 1_000, 4_000, 16_000, 64_000, 256_000, 1_000_000, 4_000_000, 16_000_000,
 ];
 
+/// How long a contended shard lock is retried before the thread parks
+/// on it. A hold is a run of misses or one re-valuation — mostly
+/// shorter than being parked and woken — and every park hands the
+/// scheduler a placement decision: two free-running sessions that
+/// parked on each contended acquisition spent whole passes taking
+/// turns in time slices of some 44 queries (stacked on one core, it
+/// would seem) and others query by query, and their page reads per
+/// query (18 against 36), latencies and throughput flipped with it
+/// from run to run. Measured on the benchmark's two-session workload:
+/// 5 µs did not stop that; 20 µs, 200 µs and 2 ms all did.
+const SPIN_BEFORE_PARK: Duration = Duration::from_micros(50);
+
 /// Contention counters of a [`ShardedBufferPool`] — pool-level, next
 /// to (not mixed into) the per-shard [`BufferMetrics`], so a one-shard
 /// pool's buffer counters stay bit-identical to an unsharded
@@ -97,11 +117,12 @@ pub const LOCK_WAIT_NS_BOUNDS: [u64; 10] = [
 #[derive(Clone, Debug)]
 pub struct ShardMetrics {
     registry: Registry,
-    /// Time spent blocked acquiring shard locks, one observation per
-    /// *contended* acquisition (ns; saturated to ≥ 1 so a recorded
-    /// wait is never mistaken for no wait) — the uncontended fast path
-    /// records nothing, so hot loops pay no histogram write. The sum
-    /// is the pool's total lock-wait in nanoseconds.
+    /// Time spent waiting for shard locks — retrying, then parked —
+    /// one observation per *contended* acquisition (ns; saturated to
+    /// ≥ 1 so a recorded wait is never mistaken for no wait) — the
+    /// uncontended fast path records nothing, so hot loops pay no
+    /// histogram write. The sum is the pool's total lock-wait in
+    /// nanoseconds.
     pub lock_wait_ns: Histogram,
     /// Acquisitions that found the shard lock already held and had to
     /// wait (the fast `try_lock` failed).
@@ -225,16 +246,6 @@ impl<S: PageStore> Clone for ShardedBufferPool<S> {
     }
 }
 
-/// `splitmix64` finalizer: a fixed, platform-independent page→shard
-/// map, so shard contents are reproducible run to run (unlike
-/// `DefaultHasher`, whose keys are randomized per process).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl<S: PageStore> ShardedBufferPool<S> {
     /// Creates a pool of `total_frames` frames striped over `shards`
     /// shards, every shard running `policy`. Frame quotas differ by at
@@ -315,9 +326,12 @@ impl<S: PageStore> ShardedBufferPool<S> {
     }
 
     /// The shard `id` routes to: `(term, page / chunk_pages)` hashed
-    /// with splitmix64. A whole chunk of a list shares one shard, so a
-    /// prefix scan of at most [`chunk_pages`](Self::chunk_pages) pages
-    /// — `ReadPlan::for_term_pages` always plans a prefix — touches
+    /// with [`splitmix64`] — a fixed map, so shard contents are
+    /// reproducible run to run (unlike `DefaultHasher`, whose keys are
+    /// randomized per process). A whole chunk of a list shares one
+    /// shard, so a prefix scan of at most
+    /// [`chunk_pages`](Self::chunk_pages) pages —
+    /// `ReadPlan::for_term_pages` always plans a prefix — touches
     /// exactly one shard.
     #[inline]
     pub fn shard_of(&self, id: PageId) -> usize {
@@ -343,7 +357,8 @@ impl<S: PageStore> ShardedBufferPool<S> {
     /// effects so the manager's policy and observer state are current
     /// before the caller mutates anything. The uncontended fast path
     /// is a bare `try_lock`; only a failed attempt pays for the clock
-    /// reads and the contention counters.
+    /// reads and the contention counters, retries for
+    /// [`SPIN_BEFORE_PARK`], and parks after that.
     fn lock(&self, s: usize) -> MutexGuard<'_, BufferManager<Arc<S>>> {
         let shard = &self.shards[s];
         let mut guard = match shard.manager.try_lock() {
@@ -351,7 +366,15 @@ impl<S: PageStore> ShardedBufferPool<S> {
             None => {
                 self.metrics.contended_locks.inc();
                 let started = Instant::now();
-                let guard = shard.manager.lock();
+                let guard = loop {
+                    std::hint::spin_loop();
+                    if let Some(guard) = shard.manager.try_lock() {
+                        break guard;
+                    }
+                    if started.elapsed() >= SPIN_BEFORE_PARK {
+                        break shard.manager.lock();
+                    }
+                };
                 self.metrics
                     .lock_wait_ns
                     .record((started.elapsed().as_nanos() as u64).max(1));

@@ -1,7 +1,8 @@
 //! # ir-types
 //!
 //! Foundational vocabulary types shared by every crate in the `buffir`
-//! workspace: identifier newtypes ([`DocId`], [`TermId`], [`PageId`]),
+//! workspace: identifier newtypes ([`DocId`], [`TermId`], [`PageId`]) and
+//! the hash tables keyed by them ([`IdMap`], [`IdSet`]),
 //! the inverted-list [`Posting`] record with the paper's *frequency
 //! ordering*, cosine weight arithmetic ([`weights`]), tuning parameters
 //! for the filtering algorithms ([`params`]), and the common error type
@@ -14,6 +15,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod idmap;
 pub mod ids;
 pub mod io;
 pub mod params;
@@ -22,6 +24,7 @@ pub mod read_plan;
 pub mod weights;
 
 pub use error::{IrError, IrResult};
+pub use idmap::{IdMap, IdSet};
 pub use ids::{DocId, PageId, PageNo, TermId};
 pub use io::ClockKind;
 pub use params::{FilterParams, IndexParams, ListOrdering, DEFAULT_PAGE_SIZE, DEFAULT_TOP_N};
