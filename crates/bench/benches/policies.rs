@@ -4,9 +4,11 @@
 //! — the paper's policies trade *reads*, not CPU.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ir_storage::{BufferManager, DiskSim, Page, PolicyKind};
-use ir_types::{PageId, Posting, TermId};
-use std::collections::HashMap;
+use ir_storage::{
+    BufferManager, DiskSim, Page, PolicyKind, QueryBuffer, QueryBufferExt, ShardedBufferPool,
+};
+use ir_types::{IdMap, PageId, Posting, TermId};
+use std::sync::Arc;
 
 fn store(n_terms: u32, pages_per_term: u32) -> DiskSim {
     let lists = (0..n_terms)
@@ -28,10 +30,12 @@ fn store(n_terms: u32, pages_per_term: u32) -> DiskSim {
 /// query changes between announcements, against pool occupancy: the
 /// same 16-term query again, a refinement step (3 of 16 terms swapped)
 /// and a topic switch (two disjoint 16-term queries), each alternating
-/// between its two queries over a pool holding 32 terms' pages.
+/// between its two queries over a pool holding 32 terms' pages. Then
+/// two sessions — two handles to a one-shard pool — taking turns to
+/// announce a refinement step each, their queries sharing 6 terms.
 fn bench_rap_reorganize(c: &mut Criterion) {
     const TERMS: u32 = 32;
-    let query = |terms: std::ops::Range<u32>| -> HashMap<TermId, f64> {
+    let query = |terms: std::ops::Range<u32>| -> IdMap<TermId, f64> {
         terms.map(|t| (TermId(t), 1.0 + f64::from(t))).collect()
     };
     let shapes = [
@@ -60,6 +64,24 @@ fn bench_rap_reorganize(c: &mut Criterion) {
                 })
             });
         }
+        let id = BenchmarkId::new("two_sessions", resident);
+        g.bench_with_input(id, &resident, |b, &resident| {
+            let pages = resident as u32 / TERMS;
+            let store = Arc::new(store(TERMS, pages));
+            let mut pool = ShardedBufferPool::new(store, resident, PolicyKind::Rap, 1).unwrap();
+            for t in 0..TERMS {
+                for p in 0..pages {
+                    pool.fetch(PageId::new(TermId(t), p)).unwrap();
+                }
+            }
+            let mut sessions = [pool.clone(), pool];
+            let queries = [[query(0..16), query(3..19)], [query(13..29), query(16..32)]];
+            let mut i = 0usize;
+            b.iter(|| {
+                i += 1;
+                sessions[i % 2].begin_query(black_box(&queries[i % 2][i / 2 % 2]))
+            })
+        });
     }
     g.finish();
 }

@@ -36,7 +36,7 @@ const EXPERIMENTS: &[(&str, Runner)] = &[
     ("effectiveness", |c| effectiveness::run(c).map(drop)),
     ("ablation", |c| ablation::run(c).map(drop)),
     ("feedback", |c| feedback_exp::run(c).map(drop)),
-    ("multiuser", |c| multiuser::run(c).map(drop)),
+    ("multiuser", multiuser::run),
     ("ordering", |c| ordering::run(c).map(drop)),
     ("scaling", |c| scaling::run(c).map(drop)),
     ("adaptive", adaptive::run),

@@ -50,14 +50,6 @@ impl Drop for TempPageFile {
 
 fn layout_name(layout: PoolLayout) -> String {
     match layout {
-        PoolLayout::Shared {
-            total_frames,
-            global_history,
-            ..
-        } => format!(
-            "shared[{total_frames}]{}",
-            if global_history { "+global" } else { "" }
-        ),
         PoolLayout::Partitioned { frames_each, .. } => format!("partitioned[{frames_each}ea]"),
         PoolLayout::Sharded {
             total_frames,
@@ -167,10 +159,10 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
     );
     for policy in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
         for layout in [
-            PoolLayout::Shared {
+            PoolLayout::Sharded {
                 total_frames,
                 policy,
-                global_history: false,
+                shards: 1,
             },
             PoolLayout::Partitioned {
                 frames_each: per_user,

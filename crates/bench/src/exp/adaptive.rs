@@ -4,7 +4,7 @@
 //! Replacement".)
 //!
 //! Two workloads with opposite winners are driven over every static
-//! policy plus both adaptive ones, through identical page-request
+//! policy plus the adaptive one, through identical page-request
 //! streams:
 //!
 //! * **refinement** — the QUERY1 AddDrop refinement sequence under the
@@ -18,7 +18,7 @@
 //!
 //! The rows are the golden `adaptive.csv`; [`run`] then gates them and
 //! fails the experiment on a violation: each workload's expected winner
-//! is minimal among the static policies, both adaptive policies land
+//! is minimal among the static policies, the adaptive policy lands
 //! within 5 % of the best static expert's disk reads on *both*
 //! workloads, the mixture's leadership actually moved (a switch
 //! somewhere), and every shadow expert counted exactly the hits its
@@ -35,7 +35,7 @@ use ir_types::{PageId, TermId};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Adaptive policies must stay within this factor of the best static
+/// The adaptive policy must stay within this factor of the best static
 /// expert's disk reads on every workload.
 const TRACKING_SLACK: f64 = 1.05;
 
@@ -55,13 +55,13 @@ struct Row {
     total_reads: u64,
     /// Buffer hits over the whole workload.
     buffer_hits: u64,
-    /// Leader/active-policy switches (0 for static policies).
+    /// Leader switches (0 for static policies).
     switches: u64,
     /// `(expert, shadow hits)` pairs (empty for static policies).
     shadow_hits: Vec<(String, u64)>,
 }
 
-/// Policies under test: every static policy, then both adaptive ones.
+/// Policies under test: every static policy, then the adaptive one.
 fn panel() -> impl Iterator<Item = PolicyKind> {
     PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE)
 }
@@ -198,10 +198,8 @@ fn gate(rows: &[Row]) -> Result<String, Vec<String>> {
     let mut problems = Vec::new();
     for (workload, winner) in [("refinement", "RAP"), ("recency", "LRU")] {
         let cells = reads_of(rows, workload);
-        let static_cells: Vec<&(&str, u64)> = cells
-            .iter()
-            .filter(|(p, _)| *p != "ADAPTIVE" && *p != "HIT-ADAPT")
-            .collect();
+        let static_cells: Vec<&(&str, u64)> =
+            cells.iter().filter(|(p, _)| *p != "ADAPTIVE").collect();
         let best = static_cells.iter().map(|(_, r)| *r).min().unwrap_or(0);
         let Some(&&(_, winner_reads)) = static_cells.iter().find(|(p, _)| *p == winner) else {
             problems.push(format!("{workload}: no {winner} row"));
@@ -214,23 +212,21 @@ fn gate(rows: &[Row]) -> Result<String, Vec<String>> {
             ));
         }
         let bound = (best as f64 * TRACKING_SLACK).floor() as u64;
-        for name in ["ADAPTIVE", "HIT-ADAPT"] {
-            let Some(&(_, reads)) = cells.iter().find(|(p, _)| *p == name) else {
-                problems.push(format!("{workload}: no {name} row"));
-                continue;
-            };
-            if reads > bound {
-                problems.push(format!(
-                    "{workload}: {name} read {reads} pages, over the {bound} bound \
-                     ({TRACKING_SLACK}x the best static expert's {best})"
-                ));
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{workload}: {name} reads {reads} <= {bound} \
-                     ({TRACKING_SLACK}x best static {best}, winner {winner})"
-                );
-            }
+        let Some(&(_, reads)) = cells.iter().find(|(p, _)| *p == "ADAPTIVE") else {
+            problems.push(format!("{workload}: no ADAPTIVE row"));
+            continue;
+        };
+        if reads > bound {
+            problems.push(format!(
+                "{workload}: ADAPTIVE read {reads} pages, over the {bound} bound \
+                 ({TRACKING_SLACK}x the best static expert's {best})"
+            ));
+        } else {
+            let _ = writeln!(
+                out,
+                "{workload}: ADAPTIVE reads {reads} <= {bound} \
+                 ({TRACKING_SLACK}x best static {best}, winner {winner})"
+            );
         }
     }
     // A shadow expert sees the very request stream its static row's
@@ -253,7 +249,7 @@ fn gate(rows: &[Row]) -> Result<String, Vec<String>> {
     let switches: u64 = rows.iter().map(|r| r.switches).sum();
     if switches == 0 {
         problems.push(
-            "no adaptive policy ever switched leaders; opposite-winner workloads \
+            "the adaptive policy never switched leaders; opposite-winner workloads \
              must move the mixture at least once"
                 .to_string(),
         );
@@ -368,26 +364,24 @@ mod tests {
         ("CLOCK", 115),
     ];
 
-    fn refine_cells(adaptive: u64, hit_adapt: u64) -> Vec<(&'static str, u64)> {
+    fn refine_cells(adaptive: u64) -> Vec<(&'static str, u64)> {
         let mut v = STATICS.to_vec();
         v.push(("ADAPTIVE", adaptive));
-        v.push(("HIT-ADAPT", hit_adapt));
         v
     }
 
-    fn recency_cells(adaptive: u64, hit_adapt: u64) -> Vec<(&'static str, u64)> {
+    fn recency_cells(adaptive: u64) -> Vec<(&'static str, u64)> {
         let mut v: Vec<(&str, u64)> = STATICS
             .iter()
             .map(|&(p, r)| if p == "LRU" { (p, 70) } else { (p, r) })
             .collect();
         v.push(("ADAPTIVE", adaptive));
-        v.push(("HIT-ADAPT", hit_adapt));
         v
     }
 
     #[test]
     fn gate_passes_when_adaptive_tracks_both_winners() {
-        let rows = full_grid(&refine_cells(82, 84), &recency_cells(72, 70), 3);
+        let rows = full_grid(&refine_cells(82), &recency_cells(72), 3);
         let verdict = gate(&rows).expect("tracking grid must pass");
         assert!(verdict.contains("3 switches total"), "{verdict}");
     }
@@ -395,7 +389,7 @@ mod tests {
     #[test]
     fn gate_fails_when_adaptive_drifts_past_the_slack() {
         // 5% of RAP's 80 reads allows 84; 90 is a tracking failure.
-        let rows = full_grid(&refine_cells(90, 84), &recency_cells(72, 70), 3);
+        let rows = full_grid(&refine_cells(90), &recency_cells(72), 3);
         let problems = gate(&rows).unwrap_err();
         assert!(problems[0].contains("ADAPTIVE"), "{problems:?}");
         assert!(problems[0].contains("bound"), "{problems:?}");
@@ -404,27 +398,27 @@ mod tests {
     #[test]
     fn gate_fails_when_the_expected_winner_loses() {
         // LRU must be (tied-)minimal on the recency trace.
-        let mut recency = recency_cells(72, 70);
+        let mut recency = recency_cells(72);
         for c in recency.iter_mut() {
             if c.0 == "FIFO" {
                 c.1 = 60;
             }
         }
-        let rows = full_grid(&refine_cells(82, 84), &recency, 3);
+        let rows = full_grid(&refine_cells(82), &recency, 3);
         let problems = gate(&rows).unwrap_err();
         assert!(problems[0].contains("no longer favors LRU"), "{problems:?}");
     }
 
     #[test]
     fn gate_requires_at_least_one_switch() {
-        let rows = full_grid(&refine_cells(82, 84), &recency_cells(72, 70), 0);
+        let rows = full_grid(&refine_cells(82), &recency_cells(72), 0);
         let problems = gate(&rows).unwrap_err();
         assert!(problems[0].contains("ever switched"), "{problems:?}");
     }
 
     #[test]
     fn gate_fails_when_a_shadow_disagrees_with_its_static_row() {
-        let mut rows = full_grid(&refine_cells(82, 84), &recency_cells(72, 70), 3);
+        let mut rows = full_grid(&refine_cells(82), &recency_cells(72), 3);
         let adaptive = rows.iter_mut().find(|r| r.policy == "ADAPTIVE").unwrap();
         adaptive.shadow_hits = vec![("LRU".to_string(), 10), ("RAP".to_string(), 11)];
         let problems = gate(&rows).unwrap_err();

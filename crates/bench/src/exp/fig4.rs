@@ -32,7 +32,6 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
                 params: FilterParams::PERSIN,
                 top_n: 20,
                 baf_force_first_page: false,
-                announce_query: true,
             },
         )?;
         // Series: S_max before each term, plus the final value.

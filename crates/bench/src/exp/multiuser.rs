@@ -4,29 +4,37 @@
 //! Four users run their own ADD-ONLY refinement sequences **on four
 //! OS threads** through [`ir_engine::SessionServer`], all under the
 //! BAF algorithm, scheduled round-robin so the page request stream —
-//! and therefore every number below — is reproducible. Four buffer
+//! and therefore every number below — is reproducible. Three buffer
 //! architectures compete at equal total memory, and two more rows
 //! price lock striping:
 //!
 //! * **shared/LRU** — one pool, the query-oblivious default;
-//! * **shared/RAP (per-query)** — one pool, RAP re-valued with *only*
-//!   the active user's weights: other users' pages drop to value 0 and
-//!   are evicted first. The naive extension the paper implicitly warns
-//!   about;
-//! * **shared/RAP (global)** — the paper's option 2: "maintain a global
-//!   query history for all users ... if a term is shared by many
-//!   queries, the highest `w_{q,t}` could be used". The server merges
-//!   every session's current weights by per-term max;
+//! * **shared/RAP** — the paper's option 2: "maintain a global query
+//!   history for all users ... if a term is shared by many queries,
+//!   the highest `w_{q,t}` could be used". The history is RAP's own:
+//!   one weight context per session, a page valued by the highest
+//!   weight any session's current query gives its term. (RAP valued
+//!   by the *last* announcement alone — every other user's pages
+//!   worth 0 — was the row `shared_rap_naive`; it read 6 612 pages
+//!   where the merged history read 4 374 and was deleted with the
+//!   mechanism, see EXPERIMENTS.md.)
 //! * **partitioned/RAP** — the paper's option 1: each user a private
-//!   pool of `total/4` frames with per-query RAP. Isolation only: the
-//!   paper's read-only sibling borrowing was measured (25 of this
-//!   row's 6 037 reads at scale 1/16) and removed — see EXPERIMENTS.md,
-//!   "Multi-user buffering";
+//!   pool of `total/4` frames. Isolation only: the paper's read-only
+//!   sibling borrowing was measured (25 of this row's 6 037 reads at
+//!   scale 1/16) and removed — see EXPERIMENTS.md, "Multi-user
+//!   buffering";
 //! * **sharded\[4\]/LRU, sharded\[4\]/RAP** — the shared pool striped over
 //!   four independently locked shards, each running its own policy
 //!   instance over a quarter of the frames: what striping costs in
 //!   reads against the one-shard `shared` rows (for RAP, what the
 //!   per-shard approximation of global RAP costs).
+//!
+//! A second table, `multiuser_scaling.csv`, asks what the per-term
+//! maximum is worth as sessions multiply — with 16 current queries,
+//! does it value everything? N = 2, 4, 8, 16 sessions share one pool
+//! sized, like the four users' above, at half their summed working
+//! sets; the rows give its reads under LRU and under RAP, beside what
+//! the N sessions read when each has that pool to itself.
 
 use super::{ExpContext, ExpResult};
 use crate::output::TextTable;
@@ -34,28 +42,46 @@ use ir_core::{Algorithm, RefinementKind};
 use ir_engine::{PoolLayout, Schedule, SessionServer, SessionSpec};
 use ir_storage::PolicyKind;
 
-/// Summary for EXPERIMENTS.md.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MultiUserSummary {
-    /// Total reads: shared LRU.
-    pub shared_lru: u64,
-    /// Total reads: shared RAP with per-query weights.
-    pub shared_rap_naive: u64,
-    /// Total reads: shared RAP with globally merged weights.
-    pub shared_rap_global: u64,
-    /// Total reads: partitioned RAP (one private pool per user).
-    pub partitioned_rap: u64,
-    /// Total reads: LRU over a pool striped into four shards.
-    pub sharded_lru: u64,
-    /// Total reads: per-query RAP over the same striped pool.
-    pub sharded_rap: u64,
-}
-
 /// Stripe count of the sharded rows.
 const SHARDS: usize = 4;
 
-/// Runs the architecture comparison on the threaded server.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<MultiUserSummary> {
+/// Session counts of the scaling table. Session `k` of every count
+/// refines topic `k · n_topics / 16`, so each count's sessions are a
+/// prefix of the next one's.
+const SCALING_SESSIONS: [usize; 4] = [2, 4, 8, 16];
+
+/// Half the summed cold DF working sets of `topics`: contended but not
+/// hopeless.
+fn half_the_working_sets(ctx: &ExpContext<'_>, topics: &[usize]) -> usize {
+    let summed: usize = topics
+        .iter()
+        .map(|&t| ctx.profiles[t].df_reads as usize)
+        .sum();
+    summed.max(2) / 2
+}
+
+/// Disk reads of one fault-free round-robin run of `specs` over
+/// `layout`: pool misses == reads issued against the store.
+fn reads(ctx: &ExpContext<'_>, specs: &[SessionSpec], layout: PoolLayout) -> ExpResult<u64> {
+    let report = SessionServer::new(&ctx.bed.index, layout).run(specs, Schedule::RoundRobin)?;
+    // These experiments run fault-free, so a degraded session is a
+    // harness bug, not data — its numbers must never reach the CSV.
+    if let Some((i, e)) = report.failed_sessions().first() {
+        return Err(format!("session {i} failed in a fault-free run: {e}").into());
+    }
+    ctx.bed.index.disk().reset_stats();
+    Ok(report.pool_stats.misses)
+}
+
+/// One BAF session refining `topic` ADD-ONLY.
+fn session(ctx: &ExpContext<'_>, topic: usize) -> ExpResult<SessionSpec> {
+    let sequence = ctx.bed.sequence(topic, RefinementKind::AddOnly)?;
+    Ok(SessionSpec::new(sequence, Algorithm::Baf))
+}
+
+/// Runs the architecture comparison, then the scaling table, on the
+/// threaded server.
+pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
     println!("\n== Multi-user buffering (extension; §3.3 options) ==");
     let users = [
         ctx.reps.query1,
@@ -65,109 +91,108 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<MultiUserSummary> {
     ];
     let specs: Vec<SessionSpec> = users
         .iter()
-        .map(|&t| {
-            ctx.bed
-                .sequence(t, RefinementKind::AddOnly)
-                .map(|seq| SessionSpec::new(seq, Algorithm::Baf))
-        })
+        .map(|&t| session(ctx, t))
         .collect::<Result<_, _>>()?;
-    // Total memory: half the summed working sets — contended but not
-    // hopeless.
-    let total_frames: usize = users
-        .iter()
-        .map(|&t| ctx.profiles[t].df_reads as usize)
-        .sum::<usize>()
-        .max(2)
-        / 2;
+    let total_frames = half_the_working_sets(ctx, &users);
     let per_user = (total_frames / users.len()).max(1);
-
-    // Disk reads of one fault-free round-robin run over `layout`: pool
-    // misses == reads issued against the store.
-    let reads = |layout: PoolLayout| -> ExpResult<u64> {
-        let server = SessionServer::new(&ctx.bed.index, layout);
-        let report = server.run(&specs, Schedule::RoundRobin)?;
-        // This experiment runs fault-free, so a degraded session is a
-        // harness bug, not data — its numbers must never reach the CSV.
-        if let Some((i, e)) = report.failed_sessions().first() {
-            return Err(format!("session {i} failed in a fault-free run: {e}").into());
-        }
-        ctx.bed.index.disk().reset_stats();
-        Ok(report.pool_stats.misses)
-    };
-    let shared = |policy, global_history| PoolLayout::Shared {
+    let pool = |policy, shards| PoolLayout::Sharded {
         total_frames,
         policy,
-        global_history,
+        shards,
     };
-    let sharded = |policy| PoolLayout::Sharded {
-        total_frames,
-        policy,
-        shards: SHARDS,
-    };
-    let summary = MultiUserSummary {
-        shared_lru: reads(shared(PolicyKind::Lru, false))?,
-        shared_rap_naive: reads(shared(PolicyKind::Rap, false))?,
-        shared_rap_global: reads(shared(PolicyKind::Rap, true))?,
-        partitioned_rap: reads(PoolLayout::Partitioned {
-            frames_each: per_user,
-            policy: PolicyKind::Rap,
-        })?,
-        sharded_lru: reads(sharded(PolicyKind::Lru))?,
-        sharded_rap: reads(sharded(PolicyKind::Rap))?,
+    let partitioned = PoolLayout::Partitioned {
+        frames_each: per_user,
+        policy: PolicyKind::Rap,
     };
     let rows = [
         (
             "shared / LRU".to_string(),
             "shared_lru",
             total_frames,
-            summary.shared_lru,
+            pool(PolicyKind::Lru, 1),
         ),
         (
-            "shared / RAP per-query".to_string(),
-            "shared_rap_naive",
+            "shared / RAP".to_string(),
+            "shared_rap",
             total_frames,
-            summary.shared_rap_naive,
-        ),
-        (
-            "shared / RAP global-history".to_string(),
-            "shared_rap_global",
-            total_frames,
-            summary.shared_rap_global,
+            pool(PolicyKind::Rap, 1),
         ),
         (
             format!("partitioned / RAP ({}×{})", users.len(), per_user),
             "partitioned_rap",
             per_user * users.len(),
-            summary.partitioned_rap,
+            partitioned,
         ),
         (
             format!("sharded[{SHARDS}] / LRU"),
             "sharded4_lru",
             total_frames,
-            summary.sharded_lru,
+            pool(PolicyKind::Lru, SHARDS),
         ),
         (
-            format!("sharded[{SHARDS}] / RAP per-query"),
+            format!("sharded[{SHARDS}] / RAP"),
             "sharded4_rap",
             total_frames,
-            summary.sharded_rap,
+            pool(PolicyKind::Rap, SHARDS),
         ),
     ];
     let mut t = TextTable::new(&["architecture", "total frames", "disk reads"]);
-    for (label, _, frames, reads) in &rows {
-        t.row(vec![label.clone(), frames.to_string(), reads.to_string()]);
+    let mut cells = Vec::with_capacity(rows.len());
+    for (label, key, frames, layout) in rows {
+        let reads = reads(ctx, &specs, layout)?;
+        t.row(vec![label, frames.to_string(), reads.to_string()]);
+        cells.push([key.to_string(), frames.to_string(), reads.to_string()]);
     }
     print!("{}", t.render());
     ctx.out.write_csv(
         "multiuser.csv",
         &["architecture", "total_frames", "disk_reads"],
-        rows.map(|(_, key, frames, reads)| {
-            [key.to_string(), frames.to_string(), reads.to_string()]
-        }),
+        cells,
     )?;
     println!(
         "(the paper leaves the trade-off open: \"The trade-offs between these \
          alternatives need to be investigated\" — these are the numbers.)"
     );
-    Ok(summary)
+
+    println!("\n== Sessions on one shared pool of half their working sets ==");
+    let most = SCALING_SESSIONS[SCALING_SESSIONS.len() - 1];
+    let topics: Vec<usize> = (0..most).map(|k| k * ctx.bed.n_queries() / most).collect();
+    let specs: Vec<SessionSpec> = topics
+        .iter()
+        .map(|&t| session(ctx, t))
+        .collect::<Result<_, _>>()?;
+    let header = [
+        "sessions",
+        "total_frames",
+        "lru_reads",
+        "rap_reads",
+        "alone_reads",
+    ];
+    let mut t = TextTable::new(&header);
+    let mut cells = Vec::with_capacity(SCALING_SESSIONS.len());
+    for n in SCALING_SESSIONS {
+        let total_frames = half_the_working_sets(ctx, &topics[..n]);
+        let shared = |policy| PoolLayout::Sharded {
+            total_frames,
+            policy,
+            shards: 1,
+        };
+        let mut alone = 0;
+        for spec in &specs[..n] {
+            alone += reads(ctx, std::slice::from_ref(spec), shared(PolicyKind::Rap))?;
+        }
+        let row = [
+            n as u64,
+            total_frames as u64,
+            reads(ctx, &specs[..n], shared(PolicyKind::Lru))?,
+            reads(ctx, &specs[..n], shared(PolicyKind::Rap))?,
+            alone,
+        ]
+        .map(|v| v.to_string());
+        t.row(row.to_vec());
+        cells.push(row);
+    }
+    print!("{}", t.render());
+    ctx.out.write_csv("multiuser_scaling.csv", &header, cells)?;
+    Ok(())
 }

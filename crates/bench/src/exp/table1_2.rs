@@ -97,7 +97,6 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<(u64, u64)> {
         params: FilterParams::EXAMPLE,
         top_n: 20,
         baf_force_first_page: false,
-        announce_query: true,
     };
     // Buffer sizing: "the inverted lists from the initial query are
     // still in buffers" — but only just. §3.2.1 notes that with limited

@@ -115,7 +115,6 @@ pub fn profile_queries(bed: &TestBed) -> IrResult<Vec<QueryProfile>> {
                     params: FilterParams::PERSIN,
                     top_n: 20,
                     baf_force_first_page: false,
-                    announce_query: true,
                 },
             )?;
             Ok(r.stats)

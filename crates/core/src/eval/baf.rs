@@ -51,9 +51,7 @@ pub fn evaluate_baf<B: QueryBuffer>(
     query: &Query,
     options: EvalOptions,
 ) -> IrResult<QueryResult> {
-    if options.announce_query {
-        buffer.begin_query(&query.weights());
-    }
+    buffer.begin_query(&query.weights());
     Accumulators::with_scratch(index.n_docs() as usize, |accs| {
         baf_over(index, buffer, query, options, accs)
     })

@@ -63,12 +63,6 @@ pub struct EvalOptions {
     /// newly added term is never entirely ignored. The paper observed
     /// the guard never fires in practice; off by default.
     pub baf_force_first_page: bool,
-    /// Announce this query's term weights to the buffer manager before
-    /// evaluating (RAP's per-query context). Multi-user drivers that
-    /// maintain a *merged* query context (paper §3.3, option 2 — the
-    /// session server's global-history layout) set this to `false`
-    /// and call [`QueryBuffer::begin_query`] themselves.
-    pub announce_query: bool,
 }
 
 impl Default for EvalOptions {
@@ -77,7 +71,6 @@ impl Default for EvalOptions {
             params: FilterParams::PERSIN,
             top_n: DEFAULT_TOP_N,
             baf_force_first_page: false,
-            announce_query: true,
         }
     }
 }

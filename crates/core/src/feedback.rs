@@ -115,7 +115,6 @@ pub fn feedback_sequence(
                 params: FilterParams::OFF,
                 top_n: options.feedback_docs.max(20),
                 baf_force_first_page: false,
-                announce_query: true,
             },
         )?;
         let additions = expansion_terms(index, &query, &result.hits, options)?;

@@ -2,8 +2,7 @@
 //! per-term statistics the evaluator needs in memory.
 
 use ir_index::{InvertedIndex, TermEntry};
-use ir_types::{IrResult, TermId};
-use std::collections::HashMap;
+use ir_types::{IdMap, IrResult, TermId};
 
 /// One resolved query term.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -137,7 +136,7 @@ impl Query {
 
     /// `w_{q,t}` per term — what the buffer manager's
     /// [`begin_query`](ir_storage::BufferManager::begin_query) wants.
-    pub fn weights(&self) -> HashMap<TermId, f64> {
+    pub fn weights(&self) -> IdMap<TermId, f64> {
         self.terms.iter().map(|t| (t.term, t.weight())).collect()
     }
 }

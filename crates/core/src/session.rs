@@ -125,7 +125,6 @@ pub fn run_sequence(
             params: config.params,
             top_n: config.top_n,
             baf_force_first_page: false,
-            announce_query: true,
         },
         relevant,
     )

@@ -113,7 +113,6 @@ pub fn contribution_ranking(
             params: FilterParams::OFF,
             top_n,
             baf_force_first_page: false,
-            announce_query: true,
         },
     )?;
     let top_docs: HashMap<DocId, f64> = result

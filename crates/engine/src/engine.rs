@@ -144,7 +144,6 @@ impl SearchEngine {
                 params: self.config.params,
                 top_n: self.config.top_n,
                 baf_force_first_page: false,
-                announce_query: true,
             },
         )?;
         let eval_us = started.elapsed().as_micros() as u64;

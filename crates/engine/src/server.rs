@@ -6,13 +6,16 @@
 //! history — and leaves the trade-off open. [`SessionServer`] makes
 //! both runnable over one pool type: every [`PoolLayout`] is some
 //! number of [`ShardedBufferPool`]s, and each session drives its own
-//! refinement sequence on its own OS thread through a clone of the
-//! pool the layout assigns it. Locking is per read plan, so sessions
-//! genuinely interleave inside a single query, the contention pattern
-//! a time-sliced multi-user IR server produces. (The paper's
-//! partitions may also *borrow* a sibling's resident copy; measured at
-//! 25 of 6 037 reads, that mechanism was removed — EXPERIMENTS.md,
-//! "Multi-user buffering".)
+//! refinement sequence on its own OS thread through a handle of its
+//! own to the pool the layout assigns it. The query history lives in
+//! the pool: a handle is a session, and RAP values a page by the
+//! highest weight any session's current query gives its term, so a
+//! shared pool *is* the paper's option 2 with nothing above it.
+//! Locking is per read plan, so sessions genuinely interleave inside a
+//! single query, the contention pattern a time-sliced multi-user IR
+//! server produces. (The paper's partitions may also *borrow* a
+//! sibling's resident copy; measured at 25 of 6 037 reads, that
+//! mechanism was removed — EXPERIMENTS.md, "Multi-user buffering".)
 //!
 //! Two schedules are offered. [`Schedule::FreeRunning`] lets the OS
 //! interleave sessions arbitrarily — the realistic mode. Per-session
@@ -49,7 +52,6 @@ use ir_storage::{
 };
 use ir_types::{IrError, IrResult, TermId};
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The store every server pool reads from: the simulated disk behind a
@@ -64,19 +66,6 @@ type ServerPool = ShardedBufferPool<ServerStore>;
 /// in how many, how large, and over how many shards.
 #[derive(Clone, Copy, Debug)]
 pub enum PoolLayout {
-    /// One pool of one shard, shared by every session (paper §3.3,
-    /// option 2) — fetch for fetch the single-owner `BufferManager`.
-    Shared {
-        /// Pool size in frames.
-        total_frames: usize,
-        /// Replacement policy for the shared pool.
-        policy: PolicyKind,
-        /// Maintain a global query history: every announcement is the
-        /// per-term **max** over all sessions' current queries, so one
-        /// user's re-valuation cannot zero another user's pages. Only
-        /// meaningful for query-aware policies (RAP).
-        global_history: bool,
-    },
     /// One private one-shard pool per session over the shared store
     /// (paper §3.3, option 1, without cross-partition borrowing): a
     /// session's reads are those of the same session running alone.
@@ -86,13 +75,15 @@ pub enum PoolLayout {
         /// Replacement policy run inside every partition.
         policy: PolicyKind,
     },
-    /// One pool of `shards` shards shared by every session: frames
-    /// are striped by term-chunk hash, each shard behind its own mutex,
-    /// so concurrent traffic on different shards never contends. With
-    /// `shards = 1` this *is* [`PoolLayout::Shared`] without global
-    /// history; with more shards it is the scaling configuration (each
-    /// shard evicts its local minimum — a documented approximation of
-    /// global RAP).
+    /// One pool of `shards` shards shared by every session (paper
+    /// §3.3, option 2: RAP keeps every session's current query and
+    /// values a term at the highest weight any of them gives it).
+    /// Frames are striped by term-chunk hash, each shard behind its
+    /// own mutex, so concurrent traffic on different shards never
+    /// contends. With `shards = 1` this is the paper's single shared
+    /// pool, fetch for fetch the single-owner `BufferManager`; with
+    /// more shards it is the scaling configuration (each shard evicts
+    /// its local minimum — a documented approximation of global RAP).
     Sharded {
         /// Pool size in frames, summed over all shards.
         total_frames: usize,
@@ -109,11 +100,6 @@ impl PoolLayout {
     /// through pool `u % pools`.
     fn geometry(self, sessions: usize) -> (usize, usize, PolicyKind, usize) {
         match self {
-            PoolLayout::Shared {
-                total_frames,
-                policy,
-                ..
-            } => (1, total_frames, policy, 1),
             PoolLayout::Partitioned {
                 frames_each,
                 policy,
@@ -148,10 +134,7 @@ pub struct SessionSpec {
     pub sequence: RefinementSequence,
     /// Evaluation algorithm (the paper's multi-user runs use BAF).
     pub algorithm: Algorithm,
-    /// Evaluation knobs. Under [`PoolLayout::Shared`] with
-    /// `global_history` the server makes the announcement itself —
-    /// merged into the global history — and evaluates with
-    /// `announce_query` off.
+    /// Evaluation knobs.
     pub options: EvalOptions,
     /// Chaos hook: panic deliberately before evaluating this step
     /// (0-based). The panic is caught by the session guard and must
@@ -334,33 +317,6 @@ impl Turnstile {
     }
 }
 
-/// Shared registry of every session's current query weights, for the
-/// global-history layout. Announcements merge by per-term max, the
-/// paper's "if a term is shared by many queries, the highest
-/// `w_{q,t}` could be used".
-type WeightRegistry = Mutex<Vec<HashMap<TermId, f64>>>;
-
-/// Records `user`'s current query weights and returns the per-term max
-/// over every session's current query.
-fn merge_weights(
-    registry: &WeightRegistry,
-    user: usize,
-    weights: HashMap<TermId, f64>,
-) -> HashMap<TermId, f64> {
-    let mut reg = registry.lock();
-    reg[user] = weights;
-    let mut merged: HashMap<TermId, f64> = HashMap::new();
-    for per_user in reg.iter() {
-        for (&t, &w) in per_user {
-            let e = merged.entry(t).or_insert(w);
-            if w > *e {
-                *e = w;
-            }
-        }
-    }
-    merged
-}
-
 /// What the session threads of one run produced: per-session outcomes
 /// in spec order, the cost ledger, and spawn-to-join wall time (µs).
 type SessionsRun = (Vec<SessionOutcome>, CostLedger, u64);
@@ -440,16 +396,7 @@ impl<'a> SessionServer<'a> {
                 Ok(pool)
             })
             .collect::<IrResult<Vec<ServerPool>>>()?;
-        let registry = matches!(
-            self.layout,
-            PoolLayout::Shared {
-                global_history: true,
-                ..
-            }
-        )
-        .then(|| Mutex::new(vec![HashMap::new(); n]));
-        let (sessions, ledger, wall_us) =
-            self.run_sessions(specs, schedule, &store, registry.as_ref(), &pools);
+        let (sessions, ledger, wall_us) = self.run_sessions(specs, schedule, &store, &pools);
         let mut report = ServerReport {
             sessions,
             pool_stats: BufferStats::default(),
@@ -495,16 +442,13 @@ impl<'a> SessionServer<'a> {
     }
 
     /// Spawns one scoped thread per spec, session `u` evaluating its
-    /// sequence through a handle to `pools[u % pools.len()]`, and joins
-    /// them all. With a `registry` (the global-history layout) each
-    /// step announces the per-term max over every session's current
-    /// query instead of its own weights.
+    /// sequence through a handle of its own to `pools[u % pools.len()]`,
+    /// and joins them all.
     fn run_sessions(
         &self,
         specs: &[SessionSpec],
         schedule: Schedule,
         store: &Arc<ServerStore>,
-        registry: Option<&WeightRegistry>,
         pools: &[ServerPool],
     ) -> SessionsRun {
         let n = specs.len();
@@ -520,13 +464,9 @@ impl<'a> SessionServer<'a> {
         let results: Vec<SessionRun> = crossbeam::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (user, spec) in specs.iter().enumerate() {
-                let mut buffer = pools[user % pools.len()].clone();
-                // The merged announcement replaces the evaluator's own.
-                let registry = registry.filter(|_| spec.options.announce_query);
-                let options = EvalOptions {
-                    announce_query: spec.options.announce_query && registry.is_none(),
-                    ..spec.options
-                };
+                // One handle — one announcer — per session, for as
+                // long as the session has queries left.
+                let mut buffer = Some(pools[user % pools.len()].clone());
                 let turns = &turns;
                 handles.push(scope.spawn(move |_| {
                     let mut sspan =
@@ -539,7 +479,7 @@ impl<'a> SessionServer<'a> {
                         if schedule == Schedule::RoundRobin {
                             turns.wait_for(step * n + user);
                         }
-                        if failure.is_none() {
+                        if let Some(buffer) = buffer.as_mut() {
                             if let Some(terms) = spec.sequence.steps.get(step) {
                                 let started = std::time::Instant::now();
                                 // Store-level I/O wait, attributed by
@@ -558,19 +498,12 @@ impl<'a> SessionServer<'a> {
                                             panic!("chaos: injected panic at step {step}");
                                         }
                                         Query::from_ids(index, terms).and_then(|q| {
-                                            if let Some(reg) = registry {
-                                                buffer.begin_query(&merge_weights(
-                                                    reg,
-                                                    user,
-                                                    q.weights(),
-                                                ));
-                                            }
                                             evaluate(
                                                 spec.algorithm,
                                                 index,
-                                                &mut buffer,
+                                                buffer,
                                                 &q,
-                                                options,
+                                                spec.options,
                                             )
                                         })
                                     }))
@@ -597,6 +530,15 @@ impl<'a> SessionServer<'a> {
                                     Err(e) => failure = Some(e),
                                 }
                             }
+                        }
+                        // A session that failed or has no query left is
+                        // a user who is gone: dropping its handle takes
+                        // its last query out of the pool's history. Done
+                        // inside the session's own turn, so under
+                        // `RoundRobin` the re-valuation is part of the
+                        // deterministic stream.
+                        if failure.is_some() || step + 1 >= spec.sequence.steps.len() {
+                            buffer = None;
                         }
                         if schedule == Schedule::RoundRobin {
                             turns.advance();
@@ -720,10 +662,10 @@ mod tests {
         let idx = index();
         let server = SessionServer::new(
             &idx,
-            PoolLayout::Shared {
+            PoolLayout::Sharded {
                 total_frames: 12,
                 policy: PolicyKind::Lru,
-                global_history: false,
+                shards: 1,
             },
         );
         let report = server.run(&specs(&idx), Schedule::FreeRunning).unwrap();
@@ -747,10 +689,10 @@ mod tests {
         let idx = index();
         let server = SessionServer::new(
             &idx,
-            PoolLayout::Shared {
+            PoolLayout::Sharded {
                 total_frames: 12,
                 policy: PolicyKind::Lru,
-                global_history: false,
+                shards: 1,
             },
         );
         let report = server.run(&specs(&idx), Schedule::RoundRobin).unwrap();
@@ -765,10 +707,10 @@ mod tests {
     fn round_robin_schedule_is_deterministic() {
         let idx = index();
         for layout in [
-            PoolLayout::Shared {
+            PoolLayout::Sharded {
                 total_frames: 10,
                 policy: PolicyKind::Rap,
-                global_history: true,
+                shards: 1,
             },
             PoolLayout::Partitioned {
                 frames_each: 3,
@@ -780,16 +722,17 @@ mod tests {
                 shards: 2,
             },
         ] {
+            // Sessions of unequal length: one that runs out of queries
+            // retires its announcement inside its own turn, so that
+            // re-valuation is part of the schedule as well.
+            let mut specs = specs(&idx);
+            specs[1].sequence.steps.truncate(1);
             let server = SessionServer::new(&idx, layout);
-            let a = server.run(&specs(&idx), Schedule::RoundRobin).unwrap();
-            let b = server.run(&specs(&idx), Schedule::RoundRobin).unwrap();
-            let reads = |r: &ServerReport| {
-                r.sessions
-                    .iter()
-                    .map(SessionOutcome::total_disk_reads)
-                    .collect::<Vec<_>>()
-            };
+            let a = server.run(&specs, Schedule::RoundRobin).unwrap();
+            let b = server.run(&specs, Schedule::RoundRobin).unwrap();
+            let reads = |r: &ServerReport| r.sessions.iter().map(step_reads).collect::<Vec<_>>();
             assert_eq!(reads(&a), reads(&b), "{layout:?}");
+            assert_eq!(reads(&a)[1].len(), 1, "{layout:?}");
         }
     }
 
@@ -809,10 +752,10 @@ mod tests {
         for policy in [PolicyKind::Rap, PolicyKind::Lru] {
             let private = SessionServer::new(
                 &idx,
-                PoolLayout::Shared {
+                PoolLayout::Sharded {
                     total_frames: 4,
                     policy,
-                    global_history: false,
+                    shards: 1,
                 },
             );
             let alone: Vec<Vec<u64>> = specs
@@ -844,10 +787,10 @@ mod tests {
         let idx = index();
         for (layout, frames) in [
             (
-                PoolLayout::Shared {
+                PoolLayout::Sharded {
                     total_frames: 10,
                     policy: PolicyKind::Rap,
-                    global_history: true,
+                    shards: 1,
                 },
                 10,
             ),
@@ -912,10 +855,10 @@ mod tests {
         let idx = index();
         let server = SessionServer::new(
             &idx,
-            PoolLayout::Shared {
+            PoolLayout::Sharded {
                 total_frames: 4,
                 policy: PolicyKind::Lru,
-                global_history: false,
+                shards: 1,
             },
         );
         let report = server.run(&[], Schedule::FreeRunning).unwrap();
@@ -930,10 +873,10 @@ mod tests {
         bad[2].sequence.steps[1] = vec![(TermId(9999), 1)];
         let server = SessionServer::new(
             &idx,
-            PoolLayout::Shared {
+            PoolLayout::Sharded {
                 total_frames: 8,
                 policy: PolicyKind::Lru,
-                global_history: false,
+                shards: 1,
             },
         );
         // The bad session degrades to Failed (keeping its completed
@@ -957,10 +900,10 @@ mod tests {
         chaotic[1].chaos_panic_at = Some(1);
         let server = SessionServer::new(
             &idx,
-            PoolLayout::Shared {
+            PoolLayout::Sharded {
                 total_frames: 8,
                 policy: PolicyKind::Lru,
-                global_history: false,
+                shards: 1,
             },
         );
         let report = server.run(&chaotic, Schedule::RoundRobin).unwrap();
@@ -984,10 +927,10 @@ mod tests {
     #[test]
     fn recoverable_faults_retry_to_the_same_answer() {
         let idx = index();
-        let layout = PoolLayout::Shared {
+        let layout = PoolLayout::Sharded {
             total_frames: 12,
             policy: PolicyKind::Lru,
-            global_history: false,
+            shards: 1,
         };
         let clean = SessionServer::new(&idx, layout)
             .run(&specs(&idx), Schedule::RoundRobin)
@@ -1023,10 +966,10 @@ mod tests {
     fn adaptive_counters_surface_in_the_report() {
         let idx = index();
         for layout in [
-            PoolLayout::Shared {
+            PoolLayout::Sharded {
                 total_frames: 12,
                 policy: PolicyKind::Adaptive,
-                global_history: false,
+                shards: 1,
             },
             PoolLayout::Partitioned {
                 frames_each: 4,
@@ -1093,10 +1036,10 @@ mod tests {
         let idx = index();
         let report = SessionServer::new(
             &idx,
-            PoolLayout::Shared {
+            PoolLayout::Sharded {
                 total_frames: 12,
                 policy: PolicyKind::Lru,
-                global_history: false,
+                shards: 1,
             },
         )
         .run(&specs(&idx), Schedule::RoundRobin)

@@ -76,10 +76,10 @@ fn specs(idx: &InvertedIndex) -> Vec<SessionSpec> {
 
 fn layouts(policy: PolicyKind) -> [PoolLayout; 2] {
     [
-        PoolLayout::Shared {
+        PoolLayout::Sharded {
             total_frames: 12,
             policy,
-            global_history: false,
+            shards: 1,
         },
         PoolLayout::Partitioned {
             frames_each: 4,
@@ -192,10 +192,10 @@ fn a_panicking_session_under_chaos_leaves_the_others_standing() {
     chaotic[0].chaos_panic_at = Some(0);
     let report = SessionServer::new(
         &idx,
-        PoolLayout::Shared {
+        PoolLayout::Sharded {
             total_frames: 12,
             policy: PolicyKind::Rap,
-            global_history: false,
+            shards: 1,
         },
     )
     .with_faults(chaos(41))
@@ -222,10 +222,10 @@ fn an_exhausted_retry_budget_fails_sessions_not_the_server() {
     // budget can save these sessions. They must degrade individually.
     let report = SessionServer::new(
         &idx,
-        PoolLayout::Shared {
+        PoolLayout::Sharded {
             total_frames: 12,
             policy: PolicyKind::Lru,
-            global_history: false,
+            shards: 1,
         },
     )
     .with_faults(FaultConfig {

@@ -77,7 +77,6 @@ fn options() -> EvalOptions {
         params: FilterParams::PERSIN,
         top_n: 10,
         baf_force_first_page: false,
-        announce_query: true,
     }
 }
 

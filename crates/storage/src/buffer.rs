@@ -10,7 +10,6 @@ use crate::query_buffer::{QueryBuffer, QueryBufferExt};
 use crate::stats::{BufferMetrics, BufferStats};
 use ir_types::{IdMap, IdSet, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The resident-frame table behind a read-write lock, cloneable so a
@@ -450,9 +449,17 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Announces the term weights `w_{q,t}` of the query about to be
     /// evaluated. RAP re-values the resident pages of terms whose weight
-    /// changed; other policies ignore it.
-    pub fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        self.policy.begin_query(weights);
+    /// changed; other policies ignore it. A single-owner pool has one
+    /// session: announcer 0.
+    pub fn begin_query(&mut self, weights: &IdMap<TermId, f64>) {
+        self.begin_query_as(0, weights);
+    }
+
+    /// [`begin_query`](Self::begin_query) on behalf of `announcer` —
+    /// how a pool shared through several handles keeps each handle's
+    /// query apart from the others'.
+    pub(crate) fn begin_query_as(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) {
+        self.policy.begin_query(announcer, weights);
     }
 
     /// Empties the pool (the paper flushes buffers between refinement
@@ -538,7 +545,7 @@ impl<S: PageStore> QueryBuffer for BufferManager<S> {
             .collect()
     }
 
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
+    fn begin_query(&mut self, weights: &IdMap<TermId, f64>) {
         BufferManager::begin_query(self, weights);
     }
 }
@@ -651,7 +658,7 @@ mod tests {
     fn rap_eviction_order_in_pool() {
         let mut bm = BufferManager::new(store(2, 3), 3, PolicyKind::Rap).unwrap();
         // Query uses term 0 only.
-        let weights: HashMap<TermId, f64> = [(TermId(0), 1.0)].into_iter().collect();
+        let weights: IdMap<TermId, f64> = [(TermId(0), 1.0)].into_iter().collect();
         bm.begin_query(&weights);
         bm.fetch(pid(0, 0)).unwrap(); // value: 3·1 = 3
         bm.fetch(pid(0, 2)).unwrap(); // value: 1·1 = 1

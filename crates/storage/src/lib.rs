@@ -23,6 +23,9 @@
 //!   replacement value `w*_{d,t} · w_{q,t}` depends on the query being
 //!   processed; the evaluator announces its term weights at query start
 //!   and the policy re-values the pages of terms whose weight changed.
+//!   Sessions sharing a [`ShardedBufferPool`] each announce through a
+//!   handle of their own, and a term is worth the highest weight any of
+//!   their current queries gives it.
 //!
 //! The crate also owns the one posting-list encoding ([`codec`]: runs of
 //! equal frequency, v-byte gaps) and the persistent tier that carries it

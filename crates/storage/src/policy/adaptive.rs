@@ -1,38 +1,32 @@
-//! Adaptive replacement: an expert-mixture policy and a cheap
-//! hit-rate-driven variant (EEvA-style, after arXiv:2405.00154).
+//! Adaptive replacement: an expert-mixture policy (EEvA-style, after
+//! arXiv:2405.00154).
 //!
 //! The paper's central observation is that no single replacement policy
 //! wins across IR workloads: RAP wins on feedback-refinement streams,
-//! LRU wins on recency-dominated ones, MRU on repeated scans. Both
-//! policies here recover the per-workload winner online, without being
-//! told which workload is running:
+//! LRU wins on recency-dominated ones, MRU on repeated scans.
+//! [`ExpertMixturePolicy`] recovers the per-workload winner online,
+//! without being told which workload is running: it runs a panel of
+//! existing experts against the live reference stream. Every expert
+//! keeps a *real* instance (tracking the pool's actual resident set, so
+//! leadership can change without replay) and a *shadow* simulation
+//! (what the pool would hold if that expert ran it alone, scored by
+//! would-have-hit counts). The current leader — the expert with the
+//! best decayed shadow score — chooses victims.
 //!
-//! * [`ExpertMixturePolicy`] runs a panel of existing experts against
-//!   the live reference stream. Every expert keeps a *real* instance
-//!   (tracking the pool's actual resident set, so leadership can change
-//!   without replay) and a *shadow* simulation (what the pool would
-//!   hold if that expert ran it alone, scored by would-have-hit
-//!   counts). The current leader — the expert with the best decayed
-//!   shadow score — chooses victims.
-//! * [`HitRateAdaptivePolicy`] keeps exactly one active policy and
-//!   switches it at window boundaries when its own hit count falls
-//!   measurably below the best shadow expert's. Cheaper per event than
-//!   the mixture — one real instance instead of a panel — at the price
-//!   of a replay of the resident set on each switch.
-//!
-//! Both are driven entirely through the ordinary [`ReplacementPolicy`]
+//! It is driven entirely through the ordinary [`ReplacementPolicy`]
 //! events: a pool's `on_hit` + `on_insert` calls *are* the full
 //! reference stream (hit → `on_hit`, miss → `on_insert`), so shadow
 //! simulation needs no extra plumbing, and the decision stream is a
 //! pure function of the reference stream — which keeps the chaos
 //! matrix's determinism and fault-transparency contracts intact
-//! (recovered faults never reach the policy).
+//! (recovered faults never reach the policy). An announcement is
+//! forwarded, announcer and all, to every expert and shadow that uses
+//! one, so each RAP instance keeps its own per-session contexts.
 
 use super::{PolicyKind, ReplacementPolicy};
 use crate::page::Page;
 use ir_observe::{Counter, Gauge, Registry};
 use ir_types::{IdMap, IdSet, PageId, TermId};
-use std::collections::HashMap;
 
 /// Default expert panel for [`ExpertMixturePolicy`]: the paper's three
 /// policies plus the §6 extensions, LRU first so the cold-start leader
@@ -46,10 +40,6 @@ pub const DEFAULT_PANEL: [PolicyKind; 6] = [
     PolicyKind::Clock,
 ];
 
-/// Default candidate set for [`HitRateAdaptivePolicy`]: the paper's
-/// three policies, which already span the per-workload winners.
-pub const DEFAULT_CANDIDATES: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Rap];
-
 /// Shadow simulation of one expert running the whole pool alone: its
 /// own policy instance plus the resident set it *would* have, bounded
 /// by the real pool's capacity. A reference that lands in the shadow
@@ -62,8 +52,6 @@ struct Shadow {
     capacity: usize,
     /// Decayed long-run score (halved every decay window).
     score: u64,
-    /// Hits in the current adaptation window only.
-    window_hits: u64,
     /// Cumulative would-have-hits, exported as
     /// `adaptive.shadow_hits.<NAME>` once attached to a registry.
     hits_counter: Counter,
@@ -77,7 +65,6 @@ impl Shadow {
             resident: IdSet::default(),
             capacity: capacity.max(1),
             score: 0,
-            window_hits: 0,
             hits_counter: Counter::new(),
         }
     }
@@ -89,7 +76,6 @@ impl Shadow {
         if self.resident.contains(&id) {
             self.policy.on_hit(page);
             self.score += 1;
-            self.window_hits += 1;
             self.hits_counter.inc();
             true
         } else {
@@ -104,9 +90,9 @@ impl Shadow {
         }
     }
 
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
+    fn begin_query(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) {
         if self.policy.uses_query_context() {
-            self.policy.begin_query(weights);
+            self.policy.begin_query(announcer, weights);
         }
     }
 
@@ -114,7 +100,6 @@ impl Shadow {
         self.policy.clear();
         self.resident.clear();
         self.score = 0;
-        self.window_hits = 0;
     }
 }
 
@@ -255,14 +240,14 @@ impl ReplacementPolicy for ExpertMixturePolicy {
         self.leader_gauge.set(0);
     }
 
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
+    fn begin_query(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) {
         for (_, p) in &mut self.experts {
             if p.uses_query_context() {
-                p.begin_query(weights);
+                p.begin_query(announcer, weights);
             }
         }
         for s in &mut self.shadows {
-            s.begin_query(weights);
+            s.begin_query(announcer, weights);
         }
     }
 
@@ -281,200 +266,6 @@ impl ReplacementPolicy for ExpertMixturePolicy {
         self.switches = registry.counter("adaptive.switches");
         self.leader_gauge = registry.gauge("adaptive.leader");
         self.leader_gauge.set(self.leader as i64);
-        for s in &mut self.shadows {
-            s.hits_counter = registry.counter(&format!("adaptive.shadow_hits.{}", s.kind));
-        }
-    }
-}
-
-/// A hit-rate-adaptive policy: one active policy, switched at window
-/// boundaries when the observed hit count falls measurably below the
-/// best shadow expert's. On a switch the new policy is rebuilt by
-/// replaying the resident set in `PageId` order — deterministic, and
-/// only as expensive as one pass over the pool.
-#[derive(Debug)]
-pub struct HitRateAdaptivePolicy {
-    kinds: Vec<PolicyKind>,
-    active: usize,
-    policy: Box<dyn ReplacementPolicy>,
-    shadows: Vec<Shadow>,
-    /// The real resident set (pages are cheap `Arc`-backed clones),
-    /// kept so a switch can rebuild the new active policy.
-    resident: IdMap<PageId, Page>,
-    capacity: usize,
-    window: u64,
-    events_in_window: u64,
-    /// The active policy's hits this window, counted from the same
-    /// `on_hit` events the shadows are fed — so both sides of the
-    /// switch rule see one event stream, however late a lock-light
-    /// pool replays it.
-    real_hits: u64,
-    /// Last announced query weights (empty before the first
-    /// announcement), replayed into a freshly built context-using
-    /// policy after a switch.
-    last_weights: HashMap<TermId, f64>,
-    uses_context: bool,
-    switches: Counter,
-    leader_gauge: Gauge,
-}
-
-impl HitRateAdaptivePolicy {
-    /// An adaptive policy over [`DEFAULT_CANDIDATES`].
-    pub fn new(capacity: usize) -> HitRateAdaptivePolicy {
-        HitRateAdaptivePolicy::with_candidates(&DEFAULT_CANDIDATES, capacity)
-    }
-
-    /// An adaptive policy over an explicit candidate set (the first
-    /// entry starts active). Panics on an empty set.
-    pub fn with_candidates(candidates: &[PolicyKind], capacity: usize) -> HitRateAdaptivePolicy {
-        assert!(!candidates.is_empty(), "candidate set must not be empty");
-        let shadows: Vec<Shadow> = candidates
-            .iter()
-            .map(|&k| Shadow::new(k, capacity))
-            .collect();
-        let uses_context = shadows.iter().any(|s| s.policy.uses_query_context());
-        HitRateAdaptivePolicy {
-            kinds: candidates.to_vec(),
-            active: 0,
-            policy: candidates[0].build(capacity),
-            shadows,
-            resident: IdMap::default(),
-            capacity,
-            window: decay_window(capacity),
-            events_in_window: 0,
-            real_hits: 0,
-            last_weights: HashMap::new(),
-            uses_context,
-            switches: Counter::new(),
-            leader_gauge: Gauge::new(),
-        }
-    }
-
-    /// The currently active policy kind.
-    pub fn active(&self) -> PolicyKind {
-        self.kinds[self.active]
-    }
-
-    /// Policy switches so far (also exported as `adaptive.switches`).
-    pub fn switches(&self) -> u64 {
-        self.switches.get()
-    }
-
-    fn tick_window(&mut self) {
-        self.events_in_window += 1;
-        if self.events_in_window < self.window {
-            return;
-        }
-        self.events_in_window = 0;
-        let mut best = 0;
-        for (i, s) in self.shadows.iter().enumerate() {
-            if s.window_hits > self.shadows[best].window_hits {
-                best = i;
-            }
-        }
-        // Hysteresis: a challenger must beat the observed hits by a
-        // margin proportional to the window, so measurement jitter
-        // can't cause flapping.
-        let margin = (self.window / 32).max(1);
-        if best != self.active && self.shadows[best].window_hits > self.real_hits + margin {
-            self.switch_to(best);
-        }
-        for s in &mut self.shadows {
-            s.window_hits = 0;
-        }
-        self.real_hits = 0;
-    }
-
-    fn switch_to(&mut self, next: usize) {
-        self.active = next;
-        self.policy = self.kinds[next].build(self.capacity);
-        // Replay residents in PageId order: deterministic regardless of
-        // HashMap iteration order.
-        let mut pages: Vec<&Page> = self.resident.values().collect();
-        pages.sort_by_key(|p| p.id());
-        for page in pages {
-            self.policy.on_insert(page);
-        }
-        // The fresh policy has an empty context, so this re-keys every
-        // term of the query — what the switch needs.
-        if self.policy.uses_query_context() {
-            self.policy.begin_query(&self.last_weights);
-        }
-        self.switches.inc();
-        self.leader_gauge.set(next as i64);
-    }
-
-    fn feed(&mut self, page: &Page, value_hint: Option<f64>) {
-        for s in &mut self.shadows {
-            s.reference(page, value_hint);
-        }
-        self.tick_window();
-    }
-}
-
-impl ReplacementPolicy for HitRateAdaptivePolicy {
-    fn name(&self) -> &'static str {
-        "HIT-ADAPT"
-    }
-
-    fn on_insert(&mut self, page: &Page) {
-        self.on_insert_hinted(page, None);
-    }
-
-    fn on_hit(&mut self, page: &Page) {
-        self.real_hits += 1;
-        self.policy.on_hit(page);
-        self.feed(page, None);
-    }
-
-    fn choose_victim(&mut self) -> Option<PageId> {
-        let victim = self.policy.choose_victim()?;
-        self.resident.remove(&victim);
-        Some(victim)
-    }
-
-    fn remove(&mut self, id: PageId) {
-        self.policy.remove(id);
-        self.resident.remove(&id);
-    }
-
-    fn clear(&mut self) {
-        self.policy.clear();
-        self.resident.clear();
-        for s in &mut self.shadows {
-            s.clear();
-        }
-        self.events_in_window = 0;
-        self.last_weights.clear();
-        self.real_hits = 0;
-    }
-
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        if self.uses_context {
-            self.last_weights.clone_from(weights);
-        }
-        if self.policy.uses_query_context() {
-            self.policy.begin_query(weights);
-        }
-        for s in &mut self.shadows {
-            s.begin_query(weights);
-        }
-    }
-
-    fn uses_query_context(&self) -> bool {
-        self.uses_context
-    }
-
-    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) {
-        self.resident.insert(page.id(), page.clone());
-        self.policy.on_insert_hinted(page, value_hint);
-        self.feed(page, value_hint);
-    }
-
-    fn attach_metrics(&mut self, registry: &Registry) {
-        self.switches = registry.counter("adaptive.switches");
-        self.leader_gauge = registry.gauge("adaptive.leader");
-        self.leader_gauge.set(self.active as i64);
         for s in &mut self.shadows {
             s.hits_counter = registry.counter(&format!("adaptive.shadow_hits.{}", s.kind));
         }
@@ -552,43 +343,6 @@ mod tests {
         }
         assert_eq!(mix.leader(), PolicyKind::Mru);
         assert!(mix.switches() >= 1);
-    }
-
-    /// The same flood through the hit-rate variant: the active policy
-    /// must switch away from LRU once the window shows MRU's shadow
-    /// out-hitting the real pool.
-    #[test]
-    fn hit_rate_variant_switches_away_from_lru() {
-        let capacity = 8;
-        let mut pol =
-            HitRateAdaptivePolicy::with_candidates(&[PolicyKind::Lru, PolicyKind::Mru], capacity);
-        let loop_pages: Vec<Page> = (0..capacity as u32 + 1)
-            .map(|p| page(0, p, 1, 1.0))
-            .collect();
-        let mut resident: Vec<PageId> = Vec::new();
-        for _ in 0..200 {
-            for pg in &loop_pages {
-                if resident.contains(&pg.id()) {
-                    pol.on_hit(pg);
-                } else {
-                    if resident.len() >= capacity {
-                        let v = pol.choose_victim().expect("pool is full");
-                        resident.retain(|&id| id != v);
-                    }
-                    pol.on_insert(pg);
-                    resident.push(pg.id());
-                }
-            }
-        }
-        assert_eq!(pol.active(), PolicyKind::Mru);
-        assert!(pol.switches() >= 1);
-        // The policy only tracks what is resident: every victim it
-        // returned was removed from its books.
-        let mut seen = IdSet::default();
-        while let Some(v) = pol.choose_victim() {
-            assert!(seen.insert(v), "victim {v:?} returned twice");
-        }
-        assert_eq!(seen.len(), resident.len());
     }
 
     /// Shadow pools respect the real capacity: the ghost resident set

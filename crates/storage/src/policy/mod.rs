@@ -23,7 +23,7 @@ mod rap;
 mod tick;
 mod two_q;
 
-pub use adaptive::{ExpertMixturePolicy, HitRateAdaptivePolicy, DEFAULT_CANDIDATES, DEFAULT_PANEL};
+pub use adaptive::{ExpertMixturePolicy, DEFAULT_PANEL};
 pub use clock::Clock;
 pub use fifo::Fifo;
 pub use lru::Lru;
@@ -34,9 +34,8 @@ pub use two_q::TwoQ;
 
 use crate::page::Page;
 use ir_observe::Registry;
-use ir_types::{PageId, TermId};
+use ir_types::{IdMap, PageId, TermId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -73,14 +72,17 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// Forgets all pages and any query context.
     fn clear(&mut self);
 
-    /// Announces the term weights `w_{q,t}` of the query about to run.
+    /// Announces the term weights `w_{q,t}` of the query `announcer`
+    /// is about to run, replacing whatever `announcer` — a session, in
+    /// practice a pool handle — announced before. Empty `weights`
+    /// retire the announcer.
     ///
     /// Only RAP reacts (re-valuing the resident pages of terms whose
     /// weight changed); the default is a no-op, matching the paper's
     /// observation that classic policies are oblivious to the query
     /// (§3.3).
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        let _ = weights;
+    fn begin_query(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) {
+        let _ = (announcer, weights);
     }
 
     /// Does [`begin_query`](Self::begin_query) do anything for this
@@ -110,7 +112,7 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// the pool registers its own counters there. The default is a
     /// no-op — classic policies export nothing, so non-adaptive pools
     /// keep their metric namespace byte-identical. The adaptive
-    /// policies register their `adaptive.*` counters in it.
+    /// policy registers its `adaptive.*` counters in it.
     fn attach_metrics(&mut self, registry: &Registry) {
         let _ = registry;
     }
@@ -136,8 +138,6 @@ pub enum PolicyKind {
     Clock,
     /// Expert-mixture adaptive policy (EEvA-style shadow voting).
     Adaptive,
-    /// Hit-rate-driven adaptive policy (single active expert).
-    HitAdaptive,
 }
 
 impl PolicyKind {
@@ -155,12 +155,12 @@ impl PolicyKind {
     /// The three policies evaluated in the paper's figures.
     pub const PAPER: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Rap];
 
-    /// The adaptive policies. Deliberately *not* part of
+    /// The adaptive policy. Deliberately *not* part of
     /// [`ALL`](Self::ALL): experiment harnesses index `ALL`
-    /// positionally and golden CSVs enumerate it, so the adaptive rows
-    /// are opt-in everywhere (the chaos matrix's extra rows, the
+    /// positionally and golden CSVs enumerate it, so the adaptive row
+    /// is opt-in everywhere (the chaos matrix's extra rows, the
     /// `adaptive` experiment).
-    pub const ADAPTIVE: [PolicyKind; 2] = [PolicyKind::Adaptive, PolicyKind::HitAdaptive];
+    pub const ADAPTIVE: [PolicyKind; 1] = [PolicyKind::Adaptive];
 
     /// Instantiates the policy. `capacity` is the buffer-pool size in
     /// pages (2Q sizes its queues from it).
@@ -174,7 +174,6 @@ impl PolicyKind {
             PolicyKind::Fifo => Box::new(Fifo::new()),
             PolicyKind::Clock => Box::new(Clock::new()),
             PolicyKind::Adaptive => Box::new(ExpertMixturePolicy::new(capacity)),
-            PolicyKind::HitAdaptive => Box::new(HitRateAdaptivePolicy::new(capacity)),
         }
     }
 }
@@ -190,7 +189,6 @@ impl fmt::Display for PolicyKind {
             PolicyKind::Fifo => "FIFO",
             PolicyKind::Clock => "CLOCK",
             PolicyKind::Adaptive => "ADAPTIVE",
-            PolicyKind::HitAdaptive => "HIT-ADAPT",
         };
         f.write_str(s)
     }
@@ -209,9 +207,6 @@ impl FromStr for PolicyKind {
             "fifo" => Ok(PolicyKind::Fifo),
             "clock" => Ok(PolicyKind::Clock),
             "adaptive" | "mixture" | "eeva" => Ok(PolicyKind::Adaptive),
-            "hit-adapt" | "hitadapt" | "hit-adaptive" | "hitadaptive" => {
-                Ok(PolicyKind::HitAdaptive)
-            }
             other => Err(format!("unknown policy {other:?}")),
         }
     }

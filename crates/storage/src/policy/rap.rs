@@ -1,28 +1,38 @@
-//! The Ranking-Aware Policy (RAP) — the paper's proposal (§3.3, Eq. 6).
+//! The Ranking-Aware Policy (RAP) — the paper's proposal (§3.3, Eq. 6),
+//! extended to several users the way the paper sketches.
 //!
 //! Every resident page is valued at
 //!
 //! ```text
-//! replacement_value = w*_{d,t} · w_{q,t}
+//! replacement_value = w*_{d,t} · eff_t
+//! eff_t             = max over announcers s carrying t of w_{q_s,t}
 //! ```
 //!
 //! where `w*_{d,t}` is the highest document term weight stored on the
 //! page (precomputed at index build time and carried by
-//! [`Page::max_weight`]) and `w_{q,t}` is the weight of the page's term
-//! in the **query currently being processed**. The victim is the page
-//! with the lowest value.
+//! [`Page::max_weight`]) and `w_{q_s,t}` is the weight of the page's
+//! term in the query announcer `s` — a session — is **currently
+//! processing**: "a global query history … if a term is shared by many
+//! queries, the highest `w_{q,t}` could be used" (§3.3, option 2). The
+//! maximum is `total_cmp`'s; `eff_t` is `+0.0` when no announcer
+//! carries `t`, and that announcer's bits verbatim when exactly one
+//! does, so with one announcer this is Eq. 6 with the one current
+//! query. The victim is the page with the lowest value.
 //!
 //! Consequences the paper calls out, all encoded here:
 //! * head pages of a list (largest `f_{d,t}`) have the highest value and
 //!   are kept — every query touching the term needs them;
-//! * terms **dropped** during refinement have `w_{q,t} = 0`, so their
-//!   pages value to 0 and are evicted first;
+//! * terms **dropped** during refinement by every session that held
+//!   them have `eff_t = 0`, so their pages value to 0 and are evicted
+//!   first — and one session's announcement cannot zero the pages
+//!   another session's current query still needs;
 //! * among zero/equal values, the **tail is evicted before the head**
 //!   (tie-break: higher page number first);
 //! * values are query-dependent, so [`Rap::begin_query`] re-values the
-//!   pages of terms whose weight changed ("a reorganizing capability is
+//!   pages of terms whose `eff_t` changed ("a reorganizing capability is
 //!   required") — a page's value can only move when its own term's
-//!   `w_{q,t}` does, and a refinement step moves a handful of terms.
+//!   `eff_t` does, an announcement can only move the terms whose weight
+//!   *that announcer* changed, and a refinement step changes a handful.
 //!
 //! The value queue is a `BTreeMap` keyed by (value, ¬page-no, term):
 //! footnote 8 notes full ordering is not strictly required, but at
@@ -32,7 +42,7 @@ use super::{OrdF64, ReplacementPolicy};
 use crate::page::Page;
 use ir_types::{IdMap, IdSet, PageId, TermId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Ordering key: ascending value; within equal values evict the highest
 /// page number first (tail before head), then lower term id for
@@ -43,21 +53,25 @@ fn key(id: PageId, value: f64) -> RapKey {
     (OrdF64(value), Reverse(id.page.0), id.term.0)
 }
 
-/// `w_{q,t}` of `term` under `weights`; absent terms weigh `+0.0`.
-fn weight_of(weights: &HashMap<TermId, f64>, term: TermId) -> f64 {
+/// The weight of `term` under `weights`; absent terms weigh `+0.0`.
+fn weight_of(weights: &IdMap<TermId, f64>, term: TermId) -> f64 {
     weights.get(&term).copied().unwrap_or(0.0)
 }
 
 /// RAP replacement.
 ///
-/// Invariant: every resident page of a term **not** in `hinted` is
-/// queued at exactly `w* · w_{q,t}` (bit for bit) under
-/// `query_weights`, so an announcement that leaves a term's weight
-/// bits alone has nothing to do for that term's pages.
+/// Invariants: `effective` holds exactly the terms some context
+/// carries, each at the `total_cmp`-maximum of the weights carried for
+/// it; every resident page of a term **not** in `hinted` is queued at
+/// exactly `w* · eff_t` (bit for bit). So an announcement that leaves a
+/// term's `eff_t` bits alone has nothing to do for that term's pages.
 #[derive(Debug, Default)]
 pub struct Rap {
-    /// `w_{q,t}` of the query being processed; absent terms weigh 0.
-    query_weights: HashMap<TermId, f64>,
+    /// `w_{q_s,t}` of the query each announcer `s` is processing. An
+    /// announcer with no current query has no entry.
+    contexts: IdMap<u32, IdMap<TermId, f64>>,
+    /// `eff_t` of every term some context carries.
+    effective: IdMap<TermId, f64>,
     /// Value-ordered queue of resident pages.
     by_value: BTreeMap<RapKey, PageId>,
     /// Resident pages per term: page number → (`w*_{d,t}`, the value
@@ -65,13 +79,13 @@ pub struct Rap {
     /// does.
     resident: IdMap<TermId, IdMap<u32, (f64, f64)>>,
     /// Resident terms holding a page valued from an admission hint
-    /// rather than from `query_weights`; the next announcement
-    /// re-values them whether or not their weight moved.
+    /// rather than from `effective`; the next announcement re-values
+    /// them whether or not their `eff_t` moved.
     hinted: IdSet<TermId>,
 }
 
 impl Rap {
-    /// Creates the policy with an empty query context (all values 0).
+    /// Creates the policy with no query context (all values 0).
     pub fn new() -> Self {
         Rap::default()
     }
@@ -89,18 +103,34 @@ impl Rap {
     }
 
     /// [`begin_query`](ReplacementPolicy::begin_query), returning how
-    /// many pages it re-keyed: the resident pages of terms whose weight
-    /// bits moved (`-0.0` and NaN payloads count) or that are `hinted`.
-    fn announce(&mut self, weights: &HashMap<TermId, f64>) -> usize {
-        let old = &self.query_weights;
-        let mut changed: Vec<TermId> = self.hinted.drain().collect();
-        changed.extend(
-            weights
-                .keys()
-                .chain(old.keys())
-                .copied()
-                .filter(|&t| weight_of(weights, t).to_bits() != weight_of(old, t).to_bits()),
-        );
+    /// many pages it re-keyed: the resident pages of terms whose
+    /// `eff_t` bits moved (`-0.0` and NaN payloads count) or that are
+    /// `hinted`. Only the terms whose entry in `announcer`'s own
+    /// context moved — weight bits or presence — can have a new
+    /// `eff_t`, so only those are looked at.
+    fn announce(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) -> usize {
+        let context = self.contexts.entry(announcer).or_default();
+        let mut changed: Vec<TermId> = weights
+            .iter()
+            .filter(|&(t, w)| context.get(t).map(|old| old.to_bits()) != Some(w.to_bits()))
+            .map(|(&t, _)| t)
+            .chain(context.keys().copied().filter(|t| !weights.contains_key(t)))
+            .collect();
+        if weights.is_empty() {
+            self.contexts.remove(&announcer);
+        } else {
+            context.clone_from(weights);
+        }
+        changed.retain(|&t| {
+            let carried = self.contexts.values().filter_map(|c| c.get(&t));
+            let eff = carried.copied().max_by(f64::total_cmp);
+            let before = match eff {
+                Some(w) => self.effective.insert(t, w),
+                None => self.effective.remove(&t),
+            };
+            before.unwrap_or(0.0).to_bits() != eff.unwrap_or(0.0).to_bits()
+        });
+        changed.extend(self.hinted.drain());
         changed.sort_unstable();
         changed.dedup();
         let mut rekeyed = 0;
@@ -108,16 +138,15 @@ impl Rap {
             let Some(pages) = self.resident.get_mut(&term) else {
                 continue;
             };
-            let wq = weight_of(weights, term);
+            let eff = weight_of(&self.effective, term);
             for (&page, (max_weight, value)) in pages.iter_mut() {
                 let id = PageId::new(term, page);
                 self.by_value.remove(&key(id, *value));
-                *value = *max_weight * wq;
+                *value = *max_weight * eff;
                 self.by_value.insert(key(id, *value), id);
             }
             rekeyed += pages.len();
         }
-        self.query_weights.clone_from(weights);
         rekeyed
     }
 
@@ -143,15 +172,15 @@ impl ReplacementPolicy for Rap {
         // An announced query is authoritative: the hint is the same
         // `w_{q,t}` the announcement carries, so using the announced
         // weight keeps hinted and unhinted admission identical. The
-        // hint only fills in when the term is absent from the current
-        // query context (e.g. the query was never announced), and only
-        // stands in until the next announcement re-values the term.
-        let value = match (self.query_weights.get(&id.term), value_hint) {
+        // hint only fills in when no announcer carries the term (e.g.
+        // the query was never announced), and only stands in until the
+        // next announcement re-values the term.
+        let value = match (self.effective.get(&id.term), value_hint) {
             (None, Some(hint)) => {
                 self.hinted.insert(id.term);
                 max_weight * hint
             }
-            (wq, _) => max_weight * wq.copied().unwrap_or(0.0),
+            (eff, _) => max_weight * eff.copied().unwrap_or(0.0),
         };
         self.insert_valued(id, max_weight, value);
     }
@@ -183,14 +212,15 @@ impl ReplacementPolicy for Rap {
     }
 
     fn clear(&mut self) {
-        self.query_weights.clear();
+        self.contexts.clear();
+        self.effective.clear();
         self.by_value.clear();
         self.resident.clear();
         self.hinted.clear();
     }
 
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        self.announce(weights);
+    fn begin_query(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) {
+        self.announce(announcer, weights);
     }
 
     fn uses_query_context(&self) -> bool {
@@ -207,18 +237,20 @@ mod tests {
     use crate::observe::{BufferEvent, BufferObserver};
     use crate::policy::PolicyKind;
     use proptest::{proptest, ProptestConfig, TestRng};
+    use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
 
-    fn weights(pairs: &[(u32, f64)]) -> HashMap<TermId, f64> {
+    fn weights(pairs: &[(u32, f64)]) -> IdMap<TermId, f64> {
         pairs.iter().map(|&(t, w)| (TermId(t), w)).collect()
     }
 
     /// The reference the incremental re-key is held to: the same value
-    /// rule over one flat page map, re-keying **every** resident page
-    /// on every announcement.
+    /// rule over one flat page map and a plain `Vec` of contexts
+    /// (indexed by announcer, empty when retired), re-valuing **every**
+    /// resident page from scratch on every announcement.
     #[derive(Debug, Default)]
     struct FullRekeyRap {
-        query_weights: HashMap<TermId, f64>,
+        contexts: Vec<IdMap<TermId, f64>>,
         by_value: BTreeMap<RapKey, PageId>,
         /// Resident page → (`w*`, queued value).
         pages: HashMap<PageId, (f64, f64)>,
@@ -227,6 +259,18 @@ mod tests {
     impl FullRekeyRap {
         fn current_value(&self, id: PageId) -> Option<f64> {
             self.pages.get(&id).map(|e| e.1)
+        }
+
+        /// `eff_t`, if any context carries `term`: the last of the
+        /// carried weights in `total_cmp` order.
+        fn effective(&self, term: TermId) -> Option<f64> {
+            let mut carried: Vec<f64> = self
+                .contexts
+                .iter()
+                .filter_map(|c| c.get(&term).copied())
+                .collect();
+            carried.sort_by(f64::total_cmp);
+            carried.pop()
         }
     }
 
@@ -239,9 +283,9 @@ mod tests {
         }
         fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) {
             let (id, w) = (page.id(), page.max_weight());
-            let value = match (self.query_weights.get(&id.term), value_hint) {
+            let value = match (self.effective(id.term), value_hint) {
                 (None, Some(hint)) => w * hint,
-                (wq, _) => w * wq.copied().unwrap_or(0.0),
+                (eff, _) => w * eff.unwrap_or(0.0),
             };
             if let Some((_, old)) = self.pages.insert(id, (w, value)) {
                 self.by_value.remove(&key(id, old));
@@ -262,13 +306,21 @@ mod tests {
         fn clear(&mut self) {
             *self = FullRekeyRap::default();
         }
-        fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-            self.query_weights = weights.clone();
-            let rekey = |(&id, (w, value)): (&PageId, &mut (f64, f64))| {
-                *value = *w * weight_of(weights, id.term);
-                (key(id, *value), id)
-            };
-            self.by_value = self.pages.iter_mut().map(rekey).collect();
+        fn begin_query(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) {
+            let slot = announcer as usize;
+            if self.contexts.len() <= slot {
+                self.contexts.resize_with(slot + 1, IdMap::default);
+            }
+            self.contexts[slot] = weights.clone();
+            let mut pages = std::mem::take(&mut self.pages);
+            self.by_value = pages
+                .iter_mut()
+                .map(|(&id, (w, value))| {
+                    *value = *w * self.effective(id.term).unwrap_or(0.0);
+                    (key(id, *value), id)
+                })
+                .collect();
+            self.pages = pages;
         }
         fn uses_query_context(&self) -> bool {
             true
@@ -276,13 +328,25 @@ mod tests {
     }
 
     /// The structural half of the work bound: the queue and the index
-    /// track the same pages, no term entry outlives its last page, and
-    /// only resident terms carry the hinted mark.
+    /// track the same pages, no term entry outlives its last page, only
+    /// resident terms carry the hinted mark, no retired announcer keeps
+    /// a context, and `effective` is the carried terms and nothing else.
     fn assert_index_is_tight(p: &Rap) {
         let indexed: usize = p.resident.values().map(IdMap::len).sum();
         assert_eq!(p.by_value.len(), indexed, "queue and index disagree");
         assert!(p.resident.values().all(|pages| !pages.is_empty()));
         assert!(p.hinted.iter().all(|t| p.resident.contains_key(t)));
+        assert!(p.contexts.values().all(|c| !c.is_empty()));
+        let carried: IdSet<TermId> = p
+            .contexts
+            .values()
+            .flat_map(|c| c.keys().copied())
+            .collect();
+        let effective: IdSet<TermId> = p.effective.keys().copied().collect();
+        assert_eq!(
+            effective, carried,
+            "effective weights and contexts disagree"
+        );
     }
 
     const TERMS: u32 = 6;
@@ -292,8 +356,10 @@ mod tests {
     const ALPHABET: [f64; 8] = [0.0, -0.0, 0.5, 1.0, 2.0, 1.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0];
 
     /// Drives [`Rap`] and [`FullRekeyRap`] with one random operation
-    /// stream and asserts they are indistinguishable after every step.
-    fn run_differential(seed: u64, len: usize) {
+    /// stream — announcements drawn from `announcers` sessions, one in
+    /// nine of them empty (retiring) — and asserts they are
+    /// indistinguishable after every step.
+    fn run_differential(seed: u64, len: usize, announcers: u32) {
         let mut rng = TestRng::from_name(&seed.to_string());
         let mut pick = move |n: u32| rng.below(u64::from(n)) as u32;
         let (mut rap, mut oracle) = (Rap::new(), FullRekeyRap::default());
@@ -301,11 +367,22 @@ mod tests {
             let ctx = format!("seed {seed}, step {step}");
             match pick(12) {
                 0..=1 => {
-                    let w: HashMap<TermId, f64> = (0..pick(9))
+                    let who = pick(announcers);
+                    let w: IdMap<TermId, f64> = (0..pick(9))
                         .map(|_| (TermId(pick(TERMS)), ALPHABET[pick(8) as usize]))
                         .collect();
-                    rap.begin_query(&w);
-                    oracle.begin_query(&w);
+                    rap.begin_query(who, &w);
+                    oracle.begin_query(who, &w);
+                    if announcers == 1 {
+                        // One announcer is the single-context rule the
+                        // policy had before it knew about sessions,
+                        // spelled out: every page, hinted or not, at
+                        // `w* · w_{q,t}` of the one current query.
+                        for (id, (w_star, value)) in &oracle.pages {
+                            let old_rule = *w_star * weight_of(&w, id.term);
+                            assert_eq!(value.to_bits(), old_rule.to_bits(), "{ctx}: {id:?}");
+                        }
+                    }
                 }
                 // Inserts, including re-inserts of a resident page with
                 // a changed `w*`, hinted or not, announced term or not.
@@ -365,15 +442,23 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Re-keying only what the announcement changed is
-        /// indistinguishable from re-keying the pool. Fails without the
-        /// hinted mark, and with an `==` weight diff (`-0.0`).
+        /// Re-keying only what one session's announcement changed is
+        /// indistinguishable from re-valuing the pool from every
+        /// session's context. Fails without the hinted mark, with an
+        /// `==` weight diff (`-0.0`), and with a `>` maximum.
         #[test]
         fn incremental_rekey_matches_the_full_rekey(
             seed in proptest::any::<u64>(),
             len in 1usize..400,
         ) {
-            run_differential(seed, len);
+            run_differential(seed, len, 3);
+        }
+    }
+
+    #[test]
+    fn one_announcer_is_the_single_context_policy() {
+        for seed in [15, 193, 2024] {
+            run_differential(seed, 400, 1);
         }
     }
 
@@ -404,7 +489,7 @@ mod tests {
 
     #[test]
     fn refinement_over_a_full_pool_evicts_as_the_full_rekey_does() {
-        let query = |terms: std::ops::Range<u32>| -> HashMap<TermId, f64> {
+        let query = |terms: std::ops::Range<u32>| -> IdMap<TermId, f64> {
             terms.map(|t| (TermId(t), 0.5 + f64::from(t % 7))).collect()
         };
         let run = |policy: Box<dyn ReplacementPolicy>| {
@@ -451,19 +536,19 @@ mod tests {
     fn announcing_the_same_weights_rekeys_nothing() {
         let mut p = loaded();
         let q = weights(&[(0, 1.0), (1, 2.0), (9, 4.0)]);
-        assert_eq!(p.announce(&q), 6, "terms 0 and 1; term 9 has no pages");
-        assert_eq!(p.announce(&q), 0);
+        assert_eq!(p.announce(0, &q), 6, "terms 0 and 1; term 9 has no pages");
+        assert_eq!(p.announce(0, &q), 0);
         // An explicit +0.0 is the weight an absent term already has …
-        assert_eq!(p.announce(&weights(&[(0, 1.0), (1, 2.0), (2, 0.0)])), 0);
+        assert_eq!(p.announce(0, &weights(&[(0, 1.0), (1, 2.0), (2, 0.0)])), 0);
         // … and -0.0 is not.
-        assert_eq!(p.announce(&weights(&[(0, 1.0), (1, 2.0), (2, -0.0)])), 3);
+        assert_eq!(p.announce(0, &weights(&[(0, 1.0), (1, 2.0), (2, -0.0)])), 3);
     }
 
     #[test]
     fn adding_a_term_rekeys_only_its_pages() {
         let mut p = loaded();
-        p.announce(&weights(&[(0, 1.0), (1, 2.0)]));
-        assert_eq!(p.announce(&weights(&[(0, 1.0), (1, 2.0), (3, 5.0)])), 3);
+        p.announce(0, &weights(&[(0, 1.0), (1, 2.0)]));
+        assert_eq!(p.announce(0, &weights(&[(0, 1.0), (1, 2.0), (3, 5.0)])), 3);
         assert_eq!(p.current_value(PageId::new(TermId(3), 0)), Some(15.0));
         assert_eq!(p.current_value(PageId::new(TermId(1), 0)), Some(6.0));
     }
@@ -471,8 +556,8 @@ mod tests {
     #[test]
     fn dropping_a_term_rekeys_only_its_pages_and_they_go_first() {
         let mut p = loaded();
-        p.announce(&weights(&[(0, 1.0), (1, 2.0), (2, 1.0), (3, 1.0)]));
-        assert_eq!(p.announce(&weights(&[(0, 1.0), (2, 1.0), (3, 1.0)])), 3);
+        p.announce(0, &weights(&[(0, 1.0), (1, 2.0), (2, 1.0), (3, 1.0)]));
+        assert_eq!(p.announce(0, &weights(&[(0, 1.0), (2, 1.0), (3, 1.0)])), 3);
         let first: Vec<PageId> = (0..3).filter_map(|_| p.choose_victim()).collect();
         let tail_first: Vec<PageId> = (0..3).rev().map(|pg| PageId::new(TermId(1), pg)).collect();
         assert_eq!(first, tail_first);
@@ -481,8 +566,8 @@ mod tests {
     #[test]
     fn reweighting_a_term_keeps_its_pages_in_order() {
         let mut p = loaded();
-        p.announce(&weights(&[(2, 0.5)]));
-        assert_eq!(p.announce(&weights(&[(2, 4.0)])), 3);
+        p.announce(0, &weights(&[(2, 0.5)]));
+        assert_eq!(p.announce(0, &weights(&[(2, 4.0)])), 3);
         for pg in 0..3 {
             let id = PageId::new(TermId(2), pg);
             assert_eq!(p.current_value(id), Some(f64::from(3 - pg) * 4.0));
@@ -504,14 +589,46 @@ mod tests {
     #[test]
     fn a_hinted_term_is_revalued_even_when_its_weight_did_not_move() {
         let mut p = Rap::new();
-        p.announce(&weights(&[(0, 1.0)]));
+        p.announce(0, &weights(&[(0, 1.0)]));
         let foreign = page(1, 0, 5, 1.0); // another session's page
         p.on_insert_hinted(&foreign, Some(2.0));
         assert_eq!(p.current_value(foreign.id()), Some(10.0));
         // Term 1 is absent before and after: only the mark re-keys it.
-        assert_eq!(p.announce(&weights(&[(0, 1.0)])), 1);
+        assert_eq!(p.announce(0, &weights(&[(0, 1.0)])), 1);
         assert_eq!(p.current_value(foreign.id()), Some(0.0));
-        assert_eq!(p.announce(&weights(&[(0, 1.0)])), 0, "the mark is spent");
+        assert_eq!(p.announce(0, &weights(&[(0, 1.0)])), 0, "the mark is spent");
+    }
+
+    #[test]
+    fn a_term_is_worth_the_highest_weight_any_session_gives_it() {
+        let mut p = loaded();
+        p.announce(0, &weights(&[(0, 1.0), (1, 2.0)]));
+        // Session 1 shares term 1 at a lower weight and brings term 2:
+        // only term 2's pages move, and nothing of session 0's falls.
+        assert_eq!(p.announce(1, &weights(&[(1, 0.5), (2, 3.0)])), 3);
+        assert_eq!(p.current_value(PageId::new(TermId(0), 0)), Some(3.0));
+        assert_eq!(p.current_value(PageId::new(TermId(1), 0)), Some(6.0));
+        assert_eq!(p.current_value(PageId::new(TermId(2), 0)), Some(9.0));
+        // Session 0 drops term 1: it falls to session 1's weight, not
+        // to zero.
+        assert_eq!(p.announce(0, &weights(&[(0, 1.0)])), 3);
+        assert_eq!(p.current_value(PageId::new(TermId(1), 0)), Some(1.5));
+        // Re-announcing under another id is another session.
+        assert_eq!(p.announce(2, &weights(&[(0, 1.0)])), 0);
+    }
+
+    #[test]
+    fn an_empty_announcement_retires_the_session() {
+        let mut p = loaded();
+        p.announce(0, &weights(&[(0, 1.0)]));
+        p.announce(1, &weights(&[(0, 4.0), (1, 1.0)]));
+        assert_eq!(p.current_value(PageId::new(TermId(0), 0)), Some(12.0));
+        assert_eq!(p.announce(1, &weights(&[])), 6, "terms 0 and 1");
+        assert!(!p.contexts.contains_key(&1));
+        assert_eq!(p.current_value(PageId::new(TermId(0), 0)), Some(3.0));
+        assert_eq!(p.current_value(PageId::new(TermId(1), 0)), Some(0.0));
+        assert_eq!(p.announce(1, &weights(&[])), 0, "nothing left to retire");
+        assert_index_is_tight(&p);
     }
 
     #[test]
@@ -523,7 +640,7 @@ mod tests {
         let tail = page(0, 3, 2, 2.0);
         p.on_insert(&head);
         p.on_insert(&tail);
-        p.begin_query(&weights(&[(0, 1.0)]));
+        p.begin_query(0, &weights(&[(0, 1.0)]));
         assert_eq!(p.choose_victim(), Some(tail.id()));
         assert_eq!(p.choose_victim(), Some(head.id()));
     }
@@ -535,7 +652,7 @@ mod tests {
         let dropped_head = page(1, 0, 100, 10.0); // huge w*, not in query
         p.on_insert(&kept);
         p.on_insert(&dropped_head);
-        p.begin_query(&weights(&[(0, 0.5)]));
+        p.begin_query(0, &weights(&[(0, 0.5)]));
         assert_eq!(
             p.choose_victim(),
             Some(dropped_head.id()),
@@ -551,7 +668,7 @@ mod tests {
         let tail = page(0, 7, 5, 1.0);
         p.on_insert(&head);
         p.on_insert(&tail);
-        p.begin_query(&weights(&[(0, 1.0)]));
+        p.begin_query(0, &weights(&[(0, 1.0)]));
         assert_eq!(p.choose_victim(), Some(tail.id()));
         // Also holds for the all-zero no-query state.
         let mut q = Rap::new();
@@ -567,11 +684,11 @@ mod tests {
         let b = page(1, 0, 3, 1.0); // w* = 3
         p.on_insert(&a);
         p.on_insert(&b);
-        p.begin_query(&weights(&[(0, 1.0), (1, 1.0)]));
+        p.begin_query(0, &weights(&[(0, 1.0), (1, 1.0)]));
         assert_eq!(p.current_value(a.id()), Some(5.0));
         assert_eq!(p.current_value(b.id()), Some(3.0));
         // Refinement drops term 0 and boosts term 1.
-        p.begin_query(&weights(&[(1, 10.0)]));
+        p.begin_query(0, &weights(&[(1, 10.0)]));
         assert_eq!(p.current_value(a.id()), Some(0.0));
         assert_eq!(p.current_value(b.id()), Some(30.0));
         assert_eq!(p.choose_victim(), Some(a.id()));
@@ -584,7 +701,7 @@ mod tests {
         let b = page(0, 1, 1, 1.0);
         p.on_insert(&a);
         p.on_insert(&b);
-        p.begin_query(&weights(&[(0, 1.0)]));
+        p.begin_query(0, &weights(&[(0, 1.0)]));
         for _ in 0..5 {
             p.on_hit(&b);
         }
@@ -598,7 +715,7 @@ mod tests {
     #[test]
     fn double_insert_leaves_no_stale_queue_entry() {
         let mut p = Rap::new();
-        p.begin_query(&weights(&[(0, 1.0)]));
+        p.begin_query(0, &weights(&[(0, 1.0)]));
         // Same page re-inserted with a different max weight (e.g. the
         // page image was rebuilt): the old key must leave the queue.
         let v1 = page(0, 0, 2, 1.0); // w* = 2
@@ -635,7 +752,7 @@ mod tests {
     #[test]
     fn announced_query_overrides_the_hint() {
         let mut p = Rap::new();
-        p.begin_query(&weights(&[(0, 2.0)]));
+        p.begin_query(0, &weights(&[(0, 2.0)]));
         let a = page(0, 0, 3, 1.0); // w* = 3, announced w_q = 2
                                     // A (stale) hint of 9.9 must lose to the announced weight.
         p.on_insert_hinted(&a, Some(9.9));
@@ -644,7 +761,7 @@ mod tests {
         // value.
         let b = page(1, 0, 5, 1.0);
         p.on_insert_hinted(&b, Some(1.0)); // hinted to 5
-        p.begin_query(&weights(&[(1, 3.0)]));
+        p.begin_query(0, &weights(&[(1, 3.0)]));
         assert_eq!(p.current_value(b.id()), Some(15.0));
     }
 
@@ -659,7 +776,8 @@ mod tests {
         assert!(p.hinted.contains(&TermId(0)));
         p.clear();
         assert_eq!(p.choose_victim(), None);
-        assert!(p.query_weights.is_empty() && p.resident.is_empty() && p.hinted.is_empty());
+        assert!(p.contexts.is_empty() && p.effective.is_empty());
+        assert!(p.resident.is_empty() && p.hinted.is_empty());
     }
 
     #[test]

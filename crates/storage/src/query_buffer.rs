@@ -10,8 +10,7 @@
 
 use crate::buffer::FetchOutcome;
 use crate::page::Page;
-use ir_types::{IrResult, PageId, ReadPlan, TermId};
-use std::collections::HashMap;
+use ir_types::{IdMap, IrResult, PageId, ReadPlan, TermId};
 
 /// What query evaluation needs from a buffer pool, and all of it: fetch
 /// a list prefix, ask `b_t`, announce `w_{q,t}` — three methods.
@@ -45,8 +44,10 @@ pub trait QueryBuffer {
     /// locks, however many terms are asked about.
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32>;
 
-    /// Announces the term weights `w_{q,t}` of the query about to run.
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>);
+    /// Announces the term weights `w_{q,t}` of the query this caller
+    /// is about to run. A pool that several sessions share tells them
+    /// apart by the handle they call through.
+    fn begin_query(&mut self, weights: &IdMap<TermId, f64>);
 }
 
 /// The convenience forms of a fetch, each written once over

@@ -52,7 +52,16 @@
 //! * **`P = 1` is the reference pool.** A one-shard pool's event log,
 //!   metrics and store traffic are identical, fetch for fetch after a
 //!   [`quiesce`], to a bare [`BufferManager`]'s (a property test pins
-//!   this for all nine policy kinds, with and without fault injection).
+//!   this for all eight policy kinds, with and without fault injection).
+//! * **A handle is a session.** Every handle to the pool — the one
+//!   [`new`] returns, and each [`Clone`] of it — announces under its
+//!   own id, and a query-aware policy (RAP) values a page by the
+//!   highest weight any handle's *current* query gives its term: one
+//!   session's [`begin_query`] replaces only that session's previous
+//!   announcement and cannot zero the pages another session is still
+//!   using. Dropping a handle retires its announcement. Handles that
+//!   never announce — every handle of an LRU pool, a monitoring clone
+//!   that only reads counters — cost nothing.
 //! * **Striped replacement (deliberate deviation).** Each shard evicts
 //!   its own local minimum, so a query-aware policy such as RAP keeps
 //!   a *striped* value index rather than the paper's single global
@@ -68,6 +77,7 @@
 //!   `sharded.batch_splits` counts the plans that were cut at all.
 //!
 //! [`begin_query`]: QueryBuffer::begin_query
+//! [`new`]: ShardedBufferPool::new
 //! [`quiesce`]: ShardedBufferPool::quiesce
 //! [`with_chunk_pages`]: ShardedBufferPool::with_chunk_pages
 
@@ -79,10 +89,9 @@ use crate::query_buffer::QueryBuffer;
 use crate::stats::{BufferMetrics, BufferStats};
 use ir_observe::{Counter, Histogram, MetricsSnapshot, Registry};
 use ir_types::idmap::splitmix64;
-use ir_types::{IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
+use ir_types::{IdMap, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -217,8 +226,10 @@ impl<S: PageStore> Shard<S> {
 
 /// A buffer pool of `total_frames` frames striped across `P` shards by
 /// term-chunk hash, each shard an independent [`BufferManager`] behind
-/// its own mutex. Cloning yields another handle to the same pool, so N
-/// session threads each hold a clone.
+/// its own mutex. Cloning yields another handle to the same pool —
+/// another *session*, announcing its queries under an id of its own —
+/// so N session threads each hold a clone; dropping a handle retires
+/// what it announced.
 #[derive(Debug)]
 pub struct ShardedBufferPool<S: PageStore> {
     shards: Arc<[Shard<S>]>,
@@ -232,9 +243,17 @@ pub struct ShardedBufferPool<S: PageStore> {
     /// `false`, query announcements skip all `P` shard locks.
     uses_query_context: bool,
     metrics: ShardMetrics,
+    /// The id this handle announces under; no other handle has it.
+    announcer: u32,
+    /// The id the next clone takes, shared by every handle.
+    next_announcer: Arc<AtomicU32>,
+    /// Whether the shards hold a query context of this handle's.
+    announced: bool,
 }
 
 impl<S: PageStore> Clone for ShardedBufferPool<S> {
+    /// Another handle to the same pool, with an announcer id of its
+    /// own and nothing announced yet.
     fn clone(&self) -> Self {
         ShardedBufferPool {
             shards: Arc::clone(&self.shards),
@@ -242,6 +261,21 @@ impl<S: PageStore> Clone for ShardedBufferPool<S> {
             chunk_pages: self.chunk_pages,
             uses_query_context: self.uses_query_context,
             metrics: self.metrics.clone(),
+            // Relaxed: the counter hands out distinct numbers and
+            // publishes nothing else.
+            announcer: self.next_announcer.fetch_add(1, Ordering::Relaxed),
+            next_announcer: Arc::clone(&self.next_announcer),
+            announced: false,
+        }
+    }
+}
+
+impl<S: PageStore> Drop for ShardedBufferPool<S> {
+    /// Retires this handle's announcement, so the pages only its last
+    /// query valued fall to 0 in every shard.
+    fn drop(&mut self) {
+        if self.announced {
+            self.begin_query(&IdMap::default());
         }
     }
 }
@@ -322,6 +356,9 @@ impl<S: PageStore> ShardedBufferPool<S> {
             chunk_pages,
             uses_query_context,
             metrics: ShardMetrics::new(),
+            announcer: 0,
+            next_announcer: Arc::new(AtomicU32::new(1)),
+            announced: false,
         })
     }
 
@@ -663,20 +700,22 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
         totals
     }
 
-    /// Announces the query's term weights to **every** shard, so each
-    /// shard's policy re-values its own residents of the terms whose
-    /// weight changed — the striped equivalent of the paper's global RAP
-    /// re-valuation, holding each shard's lock only for that. For policies
-    /// that ignore query context (everything but RAP) the announcement
-    /// is a no-op per shard, so it is skipped without taking a single
-    /// lock.
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
+    /// Announces this handle's query to **every** shard, in place of
+    /// whatever the handle announced before, so each shard's policy
+    /// re-values its own residents of the terms whose weight changed —
+    /// the striped equivalent of the paper's global RAP re-valuation,
+    /// holding each shard's lock only for that. Other handles'
+    /// announcements stand. For policies that ignore query context
+    /// (everything but RAP) the announcement is a no-op per shard, so
+    /// it is skipped without taking a single lock.
+    fn begin_query(&mut self, weights: &IdMap<TermId, f64>) {
         if !self.uses_query_context {
             return;
         }
         for s in 0..self.shards.len() {
-            self.lock(s).begin_query(weights);
+            self.lock(s).begin_query_as(self.announcer, weights);
         }
+        self.announced = !weights.is_empty();
     }
 }
 
@@ -737,9 +776,14 @@ mod tests {
         assert_eq!(pool.capacity(), 7, "quotas must sum to the total");
     }
 
+    /// `w_{q,t} = w` for the one term `t`.
+    fn one_term(t: u32, w: f64) -> IdMap<TermId, f64> {
+        [(TermId(t), w)].into_iter().collect()
+    }
+
     #[test]
     fn clones_are_handles_to_one_pool() {
-        let mut a = ShardedBufferPool::new(store(1, 4), 4, PolicyKind::Lru, 1).unwrap();
+        let mut a = ShardedBufferPool::new(store(3, 4), 4, PolicyKind::Rap, 1).unwrap();
         let mut b = a.clone();
         a.fetch(pid(0, 0)).unwrap();
         b.fetch(pid(0, 0)).unwrap(); // hit via the other handle
@@ -747,6 +791,37 @@ mod tests {
         assert_eq!((s.requests, s.hits, s.misses), (2, 1, 1));
         assert_eq!(a.len(), 1);
         assert_eq!(b.resident_pages(TermId(0)), 1);
+        // One pool, two sessions: `b`'s announcement stands beside
+        // `a`'s instead of replacing it, so the victim is the cheapest
+        // page of the two queries (3 · 0.1) — not `a`'s tail, which a
+        // pool that knew only the last announcement would value at 0.
+        assert_ne!(a.announcer, b.announcer);
+        a.begin_query(&one_term(0, 1.0));
+        b.begin_query(&one_term(1, 0.1));
+        for id in [pid(0, 1), pid(1, 0), pid(1, 1), pid(2, 0)] {
+            b.fetch(id).unwrap();
+        }
+        assert!(!a.with_shard(0, |bm| bm.is_resident(pid(1, 1))));
+        assert_eq!(a.resident_pages(TermId(0)), 2);
+    }
+
+    #[test]
+    fn a_dropped_handles_terms_go_first() {
+        let mut a = ShardedBufferPool::new(store(2, 4), 4, PolicyKind::Rap, 1).unwrap();
+        let mut b = a.clone();
+        a.begin_query(&one_term(0, 0.1));
+        b.begin_query(&one_term(1, 1.0));
+        for p in 0..2 {
+            a.fetch(pid(0, p)).unwrap();
+            b.fetch(pid(1, p)).unwrap();
+        }
+        // While `b` lives its pages are the valuable ones (4, 3 against
+        // 0.4, 0.3); once it is gone they are worth nothing, and the
+        // next eviction takes its tail.
+        drop(b);
+        a.fetch(pid(0, 2)).unwrap();
+        assert!(!a.with_shard(0, |bm| bm.is_resident(pid(1, 1))));
+        assert_eq!(a.resident_pages(TermId(0)), 3);
     }
 
     #[test]
@@ -844,41 +919,31 @@ mod tests {
 
     #[test]
     fn striped_rap_announcement_reaches_every_shard() {
-        let mut pool = ShardedBufferPool::new(store(2, 4), 8, PolicyKind::Rap, 2).unwrap();
-        let w: HashMap<TermId, f64> = [(TermId(0), 1.0)].into_iter().collect();
-        pool.begin_query(&w);
+        // 6 frames over 2 shards, 16 pages wanted: both shards evict.
+        let mut pool = ShardedBufferPool::new(store(2, 8), 6, PolicyKind::Rap, 2).unwrap();
+        // Announced through one handle, fetched through another: the
+        // announcement lives in the shards, under the handle's id.
+        let mut session = pool.clone();
+        session.begin_query(&one_term(0, 1.0));
         for p in 0..4 {
-            pool.fetch(pid(0, p)).unwrap(); // valued by the announcement
-            pool.fetch(pid(1, p)).unwrap(); // term 1 absent: value 0
+            pool.fetch(pid(0, p)).unwrap();
         }
-        // Force evictions in both shards: term-1 (zero-valued) pages
-        // must go first within each shard.
+        for p in 0..4 {
+            pool.fetch(pid(1, p)).unwrap();
+        }
+        for p in 4..8 {
+            pool.fetch(pid(0, p)).unwrap();
+        }
+        // Zero-valued term-1 pages are the preferred victims in every
+        // shard, so term 0 keeps more residents than term 1.
+        assert!(pool.resident_pages(TermId(0)) > pool.resident_pages(TermId(1)));
         for shard in 0..2 {
             pool.with_shard(shard, |bm| {
                 let t0 = bm.resident_pages(TermId(0));
                 let t1 = bm.resident_pages(TermId(1));
-                assert_eq!(u64::from(t0 + t1), bm.len() as u64);
+                assert_eq!((t0 + t1) as usize, bm.len());
             });
         }
-        let before_t0 = pool.resident_pages(TermId(0));
-        // 8 frames hold all 8 pages; fetch 4 more term-0 pages of a
-        // bigger store to create pressure.
-        let s2 = store(2, 8);
-        let mut pool2 = ShardedBufferPool::new(s2, 6, PolicyKind::Rap, 2).unwrap();
-        pool2.begin_query(&w);
-        for p in 0..4 {
-            pool2.fetch(pid(0, p)).unwrap();
-        }
-        for p in 0..4 {
-            pool2.fetch(pid(1, p)).unwrap();
-        }
-        for p in 4..8 {
-            pool2.fetch(pid(0, p)).unwrap();
-        }
-        // Zero-valued term-1 pages are the preferred victims in every
-        // shard, so term 0 keeps more residents than term 1.
-        assert!(pool2.resident_pages(TermId(0)) > pool2.resident_pages(TermId(1)));
-        let _ = before_t0;
     }
 
     #[test]

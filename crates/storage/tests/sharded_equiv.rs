@@ -6,6 +6,11 @@
 //!   resident set, same `b_t` counters — under every policy, with and
 //!   without seeded transient faults. This is what lets the engine
 //!   swap the pool in without disturbing any golden CSV.
+//! * **K handles ≡ the merged map** — K handles to a one-shard pool,
+//!   each announcing its own queries, leave the pool exactly where a
+//!   `BufferManager` is left by one announcer that is told the per-term
+//!   maximum over the K current queries: the registry the session
+//!   server used to keep above the pool, kept here as the oracle.
 //! * **One plan ≡ page-at-a-time, on P > 1 too** — a multi-shard pool
 //!   serves a plan strictly in plan order, so a whole-stream plan and
 //!   the same stream as one-entry plans are indistinguishable from
@@ -30,9 +35,8 @@ use ir_storage::{
     FaultStats, FaultStore, FetchOutcome, FetchPolicy, Page, PageStore, PolicyKind, QueryBuffer,
     QueryBufferExt, ShardedBufferPool,
 };
-use ir_types::{PageId, PlanEntry, Posting, ReadPlan, TermId};
+use ir_types::{IdMap, PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// An observer whose log outlives the pool, so a test can tally events
@@ -67,29 +71,68 @@ fn store() -> DiskSim {
 /// shape, `(t, p)` the page.
 type Op = (u32, u32, u8);
 
-/// Drives the one-shard pool and the reference manager with the same
-/// interleaving of plain fetches, traced fetches, multi-page plans and
-/// RAP announcements, then asserts they are indistinguishable.
+/// The query history as the session server kept it above the pool
+/// before the policy held one context per announcer: records `user`'s
+/// current query weights and returns the per-term max over every
+/// user's current query.
+fn merge_weights(
+    registry: &mut [IdMap<TermId, f64>],
+    user: usize,
+    weights: IdMap<TermId, f64>,
+) -> IdMap<TermId, f64> {
+    registry[user] = weights;
+    let mut merged: IdMap<TermId, f64> = IdMap::default();
+    for per_user in registry.iter() {
+        for (&t, &w) in per_user {
+            let e = merged.entry(t).or_insert(w);
+            if w > *e {
+                *e = w;
+            }
+        }
+    }
+    merged
+}
+
+/// Drives `handles` handles to the one-shard pool, taking turns op by
+/// op, and the reference manager with the same interleaving of plain
+/// fetches, traced fetches, multi-page plans and RAP announcements —
+/// each handle announcing its own query, the manager's one announcer
+/// the [`merge_weights`] of them — then asserts the two pools are
+/// indistinguishable.
 fn assert_one_shard_matches_manager<S: PageStore>(
-    mut pool: ShardedBufferPool<S>,
+    pool: ShardedBufferPool<S>,
     mut reference: BufferManager<Arc<S>>,
     ops: &[Op],
     kind: PolicyKind,
+    handles: usize,
 ) {
     let pool_log = SharedLog::default();
     pool.with_shard(0, |bm| bm.set_observer(Box::new(pool_log.clone())));
     let ref_log = SharedLog::default();
     reference.set_observer(Box::new(ref_log.clone()));
+    let mut sessions = vec![pool];
+    for _ in 1..handles {
+        sessions.push(sessions[0].clone());
+    }
+    let mut registry = vec![IdMap::default(); handles];
 
-    for (t, p, action) in ops {
+    for (i, (t, p, action)) in ops.iter().enumerate() {
         let id = PageId::new(TermId(*t), *p);
+        let user = i % handles;
+        let pool = &mut sessions[user];
         match action % 4 {
             0 => {
-                // RAP announcement: same weights to both sides.
-                let weights: HashMap<TermId, f64> =
-                    [(TermId(*t), f64::from(*p + 1))].into_iter().collect();
+                // RAP announcement — no, one or two terms, by the
+                // action's upper bits.
+                let mut weights: IdMap<TermId, f64> = IdMap::default();
+                if action & 4 == 0 {
+                    weights.insert(TermId(*t), f64::from(*p + 1));
+                }
+                if action & 8 == 0 {
+                    weights.insert(TermId((*t + 1) % N_TERMS), 2.5);
+                }
                 pool.begin_query(&weights);
-                reference.begin_query(&weights);
+                reference.begin_query(&merge_weights(&mut registry, user, weights));
             }
             1 => {
                 let (pa, ha) = pool
@@ -129,6 +172,7 @@ fn assert_one_shard_matches_manager<S: PageStore>(
     // The lock-light hit path defers policy touches and Hit events;
     // replay them in serve order before comparing against the
     // reference, exactly as any exclusive operation would.
+    let pool = &sessions[0];
     pool.quiesce();
     assert_eq!(
         *pool_log.0.lock().unwrap(),
@@ -207,14 +251,32 @@ proptest! {
                 let twin = Arc::new(FaultStore::new(store(), cfg));
                 let mut reference = BufferManager::new(twin, capacity, kind).unwrap();
                 reference.set_fetch_policy(FetchPolicy::retries(cap));
-                assert_one_shard_matches_manager(pool, reference, &ops, kind);
+                assert_one_shard_matches_manager(pool, reference, &ops, kind, 1);
             } else {
                 let pool =
                     ShardedBufferPool::new(Arc::new(store()), capacity, kind, 1).unwrap();
                 let reference =
                     BufferManager::new(Arc::new(store()), capacity, kind).unwrap();
-                assert_one_shard_matches_manager(pool, reference, &ops, kind);
+                assert_one_shard_matches_manager(pool, reference, &ops, kind, 1);
             }
+        }
+    }
+
+    /// Sessions in the policy ≡ the registry above the pool: three
+    /// handles announcing for themselves against one announcer told
+    /// the merged map, for the two policy kinds that listen.
+    #[test]
+    fn k_handles_match_a_manager_announced_the_merged_map(
+        capacity in 2usize..10,
+        ops in collection::vec(
+            (0u32..N_TERMS, 0u32..PAGES_PER_TERM, proptest::any::<u8>()),
+            150..400,
+        ),
+    ) {
+        for kind in [PolicyKind::Rap, PolicyKind::Adaptive] {
+            let pool = ShardedBufferPool::new(Arc::new(store()), capacity, kind, 1).unwrap();
+            let reference = BufferManager::new(Arc::new(store()), capacity, kind).unwrap();
+            assert_one_shard_matches_manager(pool, reference, &ops, kind, 3);
         }
     }
 }
@@ -255,7 +317,7 @@ fn drive_four_shards(
             log
         })
         .collect();
-    let weights: HashMap<TermId, f64> = [(TermId(0), 2.0), (TermId(1), 0.5)].into_iter().collect();
+    let weights: IdMap<TermId, f64> = [(TermId(0), 2.0), (TermId(1), 0.5)].into_iter().collect();
     pool.begin_query(&weights);
     let mut outcomes = Vec::new();
     for plan in plans {
@@ -341,7 +403,7 @@ fn assert_mixture_matches_expert<S: PageStore>(
         let id = PageId::new(TermId(*t), *p);
         match action % 4 {
             0 => {
-                let weights: HashMap<TermId, f64> =
+                let weights: IdMap<TermId, f64> =
                     [(TermId(*t), f64::from(*p + 1))].into_iter().collect();
                 mixture.begin_query(&weights);
                 reference.begin_query(&weights);
@@ -622,7 +684,7 @@ fn concurrent_stress_keeps_shard_accounting_exact() {
                             pool.fetch_batch(&plan).unwrap();
                         }
                         1 => {
-                            let weights: HashMap<TermId, f64> =
+                            let weights: IdMap<TermId, f64> =
                                 [(TermId(t), 1.0)].into_iter().collect();
                             pool.begin_query(&weights);
                         }

@@ -250,7 +250,6 @@ proptest! {
             params: FilterParams::OFF,
             top_n: 10,
             baf_force_first_page: false,
-            announce_query: true,
         };
         let mut b1 = index.make_buffer(capacity, policy).unwrap();
         let df = evaluate(Algorithm::Df, &index, &mut b1, &query, opts).unwrap();
