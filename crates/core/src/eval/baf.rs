@@ -6,11 +6,22 @@
 //!
 //! * `p_t` comes from the memory-resident conversion table, looked up
 //!   at the term's would-be `f_add`;
-//! * `b_t` comes from the buffer manager and is re-queried for every
-//!   unmarked term in every round (up to `T(T+1)/2` inquiries);
-//! * the `(f_add, p_t)` arrays are cached and recomputed **only when
-//!   `S_max` changed** since the previous round;
-//! * ties in `d_t` break toward higher `idf_t`.
+//! * `b_t` comes from the buffer manager — asked for every unmarked
+//!   term in the first round and again after every round in which this
+//!   query read a page. A round of hits changes no residency, so the
+//!   previous answers still stand: "up to `T(T+1)/2` inquiries" is the
+//!   cold query's count, a warm refinement step asks about `T`;
+//! * a term's `(f_add, p_t)` is cached and recomputed **only when
+//!   `S_max` changed** since that term's own last refresh, and only
+//!   when the round looks at the term;
+//! * ties in `d_t` break toward higher `idf_t` (then the lower term
+//!   id): the unmarked terms are kept in that order, so the first term
+//!   with the least `d_t` is Fig. 2's pick and a round stops looking at
+//!   the first `d_t = 0` — nothing after it can win.
+//!
+//! The pick, its `d_t` and everything the scan then does are those of
+//! the round that re-asks and recomputes everything every time (kept as
+//! the test oracle below); only the work to find the pick differs.
 
 use super::scan::{scan_term, with_fetched};
 use super::EvalOptions;
@@ -21,7 +32,7 @@ use crate::stats::{EvalStats, QueryResult, TermTraceRow};
 use ir_index::InvertedIndex;
 use ir_observe::SpanKind;
 use ir_storage::{FetchOutcome, QueryBuffer};
-use ir_types::{IrResult, ListOrdering, PageId, ReadPlan, TermId};
+use ir_types::{FilterParams, IrResult, ListOrdering, PageId, ReadPlan, TermId};
 
 /// The §3.2.2 safety fix for a term the `f_max` skip would ignore
 /// outright: touch its first page anyway, so a newly added term is
@@ -44,6 +55,111 @@ fn touch_first_page<B: QueryBuffer>(
     Ok(())
 }
 
+/// An unmarked term and what is known about it.
+struct Candidate<'q> {
+    term: &'q QueryTerm,
+    /// `(f_add, p_t)` as of `S_max = fresh_at` (NaN: never computed).
+    f_add: f64,
+    p_t: u32,
+    fresh_at: f64,
+    /// `b_t` as last asked.
+    b_t: u32,
+}
+
+/// Fig. 2's tie-break among equal `d_t`: higher `idf_t` first, then
+/// the lower term id.
+fn tie_break(a: &QueryTerm, b: &QueryTerm) -> std::cmp::Ordering {
+    let by_idf = b.idf.partial_cmp(&a.idf).expect("idf is a number");
+    by_idf.then(a.term.cmp(&b.term))
+}
+
+/// What a selection round settled on.
+struct Pick<'q> {
+    /// The term, with `(f_add, p_t)` fresh at the round's `S_max`.
+    chosen: Candidate<'q>,
+    /// Its `d_t`.
+    est_reads: u32,
+    /// Terms whose `b_t` the round asked for.
+    inquired: usize,
+}
+
+/// Steps 3a-i–iv of Fig. 2, paying only for what can change the pick.
+struct Selection<'q> {
+    index: &'q InvertedIndex,
+    params: FilterParams,
+    /// The unmarked terms, `idf` descending then term id ascending.
+    live: Vec<Candidate<'q>>,
+}
+
+impl<'q> Selection<'q> {
+    fn new(index: &'q InvertedIndex, terms: &'q [QueryTerm], params: FilterParams) -> Self {
+        let unknown = |term| Candidate {
+            term,
+            f_add: 0.0,
+            p_t: 0,
+            fresh_at: f64::NAN,
+            b_t: 0,
+        };
+        let mut live: Vec<Candidate> = terms.iter().map(unknown).collect();
+        live.sort_by(|a, b| tie_break(a.term, b.term));
+        Selection {
+            index,
+            params,
+            live,
+        }
+    }
+
+    /// Picks and unmarks the term with the least `d_t` under `s_max`.
+    /// `read_since` says whether the query read a page since the last
+    /// pick (`true` for the first), i.e. whether residency can have
+    /// moved under the `b_t` answers held.
+    fn pick<B: QueryBuffer>(
+        &mut self,
+        buffer: &B,
+        s_max: f64,
+        read_since: bool,
+        stats: &mut EvalStats,
+    ) -> IrResult<Pick<'q>> {
+        let mut inquired = 0;
+        if read_since {
+            // One batched inquiry: against a sharded pool a per-term
+            // call locks every shard, `resident_pages_many` takes one
+            // pass for the whole candidate set. Each term asked about
+            // still counts as one inquiry.
+            let ids: Vec<TermId> = self.live.iter().map(|c| c.term.term).collect();
+            let b_ts = buffer.resident_pages_many(&ids);
+            for (c, b_t) in self.live.iter_mut().zip(b_ts) {
+                c.b_t = b_t;
+            }
+            inquired = self.live.len();
+            stats.bt_inquiries += inquired as u64;
+        }
+        let mut best: Option<(usize, u32)> = None;
+        for (at, c) in self.live.iter_mut().enumerate() {
+            if c.fresh_at != s_max {
+                let t = c.term;
+                c.f_add = self.params.f_add(s_max, t.query_freq, t.idf);
+                c.p_t = self.index.conversion().pages_to_process(t.term, c.f_add)?;
+                c.fresh_at = s_max;
+                stats.threshold_recomputes += 1;
+            }
+            let d_t = c.p_t.saturating_sub(c.b_t);
+            if best.is_none_or(|(_, least)| d_t < least) {
+                best = Some((at, d_t));
+                if d_t == 0 {
+                    break;
+                }
+            }
+        }
+        let (at, est_reads) = best.expect("an unmarked term exists in every round");
+        Ok(Pick {
+            chosen: self.live.remove(at),
+            est_reads,
+            inquired,
+        })
+    }
+}
+
 /// Runs BAF.
 pub fn evaluate_baf<B: QueryBuffer>(
     index: &InvertedIndex,
@@ -52,31 +168,34 @@ pub fn evaluate_baf<B: QueryBuffer>(
     options: EvalOptions,
 ) -> IrResult<QueryResult> {
     buffer.begin_query(&query.weights());
+    let mut rounds = Selection::new(index, query.terms(), options.params);
     Accumulators::with_scratch(index.n_docs() as usize, |accs| {
-        baf_over(index, buffer, query, options, accs)
+        baf_over(
+            index,
+            buffer,
+            query,
+            options,
+            accs,
+            |b, s_max, read, stats| rounds.pick(b, s_max, read, stats),
+        )
     })
 }
 
-/// Fig. 2 over the caller's (empty) accumulator set.
-fn baf_over<B: QueryBuffer>(
+/// Fig. 2 over the caller's (empty) accumulator set, one `pick` a
+/// round: `pick(buffer, S_max, read a page since the last pick, stats)`.
+fn baf_over<'q, B: QueryBuffer>(
     index: &InvertedIndex,
     buffer: &mut B,
-    query: &Query,
+    query: &'q Query,
     options: EvalOptions,
     accs: &mut Accumulators,
+    mut pick: impl FnMut(&B, f64, bool, &mut EvalStats) -> IrResult<Pick<'q>>,
 ) -> IrResult<QueryResult> {
     // Frequency-sorted lists allow terminating a scan at the first
     // entry below f_add; doc-ordered lists must be scanned fully.
     let early_stop = index.params().ordering == ListOrdering::FrequencySorted;
 
-    let terms = query.terms().to_vec();
-    let n = terms.len();
-    let mut done = vec![false; n];
-    let mut f_add_cache = vec![0.0f64; n];
-    let mut pt_cache = vec![0u32; n];
-    // Forces a recompute on the first round (S_max starts at 0).
-    let mut cache_valid_for = f64::NEG_INFINITY;
-
+    let n = query.len();
     let mut s_max = 0.0f64;
     let mut stats = EvalStats::default();
     let mut trace = Vec::with_capacity(n);
@@ -84,72 +203,20 @@ fn baf_over<B: QueryBuffer>(
     let mut qspan = ir_observe::tracer().span(SpanKind::Query, "baf");
     qspan.attr("terms", n as i64);
 
-    // Round-reused scratch for the live candidate set, so the selection
-    // loop allocates nothing after the first round.
-    let mut live: Vec<usize> = Vec::with_capacity(n);
-    let mut live_terms: Vec<TermId> = Vec::with_capacity(n);
-
+    let mut read_since = true;
     for round in 0..n {
-        // Step 3a-i/ii: refresh (f_add, p_t) only if S_max moved.
-        if s_max != cache_valid_for {
-            for (i, t) in terms.iter().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let f_add = options.params.f_add(s_max, t.query_freq, t.idf);
-                f_add_cache[i] = f_add;
-                pt_cache[i] = index.conversion().pages_to_process(t.term, f_add)?;
-                stats.threshold_recomputes += 1;
-            }
-            cache_valid_for = s_max;
-        }
-        // Step 3a-iii/iv: live b_t per unmarked term; pick min d_t.
-        // The whole round — selection plus the chosen term's scan —
-        // reports as one `term-select` span under the query.
-        // One batched `b_t` inquiry per round: against a sharded pool a
-        // per-term `resident_pages` call locks every shard, so a round
-        // over T candidates took T·P locks; `resident_pages_many` takes
-        // one pass (P locks) for the whole candidate set. Each term
-        // still counts as one inquiry, preserving the paper's
-        // T(T+1)/2 accounting.
+        // Step 3a: the whole round — selection plus the chosen term's
+        // scan — reports as one `term-select` span under the query.
         let mut sel_span = qspan.child(SpanKind::TermSelect, format_args!("round:{round}"));
-        live.clear();
-        live_terms.clear();
-        for (i, t) in terms.iter().enumerate() {
-            if !done[i] {
-                live.push(i);
-                live_terms.push(t.term);
-            }
-        }
-        let b_ts = buffer.resident_pages_many(&live_terms);
-        stats.bt_inquiries += live.len() as u64;
-        let mut best: Option<(usize, u32)> = None;
-        for (k, &i) in live.iter().enumerate() {
-            let t = &terms[i];
-            let d_t = pt_cache[i].saturating_sub(b_ts[k]);
-            let better = match best {
-                None => true,
-                Some((j, best_d)) => {
-                    d_t < best_d
-                        || (d_t == best_d
-                            && (t.idf > terms[j].idf
-                                || (t.idf == terms[j].idf && t.term < terms[j].term)))
-                }
-            };
-            if better {
-                best = Some((i, d_t));
-            }
-        }
-        let (i, est_reads) = best.expect("an unmarked term exists in every round");
-        done[i] = true;
-        let t = &terms[i];
+        let picked = pick(buffer, s_max, read_since, &mut stats)?;
+        let (t, f_add, est_reads) = (picked.chosen.term, picked.chosen.f_add, picked.est_reads);
         sel_span.attr("term", i64::from(t.term.0));
         sel_span.attr("est_reads", i64::from(est_reads));
+        sel_span.attr("inquired", picked.inquired as i64);
 
-        // Step 3b: fresh thresholds (f_add equals the cached value — the
-        // cache was refreshed against the current S_max above).
+        // Step 3b: fresh thresholds (the pick's f_add was computed
+        // against the current S_max).
         let f_ins = options.params.f_ins(s_max, t.query_freq, t.idf);
-        let f_add = f_add_cache[i];
         debug_assert_eq!(f_add, options.params.f_add(s_max, t.query_freq, t.idf));
 
         let mut row = TermTraceRow {
@@ -170,30 +237,30 @@ fn baf_over<B: QueryBuffer>(
             if options.baf_force_first_page && t.n_pages > 0 {
                 touch_first_page(buffer, t, &mut stats, &mut row)?;
             }
-            trace.push(row);
-            continue;
+        } else {
+            // The pick's `p_t` is exactly the page count a
+            // threshold-f_add scan processes — it sizes both the d_t
+            // estimate and the term's read plan.
+            let out = scan_term(
+                buffer,
+                accs,
+                &mut s_max,
+                t,
+                f_ins,
+                f_add,
+                early_stop,
+                picked.chosen.p_t,
+                Some(&sel_span),
+            )?;
+            stats.record_scan(&out);
+            // The estimator's quality, measured: what d_t promised vs
+            // what the scan actually pulled from disk.
+            stats.baf_estimated_reads += u64::from(est_reads);
+            stats.baf_estimate_abs_error += u64::from(est_reads.abs_diff(out.pages_read));
+            row.pages_processed = out.pages_processed;
+            row.pages_read = out.pages_read;
         }
-        // The cached `p_t` (refreshed against the current S_max above)
-        // is exactly the page count a threshold-f_add scan processes —
-        // it sizes both the d_t estimate and the term's read plan.
-        let out = scan_term(
-            buffer,
-            accs,
-            &mut s_max,
-            t,
-            f_ins,
-            f_add,
-            early_stop,
-            pt_cache[i],
-            Some(&sel_span),
-        )?;
-        stats.record_scan(&out);
-        // The estimator's quality, measured: what d_t promised vs what
-        // the scan actually pulled from disk.
-        stats.baf_estimated_reads += u64::from(est_reads);
-        stats.baf_estimate_abs_error += u64::from(est_reads.abs_diff(out.pages_read));
-        row.pages_processed = out.pages_processed;
-        row.pages_read = out.pages_read;
+        read_since = row.pages_read > 0;
         trace.push(row);
     }
 
@@ -213,7 +280,248 @@ mod tests {
     use crate::eval::{evaluate, evaluate_df, Algorithm};
     use ir_index::{BuildOptions, IndexBuilder};
     use ir_storage::PolicyKind;
-    use ir_types::{FilterParams, IndexParams};
+    use ir_types::IndexParams;
+    use proptest::TestRng;
+
+    /// Fig. 2's round as the paper writes it, the oracle the lazy
+    /// [`Selection`] is held to: every round asks `b_t` of every
+    /// unmarked term, refreshes every unmarked term's `(f_add, p_t)`
+    /// whenever `S_max` moved since the previous round, and compares
+    /// all of them in query (term-id) order with the tie-break spelled
+    /// out.
+    struct EagerSelection<'q> {
+        index: &'q InvertedIndex,
+        params: FilterParams,
+        terms: &'q [QueryTerm],
+        done: Vec<bool>,
+        f_add: Vec<f64>,
+        p_t: Vec<u32>,
+        valid_for: f64,
+    }
+
+    impl<'q> EagerSelection<'q> {
+        fn new(index: &'q InvertedIndex, terms: &'q [QueryTerm], params: FilterParams) -> Self {
+            EagerSelection {
+                index,
+                params,
+                terms,
+                done: vec![false; terms.len()],
+                f_add: vec![0.0; terms.len()],
+                p_t: vec![0; terms.len()],
+                // Forces a recompute on the first round (S_max starts at 0).
+                valid_for: f64::NEG_INFINITY,
+            }
+        }
+
+        fn pick<B: QueryBuffer>(
+            &mut self,
+            buffer: &B,
+            s_max: f64,
+            stats: &mut EvalStats,
+        ) -> IrResult<Pick<'q>> {
+            let terms = self.terms;
+            let live: Vec<usize> = (0..terms.len()).filter(|&i| !self.done[i]).collect();
+            if s_max != self.valid_for {
+                for &i in &live {
+                    let t = &terms[i];
+                    self.f_add[i] = self.params.f_add(s_max, t.query_freq, t.idf);
+                    self.p_t[i] = self
+                        .index
+                        .conversion()
+                        .pages_to_process(t.term, self.f_add[i])?;
+                    stats.threshold_recomputes += 1;
+                }
+                self.valid_for = s_max;
+            }
+            let ids: Vec<TermId> = live.iter().map(|&i| terms[i].term).collect();
+            let b_ts = buffer.resident_pages_many(&ids);
+            stats.bt_inquiries += live.len() as u64;
+            // (position in `live`, d_t) of the best so far.
+            let mut best: Option<(usize, u32)> = None;
+            for (k, &i) in live.iter().enumerate() {
+                let t = &terms[i];
+                let d_t = self.p_t[i].saturating_sub(b_ts[k]);
+                let better = match best {
+                    None => true,
+                    Some((at, best_d)) => {
+                        let held = &terms[live[at]];
+                        d_t < best_d
+                            || (d_t == best_d
+                                && (t.idf > held.idf || (t.idf == held.idf && t.term < held.term)))
+                    }
+                };
+                if better {
+                    best = Some((k, d_t));
+                }
+            }
+            let (k, est_reads) = best.expect("an unmarked term exists in every round");
+            let i = live[k];
+            self.done[i] = true;
+            Ok(Pick {
+                chosen: Candidate {
+                    term: &terms[i],
+                    f_add: self.f_add[i],
+                    p_t: self.p_t[i],
+                    fresh_at: s_max,
+                    b_t: b_ts[k],
+                },
+                est_reads,
+                inquired: live.len(),
+            })
+        }
+    }
+
+    fn evaluate_eager<B: QueryBuffer>(
+        index: &InvertedIndex,
+        buffer: &mut B,
+        query: &Query,
+        options: EvalOptions,
+    ) -> IrResult<QueryResult> {
+        buffer.begin_query(&query.weights());
+        let mut rounds = EagerSelection::new(index, query.terms(), options.params);
+        Accumulators::with_scratch(index.n_docs() as usize, |accs| {
+            baf_over(index, buffer, query, options, accs, |b, s_max, _, stats| {
+                rounds.pick(b, s_max, stats)
+            })
+        })
+    }
+
+    /// 48 terms over 400 documents, four entries a page: term `t` is in
+    /// every `1 + t/3`-th document, so lists run from 100 pages down to
+    /// seven, three terms share each length (ties in `d_t`) and
+    /// frequencies of 1–9 leave the thresholds something to cut.
+    fn wide_index() -> InvertedIndex {
+        let names: Vec<String> = (0..48).map(|t| format!("w{t}")).collect();
+        let mut rng = TestRng::from_name("wide_index");
+        let mut b = IndexBuilder::new();
+        for d in 0..400u64 {
+            let mut doc: Vec<&str> = vec!["filler"];
+            for (t, name) in names.iter().enumerate() {
+                if d % (1 + t as u64 / 3) == 0 {
+                    let f = 1 + rng.below(3) * rng.below(4);
+                    doc.extend(std::iter::repeat_n(name.as_str(), f as usize));
+                }
+            }
+            b.add_document(doc);
+        }
+        b.build(BuildOptions {
+            params: IndexParams::with_page_size(4),
+            ..BuildOptions::default()
+        })
+        .unwrap()
+    }
+
+    /// A refinement sequence: 6–14 of the 48 terms, then seven steps
+    /// that each add, drop or re-weight up to three.
+    fn refinement_sequence(idx: &InvertedIndex, rng: &mut TestRng) -> Vec<Query> {
+        let mut freqs = [0u32; 48];
+        (0..8)
+            .map(|step| {
+                let changes = if step == 0 {
+                    6 + rng.below(9)
+                } else {
+                    1 + rng.below(3)
+                };
+                for _ in 0..changes {
+                    freqs[rng.below(48) as usize] = rng.below(4) as u32;
+                }
+                let named: Vec<(String, u32)> = (0..48)
+                    .filter(|&t| freqs[t] > 0)
+                    .map(|t| (format!("w{t}"), freqs[t]))
+                    .collect();
+                Query::from_named(idx, &named)
+            })
+            .collect()
+    }
+
+    /// Runs one seeded refinement sequence through the lazy round and
+    /// the eager oracle on twin pools and holds them to the same picks,
+    /// estimates, reads and answers; returns how many inquiries and
+    /// recomputes (lazy, eager) it took.
+    fn run_selection_differential(idx: &InvertedIndex, seed: u64) -> [u64; 4] {
+        let mut rng = TestRng::from_name(&format!("baf selection {seed}"));
+        let queries = refinement_sequence(idx, &mut rng);
+        let capacity = [idx.total_pages(), idx.total_pages() / 12][(seed % 2) as usize];
+        let policy = [PolicyKind::Lru, PolicyKind::Rap][(seed / 2 % 2) as usize];
+        let options = EvalOptions {
+            params: [FilterParams::new(1.0, 0.1), FilterParams::PERSIN][(seed / 4 % 2) as usize],
+            baf_force_first_page: seed / 8 % 2 == 1,
+            ..EvalOptions::default()
+        };
+        let mut lazy_pool = idx.make_buffer(capacity, policy).unwrap();
+        let mut eager_pool = idx.make_buffer(capacity, policy).unwrap();
+        let mut work = [0u64; 4];
+        for (step, q) in queries.iter().enumerate() {
+            let ctx = format!("seed {seed}, step {step} ({policy}, {capacity} frames)");
+            let lazy = evaluate_baf(idx, &mut lazy_pool, q, options).unwrap();
+            let eager = evaluate_eager(idx, &mut eager_pool, q, options).unwrap();
+            let rows = |r: &QueryResult| -> Vec<(TermId, u32, u32, u32, u64)> {
+                let row = |t: &TermTraceRow| {
+                    let (est, read, processed) = (t.est_reads, t.pages_read, t.pages_processed);
+                    (t.term, est, read, processed, t.f_add.to_bits())
+                };
+                r.trace.iter().map(row).collect()
+            };
+            assert_eq!(rows(&lazy), rows(&eager), "{ctx}: trace");
+            assert_eq!(lazy.hits, eager.hits, "{ctx}: hits");
+            let (l, e) = (lazy.stats, eager.stats);
+            assert!(l.bt_inquiries <= e.bt_inquiries, "{ctx}: inquiries");
+            assert!(
+                l.threshold_recomputes <= e.threshold_recomputes,
+                "{ctx}: recomputes"
+            );
+            let work_free = EvalStats {
+                bt_inquiries: 0,
+                threshold_recomputes: 0,
+                ..l
+            };
+            assert_eq!(
+                work_free,
+                EvalStats {
+                    bt_inquiries: 0,
+                    threshold_recomputes: 0,
+                    ..e
+                },
+                "{ctx}: stats"
+            );
+            let asked = [
+                l.bt_inquiries,
+                e.bt_inquiries,
+                l.threshold_recomputes,
+                e.threshold_recomputes,
+            ];
+            for (total, n) in work.iter_mut().zip(asked) {
+                *total += n;
+            }
+        }
+        assert_eq!(lazy_pool.stats(), eager_pool.stats(), "seed {seed}: pool");
+        work
+    }
+
+    /// Same terms in the same order, same estimates, pages, hits and
+    /// pool counters as the eager round, for less asking. Planted and
+    /// caught, with the first failing seed: `<=` for `<` (0), no re-ask
+    /// after a round that read (5), one `S_max` stamp shared by all
+    /// terms (0), terms left in term-id order (0).
+    #[test]
+    fn lazy_selection_matches_the_eager_round() {
+        let idx = wide_index();
+        let mut work = [0u64; 4];
+        for seed in 0..64 {
+            for (total, n) in work.iter_mut().zip(run_selection_differential(&idx, seed)) {
+                *total += n;
+            }
+        }
+        let [lazy_asked, eager_asked, lazy_recomputed, eager_recomputed] = work;
+        assert!(
+            lazy_asked * 2 < eager_asked,
+            "{lazy_asked} vs {eager_asked}"
+        );
+        assert!(
+            lazy_recomputed * 2 < eager_recomputed,
+            "{lazy_recomputed} vs {eager_recomputed}"
+        );
+    }
 
     /// Index with one long list ("commn", 8 docs) and short ones.
     fn index() -> InvertedIndex {
@@ -339,7 +647,8 @@ mod tests {
         let q = query(&idx, &[("commn", 1), ("rare", 1), ("mid", 1)]);
         let mut buf = idx.make_buffer(32, PolicyKind::Lru).unwrap();
         let r = evaluate_baf(&idx, &mut buf, &q, EvalOptions::default()).unwrap();
-        // T(T+1)/2 with T = 3.
+        // A cold query reads in every round, so every round asks again:
+        // the paper's T(T+1)/2 with T = 3.
         assert_eq!(r.stats.bt_inquiries, 6);
     }
 

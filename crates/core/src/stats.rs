@@ -30,11 +30,15 @@ pub struct EvalStats {
     pub terms_scanned: usize,
     /// Terms skipped entirely by the `f_max ≤ f_add` test (step 4b/3c).
     pub terms_skipped: usize,
-    /// BAF only: `b_t` inquiries to the buffer manager (the paper's
-    /// `T(T+1)/2` bound).
+    /// BAF only: `b_t` inquiries actually made to the buffer manager,
+    /// one per term asked about. Every unmarked term is asked in the
+    /// first round and after each round that read a page, so the
+    /// paper's `T(T+1)/2` is the cold query's count and the upper
+    /// bound; a warm step asks about `T`.
     pub bt_inquiries: u64,
-    /// BAF only: `(f_add, p_t)` cache entries recomputed after an
-    /// `S_max` change.
+    /// BAF only: `(f_add, p_t)` pairs actually recomputed — a term's
+    /// when a round looks at it and `S_max` has moved since its last
+    /// refresh. At most one per unmarked term per round.
     pub threshold_recomputes: u64,
     /// BAF only: sum of the selected terms' `d_t = max(p_t − b_t, 0)`
     /// estimates — what BAF *predicted* its scans would read.

@@ -138,6 +138,11 @@ fn spans_are_inert_without_a_sink_and_a_faithful_tree_with_one() {
         assert_eq!(attr(round, "term"), i64::from(row.term.0));
         assert_eq!(attr(round, "est_reads"), i64::from(row.est_reads));
     }
+    // Every `b_t` asked is asked in some round, and a round that reused
+    // the previous answers says 0.
+    let inquired: i64 = rounds.iter().map(|r| attr(r, "inquired")).sum();
+    assert_eq!(inquired, baf.stats.bt_inquiries as i64);
+    assert_eq!(attr(rounds[0], "inquired"), 3, "the first round asks all");
     assert_eq!(spans.len(), 1 + 3 + 3, "nothing else was recorded");
     // The evaluation and the spans above, before the sink, took no id:
     // this process's first live span is number 1.

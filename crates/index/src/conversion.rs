@@ -75,36 +75,25 @@ impl ConversionTable {
         }
     }
 
+    /// `term`'s cumulative counts.
+    fn counts(&self, term: TermId) -> IrResult<&[u64]> {
+        let counts = self.counts_gt.get(term.index());
+        counts.map(Vec::as_slice).ok_or(IrError::UnknownTerm(term))
+    }
+
     /// Number of postings of `term` with `f_{d,t}` strictly above
     /// `f_add`.
     pub fn postings_above(&self, term: TermId, f_add: f64) -> IrResult<u64> {
-        let counts = self
-            .counts_gt
-            .get(term.index())
-            .ok_or(IrError::UnknownTerm(term))?;
-        if f_add < 0.0 {
-            return Ok(counts.first().copied().unwrap_or(0));
-        }
-        if !f_add.is_finite() {
-            return Ok(0);
-        }
-        // Integer frequencies: f > f_add  ⟺  f ≥ ⌊f_add⌋ + 1.
-        let f = f_add.floor() as usize;
-        Ok(counts.get(f).copied().unwrap_or(0))
+        Ok(above(self.counts(term)?, f_add))
     }
 
     /// `p_t`: pages processed when scanning `term` under threshold
     /// `f_add` (0 when the whole list is below the threshold).
     pub fn pages_to_process(&self, term: TermId, f_add: f64) -> IrResult<u32> {
-        let counts = self
-            .counts_gt
-            .get(term.index())
-            .ok_or(IrError::UnknownTerm(term))?;
-        let total = counts.first().copied().unwrap_or(0);
-        let above = self.postings_above(term, f_add)?;
+        let counts = self.counts(term)?;
         Ok(crate::scan_geometry::pages_for_scan(
-            above,
-            total,
+            above(counts, f_add),
+            counts.first().copied().unwrap_or(0),
             self.page_size,
             !self.doc_ordered,
         ))
@@ -129,6 +118,19 @@ impl ConversionTable {
             .sum::<usize>()
             + self.counts_gt.len() * std::mem::size_of::<Vec<u64>>()
     }
+}
+
+/// The entry of one term's `counts` for threshold `f_add`: postings
+/// with `f_{d,t} > f_add`.
+fn above(counts: &[u64], f_add: f64) -> u64 {
+    if f_add < 0.0 {
+        return counts.first().copied().unwrap_or(0);
+    }
+    if !f_add.is_finite() {
+        return 0;
+    }
+    // Integer frequencies: f > f_add  ⟺  f ≥ ⌊f_add⌋ + 1.
+    counts.get(f_add.floor() as usize).copied().unwrap_or(0)
 }
 
 #[cfg(test)]

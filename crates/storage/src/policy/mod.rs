@@ -214,9 +214,16 @@ impl FromStr for PolicyKind {
 
 /// Totally ordered `f64` wrapper (via `total_cmp`) for value-sorted
 /// policy structures. NaN sorts last; the buffer manager never produces
-/// NaN values but the ordering must still be total.
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// NaN values but the ordering must still be total. Equality is the
+/// order's: `+0.0` and `-0.0` differ, a NaN equals itself.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct OrdF64(pub f64);
+
+impl PartialEq for OrdF64 {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
 
 impl Eq for OrdF64 {}
 
@@ -301,5 +308,14 @@ mod tests {
         assert_eq!(v[1], OrdF64(0.0));
         assert_eq!(v[2], OrdF64(2.0));
         assert!(v[3].0.is_nan());
+    }
+
+    #[test]
+    fn ordf64_equality_is_the_orders() {
+        assert_ne!(OrdF64(0.0), OrdF64(-0.0));
+        assert!(OrdF64(-0.0) < OrdF64(0.0));
+        assert_eq!(OrdF64(f64::NAN), OrdF64(f64::NAN));
+        assert_ne!(OrdF64(f64::NAN), OrdF64(-f64::NAN));
+        assert_eq!(OrdF64(1.5), OrdF64(1.5));
     }
 }

@@ -34,15 +34,26 @@
 //!   `eff_t` does, an announcement can only move the terms whose weight
 //!   *that announcer* changed, and a refinement step changes a handful.
 //!
-//! The value queue is a `BTreeMap` keyed by (value, ¬page-no, term):
-//! footnote 8 notes full ordering is not strictly required, but at
-//! simulator scale an exactly ordered queue is cheap and deterministic.
+//! The value queue has two levels, both exactly ordered by (value,
+//! ¬page-no, term) — footnote 8 notes full ordering is not strictly
+//! required, but an exact queue is deterministic and, kept this way,
+//! cheap. Each resident term holds its pages as one **run** in key
+//! order; a pool-wide ordered set holds one **candidate** per resident
+//! term, the lowest key of its run, so the set's first entry is the
+//! pool's lowest page. A page going in or out edits one run and swaps
+//! at most one candidate; an announcement recomputes the products of
+//! each changed term's run in place, sorts the run — on a real list
+//! `w*` falls with the page number and the run is already in order, so
+//! the sort is one verifying pass; when rounding collapses or separates
+//! two products, or a `-0.0` flips the sign, it is what restores the
+//! order — and swaps that term's candidate. The cost of an
+//! announcement is the terms it changed, not the pages resident.
 
 use super::{OrdF64, ReplacementPolicy};
 use crate::page::Page;
 use ir_types::{IdMap, IdSet, PageId, TermId};
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// Ordering key: ascending value; within equal values evict the highest
 /// page number first (tail before head), then lower term id for
@@ -58,6 +69,52 @@ fn weight_of(weights: &IdMap<TermId, f64>, term: TermId) -> f64 {
     weights.get(&term).copied().unwrap_or(0.0)
 }
 
+/// One resident page in its term's run.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Valued {
+    page: u32,
+    /// `w*_{d,t}`.
+    max_weight: f64,
+    /// The value the page is queued at.
+    value: f64,
+}
+
+impl Valued {
+    fn key(&self, term: TermId) -> RapKey {
+        key(PageId::new(term, self.page), self.value)
+    }
+}
+
+/// A term's resident pages in **descending** key order: the term's
+/// next victim is the last entry, a scan's next page (lower `w*`,
+/// higher page number) is appended, and both are O(1).
+type Run = Vec<Valued>;
+
+/// Takes `page` out of `run`, searching from the victim's end.
+fn take(run: &mut Run, page: u32) -> Option<Valued> {
+    let at = run.iter().rposition(|e| e.page == page)?;
+    Some(run.remove(at))
+}
+
+/// Applies `edit` to `term`'s run and, if the run's lowest key moved,
+/// swaps the term's candidate for the new one.
+fn reseat(
+    candidates: &mut BTreeSet<RapKey>,
+    term: TermId,
+    run: &mut Run,
+    edit: impl FnOnce(&mut Run),
+) {
+    let before = run.last().map(|e| e.key(term));
+    edit(run);
+    let after = run.last().map(|e| e.key(term));
+    if before != after {
+        if let Some(k) = before {
+            candidates.remove(&k);
+        }
+        candidates.extend(after);
+    }
+}
+
 /// RAP replacement.
 ///
 /// Invariants: `effective` holds exactly the terms some context
@@ -65,6 +122,8 @@ fn weight_of(weights: &IdMap<TermId, f64>, term: TermId) -> f64 {
 /// it; every resident page of a term **not** in `hinted` is queued at
 /// exactly `w* · eff_t` (bit for bit). So an announcement that leaves a
 /// term's `eff_t` bits alone has nothing to do for that term's pages.
+/// Every run is strictly ordered, and `candidates` holds exactly the
+/// last key of every run.
 #[derive(Debug, Default)]
 pub struct Rap {
     /// `w_{q_s,t}` of the query each announcer `s` is processing. An
@@ -72,12 +131,12 @@ pub struct Rap {
     contexts: IdMap<u32, IdMap<TermId, f64>>,
     /// `eff_t` of every term some context carries.
     effective: IdMap<TermId, f64>,
-    /// Value-ordered queue of resident pages.
-    by_value: BTreeMap<RapKey, PageId>,
-    /// Resident pages per term: page number → (`w*_{d,t}`, the value
-    /// the page is queued at). A term's entry goes when its last page
+    /// The lowest key of every resident term's run; the first is the
+    /// pool's next victim.
+    candidates: BTreeSet<RapKey>,
+    /// Resident pages per term. A term's entry goes when its last page
     /// does.
-    resident: IdMap<TermId, IdMap<u32, (f64, f64)>>,
+    resident: IdMap<TermId, Run>,
     /// Resident terms holding a page valued from an admission hint
     /// rather than from `effective`; the next announcement re-values
     /// them whether or not their `eff_t` moved.
@@ -90,24 +149,12 @@ impl Rap {
         Rap::default()
     }
 
-    /// Tracks `id` at `value`, replacing any entry it already has.
-    fn insert_valued(&mut self, id: PageId, max_weight: f64, value: f64) {
-        let pages = self.resident.entry(id.term).or_default();
-        // A re-insert must drop the page's previous queue entry, or the
-        // stale key lingers in `by_value` and can later be handed out
-        // as a victim for a page the queue no longer tracks.
-        if let Some((_, old)) = pages.insert(id.page.0, (max_weight, value)) {
-            self.by_value.remove(&key(id, old));
-        }
-        self.by_value.insert(key(id, value), id);
-    }
-
     /// [`begin_query`](ReplacementPolicy::begin_query), returning how
-    /// many pages it re-keyed: the resident pages of terms whose
+    /// many pages it re-valued: the resident pages of terms whose
     /// `eff_t` bits moved (`-0.0` and NaN payloads count) or that are
     /// `hinted`. Only the terms whose entry in `announcer`'s own
     /// context moved — weight bits or presence — can have a new
-    /// `eff_t`, so only those are looked at.
+    /// `eff_t`, so only those terms' runs are looked at.
     fn announce(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) -> usize {
         let context = self.contexts.entry(announcer).or_default();
         let mut changed: Vec<TermId> = weights
@@ -133,27 +180,31 @@ impl Rap {
         changed.extend(self.hinted.drain());
         changed.sort_unstable();
         changed.dedup();
-        let mut rekeyed = 0;
+        let mut revalued = 0;
         for term in changed {
-            let Some(pages) = self.resident.get_mut(&term) else {
+            let Some(run) = self.resident.get_mut(&term) else {
                 continue;
             };
             let eff = weight_of(&self.effective, term);
-            for (&page, (max_weight, value)) in pages.iter_mut() {
-                let id = PageId::new(term, page);
-                self.by_value.remove(&key(id, *value));
-                *value = *max_weight * eff;
-                self.by_value.insert(key(id, *value), id);
-            }
-            rekeyed += pages.len();
+            reseat(&mut self.candidates, term, run, |run| {
+                for e in run.iter_mut() {
+                    e.value = e.max_weight * eff;
+                }
+                // The order is the products', whatever rounding and
+                // signs made of them; a run still in order costs the
+                // sort one pass.
+                run.sort_unstable_by_key(|e| Reverse(e.key(term)));
+            });
+            revalued += run.len();
         }
-        rekeyed
+        revalued
     }
 
     /// Current replacement value of a resident page (for tests and
     /// instrumentation).
     pub fn current_value(&self, id: PageId) -> Option<f64> {
-        Some(self.resident.get(&id.term)?.get(&id.page.0)?.1)
+        let run = self.resident.get(&id.term)?;
+        Some(run.iter().find(|e| e.page == id.page.0)?.value)
     }
 }
 
@@ -182,7 +233,20 @@ impl ReplacementPolicy for Rap {
             }
             (eff, _) => max_weight * eff.copied().unwrap_or(0.0),
         };
-        self.insert_valued(id, max_weight, value);
+        let entry = Valued {
+            page: id.page.0,
+            max_weight,
+            value,
+        };
+        let run = self.resident.entry(id.term).or_default();
+        reseat(&mut self.candidates, id.term, run, |run| {
+            // A re-insert replaces the page's previous entry, or the
+            // stale one could later be handed out as a victim for a
+            // page the queue no longer tracks.
+            take(run, entry.page);
+            let at = run.partition_point(|e| e.key(id.term) > entry.key(id.term));
+            run.insert(at, entry);
+        });
     }
 
     fn on_hit(&mut self, _page: &Page) {
@@ -191,32 +255,29 @@ impl ReplacementPolicy for Rap {
     }
 
     fn choose_victim(&mut self) -> Option<PageId> {
-        let victim = *self.by_value.values().next()?;
+        let &(_, Reverse(page), term) = self.candidates.first()?;
+        let victim = PageId::new(TermId(term), page);
         self.remove(victim);
         Some(victim)
     }
 
     fn remove(&mut self, id: PageId) {
-        let Some(pages) = self.resident.get_mut(&id.term) else {
+        let Some(run) = self.resident.get_mut(&id.term) else {
             return;
         };
-        if let Some((_, value)) = pages.remove(&id.page.0) {
-            self.by_value.remove(&key(id, value));
-        }
+        reseat(&mut self.candidates, id.term, run, |run| {
+            take(run, id.page.0);
+        });
         // The index and the marks track resident terms, not every term
         // ever seen.
-        if pages.is_empty() {
+        if run.is_empty() {
             self.resident.remove(&id.term);
             self.hinted.remove(&id.term);
         }
     }
 
     fn clear(&mut self) {
-        self.contexts.clear();
-        self.effective.clear();
-        self.by_value.clear();
-        self.resident.clear();
-        self.hinted.clear();
+        *self = Rap::default();
     }
 
     fn begin_query(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) {
@@ -237,7 +298,7 @@ mod tests {
     use crate::observe::{BufferEvent, BufferObserver};
     use crate::policy::PolicyKind;
     use proptest::{proptest, ProptestConfig, TestRng};
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
     use std::sync::{Arc, Mutex};
 
     fn weights(pairs: &[(u32, f64)]) -> IdMap<TermId, f64> {
@@ -327,14 +388,28 @@ mod tests {
         }
     }
 
-    /// The structural half of the work bound: the queue and the index
-    /// track the same pages, no term entry outlives its last page, only
-    /// resident terms carry the hinted mark, no retired announcer keeps
-    /// a context, and `effective` is the carried terms and nothing else.
+    /// The structural half of the work bound: every run is strictly
+    /// ordered and holds a page once, there is exactly one candidate
+    /// per resident term and it is the run's lowest key, no term entry
+    /// outlives its last page, only resident terms carry the hinted
+    /// mark, no retired announcer keeps a context, and `effective` is
+    /// the carried terms and nothing else.
     fn assert_index_is_tight(p: &Rap) {
-        let indexed: usize = p.resident.values().map(IdMap::len).sum();
-        assert_eq!(p.by_value.len(), indexed, "queue and index disagree");
-        assert!(p.resident.values().all(|pages| !pages.is_empty()));
+        for (&term, run) in &p.resident {
+            assert!(
+                run.windows(2).all(|w| w[0].key(term) > w[1].key(term)),
+                "run of {term:?} out of order: {run:?}"
+            );
+            let pages: IdSet<u32> = run.iter().map(|e| e.page).collect();
+            assert_eq!(pages.len(), run.len(), "{term:?} holds a page twice");
+        }
+        let lowest: BTreeSet<RapKey> = p
+            .resident
+            .iter()
+            .map(|(&t, run)| run.last().expect("a term outlived its pages").key(t))
+            .collect();
+        assert_eq!(p.candidates, lowest, "candidates are not the runs' lows");
+        assert_eq!(p.candidates.len(), p.resident.len());
         assert!(p.hinted.iter().all(|t| p.resident.contains_key(t)));
         assert!(p.contexts.values().all(|c| !c.is_empty()));
         let carried: IdSet<TermId> = p
@@ -518,7 +593,7 @@ mod tests {
         };
         let (evicted, resident) = run(Box::new(Rap::new()));
         assert_eq!(evicted.len(), 96);
-        assert_eq!((evicted, resident), run(Box::new(FullRekeyRap::default())));
+        assert_eq!((evicted, resident), run(Box::<FullRekeyRap>::default()));
     }
 
     /// 4 terms × 3 pages, `w*` = 3, 2, 1 from head to tail.
@@ -561,6 +636,94 @@ mod tests {
         let first: Vec<PageId> = (0..3).filter_map(|_| p.choose_victim()).collect();
         let tail_first: Vec<PageId> = (0..3).rev().map(|pg| PageId::new(TermId(1), pg)).collect();
         assert_eq!(first, tail_first);
+    }
+
+    /// Two `w*` one apart in the last place, the lower one on the
+    /// *head* page: a third rounds them to one product (the tie goes to
+    /// the higher page number), 1.0 separates them again (the lower
+    /// value goes first) — so the run's order flips with each
+    /// announcement and only the products say how.
+    #[test]
+    fn products_that_collapse_and_separate_reorder_the_run() {
+        let (hi, lo) = (2.0 - f64::EPSILON, 2.0 - 2.0 * f64::EPSILON);
+        assert_eq!((hi * (1.0 / 3.0)).to_bits(), (lo * (1.0 / 3.0)).to_bits());
+        let head = PageId::new(TermId(0), 0);
+        let tail = PageId::new(TermId(0), 1);
+        let drained_after = |announcements: &[f64]| {
+            let (mut rap, mut oracle) = (Rap::new(), FullRekeyRap::default());
+            for p in [&mut rap as &mut dyn ReplacementPolicy, &mut oracle] {
+                p.on_insert(&page(0, 0, 1, lo));
+                p.on_insert(&page(0, 1, 1, hi));
+                p.on_insert(&page(1, 0, 1, 1.0));
+                for &w in announcements {
+                    p.begin_query(0, &weights(&[(0, w), (1, 1.0)]));
+                }
+            }
+            assert_index_is_tight(&rap);
+            let order = drain(&mut rap);
+            assert_eq!(order, drain(&mut oracle), "after {announcements:?}");
+            order
+        };
+        let other = PageId::new(TermId(1), 0);
+        assert_eq!(drained_after(&[1.0 / 3.0]), [tail, head, other]);
+        assert_eq!(drained_after(&[1.0 / 3.0, 1.0]), [other, head, tail]);
+        assert_eq!(
+            drained_after(&[1.0 / 3.0, 1.0, 1.0 / 3.0]),
+            [tail, head, other]
+        );
+        assert_eq!(drained_after(&[1.0, -0.0]), [tail, head, other]);
+    }
+
+    #[test]
+    fn a_dropped_term_drains_tail_first_one_candidate_at_a_time() {
+        let mut p = loaded();
+        p.announce(0, &weights(&[(0, 1.0), (1, 2.0), (2, 1.0), (3, 1.0)]));
+        p.announce(0, &weights(&[(0, 1.0), (1, 2.0), (3, 1.0)]));
+        for pg in (0..3).rev() {
+            let low = *p.candidates.first().unwrap();
+            assert_eq!(low, key(PageId::new(TermId(2), pg), 0.0));
+            assert_eq!(p.choose_victim(), Some(PageId::new(TermId(2), pg)));
+            assert_eq!(p.candidates.len(), if pg == 0 { 3 } else { 4 });
+            assert_index_is_tight(&p);
+        }
+        assert!(!p.resident.contains_key(&TermId(2)));
+    }
+
+    /// The work bound: an announcement that changes `k` terms edits
+    /// `k` runs and swaps at most `k` candidates, whatever else is
+    /// resident, and returns the pages of those runs.
+    #[test]
+    fn an_announcement_touches_only_the_runs_it_changes() {
+        let mut p = Rap::new();
+        for t in 0..64 {
+            for pg in 0..(1 + t % 7) {
+                p.on_insert(&page(t, pg, 9 - pg, 1.0 + f64::from(t % 3)));
+            }
+        }
+        let all: Vec<(u32, f64)> = (0..64).map(|t| (t, 1.0 + f64::from(t % 5))).collect();
+        p.announce(0, &weights(&all));
+        for k in [0usize, 1, 3, 8] {
+            let mut next = all.clone();
+            // Re-weight the first `k` terms of a stride; drop none.
+            for entry in next.iter_mut().step_by(7).take(k) {
+                entry.1 += 0.25;
+            }
+            let (runs, candidates) = (p.resident.clone(), p.candidates.clone());
+            let revalued = p.announce(0, &weights(&next));
+            let edited: Vec<TermId> = (0..64)
+                .map(TermId)
+                .filter(|t| runs[t] != p.resident[t])
+                .collect();
+            assert_eq!(edited.len(), k);
+            assert_eq!(
+                revalued,
+                edited.iter().map(|t| runs[t].len()).sum::<usize>()
+            );
+            assert!(candidates.difference(&p.candidates).count() <= k);
+            assert!(p.candidates.difference(&candidates).count() <= k);
+            assert_index_is_tight(&p);
+            p.announce(0, &weights(&all));
+        }
     }
 
     #[test]
