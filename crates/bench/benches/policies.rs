@@ -3,11 +3,12 @@
 //! the simpler queues should all be within the same order of magnitude
 //! — the paper's policies trade *reads*, not CPU.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ir_storage::{
-    BufferManager, DiskSim, Page, PolicyKind, QueryBuffer, QueryBufferExt, ShardedBufferPool,
+    BufferManager, DiskSim, FetchOutcome, Page, PolicyKind, QueryBuffer, QueryBufferExt,
+    ShardedBufferPool,
 };
-use ir_types::{IdMap, PageId, Posting, TermId};
+use ir_types::{IdMap, PageId, Posting, ReadPlan, TermId};
 use std::sync::Arc;
 
 fn store(n_terms: u32, pages_per_term: u32) -> DiskSim {
@@ -124,5 +125,76 @@ fn bench_policies(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_policies, bench_rap_reorganize);
+/// The hit path in isolation: a warm 16-page plan (one term's list, so
+/// one shard) through `fetch_batch_into`, 64 plans over four lists an
+/// iteration — elements are pages. On the reference pool under LRU
+/// (every hit owes the policy a call) and RAP (nobody consumes a hit),
+/// on a 2-shard RAP pool, and on that pool while a second thread runs
+/// the same loop through its own handle over four *other* lists on the
+/// same two shards: what two sessions pay for sharing the pool's
+/// structures — frame-table lock, counters, the deferred-hit queue
+/// where there is one — rather than for sharing pages (scanning the
+/// same lists, the pages' reference counts dominate: ≈ 140 ns a page,
+/// whatever the pool does). Wants two free cores.
+fn bench_hit_run(c: &mut Criterion) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const ROUNDS: u32 = 64;
+    let plans: Vec<ReadPlan> = (0..8)
+        .map(|t| ReadPlan::for_term_pages(TermId(t), 16, None))
+        .collect();
+    let (plans, other_plans) = plans.split_at(4);
+    fn run(pool: &mut impl QueryBuffer, plans: &[ReadPlan], out: &mut Vec<(Page, FetchOutcome)>) {
+        for round in 0..ROUNDS {
+            pool.fetch_batch_into(&plans[round as usize % plans.len()], out)
+                .unwrap();
+            black_box(&*out);
+        }
+    }
+    let mut g = c.benchmark_group("pool_hit_run");
+    g.throughput(Throughput::Elements(u64::from(ROUNDS) * 16));
+    g.sample_size(100);
+    for (name, kind) in [
+        ("reference_lru", PolicyKind::Lru),
+        ("reference_rap", PolicyKind::Rap),
+    ] {
+        g.bench_function(name, |b| {
+            let mut bm = BufferManager::new(store(4, 16), 64, kind).unwrap();
+            let mut out = Vec::new();
+            run(&mut bm, plans, &mut out);
+            b.iter(|| run(&mut bm, plans, &mut out))
+        });
+    }
+    for (name, contended) in [("sharded2_rap", false), ("sharded2_rap_two_threads", true)] {
+        g.bench_function(name, |b| {
+            // 512 frames: a routing chunk holds a whole list, and no
+            // hash skew can evict.
+            let mut pool =
+                ShardedBufferPool::new(Arc::new(store(8, 16)), 512, PolicyKind::Rap, 2).unwrap();
+            let mut out = Vec::new();
+            run(&mut pool, plans, &mut out);
+            run(&mut pool, other_plans, &mut out);
+            let stop = AtomicBool::new(false);
+            let started = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                if contended {
+                    let mut other = pool.clone();
+                    let (plans, stop, started) = (other_plans, &stop, &started);
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        started.wait();
+                        while !stop.load(Ordering::Relaxed) {
+                            run(&mut other, plans, &mut out);
+                        }
+                    });
+                    started.wait();
+                }
+                b.iter(|| run(&mut pool, plans, &mut out));
+                stop.store(true, Ordering::Relaxed);
+            });
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_policies, bench_hit_run, bench_rap_reorganize);
 criterion_main!(benches);

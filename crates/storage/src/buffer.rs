@@ -72,6 +72,38 @@ fn emit(observer: &mut Option<Box<dyn BufferObserver>>, event: BufferEvent) {
     }
 }
 
+/// The hit run — the one hit path of both pools. Serves the maximal
+/// resident run of leading `entries` under *one* read lock of `frames`,
+/// cloning each page straight into `out`, adds `requests` / `hits` once
+/// for the run, and returns its length. What a hit owes its consumers
+/// (the policy's `on_hit`, the observer's `Hit` event) is the caller's
+/// business, in serve order over `out`'s new tail: the reference pool
+/// pays it on the spot, the sharded pool queues it — each only when
+/// [`BufferManager::consumes_hits`].
+pub(crate) fn serve_hit_run(
+    frames: &FrameView,
+    metrics: &BufferMetrics,
+    entries: &[PlanEntry],
+    out: &mut Vec<(Page, FetchOutcome)>,
+) -> usize {
+    let start = out.len();
+    {
+        let frames = frames.read();
+        for entry in entries {
+            match frames.get(&entry.page) {
+                Some(page) => out.push((page.clone(), FetchOutcome::Hit)),
+                None => break,
+            }
+        }
+    }
+    let served = out.len() - start;
+    if served > 0 {
+        metrics.requests.add(served as u64);
+        metrics.hits.add(served as u64);
+    }
+    served
+}
+
 /// A buffer pool of `capacity` page frames over a page store.
 ///
 /// ```
@@ -184,26 +216,21 @@ impl<S: PageStore> BufferManager<S> {
         QueryBufferExt::fetch_traced(self, id)
     }
 
-    /// Serves one plan entry: the single-fetch protocol, carrying the
-    /// entry's value hint to admission — the body of the batch
-    /// execution loop, and the only miss path.
-    fn fetch_one_hinted(&mut self, entry: PlanEntry) -> IrResult<(Page, FetchOutcome)> {
-        let id = entry.page;
+    /// The miss half of the single-fetch protocol, and the only miss
+    /// path: counts the request, reads the page under the pool's
+    /// [`FetchPolicy`] and installs it, handing the entry's value hint
+    /// to admission. The caller has just seen the page non-resident
+    /// (the hit run stopped at it) and holds `&mut self`, so it still
+    /// is.
+    fn load_one(&mut self, entry: PlanEntry) -> IrResult<Page> {
         self.metrics.requests.inc();
-        let resident = self.frames.read().get(&id).cloned();
-        if let Some(page) = resident {
-            self.metrics.hits.inc();
-            self.policy.on_hit(&page);
-            self.notify(BufferEvent::Hit(id));
-            return Ok((page, FetchOutcome::Hit));
-        }
-        // Miss: read the replacement first, then make room. A failed
-        // read therefore leaves the pool exactly as it was — the old
+        // Read the replacement first, then make room. A failed read
+        // therefore leaves the pool exactly as it was — the old
         // evict-then-read order destroyed a victim frame for a page
         // that never arrived.
-        let page = self.read_with_retry(id)?;
+        let page = self.read_with_retry(entry.page)?;
         self.install(page.clone(), entry.value_hint);
-        Ok((page, FetchOutcome::Miss))
+        Ok(page)
     }
 
     /// A cloneable handle to the resident-frame table, for wrappers
@@ -226,14 +253,25 @@ impl<S: PageStore> BufferManager<S> {
         self.policy.uses_query_context()
     }
 
+    /// Whether a buffer hit has a consumer on this pool: a policy that
+    /// [uses hits](ReplacementPolicy::uses_hits), or an attached
+    /// observer. When neither, a hit is a page handed out and two
+    /// counter adds — the hit run calls nobody, and a lock-light
+    /// wrapper queues nothing.
+    pub fn consumes_hits(&self) -> bool {
+        self.policy.uses_hits() || self.observer.is_some()
+    }
+
     /// Applies a buffer hit that a lock-light wrapper already served
-    /// and counted: the replacement policy sees the hit and the
-    /// observer sees the event, in the order the wrapper recorded
-    /// them. The request/hit counters were incremented at serve time
-    /// (the handles are atomic), so only the deferred effects run
-    /// here. If the page was evicted between serve and replay the
-    /// policy update is moot and is skipped; the event still fires
-    /// because the request *was* served from a resident frame.
+    /// and counted, and queued because the pool
+    /// [consumes hits](Self::consumes_hits): the replacement policy
+    /// sees the hit and the observer sees the event, in the order the
+    /// wrapper recorded them. The request/hit counters were
+    /// incremented at serve time (the handles are atomic), so only the
+    /// deferred effects run here. If the page was evicted between
+    /// serve and replay the policy update is moot and is skipped; the
+    /// event still fires because the request *was* served from a
+    /// resident frame.
     pub(crate) fn apply_deferred_hit(&mut self, id: PageId) {
         let page = self.frames.read().get(&id).cloned();
         if let Some(page) = page {
@@ -243,14 +281,18 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Executes a [`ReadPlan`]: every entry is served — hit, store
-    /// read, or error — **in plan order** through the single-fetch
-    /// protocol, so the pool's hit/miss/eviction sequence (and therefore
-    /// every counter and the store's own read accounting) is that of
-    /// fetching the plan's pages one at a time. What a plan adds:
+    /// read, or error — **in plan order**, so the pool's
+    /// hit/miss/eviction sequence (and therefore every counter and the
+    /// store's own read accounting) is that of fetching the plan's
+    /// pages one at a time. What a plan adds:
     ///
+    /// * consecutive resident entries are one *hit run*: one read lock
+    ///   of the frame table and one add to `requests` / `hits` for the
+    ///   run, and a call per page only where the policy or an observer
+    ///   [consumes hits](Self::consumes_hits);
     /// * a store that overlaps reads is handed the plan's non-resident
-    ///   pages in one [`PageStore::submit`] before the first demand
-    ///   read;
+    ///   pages in one [`PageStore::submit`] at the first miss, before
+    ///   the first demand read — a fully resident plan submits nothing;
     /// * each entry's `value_hint` reaches the replacement policy at
     ///   admission ([`ReplacementPolicy::on_insert_hinted`]), so a
     ///   hint-aware policy values the page *before* any later eviction
@@ -285,39 +327,69 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// The batch execution loop over a slice of plan entries,
-    /// appending to `out`: the staging block, then the single-fetch
-    /// protocol per entry. Batch-level metrics are the caller's
-    /// responsibility.
+    /// appending to `out`: alternately the [hit run](serve_hit_run) of
+    /// what is left — one read lock and one `requests` / `hits` add for
+    /// the whole run, then each served page handed to the hit's
+    /// consumers in serve order, before anything else happens — and
+    /// the one entry the run stopped at through [`load_one`]
+    /// (Self::load_one), until the plan is done. Event for event,
+    /// counter for counter and store read for store read the
+    /// single-fetch protocol applied entry by entry (which this
+    /// module's tests keep as the oracle). Batch-level metrics are the
+    /// caller's responsibility.
     fn fetch_entries(
         &mut self,
         entries: &[PlanEntry],
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
         out.reserve(entries.len());
-        // Staging: a store that can keep several reads in flight gets
-        // the plan's distinct non-resident pages, in plan order, before
-        // the first demand read, so the transfers queue on its channels
-        // instead of each waiting for the previous demand to return.
-        // The demand reads below then claim the staged completions.
-        if self.store.overlap_depth() > 1 {
-            let mut seen: IdSet<PageId> =
-                IdSet::with_capacity_and_hasher(entries.len(), Default::default());
-            let staged: Vec<PageId> = {
-                let frames = self.frames.read();
-                entries
-                    .iter()
-                    .map(|e| e.page)
-                    .filter(|id| seen.insert(*id) && !frames.contains_key(id))
-                    .collect()
-            };
-            if !staged.is_empty() {
-                self.store.submit(&staged);
+        let mut rest = entries;
+        loop {
+            let served = serve_hit_run(&self.frames, &self.metrics, rest, out);
+            if served > 0 && self.consumes_hits() {
+                for (page, _) in &out[out.len() - served..] {
+                    self.policy.on_hit(page);
+                    emit(&mut self.observer, BufferEvent::Hit(page.id()));
+                }
             }
+            let Some(&entry) = rest.get(served) else {
+                return Ok(());
+            };
+            // `rest` is cut only after a miss, so it is still the
+            // whole slice exactly at the plan's first one.
+            if rest.len() == entries.len() {
+                self.stage(&rest[served..]);
+            }
+            out.push((self.load_one(entry)?, FetchOutcome::Miss));
+            rest = &rest[served + 1..];
         }
-        for &entry in entries {
-            out.push(self.fetch_one_hinted(entry)?);
+    }
+
+    /// Staging, at a plan's first miss: a store that can keep several
+    /// reads in flight gets the distinct non-resident pages of
+    /// `entries` — the plan from its first miss on — in plan order,
+    /// before the first demand read, so the transfers queue on its
+    /// channels instead of each waiting for the previous demand to
+    /// return. The demand reads then claim the staged completions.
+    /// Everything before the first miss was resident and would have
+    /// been filtered out, so this is what staging the whole plan up
+    /// front submitted — and a fully resident plan allocates and
+    /// submits nothing.
+    fn stage(&self, entries: &[PlanEntry]) {
+        if self.store.overlap_depth() <= 1 {
+            return;
         }
-        Ok(())
+        let mut seen: IdSet<PageId> =
+            IdSet::with_capacity_and_hasher(entries.len(), Default::default());
+        let staged: Vec<PageId> = {
+            let frames = self.frames.read();
+            entries
+                .iter()
+                .map(|e| e.page)
+                .filter(|id| seen.insert(*id) && !frames.contains_key(id))
+                .collect()
+        };
+        self.store.submit(&staged);
     }
 
     /// One store read, rejecting torn deliveries: a page whose content
@@ -1120,6 +1192,175 @@ mod tests {
                 .all(|c| matches!(c, StoreCall::Read(_))),
             "one submit per plan"
         );
+    }
+
+    /// The per-entry loop the hit run replaced, kept as its oracle:
+    /// the staging block over the whole plan, then per entry a request
+    /// add, a read-lock round trip, a probe, a clone and — for a hit —
+    /// a hit add, an unconditional `on_hit` and the `Hit` event.
+    impl<S: PageStore> BufferManager<S> {
+        fn fetch_batch_per_entry(
+            &mut self,
+            plan: &ReadPlan,
+            out: &mut Vec<(Page, FetchOutcome)>,
+        ) -> IrResult<()> {
+            out.clear();
+            self.metrics.batches.inc();
+            self.metrics.batch_pages.record(plan.len() as u64);
+            if self.store.overlap_depth() > 1 {
+                let mut seen: IdSet<PageId> = IdSet::default();
+                let staged: Vec<PageId> = {
+                    let frames = self.frames.read();
+                    plan.iter()
+                        .map(|e| e.page)
+                        .filter(|id| seen.insert(*id) && !frames.contains_key(id))
+                        .collect()
+                };
+                if !staged.is_empty() {
+                    self.store.submit(&staged);
+                }
+            }
+            for &entry in plan.iter() {
+                self.metrics.requests.inc();
+                let resident = self.frames.read().get(&entry.page).cloned();
+                if let Some(page) = resident {
+                    self.metrics.hits.inc();
+                    self.policy.on_hit(&page);
+                    self.notify(BufferEvent::Hit(entry.page));
+                    out.push((page, FetchOutcome::Hit));
+                    continue;
+                }
+                let page = self.read_with_retry(entry.page)?;
+                self.install(page.clone(), entry.value_hint);
+                out.push((page, FetchOutcome::Miss));
+            }
+            Ok(())
+        }
+    }
+
+    /// One seeded case of the hit-run differential: twin pools over
+    /// twin stores, one serving every plan through the run loop, the
+    /// other through the per-entry oracle. Three terms of six pages, so
+    /// plans are full of duplicates and hit / miss / hit interleavings;
+    /// every so often a plan names a page past its list's end (`Err`
+    /// mid-plan) or the query context changes. `view` is what the store
+    /// saw. With `observed` both pools carry a log; without, the run
+    /// loop of a policy that does not use hits calls nobody while the
+    /// oracle still calls `on_hit`.
+    fn run_hit_run_differential<S: PageStore, V: PartialEq + std::fmt::Debug>(
+        seed: u64,
+        kind: PolicyKind,
+        capacity: usize,
+        observed: bool,
+        make_store: impl Fn() -> S,
+        view: impl Fn(&S) -> V,
+    ) {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let what = format!("seed {seed}, {kind}, {capacity} frames, observed {observed}");
+        let make = || {
+            let mut bm = BufferManager::new(make_store(), capacity, kind).unwrap();
+            bm.set_fetch_policy(FetchPolicy::retries(2));
+            let log = SharedLog::default();
+            if observed {
+                bm.set_observer(Box::new(log.clone()));
+            }
+            (bm, log)
+        };
+        let ((mut run, run_log), (mut oracle, oracle_log)) = (make(), make());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for step in 0..24 {
+            if rng.gen_range(0..6) == 0 {
+                let weights: IdMap<TermId, f64> = (0..3)
+                    .map(|t| (TermId(t), f64::from(rng.gen_range(0..4u32))))
+                    .filter(|(_, w)| *w > 0.0)
+                    .collect();
+                run.begin_query(&weights);
+                oracle.begin_query(&weights);
+            }
+            let plan: ReadPlan = (0..rng.gen_range(0..10))
+                .map(|_| {
+                    // One entry in 40 is out of range.
+                    let page = match rng.gen_range(0..40) {
+                        0 => 6,
+                        _ => rng.gen_range(0..6),
+                    };
+                    let id = pid(rng.gen_range(0..3), page);
+                    match rng.gen_range(0..3) {
+                        0 => PlanEntry::hinted(id, 1.5),
+                        _ => PlanEntry::new(id),
+                    }
+                })
+                .collect();
+            let result = run.fetch_batch_into(&plan, &mut got);
+            let expected = oracle.fetch_batch_per_entry(&plan, &mut want);
+            assert_eq!(result, expected, "{what}, step {step}: result");
+            let served = |out: &[(Page, FetchOutcome)]| -> Vec<(PageId, FetchOutcome)> {
+                out.iter().map(|(page, how)| (page.id(), *how)).collect()
+            };
+            assert_eq!(served(&got), served(&want), "{what}, step {step}: out");
+            assert_eq!(run.stats(), oracle.stats(), "{what}, step {step}: stats");
+        }
+        assert_eq!(
+            *run_log.0.lock().unwrap(),
+            *oracle_log.0.lock().unwrap(),
+            "{what}: event logs"
+        );
+        assert_eq!(run.resident_ids(), oracle.resident_ids(), "{what}: frames");
+        assert_eq!(
+            run.metrics().dump().counters,
+            oracle.metrics().dump().counters,
+            "{what}: every buffer.* counter"
+        );
+        assert_eq!(view(run.store()), view(oracle.store()), "{what}: store");
+    }
+
+    /// The run loop against the per-entry oracle: all eight kinds,
+    /// pools of 1 / 3 / 16 frames, with and without observers, over a
+    /// clean store, a faulting one (retries, give-ups, torn pages) and
+    /// one that overlaps (what is staged, and when). Planted and caught:
+    /// consumers replayed after the following miss (seed 0, LRU, 1
+    /// frame: the late `on_hit` re-tracks the page the miss evicted and
+    /// `install` is handed a non-resident victim), `requests` added for
+    /// the whole plan up front (seed 0, step 4: the plan that errs),
+    /// a duplicate of a just-loaded page counted as a second load
+    /// (seed 0, step 6), a run's `Hit` events without its `on_hit`
+    /// calls (seed 0, ADAPTIVE: its shadows' counters), `uses_hits`
+    /// wrongly `false` on LRU (seed 1, step 14, unobserved).
+    #[test]
+    fn hit_run_loop_matches_the_per_entry_oracle() {
+        use crate::disk::tests::StagingProbe;
+        use crate::fault::{FaultConfig, FaultStore};
+        for seed in 0..48 {
+            for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+                let capacity = [1, 3, 16][(seed % 3) as usize];
+                let observed = seed % 2 == 0;
+                run_hit_run_differential(
+                    seed,
+                    kind,
+                    capacity,
+                    observed,
+                    || store(3, 6),
+                    |s| s.stats(),
+                );
+                run_hit_run_differential(
+                    seed,
+                    kind,
+                    capacity,
+                    observed,
+                    || FaultStore::new(store(3, 6), FaultConfig::chaos(seed)),
+                    |s| (s.inner().stats(), s.stats()),
+                );
+                run_hit_run_differential(
+                    seed,
+                    kind,
+                    capacity,
+                    observed,
+                    || StagingProbe::new(store(3, 6)),
+                    |s| (s.inner.stats(), s.calls()),
+                );
+            }
+        }
     }
 
     #[test]

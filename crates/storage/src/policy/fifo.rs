@@ -35,6 +35,10 @@ impl ReplacementPolicy for Fifo {
         // References never change FIFO order.
     }
 
+    fn uses_hits(&self) -> bool {
+        false
+    }
+
     fn choose_victim(&mut self) -> Option<PageId> {
         self.queue.pop_oldest()
     }

@@ -43,7 +43,9 @@ use std::str::FromStr;
 ///
 /// Invariants the buffer manager maintains (and tests enforce):
 /// * `on_insert` is called exactly once per page while it is resident;
-/// * `on_hit` is only called for pages previously inserted;
+/// * `on_hit` is only called for pages previously inserted, in serve
+///   order — and not at all when the policy answers
+///   [`uses_hits`](ReplacementPolicy::uses_hits) `false`;
 /// * `choose_victim` must return a currently tracked page (and forget
 ///   it);
 /// * after `clear` the policy tracks nothing.
@@ -91,6 +93,17 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// acquisitions it would cost — entirely. Only RAP returns `true`.
     fn uses_query_context(&self) -> bool {
         false
+    }
+
+    /// Does [`on_hit`](Self::on_hit) do anything for this policy?
+    /// `true` (the default, and the safe answer for a policy that has
+    /// not thought about it) makes the pool deliver every hit, in serve
+    /// order. `false` promises an empty `on_hit`: the pool may then
+    /// drop the calls — and a lock-striped pool the queue that carries
+    /// them across threads — unless an observer wants the events. RAP
+    /// and FIFO return `false`.
+    fn uses_hits(&self) -> bool {
+        true
     }
 
     /// A page became resident, with the read plan's value hint (the
@@ -297,6 +310,62 @@ mod tests {
                 !PolicyKind::ALL.contains(&kind),
                 "{kind}: ALL is indexed positionally by harnesses and goldens"
             );
+        }
+    }
+
+    /// Victim sequence of `kind` over a seeded insert / hit / evict
+    /// trace on an 8-frame pool's worth of pages, with the `on_hit`
+    /// calls delivered or dropped.
+    fn victims(kind: PolicyKind, seed: u64, deliver_hits: bool) -> (bool, Vec<PageId>) {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut policy = kind.build(8);
+        let weights: IdMap<TermId, f64> =
+            [(TermId(0), 2.0), (TermId(2), 0.5)].into_iter().collect();
+        policy.begin_query(0, &weights);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut resident: Vec<Page> = Vec::new();
+        let mut evicted = Vec::new();
+        for _ in 0..600 {
+            let (t, p) = (rng.gen_range(0..4u32), rng.gen_range(0..6u32));
+            let id = PageId::new(TermId(t), p);
+            if let Some(page) = resident.iter().find(|pg| pg.id() == id) {
+                if deliver_hits {
+                    policy.on_hit(page);
+                }
+                continue;
+            }
+            if resident.len() == 8 {
+                let victim = policy.choose_victim().expect("a full pool has a victim");
+                resident.retain(|pg| pg.id() != victim);
+                evicted.push(victim);
+            }
+            let page = testutil::page(t, p, 6 - p, f64::from(t + 1));
+            policy.on_insert(&page);
+            resident.push(page);
+        }
+        (policy.uses_hits(), evicted)
+    }
+
+    /// `uses_hits` per kind, pinned both ways: a policy answering
+    /// `false` evicts the same pages in the same order with its
+    /// `on_hit` calls dropped, and every policy answering `true` needs
+    /// them — over this trace its victims change without. A new policy
+    /// inherits `true`.
+    #[test]
+    fn uses_hits_is_false_exactly_where_on_hit_is_empty() {
+        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+            let expected = !matches!(kind, PolicyKind::Rap | PolicyKind::Fifo);
+            for seed in [15, 193, 2024] {
+                let (uses_hits, with_hits) = victims(kind, seed, true);
+                let (_, without) = victims(kind, seed, false);
+                assert_eq!(uses_hits, expected, "{kind}");
+                assert!(with_hits.len() > 100, "{kind}: the trace must evict");
+                assert_eq!(
+                    with_hits != without,
+                    expected,
+                    "{kind}, seed {seed}: does dropping on_hit move a victim?"
+                );
+            }
         }
     }
 

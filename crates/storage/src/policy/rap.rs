@@ -254,6 +254,10 @@ impl ReplacementPolicy for Rap {
         // changes nothing.
     }
 
+    fn uses_hits(&self) -> bool {
+        false
+    }
+
     fn choose_victim(&mut self) -> Option<PageId> {
         let &(_, Reverse(page), term) = self.candidates.first()?;
         let victim = PageId::new(TermId(term), page);

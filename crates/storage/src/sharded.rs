@@ -22,15 +22,22 @@
 //!   pure function of the [`PageId`] and the pool geometry; with
 //!   `chunk_pages = 1` it degenerates to the original per-page
 //!   scatter (see [`with_chunk_pages`]).
-//! * **Lock-light hit path.** A buffer hit is served under the shard's
-//!   frame-table *read* lock: the page is cloned, the request/hit
-//!   counters bump atomically, and the replacement-policy and observer
-//!   effects are queued. The next exclusive acquisition of that
-//!   shard's mutex replays the queued hits in serve order before doing
-//!   anything else, so policy state at any mutation point equals the
-//!   in-order fold of hits — single-threaded runs stay event-for-event
-//!   identical to an unsharded [`BufferManager`]. Only misses,
-//!   evictions, announcements and inspection take the exclusive mutex.
+//! * **Lock-light hit path.** A run of buffer hits is served under the
+//!   shard's frame-table *read* lock by the same hit-run routine the
+//!   reference pool uses: the pages are cloned, the request/hit
+//!   counters bump atomically once for the run, and the
+//!   replacement-policy and observer effects are queued — *when the
+//!   shard has a consumer for them*. The next exclusive acquisition of
+//!   that shard's mutex replays the queued hits in serve order before
+//!   doing anything else, so policy state at any mutation point equals
+//!   the in-order fold of hits — single-threaded runs stay
+//!   event-for-event identical to an unsharded [`BufferManager`]. A
+//!   shard whose policy ignores hits (RAP, FIFO) and that nobody
+//!   observes ([`BufferManager::consumes_hits`] is `false`) queues
+//!   nothing: a hit there writes no state two sessions share beyond
+//!   the lock's reader count, the counters and the pages' reference
+//!   counts. Only misses, evictions, announcements and inspection take
+//!   the exclusive mutex.
 //! * **One lock at a time.** A plan
 //!   ([`fetch_batch_into`](QueryBuffer::fetch_batch_into)) is walked
 //!   once, in plan order, and cut into maximal runs of consecutive
@@ -81,7 +88,7 @@
 //! [`quiesce`]: ShardedBufferPool::quiesce
 //! [`with_chunk_pages`]: ShardedBufferPool::with_chunk_pages
 
-use crate::buffer::{BufferManager, FetchOutcome, FetchPolicy, FrameView, TermView};
+use crate::buffer::{serve_hit_run, BufferManager, FetchOutcome, FetchPolicy, FrameView, TermView};
 use crate::disk::PageStore;
 use crate::page::Page;
 use crate::policy::PolicyKind;
@@ -173,8 +180,8 @@ impl ShardMetrics {
 /// One shard: a [`BufferManager`] behind its mutex, plus the handles
 /// the lock-light hit path uses without that mutex — a shared view of
 /// the shard's resident-frame table, clones of the shard's atomic
-/// counter handles, and the queue of hits whose policy/observer
-/// effects are still owed.
+/// counter handles, whether anything consumes a hit, and the queue of
+/// hits whose policy/observer effects are still owed.
 #[derive(Debug)]
 struct Shard<S: PageStore> {
     manager: Mutex<BufferManager<Arc<S>>>,
@@ -192,6 +199,12 @@ struct Shard<S: PageStore> {
     /// `true` whenever `pending_hits` may be non-empty — lets the
     /// exclusive path skip the queue mutex when there is nothing owed.
     has_pending: AtomicBool,
+    /// The manager's [`consumes_hits`](BufferManager::consumes_hits),
+    /// cached where the lock-light path can read it; stored under the
+    /// shard mutex whenever a caller could have changed the answer
+    /// ([`ShardedBufferPool::with_shard`]). While clear, a hit queues
+    /// nothing.
+    consumes_hits: AtomicBool,
 }
 
 impl<S: PageStore> Shard<S> {
@@ -200,6 +213,7 @@ impl<S: PageStore> Shard<S> {
             frames: manager.frame_view(),
             terms: manager.term_view(),
             metrics: manager.metrics().clone(),
+            consumes_hits: AtomicBool::new(manager.consumes_hits()),
             manager: Mutex::new(manager),
             pending_hits: Mutex::new(Vec::new()),
             has_pending: AtomicBool::new(false),
@@ -453,18 +467,18 @@ impl<S: PageStore> ShardedBufferPool<S> {
     }
 
     /// Serves the longest resident *prefix* of a one-shard run of plan
-    /// entries from the shard's frame table under its read lock — no mutex —
-    /// appending the hits to `out` in plan order, and returns how many
-    /// entries were served. The prefix is exactly the hits the
-    /// exclusive path would have served before its first miss, so a
-    /// caller that hands the remainder to
-    /// [`BufferManager::fetch_batch_tail`] reproduces the locked
-    /// path's accounting event for event. Counters bump eagerly (one
-    /// atomic add per counter for the whole prefix — per-entry
-    /// increments showed up as real per-hit overhead); policy/observer
-    /// effects are queued for replay at the next exclusive
-    /// acquisition. A fully-resident run also records its batch
-    /// metrics here, since the exclusive path never runs.
+    /// entries — the [hit run](serve_hit_run) on the shard's frame
+    /// table, under its read lock, no mutex — appending the hits to
+    /// `out` in plan order, and returns how many entries were served.
+    /// The prefix is exactly the hits the exclusive path would have
+    /// served before its first miss, so a caller that hands the
+    /// remainder to [`BufferManager::fetch_batch_tail`] reproduces the
+    /// locked path's accounting event for event. Counters bump eagerly,
+    /// once per run; what the hits owe the policy and the observer is
+    /// queued for replay at the next exclusive acquisition — when the
+    /// shard has such a consumer, and not touched otherwise. A
+    /// fully-resident run also records its batch metrics here, since
+    /// the exclusive path never runs.
     fn serve_resident_prefix(
         &self,
         s: usize,
@@ -472,20 +486,10 @@ impl<S: PageStore> ShardedBufferPool<S> {
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> usize {
         let shard = &self.shards[s];
-        let start = out.len();
-        {
-            let frames = shard.frames.read();
-            for entry in entries {
-                match frames.get(&entry.page) {
-                    Some(page) => out.push((page.clone(), FetchOutcome::Hit)),
-                    None => break,
-                }
-            }
-        }
-        let served = out.len() - start;
-        if served > 0 {
-            shard.metrics.requests.add(served as u64);
-            shard.metrics.hits.add(served as u64);
+        let served = serve_hit_run(&shard.frames, &shard.metrics, entries, out);
+        // Acquire pairs with `with_shard`'s Release store: a thread
+        // that sees the flag set by an attach sees the attach.
+        if served > 0 && shard.consumes_hits.load(Ordering::Acquire) {
             shard.defer_hits(entries[..served].iter().map(|e| e.page));
         }
         if served == entries.len() {
@@ -519,12 +523,22 @@ impl<S: PageStore> ShardedBufferPool<S> {
     }
 
     /// Runs `f` with shard `s` locked — for operations the pool
-    /// surface does not cover (observers, per-shard metrics).
+    /// surface does not cover (observers, per-shard metrics). The one
+    /// way to a shard's `&mut BufferManager`, so also where the shard
+    /// re-reads whether its hits have a consumer: an observer attached
+    /// here is owed every hit served after this returns.
     ///
     /// # Panics
     /// Panics if `s` is out of range.
     pub fn with_shard<R>(&self, s: usize, f: impl FnOnce(&mut BufferManager<Arc<S>>) -> R) -> R {
-        f(&mut self.lock(s))
+        let mut manager = self.lock(s);
+        let result = f(&mut manager);
+        // `f` may have attached or detached an observer: refresh what
+        // the lock-light path reads, still under the shard mutex.
+        self.shards[s]
+            .consumes_hits
+            .store(manager.consumes_hits(), Ordering::Release);
+        result
     }
 
     /// Number of shards (`P`).
@@ -1134,6 +1148,67 @@ mod tests {
         pool.quiesce();
         assert_eq!(log.0.lock().unwrap().len(), 8, "both plans' hits replay");
         assert_eq!(pool.stats().hits, 8);
+    }
+
+    /// Whether shard `s` owes any deferred hit effects.
+    fn owes_hits(pool: &ShardedBufferPool<DiskSim>, s: usize) -> bool {
+        let shard = &pool.shards[s];
+        shard.has_pending.load(Ordering::Acquire) || !shard.pending_hits.lock().is_empty()
+    }
+
+    #[test]
+    fn hits_nobody_consumes_are_not_queued() {
+        // RAP ignores hits and nobody observes: a fully resident plan
+        // writes neither the queue nor its flag, and the counters are
+        // still eager and whole.
+        let mut pool = ShardedBufferPool::new(store(2, 8), 32, PolicyKind::Rap, 2).unwrap();
+        let plans = [0, 1].map(|t| ReadPlan::for_term_pages(TermId(t), 8, None));
+        for pass in 0..3 {
+            for plan in &plans {
+                let out = pool.fetch_batch(plan).unwrap();
+                assert!(pass == 0 || out.iter().all(|(_, how)| *how == FetchOutcome::Hit));
+            }
+        }
+        for s in 0..2 {
+            assert!(!owes_hits(&pool, s), "shard {s} queued a hit for nobody");
+        }
+        let st = pool.stats();
+        assert_eq!((st.requests, st.hits, st.misses), (48, 32, 16));
+        // The same traffic on a policy that uses hits is queued.
+        let mut lru = ShardedBufferPool::new(store(2, 8), 32, PolicyKind::Lru, 2).unwrap();
+        for _ in 0..2 {
+            lru.fetch_batch(&plans[0]).unwrap();
+        }
+        assert!(owes_hits(&lru, lru.shard_of(pid(0, 0))));
+    }
+
+    #[test]
+    fn an_observer_attached_mid_run_sees_every_later_hit_in_serve_order() {
+        // `with_shard` refreshes the shard's consumer flag: without
+        // that, a RAP pool would go on queueing nothing after the
+        // attach and the log below would stay empty.
+        let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Rap, 1).unwrap();
+        let plan = ReadPlan::for_term_pages(TermId(0), 4, None);
+        pool.fetch_batch(&plan).unwrap(); // four loads
+        pool.fetch_batch(&plan).unwrap(); // four hits nobody consumes
+        assert!(!owes_hits(&pool, 0));
+        let log = SharedLog::default();
+        pool.with_shard(0, |bm| bm.set_observer(Box::new(log.clone())));
+        let order = [pid(0, 2), pid(0, 0), pid(0, 3), pid(0, 0)];
+        pool.fetch_batch(&order.into_iter().map(PlanEntry::new).collect())
+            .unwrap();
+        assert!(owes_hits(&pool, 0), "the observer is owed four events");
+        pool.quiesce();
+        assert_eq!(
+            *log.0.lock().unwrap(),
+            order.map(BufferEvent::Hit).to_vec(),
+            "every hit after the attach, none from before, in serve order"
+        );
+        // Detaching clears the flag again.
+        assert!(pool.with_shard(0, |bm| bm.take_observer()).is_some());
+        pool.fetch_batch(&plan).unwrap();
+        assert!(!owes_hits(&pool, 0));
+        assert_eq!(pool.stats().hits, 12);
     }
 
     #[test]

@@ -80,9 +80,16 @@ impl std::ops::AddAssign for BufferStats {
 #[derive(Clone, Debug)]
 pub struct BufferMetrics {
     registry: Registry,
-    /// Page requests (hits + misses + failed fetches).
+    /// Page requests (hits + misses + failed fetches). Advances once
+    /// per resident run of a plan — by the run's length, right after
+    /// the run's pages are in the caller's `out` and just before `hits`
+    /// does — and once per miss, not once per page. A concurrent reader
+    /// can therefore see the pair a run behind `out`, or `requests` a
+    /// step ahead of `hits + loads`; whenever no fetch is in flight,
+    /// requests = hits + loads + failed fetches exactly.
     pub requests: Counter,
-    /// Requests served from a resident frame.
+    /// Requests served from a resident frame; advances with `requests`,
+    /// once per resident run.
     pub hits: Counter,
     /// Pages read from the store into a frame (disk reads).
     pub loads: Counter,
