@@ -18,8 +18,9 @@
 //!   the retry path, and no fetch exhausted its budget.
 //!
 //! The emitted report contains no wall-clock numbers, so two runs with
-//! the same seed and scale are byte-identical — CI runs the command
-//! twice and diffs the output to pin determinism.
+//! the same seed and scale are byte-identical — CI diffs one run at
+//! seed 193 and the default scale against the checked-in golden
+//! `results/chaos_seed193.txt`.
 
 use crate::setup::{pick_representatives, profile_queries, TestBed};
 use ir_core::eval::evaluate;
@@ -49,14 +50,12 @@ impl Drop for TempPageFile {
 }
 
 fn layout_name(layout: PoolLayout) -> String {
-    match layout {
-        PoolLayout::Partitioned { frames_each, .. } => format!("partitioned[{frames_each}ea]"),
-        PoolLayout::Sharded {
-            total_frames,
-            shards,
-            ..
-        } => format!("sharded[{total_frames}/{shards}]"),
-    }
+    let PoolLayout::Sharded {
+        total_frames,
+        shards,
+        ..
+    } = layout;
+    format!("sharded[{total_frames}/{shards}]")
 }
 
 fn check_invariants(r: &ServerReport, label: &str) -> Result<(), String> {
@@ -146,7 +145,6 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
         .sum::<usize>()
         .max(2)
         / 2;
-    let per_user = (total_frames / users.len()).max(1);
     // Stripe count for the sharded rows: 4 when the pool affords it,
     // clamped so every shard keeps at least one frame at tiny scales.
     let shards = total_frames.clamp(1, 4);
@@ -163,10 +161,6 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
                 total_frames,
                 policy,
                 shards: 1,
-            },
-            PoolLayout::Partitioned {
-                frames_each: per_user,
-                policy,
             },
             PoolLayout::Sharded {
                 total_frames,
@@ -285,7 +279,7 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
     let _ = writeln!(
         out,
         "all {} combinations recovered ({} file-backed); invariants hold under injected failure",
-        (PolicyKind::ALL.len() + PolicyKind::ADAPTIVE.len()) * 4,
+        (PolicyKind::ALL.len() + PolicyKind::ADAPTIVE.len()) * 3,
         PolicyKind::ALL.len() + PolicyKind::ADAPTIVE.len()
     );
     Ok(out)

@@ -29,7 +29,6 @@ use crate::output::TextTable;
 use crate::setup::TestBed;
 use ir_core::eval::{evaluate, EvalOptions};
 use ir_core::{Algorithm, Query, RefinementKind};
-use ir_engine::AdaptiveStats;
 use ir_storage::{BufferManager, PolicyKind};
 use ir_types::{PageId, TermId};
 use std::fmt::Write as _;
@@ -66,20 +65,30 @@ fn panel() -> impl Iterator<Item = PolicyKind> {
     PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE)
 }
 
+/// The pool's counters as a row; `switches` and `shadow_hits` come
+/// straight from its `adaptive.*` metrics (in name order), which a
+/// static policy never registers.
 fn row_from(
     workload: &str,
     policy: PolicyKind,
     bm: &BufferManager<Arc<ir_storage::DiskSim>>,
 ) -> Row {
     let stats = bm.stats();
-    let adaptive = AdaptiveStats::from_dump(&bm.metrics().dump());
+    let dump = bm.metrics().dump();
     Row {
         workload: workload.to_string(),
         policy: policy.to_string(),
         total_reads: stats.misses,
         buffer_hits: stats.hits,
-        switches: adaptive.switches,
-        shadow_hits: adaptive.shadow_hits,
+        switches: dump.counter("adaptive.switches").unwrap_or(0),
+        shadow_hits: dump
+            .counters
+            .iter()
+            .filter_map(|(name, hits)| {
+                let expert = name.strip_prefix("adaptive.shadow_hits.")?;
+                Some((expert.to_string(), *hits))
+            })
+            .collect(),
     }
 }
 

@@ -19,10 +19,11 @@
 //!   where the merged history read 4 374 and was deleted with the
 //!   mechanism, see EXPERIMENTS.md.)
 //! * **partitioned/RAP** — the paper's option 1: each user a private
-//!   pool of `total/4` frames. Isolation only: the paper's read-only
-//!   sibling borrowing was measured (25 of this row's 6 037 reads at
-//!   scale 1/16) and removed — see EXPERIMENTS.md, "Multi-user
-//!   buffering";
+//!   pool of `total/4` frames. Nothing is shared between partitions,
+//!   so the row is the sum of what each user reads *alone* on a pool
+//!   of that size. Isolation only: the paper's read-only sibling
+//!   borrowing was measured (25 of this row's 6 037 reads at scale
+//!   1/16) and removed — see EXPERIMENTS.md, "Multi-user buffering";
 //! * **sharded\[4\]/LRU, sharded\[4\]/RAP** — the shared pool striped over
 //!   four independently locked shards, each running its own policy
 //!   instance over a quarter of the frames: what striping costs in
@@ -73,6 +74,25 @@ fn reads(ctx: &ExpContext<'_>, specs: &[SessionSpec], layout: PoolLayout) -> Exp
     Ok(report.pool_stats.misses)
 }
 
+/// Disk reads of `specs` when each session runs alone on a private
+/// one-shard pool of `frames` frames, summed over the sessions.
+fn reads_alone(
+    ctx: &ExpContext<'_>,
+    specs: &[SessionSpec],
+    frames: usize,
+    policy: PolicyKind,
+) -> ExpResult<u64> {
+    let private = PoolLayout::Sharded {
+        total_frames: frames,
+        policy,
+        shards: 1,
+    };
+    specs
+        .iter()
+        .map(|spec| reads(ctx, std::slice::from_ref(spec), private))
+        .sum()
+}
+
 /// One BAF session refining `topic` ADD-ONLY.
 fn session(ctx: &ExpContext<'_>, topic: usize) -> ExpResult<SessionSpec> {
     let sequence = ctx.bed.sequence(topic, RefinementKind::AddOnly)?;
@@ -95,51 +115,49 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
         .collect::<Result<_, _>>()?;
     let total_frames = half_the_working_sets(ctx, &users);
     let per_user = (total_frames / users.len()).max(1);
-    let pool = |policy, shards| PoolLayout::Sharded {
-        total_frames,
-        policy,
-        shards,
-    };
-    let partitioned = PoolLayout::Partitioned {
-        frames_each: per_user,
-        policy: PolicyKind::Rap,
+    let shared = |policy, shards| {
+        let layout = PoolLayout::Sharded {
+            total_frames,
+            policy,
+            shards,
+        };
+        reads(ctx, &specs, layout)
     };
     let rows = [
         (
             "shared / LRU".to_string(),
             "shared_lru",
             total_frames,
-            pool(PolicyKind::Lru, 1),
+            shared(PolicyKind::Lru, 1)?,
         ),
         (
             "shared / RAP".to_string(),
             "shared_rap",
             total_frames,
-            pool(PolicyKind::Rap, 1),
+            shared(PolicyKind::Rap, 1)?,
         ),
         (
             format!("partitioned / RAP ({}×{})", users.len(), per_user),
             "partitioned_rap",
             per_user * users.len(),
-            partitioned,
+            reads_alone(ctx, &specs, per_user, PolicyKind::Rap)?,
         ),
         (
             format!("sharded[{SHARDS}] / LRU"),
             "sharded4_lru",
             total_frames,
-            pool(PolicyKind::Lru, SHARDS),
+            shared(PolicyKind::Lru, SHARDS)?,
         ),
         (
             format!("sharded[{SHARDS}] / RAP"),
             "sharded4_rap",
             total_frames,
-            pool(PolicyKind::Rap, SHARDS),
+            shared(PolicyKind::Rap, SHARDS)?,
         ),
     ];
     let mut t = TextTable::new(&["architecture", "total frames", "disk reads"]);
     let mut cells = Vec::with_capacity(rows.len());
-    for (label, key, frames, layout) in rows {
-        let reads = reads(ctx, &specs, layout)?;
+    for (label, key, frames, reads) in rows {
         t.row(vec![label, frames.to_string(), reads.to_string()]);
         cells.push([key.to_string(), frames.to_string(), reads.to_string()]);
     }
@@ -177,16 +195,12 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
             policy,
             shards: 1,
         };
-        let mut alone = 0;
-        for spec in &specs[..n] {
-            alone += reads(ctx, std::slice::from_ref(spec), shared(PolicyKind::Rap))?;
-        }
         let row = [
             n as u64,
             total_frames as u64,
             reads(ctx, &specs[..n], shared(PolicyKind::Lru))?,
             reads(ctx, &specs[..n], shared(PolicyKind::Rap))?,
-            alone,
+            reads_alone(ctx, &specs[..n], total_frames, PolicyKind::Rap)?,
         ]
         .map(|v| v.to_string());
         t.row(row.to_vec());

@@ -131,10 +131,9 @@ pub fn run_sequence(
 }
 
 /// Runs one sequence against a caller-supplied buffer — the multi-user
-/// path, where the buffer is a clone of a shared pool or one partition
-/// of a partitioned pool and must outlive the sequence. The pool is
-/// **not** flushed; pages persist across refinements (and, for shared
-/// pools, across sessions).
+/// path, where the buffer is a clone of a shared pool and must outlive
+/// the sequence. The pool is **not** flushed; pages persist across
+/// refinements (and across the sessions sharing the pool).
 pub fn run_sequence_with<B: ir_storage::QueryBuffer>(
     index: &InvertedIndex,
     buffer: &mut B,

@@ -30,6 +30,4 @@ pub use corpus_load::{
 };
 pub use engine::{EngineConfig, SearchEngine};
 pub use ledger::{CostLedger, QueryCost, SessionCost};
-pub use server::{
-    AdaptiveStats, PoolLayout, Schedule, ServerReport, SessionOutcome, SessionServer, SessionSpec,
-};
+pub use server::{PoolLayout, Schedule, ServerReport, SessionOutcome, SessionServer, SessionSpec};

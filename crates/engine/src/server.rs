@@ -1,21 +1,20 @@
 //! The multi-session server: N concurrent refinement sessions over one
-//! buffer configuration (paper §3.3).
+//! shared buffer pool (paper §3.3).
 //!
 //! The paper sketches two ways to extend RAP to multiple users —
 //! partitioned pools, and a shared pool with a merged ("global") query
-//! history — and leaves the trade-off open. [`SessionServer`] makes
-//! both runnable over one pool type: every [`PoolLayout`] is some
-//! number of [`ShardedBufferPool`]s, and each session drives its own
-//! refinement sequence on its own OS thread through a handle of its
-//! own to the pool the layout assigns it. The query history lives in
-//! the pool: a handle is a session, and RAP values a page by the
-//! highest weight any session's current query gives its term, so a
-//! shared pool *is* the paper's option 2 with nothing above it.
-//! Locking is per read plan, so sessions genuinely interleave inside a
-//! single query, the contention pattern a time-sliced multi-user IR
-//! server produces. (The paper's partitions may also *borrow* a
-//! sibling's resident copy; measured at 25 of 6 037 reads, that
-//! mechanism was removed — EXPERIMENTS.md, "Multi-user buffering".)
+//! history — and leaves the trade-off open. [`SessionServer`] runs the
+//! second: every run provisions one [`ShardedBufferPool`], and each
+//! session drives its own refinement sequence on its own OS thread
+//! through a handle of its own to it. The query history lives in the
+//! pool: a handle is a session, and RAP values a page by the highest
+//! weight any session's current query gives its term, so the shared
+//! pool *is* the paper's option 2 with nothing above it. A private
+//! partition reads exactly what its session reads alone on a pool of
+//! the partition's size, which is how the multi-user experiment prices
+//! option 1 (EXPERIMENTS.md, "Multi-user buffering"). Locking is per
+//! read plan, so sessions genuinely interleave inside a single query,
+//! the contention pattern a time-sliced multi-user IR server produces.
 //!
 //! Two schedules are offered. [`Schedule::FreeRunning`] lets the OS
 //! interleave sessions arbitrarily — the realistic mode. Per-session
@@ -45,7 +44,7 @@ use crate::ledger::{query_cost, CostLedger, QueryCost};
 use ir_core::eval::{evaluate, EvalOptions};
 use ir_core::{Algorithm, Query, RefinementSequence, SequenceOutcome, StepOutcome};
 use ir_index::InvertedIndex;
-use ir_observe::{MetricsSnapshot, SpanKind};
+use ir_observe::SpanKind;
 use ir_storage::{
     BufferStats, DiskSim, FaultConfig, FaultStats, FaultStore, FetchPolicy, PageStore, PolicyKind,
     QueryBuffer, ShardedBufferPool,
@@ -58,23 +57,13 @@ use std::sync::Arc;
 /// (by default disabled) fault-injection layer.
 type ServerStore = FaultStore<Arc<DiskSim>>;
 
-/// The pool every layout is built from, over the server's store.
+/// The one pool of a run, over the server's store.
 type ServerPool = ShardedBufferPool<ServerStore>;
 
-/// How the server provisions buffer memory for its sessions. Every
-/// variant builds [`ShardedBufferPool`]s and nothing else; they differ
-/// in how many, how large, and over how many shards.
+/// The buffer memory a run provisions for its sessions: one
+/// [`ShardedBufferPool`] every session shares.
 #[derive(Clone, Copy, Debug)]
 pub enum PoolLayout {
-    /// One private one-shard pool per session over the shared store
-    /// (paper §3.3, option 1, without cross-partition borrowing): a
-    /// session's reads are those of the same session running alone.
-    Partitioned {
-        /// Frames in each session's partition.
-        frames_each: usize,
-        /// Replacement policy run inside every partition.
-        policy: PolicyKind,
-    },
     /// One pool of `shards` shards shared by every session (paper
     /// §3.3, option 2: RAP keeps every session's current query and
     /// values a term at the highest weight any of them gives it).
@@ -92,25 +81,6 @@ pub enum PoolLayout {
         /// Number of lock stripes (`P ≥ 1`).
         shards: usize,
     },
-}
-
-impl PoolLayout {
-    /// What the layout provisions for `sessions` sessions, as `(pools,
-    /// frames per pool, policy, shards per pool)`; session `u` fetches
-    /// through pool `u % pools`.
-    fn geometry(self, sessions: usize) -> (usize, usize, PolicyKind, usize) {
-        match self {
-            PoolLayout::Partitioned {
-                frames_each,
-                policy,
-            } => (sessions, frames_each, policy, 1),
-            PoolLayout::Sharded {
-                total_frames,
-                policy,
-                shards,
-            } => (1, total_frames, policy, shards),
-        }
-    }
 }
 
 /// How session threads are interleaved.
@@ -199,54 +169,15 @@ impl SessionOutcome {
     }
 }
 
-/// Adaptive-replacement activity a run's pool reported (all zero when
-/// the configured policy is a static one).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct AdaptiveStats {
-    /// Leader (or active-policy) changes the adaptive policy made.
-    pub switches: u64,
-    /// `(expert name, shadow hits)` pairs, sorted by expert name.
-    pub shadow_hits: Vec<(String, u64)>,
-}
-
-impl AdaptiveStats {
-    /// Harvests the `adaptive.*` counters out of a pool's metric dump.
-    pub fn from_dump(dump: &MetricsSnapshot) -> AdaptiveStats {
-        let mut stats = AdaptiveStats::default();
-        stats.absorb(dump);
-        stats
-    }
-
-    /// Adds one more pool's `adaptive.*` counters to the tallies.
-    fn absorb(&mut self, dump: &MetricsSnapshot) {
-        for (name, value) in &dump.counters {
-            if name == "adaptive.switches" {
-                self.switches += *value;
-            } else if let Some(expert) = name.strip_prefix("adaptive.shadow_hits.") {
-                match self.shadow_hits.iter_mut().find(|(n, _)| n == expert) {
-                    Some((_, hits)) => *hits += *value,
-                    None => self.shadow_hits.push((expert.to_string(), *value)),
-                }
-            }
-        }
-        self.shadow_hits.sort();
-    }
-
-    /// Whether the run's policy reported any adaptive instrumentation.
-    pub fn is_active(&self) -> bool {
-        !self.shadow_hits.is_empty()
-    }
-}
-
-/// What a [`SessionServer::run`] call observed. Every pool-side figure
-/// is summed over the layout's pools.
+/// What a [`SessionServer::run`] call observed of its sessions and of
+/// the run's pool.
 #[derive(Clone, Debug)]
 pub struct ServerReport {
     /// Per-session outcomes, in spec order.
     pub sessions: Vec<SessionOutcome>,
     /// Pool counters aggregated over every session's traffic.
     pub pool_stats: BufferStats,
-    /// Total frames provisioned across the layout.
+    /// Frames the pool was provisioned with.
     pub total_frames: usize,
     /// Frames occupied when the last session finished.
     pub final_occupancy: usize,
@@ -273,12 +204,9 @@ pub struct ServerReport {
     /// Accumulated at nanosecond resolution — sub-µs contended waits
     /// do not truncate to zero — then reported in µs.
     pub lock_wait_us: u64,
-    /// Read plans that spanned more than one shard (0 whenever every
+    /// Read plans that spanned more than one shard (0 whenever the
     /// pool has one shard).
     pub batch_splits: u64,
-    /// Switch counts and per-expert shadow hits when the pool runs an
-    /// adaptive replacement policy (all zero otherwise).
-    pub adaptive: AdaptiveStats,
 }
 
 impl ServerReport {
@@ -332,7 +260,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs N refinement sessions concurrently against one buffer layout.
+/// Runs N refinement sessions concurrently against one shared pool.
 ///
 /// Each [`run`](SessionServer::run) provisions a **cold** pool (the
 /// paper clears the cache before each sequence, §5.2.1), spawns one
@@ -370,11 +298,6 @@ impl<'a> SessionServer<'a> {
         self
     }
 
-    /// The layout sessions run against.
-    pub fn layout(&self) -> PoolLayout {
-        self.layout
-    }
-
     /// Runs one session per spec, all concurrently, and reports the
     /// combined outcome.
     ///
@@ -386,70 +309,49 @@ impl<'a> SessionServer<'a> {
     /// # Errors
     /// Pool construction errors only ([`IrError::EmptyBufferPool`]).
     pub fn run(&self, specs: &[SessionSpec], schedule: Schedule) -> IrResult<ServerReport> {
-        let n = specs.len();
         let store = Arc::new(FaultStore::new(Arc::clone(self.index.disk()), self.faults));
-        let (n_pools, frames, policy, shards) = self.layout.geometry(n);
-        let pools = (0..n_pools)
-            .map(|_| {
-                let pool = ShardedBufferPool::new(Arc::clone(&store), frames, policy, shards)?;
-                pool.set_fetch_policy(self.fetch_policy);
-                Ok(pool)
-            })
-            .collect::<IrResult<Vec<ServerPool>>>()?;
-        let (sessions, ledger, wall_us) = self.run_sessions(specs, schedule, &store, &pools);
-        let mut report = ServerReport {
-            sessions,
-            pool_stats: BufferStats::default(),
-            total_frames: frames * n_pools,
-            final_occupancy: 0,
-            resident_term_pages: 0,
-            retries: 0,
-            gave_up: 0,
-            torn_pages: 0,
-            fault_stats: store.stats(),
-            ledger,
-            wall_us,
-            lock_wait_us: 0,
-            batch_splits: 0,
-            adaptive: AdaptiveStats::default(),
-        };
+        let PoolLayout::Sharded {
+            total_frames,
+            policy,
+            shards,
+        } = self.layout;
+        let pool = ShardedBufferPool::new(Arc::clone(&store), total_frames, policy, shards)?;
+        pool.set_fetch_policy(self.fetch_policy);
+        let (sessions, ledger, wall_us) = self.run_sessions(specs, schedule, &store, &pool);
+        // No `quiesce` first: the counters are eager, and every pool
+        // accessor below takes each shard's lock, which replays the
+        // hits that shard still had queued.
         let all_terms: Vec<TermId> = (0..self.index.lexicon().len() as u32).map(TermId).collect();
-        let mut lock_wait_ns = 0;
-        for pool in &pools {
-            // Replay the pool's deferred hit effects before reading it:
-            // the lock-light path parks policy and observer work in
-            // `pending_hits`, and the adaptive stats below come from
-            // policy `on_hit` callbacks. The buffer counters themselves
-            // are eager; quiescing keeps the report one consistent
-            // snapshot.
-            pool.quiesce();
-            report.pool_stats += pool.stats();
-            report.final_occupancy += pool.len();
-            report.resident_term_pages += pool
+        Ok(ServerReport {
+            sessions,
+            pool_stats: pool.stats(),
+            total_frames,
+            final_occupancy: pool.len(),
+            resident_term_pages: pool
                 .resident_pages_many(&all_terms)
                 .into_iter()
                 .map(u64::from)
-                .sum::<u64>();
-            report.retries += pool.retries();
-            report.gave_up += pool.gave_up();
-            report.torn_pages += pool.torn_pages();
-            lock_wait_ns += pool.metrics().lock_wait_ns.sum();
-            report.batch_splits += pool.metrics().batch_splits.get();
-            report.adaptive.absorb(&pool.merged_dump());
-        }
-        report.lock_wait_us = lock_wait_ns / 1_000;
-        Ok(report)
+                .sum(),
+            retries: pool.retries(),
+            gave_up: pool.gave_up(),
+            torn_pages: pool.torn_pages(),
+            fault_stats: store.stats(),
+            ledger,
+            wall_us,
+            lock_wait_us: pool.metrics().lock_wait_ns.sum() / 1_000,
+            batch_splits: pool.metrics().batch_splits.get(),
+        })
     }
 
-    /// Spawns one scoped thread per spec, session `u` evaluating its
-    /// sequence through a handle of its own to `pools[u % pools.len()]`,
-    /// and joins them all.
+    /// Spawns one scoped thread per spec, each session evaluating its
+    /// sequence through a handle of its own to `pool`, and joins them
+    /// all.
     fn run_sessions(
         &self,
         specs: &[SessionSpec],
         schedule: Schedule,
         store: &Arc<ServerStore>,
-        pools: &[ServerPool],
+        pool: &ServerPool,
     ) -> SessionsRun {
         let n = specs.len();
         let max_steps = specs
@@ -466,7 +368,7 @@ impl<'a> SessionServer<'a> {
             for (user, spec) in specs.iter().enumerate() {
                 // One handle — one announcer — per session, for as
                 // long as the session has queries left.
-                let mut buffer = Some(pools[user % pools.len()].clone());
+                let mut buffer = Some(pool.clone());
                 let turns = &turns;
                 handles.push(scope.spawn(move |_| {
                     let mut sspan =
@@ -712,10 +614,6 @@ mod tests {
                 policy: PolicyKind::Rap,
                 shards: 1,
             },
-            PoolLayout::Partitioned {
-                frames_each: 3,
-                policy: PolicyKind::Rap,
-            },
             PoolLayout::Sharded {
                 total_frames: 10,
                 policy: PolicyKind::Rap,
@@ -743,78 +641,33 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_sessions_read_exactly_what_they_read_alone() {
-        // Nothing is shared between partitions, so each session's
-        // reads are those of the same spec alone on a pool of the
-        // partition's size — under FreeRunning too.
+    fn report_reads_the_runs_one_pool() {
+        // Two shards under a policy whose hits are queued for replay:
+        // the report still adds up without a `quiesce`, and a
+        // one-shard pool never splits a plan.
         let idx = index();
-        let specs = specs(&idx);
-        for policy in [PolicyKind::Rap, PolicyKind::Lru] {
-            let private = SessionServer::new(
-                &idx,
-                PoolLayout::Sharded {
-                    total_frames: 4,
-                    policy,
-                    shards: 1,
-                },
-            );
-            let alone: Vec<Vec<u64>> = specs
-                .iter()
-                .map(|spec| {
-                    let report = private
-                        .run(std::slice::from_ref(spec), Schedule::RoundRobin)
-                        .unwrap();
-                    step_reads(&report.sessions[0])
-                })
-                .collect();
-            let partitioned = SessionServer::new(
-                &idx,
-                PoolLayout::Partitioned {
-                    frames_each: 4,
-                    policy,
-                },
-            );
-            for schedule in [Schedule::RoundRobin, Schedule::FreeRunning] {
-                let report = partitioned.run(&specs, schedule).unwrap();
-                let together: Vec<Vec<u64>> = report.sessions.iter().map(step_reads).collect();
-                assert_eq!(together, alone, "{policy} under {schedule:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn report_sums_over_every_pool_of_the_layout() {
-        let idx = index();
-        for (layout, frames) in [
-            (
-                PoolLayout::Sharded {
-                    total_frames: 10,
-                    policy: PolicyKind::Rap,
-                    shards: 1,
-                },
-                10,
-            ),
-            (
-                PoolLayout::Partitioned {
-                    frames_each: 3,
-                    policy: PolicyKind::Rap,
-                },
-                12,
-            ),
-        ] {
+        for (policy, shards) in [(PolicyKind::Rap, 1), (PolicyKind::Adaptive, 2)] {
+            let layout = PoolLayout::Sharded {
+                total_frames: 10,
+                policy,
+                shards,
+            };
             let report = SessionServer::new(&idx, layout)
                 .run(&specs(&idx), Schedule::RoundRobin)
                 .unwrap();
-            assert_eq!(report.total_frames, frames, "{layout:?}");
+            assert_eq!(report.total_frames, 10, "{layout:?}");
             assert_eq!(
                 report.resident_term_pages, report.final_occupancy as u64,
                 "{layout:?}: every frame holds one page of one term"
             );
             assert!(report.final_occupancy <= report.total_frames, "{layout:?}");
             let s = report.pool_stats;
+            assert!(s.hits > 0, "{layout:?}: warm rounds must hit");
             assert_eq!(s.misses, session_reads(&report), "{layout:?}");
             assert_eq!(s.hits + s.misses, s.requests, "{layout:?}");
-            assert_eq!(report.batch_splits, 0, "{layout:?}: one-shard pools");
+            if shards == 1 {
+                assert_eq!(report.batch_splits, 0, "{layout:?}");
+            }
         }
     }
 
@@ -823,9 +676,10 @@ mod tests {
         let idx = index();
         let server = SessionServer::new(
             &idx,
-            PoolLayout::Partitioned {
-                frames_each: 4,
+            PoolLayout::Sharded {
+                total_frames: 12,
                 policy: PolicyKind::Rap,
+                shards: 1,
             },
         );
         let report = server.run(&specs(&idx), Schedule::RoundRobin).unwrap();
@@ -960,91 +814,5 @@ mod tests {
         };
         assert_eq!(reads(&clean), reads(&faulty));
         assert_eq!(clean.pool_stats.misses, faulty.pool_stats.misses);
-    }
-
-    #[test]
-    fn adaptive_counters_surface_in_the_report() {
-        let idx = index();
-        for layout in [
-            PoolLayout::Sharded {
-                total_frames: 12,
-                policy: PolicyKind::Adaptive,
-                shards: 1,
-            },
-            PoolLayout::Partitioned {
-                frames_each: 4,
-                policy: PolicyKind::Adaptive,
-            },
-            PoolLayout::Sharded {
-                total_frames: 12,
-                policy: PolicyKind::Adaptive,
-                shards: 2,
-            },
-        ] {
-            let report = SessionServer::new(&idx, layout)
-                .run(&specs(&idx), Schedule::RoundRobin)
-                .unwrap();
-            assert!(report.adaptive.is_active(), "{layout:?}");
-            let names: Vec<&str> = report
-                .adaptive
-                .shadow_hits
-                .iter()
-                .map(|(n, _)| n.as_str())
-                .collect();
-            assert!(names.contains(&"LRU"), "{layout:?}: {names:?}");
-            assert!(names.contains(&"RAP"), "{layout:?}: {names:?}");
-            assert!(
-                report.adaptive.shadow_hits.iter().any(|(_, h)| *h > 0),
-                "{layout:?}: shadow experts must observe hits"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_report_is_a_quiesced_snapshot() {
-        // The rollup quiesces the pool before snapshotting, so the
-        // report is one consistent picture: counter conservation holds
-        // per shard (and therefore in the summed pool stats), and no
-        // lock-light hit is still sitting in a shard's deferred queue
-        // with its policy effects unapplied.
-        let idx = index();
-        let report = SessionServer::new(
-            &idx,
-            PoolLayout::Sharded {
-                total_frames: 12,
-                policy: PolicyKind::Adaptive,
-                shards: 2,
-            },
-        )
-        .run(&specs(&idx), Schedule::RoundRobin)
-        .unwrap();
-        let s = &report.pool_stats;
-        assert_eq!(
-            s.hits + s.misses,
-            s.requests,
-            "hits+misses==requests must hold in the report"
-        );
-        assert!(s.hits > 0, "warm rounds must produce lock-light hits");
-        // The adaptive policy only observes a hit when its deferred
-        // effects replay; a non-quiesced rollup reports fewer shadow
-        // observations than served hits.
-        assert!(report.adaptive.is_active());
-    }
-
-    #[test]
-    fn static_policies_report_no_adaptive_activity() {
-        let idx = index();
-        let report = SessionServer::new(
-            &idx,
-            PoolLayout::Sharded {
-                total_frames: 12,
-                policy: PolicyKind::Lru,
-                shards: 1,
-            },
-        )
-        .run(&specs(&idx), Schedule::RoundRobin)
-        .unwrap();
-        assert_eq!(report.adaptive, AdaptiveStats::default());
-        assert!(!report.adaptive.is_active());
     }
 }

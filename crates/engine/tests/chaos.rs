@@ -81,9 +81,10 @@ fn layouts(policy: PolicyKind) -> [PoolLayout; 2] {
             policy,
             shards: 1,
         },
-        PoolLayout::Partitioned {
-            frames_each: 4,
+        PoolLayout::Sharded {
+            total_frames: 12,
             policy,
+            shards: 2,
         },
     ]
 }

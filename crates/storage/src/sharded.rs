@@ -1,5 +1,5 @@
-//! The concurrent buffer pool: what every multi-session layout of the
-//! engine's `SessionServer` runs on.
+//! The concurrent buffer pool: the one pool the engine's
+//! `SessionServer` shares among its sessions.
 //!
 //! One mutex around a [`BufferManager`] would serialize *every* fetch —
 //! including pure buffer hits on Arc-shared pages — so N sessions on N
@@ -9,8 +9,7 @@
 //! own frame table, replacement-policy instance, [`BufferMetrics`] and
 //! [`parking_lot::Mutex`], so concurrent traffic on different shards
 //! never contends and no global lock exists on the hot path. A pool of
-//! one shard is the paper's single shared pool (`P = 1` below); a pool
-//! per session is a private partition.
+//! one shard is the paper's single shared pool (`P = 1` below).
 //!
 //! ## Locking protocol
 //!
@@ -94,7 +93,7 @@ use crate::page::Page;
 use crate::policy::PolicyKind;
 use crate::query_buffer::QueryBuffer;
 use crate::stats::{BufferMetrics, BufferStats};
-use ir_observe::{Counter, Histogram, MetricsSnapshot, Registry};
+use ir_observe::{Counter, Histogram, Registry};
 use ir_types::idmap::splitmix64;
 use ir_types::{IdMap, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::Mutex;
@@ -132,7 +131,6 @@ const SPIN_BEFORE_PARK: Duration = Duration::from_micros(50);
 /// [`BufferMetrics`]: crate::BufferMetrics
 #[derive(Clone, Debug)]
 pub struct ShardMetrics {
-    registry: Registry,
     /// Time spent waiting for shard locks — retrying, then parked —
     /// one observation per *contended* acquisition (ns; saturated to
     /// ≥ 1 so a recorded wait is never mistaken for no wait) — the
@@ -155,25 +153,14 @@ impl Default for ShardMetrics {
 }
 
 impl ShardMetrics {
-    /// Fresh counters in a private registry.
+    /// Fresh handles under the canonical `sharded.*` names.
     pub fn new() -> Self {
-        ShardMetrics::in_registry(&Registry::new())
-    }
-
-    /// Handles registered in `registry` under the canonical
-    /// `sharded.*` names.
-    pub fn in_registry(registry: &Registry) -> Self {
+        let registry = Registry::new();
         ShardMetrics {
-            registry: registry.clone(),
             lock_wait_ns: registry.histogram("sharded.lock_wait_ns", &LOCK_WAIT_NS_BOUNDS),
             contended_locks: registry.counter("sharded.contended_locks"),
             batch_splits: registry.counter("sharded.batch_splits"),
         }
-    }
-
-    /// The registry these handles live in.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 }
 
@@ -601,41 +588,6 @@ impl<S: PageStore> ShardedBufferPool<S> {
         &self.metrics
     }
 
-    /// One snapshot covering the whole pool: every shard's
-    /// `buffer.*` counters and histograms summed by name, with the
-    /// pool-level `sharded.*` contention metrics appended — the
-    /// rollup the observability registry consumes.
-    pub fn merged_dump(&self) -> MetricsSnapshot {
-        let mut merged = MetricsSnapshot::default();
-        for s in 0..self.shards.len() {
-            let dump = self.lock(s).metrics().dump();
-            for (name, value) in dump.counters {
-                match merged.counters.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, total)) => *total += value,
-                    None => merged.counters.push((name, value)),
-                }
-            }
-            for hist in dump.histograms {
-                match merged.histograms.iter_mut().find(|h| h.name == hist.name) {
-                    Some(total) => {
-                        debug_assert_eq!(total.bounds, hist.bounds, "shards share bucket bounds");
-                        total.count += hist.count;
-                        total.sum += hist.sum;
-                        for (slot, n) in total.counts.iter_mut().zip(&hist.counts) {
-                            *slot += n;
-                        }
-                    }
-                    None => merged.histograms.push(hist),
-                }
-            }
-        }
-        let pool = self.metrics.registry.snapshot();
-        merged.counters.extend(pool.counters);
-        merged.gauges.extend(pool.gauges);
-        merged.histograms.extend(pool.histograms);
-        merged
-    }
-
     /// Sets the store-read retry policy on every shard.
     pub fn set_fetch_policy(&self, policy: FetchPolicy) {
         for s in 0..self.shards.len() {
@@ -656,7 +608,8 @@ impl<S: PageStore> ShardedBufferPool<S> {
         for s in 0..self.shards.len() {
             self.lock(s).reset_stats();
         }
-        self.metrics.registry.reset_counters();
+        self.metrics.contended_locks.reset();
+        self.metrics.batch_splits.reset();
     }
 }
 
@@ -1027,32 +980,6 @@ mod tests {
         assert_eq!(out.len(), 1, "the entry served before the failure");
         assert_eq!(out[0].0.id(), first);
         assert!(pool.with_shard(pool.shard_of(first), |bm| bm.is_resident(first)));
-    }
-
-    #[test]
-    fn merged_dump_sums_shards_and_appends_contention() {
-        let mut pool = ShardedBufferPool::new(store(2, 8), 64, PolicyKind::Lru, 4).unwrap();
-        for t in 0..2 {
-            for p in 0..8 {
-                pool.fetch(pid(t, p)).unwrap();
-            }
-        }
-        pool.fetch_batch(&ReadPlan::for_term_pages(TermId(0), 8, None))
-            .unwrap();
-        let dump = pool.merged_dump();
-        assert_eq!(dump.counter("buffer.requests"), Some(24));
-        assert_eq!(dump.counter("buffer.loads"), Some(16));
-        assert_eq!(dump.counter("buffer.hits"), Some(8));
-        // Term-chunk routing: the 8-page prefix of term 0 fits one
-        // chunk (64 frames / 4 shards / 2 = 8 pages), so the batch no
-        // longer splits at all.
-        assert_eq!(dump.counter("sharded.batch_splits"), Some(0));
-        assert!(
-            dump.histograms
-                .iter()
-                .any(|h| h.name == "sharded.lock_wait_ns"),
-            "contention histogram must be part of the rollup"
-        );
     }
 
     #[test]

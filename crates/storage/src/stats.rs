@@ -59,7 +59,7 @@ impl BufferStats {
     }
 }
 
-/// Componentwise sum — how per-shard and per-pool snapshots roll up.
+/// Componentwise sum — how per-shard snapshots roll up.
 impl std::ops::AddAssign for BufferStats {
     fn add_assign(&mut self, other: BufferStats) {
         self.requests += other.requests;

@@ -2,10 +2,28 @@
 
 use buffir::core::{rank, Accumulators, Query};
 use buffir::index::{decode_postings, encode_postings, ConversionTable};
-use buffir::storage::{BufferManager, DiskSim, Page, PolicyKind};
+use buffir::storage::{
+    BufferManager, DiskSim, EventLog, Page, PolicyKind, QueryBuffer, ShardedBufferPool,
+};
 use buffir::text::stem;
-use ir_types::{frequency_order, DocId, PageId, Posting, TermId};
+use ir_types::{frequency_order, DocId, IdMap, PageId, Posting, ReadPlan, TermId};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// A simulated disk of `n_terms` lists of `pages` one-posting pages.
+fn disk(n_terms: u32, pages: u32) -> DiskSim {
+    let lists = (0..n_terms)
+        .map(|t| {
+            (0..pages)
+                .map(|p| {
+                    let postings: Vec<Posting> = vec![Posting::new(p, pages - p)];
+                    Page::new(PageId::new(TermId(t), p), postings.into(), 1.5)
+                })
+                .collect()
+        })
+        .collect();
+    DiskSim::new(lists)
+}
 
 /// Strategy: a valid inverted list — distinct doc ids, freqs ≥ 1,
 /// frequency-sorted.
@@ -97,18 +115,7 @@ proptest! {
         policy_idx in 0usize..7,
     ) {
         let policy = PolicyKind::ALL[policy_idx];
-        let lists: Vec<Vec<Page>> = (0..6)
-            .map(|t| {
-                (0..10)
-                    .map(|p| {
-                        let postings: Vec<Posting> = vec![Posting::new(p, 10 - p)];
-                        Page::new(PageId::new(TermId(t), p), postings.into(), 1.5)
-                    })
-                    .collect()
-            })
-            .collect();
-        let disk = DiskSim::new(lists);
-        let mut bm = BufferManager::new(disk, capacity, policy).unwrap();
+        let mut bm = BufferManager::new(disk(6, 10), capacity, policy).unwrap();
         for &(t, p) in &fetches {
             bm.fetch(PageId::new(TermId(t), p)).unwrap();
             prop_assert!(bm.len() <= capacity, "{policy} overflow");
@@ -170,6 +177,81 @@ proptest! {
         for (d, total) in reference {
             let got = accs.iter().find(|(doc, _)| doc.0 == d).unwrap().1;
             prop_assert!((got - total).abs() < 1e-9);
+        }
+    }
+}
+
+/// Announces each step's weights, then fetches its plan.
+fn drive(pool: &mut impl QueryBuffer, traffic: &[(IdMap<TermId, f64>, ReadPlan)]) {
+    let mut out = Vec::new();
+    for (weights, plan) in traffic {
+        pool.begin_query(weights);
+        pool.fetch_batch_into(plan, &mut out).unwrap();
+    }
+}
+
+/// A pool nobody observes skips the hits its policy says it does not
+/// use, so a policy that wrongly disowns its hits evicts differently
+/// only while nobody watches — and every identity test watches. Same
+/// seeded traffic (prefix scans that hit, miss and evict, under
+/// changing announcements) with and without an observer, for every
+/// kind, on the reference pool and on a quiesced two-shard pool.
+/// Planted and caught: `uses_hits` wrongly `false` on LRU (seed 1,
+/// two-shard pool: one hit fewer, one eviction more unobserved).
+#[test]
+fn observing_a_pool_does_not_change_what_it_evicts() {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    for seed in 0..12u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let traffic: Vec<(IdMap<TermId, f64>, ReadPlan)> = (0..60)
+            .map(|_| {
+                let t = rng.gen_range(0..6u32);
+                let weights = [
+                    (TermId(t), f64::from(rng.gen_range(1..4u32))),
+                    (TermId((t + 1) % 6), 0.5),
+                ]
+                .into_iter()
+                .collect();
+                let pages = rng.gen_range(1..=10u32);
+                (weights, ReadPlan::for_term_pages(TermId(t), pages, None))
+            })
+            .collect();
+        let capacity = [4, 8, 12][(seed % 3) as usize];
+        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+            let reference = |observed: bool| {
+                let mut bm = BufferManager::new(disk(6, 10), capacity, kind).unwrap();
+                if observed {
+                    bm.set_observer(Box::new(EventLog::new()));
+                }
+                drive(&mut bm, &traffic);
+                (bm.stats(), bm.resident_ids())
+            };
+            assert_eq!(
+                reference(true),
+                reference(false),
+                "seed {seed}, {kind}, BufferManager"
+            );
+            let sharded = |observed: bool| {
+                let mut pool =
+                    ShardedBufferPool::new(Arc::new(disk(6, 10)), capacity, kind, 2).unwrap();
+                if observed {
+                    for s in 0..2 {
+                        pool.with_shard(s, |bm| bm.set_observer(Box::new(EventLog::new())));
+                    }
+                }
+                drive(&mut pool, &traffic);
+                pool.quiesce();
+                let mut resident: Vec<PageId> = (0..2)
+                    .flat_map(|s| pool.with_shard(s, |bm| bm.resident_ids()))
+                    .collect();
+                resident.sort();
+                (pool.stats(), resident)
+            };
+            assert_eq!(
+                sharded(true),
+                sharded(false),
+                "seed {seed}, {kind}, two-shard pool"
+            );
         }
     }
 }
