@@ -12,8 +12,8 @@
 //! CSV directory (default `results/`).
 
 use ir_bench::exp::{
-    ablation, adaptive, aggregate, effectiveness, feedback_exp, fig3_table5, fig4, fig5_8,
-    multiuser, ordering, scaling, table1_2, table4, table7, ExpContext, ExpResult,
+    ablation, aggregate, effectiveness, feedback_exp, fig3_table5, fig4, fig5_8, multiuser,
+    ordering, scaling, table1_2, table4, table7, ExpContext, ExpResult,
 };
 use ir_bench::output::OutputDir;
 use ir_bench::setup::{pick_representatives, profile_queries, TestBed};
@@ -39,7 +39,6 @@ const EXPERIMENTS: &[(&str, Runner)] = &[
     ("multiuser", multiuser::run),
     ("ordering", |c| ordering::run(c).map(drop)),
     ("scaling", |c| scaling::run(c).map(drop)),
-    ("adaptive", adaptive::run),
 ];
 
 fn usage() -> String {

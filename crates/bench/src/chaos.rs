@@ -15,7 +15,10 @@
 //!   exceeds capacity, and the per-term `b_t` counters sum to the
 //!   occupancy (no lost or duplicated frames);
 //! * **coverage** — the seed actually injected faults and exercised
-//!   the retry path, and no fetch exhausted its budget.
+//!   the retry path, and no fetch exhausted its budget;
+//! * **backend invisibility** — the file rows, the same sessions over
+//!   the exported page file, read per session exactly what their
+//!   policy's one-shard `sharded` row read.
 //!
 //! The emitted report contains no wall-clock numbers, so two runs with
 //! the same seed and scale are byte-identical — CI diffs one run at
@@ -27,8 +30,8 @@ use ir_core::eval::evaluate;
 use ir_core::{Algorithm, Query, RefinementKind};
 use ir_engine::{PoolLayout, Schedule, ServerReport, SessionOutcome, SessionServer, SessionSpec};
 use ir_storage::{
-    BufferManager, FaultConfig, FaultStore, FetchPolicy, FileMode, FilePageStore, PageStore,
-    PolicyKind,
+    FaultConfig, FaultStore, FetchPolicy, FileMode, FilePageStore, PageStore, PolicyKind,
+    ShardedBufferPool,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -89,19 +92,24 @@ fn per_session_reads(r: &ServerReport) -> Vec<u64> {
 }
 
 /// Replays every session's sequence, interleaved round-robin, through
-/// one cold pool over `store`, returning per-session disk-read totals.
-/// The file-backend analogue of a [`SessionServer`] run.
+/// one cold one-shard pool over `store`, returning per-session
+/// disk-read totals. The file-backend analogue of a round-robin
+/// [`SessionServer`] run, handle for handle: each session evaluates
+/// through a handle of its own — one RAP announcer — dropped after its
+/// last step, so the pool sees the request stream the server's does.
 fn drive_sessions<S: PageStore>(
     bed: &TestBed,
     specs: &[SessionSpec],
-    store: S,
+    store: Arc<S>,
     frames: usize,
     policy: PolicyKind,
     fetch: FetchPolicy,
 ) -> Result<Vec<u64>, String> {
-    let mut buffer = BufferManager::new(store, frames, policy)
+    let pool = ShardedBufferPool::new(store, frames, policy, 1)
         .map_err(|e| format!("pool construction failed: {e}"))?;
-    buffer.set_fetch_policy(fetch);
+    pool.set_fetch_policy(fetch);
+    let mut handles: Vec<Option<ShardedBufferPool<S>>> =
+        specs.iter().map(|_| Some(pool.clone())).collect();
     let mut reads = vec![0u64; specs.len()];
     let max_steps = specs
         .iter()
@@ -110,14 +118,20 @@ fn drive_sessions<S: PageStore>(
         .unwrap_or(0);
     for step in 0..max_steps {
         for (user, spec) in specs.iter().enumerate() {
+            let Some(buffer) = handles[user].as_mut() else {
+                continue;
+            };
             if let Some(terms) = spec.sequence.steps.get(step) {
                 let stats = Query::from_ids(&bed.index, terms)
-                    .and_then(|q| {
-                        evaluate(spec.algorithm, &bed.index, &mut buffer, &q, spec.options)
-                    })
+                    .and_then(|q| evaluate(spec.algorithm, &bed.index, buffer, &q, spec.options))
                     .map_err(|e| format!("user {user} step {step}: {e}"))?
                     .stats;
                 reads[user] += stats.disk_reads;
+            }
+            // A session out of queries leaves: its handle's last query
+            // goes out of the pool's history, in its own turn.
+            if step + 1 >= spec.sequence.steps.len() {
+                handles[user] = None;
             }
         }
     }
@@ -155,8 +169,11 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
         "chaos matrix: seed {seed}, scale {scale}, {} sessions, retry budget {RETRY_BUDGET}",
         specs.len()
     );
-    for policy in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
-        for layout in [
+    // Per-session reads of each policy's one-shard row, which its file
+    // row must repeat.
+    let mut one_shard_reads = Vec::with_capacity(PolicyKind::ALL.len());
+    for policy in PolicyKind::ALL {
+        for (i, layout) in [
             PoolLayout::Sharded {
                 total_frames,
                 policy,
@@ -167,7 +184,10 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
                 policy,
                 shards,
             },
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let label = format!("{policy:>9} / {}", layout_name(layout));
             let clean = SessionServer::new(&bed.index, layout)
                 .run(&specs, Schedule::RoundRobin)
@@ -216,12 +236,17 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
                 f.latency_spikes,
                 faulty.retries,
             );
+            if i == 0 {
+                one_shard_reads.push(faulty_reads);
+            }
         }
     }
     // File-backend rows: the same transparency contract must hold when
     // pages come from the BFPG page file instead of the in-memory
     // simulator — faults injected above the file store, recovered by
-    // the pool's retry machinery, may not move per-session reads.
+    // the pool's retry machinery, may not move per-session reads — and
+    // the backend itself must be invisible: every file row reads what
+    // its policy's `sharded[…/1]` row read.
     let file = TempPageFile(
         std::env::temp_dir().join(format!("buffir-chaos-{}.bfpg", std::process::id())),
     );
@@ -230,7 +255,7 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
     let file_store = FilePageStore::open(&file.0, FileMode::Buffered)
         .map(Arc::new)
         .map_err(|e| format!("opening {}: {e}", file.0.display()))?;
-    for policy in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+    for (policy, one_shard) in PolicyKind::ALL.into_iter().zip(&one_shard_reads) {
         let label = format!("{policy:>9} / file[{total_frames}]");
         let clean = drive_sessions(
             &bed,
@@ -262,6 +287,12 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
                  {clean:?} fault-free vs {faulty:?} chaotic"
             ));
         }
+        if &faulty != one_shard {
+            return Err(format!(
+                "{label}: the backend moved per-session reads: {faulty:?} from the page \
+                 file vs {one_shard:?} on sharded[{total_frames}/1]"
+            ));
+        }
         let f = faulty_store.stats();
         if f.total_faults() == 0 {
             return Err(format!("{label}: seed {seed} injected no faults"));
@@ -279,8 +310,8 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
     let _ = writeln!(
         out,
         "all {} combinations recovered ({} file-backed); invariants hold under injected failure",
-        (PolicyKind::ALL.len() + PolicyKind::ADAPTIVE.len()) * 3,
-        PolicyKind::ALL.len() + PolicyKind::ADAPTIVE.len()
+        PolicyKind::ALL.len() * 3,
+        PolicyKind::ALL.len()
     );
     Ok(out)
 }

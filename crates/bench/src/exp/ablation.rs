@@ -20,9 +20,8 @@ pub struct AblationSummary {
     pub rap_vs_lru: f64,
 }
 
-/// Runs the policy ablation on the QUERY1 representative over the
-/// static policies of [`PolicyKind::ALL`]; the adaptive ones have their
-/// own experiment ([`super::adaptive`]).
+/// Runs the policy ablation on the QUERY1 representative over every
+/// policy of [`PolicyKind::ALL`].
 pub fn run(ctx: &ExpContext<'_>) -> ExpResult<AblationSummary> {
     let policies = PolicyKind::ALL;
     let topic = ctx.reps.query1;

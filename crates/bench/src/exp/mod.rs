@@ -2,7 +2,6 @@
 //! artifact and writes CSVs into the output directory.
 
 pub mod ablation;
-pub mod adaptive;
 pub mod aggregate;
 pub mod effectiveness;
 pub mod feedback_exp;

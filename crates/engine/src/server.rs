@@ -646,7 +646,7 @@ mod tests {
         // the report still adds up without a `quiesce`, and a
         // one-shard pool never splits a plan.
         let idx = index();
-        for (policy, shards) in [(PolicyKind::Rap, 1), (PolicyKind::Adaptive, 2)] {
+        for (policy, shards) in [(PolicyKind::Rap, 1), (PolicyKind::Lru, 2)] {
             let layout = PoolLayout::Sharded {
                 total_frames: 10,
                 policy,

@@ -167,27 +167,21 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Creates a pool around an explicit policy instance — the way to
-    /// run a custom expert panel
-    /// ([`ExpertMixturePolicy::with_panel`](crate::policy::ExpertMixturePolicy::with_panel))
-    /// or any out-of-tree [`ReplacementPolicy`]. `kind` is the label
-    /// reports attribute the pool to.
+    /// run an out-of-tree [`ReplacementPolicy`], or a test oracle in
+    /// place of a built-in one. `kind` is the label reports attribute
+    /// the pool to.
     ///
     /// # Errors
     /// [`IrError::EmptyBufferPool`] if `capacity` is zero.
     pub fn with_policy(
         store: S,
         capacity: usize,
-        mut policy: Box<dyn ReplacementPolicy>,
+        policy: Box<dyn ReplacementPolicy>,
         kind: PolicyKind,
     ) -> IrResult<Self> {
         if capacity == 0 {
             return Err(IrError::EmptyBufferPool);
         }
-        let metrics = BufferMetrics::new();
-        // Adaptive policies register their `adaptive.*` counters in the
-        // pool's registry; classic policies ignore the offer, leaving
-        // the metric namespace untouched.
-        policy.attach_metrics(metrics.registry());
         Ok(BufferManager {
             store,
             capacity,
@@ -199,7 +193,7 @@ impl<S: PageStore> BufferManager<S> {
             policy_kind: kind,
             resident_per_term: Arc::default(),
             fetch_policy: FetchPolicy::NO_RETRY,
-            metrics,
+            metrics: BufferMetrics::new(),
             observer: None,
         })
     }
@@ -1315,24 +1309,25 @@ mod tests {
         assert_eq!(view(run.store()), view(oracle.store()), "{what}: store");
     }
 
-    /// The run loop against the per-entry oracle: all eight kinds,
-    /// pools of 1 / 3 / 16 frames, with and without observers, over a
-    /// clean store, a faulting one (retries, give-ups, torn pages) and
-    /// one that overlaps (what is staged, and when). Planted and caught:
+    /// The run loop against the per-entry oracle: every kind, pools of
+    /// 1 / 3 / 16 frames, with and without observers, over a clean
+    /// store, a faulting one (retries, give-ups, torn pages) and one
+    /// that overlaps (what is staged, and when). Planted and caught:
     /// consumers replayed after the following miss (seed 0, LRU, 1
     /// frame: the late `on_hit` re-tracks the page the miss evicted and
     /// `install` is handed a non-resident victim), `requests` added for
     /// the whole plan up front (seed 0, step 4: the plan that errs),
     /// a duplicate of a just-loaded page counted as a second load
     /// (seed 0, step 6), a run's `Hit` events without its `on_hit`
-    /// calls (seed 0, ADAPTIVE: its shadows' counters), `uses_hits`
-    /// wrongly `false` on LRU (seed 1, step 14, unobserved).
+    /// calls (seed 1, LRU, 3 frames, step 14: a page LRU should have
+    /// kept is reloaded), `uses_hits` wrongly `false` on LRU (seed 1,
+    /// step 14, unobserved).
     #[test]
     fn hit_run_loop_matches_the_per_entry_oracle() {
         use crate::disk::tests::StagingProbe;
         use crate::fault::{FaultConfig, FaultStore};
         for seed in 0..48 {
-            for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+            for kind in PolicyKind::ALL {
                 let capacity = [1, 3, 16][(seed % 3) as usize];
                 let observed = seed % 2 == 0;
                 run_hit_run_differential(

@@ -13,7 +13,6 @@
 //! [`BufferManager`](crate::buffer::BufferManager), which drives the
 //! policy through the [`ReplacementPolicy`] trait.
 
-mod adaptive;
 mod clock;
 mod fifo;
 mod lru;
@@ -23,7 +22,6 @@ mod rap;
 mod tick;
 mod two_q;
 
-pub use adaptive::{ExpertMixturePolicy, DEFAULT_PANEL};
 pub use clock::Clock;
 pub use fifo::Fifo;
 pub use lru::Lru;
@@ -33,7 +31,6 @@ pub use rap::Rap;
 pub use two_q::TwoQ;
 
 use crate::page::Page;
-use ir_observe::Registry;
 use ir_types::{IdMap, PageId, TermId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -120,15 +117,6 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
         let _ = value_hint;
         self.on_insert(page);
     }
-
-    /// Offers the pool's metrics registry to the policy, right after
-    /// the pool registers its own counters there. The default is a
-    /// no-op — classic policies export nothing, so non-adaptive pools
-    /// keep their metric namespace byte-identical. The adaptive
-    /// policy registers its `adaptive.*` counters in it.
-    fn attach_metrics(&mut self, registry: &Registry) {
-        let _ = registry;
-    }
 }
 
 /// Selector for the available policies; the unit of configuration in
@@ -149,8 +137,6 @@ pub enum PolicyKind {
     Fifo,
     /// Clock / second-chance (extension baseline).
     Clock,
-    /// Expert-mixture adaptive policy (EEvA-style shadow voting).
-    Adaptive,
 }
 
 impl PolicyKind {
@@ -168,13 +154,6 @@ impl PolicyKind {
     /// The three policies evaluated in the paper's figures.
     pub const PAPER: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Rap];
 
-    /// The adaptive policy. Deliberately *not* part of
-    /// [`ALL`](Self::ALL): experiment harnesses index `ALL`
-    /// positionally and golden CSVs enumerate it, so the adaptive row
-    /// is opt-in everywhere (the chaos matrix's extra rows, the
-    /// `adaptive` experiment).
-    pub const ADAPTIVE: [PolicyKind; 1] = [PolicyKind::Adaptive];
-
     /// Instantiates the policy. `capacity` is the buffer-pool size in
     /// pages (2Q sizes its queues from it).
     pub fn build(self, capacity: usize) -> Box<dyn ReplacementPolicy> {
@@ -186,7 +165,6 @@ impl PolicyKind {
             PolicyKind::TwoQ => Box::new(TwoQ::new(capacity)),
             PolicyKind::Fifo => Box::new(Fifo::new()),
             PolicyKind::Clock => Box::new(Clock::new()),
-            PolicyKind::Adaptive => Box::new(ExpertMixturePolicy::new(capacity)),
         }
     }
 }
@@ -201,7 +179,6 @@ impl fmt::Display for PolicyKind {
             PolicyKind::TwoQ => "2Q",
             PolicyKind::Fifo => "FIFO",
             PolicyKind::Clock => "CLOCK",
-            PolicyKind::Adaptive => "ADAPTIVE",
         };
         f.write_str(s)
     }
@@ -219,7 +196,6 @@ impl FromStr for PolicyKind {
             "2q" | "twoq" => Ok(PolicyKind::TwoQ),
             "fifo" => Ok(PolicyKind::Fifo),
             "clock" => Ok(PolicyKind::Clock),
-            "adaptive" | "mixture" | "eeva" => Ok(PolicyKind::Adaptive),
             other => Err(format!("unknown policy {other:?}")),
         }
     }
@@ -287,7 +263,7 @@ mod tests {
 
     #[test]
     fn kind_round_trips_through_str() {
-        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+        for kind in PolicyKind::ALL {
             let s = kind.to_string();
             let parsed: PolicyKind = s.parse().unwrap();
             assert_eq!(parsed, kind);
@@ -297,19 +273,9 @@ mod tests {
 
     #[test]
     fn build_constructs_matching_policy() {
-        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+        for kind in PolicyKind::ALL {
             let p = kind.build(16);
             assert_eq!(p.name(), kind.to_string());
-        }
-    }
-
-    #[test]
-    fn adaptive_kinds_stay_out_of_all() {
-        for kind in PolicyKind::ADAPTIVE {
-            assert!(
-                !PolicyKind::ALL.contains(&kind),
-                "{kind}: ALL is indexed positionally by harnesses and goldens"
-            );
         }
     }
 
@@ -353,7 +319,7 @@ mod tests {
     /// inherits `true`.
     #[test]
     fn uses_hits_is_false_exactly_where_on_hit_is_empty() {
-        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+        for kind in PolicyKind::ALL {
             let expected = !matches!(kind, PolicyKind::Rap | PolicyKind::Fifo);
             for seed in [15, 193, 2024] {
                 let (uses_hits, with_hits) = victims(kind, seed, true);

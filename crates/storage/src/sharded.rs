@@ -58,7 +58,7 @@
 //! * **`P = 1` is the reference pool.** A one-shard pool's event log,
 //!   metrics and store traffic are identical, fetch for fetch after a
 //!   [`quiesce`], to a bare [`BufferManager`]'s (a property test pins
-//!   this for all eight policy kinds, with and without fault injection).
+//!   this for every policy kind, with and without fault injection).
 //! * **A handle is a session.** Every handle to the pool — the one
 //!   [`new`] returns, and each [`Clone`] of it — announces under its
 //!   own id, and a query-aware policy (RAP) values a page by the

@@ -161,11 +161,6 @@ impl BufferMetrics {
         self.registry.snapshot()
     }
 
-    /// The registry these handles live in.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Zeroes every counter (the pool's `reset_stats`).
     pub fn reset(&self) {
         self.registry.reset_counters();

@@ -23,13 +23,7 @@
 //!   frames), and every resident page lives in exactly the shard the
 //!   hash routes it to — even while a hammer thread drains the deferred
 //!   hit queue with `quiesce` mid-flight.
-//! * **Single-expert mixture identity** — a buffer pool running
-//!   [`ExpertMixturePolicy`] over a one-policy panel is event-log- and
-//!   metrics-identical to a pool running that expert directly, so the
-//!   adaptive machinery provably adds no replacement behaviour of its
-//!   own.
 
-use ir_storage::policy::ExpertMixturePolicy;
 use ir_storage::{
     BufferEvent, BufferManager, BufferObserver, BufferStats, DiskSim, DiskStats, FaultConfig,
     FaultStats, FaultStore, FetchOutcome, FetchPolicy, Page, PageStore, PolicyKind, QueryBuffer,
@@ -233,7 +227,7 @@ proptest! {
             150..400,
         ),
     ) {
-        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+        for kind in PolicyKind::ALL {
             if with_faults {
                 let cfg = FaultConfig {
                     seed,
@@ -264,7 +258,7 @@ proptest! {
 
     /// Sessions in the policy ≡ the registry above the pool: three
     /// handles announcing for themselves against one announcer told
-    /// the merged map, for the two policy kinds that listen.
+    /// the merged map, under RAP, the one policy that listens.
     #[test]
     fn k_handles_match_a_manager_announced_the_merged_map(
         capacity in 2usize..10,
@@ -273,11 +267,10 @@ proptest! {
             150..400,
         ),
     ) {
-        for kind in [PolicyKind::Rap, PolicyKind::Adaptive] {
-            let pool = ShardedBufferPool::new(Arc::new(store()), capacity, kind, 1).unwrap();
-            let reference = BufferManager::new(Arc::new(store()), capacity, kind).unwrap();
-            assert_one_shard_matches_manager(pool, reference, &ops, kind, 3);
-        }
+        let kind = PolicyKind::Rap;
+        let pool = ShardedBufferPool::new(Arc::new(store()), capacity, kind, 1).unwrap();
+        let reference = BufferManager::new(Arc::new(store()), capacity, kind).unwrap();
+        assert_one_shard_matches_manager(pool, reference, &ops, kind, 3);
     }
 }
 
@@ -364,7 +357,7 @@ proptest! {
             })
             .collect();
         let singles: Vec<ReadPlan> = whole.iter().map(|e| [*e].into_iter().collect()).collect();
-        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+        for kind in PolicyKind::ALL {
             for chunk in [Some(1), None] {
                 for config in [FaultConfig::DISABLED, FaultConfig::chaos(seed)] {
                     let one_plan =
@@ -377,175 +370,6 @@ proptest! {
                         !config.is_disabled()
                     );
                 }
-            }
-        }
-    }
-}
-
-/// Drives a pool whose policy is a single-expert [`ExpertMixturePolicy`]
-/// and a reference pool running the expert directly through the same
-/// interleaving of fetches, traced fetches, hinted plans and RAP
-/// announcements, then asserts the mixture is a perfect passthrough:
-/// same event log, same stats, same buffer metrics, same resident set,
-/// same `b_t` counters.
-fn assert_mixture_matches_expert<S: PageStore>(
-    mut mixture: BufferManager<Arc<S>>,
-    mut reference: BufferManager<Arc<S>>,
-    ops: &[Op],
-    kind: PolicyKind,
-) {
-    let mix_log = SharedLog::default();
-    mixture.set_observer(Box::new(mix_log.clone()));
-    let ref_log = SharedLog::default();
-    reference.set_observer(Box::new(ref_log.clone()));
-
-    for (t, p, action) in ops {
-        let id = PageId::new(TermId(*t), *p);
-        match action % 4 {
-            0 => {
-                let weights: IdMap<TermId, f64> =
-                    [(TermId(*t), f64::from(*p + 1))].into_iter().collect();
-                mixture.begin_query(&weights);
-                reference.begin_query(&weights);
-            }
-            1 => {
-                let (pa, ha) = mixture
-                    .fetch_traced(id)
-                    .unwrap_or_else(|e| panic!("mixture[{kind}]: fetch failed: {e}"));
-                let (pb, hb) = reference.fetch_traced(id).unwrap();
-                assert_eq!(ha, hb, "mixture[{kind}]: outcome differs for {id:?}");
-                assert_eq!(
-                    pa.postings(),
-                    pb.postings(),
-                    "mixture[{kind}]: bytes differ"
-                );
-            }
-            2 => {
-                let plan: ReadPlan = [
-                    PlanEntry::new(id),
-                    PlanEntry::hinted(PageId::new(TermId(*t), (*p + 1) % PAGES_PER_TERM), 0.5),
-                    PlanEntry::new(PageId::new(TermId((*t + 1) % N_TERMS), *p)),
-                ]
-                .into_iter()
-                .collect();
-                let a = mixture
-                    .fetch_batch(&plan)
-                    .unwrap_or_else(|e| panic!("mixture[{kind}]: batch failed: {e}"));
-                let b = reference.fetch_batch(&plan).unwrap();
-                assert_eq!(a.len(), b.len(), "mixture[{kind}]: batch lengths differ");
-                for ((pa, ha), (pb, hb)) in a.iter().zip(&b) {
-                    assert_eq!(ha, hb, "mixture[{kind}]: batch outcome differs");
-                    assert_eq!(pa.postings(), pb.postings(), "mixture[{kind}]: batch bytes");
-                }
-            }
-            _ => {
-                let pa = mixture.fetch(id).unwrap();
-                let pb = reference.fetch(id).unwrap();
-                assert_eq!(
-                    pa.postings(),
-                    pb.postings(),
-                    "mixture[{kind}]: bytes differ"
-                );
-            }
-        }
-    }
-
-    assert_eq!(
-        *mix_log.0.lock().unwrap(),
-        *ref_log.0.lock().unwrap(),
-        "mixture[{kind}]: event logs differ"
-    );
-    let (sa, sb) = (mixture.stats(), reference.stats());
-    assert_eq!(
-        (sa.requests, sa.hits, sa.misses, sa.evictions),
-        (sb.requests, sb.hits, sb.misses, sb.evictions),
-        "mixture[{kind}]: stats differ"
-    );
-    let (ma, mb) = (mixture.metrics(), reference.metrics());
-    assert_eq!(ma.loads.get(), mb.loads.get(), "mixture[{kind}]: loads");
-    assert_eq!(ma.hits.get(), mb.hits.get(), "mixture[{kind}]: hits");
-    assert_eq!(
-        ma.retries.get(),
-        mb.retries.get(),
-        "mixture[{kind}]: retries"
-    );
-    assert_eq!(
-        ma.gave_up.get(),
-        mb.gave_up.get(),
-        "mixture[{kind}]: gave up"
-    );
-    assert_eq!(
-        ma.torn_pages.get(),
-        mb.torn_pages.get(),
-        "mixture[{kind}]: torn"
-    );
-    assert_eq!(
-        mixture.resident_ids(),
-        reference.resident_ids(),
-        "mixture[{kind}]: resident sets differ"
-    );
-    for t in 0..N_TERMS {
-        assert_eq!(
-            mixture.resident_pages(TermId(t)),
-            reference.resident_pages(TermId(t)),
-            "mixture[{kind}]: b_t differs for term {t}"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// A single-expert mixture must be indistinguishable from the
-    /// expert it wraps — under every policy in the static panel, with
-    /// and without seeded transient faults. This pins down the adaptive
-    /// layer's passthrough contract at the pool level: shadow scoring
-    /// and leader election may run, but with one expert they can never
-    /// change a single victim choice.
-    #[test]
-    fn single_expert_mixture_is_identical_to_the_expert(
-        capacity in 2usize..6,
-        with_faults in proptest::any::<bool>(),
-        cap in 1u32..4,
-        seed in proptest::any::<u64>(),
-        ops in collection::vec(
-            (0u32..N_TERMS, 0u32..PAGES_PER_TERM, proptest::any::<u8>()),
-            1..50,
-        ),
-    ) {
-        for kind in PolicyKind::ALL {
-            let panel = Box::new(ExpertMixturePolicy::with_panel(&[kind], capacity));
-            if with_faults {
-                let cfg = FaultConfig {
-                    seed,
-                    transient_rate: 1.0,
-                    max_consecutive_faults: cap,
-                    ..FaultConfig::DISABLED
-                };
-                let mut mixture = BufferManager::with_policy(
-                    Arc::new(FaultStore::new(store(), cfg)),
-                    capacity,
-                    panel,
-                    PolicyKind::Adaptive,
-                )
-                .unwrap();
-                mixture.set_fetch_policy(FetchPolicy::retries(cap));
-                // Twin store, same seed: both sides see the same faults.
-                let twin = Arc::new(FaultStore::new(store(), cfg));
-                let mut reference = BufferManager::new(twin, capacity, kind).unwrap();
-                reference.set_fetch_policy(FetchPolicy::retries(cap));
-                assert_mixture_matches_expert(mixture, reference, &ops, kind);
-            } else {
-                let mixture = BufferManager::with_policy(
-                    Arc::new(store()),
-                    capacity,
-                    panel,
-                    PolicyKind::Adaptive,
-                )
-                .unwrap();
-                let reference =
-                    BufferManager::new(Arc::new(store()), capacity, kind).unwrap();
-                assert_mixture_matches_expert(mixture, reference, &ops, kind);
             }
         }
     }

@@ -217,7 +217,7 @@ fn observing_a_pool_does_not_change_what_it_evicts() {
             })
             .collect();
         let capacity = [4, 8, 12][(seed % 3) as usize];
-        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE) {
+        for kind in PolicyKind::ALL {
             let reference = |observed: bool| {
                 let mut bm = BufferManager::new(disk(6, 10), capacity, kind).unwrap();
                 if observed {
