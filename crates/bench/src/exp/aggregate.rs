@@ -3,27 +3,10 @@
 //! and median around 75 %, and 74 sequences (out of 100) showing
 //! maximal improvement of over 70 %."
 
-use super::{ExpContext, ExpResult};
+use super::{sweep, ExpContext, ExpResult};
 use crate::output::TextTable;
-use ir_core::{run_sequence, Algorithm, RefinementKind, SessionConfig};
+use ir_core::{Algorithm, RefinementKind};
 use ir_storage::PolicyKind;
-
-/// Aggregate outcome for EXPERIMENTS.md.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AggregateSummary {
-    /// Minimum best-case savings across sequences.
-    pub min: f64,
-    /// Mean best-case savings.
-    pub mean: f64,
-    /// Median best-case savings.
-    pub median: f64,
-    /// Maximum best-case savings.
-    pub max: f64,
-    /// Sequences with best-case savings above 70 %.
-    pub over_70: usize,
-    /// Sequences measured.
-    pub total: usize,
-}
 
 /// Buffer-size fractions swept per sequence, anchored on the query's
 /// DF working set (the pages a cold DF evaluation touches): the
@@ -33,92 +16,52 @@ pub struct AggregateSummary {
 const FRACTIONS: [f64; 6] = [0.3, 0.5, 0.65, 0.8, 0.9, 1.0];
 
 /// Runs the aggregate ADD-ONLY comparison over every topic.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<AggregateSummary> {
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     println!("\n== Aggregate: best-case BAF/RAP savings vs DF/LRU, all ADD-ONLY sequences ==");
-    let mut best_savings: Vec<(usize, f64)> = Vec::with_capacity(ctx.bed.n_queries());
-    let mut csv_rows = Vec::new();
+    let pairs = [
+        (Algorithm::Df, PolicyKind::Lru),
+        (Algorithm::Baf, PolicyKind::Rap),
+    ];
+    let mut best: Vec<f64> = Vec::with_capacity(ctx.bed.n_queries());
+    let mut rows = Vec::new();
     for topic in 0..ctx.bed.n_queries() {
         let sequence = ctx.bed.sequence(topic, RefinementKind::AddOnly)?;
         let working_set = ctx.profiles[topic].df_reads.max(8) as f64;
-        let mut best = 0.0f64;
-        for f in FRACTIONS {
-            let buffers = ((working_set * f).round() as usize).max(1);
-            let df_lru = run_sequence(
-                &ctx.bed.index,
-                &sequence,
-                SessionConfig::new(Algorithm::Df, PolicyKind::Lru, buffers),
-                None,
-            )?
-            .total_disk_reads();
-            let baf_rap = run_sequence(
-                &ctx.bed.index,
-                &sequence,
-                SessionConfig::new(Algorithm::Baf, PolicyKind::Rap, buffers),
-                None,
-            )?
-            .total_disk_reads();
+        let buffers = FRACTIONS.map(|f| ((working_set * f).round() as usize).max(1));
+        let mut topic_best = 0.0f64;
+        for row in sweep(&ctx.bed.index, &sequence, &buffers, &pairs, None)? {
+            let (df_lru, baf_rap) = (row[0].reads(), row[1].reads());
             let savings = 1.0 - baf_rap as f64 / df_lru.max(1) as f64;
-            best = best.max(savings);
-            csv_rows.push(vec![
-                topic.to_string(),
-                buffers.to_string(),
-                df_lru.to_string(),
-                baf_rap.to_string(),
-                format!("{savings:.4}"),
-            ]);
+            topic_best = topic_best.max(savings);
+            let buffers = row[0].config.buffer_pages;
+            rows.push(format!("{topic},{buffers},{df_lru},{baf_rap},{savings:.4}"));
         }
-        best_savings.push((topic, best));
+        best.push(topic_best);
     }
     ctx.out.write_csv(
         "aggregate_add_only.csv",
-        &[
-            "topic",
-            "buffer_pages",
-            "df_lru_reads",
-            "baf_rap_reads",
-            "savings",
-        ],
-        csv_rows,
+        "topic,buffer_pages,df_lru_reads,baf_rap_reads,savings",
+        rows,
     )?;
 
-    let mut vals: Vec<f64> = best_savings.iter().map(|(_, s)| *s).collect();
-    vals.sort_by(f64::total_cmp);
-    let total = vals.len();
-    let summary = AggregateSummary {
-        min: *vals.first().unwrap_or(&0.0),
-        max: *vals.last().unwrap_or(&0.0),
-        mean: vals.iter().sum::<f64>() / total.max(1) as f64,
-        median: vals.get(total / 2).copied().unwrap_or(0.0),
-        over_70: vals.iter().filter(|&&s| s > 0.70).count(),
-        total,
-    };
-    let mut t = TextTable::new(&["metric", "measured", "paper"]);
-    t.row(vec![
-        "min %".into(),
-        format!("{:.1}", summary.min * 100.0),
-        "46".into(),
-    ]);
-    t.row(vec![
-        "mean %".into(),
-        format!("{:.1}", summary.mean * 100.0),
-        "~75".into(),
-    ]);
-    t.row(vec![
-        "median %".into(),
-        format!("{:.1}", summary.median * 100.0),
-        "~75".into(),
-    ]);
-    t.row(vec![
-        "max %".into(),
-        format!("{:.1}", summary.max * 100.0),
-        "90".into(),
-    ]);
-    t.row(vec![
-        "sequences > 70 %".into(),
-        format!("{}/{}", summary.over_70, summary.total),
-        "74/100".into(),
-    ]);
+    best.sort_by(f64::total_cmp);
+    let n = best.len();
+    let percent = |v: f64| format!("{:.1}", v * 100.0);
+    let over_70 = best.iter().filter(|&&s| s > 0.70).count();
+    let mut t = TextTable::new(["metric", "measured", "paper"]);
+    for (metric, measured, paper) in [
+        ("min %", percent(best[0]), "46"),
+        (
+            "mean %",
+            percent(best.iter().sum::<f64>() / n as f64),
+            "~75",
+        ),
+        ("median %", percent(best[n / 2]), "~75"),
+        ("max %", percent(best[n - 1]), "90"),
+        ("sequences > 70 %", format!("{over_70}/{n}"), "74/100"),
+    ] {
+        t.row(vec![metric.into(), measured, paper.into()]);
+    }
     print!("{}", t.render());
-    ctx.bed.index.disk().reset_stats();
-    Ok(summary)
+    Ok(())
 }

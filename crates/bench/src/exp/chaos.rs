@@ -1,10 +1,10 @@
-//! The `bench chaos` subcommand: every replacement policy × pool
-//! layout combination run through the threaded [`SessionServer`] under
-//! a seeded fault schedule, with the fault-tolerance contract checked
+//! The `chaos` experiment: every replacement policy × pool layout
+//! combination run through the threaded [`SessionServer`] under a
+//! seeded fault schedule, with the fault-tolerance contract checked
 //! after each run.
 //!
-//! For every combination the driver executes the same four refinement
-//! sessions twice — once fault-free, once through a
+//! For every combination the driver executes the four users of the
+//! multi-user experiment twice — once fault-free, once through a
 //! [`FaultConfig::chaos`] store with a retry budget covering the
 //! consecutive-fault cap — and asserts:
 //!
@@ -20,14 +20,16 @@
 //!   the exported page file, read per session exactly what their
 //!   policy's one-shard `sharded` row read.
 //!
-//! The emitted report contains no wall-clock numbers, so two runs with
-//! the same seed and scale are byte-identical — CI diffs one run at
-//! seed 193 and the default scale against the checked-in golden
+//! The transcript contains no wall-clock numbers, so two runs at the
+//! same scale are byte-identical: `scripts/check_goldens.sh` compares
+//! the default scale's `chaos_seed193.txt` with the checked-in golden
 //! `results/chaos_seed193.txt`.
 
-use crate::setup::{pick_representatives, profile_queries, TestBed};
+use super::multiuser::{four_users, half_the_working_sets, pool, sessions};
+use super::{ExpContext, ExpResult};
+use crate::setup::TestBed;
 use ir_core::eval::evaluate;
-use ir_core::{Algorithm, Query, RefinementKind};
+use ir_core::Query;
 use ir_engine::{PoolLayout, Schedule, ServerReport, SessionOutcome, SessionServer, SessionSpec};
 use ir_storage::{
     FaultConfig, FaultStore, FetchPolicy, FileMode, FilePageStore, PageStore, PolicyKind,
@@ -36,6 +38,9 @@ use ir_storage::{
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// The fault schedule's seed.
+const SEED: u64 = 193;
 
 /// Retry budget used for every chaotic run; covers the
 /// `max_consecutive_faults` cap of [`FaultConfig::chaos`] with one
@@ -138,27 +143,24 @@ fn drive_sessions<S: PageStore>(
     Ok(reads)
 }
 
-/// Runs the chaos matrix at `scale` with `seed` and returns the
-/// deterministic report text, or the first contract violation.
-pub fn run(seed: u64, scale: f64) -> Result<String, String> {
-    let bed = TestBed::at_scale(scale).map_err(|e| format!("testbed construction failed: {e}"))?;
-    let profiles = profile_queries(&bed).map_err(|e| format!("profiling failed: {e}"))?;
-    let reps = pick_representatives(&profiles);
-    let users = [reps.query1, reps.query2, reps.query3, reps.query4];
-    let specs: Vec<SessionSpec> = users
-        .iter()
-        .map(|&t| {
-            bed.sequence(t, RefinementKind::AddOnly)
-                .map(|seq| SessionSpec::new(seq, Algorithm::Baf))
-        })
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("building sessions: {e}"))?;
-    let total_frames: usize = users
-        .iter()
-        .map(|&t| profiles[t].df_reads as usize)
-        .sum::<usize>()
-        .max(2)
-        / 2;
+/// Runs the matrix, prints its transcript and writes it to
+/// `chaos_seed193.txt`.
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
+    let transcript = report(ctx)?;
+    print!("{transcript}");
+    std::fs::write(
+        ctx.out.path().join(format!("chaos_seed{SEED}.txt")),
+        transcript,
+    )?;
+    Ok(())
+}
+
+/// Runs the matrix on the context's testbed and returns the
+/// deterministic transcript, or the first contract violation.
+fn report(ctx: &ExpContext) -> ExpResult<String> {
+    let users = four_users(ctx);
+    let specs = sessions(ctx, &users)?;
+    let total_frames = half_the_working_sets(ctx, &users);
     // Stripe count for the sharded rows: 4 when the pool affords it,
     // clamped so every shard keeps at least one frame at tiny scales.
     let shards = total_frames.clamp(1, 4);
@@ -166,43 +168,33 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "chaos matrix: seed {seed}, scale {scale}, {} sessions, retry budget {RETRY_BUDGET}",
+        "chaos matrix: seed {SEED}, scale {}, {} sessions, retry budget {RETRY_BUDGET}",
+        ctx.scale,
         specs.len()
     );
     // Per-session reads of each policy's one-shard row, which its file
     // row must repeat.
     let mut one_shard_reads = Vec::with_capacity(PolicyKind::ALL.len());
     for policy in PolicyKind::ALL {
-        for (i, layout) in [
-            PoolLayout::Sharded {
-                total_frames,
-                policy,
-                shards: 1,
-            },
-            PoolLayout::Sharded {
-                total_frames,
-                policy,
-                shards,
-            },
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        let layouts = [
+            pool(total_frames, policy, 1),
+            pool(total_frames, policy, shards),
+        ];
+        for (i, layout) in layouts.into_iter().enumerate() {
             let label = format!("{policy:>9} / {}", layout_name(layout));
-            let clean = SessionServer::new(&bed.index, layout)
+            let clean = SessionServer::new(&ctx.bed.index, layout)
                 .run(&specs, Schedule::RoundRobin)
                 .map_err(|e| format!("{label}: fault-free run failed: {e}"))?;
-            let faulty = SessionServer::new(&bed.index, layout)
-                .with_faults(FaultConfig::chaos(seed))
+            let faulty = SessionServer::new(&ctx.bed.index, layout)
+                .with_faults(FaultConfig::chaos(SEED))
                 .with_fetch_policy(FetchPolicy::retries(RETRY_BUDGET))
                 .run(&specs, Schedule::RoundRobin)
                 .map_err(|e| format!("{label}: chaotic run failed: {e}"))?;
-            bed.index.disk().reset_stats();
 
             if let Some((i, e)) = faulty.failed_sessions().first() {
-                return Err(format!(
-                    "{label}: session {i} failed under recoverable faults: {e}"
-                ));
+                return Err(
+                    format!("{label}: session {i} failed under recoverable faults: {e}").into(),
+                );
             }
             check_invariants(&faulty, &label)?;
             let (clean_reads, faulty_reads) =
@@ -211,20 +203,22 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
                 return Err(format!(
                     "{label}: recovered faults changed per-session reads: \
                      {clean_reads:?} fault-free vs {faulty_reads:?} chaotic"
-                ));
+                )
+                .into());
             }
             let f = faulty.fault_stats;
             if f.total_faults() == 0 {
-                return Err(format!("{label}: seed {seed} injected no faults"));
+                return Err(format!("{label}: seed {SEED} injected no faults").into());
             }
             if faulty.retries == 0 {
-                return Err(format!("{label}: faults never exercised the retry path"));
+                return Err(format!("{label}: faults never exercised the retry path").into());
             }
             if faulty.gave_up > 0 {
+                let gave_up = faulty.gave_up;
                 return Err(format!(
-                    "{label}: {} fetches exhausted a budget that covers the cap",
-                    faulty.gave_up
-                ));
+                    "{label}: {gave_up} fetches exhausted a budget that covers the cap"
+                )
+                .into());
             }
             let _ = writeln!(
                 out,
@@ -250,7 +244,7 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
     let file = TempPageFile(
         std::env::temp_dir().join(format!("buffir-chaos-{}.bfpg", std::process::id())),
     );
-    ir_index::save_page_file(&bed.index, &file.0)
+    ir_index::save_page_file(&ctx.bed.index, &file.0)
         .map_err(|e| format!("page-file export failed: {e}"))?;
     let file_store = FilePageStore::open(&file.0, FileMode::Buffered)
         .map(Arc::new)
@@ -258,7 +252,7 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
     for (policy, one_shard) in PolicyKind::ALL.into_iter().zip(&one_shard_reads) {
         let label = format!("{policy:>9} / file[{total_frames}]");
         let clean = drive_sessions(
-            &bed,
+            &ctx.bed,
             &specs,
             Arc::clone(&file_store),
             total_frames,
@@ -268,10 +262,10 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
         .map_err(|e| format!("{label}: fault-free run failed: {e}"))?;
         let faulty_store = Arc::new(FaultStore::new(
             Arc::clone(&file_store),
-            FaultConfig::chaos(seed),
+            FaultConfig::chaos(SEED),
         ));
         let faulty = drive_sessions(
-            &bed,
+            &ctx.bed,
             &specs,
             Arc::clone(&faulty_store),
             total_frames,
@@ -279,23 +273,24 @@ pub fn run(seed: u64, scale: f64) -> Result<String, String> {
             FetchPolicy::retries(RETRY_BUDGET),
         )
         .map_err(|e| format!("{label}: chaotic run failed: {e}"))?;
-        file_store.reset_stats();
 
         if clean != faulty {
             return Err(format!(
                 "{label}: recovered faults changed per-session reads: \
                  {clean:?} fault-free vs {faulty:?} chaotic"
-            ));
+            )
+            .into());
         }
         if &faulty != one_shard {
             return Err(format!(
                 "{label}: the backend moved per-session reads: {faulty:?} from the page \
                  file vs {one_shard:?} on sharded[{total_frames}/1]"
-            ));
+            )
+            .into());
         }
         let f = faulty_store.stats();
         if f.total_faults() == 0 {
-            return Err(format!("{label}: seed {seed} injected no faults"));
+            return Err(format!("{label}: seed {SEED} injected no faults").into());
         }
         let _ = writeln!(
             out,
@@ -334,5 +329,29 @@ mod tests {
         };
         assert!(failing_run(path.clone()).is_err());
         assert!(!path.exists(), "the early Err must not leak the file");
+    }
+
+    /// `chaos` shares the testbed every other experiment has used: what
+    /// they leave behind must not reach the transcript. The coverage
+    /// checks (faults injected and retried in every row, no budget
+    /// exhausted) pass on the smallest collection that ranks at all, two
+    /// documents (with one, every idf is 0), so the test runs there.
+    #[test]
+    fn a_testbed_another_experiment_ran_on_gives_the_same_transcript() {
+        let context = |name: &str| {
+            let out = std::env::temp_dir().join(format!(
+                "buffir-chaos-{name}-context-test-{}",
+                std::process::id()
+            ));
+            let two_documents = 2.0 / f64::from(ir_corpus::config::WSJ_DOCS);
+            (ExpContext::new(two_documents, &out).unwrap(), out)
+        };
+        let (fresh, fresh_out) = context("fresh");
+        let (used, used_out) = context("used");
+        used.run(crate::exp::multiuser::run).unwrap();
+        assert_eq!(report(&fresh).unwrap(), report(&used).unwrap());
+        for out in [fresh_out, used_out] {
+            std::fs::remove_dir_all(out).unwrap();
+        }
     }
 }

@@ -8,130 +8,92 @@
 //!   because when buffers hold mostly long-list pages BAF reads those
 //!   first, inserting documents that later prove irrelevant.
 
-use super::{ExpContext, ExpResult};
+use super::{sweep, ExpContext, ExpResult};
 use crate::output::TextTable;
-use ir_core::{run_sequence, Algorithm, RefinementKind, SessionConfig};
+use ir_core::{Algorithm, RefinementKind};
 use ir_storage::PolicyKind;
-
-/// Outcome for EXPERIMENTS.md.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EffectivenessSummary {
-    /// Fraction of BAF runs within 5 % relative MAP of the DF run.
-    pub within_5pct: f64,
-    /// Mean relative MAP difference (BAF − DF) / DF.
-    pub mean_rel_diff: f64,
-    /// Mean peak accumulators: DF.
-    pub df_accumulators: f64,
-    /// Mean peak accumulators: BAF/LRU.
-    pub baf_lru_accumulators: f64,
-}
 
 /// Buffer-size fractions per sequence.
 const FRACTIONS: [f64; 2] = [0.25, 0.5];
 
-/// Runs the effectiveness/accumulator comparison over every topic.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<EffectivenessSummary> {
-    println!("\n== Effectiveness (non-interpolated AP) and accumulators ==");
-    let mut within = 0usize;
-    let mut runs = 0usize;
-    let mut rel_diffs: Vec<f64> = Vec::new();
-    let mut df_accs: Vec<f64> = Vec::new();
-    let mut baf_lru_accs: Vec<f64> = Vec::new();
-    let mut csv_rows = Vec::new();
+/// DF/LRU, the reference, then BAF under each of the paper's policies.
+const PAIRS: [(Algorithm, PolicyKind); 4] = [
+    (Algorithm::Df, PolicyKind::Lru),
+    (Algorithm::Baf, PolicyKind::Lru),
+    (Algorithm::Baf, PolicyKind::Mru),
+    (Algorithm::Baf, PolicyKind::Rap),
+];
 
+/// Runs the effectiveness/accumulator comparison over every topic.
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
+    println!("\n== Effectiveness (non-interpolated AP) and accumulators ==");
+    let (mut runs, mut within, mut rel_sum) = (0usize, 0usize, 0.0f64);
+    let (mut cells, mut df_accumulators, mut baf_lru_accumulators) = (0usize, 0.0f64, 0.0f64);
+    let mut rows = Vec::new();
     for topic in 0..ctx.bed.n_queries() {
         let sequence = ctx.bed.sequence(topic, RefinementKind::AddOnly)?;
         let relevant = ctx.bed.relevant_set(topic);
         let total_pages = ctx.profiles[topic].total_pages.max(8) as f64;
-        for f in FRACTIONS {
-            let buffers = ((total_pages * f).round() as usize).max(1);
-            let df = run_sequence(
-                &ctx.bed.index,
-                &sequence,
-                SessionConfig::new(Algorithm::Df, PolicyKind::Lru, buffers),
-                Some(&relevant),
-            )?;
-            let df_map = df.mean_avg_precision().unwrap_or(0.0);
-            df_accs.push(df.peak_accumulators() as f64);
-            for policy in [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Rap] {
-                let baf = run_sequence(
-                    &ctx.bed.index,
-                    &sequence,
-                    SessionConfig::new(Algorithm::Baf, policy, buffers),
-                    Some(&relevant),
-                )?;
-                let baf_map = baf.mean_avg_precision().unwrap_or(0.0);
-                if policy == PolicyKind::Lru {
-                    baf_lru_accs.push(baf.peak_accumulators() as f64);
-                }
+        let buffers = FRACTIONS.map(|f| ((total_pages * f).round() as usize).max(1));
+        for row in sweep(&ctx.bed.index, &sequence, &buffers, &PAIRS, Some(&relevant))? {
+            let map = |i: usize| row[i].outcome.mean_avg_precision().unwrap_or(0.0);
+            let df_map = map(0);
+            cells += 1;
+            df_accumulators += row[0].outcome.peak_accumulators() as f64;
+            baf_lru_accumulators += row[1].outcome.peak_accumulators() as f64;
+            for (i, baf) in row.iter().enumerate().skip(1) {
+                let baf_map = map(i);
                 let rel = if df_map > 0.0 {
                     (baf_map - df_map) / df_map
                 } else {
                     0.0
                 };
-                rel_diffs.push(rel);
+                rel_sum += rel;
                 runs += 1;
-                if rel.abs() <= 0.05 {
-                    within += 1;
-                }
-                csv_rows.push(vec![
-                    topic.to_string(),
-                    buffers.to_string(),
-                    policy.to_string(),
-                    format!("{df_map:.4}"),
-                    format!("{baf_map:.4}"),
-                    format!("{rel:.4}"),
-                ]);
+                within += usize::from(rel.abs() <= 0.05);
+                let (buffers, policy) = (baf.config.buffer_pages, baf.config.policy);
+                rows.push(format!(
+                    "{topic},{buffers},{policy},{df_map:.4},{baf_map:.4},{rel:.4}"
+                ));
             }
         }
     }
     ctx.out.write_csv(
         "effectiveness.csv",
-        &[
-            "topic",
-            "buffer_pages",
-            "baf_policy",
-            "df_map",
-            "baf_map",
-            "rel_diff",
-        ],
-        csv_rows,
+        "topic,buffer_pages,baf_policy,df_map,baf_map,rel_diff",
+        rows,
     )?;
 
-    let mean_rel = rel_diffs.iter().sum::<f64>() / rel_diffs.len().max(1) as f64;
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let summary = EffectivenessSummary {
-        within_5pct: within as f64 / runs.max(1) as f64,
-        mean_rel_diff: mean_rel,
-        df_accumulators: mean(&df_accs),
-        baf_lru_accumulators: mean(&baf_lru_accs),
-    };
-    let mut t = TextTable::new(&["metric", "measured", "paper"]);
-    t.row(vec![
-        "BAF runs within 5 % of DF".into(),
-        format!("{:.1} %", summary.within_5pct * 100.0),
-        "> 90 %".into(),
-    ]);
-    t.row(vec![
-        "mean relative MAP diff".into(),
-        format!("{:+.2} %", summary.mean_rel_diff * 100.0),
-        "~0 %".into(),
-    ]);
-    t.row(vec![
-        "mean peak accumulators (DF)".into(),
-        format!("{:.0}", summary.df_accumulators),
-        "2575".into(),
-    ]);
-    t.row(vec![
-        "mean peak accumulators (BAF/LRU)".into(),
-        format!("{:.0}", summary.baf_lru_accumulators),
-        "5453".into(),
-    ]);
+    let (runs_f, cells_f) = (runs.max(1) as f64, cells.max(1) as f64);
+    let mut t = TextTable::new(["metric", "measured", "paper"]);
+    for (metric, measured, paper) in [
+        (
+            "BAF runs within 5 % of DF",
+            format!("{:.1} %", within as f64 / runs_f * 100.0),
+            "> 90 %",
+        ),
+        (
+            "mean relative MAP diff",
+            format!("{:+.2} %", rel_sum / runs_f * 100.0),
+            "~0 %",
+        ),
+        (
+            "mean peak accumulators (DF)",
+            format!("{:.0}", df_accumulators / cells_f),
+            "2575",
+        ),
+        (
+            "mean peak accumulators (BAF/LRU)",
+            format!("{:.0}", baf_lru_accumulators / cells_f),
+            "5453",
+        ),
+    ] {
+        t.row(vec![metric.into(), measured, paper.into()]);
+    }
     print!("{}", t.render());
     println!(
         "(accumulator counts scale with collection size; the paper's are at \
          N = 173 k — the *ratio* is the claim)"
     );
-    ctx.bed.index.disk().reset_stats();
-    Ok(summary)
+    Ok(())
 }

@@ -5,20 +5,11 @@
 //! the paper's techniques should transfer. This experiment checks that
 //! they do.
 
-use super::{ExpContext, ExpResult};
-use crate::output::TextTable;
-use ir_core::{feedback_sequence, run_sequence, Algorithm, FeedbackOptions, SessionConfig};
+use super::{grid_table, sweep, ExpContext, ExpResult};
+use ir_core::{feedback_sequence, Algorithm, FeedbackOptions, Query, SessionConfig};
 use ir_storage::PolicyKind;
 
-/// Summary for EXPERIMENTS.md: best-case BAF/RAP savings vs DF/LRU over
-/// the feedback sequences.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FeedbackSummary {
-    /// Mean best-case savings across the tested topics.
-    pub mean_best_savings: f64,
-}
-
-const COMBOS: [(Algorithm, PolicyKind); 4] = [
+const PAIRS: [(Algorithm, PolicyKind); 4] = [
     (Algorithm::Df, PolicyKind::Lru),
     (Algorithm::Df, PolicyKind::Rap),
     (Algorithm::Baf, PolicyKind::Lru),
@@ -27,9 +18,9 @@ const COMBOS: [(Algorithm, PolicyKind); 4] = [
 
 /// Runs the feedback-refinement comparison on the representative
 /// queries.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<FeedbackSummary> {
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     println!("\n== Feedback-driven refinement (extension; §7 future work) ==");
-    let mut csv_rows = Vec::new();
+    let mut rows = Vec::new();
     let mut best_savings = Vec::new();
     for (alias, topic) in [
         ("QUERY1", ctx.reps.query1),
@@ -47,37 +38,23 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<FeedbackSummary> {
         let sequence =
             feedback_sequence(&ctx.bed.index, &seed, 10, FeedbackOptions::default(), topic)?;
         // Working set of the final feedback query.
-        let final_query = ir_core::Query::from_ids(&ctx.bed.index, sequence.steps.last().unwrap())?;
+        let final_query = Query::from_ids(&ctx.bed.index, sequence.steps.last().unwrap())?;
         let total_pages = final_query.total_pages();
-        let mut table_header = vec!["buffers".to_string()];
-        table_header.extend(COMBOS.iter().map(|(a, p)| format!("{a}/{p}")));
-        let hdr: Vec<&str> = table_header.iter().map(String::as_str).collect();
-        let mut table = TextTable::new(&hdr);
-        let mut topic_best = 0.0f64;
-        for frac in [0.125, 0.25, 0.5] {
-            let buffers = ((total_pages as f64 * frac).round() as usize).max(1);
-            let mut cells = vec![buffers.to_string()];
-            let mut row = Vec::new();
-            for (alg, policy) in COMBOS {
-                let reads = run_sequence(
-                    &ctx.bed.index,
-                    &sequence,
-                    SessionConfig::new(alg, policy, buffers),
-                    None,
-                )?
-                .total_disk_reads();
-                cells.push(reads.to_string());
-                row.push(reads);
-                csv_rows.push(vec![
-                    alias.to_string(),
-                    buffers.to_string(),
-                    format!("{alg}/{policy}"),
-                    reads.to_string(),
-                ]);
-            }
-            topic_best = topic_best.max(1.0 - row[3] as f64 / row[0].max(1) as f64);
-            table.row(cells);
-        }
+        let buffers =
+            [0.125, 0.25, 0.5].map(|f| ((total_pages as f64 * f).round() as usize).max(1));
+        let grid = sweep(&ctx.bed.index, &sequence, &buffers, &PAIRS, None)?;
+        let topic_best = grid
+            .iter()
+            .map(|row| 1.0 - row[3].reads() as f64 / row[0].reads().max(1) as f64)
+            .fold(0.0f64, f64::max);
+        rows.extend(grid.iter().flatten().map(|c| {
+            format!(
+                "{alias},{},{},{}",
+                c.config.buffer_pages,
+                c.config.label(),
+                c.reads()
+            )
+        }));
         println!(
             "{alias} (topic {topic}): {} feedback rounds, final query {} terms / {} pages; \
              best BAF/RAP savings {:.1} %",
@@ -86,21 +63,15 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<FeedbackSummary> {
             total_pages,
             topic_best * 100.0
         );
-        print!("{}", table.render());
+        print!("{}", grid_table(&grid, SessionConfig::label));
         best_savings.push(topic_best);
     }
-    ctx.out.write_csv(
-        "feedback.csv",
-        &["query", "buffer_pages", "combo", "total_reads"],
-        csv_rows,
-    )?;
+    ctx.out
+        .write_csv("feedback.csv", "query,buffer_pages,combo,total_reads", rows)?;
     let mean = best_savings.iter().sum::<f64>() / best_savings.len().max(1) as f64;
     println!(
         "mean best-case BAF/RAP savings on feedback refinement: {:.1} %",
         mean * 100.0
     );
-    ctx.bed.index.disk().reset_stats();
-    Ok(FeedbackSummary {
-        mean_best_savings: mean,
-    })
+    Ok(())
 }

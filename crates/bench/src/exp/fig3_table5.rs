@@ -6,58 +6,36 @@
 use super::{ExpContext, ExpResult};
 use crate::output::TextTable;
 
-/// Summary statistics returned for EXPERIMENTS.md.
-#[derive(Clone, Copy, Debug)]
-pub struct Fig3Summary {
-    /// Mean per-query savings fraction.
-    pub mean_savings: f64,
-    /// Aggregate savings (total reads saved / total full reads).
-    pub aggregate_savings: f64,
-    /// Mean accumulator reduction factor (full / DF).
-    pub accumulator_factor: f64,
-}
-
-/// Runs the profile sweep and prints Fig. 3 + Table 5.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<Fig3Summary> {
-    let profiles = ctx.profiles;
+/// Prints Fig. 3 + Table 5 from the context's query profiles.
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
+    let profiles = &ctx.profiles;
     println!(
         "\n== Figure 3: DF savings vs query inverted-list size ({} queries) ==",
         profiles.len()
     );
-    let rows: Vec<Vec<String>> = profiles
-        .iter()
-        .map(|p| {
-            vec![
-                p.topic.to_string(),
-                p.n_terms.to_string(),
-                p.total_pages.to_string(),
-                p.full_reads.to_string(),
-                p.df_reads.to_string(),
-                format!("{:.4}", p.savings),
-                p.full_accumulators.to_string(),
-                p.df_accumulators.to_string(),
-            ]
-        })
-        .collect();
+    let rows = profiles.iter().map(|p| {
+        format!(
+            "{},{},{},{},{},{:.4},{},{}",
+            p.topic,
+            p.n_terms,
+            p.total_pages,
+            p.full_reads,
+            p.df_reads,
+            p.savings,
+            p.full_accumulators,
+            p.df_accumulators
+        )
+    });
     ctx.out.write_csv(
         "fig3.csv",
-        &[
-            "topic",
-            "n_terms",
-            "total_pages",
-            "full_reads",
-            "df_reads",
-            "savings",
-            "full_accumulators",
-            "df_accumulators",
-        ],
+        "topic,n_terms,total_pages,full_reads,df_reads,savings,full_accumulators,df_accumulators",
         rows,
     )?;
 
     // Scatter summary in deciles of total pages.
     let mut sorted: Vec<_> = profiles.iter().collect();
     sorted.sort_by_key(|p| p.total_pages);
-    let mut table = TextTable::new(&[
+    let mut table = TextTable::new([
         "pages decile",
         "queries",
         "mean savings %",
@@ -68,12 +46,9 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<Fig3Summary> {
         let mean = chunk.iter().map(|p| p.savings).sum::<f64>() / chunk.len() as f64;
         let min = chunk.iter().map(|p| p.savings).fold(f64::MAX, f64::min);
         let max = chunk.iter().map(|p| p.savings).fold(f64::MIN, f64::max);
+        let (first, last) = (chunk[0].total_pages, chunk[chunk.len() - 1].total_pages);
         table.row(vec![
-            format!(
-                "{}–{}",
-                chunk.first().unwrap().total_pages,
-                chunk.last().unwrap().total_pages
-            ),
+            format!("{first}–{last}"),
             chunk.len().to_string(),
             format!("{:.1}", mean * 100.0),
             format!("{:.1}", min * 100.0),
@@ -108,7 +83,7 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<Fig3Summary> {
         ("QUERY4", ctx.reps.query4, "57 MCI (83.4 %)"),
     ];
     println!("\n== Table 5: representative queries ==");
-    let mut t5 = TextTable::new(&[
+    let mut t5 = TextTable::new([
         "alias",
         "topic",
         "terms",
@@ -117,37 +92,26 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<Fig3Summary> {
         "savings %",
         "paper analogue",
     ]);
-    let mut t5rows = Vec::new();
+    let mut rows = Vec::new();
     for (alias, idx, paper) in reps {
         let p = &profiles[idx];
+        let (topic, terms, pages, read) = (p.topic, p.n_terms, p.total_pages, p.df_reads);
         t5.row(vec![
             alias.to_string(),
-            p.topic.to_string(),
-            p.n_terms.to_string(),
-            p.total_pages.to_string(),
-            p.df_reads.to_string(),
+            topic.to_string(),
+            terms.to_string(),
+            pages.to_string(),
+            read.to_string(),
             format!("{:.1}", p.savings * 100.0),
             paper.to_string(),
         ]);
-        t5rows.push(vec![
-            alias.to_string(),
-            p.topic.to_string(),
-            p.n_terms.to_string(),
-            p.total_pages.to_string(),
-            p.df_reads.to_string(),
-            format!("{:.4}", p.savings),
-        ]);
+        rows.push(format!(
+            "{alias},{topic},{terms},{pages},{read},{:.4}",
+            p.savings
+        ));
     }
     print!("{}", t5.render());
-    ctx.out.write_csv(
-        "table5.csv",
-        &["alias", "topic", "terms", "pages", "read", "savings"],
-        t5rows,
-    )?;
-
-    Ok(Fig3Summary {
-        mean_savings,
-        aggregate_savings,
-        accumulator_factor,
-    })
+    ctx.out
+        .write_csv("table5.csv", "alias,topic,terms,pages,read,savings", rows)?;
+    Ok(())
 }

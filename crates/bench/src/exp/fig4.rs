@@ -11,14 +11,14 @@ use ir_storage::PolicyKind;
 use ir_types::FilterParams;
 
 /// Runs DF on the three representatives and emits the S_max series.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     let reps = [
         ("QUERY1", ctx.reps.query1),
         ("QUERY2", ctx.reps.query2),
         ("QUERY3", ctx.reps.query3),
     ];
     println!("\n== Figure 4: S_max evolution during DF processing ==");
-    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut rows = Vec::new();
     for (alias, topic) in reps {
         let query = ctx.bed.query(topic);
         let pool = (query.total_pages() as usize).max(1);
@@ -42,9 +42,12 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
             .unwrap_or(0.0)
             .max(result.trace.last().map(|r| r.s_max_before).unwrap_or(0.0));
         series.push(final_smax);
-        for (i, v) in series.iter().enumerate() {
-            rows.push(vec![alias.to_string(), i.to_string(), format!("{v:.2}")]);
-        }
+        rows.extend(
+            series
+                .iter()
+                .enumerate()
+                .map(|(i, v)| format!("{alias},{i},{v:.2}")),
+        );
         // Compact sparkline-ish printout: value at every 5th term.
         let peaks: Vec<String> = series
             .iter()
@@ -59,7 +62,6 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
         );
     }
     ctx.out
-        .write_csv("fig4.csv", &["query", "term_index", "s_max"], rows)?;
-    ctx.bed.index.disk().reset_stats();
+        .write_csv("fig4.csv", "query,term_index,s_max", rows)?;
     Ok(())
 }

@@ -11,105 +11,52 @@
 //! best case saves ≥ 70 % vs DF/LRU on ADD-ONLY; on ADD-DROP MRU
 //! degrades (sometimes below LRU) while RAP stays best.
 
-use super::{sweep_points, ExpContext, ExpResult};
-use crate::output::TextTable;
-use ir_core::{run_sequence, Algorithm, RefinementKind, SessionConfig};
-use ir_storage::PolicyKind;
-
-/// One figure's outcome, for EXPERIMENTS.md assertions.
-#[derive(Clone, Debug, Default)]
-pub struct FigureSummary {
-    /// Figure label, e.g. `"fig5"`.
-    pub label: String,
-    /// Best-case fraction saved by BAF/RAP relative to DF/LRU at the
-    /// same buffer size.
-    pub best_savings_baf_rap: f64,
-    /// Whether DF/LRU was the worst combo at every swept size.
-    pub df_lru_worst_everywhere: bool,
-    /// Whether MRU (with DF) ever fell below DF/LRU (expected on
-    /// ADD-DROP).
-    pub mru_worse_than_lru_somewhere: bool,
-}
-
-const COMBOS: [(Algorithm, PolicyKind); 6] = [
-    (Algorithm::Df, PolicyKind::Lru),
-    (Algorithm::Df, PolicyKind::Mru),
-    (Algorithm::Df, PolicyKind::Rap),
-    (Algorithm::Baf, PolicyKind::Lru),
-    (Algorithm::Baf, PolicyKind::Mru),
-    (Algorithm::Baf, PolicyKind::Rap),
-];
+use super::{grid_table, sweep, sweep_points, ExpContext, ExpResult, PAPER_PAIRS};
+use ir_core::{RefinementKind, SessionConfig};
 
 /// Runs one figure: `topic`'s sequence of `kind`, full sweep.
-pub fn run_figure(
-    ctx: &ExpContext<'_>,
-    label: &str,
-    topic: usize,
-    kind: RefinementKind,
-) -> ExpResult<FigureSummary> {
+fn figure(ctx: &ExpContext, label: &str, topic: usize, kind: RefinementKind) -> ExpResult<()> {
     let sequence = ctx.bed.sequence(topic, kind)?;
     let total_pages = ctx.profiles[topic].total_pages;
-    let points = sweep_points(total_pages);
     println!(
         "\n== {label}: {kind} sequence of topic {topic} ({} refinements, {} query pages) ==",
         sequence.len(),
         total_pages
     );
-    let mut header = vec!["buffers".to_string()];
-    header.extend(COMBOS.iter().map(|(a, p)| format!("{a}/{p}")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = TextTable::new(&header_refs);
-
-    let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    // grid[point][combo] = total reads
-    let mut grid: Vec<Vec<u64>> = Vec::new();
-    for &buffers in &points {
-        let mut row_cells = vec![buffers.to_string()];
-        let mut row_vals = Vec::new();
-        for (alg, policy) in COMBOS {
-            let cfg = SessionConfig::new(alg, policy, buffers);
-            ctx.bed.index.disk().reset_stats();
-            let out = run_sequence(&ctx.bed.index, &sequence, cfg, None)?;
-            let reads = out.total_disk_reads();
-            // Modeled I/O time under a 1998-era disk (10 ms seek,
-            // 0.5 ms page transfer): sequential tail reads are cheap,
-            // the random re-reads LRU induces are not.
-            let io_ms = ctx.bed.index.disk().stats().modeled_io_ms(10.0, 0.5);
-            row_cells.push(reads.to_string());
-            row_vals.push(reads);
-            csv_rows.push(vec![
-                buffers.to_string(),
-                cfg.label(),
-                reads.to_string(),
-                out.last_disk_reads().to_string(),
-                format!("{io_ms:.1}"),
-            ]);
-        }
-        table.row(row_cells);
-        grid.push(row_vals);
-    }
-    print!("{}", table.render());
+    let points = sweep_points(total_pages);
+    let grid = sweep(&ctx.bed.index, &sequence, &points, &PAPER_PAIRS, None)?;
+    print!("{}", grid_table(&grid, SessionConfig::label));
+    // Modeled I/O time under a 1998-era disk (10 ms seek, 0.5 ms page
+    // transfer): sequential tail reads are cheap, the random re-reads
+    // LRU induces are not.
+    let rows = grid.iter().flatten().map(|c| {
+        let (config, io_ms) = (&c.config, c.disk.modeled_io_ms(10.0, 0.5));
+        let last = c.outcome.last_disk_reads();
+        format!(
+            "{},{},{},{last},{io_ms:.1}",
+            config.buffer_pages,
+            config.label(),
+            c.reads()
+        )
+    });
     ctx.out.write_csv(
         &format!("{label}.csv"),
-        &[
-            "buffer_pages",
-            "combo",
-            "total_reads",
-            "last_refinement_reads",
-            "modeled_io_ms",
-        ],
-        csv_rows,
+        "buffer_pages,combo,total_reads,last_refinement_reads,modeled_io_ms",
+        rows,
     )?;
 
-    // Summary statistics.
-    let best_savings_baf_rap = grid
+    let reads: Vec<Vec<u64>> = grid
+        .iter()
+        .map(|row| row.iter().map(|c| c.reads()).collect())
+        .collect();
+    let best_savings_baf_rap = reads
         .iter()
         .map(|row| 1.0 - row[5] as f64 / row[0].max(1) as f64)
         .fold(f64::MIN, f64::max);
-    let df_lru_worst_everywhere = grid
+    let df_lru_worst_everywhere = reads
         .iter()
-        .all(|row| row.iter().skip(1).all(|&v| v <= row[0]));
-    let mru_worse_than_lru_somewhere = grid.iter().any(|row| row[1] > row[0]);
+        .all(|row| row[1..].iter().all(|&v| v <= row[0]));
+    let mru_worse_than_lru_somewhere = reads.iter().any(|row| row[1] > row[0]);
     println!(
         "best-case BAF/RAP savings vs DF/LRU: {:.1} % | DF/LRU worst everywhere: {} | \
          DF/MRU ever worse than DF/LRU: {}",
@@ -117,27 +64,17 @@ pub fn run_figure(
         df_lru_worst_everywhere,
         mru_worse_than_lru_somewhere
     );
-    ctx.bed.index.disk().reset_stats();
-    Ok(FigureSummary {
-        label: label.to_string(),
-        best_savings_baf_rap,
-        df_lru_worst_everywhere,
-        mru_worse_than_lru_somewhere,
-    })
+    Ok(())
 }
 
 /// Figures 5 & 6 (ADD-ONLY).
-pub fn run_add_only(ctx: &ExpContext<'_>) -> ExpResult<Vec<FigureSummary>> {
-    Ok(vec![
-        run_figure(ctx, "fig5", ctx.reps.query1, RefinementKind::AddOnly)?,
-        run_figure(ctx, "fig6", ctx.reps.query2, RefinementKind::AddOnly)?,
-    ])
+pub fn run_add_only(ctx: &ExpContext) -> ExpResult<()> {
+    figure(ctx, "fig5", ctx.reps.query1, RefinementKind::AddOnly)?;
+    figure(ctx, "fig6", ctx.reps.query2, RefinementKind::AddOnly)
 }
 
 /// Figures 7 & 8 (ADD-DROP).
-pub fn run_add_drop(ctx: &ExpContext<'_>) -> ExpResult<Vec<FigureSummary>> {
-    Ok(vec![
-        run_figure(ctx, "fig7", ctx.reps.query1, RefinementKind::AddDrop)?,
-        run_figure(ctx, "fig8", ctx.reps.query2, RefinementKind::AddDrop)?,
-    ])
+pub fn run_add_drop(ctx: &ExpContext) -> ExpResult<()> {
+    figure(ctx, "fig7", ctx.reps.query1, RefinementKind::AddDrop)?;
+    figure(ctx, "fig8", ctx.reps.query2, RefinementKind::AddDrop)
 }

@@ -1,8 +1,10 @@
-//! One module per paper artifact (table/figure). Each `run` prints the
-//! artifact and writes CSVs into the output directory.
+//! One module per paper artifact (table/figure), plus the chaos matrix.
+//! Each `run` prints the artifact and writes it into the output
+//! directory; the refinement-sequence grids all go through one `sweep`.
 
 pub mod ablation;
 pub mod aggregate;
+pub mod chaos;
 pub mod effectiveness;
 pub mod feedback_exp;
 pub mod fig3_table5;
@@ -15,18 +17,27 @@ pub mod table1_2;
 pub mod table4;
 pub mod table7;
 
-use crate::output::OutputDir;
-use crate::setup::{QueryProfile, Representatives, TestBed};
+use crate::output::{OutputDir, TextTable};
+use crate::setup::{pick_representatives, profile_queries, QueryProfile, Representatives, TestBed};
+use ir_core::{run_sequence, Algorithm, RefinementSequence, SequenceOutcome, SessionConfig};
+use ir_index::InvertedIndex;
+use ir_storage::{DiskStats, PolicyKind};
+use ir_types::DocId;
+use std::collections::HashSet;
+use std::path::Path;
+use std::time::Instant;
 
 /// Everything an experiment needs: the fixture, the output sink, the
 /// query profiles, and the representative query picks.
-pub struct ExpContext<'a> {
+pub struct ExpContext {
+    /// The paper scale σ the testbed was generated at.
+    pub scale: f64,
     /// Corpus + index + queries.
-    pub bed: &'a TestBed,
+    pub bed: TestBed,
     /// Artifact sink.
-    pub out: &'a OutputDir,
+    pub out: OutputDir,
     /// Cold DF-vs-Full profiles of all topic queries.
-    pub profiles: &'a [QueryProfile],
+    pub profiles: Vec<QueryProfile>,
     /// The four Table 5-style representative queries.
     pub reps: Representatives,
 }
@@ -34,6 +45,135 @@ pub struct ExpContext<'a> {
 /// Result type for experiment modules: mixes simulator errors with I/O
 /// errors from CSV output.
 pub type ExpResult<T> = Result<T, Box<dyn std::error::Error>>;
+
+/// One experiment: prints its artifact and writes it into `ctx.out`.
+pub type Experiment = fn(&ExpContext) -> ExpResult<()>;
+
+impl ExpContext {
+    /// Builds the testbed at paper scale `scale`, profiles its topic
+    /// queries and picks the representatives, narrating each step on
+    /// stdout; artifacts go to `out`.
+    pub fn new(scale: f64, out: impl AsRef<Path>) -> ExpResult<ExpContext> {
+        let started = Instant::now();
+        println!("building testbed at scale {scale} (paper geometry) ...");
+        let bed =
+            TestBed::at_scale(scale).map_err(|e| format!("testbed construction failed: {e}"))?;
+        println!(
+            "  {} docs, {} terms, {} postings, {} pages (PageSize {}), built in {:.1?}",
+            bed.index.n_docs(),
+            bed.index.n_terms(),
+            bed.index.total_postings(),
+            bed.index.total_pages(),
+            bed.index.params().page_size,
+            started.elapsed()
+        );
+        let out = OutputDir::new(&out)
+            .map_err(|e| format!("cannot create output dir {}: {e}", out.as_ref().display()))?;
+        println!(
+            "profiling the {} topic queries (DF vs Full, cold) ...",
+            bed.n_queries()
+        );
+        let profiles = profile_queries(&bed).map_err(|e| format!("profiling failed: {e}"))?;
+        let reps = pick_representatives(&profiles);
+        let savings = |topic: usize| profiles[topic].savings * 100.0;
+        println!(
+            "representatives: QUERY1=topic {} ({:.0} %), QUERY2=topic {} ({:.0} %), \
+             QUERY3=topic {} ({:.0} %), QUERY4=topic {} ({} terms)",
+            reps.query1,
+            savings(reps.query1),
+            reps.query2,
+            savings(reps.query2),
+            reps.query3,
+            savings(reps.query3),
+            reps.query4,
+            profiles[reps.query4].n_terms
+        );
+        Ok(ExpContext {
+            scale,
+            bed,
+            out,
+            profiles,
+            reps,
+        })
+    }
+
+    /// Runs one experiment, then zeroes the disk counters its reads left
+    /// behind, so each experiment starts from a clean disk.
+    pub fn run(&self, experiment: Experiment) -> ExpResult<()> {
+        let result = experiment(self);
+        self.bed.index.disk().reset_stats();
+        result
+    }
+}
+
+/// The paper's six algorithm/policy pairings of Figures 5–8 and Table 7.
+pub(crate) const PAPER_PAIRS: [(Algorithm, PolicyKind); 6] = [
+    (Algorithm::Df, PolicyKind::Lru),
+    (Algorithm::Df, PolicyKind::Mru),
+    (Algorithm::Df, PolicyKind::Rap),
+    (Algorithm::Baf, PolicyKind::Lru),
+    (Algorithm::Baf, PolicyKind::Mru),
+    (Algorithm::Baf, PolicyKind::Rap),
+];
+
+/// One cell of a [`sweep`]: a refinement sequence run on a fresh pool.
+pub(crate) struct Cell {
+    /// Algorithm, policy and pool size of the run.
+    pub config: SessionConfig,
+    /// What each refinement read and answered.
+    pub outcome: SequenceOutcome,
+    /// The disk's counters over this cell alone.
+    pub disk: DiskStats,
+}
+
+impl Cell {
+    /// Disk reads over the whole sequence.
+    pub(crate) fn reads(&self) -> u64 {
+        self.outcome.total_disk_reads()
+    }
+}
+
+/// Runs `sequence` over `index` on a fresh pool for every buffer size ×
+/// `(algorithm, policy)` pair, resetting the disk counters before each
+/// run, and returns the cells row by row: `grid[i][j]` is `buffers[i]`
+/// pages under `pairs[j]`. `relevant` turns on average precision.
+pub(crate) fn sweep(
+    index: &InvertedIndex,
+    sequence: &RefinementSequence,
+    buffers: &[usize],
+    pairs: &[(Algorithm, PolicyKind)],
+    relevant: Option<&HashSet<DocId>>,
+) -> ExpResult<Vec<Vec<Cell>>> {
+    let cell = |buffers, (algorithm, policy)| -> ExpResult<Cell> {
+        let config = SessionConfig::new(algorithm, policy, buffers);
+        index.disk().reset_stats();
+        let outcome = run_sequence(index, sequence, config, relevant)?;
+        let disk = index.disk().stats();
+        Ok(Cell {
+            config,
+            outcome,
+            disk,
+        })
+    };
+    buffers
+        .iter()
+        .map(|&b| pairs.iter().map(|&pair| cell(b, pair)).collect())
+        .collect()
+}
+
+/// Renders a [`sweep`] grid one buffer size a row and one pair a column
+/// (headed `column(pair)`), each cell its total disk reads.
+pub(crate) fn grid_table(grid: &[Vec<Cell>], column: impl Fn(&SessionConfig) -> String) -> String {
+    let mut table = TextTable::new(
+        std::iter::once("buffers".to_string()).chain(grid[0].iter().map(|c| column(&c.config))),
+    );
+    for row in grid {
+        let mut cells = vec![row[0].config.buffer_pages.to_string()];
+        cells.extend(row.iter().map(|c| c.reads().to_string()));
+        table.row(cells);
+    }
+    table.render()
+}
 
 /// Buffer-size sweep points for a refinement sequence whose query
 /// touches `total_pages` pages: from a sliver of the working set up to

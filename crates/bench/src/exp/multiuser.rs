@@ -51,9 +51,15 @@ const SHARDS: usize = 4;
 /// prefix of the next one's.
 const SCALING_SESSIONS: [usize; 4] = [2, 4, 8, 16];
 
+/// The four representative queries, one user each.
+pub(super) fn four_users(ctx: &ExpContext) -> [usize; 4] {
+    let r = ctx.reps;
+    [r.query1, r.query2, r.query3, r.query4]
+}
+
 /// Half the summed cold DF working sets of `topics`: contended but not
 /// hopeless.
-fn half_the_working_sets(ctx: &ExpContext<'_>, topics: &[usize]) -> usize {
+pub(super) fn half_the_working_sets(ctx: &ExpContext, topics: &[usize]) -> usize {
     let summed: usize = topics
         .iter()
         .map(|&t| ctx.profiles[t].df_reads as usize)
@@ -61,68 +67,59 @@ fn half_the_working_sets(ctx: &ExpContext<'_>, topics: &[usize]) -> usize {
     summed.max(2) / 2
 }
 
+/// One BAF session per topic, each refining it ADD-ONLY.
+pub(super) fn sessions(ctx: &ExpContext, topics: &[usize]) -> ExpResult<Vec<SessionSpec>> {
+    topics
+        .iter()
+        .map(|&t| {
+            Ok(SessionSpec::new(
+                ctx.bed.sequence(t, RefinementKind::AddOnly)?,
+                Algorithm::Baf,
+            ))
+        })
+        .collect()
+}
+
 /// Disk reads of one fault-free round-robin run of `specs` over
 /// `layout`: pool misses == reads issued against the store.
-fn reads(ctx: &ExpContext<'_>, specs: &[SessionSpec], layout: PoolLayout) -> ExpResult<u64> {
+fn reads(ctx: &ExpContext, specs: &[SessionSpec], layout: PoolLayout) -> ExpResult<u64> {
     let report = SessionServer::new(&ctx.bed.index, layout).run(specs, Schedule::RoundRobin)?;
     // These experiments run fault-free, so a degraded session is a
     // harness bug, not data — its numbers must never reach the CSV.
     if let Some((i, e)) = report.failed_sessions().first() {
         return Err(format!("session {i} failed in a fault-free run: {e}").into());
     }
-    ctx.bed.index.disk().reset_stats();
     Ok(report.pool_stats.misses)
+}
+
+/// One pool of `total_frames` frames in `shards` stripes.
+pub(super) fn pool(total_frames: usize, policy: PolicyKind, shards: usize) -> PoolLayout {
+    PoolLayout::Sharded {
+        total_frames,
+        policy,
+        shards,
+    }
 }
 
 /// Disk reads of `specs` when each session runs alone on a private
 /// one-shard pool of `frames` frames, summed over the sessions.
-fn reads_alone(
-    ctx: &ExpContext<'_>,
-    specs: &[SessionSpec],
-    frames: usize,
-    policy: PolicyKind,
-) -> ExpResult<u64> {
-    let private = PoolLayout::Sharded {
-        total_frames: frames,
-        policy,
-        shards: 1,
-    };
+fn reads_alone(ctx: &ExpContext, specs: &[SessionSpec], frames: usize) -> ExpResult<u64> {
+    let private = pool(frames, PolicyKind::Rap, 1);
     specs
         .iter()
         .map(|spec| reads(ctx, std::slice::from_ref(spec), private))
         .sum()
 }
 
-/// One BAF session refining `topic` ADD-ONLY.
-fn session(ctx: &ExpContext<'_>, topic: usize) -> ExpResult<SessionSpec> {
-    let sequence = ctx.bed.sequence(topic, RefinementKind::AddOnly)?;
-    Ok(SessionSpec::new(sequence, Algorithm::Baf))
-}
-
 /// Runs the architecture comparison, then the scaling table, on the
 /// threaded server.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     println!("\n== Multi-user buffering (extension; §3.3 options) ==");
-    let users = [
-        ctx.reps.query1,
-        ctx.reps.query2,
-        ctx.reps.query3,
-        ctx.reps.query4,
-    ];
-    let specs: Vec<SessionSpec> = users
-        .iter()
-        .map(|&t| session(ctx, t))
-        .collect::<Result<_, _>>()?;
+    let users = four_users(ctx);
+    let specs = sessions(ctx, &users)?;
     let total_frames = half_the_working_sets(ctx, &users);
     let per_user = (total_frames / users.len()).max(1);
-    let shared = |policy, shards| {
-        let layout = PoolLayout::Sharded {
-            total_frames,
-            policy,
-            shards,
-        };
-        reads(ctx, &specs, layout)
-    };
+    let shared = |policy, shards| reads(ctx, &specs, pool(total_frames, policy, shards));
     let rows = [
         (
             "shared / LRU".to_string(),
@@ -137,10 +134,10 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
             shared(PolicyKind::Rap, 1)?,
         ),
         (
-            format!("partitioned / RAP ({}×{})", users.len(), per_user),
+            format!("partitioned / RAP ({}×{per_user})", users.len()),
             "partitioned_rap",
             per_user * users.len(),
-            reads_alone(ctx, &specs, per_user, PolicyKind::Rap)?,
+            reads_alone(ctx, &specs, per_user)?,
         ),
         (
             format!("sharded[{SHARDS}] / LRU"),
@@ -155,17 +152,17 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
             shared(PolicyKind::Rap, SHARDS)?,
         ),
     ];
-    let mut t = TextTable::new(&["architecture", "total frames", "disk reads"]);
-    let mut cells = Vec::with_capacity(rows.len());
+    let mut t = TextTable::new(["architecture", "total frames", "disk reads"]);
+    let mut lines = Vec::with_capacity(rows.len());
     for (label, key, frames, reads) in rows {
         t.row(vec![label, frames.to_string(), reads.to_string()]);
-        cells.push([key.to_string(), frames.to_string(), reads.to_string()]);
+        lines.push(format!("{key},{frames},{reads}"));
     }
     print!("{}", t.render());
     ctx.out.write_csv(
         "multiuser.csv",
-        &["architecture", "total_frames", "disk_reads"],
-        cells,
+        "architecture,total_frames,disk_reads",
+        lines,
     )?;
     println!(
         "(the paper leaves the trade-off open: \"The trade-offs between these \
@@ -175,10 +172,7 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
     println!("\n== Sessions on one shared pool of half their working sets ==");
     let most = SCALING_SESSIONS[SCALING_SESSIONS.len() - 1];
     let topics: Vec<usize> = (0..most).map(|k| k * ctx.bed.n_queries() / most).collect();
-    let specs: Vec<SessionSpec> = topics
-        .iter()
-        .map(|&t| session(ctx, t))
-        .collect::<Result<_, _>>()?;
+    let specs = sessions(ctx, &topics)?;
     let header = [
         "sessions",
         "total_frames",
@@ -186,27 +180,23 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<()> {
         "rap_reads",
         "alone_reads",
     ];
-    let mut t = TextTable::new(&header);
-    let mut cells = Vec::with_capacity(SCALING_SESSIONS.len());
+    let mut t = TextTable::new(header);
+    let mut lines = Vec::with_capacity(SCALING_SESSIONS.len());
     for n in SCALING_SESSIONS {
         let total_frames = half_the_working_sets(ctx, &topics[..n]);
-        let shared = |policy| PoolLayout::Sharded {
-            total_frames,
-            policy,
-            shards: 1,
-        };
         let row = [
             n as u64,
             total_frames as u64,
-            reads(ctx, &specs[..n], shared(PolicyKind::Lru))?,
-            reads(ctx, &specs[..n], shared(PolicyKind::Rap))?,
-            reads_alone(ctx, &specs[..n], total_frames, PolicyKind::Rap)?,
+            reads(ctx, &specs[..n], pool(total_frames, PolicyKind::Lru, 1))?,
+            reads(ctx, &specs[..n], pool(total_frames, PolicyKind::Rap, 1))?,
+            reads_alone(ctx, &specs[..n], total_frames)?,
         ]
         .map(|v| v.to_string());
+        lines.push(row.join(","));
         t.row(row.to_vec());
-        cells.push(row);
     }
     print!("{}", t.render());
-    ctx.out.write_csv("multiuser_scaling.csv", &header, cells)?;
+    ctx.out
+        .write_csv("multiuser_scaling.csv", &header.join(","), lines)?;
     Ok(())
 }

@@ -9,27 +9,17 @@
 //! the doc-ordered index cannot terminate scans early, so its read
 //! counts should collapse back toward full evaluation.
 
-use super::{ExpContext, ExpResult};
+use super::{sweep, ExpContext, ExpResult};
 use crate::output::TextTable;
 use ir_core::eval::{evaluate, EvalOptions};
-use ir_core::{run_sequence, Algorithm, Query, RefinementKind, SessionConfig};
+use ir_core::{Algorithm, Query, RefinementKind};
 use ir_engine::{index_corpus_opts, IndexCorpusOptions};
+use ir_index::InvertedIndex;
 use ir_storage::PolicyKind;
 use ir_types::ListOrdering;
 
-/// Summary for EXPERIMENTS.md.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OrderingSummary {
-    /// Aggregate single-query reads, frequency-sorted DF.
-    pub freq_reads: u64,
-    /// Aggregate single-query reads, doc-sorted DF.
-    pub doc_reads: u64,
-    /// Aggregate full-evaluation reads (upper bound).
-    pub full_reads: u64,
-}
-
 /// Runs the ordering ablation.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<OrderingSummary> {
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     println!("\n== List-ordering ablation (footnote 14): frequency vs doc-id sorted ==");
     println!("building a doc-ordered index of the same collection ...");
     let doc_index = index_corpus_opts(
@@ -40,54 +30,37 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<OrderingSummary> {
         },
     )?;
 
-    // Single cold queries, DF with Persin constants, both indexes.
-    let mut freq_reads = 0u64;
-    let mut doc_reads = 0u64;
-    let mut full_reads = 0u64;
-    let sample: Vec<usize> = (0..ctx.bed.n_queries()).step_by(4).collect();
-    for &topic in &sample {
+    // Single cold queries of every fourth topic, DF with Persin
+    // constants, both indexes, on a pool the query's lists fit.
+    let cold_df = |index: &InvertedIndex, query: &Query, pool| -> ExpResult<u64> {
+        let mut buffer = index.make_buffer(pool, PolicyKind::Lru)?;
+        let options = EvalOptions::default();
+        Ok(evaluate(Algorithm::Df, index, &mut buffer, query, options)?
+            .stats
+            .disk_reads)
+    };
+    let (mut freq_reads, mut doc_reads, mut full_reads) = (0u64, 0u64, 0u64);
+    for topic in (0..ctx.bed.n_queries()).step_by(4) {
         let q_freq = ctx.bed.query(topic);
         let q_doc = Query::from_named(&doc_index, &ctx.bed.queries[topic].terms);
         let pool = (q_freq.total_pages() as usize).max(1);
-        let mut b1 = ctx.bed.index.make_buffer(pool, PolicyKind::Lru)?;
-        let r1 = evaluate(
-            Algorithm::Df,
-            &ctx.bed.index,
-            &mut b1,
-            &q_freq,
-            EvalOptions::default(),
-        )?;
-        let mut b2 = doc_index.make_buffer(pool, PolicyKind::Lru)?;
-        let r2 = evaluate(
-            Algorithm::Df,
-            &doc_index,
-            &mut b2,
-            &q_doc,
-            EvalOptions::default(),
-        )?;
-        freq_reads += r1.stats.disk_reads;
-        doc_reads += r2.stats.disk_reads;
+        freq_reads += cold_df(&ctx.bed.index, &q_freq, pool)?;
+        doc_reads += cold_df(&doc_index, &q_doc, pool)?;
         full_reads += q_freq.total_pages();
     }
-    let mut t = TextTable::new(&["organization", "DF disk reads", "% of full"]);
-    t.row(vec![
-        "frequency-sorted [WL93, Per94]".into(),
-        freq_reads.to_string(),
-        format!(
-            "{:.1}",
-            100.0 * freq_reads as f64 / full_reads.max(1) as f64
-        ),
-    ]);
-    t.row(vec![
-        "doc-id-sorted (traditional)".into(),
-        doc_reads.to_string(),
-        format!("{:.1}", 100.0 * doc_reads as f64 / full_reads.max(1) as f64),
-    ]);
-    t.row(vec![
-        "full evaluation".into(),
-        full_reads.to_string(),
-        "100.0".into(),
-    ]);
+    let mut t = TextTable::new(["organization", "DF disk reads", "% of full"]);
+    for (organization, reads) in [
+        ("frequency-sorted [WL93, Per94]", freq_reads),
+        ("doc-id-sorted (traditional)", doc_reads),
+        ("full evaluation", full_reads),
+    ] {
+        let percent = 100.0 * reads as f64 / full_reads.max(1) as f64;
+        t.row(vec![
+            organization.into(),
+            reads.to_string(),
+            format!("{percent:.1}"),
+        ]);
+    }
     print!("{}", t.render());
 
     // One refinement sequence under BAF/RAP on both organizations: the
@@ -95,46 +68,22 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<OrderingSummary> {
     let topic = ctx.reps.query1;
     let sequence = ctx.bed.sequence(topic, RefinementKind::AddOnly)?;
     let buffers = (ctx.profiles[topic].df_reads as usize * 3 / 4).max(1);
-    let freq_seq = run_sequence(
-        &ctx.bed.index,
-        &sequence,
-        SessionConfig::new(Algorithm::Baf, PolicyKind::Rap, buffers),
-        None,
-    )?
-    .total_disk_reads();
-    let doc_seq = run_sequence(
-        &doc_index,
-        &sequence,
-        SessionConfig::new(Algorithm::Baf, PolicyKind::Rap, buffers),
-        None,
-    )?
-    .total_disk_reads();
+    let baf_rap = |index: &InvertedIndex| -> ExpResult<u64> {
+        let pair = (Algorithm::Baf, PolicyKind::Rap);
+        Ok(sweep(index, &sequence, &[buffers], &[pair], None)?[0][0].reads())
+    };
+    let (freq_seq, doc_seq) = (baf_rap(&ctx.bed.index)?, baf_rap(&doc_index)?);
     println!(
         "ADD-ONLY sequence (topic {topic}, BAF/RAP, {buffers} buffers): \
          frequency-sorted {freq_seq} reads vs doc-sorted {doc_seq} reads"
     );
     ctx.out.write_csv(
         "ordering.csv",
-        &["metric", "frequency_sorted", "doc_sorted", "full"],
+        "metric,frequency_sorted,doc_sorted,full",
         [
-            vec![
-                "single_query_reads".to_string(),
-                freq_reads.to_string(),
-                doc_reads.to_string(),
-                full_reads.to_string(),
-            ],
-            vec![
-                "sequence_reads".to_string(),
-                freq_seq.to_string(),
-                doc_seq.to_string(),
-                String::new(),
-            ],
+            format!("single_query_reads,{freq_reads},{doc_reads},{full_reads}"),
+            format!("sequence_reads,{freq_seq},{doc_seq},"),
         ],
     )?;
-    ctx.bed.index.disk().reset_stats();
-    Ok(OrderingSummary {
-        freq_reads,
-        doc_reads,
-        full_reads,
-    })
+    Ok(())
 }

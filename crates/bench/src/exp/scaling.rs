@@ -12,47 +12,38 @@ use crate::output::TextTable;
 use crate::setup::{profile_queries, TestBed};
 use ir_corpus::CorpusConfig;
 
-/// Summary for EXPERIMENTS.md.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ScalingSummary {
-    /// Mean DF savings at the context scale.
-    pub savings_full: f64,
-    /// Mean DF savings at half that scale.
-    pub savings_half: f64,
-}
-
-fn stats_of(bed: &TestBed) -> ExpResult<(f64, f64, u32, f64)> {
+/// Mean DF savings, multi-page term fraction, longest list (pages) and
+/// mean accumulator reduction of a testbed.
+fn stats_of(bed: &TestBed) -> ExpResult<[f64; 4]> {
     let profiles = profile_queries(bed)?;
-    let mean_savings =
-        profiles.iter().map(|p| p.savings).sum::<f64>() / profiles.len().max(1) as f64;
-    let multi = bed
-        .index
-        .lexicon()
+    let n = profiles.len().max(1) as f64;
+    let mean_savings = profiles.iter().map(|p| p.savings).sum::<f64>() / n;
+    let lexicon = bed.index.lexicon();
+    let multi = lexicon
         .iter()
         .filter(|(_, e)| !e.stopped && e.n_pages > 1)
         .count() as f64;
-    let indexed = bed.index.lexicon().n_indexed_terms().max(1) as f64;
-    let longest = bed
-        .index
-        .lexicon()
+    let indexed = lexicon.n_indexed_terms().max(1) as f64;
+    let longest = lexicon.iter().map(|(_, e)| e.n_pages).max().unwrap_or(0);
+    let accumulators = profiles
         .iter()
-        .map(|(_, e)| e.n_pages)
-        .max()
-        .unwrap_or(0);
-    Ok((mean_savings, multi / indexed, longest, {
-        let acc: f64 = profiles
-            .iter()
-            .filter(|p| p.df_accumulators > 0)
-            .map(|p| p.full_accumulators as f64 / p.df_accumulators as f64)
-            .sum::<f64>()
-            / profiles.len().max(1) as f64;
-        acc
-    }))
+        .filter(|p| p.df_accumulators > 0)
+        .map(|p| p.full_accumulators as f64 / p.df_accumulators as f64)
+        .sum::<f64>()
+        / n;
+    Ok([
+        mean_savings,
+        multi / indexed,
+        f64::from(longest),
+        accumulators,
+    ])
 }
 
 /// Runs the scaling comparison.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<ScalingSummary> {
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     println!("\n== Scaling self-check: proportional shrink preserves the statistics ==");
+    // σ as the collection realises it: `scaling.csv` is baselined on
+    // this, not on the requested `ctx.scale`.
     let sigma = ctx.bed.corpus.config.n_docs as f64 / f64::from(ir_corpus::config::WSJ_DOCS);
     let half = CorpusConfig::paper_scaled(sigma / 2.0);
     println!(
@@ -62,67 +53,43 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<ScalingSummary> {
     );
     let half_bed = TestBed::from_config(half)?;
 
-    let (s_full, multi_full, longest_full, acc_full) = stats_of(ctx.bed)?;
-    let (s_half, multi_half, longest_half, acc_half) = stats_of(&half_bed)?;
-
-    let mut t = TextTable::new(&[
-        "statistic",
-        &format!("σ={sigma:.4}"),
-        &format!("σ={:.4}", sigma / 2.0),
+    let (full, half) = (stats_of(&ctx.bed)?, stats_of(&half_bed)?);
+    let mut t = TextTable::new([
+        "statistic".to_string(),
+        format!("σ={sigma:.4}"),
+        format!("σ={:.4}", sigma / 2.0),
     ]);
-    t.row(vec![
-        "mean DF savings %".into(),
-        format!("{:.1}", s_full * 100.0),
-        format!("{:.1}", s_half * 100.0),
-    ]);
-    t.row(vec![
-        "multi-page term fraction %".into(),
-        format!("{:.2}", multi_full * 100.0),
-        format!("{:.2}", multi_half * 100.0),
-    ]);
-    t.row(vec![
-        "longest list (pages)".into(),
-        longest_full.to_string(),
-        longest_half.to_string(),
-    ]);
-    t.row(vec![
-        "accumulator reduction ×".into(),
-        format!("{acc_full:.0}"),
-        format!("{acc_half:.0}"),
-    ]);
+    let mut rows = Vec::new();
+    // Printed label, CSV name, printed scale and decimals, CSV decimals.
+    for (i, (label, name, scale, shown, written)) in [
+        ("mean DF savings %", "mean_savings", 100.0, 1, 4),
+        (
+            "multi-page term fraction %",
+            "multi_page_fraction",
+            100.0,
+            2,
+            4,
+        ),
+        ("longest list (pages)", "longest_list_pages", 1.0, 0, 0),
+        ("accumulator reduction ×", "accumulator_factor", 1.0, 0, 1),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (full, half) = (full[i], half[i]);
+        t.row(vec![
+            label.into(),
+            format!("{:.shown$}", full * scale),
+            format!("{:.shown$}", half * scale),
+        ]);
+        rows.push(format!("{name},{full:.written$},{half:.written$}"));
+    }
     print!("{}", t.render());
     println!(
         "(savings and page spectra should agree within a few points; that is\n\
          what licenses reading the σ-scaled results as full-scale results)"
     );
-    ctx.out.write_csv(
-        "scaling.csv",
-        &["statistic", "full_scale", "half_scale"],
-        [
-            vec![
-                "mean_savings".to_string(),
-                format!("{s_full:.4}"),
-                format!("{s_half:.4}"),
-            ],
-            vec![
-                "multi_page_fraction".to_string(),
-                format!("{multi_full:.4}"),
-                format!("{multi_half:.4}"),
-            ],
-            vec![
-                "longest_list_pages".to_string(),
-                longest_full.to_string(),
-                longest_half.to_string(),
-            ],
-            vec![
-                "accumulator_factor".to_string(),
-                format!("{acc_full:.1}"),
-                format!("{acc_half:.1}"),
-            ],
-        ],
-    )?;
-    Ok(ScalingSummary {
-        savings_full: s_full,
-        savings_half: s_half,
-    })
+    ctx.out
+        .write_csv("scaling.csv", "statistic,full_scale,half_scale", rows)?;
+    Ok(())
 }

@@ -10,18 +10,15 @@
 //! We select six synthetic terms whose list lengths match the paper's
 //! profile and replay the same protocol.
 
-use super::ExpContext;
+use super::{ExpContext, ExpResult};
 use crate::output::{fnum, TextTable};
 use ir_core::eval::{evaluate, EvalOptions};
 use ir_core::{Algorithm, Query, QueryResult};
 use ir_storage::PolicyKind;
 use ir_types::{FilterParams, TermId};
 
-use super::ExpResult;
-
-/// Runs the experiment; returns (DF reads, BAF reads) for the refined
-/// query.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<(u64, u64)> {
+/// Runs the experiment.
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     let index = &ctx.bed.index;
     // The paper's example query is *topical* — its six terms co-occur
     // in the same documents, which is what makes S_max keep growing
@@ -111,7 +108,6 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<(u64, u64)> {
         let warm = evaluate(Algorithm::Df, index, &mut probe, &q_initial, options)?;
         (warm.stats.pages_processed as usize + 4).max(8)
     };
-    index.disk().reset_stats();
 
     let replay = |alg: Algorithm| -> ir_types::IrResult<QueryResult> {
         let mut buffer = index.make_buffer(pool, PolicyKind::Lru)?;
@@ -124,22 +120,28 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<(u64, u64)> {
     let df = replay(Algorithm::Df)?;
     let baf = replay(Algorithm::Baf)?;
 
-    for (name, result) in [("Table 1 (DF)", &df), ("Table 2 (BAF)", &baf)] {
-        let mut table = TextTable::new(&[
+    let mut rows = Vec::new();
+    for (name, alg, result) in [("Table 1 (DF)", "DF", &df), ("Table 2 (BAF)", "BAF", &baf)] {
+        let mut table = TextTable::new([
             "term", "idf", "pages", "Smax", "f_ins", "f_add", "proc", "read",
         ]);
-        for row in &result.trace {
-            let added_marker = row.term == added;
+        for r in &result.trace {
+            let marker = if r.term == added { " (+)" } else { "" };
+            let (pages, processed, read) = (r.list_pages, r.pages_processed, r.pages_read);
             table.row(vec![
-                format!("{}{}", row.term, if added_marker { " (+)" } else { "" }),
-                format!("{:.2}", row.idf),
-                row.list_pages.to_string(),
-                fnum(row.s_max_before),
-                fnum(row.f_ins),
-                fnum(row.f_add),
-                row.pages_processed.to_string(),
-                row.pages_read.to_string(),
+                format!("{}{marker}", r.term),
+                format!("{:.2}", r.idf),
+                pages.to_string(),
+                fnum(r.s_max_before),
+                fnum(r.f_ins),
+                fnum(r.f_add),
+                processed.to_string(),
+                read.to_string(),
             ]);
+            rows.push(format!(
+                "{alg},{},{:.4},{pages},{:.2},{:.2},{:.2},{processed},{read}",
+                r.term, r.idf, r.s_max_before, r.f_ins, r.f_add
+            ));
         }
         println!("\n== {name}: refined query, warm buffers ==");
         print!("{}", table.render());
@@ -160,41 +162,10 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<(u64, u64)> {
         "disk reads for the refinement: DF {} vs BAF {} (paper: 37 vs 20)",
         df.stats.disk_reads, baf.stats.disk_reads
     );
-
-    let rows: Vec<Vec<String>> = df
-        .trace
-        .iter()
-        .map(|r| ("DF", r))
-        .chain(baf.trace.iter().map(|r| ("BAF", r)))
-        .map(|(alg, r)| {
-            vec![
-                alg.to_string(),
-                r.term.to_string(),
-                format!("{:.4}", r.idf),
-                r.list_pages.to_string(),
-                format!("{:.2}", r.s_max_before),
-                format!("{:.2}", r.f_ins),
-                format!("{:.2}", r.f_add),
-                r.pages_processed.to_string(),
-                r.pages_read.to_string(),
-            ]
-        })
-        .collect();
     ctx.out.write_csv(
         "table1_2.csv",
-        &[
-            "algorithm",
-            "term",
-            "idf",
-            "pages",
-            "smax",
-            "f_ins",
-            "f_add",
-            "processed",
-            "read",
-        ],
+        "algorithm,term,idf,pages,smax,f_ins,f_add,processed,read",
         rows,
     )?;
-    index.disk().reset_stats();
-    Ok((df.stats.disk_reads, baf.stats.disk_reads))
+    Ok(())
 }

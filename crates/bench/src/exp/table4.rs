@@ -12,8 +12,8 @@ const PAPER_BANDS: [(&str, &str, &str, u32); 4] = [
     ("Very-high-idf", "8.74–17.40", "1", 160_957),
 ];
 
-/// Runs the census; returns the number of multi-page terms.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<usize> {
+/// Runs the census.
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     let index = &ctx.bed.index;
     let n = index.n_docs();
     println!(
@@ -27,7 +27,7 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<usize> {
     let max_idf = f64::from(n).log2();
     let bounds = [1.91, 3.10, 5.42, 8.74, max_idf.max(8.75) + 0.01];
     let bands = index.lexicon().idf_bands(&bounds);
-    let mut table = TextTable::new(&[
+    let mut table = TextTable::new([
         "group",
         "idf range",
         "pages",
@@ -38,39 +38,29 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<usize> {
     ]);
     let mut rows = Vec::new();
     for (band, paper) in bands.iter().zip(PAPER_BANDS.iter()) {
+        let (min_pages, max_pages) = (band.min_pages, band.max_pages);
         table.row(vec![
             paper.0.to_string(),
             format!("{:.2}–{:.2}", band.idf_low, band.idf_high),
-            if band.min_pages == band.max_pages {
-                band.min_pages.to_string()
+            if min_pages == max_pages {
+                min_pages.to_string()
             } else {
-                format!("{}–{}", band.min_pages, band.max_pages)
+                format!("{min_pages}–{max_pages}")
             },
             band.n_terms.to_string(),
             paper.1.to_string(),
             paper.2.to_string(),
             paper.3.to_string(),
         ]);
-        rows.push(vec![
-            paper.0.to_string(),
-            format!("{:.3}", band.idf_low),
-            format!("{:.3}", band.idf_high),
-            band.min_pages.to_string(),
-            band.max_pages.to_string(),
-            band.n_terms.to_string(),
-        ]);
+        rows.push(format!(
+            "{},{:.3},{:.3},{min_pages},{max_pages},{}",
+            paper.0, band.idf_low, band.idf_high, band.n_terms
+        ));
     }
     print!("{}", table.render());
     ctx.out.write_csv(
         "table4.csv",
-        &[
-            "group",
-            "idf_low",
-            "idf_high",
-            "min_pages",
-            "max_pages",
-            "n_terms",
-        ],
+        "group,idf_low,idf_high,min_pages,max_pages,n_terms",
         rows,
     )?;
 
@@ -103,5 +93,5 @@ pub fn run(ctx: &ExpContext<'_>) -> ExpResult<usize> {
         index.conversion().memory_bytes() / 1024,
         multi_page * (PAPER_CAP + 1) * std::mem::size_of::<u32>() / 1024,
     );
-    Ok(multi_page)
+    Ok(())
 }

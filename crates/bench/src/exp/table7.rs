@@ -5,141 +5,69 @@
 //! one big first query), where BAF/LRU and BAF/MRU degrade but BAF/RAP
 //! does not.
 
-use super::{sweep_points, ExpContext, ExpResult};
+use super::{sweep, sweep_points, Cell, ExpContext, ExpResult, PAPER_PAIRS};
 use crate::output::TextTable;
-use ir_core::{run_sequence, Algorithm, RefinementKind, SessionConfig};
-use ir_storage::PolicyKind;
-
-/// Outcome for EXPERIMENTS.md: best-size last-refinement savings of
-/// BAF/RAP vs DF/LRU per query, and whether the collapsed variant
-/// hurts BAF/LRU+MRU but not BAF/RAP.
-#[derive(Clone, Debug, Default)]
-pub struct Table7Summary {
-    /// (query alias, savings fraction) pairs.
-    pub last_refinement_savings: Vec<(String, f64)>,
-    /// Collapsed variant: BAF/RAP reads unchanged (paper: "still read
-    /// only 8 pages") while BAF/LRU and BAF/MRU read more.
-    pub collapsed_rap_stable: bool,
-}
+use ir_core::RefinementKind;
 
 /// Runs Table 7.
-pub fn run(ctx: &ExpContext<'_>) -> ExpResult<Table7Summary> {
+pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     println!("\n== Table 7: disk reads for the last refinement (best buffer size) ==");
-    let mut summary = Table7Summary::default();
-    let mut csv_rows: Vec<Vec<String>> = Vec::new();
+    let last = |c: &Cell| c.outcome.last_disk_reads();
+    let mut rows: Vec<String> = Vec::new();
     for (alias, topic) in [("QUERY1", ctx.reps.query1), ("QUERY2", ctx.reps.query2)] {
         let sequence = ctx.bed.sequence(topic, RefinementKind::AddOnly)?;
-        let total_pages = ctx.profiles[topic].total_pages;
-
-        // Find the buffer size with the largest BAF/RAP-vs-DF/LRU
-        // improvement on the last refinement (the paper picks "the
-        // buffer sizes that yield the most improvement").
-        let mut best: Option<(usize, f64)> = None;
-        for &buffers in &sweep_points(total_pages) {
-            let df_lru = run_sequence(
-                &ctx.bed.index,
-                &sequence,
-                SessionConfig::new(Algorithm::Df, PolicyKind::Lru, buffers),
-                None,
-            )?
-            .last_disk_reads();
-            let baf_rap = run_sequence(
-                &ctx.bed.index,
-                &sequence,
-                SessionConfig::new(Algorithm::Baf, PolicyKind::Rap, buffers),
-                None,
-            )?
-            .last_disk_reads();
-            let savings = 1.0 - baf_rap as f64 / df_lru.max(1) as f64;
-            if best.is_none_or(|(_, s)| savings > s) {
-                best = Some((buffers, savings));
+        let points = sweep_points(ctx.profiles[topic].total_pages);
+        let grid = sweep(&ctx.bed.index, &sequence, &points, &PAPER_PAIRS, None)?;
+        // The paper picks "the buffer sizes that yield the most
+        // improvement" of BAF/RAP over DF/LRU; the smallest on a tie.
+        let savings = |row: &[Cell]| 1.0 - last(&row[5]) as f64 / last(&row[0]).max(1) as f64;
+        let mut best = &grid[0];
+        for row in &grid[1..] {
+            if savings(row) > savings(best) {
+                best = row;
             }
         }
-        let (buffers, savings) = best.expect("sweep is nonempty");
-        summary
-            .last_refinement_savings
-            .push((alias.to_string(), savings));
+        let buffers = best[0].config.buffer_pages;
+        // The collapsed variant (§5.2.2), BAF rows only as in the paper.
+        let collapsed = sweep(
+            &ctx.bed.index,
+            &sequence.collapsed(),
+            &[buffers],
+            &PAPER_PAIRS[3..],
+            None,
+        )?;
 
-        let mut table = TextTable::new(&["", "LRU", "MRU", "RAP"]);
-        for alg in [Algorithm::Df, Algorithm::Baf] {
-            let mut cells = vec![alg.to_string()];
-            for policy in [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Rap] {
-                let reads = run_sequence(
-                    &ctx.bed.index,
-                    &sequence,
-                    SessionConfig::new(alg, policy, buffers),
-                    None,
-                )?
-                .last_disk_reads();
-                cells.push(reads.to_string());
-                csv_rows.push(vec![
-                    alias.to_string(),
-                    "normal".to_string(),
-                    buffers.to_string(),
-                    format!("{alg}/{policy}"),
-                    reads.to_string(),
-                ]);
-            }
-            table.row(cells);
-        }
         println!(
             "\nADD-ONLY-{alias} (topic {topic}), {buffers} buffer pages \
              — best-case last-refinement savings {:.1} %:",
-            savings * 100.0
+            savings(best) * 100.0
         );
-        print!("{}", table.render());
-
-        // Collapsed variant (§5.2.2), BAF rows only as in the paper.
-        let collapsed = sequence.collapsed();
-        let mut cells = vec!["BAF collapsed".to_string()];
-        let mut collapsed_reads = Vec::new();
-        for policy in [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Rap] {
-            let reads = run_sequence(
-                &ctx.bed.index,
-                &collapsed,
-                SessionConfig::new(Algorithm::Baf, policy, buffers),
-                None,
-            )?
-            .last_disk_reads();
-            cells.push(reads.to_string());
-            collapsed_reads.push(reads);
-            csv_rows.push(vec![
-                alias.to_string(),
-                "collapsed".to_string(),
-                buffers.to_string(),
-                format!("BAF/{policy}"),
-                reads.to_string(),
-            ]);
+        let row = |label: String, cells: &[Cell]| -> Vec<String> {
+            let reads = cells.iter().map(|c| last(c).to_string());
+            std::iter::once(label).chain(reads).collect()
+        };
+        let mut table = TextTable::new(["", "LRU", "MRU", "RAP"]);
+        for alg in best.chunks(3) {
+            table.row(row(alg[0].config.algorithm.to_string(), alg));
         }
-        let mut t2 = TextTable::new(&["", "LRU", "MRU", "RAP"]);
-        t2.row(cells);
-        print!("{}", t2.render());
-        if alias == "QUERY2" {
-            // Paper: collapsing hurt BAF/LRU and BAF/MRU (~80 pages)
-            // but BAF/RAP still read only 8.
-            let normal_rap = run_sequence(
-                &ctx.bed.index,
-                &sequence,
-                SessionConfig::new(Algorithm::Baf, PolicyKind::Rap, buffers),
-                None,
-            )?
-            .last_disk_reads();
-            summary.collapsed_rap_stable = collapsed_reads[2] <= normal_rap.saturating_mul(2)
-                && collapsed_reads[2] <= collapsed_reads[0]
-                && collapsed_reads[2] <= collapsed_reads[1];
+        print!("{}", table.render());
+        let mut table = TextTable::new(["", "LRU", "MRU", "RAP"]);
+        table.row(row("BAF collapsed".to_string(), &collapsed[0]));
+        print!("{}", table.render());
+        for (variant, cells) in [("normal", best), ("collapsed", &collapsed[0])] {
+            rows.extend(cells.iter().map(|c| {
+                format!(
+                    "{alias},{variant},{buffers},{},{}",
+                    c.config.label(),
+                    last(c)
+                )
+            }));
         }
     }
     ctx.out.write_csv(
         "table7.csv",
-        &[
-            "query",
-            "variant",
-            "buffer_pages",
-            "combo",
-            "last_refinement_reads",
-        ],
-        csv_rows,
+        "query,variant,buffer_pages,combo,last_refinement_reads",
+        rows,
     )?;
-    ctx.bed.index.disk().reset_stats();
-    Ok(summary)
+    Ok(())
 }

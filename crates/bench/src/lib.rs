@@ -12,15 +12,14 @@
 //! writes CSVs under `results/`; every read count the repository gates
 //! is a row of one of them (`scripts/check_goldens.sh` byte-compares
 //! all of them against one run). EXPERIMENTS.md records paper-vs-
-//! measured for every artifact. The `bench` binary has one subcommand,
-//! the seeded fault-injection matrix ([`chaos`]); wall time is measured
-//! by the standalone `benchmark/`, not here. Criterion micro-benchmarks
-//! live in `benches/`.
+//! measured for every artifact. One more experiment, `experiments
+//! chaos`, runs the seeded fault-injection matrix ([`exp::chaos`]);
+//! wall time is measured by the standalone `benchmark/`, not here.
+//! Criterion micro-benchmarks live in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod exp;
 pub mod output;
 pub mod setup;

@@ -1,7 +1,6 @@
 //! Report formatting and CSV output for the experiment harness.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Where experiment artifacts are written.
@@ -18,20 +17,20 @@ impl OutputDir {
         Ok(OutputDir { root })
     }
 
-    /// Writes a CSV file: a header row and then the data rows.
-    pub fn write_csv<R: AsRef<[String]>>(
+    /// Writes a CSV file: the comma-separated `header` line, then one
+    /// line per comma-separated row.
+    pub fn write_csv(
         &self,
         name: &str,
-        header: &[&str],
-        rows: impl IntoIterator<Item = R>,
-    ) -> std::io::Result<PathBuf> {
-        let path = self.root.join(name);
-        let mut f = fs::File::create(&path)?;
-        writeln!(f, "{}", header.join(","))?;
+        header: &str,
+        rows: impl IntoIterator<Item = String>,
+    ) -> std::io::Result<()> {
+        let mut text = format!("{header}\n");
         for row in rows {
-            writeln!(f, "{}", row.as_ref().join(","))?;
+            text.push_str(&row);
+            text.push('\n');
         }
-        Ok(path)
+        fs::write(self.root.join(name), text)
     }
 
     /// The directory path.
@@ -49,9 +48,9 @@ pub struct TextTable {
 
 impl TextTable {
     /// Starts a table with the given column headers.
-    pub fn new(header: &[&str]) -> TextTable {
+    pub fn new<S: ToString>(header: impl IntoIterator<Item = S>) -> TextTable {
         TextTable {
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.into_iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -112,7 +111,7 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = TextTable::new(&["term", "pages"]);
+        let mut t = TextTable::new(["term", "pages"]);
         t.row(vec!["stockmarket".into(), "1".into()]);
         t.row(vec!["x".into(), "114".into()]);
         let s = t.render();
@@ -126,14 +125,8 @@ mod tests {
     fn csv_written() {
         let dir = std::env::temp_dir().join("buffir-output-test");
         let out = OutputDir::new(&dir).unwrap();
-        let p = out
-            .write_csv(
-                "t.csv",
-                &["a", "b"],
-                [vec!["1".to_string(), "2".to_string()]],
-            )
-            .unwrap();
-        let content = std::fs::read_to_string(p).unwrap();
+        out.write_csv("t.csv", "a,b", ["1,2".to_string()]).unwrap();
+        let content = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
     }
 

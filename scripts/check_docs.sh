@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # The docs and the CI workflow may only point at things that exist:
-# every `results/<file>`, every `--bin bench -- <subcommand>` and every
-# experiment name (`--bin experiments -- NAME…`, or a backticked
-# `experiments NAME…`) named in README.md, DESIGN.md, EXPERIMENTS.md,
+# every `results/<file>`, every `--bin NAME` and every experiment name
+# (`--bin experiments -- NAME…`, or a backticked `experiments NAME…`)
+# named in README.md, DESIGN.md, EXPERIMENTS.md,
 # .github/workflows/ci.yml or the verify skill must be a checked-in
-# file / a subcommand the bench binary dispatches / `all` or a name in
-# the experiments binary's EXPERIMENTS table (nobody can run Actions
+# file / a binary target of a workspace package (a `[[bin]]` of its
+# Cargo.toml, or a `src/bin/NAME.rs` Cargo discovers) / `all` or a name
+# in the experiments binary's EXPERIMENTS table (nobody can run Actions
 # offline, so a job naming a deleted artifact has to fail here). Reads
 # sources only — nothing is built or run.
 #
@@ -14,7 +15,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 docs=(README.md DESIGN.md EXPERIMENTS.md .github/workflows/ci.yml .claude/skills/verify/SKILL.md)
-bench_main=crates/bench/src/bin/bench.rs
 experiments_main=crates/bench/src/bin/experiments.rs
 bad=0
 
@@ -25,13 +25,21 @@ while IFS=: read -r doc line ref; do
     fi
 done < <(grep -noE 'results/[A-Za-z0-9_.-]*[A-Za-z0-9]' "${docs[@]}" | sort -u)
 
+bins=" "
+for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
+    bins+="$(awk '/^\[\[bin\]\]/ { in_bin = 1 }
+        in_bin && /^name *=/ { gsub(/"/, "", $3); print $3; in_bin = 0 }' "$manifest" | tr '\n' ' ')"
+    for main in "$(dirname "$manifest")"/src/bin/*.rs; do
+        [ -e "$main" ] && bins+="$(basename "$main" .rs) "
+    done
+done
 while IFS=: read -r doc line ref; do
-    sub=${ref##* }
-    if ! grep -q "Some(\"$sub\") =>" "$bench_main"; then
-        echo "$doc:$line: \`bench $sub\` is not a subcommand of $bench_main"
+    name=${ref##* }
+    if [[ "$bins" != *" $name "* ]]; then
+        echo "$doc:$line: \`--bin $name\` is not a binary of any workspace package"
         bad=1
     fi
-done < <(grep -noE -e '--bin bench -- [a-z_]+' "${docs[@]}" | sort -u)
+done < <(grep -noE -e '--bin [A-Za-z0-9_-]+' "${docs[@]}" | sort -u)
 
 # The EXPERIMENTS table's rows: `("name", runner),`.
 experiments=" all $(grep -oE '^ *\("[a-z0-9_]+",' "$experiments_main" | tr -d ' (",' | tr '\n' ' ')"
