@@ -34,21 +34,18 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
                 baf_force_first_page: false,
             },
         )?;
-        // Series: S_max before each term, plus the final value.
-        let mut series: Vec<f64> = result.trace.iter().map(|r| r.s_max_before).collect();
-        let final_smax = series
-            .last()
-            .copied()
-            .unwrap_or(0.0)
-            .max(result.trace.last().map(|r| r.s_max_before).unwrap_or(0.0));
-        series.push(final_smax);
+        // Series: S_max before each term. The evaluator does not expose
+        // S_max after the last term (hit scores are A_d / W_d, not
+        // S_max), so the series ends at the last term's start.
+        let series: Vec<f64> = result.trace.iter().map(|r| r.s_max_before).collect();
         rows.extend(
             series
                 .iter()
                 .enumerate()
                 .map(|(i, v)| format!("{alias},{i},{v:.2}")),
         );
-        // Compact sparkline-ish printout: value at every 5th term.
+        // Compact sparkline-ish printout: about eight evenly spaced
+        // values.
         let peaks: Vec<String> = series
             .iter()
             .step_by((series.len() / 8).max(1))
