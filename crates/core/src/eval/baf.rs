@@ -30,7 +30,6 @@ use crate::query::{Query, QueryTerm};
 use crate::rank;
 use crate::stats::{EvalStats, QueryResult, TermTraceRow};
 use ir_index::InvertedIndex;
-use ir_observe::SpanKind;
 use ir_storage::{FetchOutcome, QueryBuffer};
 use ir_types::{FilterParams, IrResult, ListOrdering, PageId, ReadPlan, TermId};
 
@@ -200,19 +199,11 @@ fn baf_over<'q, B: QueryBuffer>(
     let mut stats = EvalStats::default();
     let mut trace = Vec::with_capacity(n);
 
-    let mut qspan = ir_observe::tracer().span(SpanKind::Query, "baf");
-    qspan.attr("terms", n as i64);
-
     let mut read_since = true;
-    for round in 0..n {
-        // Step 3a: the whole round — selection plus the chosen term's
-        // scan — reports as one `term-select` span under the query.
-        let mut sel_span = qspan.child(SpanKind::TermSelect, format_args!("round:{round}"));
+    for _ in 0..n {
+        // Step 3a: select the term with the least d_t.
         let picked = pick(buffer, s_max, read_since, &mut stats)?;
         let (t, f_add, est_reads) = (picked.chosen.term, picked.chosen.f_add, picked.est_reads);
-        sel_span.attr("term", i64::from(t.term.0));
-        sel_span.attr("est_reads", i64::from(est_reads));
-        sel_span.attr("inquired", picked.inquired as i64);
 
         // Step 3b: fresh thresholds (the pick's f_add was computed
         // against the current S_max).
@@ -230,6 +221,7 @@ fn baf_over<'q, B: QueryBuffer>(
             pages_processed: 0,
             pages_read: 0,
             est_reads,
+            inquired: picked.inquired as u32,
         };
         // Step 3c: f_max skip.
         if f64::from(t.f_max) <= f_add {
@@ -250,7 +242,6 @@ fn baf_over<'q, B: QueryBuffer>(
                 f_add,
                 early_stop,
                 picked.chosen.p_t,
-                Some(&sel_span),
             )?;
             stats.record_scan(&out);
             // The estimator's quality, measured: what d_t promised vs
@@ -267,10 +258,6 @@ fn baf_over<'q, B: QueryBuffer>(
     let hits = rank::top_n(accs, index.doc_stats(), options.top_n)?;
     stats.peak_accumulators = accs.peak();
     stats.final_accumulators = accs.len();
-    qspan.attr("disk_reads", stats.disk_reads as i64);
-    qspan.attr("est_reads", stats.baf_estimated_reads as i64);
-    qspan.attr("est_abs_error", stats.baf_estimate_abs_error as i64);
-    qspan.attr("candidates", stats.peak_accumulators as i64);
     Ok(QueryResult { hits, stats, trace })
 }
 
@@ -465,6 +452,18 @@ mod tests {
             assert_eq!(rows(&lazy), rows(&eager), "{ctx}: trace");
             assert_eq!(lazy.hits, eager.hits, "{ctx}: hits");
             let (l, e) = (lazy.stats, eager.stats);
+            let inquired =
+                |r: &QueryResult| -> u64 { r.trace.iter().map(|t| u64::from(t.inquired)).sum() };
+            assert_eq!(
+                inquired(&lazy),
+                l.bt_inquiries,
+                "{ctx}: lazy rows' inquiries"
+            );
+            assert_eq!(
+                inquired(&eager),
+                e.bt_inquiries,
+                "{ctx}: eager rows' inquiries"
+            );
             assert!(l.bt_inquiries <= e.bt_inquiries, "{ctx}: inquiries");
             assert!(
                 l.threshold_recomputes <= e.threshold_recomputes,
@@ -650,6 +649,38 @@ mod tests {
         // A cold query reads in every round, so every round asks again:
         // the paper's T(T+1)/2 with T = 3.
         assert_eq!(r.stats.bt_inquiries, 6);
+    }
+
+    /// Each round's `b_t` questions land in its trace row: the rows sum
+    /// to `bt_inquiries`, the first round asks about every term, a round
+    /// after one that read nothing asks nobody, and DF asks nothing.
+    #[test]
+    fn trace_rows_carry_each_rounds_inquiries() {
+        let idx = index();
+        let q = query(&idx, &[("commn", 1), ("rare", 1), ("mid", 1)]);
+        let opts = EvalOptions {
+            params: FilterParams::OFF,
+            ..EvalOptions::default()
+        };
+        let inquired =
+            |r: &QueryResult| -> Vec<u32> { r.trace.iter().map(|t| t.inquired).collect() };
+        let mut buf = idx.make_buffer(32, PolicyKind::Rap).unwrap();
+        let cold = evaluate_baf(&idx, &mut buf, &q, opts).unwrap();
+        assert_eq!(
+            inquired(&cold),
+            [3, 2, 1],
+            "a cold round reads, so the next asks again"
+        );
+        assert_eq!(cold.stats.bt_inquiries, 6);
+        let warm = evaluate_baf(&idx, &mut buf, &q, opts).unwrap();
+        assert_eq!(
+            inquired(&warm),
+            [3, 0, 0],
+            "rounds of hits reuse the answers"
+        );
+        assert_eq!(warm.stats.bt_inquiries, 3);
+        let df = evaluate_df(&idx, &mut buf, &q, opts).unwrap();
+        assert_eq!(inquired(&df), [0, 0, 0]);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use crate::query::Query;
 use crate::rank;
 use crate::stats::{EvalStats, QueryResult, TermTraceRow};
 use ir_index::InvertedIndex;
-use ir_observe::SpanKind;
 use ir_storage::QueryBuffer;
 use ir_types::{IrResult, ListOrdering};
 
@@ -43,9 +42,6 @@ fn df_over<B: QueryBuffer>(
     let mut terms = query.terms().to_vec();
     terms.sort_by(|a, b| b.idf.total_cmp(&a.idf).then(a.term.cmp(&b.term)));
 
-    let mut qspan = ir_observe::tracer().span(SpanKind::Query, "df");
-    qspan.attr("terms", terms.len() as i64);
-
     let mut s_max = 0.0f64;
     let mut stats = EvalStats::default();
     let mut trace = Vec::with_capacity(terms.len());
@@ -65,6 +61,7 @@ fn df_over<B: QueryBuffer>(
             pages_processed: 0,
             pages_read: 0,
             est_reads: 0,
+            inquired: 0,
         };
         // Step 4b: skip the whole list without reading when even its
         // best entry cannot pass the addition threshold.
@@ -78,15 +75,7 @@ fn df_over<B: QueryBuffer>(
         // the threshold-f_add scan will process.
         let plan_pages = index.conversion().pages_to_process(t.term, f_add)?;
         let out = scan_term(
-            buffer,
-            accs,
-            &mut s_max,
-            t,
-            f_ins,
-            f_add,
-            early_stop,
-            plan_pages,
-            Some(&qspan),
+            buffer, accs, &mut s_max, t, f_ins, f_add, early_stop, plan_pages,
         )?;
         stats.record_scan(&out);
         row.pages_processed = out.pages_processed;
@@ -98,8 +87,6 @@ fn df_over<B: QueryBuffer>(
     let hits = rank::top_n(accs, index.doc_stats(), options.top_n)?;
     stats.peak_accumulators = accs.peak();
     stats.final_accumulators = accs.len();
-    qspan.attr("disk_reads", stats.disk_reads as i64);
-    qspan.attr("candidates", stats.peak_accumulators as i64);
     Ok(QueryResult { hits, stats, trace })
 }
 

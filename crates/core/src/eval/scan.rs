@@ -4,7 +4,6 @@
 use crate::accumulator::Accumulators;
 use crate::query::QueryTerm;
 use crate::stats::EvalStats;
-use ir_observe::{Span, SpanKind};
 use ir_storage::{FetchOutcome, Page, QueryBuffer};
 use ir_types::{IrResult, ReadPlan};
 use std::cell::RefCell;
@@ -130,9 +129,7 @@ fn process_fetched(
 ///
 /// Each plan entry reports whether it was served from the pool's frames
 /// or from disk — so the counts stay per-query even when other sessions
-/// drive the same pool concurrently (pool-wide miss deltas don't). When
-/// `parent` is given, the scan reports itself as one `list-read` span
-/// beneath it.
+/// drive the same pool concurrently (pool-wide miss deltas don't).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_term<B: QueryBuffer>(
     buffer: &mut B,
@@ -143,20 +140,11 @@ pub(crate) fn scan_term<B: QueryBuffer>(
     f_add: f64,
     early_stop: bool,
     plan_pages: u32,
-    parent: Option<&Span>,
 ) -> IrResult<ScanOutcome> {
     let plan = ReadPlan::for_term_pages(term.term, plan_pages, Some(term.weight()));
-    let mut span =
-        parent.map(|p| p.child(SpanKind::ListRead, format_args!("term:{}", term.term.0)));
-    let out = with_fetched(buffer, &plan, |fetched| {
+    with_fetched(buffer, &plan, |fetched| {
         process_fetched(fetched, accs, s_max, term, f_ins, f_add, early_stop)
-    })?;
-    if let Some(s) = span.as_mut() {
-        s.attr("pages_processed", i64::from(out.pages_processed));
-        s.attr("pages_read", i64::from(out.pages_read));
-        s.attr("entries", out.entries as i64);
-    }
-    Ok(out)
+    })
 }
 
 #[cfg(test)]
@@ -195,10 +183,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        let out = scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
-        )
-        .unwrap();
+        let out = scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2).unwrap();
         assert_eq!(out.pages_processed, 2);
         assert_eq!(out.pages_read, 2);
         assert_eq!(out.entries, 4);
@@ -214,10 +199,7 @@ mod tests {
         let mut s_max = 0.0;
         // f_add = 2: f=1 fails; the failing entry is on page 1, so both
         // its page and page 0 are processed, and entries = 3 (5, 3, 1).
-        let out = scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 2.0, true, 2, None,
-        )
-        .unwrap();
+        let out = scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 2.0, true, 2).unwrap();
         assert_eq!(out.pages_processed, 2);
         assert_eq!(out.entries, 3);
         assert_eq!(accs.len(), 2);
@@ -228,10 +210,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 1), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        let out = scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 1.0, true, 1, None,
-        )
-        .unwrap();
+        let out = scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 1.0, true, 1).unwrap();
         assert_eq!(out.pages_processed, 1, "page 1 must not be fetched");
         assert_eq!(out.entries, 2);
         assert_eq!(accs.len(), 1);
@@ -245,10 +224,7 @@ mod tests {
         let mut s_max = 0.0;
         // f_ins = 4: only f=5 creates; f=3 (doc 1) is filtered out
         // entirely; f=2 (doc 2) passes f_add and doc 2 exists → added.
-        let out = scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 4.0, 1.0, true, 1, None,
-        )
-        .unwrap();
+        let out = scan_term(&mut buf, &mut accs, &mut s_max, &term, 4.0, 1.0, true, 1).unwrap();
         assert_eq!(out.entries, 3);
         assert_eq!(accs.len(), 2);
         assert!(accs.contains(DocId(0)));
@@ -263,16 +239,10 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
-        )
-        .unwrap();
+        scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2).unwrap();
         let mut accs2 = Accumulators::new();
         let mut s2 = 0.0;
-        let out = scan_term(
-            &mut buf, &mut accs2, &mut s2, &term, 0.0, 0.0, true, 2, None,
-        )
-        .unwrap();
+        let out = scan_term(&mut buf, &mut accs2, &mut s2, &term, 0.0, 0.0, true, 2).unwrap();
         assert_eq!(out.pages_processed, 2);
         assert_eq!(out.pages_read, 0, "everything was resident");
     }
@@ -282,10 +252,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
-        )
-        .unwrap();
+        scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2).unwrap();
         let dump = buf.metrics().dump();
         assert_eq!(dump.counter("buffer.batches"), Some(1));
         let h = dump
@@ -324,7 +291,7 @@ mod tests {
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
         let out = scan_term(
-            &mut pool, &mut accs, &mut s_max, &term, 0.0, 0.0, true, n_pages, None,
+            &mut pool, &mut accs, &mut s_max, &term, 0.0, 0.0, true, n_pages,
         )
         .unwrap();
         assert_eq!(out.pages_processed, n_pages, "every page processed once");
@@ -351,10 +318,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3)], 4);
         let mut accs = Accumulators::new();
         let mut s_max = 1000.0;
-        scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 1, None,
-        )
-        .unwrap();
+        scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 1).unwrap();
         assert_eq!(s_max, 1000.0);
     }
 }

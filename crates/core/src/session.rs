@@ -142,11 +142,6 @@ pub fn run_sequence_with<B: ir_storage::QueryBuffer>(
     options: EvalOptions,
     relevant: Option<&HashSet<DocId>>,
 ) -> IrResult<SequenceOutcome> {
-    let mut span = ir_observe::tracer().span(
-        ir_observe::SpanKind::Session,
-        format_args!("seq:{}", sequence.source),
-    );
-    span.attr("steps", sequence.steps.len() as i64);
     let mut steps = Vec::with_capacity(sequence.steps.len());
     for step_terms in &sequence.steps {
         let query = Query::from_ids(index, step_terms)?;
@@ -157,10 +152,6 @@ pub fn run_sequence_with<B: ir_storage::QueryBuffer>(
             hits: result.hits,
         });
     }
-    span.attr(
-        "disk_reads",
-        steps.iter().map(|s| s.stats.disk_reads).sum::<u64>() as i64,
-    );
     Ok(SequenceOutcome { steps })
 }
 

@@ -76,6 +76,11 @@ pub struct TermTraceRow {
     /// BAF's read estimate `d_t` when the term was selected (0 for
     /// algorithms that do not estimate).
     pub est_reads: u32,
+    /// BAF only: terms whose `b_t` the selection round asked the buffer
+    /// manager for — every unmarked term, or 0 when the previous round
+    /// read nothing and its answers still stand. The rows of a query sum
+    /// to [`EvalStats::bt_inquiries`]; 0 for DF.
+    pub inquired: u32,
 }
 
 /// The outcome of one query evaluation.
@@ -124,6 +129,7 @@ mod tests {
                     pages_processed: 2,
                     pages_read: 2,
                     est_reads: 2,
+                    inquired: 2,
                 },
                 TermTraceRow {
                     term: TermId(1),
@@ -136,6 +142,7 @@ mod tests {
                     pages_processed: 1,
                     pages_read: 0,
                     est_reads: 0,
+                    inquired: 0,
                 },
             ],
         };

@@ -44,7 +44,6 @@ use crate::ledger::{query_cost, CostLedger, QueryCost};
 use ir_core::eval::{evaluate, EvalOptions};
 use ir_core::{Algorithm, Query, RefinementSequence, SequenceOutcome, StepOutcome};
 use ir_index::InvertedIndex;
-use ir_observe::SpanKind;
 use ir_storage::{
     BufferStats, DiskSim, FaultConfig, FaultStats, FaultStore, FetchPolicy, PageStore, PolicyKind,
     QueryBuffer, ShardedBufferPool,
@@ -371,9 +370,6 @@ impl<'a> SessionServer<'a> {
                 let mut buffer = Some(pool.clone());
                 let turns = &turns;
                 handles.push(scope.spawn(move |_| {
-                    let mut sspan =
-                        ir_observe::tracer().span(SpanKind::Session, format_args!("user:{user}"));
-                    sspan.attr("steps", spec.sequence.steps.len() as i64);
                     let mut steps = Vec::with_capacity(spec.sequence.steps.len());
                     let mut costs = Vec::with_capacity(spec.sequence.steps.len());
                     let mut failure: Option<IrError> = None;
@@ -446,10 +442,6 @@ impl<'a> SessionServer<'a> {
                             turns.advance();
                         }
                     }
-                    sspan.attr(
-                        "disk_reads",
-                        steps.iter().map(|s| s.stats.disk_reads).sum::<u64>() as i64,
-                    );
                     (SequenceOutcome { steps }, costs, failure)
                 }));
             }

@@ -1,7 +1,7 @@
-//! The lock-free metrics registry: named counters, gauges and
-//! fixed-bucket histograms behind atomics.
+//! The lock-free metrics registry: named counters and fixed-bucket
+//! histograms behind atomics.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap clones of
+//! Handles ([`Counter`], [`Histogram`]) are cheap clones of
 //! `Arc`-backed atomics: once obtained, recording never takes a lock,
 //! so the threaded session server can bump counters from every session
 //! thread without contention. The registry itself (name → handle) is
@@ -10,7 +10,7 @@
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A monotonically increasing counter.
@@ -52,48 +52,11 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that can move both ways (pool occupancy, active
-/// sessions).
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// A free-standing gauge.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Default histogram bounds for microsecond latencies: 1 µs … ~8 s in
-/// powers of four.
-pub const DEFAULT_LATENCY_BOUNDS: [u64; 12] = [
-    1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304,
-];
-
 /// Histogram bounds for modeled device I/O latencies, µs: powers of
-/// two from 4 µs to ~1 s. Finer at the low end than
-/// [`DEFAULT_LATENCY_BOUNDS`] because a page transfer under the
-/// storage tier's seek+bandwidth model sits in the tens-to-hundreds of
-/// microseconds, where the power-of-four grid is too coarse to tell a
-/// sequential hit from a seek.
+/// four from 4 µs to ~65 ms, then powers of two to ~1 s. A page
+/// transfer under the storage tier's seek+bandwidth model sits in the
+/// tens-to-hundreds of microseconds, where the 4 µs floor still tells a
+/// sequential transfer from a seek.
 pub const IO_LATENCY_US_BOUNDS: [u64; 12] = [
     4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536, 131_072, 262_144, 524_288, 1_048_576,
 ];
@@ -132,7 +95,7 @@ struct HistogramInner {
 /// A fixed-bucket histogram: values are counted into the first bucket
 /// whose (inclusive) upper bound is ≥ the value; larger values land in
 /// the overflow bucket. Bounds are fixed at registration, so recording
-/// is two relaxed atomic adds plus a small search — no locks, no
+/// is three relaxed atomic adds plus a small search — no locks, no
 /// allocation.
 #[derive(Clone, Debug)]
 pub struct Histogram {
@@ -183,40 +146,6 @@ impl Histogram {
         self.inner.sum.load(Ordering::Relaxed)
     }
 
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Estimated quantile `q ∈ [0, 1]`: the upper bound of the bucket
-    /// containing the q-th observation (the overflow bucket reports the
-    /// largest finite bound). 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.inner.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return self
-                    .inner
-                    .bounds
-                    .get(i)
-                    .copied()
-                    .unwrap_or(*self.inner.bounds.last().expect("non-empty bounds"));
-            }
-        }
-        *self.inner.bounds.last().expect("non-empty bounds")
-    }
-
     /// Bucket upper bounds (the overflow bucket is implicit).
     pub fn bounds(&self) -> &[u64] {
         &self.inner.bounds
@@ -235,7 +164,6 @@ impl Histogram {
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
@@ -259,12 +187,6 @@ impl Registry {
         map.entry(name.to_string()).or_default().clone()
     }
 
-    /// The gauge named `name`, registering it at zero on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.lock();
-        map.entry(name.to_string()).or_default().clone()
-    }
-
     /// The histogram named `name`; `bounds` applies only on first
     /// registration (later callers share the existing instance).
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
@@ -274,7 +196,7 @@ impl Registry {
             .clone()
     }
 
-    /// Zeroes every counter (gauges and histograms are left alone) —
+    /// Zeroes every counter (histograms are left alone) —
     /// the experiment-harness reset path.
     pub fn reset_counters(&self) {
         for c in self.inner.counters.lock().values() {
@@ -287,13 +209,6 @@ impl Registry {
         let counters = self
             .inner
             .counters
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let gauges = self
-            .inner
-            .gauges
             .lock()
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
@@ -313,7 +228,6 @@ impl Registry {
             .collect();
         MetricsSnapshot {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -339,8 +253,6 @@ pub struct HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// `(name, value)` pairs, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` pairs, sorted by name.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram copies, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
 }
@@ -352,11 +264,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| *v)
-    }
-
-    /// Value of a gauge, or `None` if it was never registered.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
 }
 
@@ -378,14 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_moves_both_ways() {
-        let g = Registry::new().gauge("g");
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
-    }
-
-    #[test]
     fn histogram_bucket_boundaries_are_inclusive_upper() {
         let h = Histogram::with_bounds(&[10, 100]);
         h.record(0); // → bucket 0 (≤ 10)
@@ -399,26 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_report_bucket_bounds() {
-        let h = Histogram::with_bounds(&[1, 2, 4, 8]);
-        for v in [1, 1, 2, 3, 5, 9] {
-            h.record(v);
-        }
-        // Ranks: q=0.5 → 3rd of 6 → value 2's bucket (bound 2).
-        assert_eq!(h.quantile(0.5), 2);
-        // q=1.0 → 6th → overflow bucket, reported as the last bound.
-        assert_eq!(h.quantile(1.0), 8);
-        assert_eq!(h.quantile(0.0), 1, "q=0 clamps to the first rank");
-        assert_eq!(Histogram::with_bounds(&[1]).quantile(0.5), 0, "empty");
-    }
-
-    #[test]
-    fn histogram_mean_and_sum() {
+    fn histogram_sums_observations() {
         let h = Histogram::with_bounds(&[100]);
         h.record(10);
         h.record(30);
-        assert_eq!(h.sum(), 40);
-        assert!((h.mean() - 20.0).abs() < 1e-12);
+        assert_eq!((h.count(), h.sum()), (2, 40));
     }
 
     #[test]
@@ -432,13 +316,11 @@ mod tests {
         let r = Registry::new();
         r.counter("z.second").add(2);
         r.counter("a.first").inc();
-        r.gauge("g").set(-3);
         r.histogram("h", &[1, 2]).record(1);
         let s = r.snapshot();
         assert_eq!(s.counters[0].0, "a.first");
         assert_eq!(s.counter("z.second"), Some(2));
         assert_eq!(s.counter("missing"), None);
-        assert_eq!(s.gauge("g"), Some(-3));
         assert_eq!(s.histograms[0].counts, vec![1, 0, 0]);
         // Snapshots serialize.
         let json = serde_json::to_string(&s).unwrap();

@@ -29,7 +29,7 @@
 
 use crate::disk::PageStore;
 use crate::page::Page;
-use ir_observe::{Counter, Gauge, Histogram, IO_LATENCY_US_BOUNDS};
+use ir_observe::{Counter, Histogram, IO_LATENCY_US_BOUNDS};
 use ir_types::{ClockKind, IdMap, IrResult, PageId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -92,11 +92,10 @@ impl Default for IoConfig {
     }
 }
 
-/// Instruments exposed by an [`IoScheduler`].
+/// Instruments exposed by an [`IoScheduler`] (its queue depth is in
+/// [`IoScheduler::config`]).
 #[derive(Clone, Debug)]
 pub struct IoMetrics {
-    /// Configured queue depth (channels available to the device).
-    pub queue_depth: Gauge,
     /// Modeled device time per demand-side request, µs (prefetch
     /// device time is excluded: it is the part callers never wait on).
     pub latency_us: Histogram,
@@ -116,22 +115,6 @@ pub struct IoMetrics {
     /// torn-page re-verification. Each one is a speculative read the
     /// device performed for nothing.
     pub prefetch_wasted: Counter,
-}
-
-impl IoMetrics {
-    fn new(queue_depth: usize) -> Self {
-        let m = IoMetrics {
-            queue_depth: Gauge::new(),
-            latency_us: Histogram::with_bounds(&IO_LATENCY_US_BOUNDS),
-            overlap_hits: Counter::new(),
-            demand_reads: Counter::new(),
-            io_wait_us: Counter::new(),
-            prefetch_evicted: Counter::new(),
-            prefetch_wasted: Counter::new(),
-        };
-        m.queue_depth.set(queue_depth as i64);
-        m
-    }
 }
 
 /// A page the scheduler read ahead of demand.
@@ -182,14 +165,20 @@ pub struct IoScheduler<S> {
 impl<S: PageStore> IoScheduler<S> {
     /// Wraps `inner` under `config`.
     pub fn new(inner: S, config: IoConfig) -> Self {
-        let depth = config.queue_depth.max(1);
         IoScheduler {
             inner,
             config: IoConfig {
-                queue_depth: depth,
+                queue_depth: config.queue_depth.max(1),
                 ..config
             },
-            metrics: IoMetrics::new(depth),
+            metrics: IoMetrics {
+                latency_us: Histogram::with_bounds(&IO_LATENCY_US_BOUNDS),
+                overlap_hits: Counter::new(),
+                demand_reads: Counter::new(),
+                io_wait_us: Counter::new(),
+                prefetch_evicted: Counter::new(),
+                prefetch_wasted: Counter::new(),
+            },
             state: Mutex::new(SchedState::default()),
         }
     }

@@ -147,7 +147,6 @@ pub struct BufferManager<S: PageStore> {
     capacity: usize,
     frames: FrameView,
     policy: Box<dyn ReplacementPolicy>,
-    policy_kind: PolicyKind,
     resident_per_term: TermView,
     fetch_policy: FetchPolicy,
     metrics: BufferMetrics,
@@ -163,13 +162,12 @@ impl<S: PageStore> BufferManager<S> {
         if capacity == 0 {
             return Err(IrError::EmptyBufferPool);
         }
-        BufferManager::with_policy(store, capacity, policy.build(capacity), policy)
+        BufferManager::with_policy(store, capacity, policy.build(capacity))
     }
 
     /// Creates a pool around an explicit policy instance — the way to
     /// run an out-of-tree [`ReplacementPolicy`], or a test oracle in
-    /// place of a built-in one. `kind` is the label reports attribute
-    /// the pool to.
+    /// place of a built-in one.
     ///
     /// # Errors
     /// [`IrError::EmptyBufferPool`] if `capacity` is zero.
@@ -177,7 +175,6 @@ impl<S: PageStore> BufferManager<S> {
         store: S,
         capacity: usize,
         policy: Box<dyn ReplacementPolicy>,
-        kind: PolicyKind,
     ) -> IrResult<Self> {
         if capacity == 0 {
             return Err(IrError::EmptyBufferPool);
@@ -190,7 +187,6 @@ impl<S: PageStore> BufferManager<S> {
                 Default::default(),
             ))),
             policy,
-            policy_kind: kind,
             resident_per_term: Arc::default(),
             fetch_policy: FetchPolicy::NO_RETRY,
             metrics: BufferMetrics::new(),
@@ -508,11 +504,6 @@ impl<S: PageStore> BufferManager<S> {
         self.fetch_policy = policy;
     }
 
-    /// The retry policy applied to store reads.
-    pub fn fetch_policy(&self) -> FetchPolicy {
-        self.fetch_policy
-    }
-
     /// Announces the term weights `w_{q,t}` of the query about to be
     /// evaluated. RAP re-values the resident pages of terms whose weight
     /// changed; other policies ignore it. A single-owner pool has one
@@ -578,11 +569,6 @@ impl<S: PageStore> BufferManager<S> {
     /// Pool capacity in pages (`BufferSize` in Table 3).
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The configured replacement policy.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy_kind
     }
 
     /// The underlying page store.
@@ -675,6 +661,10 @@ mod tests {
         assert_eq!(s.evictions, 0);
         // Buffer misses == disk reads.
         assert_eq!(bm.store().stats().reads, 2);
+        // A single-page fetch is a one-entry plan: each counts a batch,
+        // hit or miss.
+        assert_eq!(bm.metrics().batches.get(), 3);
+        assert_eq!(bm.metrics().batch_pages.sum(), 3);
     }
 
     #[test]

@@ -300,7 +300,6 @@ mod tests {
     use crate::buffer::BufferManager;
     use crate::disk::DiskSim;
     use crate::observe::{BufferEvent, BufferObserver};
-    use crate::policy::PolicyKind;
     use proptest::{proptest, ProptestConfig, TestRng};
     use std::collections::{BTreeMap, HashMap};
     use std::sync::{Arc, Mutex};
@@ -572,8 +571,7 @@ mod tests {
             terms.map(|t| (TermId(t), 0.5 + f64::from(t % 7))).collect()
         };
         let run = |policy: Box<dyn ReplacementPolicy>| {
-            let mut bm =
-                BufferManager::with_policy(store(40, 32), 1024, policy, PolicyKind::Rap).unwrap();
+            let mut bm = BufferManager::with_policy(store(40, 32), 1024, policy).unwrap();
             let log = Evictions::default();
             bm.set_observer(Box::new(log.clone()));
             // Fill all 1 024 frames: 16 query terms, 16 left over from

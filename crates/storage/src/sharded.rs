@@ -80,7 +80,7 @@
 //!   seeded fault stream — sees the plan's own sequence whatever the
 //!   shard count, a duplicate costs one load plus one hit, and an error
 //!   leaves exactly the entries before it served and in `out`.
-//!   `sharded.batch_splits` counts the plans that were cut at all.
+//!   [`ShardMetrics::batch_splits`] counts the plans that were cut at all.
 //!
 //! [`begin_query`]: QueryBuffer::begin_query
 //! [`new`]: ShardedBufferPool::new
@@ -93,7 +93,7 @@ use crate::page::Page;
 use crate::policy::PolicyKind;
 use crate::query_buffer::QueryBuffer;
 use crate::stats::{BufferMetrics, BufferStats};
-use ir_observe::{Counter, Histogram, Registry};
+use ir_observe::{Counter, Histogram};
 use ir_types::idmap::splitmix64;
 use ir_types::{IdMap, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::Mutex;
@@ -153,13 +153,12 @@ impl Default for ShardMetrics {
 }
 
 impl ShardMetrics {
-    /// Fresh handles under the canonical `sharded.*` names.
+    /// Fresh free-standing handles.
     pub fn new() -> Self {
-        let registry = Registry::new();
         ShardMetrics {
-            lock_wait_ns: registry.histogram("sharded.lock_wait_ns", &LOCK_WAIT_NS_BOUNDS),
-            contended_locks: registry.counter("sharded.contended_locks"),
-            batch_splits: registry.counter("sharded.batch_splits"),
+            lock_wait_ns: Histogram::with_bounds(&LOCK_WAIT_NS_BOUNDS),
+            contended_locks: Counter::new(),
+            batch_splits: Counter::new(),
         }
     }
 }

@@ -75,8 +75,7 @@ impl std::ops::AddAssign for BufferStats {
 /// by [`snapshot`](BufferMetrics::snapshot).
 ///
 /// The registry is per-pool, so counter names need no policy suffix:
-/// each pool runs exactly one policy (dump [`BufferMetrics::dump`]
-/// alongside the pool's `policy_kind` to label it).
+/// each pool runs exactly one policy, the one its owner built it with.
 #[derive(Clone, Debug)]
 pub struct BufferMetrics {
     registry: Registry,
@@ -106,8 +105,8 @@ pub struct BufferMetrics {
     /// Deliveries rejected because the page content failed checksum
     /// verification (torn reads).
     pub torn_pages: Counter,
-    /// Read plans executed through `fetch_batch` (single-page fetches
-    /// do not count).
+    /// Read plans executed, one per plan whatever its length: a
+    /// single-page `fetch` is a one-entry plan and counts too.
     pub batches: Counter,
     /// Plan sizes (entries per executed batch), as a histogram.
     pub batch_pages: Histogram,
@@ -120,16 +119,11 @@ impl Default for BufferMetrics {
 }
 
 impl BufferMetrics {
-    /// Fresh counters in a private registry.
+    /// Fresh counters in a private registry, under the canonical
+    /// `buffer.*` names.
     pub fn new() -> Self {
-        BufferMetrics::in_registry(&Registry::new())
-    }
-
-    /// Handles registered in `registry` under the canonical
-    /// `buffer.*` names, so several layers can share one namespace.
-    pub fn in_registry(registry: &Registry) -> Self {
+        let registry = Registry::new();
         BufferMetrics {
-            registry: registry.clone(),
             requests: registry.counter("buffer.requests"),
             hits: registry.counter("buffer.hits"),
             loads: registry.counter("buffer.loads"),
@@ -140,6 +134,7 @@ impl BufferMetrics {
             torn_pages: registry.counter("buffer.torn_pages"),
             batches: registry.counter("buffer.batches"),
             batch_pages: registry.histogram("buffer.batch_pages", &BATCH_PAGES_BOUNDS),
+            registry,
         }
     }
 
