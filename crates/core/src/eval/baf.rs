@@ -22,6 +22,14 @@
 //! The pick, its `d_t` and everything the scan then does are those of
 //! the round that re-asks and recomputes everything every time (kept as
 //! the test oracle below); only the work to find the pick differs.
+//!
+//! A round whose pick must read (`d_t > 0`) has compared every unmarked
+//! term, so it also knows the *runner-up* — the least `d_t` among the
+//! rest, same tie-break — at no extra inquiry. The pick's plan names
+//! the runner-up's `[0, p_t)` prefix as its stage-only lookahead: a
+//! store that overlaps reads may start on it while the pick's own reads
+//! are in flight. The pool never demands it, so it changes no load, no
+//! victim and no answer.
 
 use super::scan::{scan_term, with_fetched};
 use super::EvalOptions;
@@ -80,6 +88,9 @@ struct Pick<'q> {
     est_reads: u32,
     /// Terms whose `b_t` the round asked for.
     inquired: usize,
+    /// The runner-up's `(term, p_t)` when the pick must read
+    /// (`d_t > 0`) and the runner-up would read something (`p_t > 0`).
+    runner_up: Option<(TermId, u32)>,
 }
 
 /// Steps 3a-i–iv of Fig. 2, paying only for what can change the pick.
@@ -108,7 +119,8 @@ impl<'q> Selection<'q> {
         }
     }
 
-    /// Picks and unmarks the term with the least `d_t` under `s_max`.
+    /// Picks and unmarks the term with the least `d_t` under `s_max`,
+    /// and names the runner-up when the loop had to see every term.
     /// `read_since` says whether the query read a page since the last
     /// pick (`true` for the first), i.e. whether residency can have
     /// moved under the `b_t` answers held.
@@ -133,7 +145,10 @@ impl<'q> Selection<'q> {
             inquired = self.live.len();
             stats.bt_inquiries += inquired as u64;
         }
+        // (position in `live`, d_t) of the best so far, and of the best
+        // of the others.
         let mut best: Option<(usize, u32)> = None;
+        let mut second: Option<(usize, u32)> = None;
         for (at, c) in self.live.iter_mut().enumerate() {
             if c.fresh_at != s_max {
                 let t = c.term;
@@ -144,17 +159,27 @@ impl<'q> Selection<'q> {
             }
             let d_t = c.p_t.saturating_sub(c.b_t);
             if best.is_none_or(|(_, least)| d_t < least) {
+                second = best;
                 best = Some((at, d_t));
                 if d_t == 0 {
                     break;
                 }
+            } else if second.is_none_or(|(_, least)| d_t < least) {
+                second = Some((at, d_t));
             }
         }
         let (at, est_reads) = best.expect("an unmarked term exists in every round");
+        // A pick with d_t = 0 may have stopped the loop early, before
+        // the runner-up was seen.
+        let runner_up = second
+            .filter(|_| est_reads > 0)
+            .map(|(i, _)| (self.live[i].term.term, self.live[i].p_t))
+            .filter(|&(_, p_t)| p_t > 0);
         Ok(Pick {
             chosen: self.live.remove(at),
             est_reads,
             inquired,
+            runner_up,
         })
     }
 }
@@ -204,6 +229,9 @@ fn baf_over<'q, B: QueryBuffer>(
         // Step 3a: select the term with the least d_t.
         let picked = pick(buffer, s_max, read_since, &mut stats)?;
         let (t, f_add, est_reads) = (picked.chosen.term, picked.chosen.f_add, picked.est_reads);
+        if trace.last().and_then(|row: &TermTraceRow| row.lookahead) == Some(t.term) {
+            stats.lookahead_confirmed += 1;
+        }
 
         // Step 3b: fresh thresholds (the pick's f_add was computed
         // against the current S_max).
@@ -222,6 +250,7 @@ fn baf_over<'q, B: QueryBuffer>(
             pages_read: 0,
             est_reads,
             inquired: picked.inquired as u32,
+            lookahead: None,
         };
         // Step 3c: f_max skip.
         if f64::from(t.f_max) <= f_add {
@@ -242,7 +271,9 @@ fn baf_over<'q, B: QueryBuffer>(
                 f_add,
                 early_stop,
                 picked.chosen.p_t,
+                picked.runner_up,
             )?;
+            row.lookahead = picked.runner_up.map(|(term, _)| term);
             stats.record_scan(&out);
             // The estimator's quality, measured: what d_t promised vs
             // what the scan actually pulled from disk.
@@ -323,25 +354,35 @@ mod tests {
             let ids: Vec<TermId> = live.iter().map(|&i| terms[i].term).collect();
             let b_ts = buffer.resident_pages_many(&ids);
             stats.bt_inquiries += live.len() as u64;
-            // (position in `live`, d_t) of the best so far.
-            let mut best: Option<(usize, u32)> = None;
-            for (k, &i) in live.iter().enumerate() {
-                let t = &terms[i];
-                let d_t = self.p_t[i].saturating_sub(b_ts[k]);
-                let better = match best {
-                    None => true,
-                    Some((at, best_d)) => {
-                        let held = &terms[live[at]];
-                        d_t < best_d
-                            || (d_t == best_d
-                                && (t.idf > held.idf || (t.idf == held.idf && t.term < held.term)))
+            // The best `(position in live, d_t)` among the positions
+            // `consider` lets through.
+            let d = |k: usize| self.p_t[live[k]].saturating_sub(b_ts[k]);
+            let best_of = |consider: &dyn Fn(usize) -> bool| {
+                let mut best: Option<(usize, u32)> = None;
+                for k in (0..live.len()).filter(|&k| consider(k)) {
+                    let (t, d_t) = (&terms[live[k]], d(k));
+                    let better = match best {
+                        None => true,
+                        Some((at, best_d)) => {
+                            let held = &terms[live[at]];
+                            d_t < best_d
+                                || (d_t == best_d
+                                    && (t.idf > held.idf
+                                        || (t.idf == held.idf && t.term < held.term)))
+                        }
+                    };
+                    if better {
+                        best = Some((k, d_t));
                     }
-                };
-                if better {
-                    best = Some((k, d_t));
                 }
-            }
-            let (k, est_reads) = best.expect("an unmarked term exists in every round");
+                best
+            };
+            let (k, est_reads) =
+                best_of(&|_| true).expect("an unmarked term exists in every round");
+            let runner_up = best_of(&|other| other != k)
+                .filter(|_| est_reads > 0)
+                .map(|(r, _)| (terms[live[r]].term, self.p_t[live[r]]))
+                .filter(|&(_, p_t)| p_t > 0);
             let i = live[k];
             self.done[i] = true;
             Ok(Pick {
@@ -354,6 +395,7 @@ mod tests {
                 },
                 est_reads,
                 inquired: live.len(),
+                runner_up,
             })
         }
     }
@@ -442,10 +484,11 @@ mod tests {
             let ctx = format!("seed {seed}, step {step} ({policy}, {capacity} frames)");
             let lazy = evaluate_baf(idx, &mut lazy_pool, q, options).unwrap();
             let eager = evaluate_eager(idx, &mut eager_pool, q, options).unwrap();
-            let rows = |r: &QueryResult| -> Vec<(TermId, u32, u32, u32, u64)> {
+            type Row = (TermId, u32, u32, u32, u64, Option<TermId>);
+            let rows = |r: &QueryResult| -> Vec<Row> {
                 let row = |t: &TermTraceRow| {
                     let (est, read, processed) = (t.est_reads, t.pages_read, t.pages_processed);
-                    (t.term, est, read, processed, t.f_add.to_bits())
+                    (t.term, est, read, processed, t.f_add.to_bits(), t.lookahead)
                 };
                 r.trace.iter().map(row).collect()
             };
@@ -497,11 +540,13 @@ mod tests {
         work
     }
 
-    /// Same terms in the same order, same estimates, pages, hits and
-    /// pool counters as the eager round, for less asking. Planted and
-    /// caught, with the first failing seed: `<=` for `<` (0), no re-ask
-    /// after a round that read (5), one `S_max` stamp shared by all
-    /// terms (0), terms left in term-id order (0).
+    /// Same terms in the same order, same estimates, lookaheads, pages,
+    /// hits and pool counters as the eager round, for less asking.
+    /// Planted and caught, with the first failing seed: `<=` for `<`
+    /// (0), no re-ask after a round that read (5), one `S_max` stamp
+    /// shared by all terms (0), terms left in term-id order (0), `<=`
+    /// for `<` in the runner-up (1), a runner-up named after a
+    /// `d_t = 0` pick stopped the loop early (0).
     #[test]
     fn lazy_selection_matches_the_eager_round() {
         let idx = wide_index();
@@ -681,6 +726,30 @@ mod tests {
         assert_eq!(warm.stats.bt_inquiries, 3);
         let df = evaluate_df(&idx, &mut buf, &q, opts).unwrap();
         assert_eq!(inquired(&df), [0, 0, 0]);
+    }
+
+    /// A round that must read names its runner-up as the plan's
+    /// lookahead; the next round picking that term confirms the guess.
+    /// A round whose pick reads nothing, and the last round, name none.
+    #[test]
+    fn trace_rows_name_the_runner_up_as_lookahead() {
+        let idx = index();
+        let q = query(&idx, &[("commn", 1), ("rare", 1), ("mid", 1)]);
+        let opts = EvalOptions {
+            params: FilterParams::OFF,
+            ..EvalOptions::default()
+        };
+        let mut buf = idx.make_buffer(32, PolicyKind::Rap).unwrap();
+        let cold = evaluate_baf(&idx, &mut buf, &q, opts).unwrap();
+        let order = cold.processing_order();
+        let lookaheads: Vec<Option<TermId>> = cold.trace.iter().map(|t| t.lookahead).collect();
+        assert_eq!(lookaheads, [Some(order[1]), Some(order[2]), None]);
+        assert_eq!(cold.stats.lookahead_confirmed, 2);
+        let warm = evaluate_baf(&idx, &mut buf, &q, opts).unwrap();
+        assert!(warm.trace.iter().all(|t| t.lookahead.is_none()));
+        assert_eq!(warm.stats.lookahead_confirmed, 0);
+        let df = evaluate_df(&idx, &mut buf, &q, opts).unwrap();
+        assert!(df.trace.iter().all(|t| t.lookahead.is_none()));
     }
 
     #[test]

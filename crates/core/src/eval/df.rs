@@ -62,6 +62,7 @@ fn df_over<B: QueryBuffer>(
             pages_read: 0,
             est_reads: 0,
             inquired: 0,
+            lookahead: None,
         };
         // Step 4b: skip the whole list without reading when even its
         // best entry cannot pass the addition threshold.
@@ -75,7 +76,7 @@ fn df_over<B: QueryBuffer>(
         // the threshold-f_add scan will process.
         let plan_pages = index.conversion().pages_to_process(t.term, f_add)?;
         let out = scan_term(
-            buffer, accs, &mut s_max, t, f_ins, f_add, early_stop, plan_pages,
+            buffer, accs, &mut s_max, t, f_ins, f_add, early_stop, plan_pages, None,
         )?;
         stats.record_scan(&out);
         row.pages_processed = out.pages_processed;

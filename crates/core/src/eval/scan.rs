@@ -5,7 +5,7 @@ use crate::accumulator::Accumulators;
 use crate::query::QueryTerm;
 use crate::stats::EvalStats;
 use ir_storage::{FetchOutcome, Page, QueryBuffer};
-use ir_types::{IrResult, ReadPlan};
+use ir_types::{IrResult, ReadPlan, TermId};
 use std::cell::RefCell;
 
 thread_local! {
@@ -130,6 +130,10 @@ fn process_fetched(
 /// Each plan entry reports whether it was served from the pool's frames
 /// or from disk — so the counts stay per-query even when other sessions
 /// drive the same pool concurrently (pool-wide miss deltas don't).
+///
+/// `lookahead`, `(term, n_pages)`, is the list prefix the caller expects
+/// to scan next; the plan carries it as stage-only, for a store that
+/// can read it while this scan's own reads are in flight.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_term<B: QueryBuffer>(
     buffer: &mut B,
@@ -140,8 +144,10 @@ pub(crate) fn scan_term<B: QueryBuffer>(
     f_add: f64,
     early_stop: bool,
     plan_pages: u32,
+    lookahead: Option<(TermId, u32)>,
 ) -> IrResult<ScanOutcome> {
-    let plan = ReadPlan::for_term_pages(term.term, plan_pages, Some(term.weight()));
+    let plan = ReadPlan::for_term_pages(term.term, plan_pages, Some(term.weight()))
+        .with_lookahead(lookahead);
     with_fetched(buffer, &plan, |fetched| {
         process_fetched(fetched, accs, s_max, term, f_ins, f_add, early_stop)
     })
@@ -183,7 +189,10 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        let out = scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2).unwrap();
+        let out = scan_term(
+            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
+        )
+        .unwrap();
         assert_eq!(out.pages_processed, 2);
         assert_eq!(out.pages_read, 2);
         assert_eq!(out.entries, 4);
@@ -199,7 +208,10 @@ mod tests {
         let mut s_max = 0.0;
         // f_add = 2: f=1 fails; the failing entry is on page 1, so both
         // its page and page 0 are processed, and entries = 3 (5, 3, 1).
-        let out = scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 2.0, true, 2).unwrap();
+        let out = scan_term(
+            &mut buf, &mut accs, &mut s_max, &term, 0.0, 2.0, true, 2, None,
+        )
+        .unwrap();
         assert_eq!(out.pages_processed, 2);
         assert_eq!(out.entries, 3);
         assert_eq!(accs.len(), 2);
@@ -210,7 +222,10 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 1), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        let out = scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 1.0, true, 1).unwrap();
+        let out = scan_term(
+            &mut buf, &mut accs, &mut s_max, &term, 0.0, 1.0, true, 1, None,
+        )
+        .unwrap();
         assert_eq!(out.pages_processed, 1, "page 1 must not be fetched");
         assert_eq!(out.entries, 2);
         assert_eq!(accs.len(), 1);
@@ -224,7 +239,10 @@ mod tests {
         let mut s_max = 0.0;
         // f_ins = 4: only f=5 creates; f=3 (doc 1) is filtered out
         // entirely; f=2 (doc 2) passes f_add and doc 2 exists → added.
-        let out = scan_term(&mut buf, &mut accs, &mut s_max, &term, 4.0, 1.0, true, 1).unwrap();
+        let out = scan_term(
+            &mut buf, &mut accs, &mut s_max, &term, 4.0, 1.0, true, 1, None,
+        )
+        .unwrap();
         assert_eq!(out.entries, 3);
         assert_eq!(accs.len(), 2);
         assert!(accs.contains(DocId(0)));
@@ -239,10 +257,16 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2).unwrap();
+        scan_term(
+            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
+        )
+        .unwrap();
         let mut accs2 = Accumulators::new();
         let mut s2 = 0.0;
-        let out = scan_term(&mut buf, &mut accs2, &mut s2, &term, 0.0, 0.0, true, 2).unwrap();
+        let out = scan_term(
+            &mut buf, &mut accs2, &mut s2, &term, 0.0, 0.0, true, 2, None,
+        )
+        .unwrap();
         assert_eq!(out.pages_processed, 2);
         assert_eq!(out.pages_read, 0, "everything was resident");
     }
@@ -252,7 +276,10 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2).unwrap();
+        scan_term(
+            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
+        )
+        .unwrap();
         let dump = buf.metrics().dump();
         assert_eq!(dump.counter("buffer.batches"), Some(1));
         let h = dump
@@ -291,7 +318,7 @@ mod tests {
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
         let out = scan_term(
-            &mut pool, &mut accs, &mut s_max, &term, 0.0, 0.0, true, n_pages,
+            &mut pool, &mut accs, &mut s_max, &term, 0.0, 0.0, true, n_pages, None,
         )
         .unwrap();
         assert_eq!(out.pages_processed, n_pages, "every page processed once");
@@ -318,7 +345,10 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3)], 4);
         let mut accs = Accumulators::new();
         let mut s_max = 1000.0;
-        scan_term(&mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 1).unwrap();
+        scan_term(
+            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 1, None,
+        )
+        .unwrap();
         assert_eq!(s_max, 1000.0);
     }
 }

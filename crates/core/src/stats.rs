@@ -49,6 +49,10 @@ pub struct EvalStats {
     /// Read plans issued as batched fetches: one per scanned list (plus
     /// one per forced first-page touch under BAF's safety fix).
     pub batches_issued: u64,
+    /// BAF only: rounds whose pick is the term the previous round's
+    /// plan named as its lookahead ([`TermTraceRow::lookahead`]) — how
+    /// often the guess a store may read ahead on comes true.
+    pub lookahead_confirmed: u64,
 }
 
 /// One row of a Table 1/2-style evaluation trace: the state of the
@@ -81,6 +85,11 @@ pub struct TermTraceRow {
     /// read nothing and its answers still stand. The rows of a query sum
     /// to [`EvalStats::bt_inquiries`]; 0 for DF.
     pub inquired: u32,
+    /// BAF only: the term whose list prefix this round's plan named as
+    /// its stage-only lookahead — the round's runner-up, when the pick
+    /// had to read (`d_t > 0`). `None` for a round without a plan, a
+    /// pick with `d_t = 0`, the last term, and DF.
+    pub lookahead: Option<TermId>,
 }
 
 /// The outcome of one query evaluation.
@@ -130,6 +139,7 @@ mod tests {
                     pages_read: 2,
                     est_reads: 2,
                     inquired: 2,
+                    lookahead: Some(TermId(1)),
                 },
                 TermTraceRow {
                     term: TermId(1),
@@ -143,6 +153,7 @@ mod tests {
                     pages_read: 0,
                     est_reads: 0,
                     inquired: 0,
+                    lookahead: None,
                 },
             ],
         };

@@ -232,6 +232,68 @@ fn file_backend_is_event_identical_to_disksim_for_every_policy() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Per query: the term each BAF row named as its lookahead, and
+/// `EvalStats::lookahead_confirmed`.
+type Guesses = Vec<(Vec<Option<TermId>>, u64)>;
+
+fn lookahead_guesses<S: PageStore>(
+    idx: &InvertedIndex,
+    store: S,
+    policy: PolicyKind,
+    steps: &[Vec<(TermId, u32)>],
+) -> Guesses {
+    let mut buffer = BufferManager::new(store, FRAMES, policy).unwrap();
+    steps
+        .iter()
+        .map(|terms| {
+            let q = Query::from_ids(idx, terms).unwrap();
+            let r = evaluate(Algorithm::Baf, idx, &mut buffer, &q, options()).unwrap();
+            let named = r.trace.iter().map(|row| row.lookahead).collect();
+            (named, r.stats.lookahead_confirmed)
+        })
+        .collect()
+}
+
+/// BAF's lookahead is an evaluator fact: the term each round names and
+/// how often the next round confirms it repeat exactly run to run, and
+/// are the same over the simulator (which stages nothing) as over the
+/// page file behind a depth-4 scheduler (which reads the guesses
+/// ahead).
+#[test]
+fn lookahead_guesses_repeat_and_do_not_depend_on_the_store() {
+    let idx = index();
+    let steps = workload(&idx, &NAMES);
+    let path = page_file(&idx, "lookahead");
+    let (mut named, mut confirmed) = (0, 0);
+    for policy in PolicyKind::ALL {
+        let sim = lookahead_guesses(&idx, Arc::clone(idx.disk()), policy, &steps);
+        let again = lookahead_guesses(&idx, Arc::clone(idx.disk()), policy, &steps);
+        assert_eq!(sim, again, "{policy}: run to run");
+        let sched = IoScheduler::new(
+            FilePageStore::open(&path, FileMode::Buffered).unwrap(),
+            IoConfig {
+                queue_depth: 4,
+                model: LatencyModel {
+                    seek_us: 200,
+                    transfer_us: 50,
+                },
+                clock: ClockKind::Virtual,
+            },
+        );
+        let staged = lookahead_guesses(&idx, &sched, policy, &steps);
+        assert_eq!(staged, sim, "{policy}: DiskSim vs a qd-4 scheduler");
+        for (rows, n) in &sim {
+            named += rows.iter().flatten().count();
+            confirmed += n;
+        }
+    }
+    assert!(
+        named > 0 && confirmed > 0,
+        "{named} named, {confirmed} confirmed"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The same seeded fault schedule above either backend injects the
 /// same faults at the same draws, so the recovered runs stay
 /// event-identical too.

@@ -6,21 +6,26 @@
 //! `transfer_us`, plus `seek_us` when the head has to move (the read
 //! is not the physical successor of the previous one — the same
 //! sequential/random rule [`DiskSim`](crate::DiskSim) uses for its
-//! counters). The device exposes `queue_depth` channels; the reads of
-//! one [`submit`](PageStore::submit) are spread round-robin across
-//! them, each channel serves its share serially, and a demand read
-//! that claims a staged page waits only for what is still in flight. A
-//! demand read nobody submitted goes to the device alone and pays its
-//! full price. Depth 1 therefore degenerates to a strictly serial disk
+//! counters). The device exposes `queue_depth` channels, each serving
+//! its reads one after another. Every physical read — staged by
+//! [`submit`](PageStore::submit) or demanded by
+//! [`read_page`](PageStore::read_page) — goes to the next channel round
+//! robin and starts once that channel is free. Channels keep their
+//! backlog across calls, so a read staged ahead of need occupies its
+//! channel like any other and delays whatever queues behind it. A
+//! demand read that claims a staged page waits only for what is still
+//! in flight. Depth 1 therefore degenerates to a strictly serial disk
 //! (total wait = sum of costs), while depth `d` brings a submitted
 //! plan's wait down to its slowest channel's share — the effect the
 //! `serial_disk_pays_the_sum_deeper_queues_pay_the_max` test below and
 //! `ir-engine`'s `storage_backend` suite pin.
 //!
-//! Two clocks ([`ClockKind`]): *virtual* accounts every wait in
-//! `io_wait_us` without sleeping (deterministic — two identical runs
-//! report identical waits), *real* additionally sleeps the modeled
-//! wait so queue depth shows up in wall time.
+//! One µs timeline serves both clocks ([`ClockKind`]): the *virtual*
+//! clock advances only by the waits it accounts in `io_wait_us`,
+//! without sleeping (deterministic — two identical runs report
+//! identical waits); the *real* clock is µs since construction, and
+//! every modeled wait is slept, so queue depth and read-ahead show up
+//! in wall time.
 //!
 //! **Determinism contract**: with `queue_depth <= 1` submission
 //! is a no-op and every read is forwarded to the inner store in
@@ -107,8 +112,9 @@ pub struct IoMetrics {
     /// Cumulative modeled wait imposed on callers, µs (slept under the
     /// real clock, accounted under the virtual one).
     pub io_wait_us: Counter,
-    /// Completions pushed out of the bounded prefetch cache by newer
-    /// submissions before any demand read claimed them.
+    /// Completions an earlier submission staged that a later one
+    /// pushed out of the bounded prefetch cache before any demand read
+    /// claimed them.
     pub prefetch_evicted: Counter,
     /// Prefetched pages whose device read never served a demand from
     /// the cache: capacity evictions plus copies discarded by the
@@ -121,30 +127,36 @@ pub struct IoMetrics {
 #[derive(Debug)]
 struct Prefetched {
     page: Page,
-    /// Completion instant on the virtual timeline, µs.
+    /// When its read completes on the timeline, µs.
     ready_at_us: u64,
-    /// Device time this read was priced at.
-    cost_us: u64,
-    /// When the read was issued on the wall clock (real mode only):
-    /// the demand-side wait is whatever part of `cost_us` compute has
-    /// not already covered.
-    issued: Option<Instant>,
+    /// The submission that staged it (submissions count from 1).
+    submit: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SchedState {
     /// Head position after the last *physical* read (demand or
     /// prefetch), for the sequential/random pricing decision.
     last: Option<PageId>,
-    /// The virtual timeline, µs. Advances by each batch's wait.
+    /// The virtual clock, µs: advances by each wait it accounts (read
+    /// only under [`ClockKind::Virtual`]).
     now_us: u64,
+    /// When each channel finishes the reads queued on it, µs on the
+    /// timeline.
+    free_at: Vec<u64>,
+    /// The channel the next physical read is queued on.
+    next_ch: usize,
+    /// Submissions so far.
+    submits: u64,
     cache: IdMap<PageId, Prefetched>,
     /// Insertion order of `cache`, for capacity eviction.
     order: VecDeque<PageId>,
 }
 
 /// Prefetch cache capacity: enough for several plan tails, small
-/// enough that the scheduler never shadows the buffer pool's job.
+/// enough that the scheduler never shadows the buffer pool's job. One
+/// submission may stage more: capacity pressure evicts only what
+/// earlier submissions staged.
 const PREFETCH_CAP: usize = 64;
 
 /// A latency-modeling submission/completion queue wrapped around an
@@ -159,16 +171,19 @@ pub struct IoScheduler<S> {
     inner: S,
     config: IoConfig,
     metrics: IoMetrics,
+    /// Zero of the real clock's timeline.
+    epoch: Instant,
     state: Mutex<SchedState>,
 }
 
 impl<S: PageStore> IoScheduler<S> {
     /// Wraps `inner` under `config`.
     pub fn new(inner: S, config: IoConfig) -> Self {
+        let queue_depth = config.queue_depth.max(1);
         IoScheduler {
             inner,
             config: IoConfig {
-                queue_depth: config.queue_depth.max(1),
+                queue_depth,
                 ..config
             },
             metrics: IoMetrics {
@@ -179,7 +194,16 @@ impl<S: PageStore> IoScheduler<S> {
                 prefetch_evicted: Counter::new(),
                 prefetch_wasted: Counter::new(),
             },
-            state: Mutex::new(SchedState::default()),
+            epoch: Instant::now(),
+            state: Mutex::new(SchedState {
+                last: None,
+                now_us: 0,
+                free_at: vec![0; queue_depth],
+                next_ch: 0,
+                submits: 0,
+                cache: IdMap::default(),
+                order: VecDeque::new(),
+            }),
         }
     }
 
@@ -198,9 +222,17 @@ impl<S: PageStore> IoScheduler<S> {
         &self.metrics
     }
 
-    /// Current reading of the virtual timeline, µs.
-    pub fn virtual_now_us(&self) -> u64 {
-        self.state.lock().now_us
+    /// Current reading of the timeline, µs: the virtual clock, or µs
+    /// since construction under the real one.
+    pub fn now_us(&self) -> u64 {
+        self.clock_us(&self.state.lock())
+    }
+
+    fn clock_us(&self, state: &SchedState) -> u64 {
+        match self.config.clock {
+            ClockKind::Virtual => state.now_us,
+            ClockKind::Real => self.epoch.elapsed().as_micros() as u64,
+        }
     }
 
     fn classify(last: &mut Option<PageId>, id: PageId) -> bool {
@@ -211,15 +243,32 @@ impl<S: PageStore> IoScheduler<S> {
         *last = Some(id);
         sequential
     }
+
+    /// Prices a physical read of `id` and queues it on the next channel
+    /// round robin, behind whatever that channel still has in flight at
+    /// `now`: returns its cost and when it completes, µs.
+    fn enqueue(&self, state: &mut SchedState, id: PageId, now: u64) -> (u64, u64) {
+        let cost = self
+            .config
+            .model
+            .cost_us(Self::classify(&mut state.last, id));
+        let ch = state.next_ch;
+        state.next_ch = (ch + 1) % state.free_at.len();
+        let done = state.free_at[ch].max(now) + cost;
+        state.free_at[ch] = done;
+        (cost, done)
+    }
 }
 
 impl<S: PageStore> PageStore for IoScheduler<S> {
     /// The one demand read: a staged completion costs only the part of
-    /// its transfer still in flight, anything else goes to the device
-    /// and pays its full price on one channel. More than one channel
-    /// is reached only through [`submit`](PageStore::submit).
+    /// its read still in flight; anything else goes to the device,
+    /// queues on the next channel and waits until it completes. More
+    /// than one channel at a time is reached only through
+    /// [`submit`](PageStore::submit).
     fn read_page(&self, id: PageId) -> IrResult<Page> {
         let mut state = self.state.lock();
+        let now = self.clock_us(&state);
         let mut cached = state.cache.remove(&id);
         if cached.is_some() {
             state.order.retain(|p| *p != id);
@@ -235,28 +284,22 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
             // below re-reads the page from the device.
             self.metrics.prefetch_wasted.inc();
         }
-        let (page, wait) = match cached {
+        let (page, done) = match cached {
             Some(pf) => {
                 self.metrics.overlap_hits.inc();
-                let remaining = match (self.config.clock, pf.issued) {
-                    (ClockKind::Real, Some(at)) => {
-                        pf.cost_us.saturating_sub(at.elapsed().as_micros() as u64)
-                    }
-                    _ => pf.ready_at_us.saturating_sub(state.now_us),
-                };
-                (pf.page, remaining)
+                (pf.page, pf.ready_at_us)
             }
             None => {
                 // Same contract as the stores underneath: errors cost
                 // nothing.
                 let page = self.inner.read_page(id)?;
                 self.metrics.demand_reads.inc();
-                let sequential = Self::classify(&mut state.last, id);
-                let cost = self.config.model.cost_us(sequential);
+                let (cost, done) = self.enqueue(&mut state, id, now);
                 self.metrics.latency_us.record(cost);
-                (page, cost)
+                (page, done)
             }
         };
+        let wait = done.saturating_sub(now);
         state.now_us += wait;
         drop(state);
         if wait > 0 {
@@ -272,11 +315,11 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
         self.inner.can_tear()
     }
 
-    /// Reads `ids` ahead of demand, parks the completions in the
-    /// bounded staging cache, and prices the transfers without
-    /// charging anyone a wait: the demand read that claims a staged
-    /// page pays only the residual. No-op at depth 1 — a serial disk
-    /// has no spare channel to read ahead on, which is what makes
+    /// Reads `ids` ahead of demand, queues each read on the channels
+    /// like any other, parks the completions in the bounded staging
+    /// cache, and charges no one a wait: the demand read that claims a
+    /// staged page pays only the residual. No-op at depth 1 — a serial
+    /// disk has no spare channel to read ahead on, which is what makes
     /// submit + demand provably identical to the demand read alone
     /// there. Read failures are dropped here and resurface on the
     /// demand read.
@@ -284,13 +327,10 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
         if self.config.queue_depth <= 1 || ids.is_empty() {
             return;
         }
-        let issued_at = match self.config.clock {
-            ClockKind::Real => Some(Instant::now()),
-            ClockKind::Virtual => None,
-        };
         let mut state = self.state.lock();
-        let mut channels = vec![0u64; self.config.queue_depth];
-        let mut next_ch = 0usize;
+        let now = self.clock_us(&state);
+        state.submits += 1;
+        let submit = state.submits;
         for &id in ids {
             if state.cache.contains_key(&id) {
                 continue;
@@ -300,35 +340,35 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
                 // same error and report it through the normal path.
                 break;
             };
+            let (_, ready_at_us) = self.enqueue(&mut state, id, now);
             if self.inner.can_tear() && !page.is_intact() {
                 // A torn copy must never enter the completion cache —
                 // served from there it would skip the per-read
-                // fault/checksum path direct reads get. The head still
-                // moved, so pricing classification advances; the
-                // demand read re-runs the store's fault machinery.
-                let _ = Self::classify(&mut state.last, id);
+                // fault/checksum path direct reads get. The device
+                // still did the read; the demand read re-runs the
+                // store's fault machinery.
                 self.metrics.prefetch_wasted.inc();
                 continue;
             }
-            let sequential = Self::classify(&mut state.last, id);
-            let ch = next_ch % self.config.queue_depth;
-            next_ch += 1;
-            channels[ch] += self.config.model.cost_us(sequential);
-            if state.order.len() >= PREFETCH_CAP {
-                if let Some(old) = state.order.pop_front() {
-                    state.cache.remove(&old);
-                    self.metrics.prefetch_evicted.inc();
-                    self.metrics.prefetch_wasted.inc();
+            // Capacity pressure evicts only what an earlier submission
+            // staged: a plan longer than the cache must not push out
+            // its own first pages before its demand reads claim them.
+            while state.order.len() >= PREFETCH_CAP {
+                let oldest = state.order[0];
+                if state.cache[&oldest].submit == submit {
+                    break;
                 }
+                state.order.pop_front();
+                state.cache.remove(&oldest);
+                self.metrics.prefetch_evicted.inc();
+                self.metrics.prefetch_wasted.inc();
             }
-            let ready_at_us = state.now_us + channels[ch];
             state.cache.insert(
                 id,
                 Prefetched {
                     page,
                     ready_at_us,
-                    cost_us: channels[ch],
-                    issued: issued_at,
+                    submit,
                 },
             );
             state.order.push_back(id);
@@ -394,7 +434,7 @@ mod tests {
         }
         assert_eq!(sched.inner().stats(), raw.stats());
         assert_eq!(sched.io_wait_us(), 0);
-        assert_eq!(sched.virtual_now_us(), 0);
+        assert_eq!(sched.now_us(), 0);
         // Submission is a no-op on a serial disk: no cache, no reads.
         sched.submit(&[pid(1, 0)]);
         assert_eq!(sched.inner().stats().reads, raw.stats().reads);
@@ -450,7 +490,7 @@ mod tests {
             read_each(&sched, &[pid(1, 0), pid(1, 1), pid(2, 0)]);
             (
                 sched.io_wait_us(),
-                sched.virtual_now_us(),
+                sched.now_us(),
                 sched.metrics().overlap_hits.get(),
                 sched.metrics().demand_reads.get(),
                 sched.metrics().latency_us.sum(),
@@ -514,31 +554,31 @@ mod tests {
         assert_eq!(sched.io_wait_us(), 20);
     }
 
-    #[test]
-    fn prefetch_cache_is_bounded() {
-        let lists = (0..1u32)
-            .map(|t| {
-                (0..(PREFETCH_CAP as u32 + 8))
-                    .map(|p| {
-                        Page::new(
-                            PageId::new(TermId(t), p),
-                            vec![Posting::new(1, 1)].into(),
-                            1.0,
-                        )
-                    })
-                    .collect()
-            })
+    /// One list of `pages` single-posting pages.
+    fn long_list(pages: u32) -> DiskSim {
+        let list = (0..pages)
+            .map(|p| Page::new(pid(0, p), vec![Posting::new(1, 1)].into(), 1.0))
             .collect();
-        let sched = IoScheduler::new(
-            DiskSim::new(lists),
+        DiskSim::new(vec![list])
+    }
+
+    fn free_qd4(inner: DiskSim) -> IoScheduler<DiskSim> {
+        IoScheduler::new(
+            inner,
             IoConfig {
                 queue_depth: 4,
                 model: LatencyModel::ZERO,
                 clock: ClockKind::Virtual,
             },
-        );
-        let all: Vec<PageId> = (0..(PREFETCH_CAP as u32 + 8)).map(|p| pid(0, p)).collect();
-        sched.submit(&all);
+        )
+    }
+
+    #[test]
+    fn prefetch_cache_is_bounded() {
+        let cap = PREFETCH_CAP as u32;
+        let sched = free_qd4(long_list(cap + 8));
+        sched.submit(&ids(cap));
+        sched.submit(&(cap..cap + 8).map(|p| pid(0, p)).collect::<Vec<_>>());
         let state = sched.state.lock();
         assert_eq!(state.cache.len(), PREFETCH_CAP);
         assert_eq!(state.order.len(), PREFETCH_CAP);
@@ -546,6 +586,54 @@ mod tests {
             !state.cache.contains_key(&pid(0, 0)),
             "oldest entries were evicted"
         );
+    }
+
+    /// A submission longer than the cache keeps all of its own pages:
+    /// capacity pressure only evicts what an earlier one staged.
+    #[test]
+    fn one_submission_never_evicts_its_own_pages() {
+        let cap = PREFETCH_CAP as u32;
+        let sched = free_qd4(long_list(cap + 8));
+        sched.submit(&ids(cap + 8));
+        assert_eq!(sched.state.lock().cache.len(), PREFETCH_CAP + 8);
+        assert_eq!(sched.metrics().prefetch_evicted.get(), 0);
+        // The next submission trims the earlier one's leftovers back
+        // below the cap before it keeps its own page.
+        sched.read_page(pid(0, 1)).unwrap();
+        sched.submit(&[pid(0, 1)]);
+        let state = sched.state.lock();
+        assert_eq!(state.cache.len(), PREFETCH_CAP);
+        assert_eq!(sched.metrics().prefetch_evicted.get(), 8);
+        assert!(state.cache.contains_key(&pid(0, 1)), "its own page stays");
+    }
+
+    /// A plan longer than the cache is read once: were its first
+    /// staged pages pushed out before its demand reads claimed them,
+    /// the device would read them twice and `prefetch_wasted` would
+    /// count every one.
+    #[test]
+    fn a_plan_longer_than_the_cache_is_read_once() {
+        use crate::buffer::BufferManager;
+        use crate::policy::PolicyKind;
+        use ir_types::ReadPlan;
+        let sched = IoScheduler::new(
+            long_list(70),
+            IoConfig {
+                queue_depth: 4,
+                model: LatencyModel {
+                    seek_us: 400,
+                    transfer_us: 100,
+                },
+                clock: ClockKind::Virtual,
+            },
+        );
+        let mut pool = BufferManager::new(&sched, 70, PolicyKind::Lru).unwrap();
+        pool.fetch_batch(&ReadPlan::for_term_pages(TermId(0), 70, None))
+            .unwrap();
+        assert_eq!(pool.stats().misses, 70);
+        assert_eq!(sched.inner().stats().reads, 70, "one device read a page");
+        assert_eq!(sched.metrics().overlap_hits.get(), 70);
+        assert_eq!(sched.metrics().prefetch_wasted.get(), 0);
     }
 
     /// Seeded `FaultStore`-over-`IoScheduler` regression: a torn copy
@@ -624,8 +712,7 @@ mod tests {
                 Prefetched {
                     page: torn,
                     ready_at_us: 0,
-                    cost_us: 0,
-                    issued: None,
+                    submit: 0,
                 },
             );
             state.order.push_back(pid(0, 1));
@@ -674,6 +761,81 @@ mod tests {
         assert_eq!(sched.io_wait_us(), 0, "errors cost nothing");
     }
 
+    fn virtual_qd(queue_depth: usize, inner: DiskSim) -> IoScheduler<DiskSim> {
+        IoScheduler::new(
+            inner,
+            IoConfig {
+                queue_depth,
+                model: LatencyModel {
+                    seek_us: 100,
+                    transfer_us: 50,
+                },
+                clock: ClockKind::Virtual,
+            },
+        )
+    }
+
+    /// Channels keep their backlog across calls: a read — staged or
+    /// demanded — that lands on a busy channel starts when that
+    /// channel is free, not when it was asked for.
+    #[test]
+    fn a_read_on_a_busy_channel_waits_for_that_channel() {
+        let sched = virtual_qd(2, store(2));
+        sched.submit(&[pid(0, 0), pid(1, 0)]); // 150 on each channel
+        sched.submit(&[pid(2, 0)]); // back on channel 0: 150 + 150
+        assert_eq!(sched.state.lock().cache[&pid(2, 0)].ready_at_us, 300);
+        read_each(&sched, &[pid(2, 0), pid(0, 0), pid(1, 0)]);
+        assert_eq!(sched.io_wait_us(), 300, "the first two were done by then");
+
+        let sched = virtual_qd(2, store(2));
+        sched.submit(&[pid(0, 0), pid(1, 0)]);
+        sched.read_page(pid(2, 0)).unwrap(); // nobody staged it: channel 0
+        assert_eq!(sched.io_wait_us(), 300);
+        assert_eq!(sched.now_us(), 300);
+    }
+
+    /// Plan A, then plan B, through a pool at depth 4 (seek 400,
+    /// transfer 100, the benchmark's device). Alone, B's first read
+    /// seeks after A's demand reads have returned: 500 + 500. Named as
+    /// A's lookahead, B's first page is staged with A's and its seek
+    /// runs on the fourth channel beside A's; B's own plan then only
+    /// waits for its sequential transfers: 500 + 100.
+    #[test]
+    fn a_lookahead_overlaps_the_next_plans_seek() {
+        use crate::buffer::BufferManager;
+        use crate::policy::PolicyKind;
+        use ir_types::ReadPlan;
+        let run = |lookahead: Option<(TermId, u32)>| {
+            let sched = IoScheduler::new(
+                store(3),
+                IoConfig {
+                    queue_depth: 4,
+                    model: LatencyModel {
+                        seek_us: 400,
+                        transfer_us: 100,
+                    },
+                    clock: ClockKind::Virtual,
+                },
+            );
+            let mut pool = BufferManager::new(&sched, 8, PolicyKind::Lru).unwrap();
+            let a = ReadPlan::for_term_pages(TermId(0), 3, None).with_lookahead(lookahead);
+            pool.fetch_batch(&a).unwrap();
+            let after_a = sched.io_wait_us();
+            pool.fetch_batch(&ReadPlan::for_term_pages(TermId(1), 3, None))
+                .unwrap();
+            let m = sched.metrics();
+            (
+                after_a,
+                sched.io_wait_us(),
+                sched.inner().stats().reads,
+                m.overlap_hits.get(),
+                m.prefetch_wasted.get(),
+            )
+        };
+        assert_eq!(run(None), (500, 1_000, 6, 6, 0));
+        assert_eq!(run(Some((TermId(1), 3))), (500, 600, 6, 6, 0));
+    }
+
     #[test]
     fn submit_is_a_no_op_on_a_serial_disk() {
         let sched = IoScheduler::new(store(4), IoConfig::default());
@@ -693,35 +855,14 @@ mod tests {
 
     #[test]
     fn cache_evictions_and_waste_are_counted() {
-        let lists = (0..1u32)
-            .map(|t| {
-                (0..(PREFETCH_CAP as u32 + 8))
-                    .map(|p| {
-                        Page::new(
-                            PageId::new(TermId(t), p),
-                            vec![Posting::new(1, 1)].into(),
-                            1.0,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let sched = IoScheduler::new(
-            DiskSim::new(lists),
-            IoConfig {
-                queue_depth: 4,
-                model: LatencyModel::ZERO,
-                clock: ClockKind::Virtual,
-            },
-        );
-        let all: Vec<PageId> = (0..(PREFETCH_CAP as u32 + 8)).map(|p| pid(0, p)).collect();
-        sched.submit(&all);
+        let cap = PREFETCH_CAP as u32;
+        let sched = free_qd4(long_list(cap + 8));
+        sched.submit(&ids(cap));
+        sched.submit(&(cap..cap + 8).map(|p| pid(0, p)).collect::<Vec<_>>());
         assert_eq!(sched.metrics().prefetch_evicted.get(), 8);
         assert_eq!(sched.metrics().prefetch_wasted.get(), 8);
         // Serving a surviving entry is not waste.
-        sched
-            .read_page(pid(0, PREFETCH_CAP as u32))
-            .expect("cached page serves");
+        sched.read_page(pid(0, cap)).expect("cached page serves");
         assert_eq!(sched.metrics().overlap_hits.get(), 1);
         assert_eq!(sched.metrics().prefetch_wasted.get(), 8);
     }

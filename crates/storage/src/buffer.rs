@@ -104,6 +104,36 @@ pub(crate) fn serve_hit_run(
     served
 }
 
+/// What a plan stages at its first miss on a store that overlaps
+/// reads: the distinct pages of `entries` (the plan from its first miss
+/// on) that are not `resident`, in plan order, then the first
+/// non-resident page of the lookahead prefix `(term, n_pages)` — the
+/// seek the next plan would otherwise start with. One page, not more:
+/// its sequential successors are cheap transfers the next plan stages
+/// itself, and deeper pages are the ones a rising `S_max` cuts from
+/// that plan before it runs. The pool demands only the plan's own
+/// pages, so the lookahead can change what the store reads and waits,
+/// never what the pool loads or evicts.
+pub(crate) fn staged_ids(
+    entries: &[PlanEntry],
+    lookahead: Option<(TermId, u32)>,
+    resident: impl Fn(PageId) -> bool,
+) -> Vec<PageId> {
+    let mut seen: IdSet<PageId> =
+        IdSet::with_capacity_and_hasher(entries.len(), Default::default());
+    let mut staged: Vec<PageId> = entries
+        .iter()
+        .map(|e| e.page)
+        .filter(|id| seen.insert(*id) && !resident(*id))
+        .collect();
+    staged.extend(lookahead.and_then(|(term, n_pages)| {
+        (0..n_pages)
+            .map(|p| PageId::new(term, p))
+            .find(|id| !seen.contains(id) && !resident(*id))
+    }));
+    staged
+}
+
 /// A buffer pool of `capacity` page frames over a page store.
 ///
 /// ```
@@ -281,8 +311,9 @@ impl<S: PageStore> BufferManager<S> {
     ///   run, and a call per page only where the policy or an observer
     ///   [consumes hits](Self::consumes_hits);
     /// * a store that overlaps reads is handed the plan's non-resident
-    ///   pages in one [`PageStore::submit`] at the first miss, before
-    ///   the first demand read — a fully resident plan submits nothing;
+    ///   pages, then the first of its [lookahead](ReadPlan::lookahead)'s,
+    ///   in one [`PageStore::submit`] at the first miss, before the
+    ///   first demand read — a fully resident plan submits nothing;
     /// * each entry's `value_hint` reaches the replacement policy at
     ///   admission ([`ReplacementPolicy::on_insert_hinted`]), so a
     ///   hint-aware policy values the page *before* any later eviction
@@ -300,20 +331,25 @@ impl<S: PageStore> BufferManager<S> {
     /// `out`, and records the batch metrics for *all* of `entries`. For
     /// lock-light wrappers that already served `entries[..start]` as
     /// resident hits (with eager counters and deferred policy effects
-    /// replayed before this call): the combined accounting — counters,
-    /// events, store reads, batch histogram — is exactly what
-    /// [`fetch_batch`](Self::fetch_batch) would have produced for the
-    /// whole slice, because the wrapper's prefix is precisely the hits
-    /// this method would have served first.
+    /// replayed before this call) and staged the plan themselves: the
+    /// combined accounting — counters, events, store reads, batch
+    /// histogram — is exactly what [`fetch_batch`](Self::fetch_batch)
+    /// would have produced for the whole slice, because the wrapper's
+    /// prefix is precisely the hits this method would have served
+    /// first.
     pub(crate) fn fetch_batch_tail(
         &mut self,
         entries: &[PlanEntry],
         start: usize,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
+        self.record_batch(entries.len());
+        self.fetch_entries(&entries[start..], out, None)
+    }
+
+    fn record_batch(&self, pages: usize) {
         self.metrics.batches.inc();
-        self.metrics.batch_pages.record(entries.len() as u64);
-        self.fetch_entries(&entries[start..], out)
+        self.metrics.batch_pages.record(pages as u64);
     }
 
     /// The batch execution loop over a slice of plan entries,
@@ -322,7 +358,10 @@ impl<S: PageStore> BufferManager<S> {
     /// the whole run, then each served page handed to the hit's
     /// consumers in serve order, before anything else happens — and
     /// the one entry the run stopped at through [`load_one`]
-    /// (Self::load_one), until the plan is done. Event for event,
+    /// (Self::load_one), until the plan is done. `staging` is what the
+    /// first miss owes the store: `Some(lookahead)` [stages](Self::stage)
+    /// the entries from there on and the lookahead, `None` means the
+    /// caller staged the plan itself. Event for event,
     /// counter for counter and store read for store read the
     /// single-fetch protocol applied entry by entry (which this
     /// module's tests keep as the oracle). Batch-level metrics are the
@@ -331,6 +370,7 @@ impl<S: PageStore> BufferManager<S> {
         &mut self,
         entries: &[PlanEntry],
         out: &mut Vec<(Page, FetchOutcome)>,
+        mut staging: Option<Option<(TermId, u32)>>,
     ) -> IrResult<()> {
         out.reserve(entries.len());
         let mut rest = entries;
@@ -345,10 +385,8 @@ impl<S: PageStore> BufferManager<S> {
             let Some(&entry) = rest.get(served) else {
                 return Ok(());
             };
-            // `rest` is cut only after a miss, so it is still the
-            // whole slice exactly at the plan's first one.
-            if rest.len() == entries.len() {
-                self.stage(&rest[served..]);
+            if let Some(lookahead) = staging.take() {
+                self.stage(&rest[served..], lookahead);
             }
             out.push((self.load_one(entry)?, FetchOutcome::Miss));
             rest = &rest[served + 1..];
@@ -356,8 +394,8 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Staging, at a plan's first miss: a store that can keep several
-    /// reads in flight gets the distinct non-resident pages of
-    /// `entries` — the plan from its first miss on — in plan order,
+    /// reads in flight gets the plan's [staged pages](staged_ids) —
+    /// its misses from `entries` on, then its lookahead's first —
     /// before the first demand read, so the transfers queue on its
     /// channels instead of each waiting for the previous demand to
     /// return. The demand reads then claim the staged completions.
@@ -365,19 +403,13 @@ impl<S: PageStore> BufferManager<S> {
     /// been filtered out, so this is what staging the whole plan up
     /// front submitted — and a fully resident plan allocates and
     /// submits nothing.
-    fn stage(&self, entries: &[PlanEntry]) {
+    fn stage(&self, entries: &[PlanEntry], lookahead: Option<(TermId, u32)>) {
         if self.store.overlap_depth() <= 1 {
             return;
         }
-        let mut seen: IdSet<PageId> =
-            IdSet::with_capacity_and_hasher(entries.len(), Default::default());
-        let staged: Vec<PageId> = {
+        let staged = {
             let frames = self.frames.read();
-            entries
-                .iter()
-                .map(|e| e.page)
-                .filter(|id| seen.insert(*id) && !frames.contains_key(id))
-                .collect()
+            staged_ids(entries, lookahead, |id| frames.contains_key(&id))
         };
         self.store.submit(&staged);
     }
@@ -586,7 +618,8 @@ impl<S: PageStore> QueryBuffer for BufferManager<S> {
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
         out.clear();
-        self.fetch_batch_tail(plan.entries(), 0, out)
+        self.record_batch(plan.len());
+        self.fetch_entries(plan.entries(), out, Some(plan.lookahead()))
     }
 
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {

@@ -81,13 +81,22 @@
 //!   shard count, a duplicate costs one load plus one hit, and an error
 //!   leaves exactly the entries before it served and in `out`.
 //!   [`ShardMetrics::batch_splits`] counts the plans that were cut at all.
+//! * **Staging is the plan's.** Over a store that overlaps reads, the
+//!   plan's first miss stages what the reference pool stages — the
+//!   plan's non-resident pages from there on, then its lookahead's
+//!   first — in one submit before the first demand read, whatever
+//!   shards the pages route to. Each page's residency is asked of the
+//!   shard that owns it, under that shard's frame-table read lock
+//!   alone.
 //!
 //! [`begin_query`]: QueryBuffer::begin_query
 //! [`new`]: ShardedBufferPool::new
 //! [`quiesce`]: ShardedBufferPool::quiesce
 //! [`with_chunk_pages`]: ShardedBufferPool::with_chunk_pages
 
-use crate::buffer::{serve_hit_run, BufferManager, FetchOutcome, FetchPolicy, FrameView, TermView};
+use crate::buffer::{
+    serve_hit_run, staged_ids, BufferManager, FetchOutcome, FetchPolicy, FrameView, TermView,
+};
 use crate::disk::PageStore;
 use crate::page::Page;
 use crate::policy::PolicyKind;
@@ -233,6 +242,9 @@ impl<S: PageStore> Shard<S> {
 #[derive(Debug)]
 pub struct ShardedBufferPool<S: PageStore> {
     shards: Arc<[Shard<S>]>,
+    /// The store every shard reads from, for staging a plan across
+    /// shards.
+    store: Arc<S>,
     /// Frames over all shards (the quotas never change).
     capacity: usize,
     /// Pages per routing chunk: `(term, page / chunk_pages)` picks the
@@ -257,6 +269,7 @@ impl<S: PageStore> Clone for ShardedBufferPool<S> {
     fn clone(&self) -> Self {
         ShardedBufferPool {
             shards: Arc::clone(&self.shards),
+            store: Arc::clone(&self.store),
             capacity: self.capacity,
             chunk_pages: self.chunk_pages,
             uses_query_context: self.uses_query_context,
@@ -352,6 +365,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
             .collect::<IrResult<Vec<_>>>()?;
         Ok(ShardedBufferPool {
             shards: pools.into(),
+            store,
             capacity: total_frames,
             chunk_pages,
             uses_query_context,
@@ -508,6 +522,26 @@ impl<S: PageStore> ShardedBufferPool<S> {
         (s, len.unwrap_or(entries.len()))
     }
 
+    /// Staging at a plan's first miss, as the reference pool stages:
+    /// [`staged_ids`] of `entries` — the plan from that miss on, across
+    /// every shard it routes to — and of the plan's lookahead, each
+    /// page's residency asked of its owner shard's frame table under
+    /// that read lock alone, handed to the store in one submit. Runs
+    /// before the miss's shard is locked, so no shard mutex is held
+    /// while the store reads ahead.
+    fn stage(&self, entries: &[PlanEntry], lookahead: Option<(TermId, u32)>) {
+        if self.store.overlap_depth() <= 1 {
+            return;
+        }
+        let staged = staged_ids(entries, lookahead, |id| {
+            self.shards[self.shard_of(id)]
+                .frames
+                .read()
+                .contains_key(&id)
+        });
+        self.store.submit(&staged);
+    }
+
     /// Runs `f` with shard `s` locked — for operations the pool
     /// surface does not cover (observers, per-shard metrics). The one
     /// way to a shard's `&mut BufferManager`, so also where the shard
@@ -617,9 +651,10 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
     /// of consecutive entries that route to one shard, and serves each
     /// run as a one-shard plan: its resident prefix lock-light under
     /// the shard's read lock, the remainder (first miss onward) under
-    /// the shard mutex, results appended straight to `out`. An error
-    /// ends the walk; everything before it keeps its effects and its
-    /// place in `out`.
+    /// the shard mutex, results appended straight to `out`. The plan's
+    /// first miss stages the rest of the plan first. An
+    /// error ends the walk; everything before it keeps its effects and
+    /// its place in `out`.
     fn fetch_batch_into(
         &mut self,
         plan: &ReadPlan,
@@ -627,11 +662,16 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
     ) -> IrResult<()> {
         out.clear();
         let mut rest = plan.entries();
+        let mut staged = false;
         loop {
             let (s, len) = self.leading_run(rest);
             let (run, tail) = rest.split_at(len);
             let served = self.serve_resident_prefix(s, run, out);
             if served < run.len() {
+                if !staged {
+                    staged = true;
+                    self.stage(&rest[served..], plan.lookahead());
+                }
                 self.lock(s).fetch_batch_tail(run, served, out)?;
             }
             if tail.is_empty() {

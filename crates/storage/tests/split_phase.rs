@@ -11,14 +11,18 @@
 //!   fault schedule injecting transient failures and torn pages into
 //!   both sides alike;
 //! * **single fetches are one-entry plans**: `fetch_traced` reports
-//!   `Miss` then `Hit` through both implementors.
+//!   `Miss` then `Hit` through both implementors;
+//! * **a plan's lookahead never reaches the pool** — the same plans
+//!   with and without random lookaheads are served identically by
+//!   both pools, over a store that stages them and over one that
+//!   cannot.
 
 use ir_storage::{
-    BufferEvent, BufferManager, BufferObserver, DiskSim, DiskStats, FaultConfig, FaultStats,
-    FaultStore, FetchOutcome, FetchPolicy, Page, PolicyKind, QueryBuffer, QueryBufferExt,
-    ShardedBufferPool,
+    BufferEvent, BufferManager, BufferObserver, BufferStats, DiskSim, DiskStats, FaultConfig,
+    FaultStats, FaultStore, FetchOutcome, FetchPolicy, IoConfig, IoScheduler, LatencyModel, Page,
+    PageStore, PolicyKind, QueryBuffer, QueryBufferExt, ShardedBufferPool,
 };
-use ir_types::{PageId, PlanEntry, Posting, ReadPlan, TermId};
+use ir_types::{ClockKind, PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};
 use std::sync::{Arc, Mutex};
 
@@ -222,4 +226,145 @@ fn a_single_fetch_is_a_one_entry_plan_through_both_implementors() {
     assert_miss_then_hit(&mut sharded, "sharded");
     let s = sharded.stats();
     assert_eq!((s.requests, s.hits, s.misses), (3, 2, 1), "sharded");
+}
+
+/// Everything a pool shows its caller over a plan sequence: what each
+/// plan served and how, the event log, the counters (per shard) and
+/// the resident set.
+#[derive(Debug, PartialEq)]
+struct PoolView {
+    served: Vec<Vec<(PageId, FetchOutcome)>>,
+    events: Vec<BufferEvent>,
+    stats: BufferStats,
+    counters: Vec<Vec<(String, u64)>>,
+    resident: Vec<PageId>,
+}
+
+fn serve<B: QueryBuffer>(pool: &mut B, plans: &[ReadPlan]) -> Vec<Vec<(PageId, FetchOutcome)>> {
+    let mut out = Vec::new();
+    plans
+        .iter()
+        .map(|plan| {
+            pool.fetch_batch_into(plan, &mut out)
+                .expect("plans stay in range");
+            out.iter().map(|(page, how)| (page.id(), *how)).collect()
+        })
+        .collect()
+}
+
+/// `plans` through a reference pool over `store`.
+fn manager_view<S: PageStore>(
+    store: S,
+    frames: usize,
+    kind: PolicyKind,
+    plans: &[ReadPlan],
+) -> PoolView {
+    let mut pool = BufferManager::new(store, frames, kind).unwrap();
+    let log = SharedLog::default();
+    pool.set_observer(Box::new(log.clone()));
+    let served = serve(&mut pool, plans);
+    let events = std::mem::take(&mut *log.0.lock().unwrap());
+    PoolView {
+        served,
+        events,
+        stats: pool.stats(),
+        counters: vec![pool.metrics().dump().counters],
+        resident: pool.resident_ids(),
+    }
+}
+
+/// `plans` through a two-shard pool over `store`, quiesced.
+fn sharded_view<S: PageStore>(
+    store: Arc<S>,
+    frames: usize,
+    kind: PolicyKind,
+    plans: &[ReadPlan],
+) -> PoolView {
+    let mut pool = ShardedBufferPool::new(store, frames, kind, 2).unwrap();
+    let log = SharedLog::default();
+    for s in 0..2 {
+        pool.with_shard(s, |bm| bm.set_observer(Box::new(log.clone())));
+    }
+    let served = serve(&mut pool, plans);
+    pool.quiesce();
+    let (counters, resident): (Vec<_>, Vec<_>) = (0..2)
+        .map(|s| pool.with_shard(s, |bm| (bm.metrics().dump().counters, bm.resident_ids())))
+        .unzip();
+    let mut resident: Vec<PageId> = resident.concat();
+    resident.sort_unstable();
+    let events = std::mem::take(&mut *log.0.lock().unwrap());
+    PoolView {
+        served,
+        events,
+        stats: pool.stats(),
+        counters,
+        resident,
+    }
+}
+
+/// A store that stages: depth 4, the benchmark's seek and transfer
+/// prices, on the virtual clock.
+fn staging_store() -> Arc<IoScheduler<DiskSim>> {
+    Arc::new(IoScheduler::new(
+        store(),
+        IoConfig {
+            queue_depth: 4,
+            model: LatencyModel {
+                seek_us: 400,
+                transfer_us: 100,
+            },
+            clock: ClockKind::Virtual,
+        },
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The lookahead is stage-only: one random plan sequence, served
+    /// with random lookaheads (prefixes of any list, some running past
+    /// its end) and without, gives equal views on both pools under
+    /// every policy — over a store that stages at depth 4, where it
+    /// only moves device reads and waits, and over `DiskSim`, which
+    /// cannot stage and so also sees the same reads.
+    #[test]
+    fn a_lookahead_never_reaches_the_pool(
+        ops in collection::vec(
+            (
+                (0u32..N_TERMS, 0u32..PAGES_PER_TERM, 1u32..PAGES_PER_TERM),
+                (0u32..N_TERMS + 1, 1u32..PAGES_PER_TERM + 3),
+            ),
+            1..24,
+        ),
+        frames in 2usize..FRAMES,
+    ) {
+        let plain: Vec<ReadPlan> = ops.iter().map(|(op, _)| plan_for(op)).collect();
+        let ahead: Vec<ReadPlan> = ops
+            .iter()
+            .map(|&(op, (t, n))| {
+                // Term N_TERMS stands for "no lookahead".
+                plan_for(&op).with_lookahead((t < N_TERMS).then_some((TermId(t), n)))
+            })
+            .collect();
+        for kind in PolicyKind::ALL {
+            let views = |plans: &[ReadPlan]| {
+                let (sim_a, sim_b) = (Arc::new(store()), Arc::new(store()));
+                let views = (
+                    manager_view(staging_store(), frames, kind, plans),
+                    sharded_view(staging_store(), frames, kind, plans),
+                    manager_view(Arc::clone(&sim_a), frames, kind, plans),
+                    sharded_view(Arc::clone(&sim_b), frames, kind, plans),
+                );
+                (views, sim_a.stats(), sim_b.stats())
+            };
+            let (with, with_reads_a, with_reads_b) = views(&ahead);
+            let (without, without_reads_a, without_reads_b) = views(&plain);
+            assert_eq!(with.0, without.0, "{kind}: manager over the scheduler");
+            assert_eq!(with.1, without.1, "{kind}: sharded over the scheduler");
+            assert_eq!(with.2, without.2, "{kind}: manager over DiskSim");
+            assert_eq!(with.3, without.3, "{kind}: sharded over DiskSim");
+            assert_eq!(with_reads_a, without_reads_a, "{kind}: manager's DiskSim reads");
+            assert_eq!(with_reads_b, without_reads_b, "{kind}: sharded DiskSim reads");
+        }
+    }
 }

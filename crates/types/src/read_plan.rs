@@ -15,6 +15,12 @@
 //! same hit/miss/eviction sequence as three sequential `fetch` calls.
 //! That ordering contract is what makes the batched path
 //! behavior-preserving for every replacement policy.
+//!
+//! A plan may also name a *lookahead*: the list prefix its planner
+//! expects to read next (BAF's runner-up term). The pool may hand those
+//! pages to a store that overlaps reads, to be read while the plan's
+//! own reads are in flight, but never demands them — so nothing the
+//! pool does depends on it.
 
 use crate::ids::{PageId, TermId};
 use serde::{Deserialize, Serialize};
@@ -69,6 +75,9 @@ impl PlanEntry {
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReadPlan {
     entries: Vec<PlanEntry>,
+    /// Stage-only: `(term, n_pages)`, the prefix `[0, n_pages)` of
+    /// `term`'s list.
+    lookahead: Option<(TermId, u32)>,
 }
 
 impl ReadPlan {
@@ -80,29 +89,38 @@ impl ReadPlan {
 
     /// A one-entry plan with no hint — the shape of a plain `fetch`.
     pub fn single(page: PageId) -> Self {
-        ReadPlan {
-            entries: vec![PlanEntry::new(page)],
-        }
+        ReadPlan::from_iter([PlanEntry::new(page)])
     }
 
     /// A one-entry plan carrying a value hint.
     pub fn single_hinted(page: PageId, value_hint: f64) -> Self {
-        ReadPlan {
-            entries: vec![PlanEntry::hinted(page, value_hint)],
-        }
+        ReadPlan::from_iter([PlanEntry::hinted(page, value_hint)])
     }
 
     /// The front-to-back scan of `term`'s first `n_pages` pages, every
     /// entry carrying the same hint (the term's query weight) when one
     /// is given.
     pub fn for_term_pages(term: TermId, n_pages: u32, value_hint: Option<f64>) -> Self {
-        let entries = (0..n_pages)
+        (0..n_pages)
             .map(|p| PlanEntry {
                 page: PageId::new(term, p),
                 value_hint,
             })
-            .collect();
-        ReadPlan { entries }
+            .collect()
+    }
+
+    /// The plan with its stage-only lookahead set to the prefix
+    /// `[0, n_pages)` of `term`'s list (`None` clears it): pages the
+    /// pool may stage below itself while this plan reads, and never
+    /// fetches.
+    pub fn with_lookahead(self, lookahead: Option<(TermId, u32)>) -> Self {
+        ReadPlan { lookahead, ..self }
+    }
+
+    /// The stage-only lookahead, `(term, n_pages)`, if the planner named
+    /// one.
+    pub fn lookahead(&self) -> Option<(TermId, u32)> {
+        self.lookahead
     }
 
     /// Appends one planned read.
@@ -144,6 +162,7 @@ impl FromIterator<PlanEntry> for ReadPlan {
     fn from_iter<I: IntoIterator<Item = PlanEntry>>(iter: I) -> Self {
         ReadPlan {
             entries: iter.into_iter().collect(),
+            lookahead: None,
         }
     }
 }
@@ -169,6 +188,16 @@ mod tests {
         assert_eq!(plan.entries(), &[PlanEntry::new(id)]);
         let hinted = ReadPlan::single_hinted(id, 2.0);
         assert_eq!(hinted.entries()[0].value_hint, Some(2.0));
+    }
+
+    #[test]
+    fn lookahead_is_stage_only_metadata() {
+        let plan = ReadPlan::for_term_pages(TermId(3), 2, None);
+        assert_eq!(plan.lookahead(), None);
+        let ahead = plan.clone().with_lookahead(Some((TermId(5), 4)));
+        assert_eq!(ahead.lookahead(), Some((TermId(5), 4)));
+        assert_eq!(ahead.entries(), plan.entries(), "entries untouched");
+        assert_eq!(ahead.with_lookahead(None), plan);
     }
 
     #[test]
