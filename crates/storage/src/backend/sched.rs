@@ -24,8 +24,11 @@
 //! clock advances only by the waits it accounts in `io_wait_us`,
 //! without sleeping (deterministic — two identical runs report
 //! identical waits); the *real* clock is µs since construction, and
-//! every modeled wait is slept, so queue depth and read-ahead show up
-//! in wall time.
+//! every read blocks until its modeled completion on the timeline, so
+//! queue depth and read-ahead show up in wall time. The wait ends at
+//! that deadline, so the inner store's own read time falls inside it
+//! and no timer slack is added after it: on the real clock
+//! `io_wait_us` equals the time callers block.
 //!
 //! **Determinism contract**: with `queue_depth <= 1` submission
 //! is a no-op and every read is forwarded to the inner store in
@@ -38,7 +41,8 @@ use ir_observe::{Counter, Histogram, IO_LATENCY_US_BOUNDS};
 use ir_types::{ClockKind, IdMap, IrResult, PageId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// Seek + bandwidth pricing of one page read, dslab-`SharedDisk`
 /// style: every request pays the transfer, and a head movement pays
@@ -80,8 +84,9 @@ pub struct IoConfig {
     pub queue_depth: usize,
     /// The per-request pricing model.
     pub model: LatencyModel,
-    /// Whether modeled waits are slept ([`ClockKind::Real`]) or only
-    /// accounted ([`ClockKind::Virtual`]).
+    /// Whether each read blocks until its modeled completion on the
+    /// timeline ([`ClockKind::Real`]) or its wait is only accounted
+    /// ([`ClockKind::Virtual`]).
     pub clock: ClockKind,
 }
 
@@ -109,8 +114,10 @@ pub struct IoMetrics {
     pub overlap_hits: Counter,
     /// Demand reads that had to go to the device.
     pub demand_reads: Counter,
-    /// Cumulative modeled wait imposed on callers, µs (slept under the
-    /// real clock, accounted under the virtual one).
+    /// Cumulative modeled wait imposed on callers, µs: accounted under
+    /// the virtual clock; under the real one each read blocks until its
+    /// modeled completion on the timeline, so this equals the time
+    /// callers block.
     pub io_wait_us: Counter,
     /// Completions an earlier submission staged that a later one
     /// pushed out of the bounded prefetch cache before any demand read
@@ -158,6 +165,29 @@ struct SchedState {
 /// submission may stage more: capacity pressure evicts only what
 /// earlier submissions staged.
 const PREFETCH_CAP: usize = 64;
+
+/// How far ahead of a real-clock deadline a wait stops sleeping and
+/// spins instead. `thread::sleep` returns late by the kernel's timer
+/// slack (50 µs by default on Linux) plus the wake-up: for 400–500 µs
+/// sleeps on a 2-vCPU Linux VM about 60 µs at p50 and 110 µs at p99.
+/// Sleeping to one tail short of the deadline and spinning the rest
+/// ends a wait at its deadline, for at most one tail of CPU per wait.
+/// The tail spins rather than yields: with a CPU-bound thread on every
+/// core, `yield_now` hands the core away for a whole scheduler tick
+/// (≈ 4 ms a read on that VM), while a spin keeps it.
+const SPIN_TAIL: Duration = Duration::from_micros(100);
+
+/// Blocks the calling thread until `deadline`: sleeps to [`SPIN_TAIL`]
+/// short of it, then spins until it has passed.
+fn block_until(deadline: Instant) {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left > SPIN_TAIL {
+        thread::sleep(left - SPIN_TAIL);
+    }
+    while Instant::now() < deadline {
+        std::hint::spin_loop();
+    }
+}
 
 /// A latency-modeling submission/completion queue wrapped around an
 /// inner [`PageStore`].
@@ -305,7 +335,7 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
         if wait > 0 {
             self.metrics.io_wait_us.add(wait);
             if self.config.clock == ClockKind::Real {
-                std::thread::sleep(std::time::Duration::from_micros(wait));
+                block_until(self.epoch + Duration::from_micros(done));
             }
         }
         Ok(page)
@@ -887,6 +917,60 @@ mod tests {
         assert!(
             elapsed.as_micros() >= 2_500,
             "real clock must sleep the modeled wait (slept {elapsed:?})"
+        );
+    }
+
+    /// A store whose every read takes at least 300 µs of wall time.
+    struct SlowStore(DiskSim);
+
+    impl PageStore for SlowStore {
+        fn read_page(&self, id: PageId) -> IrResult<Page> {
+            thread::sleep(Duration::from_micros(300));
+            self.0.read_page(id)
+        }
+    }
+
+    /// On the real clock a read returns at its modeled completion: not
+    /// before it, and not the inner store's read time plus a slept wait
+    /// plus the timer's slack after it. Eight reads that each seek at
+    /// depth 1 are modeled at 500 µs apiece, of which the inner store
+    /// takes 300; a wait that slept its duration after the inner read
+    /// took ≈ 940 µs a read.
+    #[test]
+    fn a_real_clock_wait_ends_at_the_modeled_completion() {
+        let sched = IoScheduler::new(
+            SlowStore(store(4)),
+            IoConfig {
+                queue_depth: 1,
+                model: LatencyModel {
+                    seek_us: 400,
+                    transfer_us: 100,
+                },
+                clock: ClockKind::Real,
+            },
+        );
+        // Terms in turn: no read is its predecessor's successor.
+        let request: Vec<PageId> = (0..8).map(|i| pid(i % 3, i / 3)).collect();
+        let mut took: Vec<Duration> = request
+            .iter()
+            .map(|&id| {
+                let asked = Instant::now();
+                sched.read_page(id).unwrap();
+                let returned = Instant::now();
+                let done = sched.state.lock().free_at[0];
+                assert!(
+                    returned >= sched.epoch + Duration::from_micros(done),
+                    "{id:?} returned before its modeled completion at {done} µs"
+                );
+                returned - asked
+            })
+            .collect();
+        assert_eq!(sched.metrics().latency_us.sum(), 8 * 500);
+        took.sort_unstable();
+        assert!(
+            took[4] < Duration::from_micros(700),
+            "median read {:?} of {took:?}",
+            took[4]
         );
     }
 }

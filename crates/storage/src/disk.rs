@@ -47,8 +47,8 @@ pub trait PageStore {
     }
 
     /// Cumulative microseconds this store made callers wait for I/O
-    /// completions (modeled or slept). Zero for stores that do not
-    /// model latency.
+    /// completions (modeled, or blocked on under a real clock). Zero
+    /// for stores that do not model latency.
     fn io_wait_us(&self) -> u64 {
         0
     }

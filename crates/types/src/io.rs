@@ -2,9 +2,10 @@
 //!
 //! The storage tier's `IoScheduler` (in `ir-storage::backend`) prices
 //! page reads under a seek+bandwidth latency model; [`ClockKind`] says
-//! whether those modeled waits are slept or only accounted. It lives
-//! here so every layer (storage, engine, bench) can name the clock
-//! without depending on the scheduler's implementation.
+//! whether a read blocks until its modeled completion or its wait is
+//! only accounted. It lives here so every layer (storage, engine,
+//! bench) can name the clock without depending on the scheduler's
+//! implementation.
 
 /// Which clock a latency-modeling I/O layer runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -15,9 +16,10 @@ pub enum ClockKind {
     /// waits — what tests and the CI determinism gate need.
     #[default]
     Virtual,
-    /// The wall clock: modeled waits are actually slept, so queue
-    /// depth and prefetch overlap show up in end-to-end wall time —
-    /// what the benchmark's `ooc_qd4` workload measures.
+    /// The wall clock: each read blocks until its modeled completion
+    /// on the timeline, so queue depth and prefetch overlap show up in
+    /// end-to-end wall time — what the benchmark's `ooc_qd4` workload
+    /// measures. `io_wait_us` then equals the time callers block.
     Real,
 }
 
