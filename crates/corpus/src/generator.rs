@@ -5,7 +5,6 @@ use crate::query::TopicQuery;
 use crate::words::term_name;
 use crate::zipf::Zipf;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// One TREC-like topic: an ordered list of salient terms (most salient
 /// first) with query frequencies, plus the topical concentration its
@@ -74,6 +73,7 @@ impl Corpus {
         let mut doc_topics = Vec::with_capacity(config.n_docs as usize);
         let mut relevant: Vec<Vec<u32>> = vec![Vec::new(); topics.len()];
         let mu = (config.mean_doc_tokens as f64).ln() - config.doc_length_sigma.powi(2) / 2.0;
+        let mut counts = DocCounts::new(config.vocab_size);
 
         for d in 0..config.n_docs {
             // Document length: log-normal, at least 5 tokens.
@@ -92,7 +92,6 @@ impl Corpus {
                 }
             }
 
-            let mut counts: HashMap<u32, u32> = HashMap::with_capacity(len);
             // Topical tokens first.
             let mut topical_total = 0usize;
             for &t in &assigned {
@@ -101,21 +100,17 @@ impl Corpus {
                     ((topic.concentration * len as f64).round() as usize).min(len - topical_total);
                 for _ in 0..n {
                     let pos = burst[t as usize].sample(&mut rng) as usize;
-                    let rank = topic.salient[pos].0;
-                    *counts.entry(rank).or_insert(0) += 1;
+                    counts.add(topic.salient[pos].0);
                 }
                 topical_total += n;
                 relevant[t as usize].push(d);
             }
             // Background tokens.
             for _ in topical_total..len {
-                let rank = background.sample(&mut rng);
-                *counts.entry(rank).or_insert(0) += 1;
+                counts.add(background.sample(&mut rng));
             }
 
-            let mut bag: Vec<(u32, u32)> = counts.into_iter().collect();
-            bag.sort_unstable();
-            docs.push(bag);
+            docs.push(counts.take_bag());
             doc_topics.push(assigned);
         }
         for r in relevant.iter_mut() {
@@ -215,6 +210,41 @@ impl Corpus {
             }
         }
         seen.into_iter().filter(|&b| b).count()
+    }
+}
+
+/// One document's `f_{d,t}` by rank in a dense array reused across
+/// documents, plus the ranks the document touched.
+struct DocCounts {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl DocCounts {
+    fn new(vocab_size: u32) -> Self {
+        DocCounts {
+            counts: vec![0; vocab_size as usize],
+            touched: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, rank: u32) {
+        let c = &mut self.counts[rank as usize];
+        if *c == 0 {
+            self.touched.push(rank);
+        }
+        *c += 1;
+    }
+
+    /// The document's `(rank, f_{d,t})` bag in rank order; leaves every
+    /// count at zero for the next document.
+    fn take_bag(&mut self) -> Vec<(u32, u32)> {
+        self.touched.sort_unstable();
+        let counts = &mut self.counts;
+        self.touched
+            .drain(..)
+            .map(|rank| (rank, std::mem::take(&mut counts[rank as usize])))
+            .collect()
     }
 }
 
@@ -346,6 +376,40 @@ mod tests {
             "only {bursts}/{} topics show bursts",
             c.topics.len()
         );
+    }
+
+    /// FNV-1a over every document's length, `(rank, f_{d,t})` pairs and
+    /// topics, all as little-endian `u32` / `u16`.
+    fn digest(c: &Corpus) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x1_0000_01b3);
+            }
+        };
+        for (doc, topics) in c.docs.iter().zip(&c.doc_topics) {
+            eat(&(doc.len() as u32).to_le_bytes());
+            for &(rank, f) in doc {
+                eat(&rank.to_le_bytes());
+                eat(&f.to_le_bytes());
+            }
+            eat(&(topics.len() as u32).to_le_bytes());
+            for &t in topics {
+                eat(&t.to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generated_corpora_are_pinned_byte_for_byte() {
+        // Every golden CSV descends from these bytes: a faster sampler
+        // or counter must reproduce them exactly.
+        assert_eq!(digest(&tiny()), 0xe5a9_c1e0_6739_059e, "tiny");
+        let small = Corpus::generate(CorpusConfig::paper_scaled(1.0 / 64.0));
+        assert_eq!(small.docs.len(), 2_707);
+        assert_eq!(digest(&small), 0xcf71_cc25_e312_9735, "paper_scaled(1/64)");
     }
 
     #[test]

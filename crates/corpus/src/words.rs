@@ -9,20 +9,20 @@
 
 /// Name of the term with the given popularity rank.
 pub fn term_name(rank: u32) -> String {
-    let mut s = String::from("x");
-    let mut v = rank as u64;
-    let mut digits = Vec::new();
+    // The leading `x`, then the base-26 digits (`u32::MAX` has 7)
+    // filled in from the end.
+    let mut buf = [b'x'; 8];
+    let mut start = buf.len();
+    let mut v = rank;
     loop {
-        digits.push(b'a' + (v % 26) as u8);
+        start -= 1;
+        buf[start] = b'a' + (v % 26) as u8;
         v /= 26;
         if v == 0 {
             break;
         }
     }
-    for d in digits.iter().rev() {
-        s.push(*d as char);
-    }
-    s
+    buf[start - 1..].iter().map(|&b| char::from(b)).collect()
 }
 
 /// Inverse of [`term_name`]; `None` if `name` is not of that shape.

@@ -72,7 +72,6 @@ pub fn index_corpus_opts(corpus: &Corpus, options: IndexCorpusOptions) -> IrResu
             .with_ordering(options.ordering),
         derive_stop_words: 0,
         measure_compression: options.measure_compression,
-        parallel: true,
         keep_forward: options.keep_forward,
     })
 }
@@ -113,6 +112,24 @@ mod tests {
             (missing as f64) < total as f64 * 0.05,
             "{missing}/{total} query terms missing from lexicon"
         );
+    }
+
+    #[test]
+    fn tiny_corpus_page_file_is_pinned_byte_for_byte() {
+        // The out-of-core workloads serve this export's bytes; a faster
+        // build or export must write exactly the same file.
+        let corpus = Corpus::generate(CorpusConfig::tiny());
+        let idx = index_corpus(&corpus, false).unwrap();
+        let dir = std::env::temp_dir().join("buffir-engine-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("tiny-{}.bfpg", std::process::id()));
+        ir_index::save_page_file(&idx, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (174_554, 0x5af6_69fb_02f0_bf6b));
     }
 
     #[test]

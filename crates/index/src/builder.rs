@@ -12,6 +12,13 @@
 //! §4.2 footnote 11) is applied at build time via
 //! [`BuildOptions::derive_stop_words`]: stopped terms keep their lexicon
 //! slot but lose their inverted list and contribute nothing to `W_d`.
+//!
+//! The build runs on the calling thread, one term at a time in term-id
+//! order. Lists arrive in document order, so a counting sort on the
+//! frequency puts each in frequency order, and its histogram is the
+//! term's conversion-table row. Each list is freed once it is cut into
+//! pages, and every `W_d²` is summed in term-id order, so the lengths
+//! are the same to the bit on every machine.
 
 use crate::conversion::ConversionTable;
 use crate::docstats::DocStats;
@@ -27,7 +34,8 @@ use ir_types::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Build-time configuration.
+/// Build-time configuration. Every field changes what is built; none
+/// changes how (the build is single-threaded and deterministic).
 #[derive(Clone, Copy, Debug)]
 pub struct BuildOptions {
     /// Physical parameters (page capacity).
@@ -39,8 +47,6 @@ pub struct BuildOptions {
     /// encode pass; reported via
     /// [`InvertedIndex::compression_stats`]).
     pub measure_compression: bool,
-    /// Sort/paginate inverted lists on multiple threads.
-    pub parallel: bool,
     /// Retain a document → term-vector forward index (needed for
     /// relevance feedback; costs about as much memory as the postings).
     pub keep_forward: bool,
@@ -52,7 +58,6 @@ impl Default for BuildOptions {
             params: IndexParams::paper(),
             derive_stop_words: 0,
             measure_compression: false,
-            parallel: true,
             keep_forward: false,
         }
     }
@@ -213,153 +218,63 @@ impl IndexBuilder {
             ForwardIndex::new(docs)
         });
 
-        // 2-4. Per-term: stats, sort, paginate (parallelizable: terms
-        // are independent; W_d accumulation uses per-chunk partials).
-        let n_terms = postings.len();
-        let threads = if options.parallel {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(n_terms.max(1))
-        } else {
-            1
-        };
-
-        struct ChunkResult {
-            first_term: usize,
-            stats: Vec<(u32, f64, u32, u64, u32)>, // (doc_freq, idf, f_max, n_postings, n_pages)
-            pages: Vec<Vec<Page>>,
-            wd_sq: Vec<f64>,
-            compression: CompressionStats,
-        }
-
-        fn process_chunk(
-            first_term: usize,
-            lists: &mut [Vec<Posting>],
-            n_docs: u32,
-            page_size: usize,
-            measure_compression: bool,
-            ordering: ListOrdering,
-        ) -> ChunkResult {
-            let mut stats = Vec::with_capacity(lists.len());
-            let mut pages = Vec::with_capacity(lists.len());
-            let mut wd_sq = vec![0.0f64; n_docs as usize];
-            let mut compression = CompressionStats::default();
-            for (offset, list) in lists.iter_mut().enumerate() {
-                let term = TermId((first_term + offset) as u32);
-                let doc_freq = list.len() as u32;
-                if doc_freq == 0 {
-                    stats.push((0, 0.0, 0, 0, 0));
-                    pages.push(Vec::new());
-                    continue;
-                }
-                match ordering {
-                    ListOrdering::FrequencySorted => list.sort_unstable_by(frequency_order),
-                    ListOrdering::DocIdSorted => list.sort_unstable_by(doc_order),
-                }
-                let idf = ir_types::weights::idf(n_docs, doc_freq);
-                let f_max = list.iter().map(|p| p.freq).max().unwrap_or(0);
-                for p in list.iter() {
-                    let w = ir_types::weights::term_weight(p.freq, idf);
-                    wd_sq[p.doc.index()] += w * w;
-                }
-                if measure_compression {
-                    match ordering {
-                        ListOrdering::FrequencySorted => compression.add(codec::measure(list)),
-                        ListOrdering::DocIdSorted => {
-                            // The encoder requires frequency order; measure
-                            // on a sorted copy (sizes are what matter).
-                            let mut copy = list.clone();
-                            copy.sort_unstable_by(frequency_order);
-                            compression.add(codec::measure(&copy));
-                        }
-                    }
-                }
-                let term_pages: Vec<Page> = list
-                    .chunks(page_size)
-                    .enumerate()
-                    .map(|(i, chunk)| {
-                        Page::new(PageId::new(term, i as u32), chunk.to_vec().into(), idf)
-                    })
-                    .collect();
-                stats.push((
-                    doc_freq,
-                    idf,
-                    f_max,
-                    list.len() as u64,
-                    term_pages.len() as u32,
-                ));
-                pages.push(term_pages);
-            }
-            ChunkResult {
-                first_term,
-                stats,
-                pages,
-                wd_sq,
-                compression,
-            }
-        }
-
+        // 2-5. Per term, in term-id order (see the module docs): the
+        // conversion-table row, the sort, stats, W_d and the pages.
         let ordering = options.params.ordering;
-        let chunk_size = n_terms.div_ceil(threads.max(1)).max(1);
-        let mut results: Vec<ChunkResult> = if threads <= 1 || n_terms < 2 * chunk_size {
-            vec![process_chunk(
-                0,
-                &mut postings,
-                n_docs,
-                page_size,
-                options.measure_compression,
-                ordering,
-            )]
-        } else {
-            let measure = options.measure_compression;
-            let mut out: Vec<ChunkResult> = Vec::new();
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (i, chunk) in postings.chunks_mut(chunk_size).enumerate() {
-                    let first = i * chunk_size;
-                    handles.push(scope.spawn(move |_| {
-                        process_chunk(first, chunk, n_docs, page_size, measure, ordering)
-                    }));
-                }
-                for h in handles {
-                    out.push(h.join().expect("index build worker panicked"));
-                }
-            })
-            .expect("index build scope failed");
-            out
-        };
-        results.sort_by_key(|r| r.first_term);
-
-        // Merge chunk results.
-        let mut lists: Vec<Vec<Page>> = Vec::with_capacity(n_terms);
+        let mut lists: Vec<Vec<Page>> = Vec::with_capacity(postings.len());
+        let mut conversion = ConversionTable::new(page_size, ordering);
         let mut wd_sq = vec![0.0f64; n_docs as usize];
         let mut compression = CompressionStats::default();
-        for r in &mut results {
-            for (offset, (doc_freq, idf, f_max, n_postings, n_pages)) in
-                r.stats.iter().copied().enumerate()
-            {
-                let e = lexicon.entry_mut(TermId((r.first_term + offset) as u32));
-                e.doc_freq = doc_freq;
-                e.idf = idf;
-                e.f_max = f_max;
-                e.n_postings = n_postings;
-                e.n_pages = n_pages;
+        let (mut sorted, mut cursor) = (Vec::new(), Vec::new());
+        for (t, mut list) in postings.into_iter().enumerate() {
+            let term = TermId(t as u32);
+            let counts = conversion.push_term(&list);
+            if list.is_empty() {
+                lists.push(Vec::new());
+                continue;
             }
-            lists.append(&mut r.pages);
-            for (d, sq) in r.wd_sq.iter().enumerate() {
-                wd_sq[d] += sq;
+            let list = match ordering {
+                ListOrdering::FrequencySorted => {
+                    frequency_sort(&list, counts, &mut cursor, &mut sorted);
+                    sorted.as_slice()
+                }
+                ListOrdering::DocIdSorted => {
+                    list.sort_unstable_by(doc_order);
+                    list.as_slice()
+                }
+            };
+            let doc_freq = list.len() as u32;
+            let idf = ir_types::weights::idf(n_docs, doc_freq);
+            for p in list {
+                let w = ir_types::weights::term_weight(p.freq, idf);
+                wd_sq[p.doc.index()] += w * w;
             }
-            compression.add(r.compression);
+            if options.measure_compression {
+                match ordering {
+                    ListOrdering::FrequencySorted => compression.add(codec::measure(list)),
+                    ListOrdering::DocIdSorted => {
+                        // The encoder requires frequency order; measure
+                        // on a sorted copy (sizes are what matter).
+                        let mut copy = list.to_vec();
+                        copy.sort_unstable_by(frequency_order);
+                        compression.add(codec::measure(&copy));
+                    }
+                }
+            }
+            let pages: Vec<Page> = list
+                .chunks(page_size)
+                .enumerate()
+                .map(|(i, chunk)| Page::new(PageId::new(term, i as u32), Arc::from(chunk), idf))
+                .collect();
+            let e = lexicon.entry_mut(term);
+            e.doc_freq = doc_freq;
+            e.idf = idf;
+            e.f_max = (counts.len() - 1) as u32;
+            e.n_postings = list.len() as u64;
+            e.n_pages = pages.len() as u32;
+            lists.push(pages);
         }
         let vector_lengths: Vec<f64> = wd_sq.into_iter().map(f64::sqrt).collect();
-
-        // 5. The BAF conversion table, from the sorted lists.
-        let conversion = ConversionTable::build_with_ordering(
-            postings.iter().map(|l| l.as_slice()),
-            page_size,
-            ordering,
-        );
 
         Ok(InvertedIndex::from_parts(
             lexicon,
@@ -370,6 +285,25 @@ impl IndexBuilder {
             options.measure_compression.then_some(compression),
             forward,
         ))
+    }
+}
+
+/// Writes `list` — postings in document order, as the builder collects
+/// them — into `out` in frequency order (`f_{d,t}` descending, then `d`
+/// ascending): a counting sort on the frequency, stable, so each run
+/// keeps document order. `counts` is the list's conversion-table row,
+/// whose entry `f` — the postings above `f` — is where frequency `f`'s
+/// run starts; `cursor` is a reusable buffer.
+fn frequency_sort(list: &[Posting], counts: &[u64], cursor: &mut Vec<u64>, out: &mut Vec<Posting>) {
+    debug_assert!(list.windows(2).all(|w| w[0].doc <= w[1].doc));
+    cursor.clear();
+    cursor.extend_from_slice(counts);
+    out.clear();
+    out.resize(list.len(), Posting::new(0, 0));
+    for &p in list {
+        let at = &mut cursor[p.freq as usize];
+        out[*at as usize] = p;
+        *at += 1;
     }
 }
 
@@ -508,53 +442,69 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_builds_agree() {
+    fn counting_sort_matches_the_comparison_sort() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        let (mut cursor, mut sorted) = (Vec::new(), Vec::new());
+        for n in [1, 2, 3, 10, 100, 1_000] {
+            // Document order, as the builder collects a list.
+            let mut list: Vec<Posting> = (0..n)
+                .map(|_| Posting::new(rng.gen_range(0..5_000), rng.gen_range(1..9)))
+                .collect();
+            list.sort_unstable_by_key(|p| p.doc);
+            list.dedup_by_key(|p| p.doc);
+            let mut table = ConversionTable::new(1, ListOrdering::FrequencySorted);
+            let counts = table.push_term(&list);
+            frequency_sort(&list, counts, &mut cursor, &mut sorted);
+            list.sort_unstable_by(frequency_order);
+            assert_eq!(sorted, list, "n {n}");
+        }
+    }
+
+    #[test]
+    fn vector_lengths_are_term_order_sums_bit_for_bit() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(11);
-        let docs: Vec<Vec<(u32, u32)>> = (0..200)
+        // Each document's distinct terms with summed frequencies.
+        let docs: Vec<std::collections::BTreeMap<u32, u32>> = (0..200)
             .map(|_| {
-                let n = rng.gen_range(1..20);
-                (0..n)
-                    .map(|_| (rng.gen_range(0..50), rng.gen_range(1..6)))
-                    .collect()
+                let mut doc = std::collections::BTreeMap::new();
+                for _ in 0..rng.gen_range(1..20) {
+                    *doc.entry(rng.gen_range(0..50)).or_insert(0) += rng.gen_range(1..6u32);
+                }
+                doc
             })
             .collect();
-        let build = |parallel: bool| {
-            let mut b = IndexBuilder::new();
-            let ids: Vec<TermId> = (0..50).map(|t| b.intern(&format!("t{t}"))).collect();
-            for d in &docs {
-                let mut seen = std::collections::HashMap::new();
-                for &(t, f) in d {
-                    *seen.entry(ids[t as usize]).or_insert(0) += f;
-                }
-                b.add_document_counts(seen).unwrap();
-            }
-            b.build(BuildOptions {
-                parallel,
+        let mut b = IndexBuilder::new();
+        let ids: Vec<TermId> = (0..50).map(|t| b.intern(&format!("t{t}"))).collect();
+        for doc in &docs {
+            b.add_document_counts(doc.iter().map(|(&t, &f)| (ids[t as usize], f)))
+                .unwrap();
+        }
+        let index = b
+            .build(BuildOptions {
                 measure_compression: true,
                 params: IndexParams::with_page_size(3),
                 ..BuildOptions::default()
             })
-            .unwrap()
-        };
-        let serial = build(false);
-        let parallel = build(true);
-        assert_eq!(serial.total_pages(), parallel.total_pages());
-        for t in 0..50u32 {
-            let e1 = serial.lexicon().entry(TermId(t)).unwrap();
-            let e2 = parallel.lexicon().entry(TermId(t)).unwrap();
-            assert_eq!(e1.doc_freq, e2.doc_freq);
-            assert_eq!(e1.n_pages, e2.n_pages);
-            assert!((e1.idf - e2.idf).abs() < 1e-12);
-        }
-        for d in 0..serial.n_docs() {
-            let w1 = serial.doc_stats().vector_length(DocId(d)).unwrap();
-            let w2 = parallel.doc_stats().vector_length(DocId(d)).unwrap();
-            assert!((w1 - w2).abs() < 1e-9);
-        }
+            .unwrap();
+        let n_postings: usize = docs.iter().map(|d| d.len()).sum();
         assert_eq!(
-            serial.compression_stats().unwrap().n_postings,
-            parallel.compression_stats().unwrap().n_postings
+            index.compression_stats().unwrap().n_postings,
+            n_postings as u64
         );
+        // W_d² is accumulated from 0 in term-id order, one addition per
+        // term, on every machine: the stored length must equal that sum
+        // to the last bit.
+        for (d, doc) in docs.iter().enumerate() {
+            let mut sum = 0.0f64;
+            for (&t, &f) in doc {
+                let idf = index.lexicon().entry(ids[t as usize]).unwrap().idf;
+                let w = ir_types::weights::term_weight(f, idf);
+                sum += w * w;
+            }
+            let got = index.doc_stats().vector_length(DocId(d as u32)).unwrap();
+            assert_eq!(got.to_bits(), sum.sqrt().to_bits(), "doc {d}");
+        }
     }
 }

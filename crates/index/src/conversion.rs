@@ -18,12 +18,15 @@
 
 use ir_types::{IrError, IrResult, ListOrdering, Posting, TermId};
 
-/// Per-term cumulative counts: `counts_gt[t][f]` = postings of term `t`
-/// with `f_{d,t} > f`, for `f ∈ 0..=f_max(t)` (so `counts_gt[t][0]` is
-/// the list length and `counts_gt[t][f_max]` is 0).
-#[derive(Debug, Default)]
+/// Per-term cumulative counts: term `t`'s row holds, at `f`, the
+/// postings of `t` with `f_{d,t} > f`, for `f ∈ 0..=f_max(t)` (so the
+/// row starts with the list length and ends with 0). All rows live in
+/// one vector, term after term.
+#[derive(Debug)]
 pub struct ConversionTable {
-    counts_gt: Vec<Vec<u64>>,
+    counts: Vec<u64>,
+    /// Term `t`'s row is `counts[starts[t]..starts[t + 1]]`.
+    starts: Vec<usize>,
     page_size: usize,
     /// Doc-ordered lists cannot terminate early: any passing entry
     /// forces a full-list scan.
@@ -50,35 +53,52 @@ impl ConversionTable {
         page_size: usize,
         ordering: ListOrdering,
     ) -> Self {
+        let mut table = ConversionTable::new(page_size, ordering);
+        for postings in lists {
+            table.push_term(postings);
+        }
+        table
+    }
+
+    /// An empty table; terms are added in term-id order by
+    /// [`push_term`](Self::push_term).
+    pub(crate) fn new(page_size: usize, ordering: ListOrdering) -> Self {
         assert!(page_size > 0, "page_size must be positive");
-        let counts_gt = lists
-            .map(|postings| {
-                let f_max = postings.iter().map(|p| p.freq).max().unwrap_or(0) as usize;
-                // hist[f] = number of postings with frequency exactly f.
-                let mut hist = vec![0u64; f_max + 1];
-                for p in postings {
-                    debug_assert!(p.freq >= 1 && p.freq as usize <= f_max);
-                    hist[p.freq as usize] += 1;
-                }
-                // counts[f] = Σ_{g > f} hist[g], f ∈ 0..=f_max.
-                let mut counts = vec![0u64; f_max + 1];
-                for f in (0..f_max).rev() {
-                    counts[f] = counts[f + 1] + hist[f + 1];
-                }
-                counts
-            })
-            .collect();
         ConversionTable {
-            counts_gt,
+            counts: Vec::new(),
+            starts: vec![0],
             page_size,
             doc_ordered: ordering == ListOrdering::DocIdSorted,
         }
     }
 
+    /// Appends the next term's row, from its postings in any order,
+    /// and returns it.
+    pub(crate) fn push_term(&mut self, postings: &[Posting]) -> &[u64] {
+        let start = self.counts.len();
+        let f_max = postings.iter().map(|p| p.freq).max().unwrap_or(0) as usize;
+        self.counts.resize(start + f_max + 1, 0);
+        let row = &mut self.counts[start..];
+        // First row[f - 1] = postings with frequency exactly f, then
+        // suffix sums.
+        for p in postings {
+            debug_assert!(p.freq >= 1);
+            row[p.freq as usize - 1] += 1;
+        }
+        for f in (0..f_max).rev() {
+            row[f] += row[f + 1];
+        }
+        self.starts.push(self.counts.len());
+        &self.counts[start..]
+    }
+
     /// `term`'s cumulative counts.
     fn counts(&self, term: TermId) -> IrResult<&[u64]> {
-        let counts = self.counts_gt.get(term.index());
-        counts.map(Vec::as_slice).ok_or(IrError::UnknownTerm(term))
+        let t = term.index();
+        match (self.starts.get(t), self.starts.get(t + 1)) {
+            (Some(&start), Some(&end)) => Ok(&self.counts[start..end]),
+            _ => Err(IrError::UnknownTerm(term)),
+        }
     }
 
     /// Number of postings of `term` with `f_{d,t}` strictly above
@@ -101,22 +121,19 @@ impl ConversionTable {
 
     /// Number of terms covered.
     pub fn len(&self) -> usize {
-        self.counts_gt.len()
+        self.starts.len() - 1
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.counts_gt.is_empty()
+        self.len() == 0
     }
 
     /// Approximate memory footprint in bytes (for the §3.2.2 size
     /// discussion in reports).
     pub fn memory_bytes(&self) -> usize {
-        self.counts_gt
-            .iter()
-            .map(|c| c.len() * std::mem::size_of::<u64>())
-            .sum::<usize>()
-            + self.counts_gt.len() * std::mem::size_of::<Vec<u64>>()
+        self.counts.len() * std::mem::size_of::<u64>()
+            + self.starts.len() * std::mem::size_of::<usize>()
     }
 }
 

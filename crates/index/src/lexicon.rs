@@ -2,7 +2,7 @@
 
 use ir_types::{IrError, IrResult, TermId};
 use serde::Serialize;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 /// Per-term statistics, computed at index build time.
 #[derive(Clone, Debug, Serialize)]
@@ -27,11 +27,29 @@ pub struct TermEntry {
 }
 
 /// Term name ↔ id mapping plus per-term statistics.
+///
+/// Each name is stored once, in its entry. The name → id map is an
+/// open-addressing table (linear probing, at most half full) of ids and
+/// the low 32 bits of a seeded hash of their names: a probe compares
+/// names only when those bits match, and growing the table re-places
+/// ids by the stored bits without touching a name.
 #[derive(Debug, Default)]
 pub struct Lexicon {
-    by_name: HashMap<String, TermId>,
+    /// The table; its length is zero or a power of two.
+    slots: Vec<Slot>,
+    hasher: RandomState,
     entries: Vec<TermEntry>,
 }
+
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// A term id, or [`EMPTY`].
+    id: u32,
+    hash: u32,
+}
+
+/// The id of a free [`Slot`].
+const EMPTY: u32 = u32::MAX;
 
 impl Lexicon {
     /// Creates an empty lexicon.
@@ -43,11 +61,16 @@ impl Lexicon {
     /// Statistics of fresh entries are zeroed until the build fills
     /// them in.
     pub fn intern(&mut self, name: &str) -> TermId {
-        if let Some(id) = self.by_name.get(name) {
-            return *id;
+        if (self.entries.len() + 1) * 2 > self.slots.len() {
+            self.grow();
         }
+        let hash = self.hasher.hash_one(name) as u32;
+        let slot = match self.find(name, hash) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
         let id = TermId(self.entries.len() as u32);
-        self.by_name.insert(name.to_string(), id);
+        self.slots[slot] = Slot { id: id.0, hash };
         self.entries.push(TermEntry {
             name: name.to_string(),
             doc_freq: 0,
@@ -62,7 +85,40 @@ impl Lexicon {
 
     /// Looks up a term by name.
     pub fn lookup(&self, name: &str) -> Option<TermId> {
-        self.by_name.get(name).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(name, self.hasher.hash_one(name) as u32).ok()
+    }
+
+    /// `name`'s id, or the free slot where it would go; `hash` is the
+    /// low half of its hash. The table must have a free slot.
+    fn find(&self, name: &str, hash: u32) -> Result<TermId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.id == EMPTY {
+                return Err(i);
+            }
+            if slot.hash == hash && self.entries[slot.id as usize].name == name {
+                return Ok(TermId(slot.id));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the table and re-places every slot.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![Slot { id: EMPTY, hash: 0 }; len]);
+        for slot in old.into_iter().filter(|s| s.id != EMPTY) {
+            let mut i = slot.hash as usize & (len - 1);
+            while self.slots[i].id != EMPTY {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = slot;
+        }
     }
 
     /// Looks up a term by name, erroring with the term string if absent.

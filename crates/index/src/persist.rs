@@ -238,21 +238,22 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
 /// rebuilding `InvertedIndex` in memory; the page file carries the
 /// *page images* — same page boundaries, same `idf_t`, same build-time
 /// checksums — so a file-backed run demands exactly the pages a
-/// `DiskSim`-backed run would. Like `save_index`, the export's own
-/// reads are wiped from the simulator's counters afterwards, and the
-/// write is atomic (temp file + rename).
+/// `DiskSim`-backed run would. Pages stream from the simulator through
+/// a [`PageFileWriter`](ir_storage::PageFileWriter), each encoded once
+/// straight into the file's one buffer. Like `save_index`, the export's
+/// own reads are wiped from the simulator's counters afterwards, and
+/// the write is atomic (temp file + rename).
 pub fn save_page_file(index: &InvertedIndex, path: &Path) -> Result<(), PersistError> {
-    use ir_storage::{backend::TermPages, PageStore};
-    let mut terms = Vec::with_capacity(index.n_terms());
+    use ir_storage::{PageFileWriter, PageStore};
+    let mut file = PageFileWriter::new(index.n_terms(), index.total_pages());
     for (term, e) in index.lexicon().iter() {
-        let mut pages = Vec::with_capacity(e.n_pages as usize);
+        file.push_term(e.idf, e.n_pages);
         for p in 0..e.n_pages {
-            pages.push(index.disk().read_page(PageId::new(term, p))?);
+            file.push_page(&index.disk().read_page(PageId::new(term, p))?);
         }
-        terms.push(TermPages { idf: e.idf, pages });
     }
     index.disk().reset_stats(); // export reads are not query reads
-    ir_storage::write_page_file(&terms, path).map_err(|e| match e {
+    file.finish(path).map_err(|e| match e {
         ir_storage::PageFileError::Io(io) => PersistError::Io(io),
         other => PersistError::Corrupt(other.to_string()),
     })

@@ -37,7 +37,7 @@
 //! zero-latency file backend event-for-event identical to the
 //! simulator.
 
-use crate::codec::{decode_postings, encode_postings, ENCODING_ID};
+use crate::codec::{decode_postings, encode_postings_into, ENCODING_ID};
 use crate::disk::{DiskStats, PageStore};
 use crate::page::Page;
 use bytes::Bytes;
@@ -89,63 +89,108 @@ fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
-/// One term's pages plus the `idf_t` needed to rebuild them: the unit
-/// [`write_page_file`] persists. The idf is stored bit-exactly so the
-/// reconstructed pages carry the same `w*_{d,t}` (RAP's value input)
-/// as the originals.
-#[derive(Clone, Debug)]
-pub struct TermPages {
-    /// The term's inverse document frequency.
-    pub idf: f64,
-    /// The inverted list's pages, in page order.
-    pub pages: Vec<Page>,
+/// Length of the fixed header: magic, version, encoding id, reserved
+/// length and term count.
+const HEADER_LEN: usize = 4 + 4 + 1 + 4 + 4;
+
+/// Assembles a `BFPG` page file in one buffer, then writes it
+/// atomically (temp file + `fsync` + rename).
+///
+/// The directory's length follows from the term and page totals given
+/// up front, so the payload's start — and with it every page's absolute
+/// offset — is fixed before the first page arrives. Each page is
+/// encoded straight onto the end of the buffer and its directory entry
+/// filled in place; no page is held or encoded twice.
+///
+/// Terms come in term-id order, each [`push_term`](Self::push_term)
+/// followed by exactly its pages in page order.
+#[derive(Debug)]
+pub struct PageFileWriter {
+    buf: Vec<u8>,
+    /// Where the next directory bytes go.
+    dir_at: usize,
+    /// End of the directory: its FNV trailer follows.
+    dir_end: usize,
+    terms_left: usize,
+    /// Pages the current term still expects.
+    pages_left: u32,
 }
 
-/// Serializes `terms` (index = term id) to `path` as a `BFPG` page
-/// file, atomically (temp file + rename).
-pub fn write_page_file(terms: &[TermPages], path: &Path) -> Result<(), PageFileError> {
-    // Encode every page first so each payload length — and therefore
-    // every page's absolute offset — is known before the directory is
-    // written.
-    let encoded: Vec<Vec<Bytes>> = terms
-        .iter()
-        .map(|t| {
-            t.pages
-                .iter()
-                .map(|p| encode_postings(p.postings()))
-                .collect()
-        })
-        .collect();
-    let header_len = 4 + 4 + 1 + 4 + 4;
-    let dir_len: usize = terms.iter().map(|t| 4 + 8 + t.pages.len() * 24).sum();
-    let mut offset = (header_len + dir_len + 8) as u64;
+impl PageFileWriter {
+    /// A writer for `n_terms` terms holding `n_pages` pages in all.
+    pub fn new(n_terms: usize, n_pages: usize) -> Self {
+        let dir_end = HEADER_LEN + n_terms * (4 + 8) + n_pages * 24;
+        let mut buf = Vec::with_capacity(dir_end + 8);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.push(ENCODING_ID);
+        buf.extend_from_slice(&0u32.to_le_bytes()); // reserved length
+        buf.extend_from_slice(&(n_terms as u32).to_le_bytes());
+        buf.resize(dir_end + 8, 0);
+        PageFileWriter {
+            buf,
+            dir_at: HEADER_LEN,
+            dir_end,
+            terms_left: n_terms,
+            pages_left: 0,
+        }
+    }
 
-    let mut buf = Vec::with_capacity(offset as usize);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(ENCODING_ID);
-    buf.extend_from_slice(&0u32.to_le_bytes()); // reserved length
-    buf.extend_from_slice(&(terms.len() as u32).to_le_bytes());
-    for (t, pages) in terms.iter().zip(&encoded) {
-        buf.extend_from_slice(&(t.pages.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&t.idf.to_le_bytes());
-        for (page, payload) in t.pages.iter().zip(pages) {
-            let byte_len = payload.len() as u32;
-            buf.extend_from_slice(&offset.to_le_bytes());
-            buf.extend_from_slice(&byte_len.to_le_bytes());
-            buf.extend_from_slice(&(page.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&page.checksum().to_le_bytes());
-            offset += u64::from(byte_len);
-        }
+    /// Starts the next term: its `idf_t`, stored bit-exactly so rebuilt
+    /// pages carry the same `w*_{d,t}` (RAP's value input), and the
+    /// number of pages that follow.
+    ///
+    /// # Panics
+    /// If the previous term still expects pages, or every declared term
+    /// has started.
+    pub fn push_term(&mut self, idf: f64, n_pages: u32) {
+        assert_eq!(self.pages_left, 0, "the previous term is missing pages");
+        assert!(self.terms_left > 0, "more terms than declared");
+        self.terms_left -= 1;
+        self.pages_left = n_pages;
+        self.put_dir(&n_pages.to_le_bytes());
+        self.put_dir(&idf.to_le_bytes());
     }
-    let trailer = fnv1a(&buf);
-    buf.extend_from_slice(&trailer.to_le_bytes());
-    for pages in &encoded {
-        for payload in pages {
-            buf.extend_from_slice(payload);
-        }
+
+    /// Encodes the current term's next page onto the payload and
+    /// records its offset, byte length, posting count and build-time
+    /// checksum.
+    ///
+    /// # Panics
+    /// If the current term already has all its pages.
+    pub fn push_page(&mut self, page: &Page) {
+        assert!(self.pages_left > 0, "more pages than the term declared");
+        self.pages_left -= 1;
+        let offset = self.buf.len();
+        encode_postings_into(page.postings(), &mut self.buf);
+        let byte_len = (self.buf.len() - offset) as u32;
+        self.put_dir(&(offset as u64).to_le_bytes());
+        self.put_dir(&byte_len.to_le_bytes());
+        self.put_dir(&(page.len() as u32).to_le_bytes());
+        self.put_dir(&page.checksum().to_le_bytes());
     }
-    write_atomically(&buf, path)
+
+    /// Seals the directory with its FNV trailer and writes the file to
+    /// `path`.
+    ///
+    /// # Panics
+    /// If fewer terms or pages arrived than were declared.
+    pub fn finish(mut self, path: &Path) -> Result<(), PageFileError> {
+        assert!(
+            self.terms_left == 0 && self.dir_at == self.dir_end,
+            "fewer terms or pages than declared"
+        );
+        let trailer = fnv1a(&self.buf[..self.dir_end]);
+        self.buf[self.dir_end..self.dir_end + 8].copy_from_slice(&trailer.to_le_bytes());
+        write_atomically(&self.buf, path)
+    }
+
+    fn put_dir(&mut self, bytes: &[u8]) {
+        let end = self.dir_at + bytes.len();
+        assert!(end <= self.dir_end, "more terms or pages than declared");
+        self.buf[self.dir_at..end].copy_from_slice(bytes);
+        self.dir_at = end;
+    }
 }
 
 fn write_atomically(buf: &[u8], path: &Path) -> Result<(), PageFileError> {
@@ -229,7 +274,7 @@ fn pread(file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
 }
 
 impl FilePageStore {
-    /// Opens a page file written by [`write_page_file`], loading and
+    /// Opens a page file written by [`PageFileWriter`], loading and
     /// verifying the directory.
     pub fn open(path: &Path, _mode: FileMode) -> Result<Self, PageFileError> {
         let mut file = fs::File::open(path)?;
@@ -410,6 +455,24 @@ mod tests {
     use crate::disk::DiskSim;
     use ir_types::{Posting, TermId};
 
+    /// One term's pages plus the `idf_t` they were built with.
+    struct TermPages {
+        idf: f64,
+        pages: Vec<Page>,
+    }
+
+    fn write_page_file(terms: &[TermPages], path: &Path) -> Result<(), PageFileError> {
+        let n_pages = terms.iter().map(|t| t.pages.len()).sum();
+        let mut file = PageFileWriter::new(terms.len(), n_pages);
+        for t in terms {
+            file.push_term(t.idf, t.pages.len() as u32);
+            for page in &t.pages {
+                file.push_page(page);
+            }
+        }
+        file.finish(path)
+    }
+
     fn sample_terms(n_terms: u32, pages_per_term: u32) -> Vec<TermPages> {
         (0..n_terms)
             .map(|t| TermPages {
@@ -461,6 +524,19 @@ mod tests {
                 );
                 assert!(got.is_intact());
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more terms or pages than declared")]
+    fn a_writer_refuses_pages_beyond_the_declared_directory() {
+        // The directory is sized from the totals given up front: a page
+        // past them must not overwrite the trailer or the payload.
+        let terms = sample_terms(1, 2);
+        let mut file = PageFileWriter::new(1, 1);
+        file.push_term(terms[0].idf, 2);
+        for page in &terms[0].pages {
+            file.push_page(page);
         }
     }
 

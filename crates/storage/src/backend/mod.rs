@@ -31,5 +31,5 @@
 pub mod file;
 pub mod sched;
 
-pub use file::{write_page_file, FileMode, FilePageStore, PageFileError, TermPages};
+pub use file::{FileMode, FilePageStore, PageFileError, PageFileWriter};
 pub use sched::{IoConfig, IoMetrics, IoScheduler, LatencyModel};

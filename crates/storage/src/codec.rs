@@ -27,7 +27,7 @@
 //! `index.decoded_entries.golden` counter, from which report layers
 //! derive decode µs/entry.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use ir_types::{is_frequency_sorted, DocId, Posting};
 
 /// The id the `BFPG` and `BFIR` headers carry for this encoding; both
@@ -85,15 +85,15 @@ fn decode_meters() -> &'static DecodeMeters {
     })
 }
 
-fn put_vbyte(buf: &mut BytesMut, mut v: u64) {
+fn put_vbyte(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte | 0x80); // high bit terminates
+            buf.push(byte | 0x80); // high bit terminates
             return;
         }
-        buf.put_u8(byte);
+        buf.push(byte);
     }
 }
 
@@ -119,12 +119,23 @@ fn get_vbyte(buf: &mut Bytes) -> Option<u64> {
 /// Panics if `postings` is not in frequency order (`f` desc, `d` asc) —
 /// the builder guarantees the order; violating it would corrupt gaps.
 pub fn encode_postings(postings: &[Posting]) -> Bytes {
+    let mut buf = Vec::with_capacity(postings.len() * 2);
+    encode_postings_into(postings, &mut buf);
+    Bytes::from(buf)
+}
+
+/// Appends the bytes [`encode_postings`] returns for `postings` to
+/// `buf`, so a caller writing many lists fills one buffer instead of
+/// allocating one per list.
+///
+/// # Panics
+/// As [`encode_postings`].
+pub fn encode_postings_into(postings: &[Posting], buf: &mut Vec<u8>) {
     assert!(
         is_frequency_sorted(postings),
         "encode_postings requires frequency-sorted input"
     );
-    let mut buf = BytesMut::with_capacity(postings.len() * 2);
-    put_vbyte(&mut buf, postings.len() as u64);
+    put_vbyte(buf, postings.len() as u64);
     let mut i = 0usize;
     let mut prev_freq: Option<u32> = None;
     while i < postings.len() {
@@ -136,21 +147,20 @@ pub fn encode_postings(postings: &[Posting]) -> Bytes {
         // Run header: frequency drop (first run stores the frequency
         // itself) and run length.
         match prev_freq {
-            None => put_vbyte(&mut buf, u64::from(freq)),
-            Some(p) => put_vbyte(&mut buf, u64::from(p - freq)),
+            None => put_vbyte(buf, u64::from(freq)),
+            Some(p) => put_vbyte(buf, u64::from(p - freq)),
         }
         prev_freq = Some(freq);
-        put_vbyte(&mut buf, (j - i) as u64);
+        put_vbyte(buf, (j - i) as u64);
         // Doc-id gaps within the run.
         let mut prev_doc = 0u32;
         for (k, p) in postings[i..j].iter().enumerate() {
             let gap = if k == 0 { p.doc.0 } else { p.doc.0 - prev_doc };
-            put_vbyte(&mut buf, u64::from(gap));
+            put_vbyte(buf, u64::from(gap));
             prev_doc = p.doc.0;
         }
         i = j;
     }
-    buf.freeze()
 }
 
 /// Decodes postings produced by [`encode_postings`].
@@ -282,6 +292,12 @@ mod tests {
             0x84, 0x83, 0x80, 0x82, 0x2a, 0x82, // drop 4 → f = 1, run of 3: 0, 2, 2+298
         ];
         assert_eq!(encode_postings(&p).as_ref(), expected);
+        // Appending into a buffer that already holds bytes adds exactly
+        // the same stream.
+        let mut buf = vec![0xee];
+        encode_postings_into(&p, &mut buf);
+        assert_eq!(buf[0], 0xee);
+        assert_eq!(buf[1..], expected);
         assert_eq!(
             decode_postings(Bytes::copy_from_slice(&expected)).unwrap(),
             p

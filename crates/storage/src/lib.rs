@@ -47,8 +47,8 @@ pub mod sharded;
 pub mod stats;
 
 pub use backend::{
-    write_page_file, FileMode, FilePageStore, IoConfig, IoMetrics, IoScheduler, LatencyModel,
-    PageFileError, TermPages,
+    FileMode, FilePageStore, IoConfig, IoMetrics, IoScheduler, LatencyModel, PageFileError,
+    PageFileWriter,
 };
 pub use buffer::{BufferManager, FetchOutcome, FetchPolicy};
 pub use codec::CompressionStats;
