@@ -5,6 +5,7 @@ use crate::accumulator::Accumulators;
 use ir_index::DocStats;
 use ir_types::{DocId, IrResult};
 use serde::Serialize;
+use std::cell::RefCell;
 
 /// One ranked answer.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize)]
@@ -15,30 +16,41 @@ pub struct Hit {
     pub score: f64,
 }
 
+thread_local! {
+    /// Reusable candidate buffer (the `FETCH_SCRATCH` idiom of
+    /// `eval::scan`): every candidate is scored but only `n` are kept,
+    /// so the thread's buffer grows to the largest candidate set and
+    /// each answer list is allocated at exactly its length.
+    static CANDIDATES: RefCell<Vec<Hit>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Divides each accumulator by the document's vector length and returns
 /// the top `n` hits, score-descending (ties broken by ascending doc id
 /// for determinism).
 pub fn top_n(accs: &Accumulators, doc_stats: &DocStats, n: usize) -> IrResult<Vec<Hit>> {
-    let mut hits: Vec<Hit> = Vec::with_capacity(accs.len());
-    for (doc, raw) in accs.iter() {
-        let w = doc_stats.vector_length(doc)?;
-        // W_d = 0 can only happen for documents with no indexed terms;
-        // such documents can never be in the candidate set.
-        debug_assert!(w > 0.0, "candidate {doc} has zero vector length");
-        hits.push(Hit {
-            doc,
-            score: raw / w,
-        });
-    }
-    // A strict total order (documents are distinct), so selecting the
-    // n best and sorting those returns what sorting everything would.
-    let by_rank = |a: &Hit, b: &Hit| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc));
-    if n < hits.len() {
-        hits.select_nth_unstable_by(n, by_rank);
-        hits.truncate(n);
-    }
-    hits.sort_unstable_by(by_rank);
-    Ok(hits)
+    CANDIDATES.with_borrow_mut(|hits| {
+        hits.clear();
+        for (doc, raw) in accs.iter() {
+            let w = doc_stats.vector_length(doc)?;
+            // W_d = 0 can only happen for documents with no indexed terms;
+            // such documents can never be in the candidate set.
+            debug_assert!(w > 0.0, "candidate {doc} has zero vector length");
+            hits.push(Hit {
+                doc,
+                score: raw / w,
+            });
+        }
+        // A strict total order (documents are distinct), so selecting the
+        // n best and sorting those returns what sorting everything would.
+        let by_rank =
+            |a: &Hit, b: &Hit| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc));
+        if n < hits.len() {
+            hits.select_nth_unstable_by(n, by_rank);
+            hits.truncate(n);
+        }
+        hits.sort_unstable_by(by_rank);
+        Ok(hits.to_vec())
+    })
 }
 
 /// Overlap between two answer lists (fraction of `a`'s documents also
@@ -82,6 +94,7 @@ mod tests {
         let hits = top_n(&a, &stats(&[1.0; 100]), 20).unwrap();
         assert_eq!(hits.len(), 20);
         assert_eq!(hits[0].doc, DocId(99));
+        assert_eq!(hits.capacity(), hits.len(), "only the answers are kept");
     }
 
     #[test]

@@ -238,16 +238,22 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
 /// rebuilding `InvertedIndex` in memory; the page file carries the
 /// *page images* — same page boundaries, same `idf_t`, same build-time
 /// checksums — so a file-backed run demands exactly the pages a
-/// `DiskSim`-backed run would. Pages stream from the simulator through
-/// a [`PageFileWriter`](ir_storage::PageFileWriter), each encoded once
-/// straight into the file's one buffer. Like `save_index`, the export's
-/// own reads are wiped from the simulator's counters afterwards, and
-/// the write is atomic (temp file + rename).
+/// `DiskSim`-backed run would. Like `BFIR`, it stores per term only
+/// `f_t`, from which the reader rebuilds `idf_t` and the page
+/// boundaries. Pages stream from the simulator through a
+/// [`PageFileWriter`](ir_storage::PageFileWriter), each encoded once
+/// onto its payload buffer while the directory fills a second buffer.
+/// Like `save_index`, the export's own reads are wiped from the
+/// simulator's counters afterwards, and the write is atomic (temp
+/// file + rename).
 pub fn save_page_file(index: &InvertedIndex, path: &Path) -> Result<(), PersistError> {
     use ir_storage::{PageFileWriter, PageStore};
-    let mut file = PageFileWriter::new(index.n_terms(), index.total_pages());
+    let mut file = PageFileWriter::new(index.n_docs(), index.params().page_size, index.n_terms());
     for (term, e) in index.lexicon().iter() {
-        file.push_term(e.idf, e.n_pages);
+        let f_t = u32::try_from(e.n_postings).map_err(|_| {
+            PersistError::Corrupt(format!("term {term}: {} postings", e.n_postings))
+        })?;
+        file.push_term(f_t);
         for p in 0..e.n_pages {
             file.push_page(&index.disk().read_page(PageId::new(term, p))?);
         }

@@ -3,26 +3,42 @@
 //! (`pread`-style) reads.
 //!
 //! ```text
-//! "BFPG" magic | u32 version (2)
-//! u8 encoding id (0) | u32 reserved length (0)
-//! u32 n_terms
-//! directory, per term:  u32 n_pages, f64 idf
-//!                       per page: u64 offset, u32 byte_len,
-//!                                 u32 n_postings, u64 checksum
-//! u64 FNV-1a over everything above
-//! payload:  per page, `byte_len` bytes of [`crate::codec`] encoding
+//! "BFPG" | u32 version (3) | u8 encoding id (0) | u32 reserved length (0)
+//! u32 n_docs | u32 page_size | u32 n_terms | u32 directory length
+//! directory, per term in id order:  v-byte f_t
+//!            then per page (⌈f_t / page_size⌉ of them):  v-byte byte_len,
+//!                                                        u64 checksum ^ idf_t bits
+//! u64 FNV-1a over header + directory
+//! payload: every page's codec bytes, back to back in (term, page) order
 //! ```
 //!
-//! There is one version and one posting encoding. The encoding id and
-//! the reserved length keep the layout of every file already written;
-//! a file where either is not 0, or whose version is not 2, is rejected
-//! at open as [`PageFileError::Corrupt`].
+//! The file stores only what the reader cannot derive: per term `f_t`,
+//! per page the byte length of its [`crate::codec`] encoding and the
+//! checksum [`Page::new`] computed at build time, sealed with the bits
+//! of the `idf_t` the page is weighed with. The reader rebuilds the
+//! rest. A page's offset is the payload's start plus the lengths before
+//! it. Its posting count is `page_size`, the last page of a list the
+//! remainder. `idf_t` is [`weights::idf`]`(n_docs, f_t)` — the builder's
+//! own call — so rebuilt pages carry the builder's `w*_{d,t}` bit for
+//! bit; [`PageFileWriter`] refuses any page the reader would rebuild
+//! differently, and the seal makes a page read under any other `idf_t`
+//! fail its checksum.
 //!
-//! The directory (offsets, idfs, and the per-page checksums computed
-//! by [`Page::new`] at build time) is loaded into memory at open and
-//! guarded by its own FNV trailer; the payload is fetched on demand.
-//! Every delivered page is decoded, rebuilt with [`Page::new`] and its
-//! recomputed checksum — computed over the *decoded* postings —
+//! There is one version and one posting encoding. The encoding id and
+//! the reserved length keep their places from version 2; a file where
+//! either is not 0, or whose version is not 3, is rejected at open as
+//! [`PageFileError::Corrupt`].
+//!
+//! [`FilePageStore::open`] reads the header, then the directory and its
+//! trailer in one read bounded by the file length, and checks them
+//! before building anything from them: the directory fits the file,
+//! `page_size ≥ 1`, the terms fit the directory, every `f_t ≤ n_docs`
+//! and every `byte_len ≥ 1` (each at most 32 bits), the
+//! lengths sum to exactly the payload's length, and the FNV trailer
+//! matches. Every failure is [`PageFileError::Corrupt`], never a panic.
+//! The directory is then held as flat arrays; the payload is fetched on
+//! demand. Every delivered page is decoded, rebuilt with [`Page::new`]
+//! and its recomputed checksum — computed over the *decoded* postings —
 //! compared against the stored one. A short read, a truncated file, a
 //! flipped payload bit, or an undecodable payload surfaces as
 //! [`IrError::TornPage`] — the same retryable error the fault injector
@@ -37,19 +53,19 @@
 //! zero-latency file backend event-for-event identical to the
 //! simulator.
 
-use crate::codec::{decode_postings, encode_postings_into, ENCODING_ID};
+use crate::codec::{decode_postings, encode_postings_into, put_vbyte, ENCODING_ID};
 use crate::disk::{DiskStats, PageStore};
 use crate::page::Page;
 use bytes::Bytes;
-use ir_types::{IrError, IrResult, PageId};
+use ir_types::{weights, IrError, IrResult, PageId, TermId};
 use parking_lot::Mutex;
 use std::fmt;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"BFPG";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Errors from writing or opening a page file.
 #[derive(Debug)]
@@ -90,118 +106,180 @@ fn fnv1a(data: &[u8]) -> u64 {
 }
 
 /// Length of the fixed header: magic, version, encoding id, reserved
-/// length and term count.
-const HEADER_LEN: usize = 4 + 4 + 1 + 4 + 4;
+/// length, `n_docs`, `page_size`, `n_terms` and the directory length.
+const HEADER_LEN: usize = 4 + 4 + 1 + 4 + 4 * 4;
 
-/// Assembles a `BFPG` page file in one buffer, then writes it
+/// `idf_t` as the builder computed it; a term with no postings has no
+/// pages to carry one.
+fn term_idf(n_docs: u32, f_t: u32) -> f64 {
+    if f_t == 0 {
+        0.0
+    } else {
+        weights::idf(n_docs, f_t)
+    }
+}
+
+/// A page's stored checksum: the one [`Page::new`] computed, sealed
+/// with the bits of the `idf_t` it is weighed with. The page checksum
+/// covers only the page's id and postings, so without the seal a
+/// directory whose `f_t` was changed without changing its page count
+/// would serve the list's full pages with another `idf_t`. Sealing is
+/// its own inverse: the reader unseals with the `idf_t` it derived.
+fn seal(checksum: u64, idf: f64) -> u64 {
+    checksum ^ idf.to_bits()
+}
+
+/// Postings on page `page` of a list of `f_t`: `page_size`, the last
+/// page the remainder.
+fn page_postings(f_t: u32, page_size: u32, page: u32) -> u32 {
+    if page + 1 == f_t.div_ceil(page_size) {
+        f_t - page * page_size
+    } else {
+        page_size
+    }
+}
+
+/// Assembles a `BFPG` page file in a single pass, then writes it
 /// atomically (temp file + `fsync` + rename).
 ///
-/// The directory's length follows from the term and page totals given
-/// up front, so the payload's start — and with it every page's absolute
-/// offset — is fixed before the first page arrives. Each page is
-/// encoded straight onto the end of the buffer and its directory entry
-/// filled in place; no page is held or encoded twice.
-///
-/// Terms come in term-id order, each [`push_term`](Self::push_term)
-/// followed by exactly its pages in page order.
+/// Each page is encoded straight onto the end of the payload buffer and
+/// its length and checksum appended to the directory buffer; the two
+/// are written once each at [`finish`](Self::finish). Terms come in
+/// term-id order, each [`push_term`](Self::push_term) followed by
+/// exactly its `⌈f_t / page_size⌉` pages in page order.
 #[derive(Debug)]
 pub struct PageFileWriter {
-    buf: Vec<u8>,
-    /// Where the next directory bytes go.
-    dir_at: usize,
-    /// End of the directory: its FNV trailer follows.
-    dir_end: usize,
-    terms_left: usize,
-    /// Pages the current term still expects.
-    pages_left: u32,
+    /// The header, then the directory as it grows.
+    dir: Vec<u8>,
+    /// Every page's codec bytes, in push order.
+    payload: Vec<u8>,
+    n_docs: u32,
+    page_size: u32,
+    n_terms: u32,
+    /// Terms started so far: the current term's id is one less.
+    started: u32,
+    /// The current term's `f_t` and `idf_t`.
+    f_t: u32,
+    idf: f64,
+    /// The current term's pages that have arrived.
+    pages: u32,
 }
 
 impl PageFileWriter {
-    /// A writer for `n_terms` terms holding `n_pages` pages in all.
-    pub fn new(n_terms: usize, n_pages: usize) -> Self {
-        let dir_end = HEADER_LEN + n_terms * (4 + 8) + n_pages * 24;
-        let mut buf = Vec::with_capacity(dir_end + 8);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.push(ENCODING_ID);
-        buf.extend_from_slice(&0u32.to_le_bytes()); // reserved length
-        buf.extend_from_slice(&(n_terms as u32).to_le_bytes());
-        buf.resize(dir_end + 8, 0);
+    /// A writer for `n_terms` lists over a collection of `n_docs`
+    /// documents, cut into pages of `page_size` postings.
+    ///
+    /// # Panics
+    /// If `page_size` is 0 or either count exceeds `u32::MAX`.
+    pub fn new(n_docs: u32, page_size: usize, n_terms: usize) -> Self {
+        let page_size = u32::try_from(page_size)
+            .ok()
+            .filter(|&p| p > 0)
+            .expect("page_size must be in 1..=u32::MAX");
+        let n_terms = u32::try_from(n_terms).expect("more than u32::MAX terms");
+        let mut dir = Vec::with_capacity(HEADER_LEN + n_terms as usize);
+        dir.extend_from_slice(MAGIC);
+        dir.extend_from_slice(&VERSION.to_le_bytes());
+        dir.push(ENCODING_ID);
+        dir.extend_from_slice(&0u32.to_le_bytes()); // reserved length
+        for v in [n_docs, page_size, n_terms, 0] {
+            dir.extend_from_slice(&v.to_le_bytes()); // the directory length is set by `finish`
+        }
         PageFileWriter {
-            buf,
-            dir_at: HEADER_LEN,
-            dir_end,
-            terms_left: n_terms,
-            pages_left: 0,
+            dir,
+            payload: Vec::new(),
+            n_docs,
+            page_size,
+            n_terms,
+            started: 0,
+            f_t: 0,
+            idf: 0.0,
+            pages: 0,
         }
     }
 
-    /// Starts the next term: its `idf_t`, stored bit-exactly so rebuilt
-    /// pages carry the same `w*_{d,t}` (RAP's value input), and the
-    /// number of pages that follow.
+    /// Starts the next term, whose list holds `f_t` postings.
     ///
     /// # Panics
-    /// If the previous term still expects pages, or every declared term
-    /// has started.
-    pub fn push_term(&mut self, idf: f64, n_pages: u32) {
-        assert_eq!(self.pages_left, 0, "the previous term is missing pages");
-        assert!(self.terms_left > 0, "more terms than declared");
-        self.terms_left -= 1;
-        self.pages_left = n_pages;
-        self.put_dir(&n_pages.to_le_bytes());
-        self.put_dir(&idf.to_le_bytes());
+    /// If the previous term still expects pages, every declared term has
+    /// started, or `f_t` exceeds `n_docs`.
+    pub fn push_term(&mut self, f_t: u32) {
+        assert_eq!(
+            self.pages,
+            self.f_t.div_ceil(self.page_size),
+            "the previous term is missing pages"
+        );
+        assert!(self.started < self.n_terms, "more terms than declared");
+        assert!(
+            f_t <= self.n_docs,
+            "f_t {f_t} exceeds n_docs {}",
+            self.n_docs
+        );
+        self.started += 1;
+        self.f_t = f_t;
+        self.idf = term_idf(self.n_docs, f_t);
+        self.pages = 0;
+        put_vbyte(&mut self.dir, u64::from(f_t));
     }
 
     /// Encodes the current term's next page onto the payload and
-    /// records its offset, byte length, posting count and build-time
-    /// checksum.
+    /// records its byte length and build-time checksum.
     ///
     /// # Panics
-    /// If the current term already has all its pages.
+    /// If the current term already has all its pages, or the page is
+    /// not one the reader would rebuild: a different id, another
+    /// posting count than `f_t` and `page_size` give, or a
+    /// `max_weight` that `idf(n_docs, f_t)` does not reproduce bit for
+    /// bit.
     pub fn push_page(&mut self, page: &Page) {
-        assert!(self.pages_left > 0, "more pages than the term declared");
-        self.pages_left -= 1;
-        let offset = self.buf.len();
-        encode_postings_into(page.postings(), &mut self.buf);
-        let byte_len = (self.buf.len() - offset) as u32;
-        self.put_dir(&(offset as u64).to_le_bytes());
-        self.put_dir(&byte_len.to_le_bytes());
-        self.put_dir(&(page.len() as u32).to_le_bytes());
-        self.put_dir(&page.checksum().to_le_bytes());
+        assert!(
+            self.started > 0 && self.pages < self.f_t.div_ceil(self.page_size),
+            "more pages than the term's f_t gives"
+        );
+        let id = PageId::new(TermId(self.started - 1), self.pages);
+        assert_eq!(page.id(), id, "pages must arrive in (term, page) order");
+        assert_eq!(
+            page.len(),
+            page_postings(self.f_t, self.page_size, self.pages) as usize,
+            "page {id} does not hold the posting count f_t and page_size give"
+        );
+        assert_eq!(
+            weights::term_weight(page.max_freq(), self.idf).to_bits(),
+            page.max_weight().to_bits(),
+            "page {id}: idf(n_docs, f_t) does not reproduce its max_weight"
+        );
+        self.pages += 1;
+        let start = self.payload.len();
+        encode_postings_into(page.postings(), &mut self.payload);
+        put_vbyte(&mut self.dir, (self.payload.len() - start) as u64);
+        self.dir
+            .extend_from_slice(&seal(page.checksum(), self.idf).to_le_bytes());
     }
 
-    /// Seals the directory with its FNV trailer and writes the file to
-    /// `path`.
+    /// Seals the directory with its length and FNV trailer and writes
+    /// the file to `path`.
     ///
     /// # Panics
     /// If fewer terms or pages arrived than were declared.
     pub fn finish(mut self, path: &Path) -> Result<(), PageFileError> {
         assert!(
-            self.terms_left == 0 && self.dir_at == self.dir_end,
+            self.started == self.n_terms && self.pages == self.f_t.div_ceil(self.page_size),
             "fewer terms or pages than declared"
         );
-        let trailer = fnv1a(&self.buf[..self.dir_end]);
-        self.buf[self.dir_end..self.dir_end + 8].copy_from_slice(&trailer.to_le_bytes());
-        write_atomically(&self.buf, path)
+        let dir_len = u32::try_from(self.dir.len() - HEADER_LEN).expect("directory over 4 GiB");
+        self.dir[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&dir_len.to_le_bytes());
+        let trailer = fnv1a(&self.dir);
+        self.dir.extend_from_slice(&trailer.to_le_bytes());
+        let tmp = path.with_extension("tmp");
+        {
+            let mut f = fs::File::create(&tmp)?;
+            f.write_all(&self.dir)?;
+            f.write_all(&self.payload)?;
+            f.sync_all()?;
+        }
+        fs::rename(&tmp, path)?;
+        Ok(())
     }
-
-    fn put_dir(&mut self, bytes: &[u8]) {
-        let end = self.dir_at + bytes.len();
-        assert!(end <= self.dir_end, "more terms or pages than declared");
-        self.buf[self.dir_at..end].copy_from_slice(bytes);
-        self.dir_at = end;
-    }
-}
-
-fn write_atomically(buf: &[u8], path: &Path) -> Result<(), PageFileError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(buf)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 /// How a [`FilePageStore`] services payload reads.
@@ -215,18 +293,14 @@ pub enum FileMode {
     Buffered,
 }
 
+/// One term's directory entry, as rebuilt at open.
 #[derive(Clone, Copy, Debug)]
-struct PageDir {
-    offset: u64,
-    byte_len: u32,
-    n_postings: u32,
-    checksum: u64,
-}
-
-#[derive(Clone, Debug)]
 struct TermDir {
+    /// `f_t`: postings in the list.
+    f_t: u32,
+    /// Index of the list's first page in the per-page arrays.
+    first_page: u32,
     idf: f64,
-    pages: Vec<PageDir>,
 }
 
 #[derive(Debug, Default)]
@@ -244,14 +318,22 @@ struct FileState {
 /// stats-update order identical to the read order.
 pub struct FilePageStore {
     file: fs::File,
-    dir: Vec<TermDir>,
+    page_size: u32,
+    terms: Vec<TermDir>,
+    /// Every page's absolute offset, then the payload's end: page `i`
+    /// spans `offsets[i]..offsets[i + 1]`.
+    offsets: Vec<u64>,
+    /// Every page's build-time checksum, unsealed with the `idf_t` its
+    /// list's `f_t` gives.
+    checksums: Vec<u64>,
     state: Mutex<FileState>,
 }
 
 impl fmt::Debug for FilePageStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FilePageStore")
-            .field("n_terms", &self.dir.len())
+            .field("n_terms", &self.terms.len())
+            .field("n_pages", &self.checksums.len())
             .finish()
     }
 }
@@ -267,101 +349,172 @@ fn pread(file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
 
 #[cfg(not(unix))]
 fn pread(file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    use std::io::{Seek, SeekFrom};
+    use std::io::{Read, Seek, SeekFrom};
     let mut f = file;
     f.seek(SeekFrom::Start(offset))?;
     f.read_exact(buf)
 }
 
-impl FilePageStore {
-    /// Opens a page file written by [`PageFileWriter`], loading and
-    /// verifying the directory.
-    pub fn open(path: &Path, _mode: FileMode) -> Result<Self, PageFileError> {
-        let mut file = fs::File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let mut head = Vec::new();
-        let mut take = |n: usize, head: &mut Vec<u8>| -> Result<usize, PageFileError> {
-            let start = head.len();
-            // Sizes here come from the (not yet verified) directory
-            // itself — bound them by the file before allocating, so a
-            // corrupt count is an error, not a giant zeroed buffer.
-            if (start + n) as u64 > file_len {
-                return Err(PageFileError::Corrupt(format!(
-                    "directory claims {n} bytes at {start}, file has {file_len}"
-                )));
+fn corrupt(msg: String) -> PageFileError {
+    PageFileError::Corrupt(msg)
+}
+
+/// A cursor over the directory bytes.
+struct DirReader<'a> {
+    dir: &'a [u8],
+    at: usize,
+}
+
+impl DirReader<'_> {
+    /// A v-byte field of at most 32 bits; `None` if the directory ends
+    /// inside it or it overflows.
+    fn vbyte(&mut self) -> Option<u32> {
+        let mut v: u64 = 0;
+        for shift in (0..35).step_by(7) {
+            let byte = *self.dir.get(self.at)?;
+            self.at += 1;
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 != 0 {
+                return u32::try_from(v).ok();
             }
-            head.resize(start + n, 0);
-            file.read_exact(&mut head[start..]).map_err(|e| {
-                PageFileError::Corrupt(format!("truncated directory at byte {start}: {e}"))
-            })?;
-            Ok(start)
-        };
-        let at = take(8, &mut head)?;
-        if &head[at..at + 4] != MAGIC {
-            return Err(PageFileError::Corrupt("bad magic".into()));
         }
-        let version = u32::from_le_bytes(head[at + 4..at + 8].try_into().unwrap());
+        None
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        let bytes = self.dir.get(self.at..self.at + 8)?;
+        self.at += 8;
+        Some(u64::from_le_bytes(bytes.try_into().unwrap()))
+    }
+}
+
+impl FilePageStore {
+    /// Opens a page file written by [`PageFileWriter`], reading its
+    /// header, directory and trailer and checking them (see the
+    /// module doc) before the directory is rebuilt.
+    pub fn open(path: &Path, _mode: FileMode) -> Result<Self, PageFileError> {
+        let file = fs::File::open(path)?;
+        let file_len = file.metadata()?.len();
+        if file_len < (HEADER_LEN + 8) as u64 {
+            return Err(corrupt(format!(
+                "{file_len} bytes cannot hold a header and trailer"
+            )));
+        }
+        let mut head = vec![0u8; HEADER_LEN];
+        pread(&file, &mut head, 0)?;
+        if &head[..4] != MAGIC {
+            return Err(corrupt("bad magic".into()));
+        }
+        let field = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().unwrap());
+        let version = field(4);
         if version != VERSION {
-            return Err(PageFileError::Corrupt(format!(
+            return Err(corrupt(format!(
                 "unsupported version {version} (expected {VERSION})"
             )));
         }
-        let at = take(5, &mut head)?;
-        let encoding = head[at];
+        let encoding = head[8];
         if encoding != ENCODING_ID {
-            return Err(PageFileError::Corrupt(format!(
+            return Err(corrupt(format!(
                 "unknown encoding id {encoding} (expected {ENCODING_ID})"
             )));
         }
-        let reserved = u32::from_le_bytes(head[at + 1..at + 5].try_into().unwrap());
+        let reserved = field(9);
         if reserved != 0 {
-            return Err(PageFileError::Corrupt(format!(
+            return Err(corrupt(format!(
                 "reserved header length is {reserved}, must be 0"
             )));
         }
-        let at = take(4, &mut head)?;
-        let n_terms = u32::from_le_bytes(head[at..at + 4].try_into().unwrap()) as usize;
-        // A term's directory entry is at least 12 bytes, so the file
-        // bounds how many the count can honestly claim.
-        let mut dir = Vec::with_capacity(n_terms.min((file_len / 12) as usize));
-        for _ in 0..n_terms {
-            let at = take(12, &mut head)?;
-            let n_pages = u32::from_le_bytes(head[at..at + 4].try_into().unwrap()) as usize;
-            let idf = f64::from_le_bytes(head[at + 4..at + 12].try_into().unwrap());
-            let at = take(n_pages * 24, &mut head)?;
-            let pages = (0..n_pages)
-                .map(|i| {
-                    let e = &head[at + i * 24..at + (i + 1) * 24];
-                    PageDir {
-                        offset: u64::from_le_bytes(e[0..8].try_into().unwrap()),
-                        byte_len: u32::from_le_bytes(e[8..12].try_into().unwrap()),
-                        n_postings: u32::from_le_bytes(e[12..16].try_into().unwrap()),
-                        checksum: u64::from_le_bytes(e[16..24].try_into().unwrap()),
-                    }
-                })
-                .collect();
-            dir.push(TermDir { idf, pages });
+        let (n_docs, page_size, n_terms, dir_len) = (field(13), field(17), field(21), field(25));
+        let dir_end = HEADER_LEN as u64 + u64::from(dir_len);
+        if dir_end + 8 > file_len {
+            return Err(corrupt(format!(
+                "a {dir_len}-byte directory does not fit a {file_len}-byte file"
+            )));
         }
-        let computed = fnv1a(&head);
-        let mut trailer = [0u8; 8];
-        file.read_exact(&mut trailer)
-            .map_err(|e| PageFileError::Corrupt(format!("missing directory checksum: {e}")))?;
-        let stored = u64::from_le_bytes(trailer);
+        if page_size == 0 {
+            return Err(corrupt("page size 0".into()));
+        }
+        // Every term takes at least one directory byte.
+        if n_terms > dir_len {
+            return Err(corrupt(format!(
+                "{n_terms} terms cannot fit a {dir_len}-byte directory"
+            )));
+        }
+        head.resize(dir_end as usize + 8, 0);
+        pread(&file, &mut head[HEADER_LEN..], HEADER_LEN as u64)?;
+        let dir_end = dir_end as usize;
+
+        let mut r = DirReader {
+            dir: &head[HEADER_LEN..dir_end],
+            at: 0,
+        };
+        let mut terms = Vec::with_capacity(n_terms as usize);
+        // A page's entry takes at least nine bytes.
+        let max_pages = dir_len as usize / 9;
+        let mut offsets = Vec::with_capacity(max_pages + 1);
+        let mut checksums = Vec::with_capacity(max_pages);
+        let mut offset = dir_end as u64 + 8; // the payload's start
+        for t in 0..n_terms {
+            let f_t = r
+                .vbyte()
+                .ok_or_else(|| corrupt(format!("term {t}: unreadable f_t")))?;
+            if f_t > n_docs {
+                return Err(corrupt(format!(
+                    "term {t}: f_t {f_t} exceeds n_docs {n_docs}"
+                )));
+            }
+            let idf = term_idf(n_docs, f_t);
+            terms.push(TermDir {
+                f_t,
+                first_page: checksums.len() as u32,
+                idf,
+            });
+            for p in 0..f_t.div_ceil(page_size) {
+                let (len, checksum) = r
+                    .vbyte()
+                    .zip(r.u64())
+                    .ok_or_else(|| corrupt(format!("page t{t}:p{p}: unreadable entry")))?;
+                if len == 0 {
+                    return Err(corrupt(format!("page t{t}:p{p}: zero length")));
+                }
+                offsets.push(offset);
+                checksums.push(seal(checksum, idf));
+                offset += u64::from(len);
+            }
+        }
+        if r.at != r.dir.len() {
+            return Err(corrupt(format!(
+                "{} directory bytes after the last term",
+                r.dir.len() - r.at
+            )));
+        }
+        if offset != file_len {
+            return Err(corrupt(format!(
+                "page lengths end at byte {offset}, the payload at {file_len}"
+            )));
+        }
+        offsets.push(offset);
+
+        let stored = u64::from_le_bytes(head[dir_end..].try_into().unwrap());
+        let computed = fnv1a(&head[..dir_end]);
         if stored != computed {
-            return Err(PageFileError::Corrupt(format!(
+            return Err(corrupt(format!(
                 "directory checksum mismatch (stored {stored:#x}, computed {computed:#x})"
             )));
         }
         Ok(FilePageStore {
             file,
-            dir,
+            page_size,
+            terms,
+            offsets,
+            checksums,
             state: Mutex::new(FileState::default()),
         })
     }
 
     /// Total pages across all lists.
     pub fn total_pages(&self) -> usize {
-        self.dir.iter().map(|t| t.pages.len()).sum()
+        self.checksums.len()
     }
 
     /// Snapshot of the counters.
@@ -374,43 +527,41 @@ impl FilePageStore {
         *self.state.lock() = FileState::default();
     }
 
-    /// Locates `id` in the directory. Errors match `DiskSim`'s exactly.
-    fn entry(&self, id: PageId) -> IrResult<(&TermDir, &PageDir)> {
+    /// Locates `id`: its list's `idf_t`, its index in the per-page
+    /// arrays and its posting count. Errors match `DiskSim`'s exactly.
+    fn entry(&self, id: PageId) -> IrResult<(f64, usize, usize)> {
         let term = self
-            .dir
+            .terms
             .get(id.term.index())
             .ok_or(IrError::UnknownTerm(id.term))?;
-        let page = term
-            .pages
-            .get(id.page.index())
-            .ok_or(IrError::PageOutOfRange {
-                page: id,
-                list_len: term.pages.len() as u32,
-            })?;
-        Ok((term, page))
+        let list_len = term.f_t.div_ceil(self.page_size);
+        if id.page.0 >= list_len {
+            return Err(IrError::PageOutOfRange { page: id, list_len });
+        }
+        Ok((
+            term.idf,
+            term.first_page as usize + id.page.index(),
+            page_postings(term.f_t, self.page_size, id.page.0) as usize,
+        ))
     }
 
     /// Fetches and verifies one page. Any payload problem — short
-    /// read, truncation, flipped bit, nonsensical directory entry —
-    /// comes back as the retryable [`IrError::TornPage`]; this path
-    /// never panics on a damaged file.
+    /// read, truncation, flipped bit, undecodable bytes — comes back as
+    /// the retryable [`IrError::TornPage`]; this path never panics on a
+    /// damaged file.
     fn load_verified(&self, id: PageId) -> IrResult<Page> {
-        let (term, d) = self.entry(id)?;
+        let (idf, i, n_postings) = self.entry(id)?;
         let torn = || IrError::TornPage { page: id };
-        let len = d.byte_len as usize;
-        if d.n_postings == 0 || len == 0 {
-            return Err(torn());
-        }
-        let mut buf = vec![0u8; len];
-        pread(&self.file, &mut buf, d.offset).map_err(|_| torn())?;
+        let mut buf = vec![0u8; (self.offsets[i + 1] - self.offsets[i]) as usize];
+        pread(&self.file, &mut buf, self.offsets[i]).map_err(|_| torn())?;
         let postings = decode_postings(Bytes::from(buf)).ok_or_else(torn)?;
-        if postings.len() != d.n_postings as usize {
+        if postings.len() != n_postings {
             return Err(torn());
         }
-        let page = Page::new(id, postings.into(), term.idf);
+        let page = Page::new(id, postings.into(), idf);
         // `Page::new` recomputed the content checksum from what was
         // actually delivered; the directory holds the build-time one.
-        if page.checksum() != d.checksum {
+        if page.checksum() != self.checksums[i] {
             return Err(torn());
         }
         Ok(page)
@@ -453,46 +604,40 @@ impl PageStore for FilePageStore {
 mod tests {
     use super::*;
     use crate::disk::DiskSim;
-    use ir_types::{Posting, TermId};
+    use ir_types::Posting;
 
-    /// One term's pages plus the `idf_t` they were built with.
-    struct TermPages {
-        idf: f64,
-        pages: Vec<Page>,
+    const N_DOCS: u32 = 64;
+    const PAGE_SIZE: u32 = 4;
+
+    /// `n_terms` lists of `pages_per_term` pages each, cut the builder's
+    /// way: full pages, then a last page of 1–4 postings, every page
+    /// built with `idf(N_DOCS, f_t)`.
+    fn sample_terms(n_terms: u32, pages_per_term: u32) -> Vec<Vec<Page>> {
+        (0..n_terms)
+            .map(|t| {
+                let f_t = (pages_per_term - 1) * PAGE_SIZE + 1 + t % PAGE_SIZE;
+                let idf = weights::idf(N_DOCS, f_t);
+                // Frequency-sorted (f desc, d asc), with ties.
+                let list: Vec<Posting> = (0..f_t)
+                    .map(|d| Posting::new(d, 1 + (f_t - d) / 2))
+                    .collect();
+                list.chunks(PAGE_SIZE as usize)
+                    .enumerate()
+                    .map(|(p, chunk)| Page::new(pid(t, p as u32), chunk.into(), idf))
+                    .collect()
+            })
+            .collect()
     }
 
-    fn write_page_file(terms: &[TermPages], path: &Path) -> Result<(), PageFileError> {
-        let n_pages = terms.iter().map(|t| t.pages.len()).sum();
-        let mut file = PageFileWriter::new(terms.len(), n_pages);
-        for t in terms {
-            file.push_term(t.idf, t.pages.len() as u32);
-            for page in &t.pages {
+    fn write_page_file(terms: &[Vec<Page>], path: &Path) -> Result<(), PageFileError> {
+        let mut file = PageFileWriter::new(N_DOCS, PAGE_SIZE as usize, terms.len());
+        for pages in terms {
+            file.push_term(pages.iter().map(|p| p.len() as u32).sum());
+            for page in pages {
                 file.push_page(page);
             }
         }
         file.finish(path)
-    }
-
-    fn sample_terms(n_terms: u32, pages_per_term: u32) -> Vec<TermPages> {
-        (0..n_terms)
-            .map(|t| TermPages {
-                idf: f64::from(t + 1) * 0.5,
-                pages: (0..pages_per_term)
-                    .map(|p| {
-                        // Frequency-sorted within the page (f desc, d
-                        // asc), like every page the builder cuts.
-                        let postings: Vec<Posting> = (0..=p)
-                            .map(|d| Posting::new(d, pages_per_term + p - d))
-                            .collect();
-                        Page::new(
-                            PageId::new(TermId(t), p),
-                            postings.into(),
-                            f64::from(t + 1) * 0.5,
-                        )
-                    })
-                    .collect(),
-            })
-            .collect()
     }
 
     fn tmpfile(name: &str) -> std::path::PathBuf {
@@ -505,6 +650,38 @@ mod tests {
         PageId::new(TermId(t), p)
     }
 
+    /// The sample file's bytes and where its directory ends.
+    fn sample_file(name: &str, n_terms: u32, pages_per_term: u32) -> (Vec<Page>, Vec<u8>, usize) {
+        let terms = sample_terms(n_terms, pages_per_term);
+        let path = tmpfile(name);
+        write_page_file(&terms, &path).unwrap();
+        let data = fs::read(&path).unwrap();
+        let dir_len = u32::from_le_bytes(data[25..29].try_into().unwrap()) as usize;
+        (terms.concat(), data, HEADER_LEN + dir_len)
+    }
+
+    /// Writes `data` with the directory's FNV trailer recomputed, so a
+    /// patched header or directory reaches the structural checks
+    /// instead of the checksum, and opens it.
+    fn open_resealed(
+        name: &str,
+        mut data: Vec<u8>,
+        dir_end: usize,
+    ) -> Result<FilePageStore, PageFileError> {
+        let trailer = fnv1a(&data[..dir_end]);
+        data[dir_end..dir_end + 8].copy_from_slice(&trailer.to_le_bytes());
+        let p = tmpfile(name);
+        fs::write(&p, &data).unwrap();
+        FilePageStore::open(&p, FileMode::Buffered)
+    }
+
+    fn assert_corrupt(got: Result<FilePageStore, PageFileError>, names: &str, what: &str) {
+        match got {
+            Err(PageFileError::Corrupt(msg)) => assert!(msg.contains(names), "{what}: {msg}"),
+            other => panic!("{what}: expected corrupt, got {other:?}"),
+        }
+    }
+
     #[test]
     fn round_trips_pages_bit_exactly() {
         let terms = sample_terms(3, 4);
@@ -512,8 +689,12 @@ mod tests {
         write_page_file(&terms, &path).unwrap();
         let store = FilePageStore::open(&path, FileMode::Buffered).unwrap();
         assert_eq!(store.total_pages(), 12);
-        for (t, term) in terms.iter().enumerate() {
-            for (p, original) in term.pages.iter().enumerate() {
+        for (t, pages) in terms.iter().enumerate() {
+            assert!(
+                pages.last().unwrap().len() < PAGE_SIZE as usize,
+                "a partial last page"
+            );
+            for (p, original) in pages.iter().enumerate() {
                 let got = store.read_page(pid(t as u32, p as u32)).unwrap();
                 assert_eq!(got.postings(), original.postings());
                 assert_eq!(got.checksum(), original.checksum());
@@ -528,16 +709,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more terms or pages than declared")]
-    fn a_writer_refuses_pages_beyond_the_declared_directory() {
-        // The directory is sized from the totals given up front: a page
-        // past them must not overwrite the trailer or the payload.
-        let terms = sample_terms(1, 2);
-        let mut file = PageFileWriter::new(1, 1);
-        file.push_term(terms[0].idf, 2);
-        for page in &terms[0].pages {
-            file.push_page(page);
-        }
+    fn the_file_holds_only_lengths_checksums_and_f_t() {
+        let (pages, data, dir_end) = sample_file("sizing.bfpg", 3, 4);
+        let payload: usize = pages
+            .iter()
+            .map(|p| crate::codec::encode_postings(p.postings()).len())
+            .sum();
+        // Three one-byte f_t, twelve one-byte lengths and checksums.
+        assert_eq!(dir_end, HEADER_LEN + 3 + 12 * (1 + 8));
+        assert_eq!(data.len(), dir_end + 8 + payload);
+    }
+
+    #[test]
+    #[should_panic(expected = "more pages than the term's f_t gives")]
+    fn a_writer_refuses_pages_beyond_the_terms_f_t() {
+        let page = &sample_terms(1, 1)[0][0];
+        let mut file = PageFileWriter::new(N_DOCS, PAGE_SIZE as usize, 1);
+        file.push_term(page.len() as u32);
+        file.push_page(page);
+        file.push_page(page);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not reproduce its max_weight")]
+    fn a_writer_refuses_a_page_the_reader_would_weigh_differently() {
+        let postings: Vec<Posting> = vec![Posting::new(0, 3), Posting::new(1, 1)];
+        let mut file = PageFileWriter::new(N_DOCS, PAGE_SIZE as usize, 1);
+        file.push_term(2);
+        file.push_page(&Page::new(pid(0, 0), postings.into(), 0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold the posting count")]
+    fn a_writer_refuses_a_short_page_before_the_last() {
+        let idf = weights::idf(N_DOCS, 6);
+        let postings: Vec<Posting> = (0..3).map(|d| Posting::new(d, 1)).collect();
+        let mut file = PageFileWriter::new(N_DOCS, PAGE_SIZE as usize, 1);
+        file.push_term(6);
+        file.push_page(&Page::new(pid(0, 0), postings.into(), idf));
     }
 
     #[test]
@@ -546,7 +755,7 @@ mod tests {
         let path = tmpfile("stats_parity.bfpg");
         write_page_file(&terms, &path).unwrap();
         let file = FilePageStore::open(&path, FileMode::Buffered).unwrap();
-        let sim = DiskSim::new(terms.iter().map(|t| t.pages.clone()).collect());
+        let sim = DiskSim::new(terms.clone());
         let ids = [
             pid(0, 0),
             pid(0, 1),
@@ -598,11 +807,23 @@ mod tests {
         let path = tmpfile("trunc.bfpg");
         write_page_file(&terms, &path).unwrap();
         let full = fs::read(&path).unwrap();
-        // Cut the file mid-payload: the directory stays intact, so the
-        // open succeeds, but the last pages are short reads.
+        // Cut before open: the lengths no longer tile the payload.
         let cut = tmpfile("trunc_cut.bfpg");
         fs::write(&cut, &full[..full.len() - 10]).unwrap();
+        assert_corrupt(
+            FilePageStore::open(&cut, FileMode::Buffered),
+            "payload",
+            "cut before open",
+        );
+        // Cut under an open store: the last pages are short reads.
+        fs::write(&cut, &full).unwrap();
         let store = FilePageStore::open(&cut, FileMode::Buffered).unwrap();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&cut)
+            .unwrap()
+            .set_len(full.len() as u64 - 10)
+            .unwrap();
         assert!(store.read_page(pid(0, 0)).is_ok());
         let err = store.read_page(pid(0, 2)).unwrap_err();
         assert!(matches!(err, IrError::TornPage { page } if page == pid(0, 2)));
@@ -631,14 +852,8 @@ mod tests {
 
     #[test]
     fn corrupt_directory_is_rejected_at_open() {
-        let terms = sample_terms(2, 2);
-        let path = tmpfile("dir.bfpg");
-        write_page_file(&terms, &path).unwrap();
-        let original = fs::read(&path).unwrap();
-        // Directory region: header (magic, version, encoding id,
-        // reserved length, n_terms) through its trailer.
-        let dir_end = 17 + 2 * (12 + 2 * 24) + 8;
-        for offset in [0, 5, 13, 20, dir_end - 4] {
+        let (_, original, dir_end) = sample_file("dir.bfpg", 2, 2);
+        for offset in [0, 5, 13, 17, 21, 25, 30, dir_end - 4, dir_end + 3] {
             let mut bad = original.clone();
             bad[offset] ^= 0x5a;
             let p = tmpfile("dir_mut.bfpg");
@@ -651,13 +866,90 @@ mod tests {
                 "offset {offset}"
             );
         }
-        // Truncating inside the directory is also an open-time error.
-        let p = tmpfile("dir_trunc.bfpg");
-        fs::write(&p, &original[..20]).unwrap();
+        // Truncating inside the header or directory is also an open-time
+        // error.
+        for keep in [20, HEADER_LEN + 8, dir_end] {
+            let p = tmpfile("dir_trunc.bfpg");
+            fs::write(&p, &original[..keep]).unwrap();
+            assert!(
+                matches!(
+                    FilePageStore::open(&p, FileMode::Buffered),
+                    Err(PageFileError::Corrupt(_))
+                ),
+                "keep {keep}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_directory_whose_lengths_do_not_tile_the_payload_is_refused() {
+        let (_, original, dir_end) = sample_file("tile.bfpg", 2, 2);
+        // Byte HEADER_LEN is term 0's one-byte f_t; the next is its
+        // first page's one-byte length.
+        let mut bad = original.clone();
+        assert_eq!(bad[HEADER_LEN + 1] & 0x80, 0x80, "a one-byte length");
+        bad[HEADER_LEN + 1] += 1;
+        assert_corrupt(
+            open_resealed("tile_mut.bfpg", bad, dir_end),
+            "payload",
+            "length + 1",
+        );
+        // A byte of length moved from one page to the next still tiles:
+        // the open succeeds, and both pages are torn.
+        let mut moved = original.clone();
+        moved[HEADER_LEN + 1] -= 1;
+        moved[HEADER_LEN + 1 + 9] += 1;
+        let store = open_resealed("tile_moved.bfpg", moved, dir_end).unwrap();
         assert!(matches!(
-            FilePageStore::open(&p, FileMode::Buffered),
-            Err(PageFileError::Corrupt(_))
+            store.read_page(pid(0, 0)),
+            Err(IrError::TornPage { .. })
         ));
+        assert!(matches!(
+            store.read_page(pid(0, 1)),
+            Err(IrError::TornPage { .. })
+        ));
+        assert!(store.read_page(pid(1, 0)).is_ok());
+    }
+
+    #[test]
+    fn resealed_structural_damage_is_refused_at_open() {
+        let (_, original, dir_end) = sample_file("structure.bfpg", 2, 2);
+        let f_t = HEADER_LEN;
+        let patches: [(&str, usize, &[u8], &str); 6] = [
+            ("page size 0", 17, &[0], "page size"),
+            ("f_t above n_docs", f_t, &[0x80 | 65], "exceeds n_docs"),
+            ("zero page length", f_t + 1, &[0x80], "zero length"),
+            ("an f_t over 32 bits", f_t, &[0x7f; 5], "unreadable f_t"),
+            ("n_terms 3", 21, &[3], "unreadable f_t"),
+            ("n_terms 1", 21, &[1], "after the last term"),
+        ];
+        for (what, offset, bytes, names) in patches {
+            let mut bad = original.clone();
+            bad[offset..offset + bytes.len()].copy_from_slice(bytes);
+            assert_corrupt(
+                open_resealed("structure_mut.bfpg", bad, dir_end),
+                names,
+                what,
+            );
+        }
+    }
+
+    #[test]
+    fn a_page_count_preserving_f_t_edit_tears_every_page() {
+        // f_t 9 → 12 keeps three pages of four, so the directory still
+        // parses and tiles; the seal makes the full pages, now weighed
+        // with idf(N, 12), fail their checksums.
+        let (_, original, dir_end) = sample_file("f_t_edit.bfpg", 1, 3);
+        assert_eq!(original[HEADER_LEN], 0x80 | 9);
+        let mut bad = original.clone();
+        bad[HEADER_LEN] = 0x80 | 12;
+        let store = open_resealed("f_t_edit_mut.bfpg", bad, dir_end).unwrap();
+        for p in 0..3 {
+            assert!(matches!(
+                store.read_page(pid(0, p)),
+                Err(IrError::TornPage { .. })
+            ));
+        }
     }
 
     #[test]
@@ -671,50 +963,71 @@ mod tests {
 
     #[test]
     fn foreign_encoding_reserved_length_and_version_are_rejected_at_open() {
-        let terms = sample_terms(1, 1);
-        let path = tmpfile("header_fields.bfpg");
-        write_page_file(&terms, &path).unwrap();
-        let original = fs::read(&path).unwrap();
-        let dir_end = 17 + (12 + 24);
+        let (_, original, dir_end) = sample_file("header_fields.bfpg", 1, 1);
         // Bytes 4..8 are the version, 8 the encoding id, 9..13 the
         // reserved length. Each patch re-seals the directory trailer,
         // so the field check itself — not the checksum — must refuse.
-        let patches: [(&str, usize, u8, &str); 6] = [
+        let patches: [(&str, usize, u8, &str); 7] = [
             ("encoding 1 (was bulk v-byte)", 8, 1, "encoding"),
             ("encoding 2 (was Re-Pair)", 8, 2, "encoding"),
             ("encoding 9", 8, 9, "encoding"),
             ("reserved length 1", 9, 1, "reserved"),
             ("reserved length 1 << 24", 12, 1, "reserved"),
             ("version 1", 4, 1, "version"),
+            ("version 2", 4, 2, "version"),
         ];
         for (what, offset, value, names) in patches {
             let mut bad = original.clone();
             bad[offset] = value;
-            let trailer = fnv1a(&bad[..dir_end]);
-            bad[dir_end..dir_end + 8].copy_from_slice(&trailer.to_le_bytes());
-            let p = tmpfile("header_fields_mut.bfpg");
-            fs::write(&p, &bad).unwrap();
-            match FilePageStore::open(&p, FileMode::Buffered) {
-                Err(PageFileError::Corrupt(msg)) => {
-                    assert!(msg.contains(names), "{what}: {msg}")
-                }
-                other => panic!("{what}: expected corrupt, got {other:?}"),
-            }
+            assert_corrupt(
+                open_resealed("header_fields_mut.bfpg", bad, dir_end),
+                names,
+                what,
+            );
         }
     }
 
     #[test]
-    fn term_count_beyond_the_file_is_an_error_not_an_allocation() {
-        let terms = sample_terms(1, 1);
-        let path = tmpfile("n_terms.bfpg");
-        write_page_file(&terms, &path).unwrap();
-        let mut bad = fs::read(&path).unwrap();
-        bad[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
-        let p = tmpfile("n_terms_mut.bfpg");
-        fs::write(&p, &bad).unwrap();
-        assert!(matches!(
+    fn a_version_2_file_is_refused() {
+        // A one-term, one-page file in the version-2 layout: every page's
+        // offset, length, posting count and checksum, and each term's
+        // page count and stored idf.
+        let page = &sample_terms(1, 1)[0][0];
+        let payload = crate::codec::encode_postings(page.postings());
+        let mut v2 = Vec::new();
+        v2.extend_from_slice(MAGIC);
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.push(ENCODING_ID);
+        v2.extend_from_slice(&0u32.to_le_bytes());
+        v2.extend_from_slice(&1u32.to_le_bytes()); // n_terms
+        v2.extend_from_slice(&1u32.to_le_bytes()); // n_pages
+        v2.extend_from_slice(&weights::idf(N_DOCS, page.len() as u32).to_le_bytes());
+        v2.extend_from_slice(&(17u64 + 12 + 24 + 8).to_le_bytes());
+        v2.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v2.extend_from_slice(&(page.len() as u32).to_le_bytes());
+        v2.extend_from_slice(&page.checksum().to_le_bytes());
+        let trailer = fnv1a(&v2);
+        v2.extend_from_slice(&trailer.to_le_bytes());
+        v2.extend_from_slice(&payload);
+        let p = tmpfile("v2.bfpg");
+        fs::write(&p, &v2).unwrap();
+        assert_corrupt(
             FilePageStore::open(&p, FileMode::Buffered),
-            Err(PageFileError::Corrupt(_))
-        ));
+            "version 2",
+            "a v2 file",
+        );
+    }
+
+    #[test]
+    fn counts_beyond_the_file_are_errors_not_allocations() {
+        let (_, original, dir_end) = sample_file("counts.bfpg", 1, 1);
+        for (what, offset, names) in [
+            ("n_terms", 21, "terms cannot fit"),
+            ("directory length", 25, "does not fit"),
+        ] {
+            let mut bad = original.clone();
+            bad[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_corrupt(open_resealed("counts_mut.bfpg", bad, dir_end), names, what);
+        }
     }
 }

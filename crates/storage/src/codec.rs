@@ -85,7 +85,7 @@ fn decode_meters() -> &'static DecodeMeters {
     })
 }
 
-fn put_vbyte(buf: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_vbyte(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
