@@ -44,12 +44,14 @@ pub fn index_corpus_with(
     )
 }
 
-/// Fully parameterized corpus indexing.
+/// Fully parameterized corpus indexing. The build reads the corpus's
+/// documents in place ([`IndexBuilder::build_from`]), without a copy.
 pub fn index_corpus_opts(corpus: &Corpus, options: IndexCorpusOptions) -> IrResult<InvertedIndex> {
     let mut builder = IndexBuilder::new();
-    // Intern only the ranks that occur, densely, in rank order.
+    // Intern only the ranks that occur, densely, in rank order. A rank
+    // that never occurs keeps an id no term has.
     let vocab = corpus.config.vocab_size as usize;
-    let mut ids: Vec<Option<TermId>> = vec![None; vocab];
+    let mut ids = vec![TermId(u32::MAX); vocab];
     let mut occurs = vec![false; vocab];
     for doc in &corpus.docs {
         for &(rank, _) in doc {
@@ -58,22 +60,25 @@ pub fn index_corpus_opts(corpus: &Corpus, options: IndexCorpusOptions) -> IrResu
     }
     for (rank, o) in occurs.iter().enumerate() {
         if *o {
-            ids[rank] = Some(builder.intern(&term_name(rank as u32)));
+            ids[rank] = builder.intern(&term_name(rank as u32));
         }
     }
-    for doc in &corpus.docs {
-        let counts = doc
+    let docs = || {
+        corpus
+            .docs
             .iter()
-            .map(|&(rank, f)| (ids[rank as usize].expect("occurring rank interned"), f));
-        builder.add_document_counts(counts)?;
-    }
-    builder.build(BuildOptions {
-        params: IndexParams::with_page_size(corpus.config.page_size)
-            .with_ordering(options.ordering),
-        derive_stop_words: 0,
-        measure_compression: options.measure_compression,
-        keep_forward: options.keep_forward,
-    })
+            .map(|doc| doc.iter().map(|&(rank, f)| (ids[rank as usize], f)))
+    };
+    builder.build_from(
+        docs,
+        BuildOptions {
+            params: IndexParams::with_page_size(corpus.config.page_size)
+                .with_ordering(options.ordering),
+            derive_stop_words: 0,
+            measure_compression: options.measure_compression,
+            keep_forward: options.keep_forward,
+        },
+    )
 }
 
 /// Converts a topic query into the `(name, f_{q,t})` pairs the core
@@ -130,6 +135,67 @@ mod tests {
             (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
         });
         assert_eq!((bytes.len(), fnv), (80_044, 0x214b_3da1_0575_39a8));
+    }
+
+    #[test]
+    fn the_borrowed_corpus_builds_what_added_documents_build() {
+        use ir_storage::PageStore;
+        let corpus = Corpus::generate(CorpusConfig::tiny());
+        let borrowed = index_corpus(&corpus, false).unwrap();
+        // The same documents added one by one, under the same ids.
+        let mut builder = IndexBuilder::new();
+        for (t, _) in borrowed.lexicon().iter() {
+            builder.intern(borrowed.lexicon().name(t));
+        }
+        for doc in &corpus.docs {
+            let counts: Vec<(TermId, u32)> = doc
+                .iter()
+                .map(|&(rank, f)| (builder.intern(&term_name(rank)), f))
+                .collect();
+            builder.add_document_counts(counts).unwrap();
+        }
+        let added = builder
+            .build(BuildOptions {
+                params: IndexParams::with_page_size(corpus.config.page_size),
+                ..BuildOptions::default()
+            })
+            .unwrap();
+        assert_eq!(added.total_pages(), borrowed.total_pages());
+        for (term, e) in borrowed.lexicon().iter() {
+            assert_eq!(added.lexicon().entry(term).unwrap().n_pages, e.n_pages);
+            for p in 0..e.n_pages {
+                let id = ir_types::PageId::new(term, p);
+                let (a, b) = (
+                    added.disk().read_page(id).unwrap(),
+                    borrowed.disk().read_page(id).unwrap(),
+                );
+                assert_eq!(a.postings(), b.postings(), "{id:?}");
+                assert_eq!(a.checksum(), b.checksum(), "{id:?}");
+                assert_eq!(a.max_weight().to_bits(), b.max_weight().to_bits(), "{id:?}");
+            }
+        }
+        let bits = |idx: &InvertedIndex| -> Vec<u64> {
+            idx.doc_stats()
+                .as_slice()
+                .iter()
+                .map(|w| w.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&added), bits(&borrowed));
+    }
+
+    #[test]
+    fn the_index_reports_one_slab_and_a_record_per_page() {
+        let corpus = Corpus::generate(CorpusConfig::tiny());
+        let idx = index_corpus(&corpus, false).unwrap();
+        let memory = idx.memory();
+        assert_eq!(memory.postings as u64, 8 * corpus.total_postings());
+        assert_eq!(
+            memory.page_records,
+            24 * idx.total_pages() + 4 * (idx.n_terms() + 1)
+        );
+        assert_eq!(memory.vector_lengths, 8 * corpus.config.n_docs as usize);
+        assert!(memory.lexicon > 0 && memory.conversion > 0);
     }
 
     #[test]

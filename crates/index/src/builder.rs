@@ -3,22 +3,28 @@
 //! The paper builds its index by summing term occurrences per document
 //! into `(d, f_{d,t})` entries, grouping them into inverted lists, and
 //! sorting each list with `f_{d,t}` as primary and `d` as secondary key.
-//! [`IndexBuilder`] does exactly that, from either analyzed token
-//! streams ([`IndexBuilder::add_document`]) or pre-counted term
-//! frequencies ([`IndexBuilder::add_document_counts`], used by the
-//! synthetic corpus generator).
+//! [`IndexBuilder`] builds the same lists from analyzed token streams
+//! ([`IndexBuilder::add_document`]), from pre-counted term frequencies
+//! ([`IndexBuilder::add_document_counts`]), or over a borrowed
+//! collection without copying it ([`IndexBuilder::build_from`], used
+//! for the synthetic corpus).
 //!
 //! The collection-derived stop list (the 100 terms with highest `f_t`,
 //! §4.2 footnote 11) is applied at build time via
 //! [`BuildOptions::derive_stop_words`]: stopped terms keep their lexicon
 //! slot but lose their inverted list and contribute nothing to `W_d`.
 //!
-//! The build runs on the calling thread, one term at a time in term-id
-//! order. Lists arrive in document order, so a counting sort on the
-//! frequency puts each in frequency order, and its histogram is the
-//! term's conversion-table row. Each list is freed once it is cut into
-//! pages, and every `W_d²` is summed in term-id order, so the lengths
-//! are the same to the bit on every machine.
+//! The build inverts by counting, on the calling thread, and never holds
+//! a list of its own: every posting goes straight to its final slot in
+//! the one slab the [`DiskSim`] then serves. Pass 1 over the documents
+//! counts each term's `f_t` and `f_max`, which place its list in the
+//! slab and size its conversion-table row; pass 2 fills the rows, whose
+//! suffix sums say where each frequency's run starts; pass 3 scatters
+//! every `(d, f_{d,t})` to the next free slot of its run. Documents are
+//! visited in id order, so each run comes out document-ascending — the
+//! paper's order, with no sort. Then, per term in term-id order, come
+//! `idf_t`, the `W_d²` sums and the page records, so the lengths are the
+//! same to the bit on every machine.
 
 use crate::conversion::ConversionTable;
 use crate::docstats::DocStats;
@@ -26,10 +32,9 @@ use crate::forward::ForwardIndex;
 use crate::index::InvertedIndex;
 use crate::lexicon::Lexicon;
 use ir_storage::codec::{self, CompressionStats};
-use ir_storage::{DiskSim, Page};
+use ir_storage::DiskSim;
 use ir_types::{
-    doc_order, frequency_order, DocId, IndexParams, IrError, IrResult, ListOrdering, PageId,
-    Posting, TermId,
+    frequency_order, DocId, IndexParams, IrError, IrResult, ListOrdering, Posting, TermId,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -91,8 +96,10 @@ impl BuildOptions {
 #[derive(Debug, Default)]
 pub struct IndexBuilder {
     lexicon: Lexicon,
-    postings: Vec<Vec<Posting>>,
-    n_docs: u32,
+    /// Every added document's `(t, f_{d,t})` pairs, back to back.
+    pairs: Vec<(TermId, u32)>,
+    /// Document `d`'s pairs end at `pairs[doc_ends[d]]`.
+    doc_ends: Vec<usize>,
 }
 
 impl IndexBuilder {
@@ -103,11 +110,7 @@ impl IndexBuilder {
 
     /// Interns a term ahead of time (for the counts-based path).
     pub fn intern(&mut self, name: &str) -> TermId {
-        let id = self.lexicon.intern(name);
-        if id.index() >= self.postings.len() {
-            self.postings.resize_with(id.index() + 1, Vec::new);
-        }
-        id
+        self.lexicon.intern(name)
     }
 
     /// Adds one document given its token stream (already analyzed:
@@ -123,7 +126,8 @@ impl IndexBuilder {
             let id = self.intern(tok.as_ref());
             *counts.entry(id).or_insert(0) += 1;
         }
-        self.add_counts_internal(counts.into_iter())
+        self.pairs.extend(counts);
+        self.end_document()
     }
 
     /// Adds one document from pre-counted `(term, f_{d,t})` pairs.
@@ -137,33 +141,27 @@ impl IndexBuilder {
         &mut self,
         counts: impl IntoIterator<Item = (TermId, u32)>,
     ) -> IrResult<DocId> {
-        let counts: Vec<(TermId, u32)> = counts.into_iter().collect();
-        for &(t, f) in &counts {
-            if t.index() >= self.postings.len() {
-                return Err(IrError::UnknownTerm(t));
-            }
-            if f == 0 {
-                return Err(IrError::InvalidConfig(format!(
-                    "zero frequency for term {t} in document {}",
-                    self.n_docs
-                )));
-            }
+        let start = self.pairs.len();
+        self.pairs.extend(counts);
+        let checked = self.pairs[start..]
+            .iter()
+            .try_for_each(|&(t, f)| check_pair(&self.lexicon, self.n_docs(), t, f));
+        if let Err(e) = checked {
+            self.pairs.truncate(start);
+            return Err(e);
         }
-        Ok(self.add_counts_internal(counts.into_iter()))
+        Ok(self.end_document())
     }
 
-    fn add_counts_internal(&mut self, counts: impl Iterator<Item = (TermId, u32)>) -> DocId {
-        let doc = DocId(self.n_docs);
-        self.n_docs += 1;
-        for (t, f) in counts {
-            self.postings[t.index()].push(Posting { doc, freq: f });
-        }
+    fn end_document(&mut self) -> DocId {
+        let doc = DocId(self.n_docs());
+        self.doc_ends.push(self.pairs.len());
         doc
     }
 
     /// Documents added so far.
     pub fn n_docs(&self) -> u32 {
-        self.n_docs
+        self.doc_ends.len() as u32
     }
 
     /// Terms interned so far.
@@ -171,145 +169,236 @@ impl IndexBuilder {
         self.lexicon.len()
     }
 
-    /// Finalizes the index.
+    /// Finalizes the index over the documents added so far.
     ///
     /// # Errors
-    /// [`IrError::InvalidConfig`] if no documents were added.
+    /// [`IrError::InvalidConfig`] if no documents were added or the
+    /// collection holds more than `u32::MAX` postings.
     pub fn build(self, options: BuildOptions) -> IrResult<InvertedIndex> {
         let IndexBuilder {
-            mut lexicon,
-            mut postings,
-            n_docs,
+            lexicon,
+            pairs,
+            doc_ends,
         } = self;
-        if n_docs == 0 {
+        let docs = || {
+            let starts = std::iter::once(0).chain(doc_ends.iter().copied());
+            starts
+                .zip(&doc_ends)
+                .map(|(start, &end)| pairs[start..end].iter().copied())
+        };
+        invert(lexicon, docs, options)
+    }
+
+    /// Finalizes the index over `docs` instead of documents added one
+    /// by one, without copying them. Every call of `docs` must yield
+    /// the same documents in id order — the build passes over them up
+    /// to four times — each as `(t, f_{d,t})` pairs of interned terms.
+    ///
+    /// # Errors
+    /// [`IrError::InvalidConfig`] if documents were also added one by
+    /// one, `docs` yields none, a frequency is zero or the collection
+    /// holds more than `u32::MAX` postings; [`IrError::UnknownTerm`]
+    /// for an uninterned term.
+    pub fn build_from<D, I, J>(self, docs: D, options: BuildOptions) -> IrResult<InvertedIndex>
+    where
+        D: Fn() -> I,
+        I: Iterator<Item = J>,
+        J: IntoIterator<Item = (TermId, u32)>,
+    {
+        if !self.doc_ends.is_empty() {
             return Err(IrError::InvalidConfig(
-                "cannot build an index over zero documents".into(),
+                "build_from cannot also build over added documents".into(),
             ));
         }
-        let page_size = options.params.page_size;
-
-        // 1. Collection-derived stop words: top-k by document frequency.
-        if options.derive_stop_words > 0 {
-            let mut by_df: Vec<(usize, usize)> = postings
-                .iter()
-                .enumerate()
-                .map(|(t, l)| (t, l.len()))
-                .collect();
-            by_df.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            for &(t, _) in by_df.iter().take(options.derive_stop_words) {
-                lexicon.entry_mut(TermId(t as u32)).stopped = true;
-                postings[t].clear();
-                postings[t].shrink_to_fit();
-            }
-        }
-
-        // Optional forward index, inverted back out of the (not yet
-        // sorted) postings; stopped terms were already cleared.
-        let forward = options.keep_forward.then(|| {
-            let mut docs: Vec<Vec<(TermId, u32)>> = vec![Vec::new(); n_docs as usize];
-            for (t, list) in postings.iter().enumerate() {
-                for p in list {
-                    docs[p.doc.index()].push((TermId(t as u32), p.freq));
-                }
-            }
-            for d in docs.iter_mut() {
-                d.sort_unstable_by_key(|&(t, _)| t);
-            }
-            ForwardIndex::new(docs)
-        });
-
-        // 2-5. Per term, in term-id order (see the module docs): the
-        // conversion-table row, the sort, stats, W_d and the pages.
-        let ordering = options.params.ordering;
-        let mut lists: Vec<Vec<Page>> = Vec::with_capacity(postings.len());
-        let mut conversion = ConversionTable::new(page_size, ordering);
-        let mut wd_sq = vec![0.0f64; n_docs as usize];
-        let mut compression = CompressionStats::default();
-        let (mut sorted, mut cursor) = (Vec::new(), Vec::new());
-        for (t, mut list) in postings.into_iter().enumerate() {
-            let term = TermId(t as u32);
-            let counts = conversion.push_term(&list);
-            if list.is_empty() {
-                lists.push(Vec::new());
-                continue;
-            }
-            let list = match ordering {
-                ListOrdering::FrequencySorted => {
-                    frequency_sort(&list, counts, &mut cursor, &mut sorted);
-                    sorted.as_slice()
-                }
-                ListOrdering::DocIdSorted => {
-                    list.sort_unstable_by(doc_order);
-                    list.as_slice()
-                }
-            };
-            let doc_freq = list.len() as u32;
-            let idf = ir_types::weights::idf(n_docs, doc_freq);
-            for p in list {
-                let w = ir_types::weights::term_weight(p.freq, idf);
-                wd_sq[p.doc.index()] += w * w;
-            }
-            if options.measure_compression {
-                match ordering {
-                    ListOrdering::FrequencySorted => compression.add(codec::measure(list)),
-                    ListOrdering::DocIdSorted => {
-                        // The encoder requires frequency order; measure
-                        // on a sorted copy (sizes are what matter).
-                        let mut copy = list.to_vec();
-                        copy.sort_unstable_by(frequency_order);
-                        compression.add(codec::measure(&copy));
-                    }
-                }
-            }
-            let pages: Vec<Page> = list
-                .chunks(page_size)
-                .enumerate()
-                .map(|(i, chunk)| Page::new(PageId::new(term, i as u32), Arc::from(chunk), idf))
-                .collect();
-            let e = lexicon.entry_mut(term);
-            e.doc_freq = doc_freq;
-            e.idf = idf;
-            e.f_max = (counts.len() - 1) as u32;
-            e.n_postings = list.len() as u64;
-            e.n_pages = pages.len() as u32;
-            lists.push(pages);
-        }
-        let vector_lengths: Vec<f64> = wd_sq.into_iter().map(f64::sqrt).collect();
-
-        Ok(InvertedIndex::from_parts(
-            lexicon,
-            DocStats::new(vector_lengths),
-            conversion,
-            options.params,
-            Arc::new(DiskSim::new(lists)),
-            options.measure_compression.then_some(compression),
-            forward,
-        ))
+        invert(self.lexicon, docs, options)
     }
 }
 
-/// Writes `list` — postings in document order, as the builder collects
-/// them — into `out` in frequency order (`f_{d,t}` descending, then `d`
-/// ascending): a counting sort on the frequency, stable, so each run
-/// keeps document order. `counts` is the list's conversion-table row,
-/// whose entry `f` — the postings above `f` — is where frequency `f`'s
-/// run starts; `cursor` is a reusable buffer.
-fn frequency_sort(list: &[Posting], counts: &[u64], cursor: &mut Vec<u64>, out: &mut Vec<Posting>) {
-    debug_assert!(list.windows(2).all(|w| w[0].doc <= w[1].doc));
-    cursor.clear();
-    cursor.extend_from_slice(counts);
-    out.clear();
-    out.resize(list.len(), Posting::new(0, 0));
-    for &p in list {
-        let at = &mut cursor[p.freq as usize];
-        out[*at as usize] = p;
-        *at += 1;
+/// The per-posting checks: the term is interned and the frequency at
+/// least 1.
+fn check_pair(lexicon: &Lexicon, doc: u32, t: TermId, f: u32) -> IrResult<()> {
+    if t.index() >= lexicon.len() {
+        return Err(IrError::UnknownTerm(t));
     }
+    if f == 0 {
+        return Err(IrError::InvalidConfig(format!(
+            "zero frequency for term {t} in document {doc}"
+        )));
+    }
+    Ok(())
+}
+
+/// The build (see the module docs): inverts `docs` by counting into one
+/// slab, then seals each list in term-id order.
+fn invert<D, I, J>(mut lexicon: Lexicon, docs: D, options: BuildOptions) -> IrResult<InvertedIndex>
+where
+    D: Fn() -> I,
+    I: Iterator<Item = J>,
+    J: IntoIterator<Item = (TermId, u32)>,
+{
+    let n_terms = lexicon.len();
+    let page_size = options.params.page_size;
+    let ordering = options.params.ordering;
+
+    // Pass 1: f_t and f_max per term. Slab offsets are `u32`s, so the
+    // collection's postings (and with them each `f_t`) must fit one.
+    let too_many = |what: &str| IrError::InvalidConfig(format!("more than {} {what}", u32::MAX));
+    let mut doc_freq = vec![0u32; n_terms];
+    let mut f_max = vec![0u32; n_terms];
+    let (mut n_docs, mut n_postings) = (0u32, 0u32);
+    for doc in docs() {
+        for (t, f) in doc {
+            check_pair(&lexicon, n_docs, t, f)?;
+            n_postings = n_postings
+                .checked_add(1)
+                .ok_or_else(|| too_many("postings"))?;
+            doc_freq[t.index()] += 1;
+            f_max[t.index()] = f_max[t.index()].max(f);
+        }
+        n_docs = n_docs.checked_add(1).ok_or_else(|| too_many("documents"))?;
+    }
+    if n_docs == 0 {
+        return Err(IrError::InvalidConfig(
+            "cannot build an index over zero documents".into(),
+        ));
+    }
+
+    // Collection-derived stop words: top-k by document frequency. A
+    // stopped term's list is empty from here on, so a posting is kept
+    // exactly when its term's `doc_freq` is nonzero.
+    if options.derive_stop_words > 0 {
+        let mut by_df: Vec<usize> = (0..n_terms).collect();
+        by_df.sort_by(|&a, &b| doc_freq[b].cmp(&doc_freq[a]).then(a.cmp(&b)));
+        for &t in by_df.iter().take(options.derive_stop_words) {
+            lexicon.entry_mut(TermId(t as u32)).stopped = true;
+            doc_freq[t] = 0;
+            f_max[t] = 0;
+        }
+    }
+    let kept = |&(t, _): &(TermId, u32)| doc_freq[t.index()] != 0;
+
+    // Each list's place in the slab.
+    let mut term_start = Vec::with_capacity(n_terms + 1);
+    let mut total = 0u32;
+    term_start.push(0);
+    for &f_t in &doc_freq {
+        total += f_t;
+        term_start.push(total);
+    }
+
+    // Pass 2: the conversion-table rows.
+    let mut conversion = ConversionTable::with_rows(page_size, ordering, &f_max);
+    for doc in docs() {
+        for (t, f) in doc.into_iter().filter(kept) {
+            conversion.count(t.index(), f);
+        }
+    }
+    conversion.finish();
+
+    // Pass 3: the scatter. Under frequency order, frequency `f`'s run
+    // in term `t`'s list starts past the postings above `f` — cell `f`
+    // of the term's row — and has its own cursor; under document order
+    // a term's whole list is one run.
+    let per_frequency = ordering == ListOrdering::FrequencySorted;
+    let mut cursor: Vec<u32> = if per_frequency {
+        let mut cursor = Vec::with_capacity(conversion.row_start(n_terms));
+        for (t, &start) in term_start[..n_terms].iter().enumerate() {
+            let row = conversion.row(t).iter();
+            cursor.extend(row.map(|&above| start + above as u32));
+        }
+        cursor
+    } else {
+        term_start[..n_terms].to_vec()
+    };
+    let run = |t: usize, f: u32| {
+        if per_frequency {
+            conversion.row_start(t) + f as usize
+        } else {
+            t
+        }
+    };
+    let mut slab: Arc<[Posting]> =
+        std::iter::repeat_n(Posting::new(0, 0), total as usize).collect();
+    let out = Arc::get_mut(&mut slab).expect("a fresh slab is unshared");
+    for (d, doc) in docs().enumerate() {
+        for (t, f) in doc.into_iter().filter(kept) {
+            let at = &mut cursor[run(t.index(), f)];
+            out[*at as usize] = Posting::new(d as u32, f);
+            *at += 1;
+        }
+    }
+    drop(cursor);
+
+    // Optional forward index, read from the same documents, without
+    // the stopped terms.
+    let forward = options.keep_forward.then(|| {
+        ForwardIndex::new(
+            docs()
+                .map(|doc| {
+                    let mut terms: Vec<(TermId, u32)> = doc.into_iter().filter(kept).collect();
+                    terms.sort_by_key(|&(t, _)| t);
+                    terms
+                })
+                .collect(),
+        )
+    });
+
+    // Per term, in term-id order (see the module docs): idf, W_d² and
+    // the lexicon entry; the store then cuts the pages.
+    let mut wd_sq = vec![0.0f64; n_docs as usize];
+    let mut compression = CompressionStats::default();
+    for t in 0..n_terms {
+        let list = &slab[term_start[t] as usize..term_start[t + 1] as usize];
+        if list.is_empty() {
+            continue;
+        }
+        let idf = ir_types::weights::idf(n_docs, doc_freq[t]);
+        for p in list {
+            let w = ir_types::weights::term_weight(p.freq, idf);
+            wd_sq[p.doc.index()] += w * w;
+        }
+        if options.measure_compression {
+            match ordering {
+                ListOrdering::FrequencySorted => compression.add(codec::measure(list)),
+                ListOrdering::DocIdSorted => {
+                    // The encoder requires frequency order; measure
+                    // on a sorted copy (sizes are what matter).
+                    let mut copy = list.to_vec();
+                    copy.sort_unstable_by(frequency_order);
+                    compression.add(codec::measure(&copy));
+                }
+            }
+        }
+        let e = lexicon.entry_mut(TermId(t as u32));
+        e.doc_freq = doc_freq[t];
+        e.idf = idf;
+        e.f_max = f_max[t];
+        e.n_postings = list.len() as u64;
+        e.n_pages = list.len().div_ceil(page_size) as u32;
+    }
+    let vector_lengths: Vec<f64> = wd_sq.into_iter().map(f64::sqrt).collect();
+    let disk = DiskSim::from_slab(
+        slab,
+        lexicon.iter().map(|(_, e)| (e.n_postings as u32, e.idf)),
+        page_size,
+    );
+
+    Ok(InvertedIndex::from_parts(
+        lexicon,
+        DocStats::new(vector_lengths),
+        conversion,
+        options.params,
+        Arc::new(disk),
+        options.measure_compression.then_some(compression),
+        forward,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ir_storage::Page;
+    use ir_types::PageId;
 
     /// Three tiny documents with known statistics.
     fn small_index(options: BuildOptions) -> InvertedIndex {
@@ -441,24 +530,205 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn counting_sort_matches_the_comparison_sort() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(5);
-        let (mut cursor, mut sorted) = (Vec::new(), Vec::new());
-        for n in [1, 2, 3, 10, 100, 1_000] {
-            // Document order, as the builder collects a list.
-            let mut list: Vec<Posting> = (0..n)
-                .map(|_| Posting::new(rng.gen_range(0..5_000), rng.gen_range(1..9)))
-                .collect();
-            list.sort_unstable_by_key(|p| p.doc);
-            list.dedup_by_key(|p| p.doc);
-            let mut table = ConversionTable::new(1, ListOrdering::FrequencySorted);
-            let counts = table.push_term(&list);
-            frequency_sort(&list, counts, &mut cursor, &mut sorted);
-            list.sort_unstable_by(frequency_order);
-            assert_eq!(sorted, list, "n {n}");
+    /// The inversion as it was specified before the counting build:
+    /// each term's list collected in document order, stable-sorted on
+    /// descending frequency under frequency order, after the top-`f_t`
+    /// stop words are cleared.
+    struct Reference {
+        lists: Vec<Vec<Posting>>,
+        stopped: Vec<bool>,
+    }
+
+    impl Reference {
+        fn new(
+            docs: &[Vec<(TermId, u32)>],
+            n_terms: usize,
+            stop: usize,
+            ordering: ListOrdering,
+        ) -> Self {
+            let mut lists = vec![Vec::new(); n_terms];
+            for (d, doc) in docs.iter().enumerate() {
+                for &(t, f) in doc {
+                    lists[t.index()].push(Posting::new(d as u32, f));
+                }
+            }
+            let mut by_df: Vec<usize> = (0..n_terms).collect();
+            by_df.sort_by(|&a, &b| lists[b].len().cmp(&lists[a].len()).then(a.cmp(&b)));
+            let mut stopped = vec![false; n_terms];
+            for &t in by_df.iter().take(stop) {
+                stopped[t] = true;
+                lists[t].clear();
+            }
+            if ordering == ListOrdering::FrequencySorted {
+                for list in &mut lists {
+                    list.sort_by(|a, b| b.freq.cmp(&a.freq));
+                }
+            }
+            Reference { lists, stopped }
         }
+    }
+
+    /// Checks `index` against the reference, page by page and bit by bit.
+    fn assert_matches(index: &InvertedIndex, reference: &Reference, docs: &[Vec<(TermId, u32)>]) {
+        use ir_storage::PageStore;
+        let n_docs = docs.len() as u32;
+        let page_size = index.params().page_size;
+        for (t, list) in reference.lists.iter().enumerate() {
+            let term = TermId(t as u32);
+            let e = index.lexicon().entry(term).unwrap();
+            assert_eq!(e.stopped, reference.stopped[t], "term {t}");
+            assert_eq!(e.n_postings, list.len() as u64, "term {t}");
+            let f_max = list.iter().map(|p| p.freq).max().unwrap_or(0);
+            assert_eq!(e.f_max, f_max, "term {t}");
+            for f in 0..=f_max + 1 {
+                let above = list.iter().filter(|p| p.freq > f).count() as u64;
+                let got = index.conversion().postings_above(term, f64::from(f));
+                assert_eq!(got.unwrap(), above, "term {t}, f {f}");
+            }
+            let idf = if list.is_empty() {
+                0.0
+            } else {
+                ir_types::weights::idf(n_docs, list.len() as u32)
+            };
+            assert_eq!(e.idf.to_bits(), idf.to_bits(), "term {t}");
+            assert_eq!(e.n_pages as usize, list.chunks(page_size).len(), "term {t}");
+            for (i, chunk) in list.chunks(page_size).enumerate() {
+                let id = PageId::new(term, i as u32);
+                let want = Page::new(id, chunk.into(), idf);
+                let got = index.disk().read_page(id).unwrap();
+                assert_eq!(got.id(), id);
+                assert_eq!(got.postings(), want.postings(), "{id:?}");
+                assert_eq!(got.max_freq(), want.max_freq(), "{id:?}");
+                assert_eq!(
+                    got.max_weight().to_bits(),
+                    want.max_weight().to_bits(),
+                    "{id:?}"
+                );
+                assert_eq!(got.checksum(), want.checksum(), "{id:?}");
+            }
+        }
+        for (d, doc) in docs.iter().enumerate() {
+            let mut terms: Vec<(TermId, u32)> = doc
+                .iter()
+                .copied()
+                .filter(|&(t, _)| !reference.stopped[t.index()])
+                .collect();
+            terms.sort_by_key(|&(t, _)| t);
+            let mut sum = 0.0f64;
+            for &(t, f) in &terms {
+                let w = ir_types::weights::term_weight(f, index.idf(t).unwrap());
+                sum += w * w;
+            }
+            let got = index.doc_stats().vector_length(DocId(d as u32)).unwrap();
+            assert_eq!(got.to_bits(), sum.sqrt().to_bits(), "doc {d}");
+            let forward = index.forward().expect("kept");
+            assert_eq!(forward.terms(DocId(d as u32)).unwrap(), terms.as_slice());
+        }
+    }
+
+    #[test]
+    fn inversion_matches_the_per_term_reference() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(37);
+        for case in 0..60 {
+            let n_terms = rng.gen_range(1..40usize);
+            let docs: Vec<Vec<(TermId, u32)>> = (0..rng.gen_range(1..60))
+                .map(|_| {
+                    let mut doc: Vec<(TermId, u32)> = Vec::new();
+                    for _ in 0..rng.gen_range(0..12) {
+                        let t = TermId(rng.gen_range(0..n_terms as u32));
+                        if doc.iter().all(|&(u, _)| u != t) {
+                            let f = if rng.gen_range(0..10) == 0 {
+                                rng.gen_range(1..40)
+                            } else {
+                                rng.gen_range(1..4)
+                            };
+                            doc.push((t, f));
+                        }
+                    }
+                    doc
+                })
+                .collect();
+            let ordering = [ListOrdering::FrequencySorted, ListOrdering::DocIdSorted][case % 2];
+            let options = BuildOptions {
+                params: IndexParams::with_page_size(rng.gen_range(1..6)).with_ordering(ordering),
+                derive_stop_words: rng.gen_range(0..3),
+                measure_compression: case % 3 == 0,
+                keep_forward: true,
+            };
+            let reference = Reference::new(&docs, n_terms, options.derive_stop_words, ordering);
+            let names: Vec<String> = (0..n_terms).map(|t| format!("t{t}")).collect();
+            let interned = || {
+                let mut b = IndexBuilder::new();
+                for name in &names {
+                    b.intern(name);
+                }
+                b
+            };
+            // The token path, the counts path and the borrowed path.
+            let mut by_tokens = interned();
+            let mut by_counts = interned();
+            for doc in &docs {
+                by_tokens.add_document(doc.iter().flat_map(|&(t, f)| {
+                    std::iter::repeat(names[t.index()].as_str()).take(f as usize)
+                }));
+                by_counts.add_document_counts(doc.iter().copied()).unwrap();
+            }
+            let borrowed = interned()
+                .build_from(|| docs.iter().map(|doc| doc.iter().copied()), options)
+                .unwrap();
+            for index in [
+                by_tokens.build(options).unwrap(),
+                by_counts.build(options).unwrap(),
+                borrowed,
+            ] {
+                assert_matches(&index, &reference, &docs);
+            }
+        }
+    }
+
+    #[test]
+    fn every_page_is_a_window_on_one_slab() {
+        use ir_storage::PageStore;
+        let idx = small_index(BuildOptions {
+            params: IndexParams::with_page_size(1),
+            ..BuildOptions::default()
+        });
+        let mut pages = Vec::new();
+        for (term, e) in idx.lexicon().iter() {
+            for p in 0..e.n_pages {
+                pages.push(idx.disk().read_page(PageId::new(term, p)).unwrap());
+            }
+        }
+        assert_eq!(pages.len(), 5);
+        // In term-id order, each page starts where the one before ends:
+        // the postings are one allocation.
+        for w in pages.windows(2) {
+            assert_eq!(w[0].postings().as_ptr_range().end, w[1].postings().as_ptr());
+        }
+    }
+
+    #[test]
+    fn build_from_checks_its_input() {
+        let mut b = IndexBuilder::new();
+        let a = b.intern("a");
+        b.add_document_counts([(a, 1)]).unwrap();
+        let docs = || std::iter::once([(a, 1)]);
+        assert!(matches!(
+            b.build_from(docs, BuildOptions::default()),
+            Err(IrError::InvalidConfig(_))
+        ));
+        let b = IndexBuilder::new();
+        assert!(matches!(
+            b.build_from(docs, BuildOptions::default()),
+            Err(IrError::UnknownTerm(_))
+        ));
+        let mut b = IndexBuilder::new();
+        let a = b.intern("a");
+        assert!(matches!(
+            b.build_from(|| std::iter::once([(a, 0)]), BuildOptions::default()),
+            Err(IrError::InvalidConfig(_))
+        ));
     }
 
     #[test]

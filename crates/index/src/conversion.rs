@@ -53,43 +53,71 @@ impl ConversionTable {
         page_size: usize,
         ordering: ListOrdering,
     ) -> Self {
-        let mut table = ConversionTable::new(page_size, ordering);
-        for postings in lists {
-            table.push_term(postings);
+        let lists: Vec<&[Posting]> = lists.collect();
+        let f_max: Vec<u32> = lists
+            .iter()
+            .map(|l| l.iter().map(|p| p.freq).max().unwrap_or(0))
+            .collect();
+        let mut table = ConversionTable::with_rows(page_size, ordering, &f_max);
+        for (t, list) in lists.iter().enumerate() {
+            for p in *list {
+                table.count(t, p.freq);
+            }
         }
+        table.finish();
         table
     }
 
-    /// An empty table; terms are added in term-id order by
-    /// [`push_term`](Self::push_term).
-    pub(crate) fn new(page_size: usize, ordering: ListOrdering) -> Self {
+    /// A table of zeroed rows, term `t`'s with `f_max[t] + 1` cells, to
+    /// [`count`](Self::count) postings into and then
+    /// [`finish`](Self::finish).
+    ///
+    /// # Panics
+    /// Panics if `page_size` is zero.
+    pub(crate) fn with_rows(page_size: usize, ordering: ListOrdering, f_max: &[u32]) -> Self {
         assert!(page_size > 0, "page_size must be positive");
+        let mut starts = Vec::with_capacity(f_max.len() + 1);
+        starts.push(0);
+        for &f in f_max {
+            starts.push(starts[starts.len() - 1] + f as usize + 1);
+        }
         ConversionTable {
-            counts: Vec::new(),
-            starts: vec![0],
+            counts: vec![0; starts[f_max.len()]],
+            starts,
             page_size,
             doc_ordered: ordering == ListOrdering::DocIdSorted,
         }
     }
 
-    /// Appends the next term's row, from its postings in any order,
-    /// and returns it.
-    pub(crate) fn push_term(&mut self, postings: &[Posting]) -> &[u64] {
-        let start = self.counts.len();
-        let f_max = postings.iter().map(|p| p.freq).max().unwrap_or(0) as usize;
-        self.counts.resize(start + f_max + 1, 0);
-        let row = &mut self.counts[start..];
-        // First row[f - 1] = postings with frequency exactly f, then
-        // suffix sums.
-        for p in postings {
-            debug_assert!(p.freq >= 1);
-            row[p.freq as usize - 1] += 1;
+    /// Counts one posting of term `t` with frequency `freq` (≥ 1) into
+    /// its row: until [`finish`](Self::finish), cell `f - 1` holds the
+    /// postings with frequency exactly `f`.
+    #[inline]
+    pub(crate) fn count(&mut self, t: usize, freq: u32) {
+        debug_assert!(freq >= 1);
+        self.counts[self.starts[t] + freq as usize - 1] += 1;
+    }
+
+    /// Turns every counted row into its cumulative counts: cell `f`
+    /// becomes the postings with frequency above `f`.
+    pub(crate) fn finish(&mut self) {
+        for t in 0..self.len() {
+            let row = &mut self.counts[self.starts[t]..self.starts[t + 1]];
+            for f in (0..row.len() - 1).rev() {
+                row[f] += row[f + 1];
+            }
         }
-        for f in (0..f_max).rev() {
-            row[f] += row[f + 1];
-        }
-        self.starts.push(self.counts.len());
-        &self.counts[start..]
+    }
+
+    /// Where term `t`'s row starts among all rows' cells (for `t` the
+    /// number of terms, how many cells there are).
+    pub(crate) fn row_start(&self, t: usize) -> usize {
+        self.starts[t]
+    }
+
+    /// Term `t`'s row.
+    pub(crate) fn row(&self, t: usize) -> &[u64] {
+        &self.counts[self.starts[t]..self.starts[t + 1]]
     }
 
     /// `term`'s cumulative counts.

@@ -8,6 +8,30 @@ use ir_storage::{BufferManager, CompressionStats, DiskSim, PolicyKind};
 use ir_types::{IndexParams, IrResult, TermId};
 use std::sync::Arc;
 
+/// The bytes an [`InvertedIndex`] holds in memory, part by part (the
+/// optional forward index and compression figures aside).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IndexMemory {
+    /// The posting slab the simulated disk serves (8 B a posting).
+    pub postings: usize,
+    /// The simulated disk's page records (24 B a page, plus 4 B a term
+    /// to find a list's first).
+    pub page_records: usize,
+    /// Lexicon entries, the name arena and the name → id table.
+    pub lexicon: usize,
+    /// The BAF conversion table.
+    pub conversion: usize,
+    /// The document vector lengths `W_d` (8 B a document).
+    pub vector_lengths: usize,
+}
+
+impl IndexMemory {
+    /// All parts together.
+    pub fn total(&self) -> usize {
+        self.postings + self.page_records + self.lexicon + self.conversion + self.vector_lengths
+    }
+}
+
 /// A complete frequency-sorted inverted index: pages on the simulated
 /// disk plus the memory-resident structures (lexicon with `idf_t` /
 /// `f_max`, document vector lengths, BAF conversion table).
@@ -88,6 +112,17 @@ impl InvertedIndex {
     /// Total postings across all lists.
     pub fn total_postings(&self) -> u64 {
         self.lexicon.iter().map(|(_, e)| e.n_postings).sum()
+    }
+
+    /// What the index holds in memory, part by part.
+    pub fn memory(&self) -> IndexMemory {
+        IndexMemory {
+            postings: self.disk.postings_bytes(),
+            page_records: self.disk.records_bytes(),
+            lexicon: self.lexicon.memory_bytes(),
+            conversion: self.conversion.memory_bytes(),
+            vector_lengths: std::mem::size_of_val(self.doc_stats.as_slice()),
+        }
     }
 
     /// Compression statistics, if measured at build time.

@@ -7,8 +7,6 @@ use std::hash::{BuildHasher, RandomState};
 /// Per-term statistics, computed at index build time.
 #[derive(Clone, Debug, Serialize)]
 pub struct TermEntry {
-    /// The (analyzed) term string.
-    pub name: String,
     /// `f_t`: number of documents containing the term.
     pub doc_freq: u32,
     /// `idf_t = log₂(N / f_t)` (Eq. 4).
@@ -28,7 +26,9 @@ pub struct TermEntry {
 
 /// Term name ↔ id mapping plus per-term statistics.
 ///
-/// Each name is stored once, in its entry. The name → id map is an
+/// Each name is stored once, in one arena: term `t`'s name is
+/// `names[name_ends[t - 1]..name_ends[t]]` (from 0 for the first term),
+/// so the lexicon makes no allocation per term. The name → id map is an
 /// open-addressing table (linear probing, at most half full) of ids and
 /// the low 32 bits of a seeded hash of their names: a probe compares
 /// names only when those bits match, and growing the table re-places
@@ -39,6 +39,10 @@ pub struct Lexicon {
     slots: Vec<Slot>,
     hasher: RandomState,
     entries: Vec<TermEntry>,
+    /// Every name, back to back in id order.
+    names: String,
+    /// Term `t`'s name ends at byte `name_ends[t]` of `names`.
+    name_ends: Vec<u32>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -71,8 +75,10 @@ impl Lexicon {
         };
         let id = TermId(self.entries.len() as u32);
         self.slots[slot] = Slot { id: id.0, hash };
+        self.names.push_str(name);
+        let end = u32::try_from(self.names.len()).expect("term names total under 4 GiB");
+        self.name_ends.push(end);
         self.entries.push(TermEntry {
-            name: name.to_string(),
             doc_freq: 0,
             idf: 0.0,
             f_max: 0,
@@ -101,7 +107,7 @@ impl Lexicon {
             if slot.id == EMPTY {
                 return Err(i);
             }
-            if slot.hash == hash && self.entries[slot.id as usize].name == name {
+            if slot.hash == hash && self.name(TermId(slot.id)) == name {
                 return Ok(TermId(slot.id));
             }
             i = (i + 1) & mask;
@@ -125,6 +131,25 @@ impl Lexicon {
     pub fn require(&self, name: &str) -> IrResult<TermId> {
         self.lookup(name)
             .ok_or_else(|| IrError::UnknownTermString(name.to_string()))
+    }
+
+    /// The name of term `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` was never interned.
+    pub fn name(&self, id: TermId) -> &str {
+        let t = id.index();
+        let start = if t == 0 { 0 } else { self.name_ends[t - 1] };
+        &self.names[start as usize..self.name_ends[t] as usize]
+    }
+
+    /// Bytes the lexicon holds: entries, the name arena and its ends,
+    /// and the name → id table.
+    pub fn memory_bytes(&self) -> usize {
+        self.entries.len() * std::mem::size_of::<TermEntry>()
+            + self.names.len()
+            + self.name_ends.len() * std::mem::size_of::<u32>()
+            + self.slots.len() * std::mem::size_of::<Slot>()
     }
 
     /// The entry for `id`.
@@ -227,6 +252,7 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(lex.len(), 2);
+        assert_eq!((lex.name(a), lex.name(b)), ("price", "stock"));
     }
 
     #[test]

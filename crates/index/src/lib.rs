@@ -36,7 +36,7 @@ pub use builder::{BuildOptions, IndexBuilder};
 pub use conversion::ConversionTable;
 pub use docstats::DocStats;
 pub use forward::ForwardIndex;
-pub use index::InvertedIndex;
+pub use index::{IndexMemory, InvertedIndex};
 pub use ir_storage::codec::{
     decode_postings, decode_postings_into, encode_postings, CompressionStats,
 };

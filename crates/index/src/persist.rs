@@ -178,8 +178,8 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
     w.u32(0); // reserved length
 
     // Lexicon.
-    for (_, e) in index.lexicon().iter() {
-        let name = e.name.as_bytes();
+    for (term, e) in index.lexicon().iter() {
+        let name = index.lexicon().name(term).as_bytes();
         if name.len() > u16::MAX as usize {
             return Err(PersistError::Corrupt(format!(
                 "term name too long ({} bytes)",
@@ -512,7 +512,7 @@ mod tests {
         assert_eq!(loaded.params().page_size, idx.params().page_size);
         for (term, e) in idx.lexicon().iter() {
             let l = loaded.lexicon().entry(term).unwrap();
-            assert_eq!(l.name, e.name);
+            assert_eq!(loaded.lexicon().name(term), idx.lexicon().name(term));
             assert_eq!(l.doc_freq, e.doc_freq);
             assert_eq!(l.f_max, e.f_max);
             assert_eq!(l.n_pages, e.n_pages);

@@ -4,13 +4,21 @@
 //! The paper's experiments run on the in-memory simulator of
 //! [FJK96, DFJ⁺96]; the number of page reads issued to the disk layer
 //! *is* the performance metric (§4.1). [`DiskSim`] therefore keeps every
-//! page in memory and counts fetches; there is no real I/O anywhere in
-//! the workspace.
+//! page in memory and counts fetches; the only real I/O in the
+//! workspace is the page file's (`backend::file`).
+//!
+//! The pages are held as the index stores only what it cannot derive:
+//! every posting in one shared slab, list after list in term-id order,
+//! and one 24-byte record per page — where it starts and the header a
+//! real page would carry (`max_freq`, `w*_{d,t}`, checksum). A page
+//! ends where the next one starts. A read hands out a [`Page`] that
+//! shares the slab, so it allocates nothing.
 
 use crate::page::Page;
-use ir_types::{IrError, IrResult, PageId};
+use ir_types::{IrError, IrResult, PageId, Posting};
 use parking_lot::Mutex;
 use serde::Serialize;
+use std::sync::Arc;
 
 /// Abstract source of inverted-list pages, so the buffer manager can be
 /// tested against hand-built stores and run against [`DiskSim`].
@@ -90,8 +98,34 @@ impl DiskStats {
 /// holds the store immutably).
 #[derive(Debug)]
 pub struct DiskSim {
-    lists: Vec<Vec<Page>>,
+    /// Every page's postings, back to back in page order.
+    slab: Arc<[Posting]>,
+    /// One record per page, term after term.
+    records: Vec<PageRecord>,
+    /// Term `t`'s pages are `records[term_first[t]..term_first[t + 1]]`.
+    term_first: Vec<u32>,
     state: Mutex<DiskState>,
+}
+
+/// Where a page starts in the slab, and its header. The page ends where
+/// the next record's starts (the last one at the slab's end).
+#[derive(Clone, Copy, Debug)]
+struct PageRecord {
+    start: u32,
+    max_freq: u32,
+    max_weight: f64,
+    checksum: u64,
+}
+
+impl PageRecord {
+    fn of(page: &Page, start: u32) -> Self {
+        PageRecord {
+            start,
+            max_freq: page.max_freq(),
+            max_weight: page.max_weight(),
+            checksum: page.checksum(),
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -103,17 +137,103 @@ struct DiskState {
 }
 
 impl DiskSim {
-    /// Builds a store from per-term page vectors; index = term id.
+    /// Builds a store from per-term page vectors (index = term id) by
+    /// packing their postings into one slab. Each page's stored
+    /// metadata is kept as it is, so a read returns the page given here
+    /// field for field, torn or not.
+    ///
+    /// # Panics
+    /// Panics if the pages hold more than `u32::MAX` postings.
     pub fn new(lists: Vec<Vec<Page>>) -> Self {
+        let slab: Arc<[Posting]> = lists
+            .iter()
+            .flatten()
+            .flat_map(|page| page.postings().iter().copied())
+            .collect();
+        let mut records = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        let mut term_first = Vec::with_capacity(lists.len() + 1);
+        let mut start = 0u32;
+        for list in &lists {
+            term_first.push(records.len() as u32);
+            for page in list {
+                records.push(PageRecord::of(page, start));
+                start = u32::try_from(page.len())
+                    .ok()
+                    .and_then(|len| start.checked_add(len))
+                    .expect("a store holds at most u32::MAX postings");
+            }
+        }
+        term_first.push(records.len() as u32);
+        DiskSim::from_records(slab, records, term_first)
+    }
+
+    /// A store over `slab`, which holds every inverted list back to
+    /// back in term-id order. `lists` gives each term's posting count
+    /// and `idf_t`, in term-id order; each list is cut into pages of
+    /// `page_size` postings (the last may be shorter), whose metadata
+    /// is computed exactly as [`Page::new`] computes it.
+    ///
+    /// # Panics
+    /// Panics if `page_size` is zero, the slab holds more than
+    /// `u32::MAX` postings, or the counts do not add up to the slab.
+    pub fn from_slab(
+        slab: Arc<[Posting]>,
+        lists: impl IntoIterator<Item = (u32, f64)>,
+        page_size: usize,
+    ) -> Self {
+        assert!(page_size > 0, "page_size must be positive");
+        let total = u32::try_from(slab.len()).expect("a store holds at most u32::MAX postings");
+        let page_len = u32::try_from(page_size).unwrap_or(u32::MAX);
+        let lists = lists.into_iter();
+        // Room for every page up front: a list has at most one short
+        // page, so growing (and copying) the records is never needed.
+        let n_terms = lists.size_hint().0;
+        let mut records = Vec::with_capacity(slab.len() / page_size + n_terms);
+        let mut term_first = Vec::with_capacity(n_terms + 1);
+        let mut start = 0u32;
+        for (t, (len, idf)) in lists.enumerate() {
+            term_first.push(records.len() as u32);
+            let end = start
+                .checked_add(len)
+                .expect("the lists must tile the slab");
+            for (p, page_start) in (start..end).step_by(page_size).enumerate() {
+                let page_end = page_start + (end - page_start).min(page_len);
+                let id = PageId::new(ir_types::TermId(t as u32), p as u32);
+                let page = Page::sealed(id, Arc::clone(&slab), page_start, page_end, idf);
+                records.push(PageRecord::of(&page, page_start));
+            }
+            start = end;
+        }
+        assert_eq!(start, total, "the lists must tile the slab");
+        term_first.push(records.len() as u32);
+        records.shrink_to_fit();
+        DiskSim::from_records(slab, records, term_first)
+    }
+
+    fn from_records(slab: Arc<[Posting]>, records: Vec<PageRecord>, term_first: Vec<u32>) -> Self {
         DiskSim {
-            lists,
+            slab,
+            records,
+            term_first,
             state: Mutex::new(DiskState::default()),
         }
     }
 
     /// Total pages across all lists.
     pub fn total_pages(&self) -> usize {
-        self.lists.iter().map(Vec::len).sum()
+        self.records.len()
+    }
+
+    /// Bytes of the posting slab.
+    pub fn postings_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.slab)
+    }
+
+    /// Bytes of the page records (24 a page) and of the index from
+    /// terms to their first records (4 a term).
+    pub fn records_bytes(&self) -> usize {
+        self.records.len() * std::mem::size_of::<PageRecord>()
+            + self.term_first.len() * std::mem::size_of::<u32>()
     }
 
     /// Snapshot of the counters.
@@ -130,14 +250,32 @@ impl DiskSim {
 
 impl PageStore for DiskSim {
     fn read_page(&self, id: PageId) -> IrResult<Page> {
-        let list = self
-            .lists
-            .get(id.term.index())
-            .ok_or(IrError::UnknownTerm(id.term))?;
-        let page = list.get(id.page.index()).ok_or(IrError::PageOutOfRange {
-            page: id,
-            list_len: list.len() as u32,
-        })?;
+        let t = id.term.index();
+        let (first, next) = match (self.term_first.get(t), self.term_first.get(t + 1)) {
+            (Some(&first), Some(&next)) => (first, next),
+            _ => return Err(IrError::UnknownTerm(id.term)),
+        };
+        if id.page.0 >= next - first {
+            return Err(IrError::PageOutOfRange {
+                page: id,
+                list_len: next - first,
+            });
+        }
+        let at = (first + id.page.0) as usize;
+        let record = self.records[at];
+        let end = self
+            .records
+            .get(at + 1)
+            .map_or(self.slab.len() as u32, |next| next.start);
+        let page = Page::from_parts(
+            id,
+            Arc::clone(&self.slab),
+            record.start,
+            end,
+            record.max_freq,
+            record.max_weight,
+            record.checksum,
+        );
         let mut state = self.state.lock();
         state.stats.reads += 1;
         state.stats.entries_read += page.len() as u64;
@@ -153,7 +291,7 @@ impl PageStore for DiskSim {
             state.stats.random_reads += 1;
         }
         state.last = Some(id);
-        Ok(page.clone())
+        Ok(page)
     }
 }
 
@@ -321,6 +459,75 @@ pub(crate) mod tests {
         ));
         // Errors do not bump the counters.
         assert_eq!(d.stats().reads, 0);
+    }
+
+    #[test]
+    fn packing_reads_back_every_page_field_for_field() {
+        // Lists of uneven pages, an empty list in the middle, a page
+        // longer than its list's first, and a torn page: packing must
+        // keep every page's own bounds and stored header.
+        let lens: [&[usize]; 4] = [&[3, 3, 1], &[], &[1, 4, 2], &[5]];
+        let mut doc = 0;
+        let lists: Vec<Vec<Page>> = lens
+            .iter()
+            .enumerate()
+            .map(|(t, pages)| {
+                pages
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &len)| {
+                        let postings: Vec<Posting> = (0..len)
+                            .map(|i| {
+                                doc += 1;
+                                Posting::new(doc, (len - i) as u32)
+                            })
+                            .collect();
+                        let page = Page::new(
+                            PageId::new(TermId(t as u32), p as u32),
+                            postings.into(),
+                            0.5 + t as f64,
+                        );
+                        if (t, p) == (2, 1) {
+                            page.into_torn()
+                        } else {
+                            page
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let d = DiskSim::new(lists.clone());
+        assert_eq!(d.total_pages(), 7);
+        assert_eq!(d.postings_bytes(), 19 * 8);
+        assert_eq!(d.records_bytes(), 7 * 24 + 5 * 4);
+        for list in &lists {
+            for want in list {
+                let got = d.read_page(want.id()).unwrap();
+                assert_eq!(got.id(), want.id());
+                assert_eq!(got.postings(), want.postings(), "{:?}", want.id());
+                assert_eq!(got.max_freq(), want.max_freq());
+                assert_eq!(got.max_weight().to_bits(), want.max_weight().to_bits());
+                assert_eq!(got.checksum(), want.checksum());
+                assert_eq!(got.is_intact(), want.is_intact());
+            }
+        }
+        assert!(!d.read_page(PageId::new(TermId(2), 1)).unwrap().is_intact());
+        let reads = d.stats().reads;
+        assert_eq!(
+            d.read_page(PageId::new(TermId(4), 0)).unwrap_err(),
+            IrError::UnknownTerm(TermId(4))
+        );
+        for (t, len) in [(1, 0), (2, 3)] {
+            let id = PageId::new(TermId(t), len);
+            assert_eq!(
+                d.read_page(id).unwrap_err(),
+                IrError::PageOutOfRange {
+                    page: id,
+                    list_len: len
+                }
+            );
+        }
+        assert_eq!(d.stats().reads, reads, "errors do not count as reads");
     }
 
     #[test]

@@ -17,13 +17,19 @@ use std::sync::Arc;
 ///   the quantity RAP multiplies with the current query's `w_{q,t}` to
 ///   obtain the page's replacement value.
 ///
-/// Postings are shared via `Arc` so that the buffer manager, the disk
-/// simulator and an evaluator holding a page under scan can all refer to
-/// the same allocation; "copying" a page is a pointer bump.
+/// A page is a range of a shared `Arc<[Posting]>`: the buffer manager,
+/// the disk simulator and an evaluator holding a page under scan all
+/// refer to the same allocation, and "copying" a page is a pointer
+/// bump. A page built by [`Page::new`] owns its whole allocation; a
+/// page [`DiskSim`](crate::DiskSim) serves is a window on the one slab
+/// that holds every posting of the index.
 #[derive(Clone, Debug)]
 pub struct Page {
     id: PageId,
-    postings: Arc<[Posting]>,
+    slab: Arc<[Posting]>,
+    /// The page is `slab[start..end]`.
+    start: u32,
+    end: u32,
     max_freq: u32,
     max_weight: f64,
     checksum: u64,
@@ -59,14 +65,45 @@ impl Page {
     /// Panics (debug builds) if `postings` is empty — the index builder
     /// never emits an empty page.
     pub fn new(id: PageId, postings: Arc<[Posting]>, idf: f64) -> Self {
+        let end = u32::try_from(postings.len()).expect("a page holds at most u32::MAX postings");
+        Page::sealed(id, postings, 0, end, idf)
+    }
+
+    /// The page `slab[start..end]` at `id`, with its metadata computed
+    /// as [`new`](Self::new) computes it.
+    pub(crate) fn sealed(id: PageId, slab: Arc<[Posting]>, start: u32, end: u32, idf: f64) -> Self {
+        let postings = &slab[start as usize..end as usize];
         debug_assert!(!postings.is_empty(), "pages are never empty");
         let max_freq = postings.iter().map(|p| p.freq).max().unwrap_or(0);
-        let checksum = content_checksum(id, &postings);
+        let checksum = content_checksum(id, postings);
+        Page::from_parts(
+            id,
+            slab,
+            start,
+            end,
+            max_freq,
+            ir_types::weights::term_weight(max_freq, idf),
+            checksum,
+        )
+    }
+
+    /// Reassembles a page from stored metadata, trusting it as is.
+    pub(crate) fn from_parts(
+        id: PageId,
+        slab: Arc<[Posting]>,
+        start: u32,
+        end: u32,
+        max_freq: u32,
+        max_weight: f64,
+        checksum: u64,
+    ) -> Self {
         Page {
             id,
-            postings,
+            slab,
+            start,
+            end,
             max_freq,
-            max_weight: ir_types::weights::term_weight(max_freq, idf),
+            max_weight,
             checksum,
         }
     }
@@ -81,7 +118,7 @@ impl Page {
     /// marks a torn read: the delivered image and the checksum written
     /// at build time disagree, so the copy must not be trusted.
     pub fn is_intact(&self) -> bool {
-        self.checksum == content_checksum(self.id, &self.postings)
+        self.checksum == content_checksum(self.id, self.postings())
     }
 
     /// A copy of this page whose stored checksum no longer matches its
@@ -103,19 +140,19 @@ impl Page {
     /// The decoded entries, in frequency order.
     #[inline]
     pub fn postings(&self) -> &[Posting] {
-        &self.postings
+        &self.slab[self.start as usize..self.end as usize]
     }
 
     /// Number of entries on the page.
     #[inline]
     pub fn len(&self) -> usize {
-        self.postings.len()
+        (self.end - self.start) as usize
     }
 
     /// Pages are never empty, but the method exists for completeness.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.postings.is_empty()
+        self.start == self.end
     }
 
     /// Largest `f_{d,t}` on the page.
@@ -128,7 +165,7 @@ impl Page {
     /// threshold cut falls inside this page.
     #[inline]
     pub fn min_freq(&self) -> u32 {
-        self.postings.iter().map(|p| p.freq).min().unwrap_or(0)
+        self.postings().iter().map(|p| p.freq).min().unwrap_or(0)
     }
 
     /// `w*_{d,t}` — the highest document term weight on the page,

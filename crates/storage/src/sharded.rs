@@ -1239,7 +1239,18 @@ mod tests {
             scope.spawn(move |_| {
                 holder.with_shard(0, |_| {
                     barrier.wait();
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    // Hold the shard until the main thread has found it
+                    // locked: a fixed sleep can end before a descheduled
+                    // waiter ever tries. The waiter bumps the counter
+                    // before it spins, so this cannot deadlock.
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while holder.metrics().contended_locks.get() == 0 {
+                        assert!(
+                            Instant::now() < deadline,
+                            "the waiter never contended for the held shard"
+                        );
+                        std::thread::yield_now();
+                    }
                 });
             });
             barrier.wait();

@@ -112,6 +112,17 @@ fn info(args: &[String]) -> CliResult {
         index.total_pages(),
         index.params().page_size
     );
+    let memory = index.memory();
+    let mb = |bytes: usize| bytes as f64 / 1e6;
+    println!(
+        "  memory {:.1} MB: postings {:.1}, page records {:.1}, lexicon {:.1}, conversion {:.1}, W_d {:.1}",
+        mb(memory.total()),
+        mb(memory.postings),
+        mb(memory.page_records),
+        mb(memory.lexicon),
+        mb(memory.conversion),
+        mb(memory.vector_lengths)
+    );
     let max_idf = f64::from(index.n_docs()).log2();
     for band in index
         .lexicon()

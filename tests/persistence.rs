@@ -100,7 +100,7 @@ proptest! {
         prop_assert_eq!(loaded.total_pages(), index.total_pages());
         for (term, e) in index.lexicon().iter() {
             let l = loaded.lexicon().entry(term).unwrap();
-            prop_assert_eq!(&l.name, &e.name);
+            prop_assert_eq!(loaded.lexicon().name(term), index.lexicon().name(term));
             prop_assert_eq!(l.doc_freq, e.doc_freq);
             prop_assert_eq!(l.f_max, e.f_max);
         }
