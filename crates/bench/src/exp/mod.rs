@@ -20,6 +20,7 @@ pub mod table7;
 use crate::output::{OutputDir, TextTable};
 use crate::setup::{pick_representatives, profile_queries, QueryProfile, Representatives, TestBed};
 use ir_core::{run_sequence, Algorithm, RefinementSequence, SequenceOutcome, SessionConfig};
+use ir_corpus::{Corpus, CorpusConfig};
 use ir_index::InvertedIndex;
 use ir_storage::{DiskStats, PolicyKind};
 use ir_types::DocId;
@@ -54,17 +55,22 @@ impl ExpContext {
     /// queries and picks the representatives, narrating each step on
     /// stdout; artifacts go to `out`.
     pub fn new(scale: f64, out: impl AsRef<Path>) -> ExpResult<ExpContext> {
-        let started = Instant::now();
         println!("building testbed at scale {scale} (paper geometry) ...");
-        let bed =
-            TestBed::at_scale(scale).map_err(|e| format!("testbed construction failed: {e}"))?;
+        let started = Instant::now();
+        let corpus = Corpus::generate(CorpusConfig::paper_scaled(scale));
+        let generated = started.elapsed();
+        let started = Instant::now();
+        let bed = TestBed::from_corpus(corpus)
+            .map_err(|e| format!("testbed construction failed: {e}"))?;
         println!(
-            "  {} docs, {} terms, {} postings, {} pages (PageSize {}), built in {:.1?}",
+            "  {} docs, {} terms, {} postings, {} pages (PageSize {}), \
+             built in {:.1?} (generate) + {:.1?} (index)",
             bed.index.n_docs(),
             bed.index.n_terms(),
             bed.index.total_postings(),
             bed.index.total_pages(),
             bed.index.params().page_size,
+            generated,
             started.elapsed()
         );
         let out = OutputDir::new(&out)

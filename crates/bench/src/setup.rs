@@ -21,14 +21,13 @@ pub struct TestBed {
 }
 
 impl TestBed {
-    /// Generates and indexes a collection at the given paper scale.
-    pub fn at_scale(sigma: f64) -> IrResult<TestBed> {
-        TestBed::from_config(CorpusConfig::paper_scaled(sigma))
-    }
-
     /// Generates and indexes a collection from an explicit config.
     pub fn from_config(config: CorpusConfig) -> IrResult<TestBed> {
-        let corpus = Corpus::generate(config);
+        TestBed::from_corpus(Corpus::generate(config))
+    }
+
+    /// Indexes a generated collection.
+    pub fn from_corpus(corpus: Corpus) -> IrResult<TestBed> {
         let index = index_corpus_with(&corpus, true, true)?;
         let queries = corpus.queries();
         Ok(TestBed {

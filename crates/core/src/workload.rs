@@ -14,9 +14,8 @@ use crate::eval::{evaluate_df, EvalOptions};
 use crate::query::Query;
 use ir_index::InvertedIndex;
 use ir_storage::{PageStore, PolicyKind};
-use ir_types::{DocId, FilterParams, IrResult, TermId};
+use ir_types::{FilterParams, IrResult, TermId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Which refinement pattern to build.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -115,12 +114,16 @@ pub fn contribution_ranking(
             baf_force_first_page: false,
         },
     )?;
-    let top_docs: HashMap<DocId, f64> = result
-        .hits
-        .iter()
-        .map(|h| (h.doc, index.doc_stats().vector_length(h.doc).unwrap_or(1.0)))
-        .collect();
-    if top_docs.is_empty() {
+    // `W_d` of each top document, by document id.
+    let mut top_docs: Vec<Option<f64>> = vec![None; index.n_docs() as usize];
+    let mut n_top = 0usize;
+    for h in &result.hits {
+        if let Some(slot) = top_docs.get_mut(h.doc.index()) {
+            n_top += usize::from(slot.is_none());
+            *slot = Some(index.doc_stats().vector_length(h.doc).unwrap_or(1.0));
+        }
+    }
+    if n_top == 0 {
         // No document matched anything: contributions are all zero.
         return Ok(query
             .terms()
@@ -144,7 +147,7 @@ pub fn contribution_ranking(
         for p in 0..t.n_pages {
             let page = store.read_page(ir_types::PageId::new(t.term, p))?;
             for posting in page.postings() {
-                if let Some(w_d) = top_docs.get(&posting.doc) {
+                if let Some(Some(w_d)) = top_docs.get(posting.doc.index()) {
                     let partial =
                         ir_types::weights::partial_similarity(posting.freq, t.query_freq, t.idf);
                     sum += partial / w_d;
@@ -154,7 +157,7 @@ pub fn contribution_ranking(
         out.push(TermContribution {
             term: t.term,
             query_freq: t.query_freq,
-            contribution: sum / top_docs.len() as f64,
+            contribution: sum / n_top as f64,
         });
     }
     out.sort_by(|a, b| {

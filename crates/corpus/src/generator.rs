@@ -4,7 +4,12 @@ use crate::config::CorpusConfig;
 use crate::query::TopicQuery;
 use crate::words::term_name;
 use crate::zipf::Zipf;
-use rand::{rngs::SmallRng, Rng, SeedableRng};
+use rand::{rngs::SmallRng, Rng, RngCore, SeedableRng};
+use std::ops::Range;
+
+/// Tokens one part samples between two copy-outs of its bags: bounds
+/// each part's bag space.
+const RUN_TOKENS: usize = 1 << 17;
 
 /// One TREC-like topic: an ordered list of salient terms (most salient
 /// first) with query frequencies, plus the topical concentration its
@@ -53,6 +58,12 @@ impl Corpus {
     /// # Panics
     /// Panics if the configuration fails [`CorpusConfig::validate`].
     pub fn generate(config: CorpusConfig) -> Self {
+        Corpus::generate_in(config, ir_types::parts::available())
+    }
+
+    /// [`generate`](Self::generate) with the token bags sampled over
+    /// `parts` parts; the corpus is the same for any part count.
+    pub(crate) fn generate_in(config: CorpusConfig, parts: usize) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid corpus config: {e}");
         }
@@ -69,49 +80,148 @@ impl Corpus {
             .map(|t| Zipf::new(0, t.salient.len() as u32, config.salient_exponent))
             .collect();
 
-        let mut docs = Vec::with_capacity(config.n_docs as usize);
-        let mut doc_topics = Vec::with_capacity(config.n_docs as usize);
-        let mut relevant: Vec<Vec<u32>> = vec![Vec::new(); topics.len()];
+        // One pass draws each document's length and topics, keeps the
+        // RNG as it stands at the document's first token draw, and skips
+        // the document's `len` token draws (one draw per token, see
+        // `zipf`): the token bags can then be sampled in any order.
+        let n_docs = config.n_docs as usize;
+        let mut plans: Vec<DocPlan> = ir_types::parts::scratch(n_docs);
         let mu = (config.mean_doc_tokens as f64).ln() - config.doc_length_sigma.powi(2) / 2.0;
-        let mut counts = DocCounts::new(config.vocab_size);
-
-        for d in 0..config.n_docs {
+        for _ in 0..n_docs {
             // Document length: log-normal, at least 5 tokens.
             let z = gaussian(&mut rng);
             let len = ((mu + config.doc_length_sigma * z).exp().round() as usize).max(5);
 
             // Topic assignment.
-            let mut assigned: Vec<u16> = Vec::new();
+            let (mut assigned, mut n_topics) = ([0u16; 2], 0);
             if rng.gen::<f64>() < config.topic_assign_prob {
-                assigned.push(rng.gen_range(0..topics.len()) as u16);
+                assigned[0] = rng.gen_range(0..topics.len()) as u16;
+                n_topics = 1;
                 if rng.gen::<f64>() < config.second_topic_prob {
                     let second = rng.gen_range(0..topics.len()) as u16;
                     if second != assigned[0] {
-                        assigned.push(second);
+                        assigned[1] = second;
+                        n_topics = 2;
                     }
                 }
             }
+            plans.push(DocPlan {
+                rng: rng.clone(),
+                len,
+                topics: assigned,
+                n_topics,
+            });
+            for _ in 0..len {
+                rng.next_u64();
+            }
+        }
 
-            // Topical tokens first.
-            let mut topical_total = 0usize;
-            for &t in &assigned {
-                let topic = &topics[t as usize];
-                let n =
-                    ((topic.concentration * len as f64).round() as usize).min(len - topical_total);
-                for _ in 0..n {
-                    let pos = burst[t as usize].sample(&mut rng) as usize;
-                    counts.add(topic.salient[pos].0);
+        // Samples the bags of a run of documents back to back into
+        // `bags`, and their lengths into `lens`.
+        let sample = |docs: Range<usize>,
+                      counts: &mut [u32],
+                      bags: &mut [(u32, u32)],
+                      lens: &mut [usize]| {
+            let mut at = 0;
+            for (plan, distinct) in plans[docs].iter().zip(lens) {
+                let mut rng = plan.rng.clone();
+                let len = plan.len;
+                // The bag's first slots collect its ranks in the order
+                // they first occur.
+                let bag = &mut bags[at..at + len];
+                *distinct = 0;
+                let mut add = |rank: u32| {
+                    let c = &mut counts[rank as usize];
+                    if *c == 0 {
+                        bag[*distinct].0 = rank;
+                        *distinct += 1;
+                    }
+                    *c += 1;
+                };
+                // Topical tokens first.
+                let mut topical_total = 0usize;
+                for &t in plan.topics() {
+                    let topic = &topics[t as usize];
+                    let n = ((topic.concentration * len as f64).round() as usize)
+                        .min(len - topical_total);
+                    for _ in 0..n {
+                        let pos = burst[t as usize].sample(&mut rng) as usize;
+                        add(topic.salient[pos].0);
+                    }
+                    topical_total += n;
                 }
-                topical_total += n;
-                relevant[t as usize].push(d);
+                // Background tokens.
+                for _ in topical_total..len {
+                    add(background.sample(&mut rng));
+                }
+                // The bag in rank order; every count back at zero for
+                // the next document.
+                let bag = &mut bag[..*distinct];
+                bag.sort_unstable_by_key(|&(rank, _)| rank);
+                for (rank, f) in bag.iter_mut() {
+                    *f = std::mem::take(&mut counts[*rank as usize]);
+                }
+                at += *distinct;
             }
-            // Background tokens.
-            for _ in topical_total..len {
-                counts.add(background.sample(&mut rng));
-            }
+        };
 
-            docs.push(counts.take_bag());
-            doc_topics.push(assigned);
+        // Runs of consecutive documents of at most `room` tokens, taken
+        // `parts` at a time, one a part. A worker allocates nothing
+        // (glibc keeps what a thread's malloc arena frees): this thread
+        // sizes each part's dense count per rank, bag space and bag
+        // lengths, and copies the bags out, exactly sized, in document
+        // order. Each document's topics are allocated with its bag, as
+        // a one-pass generator does: the heap those allocations leave
+        // sets the later stages' peak memory (allocating every topic
+        // list first cost 4 MB of peak RSS at σ = 1/16).
+        let max_len = plans.iter().map(|p| p.len).max().unwrap_or(0);
+        let total: usize = plans.iter().map(|p| p.len).sum();
+        let room = max_len.max(RUN_TOKENS.min(total.div_ceil(parts)));
+        let mut runs = Vec::new();
+        let mut next = 0;
+        while next < n_docs {
+            let (first, mut tokens) = (next, 0);
+            while next < n_docs && tokens + plans[next].len <= room {
+                tokens += plans[next].len;
+                next += 1;
+            }
+            runs.push(first..next);
+        }
+        let run_docs = runs.iter().map(Range::len).max().unwrap_or(0);
+        let vocab = config.vocab_size as usize;
+        let mut counts = ir_types::parts::scratch(parts * vocab);
+        counts.resize(parts * vocab, 0u32);
+        let mut bags = ir_types::parts::scratch(parts * room);
+        bags.resize(parts * room, (0u32, 0u32));
+        let mut lens = ir_types::parts::scratch(parts * run_docs);
+        lens.resize(parts * run_docs, 0usize);
+        let mut docs = Vec::with_capacity(n_docs);
+        let mut doc_topics = Vec::with_capacity(n_docs);
+        let mut relevant: Vec<Vec<u32>> = vec![Vec::new(); topics.len()];
+        for round in runs.chunks(parts) {
+            let work = round
+                .iter()
+                .cloned()
+                .zip(counts.chunks_mut(vocab))
+                .zip(bags.chunks_mut(room).zip(lens.chunks_mut(run_docs)));
+            ir_types::parts::run(work.collect(), |((run, counts), (bags, lens))| {
+                sample(run, counts, bags, lens)
+            });
+            for (run, (bags, lens)) in round
+                .iter()
+                .zip(bags.chunks(room).zip(lens.chunks(run_docs)))
+            {
+                let mut at = 0;
+                for (d, &len) in run.clone().zip(lens) {
+                    let assigned = plans[d].topics();
+                    for &t in assigned {
+                        relevant[t as usize].push(d as u32);
+                    }
+                    doc_topics.push(assigned.to_vec());
+                    docs.push(bags[at..at + len].to_vec());
+                    at += len;
+                }
+            }
         }
         for r in relevant.iter_mut() {
             r.sort_unstable();
@@ -213,38 +323,19 @@ impl Corpus {
     }
 }
 
-/// One document's `f_{d,t}` by rank in a dense array reused across
-/// documents, plus the ranks the document touched.
-struct DocCounts {
-    counts: Vec<u32>,
-    touched: Vec<u32>,
+/// What the first pass fixes of one document: the RNG at its first
+/// token draw, its length in tokens, and the topics it was generated
+/// from (at most two).
+struct DocPlan {
+    rng: SmallRng,
+    len: usize,
+    topics: [u16; 2],
+    n_topics: usize,
 }
 
-impl DocCounts {
-    fn new(vocab_size: u32) -> Self {
-        DocCounts {
-            counts: vec![0; vocab_size as usize],
-            touched: Vec::new(),
-        }
-    }
-
-    fn add(&mut self, rank: u32) {
-        let c = &mut self.counts[rank as usize];
-        if *c == 0 {
-            self.touched.push(rank);
-        }
-        *c += 1;
-    }
-
-    /// The document's `(rank, f_{d,t})` bag in rank order; leaves every
-    /// count at zero for the next document.
-    fn take_bag(&mut self) -> Vec<(u32, u32)> {
-        self.touched.sort_unstable();
-        let counts = &mut self.counts;
-        self.touched
-            .drain(..)
-            .map(|rank| (rank, std::mem::take(&mut counts[rank as usize])))
-            .collect()
+impl DocPlan {
+    fn topics(&self) -> &[u16] {
+        &self.topics[..self.n_topics]
     }
 }
 
@@ -405,11 +496,28 @@ mod tests {
     #[test]
     fn generated_corpora_are_pinned_byte_for_byte() {
         // Every golden CSV descends from these bytes: a faster sampler
-        // or counter must reproduce them exactly.
-        assert_eq!(digest(&tiny()), 0xe5a9_c1e0_6739_059e, "tiny");
-        let small = Corpus::generate(CorpusConfig::paper_scaled(1.0 / 64.0));
-        assert_eq!(small.docs.len(), 2_707);
-        assert_eq!(digest(&small), 0xcf71_cc25_e312_9735, "paper_scaled(1/64)");
+        // or counter must reproduce them exactly, for any part count —
+        // one, a few, and (tiny) more parts than documents.
+        let tiny = CorpusConfig::tiny();
+        let tiny_parts = [1, 2, 3, tiny.n_docs as usize + 1];
+        let small = CorpusConfig::paper_scaled(1.0 / 64.0);
+        assert_eq!(small.n_docs, 2_707);
+        for (config, parts, pin) in [
+            (tiny, &tiny_parts[..], 0xe5a9_c1e0_6739_059e),
+            (small, &[1, 2, 3][..], 0xcf71_cc25_e312_9735),
+        ] {
+            let one = Corpus::generate_in(config.clone(), 1);
+            for &parts in parts {
+                let c = Corpus::generate_in(config.clone(), parts);
+                assert_eq!(digest(&c), pin, "{} docs, {parts} parts", config.n_docs);
+                assert_eq!(c.relevant, one.relevant, "{parts} parts");
+                assert_eq!(c.topics.len(), one.topics.len());
+                for (a, b) in c.topics.iter().zip(&one.topics) {
+                    assert_eq!((a.id, &a.salient), (b.id, &b.salient));
+                    assert_eq!(a.concentration.to_bits(), b.concentration.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

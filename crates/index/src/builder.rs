@@ -14,19 +14,26 @@
 //! [`BuildOptions::derive_stop_words`]: stopped terms keep their lexicon
 //! slot but lose their inverted list and contribute nothing to `W_d`.
 //!
-//! The build inverts by counting, on the calling thread, and never holds
-//! a list of its own: every posting goes straight to its final slot in
-//! the one slab the [`DiskSim`] then serves. Pass 1 over the documents
-//! counts each term's `f_t` and `f_max`, which place its list in the
-//! slab and size its conversion-table row; pass 2 fills the rows, whose
-//! suffix sums say where each frequency's run starts; pass 3 scatters
-//! every `(d, f_{d,t})` to the next free slot of its run. Documents are
-//! visited in id order, so each run comes out document-ascending — the
-//! paper's order, with no sort. Then, per term in term-id order, come
-//! `idf_t`, the `W_d²` sums and the page records, so the lengths are the
-//! same to the bit on every machine.
+//! The build inverts by counting and never holds a list of its own:
+//! every posting goes straight to its final slot in the one slab the
+//! [`DiskSim`] then serves. It runs on one part per core
+//! ([`ir_types::parts`]), each writing only its own slice of buffers
+//! the calling thread sized, so the bytes are the same for any part
+//! count. Pass 1, over document ranges, counts each term's `f_t` and
+//! `f_max`; the parts' tallies are merged, and they place each list in
+//! the slab and size its conversion-table row. Then each part takes a
+//! range of terms holding about an equal share of the work (its
+//! postings, plus `LIST_COST` a list): pass 2
+//! fills its terms' rows, whose suffix sums say where each frequency's
+//! run starts, and pass 3 scatters its terms' `(d, f_{d,t})` to the
+//! next free slot of their run. Documents are visited in id order, so
+//! each run comes out document-ascending — the paper's order, with no
+//! sort. The lexicon, the stop words, and, per term in term-id order,
+//! `idf_t` and the `W_d²` sums stay on the calling thread, so the
+//! lengths are the same to the bit on every machine; the page records
+//! are cut over term ranges again ([`DiskSim::from_slab`]).
 
-use crate::conversion::ConversionTable;
+use crate::conversion::{self, ConversionTable};
 use crate::docstats::DocStats;
 use crate::forward::ForwardIndex;
 use crate::index::InvertedIndex;
@@ -39,8 +46,16 @@ use ir_types::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// What one inverted list costs passes 2 and 3 beyond its postings, in
+/// postings: its row and its runs' cursors are cold lines, so a range
+/// of many short lists is slower than one of as many postings in a few
+/// long lists. Measured at σ = 1/16, where about ten balanced two
+/// parts.
+const LIST_COST: u64 = 10;
+
 /// Build-time configuration. Every field changes what is built; none
-/// changes how (the build is single-threaded and deterministic).
+/// changes how (the build splits over the cores it finds, and its
+/// output does not depend on how many).
 #[derive(Clone, Copy, Debug)]
 pub struct BuildOptions {
     /// Physical parameters (page capacity).
@@ -175,6 +190,11 @@ impl IndexBuilder {
     /// [`IrError::InvalidConfig`] if no documents were added or the
     /// collection holds more than `u32::MAX` postings.
     pub fn build(self, options: BuildOptions) -> IrResult<InvertedIndex> {
+        self.build_in(options, ir_types::parts::available())
+    }
+
+    /// [`build`](Self::build) split into `parts` parts.
+    pub(crate) fn build_in(self, options: BuildOptions, parts: usize) -> IrResult<InvertedIndex> {
         let IndexBuilder {
             lexicon,
             pairs,
@@ -186,13 +206,14 @@ impl IndexBuilder {
                 .zip(&doc_ends)
                 .map(|(start, &end)| pairs[start..end].iter().copied())
         };
-        invert(lexicon, docs, options)
+        invert(lexicon, docs, options, parts)
     }
 
     /// Finalizes the index over `docs` instead of documents added one
     /// by one, without copying them. Every call of `docs` must yield
-    /// the same documents in id order — the build passes over them up
-    /// to four times — each as `(t, f_{d,t})` pairs of interned terms.
+    /// the same documents in id order, each as `(t, f_{d,t})` pairs of
+    /// interned terms: the build makes any number of passes over them,
+    /// from several threads at once (hence `Sync`).
     ///
     /// # Errors
     /// [`IrError::InvalidConfig`] if documents were also added one by
@@ -201,7 +222,7 @@ impl IndexBuilder {
     /// for an uninterned term.
     pub fn build_from<D, I, J>(self, docs: D, options: BuildOptions) -> IrResult<InvertedIndex>
     where
-        D: Fn() -> I,
+        D: Fn() -> I + Sync,
         I: Iterator<Item = J>,
         J: IntoIterator<Item = (TermId, u32)>,
     {
@@ -210,7 +231,7 @@ impl IndexBuilder {
                 "build_from cannot also build over added documents".into(),
             ));
         }
-        invert(self.lexicon, docs, options)
+        invert(self.lexicon, docs, options, ir_types::parts::available())
     }
 }
 
@@ -229,38 +250,68 @@ fn check_pair(lexicon: &Lexicon, doc: u32, t: TermId, f: u32) -> IrResult<()> {
 }
 
 /// The build (see the module docs): inverts `docs` by counting into one
-/// slab, then seals each list in term-id order.
-fn invert<D, I, J>(mut lexicon: Lexicon, docs: D, options: BuildOptions) -> IrResult<InvertedIndex>
+/// slab over `parts` contiguous parts, then seals each list in term-id
+/// order.
+fn invert<D, I, J>(
+    mut lexicon: Lexicon,
+    docs: D,
+    options: BuildOptions,
+    parts: usize,
+) -> IrResult<InvertedIndex>
 where
-    D: Fn() -> I,
+    D: Fn() -> I + Sync,
     I: Iterator<Item = J>,
     J: IntoIterator<Item = (TermId, u32)>,
 {
     let n_terms = lexicon.len();
     let page_size = options.params.page_size;
     let ordering = options.params.ordering;
-
-    // Pass 1: f_t and f_max per term. Slab offsets are `u32`s, so the
-    // collection's postings (and with them each `f_t`) must fit one.
+    // Slab offsets are `u32`s, so the collection's postings (and with
+    // them each `f_t`) must fit one.
     let too_many = |what: &str| IrError::InvalidConfig(format!("more than {} {what}", u32::MAX));
-    let mut doc_freq = vec![0u32; n_terms];
-    let mut f_max = vec![0u32; n_terms];
-    let (mut n_docs, mut n_postings) = (0u32, 0u32);
-    for doc in docs() {
-        for (t, f) in doc {
-            check_pair(&lexicon, n_docs, t, f)?;
-            n_postings = n_postings
-                .checked_add(1)
-                .ok_or_else(|| too_many("postings"))?;
-            doc_freq[t.index()] += 1;
-            f_max[t.index()] = f_max[t.index()].max(f);
-        }
-        n_docs = n_docs.checked_add(1).ok_or_else(|| too_many("documents"))?;
-    }
+    let n_docs = u32::try_from(docs().count()).map_err(|_| too_many("documents"))?;
     if n_docs == 0 {
         return Err(IrError::InvalidConfig(
             "cannot build an index over zero documents".into(),
         ));
+    }
+
+    // Pass 1, over document ranges: f_t and f_max per term, each part
+    // into tallies of its own, merged in part order.
+    let mut tallies: Vec<(Vec<u32>, Vec<u32>)> = (0..parts)
+        .map(|_| (vec![0; n_terms], vec![0; n_terms]))
+        .collect();
+    let first_doc = |k| k * n_docs as usize / parts;
+    let work = tallies
+        .iter_mut()
+        .enumerate()
+        .map(|(k, tally)| (first_doc(k)..first_doc(k + 1), tally));
+    let counted = ir_types::parts::run(work.collect(), |(range, (doc_freq, f_max))| {
+        let mut n_postings = 0u64;
+        for (d, doc) in docs().enumerate().skip(range.start).take(range.len()) {
+            for (t, f) in doc {
+                check_pair(&lexicon, d as u32, t, f)?;
+                n_postings += 1;
+                doc_freq[t.index()] += 1;
+                f_max[t.index()] = f_max[t.index()].max(f);
+            }
+        }
+        Ok::<_, IrError>(n_postings)
+    });
+    let mut n_postings = 0u64;
+    for n in counted {
+        n_postings += n?;
+    }
+    if n_postings > u64::from(u32::MAX) {
+        return Err(too_many("postings"));
+    }
+    let mut tallies = tallies.into_iter();
+    let (mut doc_freq, mut f_max) = tallies.next().expect("at least one part");
+    for (part_freq, part_max) in tallies {
+        for t in 0..n_terms {
+            doc_freq[t] += part_freq[t];
+            f_max[t] = f_max[t].max(part_max[t]);
+        }
     }
 
     // Collection-derived stop words: top-k by document frequency. A
@@ -275,7 +326,6 @@ where
             f_max[t] = 0;
         }
     }
-    let kept = |&(t, _): &(TermId, u32)| doc_freq[t.index()] != 0;
 
     // Each list's place in the slab.
     let mut term_start = Vec::with_capacity(n_terms + 1);
@@ -286,48 +336,80 @@ where
         term_start.push(total);
     }
 
-    // Pass 2: the conversion-table rows.
-    let mut conversion = ConversionTable::with_rows(page_size, ordering, &f_max);
-    for doc in docs() {
-        for (t, f) in doc.into_iter().filter(kept) {
-            conversion.count(t.index(), f);
-        }
-    }
-    conversion.finish();
-
-    // Pass 3: the scatter. Under frequency order, frequency `f`'s run
-    // in term `t`'s list starts past the postings above `f` — cell `f`
-    // of the term's row — and has its own cursor; under document order
-    // a term's whole list is one run.
+    // Passes 2 and 3, over term ranges of about equal cost: each
+    // part counts and cumulates its terms' conversion-table rows, sets
+    // their cursors, and scatters their postings. Under frequency
+    // order, frequency `f`'s run in term `t`'s list starts past the
+    // postings above `f` — cell `f` of the term's row — and has its own
+    // cursor; under document order a term's whole list is one run.
     let per_frequency = ordering == ListOrdering::FrequencySorted;
-    let mut cursor: Vec<u32> = if per_frequency {
-        let mut cursor = Vec::with_capacity(conversion.row_start(n_terms));
-        for (t, &start) in term_start[..n_terms].iter().enumerate() {
-            let row = conversion.row(t).iter();
-            cursor.extend(row.map(|&above| start + above as u32));
-        }
-        cursor
-    } else {
-        term_start[..n_terms].to_vec()
-    };
-    let run = |t: usize, f: u32| {
-        if per_frequency {
-            conversion.row_start(t) + f as usize
-        } else {
-            t
-        }
-    };
+    let mut conversion = ConversionTable::with_rows(page_size, ordering, &f_max);
+    let (row_start, cells) = conversion.cells_mut();
+    let run_start = |t: usize| if per_frequency { row_start[t] } else { t };
+    let mut cursor = vec![0u32; run_start(n_terms)];
     let mut slab: Arc<[Posting]> =
         std::iter::repeat_n(Posting::new(0, 0), total as usize).collect();
     let out = Arc::get_mut(&mut slab).expect("a fresh slab is unshared");
-    for (d, doc) in docs().enumerate() {
-        for (t, f) in doc.into_iter().filter(kept) {
-            let at = &mut cursor[run(t.index(), f)];
-            out[*at as usize] = Posting::new(d as u32, f);
-            *at += 1;
+    let bounds = ir_types::parts::split(n_terms, parts, |t| {
+        u64::from(term_start[t]) + LIST_COST * t as u64
+    });
+    let work = bounds
+        .windows(2)
+        .map(|w| w[0]..w[1])
+        .zip(ir_types::parts::carve(
+            cells,
+            bounds.iter().map(|&t| row_start[t]),
+        ))
+        .zip(ir_types::parts::carve(
+            &mut cursor,
+            bounds.iter().map(|&t| run_start(t)),
+        ))
+        .zip(ir_types::parts::carve(
+            out,
+            bounds.iter().map(|&t| term_start[t] as usize),
+        ));
+    ir_types::parts::run(work.collect(), |(((terms, rows), cursor), out)| {
+        let mine = |t: usize| terms.contains(&t) && doc_freq[t] != 0;
+        let row_base = row_start[terms.start];
+        let slab_base = term_start[terms.start];
+        for doc in docs() {
+            for (t, f) in doc {
+                if mine(t.index()) {
+                    rows[row_start[t.index()] - row_base + f as usize - 1] += 1;
+                }
+            }
         }
-    }
+        let cursor_base = run_start(terms.start);
+        for t in terms.clone() {
+            let start = term_start[t] - slab_base;
+            let row = &mut rows[row_start[t] - row_base..row_start[t + 1] - row_base];
+            conversion::cumulate(row);
+            if per_frequency {
+                let runs = &mut cursor[row_start[t] - cursor_base..row_start[t + 1] - cursor_base];
+                for (at, &above) in runs.iter_mut().zip(row.iter()) {
+                    *at = start + above as u32;
+                }
+            } else {
+                cursor[t - cursor_base] = start;
+            }
+        }
+        for (d, doc) in docs().enumerate() {
+            for (t, f) in doc {
+                if mine(t.index()) {
+                    let run = if per_frequency {
+                        row_start[t.index()] + f as usize
+                    } else {
+                        t.index()
+                    };
+                    let at = &mut cursor[run - cursor_base];
+                    out[*at as usize] = Posting::new(d as u32, f);
+                    *at += 1;
+                }
+            }
+        }
+    });
     drop(cursor);
+    let kept = |&(t, _): &(TermId, u32)| doc_freq[t.index()] != 0;
 
     // Optional forward index, read from the same documents, without
     // the stopped terms.
@@ -379,7 +461,8 @@ where
     let vector_lengths: Vec<f64> = wd_sq.into_iter().map(f64::sqrt).collect();
     let disk = DiskSim::from_slab(
         slab,
-        lexicon.iter().map(|(_, e)| (e.n_postings as u32, e.idf)),
+        &term_start,
+        |t| lexicon.entry(t).map_or(0.0, |e| e.idf),
         page_size,
     );
 
@@ -561,7 +644,7 @@ mod tests {
             }
             if ordering == ListOrdering::FrequencySorted {
                 for list in &mut lists {
-                    list.sort_by(|a, b| b.freq.cmp(&a.freq));
+                    list.sort_by_key(|p| std::cmp::Reverse(p.freq));
                 }
             }
             Reference { lists, stopped }
@@ -630,29 +713,36 @@ mod tests {
     fn inversion_matches_the_per_term_reference() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(37);
-        for case in 0..60 {
-            let n_terms = rng.gen_range(1..40usize);
-            let docs: Vec<Vec<(TermId, u32)>> = (0..rng.gen_range(1..60))
-                .map(|_| {
-                    let mut doc: Vec<(TermId, u32)> = Vec::new();
-                    for _ in 0..rng.gen_range(0..12) {
-                        let t = TermId(rng.gen_range(0..n_terms as u32));
-                        if doc.iter().all(|&(u, _)| u != t) {
-                            let f = if rng.gen_range(0..10) == 0 {
-                                rng.gen_range(1..40)
-                            } else {
-                                rng.gen_range(1..4)
-                            };
-                            doc.push((t, f));
+        for case in 0..=60 {
+            let (n_terms, docs) = if case == 0 {
+                // Term 0's frequency-2 run spans all four documents, so
+                // two parts' document ranges cut it in the middle.
+                (2, vec![vec![(TermId(0), 2), (TermId(1), 1)]; 4])
+            } else {
+                let n_terms = rng.gen_range(1..40usize);
+                let docs: Vec<Vec<(TermId, u32)>> = (0..rng.gen_range(1..60))
+                    .map(|_| {
+                        let mut doc: Vec<(TermId, u32)> = Vec::new();
+                        for _ in 0..rng.gen_range(0..12) {
+                            let t = TermId(rng.gen_range(0..n_terms as u32));
+                            if doc.iter().all(|&(u, _)| u != t) {
+                                let f = if rng.gen_range(0..10) == 0 {
+                                    rng.gen_range(1..40)
+                                } else {
+                                    rng.gen_range(1..4)
+                                };
+                                doc.push((t, f));
+                            }
                         }
-                    }
-                    doc
-                })
-                .collect();
+                        doc
+                    })
+                    .collect();
+                (n_terms, docs)
+            };
             let ordering = [ListOrdering::FrequencySorted, ListOrdering::DocIdSorted][case % 2];
             let options = BuildOptions {
                 params: IndexParams::with_page_size(rng.gen_range(1..6)).with_ordering(ordering),
-                derive_stop_words: rng.gen_range(0..3),
+                derive_stop_words: if case == 0 { 0 } else { rng.gen_range(0..3) },
                 measure_compression: case % 3 == 0,
                 keep_forward: true,
             };
@@ -665,24 +755,31 @@ mod tests {
                 }
                 b
             };
-            // The token path, the counts path and the borrowed path.
-            let mut by_tokens = interned();
-            let mut by_counts = interned();
-            for doc in &docs {
-                by_tokens.add_document(doc.iter().flat_map(|&(t, f)| {
-                    std::iter::repeat(names[t.index()].as_str()).take(f as usize)
-                }));
-                by_counts.add_document_counts(doc.iter().copied()).unwrap();
-            }
-            let borrowed = interned()
-                .build_from(|| docs.iter().map(|doc| doc.iter().copied()), options)
+            // One part, a few, and more parts than documents or terms.
+            for parts in [1, 2, 3, n_terms + docs.len() + 1] {
+                // The token path, the counts path and the borrowed path.
+                let mut by_tokens = interned();
+                let mut by_counts = interned();
+                for doc in &docs {
+                    by_tokens.add_document(doc.iter().flat_map(|&(t, f)| {
+                        std::iter::repeat_n(names[t.index()].as_str(), f as usize)
+                    }));
+                    by_counts.add_document_counts(doc.iter().copied()).unwrap();
+                }
+                let borrowed = invert(
+                    interned().lexicon,
+                    || docs.iter().map(|doc| doc.iter().copied()),
+                    options,
+                    parts,
+                )
                 .unwrap();
-            for index in [
-                by_tokens.build(options).unwrap(),
-                by_counts.build(options).unwrap(),
-                borrowed,
-            ] {
-                assert_matches(&index, &reference, &docs);
+                for index in [
+                    by_tokens.build_in(options, parts).unwrap(),
+                    by_counts.build_in(options, parts).unwrap(),
+                    borrowed,
+                ] {
+                    assert_matches(&index, &reference, &docs);
+                }
             }
         }
     }

@@ -101,23 +101,17 @@ impl ConversionTable {
     /// Turns every counted row into its cumulative counts: cell `f`
     /// becomes the postings with frequency above `f`.
     pub(crate) fn finish(&mut self) {
-        for t in 0..self.len() {
-            let row = &mut self.counts[self.starts[t]..self.starts[t + 1]];
-            for f in (0..row.len() - 1).rev() {
-                row[f] += row[f + 1];
-            }
+        let (starts, counts) = self.cells_mut();
+        for w in starts.windows(2) {
+            cumulate(&mut counts[w[0]..w[1]]);
         }
     }
 
-    /// Where term `t`'s row starts among all rows' cells (for `t` the
-    /// number of terms, how many cells there are).
-    pub(crate) fn row_start(&self, t: usize) -> usize {
-        self.starts[t]
-    }
-
-    /// Term `t`'s row.
-    pub(crate) fn row(&self, t: usize) -> &[u64] {
-        &self.counts[self.starts[t]..self.starts[t + 1]]
+    /// The row starts (term `t`'s row is `cells[starts[t]..starts[t +
+    /// 1]]`) and every row's cells, for a build that counts and
+    /// [`cumulate`]s term ranges of rows in parallel.
+    pub(crate) fn cells_mut(&mut self) -> (&[usize], &mut [u64]) {
+        (&self.starts, &mut self.counts)
     }
 
     /// `term`'s cumulative counts.
@@ -162,6 +156,15 @@ impl ConversionTable {
     pub fn memory_bytes(&self) -> usize {
         self.counts.len() * std::mem::size_of::<u64>()
             + self.starts.len() * std::mem::size_of::<usize>()
+    }
+}
+
+/// Turns one counted row (cell `f - 1` holds the postings with
+/// frequency exactly `f`) into its cumulative counts (cell `f` holds
+/// those above `f`).
+pub(crate) fn cumulate(row: &mut [u64]) {
+    for f in (0..row.len().saturating_sub(1)).rev() {
+        row[f] += row[f + 1];
     }
 }
 

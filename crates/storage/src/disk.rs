@@ -14,8 +14,8 @@
 //! ends where the next one starts. A read hands out a [`Page`] that
 //! shares the slab, so it allocates nothing.
 
-use crate::page::Page;
-use ir_types::{IrError, IrResult, PageId, Posting};
+use crate::page::{self, Page};
+use ir_types::{IrError, IrResult, PageId, Posting, TermId};
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::Arc;
@@ -109,7 +109,7 @@ pub struct DiskSim {
 
 /// Where a page starts in the slab, and its header. The page ends where
 /// the next record's starts (the last one at the slab's end).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct PageRecord {
     start: u32,
     max_freq: u32,
@@ -168,45 +168,77 @@ impl DiskSim {
     }
 
     /// A store over `slab`, which holds every inverted list back to
-    /// back in term-id order. `lists` gives each term's posting count
-    /// and `idf_t`, in term-id order; each list is cut into pages of
-    /// `page_size` postings (the last may be shorter), whose metadata
-    /// is computed exactly as [`Page::new`] computes it.
+    /// back in term-id order: term `t`'s list is
+    /// `slab[list_starts[t]..list_starts[t + 1]]`, and `idf` gives its
+    /// `idf_t`. Each list is cut into pages of `page_size` postings (the
+    /// last may be shorter), whose metadata is computed exactly as
+    /// [`Page::new`] computes it, over term ranges on one part per core
+    /// (`ir_types::parts`).
     ///
     /// # Panics
     /// Panics if `page_size` is zero, the slab holds more than
-    /// `u32::MAX` postings, or the counts do not add up to the slab.
+    /// `u32::MAX` postings, or the lists do not tile the slab.
     pub fn from_slab(
         slab: Arc<[Posting]>,
-        lists: impl IntoIterator<Item = (u32, f64)>,
+        list_starts: &[u32],
+        idf: impl Fn(TermId) -> f64 + Sync,
         page_size: usize,
+    ) -> Self {
+        DiskSim::from_slab_in(
+            slab,
+            list_starts,
+            idf,
+            page_size,
+            ir_types::parts::available(),
+        )
+    }
+
+    /// [`from_slab`](Self::from_slab) split into `parts` parts.
+    pub(crate) fn from_slab_in(
+        slab: Arc<[Posting]>,
+        list_starts: &[u32],
+        idf: impl Fn(TermId) -> f64 + Sync,
+        page_size: usize,
+        parts: usize,
     ) -> Self {
         assert!(page_size > 0, "page_size must be positive");
         let total = u32::try_from(slab.len()).expect("a store holds at most u32::MAX postings");
+        let tiles = list_starts.first() == Some(&0)
+            && list_starts.last() == Some(&total)
+            && list_starts.windows(2).all(|w| w[0] <= w[1]);
+        assert!(tiles, "the lists must tile the slab");
         let page_len = u32::try_from(page_size).unwrap_or(u32::MAX);
-        let lists = lists.into_iter();
-        // Room for every page up front: a list has at most one short
-        // page, so growing (and copying) the records is never needed.
-        let n_terms = lists.size_hint().0;
-        let mut records = Vec::with_capacity(slab.len() / page_size + n_terms);
-        let mut term_first = Vec::with_capacity(n_terms + 1);
-        let mut start = 0u32;
-        for (t, (len, idf)) in lists.enumerate() {
-            term_first.push(records.len() as u32);
-            let end = start
-                .checked_add(len)
-                .expect("the lists must tile the slab");
-            for (p, page_start) in (start..end).step_by(page_size).enumerate() {
-                let page_end = page_start + (end - page_start).min(page_len);
-                let id = PageId::new(ir_types::TermId(t as u32), p as u32);
-                let page = Page::sealed(id, Arc::clone(&slab), page_start, page_end, idf);
-                records.push(PageRecord::of(&page, page_start));
-            }
-            start = end;
+        let mut term_first = Vec::with_capacity(list_starts.len());
+        term_first.push(0u32);
+        for w in list_starts.windows(2) {
+            let pages = (w[1] - w[0]).div_ceil(page_len);
+            term_first.push(term_first[term_first.len() - 1] + pages);
         }
-        assert_eq!(start, total, "the lists must tile the slab");
-        term_first.push(records.len() as u32);
-        records.shrink_to_fit();
+        let mut records = vec![PageRecord::default(); term_first[term_first.len() - 1] as usize];
+        let n_terms = list_starts.len() - 1;
+        let bounds = ir_types::parts::split(n_terms, parts, |t| u64::from(list_starts[t]));
+        let pieces =
+            ir_types::parts::carve(&mut records, bounds.iter().map(|&t| term_first[t] as usize));
+        let work = bounds.windows(2).map(|w| w[0]..w[1]).zip(pieces);
+        ir_types::parts::run(work.collect(), |(terms, records)| {
+            let mut records = records.iter_mut();
+            for t in terms {
+                let (start, end) = (list_starts[t], list_starts[t + 1]);
+                let idf = idf(TermId(t as u32));
+                for (p, page_start) in (start..end).step_by(page_size).enumerate() {
+                    let page_end = page_start + (end - page_start).min(page_len);
+                    let id = PageId::new(TermId(t as u32), p as u32);
+                    let postings = &slab[page_start as usize..page_end as usize];
+                    let (max_freq, max_weight, checksum) = page::header(id, postings, idf);
+                    *records.next().expect("a record per page") = PageRecord {
+                        start: page_start,
+                        max_freq,
+                        max_weight,
+                        checksum,
+                    };
+                }
+            }
+        });
         DiskSim::from_records(slab, records, term_first)
     }
 
@@ -528,6 +560,48 @@ pub(crate) mod tests {
             );
         }
         assert_eq!(d.stats().reads, reads, "errors do not count as reads");
+    }
+
+    #[test]
+    fn slab_pages_are_the_same_for_any_part_count() {
+        // Lists of 7, 0, 3, 1 and 9 postings cut into pages of 3: what
+        // `DiskSim::new` packs from `Page::new` pages, field for field.
+        let lens = [7u32, 0, 3, 1, 9];
+        let mut list_starts = vec![0u32];
+        for len in lens {
+            list_starts.push(list_starts[list_starts.len() - 1] + len);
+        }
+        let slab: Vec<Posting> = (0..list_starts[lens.len()])
+            .map(|i| Posting::new(i * 7 % 11, 1 + i % 4))
+            .collect();
+        let idf = |t: TermId| 0.25 + f64::from(t.0);
+        let lists: Vec<Vec<Page>> = list_starts
+            .windows(2)
+            .enumerate()
+            .map(|(t, w)| {
+                slab[w[0] as usize..w[1] as usize]
+                    .chunks(3)
+                    .enumerate()
+                    .map(|(p, chunk)| {
+                        let id = PageId::new(TermId(t as u32), p as u32);
+                        Page::new(id, chunk.into(), idf(id.term))
+                    })
+                    .collect()
+            })
+            .collect();
+        let want = DiskSim::new(lists.clone());
+        for parts in [1, 2, 3, lens.len() + 1] {
+            let got = DiskSim::from_slab_in(slab.clone().into(), &list_starts, idf, 3, parts);
+            assert_eq!(got.term_first, want.term_first, "{parts} parts");
+            assert_eq!(got.total_pages(), want.total_pages());
+            for page in lists.iter().flatten() {
+                let (a, b) = (got.read_page(page.id()).unwrap(), page);
+                assert_eq!(a.postings(), b.postings(), "{:?}, {parts} parts", b.id());
+                assert_eq!(a.max_freq(), b.max_freq());
+                assert_eq!(a.max_weight().to_bits(), b.max_weight().to_bits());
+                assert_eq!(a.checksum(), b.checksum());
+            }
+        }
     }
 
     #[test]

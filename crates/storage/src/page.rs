@@ -57,6 +57,15 @@ fn content_checksum(id: PageId, postings: &[Posting]) -> u64 {
     h
 }
 
+/// The header [`Page::new`] computes for `postings` at `id`:
+/// `max_freq`, `w*_{d,t}` and the checksum.
+pub(crate) fn header(id: PageId, postings: &[Posting], idf: f64) -> (u32, f64, u64) {
+    debug_assert!(!postings.is_empty(), "pages are never empty");
+    let max_freq = postings.iter().map(|p| p.freq).max().unwrap_or(0);
+    let max_weight = ir_types::weights::term_weight(max_freq, idf);
+    (max_freq, max_weight, content_checksum(id, postings))
+}
+
 impl Page {
     /// Creates a page. `idf` is the term's inverse document frequency,
     /// used to precompute the RAP value component.
@@ -66,25 +75,8 @@ impl Page {
     /// never emits an empty page.
     pub fn new(id: PageId, postings: Arc<[Posting]>, idf: f64) -> Self {
         let end = u32::try_from(postings.len()).expect("a page holds at most u32::MAX postings");
-        Page::sealed(id, postings, 0, end, idf)
-    }
-
-    /// The page `slab[start..end]` at `id`, with its metadata computed
-    /// as [`new`](Self::new) computes it.
-    pub(crate) fn sealed(id: PageId, slab: Arc<[Posting]>, start: u32, end: u32, idf: f64) -> Self {
-        let postings = &slab[start as usize..end as usize];
-        debug_assert!(!postings.is_empty(), "pages are never empty");
-        let max_freq = postings.iter().map(|p| p.freq).max().unwrap_or(0);
-        let checksum = content_checksum(id, postings);
-        Page::from_parts(
-            id,
-            slab,
-            start,
-            end,
-            max_freq,
-            ir_types::weights::term_weight(max_freq, idf),
-            checksum,
-        )
+        let (max_freq, max_weight, checksum) = header(id, &postings, idf);
+        Page::from_parts(id, postings, 0, end, max_freq, max_weight, checksum)
     }
 
     /// Reassembles a page from stored metadata, trusting it as is.

@@ -957,10 +957,10 @@ mod tests {
         // 128 frames = 32 per shard: hash skew can never force an
         // eviction, so every page loads exactly once.
         let pool = ShardedBufferPool::new(store(4, 8), 128, PolicyKind::Lru, 4).unwrap();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let mut handle = pool.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..3 {
                         for p in 0..8 {
                             handle.fetch(pid(t, p)).unwrap();
@@ -968,8 +968,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let s = pool.stats();
         assert_eq!(s.requests, 96);
         assert_eq!(s.hits + s.misses, 96);
@@ -1233,10 +1232,10 @@ mod tests {
         let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
         pool.fetch(pid(0, 0)).unwrap();
         let barrier = std::sync::Barrier::new(2);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let holder = pool.clone();
             let barrier = &barrier;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 holder.with_shard(0, |_| {
                     barrier.wait();
                     // Hold the shard until the main thread has found it
@@ -1258,8 +1257,7 @@ mod tests {
             // wait lands in the ns histogram (≥ 1, never truncated to
             // zero the way microsecond truncation did).
             pool.fetch(pid(0, 1)).unwrap();
-        })
-        .unwrap();
+        });
         assert!(pool.metrics().contended_locks.get() >= 1);
         let h = &pool.metrics().lock_wait_ns;
         assert!(h.count() >= 1);

@@ -404,11 +404,11 @@ proptest! {
         let warmed = u64::from(N_TERMS * PAGES_PER_TERM);
         let n_threads = 8u64;
         let stop = std::sync::atomic::AtomicBool::new(false);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut workers = Vec::new();
             for th in 0..n_threads {
                 let mut pool = pool.clone();
-                workers.push(scope.spawn(move |_| {
+                workers.push(scope.spawn(move || {
                     let mut rng = seed ^ (th << 11) ^ 0x5bd1_e995;
                     for _ in 0..ops_per_thread {
                         // Overlapping term plans: every thread scans
@@ -427,7 +427,7 @@ proptest! {
             let hammer = {
                 let pool = pool.clone();
                 let stop = &stop;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         pool.quiesce();
                         std::thread::yield_now();
@@ -439,8 +439,7 @@ proptest! {
             }
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
             hammer.join().unwrap();
-        })
-        .unwrap();
+        });
 
         let expected = warmed + n_threads * ops_per_thread * u64::from(PAGES_PER_TERM);
         let mut per_shard = 0;
@@ -485,10 +484,10 @@ fn concurrent_stress_keeps_shard_accounting_exact() {
     let pool = ShardedBufferPool::new(Arc::new(store()), 128, PolicyKind::Lru, 4).unwrap();
     let n_threads = 4;
     let ops_per_thread = 500u64;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for th in 0..n_threads {
             let mut pool = pool.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut rng = 0x9e37_79b9_u64 ^ ((th as u64) << 7);
                 for _ in 0..ops_per_thread {
                     let t = (next_rand(&mut rng) % u64::from(N_TERMS)) as u32;
@@ -519,8 +518,7 @@ fn concurrent_stress_keeps_shard_accounting_exact() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Per-shard request split: every fetch was a hit or a load,
     // nothing double-counted even under interleaving.

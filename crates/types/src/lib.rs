@@ -5,8 +5,9 @@
 //! the hash tables keyed by them ([`IdMap`], [`IdSet`]),
 //! the inverted-list [`Posting`] record with the paper's *frequency
 //! ordering*, cosine weight arithmetic ([`weights`]), tuning parameters
-//! for the filtering algorithms ([`params`]), and the common error type
-//! ([`IrError`]).
+//! for the filtering algorithms ([`params`]), the common error type
+//! ([`IrError`]), and the split of set-up work over the cores
+//! ([`parts`]).
 //!
 //! The types here deliberately carry no behaviour beyond what every layer
 //! agrees on; algorithms live in `ir-core`, storage in `ir-storage`.
@@ -19,6 +20,7 @@ pub mod idmap;
 pub mod ids;
 pub mod io;
 pub mod params;
+pub mod parts;
 pub mod posting;
 pub mod read_plan;
 pub mod weights;

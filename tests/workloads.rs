@@ -1,7 +1,13 @@
 //! Refinement-workload construction over a real generated corpus
 //! (§5.1.2's recipe end-to-end).
 
+use buffir::core::eval::{evaluate_df, EvalOptions};
 use buffir::core::{contribution_ranking, make_sequence, Query, RefinementKind};
+use buffir::index::InvertedIndex;
+use buffir::storage::PageStore;
+use buffir::types::{weights, DocId, PageId, TermId};
+use buffir::{FilterParams, PolicyKind};
+use std::collections::HashMap;
 
 mod common;
 
@@ -21,6 +27,62 @@ fn contribution_ranking_is_complete_and_sorted() {
         // Top contributions should be positive: the query's own topical
         // terms score against the top-20 documents.
         assert!(ranked[0].contribution > 0.0, "topic {}", q.topic);
+    }
+}
+
+/// §5.1.2's average contributions as first written: the top documents'
+/// `W_d` in a map, looked up for every posting of every query term.
+fn map_based_contributions(index: &InvertedIndex, query: &Query) -> Vec<(TermId, f64)> {
+    let pool = (query.total_pages() as usize).max(1);
+    let mut buffer = index.make_buffer(pool, PolicyKind::Lru).unwrap();
+    let options = EvalOptions {
+        params: FilterParams::OFF,
+        top_n: 20,
+        baf_force_first_page: false,
+    };
+    let result = evaluate_df(index, &mut buffer, query, options).unwrap();
+    let top: HashMap<DocId, f64> = result
+        .hits
+        .iter()
+        .map(|h| (h.doc, index.doc_stats().vector_length(h.doc).unwrap_or(1.0)))
+        .collect();
+    query
+        .terms()
+        .iter()
+        .map(|t| {
+            let mut sum = 0.0;
+            for p in 0..t.n_pages {
+                let page = index.disk().read_page(PageId::new(t.term, p)).unwrap();
+                for posting in page.postings() {
+                    if let Some(w_d) = top.get(&posting.doc) {
+                        sum += weights::partial_similarity(posting.freq, t.query_freq, t.idf) / w_d;
+                    }
+                }
+            }
+            let n = top.len().max(1) as f64;
+            (t.term, sum / n)
+        })
+        .collect()
+}
+
+#[test]
+fn contributions_match_the_map_based_reference_bit_for_bit() {
+    let (corpus, index) = common::tiny_indexed();
+    for q in corpus.queries() {
+        let query = Query::from_named(&index, &q.terms);
+        let want = map_based_contributions(&index, &query);
+        let got = contribution_ranking(&index, &query, 20).unwrap();
+        assert_eq!(got.len(), want.len(), "topic {}", q.topic);
+        for c in &got {
+            let (_, w) = want.iter().find(|(t, _)| *t == c.term).unwrap();
+            assert_eq!(
+                c.contribution.to_bits(),
+                w.to_bits(),
+                "topic {}, term {}",
+                q.topic,
+                c.term
+            );
+        }
     }
 }
 
