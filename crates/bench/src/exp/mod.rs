@@ -62,16 +62,20 @@ impl ExpContext {
         let started = Instant::now();
         let bed = TestBed::from_corpus(corpus)
             .map_err(|e| format!("testbed construction failed: {e}"))?;
+        let mb = |bytes: usize| bytes as f64 / 1e6;
         println!(
             "  {} docs, {} terms, {} postings, {} pages (PageSize {}), \
-             built in {:.1?} (generate) + {:.1?} (index)",
+             built in {:.1?} (generate) + {:.1?} (index); \
+             corpus {:.1} MB, index {:.1} MB in memory",
             bed.index.n_docs(),
             bed.index.n_terms(),
             bed.index.total_postings(),
             bed.index.total_pages(),
             bed.index.params().page_size,
             generated,
-            started.elapsed()
+            started.elapsed(),
+            mb(bed.corpus.memory_bytes()),
+            mb(bed.index.memory().total()),
         );
         let out = OutputDir::new(&out)
             .map_err(|e| format!("cannot create output dir {}: {e}", out.as_ref().display()))?;

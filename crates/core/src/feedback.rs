@@ -67,7 +67,7 @@ pub fn expansion_terms(
                 continue;
             }
             let e = index.lexicon().entry(term)?;
-            if e.stopped || e.n_postings == 0 {
+            if e.n_postings() == 0 {
                 continue;
             }
             *scores.entry(term).or_insert(0.0) += ir_types::weights::term_weight(freq, e.idf);

@@ -95,7 +95,7 @@ impl Query {
     /// The query term for lexicon entry `e`, unless it cannot
     /// contribute (stopped, empty list, zero frequency).
     fn resolve(id: TermId, freq: u32, e: &TermEntry) -> Option<QueryTerm> {
-        if e.stopped || e.n_postings == 0 || freq == 0 {
+        if e.n_postings() == 0 || freq == 0 {
             return None;
         }
         Some(QueryTerm {

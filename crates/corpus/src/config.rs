@@ -74,6 +74,9 @@ pub const WSJ_DOCS: u32 = 173_252;
 pub const WSJ_VOCAB: u32 = 167_117;
 /// Full-scale page capacity (§4.2).
 pub const WSJ_PAGE_SIZE: usize = 404;
+/// The largest vocabulary: a packed bag cell holds a rank in 24 bits
+/// ([`Corpus`](crate::Corpus)).
+pub const MAX_VOCAB: u32 = 1 << 24;
 
 impl CorpusConfig {
     /// The paper's geometry at scale σ ∈ (0, 1]: documents and page
@@ -156,6 +159,12 @@ impl CorpusConfig {
         }
         if self.vocab_size <= self.skip_top_ranks {
             return Err("vocabulary must extend past the stop ranks".into());
+        }
+        if self.vocab_size > MAX_VOCAB {
+            return Err(format!(
+                "vocab_size {} exceeds 2^24, the ranks a packed bag cell holds",
+                self.vocab_size
+            ));
         }
         if self.mean_doc_tokens == 0 {
             return Err("documents must have tokens".into());
@@ -242,5 +251,15 @@ mod tests {
         let mut cfg = CorpusConfig::tiny();
         cfg.page_size = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn a_vocabulary_past_the_packed_ranks_is_refused() {
+        let mut cfg = CorpusConfig::tiny();
+        cfg.vocab_size = MAX_VOCAB;
+        cfg.validate().unwrap();
+        cfg.vocab_size = MAX_VOCAB + 1;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("2^24"), "{err}");
     }
 }

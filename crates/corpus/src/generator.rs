@@ -27,19 +27,82 @@ pub struct Topic {
 /// A generated collection: documents as `(term rank, f_{d,t})` bags,
 /// topics, and relevance judgments (which documents were generated from
 /// which topic).
+///
+/// Every bag lives in one slab of 4-byte cells, `rank << 8 | f_{d,t}`,
+/// read back through [`Corpus::doc`] and [`Corpus::docs`]. A frequency
+/// of 256 or more leaves the low byte 0 and sits in a side list, read
+/// in cell order; ranks stay below 2^24 ([`CorpusConfig::validate`]).
 #[derive(Debug)]
 pub struct Corpus {
     /// The configuration that produced this corpus.
     pub config: CorpusConfig,
-    /// Per-document term bags; document id = vector index.
-    pub docs: Vec<Vec<(u32, u32)>>,
     /// The topics.
     pub topics: Vec<Topic>,
-    /// Topics each document was generated from (usually 0–2).
-    pub doc_topics: Vec<Vec<u16>>,
+    /// Every document's bag, back to back in document order, each in
+    /// rank order: one packed cell a term.
+    cells: Vec<u32>,
+    /// The frequencies of 256 or more, in cell order, each with the
+    /// index of its cell.
+    escapes: Vec<(u32, u32)>,
+    /// Document `d`'s cells end at `cells[doc_ends[d]]`.
+    doc_ends: Vec<u32>,
+    /// Every document's topics (usually 0–2), back to back.
+    topic_ids: Vec<u16>,
+    /// Document `d`'s topics end at `topic_ids[topic_ends[d]]`.
+    topic_ends: Vec<u32>,
     /// Relevance judgments: documents per topic, ascending.
     relevant: Vec<Vec<u32>>,
 }
+
+/// Bits of a packed cell that hold the frequency.
+const F_BITS: u32 = 8;
+
+/// The packed cell of `(rank, f)` (`rank` below 2^24, `f` at least 1):
+/// the frequency in the low byte, or 0 there and `f` appended to
+/// `escapes` when it does not fit.
+fn pack(rank: u32, f: u32, at: usize, escapes: &mut Vec<(u32, u32)>) -> u32 {
+    debug_assert!(rank < 1 << (32 - F_BITS) && f >= 1);
+    if f < 1 << F_BITS {
+        rank << F_BITS | f
+    } else {
+        let at = u32::try_from(at).expect("at most u32::MAX postings");
+        escapes.push((at, f));
+        rank << F_BITS
+    }
+}
+
+/// One document's bag: its `(rank, f_{d,t})` pairs in rank order.
+#[derive(Clone, Debug)]
+pub struct Bag<'a> {
+    cells: std::slice::Iter<'a, u32>,
+    /// The escaped frequencies from the document's first on.
+    escapes: std::slice::Iter<'a, (u32, u32)>,
+}
+
+impl Iterator for Bag<'_> {
+    type Item = (u32, u32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, u32)> {
+        let &cell = self.cells.next()?;
+        let f = match cell & ((1 << F_BITS) - 1) {
+            0 => {
+                self.escapes
+                    .next()
+                    .expect("an escape for each zero low byte")
+                    .1
+            }
+            f => f,
+        };
+        Some((cell >> F_BITS, f))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.cells.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Bag<'_> {}
 
 impl Corpus {
     /// Generates a corpus. Deterministic in `config.seed`.
@@ -48,7 +111,7 @@ impl Corpus {
     /// use ir_corpus::{Corpus, CorpusConfig};
     ///
     /// let corpus = Corpus::generate(CorpusConfig::tiny());
-    /// assert_eq!(corpus.docs.len(), corpus.config.n_docs as usize);
+    /// assert_eq!(corpus.n_docs(), corpus.config.n_docs as usize);
     /// let queries = corpus.queries();
     /// assert_eq!(queries.len(), corpus.topics.len());
     /// // Relevance judgments come straight from the generator.
@@ -116,6 +179,22 @@ impl Corpus {
             }
         }
 
+        // Each document's topics, and each topic's documents (ascending:
+        // documents in id order, and a document's two topics differ).
+        // Filled before the slab and the sampling scratch: filled after
+        // the bags, these few kilobytes put ≈ 0.5 MB on the peak RSS
+        // (DESIGN.md § 17).
+        let mut topic_ids = Vec::with_capacity(plans.iter().map(|p| p.n_topics).sum());
+        let mut topic_ends = Vec::with_capacity(n_docs);
+        let mut relevant = vec![Vec::new(); topics.len()];
+        for (d, plan) in plans.iter().enumerate() {
+            for &t in plan.topics() {
+                relevant[t as usize].push(d as u32);
+            }
+            topic_ids.extend_from_slice(plan.topics());
+            topic_ends.push(u32::try_from(topic_ids.len()).expect("at most u32::MAX topic ids"));
+        }
+
         // Samples the bags of a run of documents back to back into
         // `bags`, and their lengths into `lens`.
         let sample = |docs: Range<usize>,
@@ -169,11 +248,9 @@ impl Corpus {
         // `parts` at a time, one a part. A worker allocates nothing
         // (glibc keeps what a thread's malloc arena frees): this thread
         // sizes each part's dense count per rank, bag space and bag
-        // lengths, and copies the bags out, exactly sized, in document
-        // order. Each document's topics are allocated with its bag, as
-        // a one-pass generator does: the heap those allocations leave
-        // sets the later stages' peak memory (allocating every topic
-        // list first cost 4 MB of peak RSS at σ = 1/16).
+        // lengths, and packs the bags into the slab in document order.
+        // The slab is sized once, for one cell a token (a bag has no
+        // more terms than tokens), and trimmed at the end.
         let max_len = plans.iter().map(|p| p.len).max().unwrap_or(0);
         let total: usize = plans.iter().map(|p| p.len).sum();
         let room = max_len.max(RUN_TOKENS.min(total.div_ceil(parts)));
@@ -195,9 +272,9 @@ impl Corpus {
         bags.resize(parts * room, (0u32, 0u32));
         let mut lens = ir_types::parts::scratch(parts * run_docs);
         lens.resize(parts * run_docs, 0usize);
-        let mut docs = Vec::with_capacity(n_docs);
-        let mut doc_topics = Vec::with_capacity(n_docs);
-        let mut relevant: Vec<Vec<u32>> = vec![Vec::new(); topics.len()];
+        let mut cells = Vec::with_capacity(total);
+        let mut escapes = Vec::new();
+        let mut doc_ends = Vec::with_capacity(n_docs);
         for round in runs.chunks(parts) {
             let work = round
                 .iter()
@@ -212,26 +289,25 @@ impl Corpus {
                 .zip(bags.chunks(room).zip(lens.chunks(run_docs)))
             {
                 let mut at = 0;
-                for (d, &len) in run.clone().zip(lens) {
-                    let assigned = plans[d].topics();
-                    for &t in assigned {
-                        relevant[t as usize].push(d as u32);
+                for &len in &lens[..run.len()] {
+                    for &(rank, f) in &bags[at..at + len] {
+                        let cell = pack(rank, f, cells.len(), &mut escapes);
+                        cells.push(cell);
                     }
-                    doc_topics.push(assigned.to_vec());
-                    docs.push(bags[at..at + len].to_vec());
+                    doc_ends.push(u32::try_from(cells.len()).expect("at most u32::MAX postings"));
                     at += len;
                 }
             }
         }
-        for r in relevant.iter_mut() {
-            r.sort_unstable();
-            r.dedup();
-        }
+        cells.shrink_to_fit();
         Corpus {
             config,
-            docs,
             topics,
-            doc_topics,
+            cells,
+            escapes,
+            doc_ends,
+            topic_ids,
+            topic_ends,
             relevant,
         }
     }
@@ -306,21 +382,82 @@ impl Corpus {
         self.relevant.get(topic).map_or(&[], Vec::as_slice)
     }
 
+    /// Documents in the collection.
+    pub fn n_docs(&self) -> usize {
+        self.doc_ends.len()
+    }
+
+    /// Document `d`'s bag: `(rank, f_{d,t})` in rank order.
+    ///
+    /// # Panics
+    /// Panics if `d` is not below [`n_docs`](Self::n_docs).
+    pub fn doc(&self, d: usize) -> Bag<'_> {
+        let cells = span(&self.doc_ends, d);
+        let first_escape = self
+            .escapes
+            .partition_point(|&(at, _)| (at as usize) < cells.start);
+        Bag {
+            cells: self.cells[cells].iter(),
+            escapes: self.escapes[first_escape..].iter(),
+        }
+    }
+
+    /// Every document's bag, in document order.
+    pub fn docs(&self) -> impl Iterator<Item = Bag<'_>> {
+        (0..self.n_docs()).map(|d| self.doc(d))
+    }
+
+    /// The topics document `d` was generated from (usually 0–2).
+    ///
+    /// # Panics
+    /// Panics if `d` is not below [`n_docs`](Self::n_docs).
+    pub fn doc_topics(&self, d: usize) -> &[u16] {
+        &self.topic_ids[span(&self.topic_ends, d)]
+    }
+
     /// Total `(d, f_{d,t})` postings over all documents.
     pub fn total_postings(&self) -> u64 {
-        self.docs.iter().map(|d| d.len() as u64).sum()
+        self.cells.len() as u64
     }
 
     /// Number of distinct terms that actually occur.
     pub fn distinct_terms(&self) -> usize {
         let mut seen = vec![false; self.config.vocab_size as usize];
-        for doc in &self.docs {
-            for &(rank, _) in doc {
-                seen[rank as usize] = true;
-            }
+        for &cell in &self.cells {
+            seen[(cell >> F_BITS) as usize] = true;
         }
         seen.into_iter().filter(|&b| b).count()
     }
+
+    /// Bytes the corpus holds: the bag cells, the escaped frequencies,
+    /// the document ends, each document's topics and their ends, the
+    /// relevance judgments and the topics.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.cells.as_slice())
+            + size_of_val(self.escapes.as_slice())
+            + size_of_val(self.doc_ends.as_slice())
+            + size_of_val(self.topic_ids.as_slice())
+            + size_of_val(self.topic_ends.as_slice())
+            + size_of_val(self.relevant.as_slice())
+            + size_of_val(self.topics.as_slice())
+            + self
+                .relevant
+                .iter()
+                .map(|r| size_of_val(r.as_slice()))
+                .sum::<usize>()
+            + self
+                .topics
+                .iter()
+                .map(|t| size_of_val(t.salient.as_slice()))
+                .sum::<usize>()
+    }
+}
+
+/// Item `i`'s range in a flat array whose items end at `ends[..]`.
+fn span(ends: &[u32], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    start..ends[i] as usize
 }
 
 /// What the first pass fixes of one document: the RNG at its first
@@ -356,12 +493,22 @@ mod tests {
         Corpus::generate(CorpusConfig::tiny())
     }
 
+    /// Every bag as a list.
+    fn bags(c: &Corpus) -> Vec<Vec<(u32, u32)>> {
+        c.docs().map(Iterator::collect).collect()
+    }
+
+    /// Every document's topics.
+    fn topics(c: &Corpus) -> Vec<&[u16]> {
+        (0..c.n_docs()).map(|d| c.doc_topics(d)).collect()
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = tiny();
         let b = tiny();
-        assert_eq!(a.docs, b.docs);
-        assert_eq!(a.doc_topics, b.doc_topics);
+        assert_eq!(bags(&a), bags(&b));
+        assert_eq!(topics(&a), topics(&b));
         assert_eq!(a.total_postings(), b.total_postings());
     }
 
@@ -371,16 +518,16 @@ mod tests {
         let mut cfg = CorpusConfig::tiny();
         cfg.seed = 99;
         let b = Corpus::generate(cfg);
-        assert_ne!(a.docs, b.docs);
+        assert_ne!(bags(&a), bags(&b));
     }
 
     #[test]
     fn documents_respect_config_bounds() {
         let c = tiny();
-        assert_eq!(c.docs.len(), c.config.n_docs as usize);
-        for doc in &c.docs {
+        assert_eq!(c.n_docs(), c.config.n_docs as usize);
+        for doc in bags(&c) {
             assert!(!doc.is_empty());
-            for &(rank, freq) in doc {
+            for &(rank, freq) in &doc {
                 assert!(rank >= c.config.skip_top_ranks, "stop rank {rank} leaked");
                 assert!(rank < c.config.vocab_size);
                 assert!(freq >= 1);
@@ -393,8 +540,8 @@ mod tests {
     #[test]
     fn relevance_judgments_match_assignments() {
         let c = tiny();
-        for (d, topics) in c.doc_topics.iter().enumerate() {
-            for &t in topics {
+        for d in 0..c.n_docs() {
+            for &t in c.doc_topics(d) {
                 assert!(
                     c.relevant_docs(t as usize)
                         .binary_search(&(d as u32))
@@ -431,13 +578,12 @@ mod tests {
         let kept = c.config.vocab_size - c.config.skip_top_ranks;
         let cut = c.config.skip_top_ranks + kept / 10;
         let head: u64 = c
-            .docs
-            .iter()
+            .docs()
             .flatten()
             .filter(|(r, _)| *r < cut)
-            .map(|&(_, f)| u64::from(f))
+            .map(|(_, f)| u64::from(f))
             .sum();
-        let total: u64 = c.docs.iter().flatten().map(|&(_, f)| u64::from(f)).sum();
+        let total: u64 = c.docs().flatten().map(|(_, f)| u64::from(f)).sum();
         assert!(
             head as f64 / total as f64 > 0.4,
             "head fraction {}",
@@ -453,11 +599,10 @@ mod tests {
         let mut bursts = 0;
         for t in &c.topics {
             let top_rank = t.salient[0].0;
-            let has_burst = c.relevant_docs(t.id).iter().any(|&d| {
-                c.docs[d as usize]
-                    .iter()
-                    .any(|&(r, f)| r == top_rank && f >= 2)
-            });
+            let has_burst = c
+                .relevant_docs(t.id)
+                .iter()
+                .any(|&d| c.doc(d as usize).any(|(r, f)| r == top_rank && f >= 2));
             if has_burst {
                 bursts += 1;
             }
@@ -479,12 +624,14 @@ mod tests {
                 h = h.wrapping_mul(0x1_0000_01b3);
             }
         };
-        for (doc, topics) in c.docs.iter().zip(&c.doc_topics) {
+        for d in 0..c.n_docs() {
+            let doc = c.doc(d);
             eat(&(doc.len() as u32).to_le_bytes());
-            for &(rank, f) in doc {
+            for (rank, f) in doc {
                 eat(&rank.to_le_bytes());
                 eat(&f.to_le_bytes());
             }
+            let topics = c.doc_topics(d);
             eat(&(topics.len() as u32).to_le_bytes());
             for &t in topics {
                 eat(&t.to_le_bytes());
@@ -517,6 +664,85 @@ mod tests {
                     assert_eq!(a.concentration.to_bits(), b.concentration.to_bits());
                 }
             }
+        }
+    }
+
+    /// A few long documents over a small vocabulary: the head ranks
+    /// occur hundreds of times a document, past a cell's low byte.
+    fn long_docs() -> CorpusConfig {
+        CorpusConfig {
+            n_docs: 40,
+            vocab_size: 200,
+            skip_top_ranks: 1,
+            mean_doc_tokens: 4_000,
+            ..CorpusConfig::tiny()
+        }
+    }
+
+    #[test]
+    fn packed_cells_round_trip_every_frequency_width() {
+        let top = crate::config::MAX_VOCAB - 1;
+        let pairs = [
+            (0, 1),
+            (3, 255),
+            (4, 256),
+            (5, u32::MAX),
+            (top, 1),
+            (top, 255),
+            (top, 256),
+            (top, u32::MAX),
+            (9, 2),
+        ];
+        let mut escapes = Vec::new();
+        let cells: Vec<u32> = pairs
+            .iter()
+            .enumerate()
+            .map(|(at, &(rank, f))| pack(rank, f, at, &mut escapes))
+            .collect();
+        assert_eq!(escapes, [(2, 256), (3, u32::MAX), (6, 256), (7, u32::MAX)]);
+        let bag = Bag {
+            cells: cells.iter(),
+            escapes: escapes.iter(),
+        };
+        assert_eq!(bag.len(), pairs.len());
+        assert_eq!(bag.collect::<Vec<_>>(), pairs);
+    }
+
+    #[test]
+    fn frequencies_past_a_byte_come_back_for_any_part_count() {
+        let one = Corpus::generate_in(long_docs(), 1);
+        assert!(
+            one.escapes.len() >= one.n_docs(),
+            "{} escapes",
+            one.escapes.len()
+        );
+        let f_max = bags(&one).into_iter().flatten().map(|(_, f)| f).max();
+        assert!(f_max >= Some(256), "f_max {f_max:?}");
+        for parts in [2, 3] {
+            let c = Corpus::generate_in(long_docs(), parts);
+            assert_eq!(c.escapes, one.escapes, "{parts} parts");
+            assert_eq!(bags(&c), bags(&one), "{parts} parts");
+            assert_eq!(topics(&c), topics(&one), "{parts} parts");
+            assert_eq!(c.relevant, one.relevant, "{parts} parts");
+        }
+    }
+
+    #[test]
+    fn memory_is_four_bytes_a_posting_and_the_flat_arrays() {
+        for c in [tiny(), Corpus::generate(long_docs())] {
+            let assigned: usize = (0..c.n_docs()).map(|d| c.doc_topics(d).len()).sum();
+            let judged: usize = (0..c.topics.len()).map(|t| c.relevant_docs(t).len()).sum();
+            let salient: usize = c.topics.iter().map(|t| t.salient.len()).sum();
+            assert_eq!(judged, assigned);
+            let expect = 4 * c.total_postings() as usize
+                + 8 * c.escapes.len()
+                + 4 * c.n_docs()
+                + (2 + 4) * assigned
+                + 4 * c.n_docs()
+                + std::mem::size_of::<Vec<u32>>() * c.topics.len()
+                + std::mem::size_of::<Topic>() * c.topics.len()
+                + 8 * salient;
+            assert_eq!(c.memory_bytes(), expect);
         }
     }
 

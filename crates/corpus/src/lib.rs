@@ -32,7 +32,7 @@ pub mod words;
 pub mod zipf;
 
 pub use config::CorpusConfig;
-pub use generator::{Corpus, Topic};
+pub use generator::{Bag, Corpus, Topic};
 pub use query::TopicQuery;
 pub use words::{term_name, term_rank};
 pub use zipf::Zipf;

@@ -45,7 +45,7 @@ pub fn index_corpus_with(
 }
 
 /// Fully parameterized corpus indexing. The build reads the corpus's
-/// documents in place ([`IndexBuilder::build_from`]), without a copy.
+/// packed bags in place ([`IndexBuilder::build_from`]), without a copy.
 pub fn index_corpus_opts(corpus: &Corpus, options: IndexCorpusOptions) -> IrResult<InvertedIndex> {
     let mut builder = IndexBuilder::new();
     // Intern only the ranks that occur, densely, in rank order. A rank
@@ -53,10 +53,8 @@ pub fn index_corpus_opts(corpus: &Corpus, options: IndexCorpusOptions) -> IrResu
     let vocab = corpus.config.vocab_size as usize;
     let mut ids = vec![TermId(u32::MAX); vocab];
     let mut occurs = vec![false; vocab];
-    for doc in &corpus.docs {
-        for &(rank, _) in doc {
-            occurs[rank as usize] = true;
-        }
+    for (rank, _) in corpus.docs().flatten() {
+        occurs[rank as usize] = true;
     }
     for (rank, o) in occurs.iter().enumerate() {
         if *o {
@@ -65,9 +63,8 @@ pub fn index_corpus_opts(corpus: &Corpus, options: IndexCorpusOptions) -> IrResu
     }
     let docs = || {
         corpus
-            .docs
-            .iter()
-            .map(|doc| doc.iter().map(|&(rank, f)| (ids[rank as usize], f)))
+            .docs()
+            .map(|doc| doc.map(|(rank, f)| (ids[rank as usize], f)))
     };
     builder.build_from(
         docs,
@@ -147,10 +144,9 @@ mod tests {
         for (t, _) in borrowed.lexicon().iter() {
             builder.intern(borrowed.lexicon().name(t));
         }
-        for doc in &corpus.docs {
+        for doc in corpus.docs() {
             let counts: Vec<(TermId, u32)> = doc
-                .iter()
-                .map(|&(rank, f)| (builder.intern(&term_name(rank)), f))
+                .map(|(rank, f)| (builder.intern(&term_name(rank)), f))
                 .collect();
             builder.add_document_counts(counts).unwrap();
         }
@@ -195,7 +191,54 @@ mod tests {
             24 * idx.total_pages() + 4 * (idx.n_terms() + 1)
         );
         assert_eq!(memory.vector_lengths, 8 * corpus.config.n_docs as usize);
-        assert!(memory.lexicon > 0 && memory.conversion > 0);
+        // A 4 B cell per frequency 0..=f_max of each term, a 4 B row
+        // start per term and one past the last.
+        let cells: usize = idx
+            .lexicon()
+            .iter()
+            .map(|(_, e)| e.f_max as usize + 1)
+            .sum();
+        assert_eq!(memory.conversion, 4 * cells + 4 * (idx.n_terms() + 1));
+        assert!(memory.lexicon > 0);
+    }
+
+    #[test]
+    fn frequencies_past_a_byte_reach_the_index() {
+        // Long documents over a small vocabulary: the head ranks occur
+        // hundreds of times a document, past a packed cell's low byte.
+        let corpus = Corpus::generate(CorpusConfig {
+            n_docs: 40,
+            vocab_size: 200,
+            skip_top_ranks: 1,
+            mean_doc_tokens: 4_000,
+            ..CorpusConfig::tiny()
+        });
+        let idx = index_corpus(&corpus, false).unwrap();
+        let f_max = idx.lexicon().iter().map(|(_, e)| e.f_max).max();
+        assert!(f_max >= Some(256), "f_max {f_max:?}");
+        assert_eq!(idx.total_postings(), corpus.total_postings());
+        // Each term's postings sum to its occurrences in the corpus.
+        let mut occurrences = vec![0u64; corpus.config.vocab_size as usize];
+        for (rank, f) in corpus.docs().flatten() {
+            occurrences[rank as usize] += u64::from(f);
+        }
+        for (rank, &n) in occurrences.iter().enumerate().filter(|(_, &n)| n > 0) {
+            let term = idx.lexicon().lookup(&term_name(rank as u32)).unwrap();
+            let mut sum = 0u64;
+            for p in 0..idx.n_pages(term).unwrap() {
+                use ir_storage::PageStore;
+                let page = idx
+                    .disk()
+                    .read_page(ir_types::PageId::new(term, p))
+                    .unwrap();
+                sum += page
+                    .postings()
+                    .iter()
+                    .map(|p| u64::from(p.freq))
+                    .sum::<u64>();
+            }
+            assert_eq!(sum, n, "rank {rank}");
+        }
     }
 
     #[test]

@@ -345,7 +345,8 @@ where
     let per_frequency = ordering == ListOrdering::FrequencySorted;
     let mut conversion = ConversionTable::with_rows(page_size, ordering, &f_max);
     let (row_start, cells) = conversion.cells_mut();
-    let run_start = |t: usize| if per_frequency { row_start[t] } else { t };
+    let row_start = |t: usize| row_start[t] as usize;
+    let run_start = |t: usize| if per_frequency { row_start(t) } else { t };
     let mut cursor = vec![0u32; run_start(n_terms)];
     let mut slab: Arc<[Posting]> =
         std::iter::repeat_n(Posting::new(0, 0), total as usize).collect();
@@ -358,7 +359,7 @@ where
         .map(|w| w[0]..w[1])
         .zip(ir_types::parts::carve(
             cells,
-            bounds.iter().map(|&t| row_start[t]),
+            bounds.iter().map(|&t| row_start(t)),
         ))
         .zip(ir_types::parts::carve(
             &mut cursor,
@@ -370,24 +371,24 @@ where
         ));
     ir_types::parts::run(work.collect(), |(((terms, rows), cursor), out)| {
         let mine = |t: usize| terms.contains(&t) && doc_freq[t] != 0;
-        let row_base = row_start[terms.start];
+        let row_base = row_start(terms.start);
         let slab_base = term_start[terms.start];
         for doc in docs() {
             for (t, f) in doc {
                 if mine(t.index()) {
-                    rows[row_start[t.index()] - row_base + f as usize - 1] += 1;
+                    rows[row_start(t.index()) - row_base + f as usize - 1] += 1;
                 }
             }
         }
         let cursor_base = run_start(terms.start);
         for t in terms.clone() {
             let start = term_start[t] - slab_base;
-            let row = &mut rows[row_start[t] - row_base..row_start[t + 1] - row_base];
+            let row = &mut rows[row_start(t) - row_base..row_start(t + 1) - row_base];
             conversion::cumulate(row);
             if per_frequency {
-                let runs = &mut cursor[row_start[t] - cursor_base..row_start[t + 1] - cursor_base];
+                let runs = &mut cursor[row_start(t) - cursor_base..row_start(t + 1) - cursor_base];
                 for (at, &above) in runs.iter_mut().zip(row.iter()) {
-                    *at = start + above as u32;
+                    *at = start + above;
                 }
             } else {
                 cursor[t - cursor_base] = start;
@@ -397,7 +398,7 @@ where
             for (t, f) in doc {
                 if mine(t.index()) {
                     let run = if per_frequency {
-                        row_start[t.index()] + f as usize
+                        row_start(t.index()) + f as usize
                     } else {
                         t.index()
                     };
@@ -455,7 +456,6 @@ where
         e.doc_freq = doc_freq[t];
         e.idf = idf;
         e.f_max = f_max[t];
-        e.n_postings = list.len() as u64;
         e.n_pages = list.len().div_ceil(page_size) as u32;
     }
     let vector_lengths: Vec<f64> = wd_sq.into_iter().map(f64::sqrt).collect();
@@ -660,7 +660,7 @@ mod tests {
             let term = TermId(t as u32);
             let e = index.lexicon().entry(term).unwrap();
             assert_eq!(e.stopped, reference.stopped[t], "term {t}");
-            assert_eq!(e.n_postings, list.len() as u64, "term {t}");
+            assert_eq!(e.n_postings() as usize, list.len(), "term {t}");
             let f_max = list.iter().map(|p| p.freq).max().unwrap_or(0);
             assert_eq!(e.f_max, f_max, "term {t}");
             for f in 0..=f_max + 1 {

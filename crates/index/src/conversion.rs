@@ -21,12 +21,14 @@ use ir_types::{IrError, IrResult, ListOrdering, Posting, TermId};
 /// Per-term cumulative counts: term `t`'s row holds, at `f`, the
 /// postings of `t` with `f_{d,t} > f`, for `f ∈ 0..=f_max(t)` (so the
 /// row starts with the list length and ends with 0). All rows live in
-/// one vector, term after term.
+/// one vector, term after term. A cell holds at most one list's length
+/// and a row start at most the table's cells, so both are `u32`s: the
+/// builder refuses a collection of more than `u32::MAX` postings.
 #[derive(Debug)]
 pub struct ConversionTable {
-    counts: Vec<u64>,
+    counts: Vec<u32>,
     /// Term `t`'s row is `counts[starts[t]..starts[t + 1]]`.
-    starts: Vec<usize>,
+    starts: Vec<u32>,
     page_size: usize,
     /// Doc-ordered lists cannot terminate early: any passing entry
     /// forces a full-list scan.
@@ -73,16 +75,22 @@ impl ConversionTable {
     /// [`finish`](Self::finish).
     ///
     /// # Panics
-    /// Panics if `page_size` is zero.
+    /// Panics if `page_size` is zero or the rows hold more than
+    /// `u32::MAX` cells.
     pub(crate) fn with_rows(page_size: usize, ordering: ListOrdering, f_max: &[u32]) -> Self {
         assert!(page_size > 0, "page_size must be positive");
         let mut starts = Vec::with_capacity(f_max.len() + 1);
-        starts.push(0);
+        let mut end = 0u32;
+        starts.push(end);
         for &f in f_max {
-            starts.push(starts[starts.len() - 1] + f as usize + 1);
+            end = f
+                .checked_add(1)
+                .and_then(|cells| end.checked_add(cells))
+                .expect("conversion rows over u32::MAX cells");
+            starts.push(end);
         }
         ConversionTable {
-            counts: vec![0; starts[f_max.len()]],
+            counts: vec![0; end as usize],
             starts,
             page_size,
             doc_ordered: ordering == ListOrdering::DocIdSorted,
@@ -95,7 +103,7 @@ impl ConversionTable {
     #[inline]
     pub(crate) fn count(&mut self, t: usize, freq: u32) {
         debug_assert!(freq >= 1);
-        self.counts[self.starts[t] + freq as usize - 1] += 1;
+        self.counts[self.starts[t] as usize + freq as usize - 1] += 1;
     }
 
     /// Turns every counted row into its cumulative counts: cell `f`
@@ -103,22 +111,22 @@ impl ConversionTable {
     pub(crate) fn finish(&mut self) {
         let (starts, counts) = self.cells_mut();
         for w in starts.windows(2) {
-            cumulate(&mut counts[w[0]..w[1]]);
+            cumulate(&mut counts[w[0] as usize..w[1] as usize]);
         }
     }
 
     /// The row starts (term `t`'s row is `cells[starts[t]..starts[t +
     /// 1]]`) and every row's cells, for a build that counts and
     /// [`cumulate`]s term ranges of rows in parallel.
-    pub(crate) fn cells_mut(&mut self) -> (&[usize], &mut [u64]) {
+    pub(crate) fn cells_mut(&mut self) -> (&[u32], &mut [u32]) {
         (&self.starts, &mut self.counts)
     }
 
     /// `term`'s cumulative counts.
-    fn counts(&self, term: TermId) -> IrResult<&[u64]> {
+    fn counts(&self, term: TermId) -> IrResult<&[u32]> {
         let t = term.index();
         match (self.starts.get(t), self.starts.get(t + 1)) {
-            (Some(&start), Some(&end)) => Ok(&self.counts[start..end]),
+            (Some(&start), Some(&end)) => Ok(&self.counts[start as usize..end as usize]),
             _ => Err(IrError::UnknownTerm(term)),
         }
     }
@@ -135,7 +143,7 @@ impl ConversionTable {
         let counts = self.counts(term)?;
         Ok(crate::scan_geometry::pages_for_scan(
             above(counts, f_add),
-            counts.first().copied().unwrap_or(0),
+            counts.first().map_or(0, |&n| u64::from(n)),
             self.page_size,
             !self.doc_ordered,
         ))
@@ -151,18 +159,18 @@ impl ConversionTable {
         self.len() == 0
     }
 
-    /// Approximate memory footprint in bytes (for the §3.2.2 size
+    /// Bytes the cells and the row starts hold (for the §3.2.2 size
     /// discussion in reports).
     pub fn memory_bytes(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<u64>()
-            + self.starts.len() * std::mem::size_of::<usize>()
+        std::mem::size_of_val(self.counts.as_slice())
+            + std::mem::size_of_val(self.starts.as_slice())
     }
 }
 
 /// Turns one counted row (cell `f - 1` holds the postings with
 /// frequency exactly `f`) into its cumulative counts (cell `f` holds
 /// those above `f`).
-pub(crate) fn cumulate(row: &mut [u64]) {
+pub(crate) fn cumulate(row: &mut [u32]) {
     for f in (0..row.len().saturating_sub(1)).rev() {
         row[f] += row[f + 1];
     }
@@ -170,15 +178,17 @@ pub(crate) fn cumulate(row: &mut [u64]) {
 
 /// The entry of one term's `counts` for threshold `f_add`: postings
 /// with `f_{d,t} > f_add`.
-fn above(counts: &[u64], f_add: f64) -> u64 {
+fn above(counts: &[u32], f_add: f64) -> u64 {
     if f_add < 0.0 {
-        return counts.first().copied().unwrap_or(0);
+        return counts.first().map_or(0, |&n| u64::from(n));
     }
     if !f_add.is_finite() {
         return 0;
     }
     // Integer frequencies: f > f_add  ⟺  f ≥ ⌊f_add⌋ + 1.
-    counts.get(f_add.floor() as usize).copied().unwrap_or(0)
+    counts
+        .get(f_add.floor() as usize)
+        .map_or(0, |&n| u64::from(n))
 }
 
 #[cfg(test)]
@@ -266,10 +276,11 @@ mod tests {
     }
 
     #[test]
-    fn memory_estimate_positive() {
-        let t = table(&[&[(0, 5), (1, 1)]], 2);
-        assert!(t.memory_bytes() > 0);
-        assert_eq!(t.len(), 1);
+    fn memory_is_four_bytes_a_cell_and_a_row_start() {
+        // Rows of f_max + 1 cells: 6 and 2, plus three row starts.
+        let t = table(&[&[(0, 5), (1, 1)], &[(0, 1)]], 2);
+        assert_eq!(t.memory_bytes(), 4 * (6 + 2) + 4 * 3);
+        assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
     }
 }

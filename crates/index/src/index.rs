@@ -111,7 +111,10 @@ impl InvertedIndex {
 
     /// Total postings across all lists.
     pub fn total_postings(&self) -> u64 {
-        self.lexicon.iter().map(|(_, e)| e.n_postings).sum()
+        self.lexicon
+            .iter()
+            .map(|(_, e)| u64::from(e.n_postings()))
+            .sum()
     }
 
     /// What the index holds in memory, part by part.

@@ -15,13 +15,23 @@ pub struct TermEntry {
     /// kept with the idf values so step 4b/3c of DF/BAF can skip a list
     /// without reading it (paper footnote 3).
     pub f_max: u32,
-    /// Total `(d, f_{d,t})` entries in the list.
-    pub n_postings: u64,
     /// Pages the list occupies on disk.
     pub n_pages: u32,
     /// Collection-derived stop words keep their lexicon slot but have
     /// no inverted list and are skipped at query time.
     pub stopped: bool,
+}
+
+impl TermEntry {
+    /// Total `(d, f_{d,t})` entries in the list: `f_t`, none once
+    /// stopped.
+    pub fn n_postings(&self) -> u32 {
+        if self.stopped {
+            0
+        } else {
+            self.doc_freq
+        }
+    }
 }
 
 /// Term name ↔ id mapping plus per-term statistics.
@@ -82,7 +92,6 @@ impl Lexicon {
             doc_freq: 0,
             idf: 0.0,
             f_max: 0,
-            n_postings: 0,
             n_pages: 0,
             stopped: false,
         });
@@ -182,10 +191,7 @@ impl Lexicon {
 
     /// Number of non-stopped terms with at least one posting.
     pub fn n_indexed_terms(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| !e.stopped && e.n_postings > 0)
-            .count()
+        self.entries.iter().filter(|e| e.n_postings() > 0).count()
     }
 
     /// Groups inverted lists by idf band, as in the paper's Table 4.
@@ -203,7 +209,7 @@ impl Lexicon {
             })
             .collect();
         for e in &self.entries {
-            if e.stopped || e.n_postings == 0 {
+            if e.n_postings() == 0 {
                 continue;
             }
             for b in bands.iter_mut() {
@@ -242,6 +248,17 @@ pub struct IdfBand {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_entry_is_24_bytes_and_derives_its_posting_count() {
+        assert_eq!(std::mem::size_of::<TermEntry>(), 24);
+        let mut lex = Lexicon::new();
+        let id = lex.intern("price");
+        lex.entry_mut(id).doc_freq = 7;
+        assert_eq!(lex.entry(id).unwrap().n_postings(), 7);
+        lex.entry_mut(id).stopped = true;
+        assert_eq!(lex.entry(id).unwrap().n_postings(), 0);
+    }
 
     #[test]
     fn intern_is_idempotent() {
@@ -286,7 +303,7 @@ mod tests {
             let e = lex.entry_mut(id);
             e.idf = idf;
             e.n_pages = pages;
-            e.n_postings = pages as u64;
+            e.doc_freq = pages;
         }
         let bands = lex.idf_bands(&[1.9, 3.1, 5.4, 8.7, 17.4]);
         assert_eq!(bands.len(), 4);
@@ -306,7 +323,7 @@ mod tests {
             let e = lex.entry_mut(id);
             e.idf = 2.0;
             e.n_pages = 500;
-            e.n_postings = 500;
+            e.doc_freq = 500;
             e.stopped = true;
         }
         assert_eq!(lex.n_indexed_terms(), 0);

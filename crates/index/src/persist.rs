@@ -78,6 +78,15 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+impl From<ir_storage::PageFileError> for PersistError {
+    fn from(e: ir_storage::PageFileError) -> Self {
+        match e {
+            ir_storage::PageFileError::Io(io) => PersistError::Io(io),
+            other => PersistError::Corrupt(other.to_string()),
+        }
+    }
+}
+
 impl From<IrError> for PersistError {
     fn from(e: IrError) -> Self {
         PersistError::Ir(e)
@@ -190,7 +199,7 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
         w.bytes(name);
         w.u32(e.doc_freq);
         w.u32(e.f_max);
-        w.u64(e.n_postings);
+        w.u64(u64::from(e.n_postings()));
         w.u8(u8::from(e.stopped));
     }
 
@@ -201,7 +210,7 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
 
     // Postings: whole list per term, one encoded blob.
     for (term, e) in index.lexicon().iter() {
-        let mut list: Vec<Posting> = Vec::with_capacity(e.n_postings as usize);
+        let mut list: Vec<Posting> = Vec::with_capacity(e.n_postings() as usize);
         for p in 0..e.n_pages {
             let page = index.disk().read_page(PageId::new(term, p))?;
             list.extend_from_slice(page.postings());
@@ -242,27 +251,27 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
 /// `f_t`, from which the reader rebuilds `idf_t` and the page
 /// boundaries. Pages stream from the simulator through a
 /// [`PageFileWriter`](ir_storage::PageFileWriter), each encoded once
-/// onto its payload buffer while the directory fills a second buffer.
+/// and written out, so the export holds no more than a page's bytes.
 /// Like `save_index`, the export's own reads are wiped from the
 /// simulator's counters afterwards, and the write is atomic (temp
-/// file + rename).
+/// files + rename): an export that fails leaves no temp file and
+/// whatever was at `path` as it was.
 pub fn save_page_file(index: &InvertedIndex, path: &Path) -> Result<(), PersistError> {
     use ir_storage::{PageFileWriter, PageStore};
-    let mut file = PageFileWriter::new(index.n_docs(), index.params().page_size, index.n_terms());
+    let mut file = PageFileWriter::create(
+        path,
+        index.n_docs(),
+        index.params().page_size,
+        index.n_terms(),
+    )?;
     for (term, e) in index.lexicon().iter() {
-        let f_t = u32::try_from(e.n_postings).map_err(|_| {
-            PersistError::Corrupt(format!("term {term}: {} postings", e.n_postings))
-        })?;
-        file.push_term(f_t);
+        file.push_term(e.n_postings())?;
         for p in 0..e.n_pages {
-            file.push_page(&index.disk().read_page(PageId::new(term, p))?);
+            file.push_page(&index.disk().read_page(PageId::new(term, p))?)?;
         }
     }
     index.disk().reset_stats(); // export reads are not query reads
-    file.finish(path).map_err(|e| match e {
-        ir_storage::PageFileError::Io(io) => PersistError::Io(io),
-        other => PersistError::Corrupt(other.to_string()),
-    })
+    Ok(file.finish()?)
 }
 
 /// Loads an index saved by [`save_index`].
@@ -354,6 +363,12 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
                 )))
             }
         };
+        // The list holds `f_t` postings, none once stopped.
+        if n_postings != if stopped { 0 } else { u64::from(doc_freq) } {
+            return Err(PersistError::Corrupt(format!(
+                "term {t}: {n_postings} postings for f_t {doc_freq}"
+            )));
+        }
         let id = lexicon.intern(&name);
         if id != TermId(t as u32) {
             return Err(PersistError::Corrupt(format!(
@@ -406,7 +421,6 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
             e.doc_freq = doc_freq;
             e.idf = idf;
             e.f_max = f_max;
-            e.n_postings = n_postings;
             e.n_pages = pages.len() as u32;
             e.stopped = stopped;
         }

@@ -61,8 +61,8 @@ use ir_types::{weights, IrError, IrResult, PageId, TermId};
 use parking_lot::Mutex;
 use std::fmt;
 use std::fs;
-use std::io::Write;
-use std::path::Path;
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"BFPG";
 const VERSION: u32 = 3;
@@ -94,10 +94,17 @@ impl From<std::io::Error> for PageFileError {
     }
 }
 
+/// The FNV-1a offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a, 64-bit — the same dependency-free integrity check the BFIR
 /// index format uses.
 fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(FNV_OFFSET, data)
+}
+
+/// FNV-1a continued over `data` from the hash `h` of the bytes before.
+fn fnv1a_from(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1_0000_01b3);
@@ -139,20 +146,35 @@ fn page_postings(f_t: u32, page_size: u32, page: u32) -> u32 {
     }
 }
 
-/// Assembles a `BFPG` page file in a single pass, then writes it
-/// atomically (temp file + `fsync` + rename).
+/// Streams a `BFPG` page file to disk in a single pass, holding no
+/// more than one page's bytes, and puts it in place atomically
+/// (temp file + `fsync` + rename).
 ///
-/// Each page is encoded straight onto the end of the payload buffer and
-/// its length and checksum appended to the directory buffer; the two
-/// are written once each at [`finish`](Self::finish). Terms come in
-/// term-id order, each [`push_term`](Self::push_term) followed by
-/// exactly its `⌈f_t / page_size⌉` pages in page order.
+/// The file is assembled in `PATH.tmp`: a header whose directory length
+/// [`finish`](Self::finish) fills in, then the directory as it grows.
+/// Each page is encoded once and streamed to a second temp file,
+/// `PATH.payload.tmp`, because the payload follows the directory and
+/// its trailer, whose lengths the last page fixes. `finish` seals the
+/// directory, appends the payload behind it with an in-kernel copy,
+/// syncs and renames. A writer dropped before it finishes — an error,
+/// a panic — removes both temp files and leaves whatever is at the
+/// path untouched. Terms come in term-id order, each
+/// [`push_term`](Self::push_term) followed by exactly its
+/// `⌈f_t / page_size⌉` pages in page order.
 #[derive(Debug)]
 pub struct PageFileWriter {
-    /// The header, then the directory as it grows.
-    dir: Vec<u8>,
-    /// Every page's codec bytes, in push order.
-    payload: Vec<u8>,
+    /// The file being assembled, positioned after the directory so far.
+    dir: BufWriter<fs::File>,
+    /// The payload so far.
+    payload: BufWriter<fs::File>,
+    /// Where the file goes, and the two temp files.
+    path: PathBuf,
+    dir_tmp: PathBuf,
+    payload_tmp: PathBuf,
+    /// Directory bytes written so far.
+    dir_len: u64,
+    /// One page's codec bytes, or one directory entry's.
+    scratch: Vec<u8>,
     n_docs: u32,
     page_size: u32,
     n_terms: u32,
@@ -165,29 +187,65 @@ pub struct PageFileWriter {
     pages: u32,
 }
 
+/// Write buffer of each temp file.
+const STREAM_BUF: usize = 1 << 16;
+
+/// `path` with `suffix` appended: a temp file beside it that is never
+/// `path` itself, whatever its extension.
+fn temp_path(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    name.into()
+}
+
 impl PageFileWriter {
-    /// A writer for `n_terms` lists over a collection of `n_docs`
-    /// documents, cut into pages of `page_size` postings.
+    /// A writer of the page file at `path` for `n_terms` lists over a
+    /// collection of `n_docs` documents, cut into pages of `page_size`
+    /// postings. Creates the two temp files beside `path`.
+    ///
+    /// # Errors
+    /// [`PageFileError::Io`] if a temp file cannot be created.
     ///
     /// # Panics
     /// If `page_size` is 0 or either count exceeds `u32::MAX`.
-    pub fn new(n_docs: u32, page_size: usize, n_terms: usize) -> Self {
+    pub fn create(
+        path: &Path,
+        n_docs: u32,
+        page_size: usize,
+        n_terms: usize,
+    ) -> Result<Self, PageFileError> {
         let page_size = u32::try_from(page_size)
             .ok()
             .filter(|&p| p > 0)
             .expect("page_size must be in 1..=u32::MAX");
         let n_terms = u32::try_from(n_terms).expect("more than u32::MAX terms");
-        let mut dir = Vec::with_capacity(HEADER_LEN + n_terms as usize);
-        dir.extend_from_slice(MAGIC);
-        dir.extend_from_slice(&VERSION.to_le_bytes());
-        dir.push(ENCODING_ID);
-        dir.extend_from_slice(&0u32.to_le_bytes()); // reserved length
-        for v in [n_docs, page_size, n_terms, 0] {
-            dir.extend_from_slice(&v.to_le_bytes()); // the directory length is set by `finish`
-        }
-        PageFileWriter {
+        let (dir_tmp, payload_tmp) = (temp_path(path, ".tmp"), temp_path(path, ".payload.tmp"));
+        let temp = |at: &Path| -> std::io::Result<_> {
+            let file = fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(at)?;
+            Ok(BufWriter::with_capacity(STREAM_BUF, file))
+        };
+        let dir = temp(&dir_tmp)?;
+        let payload = match temp(&payload_tmp) {
+            Ok(payload) => payload,
+            Err(e) => {
+                drop(dir);
+                let _ = fs::remove_file(&dir_tmp);
+                return Err(e.into());
+            }
+        };
+        let mut writer = PageFileWriter {
             dir,
-            payload: Vec::new(),
+            payload,
+            path: path.to_path_buf(),
+            dir_tmp,
+            payload_tmp,
+            dir_len: 0,
+            scratch: Vec::new(),
             n_docs,
             page_size,
             n_terms,
@@ -195,15 +253,28 @@ impl PageFileWriter {
             f_t: 0,
             idf: 0.0,
             pages: 0,
+        };
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        header.extend_from_slice(MAGIC);
+        header.extend_from_slice(&VERSION.to_le_bytes());
+        header.push(ENCODING_ID);
+        header.extend_from_slice(&0u32.to_le_bytes()); // reserved length
+        for v in [n_docs, page_size, n_terms, 0] {
+            header.extend_from_slice(&v.to_le_bytes()); // the directory length is set by `finish`
         }
+        writer.dir.write_all(&header)?;
+        Ok(writer)
     }
 
     /// Starts the next term, whose list holds `f_t` postings.
     ///
+    /// # Errors
+    /// [`PageFileError::Io`] if the directory cannot be written.
+    ///
     /// # Panics
     /// If the previous term still expects pages, every declared term has
     /// started, or `f_t` exceeds `n_docs`.
-    pub fn push_term(&mut self, f_t: u32) {
+    pub fn push_term(&mut self, f_t: u32) -> Result<(), PageFileError> {
         assert_eq!(
             self.pages,
             self.f_t.div_ceil(self.page_size),
@@ -219,11 +290,16 @@ impl PageFileWriter {
         self.f_t = f_t;
         self.idf = term_idf(self.n_docs, f_t);
         self.pages = 0;
-        put_vbyte(&mut self.dir, u64::from(f_t));
+        self.scratch.clear();
+        put_vbyte(&mut self.scratch, u64::from(f_t));
+        self.put_dir()
     }
 
     /// Encodes the current term's next page onto the payload and
     /// records its byte length and build-time checksum.
+    ///
+    /// # Errors
+    /// [`PageFileError::Io`] if a temp file cannot be written.
     ///
     /// # Panics
     /// If the current term already has all its pages, or the page is
@@ -231,7 +307,7 @@ impl PageFileWriter {
     /// posting count than `f_t` and `page_size` give, or a
     /// `max_weight` that `idf(n_docs, f_t)` does not reproduce bit for
     /// bit.
-    pub fn push_page(&mut self, page: &Page) {
+    pub fn push_page(&mut self, page: &Page) -> Result<(), PageFileError> {
         assert!(
             self.started > 0 && self.pages < self.f_t.div_ceil(self.page_size),
             "more pages than the term's f_t gives"
@@ -249,36 +325,74 @@ impl PageFileWriter {
             "page {id}: idf(n_docs, f_t) does not reproduce its max_weight"
         );
         self.pages += 1;
-        let start = self.payload.len();
-        encode_postings_into(page.postings(), &mut self.payload);
-        put_vbyte(&mut self.dir, (self.payload.len() - start) as u64);
-        self.dir
+        self.scratch.clear();
+        encode_postings_into(page.postings(), &mut self.scratch);
+        self.payload.write_all(&self.scratch)?;
+        let len = self.scratch.len() as u64;
+        self.scratch.clear();
+        put_vbyte(&mut self.scratch, len);
+        self.scratch
             .extend_from_slice(&seal(page.checksum(), self.idf).to_le_bytes());
+        self.put_dir()
     }
 
-    /// Seals the directory with its length and FNV trailer and writes
-    /// the file to `path`.
+    /// Appends the scratch bytes to the directory.
+    fn put_dir(&mut self) -> Result<(), PageFileError> {
+        self.dir.write_all(&self.scratch)?;
+        self.dir_len += self.scratch.len() as u64;
+        Ok(())
+    }
+
+    /// Seals the directory with its length and FNV trailer, appends the
+    /// payload and puts the file at the path given to
+    /// [`create`](Self::create).
+    ///
+    /// # Errors
+    /// [`PageFileError::Io`] if a temp file cannot be read, written,
+    /// synced or renamed; the temp files are removed and the path is
+    /// left as it was.
     ///
     /// # Panics
     /// If fewer terms or pages arrived than were declared.
-    pub fn finish(mut self, path: &Path) -> Result<(), PageFileError> {
+    pub fn finish(mut self) -> Result<(), PageFileError> {
         assert!(
             self.started == self.n_terms && self.pages == self.f_t.div_ceil(self.page_size),
             "fewer terms or pages than declared"
         );
-        let dir_len = u32::try_from(self.dir.len() - HEADER_LEN).expect("directory over 4 GiB");
-        self.dir[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&dir_len.to_le_bytes());
-        let trailer = fnv1a(&self.dir);
-        self.dir.extend_from_slice(&trailer.to_le_bytes());
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&self.dir)?;
-            f.write_all(&self.payload)?;
-            f.sync_all()?;
+        let dir_len = u32::try_from(self.dir_len).expect("directory over 4 GiB");
+        self.dir.flush()?;
+        self.payload.flush()?;
+        let (mut file, mut payload) = (self.dir.get_ref(), self.payload.get_ref());
+        file.seek(SeekFrom::Start(HEADER_LEN as u64 - 4))?;
+        file.write_all(&dir_len.to_le_bytes())?;
+        // The trailer hashes the header and the directory, read back.
+        file.seek(SeekFrom::Start(0))?;
+        let mut sealed = file.take(HEADER_LEN as u64 + self.dir_len);
+        let mut trailer = FNV_OFFSET;
+        self.scratch.resize(STREAM_BUF, 0);
+        loop {
+            let n = sealed.read(&mut self.scratch)?;
+            if n == 0 {
+                break;
+            }
+            trailer = fnv1a_from(trailer, &self.scratch[..n]);
         }
-        fs::rename(&tmp, path)?;
+        file.seek(SeekFrom::End(0))?;
+        file.write_all(&trailer.to_le_bytes())?;
+        payload.seek(SeekFrom::Start(0))?;
+        std::io::copy(&mut payload, &mut file)?;
+        file.sync_all()?;
+        fs::rename(&self.dir_tmp, &self.path)?;
         Ok(())
+    }
+}
+
+impl Drop for PageFileWriter {
+    /// Removes the temp files: the payload's always, the file's unless
+    /// [`finish`](Self::finish) renamed it into place.
+    fn drop(&mut self) {
+        let _ = fs::remove_file(&self.payload_tmp);
+        let _ = fs::remove_file(&self.dir_tmp);
     }
 }
 
@@ -349,7 +463,6 @@ fn pread(file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
 
 #[cfg(not(unix))]
 fn pread(file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    use std::io::{Read, Seek, SeekFrom};
     let mut f = file;
     f.seek(SeekFrom::Start(offset))?;
     f.read_exact(buf)
@@ -630,14 +743,19 @@ mod tests {
     }
 
     fn write_page_file(terms: &[Vec<Page>], path: &Path) -> Result<(), PageFileError> {
-        let mut file = PageFileWriter::new(N_DOCS, PAGE_SIZE as usize, terms.len());
+        let mut file = PageFileWriter::create(path, N_DOCS, PAGE_SIZE as usize, terms.len())?;
         for pages in terms {
-            file.push_term(pages.iter().map(|p| p.len() as u32).sum());
+            file.push_term(pages.iter().map(|p| p.len() as u32).sum())?;
             for page in pages {
-                file.push_page(page);
+                file.push_page(page)?;
             }
         }
-        file.finish(path)
+        file.finish()
+    }
+
+    /// A one-term writer at a fresh temp path.
+    fn one_term_writer(name: &str) -> PageFileWriter {
+        PageFileWriter::create(&tmpfile(name), N_DOCS, PAGE_SIZE as usize, 1).unwrap()
     }
 
     fn tmpfile(name: &str) -> std::path::PathBuf {
@@ -724,19 +842,20 @@ mod tests {
     #[should_panic(expected = "more pages than the term's f_t gives")]
     fn a_writer_refuses_pages_beyond_the_terms_f_t() {
         let page = &sample_terms(1, 1)[0][0];
-        let mut file = PageFileWriter::new(N_DOCS, PAGE_SIZE as usize, 1);
-        file.push_term(page.len() as u32);
-        file.push_page(page);
-        file.push_page(page);
+        let mut file = one_term_writer("beyond_f_t.bfpg");
+        file.push_term(page.len() as u32).unwrap();
+        file.push_page(page).unwrap();
+        file.push_page(page).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "does not reproduce its max_weight")]
     fn a_writer_refuses_a_page_the_reader_would_weigh_differently() {
         let postings: Vec<Posting> = vec![Posting::new(0, 3), Posting::new(1, 1)];
-        let mut file = PageFileWriter::new(N_DOCS, PAGE_SIZE as usize, 1);
-        file.push_term(2);
-        file.push_page(&Page::new(pid(0, 0), postings.into(), 0.5));
+        let mut file = one_term_writer("weighed_differently.bfpg");
+        file.push_term(2).unwrap();
+        file.push_page(&Page::new(pid(0, 0), postings.into(), 0.5))
+            .unwrap();
     }
 
     #[test]
@@ -744,9 +863,78 @@ mod tests {
     fn a_writer_refuses_a_short_page_before_the_last() {
         let idf = weights::idf(N_DOCS, 6);
         let postings: Vec<Posting> = (0..3).map(|d| Posting::new(d, 1)).collect();
-        let mut file = PageFileWriter::new(N_DOCS, PAGE_SIZE as usize, 1);
-        file.push_term(6);
-        file.push_page(&Page::new(pid(0, 0), postings.into(), idf));
+        let mut file = one_term_writer("short_page.bfpg");
+        file.push_term(6).unwrap();
+        file.push_page(&Page::new(pid(0, 0), postings.into(), idf))
+            .unwrap();
+    }
+
+    /// The two temp files a writer of `path` assembles it in.
+    fn temps(path: &Path) -> [std::path::PathBuf; 2] {
+        [temp_path(path, ".tmp"), temp_path(path, ".payload.tmp")]
+    }
+
+    #[test]
+    fn a_failed_export_leaves_no_temp_file_and_the_old_file_in_place() {
+        let terms = sample_terms(3, 4);
+        let path = tmpfile("failed_export.bfpg");
+        write_page_file(&terms[..1], &path).unwrap();
+        let old = fs::read(&path).unwrap();
+        let unchanged = |what: &str| {
+            for temp in temps(&path) {
+                assert!(!temp.exists(), "{what}: {} left behind", temp.display());
+            }
+            assert_eq!(
+                fs::read(&path).unwrap(),
+                old,
+                "{what}: the old file changed"
+            );
+        };
+        // A writer abandoned halfway, as an error returned between two
+        // pages abandons it.
+        let mut file = PageFileWriter::create(&path, N_DOCS, PAGE_SIZE as usize, 3).unwrap();
+        for temp in temps(&path) {
+            assert!(temp.exists(), "{} not created", temp.display());
+        }
+        file.push_term(terms[0].iter().map(|p| p.len() as u32).sum())
+            .unwrap();
+        file.push_page(&terms[0][0]).unwrap();
+        drop(file);
+        unchanged("dropped");
+        // A writer that panics on a page out of order.
+        let panicked = std::panic::catch_unwind(|| {
+            let mut file = PageFileWriter::create(&path, N_DOCS, PAGE_SIZE as usize, 3).unwrap();
+            file.push_term(terms[0].iter().map(|p| p.len() as u32).sum())
+                .unwrap();
+            file.push_page(&terms[0][1]).unwrap();
+        });
+        assert!(panicked.is_err());
+        unchanged("panicked");
+        // A finish whose rename fails: the path is a directory.
+        let dir = tmpfile("failed_export_dir.bfpg");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("kept"), b"kept").unwrap();
+        match write_page_file(&terms, &dir) {
+            Err(PageFileError::Io(_)) => {}
+            other => panic!("finish onto a directory: {other:?}"),
+        }
+        for temp in temps(&dir) {
+            assert!(
+                !temp.exists(),
+                "rename failed: {} left behind",
+                temp.display()
+            );
+        }
+        assert_eq!(fs::read(dir.join("kept")).unwrap(), b"kept");
+        // The same writer's bytes, finished, replace the old file; a
+        // path that itself ends in `.tmp` is kept too.
+        for path in [path, tmpfile("failed_export.tmp")] {
+            write_page_file(&terms, &path).unwrap();
+            assert_ne!(fs::read(&path).unwrap(), old);
+            for temp in temps(&path) {
+                assert!(!temp.exists(), "finished: {} left behind", temp.display());
+            }
+        }
     }
 
     #[test]

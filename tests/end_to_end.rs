@@ -27,15 +27,15 @@ fn brute_force_top(
             let rank = term_rank(name)?;
             let id = index.lexicon().lookup(name)?;
             let e = index.lexicon().entry(id).ok()?;
-            if e.stopped || e.n_postings == 0 {
+            if e.n_postings() == 0 {
                 return None;
             }
             Some((rank, *fq, e.idf))
         })
         .collect();
     let mut hits: Vec<Hit> = Vec::new();
-    for (d, bag) in corpus.docs.iter().enumerate() {
-        let by_rank: HashMap<u32, u32> = bag.iter().copied().collect();
+    for (d, bag) in corpus.docs().enumerate() {
+        let by_rank: HashMap<u32, u32> = bag.collect();
         let mut raw = 0.0;
         for &(rank, fq, idf) in &terms {
             if let Some(&f) = by_rank.get(&rank) {

@@ -17,10 +17,8 @@ fn table4_geometry_holds_at_paper_scale() {
     let page = c.config.page_size;
     let n_docs = c.config.n_docs;
     let mut df = vec![0u32; c.config.vocab_size as usize];
-    for doc in &c.docs {
-        for &(r, _) in doc {
-            df[r as usize] += 1;
-        }
+    for (r, _) in c.docs().flatten() {
+        df[r as usize] += 1;
     }
     let present = df.iter().filter(|&&f| f > 0).count();
     assert!(present > 50_000, "vocabulary too small: {present}");
@@ -49,8 +47,8 @@ fn table4_geometry_holds_at_paper_scale() {
     );
 
     // Posting-frequency skew: the vast majority of entries are f = 1.
-    let total: u64 = c.docs.iter().map(|d| d.len() as u64).sum();
-    let f1: u64 = c.docs.iter().flatten().filter(|&&(_, f)| f == 1).count() as u64;
+    let total = c.total_postings();
+    let f1 = c.docs().flatten().filter(|&(_, f)| f == 1).count() as u64;
     assert!(
         f1 as f64 / total as f64 > 0.90,
         "f=1 fraction {}",
