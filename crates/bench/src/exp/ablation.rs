@@ -24,7 +24,14 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     let mut rows = Vec::new();
     for kind in [RefinementKind::AddOnly, RefinementKind::AddDrop] {
         let sequence = ctx.bed.sequence(topic, kind)?;
-        let grid = sweep(&ctx.bed.index, &sequence, &buffers, &pairs, None)?;
+        let grid = sweep(
+            &ctx.ledger,
+            &ctx.bed.index,
+            &sequence,
+            &buffers,
+            &pairs,
+            None,
+        )?;
         for row in &grid {
             let lru = row[0].reads().max(1) as f64;
             lru2_vs_lru = lru2_vs_lru.max(row[3].reads() as f64 / lru);

@@ -29,7 +29,14 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
         let working_set = ctx.profiles[topic].df_reads.max(8) as f64;
         let buffers = FRACTIONS.map(|f| ((working_set * f).round() as usize).max(1));
         let mut topic_best = 0.0f64;
-        for row in sweep(&ctx.bed.index, &sequence, &buffers, &pairs, None)? {
+        for row in sweep(
+            &ctx.ledger,
+            &ctx.bed.index,
+            &sequence,
+            &buffers,
+            &pairs,
+            None,
+        )? {
             let (df_lru, baf_rap) = (row[0].reads(), row[1].reads());
             let savings = 1.0 - baf_rap as f64 / df_lru.max(1) as f64;
             topic_best = topic_best.max(savings);

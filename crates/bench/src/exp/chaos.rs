@@ -27,8 +27,8 @@
 
 use super::multiuser::{four_users, half_the_working_sets, pool, sessions};
 use super::{ExpContext, ExpResult};
+use crate::ledger::Ledger;
 use crate::setup::TestBed;
-use ir_core::eval::evaluate;
 use ir_core::Query;
 use ir_engine::{PoolLayout, Schedule, ServerReport, SessionOutcome, SessionServer, SessionSpec};
 use ir_storage::{
@@ -104,6 +104,7 @@ fn per_session_reads(r: &ServerReport) -> Vec<u64> {
 /// last step, so the pool sees the request stream the server's does.
 fn drive_sessions<S: PageStore>(
     bed: &TestBed,
+    ledger: &Ledger,
     specs: &[SessionSpec],
     store: Arc<S>,
     frames: usize,
@@ -128,7 +129,9 @@ fn drive_sessions<S: PageStore>(
             };
             if let Some(terms) = spec.sequence.steps.get(step) {
                 let stats = Query::from_ids(&bed.index, terms)
-                    .and_then(|q| evaluate(spec.algorithm, &bed.index, buffer, &q, spec.options))
+                    .and_then(|q| {
+                        ledger.evaluate(spec.algorithm, &bed.index, buffer, &q, spec.options)
+                    })
                     .map_err(|e| format!("user {user} step {step}: {e}"))?
                     .stats;
                 reads[user] += stats.disk_reads;
@@ -190,6 +193,8 @@ fn report(ctx: &ExpContext) -> ExpResult<String> {
                 .with_fetch_policy(FetchPolicy::retries(RETRY_BUDGET))
                 .run(&specs, Schedule::RoundRobin)
                 .map_err(|e| format!("{label}: chaotic run failed: {e}"))?;
+            ctx.ledger.absorb(&clean.ledger);
+            ctx.ledger.absorb(&faulty.ledger);
 
             if let Some((i, e)) = faulty.failed_sessions().first() {
                 return Err(
@@ -253,6 +258,7 @@ fn report(ctx: &ExpContext) -> ExpResult<String> {
         let label = format!("{policy:>9} / file[{total_frames}]");
         let clean = drive_sessions(
             &ctx.bed,
+            &ctx.ledger,
             &specs,
             Arc::clone(&file_store),
             total_frames,
@@ -266,6 +272,7 @@ fn report(ctx: &ExpContext) -> ExpResult<String> {
         ));
         let faulty = drive_sessions(
             &ctx.bed,
+            &ctx.ledger,
             &specs,
             Arc::clone(&faulty_store),
             total_frames,

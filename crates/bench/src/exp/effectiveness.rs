@@ -35,7 +35,14 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
         let relevant = ctx.bed.relevant_set(topic);
         let total_pages = ctx.profiles[topic].total_pages.max(8) as f64;
         let buffers = FRACTIONS.map(|f| ((total_pages * f).round() as usize).max(1));
-        for row in sweep(&ctx.bed.index, &sequence, &buffers, &PAIRS, Some(&relevant))? {
+        for row in sweep(
+            &ctx.ledger,
+            &ctx.bed.index,
+            &sequence,
+            &buffers,
+            &PAIRS,
+            Some(&relevant),
+        )? {
             let map = |i: usize| row[i].outcome.mean_avg_precision().unwrap_or(0.0);
             let df_map = map(0);
             cells += 1;

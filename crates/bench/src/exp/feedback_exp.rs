@@ -42,7 +42,14 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
         let total_pages = final_query.total_pages();
         let buffers =
             [0.125, 0.25, 0.5].map(|f| ((total_pages as f64 * f).round() as usize).max(1));
-        let grid = sweep(&ctx.bed.index, &sequence, &buffers, &PAIRS, None)?;
+        let grid = sweep(
+            &ctx.ledger,
+            &ctx.bed.index,
+            &sequence,
+            &buffers,
+            &PAIRS,
+            None,
+        )?;
         let topic_best = grid
             .iter()
             .map(|row| 1.0 - row[3].reads() as f64 / row[0].reads().max(1) as f64)

@@ -5,7 +5,7 @@
 //! QUERY3 stays flat (9 %).
 
 use super::{ExpContext, ExpResult};
-use ir_core::eval::{evaluate, EvalOptions};
+use ir_core::eval::EvalOptions;
 use ir_core::Algorithm;
 use ir_storage::PolicyKind;
 use ir_types::FilterParams;
@@ -23,7 +23,7 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
         let query = ctx.bed.query(topic);
         let pool = (query.total_pages() as usize).max(1);
         let mut buffer = ctx.bed.index.make_buffer(pool, PolicyKind::Lru)?;
-        let result = evaluate(
+        let result = ctx.ledger.evaluate(
             Algorithm::Df,
             &ctx.bed.index,
             &mut buffer,

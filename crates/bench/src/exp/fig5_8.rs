@@ -24,7 +24,14 @@ fn figure(ctx: &ExpContext, label: &str, topic: usize, kind: RefinementKind) -> 
         total_pages
     );
     let points = sweep_points(total_pages);
-    let grid = sweep(&ctx.bed.index, &sequence, &points, &PAPER_PAIRS, None)?;
+    let grid = sweep(
+        &ctx.ledger,
+        &ctx.bed.index,
+        &sequence,
+        &points,
+        &PAPER_PAIRS,
+        None,
+    )?;
     print!("{}", grid_table(&grid, SessionConfig::label));
     // Modeled I/O time under a 1998-era disk (10 ms seek, 0.5 ms page
     // transfer): sequential tail reads are cheap, the random re-reads

@@ -17,9 +17,10 @@ pub mod table1_2;
 pub mod table4;
 pub mod table7;
 
+use crate::ledger::Ledger;
 use crate::output::{OutputDir, TextTable};
 use crate::setup::{pick_representatives, profile_queries, QueryProfile, Representatives, TestBed};
-use ir_core::{run_sequence, Algorithm, RefinementSequence, SequenceOutcome, SessionConfig};
+use ir_core::{run_sequence_by, Algorithm, RefinementSequence, SequenceOutcome, SessionConfig};
 use ir_corpus::{Corpus, CorpusConfig};
 use ir_index::InvertedIndex;
 use ir_storage::{DiskStats, PolicyKind};
@@ -41,6 +42,8 @@ pub struct ExpContext {
     pub profiles: Vec<QueryProfile>,
     /// The four Table 5-style representative queries.
     pub reps: Representatives,
+    /// Every query the running experiment evaluated, timed by layer.
+    pub ledger: Ledger,
 }
 
 /// Result type for experiment modules: mixes simulator errors with I/O
@@ -83,7 +86,12 @@ impl ExpContext {
             "profiling the {} topic queries (DF vs Full, cold) ...",
             bed.n_queries()
         );
-        let profiles = profile_queries(&bed).map_err(|e| format!("profiling failed: {e}"))?;
+        let ledger = Ledger::new();
+        let profiles =
+            profile_queries(&bed, &ledger).map_err(|e| format!("profiling failed: {e}"))?;
+        if let Some(line) = ledger.drain_line() {
+            println!("{line}");
+        }
         let reps = pick_representatives(&profiles);
         let savings = |topic: usize| profiles[topic].savings * 100.0;
         println!(
@@ -104,13 +112,18 @@ impl ExpContext {
             out,
             profiles,
             reps,
+            ledger,
         })
     }
 
-    /// Runs one experiment, then zeroes the disk counters its reads left
-    /// behind, so each experiment starts from a clean disk.
+    /// Runs one experiment, prints the µs per query by layer of the
+    /// queries it evaluated (if any), then zeroes the disk counters its
+    /// reads left behind, so each experiment starts from a clean disk.
     pub fn run(&self, experiment: Experiment) -> ExpResult<()> {
         let result = experiment(self);
+        if let Some(line) = self.ledger.drain_line() {
+            println!("{line}");
+        }
         self.bed.index.disk().reset_stats();
         result
     }
@@ -146,8 +159,10 @@ impl Cell {
 /// Runs `sequence` over `index` on a fresh pool for every buffer size ×
 /// `(algorithm, policy)` pair, resetting the disk counters before each
 /// run, and returns the cells row by row: `grid[i][j]` is `buffers[i]`
-/// pages under `pairs[j]`. `relevant` turns on average precision.
+/// pages under `pairs[j]`. `relevant` turns on average precision. Every
+/// query is timed into `ledger`.
 pub(crate) fn sweep(
+    ledger: &Ledger,
     index: &InvertedIndex,
     sequence: &RefinementSequence,
     buffers: &[usize],
@@ -157,7 +172,16 @@ pub(crate) fn sweep(
     let cell = |buffers, (algorithm, policy)| -> ExpResult<Cell> {
         let config = SessionConfig::new(algorithm, policy, buffers);
         index.disk().reset_stats();
-        let outcome = run_sequence(index, sequence, config, relevant)?;
+        let mut buffer = index.make_buffer(config.buffer_pages, config.policy)?;
+        let outcome = run_sequence_by(index, sequence, relevant, |query| {
+            ledger.evaluate(
+                config.algorithm,
+                index,
+                &mut buffer,
+                query,
+                config.options(),
+            )
+        })?;
         let disk = index.disk().stats();
         Ok(Cell {
             config,

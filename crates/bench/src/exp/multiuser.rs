@@ -84,6 +84,7 @@ pub(super) fn sessions(ctx: &ExpContext, topics: &[usize]) -> ExpResult<Vec<Sess
 /// `layout`: pool misses == reads issued against the store.
 fn reads(ctx: &ExpContext, specs: &[SessionSpec], layout: PoolLayout) -> ExpResult<u64> {
     let report = SessionServer::new(&ctx.bed.index, layout).run(specs, Schedule::RoundRobin)?;
+    ctx.ledger.absorb(&report.ledger);
     // These experiments run fault-free, so a degraded session is a
     // harness bug, not data — its numbers must never reach the CSV.
     if let Some((i, e)) = report.failed_sessions().first() {

@@ -11,7 +11,7 @@
 
 use super::{sweep, ExpContext, ExpResult};
 use crate::output::TextTable;
-use ir_core::eval::{evaluate, EvalOptions};
+use ir_core::eval::EvalOptions;
 use ir_core::{Algorithm, Query, RefinementKind};
 use ir_engine::{index_corpus_opts, IndexCorpusOptions};
 use ir_index::InvertedIndex;
@@ -35,7 +35,9 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     let cold_df = |index: &InvertedIndex, query: &Query, pool| -> ExpResult<u64> {
         let mut buffer = index.make_buffer(pool, PolicyKind::Lru)?;
         let options = EvalOptions::default();
-        Ok(evaluate(Algorithm::Df, index, &mut buffer, query, options)?
+        Ok(ctx
+            .ledger
+            .evaluate(Algorithm::Df, index, &mut buffer, query, options)?
             .stats
             .disk_reads)
     };
@@ -70,7 +72,7 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     let buffers = (ctx.profiles[topic].df_reads as usize * 3 / 4).max(1);
     let baf_rap = |index: &InvertedIndex| -> ExpResult<u64> {
         let pair = (Algorithm::Baf, PolicyKind::Rap);
-        Ok(sweep(index, &sequence, &[buffers], &[pair], None)?[0][0].reads())
+        Ok(sweep(&ctx.ledger, index, &sequence, &[buffers], &[pair], None)?[0][0].reads())
     };
     let (freq_seq, doc_seq) = (baf_rap(&ctx.bed.index)?, baf_rap(&doc_index)?);
     println!(

@@ -8,14 +8,15 @@
 //! savings distribution (Figure 3's y-axis), and accumulator reduction.
 
 use super::{ExpContext, ExpResult};
+use crate::ledger::Ledger;
 use crate::output::TextTable;
 use crate::setup::{profile_queries, TestBed};
 use ir_corpus::CorpusConfig;
 
 /// Mean DF savings, multi-page term fraction, longest list (pages) and
 /// mean accumulator reduction of a testbed.
-fn stats_of(bed: &TestBed) -> ExpResult<[f64; 4]> {
-    let profiles = profile_queries(bed)?;
+fn stats_of(bed: &TestBed, ledger: &Ledger) -> ExpResult<[f64; 4]> {
+    let profiles = profile_queries(bed, ledger)?;
     let n = profiles.len().max(1) as f64;
     let mean_savings = profiles.iter().map(|p| p.savings).sum::<f64>() / n;
     let lexicon = bed.index.lexicon();
@@ -53,7 +54,10 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     );
     let half_bed = TestBed::from_config(half)?;
 
-    let (full, half) = (stats_of(&ctx.bed)?, stats_of(&half_bed)?);
+    let (full, half) = (
+        stats_of(&ctx.bed, &ctx.ledger)?,
+        stats_of(&half_bed, &ctx.ledger)?,
+    );
     let mut t = TextTable::new([
         "statistic".to_string(),
         format!("σ={sigma:.4}"),

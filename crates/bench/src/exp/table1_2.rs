@@ -12,7 +12,7 @@
 
 use super::{ExpContext, ExpResult};
 use crate::output::{fnum, TextTable};
-use ir_core::eval::{evaluate, EvalOptions};
+use ir_core::eval::EvalOptions;
 use ir_core::{Algorithm, Query, QueryResult};
 use ir_storage::PolicyKind;
 use ir_types::{FilterParams, TermId};
@@ -105,7 +105,9 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     let pool = {
         let mut probe =
             index.make_buffer((q_refined.total_pages() as usize).max(8), PolicyKind::Lru)?;
-        let warm = evaluate(Algorithm::Df, index, &mut probe, &q_initial, options)?;
+        let warm = ctx
+            .ledger
+            .evaluate(Algorithm::Df, index, &mut probe, &q_initial, options)?;
         (warm.stats.pages_processed as usize + 4).max(8)
     };
 
@@ -113,8 +115,9 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
         let mut buffer = index.make_buffer(pool, PolicyKind::Lru)?;
         // Initial query warms the buffers (DF order for both runs, as
         // in the paper's setup).
-        evaluate(Algorithm::Df, index, &mut buffer, &q_initial, options)?;
-        evaluate(alg, index, &mut buffer, &q_refined, options)
+        let ledger = &ctx.ledger;
+        ledger.evaluate(Algorithm::Df, index, &mut buffer, &q_initial, options)?;
+        ledger.evaluate(alg, index, &mut buffer, &q_refined, options)
     };
 
     let df = replay(Algorithm::Df)?;

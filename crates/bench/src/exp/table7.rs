@@ -17,7 +17,14 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     for (alias, topic) in [("QUERY1", ctx.reps.query1), ("QUERY2", ctx.reps.query2)] {
         let sequence = ctx.bed.sequence(topic, RefinementKind::AddOnly)?;
         let points = sweep_points(ctx.profiles[topic].total_pages);
-        let grid = sweep(&ctx.bed.index, &sequence, &points, &PAPER_PAIRS, None)?;
+        let grid = sweep(
+            &ctx.ledger,
+            &ctx.bed.index,
+            &sequence,
+            &points,
+            &PAPER_PAIRS,
+            None,
+        )?;
         // The paper picks "the buffer sizes that yield the most
         // improvement" of BAF/RAP over DF/LRU; the smallest on a tie.
         let savings = |row: &[Cell]| 1.0 - last(&row[5]) as f64 / last(&row[0]).max(1) as f64;
@@ -30,6 +37,7 @@ pub fn run(ctx: &ExpContext) -> ExpResult<()> {
         let buffers = best[0].config.buffer_pages;
         // The collapsed variant (§5.2.2), BAF rows only as in the paper.
         let collapsed = sweep(
+            &ctx.ledger,
             &ctx.bed.index,
             &sequence.collapsed(),
             &[buffers],

@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod exp;
+pub mod ledger;
 pub mod output;
 pub mod setup;
 

@@ -1,5 +1,6 @@
 //! Shared experiment fixture: corpus + index + queries + profiles.
 
+use crate::ledger::Ledger;
 use ir_core::workload::TermContribution;
 use ir_core::{contribution_ranking, make_sequence, Query, RefinementKind, RefinementSequence};
 use ir_corpus::{Corpus, CorpusConfig, TopicQuery};
@@ -95,9 +96,9 @@ pub struct QueryProfile {
 
 /// Profiles every topic query: cold buffers, pool large enough that the
 /// only effect is the filtering itself (the paper flushes buffers
-/// between the Fig. 3 queries).
-pub fn profile_queries(bed: &TestBed) -> IrResult<Vec<QueryProfile>> {
-    use ir_core::eval::{evaluate, EvalOptions};
+/// between the Fig. 3 queries). Every query is timed into `ledger`.
+pub fn profile_queries(bed: &TestBed, ledger: &Ledger) -> IrResult<Vec<QueryProfile>> {
+    use ir_core::eval::EvalOptions;
     use ir_core::Algorithm;
     let mut out = Vec::with_capacity(bed.n_queries());
     for topic in 0..bed.n_queries() {
@@ -105,7 +106,7 @@ pub fn profile_queries(bed: &TestBed) -> IrResult<Vec<QueryProfile>> {
         let pool = (query.total_pages() as usize).max(1);
         let run = |alg: Algorithm| -> IrResult<ir_core::EvalStats> {
             let mut buffer = bed.index.make_buffer(pool, PolicyKind::Lru)?;
-            let r = evaluate(
+            let r = ledger.evaluate(
                 alg,
                 &bed.index,
                 &mut buffer,
@@ -233,7 +234,7 @@ mod tests {
     #[test]
     fn profiles_have_consistent_savings() {
         let bed = tiny_bed();
-        let profiles = profile_queries(&bed).unwrap();
+        let profiles = profile_queries(&bed, &Ledger::new()).unwrap();
         assert_eq!(profiles.len(), bed.n_queries());
         for p in &profiles {
             assert_eq!(p.full_reads, p.total_pages, "full eval reads every page");
@@ -246,7 +247,7 @@ mod tests {
     #[test]
     fn representatives_are_distinctive() {
         let bed = tiny_bed();
-        let profiles = profile_queries(&bed).unwrap();
+        let profiles = profile_queries(&bed, &Ledger::new()).unwrap();
         let reps = pick_representatives(&profiles);
         let s = |i: usize| profiles[i].savings;
         assert!(s(reps.query1) >= s(reps.query2));

@@ -31,6 +31,7 @@
 //! are in flight. The pool never demands it, so it changes no load, no
 //! victim and no answer.
 
+use super::clock::{Clock, Layer, NoClock, Stopwatch};
 use super::scan::{scan_term, with_fetched};
 use super::EvalOptions;
 use crate::accumulator::Accumulators;
@@ -45,14 +46,15 @@ use ir_types::{FilterParams, IrResult, ListOrdering, PageId, ReadPlan, TermId};
 /// outright: touch its first page anyway, so a newly added term is
 /// never silently dropped. A one-entry plan keeps even this touch on
 /// the batch path (and hints the page with `w_{q,t}`).
-fn touch_first_page<B: QueryBuffer>(
+fn touch_first_page<B: QueryBuffer, C: Clock>(
     buffer: &mut B,
     t: &QueryTerm,
     stats: &mut EvalStats,
     row: &mut TermTraceRow,
+    watch: &mut Stopwatch<'_, C>,
 ) -> IrResult<()> {
     let plan = ReadPlan::single_hinted(PageId::new(t.term, 0), t.weight());
-    let how = with_fetched(buffer, &plan, |fetched| fetched[0].1)?;
+    let how = with_fetched(buffer, &plan, watch, |fetched| fetched[0].1)?;
     stats.batches_issued += 1;
     row.pages_processed = 1;
     row.pages_read = u32::from(how == FetchOutcome::Miss);
@@ -191,7 +193,20 @@ pub fn evaluate_baf<B: QueryBuffer>(
     query: &Query,
     options: EvalOptions,
 ) -> IrResult<QueryResult> {
+    evaluate_baf_on(index, buffer, query, options, &NoClock)
+}
+
+/// [`evaluate_baf`] keeping the per-layer ledger under `clock`.
+pub(crate) fn evaluate_baf_on<B: QueryBuffer, C: Clock>(
+    index: &InvertedIndex,
+    buffer: &mut B,
+    query: &Query,
+    options: EvalOptions,
+    clock: &C,
+) -> IrResult<QueryResult> {
+    let mut watch = Stopwatch::start(clock);
     buffer.begin_query(&query.weights());
+    watch.lap(Layer::Policy);
     let mut rounds = Selection::new(index, query.terms(), options.params);
     Accumulators::with_scratch(index.n_docs() as usize, |accs| {
         baf_over(
@@ -200,6 +215,7 @@ pub fn evaluate_baf<B: QueryBuffer>(
             query,
             options,
             accs,
+            &mut watch,
             |b, s_max, read, stats| rounds.pick(b, s_max, read, stats),
         )
     })
@@ -207,12 +223,15 @@ pub fn evaluate_baf<B: QueryBuffer>(
 
 /// Fig. 2 over the caller's (empty) accumulator set, one `pick` a
 /// round: `pick(buffer, S_max, read a page since the last pick, stats)`.
-fn baf_over<'q, B: QueryBuffer>(
+/// Each round's pick is selection: one clock read a round, beside a
+/// scan's two.
+fn baf_over<'q, B: QueryBuffer, C: Clock>(
     index: &InvertedIndex,
     buffer: &mut B,
     query: &'q Query,
     options: EvalOptions,
     accs: &mut Accumulators,
+    watch: &mut Stopwatch<'_, C>,
     mut pick: impl FnMut(&B, f64, bool, &mut EvalStats) -> IrResult<Pick<'q>>,
 ) -> IrResult<QueryResult> {
     // Frequency-sorted lists allow terminating a scan at the first
@@ -228,6 +247,7 @@ fn baf_over<'q, B: QueryBuffer>(
     for _ in 0..n {
         // Step 3a: select the term with the least d_t.
         let picked = pick(buffer, s_max, read_since, &mut stats)?;
+        watch.lap(Layer::Selection);
         let (t, f_add, est_reads) = (picked.chosen.term, picked.chosen.f_add, picked.est_reads);
         if trace.last().and_then(|row: &TermTraceRow| row.lookahead) == Some(t.term) {
             stats.lookahead_confirmed += 1;
@@ -256,7 +276,7 @@ fn baf_over<'q, B: QueryBuffer>(
         if f64::from(t.f_max) <= f_add {
             stats.terms_skipped += 1;
             if options.baf_force_first_page && t.n_pages > 0 {
-                touch_first_page(buffer, t, &mut stats, &mut row)?;
+                touch_first_page(buffer, t, &mut stats, &mut row, watch)?;
             }
         } else {
             // The pick's `p_t` is exactly the page count a
@@ -272,6 +292,7 @@ fn baf_over<'q, B: QueryBuffer>(
                 early_stop,
                 picked.chosen.p_t,
                 picked.runner_up,
+                watch,
             )?;
             row.lookahead = picked.runner_up.map(|(term, _)| term);
             stats.record_scan(&out);
@@ -289,7 +310,12 @@ fn baf_over<'q, B: QueryBuffer>(
     let hits = rank::top_n(accs, index.doc_stats(), options.top_n)?;
     stats.peak_accumulators = accs.peak();
     stats.final_accumulators = accs.len();
-    Ok(QueryResult { hits, stats, trace })
+    Ok(QueryResult {
+        hits,
+        stats,
+        trace,
+        layers: watch.layers(),
+    })
 }
 
 #[cfg(test)]
@@ -408,10 +434,17 @@ mod tests {
     ) -> IrResult<QueryResult> {
         buffer.begin_query(&query.weights());
         let mut rounds = EagerSelection::new(index, query.terms(), options.params);
+        let mut watch = Stopwatch::start(&NoClock);
         Accumulators::with_scratch(index.n_docs() as usize, |accs| {
-            baf_over(index, buffer, query, options, accs, |b, s_max, _, stats| {
-                rounds.pick(b, s_max, stats)
-            })
+            baf_over(
+                index,
+                buffer,
+                query,
+                options,
+                accs,
+                &mut watch,
+                |b, s_max, _, stats| rounds.pick(b, s_max, stats),
+            )
         })
     }
 

@@ -1,6 +1,7 @@
 //! Document Filtering (Fig. 1): terms in decreasing-`idf_t` order,
 //! thresholds from Eq. 5, early list termination.
 
+use super::clock::{Clock, Layer, NoClock, Stopwatch};
 use super::scan::scan_term;
 use super::EvalOptions;
 use crate::accumulator::Accumulators;
@@ -19,19 +20,35 @@ pub fn evaluate_df<B: QueryBuffer>(
     query: &Query,
     options: EvalOptions,
 ) -> IrResult<QueryResult> {
+    evaluate_df_on(index, buffer, query, options, &NoClock)
+}
+
+/// [`evaluate_df`] keeping the per-layer ledger under `clock`.
+pub(crate) fn evaluate_df_on<B: QueryBuffer, C: Clock>(
+    index: &InvertedIndex,
+    buffer: &mut B,
+    query: &Query,
+    options: EvalOptions,
+    clock: &C,
+) -> IrResult<QueryResult> {
+    let mut watch = Stopwatch::start(clock);
     buffer.begin_query(&query.weights());
+    watch.lap(Layer::Policy);
     Accumulators::with_scratch(index.n_docs() as usize, |accs| {
-        df_over(index, buffer, query, options, accs)
+        df_over(index, buffer, query, options, accs, &mut watch)
     })
 }
 
-/// Fig. 1 over the caller's (empty) accumulator set.
-fn df_over<B: QueryBuffer>(
+/// Fig. 1 over the caller's (empty) accumulator set. Selection is the
+/// `idf` order and each scanned term's conversion lookup: one clock
+/// read a scanned term, beside the scan's two.
+fn df_over<B: QueryBuffer, C: Clock>(
     index: &InvertedIndex,
     buffer: &mut B,
     query: &Query,
     options: EvalOptions,
     accs: &mut Accumulators,
+    watch: &mut Stopwatch<'_, C>,
 ) -> IrResult<QueryResult> {
     // Frequency-sorted lists allow terminating a scan at the first
     // entry below f_add; doc-ordered lists must be scanned fully.
@@ -75,8 +92,9 @@ fn df_over<B: QueryBuffer>(
         // exactly: the scan's batched fetch covers precisely the pages
         // the threshold-f_add scan will process.
         let plan_pages = index.conversion().pages_to_process(t.term, f_add)?;
+        watch.lap(Layer::Selection);
         let out = scan_term(
-            buffer, accs, &mut s_max, t, f_ins, f_add, early_stop, plan_pages, None,
+            buffer, accs, &mut s_max, t, f_ins, f_add, early_stop, plan_pages, None, watch,
         )?;
         stats.record_scan(&out);
         row.pages_processed = out.pages_processed;
@@ -88,7 +106,12 @@ fn df_over<B: QueryBuffer>(
     let hits = rank::top_n(accs, index.doc_stats(), options.top_n)?;
     stats.peak_accumulators = accs.peak();
     stats.final_accumulators = accs.len();
-    Ok(QueryResult { hits, stats, trace })
+    Ok(QueryResult {
+        hits,
+        stats,
+        trace,
+        layers: watch.layers(),
+    })
 }
 
 #[cfg(test)]

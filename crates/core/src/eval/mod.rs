@@ -1,10 +1,12 @@
 //! The evaluation algorithms: Full (safe), DF (Fig. 1), BAF (Fig. 2).
 
 mod baf;
+pub mod clock;
 mod df;
 mod scan;
 
 pub use baf::evaluate_baf;
+pub use clock::{Clock, Layers, NoClock, RealClock, TickClock};
 pub use df::evaluate_df;
 
 use crate::query::Query;
@@ -107,6 +109,9 @@ impl EvalOptions {
 /// assert_eq!(result.hits[0].doc, ir_types::DocId(0));
 /// # Ok::<(), ir_types::IrError>(())
 /// ```
+///
+/// Reads no clock: the result's [`layers`](QueryResult::layers) stay
+/// zero. [`evaluate_on`] keeps the per-layer ledger.
 pub fn evaluate<B: QueryBuffer>(
     algorithm: Algorithm,
     index: &InvertedIndex,
@@ -114,16 +119,30 @@ pub fn evaluate<B: QueryBuffer>(
     query: &Query,
     options: EvalOptions,
 ) -> IrResult<QueryResult> {
+    evaluate_on(algorithm, index, buffer, query, options, &NoClock)
+}
+
+/// [`evaluate`] under `clock`, keeping the per-layer ledger in the
+/// result's [`layers`](QueryResult::layers). The pages read, the
+/// answers and every counter are the same under any clock.
+pub fn evaluate_on<B: QueryBuffer, C: Clock>(
+    algorithm: Algorithm,
+    index: &InvertedIndex,
+    buffer: &mut B,
+    query: &Query,
+    options: EvalOptions,
+    clock: &C,
+) -> IrResult<QueryResult> {
     match algorithm {
         Algorithm::Full => {
             let opts = EvalOptions {
                 params: FilterParams::OFF,
                 ..options
             };
-            evaluate_df(index, buffer, query, opts)
+            df::evaluate_df_on(index, buffer, query, opts, clock)
         }
-        Algorithm::Df => evaluate_df(index, buffer, query, options),
-        Algorithm::Baf => evaluate_baf(index, buffer, query, options),
+        Algorithm::Df => df::evaluate_df_on(index, buffer, query, options, clock),
+        Algorithm::Baf => baf::evaluate_baf_on(index, buffer, query, options, clock),
     }
 }
 

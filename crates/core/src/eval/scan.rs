@@ -1,6 +1,7 @@
 //! The shared inner loop: scanning one term's inverted list under the
 //! filtering thresholds (step 4(c) of Fig. 1 == step 3(d) of Fig. 2).
 
+use super::clock::{Clock, Layer, Stopwatch};
 use crate::accumulator::Accumulators;
 use crate::query::QueryTerm;
 use crate::stats::EvalStats;
@@ -19,16 +20,18 @@ thread_local! {
 }
 
 /// Fetches `plan` into the thread's scratch vector and hands the served
-/// pages to `f` — the one place the evaluators call the buffer's fetch.
-pub(crate) fn with_fetched<B: QueryBuffer, R>(
+/// pages to `f` — the one place the evaluators call the buffer's fetch,
+/// and so the one place the ledger's pool layer closes.
+pub(crate) fn with_fetched<B: QueryBuffer, C: Clock, R>(
     buffer: &mut B,
     plan: &ReadPlan,
+    watch: &mut Stopwatch<'_, C>,
     f: impl FnOnce(&[(Page, FetchOutcome)]) -> R,
 ) -> IrResult<R> {
     let mut fetched = FETCH_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
-    let out = buffer
-        .fetch_batch_into(plan, &mut fetched)
-        .map(|()| f(&fetched));
+    let served = buffer.fetch_batch_into(plan, &mut fetched);
+    watch.lap(Layer::Pool);
+    let out = served.map(|()| f(&fetched));
     fetched.clear();
     FETCH_SCRATCH.with(|c| *c.borrow_mut() = fetched);
     out
@@ -134,8 +137,11 @@ fn process_fetched(
 /// `lookahead`, `(term, n_pages)`, is the list prefix the caller expects
 /// to scan next; the plan carries it as stage-only, for a store that
 /// can read it while this scan's own reads are in flight.
+///
+/// `watch` closes the pool layer after the fetch and the scoring after
+/// the postings: two clock reads a scanned list.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_term<B: QueryBuffer>(
+pub(crate) fn scan_term<B: QueryBuffer, C: Clock>(
     buffer: &mut B,
     accs: &mut Accumulators,
     s_max: &mut f64,
@@ -145,17 +151,21 @@ pub(crate) fn scan_term<B: QueryBuffer>(
     early_stop: bool,
     plan_pages: u32,
     lookahead: Option<(TermId, u32)>,
+    watch: &mut Stopwatch<'_, C>,
 ) -> IrResult<ScanOutcome> {
     let plan = ReadPlan::for_term_pages(term.term, plan_pages, Some(term.weight()))
         .with_lookahead(lookahead);
-    with_fetched(buffer, &plan, |fetched| {
+    let out = with_fetched(buffer, &plan, watch, |fetched| {
         process_fetched(fetched, accs, s_max, term, f_ins, f_add, early_stop)
-    })
+    });
+    watch.lap(Layer::Scoring);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::clock::NoClock;
     use ir_storage::{BufferManager, DiskSim, Page, PolicyKind};
     use ir_types::{DocId, PageId, Posting, TermId};
 
@@ -190,7 +200,16 @@ mod tests {
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
         let out = scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
+            &mut buf,
+            &mut accs,
+            &mut s_max,
+            &term,
+            0.0,
+            0.0,
+            true,
+            2,
+            None,
+            &mut Stopwatch::start(&NoClock),
         )
         .unwrap();
         assert_eq!(out.pages_processed, 2);
@@ -209,7 +228,16 @@ mod tests {
         // f_add = 2: f=1 fails; the failing entry is on page 1, so both
         // its page and page 0 are processed, and entries = 3 (5, 3, 1).
         let out = scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 2.0, true, 2, None,
+            &mut buf,
+            &mut accs,
+            &mut s_max,
+            &term,
+            0.0,
+            2.0,
+            true,
+            2,
+            None,
+            &mut Stopwatch::start(&NoClock),
         )
         .unwrap();
         assert_eq!(out.pages_processed, 2);
@@ -223,7 +251,16 @@ mod tests {
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
         let out = scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 1.0, true, 1, None,
+            &mut buf,
+            &mut accs,
+            &mut s_max,
+            &term,
+            0.0,
+            1.0,
+            true,
+            1,
+            None,
+            &mut Stopwatch::start(&NoClock),
         )
         .unwrap();
         assert_eq!(out.pages_processed, 1, "page 1 must not be fetched");
@@ -240,7 +277,16 @@ mod tests {
         // f_ins = 4: only f=5 creates; f=3 (doc 1) is filtered out
         // entirely; f=2 (doc 2) passes f_add and doc 2 exists → added.
         let out = scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 4.0, 1.0, true, 1, None,
+            &mut buf,
+            &mut accs,
+            &mut s_max,
+            &term,
+            4.0,
+            1.0,
+            true,
+            1,
+            None,
+            &mut Stopwatch::start(&NoClock),
         )
         .unwrap();
         assert_eq!(out.entries, 3);
@@ -258,13 +304,31 @@ mod tests {
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
         scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
+            &mut buf,
+            &mut accs,
+            &mut s_max,
+            &term,
+            0.0,
+            0.0,
+            true,
+            2,
+            None,
+            &mut Stopwatch::start(&NoClock),
         )
         .unwrap();
         let mut accs2 = Accumulators::new();
         let mut s2 = 0.0;
         let out = scan_term(
-            &mut buf, &mut accs2, &mut s2, &term, 0.0, 0.0, true, 2, None,
+            &mut buf,
+            &mut accs2,
+            &mut s2,
+            &term,
+            0.0,
+            0.0,
+            true,
+            2,
+            None,
+            &mut Stopwatch::start(&NoClock),
         )
         .unwrap();
         assert_eq!(out.pages_processed, 2);
@@ -277,7 +341,16 @@ mod tests {
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
         scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
+            &mut buf,
+            &mut accs,
+            &mut s_max,
+            &term,
+            0.0,
+            0.0,
+            true,
+            2,
+            None,
+            &mut Stopwatch::start(&NoClock),
         )
         .unwrap();
         let dump = buf.metrics().dump();
@@ -318,7 +391,16 @@ mod tests {
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
         let out = scan_term(
-            &mut pool, &mut accs, &mut s_max, &term, 0.0, 0.0, true, n_pages, None,
+            &mut pool,
+            &mut accs,
+            &mut s_max,
+            &term,
+            0.0,
+            0.0,
+            true,
+            n_pages,
+            None,
+            &mut Stopwatch::start(&NoClock),
         )
         .unwrap();
         assert_eq!(out.pages_processed, n_pages, "every page processed once");
@@ -346,7 +428,16 @@ mod tests {
         let mut accs = Accumulators::new();
         let mut s_max = 1000.0;
         scan_term(
-            &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 1, None,
+            &mut buf,
+            &mut accs,
+            &mut s_max,
+            &term,
+            0.0,
+            0.0,
+            true,
+            1,
+            None,
+            &mut Stopwatch::start(&NoClock),
         )
         .unwrap();
         assert_eq!(s_max, 1000.0);

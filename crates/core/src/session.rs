@@ -8,7 +8,7 @@ use crate::effectiveness::average_precision;
 use crate::eval::{evaluate, Algorithm, EvalOptions};
 use crate::query::Query;
 use crate::rank::Hit;
-use crate::stats::EvalStats;
+use crate::stats::{EvalStats, QueryResult};
 use crate::workload::RefinementSequence;
 use ir_index::InvertedIndex;
 use ir_storage::PolicyKind;
@@ -41,6 +41,15 @@ impl SessionConfig {
             buffer_pages,
             params: FilterParams::PERSIN,
             top_n: DEFAULT_TOP_N,
+        }
+    }
+
+    /// The evaluation knobs of the cell.
+    pub fn options(&self) -> EvalOptions {
+        EvalOptions {
+            params: self.params,
+            top_n: self.top_n,
+            baf_force_first_page: false,
         }
     }
 
@@ -121,11 +130,7 @@ pub fn run_sequence(
         &mut buffer,
         sequence,
         config.algorithm,
-        EvalOptions {
-            params: config.params,
-            top_n: config.top_n,
-            baf_force_first_page: false,
-        },
+        config.options(),
         relevant,
     )
 }
@@ -142,10 +147,23 @@ pub fn run_sequence_with<B: ir_storage::QueryBuffer>(
     options: EvalOptions,
     relevant: Option<&HashSet<DocId>>,
 ) -> IrResult<SequenceOutcome> {
+    run_sequence_by(index, sequence, relevant, |query| {
+        evaluate(algorithm, index, buffer, query, options)
+    })
+}
+
+/// Runs one sequence through `eval`, which evaluates each refinement's
+/// query on whatever buffer and clock the caller keeps.
+pub fn run_sequence_by(
+    index: &InvertedIndex,
+    sequence: &RefinementSequence,
+    relevant: Option<&HashSet<DocId>>,
+    mut eval: impl FnMut(&Query) -> IrResult<QueryResult>,
+) -> IrResult<SequenceOutcome> {
     let mut steps = Vec::with_capacity(sequence.steps.len());
     for step_terms in &sequence.steps {
         let query = Query::from_ids(index, step_terms)?;
-        let result = evaluate(algorithm, index, buffer, &query, options)?;
+        let result = eval(&query)?;
         steps.push(StepOutcome {
             avg_precision: relevant.map(|rel| average_precision(&result.hits, rel)),
             stats: result.stats,

@@ -4,6 +4,7 @@
 //! entries processed (CPU proxy), and candidate-set size (memory
 //! proxy). The per-term trace reproduces the columns of Tables 1 and 2.
 
+use crate::eval::clock::Layers;
 use crate::rank::Hit;
 use ir_types::TermId;
 use serde::Serialize;
@@ -101,6 +102,9 @@ pub struct QueryResult {
     pub stats: EvalStats,
     /// Per-term trace, in processing order.
     pub trace: Vec<TermTraceRow>,
+    /// Where the evaluation's time went, by layer (all zero when it ran
+    /// without a clock).
+    pub layers: Layers,
 }
 
 impl QueryResult {
@@ -126,6 +130,7 @@ mod tests {
         let r = QueryResult {
             hits: vec![],
             stats: EvalStats::default(),
+            layers: Layers::default(),
             trace: vec![
                 TermTraceRow {
                     term: TermId(4),

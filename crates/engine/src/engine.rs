@@ -1,7 +1,7 @@
 //! The `SearchEngine` facade.
 
 use crate::ledger::{query_cost, CostLedger};
-use ir_core::eval::{evaluate, EvalOptions};
+use ir_core::eval::{evaluate_on, Clock, EvalOptions, RealClock};
 use ir_core::{Algorithm, Query, QueryResult};
 use ir_index::{BuildOptions, IndexBuilder, InvertedIndex};
 use ir_storage::{BufferManager, BufferStats, DiskSim, PolicyKind};
@@ -61,13 +61,19 @@ impl EngineConfig {
 /// pool — exactly the query-refinement situation the paper studies.
 /// Call [`flush_buffers`](SearchEngine::flush_buffers) to start a cold
 /// session.
+///
+/// Every search is timed on the clock `C` — the real one, unless
+/// [`with_clock`](SearchEngine::with_clock) swaps in another — and
+/// recorded in the engine's [cost ledger](SearchEngine::ledger) by
+/// layer.
 #[derive(Debug)]
-pub struct SearchEngine {
+pub struct SearchEngine<C = RealClock> {
     index: Arc<InvertedIndex>,
     analyzer: Analyzer,
     buffer: BufferManager<Arc<DiskSim>>,
     config: EngineConfig,
     ledger: CostLedger,
+    clock: C,
 }
 
 impl SearchEngine {
@@ -81,6 +87,7 @@ impl SearchEngine {
             buffer,
             config,
             ledger: CostLedger::new(),
+            clock: RealClock::new(),
         })
     }
 
@@ -92,11 +99,6 @@ impl SearchEngine {
     ) -> Result<Self, ir_index::PersistError> {
         let index = ir_index::load_index(path)?;
         SearchEngine::new(index, config).map_err(ir_index::PersistError::from)
-    }
-
-    /// Persists the underlying index to `path`.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), ir_index::PersistError> {
-        ir_index::save_index(&self.index, path)
     }
 
     /// Indexes a set of raw text documents with the paper's pipeline
@@ -116,6 +118,25 @@ impl SearchEngine {
         engine.analyzer = analyzer;
         Ok(engine)
     }
+}
+
+impl<C: Clock> SearchEngine<C> {
+    /// The same engine, timing its searches on `clock` from now on.
+    pub fn with_clock<D: Clock>(self, clock: D) -> SearchEngine<D> {
+        SearchEngine {
+            index: self.index,
+            analyzer: self.analyzer,
+            buffer: self.buffer,
+            config: self.config,
+            ledger: self.ledger,
+            clock,
+        }
+    }
+
+    /// Persists the underlying index to `path`.
+    pub fn save(&self, path: &std::path::Path) -> Result<(), ir_index::PersistError> {
+        ir_index::save_index(&self.index, path)
+    }
 
     /// Runs a free-text query through the analysis pipeline and
     /// evaluates it.
@@ -131,11 +152,9 @@ impl SearchEngine {
     /// Evaluates a pre-analyzed `(term, f_{q,t})` query and appends one
     /// row to the engine's [cost ledger](SearchEngine::ledger).
     pub fn search_terms(&mut self, terms: &[(String, u32)]) -> IrResult<QueryResult> {
-        use ir_storage::PageStore;
+        let started = self.clock.now_ns();
         let query = Query::from_named(&self.index, terms);
-        let started = std::time::Instant::now();
-        let io_wait_before = self.buffer.store().io_wait_us();
-        let result = evaluate(
+        let result = evaluate_on(
             self.config.algorithm,
             &self.index,
             &mut self.buffer,
@@ -145,12 +164,18 @@ impl SearchEngine {
                 top_n: self.config.top_n,
                 baf_force_first_page: false,
             },
+            &self.clock,
         )?;
-        let eval_us = started.elapsed().as_micros() as u64;
-        let io_wait_us = self.buffer.store().io_wait_us() - io_wait_before;
+        let eval_ns = self.clock.now_ns() - started;
         let step = self.ledger.len() as u32;
-        self.ledger
-            .record(query_cost(0, step, &result.stats, eval_us, io_wait_us));
+        self.ledger.record(query_cost(
+            0,
+            step,
+            &result.stats,
+            &result.layers,
+            eval_ns,
+            0,
+        ));
         Ok(result)
     }
 

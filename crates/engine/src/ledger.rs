@@ -1,11 +1,107 @@
 //! The per-query cost ledger: one row per evaluated query, carrying
 //! every cost the paper argues about (disk reads, buffer hits,
 //! evaluation wall time, candidate-set size) plus the BAF estimator's
-//! predicted reads, aggregated per session on demand.
+//! predicted reads and where the wall time went by layer, aggregated
+//! per session on demand.
 //!
 //! [`SearchEngine`](crate::SearchEngine) appends a row per search;
 //! [`SessionServer`](crate::SessionServer) collects one ledger per run
-//! and returns it in the [`ServerReport`](crate::ServerReport).
+//! and returns it in the [`ServerReport`](crate::ServerReport). Both
+//! time their queries on a [`Clock`](ir_core::eval::Clock), the real
+//! one unless a test hands them another; the split by layer is the
+//! evaluator's [`Layers`] plus the server's turnstile wait, and what
+//! those leave of the wall time is scoring.
+
+use ir_core::eval::Layers;
+
+/// One query's wall time split by layer, µs. The layers sum to the
+/// query's `eval_us` exactly: each is rounded on the running total, so
+/// no layer is off by a whole µs and the rounding does not pile up in
+/// one of them, and scoring is the remainder.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LayerCost {
+    /// Term selection: BAF's rounds, DF's `idf` order and conversion
+    /// lookups.
+    pub selection_us: u64,
+    /// The replacement policy's `begin_query`.
+    pub policy_us: u64,
+    /// The pool's fetches less their waits.
+    pub pool_us: u64,
+    /// Waits for demand reads the device served.
+    pub demand_wait_us: u64,
+    /// Waits for completions a submission staged.
+    pub staged_wait_us: u64,
+    /// Waits for shard locks another session held.
+    pub lock_wait_us: u64,
+    /// Waits for the session's turn under
+    /// [`Schedule::RoundRobin`](crate::Schedule::RoundRobin).
+    pub turnstile_us: u64,
+    /// The remainder: the postings, the ranking, resolving the query
+    /// and the bookkeeping around them.
+    pub scoring_us: u64,
+}
+
+impl LayerCost {
+    /// Splits a query's `eval_ns` into layers: the evaluator's
+    /// `layers`, then the `turnstile_ns` wait, and scoring as what they
+    /// leave.
+    pub fn split(layers: &Layers, turnstile_ns: u64, eval_ns: u64) -> LayerCost {
+        let mut running_ns = 0;
+        let mut rounded_us = 0;
+        let mut next = |ns: u64| {
+            running_ns += ns;
+            let us = running_ns / 1_000 - rounded_us;
+            rounded_us += us;
+            us
+        };
+        let mut cost = LayerCost {
+            selection_us: next(layers.selection_ns),
+            policy_us: next(layers.policy_ns),
+            pool_us: next(layers.pool_ns),
+            demand_wait_us: next(layers.demand_wait_ns),
+            staged_wait_us: next(layers.staged_wait_ns),
+            lock_wait_us: next(layers.lock_wait_ns),
+            turnstile_us: next(turnstile_ns),
+            scoring_us: 0,
+        };
+        debug_assert!(
+            running_ns <= eval_ns,
+            "layers of {running_ns} ns in a query of {eval_ns} ns"
+        );
+        cost.scoring_us = (eval_ns / 1_000).saturating_sub(rounded_us);
+        cost
+    }
+
+    /// The layers' `(name, µs)` pairs, in ledger order.
+    pub fn named(&self) -> [(&'static str, u64); 8] {
+        [
+            ("selection", self.selection_us),
+            ("policy", self.policy_us),
+            ("pool", self.pool_us),
+            ("demand wait", self.demand_wait_us),
+            ("staged wait", self.staged_wait_us),
+            ("lock wait", self.lock_wait_us),
+            ("turnstile", self.turnstile_us),
+            ("scoring", self.scoring_us),
+        ]
+    }
+
+    /// The sum of the layers, µs.
+    pub fn total_us(&self) -> u64 {
+        self.named().iter().map(|&(_, us)| us).sum()
+    }
+
+    fn absorb(&mut self, other: &LayerCost) {
+        self.selection_us += other.selection_us;
+        self.policy_us += other.policy_us;
+        self.pool_us += other.pool_us;
+        self.demand_wait_us += other.demand_wait_us;
+        self.staged_wait_us += other.staged_wait_us;
+        self.lock_wait_us += other.lock_wait_us;
+        self.turnstile_us += other.turnstile_us;
+        self.scoring_us += other.scoring_us;
+    }
+}
 
 /// The cost of one evaluated query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -20,8 +116,12 @@ pub struct QueryCost {
     /// per fetch by the evaluator, so the figure is exact under any
     /// schedule: `disk_reads + buffer_hits = pages_processed`.
     pub buffer_hits: u64,
-    /// Evaluation wall time in microseconds.
+    /// The query's wall time in microseconds, from the moment its
+    /// session was ready to submit it (a turnstile wait included) to its
+    /// answers.
     pub eval_us: u64,
+    /// Where `eval_us` went, by layer; sums to it exactly.
+    pub layers: LayerCost,
     /// Candidate-set size (peak accumulator count, §5.2.3).
     pub candidates: u64,
     /// Sum of the BAF estimator's `d_t` predictions for the terms it
@@ -30,8 +130,9 @@ pub struct QueryCost {
     /// Read plans the evaluator issued as batched fetches.
     pub batches: u64,
     /// Microseconds the query's disk reads made it wait for I/O
-    /// completions, as accounted by the store's latency model
-    /// (`PageStore::io_wait_us`). Zero for the in-memory simulator.
+    /// completions, as the store's latency model accounted them to the
+    /// query's own thread — exact even when other sessions drive the
+    /// same device. Zero for the in-memory simulator.
     pub io_wait_us: u64,
 }
 
@@ -48,6 +149,8 @@ pub struct SessionCost {
     pub buffer_hits: u64,
     /// Total evaluation wall time in microseconds.
     pub eval_us: u64,
+    /// Total time by layer.
+    pub layers: LayerCost,
     /// Largest candidate set any single query built.
     pub peak_candidates: u64,
     /// Total batched read plans issued.
@@ -62,6 +165,7 @@ impl SessionCost {
         self.disk_reads += q.disk_reads;
         self.buffer_hits += q.buffer_hits;
         self.eval_us += q.eval_us;
+        self.layers.absorb(&q.layers);
         self.peak_candidates = self.peak_candidates.max(q.candidates);
         self.batches += q.batches;
         self.io_wait_us += q.io_wait_us;
@@ -101,6 +205,14 @@ impl CostLedger {
         self.entries.iter().map(|e| e.disk_reads).sum()
     }
 
+    /// Every recorded query rolled up as one session (its `session`
+    /// is 0).
+    pub fn total(&self) -> SessionCost {
+        let mut total = SessionCost::default();
+        self.entries.iter().for_each(|e| total.absorb(e));
+        total
+    }
+
     /// Per-session rollups, ordered by session id.
     pub fn session_costs(&self) -> Vec<SessionCost> {
         let mut out: Vec<SessionCost> = Vec::new();
@@ -123,29 +235,31 @@ impl CostLedger {
 }
 
 /// Builds a [`QueryCost`] from one evaluation's
-/// [`EvalStats`](ir_core::EvalStats) plus the two costs the stats
-/// cannot see: wall time, and the store-level I/O
-/// wait (the caller takes the delta of `PageStore::io_wait_us` around
-/// the evaluation; zero for stores without a latency model). Hits
-/// come straight from the evaluator's per-fetch counters, so the row is
-/// exact even when other sessions drive the same pool concurrently.
+/// [`EvalStats`](ir_core::EvalStats) and [`Layers`] plus what the
+/// evaluator cannot see: the query's wall time and, of it, the
+/// turnstile wait (both ns on the clock the evaluator ran under). Hits
+/// come straight from the evaluator's per-fetch counters and I/O waits
+/// from the store's per-thread accounting, so the row is exact even
+/// when other sessions drive the same pool concurrently.
 pub fn query_cost(
     session: u32,
     step: u32,
     stats: &ir_core::EvalStats,
-    eval_us: u64,
-    io_wait_us: u64,
+    layers: &Layers,
+    eval_ns: u64,
+    turnstile_ns: u64,
 ) -> QueryCost {
     QueryCost {
         session,
         step,
         disk_reads: stats.disk_reads,
         buffer_hits: stats.buffer_hits,
-        eval_us,
+        eval_us: eval_ns / 1_000,
+        layers: LayerCost::split(layers, turnstile_ns, eval_ns),
         candidates: stats.peak_accumulators as u64,
         estimated_reads: stats.baf_estimated_reads,
         batches: stats.batches_issued,
-        io_wait_us,
+        io_wait_us: layers.io_wait_us,
     }
 }
 
@@ -160,6 +274,11 @@ mod tests {
             disk_reads: reads,
             buffer_hits: 2,
             eval_us: 10,
+            layers: LayerCost {
+                pool_us: 4,
+                scoring_us: 6,
+                ..LayerCost::default()
+            },
             candidates: cands,
             estimated_reads: reads + 1,
             batches: 3,
@@ -182,6 +301,10 @@ mod tests {
         assert_eq!(sessions[0].disk_reads, 8);
         assert_eq!(sessions[0].buffer_hits, 4);
         assert_eq!(sessions[0].eval_us, 20);
+        assert_eq!(sessions[0].layers.total_us(), 20);
+        assert_eq!(sessions[0].layers.pool_us, 8);
+        assert_eq!(ledger.total().queries, 3);
+        assert_eq!(ledger.total().layers.scoring_us, 18);
         assert_eq!(sessions[0].peak_candidates, 60);
         assert_eq!(sessions[0].batches, 6);
         assert_eq!(sessions[0].io_wait_us, 500);
@@ -200,7 +323,11 @@ mod tests {
             peak_accumulators: 5,
             ..ir_core::EvalStats::default()
         };
-        let row = query_cost(4, 1, &stats, 123, 77);
+        let layers = Layers {
+            io_wait_us: 77,
+            ..Layers::default()
+        };
+        let row = query_cost(4, 1, &stats, &layers, 123_000, 0);
         assert_eq!(row.buffer_hits, stats.buffer_hits);
         assert_eq!(row.io_wait_us, 77);
         assert_eq!(
@@ -208,5 +335,30 @@ mod tests {
             stats.pages_processed,
             "every processed page is exactly one of: disk read, buffer hit"
         );
+    }
+
+    /// Layers are rounded on the running total: sub-µs layers come out
+    /// as 0 or 1 µs as their running sum crosses a µs, never as a
+    /// negative remainder, and always sum to the query's µs.
+    #[test]
+    fn layers_round_on_the_running_total_and_sum_to_the_wall_time() {
+        let layers = Layers {
+            selection_ns: 400,
+            policy_ns: 400,
+            pool_ns: 400,
+            demand_wait_ns: 2_600,
+            staged_wait_ns: 0,
+            lock_wait_ns: 999,
+            io_wait_us: 3,
+        };
+        let cost = LayerCost::split(&layers, 1_000, 6_000);
+        assert_eq!(
+            cost.named().map(|(_, us)| us),
+            [0, 0, 1, 2, 0, 1, 1, 1],
+            "running totals 0.4, 0.8, 1.2, 3.8, 3.8, 4.799, 5.799 of 6 µs"
+        );
+        assert_eq!(cost.total_us(), 6);
+        let whole = LayerCost::split(&Layers::default(), 0, 2_500);
+        assert_eq!((whole.scoring_us, whole.total_us()), (2, 2));
     }
 }

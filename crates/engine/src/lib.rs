@@ -29,5 +29,5 @@ pub use corpus_load::{
     index_corpus, index_corpus_opts, index_corpus_with, topic_query_terms, IndexCorpusOptions,
 };
 pub use engine::{EngineConfig, SearchEngine};
-pub use ledger::{CostLedger, QueryCost, SessionCost};
+pub use ledger::{query_cost, CostLedger, LayerCost, QueryCost, SessionCost};
 pub use server::{PoolLayout, Schedule, ServerReport, SessionOutcome, SessionServer, SessionSpec};

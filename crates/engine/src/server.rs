@@ -41,23 +41,16 @@
 //!   turns, so no panic can wedge the schedule.
 
 use crate::ledger::{query_cost, CostLedger, QueryCost};
-use ir_core::eval::{evaluate, EvalOptions};
+use ir_core::eval::{evaluate_on, Clock, EvalOptions, RealClock};
 use ir_core::{Algorithm, Query, RefinementSequence, SequenceOutcome, StepOutcome};
 use ir_index::InvertedIndex;
 use ir_storage::{
-    BufferStats, DiskSim, FaultConfig, FaultStats, FaultStore, FetchPolicy, PageStore, PolicyKind,
+    BufferStats, FaultConfig, FaultStats, FaultStore, FetchPolicy, PageStore, PolicyKind,
     QueryBuffer, ShardedBufferPool,
 };
 use ir_types::{IrError, IrResult, TermId};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
-
-/// The store every server pool reads from: the simulated disk behind a
-/// (by default disabled) fault-injection layer.
-type ServerStore = FaultStore<Arc<DiskSim>>;
-
-/// The one pool of a run, over the server's store.
-type ServerPool = ShardedBufferPool<ServerStore>;
 
 /// The buffer memory a run provisions for its sessions: one
 /// [`ShardedBufferPool`] every session shares.
@@ -191,11 +184,12 @@ pub struct ServerReport {
     /// Checksum-failing (torn) deliveries the pool rejected.
     pub torn_pages: u64,
     /// What the fault-injection layer did (all-zero when faults are
-    /// disabled).
+    /// disabled, or when the run was over a pool the caller built).
     pub fault_stats: FaultStats,
     /// One [`QueryCost`] row per evaluated refinement, across every
-    /// session. Hits and misses are attributed per fetch, so rows are
-    /// exact under either schedule.
+    /// session. Hits and misses are attributed per fetch, and I/O and
+    /// lock waits per thread, so rows are exact under either
+    /// schedule.
     pub ledger: CostLedger,
     /// Wall-clock time of the whole run (spawn to last join), µs.
     pub wall_us: u64,
@@ -264,13 +258,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Each [`run`](SessionServer::run) provisions a **cold** pool (the
 /// paper clears the cache before each sequence, §5.2.1), spawns one
 /// scoped thread per [`SessionSpec`], and joins them all before
-/// returning, so the report reflects a complete, quiesced run.
+/// returning, so the report reflects a complete, quiesced run. Every
+/// query is timed on the clock `C` — the real one, unless
+/// [`with_clock`](SessionServer::with_clock) swaps in another — and
+/// its row in the report's ledger splits the time by layer.
 #[derive(Clone, Copy, Debug)]
-pub struct SessionServer<'a> {
+pub struct SessionServer<'a, C = RealClock> {
     index: &'a InvertedIndex,
     layout: PoolLayout,
     faults: FaultConfig,
     fetch_policy: FetchPolicy,
+    clock: C,
 }
 
 impl<'a> SessionServer<'a> {
@@ -282,6 +280,20 @@ impl<'a> SessionServer<'a> {
             layout,
             faults: FaultConfig::DISABLED,
             fetch_policy: FetchPolicy::NO_RETRY,
+            clock: RealClock::new(),
+        }
+    }
+}
+
+impl<'a, C: Clock + Sync> SessionServer<'a, C> {
+    /// The same server, timing its queries on `clock`.
+    pub fn with_clock<D: Clock + Sync>(self, clock: D) -> SessionServer<'a, D> {
+        SessionServer {
+            index: self.index,
+            layout: self.layout,
+            faults: self.faults,
+            fetch_policy: self.fetch_policy,
+            clock,
         }
     }
 
@@ -316,15 +328,32 @@ impl<'a> SessionServer<'a> {
         } = self.layout;
         let pool = ShardedBufferPool::new(Arc::clone(&store), total_frames, policy, shards)?;
         pool.set_fetch_policy(self.fetch_policy);
-        let (sessions, ledger, wall_us) = self.run_sessions(specs, schedule, &store, &pool);
+        let mut report = self.run_on(&pool, specs, schedule);
+        report.fault_stats = store.stats();
+        Ok(report)
+    }
+
+    /// Runs one session per spec, all concurrently, over `pool` — a
+    /// pool the caller built over a store of its own, such as a device
+    /// behind an [`IoScheduler`](ir_storage::IoScheduler) — and reports
+    /// as [`run`](Self::run) does. The server's layout, faults and
+    /// fetch policy are the caller's to give the pool; the report's
+    /// `fault_stats` stay zero.
+    pub fn run_on<S: PageStore + Send + Sync>(
+        &self,
+        pool: &ShardedBufferPool<S>,
+        specs: &[SessionSpec],
+        schedule: Schedule,
+    ) -> ServerReport {
+        let (sessions, ledger, wall_us) = self.run_sessions(specs, schedule, pool);
         // No `quiesce` first: the counters are eager, and every pool
         // accessor below takes each shard's lock, which replays the
         // hits that shard still had queued.
         let all_terms: Vec<TermId> = (0..self.index.lexicon().len() as u32).map(TermId).collect();
-        Ok(ServerReport {
+        ServerReport {
             sessions,
             pool_stats: pool.stats(),
-            total_frames,
+            total_frames: pool.capacity(),
             final_occupancy: pool.len(),
             resident_term_pages: pool
                 .resident_pages_many(&all_terms)
@@ -334,23 +363,24 @@ impl<'a> SessionServer<'a> {
             retries: pool.retries(),
             gave_up: pool.gave_up(),
             torn_pages: pool.torn_pages(),
-            fault_stats: store.stats(),
+            fault_stats: FaultStats::default(),
             ledger,
             wall_us,
             lock_wait_us: pool.metrics().lock_wait_ns.sum() / 1_000,
             batch_splits: pool.metrics().batch_splits.get(),
-        })
+        }
     }
 
     /// Spawns one scoped thread per spec, each session evaluating its
     /// sequence through a handle of its own to `pool`, and joins them
-    /// all.
-    fn run_sessions(
+    /// all. A query's row is timed from the moment its session is ready
+    /// to submit it: two clock reads beside the evaluator's, plus one
+    /// after a turnstile wait.
+    fn run_sessions<S: PageStore + Send + Sync>(
         &self,
         specs: &[SessionSpec],
         schedule: Schedule,
-        store: &Arc<ServerStore>,
-        pool: &ServerPool,
+        pool: &ShardedBufferPool<S>,
     ) -> SessionsRun {
         let n = specs.len();
         let max_steps = specs
@@ -359,7 +389,7 @@ impl<'a> SessionServer<'a> {
             .max()
             .unwrap_or(0);
         let turns = Turnstile::default();
-        let index = self.index;
+        let (index, clock) = (self.index, &self.clock);
         type SessionRun = (SequenceOutcome, Vec<QueryCost>, Option<IrError>);
         let run_started = std::time::Instant::now();
         let results: Vec<SessionRun> = std::thread::scope(|scope| {
@@ -374,59 +404,58 @@ impl<'a> SessionServer<'a> {
                     let mut costs = Vec::with_capacity(spec.sequence.steps.len());
                     let mut failure: Option<IrError> = None;
                     for step in 0..max_steps {
+                        let query = buffer.as_mut().zip(spec.sequence.steps.get(step));
+                        // A query's wall time starts when its session is
+                        // ready to submit it, before any turnstile wait.
+                        let ready = query.as_ref().map(|_| clock.now_ns());
                         if schedule == Schedule::RoundRobin {
                             turns.wait_for(step * n + user);
                         }
-                        if let Some(buffer) = buffer.as_mut() {
-                            if let Some(terms) = spec.sequence.steps.get(step) {
-                                let started = std::time::Instant::now();
-                                // Store-level I/O wait, attributed by
-                                // delta. Exact under RoundRobin (one
-                                // query in flight); under FreeRun a
-                                // concurrent query's waits can land in
-                                // this row — totals stay correct.
-                                let io_wait_before = store.io_wait_us();
-                                // A panic inside evaluation must not
-                                // strand the other sessions at the
-                                // turnstile: catch it and fail this
-                                // session like any other error.
-                                let outcome =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        if spec.chaos_panic_at == Some(step as u32) {
-                                            panic!("chaos: injected panic at step {step}");
-                                        }
-                                        Query::from_ids(index, terms).and_then(|q| {
-                                            evaluate(
-                                                spec.algorithm,
-                                                index,
-                                                buffer,
-                                                &q,
-                                                spec.options,
-                                            )
-                                        })
-                                    }))
-                                    .unwrap_or_else(
-                                        |payload| {
-                                            Err(IrError::SessionPanicked(panic_message(payload)))
-                                        },
-                                    );
-                                match outcome {
-                                    Ok(result) => {
-                                        costs.push(query_cost(
-                                            user as u32,
-                                            step as u32,
-                                            &result.stats,
-                                            started.elapsed().as_micros() as u64,
-                                            store.io_wait_us() - io_wait_before,
-                                        ));
-                                        steps.push(StepOutcome {
-                                            stats: result.stats,
-                                            hits: result.hits,
-                                            avg_precision: None,
-                                        });
+                        if let (Some((buffer, terms)), Some(ready)) = (query, ready) {
+                            let started = match schedule {
+                                Schedule::RoundRobin => clock.now_ns(),
+                                Schedule::FreeRunning => ready,
+                            };
+                            // A panic inside evaluation must not
+                            // strand the other sessions at the
+                            // turnstile: catch it and fail this
+                            // session like any other error.
+                            let outcome =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    if spec.chaos_panic_at == Some(step as u32) {
+                                        panic!("chaos: injected panic at step {step}");
                                     }
-                                    Err(e) => failure = Some(e),
+                                    Query::from_ids(index, terms).and_then(|q| {
+                                        evaluate_on(
+                                            spec.algorithm,
+                                            index,
+                                            buffer,
+                                            &q,
+                                            spec.options,
+                                            clock,
+                                        )
+                                    })
+                                }))
+                                .unwrap_or_else(|payload| {
+                                    Err(IrError::SessionPanicked(panic_message(payload)))
+                                });
+                            match outcome {
+                                Ok(result) => {
+                                    costs.push(query_cost(
+                                        user as u32,
+                                        step as u32,
+                                        &result.stats,
+                                        &result.layers,
+                                        clock.now_ns() - ready,
+                                        started - ready,
+                                    ));
+                                    steps.push(StepOutcome {
+                                        stats: result.stats,
+                                        hits: result.hits,
+                                        avg_precision: None,
+                                    });
                                 }
+                                Err(e) => failure = Some(e),
                             }
                         }
                         // A session that failed or has no query left is

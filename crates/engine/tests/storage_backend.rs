@@ -232,6 +232,46 @@ fn file_backend_is_event_identical_to_disksim_for_every_policy() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// BAF/RAP's refinement sequence over the page file behind a depth-4
+/// scheduler on the virtual clock (seek 400, transfer 100: the
+/// benchmark's device) waits exactly this long. Each physical read
+/// takes the channel that frees up first; dealt round robin, the same
+/// reads waited 9 600 µs.
+#[test]
+fn a_qd4_refinement_sequence_waits_a_pinned_time() {
+    let idx = index();
+    let steps = workload(&idx, &NAMES);
+    let path = page_file(&idx, "pinned-wait");
+    let sched = Arc::new(IoScheduler::new(
+        FilePageStore::open(&path, FileMode::Buffered).unwrap(),
+        IoConfig {
+            queue_depth: 4,
+            model: LatencyModel {
+                seek_us: 400,
+                transfer_us: 100,
+            },
+            clock: ClockKind::Virtual,
+        },
+    ));
+    let trace = run(
+        &idx,
+        Arc::clone(&sched),
+        FRAMES,
+        PolicyKind::Rap,
+        FetchPolicy::NO_RETRY,
+        Algorithm::Baf,
+        &steps,
+    );
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(trace.pool.misses, 180);
+    assert_eq!(
+        sched.inner().stats().reads,
+        180,
+        "staging read nothing twice"
+    );
+    assert_eq!(sched.io_wait_us(), 8_200);
+}
+
 /// Per query: the term each BAF row named as its lookahead, and
 /// `EvalStats::lookahead_confirmed`.
 type Guesses = Vec<(Vec<Option<TermId>>, u64)>;

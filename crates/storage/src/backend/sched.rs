@@ -7,18 +7,29 @@
 //! is not the physical successor of the previous one — the same
 //! sequential/random rule [`DiskSim`](crate::DiskSim) uses for its
 //! counters). The device exposes `queue_depth` channels, each serving
-//! its reads one after another. Every physical read — staged by
-//! [`submit`](PageStore::submit) or demanded by
-//! [`read_page`](PageStore::read_page) — goes to the next channel round
-//! robin and starts once that channel is free. Channels keep their
-//! backlog across calls, so a read staged ahead of need occupies its
-//! channel like any other and delays whatever queues behind it. A
-//! demand read that claims a staged page waits only for what is still
-//! in flight. Depth 1 therefore degenerates to a strictly serial disk
-//! (total wait = sum of costs), while depth `d` brings a submitted
-//! plan's wait down to its slowest channel's share — the effect the
-//! `serial_disk_pays_the_sum_deeper_queues_pay_the_max` test below and
+//! its reads one after another, and it is work-conserving: every
+//! physical read — staged by [`submit`](PageStore::submit) or demanded
+//! by [`read_page`](PageStore::read_page) — goes to the channel that
+//! frees up first and starts once that channel is free. Channels that
+//! are free alike (every idle channel, say) tie, and the tie goes to
+//! the first of them in turn from the channel after the last one used,
+//! so an idle device still deals its reads round robin. A plan's
+//! transfers therefore never queue behind its own seek while another
+//! channel idles. Channels keep their backlog across calls, so a read
+//! staged ahead of need occupies its channel like any other and delays
+//! whatever queues behind it. A demand read that claims a staged page
+//! waits only for what is still in flight. Depth 1 therefore
+//! degenerates to a strictly serial disk (total wait = sum of costs),
+//! while depth `d` brings a submitted plan's wait down to what its
+//! busiest channel serves — the effect the
+//! `serial_disk_pays_the_sum_deeper_queues_pay_the_max` and
+//! `a_read_takes_the_channel_that_frees_up_first` tests below and
 //! `ir-engine`'s `storage_backend` suite pin.
+//!
+//! Every wait is also charged to the thread that waited
+//! ([`thread_waits`](crate::thread_waits)), demand reads apart from
+//! staged completions, so a query's share of a device that several
+//! sessions drive is exact.
 //!
 //! One µs timeline serves both clocks ([`ClockKind`]): the *virtual*
 //! clock advances only by the waits it accounts in `io_wait_us`,
@@ -151,7 +162,8 @@ struct SchedState {
     /// When each channel finishes the reads queued on it, µs on the
     /// timeline.
     free_at: Vec<u64>,
-    /// The channel the next physical read is queued on.
+    /// Where the search for the next physical read's channel starts:
+    /// the channel after the last one used, so ties rotate.
     next_ch: usize,
     /// Submissions so far.
     submits: u64,
@@ -274,16 +286,21 @@ impl<S: PageStore> IoScheduler<S> {
         sequential
     }
 
-    /// Prices a physical read of `id` and queues it on the next channel
-    /// round robin, behind whatever that channel still has in flight at
-    /// `now`: returns its cost and when it completes, µs.
+    /// Prices a physical read of `id` and queues it on the channel that
+    /// frees up first, behind whatever that channel still has in flight
+    /// at `now` (ties go to the first in turn from `next_ch`): returns
+    /// its cost and when it completes, µs.
     fn enqueue(&self, state: &mut SchedState, id: PageId, now: u64) -> (u64, u64) {
         let cost = self
             .config
             .model
             .cost_us(Self::classify(&mut state.last, id));
-        let ch = state.next_ch;
-        state.next_ch = (ch + 1) % state.free_at.len();
+        let n = state.free_at.len();
+        let ch = (0..n)
+            .map(|i| (state.next_ch + i) % n)
+            .min_by_key(|&ch| state.free_at[ch].max(now))
+            .expect("a scheduler has at least one channel");
+        state.next_ch = (ch + 1) % n;
         let done = state.free_at[ch].max(now) + cost;
         state.free_at[ch] = done;
         (cost, done)
@@ -293,9 +310,10 @@ impl<S: PageStore> IoScheduler<S> {
 impl<S: PageStore> PageStore for IoScheduler<S> {
     /// The one demand read: a staged completion costs only the part of
     /// its read still in flight; anything else goes to the device,
-    /// queues on the next channel and waits until it completes. More
-    /// than one channel at a time is reached only through
-    /// [`submit`](PageStore::submit).
+    /// queues on the channel that frees up first and waits until it
+    /// completes. More than one channel at a time is reached only
+    /// through [`submit`](PageStore::submit). The wait is charged to
+    /// the calling thread, as a staged or a demand wait.
     fn read_page(&self, id: PageId) -> IrResult<Page> {
         let mut state = self.state.lock();
         let now = self.clock_us(&state);
@@ -314,6 +332,7 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
             // below re-reads the page from the device.
             self.metrics.prefetch_wasted.inc();
         }
+        let staged = cached.is_some();
         let (page, done) = match cached {
             Some(pf) => {
                 self.metrics.overlap_hits.inc();
@@ -334,6 +353,7 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
         drop(state);
         if wait > 0 {
             self.metrics.io_wait_us.add(wait);
+            crate::waits::charge_io(wait, staged);
             if self.config.clock == ClockKind::Real {
                 block_until(self.epoch + Duration::from_micros(done));
             }
@@ -495,7 +515,7 @@ mod tests {
         let serial = qd(1);
         assert_eq!(serial, 400);
         let four = qd(4);
-        // Round-robin over 4 channels: {250, 50, 50, 50} → 250.
+        // One read a channel: {250, 50, 50, 50} → 250.
         assert_eq!(four, 250);
         assert!(four < serial, "depth must shorten the critical path");
         assert_eq!(qd(16), 250, "past the plan width, depth stops helping");
@@ -822,6 +842,65 @@ mod tests {
         sched.read_page(pid(2, 0)).unwrap(); // nobody staged it: channel 0
         assert_eq!(sched.io_wait_us(), 300);
         assert_eq!(sched.now_us(), 300);
+    }
+
+    /// One list, one seek then seven transfers (seek 400, transfer
+    /// 100), staged at depth 4: the seek holds channel 0 for 500 µs
+    /// while the transfers take the channel that frees up first, three
+    /// at a time on the other three, so the plan waits 500 µs. Dealt
+    /// round robin, page 4 would queue behind the seek on channel 0 and
+    /// the plan would wait 600.
+    #[test]
+    fn a_read_takes_the_channel_that_frees_up_first() {
+        let sched = IoScheduler::new(
+            long_list(8),
+            IoConfig {
+                queue_depth: 4,
+                model: LatencyModel {
+                    seek_us: 400,
+                    transfer_us: 100,
+                },
+                clock: ClockKind::Virtual,
+            },
+        );
+        sched.submit(&ids(8));
+        let readies: Vec<u64> = {
+            let state = sched.state.lock();
+            ids(8)
+                .iter()
+                .map(|id| state.cache[id].ready_at_us)
+                .collect()
+        };
+        assert_eq!(readies, [500, 100, 100, 100, 200, 200, 200, 300]);
+        assert!(read_each(&sched, &ids(8)).iter().all(Result::is_ok));
+        assert_eq!(sched.io_wait_us(), 500);
+        assert_eq!(sched.now_us(), 500);
+    }
+
+    /// The calling thread is charged exactly the waits it paid, staged
+    /// completions apart from demand reads.
+    #[test]
+    fn each_wait_is_charged_to_the_thread_that_waited() {
+        let sched = virtual_qd(2, store(2));
+        let before = crate::thread_waits();
+        sched.submit(&[pid(0, 0), pid(1, 0)]); // 150 on each channel
+        sched.read_page(pid(0, 0)).unwrap(); // staged: waits 150
+        sched.read_page(pid(2, 0)).unwrap(); // demand: 150 + 150 → 150
+        let mine = crate::thread_waits().since(&before);
+        assert_eq!((mine.staged_us, mine.demand_us), (150, 150));
+        let other = std::thread::scope(|s| {
+            s.spawn(|| {
+                let before = crate::thread_waits();
+                sched.read_page(pid(1, 0)).unwrap(); // staged, done by now
+                sched.read_page(pid(0, 1)).unwrap(); // demand: 300 + 150
+                crate::thread_waits().since(&before)
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!((other.staged_us, other.demand_us), (0, 150));
+        assert_eq!(crate::thread_waits().since(&before), mine);
+        assert_eq!(sched.io_wait_us(), 450);
     }
 
     /// Plan A, then plan B, through a pool at depth 4 (seek 400,

@@ -45,6 +45,7 @@ pub mod policy;
 pub mod query_buffer;
 pub mod sharded;
 pub mod stats;
+pub mod waits;
 
 pub use backend::{
     FileMode, FilePageStore, IoConfig, IoMetrics, IoScheduler, LatencyModel, PageFileError,
@@ -60,3 +61,4 @@ pub use policy::{PolicyKind, ReplacementPolicy};
 pub use query_buffer::{QueryBuffer, QueryBufferExt};
 pub use sharded::{ShardMetrics, ShardedBufferPool, LOCK_WAIT_NS_BOUNDS};
 pub use stats::{BufferMetrics, BufferStats, BATCH_PAGES_BOUNDS};
+pub use waits::{thread_waits, ThreadWaits};

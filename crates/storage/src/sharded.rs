@@ -145,7 +145,8 @@ pub struct ShardMetrics {
     /// ≥ 1 so a recorded wait is never mistaken for no wait) — the
     /// uncontended fast path records nothing, so hot loops pay no
     /// histogram write. The sum is the pool's total lock-wait in
-    /// nanoseconds.
+    /// nanoseconds. Each wait is also charged to the thread that waited
+    /// ([`thread_waits`](crate::thread_waits)).
     pub lock_wait_ns: Histogram,
     /// Acquisitions that found the shard lock already held and had to
     /// wait (the fast `try_lock` failed).
@@ -426,9 +427,9 @@ impl<S: PageStore> ShardedBufferPool<S> {
                         break shard.manager.lock();
                     }
                 };
-                self.metrics
-                    .lock_wait_ns
-                    .record((started.elapsed().as_nanos() as u64).max(1));
+                let waited_ns = (started.elapsed().as_nanos() as u64).max(1);
+                self.metrics.lock_wait_ns.record(waited_ns);
+                crate::waits::charge_lock(waited_ns);
                 guard
             }
         };
