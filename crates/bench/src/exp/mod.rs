@@ -19,7 +19,9 @@ pub mod table7;
 
 use crate::ledger::Ledger;
 use crate::output::{OutputDir, TextTable};
-use crate::setup::{pick_representatives, profile_queries, QueryProfile, Representatives, TestBed};
+use crate::setup::{
+    pick_representatives, profile_queries_into, QueryProfile, Representatives, TestBed,
+};
 use ir_core::{run_sequence_by, Algorithm, RefinementSequence, SequenceOutcome, SessionConfig};
 use ir_corpus::{Corpus, CorpusConfig};
 use ir_index::InvertedIndex;
@@ -88,7 +90,7 @@ impl ExpContext {
         );
         let ledger = Ledger::new();
         let profiles =
-            profile_queries(&bed, &ledger).map_err(|e| format!("profiling failed: {e}"))?;
+            profile_queries_into(&bed, &ledger).map_err(|e| format!("profiling failed: {e}"))?;
         if let Some(line) = ledger.drain_line() {
             println!("{line}");
         }

@@ -10,13 +10,13 @@
 use super::{ExpContext, ExpResult};
 use crate::ledger::Ledger;
 use crate::output::TextTable;
-use crate::setup::{profile_queries, TestBed};
+use crate::setup::{profile_queries_into, TestBed};
 use ir_corpus::CorpusConfig;
 
 /// Mean DF savings, multi-page term fraction, longest list (pages) and
 /// mean accumulator reduction of a testbed.
 fn stats_of(bed: &TestBed, ledger: &Ledger) -> ExpResult<[f64; 4]> {
-    let profiles = profile_queries(bed, ledger)?;
+    let profiles = profile_queries_into(bed, ledger)?;
     let n = profiles.len().max(1) as f64;
     let mean_savings = profiles.iter().map(|p| p.savings).sum::<f64>() / n;
     let lexicon = bed.index.lexicon();

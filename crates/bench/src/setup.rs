@@ -96,8 +96,13 @@ pub struct QueryProfile {
 
 /// Profiles every topic query: cold buffers, pool large enough that the
 /// only effect is the filtering itself (the paper flushes buffers
-/// between the Fig. 3 queries). Every query is timed into `ledger`.
-pub fn profile_queries(bed: &TestBed, ledger: &Ledger) -> IrResult<Vec<QueryProfile>> {
+/// between the Fig. 3 queries).
+pub fn profile_queries(bed: &TestBed) -> IrResult<Vec<QueryProfile>> {
+    profile_queries_into(bed, &Ledger::new())
+}
+
+/// [`profile_queries`], timing every query into `ledger`.
+pub fn profile_queries_into(bed: &TestBed, ledger: &Ledger) -> IrResult<Vec<QueryProfile>> {
     use ir_core::eval::EvalOptions;
     use ir_core::Algorithm;
     let mut out = Vec::with_capacity(bed.n_queries());
@@ -234,7 +239,7 @@ mod tests {
     #[test]
     fn profiles_have_consistent_savings() {
         let bed = tiny_bed();
-        let profiles = profile_queries(&bed, &Ledger::new()).unwrap();
+        let profiles = profile_queries(&bed).unwrap();
         assert_eq!(profiles.len(), bed.n_queries());
         for p in &profiles {
             assert_eq!(p.full_reads, p.total_pages, "full eval reads every page");
@@ -247,7 +252,7 @@ mod tests {
     #[test]
     fn representatives_are_distinctive() {
         let bed = tiny_bed();
-        let profiles = profile_queries(&bed, &Ledger::new()).unwrap();
+        let profiles = profile_queries(&bed).unwrap();
         let reps = pick_representatives(&profiles);
         let s = |i: usize| profiles[i].savings;
         assert!(s(reps.query1) >= s(reps.query2));

@@ -43,8 +43,6 @@ pub use eval::{evaluate, Algorithm};
 pub use feedback::{expansion_terms, feedback_sequence, FeedbackOptions};
 pub use query::{Query, QueryTerm};
 pub use rank::Hit;
-pub use session::{
-    run_sequence, run_sequence_by, run_sequence_with, SequenceOutcome, SessionConfig, StepOutcome,
-};
+pub use session::{run_sequence, run_sequence_by, SequenceOutcome, SessionConfig, StepOutcome};
 pub use stats::{EvalStats, QueryResult, TermTraceRow};
 pub use workload::{contribution_ranking, make_sequence, RefinementKind, RefinementSequence};

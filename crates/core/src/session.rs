@@ -125,35 +125,22 @@ pub fn run_sequence(
     relevant: Option<&HashSet<DocId>>,
 ) -> IrResult<SequenceOutcome> {
     let mut buffer = index.make_buffer(config.buffer_pages, config.policy)?;
-    run_sequence_with(
-        index,
-        &mut buffer,
-        sequence,
-        config.algorithm,
-        config.options(),
-        relevant,
-    )
-}
-
-/// Runs one sequence against a caller-supplied buffer — the multi-user
-/// path, where the buffer is a clone of a shared pool and must outlive
-/// the sequence. The pool is **not** flushed; pages persist across
-/// refinements (and across the sessions sharing the pool).
-pub fn run_sequence_with<B: ir_storage::QueryBuffer>(
-    index: &InvertedIndex,
-    buffer: &mut B,
-    sequence: &RefinementSequence,
-    algorithm: Algorithm,
-    options: EvalOptions,
-    relevant: Option<&HashSet<DocId>>,
-) -> IrResult<SequenceOutcome> {
     run_sequence_by(index, sequence, relevant, |query| {
-        evaluate(algorithm, index, buffer, query, options)
+        evaluate(
+            config.algorithm,
+            index,
+            &mut buffer,
+            query,
+            config.options(),
+        )
     })
 }
 
 /// Runs one sequence through `eval`, which evaluates each refinement's
-/// query on whatever buffer and clock the caller keeps.
+/// query on whatever buffer and clock the caller keeps — a buffer that
+/// outlives the sequence, such as a clone of a shared pool, is **not**
+/// flushed: pages persist across refinements (and across the sessions
+/// sharing the pool).
 pub fn run_sequence_by(
     index: &InvertedIndex,
     sequence: &RefinementSequence,

@@ -407,11 +407,11 @@ impl<'a, C: Clock + Sync> SessionServer<'a, C> {
                         let query = buffer.as_mut().zip(spec.sequence.steps.get(step));
                         // A query's wall time starts when its session is
                         // ready to submit it, before any turnstile wait.
-                        let ready = query.as_ref().map(|_| clock.now_ns());
+                        let ready = query.is_some().then(|| clock.now_ns());
                         if schedule == Schedule::RoundRobin {
                             turns.wait_for(step * n + user);
                         }
-                        if let (Some((buffer, terms)), Some(ready)) = (query, ready) {
+                        if let Some(((buffer, terms), ready)) = query.zip(ready) {
                             let started = match schedule {
                                 Schedule::RoundRobin => clock.now_ns(),
                                 Schedule::FreeRunning => ready,
