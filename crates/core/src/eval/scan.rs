@@ -166,6 +166,23 @@ pub(crate) fn scan_term<B: QueryBuffer, C: Clock>(
 mod tests {
     use super::*;
     use crate::eval::clock::NoClock;
+
+    /// [`scan_term`] with early stopping, no lookahead and no ledger:
+    /// `thresholds` is `(f_ins, f_add)`.
+    fn scan<B: QueryBuffer>(
+        buffer: &mut B,
+        accs: &mut Accumulators,
+        s_max: &mut f64,
+        term: &QueryTerm,
+        (f_ins, f_add): (f64, f64),
+        plan_pages: u32,
+    ) -> ScanOutcome {
+        let mut watch = Stopwatch::start(&NoClock);
+        scan_term(
+            buffer, accs, s_max, term, f_ins, f_add, true, plan_pages, None, &mut watch,
+        )
+        .unwrap()
+    }
     use ir_storage::{BufferManager, DiskSim, Page, PolicyKind};
     use ir_types::{DocId, PageId, Posting, TermId};
 
@@ -199,19 +216,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        let out = scan_term(
-            &mut buf,
-            &mut accs,
-            &mut s_max,
-            &term,
-            0.0,
-            0.0,
-            true,
-            2,
-            None,
-            &mut Stopwatch::start(&NoClock),
-        )
-        .unwrap();
+        let out = scan(&mut buf, &mut accs, &mut s_max, &term, (0.0, 0.0), 2);
         assert_eq!(out.pages_processed, 2);
         assert_eq!(out.pages_read, 2);
         assert_eq!(out.entries, 4);
@@ -227,19 +232,7 @@ mod tests {
         let mut s_max = 0.0;
         // f_add = 2: f=1 fails; the failing entry is on page 1, so both
         // its page and page 0 are processed, and entries = 3 (5, 3, 1).
-        let out = scan_term(
-            &mut buf,
-            &mut accs,
-            &mut s_max,
-            &term,
-            0.0,
-            2.0,
-            true,
-            2,
-            None,
-            &mut Stopwatch::start(&NoClock),
-        )
-        .unwrap();
+        let out = scan(&mut buf, &mut accs, &mut s_max, &term, (0.0, 2.0), 2);
         assert_eq!(out.pages_processed, 2);
         assert_eq!(out.entries, 3);
         assert_eq!(accs.len(), 2);
@@ -250,19 +243,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 1), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        let out = scan_term(
-            &mut buf,
-            &mut accs,
-            &mut s_max,
-            &term,
-            0.0,
-            1.0,
-            true,
-            1,
-            None,
-            &mut Stopwatch::start(&NoClock),
-        )
-        .unwrap();
+        let out = scan(&mut buf, &mut accs, &mut s_max, &term, (0.0, 1.0), 1);
         assert_eq!(out.pages_processed, 1, "page 1 must not be fetched");
         assert_eq!(out.entries, 2);
         assert_eq!(accs.len(), 1);
@@ -276,19 +257,7 @@ mod tests {
         let mut s_max = 0.0;
         // f_ins = 4: only f=5 creates; f=3 (doc 1) is filtered out
         // entirely; f=2 (doc 2) passes f_add and doc 2 exists → added.
-        let out = scan_term(
-            &mut buf,
-            &mut accs,
-            &mut s_max,
-            &term,
-            4.0,
-            1.0,
-            true,
-            1,
-            None,
-            &mut Stopwatch::start(&NoClock),
-        )
-        .unwrap();
+        let out = scan(&mut buf, &mut accs, &mut s_max, &term, (4.0, 1.0), 1);
         assert_eq!(out.entries, 3);
         assert_eq!(accs.len(), 2);
         assert!(accs.contains(DocId(0)));
@@ -303,34 +272,10 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        scan_term(
-            &mut buf,
-            &mut accs,
-            &mut s_max,
-            &term,
-            0.0,
-            0.0,
-            true,
-            2,
-            None,
-            &mut Stopwatch::start(&NoClock),
-        )
-        .unwrap();
+        scan(&mut buf, &mut accs, &mut s_max, &term, (0.0, 0.0), 2);
         let mut accs2 = Accumulators::new();
         let mut s2 = 0.0;
-        let out = scan_term(
-            &mut buf,
-            &mut accs2,
-            &mut s2,
-            &term,
-            0.0,
-            0.0,
-            true,
-            2,
-            None,
-            &mut Stopwatch::start(&NoClock),
-        )
-        .unwrap();
+        let out = scan(&mut buf, &mut accs2, &mut s2, &term, (0.0, 0.0), 2);
         assert_eq!(out.pages_processed, 2);
         assert_eq!(out.pages_read, 0, "everything was resident");
     }
@@ -340,19 +285,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        scan_term(
-            &mut buf,
-            &mut accs,
-            &mut s_max,
-            &term,
-            0.0,
-            0.0,
-            true,
-            2,
-            None,
-            &mut Stopwatch::start(&NoClock),
-        )
-        .unwrap();
+        scan(&mut buf, &mut accs, &mut s_max, &term, (0.0, 0.0), 2);
         let dump = buf.metrics().dump();
         assert_eq!(dump.counter("buffer.batches"), Some(1));
         let h = dump
@@ -390,19 +323,7 @@ mod tests {
         };
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        let out = scan_term(
-            &mut pool,
-            &mut accs,
-            &mut s_max,
-            &term,
-            0.0,
-            0.0,
-            true,
-            n_pages,
-            None,
-            &mut Stopwatch::start(&NoClock),
-        )
-        .unwrap();
+        let out = scan(&mut pool, &mut accs, &mut s_max, &term, (0.0, 0.0), n_pages);
         assert_eq!(out.pages_processed, n_pages, "every page processed once");
         assert_eq!((out.pages_read, out.entries), (n_pages, 24));
         assert_eq!(accs.len(), 24);
@@ -427,19 +348,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3)], 4);
         let mut accs = Accumulators::new();
         let mut s_max = 1000.0;
-        scan_term(
-            &mut buf,
-            &mut accs,
-            &mut s_max,
-            &term,
-            0.0,
-            0.0,
-            true,
-            1,
-            None,
-            &mut Stopwatch::start(&NoClock),
-        )
-        .unwrap();
+        scan(&mut buf, &mut accs, &mut s_max, &term, (0.0, 0.0), 1);
         assert_eq!(s_max, 1000.0);
     }
 }
