@@ -20,7 +20,9 @@
 //! interleave sessions arbitrarily — the realistic mode. Per-session
 //! counters stay exact even here: every fetch reports its own outcome
 //! (hit or miss) to the calling session inside the fetch's
-//! critical section, so attribution never leaks across sessions.
+//! critical section, so attribution never leaks across sessions, and
+//! the store and the pool charge every I/O and shard-lock wait to the
+//! thread that waited, so the ledger's wait columns are exact too.
 //! [`Schedule::RoundRobin`] additionally passes a turn token so
 //! refinement `k` of user `u` always runs after refinement `k` of user
 //! `u − 1`: the page request stream itself becomes deterministic,
