@@ -14,12 +14,11 @@ use crate::stats::QueryResult;
 use ir_index::InvertedIndex;
 use ir_storage::QueryBuffer;
 use ir_types::{FilterParams, IrResult, DEFAULT_TOP_N};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Which evaluation algorithm to run.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Algorithm {
     /// Safe evaluation: DF with the filters off (`c_add = c_ins = 0`).
     Full,
@@ -73,16 +72,6 @@ impl Default for EvalOptions {
             params: FilterParams::PERSIN,
             top_n: DEFAULT_TOP_N,
             baf_force_first_page: false,
-        }
-    }
-}
-
-impl EvalOptions {
-    /// Persin-tuned filtering with answer size `n`.
-    pub fn with_top_n(top_n: usize) -> Self {
-        EvalOptions {
-            top_n,
-            ..EvalOptions::default()
         }
     }
 }

@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod accumulator;
-pub mod boolean;
 pub mod effectiveness;
 pub mod eval;
 pub mod feedback;
@@ -38,7 +37,6 @@ pub mod stats;
 pub mod workload;
 
 pub use accumulator::Accumulators;
-pub use boolean::{BooleanQuery, BooleanResult};
 pub use eval::{evaluate, Algorithm};
 pub use feedback::{expansion_terms, feedback_sequence, FeedbackOptions};
 pub use query::{Query, QueryTerm};

@@ -4,11 +4,10 @@
 use crate::accumulator::Accumulators;
 use ir_index::DocStats;
 use ir_types::{DocId, IrResult};
-use serde::Serialize;
 use std::cell::RefCell;
 
 /// One ranked answer.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Hit {
     /// The document.
     pub doc: DocId,

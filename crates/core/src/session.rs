@@ -13,11 +13,10 @@ use crate::workload::RefinementSequence;
 use ir_index::InvertedIndex;
 use ir_storage::PolicyKind;
 use ir_types::{DocId, FilterParams, IrResult, DEFAULT_TOP_N};
-use serde::Serialize;
 use std::collections::HashSet;
 
 /// One cell of the experiment grid.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SessionConfig {
     /// DF or BAF (or Full for calibration runs).
     pub algorithm: Algorithm,
@@ -108,11 +107,6 @@ impl SequenceOutcome {
             .map(|s| s.stats.peak_accumulators)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Total entries processed (the CPU proxy).
-    pub fn total_entries_processed(&self) -> u64 {
-        self.steps.iter().map(|s| s.stats.entries_processed).sum()
     }
 }
 

@@ -7,10 +7,9 @@
 use crate::eval::clock::Layers;
 use crate::rank::Hit;
 use ir_types::TermId;
-use serde::Serialize;
 
 /// Counters for one query evaluation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EvalStats {
     /// Pages read from disk (buffer misses) — the paper's headline
     /// metric. Attributed per fetch, so the count belongs to *this*
@@ -58,7 +57,7 @@ pub struct EvalStats {
 
 /// One row of a Table 1/2-style evaluation trace: the state of the
 /// algorithm when a term came up for processing.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TermTraceRow {
     /// The term.
     pub term: TermId,

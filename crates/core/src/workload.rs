@@ -15,10 +15,9 @@ use crate::query::Query;
 use ir_index::InvertedIndex;
 use ir_storage::{PageStore, PolicyKind};
 use ir_types::{FilterParams, IrResult, TermId};
-use serde::{Deserialize, Serialize};
 
 /// Which refinement pattern to build.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RefinementKind {
     /// Terms are only ever added (§5.2).
     AddOnly,
@@ -38,7 +37,7 @@ impl std::fmt::Display for RefinementKind {
 
 /// A refinement sequence: each step is the complete query submitted at
 /// that refinement (terms with `f_{q,t}`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RefinementSequence {
     /// Which workload pattern generated it.
     pub kind: RefinementKind,

@@ -26,10 +26,8 @@
 //! threshold dynamics are preserved, while generation and sweep time
 //! drop by σ. Experiments default to σ = 1/4.
 
-use serde::{Deserialize, Serialize};
-
 /// All generator knobs. Construct via a preset and adjust.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CorpusConfig {
     /// Collection size N.
     pub n_docs: u32,
@@ -142,11 +140,6 @@ impl CorpusConfig {
             page_size: 8,
             seed: 42,
         }
-    }
-
-    /// Derived: first generated (non-stop) rank.
-    pub fn first_rank(&self) -> u32 {
-        self.skip_top_ranks
     }
 
     /// Validates internal consistency.

@@ -1,12 +1,10 @@
 //! TREC-like topic queries over a synthetic corpus.
 
-use serde::{Deserialize, Serialize};
-
 /// A natural-language-model query derived from one topic: a bag of
 /// `(term name, f_{q,t})` pairs, mirroring the paper's TREC queries
 /// where "terms may have different frequencies in queries, e.g. due to
 /// relevance feedback" (§2.2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TopicQuery {
     /// Index of the topic this query was built from (keys the relevance
     /// judgments).

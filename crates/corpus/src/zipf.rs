@@ -108,11 +108,6 @@ impl Zipf {
             },
         }
     }
-
-    /// Number of ranks in the support.
-    pub fn support_len(&self) -> usize {
-        self.cdf.len()
-    }
 }
 
 #[cfg(test)]

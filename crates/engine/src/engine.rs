@@ -7,13 +7,12 @@ use ir_index::{BuildOptions, IndexBuilder, InvertedIndex};
 use ir_storage::{BufferManager, BufferStats, DiskSim, PolicyKind};
 use ir_text::Analyzer;
 use ir_types::{FilterParams, IrResult, DEFAULT_TOP_N};
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Runtime configuration: algorithm × policy × buffer size, plus the
 /// filtering constants.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Evaluation algorithm.
     pub algorithm: Algorithm,

@@ -38,9 +38,10 @@
 //!   bounded retry ([`SessionServer::with_fetch_policy`]).
 //! * A session that hits a terminal [`IrError`] — or panics — is
 //!   reported as [`SessionOutcome::Failed`] while every other session
-//!   runs to completion. The round-robin turnstile uses poison-free
-//!   `parking_lot` primitives and failed sessions keep taking their
-//!   turns, so no panic can wedge the schedule.
+//!   runs to completion. The round-robin turnstile locks and waits
+//!   through [`ir_types::sync`], which ignores poisoning, and failed
+//!   sessions keep taking their turns, so no panic can wedge the
+//!   schedule.
 
 use crate::ledger::{query_cost, CostLedger, QueryCost};
 use ir_core::eval::{evaluate_on, Clock, EvalOptions, RealClock};
@@ -50,9 +51,8 @@ use ir_storage::{
     BufferStats, FaultConfig, FaultStats, FaultStore, FetchPolicy, PageStore, PolicyKind,
     QueryBuffer, ShardedBufferPool,
 };
-use ir_types::{IrError, IrResult, TermId};
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use ir_types::{sync, IrError, IrResult, TermId};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// The buffer memory a run provisions for its sessions: one
 /// [`ShardedBufferPool`] every session shares.
@@ -218,8 +218,8 @@ impl ServerReport {
 /// Turn token for [`Schedule::RoundRobin`]: thread `u` runs global
 /// turn `step · n + u`, so queries execute in the exact order the
 /// single-threaded round-robin driver would submit them. Poison-free
-/// (`parking_lot`): a session that panics mid-turn cannot wedge the
-/// waiters behind it.
+/// ([`ir_types::sync`]): a session that panics mid-turn cannot wedge
+/// the waiters behind it.
 #[derive(Debug, Default)]
 struct Turnstile {
     turn: Mutex<usize>,
@@ -228,14 +228,14 @@ struct Turnstile {
 
 impl Turnstile {
     fn wait_for(&self, t: usize) {
-        let mut turn = self.turn.lock();
+        let mut turn = sync::lock(&self.turn);
         while *turn < t {
-            turn = self.cv.wait(turn);
+            turn = sync::wait(&self.cv, turn);
         }
     }
 
     fn advance(&self) {
-        *self.turn.lock() += 1;
+        *sync::lock(&self.turn) += 1;
         self.cv.notify_all();
     }
 }

@@ -1,11 +1,10 @@
 //! The lexicon: memory-resident per-term metadata.
 
 use ir_types::{IrError, IrResult, TermId};
-use serde::Serialize;
 use std::hash::{BuildHasher, RandomState};
 
 /// Per-term statistics, computed at index build time.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TermEntry {
     /// `f_t`: number of documents containing the term.
     pub doc_freq: u32,
@@ -231,7 +230,7 @@ impl Lexicon {
 }
 
 /// One row of a Table 4-style inverted-list census.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IdfBand {
     /// Inclusive lower idf bound.
     pub idf_low: f64,

@@ -392,7 +392,7 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
         let term = TermId(t as u32);
         let len = r.u32()? as usize;
         let blob = r.take(len)?;
-        let mut postings = decode_postings(bytes::Bytes::copy_from_slice(blob))
+        let mut postings = decode_postings(blob)
             .ok_or_else(|| PersistError::Corrupt(format!("term {t}: undecodable postings")))?;
         if postings.len() as u64 != n_postings {
             return Err(PersistError::Corrupt(format!(

@@ -7,11 +7,9 @@
 //! thread without contention. The registry itself (name → handle) is
 //! behind a short mutex that only registration and snapshotting touch.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A monotonically increasing counter.
 ///
@@ -161,6 +159,12 @@ impl Histogram {
     }
 }
 
+/// Takes a registry map's lock, poisoned or not: every touch leaves
+/// the map whole.
+fn locked<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: Mutex<BTreeMap<String, Counter>>,
@@ -183,14 +187,14 @@ impl Registry {
 
     /// The counter named `name`, registering it at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.lock();
+        let mut map = locked(&self.inner.counters);
         map.entry(name.to_string()).or_default().clone()
     }
 
     /// The histogram named `name`; `bounds` applies only on first
     /// registration (later callers share the existing instance).
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        let mut map = self.inner.histograms.lock();
+        let mut map = locked(&self.inner.histograms);
         map.entry(name.to_string())
             .or_insert_with(|| Histogram::with_bounds(bounds))
             .clone()
@@ -199,24 +203,18 @@ impl Registry {
     /// Zeroes every counter (histograms are left alone) —
     /// the experiment-harness reset path.
     pub fn reset_counters(&self) {
-        for c in self.inner.counters.lock().values() {
+        for c in locked(&self.inner.counters).values() {
             c.reset();
         }
     }
 
     /// A point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .inner
-            .counters
-            .lock()
+        let counters = locked(&self.inner.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let histograms = self
-            .inner
-            .histograms
-            .lock()
+        let histograms = locked(&self.inner.histograms)
             .iter()
             .map(|(k, v)| HistogramSnapshot {
                 name: k.clone(),
@@ -234,7 +232,7 @@ impl Registry {
 }
 
 /// Frozen copy of one histogram.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
     /// Metric name.
     pub name: String,
@@ -248,8 +246,8 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
-/// Frozen copy of a whole registry, serializable to JSON.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Frozen copy of a whole registry.
+#[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` pairs, sorted by name.
     pub counters: Vec<(String, u64)>,
@@ -322,9 +320,6 @@ mod tests {
         assert_eq!(s.counter("z.second"), Some(2));
         assert_eq!(s.counter("missing"), None);
         assert_eq!(s.histograms[0].counts, vec![1, 0, 0]);
-        // Snapshots serialize.
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(json.contains("a.first"));
     }
 
     #[test]

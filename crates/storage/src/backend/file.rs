@@ -56,13 +56,12 @@
 use crate::codec::{decode_postings, encode_postings_into, put_vbyte, ENCODING_ID};
 use crate::disk::{DiskStats, PageStore};
 use crate::page::Page;
-use bytes::Bytes;
-use ir_types::{weights, IrError, IrResult, PageId, TermId};
-use parking_lot::Mutex;
+use ir_types::{sync, weights, IrError, IrResult, PageId, TermId};
 use std::fmt;
 use std::fs;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 const MAGIC: &[u8; 4] = b"BFPG";
 const VERSION: u32 = 3;
@@ -632,12 +631,12 @@ impl FilePageStore {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> DiskStats {
-        self.state.lock().stats
+        sync::lock(&self.state).stats
     }
 
     /// Resets the counters and the modeled head position.
     pub fn reset_stats(&self) {
-        *self.state.lock() = FileState::default();
+        *sync::lock(&self.state) = FileState::default();
     }
 
     /// Locates `id`: its list's `idf_t`, its index in the per-page
@@ -667,7 +666,7 @@ impl FilePageStore {
         let torn = || IrError::TornPage { page: id };
         let mut buf = vec![0u8; (self.offsets[i + 1] - self.offsets[i]) as usize];
         pread(&self.file, &mut buf, self.offsets[i]).map_err(|_| torn())?;
-        let postings = decode_postings(Bytes::from(buf)).ok_or_else(torn)?;
+        let postings = decode_postings(&buf).ok_or_else(torn)?;
         if postings.len() != n_postings {
             return Err(torn());
         }
@@ -699,7 +698,7 @@ impl FilePageStore {
 
 impl PageStore for FilePageStore {
     fn read_page(&self, id: PageId) -> IrResult<Page> {
-        let mut state = self.state.lock();
+        let mut state = sync::lock(&self.state);
         let page = self.load_verified(id)?;
         Self::count_read(&mut state, id, page.len() as u64);
         Ok(page)

@@ -49,9 +49,9 @@
 use crate::disk::PageStore;
 use crate::page::Page;
 use ir_observe::{Counter, Histogram, IO_LATENCY_US_BOUNDS};
-use ir_types::{ClockKind, IdMap, IrResult, PageId};
-use parking_lot::Mutex;
+use ir_types::{sync, ClockKind, IdMap, IrResult, PageId};
 use std::collections::VecDeque;
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -267,7 +267,7 @@ impl<S: PageStore> IoScheduler<S> {
     /// Current reading of the timeline, µs: the virtual clock, or µs
     /// since construction under the real one.
     pub fn now_us(&self) -> u64 {
-        self.clock_us(&self.state.lock())
+        self.clock_us(&sync::lock(&self.state))
     }
 
     fn clock_us(&self, state: &SchedState) -> u64 {
@@ -315,7 +315,7 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
     /// through [`submit`](PageStore::submit). The wait is charged to
     /// the calling thread, as a staged or a demand wait.
     fn read_page(&self, id: PageId) -> IrResult<Page> {
-        let mut state = self.state.lock();
+        let mut state = sync::lock(&self.state);
         let now = self.clock_us(&state);
         let mut cached = state.cache.remove(&id);
         if cached.is_some() {
@@ -377,7 +377,7 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
         if self.config.queue_depth <= 1 || ids.is_empty() {
             return;
         }
-        let mut state = self.state.lock();
+        let mut state = sync::lock(&self.state);
         let now = self.clock_us(&state);
         state.submits += 1;
         let submit = state.submits;
@@ -629,7 +629,7 @@ mod tests {
         let sched = free_qd4(long_list(cap + 8));
         sched.submit(&ids(cap));
         sched.submit(&(cap..cap + 8).map(|p| pid(0, p)).collect::<Vec<_>>());
-        let state = sched.state.lock();
+        let state = sync::lock(&sched.state);
         assert_eq!(state.cache.len(), PREFETCH_CAP);
         assert_eq!(state.order.len(), PREFETCH_CAP);
         assert!(
@@ -645,13 +645,13 @@ mod tests {
         let cap = PREFETCH_CAP as u32;
         let sched = free_qd4(long_list(cap + 8));
         sched.submit(&ids(cap + 8));
-        assert_eq!(sched.state.lock().cache.len(), PREFETCH_CAP + 8);
+        assert_eq!(sync::lock(&sched.state).cache.len(), PREFETCH_CAP + 8);
         assert_eq!(sched.metrics().prefetch_evicted.get(), 0);
         // The next submission trims the earlier one's leftovers back
         // below the cap before it keeps its own page.
         sched.read_page(pid(0, 1)).unwrap();
         sched.submit(&[pid(0, 1)]);
-        let state = sched.state.lock();
+        let state = sync::lock(&sched.state);
         assert_eq!(state.cache.len(), PREFETCH_CAP);
         assert_eq!(sched.metrics().prefetch_evicted.get(), 8);
         assert!(state.cache.contains_key(&pid(0, 1)), "its own page stays");
@@ -717,7 +717,7 @@ mod tests {
         assert!(sched.can_tear());
         sched.submit(&[pid(0, 0)]);
         assert!(
-            sched.state.lock().cache.is_empty(),
+            sync::lock(&sched.state).cache.is_empty(),
             "a torn prefetch completion entered the cache"
         );
         // The demand read re-runs the store's fault machinery; the
@@ -756,7 +756,7 @@ mod tests {
         {
             let torn = store(4).read_page(pid(0, 1)).unwrap().into_torn();
             assert!(!torn.is_intact());
-            let mut state = sched.state.lock();
+            let mut state = sync::lock(&sched.state);
             state.cache.insert(
                 pid(0, 1),
                 Prefetched {
@@ -775,7 +775,7 @@ mod tests {
             "a discarded entry is not an overlap hit"
         );
         assert_eq!(sched.metrics().demand_reads.get(), 1);
-        assert!(sched.state.lock().cache.is_empty());
+        assert!(sync::lock(&sched.state).cache.is_empty());
     }
 
     #[test]
@@ -795,7 +795,7 @@ mod tests {
         // Channel math: the random head costs 125 on channel 0, the two
         // sequential successors 25 each on their own channels.
         let readies: Vec<u64> = {
-            let state = sched.state.lock();
+            let state = sync::lock(&sched.state);
             ids(3)
                 .iter()
                 .map(|id| state.cache[id].ready_at_us)
@@ -806,7 +806,11 @@ mod tests {
         // A failed speculative read stages nothing and stays silent;
         // the error resurfaces on the demand read.
         sched.submit(&[pid(0, 9)]);
-        assert_eq!(sched.state.lock().cache.len(), 3, "bad id: nothing staged");
+        assert_eq!(
+            sync::lock(&sched.state).cache.len(),
+            3,
+            "bad id: nothing staged"
+        );
         assert!(sched.read_page(pid(0, 9)).is_err());
         assert_eq!(sched.io_wait_us(), 0, "errors cost nothing");
     }
@@ -833,7 +837,7 @@ mod tests {
         let sched = virtual_qd(2, store(2));
         sched.submit(&[pid(0, 0), pid(1, 0)]); // 150 on each channel
         sched.submit(&[pid(2, 0)]); // back on channel 0: 150 + 150
-        assert_eq!(sched.state.lock().cache[&pid(2, 0)].ready_at_us, 300);
+        assert_eq!(sync::lock(&sched.state).cache[&pid(2, 0)].ready_at_us, 300);
         read_each(&sched, &[pid(2, 0), pid(0, 0), pid(1, 0)]);
         assert_eq!(sched.io_wait_us(), 300, "the first two were done by then");
 
@@ -865,7 +869,7 @@ mod tests {
         );
         sched.submit(&ids(8));
         let readies: Vec<u64> = {
-            let state = sched.state.lock();
+            let state = sync::lock(&sched.state);
             ids(8)
                 .iter()
                 .map(|id| state.cache[id].ready_at_us)
@@ -1036,7 +1040,7 @@ mod tests {
                 let asked = Instant::now();
                 sched.read_page(id).unwrap();
                 let returned = Instant::now();
-                let done = sched.state.lock().free_at[0];
+                let done = sync::lock(&sched.state).free_at[0];
                 assert!(
                     returned >= sched.epoch + Duration::from_micros(done),
                     "{id:?} returned before its modeled completion at {done} µs"

@@ -8,9 +8,8 @@ use crate::page::Page;
 use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::query_buffer::{QueryBuffer, QueryBufferExt};
 use crate::stats::{BufferMetrics, BufferStats};
-use ir_types::{IdMap, IdSet, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use ir_types::{sync, IdMap, IdSet, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
+use std::sync::{Arc, RwLock};
 
 /// The resident-frame table behind a read-write lock, cloneable so a
 /// lock-striped wrapper ([`ShardedBufferPool`](crate::ShardedBufferPool))
@@ -88,7 +87,7 @@ pub(crate) fn serve_hit_run(
 ) -> usize {
     let start = out.len();
     {
-        let frames = frames.read();
+        let frames = sync::read(frames);
         for entry in entries {
             match frames.get(&entry.page) {
                 Some(page) => out.push((page.clone(), FetchOutcome::Hit)),
@@ -293,7 +292,7 @@ impl<S: PageStore> BufferManager<S> {
     /// event still fires because the request *was* served from a
     /// resident frame.
     pub(crate) fn apply_deferred_hit(&mut self, id: PageId) {
-        let page = self.frames.read().get(&id).cloned();
+        let page = sync::read(&self.frames).get(&id).cloned();
         if let Some(page) = page {
             self.policy.on_hit(&page);
         }
@@ -408,7 +407,7 @@ impl<S: PageStore> BufferManager<S> {
             return;
         }
         let staged = {
-            let frames = self.frames.read();
+            let frames = sync::read(&self.frames);
             staged_ids(entries, lookahead, |id| frames.contains_key(&id))
         };
         self.store.submit(&staged);
@@ -462,8 +461,8 @@ impl<S: PageStore> BufferManager<S> {
     /// readers share these locks) — and cover the evictions and the
     /// install together.
     fn install(&mut self, page: Page, hint: Option<f64>) {
-        let mut frames = self.frames.write();
-        let mut terms = self.resident_per_term.write();
+        let mut frames = sync::write(&self.frames);
+        let mut terms = sync::write(&self.resident_per_term);
         while frames.len() >= self.capacity {
             let victim = self
                 .policy
@@ -501,8 +500,7 @@ impl<S: PageStore> BufferManager<S> {
     /// the pool. O(1).
     #[inline]
     pub fn resident_pages(&self, term: TermId) -> u32 {
-        self.resident_per_term
-            .read()
+        sync::read(&self.resident_per_term)
             .get(&term)
             .copied()
             .unwrap_or(0)
@@ -511,7 +509,7 @@ impl<S: PageStore> BufferManager<S> {
     /// Is a specific page resident?
     #[inline]
     pub fn is_resident(&self, id: PageId) -> bool {
-        self.frames.read().contains_key(&id)
+        sync::read(&self.frames).contains_key(&id)
     }
 
     /// Returns the resident page without touching statistics, the
@@ -519,14 +517,14 @@ impl<S: PageStore> BufferManager<S> {
     /// for diagnostics.
     #[inline]
     pub fn peek(&self, id: PageId) -> Option<Page> {
-        self.frames.read().get(&id).cloned()
+        sync::read(&self.frames).get(&id).cloned()
     }
 
     /// Every resident page id, sorted — the pool's frame contents as a
     /// comparable value (chaos and property tests diff two pools with
     /// it).
     pub fn resident_ids(&self) -> Vec<PageId> {
-        let mut ids: Vec<PageId> = self.frames.read().keys().copied().collect();
+        let mut ids: Vec<PageId> = sync::read(&self.frames).keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -555,8 +553,8 @@ impl<S: PageStore> BufferManager<S> {
     /// *sequences*, never between refinements). Statistics survive;
     /// use [`reset_stats`](Self::reset_stats) to zero them.
     pub fn flush(&mut self) {
-        self.frames.write().clear();
-        self.resident_per_term.write().clear();
+        sync::write(&self.frames).clear();
+        sync::write(&self.resident_per_term).clear();
         self.policy.clear();
         self.notify(BufferEvent::Flush);
     }
@@ -590,12 +588,12 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Number of frames in use.
     pub fn len(&self) -> usize {
-        self.frames.read().len()
+        sync::read(&self.frames).len()
     }
 
     /// `true` when no page is resident.
     pub fn is_empty(&self) -> bool {
-        self.frames.read().is_empty()
+        sync::read(&self.frames).is_empty()
     }
 
     /// Pool capacity in pages (`BufferSize` in Table 3).
@@ -623,7 +621,7 @@ impl<S: PageStore> QueryBuffer for BufferManager<S> {
     }
 
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
-        let counters = self.resident_per_term.read();
+        let counters = sync::read(&self.resident_per_term);
         terms
             .iter()
             .map(|t| counters.get(t).copied().unwrap_or(0))
@@ -1227,7 +1225,7 @@ mod tests {
             if self.store.overlap_depth() > 1 {
                 let mut seen: IdSet<PageId> = IdSet::default();
                 let staged: Vec<PageId> = {
-                    let frames = self.frames.read();
+                    let frames = sync::read(&self.frames);
                     plan.iter()
                         .map(|e| e.page)
                         .filter(|id| seen.insert(*id) && !frames.contains_key(id))
@@ -1239,7 +1237,7 @@ mod tests {
             }
             for &entry in plan.iter() {
                 self.metrics.requests.inc();
-                let resident = self.frames.read().get(&entry.page).cloned();
+                let resident = sync::read(&self.frames).get(&entry.page).cloned();
                 if let Some(page) = resident {
                     self.metrics.hits.inc();
                     self.policy.on_hit(&page);

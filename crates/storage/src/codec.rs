@@ -27,7 +27,6 @@
 //! `index.decoded_entries.golden` counter, from which report layers
 //! derive decode µs/entry.
 
-use bytes::{Buf, Bytes};
 use ir_types::{is_frequency_sorted, DocId, Posting};
 
 /// The id the `BFPG` and `BFIR` headers carry for this encoding; both
@@ -97,14 +96,16 @@ pub(crate) fn put_vbyte(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn get_vbyte(buf: &mut Bytes) -> Option<u64> {
+/// Reads one v-byte value off the front of `buf` and advances past it.
+fn get_vbyte(buf: &mut &[u8]) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() || shift >= 64 {
+        if shift >= 64 {
             return None;
         }
-        let byte = buf.get_u8();
+        let (&byte, rest) = buf.split_first()?;
+        *buf = rest;
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 != 0 {
             return Some(v);
@@ -118,10 +119,10 @@ fn get_vbyte(buf: &mut Bytes) -> Option<u64> {
 /// # Panics
 /// Panics if `postings` is not in frequency order (`f` desc, `d` asc) —
 /// the builder guarantees the order; violating it would corrupt gaps.
-pub fn encode_postings(postings: &[Posting]) -> Bytes {
+pub fn encode_postings(postings: &[Posting]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(postings.len() * 2);
     encode_postings_into(postings, &mut buf);
-    Bytes::from(buf)
+    buf
 }
 
 /// Appends the bytes [`encode_postings`] returns for `postings` to
@@ -168,7 +169,7 @@ pub fn encode_postings_into(postings: &[Posting], buf: &mut Vec<u8>) {
 /// Returns `None` on any malformed input (truncated varint, overflowing
 /// counts, non-decreasing frequencies); never panics on hostile bytes.
 /// Records the same meters as [`decode_postings_into`].
-pub fn decode_postings(data: Bytes) -> Option<Vec<Posting>> {
+pub fn decode_postings(data: &[u8]) -> Option<Vec<Posting>> {
     let mut out = Vec::new();
     decode_postings_into(data, &mut out).then_some(out)
 }
@@ -183,7 +184,7 @@ pub fn decode_postings(data: Bytes) -> Option<Vec<Posting>> {
 /// records one page decode, the encoded byte count, the decode
 /// nanoseconds and (on success) the entries decoded on the global
 /// `ir-observe` registry.
-pub fn decode_postings_into(data: Bytes, out: &mut Vec<Posting>) -> bool {
+pub fn decode_postings_into(data: &[u8], out: &mut Vec<Posting>) -> bool {
     let meters = decode_meters();
     meters.pages.inc();
     meters.bytes.add(data.len() as u64);
@@ -197,11 +198,11 @@ pub fn decode_postings_into(data: Bytes, out: &mut Vec<Posting>) -> bool {
 }
 
 /// The decode itself, without instrumentation.
-fn decode_runs(mut data: Bytes, out: &mut Vec<Posting>) -> Option<()> {
+fn decode_runs(mut data: &[u8], out: &mut Vec<Posting>) -> Option<()> {
     out.clear();
     let n = usize::try_from(get_vbyte(&mut data)?).ok()?;
     // Guard against hostile counts: each posting costs ≥ 1 byte.
-    if n > data.remaining().saturating_mul(2) + 2 {
+    if n > data.len().saturating_mul(2) + 2 {
         return None;
     }
     out.reserve(n);
@@ -275,7 +276,7 @@ mod tests {
     fn round_trip_simple() {
         let p = postings(&[(3, 9), (1, 5), (7, 5), (0, 1), (2, 1), (9, 1)]);
         let enc = encode_postings(&p);
-        assert_eq!(decode_postings(enc).unwrap(), p);
+        assert_eq!(decode_postings(&enc).unwrap(), p);
     }
 
     #[test]
@@ -291,23 +292,20 @@ mod tests {
             0x84, 0x82, 0x81, 0x86, // drop 4 → f = 5, run of 2: docs 1, 1+6
             0x84, 0x83, 0x80, 0x82, 0x2a, 0x82, // drop 4 → f = 1, run of 3: 0, 2, 2+298
         ];
-        assert_eq!(encode_postings(&p).as_ref(), expected);
+        assert_eq!(encode_postings(&p), expected);
         // Appending into a buffer that already holds bytes adds exactly
         // the same stream.
         let mut buf = vec![0xee];
         encode_postings_into(&p, &mut buf);
         assert_eq!(buf[0], 0xee);
         assert_eq!(buf[1..], expected);
-        assert_eq!(
-            decode_postings(Bytes::copy_from_slice(&expected)).unwrap(),
-            p
-        );
+        assert_eq!(decode_postings(&expected).unwrap(), p);
     }
 
     #[test]
     fn empty_list() {
         let enc = encode_postings(&[]);
-        assert_eq!(decode_postings(enc).unwrap(), vec![]);
+        assert_eq!(decode_postings(&enc).unwrap(), vec![]);
     }
 
     #[test]
@@ -334,7 +332,7 @@ mod tests {
             let enc = encode_postings(p);
             for cut in 0..enc.len() {
                 assert!(
-                    decode_postings(enc.slice(0..cut)).is_none(),
+                    decode_postings(&enc[..cut]).is_none(),
                     "truncation at {cut}/{} must fail",
                     enc.len()
                 );
@@ -347,7 +345,7 @@ mod tests {
         // Any byte soup must not panic.
         let cases: [&[u8]; 4] = [&[0xff], &[0x81, 0x00], &[0x85, 0x85], &[0x82, 0x80, 0x80]];
         for c in cases {
-            let _ = decode_postings(Bytes::copy_from_slice(c));
+            let _ = decode_postings(c);
         }
     }
 
@@ -361,7 +359,7 @@ mod tests {
         bytes.extend_from_slice(&[0x7f; 9]);
         bytes.push(0x81);
         assert_eq!(bytes.len(), 15);
-        assert_eq!(decode_postings(Bytes::from(bytes)), None);
+        assert_eq!(decode_postings(&bytes), None);
     }
 
     #[test]
@@ -385,8 +383,8 @@ mod tests {
         let mut scratch = Vec::new();
         for p in random_lists(7, 60) {
             let enc = encode_postings(&p);
-            assert_eq!(decode_postings(enc.clone()).unwrap(), p);
-            assert!(decode_postings_into(enc, &mut scratch));
+            assert_eq!(decode_postings(&enc).unwrap(), p);
+            assert!(decode_postings_into(&enc, &mut scratch));
             assert_eq!(scratch, p, "scratch != allocating");
         }
     }

@@ -15,10 +15,8 @@
 //! shares the slab, so it allocates nothing.
 
 use crate::page::{self, Page};
-use ir_types::{IrError, IrResult, PageId, Posting, TermId};
-use parking_lot::Mutex;
-use serde::Serialize;
-use std::sync::Arc;
+use ir_types::{sync, IrError, IrResult, PageId, Posting, TermId};
+use std::sync::{Arc, Mutex};
 
 /// Abstract source of inverted-list pages, so the buffer manager can be
 /// tested against hand-built stores and run against [`DiskSim`].
@@ -63,7 +61,7 @@ pub trait PageStore {
 }
 
 /// Cumulative disk counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Pages fetched from "disk".
     pub reads: u64,
@@ -270,13 +268,13 @@ impl DiskSim {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> DiskStats {
-        self.state.lock().stats
+        sync::lock(&self.state).stats
     }
 
     /// Resets the counters and the modeled head position (not the
     /// data).
     pub fn reset_stats(&self) {
-        *self.state.lock() = DiskState::default();
+        *sync::lock(&self.state) = DiskState::default();
     }
 }
 
@@ -308,7 +306,7 @@ impl PageStore for DiskSim {
             record.max_weight,
             record.checksum,
         );
-        let mut state = self.state.lock();
+        let mut state = sync::lock(&self.state);
         state.stats.reads += 1;
         state.stats.entries_read += page.len() as u64;
         // Sequential = the next page of the list the head is already on
@@ -402,18 +400,18 @@ pub(crate) mod tests {
         }
 
         pub(crate) fn calls(&self) -> Vec<StoreCall> {
-            self.calls.lock().clone()
+            sync::lock(&self.calls).clone()
         }
     }
 
     impl<S: PageStore> PageStore for StagingProbe<S> {
         fn read_page(&self, id: PageId) -> IrResult<Page> {
-            self.calls.lock().push(StoreCall::Read(id));
+            sync::lock(&self.calls).push(StoreCall::Read(id));
             self.inner.read_page(id)
         }
 
         fn submit(&self, ids: &[PageId]) {
-            self.calls.lock().push(StoreCall::Submit(ids.to_vec()));
+            sync::lock(&self.calls).push(StoreCall::Submit(ids.to_vec()));
         }
 
         fn overlap_depth(&self) -> usize {

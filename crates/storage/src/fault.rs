@@ -23,8 +23,8 @@
 
 use crate::disk::PageStore;
 use crate::page::Page;
-use ir_types::{IdMap, IrError, IrResult, PageId};
-use parking_lot::Mutex;
+use ir_types::{sync, IdMap, IrError, IrResult, PageId};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// What a [`FaultStore`] injects, and how often.
@@ -169,13 +169,13 @@ impl<S: PageStore> FaultStore<S> {
 
     /// Snapshot of what has been injected so far.
     pub fn stats(&self) -> FaultStats {
-        self.state.lock().stats
+        sync::lock(&self.state).stats
     }
 
     /// Rewinds the generator to its seed and zeroes the bookkeeping —
     /// the same instance can then replay an identical fault schedule.
     pub fn reset(&self) {
-        let mut s = self.state.lock();
+        let mut s = sync::lock(&self.state);
         s.rng = self.config.seed;
         s.consecutive.clear();
         s.stats = FaultStats::default();
@@ -184,7 +184,7 @@ impl<S: PageStore> FaultStore<S> {
     /// Decides one read's fate. Returns `Err` for an injected
     /// transient failure, `Ok((torn, delay))` otherwise.
     fn decide(&self, id: PageId) -> IrResult<(bool, Option<Duration>)> {
-        let mut s = self.state.lock();
+        let mut s = sync::lock(&self.state);
         // Always consume the three draws in fixed order, even when a
         // cap or an earlier fault decides the outcome — the stream
         // position then depends only on the read sequence, never on

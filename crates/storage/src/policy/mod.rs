@@ -32,7 +32,6 @@ pub use two_q::TwoQ;
 
 use crate::page::Page;
 use ir_types::{IdMap, PageId, TermId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -121,7 +120,7 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
 
 /// Selector for the available policies; the unit of configuration in
 /// experiments (`DF/LRU`, `BAF/RAP`, ...).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum PolicyKind {
     /// Least-recently-used — the paper's default/worst case.
     Lru,

@@ -7,7 +7,7 @@
 //! [`ShardedBufferPool`] partitions the frames across `P` shards (the
 //! LevelDB/RocksDB `ShardedCache` construction): each shard owns its
 //! own frame table, replacement-policy instance, [`BufferMetrics`] and
-//! [`parking_lot::Mutex`], so concurrent traffic on different shards
+//! [`Mutex`], so concurrent traffic on different shards
 //! never contends and no global lock exists on the hot path. A pool of
 //! one shard is the paper's single shared pool (`P = 1` below).
 //!
@@ -104,15 +104,14 @@ use crate::query_buffer::QueryBuffer;
 use crate::stats::{BufferMetrics, BufferStats};
 use ir_observe::{Counter, Histogram};
 use ir_types::idmap::splitmix64;
-use ir_types::{IdMap, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
-use parking_lot::Mutex;
+use ir_types::{sync, IdMap, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Bucket bounds (ns) for the shard-lock wait-time histogram. Waits
 /// used to be recorded in truncated microseconds, which zeroed every
-/// sub-µs wait — the overwhelming majority under parking_lot — and
+/// sub-µs wait — the overwhelming majority on a shard mutex — and
 /// made the histogram's mass vanish exactly when contention was
 /// sharpest. Nanosecond resolution keeps the sub-µs onset visible; the
 /// tail buckets still catch convoys.
@@ -228,7 +227,7 @@ impl<S: PageStore> Shard<S> {
     /// clears it under restores the invariant: queue mutex free ∧
     /// flag clear ⟹ queue empty.
     fn defer_hits(&self, ids: impl Iterator<Item = PageId>) {
-        let mut queue = self.pending_hits.lock();
+        let mut queue = sync::lock(&self.pending_hits);
         queue.extend(ids);
         self.has_pending.store(true, Ordering::Release);
     }
@@ -413,18 +412,18 @@ impl<S: PageStore> ShardedBufferPool<S> {
     /// [`SPIN_BEFORE_PARK`], and parks after that.
     fn lock(&self, s: usize) -> MutexGuard<'_, BufferManager<Arc<S>>> {
         let shard = &self.shards[s];
-        let mut guard = match shard.manager.try_lock() {
+        let mut guard = match sync::try_lock(&shard.manager) {
             Some(guard) => guard,
             None => {
                 self.metrics.contended_locks.inc();
                 let started = Instant::now();
                 let guard = loop {
                     std::hint::spin_loop();
-                    if let Some(guard) = shard.manager.try_lock() {
+                    if let Some(guard) = sync::try_lock(&shard.manager) {
                         break guard;
                     }
                     if started.elapsed() >= SPIN_BEFORE_PARK {
-                        break shard.manager.lock();
+                        break sync::lock(&shard.manager);
                     }
                 };
                 let waited_ns = (started.elapsed().as_nanos() as u64).max(1);
@@ -439,7 +438,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
             // so no hit can slip between the clear and the take (see
             // `Shard::defer_hits`).
             let mut drained = {
-                let mut queue = shard.pending_hits.lock();
+                let mut queue = sync::lock(&shard.pending_hits);
                 shard.has_pending.store(false, Ordering::Release);
                 std::mem::take(&mut *queue)
             };
@@ -448,7 +447,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
             }
             // Hand the queue its allocation back unless a concurrent
             // hit already started a new one.
-            let mut pending = shard.pending_hits.lock();
+            let mut pending = sync::lock(&shard.pending_hits);
             if pending.is_empty() && pending.capacity() < drained.capacity() {
                 *pending = drained;
             }
@@ -535,10 +534,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
             return;
         }
         let staged = staged_ids(entries, lookahead, |id| {
-            self.shards[self.shard_of(id)]
-                .frames
-                .read()
-                .contains_key(&id)
+            sync::read(&self.shards[self.shard_of(id)].frames).contains_key(&id)
         });
         self.store.submit(&staged);
     }
@@ -699,7 +695,7 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
         let mut totals = vec![0u32; terms.len()];
         for shard in self.shards.iter() {
-            let counters = shard.terms.read();
+            let counters = sync::read(&shard.terms);
             for (slot, term) in totals.iter_mut().zip(terms) {
                 *slot += counters.get(term).copied().unwrap_or(0);
             }
@@ -1119,7 +1115,7 @@ mod tests {
     /// Whether shard `s` owes any deferred hit effects.
     fn owes_hits(pool: &ShardedBufferPool<DiskSim>, s: usize) -> bool {
         let shard = &pool.shards[s];
-        shard.has_pending.load(Ordering::Acquire) || !shard.pending_hits.lock().is_empty()
+        shard.has_pending.load(Ordering::Acquire) || !sync::lock(&shard.pending_hits).is_empty()
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! snapshot (evictions split head/tail, retries and torn deliveries).
 
 use ir_observe::{Counter, Histogram, MetricsSnapshot, Registry};
-use serde::Serialize;
 
 /// Bucket bounds for the pages-per-batch histogram: powers of two up
 /// to a generously sized plan (larger batches land in the overflow
@@ -18,7 +17,7 @@ pub const BATCH_PAGES_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 /// `misses` equals the number of disk reads issued through the pool —
 /// the paper's headline metric. Experiments take [`BufferStats`]
 /// snapshots before and after a refinement and report the delta.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BufferStats {
     /// Page requests served (hits + misses).
     pub requests: u64,

@@ -9,7 +9,6 @@
 //! * a page blob flipped, truncated or extended never decodes to other
 //!   postings that pass the page's checksum.
 
-use bytes::Bytes;
 use ir_storage::codec::{decode_postings, decode_postings_into, encode_postings};
 use ir_storage::Page;
 use ir_types::{frequency_order, PageId, Posting, TermId};
@@ -34,10 +33,9 @@ fn list_from(pairs: &[(u32, u32)]) -> Vec<Posting> {
 /// Garbage may happen to decode (any valid stream is reachable), but
 /// it must never panic, and both entry points must give one verdict.
 fn check_hostile(raw: &[u8]) {
-    let bytes = Bytes::copy_from_slice(raw);
     let mut scratch = Vec::new();
-    let ok = decode_postings_into(bytes.clone(), &mut scratch);
-    match decode_postings(bytes) {
+    let ok = decode_postings_into(raw, &mut scratch);
+    match decode_postings(raw) {
         Some(decoded) => assert!(ok && decoded == scratch, "entry points disagree"),
         None => assert!(!ok, "entry points disagree"),
     }
@@ -53,7 +51,7 @@ fn hostile_bytes_fixed_cases() {
     run_of_u64_max.extend_from_slice(&[0x7f; 9]);
     run_of_u64_max.push(0x81);
     check_hostile(&run_of_u64_max);
-    assert_eq!(decode_postings(Bytes::from(run_of_u64_max)), None);
+    assert_eq!(decode_postings(&run_of_u64_max), None);
 }
 
 /// How one page blob is damaged.
@@ -83,7 +81,7 @@ fn mutated_page_blobs_never_pass_as_the_page() {
         let id = PageId::new(TermId(blob % 7), blob / 7);
         let idf = 1.0 + f64::from(blob % 5);
         let page = Page::new(id, list.clone().into(), idf);
-        let encoded = encode_postings(&list).to_vec();
+        let encoded = encode_postings(&list);
         for round in 0..24 {
             let damage = [Damage::Flip, Damage::Truncate, Damage::Extend][round % 3];
             let mut bytes = encoded.clone();
@@ -98,7 +96,7 @@ fn mutated_page_blobs_never_pass_as_the_page() {
                 }
             }
             let mut decoded = Vec::new();
-            if !decode_postings_into(Bytes::from(bytes), &mut decoded) {
+            if !decode_postings_into(&bytes, &mut decoded) {
                 refused += 1;
                 continue;
             }
@@ -135,21 +133,21 @@ proptest! {
         let encoded = encode_postings(&list);
 
         // Lossless round trip, allocating path.
-        let decoded = decode_postings(encoded.clone()).expect("decode of own encoding failed");
+        let decoded = decode_postings(&encoded).expect("decode of own encoding failed");
         assert_eq!(decoded, list, "round trip");
 
         // The scratch path must agree exactly (and again when the
         // scratch is reused dirty).
         let mut scratch = vec![Posting::new(u32::MAX, u32::MAX); 7];
-        assert!(decode_postings_into(encoded.clone(), &mut scratch));
+        assert!(decode_postings_into(&encoded, &mut scratch));
         assert_eq!(scratch, list, "scratch decode");
-        assert!(decode_postings_into(encoded.clone(), &mut scratch));
+        assert!(decode_postings_into(&encoded, &mut scratch));
         assert_eq!(scratch, list, "reused scratch decode");
 
         // A torn write: every strict prefix must be rejected.
         for cut in 0..encoded.len() {
             assert!(
-                !decode_postings_into(encoded.slice(0..cut), &mut scratch),
+                !decode_postings_into(&encoded[..cut], &mut scratch),
                 "accepted a {cut}-byte prefix of {} bytes",
                 encoded.len()
             );

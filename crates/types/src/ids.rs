@@ -7,26 +7,25 @@
 //! a bug class the buffer-manager/evaluator interface is otherwise very
 //! prone to (`b_t` lookups take a *term*, page loads take a *page*).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a document in the collection.
 ///
 /// Documents are numbered densely from zero in collection order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DocId(pub u32);
 
 /// Identifier of a term in the lexicon (equivalently, of its inverted list).
 ///
 /// Terms are numbered densely from zero in lexicon insertion order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TermId(pub u32);
 
 /// Zero-based position of a page within one term's inverted list.
 ///
 /// Frequency-sorted lists mean page 0 holds the highest-frequency
 /// postings; the "head" of a list is its low-numbered pages.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageNo(pub u32);
 
 /// Globally unique page address: an inverted list plus an offset in it.
@@ -34,7 +33,7 @@ pub struct PageNo(pub u32);
 /// The paper stores each inverted list as a separate file (§4.1), so a
 /// page is addressed by `(term, page-within-list)` rather than by a flat
 /// disk offset.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId {
     /// The term whose inverted list contains this page.
     pub term: TermId,
@@ -168,13 +167,5 @@ mod tests {
         assert_eq!(DocId(42).index(), 42);
         assert_eq!(TermId(42).index(), 42);
         assert_eq!(PageNo(42).index(), 42);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = PageId::new(TermId(5), 6);
-        let s = serde_json::to_string(&p).unwrap();
-        let back: PageId = serde_json::from_str(&s).unwrap();
-        assert_eq!(p, back);
     }
 }

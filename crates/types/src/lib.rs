@@ -6,8 +6,8 @@
 //! the inverted-list [`Posting`] record with the paper's *frequency
 //! ordering*, cosine weight arithmetic ([`weights`]), tuning parameters
 //! for the filtering algorithms ([`params`]), the common error type
-//! ([`IrError`]), and the split of set-up work over the cores
-//! ([`parts`]).
+//! ([`IrError`]), the split of set-up work over the cores
+//! ([`parts`]), and lock acquisition that ignores poisoning ([`sync`]).
 //!
 //! The types here deliberately carry no behaviour beyond what every layer
 //! agrees on; algorithms live in `ir-core`, storage in `ir-storage`.
@@ -23,6 +23,7 @@ pub mod params;
 pub mod parts;
 pub mod posting;
 pub mod read_plan;
+pub mod sync;
 pub mod weights;
 
 pub use error::{IrError, IrResult};

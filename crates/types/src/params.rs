@@ -6,8 +6,6 @@
 //! manager (`ir-storage`); the rest live here because both the index
 //! builder and the evaluator need them.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's page capacity: one tenth of a 4 KB page holding
 /// compressed ≈1-byte entries with "reasonable overhead" → 404 entries
 /// (§4.2). The tenfold shrink scales the 530 MB WSJ collection to behave
@@ -28,7 +26,7 @@ pub const DEFAULT_TOP_N: usize = 20;
 /// `c_ins` bounds the candidate set (higher ⇒ fewer accumulators);
 /// `c_add` bounds disk reads (higher ⇒ earlier list cut-off). The paper
 /// requires `f_ins ≥ f_add`, i.e. `c_ins ≥ c_add`.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct FilterParams {
     /// Insertion-threshold constant `c_ins`.
     pub c_ins: f64,
@@ -133,7 +131,7 @@ fn threshold(c: f64, s_max: f64, query_freq: u32, idf: f64) -> f64 {
 /// test footnote 14's claim that algorithms over doc-ordered lists
 /// "can be expected to read most of the inverted list pages" and "would
 /// perform significantly worse than DF here".
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ListOrdering {
     /// `f_{d,t}` descending, doc id ascending within ties (the paper's
     /// organization; enables early termination).
@@ -145,7 +143,7 @@ pub enum ListOrdering {
 }
 
 /// Physical index parameters shared by the builder and the evaluator.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct IndexParams {
     /// Number of `(d, f_{d,t})` entries per page (`PageSize` in Table 3).
     pub page_size: usize,

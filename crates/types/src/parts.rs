@@ -8,7 +8,8 @@
 //! each thread's malloc arena frees, and a second arena costs resident
 //! memory for the rest of the run.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use crate::sync;
+use std::sync::{Condvar, Mutex};
 
 /// One part per core the process may use (1 where that is unknown).
 pub fn available() -> usize {
@@ -132,32 +133,21 @@ struct Start {
 }
 
 impl Start {
-    fn state(&self) -> MutexGuard<'_, (usize, bool)> {
-        // Nothing panics while holding the lock.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// A worker arrives and sleeps until it may start.
     fn arrive(&self) {
-        let mut state = self.state();
+        let mut state = sync::lock(&self.state);
         state.0 += 1;
         self.changed.notify_all();
         while !state.1 {
-            state = self
-                .changed
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            state = sync::wait(&self.changed, state);
         }
     }
 
     /// The calling thread sleeps until `workers` arrived, then lets them go.
     fn release_when(&self, workers: usize) {
-        let mut state = self.state();
+        let mut state = sync::lock(&self.state);
         while state.0 < workers {
-            state = self
-                .changed
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            state = sync::wait(&self.changed, state);
         }
         state.1 = true;
         self.changed.notify_all();
@@ -170,7 +160,7 @@ struct Release<'a>(&'a Start);
 
 impl Drop for Release<'_> {
     fn drop(&mut self) {
-        self.0.state().1 = true;
+        sync::lock(&self.0.state).1 = true;
         self.0.changed.notify_all();
     }
 }

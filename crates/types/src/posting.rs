@@ -1,7 +1,6 @@
 //! The `(d, f_{d,t})` inverted-list entry and its frequency ordering.
 
 use crate::ids::DocId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// One inverted-list entry: document `d` contains the list's term
@@ -10,7 +9,7 @@ use std::cmp::Ordering;
 /// Uncompressed, the paper budgets 4 bytes for the document id and
 /// 2 bytes for the frequency; this struct is the in-memory decoded form
 /// (`ir-index::compress` handles the ≈1-byte-per-entry on-page form).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Posting {
     /// The document containing the term.
     pub doc: DocId,

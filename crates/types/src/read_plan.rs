@@ -4,7 +4,7 @@
 //! The paper's evaluators know, before touching storage, exactly which
 //! pages a term scan will process: DF derives the page count from the
 //! conversion table (`pages_to_process`, §2.4), BAF's `p_t` estimate
-//! *is* that count, and a boolean scan reads the whole list. A
+//! *is* that count, and Full evaluation reads the whole list. A
 //! [`ReadPlan`] makes that knowledge a first-class value the buffer
 //! layer can act on — batching the store reads, and valuing pages for
 //! replacement *before* eviction decisions instead of after admission
@@ -23,7 +23,6 @@
 //! pool does depends on it.
 
 use crate::ids::{PageId, TermId};
-use serde::{Deserialize, Serialize};
 
 /// One planned page read: the page, plus an optional estimate of its
 /// value to the running query.
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// admission — `w*_{d,t} · w_{q,t}`, the paper's eq. for page worth —
 /// even when the query was never announced via `begin_query`. Policies
 /// that do not understand hints ignore them.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlanEntry {
     /// The page to fetch.
     pub page: PageId,
@@ -72,7 +71,7 @@ impl PlanEntry {
 /// - a failed entry aborts the rest of the plan, leaving earlier
 ///   entries' effects (admissions, evictions, counters) in place —
 ///   exactly as a sequence of single fetches would.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ReadPlan {
     entries: Vec<PlanEntry>,
     /// Stage-only: `(term, n_pages)`, the prefix `[0, n_pages)` of
