@@ -24,12 +24,14 @@
 //! the test oracle below); only the work to find the pick differs.
 //!
 //! A round whose pick must read (`d_t > 0`) has compared every unmarked
-//! term, so it also knows the *runner-up* — the least `d_t` among the
-//! rest, same tie-break — at no extra inquiry. The pick's plan names
-//! the runner-up's `[0, p_t)` prefix as its stage-only lookahead: a
-//! store that overlaps reads may start on it while the pick's own reads
-//! are in flight. The pool never demands it, so it changes no load, no
-//! victim and no answer.
+//! term, so it knows every other term's `p_t` and `b_t` too, at no
+//! extra inquiry, and each of them must read as well (its `d_t` is no
+//! less than the pick's). The pick's plan names all of their `[0, p_t)`
+//! prefixes as its stage-only lookahead, ordered as the round would
+//! pick them (`d_t`, then the tie-break): a store that overlaps reads
+//! may start on every list the query has left while the pick's own
+//! reads are in flight. The pool never demands them, so they change no
+//! load, no victim and no answer.
 
 use super::clock::{Clock, Layer, NoClock, Stopwatch};
 use super::scan::{scan_term, with_fetched};
@@ -90,9 +92,10 @@ struct Pick<'q> {
     est_reads: u32,
     /// Terms whose `b_t` the round asked for.
     inquired: usize,
-    /// The runner-up's `(term, p_t)` when the pick must read
-    /// (`d_t > 0`) and the runner-up would read something (`p_t > 0`).
-    runner_up: Option<(TermId, u32)>,
+    /// When the pick must read (`d_t > 0`): every other unmarked term's
+    /// `(term, p_t)`, in the order the round would pick them; else
+    /// empty.
+    lookahead: Vec<(TermId, u32)>,
 }
 
 /// Steps 3a-i–iv of Fig. 2, paying only for what can change the pick.
@@ -122,10 +125,10 @@ impl<'q> Selection<'q> {
     }
 
     /// Picks and unmarks the term with the least `d_t` under `s_max`,
-    /// and names the runner-up when the loop had to see every term.
-    /// `read_since` says whether the query read a page since the last
-    /// pick (`true` for the first), i.e. whether residency can have
-    /// moved under the `b_t` answers held.
+    /// and, when the loop had to see every term, names the rest in the
+    /// order it would pick them. `read_since` says whether the query
+    /// read a page since the last pick (`true` for the first), i.e.
+    /// whether residency can have moved under the `b_t` answers held.
     fn pick<B: QueryBuffer>(
         &mut self,
         buffer: &B,
@@ -147,10 +150,8 @@ impl<'q> Selection<'q> {
             inquired = self.live.len();
             stats.bt_inquiries += inquired as u64;
         }
-        // (position in `live`, d_t) of the best so far, and of the best
-        // of the others.
+        // (position in `live`, d_t) of the best so far.
         let mut best: Option<(usize, u32)> = None;
-        let mut second: Option<(usize, u32)> = None;
         for (at, c) in self.live.iter_mut().enumerate() {
             if c.fresh_at != s_max {
                 let t = c.term;
@@ -161,27 +162,32 @@ impl<'q> Selection<'q> {
             }
             let d_t = c.p_t.saturating_sub(c.b_t);
             if best.is_none_or(|(_, least)| d_t < least) {
-                second = best;
                 best = Some((at, d_t));
                 if d_t == 0 {
                     break;
                 }
-            } else if second.is_none_or(|(_, least)| d_t < least) {
-                second = Some((at, d_t));
             }
         }
         let (at, est_reads) = best.expect("an unmarked term exists in every round");
+        let chosen = self.live.remove(at);
         // A pick with d_t = 0 may have stopped the loop early, before
-        // the runner-up was seen.
-        let runner_up = second
-            .filter(|_| est_reads > 0)
-            .map(|(i, _)| (self.live[i].term.term, self.live[i].p_t))
-            .filter(|&(_, p_t)| p_t > 0);
+        // the rest were seen; one that must read saw them all, fresh.
+        let mut lookahead = Vec::new();
+        if est_reads > 0 {
+            let mut rest: Vec<(u32, TermId, u32)> = self
+                .live
+                .iter()
+                .map(|c| (c.p_t.saturating_sub(c.b_t), c.term.term, c.p_t))
+                .collect();
+            // Stable: equal d_t keep `live`'s tie-break order.
+            rest.sort_by_key(|&(d_t, ..)| d_t);
+            lookahead = rest.into_iter().map(|(_, term, p_t)| (term, p_t)).collect();
+        }
         Ok(Pick {
-            chosen: self.live.remove(at),
+            chosen,
             est_reads,
             inquired,
-            runner_up,
+            lookahead,
         })
     }
 }
@@ -282,6 +288,7 @@ fn baf_over<'q, B: QueryBuffer, C: Clock>(
             // The pick's `p_t` is exactly the page count a
             // threshold-f_add scan processes — it sizes both the d_t
             // estimate and the term's read plan.
+            row.lookahead = picked.lookahead.first().map(|&(term, _)| term);
             let out = scan_term(
                 buffer,
                 accs,
@@ -291,10 +298,9 @@ fn baf_over<'q, B: QueryBuffer, C: Clock>(
                 f_add,
                 early_stop,
                 picked.chosen.p_t,
-                picked.runner_up,
+                picked.lookahead,
                 watch,
             )?;
-            row.lookahead = picked.runner_up.map(|(term, _)| term);
             stats.record_scan(&out);
             // The estimator's quality, measured: what d_t promised vs
             // what the scan actually pulled from disk.
@@ -405,10 +411,15 @@ mod tests {
             };
             let (k, est_reads) =
                 best_of(&|_| true).expect("an unmarked term exists in every round");
-            let runner_up = best_of(&|other| other != k)
-                .filter(|_| est_reads > 0)
-                .map(|(r, _)| (terms[live[r]].term, self.p_t[live[r]]))
-                .filter(|&(_, p_t)| p_t > 0);
+            // A pick that must read names the rest, best first, each
+            // found the way the pick was.
+            let mut lookahead = Vec::new();
+            let mut named = vec![k];
+            while est_reads > 0 && named.len() < live.len() {
+                let (r, _) = best_of(&|other| !named.contains(&other)).expect("one is left");
+                named.push(r);
+                lookahead.push((terms[live[r]].term, self.p_t[live[r]]));
+            }
             let i = live[k];
             self.done[i] = true;
             Ok(Pick {
@@ -421,21 +432,26 @@ mod tests {
                 },
                 est_reads,
                 inquired: live.len(),
-                runner_up,
+                lookahead,
             })
         }
     }
 
-    fn evaluate_eager<B: QueryBuffer>(
+    /// Each round's whole lookahead, as the round named it.
+    type Named = Vec<Vec<(TermId, u32)>>;
+
+    /// Fig. 2 over `pick`'s rounds, logging each round's lookahead.
+    fn evaluate_logged<'q, B: QueryBuffer>(
         index: &InvertedIndex,
         buffer: &mut B,
-        query: &Query,
+        query: &'q Query,
         options: EvalOptions,
-    ) -> IrResult<QueryResult> {
+        mut pick: impl FnMut(&B, f64, bool, &mut EvalStats) -> IrResult<Pick<'q>>,
+    ) -> IrResult<(QueryResult, Named)> {
         buffer.begin_query(&query.weights());
-        let mut rounds = EagerSelection::new(index, query.terms(), options.params);
+        let mut named = Vec::new();
         let mut watch = Stopwatch::start(&NoClock);
-        Accumulators::with_scratch(index.n_docs() as usize, |accs| {
+        let result = Accumulators::with_scratch(index.n_docs() as usize, |accs| {
             baf_over(
                 index,
                 buffer,
@@ -443,9 +459,14 @@ mod tests {
                 options,
                 accs,
                 &mut watch,
-                |b, s_max, _, stats| rounds.pick(b, s_max, stats),
+                |b, s_max, read, stats| {
+                    let picked = pick(b, s_max, read, stats)?;
+                    named.push(picked.lookahead.clone());
+                    Ok(picked)
+                },
             )
-        })
+        })?;
+        Ok((result, named))
     }
 
     /// 48 terms over 400 documents, four entries a page: term `t` is in
@@ -515,8 +536,19 @@ mod tests {
         let mut work = [0u64; 4];
         for (step, q) in queries.iter().enumerate() {
             let ctx = format!("seed {seed}, step {step} ({policy}, {capacity} frames)");
-            let lazy = evaluate_baf(idx, &mut lazy_pool, q, options).unwrap();
-            let eager = evaluate_eager(idx, &mut eager_pool, q, options).unwrap();
+            let mut lazy_round = Selection::new(idx, q.terms(), options.params);
+            let (lazy, lazy_named) =
+                evaluate_logged(idx, &mut lazy_pool, q, options, |b, s_max, read, stats| {
+                    lazy_round.pick(b, s_max, read, stats)
+                })
+                .unwrap();
+            let mut eager_round = EagerSelection::new(idx, q.terms(), options.params);
+            let (eager, eager_named) =
+                evaluate_logged(idx, &mut eager_pool, q, options, |b, s_max, _, stats| {
+                    eager_round.pick(b, s_max, stats)
+                })
+                .unwrap();
+            assert_eq!(lazy_named, eager_named, "{ctx}: lookaheads");
             type Row = (TermId, u32, u32, u32, u64, Option<TermId>);
             let rows = |r: &QueryResult| -> Vec<Row> {
                 let row = |t: &TermTraceRow| {

@@ -94,7 +94,16 @@ fn df_over<B: QueryBuffer, C: Clock>(
         let plan_pages = index.conversion().pages_to_process(t.term, f_add)?;
         watch.lap(Layer::Selection);
         let out = scan_term(
-            buffer, accs, &mut s_max, t, f_ins, f_add, early_stop, plan_pages, None, watch,
+            buffer,
+            accs,
+            &mut s_max,
+            t,
+            f_ins,
+            f_add,
+            early_stop,
+            plan_pages,
+            Vec::new(),
+            watch,
         )?;
         stats.record_scan(&out);
         row.pages_processed = out.pages_processed;

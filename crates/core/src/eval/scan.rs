@@ -134,9 +134,10 @@ fn process_fetched(
 /// or from disk — so the counts stay per-query even when other sessions
 /// drive the same pool concurrently (pool-wide miss deltas don't).
 ///
-/// `lookahead`, `(term, n_pages)`, is the list prefix the caller expects
-/// to scan next; the plan carries it as stage-only, for a store that
-/// can read it while this scan's own reads are in flight.
+/// `lookahead`, `(term, n_pages)` pairs, are the list prefixes the
+/// caller expects to scan next, in that order; the plan carries them as
+/// stage-only, for a store that can read them while this scan's own
+/// reads are in flight.
 ///
 /// `watch` closes the pool layer after the fetch and the scoring after
 /// the postings: two clock reads a scanned list.
@@ -150,7 +151,7 @@ pub(crate) fn scan_term<B: QueryBuffer, C: Clock>(
     f_add: f64,
     early_stop: bool,
     plan_pages: u32,
-    lookahead: Option<(TermId, u32)>,
+    lookahead: Vec<(TermId, u32)>,
     watch: &mut Stopwatch<'_, C>,
 ) -> IrResult<ScanOutcome> {
     let plan = ReadPlan::for_term_pages(term.term, plan_pages, Some(term.weight()))
@@ -179,7 +180,16 @@ mod tests {
     ) -> ScanOutcome {
         let mut watch = Stopwatch::start(&NoClock);
         scan_term(
-            buffer, accs, s_max, term, f_ins, f_add, true, plan_pages, None, &mut watch,
+            buffer,
+            accs,
+            s_max,
+            term,
+            f_ins,
+            f_add,
+            true,
+            plan_pages,
+            Vec::new(),
+            &mut watch,
         )
         .unwrap()
     }

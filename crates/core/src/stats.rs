@@ -50,8 +50,8 @@ pub struct EvalStats {
     /// one per forced first-page touch under BAF's safety fix).
     pub batches_issued: u64,
     /// BAF only: rounds whose pick is the term the previous round's
-    /// plan named as its lookahead ([`TermTraceRow::lookahead`]) — how
-    /// often the guess a store may read ahead on comes true.
+    /// plan named first in its lookahead ([`TermTraceRow::lookahead`]) —
+    /// how often the guess a store reads ahead on first comes true.
     pub lookahead_confirmed: u64,
 }
 
@@ -85,10 +85,11 @@ pub struct TermTraceRow {
     /// read nothing and its answers still stand. The rows of a query sum
     /// to [`EvalStats::bt_inquiries`]; 0 for DF.
     pub inquired: u32,
-    /// BAF only: the term whose list prefix this round's plan named as
-    /// its stage-only lookahead — the round's runner-up, when the pick
-    /// had to read (`d_t > 0`). `None` for a round without a plan, a
-    /// pick with `d_t = 0`, the last term, and DF.
+    /// BAF only: the head of this round's stage-only lookahead — the
+    /// term the round would pick next, when the pick had to read
+    /// (`d_t > 0`) and so named every other unmarked term's prefix.
+    /// `None` for a round without a plan, a pick with `d_t = 0`, the
+    /// last term, and DF.
     pub lookahead: Option<TermId>,
 }
 

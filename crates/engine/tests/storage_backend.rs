@@ -235,8 +235,10 @@ fn file_backend_is_event_identical_to_disksim_for_every_policy() {
 /// BAF/RAP's refinement sequence over the page file behind a depth-4
 /// scheduler on the virtual clock (seek 400, transfer 100: the
 /// benchmark's device) waits exactly this long. Each physical read
-/// takes the channel that frees up first; dealt round robin, the same
-/// reads waited 9 600 µs.
+/// takes the channel that frees up first, and each plan stages every
+/// list its query has left to read behind its own misses. Staging only
+/// the first page of the next list, the same reads waited 8 200 µs;
+/// dealt round robin as well, 9 600 µs.
 #[test]
 fn a_qd4_refinement_sequence_waits_a_pinned_time() {
     let idx = index();
@@ -263,13 +265,23 @@ fn a_qd4_refinement_sequence_waits_a_pinned_time() {
         &steps,
     );
     let _ = std::fs::remove_file(&path);
+    let m = sched.metrics();
     assert_eq!(trace.pool.misses, 180);
     assert_eq!(
-        sched.inner().stats().reads,
-        180,
-        "staging read nothing twice"
+        (m.overlap_hits.get(), m.demand_reads.get()),
+        (178, 2),
+        "every miss claims a staged read but two: pages resident when \
+         their plan staged, evicted by that plan's own loads before their turn"
     );
-    assert_eq!(sched.io_wait_us(), 8_200);
+    let unclaimed = m.prefetch_wasted.get() + sched.staged_pages() as u64;
+    assert_eq!(
+        sched.inner().stats().reads,
+        trace.pool.misses + unclaimed,
+        "nothing read twice: one device read a miss, plus the staged \
+         pages nobody claimed"
+    );
+    assert_eq!(unclaimed, 0);
+    assert_eq!(sched.io_wait_us(), 7_000);
 }
 
 /// Per query: the term each BAF row named as its lookahead, and

@@ -175,7 +175,7 @@ struct SchedState {
 /// Prefetch cache capacity: enough for several plan tails, small
 /// enough that the scheduler never shadows the buffer pool's job. One
 /// submission may stage more: capacity pressure evicts only what
-/// earlier submissions staged.
+/// earlier submissions staged and this one does not name.
 const PREFETCH_CAP: usize = 64;
 
 /// How far ahead of a real-clock deadline a wait stops sleeping and
@@ -262,6 +262,12 @@ impl<S: PageStore> IoScheduler<S> {
     /// The scheduler's instruments.
     pub fn metrics(&self) -> &IoMetrics {
         &self.metrics
+    }
+
+    /// Staged completions no demand read has claimed (yet): the pages
+    /// in the staging cache.
+    pub fn staged_pages(&self) -> usize {
+        sync::lock(&self.state).cache.len()
     }
 
     /// Current reading of the timeline, µs: the virtual clock, or µs
@@ -372,17 +378,28 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
     /// disk has no spare channel to read ahead on, which is what makes
     /// submit + demand provably identical to the demand read alone
     /// there. Read failures are dropped here and resurface on the
-    /// demand read.
+    /// demand read. A page already staged is not read again: it joins
+    /// this submission, stamp and place in the eviction order, since
+    /// this submission's plan may be the one that claims it.
     fn submit(&self, ids: &[PageId]) {
         if self.config.queue_depth <= 1 || ids.is_empty() {
             return;
         }
-        let mut state = sync::lock(&self.state);
-        let now = self.clock_us(&state);
+        let mut guard = sync::lock(&self.state);
+        let now = self.clock_us(&guard);
+        let state = &mut *guard;
         state.submits += 1;
         let submit = state.submits;
         for &id in ids {
-            if state.cache.contains_key(&id) {
+            if let Some(staged) = state.cache.get_mut(&id) {
+                // Already staged: this submission now owns it, so its
+                // own capacity pressure below cannot evict it as an
+                // earlier submission's page before its demand claims it.
+                staged.submit = submit;
+                if let Some(at) = state.order.iter().position(|p| *p == id) {
+                    state.order.remove(at);
+                }
+                state.order.push_back(id);
                 continue;
             }
             let Ok(page) = self.inner.read_page(id) else {
@@ -390,7 +407,7 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
                 // same error and report it through the normal path.
                 break;
             };
-            let (_, ready_at_us) = self.enqueue(&mut state, id, now);
+            let (_, ready_at_us) = self.enqueue(state, id, now);
             if self.inner.can_tear() && !page.is_intact() {
                 // A torn copy must never enter the completion cache —
                 // served from there it would skip the per-read
@@ -657,6 +674,29 @@ mod tests {
         assert!(state.cache.contains_key(&pid(0, 1)), "its own page stays");
     }
 
+    /// A page an earlier submission staged and this one names again
+    /// joins this one: the pages this submission stages past the cap
+    /// evict earlier submissions' pages, never it. Left with its old
+    /// stamp at the front of the eviction order, it went first, and
+    /// the demand read that claims it read it from the device again.
+    #[test]
+    fn a_submission_never_evicts_a_page_it_names_itself() {
+        let cap = PREFETCH_CAP as u32;
+        let sched = free_qd4(long_list(cap + 2));
+        sched.submit(&[pid(0, 0)]);
+        // Page 0 again, then cap + 1 pages nobody staged yet.
+        sched.submit(&ids(cap + 2));
+        assert_eq!(sched.metrics().prefetch_evicted.get(), 0);
+        sched.read_page(pid(0, 0)).unwrap();
+        assert_eq!(sched.metrics().overlap_hits.get(), 1, "claimed as staged");
+        assert_eq!(sched.metrics().demand_reads.get(), 0);
+        assert_eq!(
+            sched.inner().stats().reads,
+            u64::from(cap + 2),
+            "one device read a page"
+        );
+    }
+
     /// A plan longer than the cache is read once: were its first
     /// staged pages pushed out before its demand reads claimed them,
     /// the device would read them twice and `prefetch_wasted` would
@@ -907,29 +947,37 @@ mod tests {
         assert_eq!(sched.io_wait_us(), 450);
     }
 
+    /// `inner` behind a depth-4 scheduler on the virtual clock, seek
+    /// 400 and transfer 100: the benchmark's device.
+    fn benchmark_device<S: PageStore>(inner: S) -> IoScheduler<S> {
+        IoScheduler::new(
+            inner,
+            IoConfig {
+                queue_depth: 4,
+                model: LatencyModel {
+                    seek_us: 400,
+                    transfer_us: 100,
+                },
+                clock: ClockKind::Virtual,
+            },
+        )
+    }
+
     /// Plan A, then plan B, through a pool at depth 4 (seek 400,
     /// transfer 100, the benchmark's device). Alone, B's first read
     /// seeks after A's demand reads have returned: 500 + 500. Named as
-    /// A's lookahead, B's first page is staged with A's and its seek
-    /// runs on the fourth channel beside A's; B's own plan then only
-    /// waits for its sequential transfers: 500 + 100.
+    /// A's lookahead, B's prefix is staged with A's pages: its seek
+    /// runs on the fourth channel beside A's, and its transfers on the
+    /// channels A's transfers free, so B waits for nothing: 500 + 0.
+    /// (Staging only B's first page, the rule until the whole prefix
+    /// was staged, left B its transfers to wait for: 500 + 100.)
     #[test]
     fn a_lookahead_overlaps_the_next_plans_seek() {
         use crate::buffer::BufferManager;
         use crate::policy::PolicyKind;
         use ir_types::ReadPlan;
-        let run = |lookahead: Option<(TermId, u32)>| {
-            let sched = IoScheduler::new(
-                store(3),
-                IoConfig {
-                    queue_depth: 4,
-                    model: LatencyModel {
-                        seek_us: 400,
-                        transfer_us: 100,
-                    },
-                    clock: ClockKind::Virtual,
-                },
-            );
+        let run = |lookahead: Vec<(TermId, u32)>| {
+            let sched = benchmark_device(store(3));
             let mut pool = BufferManager::new(&sched, 8, PolicyKind::Lru).unwrap();
             let a = ReadPlan::for_term_pages(TermId(0), 3, None).with_lookahead(lookahead);
             pool.fetch_batch(&a).unwrap();
@@ -945,8 +993,55 @@ mod tests {
                 m.prefetch_wasted.get(),
             )
         };
-        assert_eq!(run(None), (500, 1_000, 6, 6, 0));
-        assert_eq!(run(Some((TermId(1), 3))), (500, 600, 6, 6, 0));
+        assert_eq!(run(Vec::new()), (500, 1_000, 6, 6, 0));
+        assert_eq!(run(vec![(TermId(1), 3)]), (500, 500, 6, 6, 0));
+    }
+
+    /// Three lists of 2, 4 and 8 pages, read shortest first as BAF
+    /// reads a cold ADD-ONLY step, each plan naming the lists still to
+    /// come as its lookahead, through a pool at depth 4 on the
+    /// benchmark's device. Staging every named prefix behind the first
+    /// plan's reads puts the two longer lists' seeks on the channels
+    /// the first plan leaves idle: the second plan then waits for
+    /// nothing and the third 200 µs, 500 + 0 + 200 = 700 µs, with all
+    /// 14 pages read once and claimed. Staging only the first page of
+    /// the lookahead's head, the rule until every prefix was staged,
+    /// waits 500 + 100 + 400 = 1 000 µs for the same 14 reads.
+    #[test]
+    fn every_named_prefix_is_staged_behind_the_first_read() {
+        use crate::buffer::BufferManager;
+        use crate::policy::PolicyKind;
+        use ir_types::ReadPlan;
+        let lists = [2u32, 4, 8]
+            .iter()
+            .enumerate()
+            .map(|(t, &n)| {
+                (0..n)
+                    .map(|p| {
+                        let id = pid(t as u32, p);
+                        Page::new(id, vec![Posting::new(p, n - p)].into(), 1.0)
+                    })
+                    .collect()
+            })
+            .collect();
+        let sched = benchmark_device(DiskSim::new(lists));
+        let plan = |t: u32, n: u32, ahead: &[(u32, u32)]| {
+            ReadPlan::for_term_pages(TermId(t), n, None)
+                .with_lookahead(ahead.iter().map(|&(t, n)| (TermId(t), n)).collect())
+        };
+        let mut pool = BufferManager::new(&sched, 16, PolicyKind::Lru).unwrap();
+        for plan in [
+            plan(0, 2, &[(1, 4), (2, 8)]),
+            plan(1, 4, &[(2, 8)]),
+            plan(2, 8, &[]),
+        ] {
+            pool.fetch_batch(&plan).unwrap();
+        }
+        let m = sched.metrics();
+        assert_eq!(sched.io_wait_us(), 700);
+        assert_eq!(sched.inner().stats().reads, 14);
+        assert_eq!((m.overlap_hits.get(), m.demand_reads.get()), (14, 0));
+        assert_eq!(m.prefetch_wasted.get(), 0);
     }
 
     #[test]

@@ -105,31 +105,36 @@ pub(crate) fn serve_hit_run(
 
 /// What a plan stages at its first miss on a store that overlaps
 /// reads: the distinct pages of `entries` (the plan from its first miss
-/// on) that are not `resident`, in plan order, then the first
-/// non-resident page of the lookahead prefix `(term, n_pages)` — the
-/// seek the next plan would otherwise start with. One page, not more:
-/// its sequential successors are cheap transfers the next plan stages
-/// itself, and deeper pages are the ones a rising `S_max` cuts from
-/// that plan before it runs. The pool demands only the plan's own
-/// pages, so the lookahead can change what the store reads and waits,
-/// never what the pool loads or evicts.
+/// on) that are not `resident`, in plan order, then, prefix by prefix
+/// in the order given, the distinct non-resident pages of each
+/// lookahead prefix `(term, n_pages)` — the lists the planner expects
+/// to read next, queued on the device while this plan's own reads are
+/// in flight instead of each starting its seek only when its own plan
+/// runs. Deeper pages of a prefix are the ones a rising `S_max` may cut
+/// before their plan runs: they are the staging's cost, device reads
+/// nobody claims. The pool demands only the plan's own pages, so the
+/// lookahead can change what the store reads and waits, never what the
+/// pool loads or evicts.
 pub(crate) fn staged_ids(
     entries: &[PlanEntry],
-    lookahead: Option<(TermId, u32)>,
+    lookahead: &[(TermId, u32)],
     resident: impl Fn(PageId) -> bool,
 ) -> Vec<PageId> {
+    let ahead: usize = lookahead.iter().map(|&(_, n)| n as usize).sum();
     let mut seen: IdSet<PageId> =
-        IdSet::with_capacity_and_hasher(entries.len(), Default::default());
+        IdSet::with_capacity_and_hasher(entries.len() + ahead, Default::default());
     let mut staged: Vec<PageId> = entries
         .iter()
         .map(|e| e.page)
         .filter(|id| seen.insert(*id) && !resident(*id))
         .collect();
-    staged.extend(lookahead.and_then(|(term, n_pages)| {
-        (0..n_pages)
-            .map(|p| PageId::new(term, p))
-            .find(|id| !seen.contains(id) && !resident(*id))
-    }));
+    for &(term, n_pages) in lookahead {
+        staged.extend(
+            (0..n_pages)
+                .map(|p| PageId::new(term, p))
+                .filter(|id| seen.insert(*id) && !resident(*id)),
+        );
+    }
     staged
 }
 
@@ -310,9 +315,10 @@ impl<S: PageStore> BufferManager<S> {
     ///   run, and a call per page only where the policy or an observer
     ///   [consumes hits](Self::consumes_hits);
     /// * a store that overlaps reads is handed the plan's non-resident
-    ///   pages, then the first of its [lookahead](ReadPlan::lookahead)'s,
-    ///   in one [`PageStore::submit`] at the first miss, before the
-    ///   first demand read — a fully resident plan submits nothing;
+    ///   pages, then those of each of its
+    ///   [lookahead](ReadPlan::lookahead)'s prefixes, in one
+    ///   [`PageStore::submit`] at the first miss, before the first
+    ///   demand read — a fully resident plan submits nothing;
     /// * each entry's `value_hint` reaches the replacement policy at
     ///   admission ([`ReplacementPolicy::on_insert_hinted`]), so a
     ///   hint-aware policy values the page *before* any later eviction
@@ -359,8 +365,8 @@ impl<S: PageStore> BufferManager<S> {
     /// the one entry the run stopped at through [`load_one`]
     /// (Self::load_one), until the plan is done. `staging` is what the
     /// first miss owes the store: `Some(lookahead)` [stages](Self::stage)
-    /// the entries from there on and the lookahead, `None` means the
-    /// caller staged the plan itself. Event for event,
+    /// the entries from there on and the lookahead's prefixes, `None`
+    /// means the caller staged the plan itself. Event for event,
     /// counter for counter and store read for store read the
     /// single-fetch protocol applied entry by entry (which this
     /// module's tests keep as the oracle). Batch-level metrics are the
@@ -369,7 +375,7 @@ impl<S: PageStore> BufferManager<S> {
         &mut self,
         entries: &[PlanEntry],
         out: &mut Vec<(Page, FetchOutcome)>,
-        mut staging: Option<Option<(TermId, u32)>>,
+        mut staging: Option<&[(TermId, u32)]>,
     ) -> IrResult<()> {
         out.reserve(entries.len());
         let mut rest = entries;
@@ -394,7 +400,7 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Staging, at a plan's first miss: a store that can keep several
     /// reads in flight gets the plan's [staged pages](staged_ids) —
-    /// its misses from `entries` on, then its lookahead's first —
+    /// its misses from `entries` on, then its lookahead's prefixes —
     /// before the first demand read, so the transfers queue on its
     /// channels instead of each waiting for the previous demand to
     /// return. The demand reads then claim the staged completions.
@@ -402,7 +408,7 @@ impl<S: PageStore> BufferManager<S> {
     /// been filtered out, so this is what staging the whole plan up
     /// front submitted — and a fully resident plan allocates and
     /// submits nothing.
-    fn stage(&self, entries: &[PlanEntry], lookahead: Option<(TermId, u32)>) {
+    fn stage(&self, entries: &[PlanEntry], lookahead: &[(TermId, u32)]) {
         if self.store.overlap_depth() <= 1 {
             return;
         }

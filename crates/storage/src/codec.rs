@@ -363,6 +363,26 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_posting_count_is_refused_before_the_reserve() {
+        // The count v-byte spells 2^20 (LSB group first, the high bit
+        // ending the value); three bytes of one short run follow. Each
+        // posting costs at least one byte, so the count is refused
+        // before it can size the output vector.
+        let bytes = [0x00, 0x00, 0x40 | 0x80, 0x81, 0x81, 0x81];
+        let mut slice = &bytes[..];
+        assert_eq!(get_vbyte(&mut slice), Some(1 << 20));
+        assert_eq!(decode_postings(&bytes), None);
+        let mut out = Vec::new();
+        assert!(!decode_postings_into(&bytes, &mut out));
+        assert!(
+            out.capacity() <= bytes.len(),
+            "reserved {} postings for {} bytes",
+            out.capacity(),
+            bytes.len()
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "frequency-sorted")]
     fn unsorted_input_panics() {
         let _ = encode_postings(&postings(&[(0, 1), (1, 5)]));

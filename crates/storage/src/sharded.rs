@@ -84,7 +84,7 @@
 //! * **Staging is the plan's.** Over a store that overlaps reads, the
 //!   plan's first miss stages what the reference pool stages — the
 //!   plan's non-resident pages from there on, then its lookahead's
-//!   first — in one submit before the first demand read, whatever
+//!   prefixes — in one submit before the first demand read, whatever
 //!   shards the pages route to. Each page's residency is asked of the
 //!   shard that owns it, under that shard's frame-table read lock
 //!   alone.
@@ -529,7 +529,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
     /// that read lock alone, handed to the store in one submit. Runs
     /// before the miss's shard is locked, so no shard mutex is held
     /// while the store reads ahead.
-    fn stage(&self, entries: &[PlanEntry], lookahead: Option<(TermId, u32)>) {
+    fn stage(&self, entries: &[PlanEntry], lookahead: &[(TermId, u32)]) {
         if self.store.overlap_depth() <= 1 {
             return;
         }

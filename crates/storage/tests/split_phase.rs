@@ -322,8 +322,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The lookahead is stage-only: one random plan sequence, served
-    /// with random lookaheads (prefixes of any list, some running past
-    /// its end) and without, gives equal views on both pools under
+    /// with random lookaheads (none to four prefixes of any lists,
+    /// repeats and the plan's own term included, some running past a
+    /// list's end) and without, gives equal views on both pools under
     /// every policy — over a store that stages at depth 4, where it
     /// only moves device reads and waits, and over `DiskSim`, which
     /// cannot stage and so also sees the same reads.
@@ -332,7 +333,7 @@ proptest! {
         ops in collection::vec(
             (
                 (0u32..N_TERMS, 0u32..PAGES_PER_TERM, 1u32..PAGES_PER_TERM),
-                (0u32..N_TERMS + 1, 1u32..PAGES_PER_TERM + 3),
+                collection::vec((0u32..N_TERMS, 1u32..PAGES_PER_TERM + 3), 0..5),
             ),
             1..24,
         ),
@@ -341,9 +342,9 @@ proptest! {
         let plain: Vec<ReadPlan> = ops.iter().map(|(op, _)| plan_for(op)).collect();
         let ahead: Vec<ReadPlan> = ops
             .iter()
-            .map(|&(op, (t, n))| {
-                // Term N_TERMS stands for "no lookahead".
-                plan_for(&op).with_lookahead((t < N_TERMS).then_some((TermId(t), n)))
+            .map(|(op, prefixes)| {
+                let named = prefixes.iter().map(|&(t, n)| (TermId(t), n)).collect();
+                plan_for(op).with_lookahead(named)
             })
             .collect();
         for kind in PolicyKind::ALL {

@@ -16,11 +16,12 @@
 //! That ordering contract is what makes the batched path
 //! behavior-preserving for every replacement policy.
 //!
-//! A plan may also name a *lookahead*: the list prefix its planner
-//! expects to read next (BAF's runner-up term). The pool may hand those
-//! pages to a store that overlaps reads, to be read while the plan's
-//! own reads are in flight, but never demands them — so nothing the
-//! pool does depends on it.
+//! A plan may also name a *lookahead*: the list prefixes its planner
+//! expects to read next, in the order it expects to read them (every
+//! other term BAF has yet to process, ordered as it would pick them).
+//! The pool may hand those pages to a store that overlaps reads, to be
+//! read while the plan's own reads are in flight, but never demands
+//! them — so nothing the pool does depends on it.
 
 use crate::ids::{PageId, TermId};
 
@@ -74,9 +75,10 @@ impl PlanEntry {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ReadPlan {
     entries: Vec<PlanEntry>,
-    /// Stage-only: `(term, n_pages)`, the prefix `[0, n_pages)` of
-    /// `term`'s list.
-    lookahead: Option<(TermId, u32)>,
+    /// Stage-only: `(term, n_pages)` pairs, each the prefix
+    /// `[0, n_pages)` of `term`'s list, in the order the planner
+    /// expects to read them.
+    lookahead: Vec<(TermId, u32)>,
 }
 
 impl ReadPlan {
@@ -108,18 +110,19 @@ impl ReadPlan {
             .collect()
     }
 
-    /// The plan with its stage-only lookahead set to the prefix
-    /// `[0, n_pages)` of `term`'s list (`None` clears it): pages the
-    /// pool may stage below itself while this plan reads, and never
-    /// fetches.
-    pub fn with_lookahead(self, lookahead: Option<(TermId, u32)>) -> Self {
+    /// The plan with its stage-only lookahead set to `lookahead`, each
+    /// `(term, n_pages)` the prefix `[0, n_pages)` of `term`'s list, in
+    /// the order the planner expects to read them (empty clears it):
+    /// pages the pool may stage below itself while this plan reads, and
+    /// never fetches.
+    pub fn with_lookahead(self, lookahead: Vec<(TermId, u32)>) -> Self {
         ReadPlan { lookahead, ..self }
     }
 
-    /// The stage-only lookahead, `(term, n_pages)`, if the planner named
-    /// one.
-    pub fn lookahead(&self) -> Option<(TermId, u32)> {
-        self.lookahead
+    /// The stage-only lookahead, `(term, n_pages)` prefixes in the
+    /// order the planner expects to read them; empty if it named none.
+    pub fn lookahead(&self) -> &[(TermId, u32)] {
+        &self.lookahead
     }
 
     /// Appends one planned read.
@@ -161,7 +164,7 @@ impl FromIterator<PlanEntry> for ReadPlan {
     fn from_iter<I: IntoIterator<Item = PlanEntry>>(iter: I) -> Self {
         ReadPlan {
             entries: iter.into_iter().collect(),
-            lookahead: None,
+            lookahead: Vec::new(),
         }
     }
 }
@@ -192,11 +195,12 @@ mod tests {
     #[test]
     fn lookahead_is_stage_only_metadata() {
         let plan = ReadPlan::for_term_pages(TermId(3), 2, None);
-        assert_eq!(plan.lookahead(), None);
-        let ahead = plan.clone().with_lookahead(Some((TermId(5), 4)));
-        assert_eq!(ahead.lookahead(), Some((TermId(5), 4)));
+        assert!(plan.lookahead().is_empty());
+        let named = vec![(TermId(5), 4), (TermId(1), 9)];
+        let ahead = plan.clone().with_lookahead(named.clone());
+        assert_eq!(ahead.lookahead(), named.as_slice(), "kept in order");
         assert_eq!(ahead.entries(), plan.entries(), "entries untouched");
-        assert_eq!(ahead.with_lookahead(None), plan);
+        assert_eq!(ahead.with_lookahead(Vec::new()), plan);
     }
 
     #[test]
