@@ -285,10 +285,10 @@ fn baf_over<'q, B: QueryBuffer, C: Clock>(
                 touch_first_page(buffer, t, &mut stats, &mut row, watch)?;
             }
         } else {
+            row.lookahead = picked.lookahead.first().map(|&(term, _)| term);
             // The pick's `p_t` is exactly the page count a
             // threshold-f_add scan processes — it sizes both the d_t
             // estimate and the term's read plan.
-            row.lookahead = picked.lookahead.first().map(|&(term, _)| term);
             let out = scan_term(
                 buffer,
                 accs,
@@ -605,13 +605,14 @@ mod tests {
         work
     }
 
-    /// Same terms in the same order, same estimates, lookaheads, pages,
-    /// hits and pool counters as the eager round, for less asking.
-    /// Planted and caught, with the first failing seed: `<=` for `<`
-    /// (0), no re-ask after a round that read (5), one `S_max` stamp
-    /// shared by all terms (0), terms left in term-id order (0), `<=`
-    /// for `<` in the runner-up (1), a runner-up named after a
-    /// `d_t = 0` pick stopped the loop early (0).
+    /// Same terms in the same order, same estimates, whole lookahead
+    /// lists, pages, hits and pool counters as the eager round, for
+    /// less asking. Planted and caught, with the first failing seed:
+    /// `<=` for `<` (0), no re-ask after a round that read (5), one
+    /// `S_max` stamp shared by all terms (0), terms left in term-id
+    /// order (0), equal `d_t` named in reverse tie-break order (0), a
+    /// lookahead named after a `d_t = 0` pick stopped the loop early
+    /// (0).
     #[test]
     fn lazy_selection_matches_the_eager_round() {
         let idx = wide_index();
@@ -793,9 +794,10 @@ mod tests {
         assert_eq!(inquired(&df), [0, 0, 0]);
     }
 
-    /// A round that must read names its runner-up as the plan's
-    /// lookahead; the next round picking that term confirms the guess.
-    /// A round whose pick reads nothing, and the last round, name none.
+    /// A round that must read names its runner-up as the head of the
+    /// plan's lookahead; the next round picking that term confirms the
+    /// guess. A round whose pick reads nothing, and the last round,
+    /// name none.
     #[test]
     fn trace_rows_name_the_runner_up_as_lookahead() {
         let idx = index();

@@ -640,6 +640,22 @@ mod tests {
         )
     }
 
+    /// `inner` behind a depth-4 scheduler on the virtual clock, seek
+    /// 400 and transfer 100: the benchmark's device.
+    fn benchmark_device<S: PageStore>(inner: S) -> IoScheduler<S> {
+        IoScheduler::new(
+            inner,
+            IoConfig {
+                queue_depth: 4,
+                model: LatencyModel {
+                    seek_us: 400,
+                    transfer_us: 100,
+                },
+                clock: ClockKind::Virtual,
+            },
+        )
+    }
+
     #[test]
     fn prefetch_cache_is_bounded() {
         let cap = PREFETCH_CAP as u32;
@@ -706,17 +722,7 @@ mod tests {
         use crate::buffer::BufferManager;
         use crate::policy::PolicyKind;
         use ir_types::ReadPlan;
-        let sched = IoScheduler::new(
-            long_list(70),
-            IoConfig {
-                queue_depth: 4,
-                model: LatencyModel {
-                    seek_us: 400,
-                    transfer_us: 100,
-                },
-                clock: ClockKind::Virtual,
-            },
-        );
+        let sched = benchmark_device(long_list(70));
         let mut pool = BufferManager::new(&sched, 70, PolicyKind::Lru).unwrap();
         pool.fetch_batch(&ReadPlan::for_term_pages(TermId(0), 70, None))
             .unwrap();
@@ -896,17 +902,7 @@ mod tests {
     /// the plan would wait 600.
     #[test]
     fn a_read_takes_the_channel_that_frees_up_first() {
-        let sched = IoScheduler::new(
-            long_list(8),
-            IoConfig {
-                queue_depth: 4,
-                model: LatencyModel {
-                    seek_us: 400,
-                    transfer_us: 100,
-                },
-                clock: ClockKind::Virtual,
-            },
-        );
+        let sched = benchmark_device(long_list(8));
         sched.submit(&ids(8));
         let readies: Vec<u64> = {
             let state = sync::lock(&sched.state);
@@ -945,22 +941,6 @@ mod tests {
         assert_eq!((other.staged_us, other.demand_us), (0, 150));
         assert_eq!(crate::thread_waits().since(&before), mine);
         assert_eq!(sched.io_wait_us(), 450);
-    }
-
-    /// `inner` behind a depth-4 scheduler on the virtual clock, seek
-    /// 400 and transfer 100: the benchmark's device.
-    fn benchmark_device<S: PageStore>(inner: S) -> IoScheduler<S> {
-        IoScheduler::new(
-            inner,
-            IoConfig {
-                queue_depth: 4,
-                model: LatencyModel {
-                    seek_us: 400,
-                    transfer_us: 100,
-                },
-                clock: ClockKind::Virtual,
-            },
-        )
     }
 
     /// Plan A, then plan B, through a pool at depth 4 (seek 400,
