@@ -140,7 +140,7 @@ fn bench_hit_run(c: &mut Criterion) {
     use std::sync::atomic::{AtomicBool, Ordering};
     const ROUNDS: u32 = 64;
     let plans: Vec<ReadPlan> = (0..8)
-        .map(|t| ReadPlan::for_term_pages(TermId(t), 16, None))
+        .map(|t| ReadPlan::for_term_pages(TermId(t), 16))
         .collect();
     let (plans, other_plans) = plans.split_at(4);
     fn run(pool: &mut impl QueryBuffer, plans: &[ReadPlan], out: &mut Vec<(Page, FetchOutcome)>) {

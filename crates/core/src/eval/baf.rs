@@ -47,7 +47,7 @@ use ir_types::{FilterParams, IrResult, ListOrdering, PageId, ReadPlan, TermId};
 /// The §3.2.2 safety fix for a term the `f_max` skip would ignore
 /// outright: touch its first page anyway, so a newly added term is
 /// never silently dropped. A one-entry plan keeps even this touch on
-/// the batch path (and hints the page with `w_{q,t}`).
+/// the batch path.
 fn touch_first_page<B: QueryBuffer, C: Clock>(
     buffer: &mut B,
     t: &QueryTerm,
@@ -55,7 +55,7 @@ fn touch_first_page<B: QueryBuffer, C: Clock>(
     row: &mut TermTraceRow,
     watch: &mut Stopwatch<'_, C>,
 ) -> IrResult<()> {
-    let plan = ReadPlan::single_hinted(PageId::new(t.term, 0), t.weight());
+    let plan = ReadPlan::single(PageId::new(t.term, 0));
     let how = with_fetched(buffer, &plan, watch, |fetched| fetched[0].1)?;
     stats.batches_issued += 1;
     row.pages_processed = 1;

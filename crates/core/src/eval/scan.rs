@@ -120,9 +120,8 @@ fn process_fetched(
 /// touched (step 4(c)v).
 ///
 /// The term is issued as one [`ReadPlan`] covering pages
-/// `[0, plan_pages)` in order, fetched and then processed. Every entry
-/// is hinted with `w_{q,t}` so hint-aware policies can value the page at
-/// admission. The caller sizes the plan from the conversion table
+/// `[0, plan_pages)` in order, fetched and then processed. The caller
+/// sizes the plan from the conversion table
 /// (§3.2.2), which is exact: under frequency ordering the page holding
 /// the first entry with `f ≤ f_add` is the plan's last page; under doc
 /// ordering the plan covers the full list. Batching therefore fetches
@@ -154,8 +153,7 @@ pub(crate) fn scan_term<B: QueryBuffer, C: Clock>(
     lookahead: Vec<(TermId, u32)>,
     watch: &mut Stopwatch<'_, C>,
 ) -> IrResult<ScanOutcome> {
-    let plan = ReadPlan::for_term_pages(term.term, plan_pages, Some(term.weight()))
-        .with_lookahead(lookahead);
+    let plan = ReadPlan::for_term_pages(term.term, plan_pages).with_lookahead(lookahead);
     let out = with_fetched(buffer, &plan, watch, |fetched| {
         process_fetched(fetched, accs, s_max, term, f_ins, f_add, early_stop)
     });

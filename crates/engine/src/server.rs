@@ -260,7 +260,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Each [`run`](SessionServer::run) provisions a **cold** pool (the
 /// paper clears the cache before each sequence, §5.2.1), spawns one
 /// scoped thread per [`SessionSpec`], and joins them all before
-/// returning, so the report reflects a complete, quiesced run. Every
+/// returning, so the report reflects a complete run. Every
 /// query is timed on the clock `C` — the real one, unless
 /// [`with_clock`](SessionServer::with_clock) swaps in another — and
 /// its row in the report's ledger splits the time by layer.
@@ -348,9 +348,8 @@ impl<'a, C: Clock + Sync> SessionServer<'a, C> {
         schedule: Schedule,
     ) -> ServerReport {
         let (sessions, ledger, wall_us) = self.run_sessions(specs, schedule, pool);
-        // No `quiesce` first: the counters are eager, and every pool
-        // accessor below takes each shard's lock, which replays the
-        // hits that shard still had queued.
+        // The counters are eager, and a hit's policy and observer
+        // effects happen when it is served: nothing is owed here.
         let all_terms: Vec<TermId> = (0..self.index.lexicon().len() as u32).map(TermId).collect();
         ServerReport {
             sessions,
@@ -664,9 +663,10 @@ mod tests {
 
     #[test]
     fn report_reads_the_runs_one_pool() {
-        // Two shards under a policy whose hits are queued for replay:
-        // the report still adds up without a `quiesce`, and a
-        // one-shard pool never splits a plan.
+        // Two shards under a policy whose hits reach the policy under
+        // the shard mutex, one under a policy whose hits stay
+        // lock-light: the report adds up either way, and a one-shard
+        // pool never splits a plan.
         let idx = index();
         for (policy, shards) in [(PolicyKind::Rap, 1), (PolicyKind::Lru, 2)] {
             let layout = PoolLayout::Sharded {

@@ -42,7 +42,7 @@ use ir_types::{
 use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"BFIR";
@@ -168,8 +168,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Serializes the index to `path` (atomically: written to a temp file,
-/// then renamed).
+/// Serializes the index to `path` atomically: written to `PATH.tmp` (the
+/// whole file name with `.tmp` appended, the page file's rule), then
+/// renamed. A save that fails removes the temp file and leaves whatever
+/// was at `path` as it was.
 pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError> {
     use ir_storage::PageStore;
     let mut w = Writer::new();
@@ -228,14 +230,19 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
     let checksum = fnv1a(&w.buf);
     w.u64(checksum);
 
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&w.buf)?;
-        f.sync_all()?;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let saved = fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(&w.buf)?;
+            f.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if saved.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(saved?)
 }
 
 /// Exports the index's inverted-list pages to a `BFPG` page file (see
@@ -702,6 +709,145 @@ mod tests {
         // Fix up the checksum so only the magic is wrong.
         let err = load_index(&resealed("magic_mut.idx", data)).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
+    }
+
+    #[test]
+    fn an_unrelated_tmp_file_survives_a_save() {
+        let idx = sample_index();
+        let (path, bystander) = (tmpfile("bystander.idx"), tmpfile("bystander.tmp"));
+        let _ = fs::remove_file(tmpfile("bystander.idx.tmp"));
+        fs::write(&bystander, b"not the index's").unwrap();
+        save_index(&idx, &path).unwrap();
+        assert_eq!(fs::read(&bystander).unwrap(), b"not the index's");
+        assert!(load_index(&path).is_ok());
+        assert!(!tmpfile("bystander.idx.tmp").exists());
+    }
+
+    #[test]
+    fn a_save_whose_rename_fails_leaves_no_temp_file() {
+        let idx = sample_index();
+        let dir = tmpfile("rename_fails.idx");
+        for stale in ["rename_fails.idx.tmp", "rename_fails.tmp"] {
+            let _ = fs::remove_file(tmpfile(stale));
+        }
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("kept"), b"kept").unwrap();
+        assert!(matches!(save_index(&idx, &dir), Err(PersistError::Io(_))));
+        assert!(!tmpfile("rename_fails.idx.tmp").exists());
+        assert!(!tmpfile("rename_fails.tmp").exists());
+        assert_eq!(fs::read(dir.join("kept")).unwrap(), b"kept");
+    }
+
+    /// What the killed exporter prints once every page is written.
+    #[cfg(unix)]
+    const WRITTEN: &str = "every page written, finish not called";
+
+    /// The page file the killed exporter writes, named after the test
+    /// process that starts it, so concurrent runs never share one.
+    #[cfg(unix)]
+    fn killed_export_path(test_pid: u32) -> std::path::PathBuf {
+        tmpfile(&format!("killed_export_{test_pid}.bfpg"))
+    }
+
+    /// Run only as the child of
+    /// `an_export_killed_before_its_rename_leaves_the_old_file`, which
+    /// kills it: streams every page of the sample index through a
+    /// `PageFileWriter` to its parent's path, says so on stdout and
+    /// waits, never calling `finish`.
+    #[cfg(unix)]
+    #[test]
+    #[ignore = "the child process of an_export_killed_before_its_rename_leaves_the_old_file"]
+    fn killed_export_child() {
+        use ir_storage::{PageFileWriter, PageStore};
+        let idx = sample_index();
+        let path = killed_export_path(std::os::unix::process::parent_id());
+        let mut file =
+            PageFileWriter::create(&path, idx.n_docs(), idx.params().page_size, idx.n_terms())
+                .unwrap();
+        for (term, e) in idx.lexicon().iter() {
+            file.push_term(e.n_postings()).unwrap();
+            for p in 0..e.n_pages {
+                file.push_page(&idx.disk().read_page(PageId::new(term, p)).unwrap())
+                    .unwrap();
+            }
+        }
+        println!("{WRITTEN}");
+        std::io::stdout().flush().unwrap();
+        std::thread::sleep(std::time::Duration::from_secs(60));
+        panic!("not killed within a minute: run only by its parent test");
+    }
+
+    /// A process killed between writing an export's temp files and the
+    /// rename: the file at the path is still the old one, byte for
+    /// byte; the next export over the leftover temp files is the clean
+    /// export's bytes; and it leaves no temp file.
+    #[cfg(unix)]
+    #[test]
+    fn an_export_killed_before_its_rename_leaves_the_old_file() {
+        use std::io::{BufRead, BufReader};
+        use std::process::{Command, Stdio};
+        let path = killed_export_path(std::process::id());
+        let temps = [".tmp", ".payload.tmp"].map(|suffix| {
+            let mut name = path.as_os_str().to_owned();
+            name.push(suffix);
+            PathBuf::from(name)
+        });
+        let mut b = IndexBuilder::new();
+        b.add_document(["old", "file"]);
+        let old_index = b.build(BuildOptions::default()).unwrap();
+        save_page_file(&old_index, &path).unwrap();
+        let old = fs::read(&path).unwrap();
+
+        let mut child = Command::new(std::env::current_exe().unwrap())
+            .args([
+                "persist::tests::killed_export_child",
+                "--exact",
+                "--ignored",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let written = BufReader::new(child.stdout.take().unwrap())
+            .lines()
+            .map_while(Result::ok)
+            .any(|line| line.ends_with(WRITTEN));
+        child.kill().unwrap();
+        child.wait().unwrap();
+        assert!(written, "the child exited before it wrote every page");
+        for temp in &temps {
+            assert!(
+                temp.exists(),
+                "the killed export left no {}",
+                temp.display()
+            );
+        }
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            old,
+            "the killed export moved the file"
+        );
+
+        // Whatever of the killed writer's buffers reached the disk,
+        // lengthen both leftovers: an export that reused them without
+        // truncating would show.
+        for temp in &temps {
+            let mut leftover = fs::OpenOptions::new().append(true).open(temp).unwrap();
+            leftover.write_all(&[0xA5; 4096]).unwrap();
+        }
+        let idx = sample_index();
+        save_page_file(&idx, &path).unwrap();
+        let clean = tmpfile(&format!("clean_export_{}.bfpg", std::process::id()));
+        save_page_file(&idx, &clean).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), fs::read(&clean).unwrap());
+        for temp in &temps {
+            assert!(!temp.exists(), "{} left behind", temp.display());
+        }
+        for file in [path, clean] {
+            fs::remove_file(file).unwrap();
+        }
     }
 
     #[test]

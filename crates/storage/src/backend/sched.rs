@@ -724,7 +724,7 @@ mod tests {
         use ir_types::ReadPlan;
         let sched = benchmark_device(long_list(70));
         let mut pool = BufferManager::new(&sched, 70, PolicyKind::Lru).unwrap();
-        pool.fetch_batch(&ReadPlan::for_term_pages(TermId(0), 70, None))
+        pool.fetch_batch(&ReadPlan::for_term_pages(TermId(0), 70))
             .unwrap();
         assert_eq!(pool.stats().misses, 70);
         assert_eq!(sched.inner().stats().reads, 70, "one device read a page");
@@ -959,10 +959,10 @@ mod tests {
         let run = |lookahead: Vec<(TermId, u32)>| {
             let sched = benchmark_device(store(3));
             let mut pool = BufferManager::new(&sched, 8, PolicyKind::Lru).unwrap();
-            let a = ReadPlan::for_term_pages(TermId(0), 3, None).with_lookahead(lookahead);
+            let a = ReadPlan::for_term_pages(TermId(0), 3).with_lookahead(lookahead);
             pool.fetch_batch(&a).unwrap();
             let after_a = sched.io_wait_us();
-            pool.fetch_batch(&ReadPlan::for_term_pages(TermId(1), 3, None))
+            pool.fetch_batch(&ReadPlan::for_term_pages(TermId(1), 3))
                 .unwrap();
             let m = sched.metrics();
             (
@@ -1006,7 +1006,7 @@ mod tests {
             .collect();
         let sched = benchmark_device(DiskSim::new(lists));
         let plan = |t: u32, n: u32, ahead: &[(u32, u32)]| {
-            ReadPlan::for_term_pages(TermId(t), n, None)
+            ReadPlan::for_term_pages(TermId(t), n)
                 .with_lookahead(ahead.iter().map(|&(t, n)| (TermId(t), n)).collect())
         };
         let mut pool = BufferManager::new(&sched, 16, PolicyKind::Lru).unwrap();

@@ -75,10 +75,10 @@ fn emit(observer: &mut Option<Box<dyn BufferObserver>>, event: BufferEvent) {
 /// resident run of leading `entries` under *one* read lock of `frames`,
 /// cloning each page straight into `out`, adds `requests` / `hits` once
 /// for the run, and returns its length. What a hit owes its consumers
-/// (the policy's `on_hit`, the observer's `Hit` event) is the caller's
-/// business, in serve order over `out`'s new tail: the reference pool
-/// pays it on the spot, the sharded pool queues it — each only when
-/// [`BufferManager::consumes_hits`].
+/// (the policy's `on_hit`, the observer's `Hit` event) is paid by
+/// [`BufferManager::serve_hits`], in serve order over `out`'s new tail;
+/// a pool that does not [consume hits](BufferManager::consumes_hits)
+/// owes nothing, and the sharded pool serves its hits lock-light.
 pub(crate) fn serve_hit_run(
     frames: &FrameView,
     metrics: &BufferMetrics,
@@ -242,18 +242,17 @@ impl<S: PageStore> BufferManager<S> {
 
     /// The miss half of the single-fetch protocol, and the only miss
     /// path: counts the request, reads the page under the pool's
-    /// [`FetchPolicy`] and installs it, handing the entry's value hint
-    /// to admission. The caller has just seen the page non-resident
-    /// (the hit run stopped at it) and holds `&mut self`, so it still
-    /// is.
-    fn load_one(&mut self, entry: PlanEntry) -> IrResult<Page> {
+    /// [`FetchPolicy`] and installs it. The caller has just seen the
+    /// page non-resident (the hit run stopped at it) and holds
+    /// `&mut self`, so it still is.
+    fn load_one(&mut self, id: PageId) -> IrResult<Page> {
         self.metrics.requests.inc();
         // Read the replacement first, then make room. A failed read
         // therefore leaves the pool exactly as it was — the old
         // evict-then-read order destroyed a victim frame for a page
         // that never arrived.
-        let page = self.read_with_retry(entry.page)?;
-        self.install(page.clone(), entry.value_hint);
+        let page = self.read_with_retry(id)?;
+        self.install(page.clone());
         Ok(page)
     }
 
@@ -280,28 +279,29 @@ impl<S: PageStore> BufferManager<S> {
     /// Whether a buffer hit has a consumer on this pool: a policy that
     /// [uses hits](ReplacementPolicy::uses_hits), or an attached
     /// observer. When neither, a hit is a page handed out and two
-    /// counter adds — the hit run calls nobody, and a lock-light
-    /// wrapper queues nothing.
+    /// counter adds — the hit run calls nobody, and the sharded pool
+    /// serves it without taking the shard mutex.
     pub fn consumes_hits(&self) -> bool {
         self.policy.uses_hits() || self.observer.is_some()
     }
 
-    /// Applies a buffer hit that a lock-light wrapper already served
-    /// and counted, and queued because the pool
-    /// [consumes hits](Self::consumes_hits): the replacement policy
-    /// sees the hit and the observer sees the event, in the order the
-    /// wrapper recorded them. The request/hit counters were
-    /// incremented at serve time (the handles are atomic), so only the
-    /// deferred effects run here. If the page was evicted between
-    /// serve and replay the policy update is moot and is skipped; the
-    /// event still fires because the request *was* served from a
-    /// resident frame.
-    pub(crate) fn apply_deferred_hit(&mut self, id: PageId) {
-        let page = sync::read(&self.frames).get(&id).cloned();
-        if let Some(page) = page {
-            self.policy.on_hit(&page);
+    /// The [hit run](serve_hit_run) of leading `entries`, each served
+    /// page then handed to the hit's consumers in serve order — the
+    /// policy's `on_hit` and the observer's `Hit` event — when the pool
+    /// [consumes hits](Self::consumes_hits). Returns the run's length.
+    pub(crate) fn serve_hits(
+        &mut self,
+        entries: &[PlanEntry],
+        out: &mut Vec<(Page, FetchOutcome)>,
+    ) -> usize {
+        let served = serve_hit_run(&self.frames, &self.metrics, entries, out);
+        if served > 0 && self.consumes_hits() {
+            for (page, _) in &out[out.len() - served..] {
+                self.policy.on_hit(page);
+                emit(&mut self.observer, BufferEvent::Hit(page.id()));
+            }
         }
-        self.notify(BufferEvent::Hit(id));
+        served
     }
 
     /// Executes a [`ReadPlan`]: every entry is served — hit, store
@@ -319,10 +319,6 @@ impl<S: PageStore> BufferManager<S> {
     ///   [lookahead](ReadPlan::lookahead)'s prefixes, in one
     ///   [`PageStore::submit`] at the first miss, before the first
     ///   demand read — a fully resident plan submits nothing;
-    /// * each entry's `value_hint` reaches the replacement policy at
-    ///   admission ([`ReplacementPolicy::on_insert_hinted`]), so a
-    ///   hint-aware policy values the page *before* any later eviction
-    ///   decision;
     /// * a duplicated page id costs one load and one hit — the second
     ///   occurrence finds the first's frame resident.
     ///
@@ -334,9 +330,9 @@ impl<S: PageStore> BufferManager<S> {
 
     /// Executes `entries` from index `start` onward, **appending** to
     /// `out`, and records the batch metrics for *all* of `entries`. For
-    /// lock-light wrappers that already served `entries[..start]` as
-    /// resident hits (with eager counters and deferred policy effects
-    /// replayed before this call) and staged the plan themselves: the
+    /// wrappers that already served `entries[..start]` as resident hits
+    /// (with their consumers paid, if any) and staged the plan
+    /// themselves: the
     /// combined accounting — counters, events, store reads, batch
     /// histogram — is exactly what [`fetch_batch`](Self::fetch_batch)
     /// would have produced for the whole slice, because the wrapper's
@@ -358,9 +354,9 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// The batch execution loop over a slice of plan entries,
-    /// appending to `out`: alternately the [hit run](serve_hit_run) of
-    /// what is left — one read lock and one `requests` / `hits` add for
-    /// the whole run, then each served page handed to the hit's
+    /// appending to `out`: alternately the [hit run](Self::serve_hits)
+    /// of what is left — one read lock and one `requests` / `hits` add
+    /// for the whole run, then each served page handed to the hit's
     /// consumers in serve order, before anything else happens — and
     /// the one entry the run stopped at through [`load_one`]
     /// (Self::load_one), until the plan is done. `staging` is what the
@@ -380,20 +376,14 @@ impl<S: PageStore> BufferManager<S> {
         out.reserve(entries.len());
         let mut rest = entries;
         loop {
-            let served = serve_hit_run(&self.frames, &self.metrics, rest, out);
-            if served > 0 && self.consumes_hits() {
-                for (page, _) in &out[out.len() - served..] {
-                    self.policy.on_hit(page);
-                    emit(&mut self.observer, BufferEvent::Hit(page.id()));
-                }
-            }
-            let Some(&entry) = rest.get(served) else {
+            let served = self.serve_hits(rest, out);
+            let Some(entry) = rest.get(served) else {
                 return Ok(());
             };
             if let Some(lookahead) = staging.take() {
                 self.stage(&rest[served..], lookahead);
             }
-            out.push((self.load_one(entry)?, FetchOutcome::Miss));
+            out.push((self.load_one(entry.page)?, FetchOutcome::Miss));
             rest = &rest[served + 1..];
         }
     }
@@ -458,15 +448,14 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Makes room for a freshly read, non-resident page and puts it in
-    /// a frame, wiring up the counters, policy and observer and handing
-    /// the read-plan value hint to the policy at admission.
+    /// a frame, wiring up the counters, policy and observer.
     ///
     /// The frame table's and the `b_t` table's write locks are taken
     /// once each, here — after the store read has returned, never
     /// across it (a read may sleep, and a sharded pool's lock-light
     /// readers share these locks) — and cover the evictions and the
     /// install together.
-    fn install(&mut self, page: Page, hint: Option<f64>) {
+    fn install(&mut self, page: Page) {
         let mut frames = sync::write(&self.frames);
         let mut terms = sync::write(&self.resident_per_term);
         while frames.len() >= self.capacity {
@@ -491,7 +480,7 @@ impl<S: PageStore> BufferManager<S> {
         }
         let id = page.id();
         *terms.entry(id.term).or_insert(0) += 1;
-        self.policy.on_insert_hinted(&page, hint);
+        self.policy.on_insert(&page);
         frames.insert(id, page);
         self.metrics.loads.inc();
         emit(&mut self.observer, BufferEvent::Load(id));
@@ -1035,7 +1024,7 @@ mod tests {
         // A cold scan reaches the store front to back, so it is
         // classified fully sequential after the first page.
         let mut bm = BufferManager::new(store(1, 6), 8, PolicyKind::Lru).unwrap();
-        let plan = ReadPlan::for_term_pages(TermId(0), 6, None);
+        let plan = ReadPlan::for_term_pages(TermId(0), 6);
         let out = bm.fetch_batch(&plan).unwrap();
         assert_eq!(out.len(), 6);
         let ds = bm.store().stats();
@@ -1057,7 +1046,7 @@ mod tests {
             allow: std::cell::Cell::new(2),
         };
         let mut bm = BufferManager::new(failing, 4, PolicyKind::Lru).unwrap();
-        let plan = ReadPlan::for_term_pages(TermId(0), 4, None);
+        let plan = ReadPlan::for_term_pages(TermId(0), 4);
         let err = bm.fetch_batch(&plan).unwrap_err();
         assert!(matches!(err, IrError::CorruptPage { .. }));
         // The two delivered pages keep their frames and counters, the
@@ -1084,7 +1073,7 @@ mod tests {
         assert!(!faulty.can_tear());
         let mut bm = BufferManager::new(faulty, 8, PolicyKind::Lru).unwrap();
         bm.set_fetch_policy(FetchPolicy::retries(2));
-        let plan = ReadPlan::for_term_pages(TermId(0), 4, None);
+        let plan = ReadPlan::for_term_pages(TermId(0), 4);
         let out = bm.fetch_batch(&plan).unwrap();
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|(_, o)| *o == FetchOutcome::Miss));
@@ -1115,7 +1104,7 @@ mod tests {
         assert!(faulty.can_tear());
         let mut bm = BufferManager::new(faulty, 8, PolicyKind::Lru).unwrap();
         bm.set_fetch_policy(FetchPolicy::retries(2));
-        let plan = ReadPlan::for_term_pages(TermId(0), 4, None);
+        let plan = ReadPlan::for_term_pages(TermId(0), 4);
         let out = bm.fetch_batch(&plan).unwrap();
         assert_eq!(out.len(), 4);
         assert!(
@@ -1134,21 +1123,6 @@ mod tests {
             seq.metrics().torn_pages.get()
         );
         assert_eq!(bm.stats(), seq.stats());
-    }
-
-    #[test]
-    fn fetch_batch_hint_reaches_rap() {
-        let mut bm = BufferManager::new(store(2, 3), 3, PolicyKind::Rap).unwrap();
-        // No begin_query: only the hint values the pages. Term 0's two
-        // pages are hinted (3·2 and 2·2), term 1's head is not (0).
-        bm.fetch_batch(&ReadPlan::for_term_pages(TermId(0), 2, Some(2.0)))
-            .unwrap();
-        bm.fetch(pid(1, 0)).unwrap();
-        // The next load evicts the unvalued page; had the hints been
-        // dropped, all three would tie at 0 and the tail t0:p1 would go.
-        bm.fetch(pid(1, 1)).unwrap();
-        assert!(!bm.is_resident(pid(1, 0)));
-        assert!(bm.is_resident(pid(0, 0)) && bm.is_resident(pid(0, 1)));
     }
 
     #[test]
@@ -1252,7 +1226,7 @@ mod tests {
                     continue;
                 }
                 let page = self.read_with_retry(entry.page)?;
-                self.install(page.clone(), entry.value_hint);
+                self.install(page.clone());
                 out.push((page, FetchOutcome::Miss));
             }
             Ok(())
@@ -1307,10 +1281,10 @@ mod tests {
                         _ => rng.gen_range(0..6),
                     };
                     let id = pid(rng.gen_range(0..3), page);
-                    match rng.gen_range(0..3) {
-                        0 => PlanEntry::hinted(id, 1.5),
-                        _ => PlanEntry::new(id),
-                    }
+                    // A draw that once chose a value hint, kept so each
+                    // seed replays the plans the test's comment names.
+                    rng.gen_range(0..3);
+                    PlanEntry::new(id)
                 })
                 .collect();
             let result = run.fetch_batch_into(&plan, &mut got);

@@ -95,26 +95,11 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// `true` (the default, and the safe answer for a policy that has
     /// not thought about it) makes the pool deliver every hit, in serve
     /// order. `false` promises an empty `on_hit`: the pool may then
-    /// drop the calls — and a lock-striped pool the queue that carries
-    /// them across threads — unless an observer wants the events. RAP
-    /// and FIFO return `false`.
+    /// drop the calls — and a lock-striped pool may serve the hit
+    /// without its shard mutex — unless an observer wants the events.
+    /// RAP and FIFO return `false`.
     fn uses_hits(&self) -> bool {
         true
-    }
-
-    /// A page became resident, with the read plan's value hint (the
-    /// planning query's `w_{q,t}` for the page's term) if the planner
-    /// supplied one.
-    ///
-    /// The default ignores the hint and delegates to
-    /// [`on_insert`](Self::on_insert); a hint-aware policy (RAP) may
-    /// use the hint to value a page whose query was never announced via
-    /// [`begin_query`](Self::begin_query). An announced query always
-    /// wins over the hint, which keeps hinted and unhinted fetches
-    /// identical in the normal announce-then-scan protocol.
-    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) {
-        let _ = value_hint;
-        self.on_insert(page);
     }
 }
 

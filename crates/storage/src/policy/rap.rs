@@ -51,7 +51,7 @@
 
 use super::{OrdF64, ReplacementPolicy};
 use crate::page::Page;
-use ir_types::{IdMap, IdSet, PageId, TermId};
+use ir_types::{IdMap, PageId, TermId};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
@@ -119,9 +119,9 @@ fn reseat(
 ///
 /// Invariants: `effective` holds exactly the terms some context
 /// carries, each at the `total_cmp`-maximum of the weights carried for
-/// it; every resident page of a term **not** in `hinted` is queued at
-/// exactly `w* · eff_t` (bit for bit). So an announcement that leaves a
-/// term's `eff_t` bits alone has nothing to do for that term's pages.
+/// it; every resident page is queued at exactly `w* · eff_t` (bit for
+/// bit). So an announcement that leaves a term's `eff_t` bits alone has
+/// nothing to do for that term's pages.
 /// Every run is strictly ordered, and `candidates` holds exactly the
 /// last key of every run.
 #[derive(Debug, Default)]
@@ -137,10 +137,6 @@ pub struct Rap {
     /// Resident pages per term. A term's entry goes when its last page
     /// does.
     resident: IdMap<TermId, Run>,
-    /// Resident terms holding a page valued from an admission hint
-    /// rather than from `effective`; the next announcement re-values
-    /// them whether or not their `eff_t` moved.
-    hinted: IdSet<TermId>,
 }
 
 impl Rap {
@@ -151,8 +147,8 @@ impl Rap {
 
     /// [`begin_query`](ReplacementPolicy::begin_query), returning how
     /// many pages it re-valued: the resident pages of terms whose
-    /// `eff_t` bits moved (`-0.0` and NaN payloads count) or that are
-    /// `hinted`. Only the terms whose entry in `announcer`'s own
+    /// `eff_t` bits moved (`-0.0` and NaN payloads count). Only the
+    /// terms whose entry in `announcer`'s own
     /// context moved — weight bits or presence — can have a new
     /// `eff_t`, so only those terms' runs are looked at.
     fn announce(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) -> usize {
@@ -177,9 +173,6 @@ impl Rap {
             };
             before.unwrap_or(0.0).to_bits() != eff.unwrap_or(0.0).to_bits()
         });
-        changed.extend(self.hinted.drain());
-        changed.sort_unstable();
-        changed.dedup();
         let mut revalued = 0;
         for term in changed {
             let Some(run) = self.resident.get_mut(&term) else {
@@ -214,29 +207,12 @@ impl ReplacementPolicy for Rap {
     }
 
     fn on_insert(&mut self, page: &Page) {
-        self.on_insert_hinted(page, None);
-    }
-
-    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) {
         let id = page.id();
         let max_weight = page.max_weight();
-        // An announced query is authoritative: the hint is the same
-        // `w_{q,t}` the announcement carries, so using the announced
-        // weight keeps hinted and unhinted admission identical. The
-        // hint only fills in when no announcer carries the term (e.g.
-        // the query was never announced), and only stands in until the
-        // next announcement re-values the term.
-        let value = match (self.effective.get(&id.term), value_hint) {
-            (None, Some(hint)) => {
-                self.hinted.insert(id.term);
-                max_weight * hint
-            }
-            (eff, _) => max_weight * eff.copied().unwrap_or(0.0),
-        };
         let entry = Valued {
             page: id.page.0,
             max_weight,
-            value,
+            value: max_weight * weight_of(&self.effective, id.term),
         };
         let run = self.resident.entry(id.term).or_default();
         reseat(&mut self.candidates, id.term, run, |run| {
@@ -272,11 +248,9 @@ impl ReplacementPolicy for Rap {
         reseat(&mut self.candidates, id.term, run, |run| {
             take(run, id.page.0);
         });
-        // The index and the marks track resident terms, not every term
-        // ever seen.
+        // The index tracks resident terms, not every term ever seen.
         if run.is_empty() {
             self.resident.remove(&id.term);
-            self.hinted.remove(&id.term);
         }
     }
 
@@ -300,6 +274,7 @@ mod tests {
     use crate::buffer::BufferManager;
     use crate::disk::DiskSim;
     use crate::observe::{BufferEvent, BufferObserver};
+    use ir_types::IdSet;
     use proptest::{proptest, ProptestConfig, TestRng};
     use std::collections::{BTreeMap, HashMap};
     use std::sync::{Arc, Mutex};
@@ -343,14 +318,8 @@ mod tests {
             "RAP"
         }
         fn on_insert(&mut self, page: &Page) {
-            self.on_insert_hinted(page, None);
-        }
-        fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) {
             let (id, w) = (page.id(), page.max_weight());
-            let value = match (self.effective(id.term), value_hint) {
-                (None, Some(hint)) => w * hint,
-                (eff, _) => w * eff.unwrap_or(0.0),
-            };
+            let value = w * self.effective(id.term).unwrap_or(0.0);
             if let Some((_, old)) = self.pages.insert(id, (w, value)) {
                 self.by_value.remove(&key(id, old));
             }
@@ -391,14 +360,23 @@ mod tests {
         }
     }
 
-    /// The structural half of the work bound: every run is strictly
-    /// ordered and holds a page once, there is exactly one candidate
-    /// per resident term and it is the run's lowest key, no term entry
-    /// outlives its last page, only resident terms carry the hinted
-    /// mark, no retired announcer keeps a context, and `effective` is
+    /// The structural half of the work bound: every page is queued at
+    /// exactly `w* · eff_t`, every run is strictly ordered and holds a
+    /// page once, there is exactly one candidate per resident term and
+    /// it is the run's lowest key, no term entry outlives its last
+    /// page, no retired announcer keeps a context, and `effective` is
     /// the carried terms and nothing else.
     fn assert_index_is_tight(p: &Rap) {
         for (&term, run) in &p.resident {
+            let eff = weight_of(&p.effective, term);
+            for e in run {
+                assert_eq!(
+                    e.value.to_bits(),
+                    (e.max_weight * eff).to_bits(),
+                    "page {} of {term:?} is not at w* · eff_t",
+                    e.page
+                );
+            }
             assert!(
                 run.windows(2).all(|w| w[0].key(term) > w[1].key(term)),
                 "run of {term:?} out of order: {run:?}"
@@ -413,7 +391,6 @@ mod tests {
             .collect();
         assert_eq!(p.candidates, lowest, "candidates are not the runs' lows");
         assert_eq!(p.candidates.len(), p.resident.len());
-        assert!(p.hinted.iter().all(|t| p.resident.contains_key(t)));
         assert!(p.contexts.values().all(|c| !c.is_empty()));
         let carried: IdSet<TermId> = p
             .contexts
@@ -429,7 +406,7 @@ mod tests {
 
     const TERMS: u32 = 6;
     const PAGES: u32 = 5;
-    /// Query weights, hints and idfs: signed zeros, and thirds so that
+    /// Query weights and idfs: signed zeros, and thirds so that
     /// distinct `w*` and `w_q` pairs round to equal products.
     const ALPHABET: [f64; 8] = [0.0, -0.0, 0.5, 1.0, 2.0, 1.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0];
 
@@ -454,8 +431,8 @@ mod tests {
                     if announcers == 1 {
                         // One announcer is the single-context rule the
                         // policy had before it knew about sessions,
-                        // spelled out: every page, hinted or not, at
-                        // `w* · w_{q,t}` of the one current query.
+                        // spelled out: every page at `w* · w_{q,t}` of
+                        // the one current query.
                         for (id, (w_star, value)) in &oracle.pages {
                             let old_rule = *w_star * weight_of(&w, id.term);
                             assert_eq!(value.to_bits(), old_rule.to_bits(), "{ctx}: {id:?}");
@@ -463,7 +440,7 @@ mod tests {
                     }
                 }
                 // Inserts, including re-inserts of a resident page with
-                // a changed `w*`, hinted or not, announced term or not.
+                // a changed `w*`, announced term or not.
                 2..=6 => {
                     let pg = page(
                         pick(TERMS),
@@ -471,17 +448,8 @@ mod tests {
                         pick(4),
                         ALPHABET[pick(8) as usize],
                     );
-                    let hint = match pick(3) {
-                        0 => None,
-                        _ => Some(ALPHABET[pick(8) as usize]),
-                    };
-                    if pick(4) == 0 {
-                        rap.on_insert(&pg);
-                        oracle.on_insert(&pg);
-                    } else {
-                        rap.on_insert_hinted(&pg, hint);
-                        oracle.on_insert_hinted(&pg, hint);
-                    }
+                    rap.on_insert(&pg);
+                    oracle.on_insert(&pg);
                 }
                 7..=8 => {
                     assert_eq!(rap.choose_victim(), oracle.choose_victim(), "{ctx}: victim");
@@ -522,8 +490,8 @@ mod tests {
 
         /// Re-keying only what one session's announcement changed is
         /// indistinguishable from re-valuing the pool from every
-        /// session's context. Fails without the hinted mark, with an
-        /// `==` weight diff (`-0.0`), and with a `>` maximum.
+        /// session's context. Fails with an `==` weight diff (`-0.0`)
+        /// and with a `>` maximum.
         #[test]
         fn incremental_rekey_matches_the_full_rekey(
             seed in proptest::any::<u64>(),
@@ -752,19 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn a_hinted_term_is_revalued_even_when_its_weight_did_not_move() {
-        let mut p = Rap::new();
-        p.announce(0, &weights(&[(0, 1.0)]));
-        let foreign = page(1, 0, 5, 1.0); // another session's page
-        p.on_insert_hinted(&foreign, Some(2.0));
-        assert_eq!(p.current_value(foreign.id()), Some(10.0));
-        // Term 1 is absent before and after: only the mark re-keys it.
-        assert_eq!(p.announce(0, &weights(&[(0, 1.0)])), 1);
-        assert_eq!(p.current_value(foreign.id()), Some(0.0));
-        assert_eq!(p.announce(0, &weights(&[(0, 1.0)])), 0, "the mark is spent");
-    }
-
-    #[test]
     fn a_term_is_worth_the_highest_weight_any_session_gives_it() {
         let mut p = loaded();
         p.announce(0, &weights(&[(0, 1.0), (1, 2.0)]));
@@ -900,60 +855,29 @@ mod tests {
     }
 
     #[test]
-    fn hinted_insert_values_unannounced_terms() {
-        let mut p = Rap::new();
-        // No begin_query: an unhinted insert values to 0, a hinted one
-        // to max_weight · hint.
-        let cold = page(0, 0, 4, 1.0); // w* = 4
-        let hinted = page(1, 0, 4, 1.0); // w* = 4
-        p.on_insert_hinted(&cold, None);
-        p.on_insert_hinted(&hinted, Some(0.5));
-        assert_eq!(p.current_value(cold.id()), Some(0.0));
-        assert_eq!(p.current_value(hinted.id()), Some(2.0));
-        // The unvalued page goes first.
-        assert_eq!(p.choose_victim(), Some(cold.id()));
-    }
-
-    #[test]
-    fn announced_query_overrides_the_hint() {
-        let mut p = Rap::new();
-        p.begin_query(0, &weights(&[(0, 2.0)]));
-        let a = page(0, 0, 3, 1.0); // w* = 3, announced w_q = 2
-                                    // A (stale) hint of 9.9 must lose to the announced weight.
-        p.on_insert_hinted(&a, Some(9.9));
-        assert_eq!(p.current_value(a.id()), Some(6.0));
-        // Re-announcing re-keys from max_weight, replacing any hinted
-        // value.
-        let b = page(1, 0, 5, 1.0);
-        p.on_insert_hinted(&b, Some(1.0)); // hinted to 5
-        p.begin_query(0, &weights(&[(1, 3.0)]));
-        assert_eq!(p.current_value(b.id()), Some(15.0));
-    }
-
-    #[test]
     fn remove_and_clear() {
         let mut p = Rap::new();
         let a = page(0, 0, 5, 1.0);
         p.on_insert(&a);
         p.remove(a.id());
         assert_eq!(p.choose_victim(), None);
-        p.on_insert_hinted(&a, Some(1.0));
-        assert!(p.hinted.contains(&TermId(0)));
+        p.begin_query(0, &weights(&[(0, 1.0)]));
+        p.on_insert(&a);
         p.clear();
         assert_eq!(p.choose_victim(), None);
         assert!(p.contexts.is_empty() && p.effective.is_empty());
-        assert!(p.resident.is_empty() && p.hinted.is_empty());
+        assert!(p.resident.is_empty());
     }
 
     #[test]
     fn a_term_leaves_the_index_with_its_last_page() {
         let mut p = Rap::new();
         let (a, b) = (page(0, 0, 5, 1.0), page(0, 1, 2, 1.0));
-        p.on_insert_hinted(&a, Some(1.0));
+        p.on_insert(&a);
         p.on_insert(&b);
         p.remove(a.id());
-        assert!(p.resident.contains_key(&TermId(0)) && p.hinted.contains(&TermId(0)));
+        assert!(p.resident.contains_key(&TermId(0)));
         assert_eq!(p.choose_victim(), Some(b.id()));
-        assert!(p.resident.is_empty() && p.hinted.is_empty());
+        assert!(p.resident.is_empty());
     }
 }

@@ -29,10 +29,11 @@ use ir_types::{IdMap, IrResult, PageId, ReadPlan, TermId};
 /// — identical to the reference at one shard, by test.
 pub trait QueryBuffer {
     /// Serves every entry of `plan` **in plan order** into `out`
-    /// (cleared first), reporting how each was served. Transient
-    /// failures (torn pages, injected faults) are retried here, under
-    /// the pool's `FetchPolicy`; on error `out` holds the entries
-    /// served before the failure.
+    /// (cleared first), reporting how each was served. A hit reaches
+    /// the replacement policy and any observer when it is served, on
+    /// either pool. Transient failures (torn pages, injected faults)
+    /// are retried here, under the pool's `FetchPolicy`; on error `out`
+    /// holds the entries served before the failure.
     fn fetch_batch_into(
         &mut self,
         plan: &ReadPlan,
@@ -45,8 +46,10 @@ pub trait QueryBuffer {
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32>;
 
     /// Announces the term weights `w_{q,t}` of the query this caller
-    /// is about to run. A pool that several sessions share tells them
-    /// apart by the handle they call through.
+    /// is about to run — the one way a query-aware policy (RAP) learns
+    /// what a page is worth; a plan carries no weights. A pool that
+    /// several sessions share tells them apart by the handle they call
+    /// through.
     fn begin_query(&mut self, weights: &IdMap<TermId, f64>);
 }
 

@@ -21,22 +21,18 @@
 //!   pure function of the [`PageId`] and the pool geometry; with
 //!   `chunk_pages = 1` it degenerates to the original per-page
 //!   scatter (see [`with_chunk_pages`]).
-//! * **Lock-light hit path.** A run of buffer hits is served under the
-//!   shard's frame-table *read* lock by the same hit-run routine the
-//!   reference pool uses: the pages are cloned, the request/hit
-//!   counters bump atomically once for the run, and the
-//!   replacement-policy and observer effects are queued — *when the
-//!   shard has a consumer for them*. The next exclusive acquisition of
-//!   that shard's mutex replays the queued hits in serve order before
-//!   doing anything else, so policy state at any mutation point equals
-//!   the in-order fold of hits — single-threaded runs stay
-//!   event-for-event identical to an unsharded [`BufferManager`]. A
-//!   shard whose policy ignores hits (RAP, FIFO) and that nobody
-//!   observes ([`BufferManager::consumes_hits`] is `false`) queues
-//!   nothing: a hit there writes no state two sessions share beyond
-//!   the lock's reader count, the counters and the pages' reference
-//!   counts. Only misses, evictions, announcements and inspection take
-//!   the exclusive mutex.
+//! * **Lock-light hit path.** On a shard whose policy ignores hits
+//!   (RAP, FIFO) and that nobody observes
+//!   ([`BufferManager::consumes_hits`] is `false`), a run of buffer
+//!   hits is served under the shard's frame-table *read* lock by the
+//!   same hit-run routine the reference pool uses: the pages are
+//!   cloned and the request/hit counters bump atomically once for the
+//!   run. A hit there writes no state two sessions share beyond the
+//!   lock's reader count, the counters and the pages' reference
+//!   counts; only misses, evictions, announcements and inspection take
+//!   the exclusive mutex. A shard whose hits have a consumer serves
+//!   them under its mutex, through the reference pool's own loop, so
+//!   the policy and the observer see each hit when it is served.
 //! * **One lock at a time.** A plan
 //!   ([`fetch_batch_into`](QueryBuffer::fetch_batch_into)) is walked
 //!   once, in plan order, and cut into maximal runs of consecutive
@@ -56,9 +52,9 @@
 //! ## Semantics
 //!
 //! * **`P = 1` is the reference pool.** A one-shard pool's event log,
-//!   metrics and store traffic are identical, fetch for fetch after a
-//!   [`quiesce`], to a bare [`BufferManager`]'s (a property test pins
-//!   this for every policy kind, with and without fault injection).
+//!   metrics and store traffic are identical, fetch for fetch, to a
+//!   bare [`BufferManager`]'s (a property test pins this for every
+//!   policy kind, with and without fault injection).
 //! * **A handle is a session.** Every handle to the pool — the one
 //!   [`new`] returns, and each [`Clone`] of it — announces under its
 //!   own id, and a query-aware policy (RAP) values a page by the
@@ -86,12 +82,10 @@
 //!   plan's non-resident pages from there on, then its lookahead's
 //!   prefixes — in one submit before the first demand read, whatever
 //!   shards the pages route to. Each page's residency is asked of the
-//!   shard that owns it, under that shard's frame-table read lock
-//!   alone.
+//!   shard that owns it, under that shard's frame-table read lock.
 //!
 //! [`begin_query`]: QueryBuffer::begin_query
 //! [`new`]: ShardedBufferPool::new
-//! [`quiesce`]: ShardedBufferPool::quiesce
 //! [`with_chunk_pages`]: ShardedBufferPool::with_chunk_pages
 
 use crate::buffer::{
@@ -175,8 +169,7 @@ impl ShardMetrics {
 /// One shard: a [`BufferManager`] behind its mutex, plus the handles
 /// the lock-light hit path uses without that mutex — a shared view of
 /// the shard's resident-frame table, clones of the shard's atomic
-/// counter handles, whether anything consumes a hit, and the queue of
-/// hits whose policy/observer effects are still owed.
+/// counter handles, and whether anything consumes a hit.
 #[derive(Debug)]
 struct Shard<S: PageStore> {
     manager: Mutex<BufferManager<Arc<S>>>,
@@ -188,17 +181,11 @@ struct Shard<S: PageStore> {
     /// Clones of the manager's `buffer.*` counter handles (atomic), so
     /// a lock-light hit counts exactly like a locked one.
     metrics: BufferMetrics,
-    /// Hits served lock-light, in serve order, awaiting their deferred
-    /// replacement-policy and observer effects.
-    pending_hits: Mutex<Vec<PageId>>,
-    /// `true` whenever `pending_hits` may be non-empty — lets the
-    /// exclusive path skip the queue mutex when there is nothing owed.
-    has_pending: AtomicBool,
     /// The manager's [`consumes_hits`](BufferManager::consumes_hits),
     /// cached where the lock-light path can read it; stored under the
     /// shard mutex whenever a caller could have changed the answer
-    /// ([`ShardedBufferPool::with_shard`]). While clear, a hit queues
-    /// nothing.
+    /// ([`ShardedBufferPool::with_shard`]). While set, hits are served
+    /// under the mutex.
     consumes_hits: AtomicBool,
 }
 
@@ -210,26 +197,7 @@ impl<S: PageStore> Shard<S> {
             metrics: manager.metrics().clone(),
             consumes_hits: AtomicBool::new(manager.consumes_hits()),
             manager: Mutex::new(manager),
-            pending_hits: Mutex::new(Vec::new()),
-            has_pending: AtomicBool::new(false),
         }
-    }
-
-    /// Queues the deferred effects of lock-light hits, in serve order.
-    ///
-    /// The dirty flag is set *while still holding* the queue mutex.
-    /// Publishing it after release opened a window — enqueue done,
-    /// flag not yet stored — in which a concurrent drain
-    /// ([`ShardedBufferPool::lock`]) would observe a clean flag, skip
-    /// the queue, and strand the hit until the next unrelated
-    /// exclusive acquisition, breaking one-shard identity after
-    /// `quiesce()`. Setting the flag under the same lock the drain
-    /// clears it under restores the invariant: queue mutex free ∧
-    /// flag clear ⟹ queue empty.
-    fn defer_hits(&self, ids: impl Iterator<Item = PageId>) {
-        let mut queue = sync::lock(&self.pending_hits);
-        queue.extend(ids);
-        self.has_pending.store(true, Ordering::Release);
     }
 }
 
@@ -404,99 +372,68 @@ impl<S: PageStore> ShardedBufferPool<S> {
         self.chunk_pages
     }
 
-    /// Locks shard `s` exclusively, first replaying any deferred hit
-    /// effects so the manager's policy and observer state are current
-    /// before the caller mutates anything. The uncontended fast path
-    /// is a bare `try_lock`; only a failed attempt pays for the clock
-    /// reads and the contention counters, retries for
-    /// [`SPIN_BEFORE_PARK`], and parks after that.
+    /// Locks shard `s` exclusively. The uncontended fast path is a
+    /// bare `try_lock`; only a failed attempt pays for the clock reads
+    /// and the contention counters, retries for [`SPIN_BEFORE_PARK`],
+    /// and parks after that.
     fn lock(&self, s: usize) -> MutexGuard<'_, BufferManager<Arc<S>>> {
-        let shard = &self.shards[s];
-        let mut guard = match sync::try_lock(&shard.manager) {
-            Some(guard) => guard,
-            None => {
-                self.metrics.contended_locks.inc();
-                let started = Instant::now();
-                let guard = loop {
-                    std::hint::spin_loop();
-                    if let Some(guard) = sync::try_lock(&shard.manager) {
-                        break guard;
-                    }
-                    if started.elapsed() >= SPIN_BEFORE_PARK {
-                        break sync::lock(&shard.manager);
-                    }
-                };
-                let waited_ns = (started.elapsed().as_nanos() as u64).max(1);
-                self.metrics.lock_wait_ns.record(waited_ns);
-                crate::waits::charge_lock(waited_ns);
-                guard
+        let manager = &self.shards[s].manager;
+        if let Some(guard) = sync::try_lock(manager) {
+            return guard;
+        }
+        self.metrics.contended_locks.inc();
+        let started = Instant::now();
+        let guard = loop {
+            std::hint::spin_loop();
+            if let Some(guard) = sync::try_lock(manager) {
+                break guard;
+            }
+            if started.elapsed() >= SPIN_BEFORE_PARK {
+                break sync::lock(manager);
             }
         };
-        if shard.has_pending.load(Ordering::Acquire) {
-            // Clear the flag and empty the queue under one hold of the
-            // queue mutex — enqueuers set the flag under the same lock,
-            // so no hit can slip between the clear and the take (see
-            // `Shard::defer_hits`).
-            let mut drained = {
-                let mut queue = sync::lock(&shard.pending_hits);
-                shard.has_pending.store(false, Ordering::Release);
-                std::mem::take(&mut *queue)
-            };
-            for id in drained.drain(..) {
-                guard.apply_deferred_hit(id);
-            }
-            // Hand the queue its allocation back unless a concurrent
-            // hit already started a new one.
-            let mut pending = sync::lock(&shard.pending_hits);
-            if pending.is_empty() && pending.capacity() < drained.capacity() {
-                *pending = drained;
-            }
-        }
+        let waited_ns = (started.elapsed().as_nanos() as u64).max(1);
+        self.metrics.lock_wait_ns.record(waited_ns);
+        crate::waits::charge_lock(waited_ns);
         guard
     }
 
-    /// Replays every shard's deferred hit effects (policy updates,
-    /// observer events) by taking and releasing each shard's mutex
-    /// once. Counters and statistics never need this — they are eager
-    /// — but comparing event logs or policy state against an unsharded
-    /// reference requires a quiesced pool.
-    pub fn quiesce(&self) {
-        for s in 0..self.shards.len() {
-            drop(self.lock(s));
-        }
-    }
-
     /// Serves the longest resident *prefix* of a one-shard run of plan
-    /// entries — the [hit run](serve_hit_run) on the shard's frame
-    /// table, under its read lock, no mutex — appending the hits to
-    /// `out` in plan order, and returns how many entries were served.
-    /// The prefix is exactly the hits the exclusive path would have
-    /// served before its first miss, so a caller that hands the
-    /// remainder to [`BufferManager::fetch_batch_tail`] reproduces the
-    /// locked path's accounting event for event. Counters bump eagerly,
-    /// once per run; what the hits owe the policy and the observer is
-    /// queued for replay at the next exclusive acquisition — when the
-    /// shard has such a consumer, and not touched otherwise. A
+    /// entries, appending the hits to `out` in plan order, and returns
+    /// how many entries were served — with the shard's mutex guard when
+    /// the shard [consumes hits](BufferManager::consumes_hits): such a
+    /// shard serves the prefix under its mutex through
+    /// [`BufferManager::serve_hits`], paying the policy and the
+    /// observer as it goes. Any other shard serves the [hit
+    /// run](serve_hit_run) on its frame table, under the read lock
+    /// alone. Either way the prefix is exactly the hits the exclusive
+    /// path would have served before its first miss, so a caller that
+    /// hands the remainder to [`BufferManager::fetch_batch_tail`]
+    /// reproduces the locked path's accounting event for event. A
     /// fully-resident run also records its batch metrics here, since
-    /// the exclusive path never runs.
+    /// the tail never runs.
     fn serve_resident_prefix(
         &self,
         s: usize,
         entries: &[PlanEntry],
         out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> usize {
+    ) -> (usize, Option<MutexGuard<'_, BufferManager<Arc<S>>>>) {
         let shard = &self.shards[s];
-        let served = serve_hit_run(&shard.frames, &shard.metrics, entries, out);
         // Acquire pairs with `with_shard`'s Release store: a thread
         // that sees the flag set by an attach sees the attach.
-        if served > 0 && shard.consumes_hits.load(Ordering::Acquire) {
-            shard.defer_hits(entries[..served].iter().map(|e| e.page));
-        }
+        let mut locked = shard
+            .consumes_hits
+            .load(Ordering::Acquire)
+            .then(|| self.lock(s));
+        let served = match locked.as_deref_mut() {
+            Some(manager) => manager.serve_hits(entries, out),
+            None => serve_hit_run(&shard.frames, &shard.metrics, entries, out),
+        };
         if served == entries.len() {
             shard.metrics.batches.inc();
             shard.metrics.batch_pages.record(entries.len() as u64);
         }
-        served
+        (served, locked)
     }
 
     /// The maximal run of leading `entries` that route to one shard:
@@ -526,9 +463,9 @@ impl<S: PageStore> ShardedBufferPool<S> {
     /// [`staged_ids`] of `entries` — the plan from that miss on, across
     /// every shard it routes to — and of the plan's lookahead, each
     /// page's residency asked of its owner shard's frame table under
-    /// that read lock alone, handed to the store in one submit. Runs
-    /// before the miss's shard is locked, so no shard mutex is held
-    /// while the store reads ahead.
+    /// that read lock alone, handed to the store in one submit. On a
+    /// shard whose hits have no consumer it runs before the miss's
+    /// shard is locked.
     fn stage(&self, entries: &[PlanEntry], lookahead: &[(TermId, u32)]) {
         if self.store.overlap_depth() <= 1 {
             return;
@@ -646,12 +583,12 @@ impl<S: PageStore> ShardedBufferPool<S> {
 impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
     /// Walks the plan once, in plan order, cutting it into maximal runs
     /// of consecutive entries that route to one shard, and serves each
-    /// run as a one-shard plan: its resident prefix lock-light under
-    /// the shard's read lock, the remainder (first miss onward) under
-    /// the shard mutex, results appended straight to `out`. The plan's
-    /// first miss stages the rest of the plan first. An
-    /// error ends the walk; everything before it keeps its effects and
-    /// its place in `out`.
+    /// run as a one-shard plan: its resident prefix (lock-light unless
+    /// the shard consumes hits), the remainder (first miss onward)
+    /// under the shard mutex, results appended straight to `out`. The
+    /// plan's first miss stages the rest of the plan first. An error
+    /// ends the walk; everything before it keeps its effects and its
+    /// place in `out`.
     fn fetch_batch_into(
         &mut self,
         plan: &ReadPlan,
@@ -663,13 +600,15 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
         loop {
             let (s, len) = self.leading_run(rest);
             let (run, tail) = rest.split_at(len);
-            let served = self.serve_resident_prefix(s, run, out);
+            let (served, locked) = self.serve_resident_prefix(s, run, out);
             if served < run.len() {
                 if !staged {
                     staged = true;
                     self.stage(&rest[served..], plan.lookahead());
                 }
-                self.lock(s).fetch_batch_tail(run, served, out)?;
+                locked
+                    .unwrap_or_else(|| self.lock(s))
+                    .fetch_batch_tail(run, served, out)?;
             }
             if tail.is_empty() {
                 return Ok(());
@@ -888,7 +827,7 @@ mod tests {
     #[test]
     fn single_shard_batch_is_one_critical_section() {
         let mut pool = ShardedBufferPool::new(store(1, 6), 8, PolicyKind::Lru, 1).unwrap();
-        let plan = ReadPlan::for_term_pages(TermId(0), 6, None);
+        let plan = ReadPlan::for_term_pages(TermId(0), 6);
         let out = pool.fetch_batch(&plan).unwrap();
         assert_eq!(out.len(), 6);
         assert!(out.iter().all(|(_, o)| *o == FetchOutcome::Miss));
@@ -989,7 +928,7 @@ mod tests {
         };
         let faulty = Arc::new(FaultStore::new(store(1, 8), cfg));
         let mut pool = ShardedBufferPool::new(faulty, 8, PolicyKind::Lru, 4).unwrap();
-        let plan = ReadPlan::for_term_pages(TermId(0), 8, None);
+        let plan = ReadPlan::for_term_pages(TermId(0), 8);
         // Every read faults and there are no retries: the plan's first
         // entry fails and nothing after it runs.
         let err = pool.fetch_batch(&plan).unwrap_err();
@@ -1024,7 +963,7 @@ mod tests {
         let mut pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
         assert_eq!(pool.chunk_pages(), 8);
         for t in 0..4 {
-            let plan = ReadPlan::for_term_pages(TermId(t), 8, None);
+            let plan = ReadPlan::for_term_pages(TermId(t), 8);
             let owner = pool.shard_of(pid(t, 0));
             assert!(
                 plan.iter().all(|e| pool.shard_of(e.page) == owner),
@@ -1056,7 +995,7 @@ mod tests {
                 "pages of one chunk share a shard"
             );
         }
-        let plan = ReadPlan::for_term_pages(TermId(0), 8, None);
+        let plan = ReadPlan::for_term_pages(TermId(0), 8);
         let out = pool.fetch_batch(&plan).unwrap();
         for (i, (page, outcome)) in out.iter().enumerate() {
             assert_eq!(page.id(), pid(0, i as u32), "plan order preserved");
@@ -1068,108 +1007,109 @@ mod tests {
         assert_eq!(pool.metrics().batch_splits.get(), expected_splits);
     }
 
+    /// Load A and B into a two-frame LRU shard, hit A, load C: the hit
+    /// reaches the policy when it is served, so C evicts B, and the
+    /// shard's observer sees `Hit(A)` before `Load(C)` — on a one-shard
+    /// pool, and on a two-shard pool whose other shard sits idle.
     #[test]
-    fn lock_light_hits_count_eagerly_and_replay_on_quiesce() {
-        let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
-        let log = SharedLog::default();
-        pool.with_shard(0, |bm| bm.set_observer(Box::new(log.clone())));
-        pool.fetch(pid(0, 0)).unwrap(); // miss: exclusive path
-        pool.fetch(pid(0, 0)).unwrap(); // hit: lock-light, deferred
-        let s = pool.stats();
-        assert_eq!((s.requests, s.hits, s.misses), (2, 1, 1), "counters eager");
-        pool.quiesce();
-        let events = log.0.lock().unwrap().clone();
-        assert_eq!(
-            events,
-            vec![BufferEvent::Load(pid(0, 0)), BufferEvent::Hit(pid(0, 0))],
-            "deferred hit replays through the observer in serve order"
-        );
-    }
-
-    #[test]
-    fn resident_plans_defer_their_hit_events_until_quiesce() {
-        // A fully-resident single-shard plan stays on the lock-light
-        // path: nobody takes the shard mutex, so the first plan's hit
-        // events are still owed when the second plan runs. Deferred
-        // events are the witness — they reach the observer only when
-        // the mutex is taken.
-        let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
-        let plan = ReadPlan::for_term_pages(TermId(0), 4, None);
-        pool.fetch_batch(&plan).unwrap(); // warm: four loads
-        let log = SharedLog::default();
-        pool.with_shard(0, |bm| bm.set_observer(Box::new(log.clone())));
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            pool.fetch_batch_into(&plan, &mut out).unwrap();
-            assert!(out.iter().all(|(_, how)| *how == FetchOutcome::Hit));
-        }
-        assert!(
-            log.0.lock().unwrap().is_empty(),
-            "a fully-resident plan took the shard mutex"
-        );
-        pool.quiesce();
-        assert_eq!(log.0.lock().unwrap().len(), 8, "both plans' hits replay");
-        assert_eq!(pool.stats().hits, 8);
-    }
-
-    /// Whether shard `s` owes any deferred hit effects.
-    fn owes_hits(pool: &ShardedBufferPool<DiskSim>, s: usize) -> bool {
-        let shard = &pool.shards[s];
-        shard.has_pending.load(Ordering::Acquire) || !sync::lock(&shard.pending_hits).is_empty()
-    }
-
-    #[test]
-    fn hits_nobody_consumes_are_not_queued() {
-        // RAP ignores hits and nobody observes: a fully resident plan
-        // writes neither the queue nor its flag, and the counters are
-        // still eager and whole.
-        let mut pool = ShardedBufferPool::new(store(2, 8), 32, PolicyKind::Rap, 2).unwrap();
-        let plans = [0, 1].map(|t| ReadPlan::for_term_pages(TermId(t), 8, None));
-        for pass in 0..3 {
-            for plan in &plans {
-                let out = pool.fetch_batch(plan).unwrap();
-                assert!(pass == 0 || out.iter().all(|(_, how)| *how == FetchOutcome::Hit));
+    fn a_consumed_hit_reaches_the_policy_before_the_next_load() {
+        for shards in [1, 2] {
+            let mut pool =
+                ShardedBufferPool::new(store(8, 1), 2 * shards, PolicyKind::Lru, shards).unwrap();
+            let s = pool.shard_of(pid(0, 0));
+            let [a, b, c]: [PageId; 3] = (0..8)
+                .map(|t| pid(t, 0))
+                .filter(|&id| pool.shard_of(id) == s)
+                .take(3)
+                .collect::<Vec<_>>()
+                .try_into()
+                .expect("three of eight heads share a shard");
+            let log = SharedLog::default();
+            pool.with_shard(s, |bm| bm.set_observer(Box::new(log.clone())));
+            for id in [a, b, a, c] {
+                pool.fetch(id).unwrap();
             }
+            assert!(
+                pool.with_shard(s, |bm| bm.is_resident(a) && !bm.is_resident(b)),
+                "{shards} shards: the hit on A did not reach LRU before C loaded"
+            );
+            assert_eq!(
+                *log.0.lock().unwrap(),
+                [
+                    BufferEvent::Load(a),
+                    BufferEvent::Load(b),
+                    BufferEvent::Hit(a),
+                    BufferEvent::Evict(b),
+                    BufferEvent::Load(c),
+                ],
+                "{shards} shards"
+            );
+            let st = pool.stats();
+            assert_eq!((st.requests, st.hits, st.misses), (4, 1, 3));
         }
-        for s in 0..2 {
-            assert!(!owes_hits(&pool, s), "shard {s} queued a hit for nobody");
+    }
+
+    #[test]
+    fn hits_nobody_consumes_never_take_the_shard_mutex() {
+        // RAP ignores hits and nobody observes: with every shard's
+        // mutex held, a fully resident plan through another handle
+        // still completes, and the counters are eager and whole.
+        let mut pool = ShardedBufferPool::new(store(2, 8), 32, PolicyKind::Rap, 2).unwrap();
+        let plans = [0, 1].map(|t| ReadPlan::for_term_pages(TermId(t), 8));
+        for plan in &plans {
+            pool.fetch_batch(plan).unwrap();
         }
+        let held: Vec<_> = (0..2).map(|s| pool.lock(s)).collect();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let mut reader = pool.clone();
+            scope.spawn(move || {
+                for _ in 0..2 {
+                    for plan in &plans {
+                        let out = reader.fetch_batch(plan).unwrap();
+                        assert!(out.iter().all(|(_, how)| *how == FetchOutcome::Hit));
+                    }
+                }
+                done.send(()).unwrap();
+            });
+            let served = finished.recv_timeout(Duration::from_secs(30));
+            drop(held);
+            assert!(
+                served.is_ok(),
+                "a hit nobody consumes waited for a shard mutex"
+            );
+        });
+        assert_eq!(pool.metrics().contended_locks.get(), 0);
         let st = pool.stats();
         assert_eq!((st.requests, st.hits, st.misses), (48, 32, 16));
-        // The same traffic on a policy that uses hits is queued.
-        let mut lru = ShardedBufferPool::new(store(2, 8), 32, PolicyKind::Lru, 2).unwrap();
-        for _ in 0..2 {
-            lru.fetch_batch(&plans[0]).unwrap();
-        }
-        assert!(owes_hits(&lru, lru.shard_of(pid(0, 0))));
     }
 
     #[test]
     fn an_observer_attached_mid_run_sees_every_later_hit_in_serve_order() {
         // `with_shard` refreshes the shard's consumer flag: without
-        // that, a RAP pool would go on queueing nothing after the
-        // attach and the log below would stay empty.
+        // that, a RAP pool would go on serving its hits lock-light
+        // after the attach and the log below would stay empty.
         let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Rap, 1).unwrap();
-        let plan = ReadPlan::for_term_pages(TermId(0), 4, None);
+        let plan = ReadPlan::for_term_pages(TermId(0), 4);
         pool.fetch_batch(&plan).unwrap(); // four loads
         pool.fetch_batch(&plan).unwrap(); // four hits nobody consumes
-        assert!(!owes_hits(&pool, 0));
         let log = SharedLog::default();
         pool.with_shard(0, |bm| bm.set_observer(Box::new(log.clone())));
         let order = [pid(0, 2), pid(0, 0), pid(0, 3), pid(0, 0)];
         pool.fetch_batch(&order.into_iter().map(PlanEntry::new).collect())
             .unwrap();
-        assert!(owes_hits(&pool, 0), "the observer is owed four events");
-        pool.quiesce();
         assert_eq!(
             *log.0.lock().unwrap(),
             order.map(BufferEvent::Hit).to_vec(),
             "every hit after the attach, none from before, in serve order"
         );
-        // Detaching clears the flag again.
-        assert!(pool.with_shard(0, |bm| bm.take_observer()).is_some());
+        // Detaching clears the flag again: the hits after it are the
+        // detached observer's no longer.
+        let detached = pool.with_shard(0, |bm| bm.take_observer());
+        assert!(detached.is_some());
+        assert!(!pool.shards[0].consumes_hits.load(Ordering::Acquire));
         pool.fetch_batch(&plan).unwrap();
-        assert!(!owes_hits(&pool, 0));
+        assert_eq!(log.0.lock().unwrap().len(), 4);
         assert_eq!(pool.stats().hits, 12);
     }
 
@@ -1191,8 +1131,8 @@ mod tests {
     #[test]
     fn staged_plans_match_unstaged_ones_per_shard() {
         use crate::disk::tests::{StagingProbe, StoreCall};
-        // Twin pools over twin stores, one of which can overlap. After
-        // quiesce, counters and device traffic must be identical, and
+        // Twin pools over twin stores, one of which can overlap.
+        // Counters and device traffic must be identical, and
         // the overlapping store must have been handed each cold plan
         // whole — one submit, in plan order, ahead of its demand
         // reads — and nothing for a warm one.
@@ -1203,7 +1143,7 @@ mod tests {
             ShardedBufferPool::new(Arc::clone(&probe), 64, PolicyKind::Lru, 4).unwrap();
         let mut expected_calls = Vec::new();
         for t in 0..4 {
-            let plan = ReadPlan::for_term_pages(TermId(t), 8, None);
+            let plan = ReadPlan::for_term_pages(TermId(t), 8);
             let pages: Vec<PageId> = plan.iter().map(|e| e.page).collect();
             expected_calls.push(StoreCall::Submit(pages.clone()));
             expected_calls.extend(pages.into_iter().map(StoreCall::Read));
@@ -1213,8 +1153,6 @@ mod tests {
                 staged.fetch_batch(&plan).unwrap();
             }
         }
-        plain.quiesce();
-        staged.quiesce();
         assert_eq!(staged.stats(), plain.stats());
         assert_eq!(sb.stats(), sa.stats());
         assert_eq!(staged.metrics().batch_splits.get(), 0);

@@ -237,16 +237,11 @@ proptest! {
         t in 0u32..N_TERMS,
         p in 0u32..PAGES_PER_TERM,
         dupes in 1usize..4,
-        hinted in proptest::any::<bool>(),
     ) {
         for kind in PolicyKind::ALL {
             let mut bm = BufferManager::new(store(), capacity, kind).unwrap();
             let id = PageId::new(TermId(t), p);
-            let entry = if hinted {
-                PlanEntry::hinted(id, 0.5)
-            } else {
-                PlanEntry::new(id)
-            };
+            let entry = PlanEntry::new(id);
             let plan: ReadPlan = (0..=dupes).map(|_| entry).collect();
             let fetched = bm.fetch_batch(&plan).unwrap();
             assert_eq!(fetched.len(), dupes + 1, "{kind}: every entry yields a page");

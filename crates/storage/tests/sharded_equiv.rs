@@ -21,8 +21,8 @@
 //!   threads, every shard's `hits + loads == requests`, the per-term
 //!   `b_t` counters sum to the pool's occupancy (no lost or duplicated
 //!   frames), and every resident page lives in exactly the shard the
-//!   hash routes it to — even while a hammer thread drains the deferred
-//!   hit queue with `quiesce` mid-flight.
+//!   hash routes it to — on shards that serve hits lock-light and on
+//!   shards that serve them under the mutex.
 
 use ir_storage::{
     BufferEvent, BufferManager, BufferObserver, BufferStats, DiskSim, DiskStats, FaultConfig,
@@ -137,10 +137,10 @@ fn assert_one_shard_matches_manager<S: PageStore>(
                 assert_eq!(pa.postings(), pb.postings(), "{kind}: bytes differ");
             }
             2 => {
-                // A three-entry plan spanning two terms, one hinted.
+                // A three-entry plan spanning two terms.
                 let plan: ReadPlan = [
                     PlanEntry::new(id),
-                    PlanEntry::hinted(PageId::new(TermId(*t), (*p + 1) % PAGES_PER_TERM), 0.5),
+                    PlanEntry::new(PageId::new(TermId(*t), (*p + 1) % PAGES_PER_TERM)),
                     PlanEntry::new(PageId::new(TermId((*t + 1) % N_TERMS), *p)),
                 ]
                 .into_iter()
@@ -163,11 +163,7 @@ fn assert_one_shard_matches_manager<S: PageStore>(
         }
     }
 
-    // The lock-light hit path defers policy touches and Hit events;
-    // replay them in serve order before comparing against the
-    // reference, exactly as any exclusive operation would.
     let pool = &sessions[0];
-    pool.quiesce();
     assert_eq!(
         *pool_log.0.lock().unwrap(),
         *ref_log.0.lock().unwrap(),
@@ -275,7 +271,7 @@ proptest! {
 }
 
 /// Everything a run leaves observable: above the pool, inside each
-/// shard (after a quiesce), and below it.
+/// shard, and below it.
 #[derive(Debug, PartialEq)]
 struct Observed {
     outcomes: Vec<FetchOutcome>,
@@ -317,7 +313,6 @@ fn drive_four_shards(
         let served = pool.fetch_batch(plan).unwrap();
         outcomes.extend(served.into_iter().map(|(_, how)| how));
     }
-    pool.quiesce();
     Observed {
         outcomes,
         shard_stats: (0..pool.n_shards()).map(|s| pool.shard_stats(s)).collect(),
@@ -341,20 +336,13 @@ proptest! {
         frames in 8usize..24,
         seed in proptest::any::<u64>(),
         ops in collection::vec(
-            (0u32..N_TERMS, 0u32..PAGES_PER_TERM, proptest::any::<bool>()),
+            (0u32..N_TERMS, 0u32..PAGES_PER_TERM),
             1..60,
         ),
     ) {
         let whole: ReadPlan = ops
             .iter()
-            .map(|&(t, p, hinted)| {
-                let id = PageId::new(TermId(t), p);
-                if hinted {
-                    PlanEntry::hinted(id, f64::from(t + 1))
-                } else {
-                    PlanEntry::new(id)
-                }
-            })
+            .map(|&(t, p)| PlanEntry::new(PageId::new(TermId(t), p)))
             .collect();
         let singles: Vec<ReadPlan> = whole.iter().map(|e| [*e].into_iter().collect()).collect();
         for kind in PolicyKind::ALL {
@@ -378,92 +366,68 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The lock-light hit path under real contention: eight threads
-    /// hammer overlapping single-term plans against a pool whose warmed
-    /// working set never evicts, so every post-warm request is served
-    /// off the shared read lock with only atomic counter updates, while
-    /// a ninth thread drains the deferred hit queue with `quiesce` in a
-    /// tight loop. A replay racing live traffic is exactly the window
-    /// the pending-hits dirty flag guards, so the eager counters must
-    /// still be exact — per-shard `hits + loads == requests`, the
-    /// global totals match the workload arithmetic (no lost updates),
-    /// and every resident page lives in the shard the hash owns.
+    /// The hit paths under real contention: eight threads hammer
+    /// overlapping single-term plans against a pool whose warmed
+    /// working set never evicts, so every post-warm request is a hit —
+    /// served off the shared read lock with only atomic counter updates
+    /// on FIFO, whose hits nobody consumes, and under the shard mutex
+    /// on LRU. The counters must be exact either way — per-shard
+    /// `hits + loads == requests`, the global totals match the workload
+    /// arithmetic (no lost updates), and every resident page lives in
+    /// the shard the hash owns.
     #[test]
     fn lock_light_hit_path_loses_no_counters(
         seed in proptest::any::<u64>(),
         ops_per_thread in 16u64..64,
     ) {
-        let mut pool =
-            ShardedBufferPool::new(Arc::new(store()), 128, PolicyKind::Lru, 4).unwrap();
-        // Warm the full working set: 32 requests, all loads.
-        for t in 0..N_TERMS {
-            for p in 0..PAGES_PER_TERM {
-                pool.fetch(PageId::new(TermId(t), p)).unwrap();
+        for kind in [PolicyKind::Fifo, PolicyKind::Lru] {
+            let mut pool = ShardedBufferPool::new(Arc::new(store()), 128, kind, 4).unwrap();
+            // Warm the full working set: 32 requests, all loads.
+            for t in 0..N_TERMS {
+                for p in 0..PAGES_PER_TERM {
+                    pool.fetch(PageId::new(TermId(t), p)).unwrap();
+                }
             }
-        }
-        let warmed = u64::from(N_TERMS * PAGES_PER_TERM);
-        let n_threads = 8u64;
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let mut workers = Vec::new();
-            for th in 0..n_threads {
-                let mut pool = pool.clone();
-                workers.push(scope.spawn(move || {
-                    let mut rng = seed ^ (th << 11) ^ 0x5bd1_e995;
-                    for _ in 0..ops_per_thread {
-                        // Overlapping term plans: every thread scans
-                        // the same four lists in thread-local order.
-                        let t = (next_rand(&mut rng) % u64::from(N_TERMS)) as u32;
-                        let plan: ReadPlan = (0..PAGES_PER_TERM)
-                            .map(|p| PlanEntry::new(PageId::new(TermId(t), p)))
-                            .collect();
-                        pool.fetch_batch(&plan).unwrap();
-                    }
-                }));
-            }
-            // Quiesce hammer: replay the deferred hit queue while the
-            // workers are mid-batch, over and over. Every drain races
-            // the dirty flag against live appends.
-            let hammer = {
-                let pool = pool.clone();
-                let stop = &stop;
-                scope.spawn(move || {
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        pool.quiesce();
-                        std::thread::yield_now();
-                    }
-                })
-            };
-            for worker in workers {
-                worker.join().unwrap();
-            }
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            hammer.join().unwrap();
-        });
+            let warmed = u64::from(N_TERMS * PAGES_PER_TERM);
+            let n_threads = 8u64;
+            std::thread::scope(|scope| {
+                for th in 0..n_threads {
+                    let mut pool = pool.clone();
+                    scope.spawn(move || {
+                        let mut rng = seed ^ (th << 11) ^ 0x5bd1_e995;
+                        for _ in 0..ops_per_thread {
+                            // Overlapping term plans: every thread scans
+                            // the same four lists in thread-local order.
+                            let t = (next_rand(&mut rng) % u64::from(N_TERMS)) as u32;
+                            let plan: ReadPlan = (0..PAGES_PER_TERM)
+                                .map(|p| PlanEntry::new(PageId::new(TermId(t), p)))
+                                .collect();
+                            pool.fetch_batch(&plan).unwrap();
+                        }
+                    });
+                }
+            });
 
-        let expected = warmed + n_threads * ops_per_thread * u64::from(PAGES_PER_TERM);
-        let mut per_shard = 0;
-        for s in 0..pool.n_shards() {
-            let st = pool.shard_stats(s);
-            assert_eq!(st.hits + st.misses, st.requests, "shard {s} split");
-            per_shard += st.requests;
-        }
-        assert_eq!(per_shard, expected, "lost or duplicated requests");
-        let stats = pool.stats();
-        assert_eq!(stats.requests, expected);
-        assert_eq!(stats.misses, warmed, "post-warm traffic must all hit");
-        assert_eq!(stats.hits, expected - warmed);
-        // Replaying deferred hit effects moves policy state only —
-        // never a counter.
-        pool.quiesce();
-        assert_eq!(pool.stats().requests, expected);
-        // Hash-owned residency survives the hammering.
-        for s in 0..pool.n_shards() {
-            for id in pool.with_shard(s, |bm| bm.resident_ids()) {
-                assert_eq!(pool.shard_of(id), s, "page {id:?} in wrong shard");
+            let expected = warmed + n_threads * ops_per_thread * u64::from(PAGES_PER_TERM);
+            let mut per_shard = 0;
+            for s in 0..pool.n_shards() {
+                let st = pool.shard_stats(s);
+                assert_eq!(st.hits + st.misses, st.requests, "{kind}: shard {s} split");
+                per_shard += st.requests;
             }
+            assert_eq!(per_shard, expected, "{kind}: lost or duplicated requests");
+            let stats = pool.stats();
+            assert_eq!(stats.requests, expected, "{kind}");
+            assert_eq!(stats.misses, warmed, "{kind}: post-warm traffic must all hit");
+            assert_eq!(stats.hits, expected - warmed, "{kind}");
+            // Hash-owned residency survives the hammering.
+            for s in 0..pool.n_shards() {
+                for id in pool.with_shard(s, |bm| bm.resident_ids()) {
+                    assert_eq!(pool.shard_of(id), s, "{kind}: page {id:?} in wrong shard");
+                }
+            }
+            assert_eq!(pool.len(), warmed as usize, "{kind}: nothing may evict");
         }
-        assert_eq!(pool.len(), warmed as usize, "nothing may evict");
     }
 }
 

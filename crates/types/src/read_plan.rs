@@ -1,14 +1,12 @@
-//! Declarative read plans: the pages a scan intends to fetch, with
-//! optional value hints.
+//! Declarative read plans: the pages a scan intends to fetch.
 //!
 //! The paper's evaluators know, before touching storage, exactly which
 //! pages a term scan will process: DF derives the page count from the
 //! conversion table (`pages_to_process`, §2.4), BAF's `p_t` estimate
 //! *is* that count, and Full evaluation reads the whole list. A
 //! [`ReadPlan`] makes that knowledge a first-class value the buffer
-//! layer can act on — batching the store reads, and valuing pages for
-//! replacement *before* eviction decisions instead of after admission
-//! (the RAP insight of §3.2 moved one layer down).
+//! layer can act on — batching the store reads and staging them on a
+//! device that overlaps reads.
 //!
 //! A plan is an *ordered* list: the buffer manager processes entries
 //! strictly in plan order, so a plan of `[p0, p1, p2]` produces the
@@ -25,41 +23,28 @@
 
 use crate::ids::{PageId, TermId};
 
-/// One planned page read: the page, plus an optional estimate of its
-/// value to the running query.
-///
-/// The hint is the query-term weight `w_{q,t}` of the term whose scan
-/// planned the read. A hint-aware replacement policy (RAP) can combine
-/// it with the page's own maximum document weight to value the page at
-/// admission — `w*_{d,t} · w_{q,t}`, the paper's eq. for page worth —
-/// even when the query was never announced via `begin_query`. Policies
-/// that do not understand hints ignore them.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// One planned page read. What a page is worth to the running query
+/// is the pool's business: RAP values it from the weights announced
+/// through `begin_query`, never from the plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanEntry {
     /// The page to fetch.
     pub page: PageId,
-    /// Estimated query-side value of the page (`w_{q,t}`), if the
-    /// planner knows it.
-    pub value_hint: Option<f64>,
 }
 
 impl PlanEntry {
-    /// A planned read with no value hint.
+    /// A planned read of `page`.
     #[inline]
     pub fn new(page: PageId) -> Self {
-        PlanEntry {
-            page,
-            value_hint: None,
-        }
+        PlanEntry { page }
     }
 
-    /// A planned read carrying a value hint.
+    /// The same as [`new`](Self::new); the weight is ignored. Kept only
+    /// because the frozen `benchmark/src/adapter.rs` spells it (ROADMAP
+    /// item 10).
     #[inline]
-    pub fn hinted(page: PageId, value_hint: f64) -> Self {
-        PlanEntry {
-            page,
-            value_hint: Some(value_hint),
-        }
+    pub fn hinted(page: PageId, _weight: f64) -> Self {
+        PlanEntry::new(page)
     }
 }
 
@@ -88,25 +73,15 @@ impl ReadPlan {
         ReadPlan::default()
     }
 
-    /// A one-entry plan with no hint — the shape of a plain `fetch`.
+    /// A one-entry plan — the shape of a plain `fetch`.
     pub fn single(page: PageId) -> Self {
         ReadPlan::from_iter([PlanEntry::new(page)])
     }
 
-    /// A one-entry plan carrying a value hint.
-    pub fn single_hinted(page: PageId, value_hint: f64) -> Self {
-        ReadPlan::from_iter([PlanEntry::hinted(page, value_hint)])
-    }
-
-    /// The front-to-back scan of `term`'s first `n_pages` pages, every
-    /// entry carrying the same hint (the term's query weight) when one
-    /// is given.
-    pub fn for_term_pages(term: TermId, n_pages: u32, value_hint: Option<f64>) -> Self {
+    /// The front-to-back scan of `term`'s first `n_pages` pages.
+    pub fn for_term_pages(term: TermId, n_pages: u32) -> Self {
         (0..n_pages)
-            .map(|p| PlanEntry {
-                page: PageId::new(term, p),
-                value_hint,
-            })
+            .map(|p| PlanEntry::new(PageId::new(term, p)))
             .collect()
     }
 
@@ -175,12 +150,11 @@ mod tests {
 
     #[test]
     fn term_scan_plan_orders_pages() {
-        let plan = ReadPlan::for_term_pages(TermId(3), 4, Some(0.5));
+        let plan = ReadPlan::for_term_pages(TermId(3), 4);
         assert_eq!(plan.len(), 4);
         let pages: Vec<u32> = plan.iter().map(|e| e.page.page.0).collect();
         assert_eq!(pages, vec![0, 1, 2, 3]);
         assert!(plan.iter().all(|e| e.page.term == TermId(3)));
-        assert!(plan.iter().all(|e| e.value_hint == Some(0.5)));
     }
 
     #[test]
@@ -188,13 +162,11 @@ mod tests {
         let id = PageId::new(TermId(1), 7);
         let plan = ReadPlan::single(id);
         assert_eq!(plan.entries(), &[PlanEntry::new(id)]);
-        let hinted = ReadPlan::single_hinted(id, 2.0);
-        assert_eq!(hinted.entries()[0].value_hint, Some(2.0));
     }
 
     #[test]
     fn lookahead_is_stage_only_metadata() {
-        let plan = ReadPlan::for_term_pages(TermId(3), 2, None);
+        let plan = ReadPlan::for_term_pages(TermId(3), 2);
         assert!(plan.lookahead().is_empty());
         let named = vec![(TermId(5), 4), (TermId(1), 9)];
         let ahead = plan.clone().with_lookahead(named.clone());

@@ -195,7 +195,7 @@ fn drive(pool: &mut impl QueryBuffer, traffic: &[(IdMap<TermId, f64>, ReadPlan)]
 /// only while nobody watches — and every identity test watches. Same
 /// seeded traffic (prefix scans that hit, miss and evict, under
 /// changing announcements) with and without an observer, for every
-/// kind, on the reference pool and on a quiesced two-shard pool.
+/// kind, on the reference pool and on a two-shard pool.
 /// Planted and caught: `uses_hits` wrongly `false` on LRU (seed 1,
 /// two-shard pool: one hit fewer, one eviction more unobserved).
 #[test]
@@ -213,7 +213,7 @@ fn observing_a_pool_does_not_change_what_it_evicts() {
                 .into_iter()
                 .collect();
                 let pages = rng.gen_range(1..=10u32);
-                (weights, ReadPlan::for_term_pages(TermId(t), pages, None))
+                (weights, ReadPlan::for_term_pages(TermId(t), pages))
             })
             .collect();
         let capacity = [4, 8, 12][(seed % 3) as usize];
@@ -240,7 +240,6 @@ fn observing_a_pool_does_not_change_what_it_evicts() {
                     }
                 }
                 drive(&mut pool, &traffic);
-                pool.quiesce();
                 let mut resident: Vec<PageId> = (0..2)
                     .flat_map(|s| pool.with_shard(s, |bm| bm.resident_ids()))
                     .collect();
