@@ -1281,8 +1281,8 @@ mod tests {
                         _ => rng.gen_range(0..6),
                     };
                     let id = pid(rng.gen_range(0..3), page);
-                    // A draw that once chose a value hint, kept so each
-                    // seed replays the plans the test's comment names.
+                    // An unused draw: it keeps each seed's plans the
+                    // ones the planted defects named above were caught on.
                     rng.gen_range(0..3);
                     PlanEntry::new(id)
                 })
