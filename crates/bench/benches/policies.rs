@@ -4,10 +4,7 @@
 //! — the paper's policies trade *reads*, not CPU.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ir_storage::{
-    BufferManager, DiskSim, FetchOutcome, Page, PolicyKind, QueryBuffer, QueryBufferExt,
-    ShardedBufferPool,
-};
+use ir_storage::{BufferManager, DiskSim, FetchOutcome, Page, PolicyKind, QueryBuffer};
 use ir_types::{IdMap, PageId, Posting, ReadPlan, TermId};
 use std::sync::Arc;
 
@@ -69,7 +66,7 @@ fn bench_rap_reorganize(c: &mut Criterion) {
         g.bench_with_input(id, &resident, |b, &resident| {
             let pages = resident as u32 / TERMS;
             let store = Arc::new(store(TERMS, pages));
-            let mut pool = ShardedBufferPool::new(store, resident, PolicyKind::Rap, 1).unwrap();
+            let mut pool = BufferManager::new(store, resident, PolicyKind::Rap).unwrap();
             for t in 0..TERMS {
                 for p in 0..pages {
                     pool.fetch(PageId::new(TermId(t), p)).unwrap();
@@ -127,15 +124,15 @@ fn bench_policies(c: &mut Criterion) {
 
 /// The hit path in isolation: a warm 16-page plan (one term's list, so
 /// one shard) through `fetch_batch_into`, 64 plans over four lists an
-/// iteration — elements are pages. On the reference pool under LRU
-/// (every hit owes the policy a call) and RAP (nobody consumes a hit),
-/// on a 2-shard RAP pool, and on that pool while a second thread runs
-/// the same loop through its own handle over four *other* lists on the
-/// same two shards: what two sessions pay for sharing the pool's
-/// structures — frame-table lock, counters, the deferred-hit queue
-/// where there is one — rather than for sharing pages (scanning the
-/// same lists, the pages' reference counts dominate: ≈ 140 ns a page,
-/// whatever the pool does). Wants two free cores.
+/// iteration — elements are pages. On the one-shard pool under LRU
+/// (every hit owes the policy a call, under the shard mutex) and RAP
+/// (nobody consumes a hit), on a 2-shard RAP pool, and on that pool
+/// while a second thread runs the same loop through its own handle over
+/// four *other* lists on the same two shards: what two sessions pay for
+/// sharing the pool's structures — frame-table lock, counters — rather
+/// than for sharing pages (scanning the same lists, the pages'
+/// reference counts dominate: ≈ 140 ns a page, whatever the pool does).
+/// Wants two free cores.
 fn bench_hit_run(c: &mut Criterion) {
     use std::sync::atomic::{AtomicBool, Ordering};
     const ROUNDS: u32 = 64;
@@ -154,8 +151,8 @@ fn bench_hit_run(c: &mut Criterion) {
     g.throughput(Throughput::Elements(u64::from(ROUNDS) * 16));
     g.sample_size(100);
     for (name, kind) in [
-        ("reference_lru", PolicyKind::Lru),
-        ("reference_rap", PolicyKind::Rap),
+        ("one_shard_lru", PolicyKind::Lru),
+        ("one_shard_rap", PolicyKind::Rap),
     ] {
         g.bench_function(name, |b| {
             let mut bm = BufferManager::new(store(4, 16), 64, kind).unwrap();
@@ -168,8 +165,7 @@ fn bench_hit_run(c: &mut Criterion) {
         g.bench_function(name, |b| {
             // 512 frames: a routing chunk holds a whole list, and no
             // hash skew can evict.
-            let mut pool =
-                ShardedBufferPool::new(Arc::new(store(8, 16)), 512, PolicyKind::Rap, 2).unwrap();
+            let mut pool = BufferManager::sharded(store(8, 16), 512, PolicyKind::Rap, 2).unwrap();
             let mut out = Vec::new();
             run(&mut pool, plans, &mut out);
             run(&mut pool, other_plans, &mut out);

@@ -32,8 +32,8 @@ use crate::setup::TestBed;
 use ir_core::Query;
 use ir_engine::{PoolLayout, Schedule, ServerReport, SessionOutcome, SessionServer, SessionSpec};
 use ir_storage::{
-    FaultConfig, FaultStore, FetchPolicy, FileMode, FilePageStore, PageStore, PolicyKind,
-    ShardedBufferPool,
+    BufferManager, FaultConfig, FaultStore, FetchPolicy, FileMode, FilePageStore, PageStore,
+    PolicyKind,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -111,10 +111,10 @@ fn drive_sessions<S: PageStore>(
     policy: PolicyKind,
     fetch: FetchPolicy,
 ) -> Result<Vec<u64>, String> {
-    let pool = ShardedBufferPool::new(store, frames, policy, 1)
+    let pool = BufferManager::new(store, frames, policy)
         .map_err(|e| format!("pool construction failed: {e}"))?;
     pool.set_fetch_policy(fetch);
-    let mut handles: Vec<Option<ShardedBufferPool<S>>> =
+    let mut handles: Vec<Option<BufferManager<Arc<S>>>> =
         specs.iter().map(|_| Some(pool.clone())).collect();
     let mut reads = vec![0u64; specs.len()];
     let max_steps = specs

@@ -306,7 +306,6 @@ mod tests {
 
     #[test]
     fn sharded_scan_is_one_plan_served_in_page_order() {
-        use ir_storage::ShardedBufferPool;
         use std::sync::Arc;
 
         // 24 postings, 2 per page → 12 pages, three 4-page routing
@@ -320,8 +319,7 @@ mod tests {
         let n_pages = pages.len() as u32;
         let disk = Arc::new(DiskSim::new(vec![pages]));
         let mut pool =
-            ShardedBufferPool::with_chunk_pages(Arc::clone(&disk), 32, PolicyKind::Lru, 4, 4)
-                .unwrap();
+            BufferManager::with_chunk_pages(Arc::clone(&disk), 32, PolicyKind::Lru, 4, 4).unwrap();
         let term = QueryTerm {
             term: TermId(0),
             query_freq: 1,

@@ -48,8 +48,8 @@ use ir_core::eval::{evaluate_on, Clock, EvalOptions, RealClock};
 use ir_core::{Algorithm, Query, RefinementSequence, SequenceOutcome, StepOutcome};
 use ir_index::InvertedIndex;
 use ir_storage::{
-    BufferStats, FaultConfig, FaultStats, FaultStore, FetchPolicy, PageStore, PolicyKind,
-    QueryBuffer, ShardedBufferPool,
+    BufferManager, BufferStats, FaultConfig, FaultStats, FaultStore, FetchPolicy, PageStore,
+    PolicyKind, QueryBuffer,
 };
 use ir_types::{sync, IrError, IrResult, TermId};
 use std::sync::{Arc, Condvar, Mutex};
@@ -328,7 +328,7 @@ impl<'a, C: Clock + Sync> SessionServer<'a, C> {
             policy,
             shards,
         } = self.layout;
-        let pool = ShardedBufferPool::new(Arc::clone(&store), total_frames, policy, shards)?;
+        let pool = BufferManager::sharded(Arc::clone(&store), total_frames, policy, shards)?;
         pool.set_fetch_policy(self.fetch_policy);
         let mut report = self.run_on(&pool, specs, schedule);
         report.fault_stats = store.stats();
@@ -343,7 +343,7 @@ impl<'a, C: Clock + Sync> SessionServer<'a, C> {
     /// `fault_stats` stay zero.
     pub fn run_on<S: PageStore + Send + Sync>(
         &self,
-        pool: &ShardedBufferPool<S>,
+        pool: &BufferManager<S>,
         specs: &[SessionSpec],
         schedule: Schedule,
     ) -> ServerReport {
@@ -361,9 +361,9 @@ impl<'a, C: Clock + Sync> SessionServer<'a, C> {
                 .into_iter()
                 .map(u64::from)
                 .sum(),
-            retries: pool.retries(),
-            gave_up: pool.gave_up(),
-            torn_pages: pool.torn_pages(),
+            retries: pool.metrics().retries.get(),
+            gave_up: pool.metrics().gave_up.get(),
+            torn_pages: pool.metrics().torn_pages.get(),
             fault_stats: FaultStats::default(),
             ledger,
             wall_us,
@@ -381,7 +381,7 @@ impl<'a, C: Clock + Sync> SessionServer<'a, C> {
         &self,
         specs: &[SessionSpec],
         schedule: Schedule,
-        pool: &ShardedBufferPool<S>,
+        pool: &BufferManager<S>,
     ) -> SessionsRun {
         let n = specs.len();
         let max_steps = specs

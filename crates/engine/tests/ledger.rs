@@ -14,8 +14,8 @@ use ir_engine::{
 };
 use ir_index::{save_page_file, BuildOptions, IndexBuilder, InvertedIndex};
 use ir_storage::{
-    FileMode, FilePageStore, IoConfig, IoScheduler, LatencyModel, PageStore, PolicyKind,
-    ShardedBufferPool,
+    BufferManager, FileMode, FilePageStore, IoConfig, IoScheduler, LatencyModel, PageStore,
+    PolicyKind,
 };
 use ir_types::{ClockKind, FilterParams, IndexParams, TermId};
 use std::sync::Arc;
@@ -215,7 +215,7 @@ fn the_tick_clock_ledger_is_exact_over_a_qd4_page_file() {
             clock: ClockKind::Virtual,
         },
     ));
-    let pool = ShardedBufferPool::new(Arc::clone(&sched), 8, PolicyKind::Rap, 1).unwrap();
+    let pool = BufferManager::new(Arc::clone(&sched), 8, PolicyKind::Rap).unwrap();
     let server = SessionServer::new(
         &idx,
         PoolLayout::Sharded {
@@ -257,7 +257,7 @@ fn free_running_sessions_are_charged_their_own_io_waits() {
                 clock: ClockKind::Virtual,
             },
         ));
-        let pool = ShardedBufferPool::new(Arc::clone(&sched), 10, PolicyKind::Rap, 2).unwrap();
+        let pool = BufferManager::sharded(Arc::clone(&sched), 10, PolicyKind::Rap, 2).unwrap();
         let layout = PoolLayout::Sharded {
             total_frames: 10,
             policy: PolicyKind::Rap,

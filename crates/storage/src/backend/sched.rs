@@ -719,11 +719,12 @@ mod tests {
     /// count every one.
     #[test]
     fn a_plan_longer_than_the_cache_is_read_once() {
-        use crate::buffer::BufferManager;
         use crate::policy::PolicyKind;
+        use crate::BufferManager;
         use ir_types::ReadPlan;
-        let sched = benchmark_device(long_list(70));
-        let mut pool = BufferManager::new(&sched, 70, PolicyKind::Lru).unwrap();
+        let sched = std::sync::Arc::new(benchmark_device(long_list(70)));
+        let mut pool =
+            BufferManager::new(std::sync::Arc::clone(&sched), 70, PolicyKind::Lru).unwrap();
         pool.fetch_batch(&ReadPlan::for_term_pages(TermId(0), 70))
             .unwrap();
         assert_eq!(pool.stats().misses, 70);
@@ -953,12 +954,13 @@ mod tests {
     /// was staged, left B its transfers to wait for: 500 + 100.)
     #[test]
     fn a_lookahead_overlaps_the_next_plans_seek() {
-        use crate::buffer::BufferManager;
         use crate::policy::PolicyKind;
+        use crate::BufferManager;
         use ir_types::ReadPlan;
         let run = |lookahead: Vec<(TermId, u32)>| {
-            let sched = benchmark_device(store(3));
-            let mut pool = BufferManager::new(&sched, 8, PolicyKind::Lru).unwrap();
+            let sched = std::sync::Arc::new(benchmark_device(store(3)));
+            let mut pool =
+                BufferManager::new(std::sync::Arc::clone(&sched), 8, PolicyKind::Lru).unwrap();
             let a = ReadPlan::for_term_pages(TermId(0), 3).with_lookahead(lookahead);
             pool.fetch_batch(&a).unwrap();
             let after_a = sched.io_wait_us();
@@ -989,8 +991,8 @@ mod tests {
     /// waits 500 + 100 + 400 = 1 000 µs for the same 14 reads.
     #[test]
     fn every_named_prefix_is_staged_behind_the_first_read() {
-        use crate::buffer::BufferManager;
         use crate::policy::PolicyKind;
+        use crate::BufferManager;
         use ir_types::ReadPlan;
         let lists = [2u32, 4, 8]
             .iter()
@@ -1004,12 +1006,13 @@ mod tests {
                     .collect()
             })
             .collect();
-        let sched = benchmark_device(DiskSim::new(lists));
+        let sched = std::sync::Arc::new(benchmark_device(DiskSim::new(lists)));
         let plan = |t: u32, n: u32, ahead: &[(u32, u32)]| {
             ReadPlan::for_term_pages(TermId(t), n)
                 .with_lookahead(ahead.iter().map(|&(t, n)| (TermId(t), n)).collect())
         };
-        let mut pool = BufferManager::new(&sched, 16, PolicyKind::Lru).unwrap();
+        let mut pool =
+            BufferManager::new(std::sync::Arc::clone(&sched), 16, PolicyKind::Lru).unwrap();
         for plan in [
             plan(0, 2, &[(1, 4), (2, 8)]),
             plan(1, 4, &[(2, 8)]),

@@ -1,33 +1,23 @@
-//! The buffer manager: a fixed pool of page frames in front of a
-//! [`PageStore`], with the paper's two IR-specific extensions —
-//! per-term resident counts (`b_t`) and query-context announcements.
+//! The shard core of the [`BufferManager`](crate::BufferManager): one
+//! shard's page frames, with the paper's per-term resident counts
+//! (`b_t`), its replacement policy, observer and retry budget. The pool
+//! owns the store, the routing and the locks, and drives every core
+//! through the single-fetch protocol below.
 
 use crate::disk::PageStore;
 use crate::observe::{BufferEvent, BufferObserver};
 use crate::page::Page;
-use crate::policy::{PolicyKind, ReplacementPolicy};
-use crate::query_buffer::{QueryBuffer, QueryBufferExt};
-use crate::stats::{BufferMetrics, BufferStats};
-use ir_types::{sync, IdMap, IdSet, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
+use crate::policy::ReplacementPolicy;
+use crate::stats::BufferMetrics;
+use ir_types::{sync, IdMap, IrError, IrResult, PageId, PlanEntry, TermId};
 use std::sync::{Arc, RwLock};
 
-/// The resident-frame table behind a read-write lock, cloneable so a
-/// lock-striped wrapper ([`ShardedBufferPool`](crate::ShardedBufferPool))
-/// can serve buffer hits under a shared read lock without entering the
-/// manager's exclusive critical section. Every mutation goes through
-/// `&mut BufferManager` methods, so in single-owner use the lock is
-/// always uncontended and the manager behaves exactly as it did when
-/// the map was a plain field.
+/// A shard's resident-frame table behind a read-write lock, shared so
+/// the pool can serve buffer hits under a shared read lock without
+/// entering the shard's mutex. Every mutation goes through
+/// `&mut ShardCore` methods, which the pool calls only under that
+/// mutex.
 pub(crate) type FrameView = Arc<RwLock<IdMap<PageId, Page>>>;
-
-/// Shared handle to the manager's per-term resident-page counters
-/// (`b_t`), the [`FrameView`] pattern applied to BAF's term-selection
-/// reads. The counters change only on load/evict/flush — never on a
-/// hit — so readers holding only the `RwLock` see exactly the values a
-/// locked [`resident_pages`](BufferManager::resident_pages) call would
-/// return, and the sharded pool's term selector never has to queue
-/// behind a shard serving disk reads.
-pub(crate) type TermView = Arc<RwLock<IdMap<TermId, u32>>>;
 
 /// How a completed fetch was served — reported per call so each
 /// session can attribute its own hits and reads exactly, with no
@@ -63,7 +53,7 @@ impl FetchPolicy {
 
 /// Delivers `event` to the observer, if one is attached. A free
 /// function over the field so it can run while the frame-table guards
-/// borrow the manager's other fields.
+/// borrow the core's other fields.
 #[inline]
 fn emit(observer: &mut Option<Box<dyn BufferObserver>>, event: BufferEvent) {
     if let Some(obs) = observer.as_mut() {
@@ -71,14 +61,14 @@ fn emit(observer: &mut Option<Box<dyn BufferObserver>>, event: BufferEvent) {
     }
 }
 
-/// The hit run — the one hit path of both pools. Serves the maximal
-/// resident run of leading `entries` under *one* read lock of `frames`,
-/// cloning each page straight into `out`, adds `requests` / `hits` once
-/// for the run, and returns its length. What a hit owes its consumers
-/// (the policy's `on_hit`, the observer's `Hit` event) is paid by
-/// [`BufferManager::serve_hits`], in serve order over `out`'s new tail;
-/// a pool that does not [consume hits](BufferManager::consumes_hits)
-/// owes nothing, and the sharded pool serves its hits lock-light.
+/// The hit run — the pool's one hit path. Serves the maximal resident
+/// run of leading `entries` under *one* read lock of `frames`, cloning
+/// each page straight into `out`, adds `requests` / `hits` once for the
+/// run, and returns its length. What a hit owes its consumers (the
+/// policy's `on_hit`, the observer's `Hit` event) is paid by
+/// [`ShardCore::serve_hits`], in serve order over `out`'s new tail; a
+/// shard that does not [consume hits](ShardCore::consumes_hits) owes
+/// nothing, and the pool serves its hits without the shard mutex.
 pub(crate) fn serve_hit_run(
     frames: &FrameView,
     metrics: &BufferMetrics,
@@ -103,118 +93,53 @@ pub(crate) fn serve_hit_run(
     served
 }
 
-/// What a plan stages at its first miss on a store that overlaps
-/// reads: the distinct pages of `entries` (the plan from its first miss
-/// on) that are not `resident`, in plan order, then, prefix by prefix
-/// in the order given, the distinct non-resident pages of each
-/// lookahead prefix `(term, n_pages)` — the lists the planner expects
-/// to read next, queued on the device while this plan's own reads are
-/// in flight instead of each starting its seek only when its own plan
-/// runs. Deeper pages of a prefix are the ones a rising `S_max` may cut
-/// before their plan runs: they are the staging's cost, device reads
-/// nobody claims. The pool demands only the plan's own pages, so the
-/// lookahead can change what the store reads and waits, never what the
-/// pool loads or evicts.
-pub(crate) fn staged_ids(
-    entries: &[PlanEntry],
-    lookahead: &[(TermId, u32)],
-    resident: impl Fn(PageId) -> bool,
-) -> Vec<PageId> {
-    let ahead: usize = lookahead.iter().map(|&(_, n)| n as usize).sum();
-    let mut seen: IdSet<PageId> =
-        IdSet::with_capacity_and_hasher(entries.len() + ahead, Default::default());
-    let mut staged: Vec<PageId> = entries
-        .iter()
-        .map(|e| e.page)
-        .filter(|id| seen.insert(*id) && !resident(*id))
-        .collect();
-    for &(term, n_pages) in lookahead {
-        staged.extend(
-            (0..n_pages)
-                .map(|p| PageId::new(term, p))
-                .filter(|id| seen.insert(*id) && !resident(*id)),
-        );
-    }
-    staged
-}
-
-/// A buffer pool of `capacity` page frames over a page store.
-///
-/// ```
-/// use ir_storage::{BufferManager, DiskSim, Page, PolicyKind};
-/// use ir_types::{PageId, Posting, TermId};
-///
-/// // One term with two pages, pool of one frame.
-/// let pages = vec![vec![
-///     Page::new(PageId::new(TermId(0), 0), vec![Posting::new(0, 3)].into(), 1.0),
-///     Page::new(PageId::new(TermId(0), 1), vec![Posting::new(1, 1)].into(), 1.0),
-/// ]];
-/// let mut pool = BufferManager::new(DiskSim::new(pages), 1, PolicyKind::Lru)?;
-/// pool.fetch(PageId::new(TermId(0), 0))?; // miss
-/// pool.fetch(PageId::new(TermId(0), 0))?; // hit
-/// pool.fetch(PageId::new(TermId(0), 1))?; // miss, evicts page 0
-/// assert_eq!(pool.stats().hits, 1);
-/// assert_eq!(pool.stats().misses, 2);
-/// assert_eq!(pool.resident_pages(TermId(0)), 1); // the b_t counter
-/// # Ok::<(), ir_types::IrError>(())
-/// ```
+/// One shard: `capacity` page frames, their `b_t` counters, the
+/// shard's replacement policy, retry budget and observer, counting into
+/// the pool's shared [`BufferMetrics`]. It reads through whatever store
+/// the pool hands it and keeps no lock of its own beyond the two views.
 ///
 /// # No pins
 ///
-/// Pages returned by [`fetch`](BufferManager::fetch) are `Arc`-backed
-/// and stay valid regardless of eviction, so a caller never has to hold
-/// a frame in place while it reads one: every resident page is
-/// evictable. In particular RAP may evict not-yet-scanned pages of the
-/// active list (the paper's §5.2.1 observation) — nothing protects
-/// them.
+/// Pages handed out are `Arc`-backed and stay valid regardless of
+/// eviction, so a caller never has to hold a frame in place while it
+/// reads one: every resident page is evictable. In particular RAP may
+/// evict not-yet-scanned pages of the active list (the paper's §5.2.1
+/// observation) — nothing protects them.
 ///
 /// # `b_t` counters
 ///
-/// [`resident_pages`](BufferManager::resident_pages) answers "how many
-/// pages of the inverted list for term `t` are in buffers" in O(1),
-/// maintained on every load/evict — the implementation §3.2.2 calls for
-/// ("a hash-table or an array of counters, which are updated whenever a
-/// page is moved in or out of buffers").
+/// The per-term counters answer "how many pages of the inverted list
+/// for term `t` are in buffers" in O(1), maintained on every
+/// load/evict — the implementation §3.2.2 calls for ("a hash-table or
+/// an array of counters, which are updated whenever a page is moved in
+/// or out of buffers").
 #[derive(Debug)]
-pub struct BufferManager<S: PageStore> {
-    store: S,
-    capacity: usize,
-    frames: FrameView,
+pub(crate) struct ShardCore {
+    /// The shard's frame quota.
+    pub(crate) capacity: usize,
+    pub(crate) frames: FrameView,
     policy: Box<dyn ReplacementPolicy>,
-    resident_per_term: TermView,
+    /// The per-term resident-page counters (`b_t`), shared like the
+    /// frames for BAF's term-selection reads. They change only on
+    /// load/evict/flush — never on a hit — so readers holding only the
+    /// `RwLock` see exactly the values a locked read would return, and
+    /// the term selector never queues behind a shard serving disk
+    /// reads.
+    pub(crate) resident_per_term: Arc<RwLock<IdMap<TermId, u32>>>,
     fetch_policy: FetchPolicy,
     metrics: BufferMetrics,
     observer: Option<Box<dyn BufferObserver>>,
 }
 
-impl<S: PageStore> BufferManager<S> {
-    /// Creates a pool of `capacity` frames with the given policy.
-    ///
-    /// # Errors
-    /// [`IrError::EmptyBufferPool`] if `capacity` is zero.
-    pub fn new(store: S, capacity: usize, policy: PolicyKind) -> IrResult<Self> {
-        if capacity == 0 {
-            return Err(IrError::EmptyBufferPool);
-        }
-        BufferManager::with_policy(store, capacity, policy.build(capacity))
-    }
-
-    /// Creates a pool around an explicit policy instance — the way to
-    /// run an out-of-tree [`ReplacementPolicy`], or a test oracle in
-    /// place of a built-in one.
-    ///
-    /// # Errors
-    /// [`IrError::EmptyBufferPool`] if `capacity` is zero.
-    pub fn with_policy(
-        store: S,
+impl ShardCore {
+    /// An empty shard of `capacity` frames (at least one) run by
+    /// `policy`, counting into `metrics`.
+    pub(crate) fn new(
         capacity: usize,
         policy: Box<dyn ReplacementPolicy>,
-    ) -> IrResult<Self> {
-        if capacity == 0 {
-            return Err(IrError::EmptyBufferPool);
-        }
-        Ok(BufferManager {
-            store,
+        metrics: BufferMetrics,
+    ) -> Self {
+        ShardCore {
             capacity,
             frames: Arc::new(RwLock::new(IdMap::with_capacity_and_hasher(
                 capacity,
@@ -223,72 +148,25 @@ impl<S: PageStore> BufferManager<S> {
             policy,
             resident_per_term: Arc::default(),
             fetch_policy: FetchPolicy::NO_RETRY,
-            metrics: BufferMetrics::new(),
+            metrics,
             observer: None,
-        })
+        }
     }
 
-    /// Fetches a page through the pool, counting a hit or a disk read.
-    pub fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        QueryBufferExt::fetch(self, id)
-    }
-
-    /// [`fetch`](Self::fetch), also reporting how the request was
-    /// served — the per-call attribution concurrent sessions need.
-    /// A single fetch is a one-entry [`ReadPlan`].
-    pub fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        QueryBufferExt::fetch_traced(self, id)
-    }
-
-    /// The miss half of the single-fetch protocol, and the only miss
-    /// path: counts the request, reads the page under the pool's
-    /// [`FetchPolicy`] and installs it. The caller has just seen the
-    /// page non-resident (the hit run stopped at it) and holds
-    /// `&mut self`, so it still is.
-    fn load_one(&mut self, id: PageId) -> IrResult<Page> {
-        self.metrics.requests.inc();
-        // Read the replacement first, then make room. A failed read
-        // therefore leaves the pool exactly as it was — the old
-        // evict-then-read order destroyed a victim frame for a page
-        // that never arrived.
-        let page = self.read_with_retry(id)?;
-        self.install(page.clone());
-        Ok(page)
-    }
-
-    /// A cloneable handle to the resident-frame table, for wrappers
-    /// that serve hits under a shared read lock.
-    pub(crate) fn frame_view(&self) -> FrameView {
-        Arc::clone(&self.frames)
-    }
-
-    /// A cloneable handle to the `b_t` counters, for wrappers that
-    /// answer resident-page inquiries without the manager's lock.
-    pub(crate) fn term_view(&self) -> TermView {
-        Arc::clone(&self.resident_per_term)
-    }
-
-    /// Whether the replacement policy reacts to
-    /// [`begin_query`](Self::begin_query) at all (only RAP does).
-    /// Wrappers use this to skip the announcement — and the locking it
-    /// costs — for context-oblivious policies.
-    pub fn uses_query_context(&self) -> bool {
-        self.policy.uses_query_context()
-    }
-
-    /// Whether a buffer hit has a consumer on this pool: a policy that
-    /// [uses hits](ReplacementPolicy::uses_hits), or an attached
+    /// Whether a buffer hit has a consumer on this shard: a policy
+    /// that [uses hits](ReplacementPolicy::uses_hits), or an attached
     /// observer. When neither, a hit is a page handed out and two
-    /// counter adds — the hit run calls nobody, and the sharded pool
-    /// serves it without taking the shard mutex.
-    pub fn consumes_hits(&self) -> bool {
+    /// counter adds — the hit run calls nobody, and the pool serves it
+    /// without taking the shard mutex.
+    pub(crate) fn consumes_hits(&self) -> bool {
         self.policy.uses_hits() || self.observer.is_some()
     }
 
     /// The [hit run](serve_hit_run) of leading `entries`, each served
     /// page then handed to the hit's consumers in serve order — the
-    /// policy's `on_hit` and the observer's `Hit` event — when the pool
-    /// [consumes hits](Self::consumes_hits). Returns the run's length.
+    /// policy's `on_hit` and the observer's `Hit` event — when the
+    /// shard [consumes hits](Self::consumes_hits). Returns the run's
+    /// length.
     pub(crate) fn serve_hits(
         &mut self,
         entries: &[PlanEntry],
@@ -304,134 +182,66 @@ impl<S: PageStore> BufferManager<S> {
         served
     }
 
-    /// Executes a [`ReadPlan`]: every entry is served — hit, store
-    /// read, or error — **in plan order**, so the pool's
-    /// hit/miss/eviction sequence (and therefore every counter and the
-    /// store's own read accounting) is that of fetching the plan's
-    /// pages one at a time. What a plan adds:
-    ///
-    /// * consecutive resident entries are one *hit run*: one read lock
-    ///   of the frame table and one add to `requests` / `hits` for the
-    ///   run, and a call per page only where the policy or an observer
-    ///   [consumes hits](Self::consumes_hits);
-    /// * a store that overlaps reads is handed the plan's non-resident
-    ///   pages, then those of each of its
-    ///   [lookahead](ReadPlan::lookahead)'s prefixes, in one
-    ///   [`PageStore::submit`] at the first miss, before the first
-    ///   demand read — a fully resident plan submits nothing;
-    /// * a duplicated page id costs one load and one hit — the second
-    ///   occurrence finds the first's frame resident.
-    ///
-    /// Errors abort the remainder of the plan; entries already served
-    /// keep their effects, exactly as sequential fetches would.
-    pub fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        QueryBufferExt::fetch_batch(self, plan)
-    }
-
-    /// Executes `entries` from index `start` onward, **appending** to
-    /// `out`, and records the batch metrics for *all* of `entries`. For
-    /// wrappers that already served `entries[..start]` as resident hits
-    /// (with their consumers paid, if any) and staged the plan
-    /// themselves: the
-    /// combined accounting — counters, events, store reads, batch
-    /// histogram — is exactly what [`fetch_batch`](Self::fetch_batch)
-    /// would have produced for the whole slice, because the wrapper's
-    /// prefix is precisely the hits this method would have served
-    /// first.
-    pub(crate) fn fetch_batch_tail(
-        &mut self,
-        entries: &[PlanEntry],
-        start: usize,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        self.record_batch(entries.len());
-        self.fetch_entries(&entries[start..], out, None)
-    }
-
-    fn record_batch(&self, pages: usize) {
-        self.metrics.batches.inc();
-        self.metrics.batch_pages.record(pages as u64);
-    }
-
-    /// The batch execution loop over a slice of plan entries,
+    /// Serves `entries` — all routed to this shard — **in plan order**,
     /// appending to `out`: alternately the [hit run](Self::serve_hits)
-    /// of what is left — one read lock and one `requests` / `hits` add
-    /// for the whole run, then each served page handed to the hit's
-    /// consumers in serve order, before anything else happens — and
-    /// the one entry the run stopped at through [`load_one`]
-    /// (Self::load_one), until the plan is done. `staging` is what the
-    /// first miss owes the store: `Some(lookahead)` [stages](Self::stage)
-    /// the entries from there on and the lookahead's prefixes, `None`
-    /// means the caller staged the plan itself. Event for event,
-    /// counter for counter and store read for store read the
-    /// single-fetch protocol applied entry by entry (which this
-    /// module's tests keep as the oracle). Batch-level metrics are the
-    /// caller's responsibility.
-    fn fetch_entries(
+    /// of what is left and the one entry the run stopped at through
+    /// [`load_one`](Self::load_one), until the entries are done or one
+    /// fails. Event for event, counter for counter and store read for
+    /// store read, this is the single-fetch protocol applied entry by
+    /// entry, so a duplicated page costs one load and one hit, and an
+    /// error leaves the entries before it served. Staging and the batch
+    /// metrics are the pool's.
+    pub(crate) fn fetch_entries<S: PageStore>(
         &mut self,
+        store: &S,
         entries: &[PlanEntry],
         out: &mut Vec<(Page, FetchOutcome)>,
-        mut staging: Option<&[(TermId, u32)]>,
     ) -> IrResult<()> {
-        out.reserve(entries.len());
         let mut rest = entries;
         loop {
             let served = self.serve_hits(rest, out);
             let Some(entry) = rest.get(served) else {
                 return Ok(());
             };
-            if let Some(lookahead) = staging.take() {
-                self.stage(&rest[served..], lookahead);
-            }
-            out.push((self.load_one(entry.page)?, FetchOutcome::Miss));
+            out.push((self.load_one(store, entry.page)?, FetchOutcome::Miss));
             rest = &rest[served + 1..];
         }
     }
 
-    /// Staging, at a plan's first miss: a store that can keep several
-    /// reads in flight gets the plan's [staged pages](staged_ids) —
-    /// its misses from `entries` on, then its lookahead's prefixes —
-    /// before the first demand read, so the transfers queue on its
-    /// channels instead of each waiting for the previous demand to
-    /// return. The demand reads then claim the staged completions.
-    /// Everything before the first miss was resident and would have
-    /// been filtered out, so this is what staging the whole plan up
-    /// front submitted — and a fully resident plan allocates and
-    /// submits nothing.
-    fn stage(&self, entries: &[PlanEntry], lookahead: &[(TermId, u32)]) {
-        if self.store.overlap_depth() <= 1 {
-            return;
-        }
-        let staged = {
-            let frames = sync::read(&self.frames);
-            staged_ids(entries, lookahead, |id| frames.contains_key(&id))
-        };
-        self.store.submit(&staged);
-    }
-
-    /// One store read, rejecting torn deliveries: a page whose content
-    /// fails checksum verification never reaches a frame. Verification
-    /// re-hashes the whole page, so it only runs when the store can
-    /// actually tear ([`PageStore::can_tear`]) — a clean store's reads
-    /// stay checksum-free.
-    fn read_verified(&mut self, id: PageId) -> IrResult<Page> {
-        let page = self.store.read_page(id)?;
-        if self.store.can_tear() && !page.is_intact() {
-            self.metrics.torn_pages.inc();
-            self.notify(BufferEvent::Torn(id));
-            return Err(IrError::TornPage { page: id });
-        }
+    /// The miss half of the single-fetch protocol, and the only miss
+    /// path: counts the request, reads the page under the shard's
+    /// [`FetchPolicy`] and installs it. The caller has just seen the
+    /// page non-resident (the hit run stopped at it) and holds
+    /// `&mut self`, so it still is.
+    fn load_one<S: PageStore>(&mut self, store: &S, id: PageId) -> IrResult<Page> {
+        self.metrics.requests.inc();
+        // Read the replacement first, then make room. A failed read
+        // therefore leaves the shard exactly as it was — the old
+        // evict-then-read order destroyed a victim frame for a page
+        // that never arrived.
+        let page = self.read_with_retry(store, id)?;
+        self.install(page.clone());
         Ok(page)
     }
 
-    /// Reads `id` under the pool's [`FetchPolicy`]: transient failures
+    /// Reads `id` under the shard's [`FetchPolicy`]: transient failures
     /// ([`IrError::is_transient`]) are retried up to `max_retries`
-    /// times; terminal errors and exhausted budgets propagate.
-    fn read_with_retry(&mut self, id: PageId) -> IrResult<Page> {
+    /// times; terminal errors and exhausted budgets propagate. A torn
+    /// delivery — content failing checksum verification — is rejected
+    /// as a transient failure and never reaches a frame. Verification
+    /// re-hashes the whole page, so it only runs when the store can
+    /// actually tear ([`PageStore::can_tear`]) — a clean store's reads
+    /// stay checksum-free.
+    fn read_with_retry<S: PageStore>(&mut self, store: &S, id: PageId) -> IrResult<Page> {
         let mut attempt = 0u32;
         loop {
-            let err = match self.read_verified(id) {
-                Ok(page) => return Ok(page),
+            let err = match store.read_page(id) {
+                Ok(page) if !store.can_tear() || page.is_intact() => return Ok(page),
+                Ok(_) => {
+                    self.metrics.torn_pages.inc();
+                    emit(&mut self.observer, BufferEvent::Torn(id));
+                    IrError::TornPage { page: id }
+                }
                 Err(e) => e,
             };
             if !err.is_transient() {
@@ -443,7 +253,7 @@ impl<S: PageStore> BufferManager<S> {
             }
             attempt += 1;
             self.metrics.retries.inc();
-            self.notify(BufferEvent::Retry(id));
+            emit(&mut self.observer, BufferEvent::Retry(id));
         }
     }
 
@@ -452,9 +262,9 @@ impl<S: PageStore> BufferManager<S> {
     ///
     /// The frame table's and the `b_t` table's write locks are taken
     /// once each, here — after the store read has returned, never
-    /// across it (a read may sleep, and a sharded pool's lock-light
-    /// readers share these locks) — and cover the evictions and the
-    /// install together.
+    /// across it (a read may sleep, and the pool's lock-light readers
+    /// share these locks) — and cover the evictions and the install
+    /// together.
     fn install(&mut self, page: Page) {
         let mut frames = sync::write(&self.frames);
         let mut terms = sync::write(&self.resident_per_term);
@@ -462,7 +272,7 @@ impl<S: PageStore> BufferManager<S> {
             let victim = self
                 .policy
                 .choose_victim()
-                .expect("a full pool of at least one frame tracks a victim");
+                .expect("a full shard of at least one frame tracks a victim");
             let evicted = frames.remove(&victim);
             debug_assert!(evicted.is_some(), "policy returned a non-resident victim");
             if victim.page.0 == 0 {
@@ -486,145 +296,32 @@ impl<S: PageStore> BufferManager<S> {
         emit(&mut self.observer, BufferEvent::Load(id));
     }
 
-    #[inline]
-    fn notify(&mut self, event: BufferEvent) {
-        emit(&mut self.observer, event);
-    }
-
-    /// `b_t`: number of pages of `term`'s inverted list currently in
-    /// the pool. O(1).
-    #[inline]
-    pub fn resident_pages(&self, term: TermId) -> u32 {
-        sync::read(&self.resident_per_term)
-            .get(&term)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Is a specific page resident?
-    #[inline]
-    pub fn is_resident(&self, id: PageId) -> bool {
-        sync::read(&self.frames).contains_key(&id)
-    }
-
-    /// Returns the resident page without touching statistics, the
-    /// replacement policy, or the observer — a side-effect-free read
-    /// for diagnostics.
-    #[inline]
-    pub fn peek(&self, id: PageId) -> Option<Page> {
-        sync::read(&self.frames).get(&id).cloned()
-    }
-
-    /// Every resident page id, sorted — the pool's frame contents as a
-    /// comparable value (chaos and property tests diff two pools with
-    /// it).
-    pub fn resident_ids(&self) -> Vec<PageId> {
-        let mut ids: Vec<PageId> = sync::read(&self.frames).keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Sets the retry policy applied to store reads on the miss path.
-    pub fn set_fetch_policy(&mut self, policy: FetchPolicy) {
+    pub(crate) fn set_fetch_policy(&mut self, policy: FetchPolicy) {
         self.fetch_policy = policy;
     }
 
-    /// Announces the term weights `w_{q,t}` of the query about to be
-    /// evaluated. RAP re-values the resident pages of terms whose weight
-    /// changed; other policies ignore it. A single-owner pool has one
-    /// session: announcer 0.
-    pub fn begin_query(&mut self, weights: &IdMap<TermId, f64>) {
-        self.begin_query_as(0, weights);
-    }
-
-    /// [`begin_query`](Self::begin_query) on behalf of `announcer` —
-    /// how a pool shared through several handles keeps each handle's
-    /// query apart from the others'.
-    pub(crate) fn begin_query_as(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) {
+    /// Hands `announcer`'s query weights `w_{q,t}` to the policy: RAP
+    /// re-values the resident pages of terms whose weight changed;
+    /// other policies ignore it.
+    pub(crate) fn begin_query(&mut self, announcer: u32, weights: &IdMap<TermId, f64>) {
         self.policy.begin_query(announcer, weights);
     }
 
-    /// Empties the pool (the paper flushes buffers between refinement
-    /// *sequences*, never between refinements). Statistics survive;
-    /// use [`reset_stats`](Self::reset_stats) to zero them.
-    pub fn flush(&mut self) {
+    /// Empties the shard. Statistics survive.
+    pub(crate) fn flush(&mut self) {
         sync::write(&self.frames).clear();
         sync::write(&self.resident_per_term).clear();
         self.policy.clear();
-        self.notify(BufferEvent::Flush);
+        emit(&mut self.observer, BufferEvent::Flush);
     }
 
-    /// Attaches an event observer (replacing any previous one).
-    pub fn set_observer(&mut self, observer: Box<dyn BufferObserver>) {
-        self.observer = Some(observer);
-    }
-
-    /// Detaches and returns the observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn BufferObserver>> {
-        self.observer.take()
-    }
-
-    /// Zeroes the counters.
-    pub fn reset_stats(&mut self) {
-        self.metrics.reset();
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> BufferStats {
-        self.metrics.snapshot()
-    }
-
-    /// The pool's live `ir-observe` counter handles — finer-grained
-    /// than [`stats`](Self::stats) (head/tail evictions, retries, torn
-    /// deliveries) and shareable across threads.
-    pub fn metrics(&self) -> &BufferMetrics {
-        &self.metrics
-    }
-
-    /// Number of frames in use.
-    pub fn len(&self) -> usize {
-        sync::read(&self.frames).len()
-    }
-
-    /// `true` when no page is resident.
-    pub fn is_empty(&self) -> bool {
-        sync::read(&self.frames).is_empty()
-    }
-
-    /// Pool capacity in pages (`BufferSize` in Table 3).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The underlying page store.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-}
-
-/// The reference implementation of the fetch protocol: the sharded
-/// pool runs one of these per shard and is compared against it.
-impl<S: PageStore> QueryBuffer for BufferManager<S> {
-    fn fetch_batch_into(
+    /// Replaces the observer, returning the previous one.
+    pub(crate) fn replace_observer(
         &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        out.clear();
-        self.record_batch(plan.len());
-        self.fetch_entries(plan.entries(), out, Some(plan.lookahead()))
-    }
-
-    fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
-        let counters = sync::read(&self.resident_per_term);
-        terms
-            .iter()
-            .map(|t| counters.get(t).copied().unwrap_or(0))
-            .collect()
-    }
-
-    fn begin_query(&mut self, weights: &IdMap<TermId, f64>) {
-        BufferManager::begin_query(self, weights);
+        observer: Option<Box<dyn BufferObserver>>,
+    ) -> Option<Box<dyn BufferObserver>> {
+        std::mem::replace(&mut self.observer, observer)
     }
 }
 
@@ -632,8 +329,10 @@ impl<S: PageStore> QueryBuffer for BufferManager<S> {
 mod tests {
     use super::*;
     use crate::disk::DiskSim;
-    use crate::page::Page;
-    use ir_types::Posting;
+    use crate::policy::PolicyKind;
+    use crate::stats::BufferStats;
+    use crate::BufferManager;
+    use ir_types::{Posting, ReadPlan};
 
     /// `n_terms` lists × `pages_per_term` pages; page p of any term has
     /// max_freq = pages_per_term - p (decreasing along the list).
@@ -1187,176 +886,6 @@ mod tests {
                 .all(|c| matches!(c, StoreCall::Read(_))),
             "one submit per plan"
         );
-    }
-
-    /// The per-entry loop the hit run replaced, kept as its oracle:
-    /// the staging block over the whole plan, then per entry a request
-    /// add, a read-lock round trip, a probe, a clone and — for a hit —
-    /// a hit add, an unconditional `on_hit` and the `Hit` event.
-    impl<S: PageStore> BufferManager<S> {
-        fn fetch_batch_per_entry(
-            &mut self,
-            plan: &ReadPlan,
-            out: &mut Vec<(Page, FetchOutcome)>,
-        ) -> IrResult<()> {
-            out.clear();
-            self.metrics.batches.inc();
-            self.metrics.batch_pages.record(plan.len() as u64);
-            if self.store.overlap_depth() > 1 {
-                let mut seen: IdSet<PageId> = IdSet::default();
-                let staged: Vec<PageId> = {
-                    let frames = sync::read(&self.frames);
-                    plan.iter()
-                        .map(|e| e.page)
-                        .filter(|id| seen.insert(*id) && !frames.contains_key(id))
-                        .collect()
-                };
-                if !staged.is_empty() {
-                    self.store.submit(&staged);
-                }
-            }
-            for &entry in plan.iter() {
-                self.metrics.requests.inc();
-                let resident = sync::read(&self.frames).get(&entry.page).cloned();
-                if let Some(page) = resident {
-                    self.metrics.hits.inc();
-                    self.policy.on_hit(&page);
-                    self.notify(BufferEvent::Hit(entry.page));
-                    out.push((page, FetchOutcome::Hit));
-                    continue;
-                }
-                let page = self.read_with_retry(entry.page)?;
-                self.install(page.clone());
-                out.push((page, FetchOutcome::Miss));
-            }
-            Ok(())
-        }
-    }
-
-    /// One seeded case of the hit-run differential: twin pools over
-    /// twin stores, one serving every plan through the run loop, the
-    /// other through the per-entry oracle. Three terms of six pages, so
-    /// plans are full of duplicates and hit / miss / hit interleavings;
-    /// every so often a plan names a page past its list's end (`Err`
-    /// mid-plan) or the query context changes. `view` is what the store
-    /// saw. With `observed` both pools carry a log; without, the run
-    /// loop of a policy that does not use hits calls nobody while the
-    /// oracle still calls `on_hit`.
-    fn run_hit_run_differential<S: PageStore, V: PartialEq + std::fmt::Debug>(
-        seed: u64,
-        kind: PolicyKind,
-        capacity: usize,
-        observed: bool,
-        make_store: impl Fn() -> S,
-        view: impl Fn(&S) -> V,
-    ) {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let what = format!("seed {seed}, {kind}, {capacity} frames, observed {observed}");
-        let make = || {
-            let mut bm = BufferManager::new(make_store(), capacity, kind).unwrap();
-            bm.set_fetch_policy(FetchPolicy::retries(2));
-            let log = SharedLog::default();
-            if observed {
-                bm.set_observer(Box::new(log.clone()));
-            }
-            (bm, log)
-        };
-        let ((mut run, run_log), (mut oracle, oracle_log)) = (make(), make());
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        for step in 0..24 {
-            if rng.gen_range(0..6) == 0 {
-                let weights: IdMap<TermId, f64> = (0..3)
-                    .map(|t| (TermId(t), f64::from(rng.gen_range(0..4u32))))
-                    .filter(|(_, w)| *w > 0.0)
-                    .collect();
-                run.begin_query(&weights);
-                oracle.begin_query(&weights);
-            }
-            let plan: ReadPlan = (0..rng.gen_range(0..10))
-                .map(|_| {
-                    // One entry in 40 is out of range.
-                    let page = match rng.gen_range(0..40) {
-                        0 => 6,
-                        _ => rng.gen_range(0..6),
-                    };
-                    let id = pid(rng.gen_range(0..3), page);
-                    // An unused draw: it keeps each seed's plans the
-                    // ones the planted defects named above were caught on.
-                    rng.gen_range(0..3);
-                    PlanEntry::new(id)
-                })
-                .collect();
-            let result = run.fetch_batch_into(&plan, &mut got);
-            let expected = oracle.fetch_batch_per_entry(&plan, &mut want);
-            assert_eq!(result, expected, "{what}, step {step}: result");
-            let served = |out: &[(Page, FetchOutcome)]| -> Vec<(PageId, FetchOutcome)> {
-                out.iter().map(|(page, how)| (page.id(), *how)).collect()
-            };
-            assert_eq!(served(&got), served(&want), "{what}, step {step}: out");
-            assert_eq!(run.stats(), oracle.stats(), "{what}, step {step}: stats");
-        }
-        assert_eq!(
-            *run_log.0.lock().unwrap(),
-            *oracle_log.0.lock().unwrap(),
-            "{what}: event logs"
-        );
-        assert_eq!(run.resident_ids(), oracle.resident_ids(), "{what}: frames");
-        assert_eq!(
-            run.metrics().dump().counters,
-            oracle.metrics().dump().counters,
-            "{what}: every buffer.* counter"
-        );
-        assert_eq!(view(run.store()), view(oracle.store()), "{what}: store");
-    }
-
-    /// The run loop against the per-entry oracle: every kind, pools of
-    /// 1 / 3 / 16 frames, with and without observers, over a clean
-    /// store, a faulting one (retries, give-ups, torn pages) and one
-    /// that overlaps (what is staged, and when). Planted and caught:
-    /// consumers replayed after the following miss (seed 0, LRU, 1
-    /// frame: the late `on_hit` re-tracks the page the miss evicted and
-    /// `install` is handed a non-resident victim), `requests` added for
-    /// the whole plan up front (seed 0, step 4: the plan that errs),
-    /// a duplicate of a just-loaded page counted as a second load
-    /// (seed 0, step 6), a run's `Hit` events without its `on_hit`
-    /// calls (seed 1, LRU, 3 frames, step 14: a page LRU should have
-    /// kept is reloaded), `uses_hits` wrongly `false` on LRU (seed 1,
-    /// step 14, unobserved).
-    #[test]
-    fn hit_run_loop_matches_the_per_entry_oracle() {
-        use crate::disk::tests::StagingProbe;
-        use crate::fault::{FaultConfig, FaultStore};
-        for seed in 0..48 {
-            for kind in PolicyKind::ALL {
-                let capacity = [1, 3, 16][(seed % 3) as usize];
-                let observed = seed % 2 == 0;
-                run_hit_run_differential(
-                    seed,
-                    kind,
-                    capacity,
-                    observed,
-                    || store(3, 6),
-                    |s| s.stats(),
-                );
-                run_hit_run_differential(
-                    seed,
-                    kind,
-                    capacity,
-                    observed,
-                    || FaultStore::new(store(3, 6), FaultConfig::chaos(seed)),
-                    |s| (s.inner().stats(), s.stats()),
-                );
-                run_hit_run_differential(
-                    seed,
-                    kind,
-                    capacity,
-                    observed,
-                    || StagingProbe::new(store(3, 6)),
-                    |s| (s.inner.stats(), s.calls()),
-                );
-            }
-        }
     }
 
     #[test]

@@ -51,14 +51,14 @@ pub use backend::{
     FileMode, FilePageStore, IoConfig, IoMetrics, IoScheduler, LatencyModel, PageFileError,
     PageFileWriter,
 };
-pub use buffer::{BufferManager, FetchOutcome, FetchPolicy};
+pub use buffer::{FetchOutcome, FetchPolicy};
 pub use codec::CompressionStats;
 pub use disk::{DiskSim, DiskStats, PageStore};
 pub use fault::{FaultConfig, FaultStats, FaultStore};
 pub use observe::{BufferEvent, BufferObserver, EventCounts, EventLog};
 pub use page::Page;
 pub use policy::{PolicyKind, ReplacementPolicy};
-pub use query_buffer::{QueryBuffer, QueryBufferExt};
-pub use sharded::{ShardMetrics, ShardedBufferPool, LOCK_WAIT_NS_BOUNDS};
-pub use stats::{BufferMetrics, BufferStats, BATCH_PAGES_BOUNDS};
+pub use query_buffer::QueryBuffer;
+pub use sharded::BufferManager;
+pub use stats::{BufferMetrics, BufferStats, BATCH_PAGES_BOUNDS, LOCK_WAIT_NS_BOUNDS};
 pub use waits::{thread_waits, ThreadWaits};

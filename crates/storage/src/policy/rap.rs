@@ -271,10 +271,11 @@ impl ReplacementPolicy for Rap {
 mod tests {
     use super::super::testutil::{drain, page};
     use super::*;
-    use crate::buffer::BufferManager;
+    use crate::buffer::ShardCore;
     use crate::disk::DiskSim;
     use crate::observe::{BufferEvent, BufferObserver};
-    use ir_types::IdSet;
+    use crate::stats::BufferMetrics;
+    use ir_types::{sync, IdSet, PlanEntry};
     use proptest::{proptest, ProptestConfig, TestRng};
     use std::collections::{BTreeMap, HashMap};
     use std::sync::{Arc, Mutex};
@@ -538,28 +539,42 @@ mod tests {
         let query = |terms: std::ops::Range<u32>| -> IdMap<TermId, f64> {
             terms.map(|t| (TermId(t), 0.5 + f64::from(t % 7))).collect()
         };
+        // One shard core driven page by page: a pool of one shard, with
+        // the policy under test in place of a built-in one.
         let run = |policy: Box<dyn ReplacementPolicy>| {
-            let mut bm = BufferManager::with_policy(store(40, 32), 1024, policy).unwrap();
+            let store = store(40, 32);
+            let mut core = ShardCore::new(1024, policy, BufferMetrics::new());
             let log = Evictions::default();
-            bm.set_observer(Box::new(log.clone()));
+            core.replace_observer(Some(Box::new(log.clone())));
+            let mut out = Vec::new();
+            let mut fetch = |core: &mut ShardCore, t: u32, p: u32| {
+                let entry = PlanEntry::new(PageId::new(TermId(t), p));
+                core.fetch_entries(&store, &[entry], &mut out).unwrap();
+            };
             // Fill all 1 024 frames: 16 query terms, 16 left over from
             // earlier queries.
-            bm.begin_query(&query(16..32));
+            core.begin_query(0, &query(16..32));
             for t in 0..32 {
                 for p in 0..32 {
-                    bm.fetch(PageId::new(TermId(t), p)).unwrap();
+                    fetch(&mut core, t, p);
                 }
             }
-            assert_eq!((bm.len(), log.0.lock().unwrap().len()), (1024, 0));
+            let frames = Arc::clone(&core.frames);
+            let resident = || -> Vec<PageId> {
+                let mut ids: Vec<PageId> = sync::read(&frames).keys().copied().collect();
+                ids.sort_unstable();
+                ids
+            };
+            assert_eq!((resident().len(), log.0.lock().unwrap().len()), (1024, 0));
             // Refinement step: terms 16..19 out, 32..35 in.
-            bm.begin_query(&query(19..35));
+            core.begin_query(0, &query(19..35));
             for t in 32..35 {
                 for p in 0..32 {
-                    bm.fetch(PageId::new(TermId(t), p)).unwrap();
+                    fetch(&mut core, t, p);
                 }
             }
             let evicted = log.0.lock().unwrap().clone();
-            (evicted, bm.resident_ids())
+            (evicted, resident())
         };
         let (evicted, resident) = run(Box::new(Rap::new()));
         assert_eq!(evicted.len(), 96);

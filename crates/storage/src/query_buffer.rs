@@ -2,36 +2,29 @@
 //!
 //! [`QueryBuffer`] is the capability the evaluation algorithms in
 //! `ir-core` are generic over — the paper's three calls: fetch a plan,
-//! ask `b_t`, announce `w_{q,t}` — so they run unchanged against a
-//! private [`BufferManager`](crate::BufferManager) and against the
-//! concurrent [`ShardedBufferPool`](crate::ShardedBufferPool) that
-//! multi-session servers share. [`QueryBufferExt`] writes the
-//! convenience forms of a fetch once, over the one required call.
+//! ask `b_t`, announce `w_{q,t}` — so they see a pool only through
+//! them, whether it has one shard or many and one session or many.
 
 use crate::buffer::FetchOutcome;
 use crate::page::Page;
-use ir_types::{IdMap, IrResult, PageId, ReadPlan, TermId};
+use ir_types::{IdMap, IrResult, ReadPlan, TermId};
 
 /// What query evaluation needs from a buffer pool, and all of it: fetch
 /// a list prefix, ask `b_t`, announce `w_{q,t}` — three methods.
-/// Counters, routing and everything else a pool offers are inherent
-/// methods of the concrete pools.
+/// Counters, routing and the convenience forms of a fetch are inherent
+/// methods of the pool.
 ///
 /// A fetch is one blocking call,
-/// [`fetch_batch_into`](Self::fetch_batch_into); the other forms —
-/// `fetch`, `fetch_traced`, `fetch_batch` — are compositions of it
-/// written once in [`QueryBufferExt`], which no implementor can
-/// override.
+/// [`fetch_batch_into`](Self::fetch_batch_into); `fetch`,
+/// `fetch_traced` and `fetch_batch` on the pool are compositions of it.
 ///
-/// Two implementors: [`BufferManager`](crate::BufferManager), the
-/// single-owner reference, and
-/// [`ShardedBufferPool`](crate::ShardedBufferPool), the concurrent pool
-/// — identical to the reference at one shard, by test.
+/// One implementor: [`BufferManager`](crate::BufferManager), whose
+/// one-shard form is the paper's pool (the storage crate's tests also
+/// implement it for their reference pool).
 pub trait QueryBuffer {
     /// Serves every entry of `plan` **in plan order** into `out`
     /// (cleared first), reporting how each was served. A hit reaches
-    /// the replacement policy and any observer when it is served, on
-    /// either pool. Transient failures (torn pages, injected faults)
+    /// the replacement policy and any observer when it is served. Transient failures (torn pages, injected faults)
     /// are retried here, under the pool's `FetchPolicy`; on error `out`
     /// holds the entries served before the failure.
     fn fetch_batch_into(
@@ -52,38 +45,3 @@ pub trait QueryBuffer {
     /// through.
     fn begin_query(&mut self, weights: &IdMap<TermId, f64>);
 }
-
-/// The convenience forms of a fetch, each written once over
-/// [`QueryBuffer::fetch_batch_into`]. Blanket-implemented, so an
-/// implementor of [`QueryBuffer`] gets all of them and can override
-/// none.
-pub trait QueryBufferExt: QueryBuffer {
-    /// Executes `plan`, serving every entry in plan order and
-    /// reporting each entry's outcome.
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(plan.len());
-        self.fetch_batch_into(plan, &mut out)?;
-        Ok(out)
-    }
-
-    /// Fetches one page — a one-entry plan — reporting how it was
-    /// served. The outcome is observed inside the fetch's own critical
-    /// section, so attribution is exact for the calling session even
-    /// when other sessions hammer the same pool concurrently.
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        let mut served = self.fetch_batch(&ReadPlan::single(id))?;
-        Ok(served.pop().expect("a one-entry plan yields one result"))
-    }
-
-    /// Fetches one page, counting a hit or a disk read.
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        self.fetch_traced(id).map(|(page, _)| page)
-    }
-
-    /// `b_t` of a single term.
-    fn resident_pages(&self, term: TermId) -> u32 {
-        self.resident_pages_many(&[term])[0]
-    }
-}
-
-impl<B: QueryBuffer + ?Sized> QueryBufferExt for B {}

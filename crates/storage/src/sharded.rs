@@ -1,15 +1,15 @@
-//! The concurrent buffer pool: the one pool the engine's
-//! `SessionServer` shares among its sessions.
+//! The buffer manager: a fixed pool of page frames in front of a
+//! [`PageStore`], with the paper's two IR-specific extensions —
+//! per-term resident counts (`b_t`) and query-context announcements —
+//! striped over `P` shards so sessions on several cores can share it.
 //!
-//! One mutex around a [`BufferManager`] would serialize *every* fetch —
-//! including pure buffer hits on Arc-shared pages — so N sessions on N
-//! cores collapse to one core's worth of buffer throughput.
-//! [`ShardedBufferPool`] partitions the frames across `P` shards (the
-//! LevelDB/RocksDB `ShardedCache` construction): each shard owns its
-//! own frame table, replacement-policy instance, [`BufferMetrics`] and
-//! [`Mutex`], so concurrent traffic on different shards
-//! never contends and no global lock exists on the hot path. A pool of
-//! one shard is the paper's single shared pool (`P = 1` below).
+//! [`BufferManager::new`] builds one shard: the paper's single pool.
+//! [`BufferManager::sharded`] partitions the frames across `P` shards
+//! (the LevelDB/RocksDB `ShardedCache` construction): each shard owns
+//! its own frame table, `b_t` counters, replacement-policy instance and
+//! [`Mutex`], so concurrent traffic on different shards never contends
+//! and no global lock exists on the hot path. Every shard counts into
+//! the pool's one [`BufferMetrics`].
 //!
 //! ## Locking protocol
 //!
@@ -19,28 +19,30 @@
 //!   entirely on one shard and locks exactly one mutex. Only lists
 //!   longer than a chunk subdivide, at chunk granularity. The map is a
 //!   pure function of the [`PageId`] and the pool geometry; with
-//!   `chunk_pages = 1` it degenerates to the original per-page
-//!   scatter (see [`with_chunk_pages`]).
+//!   `chunk_pages = 1` it degenerates to a per-page scatter (see
+//!   [`with_chunk_pages`]).
 //! * **Lock-light hit path.** On a shard whose policy ignores hits
-//!   (RAP, FIFO) and that nobody observes
-//!   ([`BufferManager::consumes_hits`] is `false`), a run of buffer
-//!   hits is served under the shard's frame-table *read* lock by the
-//!   same hit-run routine the reference pool uses: the pages are
+//!   (RAP, FIFO) and that nobody observes, a run of buffer hits is
+//!   served under the shard's frame-table *read* lock: the pages are
 //!   cloned and the request/hit counters bump atomically once for the
 //!   run. A hit there writes no state two sessions share beyond the
 //!   lock's reader count, the counters and the pages' reference
-//!   counts; only misses, evictions, announcements and inspection take
-//!   the exclusive mutex. A shard whose hits have a consumer serves
-//!   them under its mutex, through the reference pool's own loop, so
-//!   the policy and the observer see each hit when it is served.
+//!   counts; only misses, evictions, announcements and observer
+//!   changes take the exclusive mutex. A shard whose hits have a
+//!   consumer serves them under its mutex, so the policy and the
+//!   observer see each hit when it is served.
 //! * **One lock at a time.** A plan
 //!   ([`fetch_batch_into`](QueryBuffer::fetch_batch_into)) is walked
 //!   once, in plan order, and cut into maximal runs of consecutive
 //!   entries that route to one shard; each run locks its shard *only
-//!   while it executes* (and not at all when it is fully resident) —
-//!   at most one shard lock is held at any moment, so a thread serving
-//!   shard 0's disk reads never idles holding shard 3's lock, and
-//!   deadlock is impossible by construction.
+//!   while it executes* (and not at all when it is fully resident and
+//!   unconsumed) — at most one shard mutex is held at any moment, so a
+//!   thread serving shard 0's disk reads never idles holding shard 3's
+//!   lock, and deadlock is impossible by construction. Under a shard
+//!   mutex the only other locks taken are that shard's frame and `b_t`
+//!   tables, the other shards' frame tables for reading (staging), and
+//!   a shared observer's mutex; none of them is held while waiting for
+//!   a shard mutex.
 //! * **Retry, then park.** A thread that finds a shard's mutex held
 //!   retries it for a few tens of microseconds before it parks: holds
 //!   are short, and sessions that park on every contended acquisition
@@ -51,13 +53,14 @@
 //!
 //! ## Semantics
 //!
-//! * **`P = 1` is the reference pool.** A one-shard pool's event log,
-//!   metrics and store traffic are identical, fetch for fetch, to a
-//!   bare [`BufferManager`]'s (a property test pins this for every
-//!   policy kind, with and without fault injection).
-//! * **A handle is a session.** Every handle to the pool — the one
-//!   [`new`] returns, and each [`Clone`] of it — announces under its
-//!   own id, and a query-aware policy (RAP) values a page by the
+//! * **`P = 1` is the paper's pool.** One shard serves every plan
+//!   entry by entry through the single-fetch protocol; the storage
+//!   crate's identity tests check it, fetch for fetch, against a
+//!   test-only reference pool with no hit runs, staging or locks, for
+//!   every policy kind, with and without fault injection.
+//! * **A handle is a session.** Every handle to the pool — the one a
+//!   constructor returns, and each [`Clone`] of it — announces under
+//!   its own id, and a query-aware policy (RAP) values a page by the
 //!   highest weight any handle's *current* query gives its term: one
 //!   session's [`begin_query`] replaces only that session's previous
 //!   announcement and cannot zero the pages another session is still
@@ -71,47 +74,35 @@
 //!   has a colder page to give up. [`begin_query`] announcements fan
 //!   out to every shard, so within a shard the ordering is exactly the
 //!   paper's. DESIGN.md §10 discusses the approximation.
-//! * **Strict plan order.** Entries are served in plan order on every
-//!   pool, so everything below the pool — the store's head position, a
-//!   seeded fault stream — sees the plan's own sequence whatever the
-//!   shard count, a duplicate costs one load plus one hit, and an error
-//!   leaves exactly the entries before it served and in `out`.
-//!   [`ShardMetrics::batch_splits`] counts the plans that were cut at all.
+//! * **Strict plan order.** Entries are served in plan order whatever
+//!   the shard count, so everything below the pool — the store's head
+//!   position, a seeded fault stream — sees the plan's own sequence, a
+//!   duplicate costs one load plus one hit, and an error leaves exactly
+//!   the entries before it served and in `out`.
+//!   [`BufferMetrics::batch_splits`] counts the plans that were cut at
+//!   all.
 //! * **Staging is the plan's.** Over a store that overlaps reads, the
-//!   plan's first miss stages what the reference pool stages — the
-//!   plan's non-resident pages from there on, then its lookahead's
-//!   prefixes — in one submit before the first demand read, whatever
-//!   shards the pages route to. Each page's residency is asked of the
-//!   shard that owns it, under that shard's frame-table read lock.
+//!   plan's first miss hands the store the plan's non-resident pages
+//!   from there on, then its lookahead's prefixes, in one submit before
+//!   the first demand read, whatever shards the pages route to. Each
+//!   page's residency is asked of the shard that owns it, under that
+//!   shard's frame-table read lock.
 //!
-//! [`begin_query`]: QueryBuffer::begin_query
-//! [`new`]: ShardedBufferPool::new
-//! [`with_chunk_pages`]: ShardedBufferPool::with_chunk_pages
+//! [`begin_query`]: BufferManager::begin_query
+//! [`with_chunk_pages`]: BufferManager::with_chunk_pages
 
-use crate::buffer::{
-    serve_hit_run, staged_ids, BufferManager, FetchOutcome, FetchPolicy, FrameView, TermView,
-};
+use crate::buffer::{serve_hit_run, FetchOutcome, FetchPolicy, FrameView, ShardCore};
 use crate::disk::PageStore;
+use crate::observe::{BufferEvent, BufferObserver};
 use crate::page::Page;
 use crate::policy::PolicyKind;
 use crate::query_buffer::QueryBuffer;
 use crate::stats::{BufferMetrics, BufferStats};
-use ir_observe::{Counter, Histogram};
 use ir_types::idmap::splitmix64;
-use ir_types::{sync, IdMap, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
+use ir_types::{sync, IdMap, IdSet, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
-
-/// Bucket bounds (ns) for the shard-lock wait-time histogram. Waits
-/// used to be recorded in truncated microseconds, which zeroed every
-/// sub-µs wait — the overwhelming majority on a shard mutex — and
-/// made the histogram's mass vanish exactly when contention was
-/// sharpest. Nanosecond resolution keeps the sub-µs onset visible; the
-/// tail buckets still catch convoys.
-pub const LOCK_WAIT_NS_BOUNDS: [u64; 10] = [
-    250, 500, 1_000, 4_000, 16_000, 64_000, 256_000, 1_000_000, 4_000_000, 16_000_000,
-];
 
 /// How long a contended shard lock is retried before the thread parks
 /// on it. A hold is a run of misses or one re-valuation — mostly
@@ -125,94 +116,88 @@ pub const LOCK_WAIT_NS_BOUNDS: [u64; 10] = [
 /// 5 µs did not stop that; 20 µs, 200 µs and 2 ms all did.
 const SPIN_BEFORE_PARK: Duration = Duration::from_micros(50);
 
-/// Contention counters of a [`ShardedBufferPool`] — pool-level, next
-/// to (not mixed into) the per-shard [`BufferMetrics`], so a one-shard
-/// pool's buffer counters stay bit-identical to an unsharded
-/// [`BufferManager`]'s.
-///
-/// [`BufferMetrics`]: crate::BufferMetrics
-#[derive(Clone, Debug)]
-pub struct ShardMetrics {
-    /// Time spent waiting for shard locks — retrying, then parked —
-    /// one observation per *contended* acquisition (ns; saturated to
-    /// ≥ 1 so a recorded wait is never mistaken for no wait) — the
-    /// uncontended fast path records nothing, so hot loops pay no
-    /// histogram write. The sum is the pool's total lock-wait in
-    /// nanoseconds. Each wait is also charged to the thread that waited
-    /// ([`thread_waits`](crate::thread_waits)).
-    pub lock_wait_ns: Histogram,
-    /// Acquisitions that found the shard lock already held and had to
-    /// wait (the fast `try_lock` failed).
-    pub contended_locks: Counter,
-    /// Read plans whose pages hashed to more than one shard (each such
-    /// plan is cut into per-shard runs).
-    pub batch_splits: Counter,
-}
-
-impl Default for ShardMetrics {
-    fn default() -> Self {
-        ShardMetrics::new()
+/// What a plan stages at its first miss on a store that overlaps
+/// reads: the distinct pages of `entries` (the plan from its first miss
+/// on) that are not `resident`, in plan order, then, prefix by prefix
+/// in the order given, the distinct non-resident pages of each
+/// lookahead prefix `(term, n_pages)` — the lists the planner expects
+/// to read next, queued on the device while this plan's own reads are
+/// in flight instead of each starting its seek only when its own plan
+/// runs. Deeper pages of a prefix are the ones a rising `S_max` may cut
+/// before their plan runs: they are the staging's cost, device reads
+/// nobody claims. The pool demands only the plan's own pages, so the
+/// lookahead can change what the store reads and waits, never what the
+/// pool loads or evicts.
+fn staged_ids(
+    entries: &[PlanEntry],
+    lookahead: &[(TermId, u32)],
+    resident: impl Fn(PageId) -> bool,
+) -> Vec<PageId> {
+    let ahead: usize = lookahead.iter().map(|&(_, n)| n as usize).sum();
+    let mut seen: IdSet<PageId> =
+        IdSet::with_capacity_and_hasher(entries.len() + ahead, Default::default());
+    let mut staged: Vec<PageId> = entries
+        .iter()
+        .map(|e| e.page)
+        .filter(|id| seen.insert(*id) && !resident(*id))
+        .collect();
+    for &(term, n_pages) in lookahead {
+        staged.extend(
+            (0..n_pages)
+                .map(|p| PageId::new(term, p))
+                .filter(|id| seen.insert(*id) && !resident(*id)),
+        );
     }
+    staged
 }
 
-impl ShardMetrics {
-    /// Fresh free-standing handles.
-    pub fn new() -> Self {
-        ShardMetrics {
-            lock_wait_ns: Histogram::with_bounds(&LOCK_WAIT_NS_BOUNDS),
-            contended_locks: Counter::new(),
-            batch_splits: Counter::new(),
-        }
-    }
-}
-
-/// One shard: a [`BufferManager`] behind its mutex, plus the handles
-/// the lock-light hit path uses without that mutex — a shared view of
-/// the shard's resident-frame table, clones of the shard's atomic
-/// counter handles, and whether anything consumes a hit.
+/// One shard: its core behind the mutex, plus the handles the
+/// lock-light paths use without that mutex — shared views of the
+/// shard's resident-frame table and `b_t` counters, and whether
+/// anything consumes a hit.
 #[derive(Debug)]
-struct Shard<S: PageStore> {
-    manager: Mutex<BufferManager<Arc<S>>>,
-    /// The manager's resident-frame table, readable without the mutex.
+struct Shard {
+    core: Mutex<ShardCore>,
+    /// The core's resident-frame table, readable without the mutex.
     frames: FrameView,
-    /// The manager's `b_t` counters, readable without the mutex (they
+    /// The core's `b_t` counters, readable without the mutex (they
     /// change only on load/evict, which hold the mutex anyway).
-    terms: TermView,
-    /// Clones of the manager's `buffer.*` counter handles (atomic), so
-    /// a lock-light hit counts exactly like a locked one.
-    metrics: BufferMetrics,
-    /// The manager's [`consumes_hits`](BufferManager::consumes_hits),
-    /// cached where the lock-light path can read it; stored under the
-    /// shard mutex whenever a caller could have changed the answer
-    /// ([`ShardedBufferPool::with_shard`]). While set, hits are served
-    /// under the mutex.
+    terms: Arc<RwLock<IdMap<TermId, u32>>>,
+    /// The core's [`consumes_hits`](ShardCore::consumes_hits), cached
+    /// where the lock-light path can read it; stored under the shard
+    /// mutex whenever the answer can change (an observer attached or
+    /// detached). While set, hits are served under the mutex.
     consumes_hits: AtomicBool,
 }
 
-impl<S: PageStore> Shard<S> {
-    fn new(manager: BufferManager<Arc<S>>) -> Self {
+impl Shard {
+    fn new(core: ShardCore) -> Self {
         Shard {
-            frames: manager.frame_view(),
-            terms: manager.term_view(),
-            metrics: manager.metrics().clone(),
-            consumes_hits: AtomicBool::new(manager.consumes_hits()),
-            manager: Mutex::new(manager),
+            frames: Arc::clone(&core.frames),
+            terms: Arc::clone(&core.resident_per_term),
+            consumes_hits: AtomicBool::new(core.consumes_hits()),
+            core: Mutex::new(core),
         }
     }
 }
 
-/// A buffer pool of `total_frames` frames striped across `P` shards by
-/// term-chunk hash, each shard an independent [`BufferManager`] behind
-/// its own mutex. Cloning yields another handle to the same pool —
-/// another *session*, announcing its queries under an id of its own —
-/// so N session threads each hold a clone; dropping a handle retires
-/// what it announced.
+/// The pool's observer, shared by every shard, so it sees the whole
+/// pool's events in occurrence order. Its mutex is taken under a shard
+/// mutex and holds no other lock.
 #[derive(Debug)]
-pub struct ShardedBufferPool<S: PageStore> {
-    shards: Arc<[Shard<S>]>,
-    /// The store every shard reads from, for staging a plan across
-    /// shards.
-    store: Arc<S>,
+struct SharedObserver(Arc<Mutex<Box<dyn BufferObserver>>>);
+
+impl BufferObserver for SharedObserver {
+    fn event(&mut self, event: BufferEvent) {
+        sync::lock(&self.0).event(event);
+    }
+}
+
+/// What every handle to one pool shares.
+#[derive(Debug)]
+struct Pool<S> {
+    store: S,
+    shards: Box<[Shard]>,
     /// Frames over all shards (the quotas never change).
     capacity: usize,
     /// Pages per routing chunk: `(term, page / chunk_pages)` picks the
@@ -222,36 +207,60 @@ pub struct ShardedBufferPool<S: PageStore> {
     /// Whether the shards' policy reacts to `begin_query` (RAP). When
     /// `false`, query announcements skip all `P` shard locks.
     uses_query_context: bool,
-    metrics: ShardMetrics,
+    metrics: BufferMetrics,
+    /// The announcer id the next clone takes.
+    next_announcer: AtomicU32,
+}
+
+/// A buffer pool of `capacity` page frames over a page store, striped
+/// across `P ≥ 1` shards by term-chunk hash, each shard behind its own
+/// mutex. Cloning yields another handle to the same pool — another
+/// *session*, announcing its queries under an id of its own — so N
+/// session threads each hold a clone; dropping a handle retires what it
+/// announced.
+///
+/// ```
+/// use ir_storage::{BufferManager, DiskSim, Page, PolicyKind};
+/// use ir_types::{PageId, Posting, TermId};
+///
+/// // One term with two pages, pool of one frame.
+/// let pages = vec![vec![
+///     Page::new(PageId::new(TermId(0), 0), vec![Posting::new(0, 3)].into(), 1.0),
+///     Page::new(PageId::new(TermId(0), 1), vec![Posting::new(1, 1)].into(), 1.0),
+/// ]];
+/// let mut pool = BufferManager::new(DiskSim::new(pages), 1, PolicyKind::Lru)?;
+/// pool.fetch(PageId::new(TermId(0), 0))?; // miss
+/// pool.fetch(PageId::new(TermId(0), 0))?; // hit
+/// pool.fetch(PageId::new(TermId(0), 1))?; // miss, evicts page 0
+/// assert_eq!(pool.stats().hits, 1);
+/// assert_eq!(pool.stats().misses, 2);
+/// assert_eq!(pool.resident_pages(TermId(0)), 1); // the b_t counter
+/// # Ok::<(), ir_types::IrError>(())
+/// ```
+#[derive(Debug)]
+pub struct BufferManager<S: PageStore> {
+    pool: Arc<Pool<S>>,
     /// The id this handle announces under; no other handle has it.
     announcer: u32,
-    /// The id the next clone takes, shared by every handle.
-    next_announcer: Arc<AtomicU32>,
     /// Whether the shards hold a query context of this handle's.
     announced: bool,
 }
 
-impl<S: PageStore> Clone for ShardedBufferPool<S> {
+impl<S: PageStore> Clone for BufferManager<S> {
     /// Another handle to the same pool, with an announcer id of its
     /// own and nothing announced yet.
     fn clone(&self) -> Self {
-        ShardedBufferPool {
-            shards: Arc::clone(&self.shards),
-            store: Arc::clone(&self.store),
-            capacity: self.capacity,
-            chunk_pages: self.chunk_pages,
-            uses_query_context: self.uses_query_context,
-            metrics: self.metrics.clone(),
+        BufferManager {
+            pool: Arc::clone(&self.pool),
             // Relaxed: the counter hands out distinct numbers and
             // publishes nothing else.
-            announcer: self.next_announcer.fetch_add(1, Ordering::Relaxed),
-            next_announcer: Arc::clone(&self.next_announcer),
+            announcer: self.pool.next_announcer.fetch_add(1, Ordering::Relaxed),
             announced: false,
         }
     }
 }
 
-impl<S: PageStore> Drop for ShardedBufferPool<S> {
+impl<S: PageStore> Drop for BufferManager<S> {
     /// Retires this handle's announcement, so the pages only its last
     /// query valued fall to 0 in every shard.
     fn drop(&mut self) {
@@ -261,7 +270,16 @@ impl<S: PageStore> Drop for ShardedBufferPool<S> {
     }
 }
 
-impl<S: PageStore> ShardedBufferPool<S> {
+impl<S: PageStore> BufferManager<S> {
+    /// Creates the paper's pool: one shard of `capacity` frames with
+    /// the given policy.
+    ///
+    /// # Errors
+    /// [`IrError::EmptyBufferPool`] if `capacity` is zero.
+    pub fn new(store: S, capacity: usize, policy: PolicyKind) -> IrResult<Self> {
+        BufferManager::sharded(store, capacity, policy, 1)
+    }
+
     /// Creates a pool of `total_frames` frames striped over `shards`
     /// shards, every shard running `policy`. Frame quotas differ by at
     /// most one: shard `i` gets `total/P`, plus one of the `total % P`
@@ -276,26 +294,26 @@ impl<S: PageStore> ShardedBufferPool<S> {
     /// [`IrError::EmptyBufferPool`] when `total_frames` is zero;
     /// [`IrError::InvalidConfig`] when `shards` is zero or exceeds
     /// `total_frames` (every shard needs at least one frame).
-    pub fn new(
-        store: Arc<S>,
+    pub fn sharded(
+        store: S,
         total_frames: usize,
         policy: PolicyKind,
         shards: usize,
     ) -> IrResult<Self> {
         let chunk_pages = (total_frames / shards.max(1) / 2).max(1) as u32;
-        ShardedBufferPool::with_chunk_pages(store, total_frames, policy, shards, chunk_pages)
+        BufferManager::with_chunk_pages(store, total_frames, policy, shards, chunk_pages)
     }
 
-    /// [`new`](Self::new) with an explicit routing-chunk size.
-    /// `chunk_pages = 1` reproduces the original per-page scatter
-    /// (every page hashed independently); larger chunks keep longer
-    /// list prefixes on one shard. Exposed for tests and tuning.
+    /// [`sharded`](Self::sharded) with an explicit routing-chunk size
+    /// — the constructor the others call.
+    /// `chunk_pages = 1` scatters page by page; larger chunks keep
+    /// longer list prefixes on one shard. Exposed for tests and tuning.
     ///
     /// # Errors
-    /// As [`new`](Self::new), plus [`IrError::InvalidConfig`] when
-    /// `chunk_pages` is zero.
+    /// As [`sharded`](Self::sharded), plus [`IrError::InvalidConfig`]
+    /// when `chunk_pages` is zero.
     pub fn with_chunk_pages(
-        store: Arc<S>,
+        store: S,
         total_frames: usize,
         policy: PolicyKind,
         shards: usize,
@@ -306,7 +324,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
         }
         if shards == 0 {
             return Err(IrError::InvalidConfig(
-                "sharded pool needs at least one shard".into(),
+                "a buffer pool needs at least one shard".into(),
             ));
         }
         if shards > total_frames {
@@ -316,32 +334,80 @@ impl<S: PageStore> ShardedBufferPool<S> {
         }
         if chunk_pages == 0 {
             return Err(IrError::InvalidConfig(
-                "sharded pool needs a non-zero routing chunk".into(),
+                "a buffer pool needs a non-zero routing chunk".into(),
             ));
         }
-        let base = total_frames / shards;
-        let extra = total_frames % shards;
+        let (base, extra) = (total_frames / shards, total_frames % shards);
+        let metrics = BufferMetrics::new();
         let mut uses_query_context = false;
-        let pools = (0..shards)
+        let shards: Box<[Shard]> = (0..shards)
             .map(|i| {
-                let capacity = base + usize::from(i < extra);
-                BufferManager::new(Arc::clone(&store), capacity, policy).map(|manager| {
-                    uses_query_context = manager.uses_query_context();
-                    Shard::new(manager)
-                })
+                let quota = base + usize::from(i < extra);
+                let policy = policy.build(quota);
+                uses_query_context = policy.uses_query_context();
+                Shard::new(ShardCore::new(quota, policy, metrics.clone()))
             })
-            .collect::<IrResult<Vec<_>>>()?;
-        Ok(ShardedBufferPool {
-            shards: pools.into(),
-            store,
-            capacity: total_frames,
-            chunk_pages,
-            uses_query_context,
-            metrics: ShardMetrics::new(),
+            .collect();
+        Ok(BufferManager {
+            pool: Arc::new(Pool {
+                store,
+                uses_query_context,
+                shards,
+                capacity: total_frames,
+                chunk_pages,
+                metrics,
+                next_announcer: AtomicU32::new(1),
+            }),
             announcer: 0,
-            next_announcer: Arc::new(AtomicU32::new(1)),
             announced: false,
         })
+    }
+
+    /// Executes a [`ReadPlan`], serving every entry in plan order and
+    /// reporting each entry's outcome
+    /// ([`fetch_batch_into`](QueryBuffer::fetch_batch_into)).
+    pub fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
+        let mut out = Vec::with_capacity(plan.len());
+        self.fetch_batch_into(plan, &mut out)?;
+        Ok(out)
+    }
+
+    /// Fetches one page — a one-entry plan — reporting how it was
+    /// served. The outcome is observed inside the fetch's own critical
+    /// section, so attribution is exact for the calling session even
+    /// when other sessions hammer the same pool concurrently.
+    pub fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
+        let mut served = self.fetch_batch(&ReadPlan::single(id))?;
+        Ok(served.pop().expect("a one-entry plan yields one result"))
+    }
+
+    /// Fetches one page, counting a hit or a disk read.
+    pub fn fetch(&mut self, id: PageId) -> IrResult<Page> {
+        self.fetch_traced(id).map(|(page, _)| page)
+    }
+
+    /// `b_t`: number of pages of `term`'s inverted list currently in
+    /// the pool, over every shard.
+    pub fn resident_pages(&self, term: TermId) -> u32 {
+        self.resident_pages_many(&[term])[0]
+    }
+
+    /// Announces this handle's query to **every** shard, in place of
+    /// whatever the handle announced before, so each shard's policy
+    /// re-values its own residents of the terms whose weight changed —
+    /// the striped equivalent of the paper's global RAP re-valuation,
+    /// holding each shard's lock only for that. Other handles'
+    /// announcements stand. For policies that ignore query context
+    /// (everything but RAP) the announcement is a no-op per shard, so
+    /// it is skipped without taking a single lock.
+    pub fn begin_query(&mut self, weights: &IdMap<TermId, f64>) {
+        if !self.pool.uses_query_context {
+            return;
+        }
+        for s in 0..self.pool.shards.len() {
+            self.pool.lock(s).begin_query(self.announcer, weights);
+        }
+        self.announced = !weights.is_empty();
     }
 
     /// The shard `id` routes to: `(term, page / chunk_pages)` hashed
@@ -354,6 +420,135 @@ impl<S: PageStore> ShardedBufferPool<S> {
     /// exactly one shard.
     #[inline]
     pub fn shard_of(&self, id: PageId) -> usize {
+        self.pool.shard_of(id)
+    }
+
+    /// Number of shards (`P`).
+    pub fn n_shards(&self) -> usize {
+        self.pool.shards.len()
+    }
+
+    /// Pool capacity in frames, summed over shards (`BufferSize` in
+    /// Table 3).
+    pub fn capacity(&self) -> usize {
+        self.pool.capacity
+    }
+
+    /// Frames in use, summed over shards.
+    pub fn len(&self) -> usize {
+        self.pool
+            .shards
+            .iter()
+            .map(|shard| sync::read(&shard.frames).len())
+            .sum()
+    }
+
+    /// `true` when no page is resident.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Is a specific page resident?
+    pub fn is_resident(&self, id: PageId) -> bool {
+        self.peek(id).is_some()
+    }
+
+    /// Returns the resident page without touching statistics, the
+    /// replacement policy, or the observer — a side-effect-free read
+    /// for diagnostics.
+    pub fn peek(&self, id: PageId) -> Option<Page> {
+        sync::read(&self.pool.shards[self.shard_of(id)].frames)
+            .get(&id)
+            .cloned()
+    }
+
+    /// Every resident page id, sorted — the pool's frame contents as a
+    /// comparable value (chaos and property tests diff two pools with
+    /// it).
+    pub fn resident_ids(&self) -> Vec<PageId> {
+        let mut ids: Vec<PageId> = (0..self.n_shards())
+            .flat_map(|s| self.shard_resident_ids(s))
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The page ids resident in shard `s`, sorted — where a test
+    /// checks that every page lives in the shard it routes to.
+    ///
+    /// # Panics
+    /// Panics if `s` is out of range.
+    pub fn shard_resident_ids(&self, s: usize) -> Vec<PageId> {
+        let mut ids: Vec<PageId> = sync::read(&self.pool.shards[s].frames)
+            .keys()
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Snapshot of the pool's counters.
+    pub fn stats(&self) -> BufferStats {
+        self.pool.metrics.snapshot()
+    }
+
+    /// The pool's live `ir-observe` handles, one set for every shard —
+    /// finer-grained than [`stats`](Self::stats) (head/tail evictions,
+    /// retries, torn deliveries, shard-lock waits) and shareable across
+    /// threads.
+    pub fn metrics(&self) -> &BufferMetrics {
+        &self.pool.metrics
+    }
+
+    /// Zeroes the counters (histograms keep their observations).
+    pub fn reset_stats(&self) {
+        self.pool.metrics.reset();
+    }
+
+    /// Sets the store-read retry policy on every shard.
+    pub fn set_fetch_policy(&self, policy: FetchPolicy) {
+        for s in 0..self.n_shards() {
+            self.pool.lock(s).set_fetch_policy(policy);
+        }
+    }
+
+    /// Empties every shard (the paper flushes buffers between
+    /// refinement *sequences*, never between refinements). Statistics
+    /// survive; use [`reset_stats`](Self::reset_stats) to zero them.
+    pub fn flush(&self) {
+        for s in 0..self.n_shards() {
+            self.pool.lock(s).flush();
+        }
+    }
+
+    /// Attaches an event observer to the pool, replacing any previous
+    /// one. Every shard shares it behind a mutex, so it sees the whole
+    /// pool's events in occurrence order, and every hit served after
+    /// this returns.
+    pub fn set_observer(&self, observer: Box<dyn BufferObserver>) {
+        let shared = Arc::new(Mutex::new(observer));
+        for s in 0..self.n_shards() {
+            let fan_in = SharedObserver(Arc::clone(&shared));
+            self.pool.replace_observer(s, Some(Box::new(fan_in)));
+        }
+    }
+
+    /// Detaches and returns the observer, if any.
+    pub fn take_observer(&self) -> Option<Box<dyn BufferObserver>> {
+        (0..self.n_shards())
+            .map(|s| self.pool.replace_observer(s, None))
+            .fold(None, |first, taken| first.or(taken))
+    }
+
+    /// The underlying page store.
+    pub fn store(&self) -> &S {
+        &self.pool.store
+    }
+}
+
+impl<S: PageStore> Pool<S> {
+    #[inline]
+    fn shard_of(&self, id: PageId) -> usize {
         (splitmix64(self.chunk_key(id)) % self.shards.len() as u64) as usize
     }
 
@@ -366,30 +561,24 @@ impl<S: PageStore> ShardedBufferPool<S> {
         (u64::from(id.term.0) << 32) | u64::from(id.page.0 / self.chunk_pages)
     }
 
-    /// Pages per routing chunk.
-    #[inline]
-    pub fn chunk_pages(&self) -> u32 {
-        self.chunk_pages
-    }
-
     /// Locks shard `s` exclusively. The uncontended fast path is a
     /// bare `try_lock`; only a failed attempt pays for the clock reads
     /// and the contention counters, retries for [`SPIN_BEFORE_PARK`],
     /// and parks after that.
-    fn lock(&self, s: usize) -> MutexGuard<'_, BufferManager<Arc<S>>> {
-        let manager = &self.shards[s].manager;
-        if let Some(guard) = sync::try_lock(manager) {
+    fn lock(&self, s: usize) -> MutexGuard<'_, ShardCore> {
+        let core = &self.shards[s].core;
+        if let Some(guard) = sync::try_lock(core) {
             return guard;
         }
         self.metrics.contended_locks.inc();
         let started = Instant::now();
         let guard = loop {
             std::hint::spin_loop();
-            if let Some(guard) = sync::try_lock(manager) {
+            if let Some(guard) = sync::try_lock(core) {
                 break guard;
             }
             if started.elapsed() >= SPIN_BEFORE_PARK {
-                break sync::lock(manager);
+                break sync::lock(core);
             }
         };
         let waited_ns = (started.elapsed().as_nanos() as u64).max(1);
@@ -398,48 +587,55 @@ impl<S: PageStore> ShardedBufferPool<S> {
         guard
     }
 
+    /// Swaps shard `s`'s observer under its mutex, and refreshes there
+    /// whether the shard's hits have a consumer: an observer attached
+    /// here is owed every hit served after this returns.
+    fn replace_observer(
+        &self,
+        s: usize,
+        observer: Option<Box<dyn BufferObserver>>,
+    ) -> Option<Box<dyn BufferObserver>> {
+        let mut core = self.lock(s);
+        let previous = core.replace_observer(observer);
+        // Release pairs with `serve_resident_prefix`'s Acquire load: a
+        // thread that sees the flag set by an attach sees the attach.
+        self.shards[s]
+            .consumes_hits
+            .store(core.consumes_hits(), Ordering::Release);
+        previous
+    }
+
     /// Serves the longest resident *prefix* of a one-shard run of plan
     /// entries, appending the hits to `out` in plan order, and returns
     /// how many entries were served — with the shard's mutex guard when
-    /// the shard [consumes hits](BufferManager::consumes_hits): such a
+    /// the shard [consumes hits](ShardCore::consumes_hits): such a
     /// shard serves the prefix under its mutex through
-    /// [`BufferManager::serve_hits`], paying the policy and the
-    /// observer as it goes. Any other shard serves the [hit
-    /// run](serve_hit_run) on its frame table, under the read lock
-    /// alone. Either way the prefix is exactly the hits the exclusive
-    /// path would have served before its first miss, so a caller that
-    /// hands the remainder to [`BufferManager::fetch_batch_tail`]
-    /// reproduces the locked path's accounting event for event. A
-    /// fully-resident run also records its batch metrics here, since
-    /// the tail never runs.
+    /// [`ShardCore::serve_hits`], paying the policy and the observer as
+    /// it goes. Any other shard serves the [hit run](serve_hit_run) on
+    /// its frame table, under the read lock alone. Either way the
+    /// prefix is exactly the hits the exclusive path would have served
+    /// before its first miss.
     fn serve_resident_prefix(
         &self,
         s: usize,
         entries: &[PlanEntry],
         out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> (usize, Option<MutexGuard<'_, BufferManager<Arc<S>>>>) {
+    ) -> (usize, Option<MutexGuard<'_, ShardCore>>) {
         let shard = &self.shards[s];
-        // Acquire pairs with `with_shard`'s Release store: a thread
-        // that sees the flag set by an attach sees the attach.
         let mut locked = shard
             .consumes_hits
             .load(Ordering::Acquire)
             .then(|| self.lock(s));
         let served = match locked.as_deref_mut() {
-            Some(manager) => manager.serve_hits(entries, out),
-            None => serve_hit_run(&shard.frames, &shard.metrics, entries, out),
+            Some(core) => core.serve_hits(entries, out),
+            None => serve_hit_run(&shard.frames, &self.metrics, entries, out),
         };
-        if served == entries.len() {
-            shard.metrics.batches.inc();
-            shard.metrics.batch_pages.record(entries.len() as u64);
-        }
         (served, locked)
     }
 
     /// The maximal run of leading `entries` that route to one shard:
     /// that shard, and the run's length. A one-shard pool is one run
-    /// whatever the plan, and so is an empty plan (on shard 0: it still
-    /// counts one empty batch, as on the reference pool).
+    /// whatever the plan, and so is an empty plan.
     fn leading_run(&self, entries: &[PlanEntry]) -> (usize, usize) {
         if self.shards.len() == 1 || entries.is_empty() {
             return (0, entries.len());
@@ -459,13 +655,16 @@ impl<S: PageStore> ShardedBufferPool<S> {
         (s, len.unwrap_or(entries.len()))
     }
 
-    /// Staging at a plan's first miss, as the reference pool stages:
-    /// [`staged_ids`] of `entries` — the plan from that miss on, across
-    /// every shard it routes to — and of the plan's lookahead, each
-    /// page's residency asked of its owner shard's frame table under
-    /// that read lock alone, handed to the store in one submit. On a
-    /// shard whose hits have no consumer it runs before the miss's
-    /// shard is locked.
+    /// Staging, at a plan's first miss: a store that can keep several
+    /// reads in flight gets the plan's [staged pages](staged_ids) — its
+    /// misses from `entries` on, across every shard they route to, then
+    /// its lookahead's prefixes — before the first demand read, so the
+    /// transfers queue on its channels instead of each waiting for the
+    /// previous demand to return. Each page's residency is asked of its
+    /// owner shard's frame table under that read lock alone.
+    /// Everything before the first miss was resident and would have
+    /// been filtered out, so this is what staging the whole plan up
+    /// front submitted — and a fully resident plan submits nothing.
     fn stage(&self, entries: &[PlanEntry], lookahead: &[(TermId, u32)]) {
         if self.store.overlap_depth() <= 1 {
             return;
@@ -475,147 +674,51 @@ impl<S: PageStore> ShardedBufferPool<S> {
         });
         self.store.submit(&staged);
     }
-
-    /// Runs `f` with shard `s` locked — for operations the pool
-    /// surface does not cover (observers, per-shard metrics). The one
-    /// way to a shard's `&mut BufferManager`, so also where the shard
-    /// re-reads whether its hits have a consumer: an observer attached
-    /// here is owed every hit served after this returns.
-    ///
-    /// # Panics
-    /// Panics if `s` is out of range.
-    pub fn with_shard<R>(&self, s: usize, f: impl FnOnce(&mut BufferManager<Arc<S>>) -> R) -> R {
-        let mut manager = self.lock(s);
-        let result = f(&mut manager);
-        // `f` may have attached or detached an observer: refresh what
-        // the lock-light path reads, still under the shard mutex.
-        self.shards[s]
-            .consumes_hits
-            .store(manager.consumes_hits(), Ordering::Release);
-        result
-    }
-
-    /// Number of shards (`P`).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Pool capacity in frames, summed over shards.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Frames in use, summed over shards.
-    pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|s| self.lock(s).len()).sum()
-    }
-
-    /// `true` when no shard holds a page.
-    pub fn is_empty(&self) -> bool {
-        (0..self.shards.len()).all(|s| self.lock(s).is_empty())
-    }
-
-    /// One shard's counter snapshot.
-    pub fn shard_stats(&self, s: usize) -> BufferStats {
-        self.lock(s).stats()
-    }
-
-    /// Pool counters summed over every shard.
-    pub fn stats(&self) -> BufferStats {
-        let mut total = BufferStats::default();
-        for s in 0..self.shards.len() {
-            total += self.lock(s).stats();
-        }
-        total
-    }
-
-    /// Sum of `f` over every shard's [`BufferManager`] (lock per
-    /// shard) — the rollup primitive behind the totals below.
-    fn sum_shards(&self, f: impl Fn(&BufferManager<Arc<S>>) -> u64) -> u64 {
-        (0..self.shards.len()).map(|s| f(&self.lock(s))).sum()
-    }
-
-    /// Store reads re-attempted after transient failures, pool-wide.
-    pub fn retries(&self) -> u64 {
-        self.sum_shards(|bm| bm.metrics().retries.get())
-    }
-
-    /// Fetches abandoned after exhausting the retry budget, pool-wide.
-    pub fn gave_up(&self) -> u64 {
-        self.sum_shards(|bm| bm.metrics().gave_up.get())
-    }
-
-    /// Torn deliveries rejected by checksum verification, pool-wide.
-    pub fn torn_pages(&self) -> u64 {
-        self.sum_shards(|bm| bm.metrics().torn_pages.get())
-    }
-
-    /// The pool-level contention counters (lock waits, batch splits).
-    pub fn metrics(&self) -> &ShardMetrics {
-        &self.metrics
-    }
-
-    /// Sets the store-read retry policy on every shard.
-    pub fn set_fetch_policy(&self, policy: FetchPolicy) {
-        for s in 0..self.shards.len() {
-            self.lock(s).set_fetch_policy(policy);
-        }
-    }
-
-    /// Empties every shard (statistics survive).
-    pub fn flush(&self) {
-        for s in 0..self.shards.len() {
-            self.lock(s).flush();
-        }
-    }
-
-    /// Zeroes every shard's buffer counters and the pool's contention
-    /// counters (histograms keep their observations).
-    pub fn reset_stats(&self) {
-        for s in 0..self.shards.len() {
-            self.lock(s).reset_stats();
-        }
-        self.metrics.contended_locks.reset();
-        self.metrics.batch_splits.reset();
-    }
 }
 
-impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
+/// The one implementation of the fetch protocol.
+impl<S: PageStore> QueryBuffer for BufferManager<S> {
     /// Walks the plan once, in plan order, cutting it into maximal runs
     /// of consecutive entries that route to one shard, and serves each
-    /// run as a one-shard plan: its resident prefix (lock-light unless
-    /// the shard consumes hits), the remainder (first miss onward)
-    /// under the shard mutex, results appended straight to `out`. The
-    /// plan's first miss stages the rest of the plan first. An error
-    /// ends the walk; everything before it keeps its effects and its
-    /// place in `out`.
+    /// run: its resident prefix (lock-light unless the shard consumes
+    /// hits), then the remainder (first miss onward) under the shard
+    /// mutex through the shard core, results appended straight to
+    /// `out`. The plan's first miss stages the rest of the plan first.
+    /// An error ends the walk; everything before it keeps its effects
+    /// and its place in `out`.
     fn fetch_batch_into(
         &mut self,
         plan: &ReadPlan,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
+        let pool = &*self.pool;
         out.clear();
+        out.reserve(plan.len());
+        pool.metrics.batches.inc();
+        pool.metrics.batch_pages.record(plan.len() as u64);
         let mut rest = plan.entries();
         let mut staged = false;
         loop {
-            let (s, len) = self.leading_run(rest);
+            let (s, len) = pool.leading_run(rest);
             let (run, tail) = rest.split_at(len);
-            let (served, locked) = self.serve_resident_prefix(s, run, out);
+            let (served, locked) = pool.serve_resident_prefix(s, run, out);
             if served < run.len() {
                 if !staged {
                     staged = true;
-                    self.stage(&rest[served..], plan.lookahead());
+                    pool.stage(&rest[served..], plan.lookahead());
                 }
-                locked
-                    .unwrap_or_else(|| self.lock(s))
-                    .fetch_batch_tail(run, served, out)?;
+                locked.unwrap_or_else(|| pool.lock(s)).fetch_entries(
+                    &pool.store,
+                    &run[served..],
+                    out,
+                )?;
             }
             if tail.is_empty() {
                 return Ok(());
             }
             // Counted once per plan, at its first cut.
             if rest.len() == plan.len() {
-                self.metrics.batch_splits.inc();
+                pool.metrics.batch_splits.inc();
             }
             rest = tail;
         }
@@ -633,7 +736,7 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
     /// through this.
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
         let mut totals = vec![0u32; terms.len()];
-        for shard in self.shards.iter() {
+        for shard in self.pool.shards.iter() {
             let counters = sync::read(&shard.terms);
             for (slot, term) in totals.iter_mut().zip(terms) {
                 *slot += counters.get(term).copied().unwrap_or(0);
@@ -642,22 +745,8 @@ impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
         totals
     }
 
-    /// Announces this handle's query to **every** shard, in place of
-    /// whatever the handle announced before, so each shard's policy
-    /// re-values its own residents of the terms whose weight changed —
-    /// the striped equivalent of the paper's global RAP re-valuation,
-    /// holding each shard's lock only for that. Other handles'
-    /// announcements stand. For policies that ignore query context
-    /// (everything but RAP) the announcement is a no-op per shard, so
-    /// it is skipped without taking a single lock.
     fn begin_query(&mut self, weights: &IdMap<TermId, f64>) {
-        if !self.uses_query_context {
-            return;
-        }
-        for s in 0..self.shards.len() {
-            self.lock(s).begin_query_as(self.announcer, weights);
-        }
-        self.announced = !weights.is_empty();
+        BufferManager::begin_query(self, weights);
     }
 }
 
@@ -666,7 +755,6 @@ mod tests {
     use super::*;
     use crate::disk::DiskSim;
     use crate::observe::BufferEvent;
-    use crate::query_buffer::QueryBufferExt;
     use ir_types::Posting;
 
     fn store(n_terms: u32, pages: u32) -> Arc<DiskSim> {
@@ -687,8 +775,8 @@ mod tests {
         PageId::new(TermId(t), p)
     }
 
-    /// An observer whose log the test can read while the shard's
-    /// manager owns the observer box.
+    /// An observer whose log the test can read while the pool owns the
+    /// observer box.
     #[derive(Clone, Default, Debug)]
     struct SharedLog(Arc<std::sync::Mutex<Vec<BufferEvent>>>);
 
@@ -702,18 +790,18 @@ mod tests {
     fn construction_validates_shard_and_frame_counts() {
         let s = store(1, 4);
         assert!(matches!(
-            ShardedBufferPool::new(Arc::clone(&s), 0, PolicyKind::Lru, 1),
+            BufferManager::sharded(Arc::clone(&s), 0, PolicyKind::Lru, 1),
             Err(IrError::EmptyBufferPool)
         ));
         assert!(matches!(
-            ShardedBufferPool::new(Arc::clone(&s), 4, PolicyKind::Lru, 0),
+            BufferManager::sharded(Arc::clone(&s), 4, PolicyKind::Lru, 0),
             Err(IrError::InvalidConfig(_))
         ));
         assert!(matches!(
-            ShardedBufferPool::new(Arc::clone(&s), 3, PolicyKind::Lru, 4),
+            BufferManager::sharded(Arc::clone(&s), 3, PolicyKind::Lru, 4),
             Err(IrError::InvalidConfig(_))
         ));
-        let pool = ShardedBufferPool::new(s, 7, PolicyKind::Lru, 4).unwrap();
+        let pool = BufferManager::sharded(s, 7, PolicyKind::Lru, 4).unwrap();
         assert_eq!(pool.n_shards(), 4);
         assert_eq!(pool.capacity(), 7, "quotas must sum to the total");
     }
@@ -725,7 +813,7 @@ mod tests {
 
     #[test]
     fn clones_are_handles_to_one_pool() {
-        let mut a = ShardedBufferPool::new(store(3, 4), 4, PolicyKind::Rap, 1).unwrap();
+        let mut a = BufferManager::sharded(store(3, 4), 4, PolicyKind::Rap, 1).unwrap();
         let mut b = a.clone();
         a.fetch(pid(0, 0)).unwrap();
         b.fetch(pid(0, 0)).unwrap(); // hit via the other handle
@@ -743,13 +831,13 @@ mod tests {
         for id in [pid(0, 1), pid(1, 0), pid(1, 1), pid(2, 0)] {
             b.fetch(id).unwrap();
         }
-        assert!(!a.with_shard(0, |bm| bm.is_resident(pid(1, 1))));
+        assert!(!a.is_resident(pid(1, 1)));
         assert_eq!(a.resident_pages(TermId(0)), 2);
     }
 
     #[test]
     fn a_dropped_handles_terms_go_first() {
-        let mut a = ShardedBufferPool::new(store(2, 4), 4, PolicyKind::Rap, 1).unwrap();
+        let mut a = BufferManager::sharded(store(2, 4), 4, PolicyKind::Rap, 1).unwrap();
         let mut b = a.clone();
         a.begin_query(&one_term(0, 0.1));
         b.begin_query(&one_term(1, 1.0));
@@ -762,23 +850,21 @@ mod tests {
         // next eviction takes its tail.
         drop(b);
         a.fetch(pid(0, 2)).unwrap();
-        assert!(!a.with_shard(0, |bm| bm.is_resident(pid(1, 1))));
+        assert!(!a.is_resident(pid(1, 1)));
         assert_eq!(a.resident_pages(TermId(0)), 3);
     }
 
     #[test]
     fn quota_split_differs_by_at_most_one() {
-        let pool = ShardedBufferPool::new(store(1, 4), 10, PolicyKind::Lru, 4).unwrap();
-        let caps: Vec<usize> = (0..4)
-            .map(|s| pool.with_shard(s, |bm| bm.capacity()))
-            .collect();
+        let pool = BufferManager::sharded(store(1, 4), 10, PolicyKind::Lru, 4).unwrap();
+        let caps: Vec<usize> = (0..4).map(|s| pool.pool.lock(s).capacity).collect();
         assert_eq!(caps.iter().sum::<usize>(), 10);
         assert_eq!(*caps.iter().max().unwrap() - *caps.iter().min().unwrap(), 1);
     }
 
     #[test]
     fn page_to_shard_map_is_fixed_and_total() {
-        let pool = ShardedBufferPool::new(store(4, 16), 8, PolicyKind::Lru, 4).unwrap();
+        let pool = BufferManager::sharded(store(4, 16), 8, PolicyKind::Lru, 4).unwrap();
         let mut seen = vec![0u32; 4];
         for t in 0..4 {
             for p in 0..16 {
@@ -798,7 +884,7 @@ mod tests {
         // 64 frames = 16 per shard: even if every page hashed to one
         // shard nothing would evict, so the counters are exact.
         let s = store(2, 8);
-        let mut pool = ShardedBufferPool::new(Arc::clone(&s), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool = BufferManager::sharded(Arc::clone(&s), 64, PolicyKind::Lru, 4).unwrap();
         for t in 0..2 {
             for p in 0..8 {
                 pool.fetch(pid(t, p)).unwrap();
@@ -815,7 +901,7 @@ mod tests {
             for p in 0..8 {
                 let owner = pool.shard_of(pid(t, p));
                 for shard in 0..4 {
-                    let resident = pool.with_shard(shard, |bm| bm.is_resident(pid(t, p)));
+                    let resident = pool.shard_resident_ids(shard).contains(&pid(t, p));
                     assert_eq!(resident, shard == owner);
                 }
             }
@@ -826,13 +912,13 @@ mod tests {
 
     #[test]
     fn single_shard_batch_is_one_critical_section() {
-        let mut pool = ShardedBufferPool::new(store(1, 6), 8, PolicyKind::Lru, 1).unwrap();
+        let mut pool = BufferManager::sharded(store(1, 6), 8, PolicyKind::Lru, 1).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(0), 6);
         let out = pool.fetch_batch(&plan).unwrap();
         assert_eq!(out.len(), 6);
         assert!(out.iter().all(|(_, o)| *o == FetchOutcome::Miss));
         assert_eq!(pool.metrics().batch_splits.get(), 0);
-        assert_eq!(pool.with_shard(0, |bm| bm.metrics().batches.get()), 1);
+        assert_eq!(pool.metrics().batches.get(), 1);
     }
 
     #[test]
@@ -841,7 +927,7 @@ mod tests {
         // plan deterministically spans several shards (headroom per
         // shard: no eviction regardless of hash skew).
         let mut pool =
-            ShardedBufferPool::with_chunk_pages(store(2, 8), 32, PolicyKind::Lru, 4, 1).unwrap();
+            BufferManager::with_chunk_pages(store(2, 8), 32, PolicyKind::Lru, 4, 1).unwrap();
         let mut plan = ReadPlan::new();
         for p in 0..8 {
             plan.push(PlanEntry::new(pid(0, p)));
@@ -862,7 +948,7 @@ mod tests {
     #[test]
     fn striped_rap_announcement_reaches_every_shard() {
         // 6 frames over 2 shards, 16 pages wanted: both shards evict.
-        let mut pool = ShardedBufferPool::new(store(2, 8), 6, PolicyKind::Rap, 2).unwrap();
+        let mut pool = BufferManager::sharded(store(2, 8), 6, PolicyKind::Rap, 2).unwrap();
         // Announced through one handle, fetched through another: the
         // announcement lives in the shards, under the handle's id.
         let mut session = pool.clone();
@@ -879,12 +965,11 @@ mod tests {
         // Zero-valued term-1 pages are the preferred victims in every
         // shard, so term 0 keeps more residents than term 1.
         assert!(pool.resident_pages(TermId(0)) > pool.resident_pages(TermId(1)));
-        for shard in 0..2 {
-            pool.with_shard(shard, |bm| {
-                let t0 = bm.resident_pages(TermId(0));
-                let t1 = bm.resident_pages(TermId(1));
-                assert_eq!((t0 + t1) as usize, bm.len());
-            });
+        for shard in &pool.pool.shards[..] {
+            let terms = sync::read(&shard.terms);
+            let t0 = terms.get(&TermId(0)).copied().unwrap_or(0);
+            let t1 = terms.get(&TermId(1)).copied().unwrap_or(0);
+            assert_eq!((t0 + t1) as usize, sync::read(&shard.frames).len());
         }
     }
 
@@ -892,7 +977,7 @@ mod tests {
     fn concurrent_hits_on_distinct_shards_do_not_contend_logically() {
         // 128 frames = 32 per shard: hash skew can never force an
         // eviction, so every page loads exactly once.
-        let pool = ShardedBufferPool::new(store(4, 8), 128, PolicyKind::Lru, 4).unwrap();
+        let pool = BufferManager::sharded(store(4, 8), 128, PolicyKind::Lru, 4).unwrap();
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let mut handle = pool.clone();
@@ -909,12 +994,6 @@ mod tests {
         assert_eq!(s.requests, 96);
         assert_eq!(s.hits + s.misses, 96);
         assert_eq!(s.misses, 32, "every page loads exactly once");
-        // Per-shard conservation: hits + loads == requests on each
-        // shard's own counters.
-        for shard in 0..4 {
-            let ss = pool.shard_stats(shard);
-            assert_eq!(ss.hits + ss.misses, ss.requests, "shard {shard}");
-        }
     }
 
     #[test]
@@ -927,7 +1006,7 @@ mod tests {
             ..FaultConfig::DISABLED
         };
         let faulty = Arc::new(FaultStore::new(store(1, 8), cfg));
-        let mut pool = ShardedBufferPool::new(faulty, 8, PolicyKind::Lru, 4).unwrap();
+        let mut pool = BufferManager::sharded(faulty, 8, PolicyKind::Lru, 4).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(0), 8);
         // Every read faults and there are no retries: the plan's first
         // entry fails and nothing after it runs.
@@ -941,7 +1020,7 @@ mod tests {
         // Per-page scatter; the plan is a valid page followed by the
         // first out-of-range page that routes to a *different* shard.
         let mut pool =
-            ShardedBufferPool::with_chunk_pages(store(1, 8), 32, PolicyKind::Lru, 4, 1).unwrap();
+            BufferManager::with_chunk_pages(store(1, 8), 32, PolicyKind::Lru, 4, 1).unwrap();
         let first = pid(0, 0);
         let bad = (8..)
             .map(|p| pid(0, p))
@@ -953,15 +1032,17 @@ mod tests {
         assert!(matches!(err, IrError::PageOutOfRange { .. }));
         assert_eq!(out.len(), 1, "the entry served before the failure");
         assert_eq!(out[0].0.id(), first);
-        assert!(pool.with_shard(pool.shard_of(first), |bm| bm.is_resident(first)));
+        assert!(pool
+            .shard_resident_ids(pool.shard_of(first))
+            .contains(&first));
     }
 
     #[test]
     fn term_routed_scan_locks_one_shard() {
         // 64 frames / 4 shards → chunk_pages = 8: a whole-list prefix
         // scan of any term routes to exactly one shard, cold or warm.
-        let mut pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
-        assert_eq!(pool.chunk_pages(), 8);
+        let mut pool = BufferManager::sharded(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
+        assert_eq!(pool.pool.chunk_pages, 8);
         for t in 0..4 {
             let plan = ReadPlan::for_term_pages(TermId(t), 8);
             let owner = pool.shard_of(pid(t, 0));
@@ -987,7 +1068,7 @@ mod tests {
         // {6,7} may land on different shards, and the plan reassembles
         // in plan order with one split at most.
         let mut pool =
-            ShardedBufferPool::with_chunk_pages(store(1, 8), 32, PolicyKind::Lru, 4, 2).unwrap();
+            BufferManager::with_chunk_pages(store(1, 8), 32, PolicyKind::Lru, 4, 2).unwrap();
         for p in 0..8 {
             assert_eq!(
                 pool.shard_of(pid(0, p)),
@@ -1015,7 +1096,7 @@ mod tests {
     fn a_consumed_hit_reaches_the_policy_before_the_next_load() {
         for shards in [1, 2] {
             let mut pool =
-                ShardedBufferPool::new(store(8, 1), 2 * shards, PolicyKind::Lru, shards).unwrap();
+                BufferManager::sharded(store(8, 1), 2 * shards, PolicyKind::Lru, shards).unwrap();
             let s = pool.shard_of(pid(0, 0));
             let [a, b, c]: [PageId; 3] = (0..8)
                 .map(|t| pid(t, 0))
@@ -1025,12 +1106,12 @@ mod tests {
                 .try_into()
                 .expect("three of eight heads share a shard");
             let log = SharedLog::default();
-            pool.with_shard(s, |bm| bm.set_observer(Box::new(log.clone())));
+            pool.set_observer(Box::new(log.clone()));
             for id in [a, b, a, c] {
                 pool.fetch(id).unwrap();
             }
             assert!(
-                pool.with_shard(s, |bm| bm.is_resident(a) && !bm.is_resident(b)),
+                pool.is_resident(a) && !pool.is_resident(b),
                 "{shards} shards: the hit on A did not reach LRU before C loaded"
             );
             assert_eq!(
@@ -1054,12 +1135,12 @@ mod tests {
         // RAP ignores hits and nobody observes: with every shard's
         // mutex held, a fully resident plan through another handle
         // still completes, and the counters are eager and whole.
-        let mut pool = ShardedBufferPool::new(store(2, 8), 32, PolicyKind::Rap, 2).unwrap();
+        let mut pool = BufferManager::sharded(store(2, 8), 32, PolicyKind::Rap, 2).unwrap();
         let plans = [0, 1].map(|t| ReadPlan::for_term_pages(TermId(t), 8));
         for plan in &plans {
             pool.fetch_batch(plan).unwrap();
         }
-        let held: Vec<_> = (0..2).map(|s| pool.lock(s)).collect();
+        let held: Vec<_> = (0..2).map(|s| pool.pool.lock(s)).collect();
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             let mut reader = pool.clone();
@@ -1086,15 +1167,15 @@ mod tests {
 
     #[test]
     fn an_observer_attached_mid_run_sees_every_later_hit_in_serve_order() {
-        // `with_shard` refreshes the shard's consumer flag: without
-        // that, a RAP pool would go on serving its hits lock-light
-        // after the attach and the log below would stay empty.
-        let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Rap, 1).unwrap();
+        // Attaching refreshes the shard's consumer flag: without that,
+        // a RAP pool would go on serving its hits lock-light after the
+        // attach and the log below would stay empty.
+        let mut pool = BufferManager::sharded(store(1, 4), 8, PolicyKind::Rap, 1).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(0), 4);
         pool.fetch_batch(&plan).unwrap(); // four loads
         pool.fetch_batch(&plan).unwrap(); // four hits nobody consumes
         let log = SharedLog::default();
-        pool.with_shard(0, |bm| bm.set_observer(Box::new(log.clone())));
+        pool.set_observer(Box::new(log.clone()));
         let order = [pid(0, 2), pid(0, 0), pid(0, 3), pid(0, 0)];
         pool.fetch_batch(&order.into_iter().map(PlanEntry::new).collect())
             .unwrap();
@@ -1105,9 +1186,9 @@ mod tests {
         );
         // Detaching clears the flag again: the hits after it are the
         // detached observer's no longer.
-        let detached = pool.with_shard(0, |bm| bm.take_observer());
+        let detached = pool.take_observer();
         assert!(detached.is_some());
-        assert!(!pool.shards[0].consumes_hits.load(Ordering::Acquire));
+        assert!(!pool.pool.shards[0].consumes_hits.load(Ordering::Acquire));
         pool.fetch_batch(&plan).unwrap();
         assert_eq!(log.0.lock().unwrap().len(), 4);
         assert_eq!(pool.stats().hits, 12);
@@ -1115,7 +1196,7 @@ mod tests {
 
     #[test]
     fn resident_pages_many_matches_per_term_loop() {
-        let mut pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool = BufferManager::sharded(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
         for t in 0..3 {
             for p in 0..(t + 2).min(8) {
                 pool.fetch(pid(t, p)).unwrap();
@@ -1137,10 +1218,10 @@ mod tests {
         // whole — one submit, in plan order, ahead of its demand
         // reads — and nothing for a warm one.
         let (sa, sb) = (store(4, 8), store(4, 8));
-        let mut plain = ShardedBufferPool::new(Arc::clone(&sa), 64, PolicyKind::Lru, 4).unwrap();
+        let mut plain = BufferManager::sharded(Arc::clone(&sa), 64, PolicyKind::Lru, 4).unwrap();
         let probe = Arc::new(StagingProbe::new(Arc::clone(&sb)));
         let mut staged =
-            ShardedBufferPool::new(Arc::clone(&probe), 64, PolicyKind::Lru, 4).unwrap();
+            BufferManager::sharded(Arc::clone(&probe), 64, PolicyKind::Lru, 4).unwrap();
         let mut expected_calls = Vec::new();
         for t in 0..4 {
             let plan = ReadPlan::for_term_pages(TermId(t), 8);
@@ -1156,36 +1237,33 @@ mod tests {
         assert_eq!(staged.stats(), plain.stats());
         assert_eq!(sb.stats(), sa.stats());
         assert_eq!(staged.metrics().batch_splits.get(), 0);
-        for s in 0..4 {
-            assert_eq!(staged.shard_stats(s), plain.shard_stats(s), "shard {s}");
-        }
+        assert_eq!(staged.resident_ids(), plain.resident_ids());
         assert_eq!(probe.calls(), expected_calls);
     }
 
     #[test]
     fn contended_lock_wait_records_nanoseconds() {
-        let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
+        let mut pool = BufferManager::sharded(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
         pool.fetch(pid(0, 0)).unwrap();
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             let holder = pool.clone();
             let barrier = &barrier;
             scope.spawn(move || {
-                holder.with_shard(0, |_| {
-                    barrier.wait();
-                    // Hold the shard until the main thread has found it
-                    // locked: a fixed sleep can end before a descheduled
-                    // waiter ever tries. The waiter bumps the counter
-                    // before it spins, so this cannot deadlock.
-                    let deadline = Instant::now() + Duration::from_secs(10);
-                    while holder.metrics().contended_locks.get() == 0 {
-                        assert!(
-                            Instant::now() < deadline,
-                            "the waiter never contended for the held shard"
-                        );
-                        std::thread::yield_now();
-                    }
-                });
+                let _held = holder.pool.lock(0);
+                barrier.wait();
+                // Hold the shard until the main thread has found it
+                // locked: a fixed sleep can end before a descheduled
+                // waiter ever tries. The waiter bumps the counter
+                // before it spins, so this cannot deadlock.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while holder.metrics().contended_locks.get() == 0 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "the waiter never contended for the held shard"
+                    );
+                    std::thread::yield_now();
+                }
             });
             barrier.wait();
             // The shard mutex is held: this miss must wait, and the

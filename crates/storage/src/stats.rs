@@ -12,6 +12,16 @@ use ir_observe::{Counter, Histogram, MetricsSnapshot, Registry};
 /// bucket).
 pub const BATCH_PAGES_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
+/// Bucket bounds (ns) for the shard-lock wait-time histogram. Waits
+/// used to be recorded in truncated microseconds, which zeroed every
+/// sub-µs wait — the overwhelming majority on a shard mutex — and
+/// made the histogram's mass vanish exactly when contention was
+/// sharpest. Nanosecond resolution keeps the sub-µs onset visible; the
+/// tail buckets still catch convoys.
+pub const LOCK_WAIT_NS_BOUNDS: [u64; 10] = [
+    250, 500, 1_000, 4_000, 16_000, 64_000, 256_000, 1_000_000, 4_000_000, 16_000_000,
+];
+
 /// Cumulative buffer-pool statistics.
 ///
 /// `misses` equals the number of disk reads issued through the pool —
@@ -58,16 +68,6 @@ impl BufferStats {
     }
 }
 
-/// Componentwise sum — how per-shard snapshots roll up.
-impl std::ops::AddAssign for BufferStats {
-    fn add_assign(&mut self, other: BufferStats) {
-        self.requests += other.requests;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-    }
-}
-
 /// The live counters of one buffer pool, as `ir-observe` registry
 /// handles. Recording is a relaxed atomic add per event; the
 /// [`BufferStats`] the rest of the stack consumes is derived on demand
@@ -75,6 +75,7 @@ impl std::ops::AddAssign for BufferStats {
 ///
 /// The registry is per-pool, so counter names need no policy suffix:
 /// each pool runs exactly one policy, the one its owner built it with.
+/// Every shard of a pool counts into the same handles.
 #[derive(Clone, Debug)]
 pub struct BufferMetrics {
     registry: Registry,
@@ -109,6 +110,19 @@ pub struct BufferMetrics {
     pub batches: Counter,
     /// Plan sizes (entries per executed batch), as a histogram.
     pub batch_pages: Histogram,
+    /// Time spent waiting for shard locks — retrying, then parked —
+    /// one observation per *contended* acquisition (ns; saturated to
+    /// ≥ 1 so a recorded wait is never mistaken for no wait); the
+    /// uncontended fast path records nothing. The sum is the pool's
+    /// total lock wait in nanoseconds. Each wait is also charged to the
+    /// thread that waited ([`thread_waits`](crate::thread_waits)).
+    pub lock_wait_ns: Histogram,
+    /// Shard-lock acquisitions that found the lock already held and
+    /// had to wait.
+    pub contended_locks: Counter,
+    /// Read plans whose pages routed to more than one shard (each such
+    /// plan is cut into per-shard runs).
+    pub batch_splits: Counter,
 }
 
 impl Default for BufferMetrics {
@@ -133,6 +147,9 @@ impl BufferMetrics {
             torn_pages: registry.counter("buffer.torn_pages"),
             batches: registry.counter("buffer.batches"),
             batch_pages: registry.histogram("buffer.batch_pages", &BATCH_PAGES_BOUNDS),
+            lock_wait_ns: registry.histogram("buffer.lock_wait_ns", &LOCK_WAIT_NS_BOUNDS),
+            contended_locks: registry.counter("buffer.contended_locks"),
+            batch_splits: registry.counter("buffer.batch_splits"),
             registry,
         }
     }

@@ -288,9 +288,8 @@ proptest! {
                     ..FaultConfig::DISABLED
                 };
                 let make = || {
-                    let mut bm =
-                        BufferManager::new(FaultStore::new(store(), cfg), capacity, kind)
-                            .unwrap();
+                    let bm = BufferManager::new(FaultStore::new(store(), cfg), capacity, kind)
+                        .unwrap();
                     bm.set_fetch_policy(FetchPolicy::retries(cap));
                     bm
                 };

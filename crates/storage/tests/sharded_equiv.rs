@@ -1,48 +1,43 @@
-//! The sharded pool's two load-bearing contracts, tested end to end:
+//! The buffer manager's load-bearing contracts, tested end to end:
 //!
-//! * **P = 1 identity** — a one-shard [`ShardedBufferPool`] is
-//!   indistinguishable from a bare [`BufferManager`] over the same
-//!   request stream: same event log, same metrics, same stats, same
-//!   resident set, same `b_t` counters — under every policy, with and
-//!   without seeded transient faults. This is what lets the engine
-//!   swap the pool in without disturbing any golden CSV.
+//! * **P = 1 identity** — a one-shard [`BufferManager`] is
+//!   indistinguishable from the test-only [`ReferencePool`] (the
+//!   single-fetch protocol applied entry by entry, with no hit runs,
+//!   staging or locks) over the same request stream: same results,
+//!   delivered pages and outcomes, event log, every counter, resident
+//!   set and `b_t` counters — under every policy, observed or not, over
+//!   a clean store, stores that fault transiently, tear pages and give
+//!   up, and a store that stages. Σ`b_t` = occupancy and hits + loads
+//!   (+ failed fetches) = requests hold after every operation.
 //! * **K handles ≡ the merged map** — K handles to a one-shard pool,
-//!   each announcing its own queries, leave the pool exactly where a
-//!   `BufferManager` is left by one announcer that is told the per-term
+//!   each announcing its own queries, leave the pool exactly where the
+//!   reference pool is left by one announcer that is told the per-term
 //!   maximum over the K current queries: the registry the session
 //!   server used to keep above the pool, kept here as the oracle.
 //! * **One plan ≡ page-at-a-time, on P > 1 too** — a multi-shard pool
 //!   serves a plan strictly in plan order, so a whole-stream plan and
 //!   the same stream as one-entry plans are indistinguishable from
-//!   above (outcomes), inside (per-shard counters, events, resident
+//!   above (outcomes), inside (counters, events, per-shard resident
 //!   sets) and *below* the pool (the store's head movement and its
 //!   seeded fault stream).
 //! * **Shard accounting under real concurrency** — hammered by
-//!   threads, every shard's `hits + loads == requests`, the per-term
-//!   `b_t` counters sum to the pool's occupancy (no lost or duplicated
-//!   frames), and every resident page lives in exactly the shard the
-//!   hash routes it to — on shards that serve hits lock-light and on
-//!   shards that serve them under the mutex.
+//!   threads, `hits + loads == requests`, the per-term `b_t` counters
+//!   sum to the pool's occupancy (no lost or duplicated frames), and
+//!   every resident page lives in exactly the shard the hash routes it
+//!   to — on shards that serve hits lock-light and on shards that serve
+//!   them under the mutex.
+
+mod support;
 
 use ir_storage::{
-    BufferEvent, BufferManager, BufferObserver, BufferStats, DiskSim, DiskStats, FaultConfig,
-    FaultStats, FaultStore, FetchOutcome, FetchPolicy, Page, PageStore, PolicyKind, QueryBuffer,
-    QueryBufferExt, ShardedBufferPool,
+    BufferEvent, BufferManager, BufferStats, DiskSim, DiskStats, FaultConfig, FaultStats,
+    FaultStore, FetchOutcome, FetchPolicy, IoConfig, IoScheduler, LatencyModel, Page, PageStore,
+    PolicyKind, QueryBuffer,
 };
-use ir_types::{IdMap, PageId, PlanEntry, Posting, ReadPlan, TermId};
+use ir_types::{ClockKind, IdMap, IrResult, PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};
-use std::sync::{Arc, Mutex};
-
-/// An observer whose log outlives the pool, so a test can tally events
-/// while the manager still owns the observer box.
-#[derive(Clone, Debug, Default)]
-struct SharedLog(Arc<Mutex<Vec<BufferEvent>>>);
-
-impl BufferObserver for SharedLog {
-    fn event(&mut self, event: BufferEvent) {
-        self.0.lock().unwrap().push(event);
-    }
-}
+use std::sync::Arc;
+use support::{assert_identical, assert_invariants, ReferencePool, SharedLog};
 
 const N_TERMS: u32 = 4;
 const PAGES_PER_TERM: u32 = 8;
@@ -61,7 +56,11 @@ fn store() -> DiskSim {
     DiskSim::new(lists)
 }
 
-/// One step of the equivalence workload: `action` selects the call
+fn all_terms() -> Vec<TermId> {
+    (0..N_TERMS).map(TermId).collect()
+}
+
+/// One step of the identity workload: `action` selects the call
 /// shape, `(t, p)` the page.
 type Op = (u32, u32, u8);
 
@@ -87,31 +86,88 @@ fn merge_weights(
     merged
 }
 
-/// Drives `handles` handles to the one-shard pool, taking turns op by
-/// op, and the reference manager with the same interleaving of plain
-/// fetches, traced fetches, multi-page plans and RAP announcements —
-/// each handle announcing its own query, the manager's one announcer
-/// the [`merge_weights`] of them — then asserts the two pools are
-/// indistinguishable.
-fn assert_one_shard_matches_manager<S: PageStore>(
-    pool: ShardedBufferPool<S>,
-    mut reference: BufferManager<Arc<S>>,
+/// The plan `shape` (0..64) asks for at `(t, p)`: one of
+/// * a three-entry plan spanning two terms;
+/// * a list prefix from `p` with a stage-only lookahead of another
+///   list's prefix, which may run past that list's end;
+/// * a plan that repeats a page around a miss, and one time in eight
+///   names a page past its list's end, so it errs mid-plan.
+fn plan_for(t: u32, p: u32, shape: u8) -> ReadPlan {
+    let id = PageId::new(TermId(t), p);
+    let next = TermId((t + 1) % N_TERMS);
+    let draw = u32::from(shape / 3);
+    match shape % 3 {
+        0 => [
+            id,
+            PageId::new(TermId(t), (p + 1) % PAGES_PER_TERM),
+            PageId::new(next, p),
+        ]
+        .into_iter()
+        .map(PlanEntry::new)
+        .collect(),
+        1 => {
+            let end = p + draw % (PAGES_PER_TERM - p) + 1;
+            (p..end)
+                .map(|page| PlanEntry::new(PageId::new(TermId(t), page)))
+                .collect::<ReadPlan>()
+                .with_lookahead(vec![(next, (draw + p) % (PAGES_PER_TERM + 3))])
+        }
+        _ => {
+            let other = PageId::new(next, (p + 3) % PAGES_PER_TERM);
+            let mut pages = vec![id, other, id];
+            if draw % 8 == 7 {
+                pages.push(PageId::new(next, PAGES_PER_TERM));
+            }
+            pages.push(other);
+            pages.into_iter().map(PlanEntry::new).collect()
+        }
+    }
+}
+
+/// What one call served, comparable across the two pools: its result,
+/// and each page's id, outcome and postings.
+type Served = (IrResult<()>, Vec<(PageId, FetchOutcome, Vec<Posting>)>);
+
+/// What one call served, comparable across the two pools.
+fn served(result: IrResult<()>, out: &[(Page, FetchOutcome)]) -> Served {
+    let pages = out
+        .iter()
+        .map(|(page, how)| (page.id(), *how, page.postings().to_vec()))
+        .collect();
+    (result, pages)
+}
+
+/// Drives `handles` handles to the one-shard `pool`, taking turns op by
+/// op, and `reference` with the same interleaving of announcements,
+/// traced and plain single fetches and multi-page plans — each handle
+/// announcing its own query, the reference's one announcer the
+/// [`merge_weights`] of them — asserting after every op that both
+/// served the same pages with the same outcomes (or the same error)
+/// and that the pool invariants hold, and at the end that the two
+/// pools are indistinguishable. With `observed` the pool carries an
+/// event log; without, its RAP and FIFO shards serve hits lock-light.
+fn assert_matches_reference<S: PageStore, R: PageStore>(
+    pool: BufferManager<S>,
+    reference: &mut ReferencePool<R>,
+    observed: bool,
     ops: &[Op],
-    kind: PolicyKind,
     handles: usize,
-) {
-    let pool_log = SharedLog::default();
-    pool.with_shard(0, |bm| bm.set_observer(Box::new(pool_log.clone())));
-    let ref_log = SharedLog::default();
-    reference.set_observer(Box::new(ref_log.clone()));
+    label: &str,
+) -> BufferManager<S> {
+    let log = SharedLog::default();
+    if observed {
+        pool.set_observer(Box::new(log.clone()));
+    }
     let mut sessions = vec![pool];
     for _ in 1..handles {
         sessions.push(sessions[0].clone());
     }
     let mut registry = vec![IdMap::default(); handles];
-
-    for (i, (t, p, action)) in ops.iter().enumerate() {
-        let id = PageId::new(TermId(*t), *p);
+    let terms = all_terms();
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for (i, &(t, p, action)) in ops.iter().enumerate() {
+        let label = format!("{label}, op {i}");
+        let id = PageId::new(TermId(t), p);
         let user = i % handles;
         let pool = &mut sessions[user];
         match action % 4 {
@@ -120,103 +176,84 @@ fn assert_one_shard_matches_manager<S: PageStore>(
                 // action's upper bits.
                 let mut weights: IdMap<TermId, f64> = IdMap::default();
                 if action & 4 == 0 {
-                    weights.insert(TermId(*t), f64::from(*p + 1));
+                    weights.insert(TermId(t), f64::from(p + 1));
                 }
                 if action & 8 == 0 {
-                    weights.insert(TermId((*t + 1) % N_TERMS), 2.5);
+                    weights.insert(TermId((t + 1) % N_TERMS), 2.5);
                 }
                 pool.begin_query(&weights);
                 reference.begin_query(&merge_weights(&mut registry, user, weights));
             }
             1 => {
-                let (pa, ha) = pool
-                    .fetch_traced(id)
-                    .unwrap_or_else(|e| panic!("{kind}: pool fetch failed: {e}"));
-                let (pb, hb) = reference.fetch_traced(id).unwrap();
-                assert_eq!(ha, hb, "{kind}: outcome differs for {id:?}");
-                assert_eq!(pa.postings(), pb.postings(), "{kind}: bytes differ");
+                let a = pool.fetch_traced(id).map(|(page, how)| vec![(page, how)]);
+                let b = reference.fetch_batch_into(&ReadPlan::single(id), &mut want);
+                let a = a.map_or_else(|e| (Err(e), Vec::new()), |out| (Ok(()), out));
+                assert_eq!(
+                    served(a.0, &a.1),
+                    served(b, &want),
+                    "{label}: fetch_traced({id:?})"
+                );
             }
             2 => {
-                // A three-entry plan spanning two terms.
-                let plan: ReadPlan = [
-                    PlanEntry::new(id),
-                    PlanEntry::new(PageId::new(TermId(*t), (*p + 1) % PAGES_PER_TERM)),
-                    PlanEntry::new(PageId::new(TermId((*t + 1) % N_TERMS), *p)),
-                ]
-                .into_iter()
-                .collect();
-                let a = pool
-                    .fetch_batch(&plan)
-                    .unwrap_or_else(|e| panic!("{kind}: pool batch failed: {e}"));
-                let b = reference.fetch_batch(&plan).unwrap();
-                assert_eq!(a.len(), b.len(), "{kind}: batch result lengths differ");
-                for ((pa, ha), (pb, hb)) in a.iter().zip(&b) {
-                    assert_eq!(ha, hb, "{kind}: batch outcome differs");
-                    assert_eq!(pa.postings(), pb.postings(), "{kind}: batch bytes differ");
-                }
+                let plan = plan_for(t, p, action >> 2);
+                let a = pool.fetch_batch_into(&plan, &mut got);
+                let b = reference.fetch_batch_into(&plan, &mut want);
+                assert_eq!(served(a, &got), served(b, &want), "{label}: plan {plan:?}");
             }
             _ => {
-                let pa = pool.fetch(id).unwrap();
-                let pb = reference.fetch(id).unwrap();
-                assert_eq!(pa.postings(), pb.postings(), "{kind}: bytes differ");
+                let a = pool.fetch(id).map(|page| page.postings().to_vec());
+                let b = reference.fetch_batch_into(&ReadPlan::single(id), &mut want);
+                let b = b.map(|()| want[0].0.postings().to_vec());
+                assert_eq!(a, b, "{label}: fetch({id:?})");
             }
         }
+        assert_invariants(&sessions[0], reference, &terms, &label);
     }
-
-    let pool = &sessions[0];
-    assert_eq!(
-        *pool_log.0.lock().unwrap(),
-        *ref_log.0.lock().unwrap(),
-        "{kind}: event logs differ"
-    );
-    let (sa, sb) = (pool.stats(), reference.stats());
-    assert_eq!(
-        (sa.requests, sa.hits, sa.misses, sa.evictions),
-        (sb.requests, sb.hits, sb.misses, sb.evictions),
-        "{kind}: stats differ"
-    );
-    pool.with_shard(0, |bm| {
-        let (ma, mb) = (bm.metrics(), reference.metrics());
-        assert_eq!(ma.loads.get(), mb.loads.get(), "{kind}: loads");
-        assert_eq!(ma.hits.get(), mb.hits.get(), "{kind}: hits");
-        assert_eq!(ma.retries.get(), mb.retries.get(), "{kind}: retries");
-        assert_eq!(ma.gave_up.get(), mb.gave_up.get(), "{kind}: gave up");
-        assert_eq!(ma.torn_pages.get(), mb.torn_pages.get(), "{kind}: torn");
-        assert_eq!(ma.batches.get(), mb.batches.get(), "{kind}: batches");
-        assert_eq!(
-            ma.batch_pages.sum(),
-            mb.batch_pages.sum(),
-            "{kind}: batch pages"
-        );
-        assert_eq!(
-            bm.resident_ids(),
-            reference.resident_ids(),
-            "{kind}: resident sets differ"
-        );
-    });
-    for t in 0..N_TERMS {
-        assert_eq!(
-            pool.resident_pages(TermId(t)),
-            reference.resident_pages(TermId(t)),
-            "{kind}: b_t differs for term {t}"
-        );
-    }
+    let pool = sessions.swap_remove(0);
+    assert_identical(&pool, observed.then_some(&log), reference, &terms, label);
     // A one-shard pool never splits a batch and never waits on another
     // session's shard in this single-threaded stream.
-    assert_eq!(pool.metrics().batch_splits.get(), 0, "{kind}: splits");
+    assert_eq!(pool.metrics().batch_splits.get(), 0, "{label}: splits");
+    assert_eq!(
+        pool.metrics().contended_locks.get(),
+        0,
+        "{label}: contention"
+    );
+    pool
+}
+
+/// A store that stages: depth 4 on the virtual clock.
+fn staging_store() -> IoScheduler<DiskSim> {
+    IoScheduler::new(
+        store(),
+        IoConfig {
+            queue_depth: 4,
+            model: LatencyModel {
+                seek_us: 400,
+                transfer_us: 100,
+            },
+            clock: ClockKind::Virtual,
+        },
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// P = 1 equivalence under every policy, fault-free and through a
-    /// [`FaultStore`] failing every read transiently (retry budget
-    /// covering the cap), over an arbitrary mix of call shapes.
+    /// P = 1 identity under every policy, observed and not, pools of
+    /// one to five frames, over four stores: a clean one; one failing
+    /// every read transiently with a retry budget covering the cap; a
+    /// seeded chaos schedule (transient faults, torn pages, and
+    /// give-ups when `retries` is short of its cap of 3); and one that
+    /// stages at depth 4, where the pool-visible state must still
+    /// match. Twin stores with the same seed see the same faults in
+    /// the same order, so store traffic must match too.
     #[test]
-    fn one_shard_pool_is_identical_to_buffer_manager(
-        capacity in 2usize..6,
-        with_faults in proptest::any::<bool>(),
+    fn one_shard_pool_is_identical_to_the_reference_pool(
+        capacity in 1usize..6,
+        observed in proptest::any::<bool>(),
         cap in 1u32..4,
+        retries in 0u32..5,
         seed in proptest::any::<u64>(),
         ops in collection::vec(
             (0u32..N_TERMS, 0u32..PAGES_PER_TERM, proptest::any::<u8>()),
@@ -224,31 +261,35 @@ proptest! {
         ),
     ) {
         for kind in PolicyKind::ALL {
-            if with_faults {
-                let cfg = FaultConfig {
-                    seed,
-                    transient_rate: 1.0,
-                    max_consecutive_faults: cap,
-                    ..FaultConfig::DISABLED
-                };
-                let faulty = Arc::new(FaultStore::new(store(), cfg));
-                let pool = ShardedBufferPool::new(Arc::clone(&faulty), capacity, kind, 1)
-                    .unwrap();
-                pool.set_fetch_policy(FetchPolicy::retries(cap));
-                // Twin store with the same seed: the fault schedule is
-                // per-store deterministic, so both sides see the same
-                // faults in the same order.
-                let twin = Arc::new(FaultStore::new(store(), cfg));
-                let mut reference = BufferManager::new(twin, capacity, kind).unwrap();
-                reference.set_fetch_policy(FetchPolicy::retries(cap));
-                assert_one_shard_matches_manager(pool, reference, &ops, kind, 1);
-            } else {
-                let pool =
-                    ShardedBufferPool::new(Arc::new(store()), capacity, kind, 1).unwrap();
-                let reference =
-                    BufferManager::new(Arc::new(store()), capacity, kind).unwrap();
-                assert_one_shard_matches_manager(pool, reference, &ops, kind, 1);
+            let label = format!("{kind}, {capacity} frames, observed {observed}");
+            let pool = BufferManager::new(store(), capacity, kind).unwrap();
+            let mut reference = ReferencePool::new(store(), capacity, kind);
+            let pool = assert_matches_reference(pool, &mut reference, observed, &ops, 1, &format!("{label}, clean"));
+            assert_eq!(pool.store().stats(), reference.store.stats(), "{label}: clean store");
+
+            let transient = FaultConfig {
+                seed,
+                transient_rate: 1.0,
+                max_consecutive_faults: cap,
+                ..FaultConfig::DISABLED
+            };
+            for (config, fetch) in [
+                (transient, FetchPolicy::retries(cap)),
+                (FaultConfig::chaos(seed), FetchPolicy::retries(retries)),
+            ] {
+                let label = format!("{label}, faults {config:?}, {fetch:?}");
+                let pool = BufferManager::new(FaultStore::new(store(), config), capacity, kind).unwrap();
+                pool.set_fetch_policy(fetch);
+                let mut reference = ReferencePool::new(FaultStore::new(store(), config), capacity, kind);
+                reference.fetch_policy = fetch;
+                let pool = assert_matches_reference(pool, &mut reference, observed, &ops, 1, &label);
+                let traffic = |s: &FaultStore<DiskSim>| (s.stats(), s.inner().stats());
+                assert_eq!(traffic(pool.store()), traffic(&reference.store), "{label}: store traffic");
             }
+
+            let pool = BufferManager::new(staging_store(), capacity, kind).unwrap();
+            let mut reference = ReferencePool::new(store(), capacity, kind);
+            assert_matches_reference(pool, &mut reference, observed, &ops, 1, &format!("{label}, staging"));
         }
     }
 
@@ -256,7 +297,7 @@ proptest! {
     /// handles announcing for themselves against one announcer told
     /// the merged map, under RAP, the one policy that listens.
     #[test]
-    fn k_handles_match_a_manager_announced_the_merged_map(
+    fn k_handles_match_a_reference_announced_the_merged_map(
         capacity in 2usize..10,
         ops in collection::vec(
             (0u32..N_TERMS, 0u32..PAGES_PER_TERM, proptest::any::<u8>()),
@@ -264,19 +305,19 @@ proptest! {
         ),
     ) {
         let kind = PolicyKind::Rap;
-        let pool = ShardedBufferPool::new(Arc::new(store()), capacity, kind, 1).unwrap();
-        let reference = BufferManager::new(Arc::new(store()), capacity, kind).unwrap();
-        assert_one_shard_matches_manager(pool, reference, &ops, kind, 3);
+        let pool = BufferManager::new(store(), capacity, kind).unwrap();
+        let mut reference = ReferencePool::new(store(), capacity, kind);
+        assert_matches_reference(pool, &mut reference, true, &ops, 3, "RAP, 3 handles");
     }
 }
 
-/// Everything a run leaves observable: above the pool, inside each
-/// shard, and below it.
+/// Everything a run leaves observable: above the pool, inside it
+/// (shard by shard where the pool keeps shards apart), and below it.
 #[derive(Debug, PartialEq)]
 struct Observed {
     outcomes: Vec<FetchOutcome>,
-    shard_stats: Vec<BufferStats>,
-    shard_events: Vec<Vec<BufferEvent>>,
+    stats: BufferStats,
+    events: Vec<BufferEvent>,
     shard_residents: Vec<Vec<PageId>>,
     disk: DiskStats,
     faults: FaultStats,
@@ -291,21 +332,16 @@ fn drive_four_shards(
     config: FaultConfig,
     plans: &[ReadPlan],
 ) -> Observed {
-    let faulty = Arc::new(FaultStore::new(store(), config));
+    let faulty = FaultStore::new(store(), config);
     let mut pool = match chunk {
-        Some(c) => ShardedBufferPool::with_chunk_pages(Arc::clone(&faulty), frames, kind, 4, c),
-        None => ShardedBufferPool::new(Arc::clone(&faulty), frames, kind, 4),
+        Some(c) => BufferManager::with_chunk_pages(faulty, frames, kind, 4, c),
+        None => BufferManager::sharded(faulty, frames, kind, 4),
     }
     .unwrap();
     // `FaultConfig::chaos` caps consecutive faults at 3.
     pool.set_fetch_policy(FetchPolicy::retries(4));
-    let logs: Vec<SharedLog> = (0..pool.n_shards())
-        .map(|s| {
-            let log = SharedLog::default();
-            pool.with_shard(s, |bm| bm.set_observer(Box::new(log.clone())));
-            log
-        })
-        .collect();
+    let log = SharedLog::default();
+    pool.set_observer(Box::new(log.clone()));
     let weights: IdMap<TermId, f64> = [(TermId(0), 2.0), (TermId(1), 0.5)].into_iter().collect();
     pool.begin_query(&weights);
     let mut outcomes = Vec::new();
@@ -313,15 +349,16 @@ fn drive_four_shards(
         let served = pool.fetch_batch(plan).unwrap();
         outcomes.extend(served.into_iter().map(|(_, how)| how));
     }
+    let events = log.0.lock().unwrap().clone();
     Observed {
         outcomes,
-        shard_stats: (0..pool.n_shards()).map(|s| pool.shard_stats(s)).collect(),
-        shard_events: logs.iter().map(|l| l.0.lock().unwrap().clone()).collect(),
+        stats: pool.stats(),
+        events,
         shard_residents: (0..pool.n_shards())
-            .map(|s| pool.with_shard(s, |bm| bm.resident_ids()))
+            .map(|s| pool.shard_resident_ids(s))
             .collect(),
-        disk: faulty.inner().stats(),
-        faults: faulty.stats(),
+        disk: pool.store().inner().stats(),
+        faults: pool.store().stats(),
     }
 }
 
@@ -381,7 +418,7 @@ proptest! {
         ops_per_thread in 16u64..64,
     ) {
         for kind in [PolicyKind::Fifo, PolicyKind::Lru] {
-            let mut pool = ShardedBufferPool::new(Arc::new(store()), 128, kind, 4).unwrap();
+            let mut pool = BufferManager::sharded(Arc::new(store()), 128, kind, 4).unwrap();
             // Warm the full working set: 32 requests, all loads.
             for t in 0..N_TERMS {
                 for p in 0..PAGES_PER_TERM {
@@ -409,20 +446,14 @@ proptest! {
             });
 
             let expected = warmed + n_threads * ops_per_thread * u64::from(PAGES_PER_TERM);
-            let mut per_shard = 0;
-            for s in 0..pool.n_shards() {
-                let st = pool.shard_stats(s);
-                assert_eq!(st.hits + st.misses, st.requests, "{kind}: shard {s} split");
-                per_shard += st.requests;
-            }
-            assert_eq!(per_shard, expected, "{kind}: lost or duplicated requests");
             let stats = pool.stats();
-            assert_eq!(stats.requests, expected, "{kind}");
+            assert_eq!(stats.hits + stats.misses, stats.requests, "{kind}: split");
+            assert_eq!(stats.requests, expected, "{kind}: lost or duplicated requests");
             assert_eq!(stats.misses, warmed, "{kind}: post-warm traffic must all hit");
             assert_eq!(stats.hits, expected - warmed, "{kind}");
             // Hash-owned residency survives the hammering.
             for s in 0..pool.n_shards() {
-                for id in pool.with_shard(s, |bm| bm.resident_ids()) {
+                for id in pool.shard_resident_ids(s) {
                     assert_eq!(pool.shard_of(id), s, "{kind}: page {id:?} in wrong shard");
                 }
             }
@@ -445,7 +476,7 @@ fn concurrent_stress_keeps_shard_accounting_exact() {
     // Capacity 128 over 4 shards: even a worst-case hash skew (all 32
     // pages in one shard) cannot force an eviction, so the final
     // resident set is the full working set and loss shows up exactly.
-    let pool = ShardedBufferPool::new(Arc::new(store()), 128, PolicyKind::Lru, 4).unwrap();
+    let pool = BufferManager::sharded(Arc::new(store()), 128, PolicyKind::Lru, 4).unwrap();
     let n_threads = 4;
     let ops_per_thread = 500u64;
     std::thread::scope(|scope| {
@@ -484,28 +515,17 @@ fn concurrent_stress_keeps_shard_accounting_exact() {
         }
     });
 
-    // Per-shard request split: every fetch was a hit or a load,
-    // nothing double-counted even under interleaving.
-    let mut total_requests = 0;
-    for s in 0..pool.n_shards() {
-        let st = pool.shard_stats(s);
-        assert_eq!(
-            st.hits + st.misses,
-            st.requests,
-            "shard {s}: hits + loads != requests"
-        );
-        total_requests += st.requests;
-        pool.with_shard(s, |bm| {
-            let m = bm.metrics();
-            assert_eq!(
-                m.hits.get() + m.loads.get(),
-                st.requests,
-                "shard {s}: metrics disagree with stats"
-            );
-        });
-    }
-    assert!(total_requests > 0, "stress drove no traffic");
-    assert_eq!(pool.stats().requests, total_requests, "rollup disagrees");
+    // Request split: every fetch was a hit or a load, nothing
+    // double-counted even under interleaving.
+    let st = pool.stats();
+    assert_eq!(st.hits + st.misses, st.requests, "hits + loads != requests");
+    assert!(st.requests > 0, "stress drove no traffic");
+    let m = pool.metrics();
+    assert_eq!(
+        m.hits.get() + m.loads.get(),
+        st.requests,
+        "metrics disagree with stats"
+    );
 
     // No lost or duplicated frames: occupancy within capacity, b_t
     // sums to occupancy, and every resident page sits in the shard the
@@ -517,7 +537,7 @@ fn concurrent_stress_keeps_shard_accounting_exact() {
     assert_eq!(bt_sum, pool.len() as u64, "b_t disagrees with occupancy");
     let mut resident_total = 0;
     for s in 0..pool.n_shards() {
-        let ids = pool.with_shard(s, |bm| bm.resident_ids());
+        let ids = pool.shard_resident_ids(s);
         resident_total += ids.len();
         for id in ids {
             assert_eq!(

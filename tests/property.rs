@@ -2,13 +2,10 @@
 
 use buffir::core::{rank, Accumulators, Query};
 use buffir::index::{decode_postings, encode_postings, ConversionTable};
-use buffir::storage::{
-    BufferManager, DiskSim, EventLog, Page, PolicyKind, QueryBuffer, ShardedBufferPool,
-};
+use buffir::storage::{BufferManager, DiskSim, EventLog, Page, PolicyKind, QueryBuffer};
 use buffir::text::stem;
 use ir_types::{frequency_order, DocId, IdMap, PageId, Posting, ReadPlan, TermId};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// A simulated disk of `n_terms` lists of `pages` one-posting pages.
 fn disk(n_terms: u32, pages: u32) -> DiskSim {
@@ -195,7 +192,7 @@ fn drive(pool: &mut impl QueryBuffer, traffic: &[(IdMap<TermId, f64>, ReadPlan)]
 /// only while nobody watches — and every identity test watches. Same
 /// seeded traffic (prefix scans that hit, miss and evict, under
 /// changing announcements) with and without an observer, for every
-/// kind, on the reference pool and on a two-shard pool.
+/// kind, on the paper's one-shard pool and on a two-shard pool.
 /// Planted and caught: `uses_hits` wrongly `false` on LRU (seed 1,
 /// two-shard pool: one hit fewer, one eviction more unobserved).
 #[test]
@@ -218,39 +215,22 @@ fn observing_a_pool_does_not_change_what_it_evicts() {
             .collect();
         let capacity = [4, 8, 12][(seed % 3) as usize];
         for kind in PolicyKind::ALL {
-            let reference = |observed: bool| {
-                let mut bm = BufferManager::new(disk(6, 10), capacity, kind).unwrap();
-                if observed {
-                    bm.set_observer(Box::new(EventLog::new()));
-                }
-                drive(&mut bm, &traffic);
-                (bm.stats(), bm.resident_ids())
-            };
-            assert_eq!(
-                reference(true),
-                reference(false),
-                "seed {seed}, {kind}, BufferManager"
-            );
-            let sharded = |observed: bool| {
-                let mut pool =
-                    ShardedBufferPool::new(Arc::new(disk(6, 10)), capacity, kind, 2).unwrap();
-                if observed {
-                    for s in 0..2 {
-                        pool.with_shard(s, |bm| bm.set_observer(Box::new(EventLog::new())));
+            for shards in [1, 2] {
+                let run = |observed: bool| {
+                    let mut pool =
+                        BufferManager::sharded(disk(6, 10), capacity, kind, shards).unwrap();
+                    if observed {
+                        pool.set_observer(Box::new(EventLog::new()));
                     }
-                }
-                drive(&mut pool, &traffic);
-                let mut resident: Vec<PageId> = (0..2)
-                    .flat_map(|s| pool.with_shard(s, |bm| bm.resident_ids()))
-                    .collect();
-                resident.sort();
-                (pool.stats(), resident)
-            };
-            assert_eq!(
-                sharded(true),
-                sharded(false),
-                "seed {seed}, {kind}, two-shard pool"
-            );
+                    drive(&mut pool, &traffic);
+                    (pool.stats(), pool.resident_ids())
+                };
+                assert_eq!(
+                    run(true),
+                    run(false),
+                    "seed {seed}, {kind}, {shards} shards"
+                );
+            }
         }
     }
 }
