@@ -707,11 +707,8 @@ impl<S: PageStore> QueryBuffer for BufferManager<S> {
                     staged = true;
                     pool.stage(&rest[served..], plan.lookahead());
                 }
-                locked.unwrap_or_else(|| pool.lock(s)).fetch_entries(
-                    &pool.store,
-                    &run[served..],
-                    out,
-                )?;
+                let mut core = locked.unwrap_or_else(|| pool.lock(s));
+                core.fetch_entries(&pool.store, &run[served..], out)?;
             }
             if tail.is_empty() {
                 return Ok(());
