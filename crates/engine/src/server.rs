@@ -4,7 +4,7 @@
 //! The paper sketches two ways to extend RAP to multiple users —
 //! partitioned pools, and a shared pool with a merged ("global") query
 //! history — and leaves the trade-off open. [`SessionServer`] runs the
-//! second: every run provisions one [`ShardedBufferPool`], and each
+//! second: every run provisions one [`BufferManager`], and each
 //! session drives its own refinement sequence on its own OS thread
 //! through a handle of its own to it. The query history lives in the
 //! pool: a handle is a session, and RAP values a page by the highest
@@ -55,7 +55,7 @@ use ir_types::{sync, IrError, IrResult, TermId};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// The buffer memory a run provisions for its sessions: one
-/// [`ShardedBufferPool`] every session shares.
+/// [`BufferManager`] every session shares.
 #[derive(Clone, Copy, Debug)]
 pub enum PoolLayout {
     /// One pool of `shards` shards shared by every session (paper
@@ -64,7 +64,7 @@ pub enum PoolLayout {
     /// Frames are striped by term-chunk hash, each shard behind its
     /// own mutex, so concurrent traffic on different shards never
     /// contends. With `shards = 1` this is the paper's single shared
-    /// pool, fetch for fetch the single-owner `BufferManager`; with
+    /// pool, the one `BufferManager::new` builds; with
     /// more shards it is the scaling configuration (each shard evicts
     /// its local minimum — a documented approximation of global RAP).
     Sharded {

@@ -12,20 +12,24 @@
 //! ("the newer LRU/k and 2Q policies will fare no better than LRU in
 //! this case") can be tested rather than taken on faith.
 //!
-//! Two paper-specific capabilities distinguish this buffer manager from
-//! a generic one:
+//! There is one pool type. [`BufferManager::new`] builds the paper's
+//! pool, one shard of frames; [`BufferManager::sharded`] stripes the
+//! same frames over `P` shards, each behind its own lock, so sessions
+//! on several cores can share one pool. Two paper-specific capabilities
+//! distinguish it from a generic buffer manager:
 //!
-//! * **`b_t` queries** ([`BufferManager::resident_pages`]): the BAF
-//!   algorithm asks, per candidate term per selection round, how many
-//!   pages of that term's inverted list are resident. Maintained as O(1)
-//!   per-term counters updated on load/evict, as §3.2.2 prescribes.
+//! * **`b_t` queries** ([`BufferManager::resident_pages`],
+//!   [`QueryBuffer::resident_pages_many`]): the BAF algorithm asks, per
+//!   candidate term per selection round, how many pages of that term's
+//!   inverted list are resident. Maintained as O(1) per-term counters
+//!   updated on load/evict, as §3.2.2 prescribes.
 //! * **Query-context values** ([`BufferManager::begin_query`]): RAP's
 //!   replacement value `w*_{d,t} · w_{q,t}` depends on the query being
 //!   processed; the evaluator announces its term weights at query start
 //!   and the policy re-values the pages of terms whose weight changed.
-//!   Sessions sharing a [`ShardedBufferPool`] each announce through a
-//!   handle of their own, and a term is worth the highest weight any of
-//!   their current queries gives it.
+//!   Sessions sharing a pool each announce through a handle of their
+//!   own (a clone), and a term is worth the highest weight any of their
+//!   current queries gives it.
 //!
 //! The crate also owns the one posting-list encoding ([`codec`]: runs of
 //! equal frequency, v-byte gaps) and the persistent tier that carries it

@@ -9,8 +9,8 @@
 //! testable — see the `ablation_policies` experiment.
 //!
 //! A policy only *ranks* resident pages; residency itself (the frame
-//! table, `b_t` counters, statistics) is owned by
-//! [`BufferManager`](crate::buffer::BufferManager), which drives the
+//! table, `b_t` counters, statistics) is owned by each shard of the
+//! [`BufferManager`](crate::BufferManager), which drives its shard's
 //! policy through the [`ReplacementPolicy`] trait.
 
 mod clock;

@@ -414,8 +414,8 @@ impl<S: PageStore> BufferManager<S> {
     /// with [`splitmix64`] — a fixed map, so shard contents are
     /// reproducible run to run (unlike `DefaultHasher`, whose keys are
     /// randomized per process). A whole chunk of a list shares one
-    /// shard, so a prefix scan of at most
-    /// [`chunk_pages`](Self::chunk_pages) pages —
+    /// shard, so a prefix scan of at most `chunk_pages` pages (see
+    /// [`with_chunk_pages`](Self::with_chunk_pages)) —
     /// `ReadPlan::for_term_pages` always plans a prefix — touches
     /// exactly one shard.
     #[inline]
@@ -1204,6 +1204,70 @@ mod tests {
         let looped: Vec<u32> = terms.iter().map(|t| pool.resident_pages(*t)).collect();
         assert_eq!(batched, looped);
         assert_eq!(batched, vec![2, 3, 4, 0]);
+    }
+
+    /// Over random plans — duplicates, hit / miss / hit, one entry in
+    /// 40 past its list's end — a plan hands the store, before its first
+    /// demand read and only if it misses at all, its distinct pages that
+    /// were not resident when it began, in plan order; then the store
+    /// sees one read per load, in serve order, and, when the plan errs,
+    /// the failed read last. On one shard and two, for every kind.
+    #[test]
+    fn a_plan_stages_its_misses_before_its_first_read() {
+        use crate::disk::tests::{StagingProbe, StoreCall};
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        for seed in 0..16u64 {
+            for kind in PolicyKind::ALL {
+                for shards in [1, 2] {
+                    let frames = [4, 8][(seed % 2) as usize];
+                    let probe = StagingProbe::new(store(3, 6));
+                    let mut pool = BufferManager::sharded(probe, frames, kind, shards).unwrap();
+                    let log = SharedLog::default();
+                    pool.set_observer(Box::new(log.clone()));
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    for step in 0..24 {
+                        let plan: ReadPlan = (0..rng.gen_range(0..10))
+                            .map(|_| {
+                                let page = match rng.gen_range(0..40) {
+                                    0 => 6,
+                                    _ => rng.gen_range(0..6),
+                                };
+                                PlanEntry::new(pid(rng.gen_range(0..3), page))
+                            })
+                            .collect();
+                        let resident = pool.resident_ids();
+                        let calls = pool.store().calls().len();
+                        let events = log.0.lock().unwrap().len();
+                        let result = pool.fetch_batch(&plan);
+                        let mut seen = std::collections::HashSet::new();
+                        let staged: Vec<PageId> = plan
+                            .iter()
+                            .map(|e| e.page)
+                            .filter(|id| seen.insert(*id) && resident.binary_search(id).is_err())
+                            .collect();
+                        let mut expected: Vec<StoreCall> = Vec::new();
+                        if !staged.is_empty() {
+                            expected.push(StoreCall::Submit(staged));
+                        }
+                        expected.extend(log.0.lock().unwrap()[events..].iter().filter_map(
+                            |event| match event {
+                                BufferEvent::Load(id) => Some(StoreCall::Read(*id)),
+                                _ => None,
+                            },
+                        ));
+                        if result.is_err() {
+                            let failed = plan.iter().find(|e| e.page.page.0 == 6).unwrap();
+                            expected.push(StoreCall::Read(failed.page));
+                        }
+                        assert_eq!(
+                            pool.store().calls()[calls..],
+                            expected,
+                            "seed {seed}, {kind}, {shards} shards, step {step}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

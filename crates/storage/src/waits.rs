@@ -3,7 +3,7 @@
 //! time it spent acquiring contended shard locks.
 //!
 //! The [`IoScheduler`](crate::IoScheduler) and the
-//! [`ShardedBufferPool`](crate::ShardedBufferPool) charge every wait to
+//! [`BufferManager`](crate::BufferManager) charge every wait to
 //! the thread that paid it, in a thread-local tally, so a session's
 //! share of a device or a pool other sessions drive too is exact: a
 //! caller reads [`thread_waits`] before and after a query and takes
