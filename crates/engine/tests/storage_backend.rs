@@ -332,7 +332,7 @@ fn lookahead_guesses_repeat_and_do_not_depend_on_the_store() {
                 clock: ClockKind::Virtual,
             },
         );
-        let staged = lookahead_guesses(&idx, sched, policy, &steps);
+        let staged = lookahead_guesses(&idx, &sched, policy, &steps);
         assert_eq!(staged, sim, "{policy}: DiskSim vs a qd-4 scheduler");
         for (rows, n) in &sim {
             named += rows.iter().flatten().count();

@@ -722,9 +722,8 @@ mod tests {
         use crate::policy::PolicyKind;
         use crate::BufferManager;
         use ir_types::ReadPlan;
-        let sched = std::sync::Arc::new(benchmark_device(long_list(70)));
-        let mut pool =
-            BufferManager::new(std::sync::Arc::clone(&sched), 70, PolicyKind::Lru).unwrap();
+        let sched = benchmark_device(long_list(70));
+        let mut pool = BufferManager::new(&sched, 70, PolicyKind::Lru).unwrap();
         pool.fetch_batch(&ReadPlan::for_term_pages(TermId(0), 70))
             .unwrap();
         assert_eq!(pool.stats().misses, 70);
@@ -958,9 +957,8 @@ mod tests {
         use crate::BufferManager;
         use ir_types::ReadPlan;
         let run = |lookahead: Vec<(TermId, u32)>| {
-            let sched = std::sync::Arc::new(benchmark_device(store(3)));
-            let mut pool =
-                BufferManager::new(std::sync::Arc::clone(&sched), 8, PolicyKind::Lru).unwrap();
+            let sched = benchmark_device(store(3));
+            let mut pool = BufferManager::new(&sched, 8, PolicyKind::Lru).unwrap();
             let a = ReadPlan::for_term_pages(TermId(0), 3).with_lookahead(lookahead);
             pool.fetch_batch(&a).unwrap();
             let after_a = sched.io_wait_us();
@@ -1006,13 +1004,12 @@ mod tests {
                     .collect()
             })
             .collect();
-        let sched = std::sync::Arc::new(benchmark_device(DiskSim::new(lists)));
+        let sched = benchmark_device(DiskSim::new(lists));
         let plan = |t: u32, n: u32, ahead: &[(u32, u32)]| {
             ReadPlan::for_term_pages(TermId(t), n)
                 .with_lookahead(ahead.iter().map(|&(t, n)| (TermId(t), n)).collect())
         };
-        let mut pool =
-            BufferManager::new(std::sync::Arc::clone(&sched), 16, PolicyKind::Lru).unwrap();
+        let mut pool = BufferManager::new(&sched, 16, PolicyKind::Lru).unwrap();
         for plan in [
             plan(0, 2, &[(1, 4), (2, 8)]),
             plan(1, 4, &[(2, 8)]),

@@ -325,6 +325,28 @@ impl PageStore for DiskSim {
     }
 }
 
+impl<S: PageStore + ?Sized> PageStore for &S {
+    fn read_page(&self, id: PageId) -> IrResult<Page> {
+        (**self).read_page(id)
+    }
+
+    fn can_tear(&self) -> bool {
+        (**self).can_tear()
+    }
+
+    fn submit(&self, ids: &[PageId]) {
+        (**self).submit(ids)
+    }
+
+    fn overlap_depth(&self) -> usize {
+        (**self).overlap_depth()
+    }
+
+    fn io_wait_us(&self) -> u64 {
+        (**self).io_wait_us()
+    }
+}
+
 impl<S: PageStore + ?Sized> PageStore for std::sync::Arc<S> {
     fn read_page(&self, id: PageId) -> IrResult<Page> {
         (**self).read_page(id)
