@@ -10,7 +10,7 @@ use crate::page::Page;
 use crate::policy::ReplacementPolicy;
 use crate::stats::BufferMetrics;
 use ir_types::{sync, IdMap, IrError, IrResult, PageId, PlanEntry, TermId};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// A shard's resident-frame table behind a read-write lock, shared so
 /// the pool can serve buffer hits under a shared read lock without
@@ -18,6 +18,11 @@ use std::sync::{Arc, RwLock};
 /// `&mut ShardCore` methods, which the pool calls only under that
 /// mutex.
 pub(crate) type FrameView = Arc<RwLock<IdMap<PageId, Page>>>;
+
+/// The pool's one observer, shared by every shard core, so it sees the
+/// whole pool's events in occurrence order. Its mutex is taken under a
+/// shard mutex and holds no other lock.
+pub(crate) type SharedObserver = Arc<Mutex<Box<dyn BufferObserver>>>;
 
 /// How a completed fetch was served — reported per call so each
 /// session can attribute its own hits and reads exactly, with no
@@ -48,16 +53,6 @@ impl FetchPolicy {
     /// per attempt, not per unit of time, so waiting buys nothing.
     pub fn retries(n: u32) -> FetchPolicy {
         FetchPolicy { max_retries: n }
-    }
-}
-
-/// Delivers `event` to the observer, if one is attached. A free
-/// function over the field so it can run while the frame-table guards
-/// borrow the core's other fields.
-#[inline]
-fn emit(observer: &mut Option<Box<dyn BufferObserver>>, event: BufferEvent) {
-    if let Some(obs) = observer.as_mut() {
-        obs.event(event);
     }
 }
 
@@ -128,7 +123,7 @@ pub(crate) struct ShardCore {
     pub(crate) resident_per_term: Arc<RwLock<IdMap<TermId, u32>>>,
     fetch_policy: FetchPolicy,
     metrics: BufferMetrics,
-    observer: Option<Box<dyn BufferObserver>>,
+    observer: Option<SharedObserver>,
 }
 
 impl ShardCore {
@@ -176,21 +171,22 @@ impl ShardCore {
         if served > 0 && self.consumes_hits() {
             for (page, _) in &out[out.len() - served..] {
                 self.policy.on_hit(page);
-                emit(&mut self.observer, BufferEvent::Hit(page.id()));
+                self.emit(BufferEvent::Hit(page.id()));
             }
         }
         served
     }
 
-    /// Serves `entries` — all routed to this shard — **in plan order**,
-    /// appending to `out`: alternately the [hit run](Self::serve_hits)
-    /// of what is left and the one entry the run stopped at through
-    /// [`load_one`](Self::load_one), until the entries are done or one
-    /// fails. Event for event, counter for counter and store read for
-    /// store read, this is the single-fetch protocol applied entry by
-    /// entry, so a duplicated page costs one load and one hit, and an
-    /// error leaves the entries before it served. Staging and the batch
-    /// metrics are the pool's.
+    /// Serves `entries` — all routed to this shard, the first of them
+    /// seen non-resident under the shard mutex the caller still holds —
+    /// **in plan order**, appending to `out`: alternately one entry
+    /// through [`load_one`](Self::load_one) and the
+    /// [hit run](Self::serve_hits) of what follows it, until the
+    /// entries are done or one fails. Event for event, counter for
+    /// counter and store read for store read, this is the single-fetch
+    /// protocol applied entry by entry, so a duplicated page costs one
+    /// load and one hit, and an error leaves the entries before it
+    /// served. Staging and the batch metrics are the pool's.
     pub(crate) fn fetch_entries<S: PageStore>(
         &mut self,
         store: &S,
@@ -198,21 +194,18 @@ impl ShardCore {
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
         let mut rest = entries;
-        loop {
-            let served = self.serve_hits(rest, out);
-            let Some(entry) = rest.get(served) else {
-                return Ok(());
-            };
+        while let Some((entry, tail)) = rest.split_first() {
             out.push((self.load_one(store, entry.page)?, FetchOutcome::Miss));
-            rest = &rest[served + 1..];
+            rest = &tail[self.serve_hits(tail, out)..];
         }
+        Ok(())
     }
 
     /// The miss half of the single-fetch protocol, and the only miss
     /// path: counts the request, reads the page under the shard's
-    /// [`FetchPolicy`] and installs it. The caller has just seen the
-    /// page non-resident (the hit run stopped at it) and holds
-    /// `&mut self`, so it still is.
+    /// [`FetchPolicy`] and installs it. The caller has seen the page
+    /// non-resident under the shard mutex and holds `&mut self`, so it
+    /// still is.
     fn load_one<S: PageStore>(&mut self, store: &S, id: PageId) -> IrResult<Page> {
         self.metrics.requests.inc();
         // Read the replacement first, then make room. A failed read
@@ -239,7 +232,7 @@ impl ShardCore {
                 Ok(page) if !store.can_tear() || page.is_intact() => return Ok(page),
                 Ok(_) => {
                     self.metrics.torn_pages.inc();
-                    emit(&mut self.observer, BufferEvent::Torn(id));
+                    self.emit(BufferEvent::Torn(id));
                     IrError::TornPage { page: id }
                 }
                 Err(e) => e,
@@ -253,7 +246,7 @@ impl ShardCore {
             }
             attempt += 1;
             self.metrics.retries.inc();
-            emit(&mut self.observer, BufferEvent::Retry(id));
+            self.emit(BufferEvent::Retry(id));
         }
     }
 
@@ -280,7 +273,7 @@ impl ShardCore {
             } else {
                 self.metrics.evictions_tail.inc();
             }
-            emit(&mut self.observer, BufferEvent::Evict(victim));
+            self.emit(BufferEvent::Evict(victim));
             if let Some(count) = terms.get_mut(&victim.term) {
                 *count -= 1;
                 if *count == 0 {
@@ -289,11 +282,12 @@ impl ShardCore {
             }
         }
         let id = page.id();
+        debug_assert!(!frames.contains_key(&id), "loaded a resident page");
         *terms.entry(id.term).or_insert(0) += 1;
         self.policy.on_insert(&page);
         frames.insert(id, page);
         self.metrics.loads.inc();
-        emit(&mut self.observer, BufferEvent::Load(id));
+        self.emit(BufferEvent::Load(id));
     }
 
     /// Sets the retry policy applied to store reads on the miss path.
@@ -308,20 +302,26 @@ impl ShardCore {
         self.policy.begin_query(announcer, weights);
     }
 
-    /// Empties the shard. Statistics survive.
+    /// Empties the shard. Statistics survive; the pool reports the
+    /// flush once, through [`emit`](Self::emit).
     pub(crate) fn flush(&mut self) {
         sync::write(&self.frames).clear();
         sync::write(&self.resident_per_term).clear();
         self.policy.clear();
-        emit(&mut self.observer, BufferEvent::Flush);
     }
 
-    /// Replaces the observer, returning the previous one.
-    pub(crate) fn replace_observer(
-        &mut self,
-        observer: Option<Box<dyn BufferObserver>>,
-    ) -> Option<Box<dyn BufferObserver>> {
-        std::mem::replace(&mut self.observer, observer)
+    /// Delivers `event` to the shard's observer, if one is attached.
+    #[inline]
+    pub(crate) fn emit(&self, event: BufferEvent) {
+        if let Some(observer) = &self.observer {
+            sync::lock(observer).event(event);
+        }
+    }
+
+    /// Attaches `observer` (or detaches, with `None`), dropping the
+    /// shard's hold on the previous one.
+    pub(crate) fn set_observer(&mut self, observer: Option<SharedObserver>) {
+        self.observer = observer;
     }
 }
 

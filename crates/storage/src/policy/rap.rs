@@ -545,7 +545,7 @@ mod tests {
             let store = store(40, 32);
             let mut core = ShardCore::new(1024, policy, BufferMetrics::new());
             let log = Evictions::default();
-            core.replace_observer(Some(Box::new(log.clone())));
+            core.set_observer(Some(Arc::new(std::sync::Mutex::new(Box::new(log.clone())))));
             let mut out = Vec::new();
             let mut fetch = |core: &mut ShardCore, t: u32, p: u32| {
                 let entry = PlanEntry::new(PageId::new(TermId(t), p));

@@ -18,9 +18,9 @@
 //!   `chunk_pages` pages — the common single-list [`ReadPlan`] — lands
 //!   entirely on one shard and locks exactly one mutex. Only lists
 //!   longer than a chunk subdivide, at chunk granularity. The map is a
-//!   pure function of the [`PageId`] and the pool geometry; with
-//!   `chunk_pages = 1` it degenerates to a per-page scatter (see
-//!   [`with_chunk_pages`]).
+//!   pure function of the [`PageId`] and the pool geometry; tests pin
+//!   `chunk_pages = 1`, a per-page scatter, to force plans across
+//!   shards.
 //! * **Lock-light hit path.** On a shard whose policy ignores hits
 //!   (RAP, FIFO) and that nobody observes, a run of buffer hits is
 //!   served under the shard's frame-table *read* lock: the pages are
@@ -89,9 +89,10 @@
 //!   shard's frame-table read lock.
 //!
 //! [`begin_query`]: BufferManager::begin_query
-//! [`with_chunk_pages`]: BufferManager::with_chunk_pages
 
-use crate::buffer::{serve_hit_run, FetchOutcome, FetchPolicy, FrameView, ShardCore};
+use crate::buffer::{
+    serve_hit_run, FetchOutcome, FetchPolicy, FrameView, ShardCore, SharedObserver,
+};
 use crate::disk::PageStore;
 use crate::observe::{BufferEvent, BufferObserver};
 use crate::page::Page;
@@ -101,7 +102,7 @@ use crate::stats::{BufferMetrics, BufferStats};
 use ir_types::idmap::splitmix64;
 use ir_types::{sync, IdMap, IdSet, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// How long a contended shard lock is retried before the thread parks
@@ -181,18 +182,6 @@ impl Shard {
     }
 }
 
-/// The pool's observer, shared by every shard, so it sees the whole
-/// pool's events in occurrence order. Its mutex is taken under a shard
-/// mutex and holds no other lock.
-#[derive(Debug)]
-struct SharedObserver(Arc<Mutex<Box<dyn BufferObserver>>>);
-
-impl BufferObserver for SharedObserver {
-    fn event(&mut self, event: BufferEvent) {
-        sync::lock(&self.0).event(event);
-    }
-}
-
 /// What every handle to one pool shares.
 #[derive(Debug)]
 struct Pool<S> {
@@ -208,6 +197,10 @@ struct Pool<S> {
     /// `false`, query announcements skip all `P` shard locks.
     uses_query_context: bool,
     metrics: BufferMetrics,
+    /// The observer every shard core holds a clone of. Its mutex
+    /// serializes attaching and detaching, and is taken before any
+    /// shard mutex.
+    observer: Mutex<Option<SharedObserver>>,
     /// The announcer id the next clone takes.
     next_announcer: AtomicU32,
 }
@@ -305,13 +298,17 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// [`sharded`](Self::sharded) with an explicit routing-chunk size
-    /// — the constructor the others call.
-    /// `chunk_pages = 1` scatters page by page; larger chunks keep
-    /// longer list prefixes on one shard. Exposed for tests and tuning.
+    /// — the constructor the others call. `chunk_pages = 1` scatters
+    /// page by page; larger chunks keep longer list prefixes on one
+    /// shard. Hidden from the docs: only tests need a chunk other than
+    /// `sharded`'s — this module's, the storage integration tests and
+    /// `ir-core`'s scan test — and a `cfg(test)` item is not visible
+    /// to the last two.
     ///
     /// # Errors
     /// As [`sharded`](Self::sharded), plus [`IrError::InvalidConfig`]
     /// when `chunk_pages` is zero.
+    #[doc(hidden)]
     pub fn with_chunk_pages(
         store: S,
         total_frames: usize,
@@ -356,6 +353,7 @@ impl<S: PageStore> BufferManager<S> {
                 capacity: total_frames,
                 chunk_pages,
                 metrics,
+                observer: Mutex::new(None),
                 next_announcer: AtomicU32::new(1),
             }),
             announcer: 0,
@@ -414,8 +412,7 @@ impl<S: PageStore> BufferManager<S> {
     /// with [`splitmix64`] — a fixed map, so shard contents are
     /// reproducible run to run (unlike `DefaultHasher`, whose keys are
     /// randomized per process). A whole chunk of a list shares one
-    /// shard, so a prefix scan of at most `chunk_pages` pages (see
-    /// [`with_chunk_pages`](Self::with_chunk_pages)) —
+    /// shard, so a prefix scan of at most `chunk_pages` pages —
     /// `ReadPlan::for_term_pages` always plans a prefix — touches
     /// exactly one shard.
     #[inline]
@@ -513,11 +510,18 @@ impl<S: PageStore> BufferManager<S> {
     }
 
     /// Empties every shard (the paper flushes buffers between
-    /// refinement *sequences*, never between refinements). Statistics
-    /// survive; use [`reset_stats`](Self::reset_stats) to zero them.
+    /// refinement *sequences*, never between refinements), and reports
+    /// one [`BufferEvent::Flush`] once the last shard is empty.
+    /// Statistics survive; use [`reset_stats`](Self::reset_stats) to
+    /// zero them.
     pub fn flush(&self) {
-        for s in 0..self.n_shards() {
-            self.pool.lock(s).flush();
+        let last = self.n_shards() - 1;
+        for s in 0..=last {
+            let mut core = self.pool.lock(s);
+            core.flush();
+            if s == last {
+                core.emit(BufferEvent::Flush);
+            }
         }
     }
 
@@ -526,18 +530,24 @@ impl<S: PageStore> BufferManager<S> {
     /// pool's events in occurrence order, and every hit served after
     /// this returns.
     pub fn set_observer(&self, observer: Box<dyn BufferObserver>) {
+        let mut slot = sync::lock(&self.pool.observer);
         let shared = Arc::new(Mutex::new(observer));
         for s in 0..self.n_shards() {
-            let fan_in = SharedObserver(Arc::clone(&shared));
-            self.pool.replace_observer(s, Some(Box::new(fan_in)));
+            self.pool.attach_observer(s, Some(Arc::clone(&shared)));
         }
+        *slot = Some(shared);
     }
 
-    /// Detaches and returns the observer, if any.
+    /// Detaches and returns the observer given to
+    /// [`set_observer`](Self::set_observer), if any.
     pub fn take_observer(&self) -> Option<Box<dyn BufferObserver>> {
-        (0..self.n_shards())
-            .map(|s| self.pool.replace_observer(s, None))
-            .fold(None, |first, taken| first.or(taken))
+        let mut slot = sync::lock(&self.pool.observer);
+        for s in 0..self.n_shards() {
+            self.pool.attach_observer(s, None);
+        }
+        // Every shard has dropped its clone: the slot's is the last.
+        let shared = Arc::into_inner(slot.take()?).expect("no shard holds the observer");
+        Some(shared.into_inner().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The underlying page store.
@@ -587,22 +597,17 @@ impl<S: PageStore> Pool<S> {
         guard
     }
 
-    /// Swaps shard `s`'s observer under its mutex, and refreshes there
+    /// Sets shard `s`'s observer under its mutex, and refreshes there
     /// whether the shard's hits have a consumer: an observer attached
     /// here is owed every hit served after this returns.
-    fn replace_observer(
-        &self,
-        s: usize,
-        observer: Option<Box<dyn BufferObserver>>,
-    ) -> Option<Box<dyn BufferObserver>> {
+    fn attach_observer(&self, s: usize, observer: Option<SharedObserver>) {
         let mut core = self.lock(s);
-        let previous = core.replace_observer(observer);
+        core.set_observer(observer);
         // Release pairs with `serve_resident_prefix`'s Acquire load: a
         // thread that sees the flag set by an attach sees the attach.
         self.shards[s]
             .consumes_hits
             .store(core.consumes_hits(), Ordering::Release);
-        previous
     }
 
     /// Serves the longest resident *prefix* of a one-shard run of plan
@@ -707,8 +712,18 @@ impl<S: PageStore> QueryBuffer for BufferManager<S> {
                     staged = true;
                     pool.stage(&rest[served..], plan.lookahead());
                 }
-                let mut core = locked.unwrap_or_else(|| pool.lock(s));
-                core.fetch_entries(&pool.store, &run[served..], out)?;
+                let (mut core, misses) = match locked {
+                    // The prefix ended at a miss seen under this mutex.
+                    Some(core) => (core, &run[served..]),
+                    // Seen without the mutex: another session may have
+                    // loaded the page since, so look again under it.
+                    None => {
+                        let mut core = pool.lock(s);
+                        let more = core.serve_hits(&run[served..], out);
+                        (core, &run[served + more..])
+                    }
+                };
+                core.fetch_entries(&pool.store, misses, out)?;
             }
             if tail.is_empty() {
                 return Ok(());
@@ -1191,6 +1206,38 @@ mod tests {
         assert_eq!(pool.stats().hits, 12);
     }
 
+    /// One flush of a pool is one `Flush` event, reported once every
+    /// shard is empty, however many shards there are; and
+    /// `take_observer` hands back the very box `set_observer` was
+    /// given, not a wrapper around it.
+    #[test]
+    fn a_flush_is_one_event_and_the_observer_comes_back_unwrapped() {
+        use crate::observe::EventCounts;
+        for shards in [1, 2, 4] {
+            let mut pool =
+                BufferManager::sharded(store(4, 4), 16, PolicyKind::Lru, shards).unwrap();
+            let log = SharedLog::default();
+            let given: Box<dyn BufferObserver> = Box::new(log.clone());
+            let address = &*given as *const dyn BufferObserver as *const ();
+            pool.set_observer(given);
+            for t in 0..4 {
+                pool.fetch_batch(&ReadPlan::for_term_pages(TermId(t), 4))
+                    .unwrap();
+            }
+            pool.flush();
+            assert!(pool.is_empty());
+            let events = log.0.lock().unwrap().clone();
+            assert_eq!(EventCounts::tally(&events).flushes, 1, "{shards} shards");
+            assert_eq!(events.last(), Some(&BufferEvent::Flush), "{shards} shards");
+            let taken = pool.take_observer().expect("an observer is attached");
+            assert_eq!(
+                &*taken as *const dyn BufferObserver as *const (), address,
+                "{shards} shards"
+            );
+            assert!(pool.take_observer().is_none());
+        }
+    }
+
     #[test]
     fn resident_pages_many_matches_per_term_loop() {
         let mut pool = BufferManager::sharded(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
@@ -1207,25 +1254,48 @@ mod tests {
     }
 
     /// Over random plans — duplicates, hit / miss / hit, one entry in
-    /// 40 past its list's end — a plan hands the store, before its first
-    /// demand read and only if it misses at all, its distinct pages that
-    /// were not resident when it began, in plan order; then the store
-    /// sees one read per load, in serve order, and, when the plan errs,
-    /// the failed read last. On one shard and two, for every kind.
+    /// 40 past its list's end — and query announcements, a plan hands
+    /// the store, before its first demand read and only if it misses
+    /// at all, its distinct pages that were not resident when it began,
+    /// in plan order; then the store sees one read per entry served as
+    /// a miss, in serve order, and, when the plan errs, the failed read
+    /// last. On one shard and two, for every kind, observed on even
+    /// seeds only: unobserved, RAP and FIFO serve their resident
+    /// prefixes lock-light before staging.
     #[test]
     fn a_plan_stages_its_misses_before_its_first_read() {
         use crate::disk::tests::{StagingProbe, StoreCall};
         use rand::{rngs::SmallRng, Rng, SeedableRng};
-        for seed in 0..16u64 {
+        for seed in 0..24u64 {
             for kind in PolicyKind::ALL {
                 for shards in [1, 2] {
-                    let frames = [4, 8][(seed % 2) as usize];
+                    let frames = [2, 4, 16][(seed % 3) as usize];
+                    let observed = seed % 2 == 0;
+                    let what = format!(
+                        "seed {seed}, {kind}, {shards} shards, {frames} frames, observed {observed}"
+                    );
                     let probe = StagingProbe::new(store(3, 6));
                     let mut pool = BufferManager::sharded(probe, frames, kind, shards).unwrap();
-                    let log = SharedLog::default();
-                    pool.set_observer(Box::new(log.clone()));
+                    if observed {
+                        pool.set_observer(Box::new(SharedLog::default()));
+                    }
+                    let consumed = (0..shards)
+                        .all(|s| pool.pool.shards[s].consumes_hits.load(Ordering::Acquire));
+                    assert_eq!(
+                        consumed,
+                        observed || !matches!(kind, PolicyKind::Rap | PolicyKind::Fifo),
+                        "{what}"
+                    );
                     let mut rng = SmallRng::seed_from_u64(seed);
+                    let mut out = Vec::new();
                     for step in 0..24 {
+                        if rng.gen_range(0..6) == 0 {
+                            let weights: IdMap<TermId, f64> = (0..3)
+                                .map(|t| (TermId(t), f64::from(rng.gen_range(0..4u32))))
+                                .filter(|(_, w)| *w > 0.0)
+                                .collect();
+                            pool.begin_query(&weights);
+                        }
                         let plan: ReadPlan = (0..rng.gen_range(0..10))
                             .map(|_| {
                                 let page = match rng.gen_range(0..40) {
@@ -1237,8 +1307,7 @@ mod tests {
                             .collect();
                         let resident = pool.resident_ids();
                         let calls = pool.store().calls().len();
-                        let events = log.0.lock().unwrap().len();
-                        let result = pool.fetch_batch(&plan);
+                        let result = pool.fetch_batch_into(&plan, &mut out);
                         let mut seen = std::collections::HashSet::new();
                         let staged: Vec<PageId> = plan
                             .iter()
@@ -1249,20 +1318,23 @@ mod tests {
                         if !staged.is_empty() {
                             expected.push(StoreCall::Submit(staged));
                         }
-                        expected.extend(log.0.lock().unwrap()[events..].iter().filter_map(
-                            |event| match event {
-                                BufferEvent::Load(id) => Some(StoreCall::Read(*id)),
-                                _ => None,
-                            },
-                        ));
-                        if result.is_err() {
-                            let failed = plan.iter().find(|e| e.page.page.0 == 6).unwrap();
-                            expected.push(StoreCall::Read(failed.page));
+                        expected.extend(
+                            out.iter()
+                                .filter(|(_, how)| *how == FetchOutcome::Miss)
+                                .map(|(page, _)| StoreCall::Read(page.id())),
+                        );
+                        match result {
+                            Ok(()) => assert_eq!(out.len(), plan.len(), "{what}, step {step}"),
+                            Err(_) => {
+                                let failed = plan.entries()[out.len()].page;
+                                assert_eq!(failed.page.0, 6, "{what}, step {step}");
+                                expected.push(StoreCall::Read(failed));
+                            }
                         }
                         assert_eq!(
                             pool.store().calls()[calls..],
                             expected,
-                            "seed {seed}, {kind}, {shards} shards, step {step}"
+                            "{what}, step {step}"
                         );
                     }
                 }
