@@ -633,6 +633,151 @@ mod tests {
         );
     }
 
+    /// Folds every field of `r`'s counters, every field of its trace
+    /// rows (floats as bits) and every answer's `(doc, score bits)` into
+    /// `words`.
+    fn pin_words(r: &QueryResult, words: &mut Vec<u64>) {
+        let EvalStats {
+            disk_reads,
+            pages_processed,
+            buffer_hits,
+            entries_processed,
+            peak_accumulators,
+            final_accumulators,
+            terms_scanned,
+            terms_skipped,
+            bt_inquiries,
+            threshold_recomputes,
+            baf_estimated_reads,
+            baf_estimate_abs_error,
+            batches_issued,
+            lookahead_confirmed,
+        } = r.stats;
+        words.extend([
+            disk_reads,
+            pages_processed,
+            buffer_hits,
+            entries_processed,
+            peak_accumulators as u64,
+            final_accumulators as u64,
+            terms_scanned as u64,
+            terms_skipped as u64,
+            bt_inquiries,
+            threshold_recomputes,
+            baf_estimated_reads,
+            baf_estimate_abs_error,
+            batches_issued,
+            lookahead_confirmed,
+        ]);
+        for row in &r.trace {
+            let TermTraceRow {
+                term,
+                idf,
+                query_freq,
+                list_pages,
+                s_max_before,
+                f_ins,
+                f_add,
+                pages_processed,
+                pages_read,
+                est_reads,
+                inquired,
+                lookahead,
+            } = row.clone();
+            words.extend([
+                u64::from(term.0),
+                idf.to_bits(),
+                u64::from(query_freq),
+                u64::from(list_pages),
+                s_max_before.to_bits(),
+                f_ins.to_bits(),
+                f_add.to_bits(),
+                u64::from(pages_processed),
+                u64::from(pages_read),
+                u64::from(est_reads),
+                u64::from(inquired),
+                lookahead.map_or(u64::MAX, |t| u64::from(t.0)),
+            ]);
+        }
+        for h in &r.hits {
+            words.extend([u64::from(h.doc.0), h.score.to_bits()]);
+        }
+    }
+
+    /// Every algorithm's trace, counters and answers over 16 seeded
+    /// refinement sequences, warm from step to step, on LRU and RAP
+    /// pools that fit the lists or hold a twelfth of them, with and
+    /// without the forced first-page touch, folded into one FNV-64
+    /// digest. Full and DF never estimate, ask for `b_t`, recompute a
+    /// cached threshold or name a lookahead, with the touch on or off.
+    #[test]
+    fn every_algorithms_trace_counters_and_answers_are_pinned() {
+        let idx = wide_index();
+        let mut words: Vec<u64> = Vec::new();
+        let mut df_skipped = 0;
+        for seed in 0..16u64 {
+            let mut rng = TestRng::from_name(&format!("pinned sequence {seed}"));
+            let queries = refinement_sequence(&idx, &mut rng);
+            let params = [FilterParams::new(1.0, 0.1), FilterParams::PERSIN][(seed % 2) as usize];
+            for algorithm in [Algorithm::Full, Algorithm::Df, Algorithm::Baf] {
+                for (policy, capacity, force) in [PolicyKind::Lru, PolicyKind::Rap]
+                    .into_iter()
+                    .flat_map(|p| [idx.total_pages(), idx.total_pages() / 12].map(|c| (p, c)))
+                    .flat_map(|(p, c)| [false, true].map(|f| (p, c, f)))
+                {
+                    let options = EvalOptions {
+                        params,
+                        baf_force_first_page: force,
+                        ..EvalOptions::default()
+                    };
+                    let mut pool = idx.make_buffer(capacity, policy).unwrap();
+                    for q in &queries {
+                        let r = evaluate(algorithm, &idx, &mut pool, q, options).unwrap();
+                        pin_words(&r, &mut words);
+                        if algorithm == Algorithm::Baf {
+                            continue;
+                        }
+                        let ctx = format!("{algorithm}, seed {seed}, force {force}");
+                        for row in &r.trace {
+                            assert_eq!(
+                                (row.est_reads, row.inquired, row.lookahead),
+                                (0, 0, None),
+                                "{ctx}: {row:?}"
+                            );
+                        }
+                        let s = r.stats;
+                        assert_eq!(
+                            [
+                                s.bt_inquiries,
+                                s.threshold_recomputes,
+                                s.baf_estimated_reads,
+                                s.baf_estimate_abs_error,
+                                s.lookahead_confirmed
+                            ],
+                            [0; 5],
+                            "{ctx}"
+                        );
+                        if algorithm == Algorithm::Df && force {
+                            df_skipped += s.terms_skipped;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(df_skipped > 0, "the pin must cover DF's f_max skip");
+        let digest = words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(
+            (words.len(), digest),
+            (571_104, 0xb024_1548_0ac2_7a51),
+            "traces, counters or answers moved"
+        );
+    }
+
     /// Index with one long list ("commn", 8 docs) and short ones.
     fn index() -> InvertedIndex {
         let mut b = IndexBuilder::new();

@@ -31,9 +31,13 @@ pub fn top_n(accs: &Accumulators, doc_stats: &DocStats, n: usize) -> IrResult<Ve
         hits.clear();
         for (doc, raw) in accs.iter() {
             let w = doc_stats.vector_length(doc)?;
-            // W_d = 0 can only happen for documents with no indexed terms;
-            // such documents can never be in the candidate set.
-            debug_assert!(w > 0.0, "candidate {doc} has zero vector length");
+            // W_d = 0: every term of the document occurs in every
+            // document (idf 0), so its raw score is 0 too and it has no
+            // cosine. Such a candidate exists only while S_max is 0 (a
+            // zero threshold admits a zero partial); it is not ranked.
+            if w == 0.0 {
+                continue;
+            }
             hits.push(Hit {
                 doc,
                 score: raw / w,
@@ -146,6 +150,24 @@ mod tests {
             }
         }
         assert_eq!(zeros, [true; 2], "both zeros were ranked");
+    }
+
+    /// A document whose every term has idf 0 has `W_d = 0`, and an
+    /// evaluation whose `S_max` is still 0 admits it with a zero score:
+    /// it is left out of the answers, not ranked as `0 / 0`.
+    #[test]
+    fn a_candidate_without_a_vector_length_is_not_ranked() {
+        let mut a = Accumulators::new();
+        a.upsert(DocId(0), 0.0);
+        a.upsert(DocId(1), 2.0);
+        let hits = top_n(&a, &stats(&[0.0, 4.0]), 10).unwrap();
+        assert_eq!(
+            hits,
+            [Hit {
+                doc: DocId(1),
+                score: 0.5
+            }]
+        );
     }
 
     #[test]
