@@ -1,8 +1,18 @@
-//! Buffer-Aware Filtering (Fig. 2): DF's per-term processing, with the
-//! processing *order* chosen round-by-round to minimize estimated disk
-//! reads `d_t = max(p_t − b_t, 0)`.
+//! The filtering loop of Fig. 1 (DF) and Fig. 2 (BAF). The two figures
+//! differ only in step 3, which picks the next term; everything else —
+//! the thresholds from `S_max`, the `f_max` skip, the scan, the counters
+//! and the ranking — is this one loop. The pick is an [`Order`]:
 //!
-//! Implementation notes from §3.2.2, all honoured here:
+//! * [`Order::Idf`] (DF, and Full with the filters off) takes the terms
+//!   by decreasing `idf_t`, then the lower term id. It asks the buffer
+//!   manager nothing, estimates nothing, and looks up `p_t` only for a
+//!   term the `f_max` skip keeps, so its trace rows and counters carry
+//!   no estimate, inquiry or lookahead.
+//! * [`Order::FewestReads`] (BAF) takes the term with the least
+//!   estimated reads `d_t = max(p_t − b_t, 0)`, round by round.
+//!
+//! Implementation notes from §3.2.2 for `FewestReads`, all honoured
+//! here:
 //!
 //! * `p_t` comes from the memory-resident conversion table, looked up
 //!   at the term's would-be `f_add`;
@@ -15,9 +25,9 @@
 //!   `S_max` changed** since that term's own last refresh, and only
 //!   when the round looks at the term;
 //! * ties in `d_t` break toward higher `idf_t` (then the lower term
-//!   id): the unmarked terms are kept in that order, so the first term
-//!   with the least `d_t` is Fig. 2's pick and a round stops looking at
-//!   the first `d_t = 0` — nothing after it can win.
+//!   id): the unmarked terms are kept in `Idf`'s order, so the first
+//!   term with the least `d_t` is Fig. 2's pick and a round stops
+//!   looking at the first `d_t = 0` — nothing after it can win.
 //!
 //! The pick, its `d_t` and everything the scan then does are those of
 //! the round that re-asks and recomputes everything every time (kept as
@@ -33,7 +43,7 @@
 //! reads are in flight. The pool never demands them, so they change no
 //! load, no victim and no answer.
 
-use super::clock::{Clock, Layer, NoClock, Stopwatch};
+use super::clock::{Clock, Layer, Stopwatch};
 use super::scan::{scan_term, with_fetched};
 use super::EvalOptions;
 use crate::accumulator::Accumulators;
@@ -43,6 +53,22 @@ use crate::stats::{EvalStats, QueryResult, TermTraceRow};
 use ir_index::InvertedIndex;
 use ir_storage::{FetchOutcome, QueryBuffer};
 use ir_types::{FilterParams, IrResult, ListOrdering, PageId, ReadPlan, TermId};
+
+/// Step 3: the order in which the loop takes up the query's terms.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Order {
+    /// Fig. 1 (DF): decreasing `idf_t`, then the lower term id.
+    Idf,
+    /// Fig. 2 (BAF): the least `d_t = max(p_t − b_t, 0)`, ties broken
+    /// as [`Order::Idf`].
+    FewestReads,
+}
+
+/// Step 4b / 3c: even the list's best entry cannot pass `f_add`, so
+/// the term is skipped without a read.
+fn hopeless(t: &QueryTerm, f_add: f64) -> bool {
+    f64::from(t.f_max) <= f_add
+}
 
 /// The §3.2.2 safety fix for a term the `f_max` skip would ignore
 /// outright: touch its first page anyway, so a newly added term is
@@ -77,19 +103,18 @@ struct Candidate<'q> {
     b_t: u32,
 }
 
-/// Fig. 2's tie-break among equal `d_t`: higher `idf_t` first, then
-/// the lower term id.
-fn tie_break(a: &QueryTerm, b: &QueryTerm) -> std::cmp::Ordering {
-    let by_idf = b.idf.partial_cmp(&a.idf).expect("idf is a number");
-    by_idf.then(a.term.cmp(&b.term))
-}
-
 /// What a selection round settled on.
-struct Pick<'q> {
-    /// The term, with `(f_add, p_t)` fresh at the round's `S_max`.
-    chosen: Candidate<'q>,
-    /// Its `d_t`.
-    est_reads: u32,
+pub(crate) struct Pick<'q> {
+    /// The term.
+    term: &'q QueryTerm,
+    /// Its `f_add` at the round's `S_max`.
+    f_add: f64,
+    /// The pages a threshold-`f_add` scan processes (0 when the `f_max`
+    /// skip drops a term that [`Order::Idf`] picked: never looked up).
+    p_t: u32,
+    /// Its `d_t`, for an order that estimates reads; `None` under
+    /// [`Order::Idf`].
+    est_reads: Option<u32>,
     /// Terms whose `b_t` the round asked for.
     inquired: usize,
     /// When the pick must read (`d_t > 0`): every other unmarked term's
@@ -98,16 +123,27 @@ struct Pick<'q> {
     lookahead: Vec<(TermId, u32)>,
 }
 
-/// Steps 3a-i–iv of Fig. 2, paying only for what can change the pick.
-struct Selection<'q> {
+/// Step 3 of Fig. 1 and Fig. 2 over one query's terms. Under
+/// [`Order::FewestReads`] it is steps 3a-i–iv of Fig. 2, paying only for
+/// what can change the pick.
+pub(crate) struct Selection<'q> {
     index: &'q InvertedIndex,
     params: FilterParams,
+    order: Order,
     /// The unmarked terms, `idf` descending then term id ascending.
+    /// [`Order::Idf`] walks them from `next`; [`Order::FewestReads`]
+    /// removes each pick.
     live: Vec<Candidate<'q>>,
+    next: usize,
 }
 
 impl<'q> Selection<'q> {
-    fn new(index: &'q InvertedIndex, terms: &'q [QueryTerm], params: FilterParams) -> Self {
+    pub(crate) fn new(
+        index: &'q InvertedIndex,
+        terms: &'q [QueryTerm],
+        params: FilterParams,
+        order: Order,
+    ) -> Self {
         let unknown = |term| Candidate {
             term,
             f_add: 0.0,
@@ -116,20 +152,65 @@ impl<'q> Selection<'q> {
             b_t: 0,
         };
         let mut live: Vec<Candidate> = terms.iter().map(unknown).collect();
-        live.sort_by(|a, b| tie_break(a.term, b.term));
+        // Decreasing idf_t (shortest lists first), the lower term id
+        // breaking exact ties.
+        live.sort_by(|a, b| {
+            b.term
+                .idf
+                .total_cmp(&a.term.idf)
+                .then(a.term.term.cmp(&b.term.term))
+        });
         Selection {
             index,
             params,
+            order,
             live,
+            next: 0,
         }
     }
 
-    /// Picks and unmarks the term with the least `d_t` under `s_max`,
-    /// and, when the loop had to see every term, names the rest in the
-    /// order it would pick them. `read_since` says whether the query
-    /// read a page since the last pick (`true` for the first), i.e.
-    /// whether residency can have moved under the `b_t` answers held.
-    fn pick<B: QueryBuffer>(
+    /// Picks and unmarks the next term under `s_max`. `read_since` says
+    /// whether the query read a page since the last pick (`true` for
+    /// the first), i.e. whether residency can have moved under the
+    /// `b_t` answers held.
+    pub(crate) fn pick<B: QueryBuffer>(
+        &mut self,
+        buffer: &B,
+        s_max: f64,
+        read_since: bool,
+        stats: &mut EvalStats,
+    ) -> IrResult<Pick<'q>> {
+        match self.order {
+            Order::Idf => self.next_by_idf(s_max),
+            Order::FewestReads => self.fewest_reads(buffer, s_max, read_since, stats),
+        }
+    }
+
+    /// Fig. 1's step 3: the next term in `idf` order, with its `p_t`
+    /// only if the `f_max` skip keeps it.
+    fn next_by_idf(&mut self, s_max: f64) -> IrResult<Pick<'q>> {
+        let t = self.live[self.next].term;
+        self.next += 1;
+        let f_add = self.params.f_add(s_max, t.query_freq, t.idf);
+        let p_t = if hopeless(t, f_add) {
+            0
+        } else {
+            self.index.conversion().pages_to_process(t.term, f_add)?
+        };
+        Ok(Pick {
+            term: t,
+            f_add,
+            p_t,
+            est_reads: None,
+            inquired: 0,
+            lookahead: Vec::new(),
+        })
+    }
+
+    /// Fig. 2's step 3: the term with the least `d_t` under `s_max`,
+    /// and, when the loop had to see every term, the rest named in the
+    /// order it would pick them.
+    fn fewest_reads<B: QueryBuffer>(
         &mut self,
         buffer: &B,
         s_max: f64,
@@ -184,54 +265,21 @@ impl<'q> Selection<'q> {
             lookahead = rest.into_iter().map(|(_, term, p_t)| (term, p_t)).collect();
         }
         Ok(Pick {
-            chosen,
-            est_reads,
+            term: chosen.term,
+            f_add: chosen.f_add,
+            p_t: chosen.p_t,
+            est_reads: Some(est_reads),
             inquired,
             lookahead,
         })
     }
 }
 
-/// Runs BAF.
-pub fn evaluate_baf<B: QueryBuffer>(
-    index: &InvertedIndex,
-    buffer: &mut B,
-    query: &Query,
-    options: EvalOptions,
-) -> IrResult<QueryResult> {
-    evaluate_baf_on(index, buffer, query, options, &NoClock)
-}
-
-/// [`evaluate_baf`] keeping the per-layer ledger under `clock`.
-pub(crate) fn evaluate_baf_on<B: QueryBuffer, C: Clock>(
-    index: &InvertedIndex,
-    buffer: &mut B,
-    query: &Query,
-    options: EvalOptions,
-    clock: &C,
-) -> IrResult<QueryResult> {
-    let mut watch = Stopwatch::start(clock);
-    buffer.begin_query(&query.weights());
-    watch.lap(Layer::Policy);
-    let mut rounds = Selection::new(index, query.terms(), options.params);
-    Accumulators::with_scratch(index.n_docs() as usize, |accs| {
-        baf_over(
-            index,
-            buffer,
-            query,
-            options,
-            accs,
-            &mut watch,
-            |b, s_max, read, stats| rounds.pick(b, s_max, read, stats),
-        )
-    })
-}
-
-/// Fig. 2 over the caller's (empty) accumulator set, one `pick` a
-/// round: `pick(buffer, S_max, read a page since the last pick, stats)`.
-/// Each round's pick is selection: one clock read a round, beside a
-/// scan's two.
-fn baf_over<'q, B: QueryBuffer, C: Clock>(
+/// The loop of Fig. 1 and Fig. 2 over the caller's (empty) accumulator
+/// set, one `pick` a round: `pick(buffer, S_max, read a page since the
+/// last pick, stats)`. Each round's pick is selection: one clock read a
+/// round, beside a scanned list's two.
+pub(crate) fn filter_over<'q, B: QueryBuffer, C: Clock>(
     index: &InvertedIndex,
     buffer: &mut B,
     query: &'q Query,
@@ -251,16 +299,16 @@ fn baf_over<'q, B: QueryBuffer, C: Clock>(
 
     let mut read_since = true;
     for _ in 0..n {
-        // Step 3a: select the term with the least d_t.
+        // Step 3: the next term.
         let picked = pick(buffer, s_max, read_since, &mut stats)?;
         watch.lap(Layer::Selection);
-        let (t, f_add, est_reads) = (picked.chosen.term, picked.chosen.f_add, picked.est_reads);
+        let (t, f_add) = (picked.term, picked.f_add);
         if trace.last().and_then(|row: &TermTraceRow| row.lookahead) == Some(t.term) {
             stats.lookahead_confirmed += 1;
         }
 
-        // Step 3b: fresh thresholds (the pick's f_add was computed
-        // against the current S_max).
+        // Step 4a / 3b: thresholds from the current S_max (the pick's
+        // f_add was computed against it).
         let f_ins = options.params.f_ins(s_max, t.query_freq, t.idf);
         debug_assert_eq!(f_add, options.params.f_add(s_max, t.query_freq, t.idf));
 
@@ -274,21 +322,22 @@ fn baf_over<'q, B: QueryBuffer, C: Clock>(
             f_add,
             pages_processed: 0,
             pages_read: 0,
-            est_reads,
+            est_reads: picked.est_reads.unwrap_or(0),
             inquired: picked.inquired as u32,
             lookahead: None,
         };
-        // Step 3c: f_max skip.
-        if f64::from(t.f_max) <= f_add {
+        if hopeless(t, f_add) {
             stats.terms_skipped += 1;
-            if options.baf_force_first_page && t.n_pages > 0 {
+            // DF drops the term; BAF may touch its first page.
+            if options.baf_force_first_page && picked.est_reads.is_some() && t.n_pages > 0 {
                 touch_first_page(buffer, t, &mut stats, &mut row, watch)?;
             }
         } else {
             row.lookahead = picked.lookahead.first().map(|&(term, _)| term);
             // The pick's `p_t` is exactly the page count a
-            // threshold-f_add scan processes — it sizes both the d_t
-            // estimate and the term's read plan.
+            // threshold-f_add scan processes (the conversion table,
+            // §3.2.2) — it sizes both the d_t estimate and the term's
+            // read plan.
             let out = scan_term(
                 buffer,
                 accs,
@@ -297,15 +346,17 @@ fn baf_over<'q, B: QueryBuffer, C: Clock>(
                 f_ins,
                 f_add,
                 early_stop,
-                picked.chosen.p_t,
+                picked.p_t,
                 picked.lookahead,
                 watch,
             )?;
             stats.record_scan(&out);
             // The estimator's quality, measured: what d_t promised vs
             // what the scan actually pulled from disk.
-            stats.baf_estimated_reads += u64::from(est_reads);
-            stats.baf_estimate_abs_error += u64::from(est_reads.abs_diff(out.pages_read));
+            if let Some(est_reads) = picked.est_reads {
+                stats.baf_estimated_reads += u64::from(est_reads);
+                stats.baf_estimate_abs_error += u64::from(est_reads.abs_diff(out.pages_read));
+            }
             row.pages_processed = out.pages_processed;
             row.pages_read = out.pages_read;
         }
@@ -313,6 +364,7 @@ fn baf_over<'q, B: QueryBuffer, C: Clock>(
         trace.push(row);
     }
 
+    // Steps 5–6: normalize by W_d, return the n best.
     let hits = rank::top_n(accs, index.doc_stats(), options.top_n)?;
     stats.peak_accumulators = accs.peak();
     stats.final_accumulators = accs.len();
@@ -327,7 +379,8 @@ fn baf_over<'q, B: QueryBuffer, C: Clock>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, evaluate_df, Algorithm};
+    use crate::eval::clock::NoClock;
+    use crate::eval::{evaluate, Algorithm};
     use ir_index::{BuildOptions, IndexBuilder};
     use ir_storage::PolicyKind;
     use ir_types::IndexParams;
@@ -423,14 +476,10 @@ mod tests {
             let i = live[k];
             self.done[i] = true;
             Ok(Pick {
-                chosen: Candidate {
-                    term: &terms[i],
-                    f_add: self.f_add[i],
-                    p_t: self.p_t[i],
-                    fresh_at: s_max,
-                    b_t: b_ts[k],
-                },
-                est_reads,
+                term: &terms[i],
+                f_add: self.f_add[i],
+                p_t: self.p_t[i],
+                est_reads: Some(est_reads),
                 inquired: live.len(),
                 lookahead,
             })
@@ -452,7 +501,7 @@ mod tests {
         let mut named = Vec::new();
         let mut watch = Stopwatch::start(&NoClock);
         let result = Accumulators::with_scratch(index.n_docs() as usize, |accs| {
-            baf_over(
+            filter_over(
                 index,
                 buffer,
                 query,
@@ -536,7 +585,7 @@ mod tests {
         let mut work = [0u64; 4];
         for (step, q) in queries.iter().enumerate() {
             let ctx = format!("seed {seed}, step {step} ({policy}, {capacity} frames)");
-            let mut lazy_round = Selection::new(idx, q.terms(), options.params);
+            let mut lazy_round = Selection::new(idx, q.terms(), options.params, Order::FewestReads);
             let (lazy, lazy_named) =
                 evaluate_logged(idx, &mut lazy_pool, q, options, |b, s_max, read, stats| {
                     lazy_round.pick(b, s_max, read, stats)
@@ -807,11 +856,10 @@ mod tests {
     }
 
     #[test]
-    fn cold_buffers_fall_back_to_idf_order() {
-        // With nothing resident, every term has d_t = p_t > 0... not
-        // necessarily idf order; but with filters OFF and cold buffers,
-        // d_t = list pages, so the *shortest list* goes first — and the
-        // tie-break is idf. Verify ordering is by (d_t, idf desc).
+    fn cold_buffers_take_the_shortest_list_first() {
+        // With the filters off every list is read whole, and with
+        // nothing resident b_t = 0, so d_t is the list's page count:
+        // the lists come up shortest first.
         let idx = index();
         let q = query(&idx, &[("commn", 1), ("rare", 1), ("mid", 1)]);
         let mut buf = idx.make_buffer(32, PolicyKind::Lru).unwrap();
@@ -884,9 +932,9 @@ mod tests {
             ..EvalOptions::default()
         };
         let mut b1 = idx.make_buffer(32, PolicyKind::Lru).unwrap();
-        let df = evaluate_df(&idx, &mut b1, &q, opts).unwrap();
+        let df = evaluate(Algorithm::Df, &idx, &mut b1, &q, opts).unwrap();
         let mut b2 = idx.make_buffer(32, PolicyKind::Lru).unwrap();
-        let baf = evaluate_baf(&idx, &mut b2, &q, opts).unwrap();
+        let baf = evaluate(Algorithm::Baf, &idx, &mut b2, &q, opts).unwrap();
         assert_eq!(df.hits.len(), baf.hits.len());
         for (a, b) in df.hits.iter().zip(&baf.hits) {
             assert_eq!(a.doc, b.doc);
@@ -901,7 +949,7 @@ mod tests {
         let idx = index();
         let q = query(&idx, &[("commn", 1), ("rare", 1), ("mid", 1)]);
         let mut buf = idx.make_buffer(32, PolicyKind::Lru).unwrap();
-        let r = evaluate_baf(&idx, &mut buf, &q, EvalOptions::default()).unwrap();
+        let r = evaluate(Algorithm::Baf, &idx, &mut buf, &q, EvalOptions::default()).unwrap();
         // A cold query reads in every round, so every round asks again:
         // the paper's T(T+1)/2 with T = 3.
         assert_eq!(r.stats.bt_inquiries, 6);
@@ -921,21 +969,21 @@ mod tests {
         let inquired =
             |r: &QueryResult| -> Vec<u32> { r.trace.iter().map(|t| t.inquired).collect() };
         let mut buf = idx.make_buffer(32, PolicyKind::Rap).unwrap();
-        let cold = evaluate_baf(&idx, &mut buf, &q, opts).unwrap();
+        let cold = evaluate(Algorithm::Baf, &idx, &mut buf, &q, opts).unwrap();
         assert_eq!(
             inquired(&cold),
             [3, 2, 1],
             "a cold round reads, so the next asks again"
         );
         assert_eq!(cold.stats.bt_inquiries, 6);
-        let warm = evaluate_baf(&idx, &mut buf, &q, opts).unwrap();
+        let warm = evaluate(Algorithm::Baf, &idx, &mut buf, &q, opts).unwrap();
         assert_eq!(
             inquired(&warm),
             [3, 0, 0],
             "rounds of hits reuse the answers"
         );
         assert_eq!(warm.stats.bt_inquiries, 3);
-        let df = evaluate_df(&idx, &mut buf, &q, opts).unwrap();
+        let df = evaluate(Algorithm::Df, &idx, &mut buf, &q, opts).unwrap();
         assert_eq!(inquired(&df), [0, 0, 0]);
     }
 
@@ -952,30 +1000,28 @@ mod tests {
             ..EvalOptions::default()
         };
         let mut buf = idx.make_buffer(32, PolicyKind::Rap).unwrap();
-        let cold = evaluate_baf(&idx, &mut buf, &q, opts).unwrap();
+        let cold = evaluate(Algorithm::Baf, &idx, &mut buf, &q, opts).unwrap();
         let order = cold.processing_order();
         let lookaheads: Vec<Option<TermId>> = cold.trace.iter().map(|t| t.lookahead).collect();
         assert_eq!(lookaheads, [Some(order[1]), Some(order[2]), None]);
         assert_eq!(cold.stats.lookahead_confirmed, 2);
-        let warm = evaluate_baf(&idx, &mut buf, &q, opts).unwrap();
+        let warm = evaluate(Algorithm::Baf, &idx, &mut buf, &q, opts).unwrap();
         assert!(warm.trace.iter().all(|t| t.lookahead.is_none()));
         assert_eq!(warm.stats.lookahead_confirmed, 0);
-        let df = evaluate_df(&idx, &mut buf, &q, opts).unwrap();
+        let df = evaluate(Algorithm::Df, &idx, &mut buf, &q, opts).unwrap();
         assert!(df.trace.iter().all(|t| t.lookahead.is_none()));
     }
 
     #[test]
     fn threshold_cache_not_recomputed_when_smax_static() {
         let idx = index();
-        // Filters OFF → f_add stays 0 → S_max changes after first term
-        // only... S_max does change (starts 0, grows). But with OFF the
-        // f_add values stay 0; the cache still recomputes when S_max
-        // moves. Verify the count is bounded by T + T-1 (first round T,
-        // at most T-1 after each scan) rather than T(T+1)/2 when S_max
-        // stops moving early.
+        // The first round computes every term's (f_add, p_t). A later
+        // round refreshes only the terms still unmarked, and only when
+        // S_max moved since their last refresh, so T = 3 terms take
+        // between 3 and 3 + 2 + 1 = 6 recomputes.
         let q = query(&idx, &[("commn", 1), ("rare", 1), ("mid", 1)]);
         let mut buf = idx.make_buffer(32, PolicyKind::Lru).unwrap();
-        let r = evaluate_baf(&idx, &mut buf, &q, EvalOptions::default()).unwrap();
+        let r = evaluate(Algorithm::Baf, &idx, &mut buf, &q, EvalOptions::default()).unwrap();
         assert!(r.stats.threshold_recomputes <= 6);
         assert!(
             r.stats.threshold_recomputes >= 3,
@@ -993,7 +1039,8 @@ mod tests {
         let params = FilterParams::new(100.0, 100.0);
         let run = |force: bool| {
             let mut buf = idx.make_buffer(32, PolicyKind::Lru).unwrap();
-            evaluate_baf(
+            evaluate(
+                Algorithm::Baf,
                 &idx,
                 &mut buf,
                 &q,
@@ -1030,8 +1077,8 @@ mod tests {
             params: FilterParams::OFF,
             ..EvalOptions::default()
         };
-        evaluate_baf(&idx, &mut buf, &q1, opts).unwrap();
-        let r2 = evaluate_baf(&idx, &mut buf, &q2, opts).unwrap();
+        evaluate(Algorithm::Baf, &idx, &mut buf, &q1, opts).unwrap();
+        let r2 = evaluate(Algorithm::Baf, &idx, &mut buf, &q2, opts).unwrap();
         let order = r2.processing_order();
         assert_eq!(
             *order.last().unwrap(),
@@ -1075,7 +1122,7 @@ mod tests {
         let sim_reads: Vec<u64> = queries
             .iter()
             .map(|q| {
-                evaluate_baf(&idx, &mut sim, q, opts)
+                evaluate(Algorithm::Baf, &idx, &mut sim, q, opts)
                     .unwrap()
                     .stats
                     .disk_reads
@@ -1097,7 +1144,7 @@ mod tests {
             let reads: Vec<u64> = queries
                 .iter()
                 .map(|q| {
-                    evaluate_baf(&idx, &mut buf, q, opts)
+                    evaluate(Algorithm::Baf, &idx, &mut buf, q, opts)
                         .unwrap()
                         .stats
                         .disk_reads
@@ -1120,11 +1167,15 @@ mod tests {
     #[test]
     fn ties_break_toward_higher_idf() {
         let idx = index();
-        // rare (1 page, idf high) and mid (1 page, idf lower): equal
-        // d_t on cold buffers with OFF → rare first.
+        // rare and mid have one page each: on cold buffers with the
+        // filters off their d_t are equal, so rare's higher idf wins.
+        let rare = idx.lexicon().lookup("rare").unwrap();
+        let mid = idx.lexicon().lookup("mid").unwrap();
+        assert_eq!(idx.n_pages(rare).unwrap(), idx.n_pages(mid).unwrap());
         let q = query(&idx, &[("mid", 1), ("rare", 1)]);
         let mut buf = idx.make_buffer(32, PolicyKind::Lru).unwrap();
-        let r = evaluate_baf(
+        let r = evaluate(
+            Algorithm::Baf,
             &idx,
             &mut buf,
             &q,
@@ -1134,13 +1185,141 @@ mod tests {
             },
         )
         .unwrap();
-        let rare = idx.lexicon().lookup("rare").unwrap();
-        let mid = idx.lexicon().lookup("mid").unwrap();
-        let rare_pages = idx.n_pages(rare).unwrap();
-        let mid_pages = idx.n_pages(mid).unwrap();
-        if rare_pages == mid_pages {
-            assert_eq!(r.trace[0].term, rare);
+        assert!(r.trace[0].idf > r.trace[1].idf);
+        assert_eq!(r.trace[0].term, rare);
+    }
+
+    /// A small controlled index:
+    /// - "rare"  in 1 doc  (idf = log2(8) = 3),
+    /// - "mid"   in 2 docs (idf = 2),
+    /// - "commn" in 4 docs (idf = 1).
+    fn df_index() -> InvertedIndex {
+        let mut b = IndexBuilder::new();
+        b.add_document(["rare", "mid", "commn", "commn", "commn"]); // d0
+        b.add_document(["mid", "mid", "commn"]); // d1
+        b.add_document(["commn"]); // d2
+        b.add_document(["commn", "filler"]); // d3
+        for _ in 0..4 {
+            b.add_document(["filler"]); // d4..d7
         }
-        let _ = mid;
+        b.build(BuildOptions {
+            params: IndexParams::with_page_size(2),
+            ..BuildOptions::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn processes_terms_in_idf_order() {
+        let idx = df_index();
+        let q = query(&idx, &[("commn", 1), ("rare", 1), ("mid", 1)]);
+        let mut buf = idx.make_buffer(16, PolicyKind::Lru).unwrap();
+        let r = evaluate(Algorithm::Df, &idx, &mut buf, &q, EvalOptions::default()).unwrap();
+        let idfs: Vec<f64> = r.trace.iter().map(|row| row.idf).collect();
+        assert!(idfs.windows(2).all(|w| w[0] >= w[1]), "idf order: {idfs:?}");
+        assert_eq!(r.trace.len(), 3);
+    }
+
+    #[test]
+    fn full_evaluation_scores_match_hand_cosine() {
+        let idx = df_index();
+        let q = query(&idx, &[("rare", 1), ("mid", 2)]);
+        let mut buf = idx.make_buffer(16, PolicyKind::Lru).unwrap();
+        let r = evaluate(Algorithm::Full, &idx, &mut buf, &q, EvalOptions::default()).unwrap();
+        // Raw scores: d0 has rare×1 (idf 3) and mid×1 (idf 2):
+        //   raw(d0) = (1·3)(1·3) + (1·2)(2·2) = 17, W_d0 = sqrt(9+4+9) = √22;
+        // d1 has mid×2: raw(d1) = (2·2)(2·2) = 16, W_d1 = sqrt(16+1) = √17.
+        // Normalized, d1 (16/√17 ≈ 3.88) outranks d0 (17/√22 ≈ 3.62).
+        let w_d0 = idx.doc_stats().vector_length(ir_types::DocId(0)).unwrap();
+        let w_d1 = idx.doc_stats().vector_length(ir_types::DocId(1)).unwrap();
+        assert_eq!(r.hits[0].doc, ir_types::DocId(1));
+        assert!((r.hits[0].score - 16.0 / w_d1).abs() < 1e-9);
+        assert_eq!(r.hits[1].doc, ir_types::DocId(0));
+        assert!((r.hits[1].score - 17.0 / w_d0).abs() < 1e-9);
+        assert!((w_d0 - 22f64.sqrt()).abs() < 1e-9);
+        assert!((w_d1 - 17f64.sqrt()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn full_evaluation_reads_every_query_page() {
+        let idx = df_index();
+        let q = query(&idx, &[("rare", 1), ("mid", 1), ("commn", 1)]);
+        let mut buf = idx.make_buffer(16, PolicyKind::Lru).unwrap();
+        let r = evaluate(Algorithm::Full, &idx, &mut buf, &q, EvalOptions::default()).unwrap();
+        assert_eq!(r.stats.disk_reads, q.total_pages());
+        assert_eq!(r.stats.pages_processed, q.total_pages());
+        assert_eq!(r.stats.terms_skipped, 0);
+    }
+
+    #[test]
+    fn aggressive_thresholds_reduce_reads_and_accumulators() {
+        let idx = df_index();
+        let q = query(&idx, &[("rare", 3), ("mid", 1), ("commn", 1)]);
+        let run = |params: FilterParams| {
+            let mut buf = idx.make_buffer(16, PolicyKind::Lru).unwrap();
+            evaluate(
+                Algorithm::Df,
+                &idx,
+                &mut buf,
+                &q,
+                EvalOptions {
+                    params,
+                    ..EvalOptions::default()
+                },
+            )
+            .unwrap()
+        };
+        let full = run(FilterParams::OFF);
+        let filtered = run(FilterParams::new(5.0, 0.5));
+        assert!(filtered.stats.entries_processed <= full.stats.entries_processed);
+        assert!(filtered.stats.peak_accumulators <= full.stats.peak_accumulators);
+        // The filtered run must still rank *something*.
+        assert!(!filtered.hits.is_empty());
+    }
+
+    #[test]
+    fn fmax_skip_avoids_all_reads_for_hopeless_terms() {
+        let idx = df_index();
+        // rare first (f_max 1, idf 3, fq 5): builds S_max; then commn
+        // (idf 1, f_max 3). With huge c_add, f_add for commn exceeds
+        // f_max → skipped without reads.
+        let q = query(&idx, &[("rare", 5), ("commn", 1)]);
+        let mut buf = idx.make_buffer(16, PolicyKind::Lru).unwrap();
+        let r = evaluate(
+            Algorithm::Df,
+            &idx,
+            &mut buf,
+            &q,
+            EvalOptions {
+                params: FilterParams::new(100.0, 100.0),
+                ..EvalOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(r.stats.terms_skipped, 1);
+        let commn_row = r.trace.iter().find(|row| row.idf < 2.0).unwrap();
+        assert_eq!(commn_row.pages_processed, 0);
+        assert_eq!(commn_row.pages_read, 0);
+    }
+
+    #[test]
+    fn trace_smax_is_nondecreasing() {
+        let idx = df_index();
+        let q = query(&idx, &[("rare", 1), ("mid", 1), ("commn", 1)]);
+        let mut buf = idx.make_buffer(16, PolicyKind::Lru).unwrap();
+        let r = evaluate(Algorithm::Df, &idx, &mut buf, &q, EvalOptions::default()).unwrap();
+        let smaxes: Vec<f64> = r.trace.iter().map(|row| row.s_max_before).collect();
+        assert!(smaxes.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(smaxes[0], 0.0, "S_max starts at 0 (step 2)");
+    }
+
+    #[test]
+    fn empty_query_returns_empty_result() {
+        let idx = df_index();
+        let q = Query::default();
+        let mut buf = idx.make_buffer(4, PolicyKind::Lru).unwrap();
+        let r = evaluate(Algorithm::Df, &idx, &mut buf, &q, EvalOptions::default()).unwrap();
+        assert!(r.hits.is_empty());
+        assert_eq!(r.stats.disk_reads, 0);
     }
 }

@@ -1,16 +1,18 @@
-//! The evaluation algorithms: Full (safe), DF (Fig. 1), BAF (Fig. 2).
+//! The evaluation algorithms: Full (safe), DF (Fig. 1), BAF (Fig. 2) —
+//! one filtering loop whose term order is DF's `idf` order or BAF's
+//! fewest estimated reads, Full being DF with the filters off.
 
-mod baf;
 pub mod clock;
-mod df;
+mod filter;
 mod scan;
 
-pub use baf::evaluate_baf;
 pub use clock::{Clock, Layers, NoClock, RealClock, TickClock};
-pub use df::evaluate_df;
 
+use crate::accumulator::Accumulators;
 use crate::query::Query;
 use crate::stats::QueryResult;
+use clock::{Layer, Stopwatch};
+use filter::{filter_over, Order, Selection};
 use ir_index::InvertedIndex;
 use ir_storage::QueryBuffer;
 use ir_types::{FilterParams, IrResult, DEFAULT_TOP_N};
@@ -122,17 +124,27 @@ pub fn evaluate_on<B: QueryBuffer, C: Clock>(
     options: EvalOptions,
     clock: &C,
 ) -> IrResult<QueryResult> {
-    match algorithm {
-        Algorithm::Full => {
-            let opts = EvalOptions {
-                params: FilterParams::OFF,
-                ..options
-            };
-            df::evaluate_df_on(index, buffer, query, opts, clock)
-        }
-        Algorithm::Df => df::evaluate_df_on(index, buffer, query, options, clock),
-        Algorithm::Baf => baf::evaluate_baf_on(index, buffer, query, options, clock),
-    }
+    let (order, params) = match algorithm {
+        Algorithm::Full => (Order::Idf, FilterParams::OFF),
+        Algorithm::Df => (Order::Idf, options.params),
+        Algorithm::Baf => (Order::FewestReads, options.params),
+    };
+    let options = EvalOptions { params, ..options };
+    let mut watch = Stopwatch::start(clock);
+    buffer.begin_query(&query.weights());
+    watch.lap(Layer::Policy);
+    let mut selection = Selection::new(index, query.terms(), params, order);
+    Accumulators::with_scratch(index.n_docs() as usize, |accs| {
+        filter_over(
+            index,
+            buffer,
+            query,
+            options,
+            accs,
+            &mut watch,
+            |b, s, read, stats| selection.pick(b, s, read, stats),
+        )
+    })
 }
 
 #[cfg(test)]

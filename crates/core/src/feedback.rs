@@ -94,9 +94,8 @@ pub fn feedback_sequence(
     options: FeedbackOptions,
     source: usize,
 ) -> IrResult<RefinementSequence> {
-    use crate::eval::{evaluate_df, EvalOptions};
+    use crate::eval::{evaluate, Algorithm, EvalOptions};
     use ir_storage::PolicyKind;
-    use ir_types::FilterParams;
 
     let mut current: Vec<(TermId, u32)> = initial.to_vec();
     let mut steps = vec![current.clone()];
@@ -107,16 +106,11 @@ pub fn feedback_sequence(
         }
         let pool = (query.total_pages() as usize).max(1);
         let mut buffer = index.make_buffer(pool, PolicyKind::Lru)?;
-        let result = evaluate_df(
-            index,
-            &mut buffer,
-            &query,
-            EvalOptions {
-                params: FilterParams::OFF,
-                top_n: options.feedback_docs.max(20),
-                baf_force_first_page: false,
-            },
-        )?;
+        let full = EvalOptions {
+            top_n: options.feedback_docs.max(20),
+            ..EvalOptions::default()
+        };
+        let result = evaluate(Algorithm::Full, index, &mut buffer, &query, full)?;
         let additions = expansion_terms(index, &query, &result.hits, options)?;
         if additions.is_empty() {
             break;
@@ -135,7 +129,7 @@ pub fn feedback_sequence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate_df, EvalOptions};
+    use crate::eval::{evaluate, Algorithm, EvalOptions};
     use ir_index::{BuildOptions, IndexBuilder};
     use ir_storage::PolicyKind;
     use ir_types::IndexParams;
@@ -175,7 +169,7 @@ mod tests {
         let initial = named(&idx, &[("stock", 1)]);
         let q = Query::from_ids(&idx, &initial).unwrap();
         let mut buffer = idx.make_buffer(16, PolicyKind::Lru).unwrap();
-        let r = evaluate_df(&idx, &mut buffer, &q, EvalOptions::default()).unwrap();
+        let r = evaluate(Algorithm::Df, &idx, &mut buffer, &q, EvalOptions::default()).unwrap();
         let exp = expansion_terms(&idx, &q, &r.hits, FeedbackOptions::default()).unwrap();
         assert!(!exp.is_empty());
         // "panic" (doubled in a stock doc, rare) must be among the

@@ -10,11 +10,11 @@
 //!   after the first also drops the lowest-contribution term of the
 //!   previously added group.
 
-use crate::eval::{evaluate_df, EvalOptions};
+use crate::eval::{evaluate, Algorithm, EvalOptions};
 use crate::query::Query;
 use ir_index::InvertedIndex;
 use ir_storage::{PageStore, PolicyKind};
-use ir_types::{FilterParams, IrResult, TermId};
+use ir_types::{IrResult, TermId};
 
 /// Which refinement pattern to build.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -103,16 +103,11 @@ pub fn contribution_ranking(
     }
     let pool = (query.total_pages() as usize).max(1);
     let mut buffer = index.make_buffer(pool, PolicyKind::Lru)?;
-    let result = evaluate_df(
-        index,
-        &mut buffer,
-        query,
-        EvalOptions {
-            params: FilterParams::OFF,
-            top_n,
-            baf_force_first_page: false,
-        },
-    )?;
+    let options = EvalOptions {
+        top_n,
+        ..EvalOptions::default()
+    };
+    let result = evaluate(Algorithm::Full, index, &mut buffer, query, options)?;
     // `W_d` of each top document, by document id.
     let mut top_docs: Vec<Option<f64>> = vec![None; index.n_docs() as usize];
     let mut n_top = 0usize;

@@ -77,37 +77,47 @@ fn expected(rounds: u64, scanned: u64, waits: (u64, u64), turns: u64) -> LayerCo
     }
 }
 
-/// Holds one row to its exact tick-clock split. BAF selects once a
-/// round, a round a query term; DF's selection is a conversion lookup a
-/// scanned term.
+/// Holds one row to its exact tick-clock split. Every algorithm runs
+/// one selection round a query term, a skipped term's too.
 fn assert_exact(row: &QueryCost, algorithm: Algorithm, terms: u64, scanned: u64, turns: u64) {
-    let rounds = match algorithm {
-        Algorithm::Baf => terms,
-        _ => scanned,
-    };
     let waits = (row.layers.demand_wait_us, row.layers.staged_wait_us);
     assert_eq!(waits.0 + waits.1, row.io_wait_us, "{row:?}");
     assert_eq!(
         row.layers,
-        expected(rounds, scanned, waits, turns),
+        expected(terms, scanned, waits, turns),
         "{algorithm}: {row:?}"
     );
     assert_eq!(row.layers.total_us(), row.eval_us, "{row:?}");
 }
 
 /// DF/LRU and BAF/RAP on a pool of a tenth of the lists, through the
-/// engine: every row is exact, and the same on a second run.
+/// engine: every row is exact, and the same on a second run. A third
+/// DF/LRU run filters hard enough to skip lists, whose rounds tick too.
 #[test]
 fn the_tick_clock_ledger_is_exact_for_df_lru_and_tight_baf_rap() {
-    for config in [
-        EngineConfig {
-            buffer_pages: 8,
-            ..EngineConfig::paper_baseline()
-        },
-        EngineConfig {
-            buffer_pages: 8,
-            ..EngineConfig::default()
-        },
+    for (config, skips) in [
+        (
+            EngineConfig {
+                buffer_pages: 8,
+                ..EngineConfig::paper_baseline()
+            },
+            false,
+        ),
+        (
+            EngineConfig {
+                buffer_pages: 8,
+                ..EngineConfig::default()
+            },
+            false,
+        ),
+        (
+            EngineConfig {
+                buffer_pages: 8,
+                params: FilterParams::new(100.0, 100.0),
+                ..EngineConfig::paper_baseline()
+            },
+            true,
+        ),
     ] {
         let run = || {
             let mut engine = SearchEngine::new(index(), config).unwrap().with_clock(TICK);
@@ -126,6 +136,8 @@ fn the_tick_clock_ledger_is_exact_for_df_lru_and_tight_baf_rap() {
                 assert_eq!(row.io_wait_us, 0, "the simulator charges no wait");
             }
             assert!(results.iter().any(|r| r.stats.disk_reads > 0));
+            let skipped = results.iter().any(|r| r.stats.terms_skipped > 0);
+            assert_eq!(skipped, skips, "{config:?}");
             rows
         };
         assert_eq!(run(), run(), "{config:?}");

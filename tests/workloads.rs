@@ -1,12 +1,12 @@
 //! Refinement-workload construction over a real generated corpus
 //! (§5.1.2's recipe end-to-end).
 
-use buffir::core::eval::{evaluate_df, EvalOptions};
+use buffir::core::eval::{evaluate, EvalOptions};
 use buffir::core::{contribution_ranking, make_sequence, Query, RefinementKind};
 use buffir::index::InvertedIndex;
 use buffir::storage::PageStore;
 use buffir::types::{weights, DocId, PageId, TermId};
-use buffir::{FilterParams, PolicyKind};
+use buffir::{Algorithm, PolicyKind};
 use std::collections::HashMap;
 
 mod common;
@@ -36,11 +36,10 @@ fn map_based_contributions(index: &InvertedIndex, query: &Query) -> Vec<(TermId,
     let pool = (query.total_pages() as usize).max(1);
     let mut buffer = index.make_buffer(pool, PolicyKind::Lru).unwrap();
     let options = EvalOptions {
-        params: FilterParams::OFF,
         top_n: 20,
-        baf_force_first_page: false,
+        ..EvalOptions::default()
     };
-    let result = evaluate_df(index, &mut buffer, query, options).unwrap();
+    let result = evaluate(Algorithm::Full, index, &mut buffer, query, options).unwrap();
     let top: HashMap<DocId, f64> = result
         .hits
         .iter()
