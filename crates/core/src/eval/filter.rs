@@ -55,7 +55,7 @@ use ir_storage::{FetchOutcome, QueryBuffer};
 use ir_types::{FilterParams, IrResult, ListOrdering, PageId, ReadPlan, TermId};
 
 /// Step 3: the order in which the loop takes up the query's terms.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum Order {
     /// Fig. 1 (DF): decreasing `idf_t`, then the lower term id.
     Idf,
