@@ -33,8 +33,8 @@ pub fn top_n(accs: &Accumulators, doc_stats: &DocStats, n: usize) -> IrResult<Ve
             let w = doc_stats.vector_length(doc)?;
             // W_d = 0: every term of the document occurs in every
             // document (idf 0), so its raw score is 0 too and it has no
-            // cosine. Such a candidate exists only while S_max is 0 (a
-            // zero threshold admits a zero partial); it is not ranked.
+            // cosine. Only a zero threshold (Full, or any order before
+            // S_max moves) admits such a zero partial; it is not ranked.
             if w == 0.0 {
                 continue;
             }
@@ -152,9 +152,9 @@ mod tests {
         assert_eq!(zeros, [true; 2], "both zeros were ranked");
     }
 
-    /// A document whose every term has idf 0 has `W_d = 0`, and an
-    /// evaluation whose `S_max` is still 0 admits it with a zero score:
-    /// it is left out of the answers, not ranked as `0 / 0`.
+    /// A document whose every term has idf 0 has `W_d = 0`, and a zero
+    /// threshold admits it with a zero score: it is left out of the
+    /// answers, not ranked as `0 / 0`.
     #[test]
     fn a_candidate_without_a_vector_length_is_not_ranked() {
         let mut a = Accumulators::new();
