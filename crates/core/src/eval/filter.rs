@@ -822,9 +822,55 @@ mod tests {
             });
         assert_eq!(
             (words.len(), digest),
-            (571_104, 0xb024_1548_0ac2_7a51),
+            (571_104, 0x9a05_f81c_5f03_c1f5),
             "traces, counters or answers moved"
         );
+    }
+
+    /// `w0`–`w2` occur in all of `wide_index()`'s documents: idf 0, so
+    /// no order scans them, and no document becomes a candidate with a
+    /// zero score — under Full, or before `S_max` first moves.
+    #[test]
+    fn no_candidate_scores_zero_on_the_wide_index() {
+        let idx = wide_index();
+        for seed in 0..4u64 {
+            let mut rng = TestRng::from_name(&format!("pinned sequence {seed}"));
+            let mut queries = refinement_sequence(&idx, &mut rng);
+            queries.push(Query::from_named(
+                &idx,
+                &[("w0".into(), 1), ("w30".into(), 1)],
+            ));
+            for (order, params) in [
+                (Order::Idf, FilterParams::OFF),
+                (Order::Idf, FilterParams::PERSIN),
+                (Order::FewestReads, FilterParams::PERSIN),
+            ] {
+                let options = EvalOptions {
+                    params,
+                    ..EvalOptions::default()
+                };
+                let mut pool = idx.make_buffer(idx.total_pages(), PolicyKind::Rap).unwrap();
+                for q in &queries {
+                    pool.begin_query(&q.weights());
+                    let mut selection = Selection::new(&idx, q.terms(), params, order);
+                    let mut watch = Stopwatch::start(&NoClock);
+                    Accumulators::with_scratch(idx.n_docs() as usize, |accs| {
+                        filter_over(
+                            &idx,
+                            &mut pool,
+                            q,
+                            options,
+                            accs,
+                            &mut watch,
+                            |b, s, r, st| selection.pick(b, s, r, st),
+                        )
+                        .unwrap();
+                        let zero = accs.iter().find(|&(_, score)| score == 0.0);
+                        assert_eq!(zero, None, "seed {seed}, {order:?}, {params:?}");
+                    });
+                }
+            }
+        }
     }
 
     /// Index with one long list ("commn", 8 docs) and short ones.

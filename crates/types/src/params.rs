@@ -109,14 +109,15 @@ impl Default for FilterParams {
 
 #[inline]
 fn threshold(c: f64, s_max: f64, query_freq: u32, idf: f64) -> f64 {
-    if c == 0.0 || s_max == 0.0 {
-        return 0.0;
-    }
     let denom = query_freq as f64 * idf * idf;
     if denom <= 0.0 {
         // idf = 0 terms (present in every document) contribute nothing;
-        // an infinite threshold makes the evaluator skip them outright.
+        // an infinite threshold makes the evaluator skip them outright,
+        // with the filters off and before the first score too.
         return f64::INFINITY;
+    }
+    if c == 0.0 || s_max == 0.0 {
+        return 0.0;
     }
     c * s_max / denom
 }
