@@ -303,7 +303,7 @@ mod tests {
     fn save_and_open_round_trip() {
         let dir = std::env::temp_dir().join("buffir-engine-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("engine.bfir");
+        let path = dir.join("engine.bfpg");
         let mut original = SearchEngine::from_texts(docs(), EngineConfig::default()).unwrap();
         original.save(&path).unwrap();
         let mut reopened = SearchEngine::open(&path, EngineConfig::default()).unwrap();
@@ -312,7 +312,23 @@ mod tests {
         assert_eq!(a.hits.len(), b.hits.len());
         for (x, y) in a.hits.iter().zip(&b.hits) {
             assert_eq!(x.doc, y.doc);
-            assert!((x.score - y.score).abs() < 1e-12);
+            assert_eq!(x.score.to_bits(), y.score.to_bits());
+        }
+        // The load rebuilds W_d and the conversion table: the builder's
+        // to the bit, row for row.
+        let (built, loaded) = (original.index(), reopened.index());
+        let bits = |s: &[f64]| s.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(built.doc_stats().as_slice()),
+            bits(loaded.doc_stats().as_slice())
+        );
+        for (term, e) in built.lexicon().iter() {
+            for f in 0..=e.f_max + 1 {
+                let row = |i: &ir_index::InvertedIndex| {
+                    i.conversion().postings_above(term, f64::from(f)).unwrap()
+                };
+                assert_eq!(row(built), row(loaded), "{term}, cell {f}");
+            }
         }
     }
 

@@ -15,21 +15,33 @@
 //! every page of every opened file would take minutes, so each case
 //! reads the pages around every byte it touched plus a seeded sample of
 //! the rest.
+//!
+//! A second mutator damages the lexicon section of a saved index (the
+//! ordering byte, the term names and stopped flags `save_index` adds):
+//! a name's length v-byte, a name made non-UTF-8 or a copy of another
+//! term's, a stopped flag on a term with postings, an ordering byte
+//! other than the one written, a truncation inside the section, and
+//! unsealed bit flips. `load_index` must return `Err` or an index
+//! identical to the original, never panic.
 
 use ir_corpus::{Corpus, CorpusConfig};
 use ir_engine::index_corpus;
+use ir_index::InvertedIndex;
 use ir_storage::{FileMode, FilePageStore, Page, PageStore};
 use ir_types::{IrError, PageId};
 use proptest::TestRng;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// Bytes before the directory: magic, version, encoding id, reserved
+/// Bytes before the directory: magic, version, encoding id, section
 /// length, `n_docs`, `page_size`, `n_terms` and the directory length.
 const HEADER_LEN: usize = 29;
+/// Where the header stores the section length.
+const SECTION_LEN_AT: usize = 9;
 /// Where the header stores the directory length.
 const DIR_LEN_AT: usize = 25;
 const CASES: u32 = 2_000;
+const SECTION_CASES: u32 = 300;
 /// Pages read after each touched byte, and pages sampled at random.
 const WINDOW: usize = 48;
 const SAMPLE: usize = 32;
@@ -310,4 +322,183 @@ fn a_mutated_page_file_is_refused_or_serves_only_original_or_torn_pages() {
     );
     assert!(tally.served > 0 && tally.torn > 0, "{tally:?}");
     eprintln!("{tally:?}");
+}
+
+/// Where a saved index's section keeps each field the section mutator
+/// edits, as offsets into the file.
+struct Section {
+    start: usize,
+    end: usize,
+    /// Each term's name-length v-byte, name bytes and stopped flag.
+    len_at: Vec<usize>,
+    names: Vec<Range<usize>>,
+    flag_at: Vec<usize>,
+}
+
+impl Section {
+    fn parse(data: &[u8]) -> Section {
+        let field = |at: usize| u32::from_le_bytes(data[at..at + 4].try_into().unwrap()) as usize;
+        let start = HEADER_LEN + field(DIR_LEN_AT);
+        let end = start + field(SECTION_LEN_AT);
+        let mut l = Section {
+            start,
+            end,
+            len_at: Vec::new(),
+            names: Vec::new(),
+            flag_at: Vec::new(),
+        };
+        let mut at = start + 1; // past the ordering byte
+        while at < end {
+            let (len, w) = get_vbyte(data, at);
+            l.len_at.push(at);
+            l.names.push(at + w..at + w + len as usize);
+            l.flag_at.push(at + w + len as usize);
+            at += w + len as usize + 1;
+        }
+        assert_eq!(at, end);
+        l
+    }
+}
+
+/// Replaces `data[range]`, inside the section, with `bytes`, keeping
+/// the section length in the header and re-sealing the trailer.
+fn splice_section(data: &mut Vec<u8>, l: &Section, range: Range<usize>, bytes: &[u8]) {
+    let delta = bytes.len() as isize - range.len() as isize;
+    data.splice(range, bytes.iter().copied());
+    let len = ((l.end - l.start) as isize + delta) as u32;
+    data[SECTION_LEN_AT..SECTION_LEN_AT + 4].copy_from_slice(&len.to_le_bytes());
+    reseal(data, (l.end as isize + delta) as usize);
+}
+
+/// One damaged copy of a saved index, and which of the seven kinds of
+/// damage it took.
+fn mutate_section(rng: &mut TestRng, original: &[u8], l: &Section) -> (Vec<u8>, usize) {
+    let mut data = original.to_vec();
+    let term = rng.below(l.names.len() as u64) as usize;
+    let kind = rng.below(7) as usize;
+    match kind {
+        0 => {
+            let at = l.len_at[term];
+            let (old, w) = get_vbyte(&data, at);
+            let mut new = Vec::new();
+            put_vbyte(&mut new, nearby(rng, old));
+            splice_section(&mut data, l, at..at + w, &new);
+        }
+        1 => {
+            let name = l.names[term].clone();
+            let at = name.start + rng.below(name.len() as u64) as usize;
+            let byte = 0x80 | rng.below(0x80) as u8;
+            splice_section(&mut data, l, at..at + 1, &[byte]);
+        }
+        2 => {
+            // Term `term` takes another term's name, length and all.
+            let other = (term + 1 + rng.below(l.names.len() as u64 - 1) as usize) % l.names.len();
+            let copy = original[l.len_at[other]..l.names[other].end].to_vec();
+            splice_section(&mut data, l, l.len_at[term]..l.names[term].end, &copy);
+        }
+        3 => {
+            let flag = l.flag_at[term];
+            let byte = 1 + rng.below(255) as u8;
+            splice_section(&mut data, l, flag..flag + 1, &[byte]);
+        }
+        4 => {
+            let byte = original[l.start] ^ (1 + rng.below(255) as u8);
+            splice_section(&mut data, l, l.start..l.start + 1, &[byte]);
+        }
+        5 => data.truncate(l.start + rng.below((l.end - l.start) as u64) as usize),
+        _ => {
+            let at = l.start + rng.below((l.end - l.start) as u64) as usize;
+            data[at] ^= 1 << rng.below(8);
+        }
+    }
+    (data, kind)
+}
+
+/// `loaded` is `index` field for field: names, lexicon entries, `W_d`
+/// bits and every page.
+fn assert_identical(index: &InvertedIndex, loaded: &InvertedIndex) {
+    assert_eq!(loaded.params(), index.params());
+    assert_eq!(loaded.n_terms(), index.n_terms());
+    for (term, e) in index.lexicon().iter() {
+        let l = loaded.lexicon().entry(term).unwrap();
+        assert_eq!(loaded.lexicon().name(term), index.lexicon().name(term));
+        assert_eq!(
+            (l.doc_freq, l.f_max, l.n_pages, l.stopped, l.idf.to_bits()),
+            (e.doc_freq, e.f_max, e.n_pages, e.stopped, e.idf.to_bits())
+        );
+        for p in 0..e.n_pages {
+            let id = PageId::new(term, p);
+            let (a, b) = (index.disk().read_page(id), loaded.disk().read_page(id));
+            assert_eq!(a.unwrap().postings(), b.unwrap().postings());
+        }
+    }
+    let bits = |i: &InvertedIndex| -> Vec<u64> {
+        i.doc_stats()
+            .as_slice()
+            .iter()
+            .map(|w| w.to_bits())
+            .collect()
+    };
+    assert_eq!(bits(loaded), bits(index));
+}
+
+#[test]
+fn a_mutated_lexicon_section_is_refused_or_loads_the_same_index() {
+    let corpus = Corpus::generate(CorpusConfig::tiny());
+    let idx = index_corpus(&corpus, false).unwrap();
+    let path = scratch_path().with_extension("index.bfpg");
+    ir_index::save_index(&idx, &path).unwrap();
+    let original = std::fs::read(&path).unwrap();
+    let section = Section::parse(&original);
+    assert_eq!(section.names.len(), idx.n_terms());
+
+    let mut rng = TestRng::from_name("bfpg-section-mutator");
+    let (mut refused, mut kinds) = (0, [0u32; 7]);
+    for _ in 0..SECTION_CASES {
+        let (data, kind) = mutate_section(&mut rng, &original, &section);
+        kinds[kind] += 1;
+        std::fs::write(&path, &data).unwrap();
+        match ir_index::load_index(&path) {
+            Err(_) => refused += 1,
+            Ok(loaded) => assert_identical(&idx, &loaded),
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+    assert!(kinds.iter().all(|&n| n > 0), "{kinds:?}");
+    assert!(
+        refused > SECTION_CASES * 9 / 10,
+        "{refused} of {SECTION_CASES} refused"
+    );
+    eprintln!("{refused} of {SECTION_CASES} refused; cases by kind {kinds:?}");
+}
+
+/// A saved index whose directory claims more postings than the file
+/// has bytes (each takes at least one) is refused before `load_index`
+/// sizes its slab for them.
+#[test]
+fn a_posting_count_past_the_file_is_refused_before_the_slab() {
+    // One term `a` of f_t = 2^20 on one page, whose payload is a byte.
+    let f_t: u32 = 1 << 20;
+    let (mut dir, section) = (Vec::new(), [0, 0x81, b'a', 0]);
+    put_vbyte(&mut dir, u64::from(f_t));
+    put_vbyte(&mut dir, 1);
+    dir.extend_from_slice(&0u64.to_le_bytes());
+    let mut data = b"BFPG".to_vec();
+    data.extend_from_slice(&3u32.to_le_bytes());
+    data.push(0);
+    for v in [section.len() as u32, f_t, f_t, 1, dir.len() as u32] {
+        data.extend_from_slice(&v.to_le_bytes());
+    }
+    data.extend_from_slice(&dir);
+    data.extend_from_slice(&section);
+    data.extend_from_slice(&fnv1a(&data).to_le_bytes());
+    data.push(0x80);
+    let path = scratch_path().with_extension("claims.bfpg");
+    std::fs::write(&path, &data).unwrap();
+    assert!(FilePageStore::open(&path, FileMode::Buffered).is_ok());
+    match ir_index::load_index(&path) {
+        Err(ir_index::PersistError::Corrupt(msg)) => assert!(msg.contains("cannot fit"), "{msg}"),
+        other => panic!("loaded or another error: {:?}", other.map(|_| ())),
+    }
+    std::fs::remove_file(&path).unwrap();
 }

@@ -426,20 +426,16 @@ where
         )
     });
 
-    // Per term, in term-id order (see the module docs): idf, W_d² and
-    // the lexicon entry; the store then cuts the pages.
-    let mut wd_sq = vec![0.0f64; n_docs as usize];
+    // Per term, in term-id order (see the module docs): idf and the
+    // lexicon entry, then W_d; the store then cuts the pages.
+    let list = |t: usize| &slab[term_start[t] as usize..term_start[t + 1] as usize];
     let mut compression = CompressionStats::default();
     for t in 0..n_terms {
-        let list = &slab[term_start[t] as usize..term_start[t + 1] as usize];
+        let list = list(t);
         if list.is_empty() {
             continue;
         }
         let idf = ir_types::weights::idf(n_docs, doc_freq[t]);
-        for p in list {
-            let w = ir_types::weights::term_weight(p.freq, idf);
-            wd_sq[p.doc.index()] += w * w;
-        }
         if options.measure_compression {
             match ordering {
                 ListOrdering::FrequencySorted => compression.add(codec::measure(list)),
@@ -458,7 +454,10 @@ where
         e.f_max = f_max[t];
         e.n_pages = list.len().div_ceil(page_size) as u32;
     }
-    let vector_lengths: Vec<f64> = wd_sq.into_iter().map(f64::sqrt).collect();
+    let doc_stats = DocStats::from_lists(
+        n_docs,
+        lexicon.iter().map(|(t, e)| (e.idf, list(t.index()))),
+    );
     let disk = DiskSim::from_slab(
         slab,
         &term_start,
@@ -468,7 +467,7 @@ where
 
     Ok(InvertedIndex::from_parts(
         lexicon,
-        DocStats::new(vector_lengths),
+        doc_stats,
         conversion,
         options.params,
         Arc::new(disk),

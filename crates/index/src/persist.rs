@@ -2,51 +2,43 @@
 //!
 //! The simulator keeps pages in memory (disk *reads* are a counted
 //! metric, not real I/O), but a library users can adopt needs to build
-//! an index once and reopen it later. This module defines a
-//! self-contained binary format:
+//! an index once and reopen it later. An index is saved as a `BFPG`
+//! page file (`ir_storage::backend::file`), whose section holds what
+//! the pages cannot give:
 //!
 //! ```text
-//! "BFIR" magic | u32 version | u32 n_docs | u32 n_terms | u64 page_size
-//! u8 ordering | u8 encoding id (0) | u32 reserved length (0)
-//! lexicon:   per term: name (u16 len + bytes), u32 doc_freq, u32 f_max,
-//!            u64 n_postings, u8 stopped
-//! doc stats: n_docs × f64 vector lengths
-//! postings:  per term: u32 encoded byte length + the whole list in
-//!            one [`ir_storage::codec`] blob
-//! trailer:   u64 FNV-1a checksum of everything above
+//! u8 ordering (0 frequency-sorted, 1 doc-id-sorted)
+//! per term in id order: v-byte name length, the name's UTF-8 bytes,
+//!                       u8 stopped (0 or 1; 1 only on a term with f_t 0)
 //! ```
 //!
-//! There is one version (2) and one posting encoding. The encoding id
-//! and the reserved length keep the layout of every file already
-//! written; a file where either is not 0 is [`PersistError::Corrupt`].
+//! Everything else is rebuilt at load from what the page file gives:
+//! `idf_t` and the page boundaries from `f_t`, `f_max` from the pages'
+//! `max_freq`, the conversion table from the decoded lists, and `W_d`
+//! summed over the lists in term-id order, the builder's own sum
+//! ([`DocStats`]), so it comes back to the bit. A doc-ordered page is
+//! stored as a frequency-sorted copy (the only order the codec
+//! encodes) and put back in document order at load. The optional
+//! forward index and build-time compression statistics are *not*
+//! persisted.
 //!
-//! Everything derivable is rebuilt at load time — `idf_t` from
-//! `(N, f_t)`, page boundaries from `page_size`, the conversion table
-//! from the decoded lists — so the format stays small and cannot drift
-//! out of sync with the statistics. The optional forward index and
-//! build-time compression statistics are *not* persisted.
-//!
-//! Corruption anywhere (truncation, bit flips, bad magic/version) is
-//! detected by the checksum or by structural validation and reported as
+//! [`save_page_file`] writes the same file without a section, for the
+//! file-backed store; the term names would add about a seventh to its
+//! size. Corruption anywhere (truncation, bit flips, a section or page
+//! that does not hold together) is reported as
 //! [`PersistError::Corrupt`]; loading never panics on hostile input.
 
 use crate::conversion::ConversionTable;
 use crate::docstats::DocStats;
 use crate::index::InvertedIndex;
 use crate::lexicon::Lexicon;
-use ir_storage::codec::{decode_postings, encode_postings, ENCODING_ID};
-use ir_storage::{DiskSim, Page};
-use ir_types::{
-    doc_order, frequency_order, IndexParams, IrError, ListOrdering, PageId, Posting, TermId,
-};
+use ir_storage::codec::{get_vbyte, put_vbyte};
+use ir_storage::{DiskSim, FileMode, FilePageStore, Page, PageFileWriter, PageStore};
+use ir_types::{doc_order, frequency_order, IrError, ListOrdering, PageId, Posting, TermId};
+use std::cmp::Ordering;
 use std::fmt;
-use std::fs;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-
-const MAGIC: &[u8; 4] = b"BFIR";
-const VERSION: u32 = 2;
 
 /// Errors from saving/loading an index.
 #[derive(Debug)]
@@ -56,7 +48,8 @@ pub enum PersistError {
     /// The file is not a valid index (bad magic/version/checksum or
     /// malformed structure).
     Corrupt(String),
-    /// An internal consistency error while reassembling.
+    /// An internal consistency error while reassembling, or an index
+    /// the call cannot write.
     Ir(IrError),
 }
 
@@ -82,7 +75,7 @@ impl From<ir_storage::PageFileError> for PersistError {
     fn from(e: ir_storage::PageFileError) -> Self {
         match e {
             ir_storage::PageFileError::Io(io) => PersistError::Io(io),
-            other => PersistError::Corrupt(other.to_string()),
+            ir_storage::PageFileError::Corrupt(msg) => PersistError::Corrupt(msg),
         }
     }
 }
@@ -93,178 +86,59 @@ impl From<IrError> for PersistError {
     }
 }
 
-/// FNV-1a, 64-bit — small, dependency-free integrity check.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
+fn corrupt(msg: String) -> PersistError {
+    PersistError::Corrupt(msg)
 }
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        if self.pos + n > self.data.len() {
-            return Err(PersistError::Corrupt(format!(
-                "truncated at offset {} (wanted {} more bytes)",
-                self.pos, n
-            )));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, PersistError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-/// Serializes the index to `path` atomically: written to `PATH.tmp` (the
-/// whole file name with `.tmp` appended, the page file's rule), then
-/// renamed. A save that fails removes the temp file and leaves whatever
-/// was at `path` as it was.
+/// Saves the whole index to `path` as a `BFPG` page file with its
+/// lexicon section (see the module docs), for [`load_index`] to
+/// rebuild. The write is atomic, as [`PageFileWriter`]'s: a save that
+/// fails leaves no temp file and whatever was at `path` as it was. The
+/// save's own reads are wiped from the simulator's counters afterwards.
 pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError> {
-    use ir_storage::PageStore;
-    let mut w = Writer::new();
-    w.bytes(MAGIC);
-    w.u32(VERSION);
-    w.u32(index.n_docs());
-    w.u32(index.n_terms() as u32);
-    w.u64(index.params().page_size as u64);
-    let ordering = index.params().ordering;
-    w.u8(match ordering {
-        ListOrdering::FrequencySorted => 0,
-        ListOrdering::DocIdSorted => 1,
-    });
-    w.u8(ENCODING_ID);
-    w.u32(0); // reserved length
+    write_pages(index, path, &lexicon_section(index))
+}
 
-    // Lexicon.
+/// Exports the index's inverted-list pages to a `BFPG` page file, the
+/// on-disk tier a [`FilePageStore`] serves queries from: same page
+/// boundaries, same `idf_t`, same build-time checksums, so a
+/// file-backed run demands exactly the pages a `DiskSim`-backed run
+/// would. The file has no section, so [`load_index`] refuses it. Pages
+/// stream from the simulator through a [`PageFileWriter`], each encoded
+/// once and written out, so the export holds no more than a page's
+/// bytes. As with [`save_index`], the export's own reads are wiped from
+/// the simulator's counters and the write is atomic.
+///
+/// # Errors
+/// [`PersistError::Ir`] for a doc-ordered index, before any file is
+/// created: without a section, the file cannot say that its pages are
+/// stored out of their order.
+pub fn save_page_file(index: &InvertedIndex, path: &Path) -> Result<(), PersistError> {
+    if index.params().ordering == ListOrdering::DocIdSorted {
+        return Err(PersistError::Ir(IrError::InvalidConfig(
+            "a pages-only export cannot record doc-id order; save_index can".into(),
+        )));
+    }
+    write_pages(index, path, &[])
+}
+
+/// The ordering byte, then each term's name and stopped flag.
+fn lexicon_section(index: &InvertedIndex) -> Vec<u8> {
+    let doc_ordered = index.params().ordering == ListOrdering::DocIdSorted;
+    let mut section = vec![u8::from(doc_ordered)];
     for (term, e) in index.lexicon().iter() {
         let name = index.lexicon().name(term).as_bytes();
-        if name.len() > u16::MAX as usize {
-            return Err(PersistError::Corrupt(format!(
-                "term name too long ({} bytes)",
-                name.len()
-            )));
-        }
-        w.u16(name.len() as u16);
-        w.bytes(name);
-        w.u32(e.doc_freq);
-        w.u32(e.f_max);
-        w.u64(u64::from(e.n_postings()));
-        w.u8(u8::from(e.stopped));
+        put_vbyte(&mut section, name.len() as u64);
+        section.extend_from_slice(name);
+        section.push(u8::from(e.stopped));
     }
-
-    // Document statistics.
-    for &wd in index.doc_stats().as_slice() {
-        w.f64(wd);
-    }
-
-    // Postings: whole list per term, one encoded blob.
-    for (term, e) in index.lexicon().iter() {
-        let mut list: Vec<Posting> = Vec::with_capacity(e.n_postings() as usize);
-        for p in 0..e.n_pages {
-            let page = index.disk().read_page(PageId::new(term, p))?;
-            list.extend_from_slice(page.postings());
-        }
-        if ordering == ListOrdering::DocIdSorted {
-            // The encoder requires frequency order; the load path re-sorts.
-            list.sort_unstable_by(frequency_order);
-        }
-        let encoded = encode_postings(&list);
-        w.u32(encoded.len() as u32);
-        w.bytes(&encoded);
-    }
-    index.disk().reset_stats(); // serialization reads are not query reads
-
-    let checksum = fnv1a(&w.buf);
-    w.u64(checksum);
-
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let saved = fs::File::create(&tmp)
-        .and_then(|mut f| {
-            f.write_all(&w.buf)?;
-            f.sync_all()
-        })
-        .and_then(|()| fs::rename(&tmp, path));
-    if saved.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    Ok(saved?)
+    section
 }
 
-/// Exports the index's inverted-list pages to a `BFPG` page file (see
-/// `ir_storage::backend::file`), the on-disk tier a
-/// [`FilePageStore`](ir_storage::FilePageStore) serves queries from.
-///
-/// Complements [`save_index`]: the BFIR file carries the whole index
-/// (lexicon, document statistics, compressed postings) for
-/// rebuilding `InvertedIndex` in memory; the page file carries the
-/// *page images* — same page boundaries, same `idf_t`, same build-time
-/// checksums — so a file-backed run demands exactly the pages a
-/// `DiskSim`-backed run would. Like `BFIR`, it stores per term only
-/// `f_t`, from which the reader rebuilds `idf_t` and the page
-/// boundaries. Pages stream from the simulator through a
-/// [`PageFileWriter`](ir_storage::PageFileWriter), each encoded once
-/// and written out, so the export holds no more than a page's bytes.
-/// Like `save_index`, the export's own reads are wiped from the
-/// simulator's counters afterwards, and the write is atomic (temp
-/// files + rename): an export that fails leaves no temp file and
-/// whatever was at `path` as it was.
-pub fn save_page_file(index: &InvertedIndex, path: &Path) -> Result<(), PersistError> {
-    use ir_storage::{PageFileWriter, PageStore};
+/// Streams every page to a page file at `path` with `section`; a
+/// doc-ordered page goes as a frequency-sorted copy.
+fn write_pages(index: &InvertedIndex, path: &Path, section: &[u8]) -> Result<(), PersistError> {
+    let doc_ordered = index.params().ordering == ListOrdering::DocIdSorted;
     let mut file = PageFileWriter::create(
         path,
         index.n_docs(),
@@ -274,184 +148,129 @@ pub fn save_page_file(index: &InvertedIndex, path: &Path) -> Result<(), PersistE
     for (term, e) in index.lexicon().iter() {
         file.push_term(e.n_postings())?;
         for p in 0..e.n_pages {
-            file.push_page(&index.disk().read_page(PageId::new(term, p))?)?;
+            let page = index.disk().read_page(PageId::new(term, p))?;
+            if doc_ordered {
+                let mut postings = page.postings().to_vec();
+                postings.sort_unstable_by(frequency_order);
+                file.push_page(&Page::new(page.id(), postings.into(), e.idf))?;
+            } else {
+                file.push_page(&page)?;
+            }
         }
     }
     index.disk().reset_stats(); // export reads are not query reads
-    Ok(file.finish()?)
+    Ok(file.finish(section)?)
 }
 
-/// Loads an index saved by [`save_index`].
-pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
-    let mut data = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut data)?;
-    if data.len() < MAGIC.len() + 8 {
-        return Err(PersistError::Corrupt("file too small".into()));
-    }
-    // Verify trailer checksum first: everything else assumes integrity.
-    let (body, trailer) = data.split_at(data.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    let actual = fnv1a(body);
-    if stored != actual {
-        return Err(PersistError::Corrupt(format!(
-            "checksum mismatch (stored {stored:#x}, computed {actual:#x})"
-        )));
-    }
+/// Takes `n` bytes off the front of the section's `rest`.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], PersistError> {
+    let (bytes, tail) = rest
+        .split_at_checked(n)
+        .ok_or_else(|| corrupt("lexicon section truncated".into()))?;
+    *rest = tail;
+    Ok(bytes)
+}
 
-    let mut r = Reader::new(body);
-    if r.take(4)? != MAGIC {
-        return Err(PersistError::Corrupt("bad magic".into()));
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(PersistError::Corrupt(format!(
-            "unsupported version {version} (expected {VERSION})"
-        )));
-    }
-    let n_docs = r.u32()?;
-    let n_terms = r.u32()? as usize;
-    let page_size = r.u64()? as usize;
-    let ordering = match r.u8()? {
-        0 => ListOrdering::FrequencySorted,
-        1 => ListOrdering::DocIdSorted,
-        other => {
-            return Err(PersistError::Corrupt(format!(
-                "invalid list ordering {other}"
-            )))
-        }
-    };
-    let encoding = r.u8()?;
-    if encoding != ENCODING_ID {
-        return Err(PersistError::Corrupt(format!(
-            "unknown encoding id {encoding} (expected {ENCODING_ID})"
-        )));
-    }
-    let reserved = r.u32()?;
-    if reserved != 0 {
-        return Err(PersistError::Corrupt(format!(
-            "reserved header length is {reserved}, must be 0"
-        )));
-    }
-    if n_docs == 0 || page_size == 0 {
-        return Err(PersistError::Corrupt(
-            "empty collection or zero page size".into(),
+/// Loads an index saved by [`save_index`]: opens the page file, reads
+/// every page into a [`DiskSim`] and rebuilds the rest (see the module
+/// docs).
+pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
+    let store = FilePageStore::open(path, FileMode::Buffered)?;
+    let (n_docs, page_size) = (store.n_docs(), store.page_size());
+    let mut rest = store.section();
+    if rest.is_empty() {
+        return Err(corrupt(
+            "no lexicon section: a pages-only export, not a saved index".into(),
         ));
     }
-
-    // Both counts size allocations below and both come from the file:
-    // bound them by the bytes that are left (a term costs at least 19
-    // in the lexicon, a document 8) before reserving anything.
-    let left = body.len() - r.pos;
-    for (name, count, min_bytes) in [("n_terms", n_terms, 19), ("n_docs", n_docs as usize, 8)] {
-        if count > left / min_bytes {
-            return Err(PersistError::Corrupt(format!(
-                "{name} {count} exceeds what the {left} bytes after the header can hold"
-            )));
-        }
+    type Order = fn(&Posting, &Posting) -> Ordering;
+    let (ordering, in_order): (_, Order) = match take(&mut rest, 1)?[0] {
+        0 => (ListOrdering::FrequencySorted, frequency_order),
+        1 => (ListOrdering::DocIdSorted, doc_order),
+        other => return Err(corrupt(format!("invalid list ordering {other}"))),
+    };
+    // A posting takes at least a byte of payload, and a store holds at
+    // most `u32::MAX`: a count past either is refused before the slab is
+    // sized.
+    let total: u64 = store.list_lengths().map(u64::from).sum();
+    if total > std::fs::metadata(path)?.len().min(u64::from(u32::MAX)) {
+        return Err(corrupt(format!("{total} postings cannot fit the file")));
     }
-
-    // Lexicon.
-    let mut lexicon = Lexicon::new();
-    let mut metas = Vec::with_capacity(n_terms);
-    for t in 0..n_terms {
-        let name_len = r.u16()? as usize;
-        let name = std::str::from_utf8(r.take(name_len)?)
-            .map_err(|_| PersistError::Corrupt(format!("term {t}: non-UTF-8 name")))?
-            .to_string();
-        let doc_freq = r.u32()?;
-        let f_max = r.u32()?;
-        let n_postings = r.u64()?;
-        let stopped = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(PersistError::Corrupt(format!(
-                    "term {t}: invalid stopped flag {other}"
-                )))
-            }
-        };
-        // The list holds `f_t` postings, none once stopped.
-        if n_postings != if stopped { 0 } else { u64::from(doc_freq) } {
-            return Err(PersistError::Corrupt(format!(
-                "term {t}: {n_postings} postings for f_t {doc_freq}"
-            )));
-        }
-        let id = lexicon.intern(&name);
-        if id != TermId(t as u32) {
-            return Err(PersistError::Corrupt(format!(
-                "duplicate term name {name:?}"
-            )));
-        }
-        metas.push((doc_freq, f_max, n_postings, stopped));
-    }
-
-    // Document statistics.
-    let mut lengths = Vec::with_capacity(n_docs as usize);
-    for _ in 0..n_docs {
-        lengths.push(r.f64()?);
-    }
-
-    // Postings.
-    let params = IndexParams::with_page_size(page_size).with_ordering(ordering);
-    let mut lists: Vec<Vec<Page>> = Vec::with_capacity(n_terms);
-    let mut decoded_lists: Vec<Vec<Posting>> = Vec::with_capacity(n_terms);
-    for (t, &(doc_freq, f_max, n_postings, stopped)) in metas.iter().enumerate() {
+    let mut slab: Arc<[Posting]> =
+        std::iter::repeat_n(Posting::new(0, 0), total as usize).collect();
+    let out = Arc::get_mut(&mut slab).expect("a fresh slab is unshared");
+    let (mut lexicon, mut list_starts, mut end) = (Lexicon::new(), vec![0u32], 0);
+    for (t, f_t) in store.list_lengths().enumerate() {
         let term = TermId(t as u32);
-        let len = r.u32()? as usize;
-        let blob = r.take(len)?;
-        let mut postings = decode_postings(blob)
-            .ok_or_else(|| PersistError::Corrupt(format!("term {t}: undecodable postings")))?;
-        if postings.len() as u64 != n_postings {
-            return Err(PersistError::Corrupt(format!(
-                "term {t}: posting count mismatch ({} vs {n_postings})",
-                postings.len()
-            )));
+        // An unreadable length takes more than is left.
+        let len =
+            get_vbyte(&mut rest).map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX));
+        let name = std::str::from_utf8(take(&mut rest, len)?)
+            .map_err(|_| corrupt(format!("term {t}: non-UTF-8 name")))?;
+        let stopped = match take(&mut rest, 1)?[0] {
+            0 => false,
+            1 if f_t == 0 => true,
+            1 => return Err(corrupt(format!("stopped term {t} has f_t {f_t}"))),
+            other => return Err(corrupt(format!("term {t}: stopped flag {other}"))),
+        };
+        if lexicon.intern(name) != term {
+            return Err(corrupt(format!("duplicate term name {name:?}")));
         }
-        if postings.first().map_or(0, |p| p.freq) != f_max {
-            return Err(PersistError::Corrupt(format!("term {t}: f_max mismatch")));
+        let n_pages = f_t.div_ceil(page_size as u32);
+        let mut f_max = 0;
+        for p in 0..n_pages {
+            let page = store
+                .read_page(PageId::new(term, p))
+                .map_err(|e| corrupt(e.to_string()))?;
+            if let Some(x) = page.postings().iter().find(|x| x.doc.0 >= n_docs) {
+                return Err(corrupt(format!("document {} beyond N = {n_docs}", x.doc)));
+            }
+            f_max = f_max.max(page.max_freq());
+            let (start, placed) = (end, &mut out[end..end + page.len()]);
+            placed.copy_from_slice(page.postings());
+            if ordering == ListOrdering::DocIdSorted {
+                placed.sort_unstable_by(doc_order);
+            }
+            end += page.len();
+            if p > 0 && in_order(&out[start - 1], &out[start]) != Ordering::Less {
+                return Err(corrupt(format!("page {} out of order", page.id())));
+            }
         }
-        if ordering == ListOrdering::DocIdSorted {
-            postings.sort_unstable_by(doc_order);
-        }
-        let idf = if doc_freq > 0 {
-            ir_types::weights::idf(n_docs, doc_freq)
+        let e = lexicon.entry_mut(term);
+        e.doc_freq = f_t;
+        e.idf = if f_t > 0 {
+            ir_types::weights::idf(n_docs, f_t)
         } else {
             0.0
         };
-        let pages: Vec<Page> = postings
-            .chunks(page_size)
-            .enumerate()
-            .map(|(i, chunk)| Page::new(PageId::new(term, i as u32), chunk.to_vec().into(), idf))
-            .collect();
-        {
-            let e = lexicon.entry_mut(term);
-            e.doc_freq = doc_freq;
-            e.idf = idf;
-            e.f_max = f_max;
-            e.n_pages = pages.len() as u32;
-            e.stopped = stopped;
-        }
-        lists.push(pages);
-        decoded_lists.push(postings);
+        e.f_max = f_max;
+        e.n_pages = n_pages;
+        e.stopped = stopped;
+        list_starts.push(end as u32);
     }
-    if r.pos != body.len() {
-        return Err(PersistError::Corrupt(format!(
-            "{} trailing bytes after postings",
-            body.len() - r.pos
-        )));
+    if !rest.is_empty() {
+        return Err(corrupt(format!("{} bytes after the last term", rest.len())));
     }
 
-    let conversion = ConversionTable::build_with_ordering(
-        decoded_lists.iter().map(|l| l.as_slice()),
+    let lists = || {
+        list_starts
+            .windows(2)
+            .map(|w| &slab[w[0] as usize..w[1] as usize])
+    };
+    let conversion = ConversionTable::build_with_ordering(lists(), page_size, ordering);
+    let doc_stats = DocStats::from_lists(n_docs, lexicon.iter().map(|(_, e)| e.idf).zip(lists()));
+    let disk = DiskSim::from_slab(
+        slab,
+        &list_starts,
+        |t| lexicon.entry(t).map_or(0.0, |e| e.idf),
         page_size,
-        ordering,
     );
     Ok(InvertedIndex::from_parts(
         lexicon,
-        DocStats::new(lengths),
+        doc_stats,
         conversion,
-        params,
-        Arc::new(DiskSim::new(lists)),
+        ir_types::IndexParams::with_page_size(page_size).with_ordering(ordering),
+        Arc::new(disk),
         None,
         None,
     ))
@@ -461,18 +280,29 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
 mod tests {
     use super::*;
     use crate::builder::{BuildOptions, IndexBuilder};
+    use ir_types::IndexParams;
+    use std::fs;
+    use std::io::Write;
+    use std::path::PathBuf;
 
-    fn sample_index() -> InvertedIndex {
+    /// Five documents on pages of two: `stock` and `bond` span two
+    /// pages, and their frequency and document orders differ.
+    fn sample_index_ordered(ordering: ListOrdering) -> InvertedIndex {
         let mut b = IndexBuilder::new();
         b.add_document(["stock", "price", "stock", "crash"]);
         b.add_document(["price", "bond"]);
         b.add_document(["stock"]);
         b.add_document(["drought", "bond", "bond", "bond"]);
+        b.add_document(["bond", "stock", "stock", "stock"]);
         b.build(BuildOptions {
-            params: IndexParams::with_page_size(2),
+            params: IndexParams::with_page_size(2).with_ordering(ordering),
             ..BuildOptions::default()
         })
         .unwrap()
+    }
+
+    fn sample_index() -> InvertedIndex {
+        sample_index_ordered(ListOrdering::FrequencySorted)
     }
 
     fn tmpfile(name: &str) -> std::path::PathBuf {
@@ -483,7 +313,6 @@ mod tests {
 
     #[test]
     fn page_file_round_trips_every_page_and_resets_export_reads() {
-        use ir_storage::{FileMode, FilePageStore, PageStore};
         let idx = sample_index();
         let path = tmpfile("pages.bfpg");
         save_page_file(&idx, &path).unwrap();
@@ -493,6 +322,10 @@ mod tests {
             "export reads must not pollute the simulator's counters"
         );
         let store = FilePageStore::open(&path, FileMode::Buffered).unwrap();
+        assert!(
+            store.section().is_empty(),
+            "a pages-only export has no names"
+        );
         assert!(matches!(
             store.read_page(PageId::new(TermId(idx.n_terms() as u32), 0)),
             Err(IrError::UnknownTerm(_))
@@ -517,62 +350,89 @@ mod tests {
             }
         }
         idx.disk().reset_stats();
+        assert!(matches!(
+            load_index(&path),
+            Err(PersistError::Corrupt(msg)) if msg.contains("no lexicon section")
+        ));
+    }
+
+    #[test]
+    fn a_pages_only_export_of_a_doc_ordered_index_is_refused_before_any_file() {
+        let idx = sample_index_ordered(ListOrdering::DocIdSorted);
+        let path = tmpfile("doc_ordered.bfpg");
+        let _ = fs::remove_file(&path);
+        assert!(matches!(
+            save_page_file(&idx, &path),
+            Err(PersistError::Ir(IrError::InvalidConfig(_)))
+        ));
+        for file in [path.clone(), tmpfile("doc_ordered.bfpg.tmp")] {
+            assert!(!file.exists(), "{} was created", file.display());
+        }
+        // The whole index, with its ordering byte, saves.
+        save_index(&idx, &path).unwrap();
+        assert_eq!(
+            load_index(&path).unwrap().params().ordering,
+            ListOrdering::DocIdSorted
+        );
     }
 
     #[test]
     fn round_trip_preserves_everything_observable() {
-        let idx = sample_index();
-        let path = tmpfile("round_trip.idx");
-        save_index(&idx, &path).unwrap();
-        let loaded = load_index(&path).unwrap();
+        for ordering in [ListOrdering::FrequencySorted, ListOrdering::DocIdSorted] {
+            let idx = sample_index_ordered(ordering);
+            let path = tmpfile("round_trip.bfpg");
+            save_index(&idx, &path).unwrap();
+            let loaded = load_index(&path).unwrap();
 
-        assert_eq!(loaded.n_docs(), idx.n_docs());
-        assert_eq!(loaded.n_terms(), idx.n_terms());
-        assert_eq!(loaded.total_pages(), idx.total_pages());
-        assert_eq!(loaded.total_postings(), idx.total_postings());
-        assert_eq!(loaded.params().page_size, idx.params().page_size);
-        for (term, e) in idx.lexicon().iter() {
-            let l = loaded.lexicon().entry(term).unwrap();
-            assert_eq!(loaded.lexicon().name(term), idx.lexicon().name(term));
-            assert_eq!(l.doc_freq, e.doc_freq);
-            assert_eq!(l.f_max, e.f_max);
-            assert_eq!(l.n_pages, e.n_pages);
-            assert_eq!(l.stopped, e.stopped);
-            assert!(
-                (l.idf - e.idf).abs() < 1e-15,
-                "idf must reconstruct exactly"
-            );
-        }
-        for d in 0..idx.n_docs() {
-            let a = idx.doc_stats().vector_length(ir_types::DocId(d)).unwrap();
-            let b = loaded
-                .doc_stats()
-                .vector_length(ir_types::DocId(d))
-                .unwrap();
-            assert_eq!(a.to_bits(), b.to_bits(), "W_d must round-trip bit-exactly");
-        }
-        // Page contents identical.
-        use ir_storage::PageStore;
-        for (term, e) in idx.lexicon().iter() {
-            for p in 0..e.n_pages {
-                let a = idx.disk().read_page(PageId::new(term, p)).unwrap();
-                let b = loaded.disk().read_page(PageId::new(term, p)).unwrap();
-                assert_eq!(a.postings(), b.postings());
-                assert_eq!(a.max_weight().to_bits(), b.max_weight().to_bits());
-            }
-        }
-        // Conversion tables answer identically.
-        for (term, e) in idx.lexicon().iter() {
-            for f in 0..=e.f_max + 1 {
+            assert_eq!(loaded.n_docs(), idx.n_docs());
+            assert_eq!(loaded.n_terms(), idx.n_terms());
+            assert_eq!(loaded.total_pages(), idx.total_pages());
+            assert_eq!(loaded.total_postings(), idx.total_postings());
+            assert_eq!(loaded.params(), idx.params());
+            for (term, e) in idx.lexicon().iter() {
+                let l = loaded.lexicon().entry(term).unwrap();
+                assert_eq!(loaded.lexicon().name(term), idx.lexicon().name(term));
+                assert_eq!(l.doc_freq, e.doc_freq);
+                assert_eq!(l.f_max, e.f_max);
+                assert_eq!(l.n_pages, e.n_pages);
+                assert_eq!(l.stopped, e.stopped);
                 assert_eq!(
-                    idx.conversion()
-                        .pages_to_process(term, f64::from(f))
-                        .unwrap(),
-                    loaded
-                        .conversion()
-                        .pages_to_process(term, f64::from(f))
-                        .unwrap()
+                    l.idf.to_bits(),
+                    e.idf.to_bits(),
+                    "idf must reconstruct exactly"
                 );
+            }
+            for d in 0..idx.n_docs() {
+                let a = idx.doc_stats().vector_length(ir_types::DocId(d)).unwrap();
+                let b = loaded
+                    .doc_stats()
+                    .vector_length(ir_types::DocId(d))
+                    .unwrap();
+                assert_eq!(a.to_bits(), b.to_bits(), "W_d must round-trip bit-exactly");
+            }
+            // Page contents identical, in the index's own order.
+            for (term, e) in idx.lexicon().iter() {
+                for p in 0..e.n_pages {
+                    let a = idx.disk().read_page(PageId::new(term, p)).unwrap();
+                    let b = loaded.disk().read_page(PageId::new(term, p)).unwrap();
+                    assert_eq!(a.postings(), b.postings());
+                    assert_eq!(a.checksum(), b.checksum());
+                    assert_eq!(a.max_weight().to_bits(), b.max_weight().to_bits());
+                }
+            }
+            // Conversion tables answer identically.
+            for (term, e) in idx.lexicon().iter() {
+                for f in 0..=e.f_max + 1 {
+                    assert_eq!(
+                        idx.conversion()
+                            .pages_to_process(term, f64::from(f))
+                            .unwrap(),
+                        loaded
+                            .conversion()
+                            .pages_to_process(term, f64::from(f))
+                            .unwrap()
+                    );
+                }
             }
         }
     }
@@ -584,7 +444,7 @@ mod tests {
         // at this layer, verify that a buffered scan of a list sees
         // the same data and pays the same reads.
         let idx = sample_index();
-        let path = tmpfile("evaluates.idx");
+        let path = tmpfile("evaluates.bfpg");
         save_index(&idx, &path).unwrap();
         let loaded = load_index(&path).unwrap();
         use ir_storage::PolicyKind;
@@ -605,75 +465,92 @@ mod tests {
         assert_eq!(run(&idx), run(&loaded));
     }
 
-    /// Writes `data` with its FNV trailer recomputed, so a patched
-    /// header reaches the structural checks instead of the checksum.
-    fn resealed(name: &str, mut data: Vec<u8>) -> std::path::PathBuf {
-        let n = data.len();
-        let sum = fnv1a(&data[..n - 8]);
-        data[n - 8..].copy_from_slice(&sum.to_le_bytes());
-        let path = tmpfile(name);
-        fs::write(&path, &data).unwrap();
-        path
+    fn assert_corrupt(got: Result<InvertedIndex, PersistError>, names: &str, what: &str) {
+        match got {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains(names), "{what}: {msg}"),
+            Err(other) => panic!("{what}: unexpected error kind {other}"),
+            Ok(_) => panic!("{what}: loaded"),
+        }
     }
 
+    /// Each check of the section refuses its own damage. The pages and
+    /// the trailer are sound, so the section's check is what must say
+    /// no.
     #[test]
-    fn foreign_encoding_reserved_length_and_version_are_rejected() {
-        let path = tmpfile("header_fields.idx");
-        save_index(&sample_index(), &path).unwrap();
-        let original = fs::read(&path).unwrap();
-        // Bytes 4..8 are the version, 25 the encoding id, 26..30 the
-        // reserved length.
-        let patches: [(&str, usize, u8, &str); 6] = [
-            ("encoding 1 (was bulk v-byte)", 25, 1, "encoding"),
-            ("encoding 2 (was Re-Pair)", 25, 2, "encoding"),
-            ("encoding 9", 25, 9, "encoding"),
-            ("reserved length 1", 26, 1, "reserved"),
-            ("reserved length 1 << 24", 29, 1, "reserved"),
-            ("version 1", 4, 1, "version"),
+    fn a_damaged_lexicon_section_is_refused() {
+        let freq = sample_index();
+        let doc = sample_index_ordered(ListOrdering::DocIdSorted);
+        let section = lexicon_section(&freq);
+        // Term 0 is `stock` (a length byte, five bytes, a flag), term 1
+        // `price`.
+        assert_eq!(&section[..8], b"\0\x85stock\0");
+        assert_eq!(&section[8..14], b"\x85price");
+        type Edit = fn(&mut Vec<u8>);
+        let rows: [(&str, Edit, &str); 11] = [
+            ("no section", |s| s.clear(), "no lexicon section"),
+            ("ordering 2", |s| s[0] = 2, "ordering"),
+            ("frequency pages as doc order", |s| s[0] = 1, "out of order"),
+            ("a name past the end", |s| s[1] = 0xff, "truncated"),
+            ("an unended name length", |s| *s = vec![0, 1], "truncated"),
+            ("non-UTF-8 name", |s| s[2] = 0xff, "UTF-8"),
+            (
+                "duplicate name",
+                |s| s[9..14].copy_from_slice(b"stock"),
+                "duplicate",
+            ),
+            ("stopped flag 2", |s| s[7] = 2, "stopped flag"),
+            ("stopped term with postings", |s| s[7] = 1, "stopped term"),
+            (
+                "a byte past the last term",
+                |s| s.push(0),
+                "after the last term",
+            ),
+            (
+                "cut inside the last flag",
+                |s| s.truncate(s.len() - 1),
+                "truncated",
+            ),
         ];
-        for (what, offset, value, names) in patches {
-            let mut bad = original.clone();
-            bad[offset] = value;
-            match load_index(&resealed("header_fields_mut.idx", bad)) {
-                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(names), "{what}: {msg}"),
-                Err(other) => panic!("{what}: unexpected error kind {other}"),
-                Ok(_) => panic!("{what}: loaded"),
-            }
+        let path = tmpfile("section_mut.bfpg");
+        for (what, edit, names) in rows {
+            let mut bad = section.clone();
+            edit(&mut bad);
+            write_pages(&freq, &path, &bad).unwrap();
+            assert_corrupt(load_index(&path), names, what);
         }
-    }
-
-    #[test]
-    fn header_counts_beyond_the_file_are_errors_not_allocations() {
-        // A bare 30-byte header plus trailer: whatever n_terms and
-        // n_docs claim, nothing follows to back them.
-        let path = tmpfile("counts.idx");
-        save_index(&sample_index(), &path).unwrap();
-        let mut header = fs::read(&path).unwrap();
-        header.truncate(30 + 8);
-        header[12..16].copy_from_slice(&0u32.to_le_bytes()); // n_terms
-        for (field, offset) in [("n_docs", 8), ("n_terms", 12)] {
-            let mut bad = header.clone();
-            bad[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            match load_index(&resealed("counts_mut.idx", bad)) {
-                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
-                Err(other) => panic!("{field}: unexpected error kind {other}"),
-                Ok(_) => panic!("{field}: loaded"),
-            }
-        }
+        let mut bad = lexicon_section(&doc);
+        bad[0] = 0;
+        write_pages(&doc, &path, &bad).unwrap();
+        assert_corrupt(
+            load_index(&path),
+            "out of order",
+            "doc pages as frequency order",
+        );
+        // A page whose postings name a document past `N` (its checksum
+        // and the trailer are sound).
+        let mut file = PageFileWriter::create(&path, 1, 2, 1).unwrap();
+        file.push_term(1).unwrap();
+        let postings = vec![Posting::new(5, 1)];
+        let idf = ir_types::weights::idf(1, 1);
+        file.push_page(&Page::new(PageId::new(TermId(0), 0), postings.into(), idf))
+            .unwrap();
+        file.finish(b"\0\x81a\0").unwrap();
+        assert_corrupt(load_index(&path), "beyond N", "a document past N");
     }
 
     #[test]
     fn corruption_is_detected_everywhere() {
         let idx = sample_index();
-        let path = tmpfile("corrupt.idx");
+        let path = tmpfile("corrupt.bfpg");
         save_index(&idx, &path).unwrap();
         let original = fs::read(&path).unwrap();
         // Flip one byte at a spread of offsets: every mutation must be
-        // rejected (checksum), never panic, never load garbage.
+        // rejected (checksum, structure or a torn page), never panic,
+        // never load garbage.
         for offset in (0..original.len()).step_by(original.len() / 23 + 1) {
             let mut bad = original.clone();
             bad[offset] ^= 0x5a;
-            let bad_path = tmpfile("corrupt_mut.idx");
+            let bad_path = tmpfile("corrupt_mut.bfpg");
             fs::write(&bad_path, &bad).unwrap();
             match load_index(&bad_path) {
                 Err(PersistError::Corrupt(_)) => {}
@@ -686,29 +563,17 @@ mod tests {
     #[test]
     fn truncation_is_detected() {
         let idx = sample_index();
-        let path = tmpfile("trunc.idx");
+        let path = tmpfile("trunc.bfpg");
         save_index(&idx, &path).unwrap();
         let original = fs::read(&path).unwrap();
         for keep in [0, 3, 10, original.len() / 2, original.len() - 1] {
-            let bad_path = tmpfile("trunc_mut.idx");
+            let bad_path = tmpfile("trunc_mut.bfpg");
             fs::write(&bad_path, &original[..keep]).unwrap();
             assert!(
                 matches!(load_index(&bad_path), Err(PersistError::Corrupt(_))),
                 "keep {keep}"
             );
         }
-    }
-
-    #[test]
-    fn wrong_magic_and_version_rejected() {
-        let idx = sample_index();
-        let path = tmpfile("magic.idx");
-        save_index(&idx, &path).unwrap();
-        let mut data = fs::read(&path).unwrap();
-        data[0] = b'X';
-        // Fix up the checksum so only the magic is wrong.
-        let err = load_index(&resealed("magic_mut.idx", data)).unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
     }
 
     #[test]
@@ -727,14 +592,20 @@ mod tests {
     fn a_save_whose_rename_fails_leaves_no_temp_file() {
         let idx = sample_index();
         let dir = tmpfile("rename_fails.idx");
-        for stale in ["rename_fails.idx.tmp", "rename_fails.tmp"] {
+        let temps = [
+            "rename_fails.idx.tmp",
+            "rename_fails.idx.payload.tmp",
+            "rename_fails.tmp",
+        ];
+        for stale in temps {
             let _ = fs::remove_file(tmpfile(stale));
         }
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("kept"), b"kept").unwrap();
         assert!(matches!(save_index(&idx, &dir), Err(PersistError::Io(_))));
-        assert!(!tmpfile("rename_fails.idx.tmp").exists());
-        assert!(!tmpfile("rename_fails.tmp").exists());
+        for stale in temps {
+            assert!(!tmpfile(stale).exists(), "{stale} left behind");
+        }
         assert_eq!(fs::read(dir.join("kept")).unwrap(), b"kept");
     }
 

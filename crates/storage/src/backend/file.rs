@@ -3,12 +3,13 @@
 //! (`pread`-style) reads.
 //!
 //! ```text
-//! "BFPG" | u32 version (3) | u8 encoding id (0) | u32 reserved length (0)
+//! "BFPG" | u32 version (3) | u8 encoding id (0) | u32 section length
 //! u32 n_docs | u32 page_size | u32 n_terms | u32 directory length
 //! directory, per term in id order:  v-byte f_t
 //!            then per page (⌈f_t / page_size⌉ of them):  v-byte byte_len,
 //!                                                        u64 checksum ^ idf_t bits
-//! u64 FNV-1a over header + directory
+//! section:   the section length's opaque bytes
+//! u64 FNV-1a over header + directory + section
 //! payload: every page's codec bytes, back to back in (term, page) order
 //! ```
 //!
@@ -24,18 +25,21 @@
 //! differently, and the seal makes a page read under any other `idf_t`
 //! fail its checksum.
 //!
-//! There is one version and one posting encoding. The encoding id and
-//! the reserved length keep their places from version 2; a file where
-//! either is not 0, or whose version is not 3, is rejected at open as
-//! [`PageFileError::Corrupt`].
+//! The section is the caller's: `ir-index` keeps the term names, the
+//! stopped flags and the list ordering there, and a pages-only export
+//! writes none. Its length sits in the header field that was a
+//! reserved length, always 0, so a file without a section is byte for
+//! byte what it was before sections existed. There is one version and one posting encoding: a
+//! file whose encoding id is not 0, or whose version is not 3, is
+//! rejected at open as [`PageFileError::Corrupt`].
 //!
-//! [`FilePageStore::open`] reads the header, then the directory and its
-//! trailer in one read bounded by the file length, and checks them
-//! before building anything from them: the directory fits the file,
-//! `page_size ≥ 1`, the terms fit the directory, every `f_t ≤ n_docs`
-//! and every `byte_len ≥ 1` (each at most 32 bits), the
-//! lengths sum to exactly the payload's length, and the FNV trailer
-//! matches. Every failure is [`PageFileError::Corrupt`], never a panic.
+//! [`FilePageStore::open`] reads the header, then the directory, the
+//! section and the trailer in one read bounded by the file length, and
+//! checks them before building anything from them: the directory and
+//! section fit the file, `page_size ≥ 1`, the terms fit the directory,
+//! every `f_t ≤ n_docs` and every `byte_len ≥ 1` (each at most 32
+//! bits), the lengths sum to exactly the payload's length, and the FNV
+//! trailer matches. Every failure is [`PageFileError::Corrupt`], never a panic.
 //! The directory is then held as flat arrays; the payload is fetched on
 //! demand. Every delivered page is decoded, rebuilt with [`Page::new`]
 //! and its recomputed checksum — computed over the *decoded* postings —
@@ -96,8 +100,7 @@ impl From<std::io::Error> for PageFileError {
 /// The FNV-1a offset basis: the hash of no bytes.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a, 64-bit — the same dependency-free integrity check the BFIR
-/// index format uses.
+/// FNV-1a, 64-bit — a small, dependency-free integrity check.
 fn fnv1a(data: &[u8]) -> u64 {
     fnv1a_from(FNV_OFFSET, data)
 }
@@ -111,7 +114,7 @@ fn fnv1a_from(mut h: u64, data: &[u8]) -> u64 {
     h
 }
 
-/// Length of the fixed header: magic, version, encoding id, reserved
+/// Length of the fixed header: magic, version, encoding id, section
 /// length, `n_docs`, `page_size`, `n_terms` and the directory length.
 const HEADER_LEN: usize = 4 + 4 + 1 + 4 + 4 * 4;
 
@@ -153,9 +156,9 @@ fn page_postings(f_t: u32, page_size: u32, page: u32) -> u32 {
 /// [`finish`](Self::finish) fills in, then the directory as it grows.
 /// Each page is encoded once and streamed to a second temp file,
 /// `PATH.payload.tmp`, because the payload follows the directory and
-/// its trailer, whose lengths the last page fixes. `finish` seals the
-/// directory, appends the payload behind it with an in-kernel copy,
-/// syncs and renames. A writer dropped before it finishes — an error,
+/// its trailer, whose lengths the last page fixes. `finish` appends the
+/// section, seals the directory and section, appends the payload
+/// behind them with an in-kernel copy, syncs and renames. A writer dropped before it finishes — an error,
 /// a panic — removes both temp files and leaves whatever is at the
 /// path untouched. Terms come in term-id order, each
 /// [`push_term`](Self::push_term) followed by exactly its
@@ -257,9 +260,9 @@ impl PageFileWriter {
         header.extend_from_slice(MAGIC);
         header.extend_from_slice(&VERSION.to_le_bytes());
         header.push(ENCODING_ID);
-        header.extend_from_slice(&0u32.to_le_bytes()); // reserved length
-        for v in [n_docs, page_size, n_terms, 0] {
-            header.extend_from_slice(&v.to_le_bytes()); // the directory length is set by `finish`
+        // `finish` sets the section and directory lengths.
+        for v in [0, n_docs, page_size, n_terms, 0] {
+            header.extend_from_slice(&v.to_le_bytes());
         }
         writer.dir.write_all(&header)?;
         Ok(writer)
@@ -342,9 +345,9 @@ impl PageFileWriter {
         Ok(())
     }
 
-    /// Seals the directory with its length and FNV trailer, appends the
-    /// payload and puts the file at the path given to
-    /// [`create`](Self::create).
+    /// Appends `section` behind the directory, seals both with their
+    /// lengths and the FNV trailer, appends the payload and puts the
+    /// file at the path given to [`create`](Self::create).
     ///
     /// # Errors
     /// [`PageFileError::Io`] if a temp file cannot be read, written,
@@ -352,21 +355,27 @@ impl PageFileWriter {
     /// left as it was.
     ///
     /// # Panics
-    /// If fewer terms or pages arrived than were declared.
-    pub fn finish(mut self) -> Result<(), PageFileError> {
+    /// If fewer terms or pages arrived than were declared, or the
+    /// directory or the section is over 4 GiB.
+    pub fn finish(mut self, section: &[u8]) -> Result<(), PageFileError> {
         assert!(
             self.started == self.n_terms && self.pages == self.f_t.div_ceil(self.page_size),
             "fewer terms or pages than declared"
         );
         let dir_len = u32::try_from(self.dir_len).expect("directory over 4 GiB");
+        let section_len = u32::try_from(section.len()).expect("section over 4 GiB");
+        self.dir.write_all(section)?;
         self.dir.flush()?;
         self.payload.flush()?;
         let (mut file, mut payload) = (self.dir.get_ref(), self.payload.get_ref());
-        file.seek(SeekFrom::Start(HEADER_LEN as u64 - 4))?;
-        file.write_all(&dir_len.to_le_bytes())?;
-        // The trailer hashes the header and the directory, read back.
+        for (at, len) in [(9, section_len), (HEADER_LEN as u64 - 4, dir_len)] {
+            file.seek(SeekFrom::Start(at))?;
+            file.write_all(&len.to_le_bytes())?;
+        }
+        // The trailer hashes the header, the directory and the section,
+        // read back.
         file.seek(SeekFrom::Start(0))?;
-        let mut sealed = file.take(HEADER_LEN as u64 + self.dir_len);
+        let mut sealed = file.take(HEADER_LEN as u64 + self.dir_len + u64::from(section_len));
         let mut trailer = FNV_OFFSET;
         self.scratch.resize(STREAM_BUF, 0);
         loop {
@@ -431,8 +440,11 @@ struct FileState {
 /// stats-update order identical to the read order.
 pub struct FilePageStore {
     file: fs::File,
+    n_docs: u32,
     page_size: u32,
     terms: Vec<TermDir>,
+    /// The section's bytes, as the writer was given them.
+    section: Vec<u8>,
     /// Every page's absolute offset, then the payload's end: page `i`
     /// spans `offsets[i]..offsets[i + 1]`.
     offsets: Vec<u64>,
@@ -530,17 +542,13 @@ impl FilePageStore {
                 "unknown encoding id {encoding} (expected {ENCODING_ID})"
             )));
         }
-        let reserved = field(9);
-        if reserved != 0 {
-            return Err(corrupt(format!(
-                "reserved header length is {reserved}, must be 0"
-            )));
-        }
-        let (n_docs, page_size, n_terms, dir_len) = (field(13), field(17), field(21), field(25));
+        let (section_len, n_docs, page_size, n_terms, dir_len) =
+            (field(9), field(13), field(17), field(21), field(25));
         let dir_end = HEADER_LEN as u64 + u64::from(dir_len);
-        if dir_end + 8 > file_len {
+        let sealed_end = dir_end + u64::from(section_len);
+        if sealed_end + 8 > file_len {
             return Err(corrupt(format!(
-                "a {dir_len}-byte directory does not fit a {file_len}-byte file"
+                "a {dir_len}-byte directory and a {section_len}-byte section do not fit a {file_len}-byte file"
             )));
         }
         if page_size == 0 {
@@ -552,9 +560,9 @@ impl FilePageStore {
                 "{n_terms} terms cannot fit a {dir_len}-byte directory"
             )));
         }
-        head.resize(dir_end as usize + 8, 0);
+        head.resize(sealed_end as usize + 8, 0);
         pread(&file, &mut head[HEADER_LEN..], HEADER_LEN as u64)?;
-        let dir_end = dir_end as usize;
+        let (dir_end, sealed_end) = (dir_end as usize, sealed_end as usize);
 
         let mut r = DirReader {
             dir: &head[HEADER_LEN..dir_end],
@@ -565,7 +573,7 @@ impl FilePageStore {
         let max_pages = dir_len as usize / 9;
         let mut offsets = Vec::with_capacity(max_pages + 1);
         let mut checksums = Vec::with_capacity(max_pages);
-        let mut offset = dir_end as u64 + 8; // the payload's start
+        let mut offset = sealed_end as u64 + 8; // the payload's start
         for t in 0..n_terms {
             let f_t = r
                 .vbyte()
@@ -607,8 +615,8 @@ impl FilePageStore {
         }
         offsets.push(offset);
 
-        let stored = u64::from_le_bytes(head[dir_end..].try_into().unwrap());
-        let computed = fnv1a(&head[..dir_end]);
+        let stored = u64::from_le_bytes(head[sealed_end..].try_into().unwrap());
+        let computed = fnv1a(&head[..sealed_end]);
         if stored != computed {
             return Err(corrupt(format!(
                 "directory checksum mismatch (stored {stored:#x}, computed {computed:#x})"
@@ -616,8 +624,10 @@ impl FilePageStore {
         }
         Ok(FilePageStore {
             file,
+            n_docs,
             page_size,
             terms,
+            section: head[dir_end..sealed_end].to_vec(),
             offsets,
             checksums,
             state: Mutex::new(FileState::default()),
@@ -627,6 +637,27 @@ impl FilePageStore {
     /// Total pages across all lists.
     pub fn total_pages(&self) -> usize {
         self.checksums.len()
+    }
+
+    /// `N`, the collection's documents.
+    pub fn n_docs(&self) -> u32 {
+        self.n_docs
+    }
+
+    /// Postings on a full page.
+    pub fn page_size(&self) -> usize {
+        self.page_size as usize
+    }
+
+    /// Every list's `f_t`, in term-id order.
+    pub fn list_lengths(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.terms.iter().map(|t| t.f_t)
+    }
+
+    /// The section given to [`PageFileWriter::finish`]; empty in a
+    /// pages-only export.
+    pub fn section(&self) -> &[u8] {
+        &self.section
     }
 
     /// Snapshot of the counters.
@@ -749,7 +780,7 @@ mod tests {
                 file.push_page(page)?;
             }
         }
-        file.finish()
+        file.finish(&[])
     }
 
     /// A one-term writer at a fresh temp path.
@@ -806,6 +837,19 @@ mod tests {
         write_page_file(&terms, &path).unwrap();
         let store = FilePageStore::open(&path, FileMode::Buffered).unwrap();
         assert_eq!(store.total_pages(), 12);
+        assert_eq!(
+            (store.n_docs(), store.page_size()),
+            (N_DOCS, PAGE_SIZE as usize)
+        );
+        assert!(
+            store.section().is_empty(),
+            "a pages-only file has no section"
+        );
+        let f_ts: Vec<u32> = terms
+            .iter()
+            .map(|p| p.iter().map(|p| p.len() as u32).sum())
+            .collect();
+        assert_eq!(store.list_lengths().collect::<Vec<_>>(), f_ts);
         for (t, pages) in terms.iter().enumerate() {
             assert!(
                 pages.last().unwrap().len() < PAGE_SIZE as usize,
@@ -1152,14 +1196,14 @@ mod tests {
     fn foreign_encoding_reserved_length_and_version_are_rejected_at_open() {
         let (_, original, dir_end) = sample_file("header_fields.bfpg", 1, 1);
         // Bytes 4..8 are the version, 8 the encoding id, 9..13 the
-        // reserved length. Each patch re-seals the directory trailer,
-        // so the field check itself — not the checksum — must refuse.
-        let patches: [(&str, usize, u8, &str); 7] = [
+        // section length (once a reserved length). Each patch re-seals
+        // the directory trailer, so the field check itself — not the
+        // checksum — must refuse.
+        let patches: [(&str, usize, u8, &str); 6] = [
             ("encoding 1 (was bulk v-byte)", 8, 1, "encoding"),
             ("encoding 2 (was Re-Pair)", 8, 2, "encoding"),
             ("encoding 9", 8, 9, "encoding"),
-            ("reserved length 1", 9, 1, "reserved"),
-            ("reserved length 1 << 24", 12, 1, "reserved"),
+            ("a section longer than the file", 12, 1, "do not fit"),
             ("version 1", 4, 1, "version"),
             ("version 2", 4, 2, "version"),
         ];
@@ -1172,6 +1216,24 @@ mod tests {
                 what,
             );
         }
+        // A section comes back as written, and its bytes are under the
+        // trailer: one flipped byte of it fails the checksum.
+        let path = tmpfile("section.bfpg");
+        let page = &sample_terms(1, 1)[0][0];
+        let mut file = one_term_writer("section.bfpg");
+        file.push_term(page.len() as u32).unwrap();
+        file.push_page(page).unwrap();
+        file.finish(b"lexicon").unwrap();
+        let store = FilePageStore::open(&path, FileMode::Buffered).unwrap();
+        assert_eq!(store.section(), b"lexicon");
+        let mut bad = fs::read(&path).unwrap();
+        bad[dir_end + 3] ^= 1;
+        fs::write(&path, &bad).unwrap();
+        assert_corrupt(
+            FilePageStore::open(&path, FileMode::Buffered),
+            "checksum",
+            "a flipped section byte",
+        );
     }
 
     #[test]
@@ -1210,7 +1272,7 @@ mod tests {
         let (_, original, dir_end) = sample_file("counts.bfpg", 1, 1);
         for (what, offset, names) in [
             ("n_terms", 21, "terms cannot fit"),
-            ("directory length", 25, "does not fit"),
+            ("directory length", 25, "do not fit"),
         ] {
             let mut bad = original.clone();
             bad[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());

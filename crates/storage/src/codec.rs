@@ -16,8 +16,8 @@
 //! On a skewed collection most postings have `f_{d,t} = 1` and land in
 //! one giant run of small gaps, approaching 1–1.5 bytes per entry.
 //!
-//! This is the only encoding: `BFPG` page payloads and `BFIR` posting
-//! blobs both carry it, and both headers name it as [`ENCODING_ID`].
+//! This is the only encoding: `BFPG` page payloads carry it, and the
+//! header names it as [`ENCODING_ID`].
 //! DESIGN.md § 13 records the two alternatives (a group-varint layout
 //! and a Re-Pair grammar) that were measured against it and deleted.
 //!
@@ -29,8 +29,8 @@
 
 use ir_types::{is_frequency_sorted, DocId, Posting};
 
-/// The id the `BFPG` and `BFIR` headers carry for this encoding; both
-/// formats refuse a file that names any other.
+/// The id the `BFPG` header carries for this encoding; the reader
+/// refuses a file that names any other.
 pub const ENCODING_ID: u8 = 0;
 
 /// Aggregate encoding statistics for a whole index build.
@@ -84,7 +84,9 @@ fn decode_meters() -> &'static DecodeMeters {
     })
 }
 
-pub(crate) fn put_vbyte(buf: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` as a v-byte: seven bits a byte, low first, the high bit
+/// set on the last.
+pub fn put_vbyte(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -96,8 +98,9 @@ pub(crate) fn put_vbyte(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Reads one v-byte value off the front of `buf` and advances past it.
-fn get_vbyte(buf: &mut &[u8]) -> Option<u64> {
+/// Reads one v-byte value off the front of `buf` and advances past it;
+/// `None` if `buf` ends inside it or it runs over ten bytes.
+pub fn get_vbyte(buf: &mut &[u8]) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {

@@ -2,10 +2,10 @@
 //!
 //! ```sh
 //! buffir demo                              # interactive REPL on sample docs
-//! buffir generate --scale 0.05 -o wsj.bfir # synthetic collection → index file
-//! buffir info wsj.bfir                     # index statistics
-//! buffir search wsj.bfir xab xcd           # one-shot query (raw terms)
-//! buffir repl wsj.bfir --raw               # interactive session on an index
+//! buffir generate --scale 0.05 -o wsj.bfpg # synthetic collection → index file
+//! buffir info wsj.bfpg                     # index statistics
+//! buffir search wsj.bfpg xab xcd           # one-shot query (raw terms)
+//! buffir repl wsj.bfpg --raw               # interactive session on an index
 //! ```
 //!
 //! The REPL shares its buffer pool across queries, so refining a query
@@ -74,7 +74,7 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 
 fn generate(args: &[String]) -> CliResult {
     let scale: f64 = flag_value(args, "--scale").unwrap_or("0.03125").parse()?;
-    let out = flag_value(args, "-o").unwrap_or("collection.bfir");
+    let out = flag_value(args, "-o").unwrap_or("collection.bfpg");
     let mut cfg = buffir::corpus::CorpusConfig::paper_scaled(scale);
     if let Some(seed) = flag_value(args, "--seed") {
         cfg.seed = seed.parse()?;

@@ -4,11 +4,33 @@
 
 use buffir::core::eval::{evaluate, EvalOptions};
 use buffir::core::Query;
-use buffir::index::{load_index, save_index};
+use buffir::index::{load_index, save_index, InvertedIndex};
 use buffir::{Algorithm, PolicyKind};
 use proptest::prelude::*;
 
 mod common;
+
+/// Every `W_d` and every conversion-table row of `loaded` is the
+/// builder's, to the bit: the load rebuilds both from the pages.
+fn assert_derived_fields_match(built: &InvertedIndex, loaded: &InvertedIndex) {
+    let (a, b) = (built.doc_stats().as_slice(), loaded.doc_stats().as_slice());
+    assert_eq!(a.len(), b.len());
+    for (d, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "W_d of document {d}");
+    }
+    for (term, e) in built.lexicon().iter() {
+        for f in 0..=e.f_max + 1 {
+            let f_add = f64::from(f);
+            let row =
+                |index: &InvertedIndex| index.conversion().postings_above(term, f_add).unwrap();
+            assert_eq!(
+                row(built),
+                row(loaded),
+                "conversion row of {term}, cell {f}"
+            );
+        }
+    }
+}
 
 fn tmpdir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("buffir-persistence-it");
@@ -22,11 +44,12 @@ fn reloaded_index_evaluates_identically_across_algorithms_and_policies() {
     let path = tmpdir().join("behavioral.idx");
     save_index(&index, &path).unwrap();
     let loaded = load_index(&path).unwrap();
+    assert_derived_fields_match(&index, &loaded);
 
     for q in corpus.queries().iter().take(4) {
         for alg in [Algorithm::Full, Algorithm::Df, Algorithm::Baf] {
             for policy in [PolicyKind::Lru, PolicyKind::Rap] {
-                let run = |index: &buffir::index::InvertedIndex| {
+                let run = |index: &InvertedIndex| {
                     let query = Query::from_named(index, &q.terms);
                     let mut buffer = index.make_buffer(16, policy).unwrap();
                     evaluate(alg, index, &mut buffer, &query, EvalOptions::default()).unwrap()
@@ -43,7 +66,7 @@ fn reloaded_index_evaluates_identically_across_algorithms_and_policies() {
                 assert_eq!(a.hits.len(), b.hits.len());
                 for (x, y) in a.hits.iter().zip(&b.hits) {
                     assert_eq!(x.doc, y.doc);
-                    assert!((x.score - y.score).abs() < 1e-12);
+                    assert_eq!(x.score.to_bits(), y.score.to_bits());
                 }
             }
         }
