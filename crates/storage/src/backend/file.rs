@@ -29,9 +29,9 @@
 //! stopped flags and the list ordering there, and a pages-only export
 //! writes none. Its length sits in the header field that was a
 //! reserved length, always 0, so a file without a section is byte for
-//! byte what it was before sections existed. There is one version and one posting encoding: a
-//! file whose encoding id is not 0, or whose version is not 3, is
-//! rejected at open as [`PageFileError::Corrupt`].
+//! byte what it was before sections existed. There is one version and
+//! one posting encoding: a file whose encoding id is not 0, or whose
+//! version is not 3, is rejected at open as [`PageFileError::Corrupt`].
 //!
 //! [`FilePageStore::open`] reads the header, then the directory, the
 //! section and the trailer in one read bounded by the file length, and
@@ -39,11 +39,11 @@
 //! section fit the file, `page_size ≥ 1`, the terms fit the directory,
 //! every `f_t ≤ n_docs` and every `byte_len ≥ 1` (each at most 32
 //! bits), the lengths sum to exactly the payload's length, and the FNV
-//! trailer matches. Every failure is [`PageFileError::Corrupt`], never a panic.
-//! The directory is then held as flat arrays; the payload is fetched on
-//! demand. Every delivered page is decoded, rebuilt with [`Page::new`]
-//! and its recomputed checksum — computed over the *decoded* postings —
-//! compared against the stored one. A short read, a truncated file, a
+//! trailer matches. Every failure is [`PageFileError::Corrupt`], never
+//! a panic. The directory is then held as flat arrays; the payload is
+//! fetched on demand. Every delivered page is decoded, rebuilt with
+//! [`Page::new`] and its recomputed checksum — computed over the
+//! *decoded* postings — compared against the stored one. A short read, a truncated file, a
 //! flipped payload bit, or an undecodable payload surfaces as
 //! [`IrError::TornPage`] — the same retryable error the fault injector
 //! produces — never as a panic or a silently corrupt page.
@@ -158,9 +158,9 @@ fn page_postings(f_t: u32, page_size: u32, page: u32) -> u32 {
 /// `PATH.payload.tmp`, because the payload follows the directory and
 /// its trailer, whose lengths the last page fixes. `finish` appends the
 /// section, seals the directory and section, appends the payload
-/// behind them with an in-kernel copy, syncs and renames. A writer dropped before it finishes — an error,
-/// a panic — removes both temp files and leaves whatever is at the
-/// path untouched. Terms come in term-id order, each
+/// behind them with an in-kernel copy, syncs and renames. A writer
+/// dropped before it finishes — an error, a panic — removes both temp
+/// files and leaves whatever is at the path untouched. Terms come in term-id order, each
 /// [`push_term`](Self::push_term) followed by exactly its
 /// `⌈f_t / page_size⌉` pages in page order.
 #[derive(Debug)]
@@ -548,7 +548,8 @@ impl FilePageStore {
         let sealed_end = dir_end + u64::from(section_len);
         if sealed_end + 8 > file_len {
             return Err(corrupt(format!(
-                "a {dir_len}-byte directory and a {section_len}-byte section do not fit a {file_len}-byte file"
+                "a {dir_len}-byte directory and a {section_len}-byte section \
+                 do not fit a {file_len}-byte file"
             )));
         }
         if page_size == 0 {
