@@ -428,10 +428,10 @@ where
 
     // Per term, in term-id order (see the module docs): idf and the
     // lexicon entry, then W_d; the store then cuts the pages.
-    let list = |t: usize| &slab[term_start[t] as usize..term_start[t + 1] as usize];
+    let list_of = |t: usize| &slab[term_start[t] as usize..term_start[t + 1] as usize];
     let mut compression = CompressionStats::default();
     for t in 0..n_terms {
-        let list = list(t);
+        let list = list_of(t);
         if list.is_empty() {
             continue;
         }
@@ -456,7 +456,7 @@ where
     }
     let doc_stats = DocStats::from_lists(
         n_docs,
-        lexicon.iter().map(|(t, e)| (e.idf, list(t.index()))),
+        lexicon.iter().map(|(t, e)| (e.idf, list_of(t.index()))),
     );
     let disk = DiskSim::from_slab(
         slab,
