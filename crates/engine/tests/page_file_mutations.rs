@@ -20,7 +20,8 @@
 //! ordering byte, the term names and stopped flags `save_index` adds):
 //! a name's length v-byte, a name made non-UTF-8 or a copy of another
 //! term's, a stopped flag on a term with postings, an ordering byte
-//! other than the one written, a truncation inside the section, and
+//! other than the one written, a truncation inside the section, a
+//! document id appended to the list of documents no posting names, and
 //! unsealed bit flips. `load_index` must return `Err` or an index
 //! identical to the original, never panic.
 
@@ -329,6 +330,8 @@ fn a_mutated_page_file_is_refused_or_serves_only_original_or_torn_pages() {
 struct Section {
     start: usize,
     end: usize,
+    /// `N`, which the appended document ids are drawn below.
+    n_docs: u64,
     /// Each term's name-length v-byte, name bytes and stopped flag.
     len_at: Vec<usize>,
     names: Vec<Range<usize>>,
@@ -343,19 +346,20 @@ impl Section {
         let mut l = Section {
             start,
             end,
+            n_docs: field(13) as u64,
             len_at: Vec::new(),
             names: Vec::new(),
             flag_at: Vec::new(),
         };
         let mut at = start + 1; // past the ordering byte
-        while at < end {
+        while l.names.len() < field(21) {
             let (len, w) = get_vbyte(data, at);
             l.len_at.push(at);
             l.names.push(at + w..at + w + len as usize);
             l.flag_at.push(at + w + len as usize);
             at += w + len as usize + 1;
         }
-        assert_eq!(at, end);
+        assert!(at <= end);
         l
     }
 }
@@ -370,12 +374,12 @@ fn splice_section(data: &mut Vec<u8>, l: &Section, range: Range<usize>, bytes: &
     reseal(data, (l.end as isize + delta) as usize);
 }
 
-/// One damaged copy of a saved index, and which of the seven kinds of
+/// One damaged copy of a saved index, and which of the eight kinds of
 /// damage it took.
 fn mutate_section(rng: &mut TestRng, original: &[u8], l: &Section) -> (Vec<u8>, usize) {
     let mut data = original.to_vec();
     let term = rng.below(l.names.len() as u64) as usize;
-    let kind = rng.below(7) as usize;
+    let kind = rng.below(8) as usize;
     match kind {
         0 => {
             let at = l.len_at[term];
@@ -406,6 +410,11 @@ fn mutate_section(rng: &mut TestRng, original: &[u8], l: &Section) -> (Vec<u8>, 
             splice_section(&mut data, l, l.start..l.start + 1, &[byte]);
         }
         5 => data.truncate(l.start + rng.below((l.end - l.start) as u64) as usize),
+        6 => {
+            let mut id = Vec::new();
+            put_vbyte(&mut id, rng.below(l.n_docs + 2));
+            splice_section(&mut data, l, l.end..l.end, &id);
+        }
         _ => {
             let at = l.start + rng.below((l.end - l.start) as u64) as usize;
             data[at] ^= 1 << rng.below(8);
@@ -453,7 +462,7 @@ fn a_mutated_lexicon_section_is_refused_or_loads_the_same_index() {
     assert_eq!(section.names.len(), idx.n_terms());
 
     let mut rng = TestRng::from_name("bfpg-section-mutator");
-    let (mut refused, mut kinds) = (0, [0u32; 7]);
+    let (mut refused, mut kinds) = (0, [0u32; 8]);
     for _ in 0..SECTION_CASES {
         let (data, kind) = mutate_section(&mut rng, &original, &section);
         kinds[kind] += 1;

@@ -10,7 +10,12 @@
 //! u8 ordering (0 frequency-sorted, 1 doc-id-sorted)
 //! per term in id order: v-byte name length, the name's UTF-8 bytes,
 //!                       u8 stopped (0 or 1; 1 only on a term with f_t 0)
+//! to the end: v-byte id of every document no posting names, ascending
 //! ```
+//!
+//! With that list every document costs the file a byte, a posting's in
+//! the payload or its own in the section, so `N` is held to the file's
+//! length before anything is sized by it.
 //!
 //! Everything else is rebuilt at load from what the page file gives:
 //! `idf_t` and the page boundaries from `f_t`, `f_max` from the pages'
@@ -96,7 +101,7 @@ fn corrupt(msg: String) -> PersistError {
 /// fails leaves no temp file and whatever was at `path` as it was. The
 /// save's own reads are wiped from the simulator's counters afterwards.
 pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError> {
-    write_pages(index, path, &lexicon_section(index))
+    write_pages(index, path, &lexicon_section(index)?)
 }
 
 /// Exports the index's inverted-list pages to a `BFPG` page file, the
@@ -122,17 +127,27 @@ pub fn save_page_file(index: &InvertedIndex, path: &Path) -> Result<(), PersistE
     write_pages(index, path, &[])
 }
 
-/// The ordering byte, then each term's name and stopped flag.
-fn lexicon_section(index: &InvertedIndex) -> Vec<u8> {
+/// The ordering byte, each term's name and stopped flag, then the
+/// documents no posting names.
+fn lexicon_section(index: &InvertedIndex) -> Result<Vec<u8>, PersistError> {
     let doc_ordered = index.params().ordering == ListOrdering::DocIdSorted;
     let mut section = vec![u8::from(doc_ordered)];
+    let mut named = vec![false; index.n_docs() as usize];
     for (term, e) in index.lexicon().iter() {
         let name = index.lexicon().name(term).as_bytes();
         put_vbyte(&mut section, name.len() as u64);
         section.extend_from_slice(name);
         section.push(u8::from(e.stopped));
+        for p in 0..e.n_pages {
+            for x in index.disk().read_page(PageId::new(term, p))?.postings() {
+                named[x.doc.index()] = true;
+            }
+        }
     }
-    section
+    for d in (0..named.len()).filter(|&d| !named[d]) {
+        put_vbyte(&mut section, d as u64);
+    }
+    Ok(section)
 }
 
 /// Streams every page to a page file at `path` with `section`; a
@@ -193,7 +208,7 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
     // most `u32::MAX`: a count past either is refused before the slab is
     // sized.
     let total: u64 = store.list_lengths().map(u64::from).sum();
-    if total > std::fs::metadata(path)?.len().min(u64::from(u32::MAX)) {
+    if total > store.payload_bytes().min(u64::from(u32::MAX)) {
         return Err(corrupt(format!("{total} postings cannot fit the file")));
     }
     let mut slab: Arc<[Posting]> =
@@ -222,9 +237,6 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
             let page = store
                 .read_page(PageId::new(term, p))
                 .map_err(|e| corrupt(e.to_string()))?;
-            if let Some(x) = page.postings().iter().find(|x| x.doc.0 >= n_docs) {
-                return Err(corrupt(format!("document {} beyond N = {n_docs}", x.doc)));
-            }
             f_max = f_max.max(page.max_freq());
             let (start, placed) = (end, &mut out[end..end + page.len()]);
             placed.copy_from_slice(page.postings());
@@ -237,19 +249,39 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
             }
         }
         let e = lexicon.entry_mut(term);
-        e.doc_freq = f_t;
-        e.idf = if f_t > 0 {
-            ir_types::weights::idf(n_docs, f_t)
-        } else {
-            0.0
-        };
-        e.f_max = f_max;
-        e.n_pages = n_pages;
-        e.stopped = stopped;
+        (e.doc_freq, e.f_max, e.n_pages, e.stopped) = (f_t, f_max, n_pages, stopped);
+        if f_t > 0 {
+            e.idf = ir_types::weights::idf(n_docs, f_t);
+        }
         list_starts.push(end as u32);
     }
-    if !rest.is_empty() {
-        return Err(corrupt(format!("{} bytes after the last term", rest.len())));
+    // Then the documents no posting names: each costs a byte, so `N`
+    // is held to the file before anything is sized by it.
+    let mut unnamed = Vec::new();
+    while !rest.is_empty() {
+        unnamed
+            .push(get_vbyte(&mut rest).ok_or_else(|| corrupt("lexicon section truncated".into()))?);
+    }
+    if u64::from(n_docs) > total + unnamed.len() as u64 {
+        return Err(corrupt(format!(
+            "N = {n_docs} documents, but {total} postings and {} listed without any",
+            unnamed.len()
+        )));
+    }
+    let mut named = vec![false; n_docs as usize];
+    for x in slab.iter() {
+        *named
+            .get_mut(x.doc.index())
+            .ok_or_else(|| corrupt(format!("document {} beyond N = {n_docs}", x.doc)))? = true;
+    }
+    if !(0..n_docs)
+        .filter(|&d| !named[d as usize])
+        .map(u64::from)
+        .eq(unnamed)
+    {
+        return Err(corrupt(
+            "the listed documents are not the ones no posting names".into(),
+        ));
     }
 
     let lists = || {
@@ -476,7 +508,7 @@ mod tests {
     fn a_damaged_lexicon_section_is_refused() {
         let freq = sample_index();
         let doc = sample_index_ordered(ListOrdering::DocIdSorted);
-        let section = lexicon_section(&freq);
+        let section = lexicon_section(&freq).unwrap();
         // Term 0 is `stock` (a length byte, five bytes, a flag), term 1
         // `price`.
         assert_eq!(&section[..8], b"\0\x85stock\0");
@@ -496,11 +528,7 @@ mod tests {
             ),
             ("stopped flag 2", |s| s[7] = 2, "stopped flag"),
             ("stopped term with postings", |s| s[7] = 1, "stopped term"),
-            (
-                "a byte past the last term",
-                |s| s.push(0),
-                "after the last term",
-            ),
+            ("an unended document id", |s| s.push(0), "truncated"),
             (
                 "cut inside the last flag",
                 |s| s.truncate(s.len() - 1),
@@ -514,7 +542,7 @@ mod tests {
             write_pages(&freq, &path, &bad).unwrap();
             assert_corrupt(load_index(&path), names, what);
         }
-        let mut bad = lexicon_section(&doc);
+        let mut bad = lexicon_section(&doc).unwrap();
         bad[0] = 0;
         write_pages(&doc, &path, &bad).unwrap();
         assert_corrupt(
@@ -532,6 +560,73 @@ mod tests {
             .unwrap();
         file.finish(b"\0\x81a\0").unwrap();
         assert_corrupt(load_index(&path), "beyond N", "a document past N");
+    }
+
+    /// Documents no posting names — an empty one, one of stop words
+    /// only, the last — are listed at the section's end and come back;
+    /// a list that is not exactly those documents is refused.
+    #[test]
+    fn documents_without_postings_are_listed_exactly() {
+        let mut b = IndexBuilder::new();
+        b.add_document(["the", "stock"]);
+        b.add_document(Vec::<&str>::new());
+        b.add_document(["the"]);
+        b.add_document(["stock", "bond"]);
+        b.add_document(Vec::<&str>::new());
+        let idx = b
+            .build(BuildOptions {
+                derive_stop_words: 1,
+                ..BuildOptions::default()
+            })
+            .unwrap();
+        let section = lexicon_section(&idx).unwrap();
+        assert!(section.ends_with(b"bond\0\x81\x82\x84"), "{section:?}");
+        let path = tmpfile("unnamed.bfpg");
+        save_index(&idx, &path).unwrap();
+        let loaded = load_index(&path).unwrap();
+        let bits = |i: &InvertedIndex| -> Vec<u64> {
+            let w = i.doc_stats().as_slice();
+            w.iter().map(|w| w.to_bits()).collect()
+        };
+        assert_eq!(bits(&loaded), bits(&idx));
+        type Edit = fn(&mut Vec<u8>);
+        let rows: [(&str, Edit, &str); 4] = [
+            ("no list", |s| s.truncate(s.len() - 3), "N = 5 documents"),
+            (
+                "a named document",
+                |s| *s.last_mut().unwrap() = 0x83,
+                "no posting",
+            ),
+            ("a document twice", |s| s.push(0x84), "no posting"),
+            (
+                "a document past N",
+                |s| *s.last_mut().unwrap() = 0x85,
+                "no posting",
+            ),
+        ];
+        for (what, edit, names) in rows {
+            let mut bad = section.clone();
+            edit(&mut bad);
+            write_pages(&idx, &path, &bad).unwrap();
+            assert_corrupt(load_index(&path), names, what);
+        }
+    }
+
+    /// `N` from a resealed header, far past what one posting and an
+    /// empty list can back, is refused before `W_d` is sized by it (at
+    /// `u32::MAX`, 32 GiB).
+    #[test]
+    fn n_docs_beyond_the_file_is_an_error_not_an_allocation() {
+        let path = tmpfile("n_docs.bfpg");
+        for n_docs in [1 << 24, u32::MAX] {
+            let mut file = PageFileWriter::create(&path, n_docs, 2, 1).unwrap();
+            file.push_term(1).unwrap();
+            let (postings, idf) = (vec![Posting::new(0, 1)], ir_types::weights::idf(n_docs, 1));
+            file.push_page(&Page::new(PageId::new(TermId(0), 0), postings.into(), idf))
+                .unwrap();
+            file.finish(b"\0\x81a\0").unwrap();
+            assert_corrupt(load_index(&path), &format!("N = {n_docs} documents"), "N");
+        }
     }
 
     #[test]

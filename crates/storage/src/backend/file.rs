@@ -655,6 +655,11 @@ impl FilePageStore {
         self.terms.iter().map(|t| t.f_t)
     }
 
+    /// Bytes of the payload, every page's encoding back to back.
+    pub fn payload_bytes(&self) -> u64 {
+        self.offsets[self.offsets.len() - 1] - self.offsets[0]
+    }
+
     /// The section given to [`PageFileWriter::finish`]; empty in a
     /// pages-only export.
     pub fn section(&self) -> &[u8] {

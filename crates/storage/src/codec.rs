@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn encoding_is_pinned_byte_for_byte() {
-        // The on-disk stream of both file formats: count, then per run
+        // The on-disk stream of a `BFPG` page payload: count, then per run
         // (frequency or drop, run length, doc-id gaps), every value a
         // little-endian v-byte whose *last* byte carries the high bit.
         // 298 = 0x2a + (2 << 7) exercises a two-byte value.
