@@ -257,28 +257,24 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
     }
     // Then the documents no posting names: each costs a byte, so `N`
     // is held to the file before anything is sized by it.
-    let mut unnamed = Vec::new();
+    let mut listed = Vec::new();
     while !rest.is_empty() {
-        unnamed
+        listed
             .push(get_vbyte(&mut rest).ok_or_else(|| corrupt("lexicon section truncated".into()))?);
     }
-    if u64::from(n_docs) > total + unnamed.len() as u64 {
+    if u64::from(n_docs) > total + listed.len() as u64 {
+        let n = listed.len();
         return Err(corrupt(format!(
-            "N = {n_docs} documents, but {total} postings and {} listed without any",
-            unnamed.len()
+            "N = {n_docs} documents, {total} postings and {n} listed"
         )));
     }
     let mut named = vec![false; n_docs as usize];
     for x in slab.iter() {
-        *named
-            .get_mut(x.doc.index())
-            .ok_or_else(|| corrupt(format!("document {} beyond N = {n_docs}", x.doc)))? = true;
+        let beyond = || corrupt(format!("document {} beyond N = {n_docs}", x.doc));
+        *named.get_mut(x.doc.index()).ok_or_else(beyond)? = true;
     }
-    if !(0..n_docs)
-        .filter(|&d| !named[d as usize])
-        .map(u64::from)
-        .eq(unnamed)
-    {
+    let unnamed = (0..n_docs).filter(|&d| !named[d as usize]).map(u64::from);
+    if !unnamed.eq(listed) {
         return Err(corrupt(
             "the listed documents are not the ones no posting names".into(),
         ));
