@@ -15,7 +15,6 @@
 //! measured for every artifact. One more experiment, `experiments
 //! chaos`, runs the seeded fault-injection matrix ([`exp::chaos`]);
 //! wall time is measured by the standalone `benchmark/`, not here.
-//! Criterion micro-benchmarks live in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

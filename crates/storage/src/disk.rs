@@ -325,28 +325,6 @@ impl PageStore for DiskSim {
     }
 }
 
-impl<S: PageStore + ?Sized> PageStore for &S {
-    fn read_page(&self, id: PageId) -> IrResult<Page> {
-        (**self).read_page(id)
-    }
-
-    fn can_tear(&self) -> bool {
-        (**self).can_tear()
-    }
-
-    fn submit(&self, ids: &[PageId]) {
-        (**self).submit(ids)
-    }
-
-    fn overlap_depth(&self) -> usize {
-        (**self).overlap_depth()
-    }
-
-    fn io_wait_us(&self) -> u64 {
-        (**self).io_wait_us()
-    }
-}
-
 impl<S: PageStore + ?Sized> PageStore for std::sync::Arc<S> {
     fn read_page(&self, id: PageId) -> IrResult<Page> {
         (**self).read_page(id)
@@ -611,12 +589,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ref_and_arc_forward() {
-        let d = tiny_store(1, 2);
-        let by_ref: &DiskSim = &d;
-        by_ref.read_page(PageId::new(TermId(0), 1)).unwrap();
-        let by_arc = std::sync::Arc::new(&d);
-        by_arc.read_page(PageId::new(TermId(0), 0)).unwrap();
-        assert_eq!(d.stats().reads, 2);
+    fn arc_forwards() {
+        let by_arc = std::sync::Arc::new(tiny_store(1, 2));
+        PageStore::read_page(&by_arc, PageId::new(TermId(0), 0)).unwrap();
+        assert_eq!(by_arc.stats().reads, 1);
     }
 }

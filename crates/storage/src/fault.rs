@@ -13,8 +13,9 @@
 //!   stored checksum no longer matches its content
 //!   ([`Page::is_intact`] fails); the buffer manager detects and
 //!   rejects it;
-//! * **latency spikes** — the read is delayed by a fixed duration
-//!   (and counted), modelling a slow device rather than a broken one.
+//! * **latency spikes** — the read is delivered and counted as slow,
+//!   marking a slow device rather than a broken one; no time passes
+//!   (modelled device latency is [`IoScheduler`](crate::IoScheduler)'s).
 //!
 //! A per-page consecutive-fault cap ([`FaultConfig::max_consecutive_faults`])
 //! guarantees forward progress: after that many back-to-back faults on
@@ -25,7 +26,6 @@ use crate::disk::PageStore;
 use crate::page::Page;
 use ir_types::{sync, IdMap, IrError, IrResult, PageId};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// What a [`FaultStore`] injects, and how often.
 ///
@@ -41,12 +41,8 @@ pub struct FaultConfig {
     pub transient_rate: f64,
     /// Probability a read delivers a torn copy (checksum mismatch).
     pub torn_rate: f64,
-    /// Probability a read is delayed by [`latency`](Self::latency).
+    /// Probability a read is counted as a latency spike.
     pub latency_rate: f64,
-    /// The injected delay for a latency spike. `Duration::ZERO`
-    /// records the spike without sleeping — what deterministic tests
-    /// want.
-    pub latency: Duration,
     /// After this many back-to-back faults (transient or torn) on one
     /// page, the next read of it is delivered cleanly. Must be at
     /// least 1 for a 100% fault rate to terminate.
@@ -61,19 +57,17 @@ impl FaultConfig {
         transient_rate: 0.0,
         torn_rate: 0.0,
         latency_rate: 0.0,
-        latency: Duration::ZERO,
         max_consecutive_faults: 0,
     };
 
     /// A seeded config with every fault mode active at moderate rates
-    /// and no real sleeping — the chaos suite's workhorse.
+    /// — the chaos suite's workhorse.
     pub fn chaos(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
             transient_rate: 0.2,
             torn_rate: 0.1,
             latency_rate: 0.1,
-            latency: Duration::ZERO,
             max_consecutive_faults: 3,
         }
     }
@@ -98,9 +92,9 @@ pub struct FaultStats {
     pub transient_faults: u64,
     /// Reads that delivered a torn copy.
     pub torn_faults: u64,
-    /// Reads delayed by a latency spike (delivered successfully).
+    /// Reads counted as latency spikes (delivered successfully).
     pub latency_spikes: u64,
-    /// Reads delivered intact (including delayed ones).
+    /// Reads delivered intact (including spiked ones).
     pub reads_delivered: u64,
 }
 
@@ -182,8 +176,8 @@ impl<S: PageStore> FaultStore<S> {
     }
 
     /// Decides one read's fate. Returns `Err` for an injected
-    /// transient failure, `Ok((torn, delay))` otherwise.
-    fn decide(&self, id: PageId) -> IrResult<(bool, Option<Duration>)> {
+    /// transient failure, `Ok(torn)` otherwise.
+    fn decide(&self, id: PageId) -> IrResult<bool> {
         let mut s = sync::lock(&self.state);
         // Always consume the three draws in fixed order, even when a
         // cap or an earlier fault decides the outcome — the stream
@@ -205,17 +199,14 @@ impl<S: PageStore> FaultStore<S> {
         if !worn_out && torn {
             *s.consecutive.entry(id).or_insert(0) += 1;
             s.stats.torn_faults += 1;
-            return Ok((true, None));
+            return Ok(true);
         }
         s.consecutive.remove(&id);
         s.stats.reads_delivered += 1;
         if spike {
             s.stats.latency_spikes += 1;
-            if !self.config.latency.is_zero() {
-                return Ok((false, Some(self.config.latency)));
-            }
         }
-        Ok((false, None))
+        Ok(false)
     }
 }
 
@@ -224,12 +215,7 @@ impl<S: PageStore> PageStore for FaultStore<S> {
         if self.config.is_disabled() {
             return self.inner.read_page(id);
         }
-        let (torn, delay) = self.decide(id)?;
-        // Sleep outside the state lock so a spiking read stalls only
-        // its own session, not every session's fault draws.
-        if let Some(d) = delay {
-            std::thread::sleep(d);
-        }
+        let torn = self.decide(id)?;
         let page = self.inner.read_page(id)?;
         Ok(if torn { page.into_torn() } else { page })
     }
@@ -390,18 +376,15 @@ mod tests {
     }
 
     #[test]
-    fn latency_spikes_are_counted_and_zero_duration_does_not_sleep() {
+    fn latency_spikes_are_counted() {
         let cfg = FaultConfig {
             seed: 1,
             latency_rate: 1.0,
-            latency: Duration::ZERO,
             ..FaultConfig::DISABLED
         };
         let fs = FaultStore::new(store(1, 2), cfg);
-        let started = std::time::Instant::now();
         fs.read_page(pid(0, 0)).unwrap();
         fs.read_page(pid(0, 1)).unwrap();
-        assert!(started.elapsed() < Duration::from_millis(100));
         let s = fs.stats();
         assert_eq!(s.latency_spikes, 2);
         assert_eq!(s.reads_delivered, 2);

@@ -59,7 +59,7 @@ pub use buffer::{FetchOutcome, FetchPolicy};
 pub use codec::CompressionStats;
 pub use disk::{DiskSim, DiskStats, PageStore};
 pub use fault::{FaultConfig, FaultStats, FaultStore};
-pub use observe::{BufferEvent, BufferObserver, EventCounts, EventLog};
+pub use observe::{BufferEvent, BufferObserver, EventLog};
 pub use page::Page;
 pub use policy::{PolicyKind, ReplacementPolicy};
 pub use query_buffer::QueryBuffer;

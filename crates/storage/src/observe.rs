@@ -75,47 +75,6 @@ impl BufferObserver for EventLog {
     }
 }
 
-/// Per-variant tallies of an event stream, field-for-field comparable
-/// with the pool's `BufferMetrics` counters — the bridge that lets
-/// tests assert the two accounting paths (events vs. lock-free
-/// counters) never disagree.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// `Load` events (disk reads into frames).
-    pub loads: u64,
-    /// `Hit` events.
-    pub hits: u64,
-    /// `Evict` events whose victim was a list-head page.
-    pub evictions_head: u64,
-    /// `Evict` events whose victim was a non-head page.
-    pub evictions_tail: u64,
-    /// `Retry` events (re-attempted store reads).
-    pub retries: u64,
-    /// `Torn` events (rejected checksum-failing deliveries).
-    pub torn: u64,
-    /// `Flush` events.
-    pub flushes: u64,
-}
-
-impl EventCounts {
-    /// Folds an event stream into tallies.
-    pub fn tally(events: &[BufferEvent]) -> Self {
-        let mut c = EventCounts::default();
-        for e in events {
-            match e {
-                BufferEvent::Load(_) => c.loads += 1,
-                BufferEvent::Hit(_) => c.hits += 1,
-                BufferEvent::Evict(id) if id.page.0 == 0 => c.evictions_head += 1,
-                BufferEvent::Evict(_) => c.evictions_tail += 1,
-                BufferEvent::Retry(_) => c.retries += 1,
-                BufferEvent::Torn(_) => c.torn += 1,
-                BufferEvent::Flush => c.flushes += 1,
-            }
-        }
-        c
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,33 +92,5 @@ mod tests {
         log.event(BufferEvent::Flush);
         assert_eq!(log.events().len(), 5);
         assert_eq!(log.evictions(), vec![a]);
-    }
-
-    #[test]
-    fn tally_folds_every_variant() {
-        let head = PageId::new(TermId(3), 0);
-        let tail = PageId::new(TermId(3), 2);
-        let events = [
-            BufferEvent::Load(head),
-            BufferEvent::Hit(head),
-            BufferEvent::Evict(head),
-            BufferEvent::Evict(tail),
-            BufferEvent::Retry(tail),
-            BufferEvent::Retry(tail),
-            BufferEvent::Torn(tail),
-            BufferEvent::Flush,
-        ];
-        assert_eq!(
-            EventCounts::tally(&events),
-            EventCounts {
-                loads: 1,
-                hits: 1,
-                evictions_head: 1,
-                evictions_tail: 1,
-                retries: 2,
-                torn: 1,
-                flushes: 1,
-            }
-        );
     }
 }

@@ -4,8 +4,8 @@
 //! every policy and any workload.
 
 use ir_storage::{
-    BufferEvent, BufferManager, BufferObserver, DiskSim, EventCounts, FaultConfig, FaultStore,
-    FetchOutcome, FetchPolicy, Page, PageStore, PolicyKind,
+    BufferEvent, BufferManager, BufferObserver, DiskSim, FaultConfig, FaultStore, FetchOutcome,
+    FetchPolicy, Page, PageStore, PolicyKind,
 };
 use ir_types::{PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};
@@ -118,8 +118,8 @@ proptest! {
 
     /// Dual-accounting invariant: for any fetch/flush
     /// workload, the lock-free `BufferMetrics` counters equal the fold
-    /// of the event stream the observer saw ([`EventCounts::tally`]) —
-    /// the two accounting paths can never disagree.
+    /// of the event stream the observer saw, variant by variant — the
+    /// two accounting paths can never disagree.
     #[test]
     fn metrics_counters_equal_the_event_log_tally(
         capacity in 2usize..6,
@@ -136,33 +136,37 @@ proptest! {
             if flush_at_end {
                 bm.flush();
             }
-            let counts = EventCounts::tally(&log.0.lock().unwrap());
+            let events = log.0.lock().unwrap();
+            let count = |f: fn(&BufferEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
+            let loads = count(|e| matches!(e, BufferEvent::Load(_)));
+            let head = count(|e| matches!(e, BufferEvent::Evict(id) if id.page.0 == 0));
+            let tail = count(|e| matches!(e, BufferEvent::Evict(id) if id.page.0 != 0));
             let m = bm.metrics();
-            assert_eq!(m.loads.get(), counts.loads, "{kind}: loads");
-            assert_eq!(m.hits.get(), counts.hits, "{kind}: hits");
+            assert_eq!(m.loads.get(), loads, "{kind}: loads");
             assert_eq!(
-                m.evictions_head.get(),
-                counts.evictions_head,
-                "{kind}: head evictions"
+                m.hits.get(),
+                count(|e| matches!(e, BufferEvent::Hit(_))),
+                "{kind}: hits"
+            );
+            assert_eq!(m.evictions_head.get(), head, "{kind}: head evictions");
+            assert_eq!(m.evictions_tail.get(), tail, "{kind}: tail evictions");
+            assert_eq!(
+                m.retries.get(),
+                count(|e| matches!(e, BufferEvent::Retry(_))),
+                "{kind}: retries"
             );
             assert_eq!(
-                m.evictions_tail.get(),
-                counts.evictions_tail,
-                "{kind}: tail evictions"
+                m.torn_pages.get(),
+                count(|e| matches!(e, BufferEvent::Torn(_))),
+                "{kind}: torn"
             );
-            assert_eq!(m.retries.get(), counts.retries, "{kind}: retries");
-            assert_eq!(m.torn_pages.get(), counts.torn, "{kind}: torn");
             // The snapshot view agrees with both accounting paths:
             // every fetch succeeded, so requests = hits + misses, and
             // misses are exactly the loads.
             let s = bm.stats();
             assert_eq!(s.requests, s.hits + s.misses, "{kind}: request split");
-            assert_eq!(s.misses, counts.loads, "{kind}: misses are loads");
-            assert_eq!(
-                s.evictions,
-                counts.evictions_head + counts.evictions_tail,
-                "{kind}: eviction split"
-            );
+            assert_eq!(s.misses, loads, "{kind}: misses are loads");
+            assert_eq!(s.evictions, head + tail, "{kind}: eviction split");
         }
     }
 

@@ -11,11 +11,13 @@
 //! The REPL shares its buffer pool across queries, so refining a query
 //! interactively reproduces the paper's workload; `:stats` shows the
 //! running disk-read counters and `:policy` / `:alg` switch the
-//! configuration live.
+//! configuration live. `search` and the REPL name on stderr each query
+//! term the index cannot use. Output goes through one stdout handle,
+//! and a closed stdout (`buffir info FILE | head -1`) ends it quietly.
 
 use buffir::engine::{EngineConfig, SearchEngine};
 use buffir::{Algorithm, PolicyKind};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
@@ -38,25 +40,28 @@ const DEMO_DOCS: [&str; 8] = [
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = std::io::stdout().lock();
     let result = match args.first().map(String::as_str) {
-        Some("demo") => repl(None, false),
+        Some("demo") => repl(&mut out, None, false),
         Some("generate") => generate(&args[1..]),
-        Some("info") => info(&args[1..]),
-        Some("search") => search(&args[1..]),
+        Some("info") => info(&mut out, &args[1..]),
+        Some("search") => search(&mut out, &args[1..]),
         Some("repl") => {
             let raw = args.iter().any(|a| a == "--raw");
             let file = args.get(1).filter(|a| !a.starts_with("--")).cloned();
-            repl(file, raw)
+            repl(&mut out, file, raw)
         }
-        Some("--help") | Some("-h") | None => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        Some("--help") | Some("-h") | None => writeln!(out, "{USAGE}").map_err(Into::into),
         Some(other) => Err(format!("unknown command {other:?}\n{USAGE}").into()),
+    }
+    .and_then(|()| out.flush().map_err(Into::into));
+    let Err(e) = result else {
+        return ExitCode::SUCCESS;
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    match e.downcast_ref::<std::io::Error>() {
+        // Whoever read stdout stopped reading: the output is over.
+        Some(io) if io.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        _ => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
@@ -100,10 +105,11 @@ fn generate(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn info(args: &[String]) -> CliResult {
+fn info(out: &mut impl Write, args: &[String]) -> CliResult {
     let file = args.first().ok_or("info needs an index file")?;
     let index = buffir::index::load_index(std::path::Path::new(file))?;
-    println!(
+    writeln!(
+        out,
         "{file}: {} docs, {} terms ({} indexed), {} postings, {} pages (PageSize {})",
         index.n_docs(),
         index.n_terms(),
@@ -111,10 +117,11 @@ fn info(args: &[String]) -> CliResult {
         index.total_postings(),
         index.total_pages(),
         index.params().page_size
-    );
+    )?;
     let memory = index.memory();
     let mb = |bytes: usize| bytes as f64 / 1e6;
-    println!(
+    writeln!(
+        out,
         "  memory {:.1} MB: postings {:.1}, page records {:.1}, lexicon {:.1}, conversion {:.1}, W_d {:.1}",
         mb(memory.total()),
         mb(memory.postings),
@@ -122,16 +129,17 @@ fn info(args: &[String]) -> CliResult {
         mb(memory.lexicon),
         mb(memory.conversion),
         mb(memory.vector_lengths)
-    );
+    )?;
     let max_idf = f64::from(index.n_docs()).log2();
     for band in index
         .lexicon()
         .idf_bands(&[1.91, 3.10, 5.42, 8.74, max_idf.max(8.75) + 0.01])
     {
-        println!(
+        writeln!(
+            out,
             "  idf {:>5.2}–{:<5.2}: {:>8} terms, {}–{} pages",
             band.idf_low, band.idf_high, band.n_terms, band.min_pages, band.max_pages
-        );
+        )?;
     }
     Ok(())
 }
@@ -149,7 +157,31 @@ fn parse_engine_flags(args: &[String], config: &mut EngineConfig) -> CliResult {
     Ok(())
 }
 
-fn search(args: &[String]) -> CliResult {
+/// The query's `(term, f_{q,t})` pairs: the words as given under
+/// `--raw`, else what the engine's analyzer makes of them. Names on
+/// stderr each term the lexicon lacks or stops, once.
+fn query_terms(engine: &SearchEngine, words: &[&str], raw: bool) -> Vec<(String, u32)> {
+    let terms: Vec<String> = if raw {
+        words.iter().map(|w| w.to_string()).collect()
+    } else {
+        engine.analyzer().analyze(&words.join(" "))
+    };
+    let lexicon = engine.index().lexicon();
+    for (i, name) in terms.iter().enumerate() {
+        if terms[..i].contains(name) {
+            continue;
+        }
+        let why = match lexicon.lookup(name).map(|id| lexicon.entry(id)) {
+            None => "not in the index",
+            Some(Ok(e)) if e.stopped => "a stop word",
+            Some(_) => continue,
+        };
+        eprintln!("{name:?} is {why}; it is left out of the query");
+    }
+    terms.into_iter().map(|t| (t, 1)).collect()
+}
+
+fn search(out: &mut impl Write, args: &[String]) -> CliResult {
     let file = args.first().ok_or("search needs an index file")?;
     let raw = args.iter().any(|a| a == "--raw");
     let mut config = EngineConfig::default();
@@ -157,7 +189,7 @@ fn search(args: &[String]) -> CliResult {
     let index = buffir::index::load_index(std::path::Path::new(file))?;
     let mut engine = SearchEngine::new(index, config)?;
     let mut skip_next = false;
-    let terms: Vec<(String, u32)> = args[1..]
+    let words: Vec<&str> = args[1..]
         .iter()
         .filter(|a| {
             if skip_next {
@@ -170,42 +202,35 @@ fn search(args: &[String]) -> CliResult {
             }
             !a.starts_with("--")
         })
-        .map(|a| (a.clone(), 1))
+        .map(String::as_str)
         .collect();
-    if terms.is_empty() {
+    if words.is_empty() {
         return Err("no query terms given".into());
     }
-    let result = if raw {
-        engine.search_terms(&terms)?
-    } else {
-        let text = terms
-            .iter()
-            .map(|(t, _)| t.as_str())
-            .collect::<Vec<_>>()
-            .join(" ");
-        engine.search_text(&text)?
-    };
-    print_hits(&result);
+    let terms = query_terms(&engine, &words, raw);
+    let result = engine.search_terms(&terms)?;
+    print_hits(out, &result)?;
     Ok(())
 }
 
-fn print_hits(result: &buffir::QueryResult) {
+fn print_hits(out: &mut impl Write, result: &buffir::QueryResult) -> std::io::Result<()> {
     if result.hits.is_empty() {
-        println!("(no results)");
+        writeln!(out, "(no results)")?;
     }
     for (rank, hit) in result.hits.iter().enumerate() {
-        println!("{:>3}. {}  score {:.4}", rank + 1, hit.doc, hit.score);
+        writeln!(out, "{:>3}. {}  score {:.4}", rank + 1, hit.doc, hit.score)?;
     }
-    println!(
+    writeln!(
+        out,
         "[{} disk reads, {} pages processed, {} entries, {} accumulators]",
         result.stats.disk_reads,
         result.stats.pages_processed,
         result.stats.entries_processed,
         result.stats.peak_accumulators
-    );
+    )
 }
 
-fn repl(file: Option<String>, raw: bool) -> CliResult {
+fn repl(out: &mut impl Write, file: Option<String>, raw: bool) -> CliResult {
     let mut engine = match &file {
         Some(f) => {
             let index = buffir::index::load_index(std::path::Path::new(f))?;
@@ -226,7 +251,6 @@ fn repl(file: Option<String>, raw: bool) -> CliResult {
         engine.config().buffer_pages
     );
     let stdin = std::io::stdin();
-    let mut out = std::io::stdout();
     loop {
         write!(out, "buffir> ")?;
         out.flush()?;
@@ -242,72 +266,67 @@ fn repl(file: Option<String>, raw: bool) -> CliResult {
             let parts: Vec<&str> = cmd.split_whitespace().collect();
             match parts.as_slice() {
                 ["quit"] | ["q"] | ["exit"] => break,
-                ["help"] => println!(
+                ["help"] => writeln!(
+                    out,
                     ":policy <lru|mru|rap|lru2|2q|fifo|clock>  switch replacement policy\n\
                      :alg <full|df|baf>                        switch algorithm\n\
                      :buffers <N>                              resize the pool\n\
                      :flush                                    cold buffers\n\
                      :stats                                    buffer counters\n\
                      :quit                                     leave"
-                ),
+                )?,
                 ["flush"] => {
                     engine.flush_buffers();
-                    println!("buffers flushed");
+                    writeln!(out, "buffers flushed")?;
                 }
                 ["stats"] => {
                     let s = engine.buffer_stats();
-                    println!(
+                    writeln!(
+                        out,
                         "requests {} | hits {} | misses {} | evictions {} | hit ratio {:.1} %",
                         s.requests,
                         s.hits,
                         s.misses,
                         s.evictions,
                         s.hit_ratio() * 100.0
-                    );
+                    )?;
                 }
                 ["policy", p] => match p.parse::<PolicyKind>() {
                     Ok(policy) => {
                         let mut c = engine.config();
                         c.policy = policy;
                         engine.reconfigure(c)?;
-                        println!("policy → {policy} (pool rebuilt cold)");
+                        writeln!(out, "policy → {policy} (pool rebuilt cold)")?;
                     }
-                    Err(e) => println!("{e}"),
+                    Err(e) => writeln!(out, "{e}")?,
                 },
                 ["alg", a] => match a.parse::<Algorithm>() {
                     Ok(alg) => {
                         let mut c = engine.config();
                         c.algorithm = alg;
                         engine.reconfigure(c)?;
-                        println!("algorithm → {alg}");
+                        writeln!(out, "algorithm → {alg}")?;
                     }
-                    Err(e) => println!("{e}"),
+                    Err(e) => writeln!(out, "{e}")?,
                 },
                 ["buffers", n] => match n.parse::<usize>() {
                     Ok(pages) if pages > 0 => {
                         let mut c = engine.config();
                         c.buffer_pages = pages;
                         engine.reconfigure(c)?;
-                        println!("buffer pool → {pages} pages (cold)");
+                        writeln!(out, "buffer pool → {pages} pages (cold)")?;
                     }
-                    _ => println!("buffers needs a positive number"),
+                    _ => writeln!(out, "buffers needs a positive number")?,
                 },
-                other => println!("unknown command {other:?} — try :help"),
+                other => writeln!(out, "unknown command {other:?} — try :help")?,
             }
             continue;
         }
-        let result = if raw {
-            let terms: Vec<(String, u32)> = line
-                .split_whitespace()
-                .map(|t| (t.to_string(), 1))
-                .collect();
-            engine.search_terms(&terms)
-        } else {
-            engine.search_text(line)
-        };
-        match result {
-            Ok(r) => print_hits(&r),
-            Err(e) => println!("query failed: {e}"),
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let terms = query_terms(&engine, &words, raw);
+        match engine.search_terms(&terms) {
+            Ok(r) => print_hits(out, &r)?,
+            Err(e) => writeln!(out, "query failed: {e}")?,
         }
     }
     Ok(())
