@@ -1,5 +1,5 @@
 //! The `chaos` experiment: every replacement policy × pool layout
-//! combination run through the threaded [`SessionServer`] under a
+//! combination run through [`SessionServer`] under a
 //! seeded fault schedule, with the fault-tolerance contract checked
 //! after each run.
 //!
@@ -27,9 +27,6 @@
 
 use super::multiuser::{four_users, half_the_working_sets, pool, sessions};
 use super::{ExpContext, ExpResult};
-use crate::ledger::Ledger;
-use crate::setup::TestBed;
-use ir_core::Query;
 use ir_engine::{PoolLayout, Schedule, ServerReport, SessionOutcome, SessionServer, SessionSpec};
 use ir_storage::{
     BufferManager, FaultConfig, FaultStore, FetchPolicy, FileMode, FilePageStore, PageStore,
@@ -96,54 +93,31 @@ fn per_session_reads(r: &ServerReport) -> Vec<u64> {
         .collect()
 }
 
-/// Replays every session's sequence, interleaved round-robin, through
-/// one cold one-shard pool over `store`, returning per-session
-/// disk-read totals. The file-backend analogue of a round-robin
-/// [`SessionServer`] run, handle for handle: each session evaluates
-/// through a handle of its own — one RAP announcer — dropped after its
-/// last step, so the pool sees the request stream the server's does.
-fn drive_sessions<S: PageStore>(
-    bed: &TestBed,
-    ledger: &Ledger,
+/// Runs the sessions round robin on a cold one-shard pool over
+/// `store`, as a `sharded[…/1]` row runs them over the simulator,
+/// keeping the run's ledger rows: the report, or the first failed
+/// session.
+fn run_over<S: PageStore + Send + Sync>(
+    ctx: &ExpContext,
     specs: &[SessionSpec],
-    store: Arc<S>,
+    store: S,
     frames: usize,
     policy: PolicyKind,
     fetch: FetchPolicy,
-) -> Result<Vec<u64>, String> {
-    let pool = BufferManager::new(store, frames, policy)
+) -> Result<ServerReport, String> {
+    let one_shard = BufferManager::new(store, frames, policy)
         .map_err(|e| format!("pool construction failed: {e}"))?;
-    pool.set_fetch_policy(fetch);
-    let mut handles: Vec<Option<BufferManager<Arc<S>>>> =
-        specs.iter().map(|_| Some(pool.clone())).collect();
-    let mut reads = vec![0u64; specs.len()];
-    let max_steps = specs
-        .iter()
-        .map(|s| s.sequence.steps.len())
-        .max()
-        .unwrap_or(0);
-    for step in 0..max_steps {
-        for (user, spec) in specs.iter().enumerate() {
-            let Some(buffer) = handles[user].as_mut() else {
-                continue;
-            };
-            if let Some(terms) = spec.sequence.steps.get(step) {
-                let stats = Query::from_ids(&bed.index, terms)
-                    .and_then(|q| {
-                        ledger.evaluate(spec.algorithm, &bed.index, buffer, &q, spec.options)
-                    })
-                    .map_err(|e| format!("user {user} step {step}: {e}"))?
-                    .stats;
-                reads[user] += stats.disk_reads;
-            }
-            // A session out of queries leaves: its handle's last query
-            // goes out of the pool's history, in its own turn.
-            if step + 1 >= spec.sequence.steps.len() {
-                handles[user] = None;
-            }
-        }
+    one_shard.set_fetch_policy(fetch);
+    let report = SessionServer::new(&ctx.bed.index, pool(frames, policy, 1)).run_on(
+        &one_shard,
+        specs,
+        Schedule::RoundRobin,
+    );
+    ctx.ledger.absorb(&report.ledger);
+    match report.failed_sessions().first() {
+        Some((i, e)) => Err(format!("session {i} failed: {e}")),
+        None => Ok(report),
     }
-    Ok(reads)
 }
 
 /// Runs the matrix, prints its transcript and writes it to
@@ -256,9 +230,8 @@ fn report(ctx: &ExpContext) -> ExpResult<String> {
         .map_err(|e| format!("opening {}: {e}", file.0.display()))?;
     for (policy, one_shard) in PolicyKind::ALL.into_iter().zip(&one_shard_reads) {
         let label = format!("{policy:>9} / file[{total_frames}]");
-        let clean = drive_sessions(
-            &ctx.bed,
-            &ctx.ledger,
+        let clean = run_over(
+            ctx,
             &specs,
             Arc::clone(&file_store),
             total_frames,
@@ -270,9 +243,8 @@ fn report(ctx: &ExpContext) -> ExpResult<String> {
             Arc::clone(&file_store),
             FaultConfig::chaos(SEED),
         ));
-        let faulty = drive_sessions(
-            &ctx.bed,
-            &ctx.ledger,
+        let faulty = run_over(
+            ctx,
             &specs,
             Arc::clone(&faulty_store),
             total_frames,
@@ -280,7 +252,8 @@ fn report(ctx: &ExpContext) -> ExpResult<String> {
             FetchPolicy::retries(RETRY_BUDGET),
         )
         .map_err(|e| format!("{label}: chaotic run failed: {e}"))?;
-
+        check_invariants(&faulty, &label)?;
+        let (clean, faulty) = (per_session_reads(&clean), per_session_reads(&faulty));
         if clean != faulty {
             return Err(format!(
                 "{label}: recovered faults changed per-session reads: \

@@ -1,10 +1,10 @@
 //! Extension experiment: multi-user buffering (§3.3's future-work
 //! discussion and §7).
 //!
-//! Four users run their own ADD-ONLY refinement sequences **on four
-//! OS threads** through [`ir_engine::SessionServer`], all under the
-//! BAF algorithm, scheduled round-robin so the page request stream —
-//! and therefore every number below — is reproducible. Three buffer
+//! Four users run their own ADD-ONLY refinement sequences through
+//! [`ir_engine::SessionServer`], all under the BAF algorithm, stepped
+//! round-robin on one thread so the page request stream — and
+//! therefore every number below — is reproducible. Three buffer
 //! architectures compete at equal total memory, and two more rows
 //! price lock striping:
 //!
@@ -113,7 +113,7 @@ fn reads_alone(ctx: &ExpContext, specs: &[SessionSpec], frames: usize) -> ExpRes
 }
 
 /// Runs the architecture comparison, then the scaling table, on the
-/// threaded server.
+/// session server.
 pub fn run(ctx: &ExpContext) -> ExpResult<()> {
     println!("\n== Multi-user buffering (extension; §3.3 options) ==");
     let users = four_users(ctx);

@@ -44,7 +44,6 @@ impl Ledger {
             &result.stats,
             &result.layers,
             eval_ns,
-            0,
         ));
         Ok(result)
     }

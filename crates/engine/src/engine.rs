@@ -167,14 +167,8 @@ impl<C: Clock> SearchEngine<C> {
         )?;
         let eval_ns = self.clock.now_ns() - started;
         let step = self.ledger.len() as u32;
-        self.ledger.record(query_cost(
-            0,
-            step,
-            &result.stats,
-            &result.layers,
-            eval_ns,
-            0,
-        ));
+        self.ledger
+            .record(query_cost(0, step, &result.stats, &result.layers, eval_ns));
         Ok(result)
     }
 

@@ -9,8 +9,8 @@
 //! and returns it in the [`ServerReport`](crate::ServerReport). Both
 //! time their queries on a [`Clock`](ir_core::eval::Clock), the real
 //! one unless a test hands them another; the split by layer is the
-//! evaluator's [`Layers`] plus the server's turnstile wait, and what
-//! those leave of the wall time is scoring.
+//! evaluator's [`Layers`], and what they leave of the wall time is
+//! scoring.
 
 use ir_core::eval::Layers;
 
@@ -33,9 +33,6 @@ pub struct LayerCost {
     pub staged_wait_us: u64,
     /// Waits for shard locks another session held.
     pub lock_wait_us: u64,
-    /// Waits for the session's turn under
-    /// [`Schedule::RoundRobin`](crate::Schedule::RoundRobin).
-    pub turnstile_us: u64,
     /// The remainder: the postings, the ranking, resolving the query
     /// and the bookkeeping around them.
     pub scoring_us: u64,
@@ -43,9 +40,8 @@ pub struct LayerCost {
 
 impl LayerCost {
     /// Splits a query's `eval_ns` into layers: the evaluator's
-    /// `layers`, then the `turnstile_ns` wait, and scoring as what they
-    /// leave.
-    pub fn split(layers: &Layers, turnstile_ns: u64, eval_ns: u64) -> LayerCost {
+    /// `layers`, and scoring as what they leave.
+    pub fn split(layers: &Layers, eval_ns: u64) -> LayerCost {
         let mut running_ns = 0;
         let mut rounded_us = 0;
         let mut next = |ns: u64| {
@@ -61,7 +57,6 @@ impl LayerCost {
             demand_wait_us: next(layers.demand_wait_ns),
             staged_wait_us: next(layers.staged_wait_ns),
             lock_wait_us: next(layers.lock_wait_ns),
-            turnstile_us: next(turnstile_ns),
             scoring_us: 0,
         };
         debug_assert!(
@@ -73,7 +68,7 @@ impl LayerCost {
     }
 
     /// The layers' `(name, µs)` pairs, in ledger order.
-    pub fn named(&self) -> [(&'static str, u64); 8] {
+    pub fn named(&self) -> [(&'static str, u64); 7] {
         [
             ("selection", self.selection_us),
             ("policy", self.policy_us),
@@ -81,7 +76,6 @@ impl LayerCost {
             ("demand wait", self.demand_wait_us),
             ("staged wait", self.staged_wait_us),
             ("lock wait", self.lock_wait_us),
-            ("turnstile", self.turnstile_us),
             ("scoring", self.scoring_us),
         ]
     }
@@ -98,7 +92,6 @@ impl LayerCost {
         self.demand_wait_us += other.demand_wait_us;
         self.staged_wait_us += other.staged_wait_us;
         self.lock_wait_us += other.lock_wait_us;
-        self.turnstile_us += other.turnstile_us;
         self.scoring_us += other.scoring_us;
     }
 }
@@ -116,8 +109,7 @@ pub struct QueryCost {
     /// per fetch by the evaluator, so the figure is exact under any
     /// schedule: `disk_reads + buffer_hits = pages_processed`.
     pub buffer_hits: u64,
-    /// The query's wall time in microseconds, from the moment its
-    /// session was ready to submit it (a turnstile wait included) to its
+    /// The query's wall time in microseconds, from its start to its
     /// answers.
     pub eval_us: u64,
     /// Where `eval_us` went, by layer; sums to it exactly.
@@ -236,18 +228,17 @@ impl CostLedger {
 
 /// Builds a [`QueryCost`] from one evaluation's
 /// [`EvalStats`](ir_core::EvalStats) and [`Layers`] plus what the
-/// evaluator cannot see: the query's wall time and, of it, the
-/// turnstile wait (both ns on the clock the evaluator ran under). Hits
-/// come straight from the evaluator's per-fetch counters and I/O waits
-/// from the store's per-thread accounting, so the row is exact even
-/// when other sessions drive the same pool concurrently.
+/// evaluator cannot see: the query's wall time, ns on the clock the
+/// evaluator ran under. Hits come straight from the evaluator's
+/// per-fetch counters and I/O waits from the store's per-thread
+/// accounting, so the row is exact even when other sessions drive the
+/// same pool concurrently.
 pub fn query_cost(
     session: u32,
     step: u32,
     stats: &ir_core::EvalStats,
     layers: &Layers,
     eval_ns: u64,
-    turnstile_ns: u64,
 ) -> QueryCost {
     QueryCost {
         session,
@@ -255,7 +246,7 @@ pub fn query_cost(
         disk_reads: stats.disk_reads,
         buffer_hits: stats.buffer_hits,
         eval_us: eval_ns / 1_000,
-        layers: LayerCost::split(layers, turnstile_ns, eval_ns),
+        layers: LayerCost::split(layers, eval_ns),
         candidates: stats.peak_accumulators as u64,
         estimated_reads: stats.baf_estimated_reads,
         batches: stats.batches_issued,
@@ -327,7 +318,7 @@ mod tests {
             io_wait_us: 77,
             ..Layers::default()
         };
-        let row = query_cost(4, 1, &stats, &layers, 123_000, 0);
+        let row = query_cost(4, 1, &stats, &layers, 123_000);
         assert_eq!(row.buffer_hits, stats.buffer_hits);
         assert_eq!(row.io_wait_us, 77);
         assert_eq!(
@@ -348,17 +339,17 @@ mod tests {
             pool_ns: 400,
             demand_wait_ns: 2_600,
             staged_wait_ns: 0,
-            lock_wait_ns: 999,
+            lock_wait_ns: 1_999,
             io_wait_us: 3,
         };
-        let cost = LayerCost::split(&layers, 1_000, 6_000);
+        let cost = LayerCost::split(&layers, 6_000);
         assert_eq!(
             cost.named().map(|(_, us)| us),
-            [0, 0, 1, 2, 0, 1, 1, 1],
-            "running totals 0.4, 0.8, 1.2, 3.8, 3.8, 4.799, 5.799 of 6 µs"
+            [0, 0, 1, 2, 0, 2, 1],
+            "running totals 0.4, 0.8, 1.2, 3.8, 3.8, 5.799 of 6 µs"
         );
         assert_eq!(cost.total_us(), 6);
-        let whole = LayerCost::split(&Layers::default(), 0, 2_500);
+        let whole = LayerCost::split(&Layers::default(), 2_500);
         assert_eq!((whole.scoring_us, whole.total_us()), (2, 2));
     }
 }

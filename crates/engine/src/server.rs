@@ -1,32 +1,32 @@
-//! The multi-session server: N concurrent refinement sessions over one
-//! shared buffer pool (paper §3.3).
+//! The multi-session server: N refinement sessions over one shared
+//! buffer pool (paper §3.3).
 //!
 //! The paper sketches two ways to extend RAP to multiple users —
 //! partitioned pools, and a shared pool with a merged ("global") query
 //! history — and leaves the trade-off open. [`SessionServer`] runs the
 //! second: every run provisions one [`BufferManager`], and each
-//! session drives its own refinement sequence on its own OS thread
-//! through a handle of its own to it. The query history lives in the
+//! session drives its own refinement sequence through a handle of its
+//! own to it. The query history lives in the
 //! pool: a handle is a session, and RAP values a page by the highest
 //! weight any session's current query gives its term, so the shared
 //! pool *is* the paper's option 2 with nothing above it. A private
 //! partition reads exactly what its session reads alone on a pool of
 //! the partition's size, which is how the multi-user experiment prices
-//! option 1 (EXPERIMENTS.md, "Multi-user buffering"). Locking is per
-//! read plan, so sessions genuinely interleave inside a single query,
-//! the contention pattern a time-sliced multi-user IR server produces.
+//! option 1 (EXPERIMENTS.md, "Multi-user buffering").
 //!
-//! Two schedules are offered. [`Schedule::FreeRunning`] lets the OS
-//! interleave sessions arbitrarily — the realistic mode. Per-session
-//! counters stay exact even here: every fetch reports its own outcome
-//! (hit or miss) to the calling session inside the fetch's
+//! Two schedules are offered, and they differ only in who steps the
+//! sessions. [`Schedule::RoundRobin`] steps them on the calling
+//! thread, refinement `k` of user `u` right after refinement `k` of
+//! user `u − 1`: the page request stream is deterministic, which is
+//! what a reproducible experiment needs. [`Schedule::FreeRunning`]
+//! gives each session a scoped thread of its own and lets the OS
+//! interleave them — the realistic mode. Locking is per read plan, so
+//! free-running sessions genuinely interleave inside a single query.
+//! Per-session counters stay exact even then: every fetch reports its
+//! own outcome (hit or miss) to the calling session inside the fetch's
 //! critical section, so attribution never leaks across sessions, and
 //! the store and the pool charge every I/O and shard-lock wait to the
 //! thread that waited, so the ledger's wait columns are exact too.
-//! [`Schedule::RoundRobin`] additionally passes a turn token so
-//! refinement `k` of user `u` always runs after refinement `k` of user
-//! `u − 1`: the page request stream itself becomes deterministic,
-//! which is what a reproducible experiment needs.
 //!
 //! ## Fault tolerance
 //!
@@ -38,10 +38,8 @@
 //!   bounded retry ([`SessionServer::with_fetch_policy`]).
 //! * A session that hits a terminal [`IrError`] — or panics — is
 //!   reported as [`SessionOutcome::Failed`] while every other session
-//!   runs to completion. The round-robin turnstile locks and waits
-//!   through [`ir_types::sync`], which ignores poisoning, and failed
-//!   sessions keep taking their turns, so no panic can wedge the
-//!   schedule.
+//!   runs to completion: each step evaluates under `catch_unwind`, and
+//!   the pool's locks ignore poisoning ([`ir_types::sync`]).
 
 use crate::ledger::{query_cost, CostLedger, QueryCost};
 use ir_core::eval::{evaluate_on, Clock, EvalOptions, RealClock};
@@ -51,8 +49,8 @@ use ir_storage::{
     BufferManager, BufferStats, FaultConfig, FaultStats, FaultStore, FetchPolicy, PageStore,
     PolicyKind, QueryBuffer,
 };
-use ir_types::{sync, IrError, IrResult, TermId};
-use std::sync::{Arc, Condvar, Mutex};
+use ir_types::{IrError, IrResult, TermId};
+use std::sync::Arc;
 
 /// The buffer memory a run provisions for its sessions: one
 /// [`BufferManager`] every session shares.
@@ -77,16 +75,17 @@ pub enum PoolLayout {
     },
 }
 
-/// How session threads are interleaved.
+/// How sessions are interleaved.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Schedule {
-    /// No coordination: the OS scheduler interleaves page requests.
-    /// Realistic; per-session counters stay exact (per-fetch outcome
-    /// attribution), but the request stream varies run to run.
+    /// One thread per session, no coordination: the OS scheduler
+    /// interleaves page requests. Realistic; per-session counters stay
+    /// exact (per-fetch outcome attribution), but the request stream
+    /// varies run to run.
     FreeRunning,
-    /// Refinements proceed in lockstep round-robin order (user 0's
-    /// step `k`, then user 1's step `k`, ...): deterministic request
-    /// stream, reproducible counters.
+    /// Refinements run one at a time on the calling thread, in
+    /// round-robin order (user 0's step `k`, then user 1's step `k`,
+    /// ...): deterministic request stream, reproducible counters.
     RoundRobin,
 }
 
@@ -193,7 +192,7 @@ pub struct ServerReport {
     /// lock waits per thread, so rows are exact under either
     /// schedule.
     pub ledger: CostLedger,
-    /// Wall-clock time of the whole run (spawn to last join), µs.
+    /// Wall-clock time of the whole run (first step to last), µs.
     pub wall_us: u64,
     /// Total time sessions spent waiting on shard locks, µs.
     /// Accumulated at nanosecond resolution — sub-µs contended waits
@@ -215,35 +214,6 @@ impl ServerReport {
     }
 }
 
-/// Turn token for [`Schedule::RoundRobin`]: thread `u` runs global
-/// turn `step · n + u`, so queries execute in the exact order the
-/// single-threaded round-robin driver would submit them. Poison-free
-/// ([`ir_types::sync`]): a session that panics mid-turn cannot wedge
-/// the waiters behind it.
-#[derive(Debug, Default)]
-struct Turnstile {
-    turn: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Turnstile {
-    fn wait_for(&self, t: usize) {
-        let mut turn = sync::lock(&self.turn);
-        while *turn < t {
-            turn = sync::wait(&self.cv, turn);
-        }
-    }
-
-    fn advance(&self) {
-        *sync::lock(&self.turn) += 1;
-        self.cv.notify_all();
-    }
-}
-
-/// What the session threads of one run produced: per-session outcomes
-/// in spec order, the cost ledger, and spawn-to-join wall time (µs).
-type SessionsRun = (Vec<SessionOutcome>, CostLedger, u64);
-
 /// Extracts a printable message from a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -255,11 +225,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs N refinement sessions concurrently against one shared pool.
+/// Runs N refinement sessions against one shared pool.
 ///
 /// Each [`run`](SessionServer::run) provisions a **cold** pool (the
-/// paper clears the cache before each sequence, §5.2.1), spawns one
-/// scoped thread per [`SessionSpec`], and joins them all before
+/// paper clears the cache before each sequence, §5.2.1) and runs every
+/// [`SessionSpec`] to its end under the [`Schedule`] before
 /// returning, so the report reflects a complete run. Every
 /// query is timed on the clock `C` — the real one, unless
 /// [`with_clock`](SessionServer::with_clock) swaps in another — and
@@ -311,13 +281,12 @@ impl<'a, C: Clock + Sync> SessionServer<'a, C> {
         self
     }
 
-    /// Runs one session per spec, all concurrently, and reports the
+    /// Runs one session per spec under `schedule` and reports the
     /// combined outcome.
     ///
     /// A session that hits an evaluation error or panics is degraded
-    /// to [`SessionOutcome::Failed`]; it stops evaluating but keeps
-    /// taking its round-robin turns, so the other sessions always run
-    /// to completion and the report is still `Ok`.
+    /// to [`SessionOutcome::Failed`] and stops evaluating; the other
+    /// sessions still run to completion and the report is still `Ok`.
     ///
     /// # Errors
     /// Pool construction errors only ([`IrError::EmptyBufferPool`]).
@@ -335,7 +304,7 @@ impl<'a, C: Clock + Sync> SessionServer<'a, C> {
         Ok(report)
     }
 
-    /// Runs one session per spec, all concurrently, over `pool` — a
+    /// Runs one session per spec under `schedule` over `pool` — a
     /// pool the caller built over a store of its own, such as a device
     /// behind an [`IoScheduler`](ir_storage::IoScheduler) — and reports
     /// as [`run`](Self::run) does. The server's layout, faults and
@@ -372,138 +341,123 @@ impl<'a, C: Clock + Sync> SessionServer<'a, C> {
         }
     }
 
-    /// Spawns one scoped thread per spec, each session evaluating its
-    /// sequence through a handle of its own to `pool`, and joins them
-    /// all. A query's row is timed from the moment its session is ready
-    /// to submit it: two clock reads beside the evaluator's, plus one
-    /// after a turnstile wait.
+    /// Gives each spec a handle of its own to `pool` — in spec order,
+    /// before the first step, so the announcers are the same run to
+    /// run — and has the schedule step the sessions: in turn on the
+    /// calling thread, or each on a scoped thread of its own. Returns
+    /// the outcomes in spec order, their rows session after session,
+    /// and the run's wall time, µs.
     fn run_sessions<S: PageStore + Send + Sync>(
         &self,
         specs: &[SessionSpec],
         schedule: Schedule,
         pool: &BufferManager<S>,
-    ) -> SessionsRun {
-        let n = specs.len();
+    ) -> (Vec<SessionOutcome>, CostLedger, u64) {
         let max_steps = specs
             .iter()
             .map(|s| s.sequence.steps.len())
             .max()
             .unwrap_or(0);
-        let turns = Turnstile::default();
+        let mut sessions: Vec<Session<'_, S>> = specs
+            .iter()
+            .enumerate()
+            .map(|(user, spec)| Session {
+                user: user as u32,
+                spec,
+                buffer: Some(pool.clone()),
+                steps: Vec::with_capacity(spec.sequence.steps.len()),
+                costs: Vec::with_capacity(spec.sequence.steps.len()),
+                failure: None,
+            })
+            .collect();
         let (index, clock) = (self.index, &self.clock);
-        type SessionRun = (SequenceOutcome, Vec<QueryCost>, Option<IrError>);
         let run_started = std::time::Instant::now();
-        let results: Vec<SessionRun> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (user, spec) in specs.iter().enumerate() {
-                // One handle — one announcer — per session, for as
-                // long as the session has queries left.
-                let mut buffer = Some(pool.clone());
-                let turns = &turns;
-                handles.push(scope.spawn(move || {
-                    let mut steps = Vec::with_capacity(spec.sequence.steps.len());
-                    let mut costs = Vec::with_capacity(spec.sequence.steps.len());
-                    let mut failure: Option<IrError> = None;
-                    for step in 0..max_steps {
-                        let query = buffer.as_mut().zip(spec.sequence.steps.get(step));
-                        // A query's wall time starts when its session is
-                        // ready to submit it, before any turnstile wait.
-                        let ready = query.is_some().then(|| clock.now_ns());
-                        if schedule == Schedule::RoundRobin {
-                            turns.wait_for(step * n + user);
-                        }
-                        if let Some(((buffer, terms), ready)) = query.zip(ready) {
-                            let started = match schedule {
-                                Schedule::RoundRobin => clock.now_ns(),
-                                Schedule::FreeRunning => ready,
-                            };
-                            // A panic inside evaluation must not
-                            // strand the other sessions at the
-                            // turnstile: catch it and fail this
-                            // session like any other error.
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if spec.chaos_panic_at == Some(step as u32) {
-                                        panic!("chaos: injected panic at step {step}");
-                                    }
-                                    Query::from_ids(index, terms).and_then(|q| {
-                                        evaluate_on(
-                                            spec.algorithm,
-                                            index,
-                                            buffer,
-                                            &q,
-                                            spec.options,
-                                            clock,
-                                        )
-                                    })
-                                }))
-                                .unwrap_or_else(|payload| {
-                                    Err(IrError::SessionPanicked(panic_message(payload)))
-                                });
-                            match outcome {
-                                Ok(result) => {
-                                    costs.push(query_cost(
-                                        user as u32,
-                                        step as u32,
-                                        &result.stats,
-                                        &result.layers,
-                                        clock.now_ns() - ready,
-                                        started - ready,
-                                    ));
-                                    steps.push(StepOutcome {
-                                        stats: result.stats,
-                                        hits: result.hits,
-                                        avg_precision: None,
-                                    });
-                                }
-                                Err(e) => failure = Some(e),
-                            }
-                        }
-                        // A session that failed or has no query left is
-                        // a user who is gone: dropping its handle takes
-                        // its last query out of the pool's history. Done
-                        // inside the session's own turn, so under
-                        // `RoundRobin` the re-valuation is part of the
-                        // deterministic stream.
-                        if failure.is_some() || step + 1 >= spec.sequence.steps.len() {
-                            buffer = None;
-                        }
-                        if schedule == Schedule::RoundRobin {
-                            turns.advance();
-                        }
+        match schedule {
+            Schedule::RoundRobin => {
+                for k in 0..max_steps {
+                    for session in &mut sessions {
+                        session.step(k, index, clock);
                     }
-                    (SequenceOutcome { steps }, costs, failure)
-                }));
+                }
             }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        (
-                            SequenceOutcome { steps: Vec::new() },
-                            Vec::new(),
-                            Some(IrError::SessionPanicked(panic_message(payload))),
-                        )
-                    })
-                })
-                .collect()
-        });
-        let wall_us = run_started.elapsed().as_micros() as u64;
-        let mut sessions = Vec::with_capacity(n);
-        let mut ledger = CostLedger::new();
-        for (outcome, costs, failure) in results {
-            for cost in costs {
-                ledger.record(cost);
-            }
-            sessions.push(match failure {
-                None => SessionOutcome::Completed(outcome),
-                Some(error) => SessionOutcome::Failed {
-                    completed: outcome,
-                    error,
-                },
-            });
+            Schedule::FreeRunning => std::thread::scope(|scope| {
+                for session in &mut sessions {
+                    scope.spawn(move || (0..max_steps).for_each(|k| session.step(k, index, clock)));
+                }
+            }),
         }
-        (sessions, ledger, wall_us)
+        let wall_us = run_started.elapsed().as_micros() as u64;
+        let mut ledger = CostLedger::new();
+        let outcomes = sessions
+            .into_iter()
+            .map(|session| {
+                ledger.entries.extend(session.costs);
+                let completed = SequenceOutcome {
+                    steps: session.steps,
+                };
+                match session.failure {
+                    None => SessionOutcome::Completed(completed),
+                    Some(error) => SessionOutcome::Failed { completed, error },
+                }
+            })
+            .collect();
+        (outcomes, ledger, wall_us)
+    }
+}
+
+/// One session of a run: its spec, its handle to the pool for as long
+/// as it has queries left, and what its steps produced.
+struct Session<'s, S: PageStore> {
+    user: u32,
+    spec: &'s SessionSpec,
+    buffer: Option<BufferManager<S>>,
+    steps: Vec<StepOutcome>,
+    costs: Vec<QueryCost>,
+    failure: Option<IrError>,
+}
+
+impl<S: PageStore> Session<'_, S> {
+    /// Evaluates step `k`, if the session has it and has not failed,
+    /// timing the query on `clock` from its start to its answers. A
+    /// panic inside evaluation fails the session like any other error.
+    /// A session that failed or has no query left is a user who is
+    /// gone: dropping its handle takes its last query out of the pool's
+    /// history, inside the session's own step, so under `RoundRobin`
+    /// the re-valuation is part of the deterministic stream.
+    fn step<C: Clock>(&mut self, k: usize, index: &InvertedIndex, clock: &C) {
+        let spec = self.spec;
+        if let Some((buffer, terms)) = self.buffer.as_mut().zip(spec.sequence.steps.get(k)) {
+            let started = clock.now_ns();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if spec.chaos_panic_at == Some(k as u32) {
+                    panic!("chaos: injected panic at step {k}");
+                }
+                Query::from_ids(index, terms).and_then(|q| {
+                    evaluate_on(spec.algorithm, index, buffer, &q, spec.options, clock)
+                })
+            }))
+            .unwrap_or_else(|payload| Err(IrError::SessionPanicked(panic_message(payload))));
+            match outcome {
+                Ok(result) => {
+                    self.costs.push(query_cost(
+                        self.user,
+                        k as u32,
+                        &result.stats,
+                        &result.layers,
+                        clock.now_ns() - started,
+                    ));
+                    self.steps.push(StepOutcome {
+                        stats: result.stats,
+                        hits: result.hits,
+                        avg_precision: None,
+                    });
+                }
+                Err(e) => self.failure = Some(e),
+            }
+        }
+        if self.failure.is_some() || k + 1 >= spec.sequence.steps.len() {
+            self.buffer = None;
+        }
     }
 }
 
@@ -511,7 +465,10 @@ impl<'a, C: Clock + Sync> SessionServer<'a, C> {
 mod tests {
     use super::*;
     use ir_index::{BuildOptions, IndexBuilder};
+    use ir_storage::{BufferEvent, BufferObserver};
     use ir_types::IndexParams;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     /// A collection where four topic terms overlap in every document
     /// mix, so concurrent sessions contend for the same pages.
@@ -652,6 +609,47 @@ mod tests {
             let reads = |r: &ServerReport| r.sessions.iter().map(step_reads).collect::<Vec<_>>();
             assert_eq!(reads(&a), reads(&b), "{layout:?}");
             assert_eq!(reads(&a)[1].len(), 1, "{layout:?}");
+        }
+    }
+
+    /// Records the thread every pool event happens on.
+    #[derive(Debug)]
+    struct EventThreads(Arc<Mutex<Vec<ThreadId>>>);
+
+    impl BufferObserver for EventThreads {
+        fn event(&mut self, _: BufferEvent) {
+            self.0.lock().unwrap().push(std::thread::current().id());
+        }
+    }
+
+    #[test]
+    fn round_robin_runs_on_the_calling_thread_and_free_running_off_it() {
+        let idx = index();
+        let layout = PoolLayout::Sharded {
+            total_frames: 12,
+            policy: PolicyKind::Rap,
+            shards: 2,
+        };
+        let caller = std::thread::current().id();
+        for (schedule, on_caller) in [(Schedule::RoundRobin, true), (Schedule::FreeRunning, false)]
+        {
+            let pool =
+                BufferManager::sharded(Arc::clone(idx.disk()), 12, PolicyKind::Rap, 2).unwrap();
+            let threads = Arc::new(Mutex::new(Vec::new()));
+            pool.set_observer(Box::new(EventThreads(Arc::clone(&threads))));
+            let report = SessionServer::new(&idx, layout).run_on(&pool, &specs(&idx), schedule);
+            assert!(report.failed_sessions().is_empty(), "{schedule:?}");
+            let threads = threads.lock().unwrap();
+            assert!(
+                threads.len() as u64 >= report.pool_stats.requests,
+                "{schedule:?}"
+            );
+            assert!(
+                threads.iter().all(|&t| (t == caller) == on_caller),
+                "{schedule:?}: events on the calling thread: {} of {}",
+                threads.iter().filter(|&&t| t == caller).count(),
+                threads.len()
+            );
         }
     }
 

@@ -2,8 +2,8 @@
 //! read is one µs and every wait passes on the clock as it was charged,
 //! so each layer of each row is known in advance from the query's own
 //! counters: one tick of policy, a tick of selection a round, a tick of
-//! pool a fetch, the store's waits to the µs, a tick of turnstile a
-//! round-robin turn, and two ticks plus one a scanned list of scoring.
+//! pool a fetch, the store's waits to the µs, and two ticks plus one a
+//! scanned list of scoring.
 //! On the real clock the layers still sum to the wall time.
 
 use ir_core::eval::{RealClock, TickClock};
@@ -62,9 +62,9 @@ fn steps(idx: &InvertedIndex, names: &[&str]) -> Vec<Vec<(TermId, u32)>> {
 }
 
 /// What the tick clock makes of a query: `rounds` selection rounds,
-/// `scanned` scanned lists (one fetch each), the store waits it was
-/// charged, and `turns` turnstile waits.
-fn expected(rounds: u64, scanned: u64, waits: (u64, u64), turns: u64) -> LayerCost {
+/// `scanned` scanned lists (one fetch each) and the store waits it was
+/// charged.
+fn expected(rounds: u64, scanned: u64, waits: (u64, u64)) -> LayerCost {
     LayerCost {
         selection_us: rounds,
         policy_us: 1,
@@ -72,19 +72,18 @@ fn expected(rounds: u64, scanned: u64, waits: (u64, u64), turns: u64) -> LayerCo
         demand_wait_us: waits.0,
         staged_wait_us: waits.1,
         lock_wait_us: 0,
-        turnstile_us: turns,
         scoring_us: 2 + scanned,
     }
 }
 
 /// Holds one row to its exact tick-clock split. Every algorithm runs
 /// one selection round a query term, a skipped term's too.
-fn assert_exact(row: &QueryCost, algorithm: Algorithm, terms: u64, scanned: u64, turns: u64) {
+fn assert_exact(row: &QueryCost, algorithm: Algorithm, terms: u64, scanned: u64) {
     let waits = (row.layers.demand_wait_us, row.layers.staged_wait_us);
     assert_eq!(waits.0 + waits.1, row.io_wait_us, "{row:?}");
     assert_eq!(
         row.layers,
-        expected(terms, scanned, waits, turns),
+        expected(terms, scanned, waits),
         "{algorithm}: {row:?}"
     );
     assert_eq!(row.layers.total_us(), row.eval_us, "{row:?}");
@@ -132,7 +131,7 @@ fn the_tick_clock_ledger_is_exact_for_df_lru_and_tight_baf_rap() {
             for (row, r) in rows.iter().zip(&results) {
                 let scanned = r.stats.terms_scanned as u64;
                 assert_eq!(row.batches, scanned);
-                assert_exact(row, config.algorithm, r.trace.len() as u64, scanned, 0);
+                assert_exact(row, config.algorithm, r.trace.len() as u64, scanned);
                 assert_eq!(row.io_wait_us, 0, "the simulator charges no wait");
             }
             assert!(results.iter().any(|r| r.stats.disk_reads > 0));
@@ -181,13 +180,13 @@ fn assert_rows_exact(report: &ServerReport, sessions: usize) {
         for (row, step) in rows.iter().zip(&outcome.steps) {
             let stats = &step.stats;
             let terms = (stats.terms_scanned + stats.terms_skipped) as u64;
-            assert_exact(row, Algorithm::Baf, terms, stats.terms_scanned as u64, 1);
+            assert_exact(row, Algorithm::Baf, terms, stats.terms_scanned as u64);
         }
     }
 }
 
-/// Two sessions taking turns on one RAP pool: each turn is one tick of
-/// turnstile wait, and every row is exact.
+/// Two sessions taking turns on one RAP pool, on the calling thread:
+/// a row holds its own query only, and every row is exact.
 #[test]
 fn the_tick_clock_ledger_is_exact_for_two_round_robin_sessions() {
     let idx = index();
@@ -285,7 +284,6 @@ fn free_running_sessions_are_charged_their_own_io_waits() {
         assert!(waited > 0);
         for row in &report.ledger.entries {
             assert_eq!(row.layers.total_us(), row.eval_us, "{row:?}");
-            assert_eq!(row.layers.turnstile_us, 0, "{row:?}");
         }
     }
 }
@@ -312,7 +310,7 @@ fn real_clock_layers_sum_to_the_wall_time() {
             let layers = row.layers;
             assert_eq!(layers.total_us(), row.eval_us, "{row:?}");
             assert!(layers.total_us() - layers.scoring_us <= row.eval_us);
-            assert_eq!(layers.turnstile_us + layers.lock_wait_us, 0, "{row:?}");
+            assert_eq!(layers.lock_wait_us, 0, "{row:?}");
         }
     }
 }

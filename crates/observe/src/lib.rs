@@ -3,7 +3,7 @@
 //! The storage tier's counters: named monotonic [`Counter`]s and
 //! fixed-bucket [`Histogram`]s, handed out by a [`Registry`]. Handles
 //! are `Arc`-backed atomics — recording is lock-free and wait-free, so
-//! the threaded `SessionServer` can count from N sessions without
+//! a free-running `SessionServer` can count from N sessions without
 //! contention. Registration (name → handle) takes a short mutex once
 //! per metric; the hot path never does.
 //!

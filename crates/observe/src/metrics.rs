@@ -3,8 +3,8 @@
 //!
 //! Handles ([`Counter`], [`Histogram`]) are cheap clones of
 //! `Arc`-backed atomics: once obtained, recording never takes a lock,
-//! so the threaded session server can bump counters from every session
-//! thread without contention. The registry itself (name → handle) is
+//! so a free-running session server can bump counters from every
+//! session thread without contention. The registry itself (name → handle) is
 //! behind a short mutex that only registration and snapshotting touch.
 
 use std::collections::BTreeMap;

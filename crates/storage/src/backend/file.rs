@@ -52,13 +52,12 @@
 //! file descriptor ([`FileMode::Buffered`], the only mode).
 //!
 //! Statistics bookkeeping (counter updates, the sequential/random head
-//! classification, errors bumping nothing) is kept line-for-line
-//! equivalent to [`DiskSim`](crate::DiskSim)'s, which is what makes the
-//! zero-latency file backend event-for-event identical to the
-//! simulator.
+//! classification, errors bumping nothing) is [`DiskSim`](crate::DiskSim)'s
+//! own counter update, which is what makes the zero-latency file
+//! backend event-for-event identical to the simulator.
 
 use crate::codec::{decode_postings, encode_postings_into, put_vbyte, ENCODING_ID};
-use crate::disk::{DiskStats, PageStore};
+use crate::disk::{DiskState, DiskStats, PageStore};
 use crate::page::Page;
 use ir_types::{sync, weights, IrError, IrResult, PageId, TermId};
 use std::fmt;
@@ -425,14 +424,6 @@ struct TermDir {
     idf: f64,
 }
 
-#[derive(Debug, Default)]
-struct FileState {
-    stats: DiskStats,
-    /// Head position, for the sequential/random classification — same
-    /// rule as `DiskSim`.
-    last: Option<PageId>,
-}
-
 /// A [`PageStore`] serving a `BFPG` page file.
 ///
 /// Thread-safe: reads are serialized through the state mutex — one
@@ -451,7 +442,7 @@ pub struct FilePageStore {
     /// Every page's build-time checksum, unsealed with the `idf_t` its
     /// list's `f_t` gives.
     checksums: Vec<u64>,
-    state: Mutex<FileState>,
+    state: Mutex<DiskState>,
 }
 
 impl fmt::Debug for FilePageStore {
@@ -631,7 +622,7 @@ impl FilePageStore {
             section: head[dir_end..sealed_end].to_vec(),
             offsets,
             checksums,
-            state: Mutex::new(FileState::default()),
+            state: Mutex::new(DiskState::default()),
         })
     }
 
@@ -673,7 +664,7 @@ impl FilePageStore {
 
     /// Resets the counters and the modeled head position.
     pub fn reset_stats(&self) {
-        *sync::lock(&self.state) = FileState::default();
+        *sync::lock(&self.state) = DiskState::default();
     }
 
     /// Locates `id`: its list's `idf_t`, its index in the per-page
@@ -715,29 +706,13 @@ impl FilePageStore {
         }
         Ok(page)
     }
-
-    /// Counter update for one successful read — `DiskSim`'s rule.
-    fn count_read(state: &mut FileState, id: PageId, entries: u64) {
-        state.stats.reads += 1;
-        state.stats.entries_read += entries;
-        let sequential = matches!(
-            state.last,
-            Some(prev) if prev.term == id.term && prev.page.0 + 1 == id.page.0
-        );
-        if sequential {
-            state.stats.sequential_reads += 1;
-        } else {
-            state.stats.random_reads += 1;
-        }
-        state.last = Some(id);
-    }
 }
 
 impl PageStore for FilePageStore {
     fn read_page(&self, id: PageId) -> IrResult<Page> {
         let mut state = sync::lock(&self.state);
         let page = self.load_verified(id)?;
-        Self::count_read(&mut state, id, page.len() as u64);
+        state.count_read(id, page.len() as u64);
         Ok(page)
     }
 

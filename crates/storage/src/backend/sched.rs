@@ -46,7 +46,7 @@
 //! request order, so the scheduler is invisible to the event stream;
 //! zero the model and it is invisible to the accounting too.
 
-use crate::disk::PageStore;
+use crate::disk::{is_sequential, PageStore};
 use crate::page::Page;
 use ir_observe::{Counter, Histogram, IO_LATENCY_US_BOUNDS};
 use ir_types::{sync, ClockKind, IdMap, IrResult, PageId};
@@ -283,24 +283,13 @@ impl<S: PageStore> IoScheduler<S> {
         }
     }
 
-    fn classify(last: &mut Option<PageId>, id: PageId) -> bool {
-        let sequential = matches!(
-            *last,
-            Some(prev) if prev.term == id.term && prev.page.0 + 1 == id.page.0
-        );
-        *last = Some(id);
-        sequential
-    }
-
     /// Prices a physical read of `id` and queues it on the channel that
     /// frees up first, behind whatever that channel still has in flight
     /// at `now` (ties go to the first in turn from `next_ch`): returns
     /// its cost and when it completes, µs.
     fn enqueue(&self, state: &mut SchedState, id: PageId, now: u64) -> (u64, u64) {
-        let cost = self
-            .config
-            .model
-            .cost_us(Self::classify(&mut state.last, id));
+        let cost = self.config.model.cost_us(is_sequential(state.last, id));
+        state.last = Some(id);
         let n = state.free_at.len();
         let ch = (0..n)
             .map(|i| (state.next_ch + i) % n)

@@ -126,12 +126,39 @@ impl PageRecord {
     }
 }
 
+/// A store's counters and its head: what [`DiskSim`] and the page
+/// file keep behind their mutex.
 #[derive(Debug, Default)]
-struct DiskState {
-    stats: DiskStats,
+pub(crate) struct DiskState {
+    pub(crate) stats: DiskStats,
     /// Head position: the last page fetched, for the
     /// sequential-vs-random classification.
     last: Option<PageId>,
+}
+
+impl DiskState {
+    /// Counts one delivered read of `entries` postings from `id`.
+    pub(crate) fn count_read(&mut self, id: PageId, entries: u64) {
+        self.stats.reads += 1;
+        self.stats.entries_read += entries;
+        if is_sequential(self.last, id) {
+            self.stats.sequential_reads += 1;
+        } else {
+            self.stats.random_reads += 1;
+        }
+        self.last = Some(id);
+    }
+}
+
+/// Whether a read of `id` with the head on `head` is sequential: the
+/// next page of the list the head is already on ("each inverted list
+/// is a separate file", read front to back), which a real disk serves
+/// without a seek.
+pub(crate) fn is_sequential(head: Option<PageId>, id: PageId) -> bool {
+    matches!(
+        head,
+        Some(prev) if prev.term == id.term && prev.page.0 + 1 == id.page.0
+    )
 }
 
 impl DiskSim {
@@ -307,20 +334,7 @@ impl PageStore for DiskSim {
             record.checksum,
         );
         let mut state = sync::lock(&self.state);
-        state.stats.reads += 1;
-        state.stats.entries_read += page.len() as u64;
-        // Sequential = the next page of the list the head is already on
-        // ("each inverted list is a separate file", read front to back).
-        let sequential = matches!(
-            state.last,
-            Some(prev) if prev.term == id.term && prev.page.0 + 1 == id.page.0
-        );
-        if sequential {
-            state.stats.sequential_reads += 1;
-        } else {
-            state.stats.random_reads += 1;
-        }
-        state.last = Some(id);
+        state.count_read(id, page.len() as u64);
         Ok(page)
     }
 }

@@ -24,6 +24,7 @@
 
 use crate::disk::PageStore;
 use crate::page::Page;
+use ir_types::idmap::splitmix64;
 use ir_types::{sync, IdMap, IrError, IrResult, PageId};
 use std::sync::Mutex;
 
@@ -113,19 +114,13 @@ struct FaultState {
     stats: FaultStats,
 }
 
-/// Sebastiano Vigna's splitmix64: the standard seed-expansion step,
-/// chosen for exact reproducibility with no dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `[0, 1)` from the top 53 bits of one step.
+/// A uniform draw in `[0, 1)` from the top 53 bits of one step of
+/// Sebastiano Vigna's splitmix64 generator: the mix of the state, which
+/// then advances by the golden-ratio increment the mix adds.
 fn unit(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+    let draw = splitmix64(*state);
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    (draw >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A [`PageStore`] wrapper injecting seeded, deterministic faults.

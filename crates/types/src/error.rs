@@ -54,8 +54,8 @@ pub enum IrError {
         /// The page whose delivered image failed verification.
         page: PageId,
     },
-    /// A session thread panicked; carries the panic payload when it
-    /// was a string.
+    /// A session panicked; carries the panic payload when it was a
+    /// string.
     SessionPanicked(String),
 }
 

@@ -7,8 +7,10 @@
 # file / a binary target of a workspace package (a `[[bin]]` of its
 # Cargo.toml, or a `src/bin/NAME.rs` Cargo discovers) / `all` or a name
 # in the experiments binary's EXPERIMENTS table (nobody can run Actions
-# offline, so a job naming a deleted artifact has to fail here). Reads
-# sources only — nothing is built or run.
+# offline, so a job naming a deleted artifact has to fail here). Every
+# `DESIGN.md § N` (or `DESIGN.md §N`) citation there or in the code must
+# name a numbered `## N.` heading of DESIGN.md. Reads sources only —
+# nothing is built or run.
 #
 #   scripts/check_docs.sh     exit 1 listing each dangling reference
 set -euo pipefail
@@ -51,5 +53,16 @@ while IFS=: read -r doc line ref; do
         fi
     done
 done < <(grep -noE -e '(--bin |`)experiments( --)?( [a-z][a-z0-9_]*)+' "${docs[@]}" | sort -u)
+
+# DESIGN.md's numbered sections: `## N. Title`.
+sections=" $(grep -oE '^## [0-9]+\.' DESIGN.md | tr -dc '0-9\n' | tr '\n' ' ')"
+while IFS=: read -r doc line ref; do
+    n=${ref##*§}
+    n=${n# }
+    if [[ "$sections" != *" $n "* ]]; then
+        echo "$doc:$line: \`$ref\` cites no \`## $n.\` heading of DESIGN.md"
+        bad=1
+    fi
+done < <(grep -rnoE 'DESIGN\.md ?§ ?[0-9]+' "${docs[@]}" crates src tests examples scripts | sort -u)
 
 exit "$bad"
